@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.cam.array import CamArray
 from repro.cam.variation import CurrentDomainVariation
-from repro.eval.confusion import ConfusionMatrix
+from repro.eval.confusion import confusion_series
 from repro.eval.ground_truth import label_dataset
 from repro.eval.reporting import format_table
 
@@ -22,16 +22,11 @@ THRESHOLDS = (1, 2, 3, 4)
 
 def _mean_f1_with_array(dataset, truth, array):
     from repro.cam.cell import MatchMode
-    scores = []
-    for threshold in THRESHOLDS:
-        matrix = ConfusionMatrix()
-        labels = truth.labels(threshold)
-        for index, record in enumerate(dataset.reads):
-            result = array.search(record.read.codes, threshold,
-                                  MatchMode.ED_STAR)
-            matrix.update(result.matches, labels[index])
-        scores.append(matrix.f1)
-    return float(np.mean(scores))
+    reads = np.stack([record.read.codes for record in dataset.reads])
+    decisions = array.search_sweep(reads, np.asarray(THRESHOLDS),
+                                   MatchMode.ED_STAR).matches
+    labels = np.stack([truth.labels(t) for t in THRESHOLDS])
+    return float(np.mean([m.f1 for m in confusion_series(decisions, labels)]))
 
 
 def bench_noise_models(benchmark, bench_dataset_a):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cam.array import CamArray
-from repro.eval.confusion import ConfusionMatrix
+from repro.eval.confusion import confusion_series
 from repro.eval.ground_truth import label_dataset
 from repro.eval.noise_margin import flip_probability
 from repro.eval.reporting import format_table
@@ -27,15 +27,10 @@ def _mean_f1(dataset, truth, domain, strict, seed=0):
                      domain=domain, noisy=True, seed=seed,
                      strict_paper_vref=strict)
     array.store(dataset.segments)
-    scores = []
-    for threshold in THRESHOLDS:
-        matrix = ConfusionMatrix()
-        labels = truth.labels(threshold)
-        for index, record in enumerate(dataset.reads):
-            result = array.search(record.read.codes, threshold)
-            matrix.update(result.matches, labels[index])
-        scores.append(matrix.f1)
-    return float(np.mean(scores))
+    reads = np.stack([record.read.codes for record in dataset.reads])
+    decisions = array.search_sweep(reads, np.asarray(THRESHOLDS)).matches
+    labels = np.stack([truth.labels(t) for t in THRESHOLDS])
+    return float(np.mean([m.f1 for m in confusion_series(decisions, labels)]))
 
 
 def bench_vref_placement(benchmark, bench_dataset_a):

@@ -3,16 +3,16 @@
 Wall-clock comparison of the three execution models of
 :mod:`repro.core.pipeline` on one workload:
 
-* **scalar** — the original per-read Python loop
-  (``ReadMappingPipeline.run``);
+* **scalar** — one read per call: a one-row
+  ``ReadMappingPipeline.run_batched`` per read, keyed by its index;
 * **batched** — one vectorised ``match_batch`` over the whole block
   (``ReadMappingPipeline.run_batched``);
 * **sharded** — the reference partitioned across CAM-array shards
   searched by concurrent workers (``ShardedReadMappingPipeline.run``).
 
-All three make bit-identical *digital* decisions for their own noise
-streams; this bench measures simulator throughput (reads mapped per
-wall-clock second), not modelled hardware latency.
+Scalar and batched make bit-identical decisions (the same keys); this
+bench measures simulator throughput (reads mapped per wall-clock
+second), not modelled hardware latency.
 
 Usage::
 
@@ -33,7 +33,11 @@ import numpy as np
 from conftest import add_json_argument, write_bench_json
 from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
-from repro.core.pipeline import ReadMappingPipeline, ShardedReadMappingPipeline
+from repro.core.pipeline import (
+    MappingReport,
+    ReadMappingPipeline,
+    ShardedReadMappingPipeline,
+)
 from repro.genome.datasets import build_dataset
 
 
@@ -90,7 +94,14 @@ def main(argv: "list[str] | None" = None) -> int:
         array.store(dataset.segments)
         matcher = AsmCapMatcher(array, dataset.model, MatcherConfig(),
                                 seed=args.seed)
-        return ReadMappingPipeline(matcher).run(reads, args.threshold)
+        pipeline = ReadMappingPipeline(matcher)
+        report = MappingReport()
+        for index in range(reads.shape[0]):
+            one = pipeline.run_batched(reads[index:index + 1],
+                                       args.threshold,
+                                       first_read_index=index)
+            report.add(one.mappings[0])
+        return report
 
     def batched_run():
         array = CamArray(rows=args.segments, cols=args.read_length,

@@ -71,7 +71,7 @@ def first_batch(reference: StoredReference, model, reads,
                 threshold: int, seed: int):
     """Boot-critical tail: build the matcher and map the first batch."""
     matcher = AsmCapMatcher.over_stored(reference, model, seed=seed)
-    return ReadMappingPipeline(matcher).run(reads, threshold)
+    return ReadMappingPipeline(matcher).run_batched(reads, threshold)
 
 
 def main(argv: "list[str] | None" = None) -> int:

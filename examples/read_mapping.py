@@ -93,7 +93,7 @@ def main() -> None:
 
     # The pipeline view: where did each read land?
     pipeline = ReadMappingPipeline(asmcap)
-    report = pipeline.run(dataset.reads, THRESHOLD)
+    report = pipeline.run_batched(dataset.reads, THRESHOLD)
     print(f"pipeline: {report.mapped_fraction * 100:.0f}% of reads mapped, "
           f"{report.unique_fraction * 100:.0f}% uniquely; "
           f"{report.n_searches} searches total")

@@ -2,11 +2,12 @@
 
 :class:`AsmCapAccelerator` offers two complementary paths:
 
-* a **functional path** (``match_read`` / ``match_batch``): reads are
-  broadcast to every array, each array searches its stored segments
-  (with full strategy support through per-array matchers), and the
-  result maps global segment indices to decisions.  Use moderate array
-  counts here — it simulates every cell.
+* a **functional path** (``match_batch``, with ``match_read`` its
+  one-row slice): reads are broadcast to every array, each array
+  searches its stored segments (with full strategy support through
+  per-array matchers), and the result maps global segment indices to
+  decisions.  Every draw is keyed by ``(seed, query_key, pass)``.  Use
+  moderate array counts here — it simulates every cell.
 
 * an **analytic path** (``estimate_read_cost``): closed-form per-read
   latency/energy at full system scale (512 arrays) from the timing and
@@ -28,12 +29,7 @@ from repro.arch.htree import HTreeModel
 from repro.arch.timing import TimingModel
 from repro.cam.array import CamArray
 from repro.cam.energy import search_energy_per_row
-from repro.core.matcher import (
-    AsmCapMatcher,
-    MatchBatchOutcome,
-    MatcherConfig,
-    MatchOutcome,
-)
+from repro.core.matcher import AsmCapMatcher, MatchBatchOutcome, MatcherConfig
 from repro.cost.events import BufferBroadcast, ReferenceLoad
 from repro.cost.ledger import CostLedger
 from repro.cost.profile import StrategyProfile
@@ -199,44 +195,10 @@ class AsmCapAccelerator:
     # -- functional path ------------------------------------------------
 
     def match_read(self, read: np.ndarray, threshold: int) -> SystemMatch:
-        """Broadcast one read to all arrays and merge decisions."""
-        if self._loaded_segments == 0:
-            raise ArchConfigError("no reference loaded")
-        read = np.asarray(read, dtype=np.uint8)
-        self.ledger.record(BufferBroadcast(
-            n_reads=1, read_bits=self._config.read_bits,
-        ))
-        decisions: list[np.ndarray] = []
-        array_energy = 0.0
-        array_latency = 0.0
-        n_searches = 0
-        for matcher in self._matchers:
-            if matcher.array.plane.n_written == 0:
-                break
-            outcome: MatchOutcome = matcher.match(read, threshold)
-            decisions.append(outcome.decisions)
-            array_energy += outcome.energy_joules
-            # Arrays operate in parallel: latency is the max, and all
-            # arrays issue the same search schedule, so any one works.
-            array_latency = max(array_latency, outcome.latency_ns)
-            n_searches = max(n_searches, outcome.n_searches)
-        merged = np.concatenate(decisions)[: self._loaded_segments]
-        fetch_latency = self._buffer.fetch_latency_ns()
-        broadcast_latency = self._htree.broadcast_latency_ns()
-        dispatch_latency = self._controller.dispatch_latency_ns(n_searches)
-        fetch_energy = self._buffer.fetch_energy_joules(self._config.read_bits)
-        broadcast_energy = self._htree.broadcast_energy_joules(
-            self._config.read_bits
-        )
-        dispatch_energy = self._controller.dispatch_energy_joules(n_searches)
-        return SystemMatch(
-            matches=merged,
-            latency_ns=(fetch_latency + broadcast_latency + dispatch_latency
-                        + array_latency),
-            energy_joules=(fetch_energy + broadcast_energy + dispatch_energy
-                           + array_energy),
-            n_searches=n_searches,
-        )
+        """Broadcast one read to all arrays: the one-row slice of
+        :meth:`match_batch` (keyed as read 0)."""
+        return self.match_batch(np.asarray(read, dtype=np.uint8)[None, :],
+                                threshold)[0]
 
     def match_batch(self, reads: "list[np.ndarray] | np.ndarray",
                     threshold: int,
@@ -248,18 +210,15 @@ class AsmCapAccelerator:
         buffer streams the whole ``(B, N)`` block down the H-tree and
         every array runs its vectorised
         :meth:`~repro.core.matcher.AsmCapMatcher.match_batch` over it —
-        ED*, masked HDAC and TASR passes included — instead of looping
-        reads through :meth:`match_read` one at a time.  Per-read
-        decisions merge across arrays in global segment order; energy
-        sums over arrays while array latency takes the max (arrays
-        search in parallel behind the H-tree).
+        ED*, masked HDAC and TASR passes included.  Per-read decisions
+        merge across arrays in global segment order; energy sums over
+        arrays while array latency takes the max (arrays search in
+        parallel behind the H-tree).
 
         Determinism is anchored on per-read ``query_keys`` (default:
         the read's position in the block), so chunked calls that pass
         global positions compose bit-identically — matches, energy and
         latency alike (the regression tests pin this composition).
-        Reads that need the legacy *sequential* noise stream go
-        through :meth:`match_read` one at a time.
         """
         if self._loaded_segments == 0:
             raise ArchConfigError("no reference loaded")

@@ -55,6 +55,7 @@ env var > this), implemented by :func:`resolve_engine`.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -364,6 +365,9 @@ _CALIBRATION_REPEATS = 3
 
 #: Cached :func:`plan_backend` result (one calibration per process).
 _PLANNED_BACKEND: "str | None" = None
+#: Serialises the calibration, so concurrent first callers run it once
+#: and all see the same cached backend.
+_PLAN_LOCK = threading.Lock()
 
 
 def calibrate_kernel_backends(
@@ -411,7 +415,8 @@ def plan_backend() -> str:
     registered backend produces bit-identical results.
     """
     global _PLANNED_BACKEND
-    if _PLANNED_BACKEND is None:
-        timings = calibrate_kernel_backends()
-        _PLANNED_BACKEND = min(timings, key=timings.get)
-    return _PLANNED_BACKEND
+    with _PLAN_LOCK:
+        if _PLANNED_BACKEND is None:
+            timings = calibrate_kernel_backends()
+            _PLANNED_BACKEND = min(timings, key=timings.get)
+        return _PLANNED_BACKEND

@@ -28,16 +28,17 @@ from typing import Sequence
 import numpy as np
 
 from repro import constants
-from repro.cam.array import CamArray, SearchResult
+from repro.cam.array import CamArray
 from repro.cam.cell import MatchMode
-from repro.core.tasr import rotation_offsets
+from repro.core.matcher import (
+    PASS_ED_STAR,
+    PASS_ROTATION,
+    pass_keys,
+    query_key_vector,
+    read_block,
+)
+from repro.core.tasr import DIRECTIONS, rotation_offsets
 from repro.errors import CamConfigError
-
-#: Pass tags separating one query's keyed noise streams (mirrors the
-#: ASMCap matcher's tags; streams never mix across arrays because the
-#: array seed is folded in first).
-_PASS_ED_STAR = 0
-_PASS_ROTATION = 512
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,8 @@ class EdamMatcher:
                 "EDAM requires a current-domain array, got "
                 f"{array.domain!r}"
             )
+        if sr_direction not in DIRECTIONS:
+            raise CamConfigError(f"invalid sr_direction {sr_direction!r}")
         self._array = array
         self._enable_sr = enable_sr
         self._sr_nr = sr_nr
@@ -94,47 +97,54 @@ class EdamMatcher:
     def store(self, segments: np.ndarray) -> None:
         self._array.store(segments)
 
-    @staticmethod
-    def _noise_key(query_key: "int | None",
-                   pass_tag: int) -> "tuple[int, int] | None":
-        if query_key is None:
-            return None
-        return (int(query_key), pass_tag)
+    def _passes(self, reads: np.ndarray, thresholds,
+                query_keys: "Sequence[int] | None", sweep: bool) -> list:
+        """The base ED* pass, then one rotated pass per SR offset.
+
+        EDAM's SR fires unconditionally, so every pass covers the whole
+        ``(B, N)`` block at every threshold: a batch (``sweep=False``,
+        scalar or ``(B,)`` thresholds) or a sweep (``(T,)`` vector).
+        """
+        search = self._array.search_sweep if sweep else \
+            self._array.search_batch
+        keys = query_key_vector(query_keys, reads.shape[0])
+        results = [search(reads, thresholds, MatchMode.ED_STAR,
+                          noise_keys=pass_keys(keys, PASS_ED_STAR))]
+        if self._enable_sr:
+            for offset in rotation_offsets(self._sr_nr, self._sr_direction):
+                results.append(search(
+                    np.roll(reads, -offset, axis=1), thresholds,
+                    MatchMode.ED_STAR,
+                    noise_keys=pass_keys(keys, PASS_ROTATION + offset),
+                    rotation=offset,
+                ))
+        return results
 
     def match(self, read: np.ndarray, threshold: int,
               query_key: "int | None" = None) -> EdamOutcome:
         """Match one read at threshold ``T`` (plain ED*, optional SR).
 
-        With a ``query_key`` the variation noise comes from keyed
-        streams, making the outcome bit-identical to row ``query_key``
-        of a :meth:`match_sweep` call that used the same key —
-        regardless of which other reads or thresholds rode along.
+        The one-row slice of the keyed block: keyed by ``query_key``
+        (default 0, the read's index in a one-read block), so the
+        decisions equal row ``q`` of any :meth:`match_sweep` call that
+        keys that read ``query_key``.
         """
-        # Pre-charge *energy* is already inside the array's current-domain
-        # search energy (repro.cost.views); only the pre-charge
-        # *latency* phase is added here.
-        base: SearchResult = self._array.search(
-            read, threshold, MatchMode.ED_STAR,
-            noise_key=self._noise_key(query_key, _PASS_ED_STAR),
+        read = np.asarray(read, dtype=np.uint8)
+        results = self._passes(read[None, :], threshold,
+                               None if query_key is None else [query_key],
+                               sweep=False)
+        # Pre-charge *energy* is already inside the array's
+        # current-domain search energy (repro.cost.views); only the
+        # pre-charge *latency* phase is added here.
+        energy = latency = 0.0
+        for result in results:
+            energy += float(result.energy_per_query_joules[0])
+            latency += result.latency_ns + constants.EDAM_PRECHARGE_TIME_NS
+        return EdamOutcome(
+            decisions=np.logical_or.reduce([r.matches[0] for r in results]),
+            n_searches=len(results), energy_joules=energy,
+            latency_ns=latency,
         )
-        decisions = base.matches.copy()
-        n_searches = 1
-        energy = base.energy_joules
-        latency = base.latency_ns + constants.EDAM_PRECHARGE_TIME_NS
-        if self._enable_sr:
-            for offset in rotation_offsets(self._sr_nr, self._sr_direction):
-                rotated = self._array.search_rotated(
-                    read, threshold, offset, MatchMode.ED_STAR,
-                    noise_key=self._noise_key(query_key,
-                                              _PASS_ROTATION + offset),
-                )
-                decisions |= rotated.matches
-                n_searches += 1
-                energy += rotated.energy_joules
-                latency += (rotated.latency_ns
-                            + constants.EDAM_PRECHARGE_TIME_NS)
-        return EdamOutcome(decisions=decisions, n_searches=n_searches,
-                           energy_joules=energy, latency_ns=latency)
 
     def match_sweep(self, reads: np.ndarray,
                     thresholds: "Sequence[int] | np.ndarray",
@@ -143,48 +153,14 @@ class EdamMatcher:
 
         EDAM has no threshold-dependent escalation, so its sweep is the
         pure form of the trick: one ED* count + keyed-noise pass (plus
-        one rotated pass per SR offset when SR is enabled — EDAM's SR
-        fires unconditionally, so every threshold shares them) and the
+        one rotated pass per SR offset when SR is enabled) and the
         whole threshold vector applied as sense-amp reference
         comparisons.  Slice ``t``, row ``q`` is bit-identical to
         ``match(reads[q], thresholds[t], query_key=keys[q])``.
         """
-        reads = np.asarray(reads, dtype=np.uint8)
-        if reads.ndim != 2:
-            raise CamConfigError(
-                f"match_sweep needs a (B, N) block, got shape {reads.shape}"
-            )
-        n_queries = reads.shape[0]
-        thresholds = np.asarray(thresholds, dtype=int)
-        if query_keys is None:
-            keys = np.arange(n_queries, dtype=np.int64)
-        else:
-            if len(query_keys) != n_queries:
-                raise CamConfigError(
-                    f"{len(query_keys)} query keys for {n_queries} reads"
-                )
-            keys = np.asarray([int(k) for k in query_keys], dtype=np.int64)
-
-        def pass_keys(tag: int) -> np.ndarray:
-            return np.column_stack(
-                (keys, np.full(n_queries, tag, dtype=np.int64))
-            )
-
-        base = self._array.search_sweep(
-            reads, thresholds, MatchMode.ED_STAR,
-            noise_keys=pass_keys(_PASS_ED_STAR),
-        )
-        decisions = base.matches.copy()
-        if self._enable_sr:
-            for offset in rotation_offsets(self._sr_nr, self._sr_direction):
-                rotated = self._array.search_sweep(
-                    np.roll(reads, -offset, axis=1), thresholds,
-                    MatchMode.ED_STAR,
-                    noise_keys=pass_keys(_PASS_ROTATION + offset),
-                    rotation=offset,
-                )
-                decisions |= rotated.matches
-        return decisions
+        results = self._passes(read_block(reads, "match_sweep"),
+                               thresholds, query_keys, sweep=True)
+        return np.logical_or.reduce([r.matches for r in results])
 
 
 def edam_search_energy_per_array(mismatch_fraction: float =

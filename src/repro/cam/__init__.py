@@ -13,7 +13,6 @@
 from repro.cam.array import (
     BatchSearchResult,
     CamArray,
-    SearchResult,
     SearchStats,
     StoredReference,
     SweepSearchResult,
@@ -46,7 +45,6 @@ __all__ = [
     "MatchMode",
     "NO_NEIGHBOR",
     "PartialMatch",
-    "SearchResult",
     "SearchStats",
     "StoredReference",
     "SweepSearchResult",

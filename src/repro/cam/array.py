@@ -9,21 +9,21 @@
 * a matchline transfer function (charge or current domain);
 * a variation model that perturbs the analog voltage;
 * a bank of sense amplifiers that turn voltages into match decisions;
-* shift registers for TASR rotations;
+* rotated passes for TASR, charged their shift-register cycles;
 * a cost ledger recording every physical pass as a typed event
   (:mod:`repro.cost`); per-search energy/latency are derived views
   over those events.
 
 The same class models both ASMCap (``domain="charge"``) and EDAM
 (``domain="current"``); the EDAM baseline wraps it with EDAM's
-parameters.  A *search* compares one read against every stored row in
-parallel and returns a :class:`SearchResult`.
+parameters.  A *search* compares a block of reads against every stored
+row in parallel.
 
 **Shared stored references.**  The expensive part of bringing an array
 up is writing the reference into the SRAM plane and encoding it for
 the batched kernel backends (:mod:`repro.kernels`); everything else an
-array owns (noise streams, the sequential RNG, the cost ledger) is
-cheap per-session state.  :class:`StoredReference` splits the two: it
+array owns (its noise-key prefix, the cost ledger) is cheap
+per-session state.  :class:`StoredReference` splits the two: it
 holds the stored segments plus the cached encoding (one pass builds
 every backend's cache) as an immutable, thread-safe
 value that **many arrays can share** — ``CamArray(stored=ref)`` borrows
@@ -32,19 +32,19 @@ own seed, noise prefix and ledger.  This is what lets a multi-session
 service front end (:mod:`repro.service.frontend`) encode the reference
 exactly once and serve N concurrent sessions over it.
 
-**Batched searches.**  :meth:`CamArray.search_batch` evaluates a
-``(B, N)`` block of reads against all stored rows in one set of 3-D
-numpy broadcasts — the software analogue of Fig. 4(a)'s global buffer
-streaming reads into the array back-to-back.  Noise determinism across
-execution orders is handled by *keyed* noise streams: when a search
-carries a ``noise_key`` (a tuple of non-negative ints, typically
-``(query_id, pass_tag)``), its variation noise is drawn from a
-generator seeded by ``(array_seed, stream_tag) + noise_key`` instead of
-the array's sequential generator.  Two executions that issue the same
-keyed searches — in any order, scalar or batched, single-threaded or
-sharded across workers — therefore see bit-identical noise and make
-bit-identical decisions.  Un-keyed searches keep the legacy sequential
-stream so Monte-Carlo experiments still get fresh noise per trial.
+**One keyed search pass.**  Every search is one pass over a ``(B, N)``
+block of reads and a broadcast ``(T, B)`` threshold block — the
+software analogue of Fig. 4(a)'s global buffer streaming reads into the
+array back-to-back.  :meth:`CamArray.search_batch` is a ``(1, B)``
+block (one threshold per query), :meth:`CamArray.search_sweep` a
+``(T, 1)`` block (a threshold sweep shared by every query); a single
+read is a one-row block.  Every draw is keyed by
+``(seed, query_key, pass)``: query ``q``'s variation noise comes from
+a counter-based stream seeded by ``(array_seed, stream_tag) +
+noise_keys[q]`` (default ``(q,)``, the read's index in the block), so
+two executions that issue the same keyed searches — in any order,
+batched or swept, single-threaded or sharded across workers — see
+bit-identical noise and make bit-identical decisions.
 """
 
 from __future__ import annotations
@@ -58,15 +58,9 @@ from repro import constants
 from repro.cam.cell import MatchMode
 from repro.cam.matchline import ChargeDomainMatchline, CurrentDomainMatchline
 from repro.cam.sense_amp import SenseAmplifier
-from repro.cam.shift_register import ShiftRegisterBank
 from repro.cam.sram import SramPlane
 from repro.cam.variation import ChargeDomainVariation, CurrentDomainVariation
-from repro.cam.keyed_noise import (
-    fold_key,
-    fold_key_block,
-    fold_key_from,
-    standard_normals,
-)
+from repro.cam.keyed_noise import fold_key, fold_key_block, standard_normals
 from repro.cost.events import (
     EdStarPass,
     HdacPass,
@@ -110,43 +104,11 @@ def as_segments_matrix(segments: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SearchResult:
-    """Everything one parallel search produced.
-
-    Attributes
-    ----------
-    matches:
-        Per-row boolean decisions (True = 'match', i.e. the SA fired).
-    mismatch_counts:
-        The *digital* per-row mismatch counts (ED* or HD) — what an
-        ideal, variation-free array would measure.
-    v_ml:
-        The noisy analog matchline voltages the SAs actually saw.
-    threshold:
-        The threshold ``T`` the search used.
-    mode:
-        ED*/HD mode of this search.
-    energy_joules:
-        Array energy spent on this search.
-    latency_ns:
-        Search latency.
-    """
-
-    matches: np.ndarray
-    mismatch_counts: np.ndarray
-    v_ml: np.ndarray
-    threshold: int
-    mode: MatchMode
-    energy_joules: float
-    latency_ns: float
-
-
-@dataclass(frozen=True)
 class BatchSearchResult:
     """Everything one batched parallel search produced.
 
-    The batched analogue of :class:`SearchResult`: ``B`` reads stream
-    through the array back-to-back, so per-query axes come first.
+    ``B`` reads stream through the array back-to-back, so per-query
+    axes come first.
 
     Attributes
     ----------
@@ -505,7 +467,7 @@ class CamArray:
     noisy:
         Master switch for variation noise (False = ideal array).
     seed:
-        Seed for the noise generator.
+        Seed folded into every keyed noise stream.
     strict_paper_vref:
         Use the literal ``V_ref = T/N*VDD`` rule (see
         :mod:`repro.cam.sense_amp`).
@@ -530,8 +492,8 @@ class CamArray:
         from the reference (``rows``/``cols`` are ignored), the
         expensive store/encode work is *not* repeated, and
         :meth:`store` is disabled — the reference is shared and
-        immutable.  All per-array state (seed, noise streams, RNG,
-        ledger) stays private, so N arrays over one reference draw
+        immutable.  All per-array state (seed, noise streams, ledger)
+        stays private, so N arrays over one reference draw
         independent keyed noise exactly as N privately-stored arrays
         with the same seeds would.
     """
@@ -567,12 +529,9 @@ class CamArray:
         else:
             self._stored = StoredReference(rows, cols)
             self._shares_stored = False
-        self._registers = ShiftRegisterBank(cols)
-        self._registers.enable()
         self._noisy = noisy
         self._seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._noise_prefix = fold_key((self._seed, _NOISE_STREAM_TAG))
-        self._rng = np.random.default_rng(seed)
         self._vdd = vdd
         if domain == "charge":
             sigma = (constants.ASMCAP_CAPACITOR_SIGMA
@@ -635,10 +594,6 @@ class CamArray:
     @property
     def plane(self) -> SramPlane:
         return self._stored.plane
-
-    @property
-    def registers(self) -> ShiftRegisterBank:
-        return self._registers
 
     @property
     def sense_amp(self) -> SenseAmplifier:
@@ -736,45 +691,11 @@ class CamArray:
             mismatch_counts=counts,
             thresholds=np.asarray(thresholds, dtype=int),
             sweep=sweep,
-            query_keys=(None if noise_keys is None
-                        else np.asarray(noise_keys)),
+            query_keys=np.asarray(noise_keys),
             **extra,
         )
         self.ledger.record(event)
         return event
-
-    def search(self, read: np.ndarray, threshold: int,
-               mode: MatchMode = MatchMode.ED_STAR,
-               noise_key: "tuple[int, ...] | None" = None,
-               rotation: int = 0) -> SearchResult:
-        """One parallel search of *read* against all stored rows.
-
-        ``noise_key`` switches variation noise from the array's
-        sequential stream to the keyed stream for that tuple (see the
-        module docstring); batched and scalar executions that use the
-        same keys are bit-identical.  ``rotation`` tags the emitted
-        cost event when the read was pre-rotated (the shift registers
-        spent ``|rotation|`` cycles) — :meth:`search_rotated` passes it
-        through.
-        """
-        if not 0 <= threshold <= self.cols:
-            raise ThresholdError(
-                f"threshold {threshold} out of range 0..{self.cols}"
-            )
-        counts = self.mismatch_counts(read, mode)
-        v_ml = self._noisy_voltages(counts, noise_key)
-        matches = self._sense_amp.decide(v_ml, threshold, self.cols)
-        event = self._emit_pass(
-            counts[None, :], np.asarray([threshold]), mode, sweep=False,
-            noise_keys=None if noise_key is None else [noise_key],
-            rotation=rotation,
-        )
-        return SearchResult(
-            matches=matches, mismatch_counts=counts, v_ml=v_ml,
-            threshold=threshold, mode=mode,
-            energy_joules=float(event.energy_per_query_joules[0]),
-            latency_ns=self._search_time_ns,
-        )
 
     def search_batch(self, queries: np.ndarray,
                      threshold: "int | np.ndarray",
@@ -783,6 +704,9 @@ class CamArray:
                      precomputed_counts: "np.ndarray | None" = None,
                      rotation: int = 0) -> BatchSearchResult:
         """Search a ``(B, N)`` block of queries in one vectorised pass.
+
+        The ``(1, B)`` threshold block of the keyed pass: one threshold
+        per query.
 
         Parameters
         ----------
@@ -794,10 +718,8 @@ class CamArray:
         mode:
             ED*/HD mode for the whole batch.
         noise_keys:
-            Optional per-query noise keys (length ``B``).  When absent
-            the batch consumes the array's sequential noise stream —
-            which produces exactly the values ``B`` consecutive scalar
-            :meth:`search` calls would have drawn.
+            Per-query noise keys (length ``B``); default ``(q,)``, the
+            query's index in the block.
         precomputed_counts:
             Digital counts for these queries in this mode, if the
             caller already holds them (e.g. one half of a
@@ -807,40 +729,19 @@ class CamArray:
             Signed rotation offset the caller applied to the queries
             before the search (tags the cost event as a rotation pass
             and charges its shift-register cycles).
-
-        Returns
-        -------
-        A :class:`BatchSearchResult` whose rows are bit-identical to
-        the corresponding scalar searches.
         """
         queries = self._check_queries(queries)
         n_queries = queries.shape[0]
         thresholds = np.broadcast_to(
             np.asarray(threshold, dtype=int), (n_queries,)
         ).copy()
-        if n_queries and not (
-                (thresholds >= 0) & (thresholds <= self.cols)).all():
-            raise ThresholdError(
-                f"batch thresholds out of range 0..{self.cols}"
-            )
-        if noise_keys is not None and len(noise_keys) != n_queries:
-            raise CamConfigError(
-                f"{len(noise_keys)} noise keys for {n_queries} queries"
-            )
-        if precomputed_counts is None:
-            counts = self.mismatch_counts_batch(queries, mode)
-        else:
-            counts = precomputed_counts
-        v_ml = self._noisy_voltages_batch(counts, noise_keys)
-        if n_queries:
-            matches = self._sense_amp.decide(v_ml, thresholds, self.cols)
-        else:
-            matches = np.zeros_like(counts, dtype=bool)
-        event = self._emit_pass(counts, thresholds, mode, sweep=False,
-                                noise_keys=noise_keys, rotation=rotation)
+        matches, counts, v_ml, event = self._keyed_pass(
+            queries, thresholds[None, :], mode, noise_keys,
+            precomputed_counts, rotation, sweep=False,
+        )
         energy_per_query = event.energy_per_query_joules
         return BatchSearchResult(
-            matches=matches, mismatch_counts=counts, v_ml=v_ml,
+            matches=matches[0], mismatch_counts=counts, v_ml=v_ml,
             thresholds=thresholds, mode=mode,
             energy_joules=float(energy_per_query.sum()),
             latency_ns=self._search_time_ns * n_queries,
@@ -855,63 +756,26 @@ class CamArray:
                      rotation: int = 0) -> SweepSearchResult:
         """Evaluate one search pass against a whole threshold sweep.
 
-        Counts and (keyed) variation noise are threshold-independent,
-        so the pass is computed once and the ``(T,)`` threshold vector
-        is applied as ``T`` vectorised sense-amp reference comparisons
-        — slice ``t`` of the result is bit-identical to
-        :meth:`search_batch` at ``thresholds[t]`` with the same keys.
-
-        Parameters
-        ----------
-        queries:
-            ``(B, N)`` uint8 read codes.
-        thresholds:
-            ``(T,)`` sweep vector shared by every query.
-        mode:
-            ED*/HD mode of the pass.
-        noise_keys:
-            Optional per-query noise keys (length ``B``); without keys
-            the pass consumes the sequential stream **once** — i.e. a
-            sweep is *not* equivalent to ``T`` un-keyed searches, which
-            would each draw fresh noise.  Pass keys whenever scalar
-            equivalence matters.
-        precomputed_counts:
-            Digital counts for these queries in this mode, if already
-            available (e.g. from :meth:`mismatch_counts_batch_dual`).
-        rotation:
-            Signed rotation offset the caller applied to the queries
-            before the pass (tags the cost event as a rotation pass
-            and charges its shift-register cycles).
+        The ``(T, 1)`` threshold block of the keyed pass: counts and
+        keyed variation noise are threshold-independent, so the pass is
+        computed once and the sweep vector is applied as ``T``
+        vectorised sense-amp reference comparisons — slice ``t`` of the
+        result is bit-identical to :meth:`search_batch` at
+        ``thresholds[t]`` with the same keys.  ``thresholds`` is the
+        ``(T,)`` sweep vector shared by every query; the other
+        parameters are those of :meth:`search_batch`.
         """
         queries = self._check_queries(queries)
-        n_queries = queries.shape[0]
         thresholds = np.asarray(thresholds, dtype=int)
         if thresholds.ndim != 1 or thresholds.shape[0] == 0:
             raise ThresholdError(
                 f"thresholds must be a non-empty 1-D sweep vector, got "
                 f"shape {thresholds.shape}"
             )
-        if not ((thresholds >= 0) & (thresholds <= self.cols)).all():
-            raise ThresholdError(
-                f"sweep thresholds out of range 0..{self.cols}"
-            )
-        if noise_keys is not None and len(noise_keys) != n_queries:
-            raise CamConfigError(
-                f"{len(noise_keys)} noise keys for {n_queries} queries"
-            )
-        if precomputed_counts is None:
-            counts = self.mismatch_counts_batch(queries, mode)
-        else:
-            counts = precomputed_counts
-        v_ml = self._noisy_voltages_batch(counts, noise_keys)
-        if n_queries:
-            matches = self._sense_amp.decide_sweep(v_ml, thresholds,
-                                                   self.cols)
-        else:
-            matches = np.zeros((thresholds.shape[0],) + counts.shape,
-                               dtype=bool)
-        event = self._emit_pass(counts, thresholds, mode, sweep=True,
-                                noise_keys=noise_keys, rotation=rotation)
+        matches, counts, v_ml, event = self._keyed_pass(
+            queries, thresholds[:, None], mode, noise_keys,
+            precomputed_counts, rotation, sweep=True,
+        )
         return SweepSearchResult(
             matches=matches, mismatch_counts=counts, v_ml=v_ml,
             thresholds=thresholds, mode=mode,
@@ -919,23 +783,36 @@ class CamArray:
             latency_ns=self._search_time_ns,
         )
 
-    def search_rotated(self, read: np.ndarray, threshold: int, rotation: int,
-                       mode: MatchMode = MatchMode.ED_STAR,
-                       noise_key: "tuple[int, ...] | None" = None
-                       ) -> SearchResult:
-        """Search with the read rotated through the shift registers.
+    def _keyed_pass(self, queries: np.ndarray, thresholds: np.ndarray,
+                    mode: MatchMode, noise_keys, counts: "np.ndarray | None",
+                    rotation: int, sweep: bool):
+        """The one search pass: counts, keyed noise, a threshold block.
 
-        Positive *rotation* rotates left; each base of rotation costs
-        one register cycle, recorded on the emitted
-        :class:`~repro.cost.events.TasrRotationPass` event (TASR's
-        overhead, Section IV-B).
+        ``thresholds`` is a ``(1, B)`` or ``(T, 1)`` block broadcasting
+        against ``(T, B)``.  Returns ``(matches, counts, v_ml, event)``
+        with ``(T, B, M)`` matches and the recorded ledger event, which
+        carries the ``(B,)`` batch or ``(T,)`` sweep threshold vector.
         """
-        read = self._check_read(read)
-        self._registers.load(read)
-        if rotation != 0:
-            self._registers.rotate_left(rotation)
-        return self.search(self._registers.contents(), threshold, mode,
-                           noise_key=noise_key, rotation=int(rotation))
+        n_queries = queries.shape[0]
+        if not ((thresholds >= 0) & (thresholds <= self.cols)).all():
+            raise ThresholdError(
+                f"thresholds out of range 0..{self.cols}"
+            )
+        if noise_keys is None:
+            noise_keys = np.arange(n_queries, dtype=np.int64)[:, None]
+        elif len(noise_keys) != n_queries:
+            raise CamConfigError(
+                f"{len(noise_keys)} noise keys for {n_queries} queries"
+            )
+        if counts is None:
+            counts = self.mismatch_counts_batch(queries, mode)
+        v_ml = self._keyed_voltages(counts, noise_keys)
+        matches = self._sense_amp.decide_sweep(v_ml, thresholds, self.cols)
+        event = self._emit_pass(
+            counts, thresholds[:, 0] if sweep else thresholds[0], mode,
+            sweep=sweep, noise_keys=noise_keys, rotation=rotation,
+        )
+        return matches, counts, v_ml, event
 
     # -- internals ----------------------------------------------------------
 
@@ -956,50 +833,19 @@ class CamArray:
             )
         return queries
 
-    def fold_noise_key(self, noise_key: "tuple[int, ...]") -> int:
-        """This array's folded stream state for one noise key."""
-        return fold_key_from(self._noise_prefix, tuple(noise_key))
-
-    def _noisy_voltages(self, counts: np.ndarray,
-                        noise_key: "tuple[int, ...] | None") -> np.ndarray:
-        """Ideal matchline voltages plus (optionally keyed) noise."""
-        if self._domain == "charge":
-            v_ideal = self._matchline.ideal_voltage(counts, self.cols)
-        else:
-            v_ideal = self._matchline.sampled_voltage(counts, self.cols)
-        if not self._noisy:
-            return v_ideal.astype(float)
-        if noise_key is None:
-            noise = self._variation.sample_noise(counts, self.cols,
-                                                 self._rng)
-        else:
-            raw = standard_normals(self.fold_noise_key(noise_key),
-                                   counts.shape[0])
-            noise = raw * self._variation.sigma_vml(counts, self.cols)
-        if self._domain == "current":
-            noise = -noise  # droop noise subtracts from the sampled level
-        return v_ideal + noise
-
-    def _noisy_voltages_batch(
+    def _keyed_voltages(
             self, counts: np.ndarray,
-            noise_keys: "Sequence[tuple[int, ...]] | None") -> np.ndarray:
-        """Batched matchline voltages with per-query noise streams."""
+            noise_keys: "Sequence[tuple[int, ...]]") -> np.ndarray:
+        """``(B, M)`` matchline voltages with per-query keyed noise."""
         if self._domain == "charge":
             v_ideal = self._matchline.ideal_voltage(counts, self.cols)
         else:
             v_ideal = self._matchline.sampled_voltage(counts, self.cols)
         if not self._noisy or counts.shape[0] == 0:
             return v_ideal.astype(float)
-        if noise_keys is None:
-            # One (B, M) draw from the sequential stream: numpy fills
-            # the block in C order, so this equals B scalar draws.
-            noise = self._variation.sample_noise(counts, self.cols,
-                                                 self._rng)
-        else:
-            states = fold_key_block(self._noise_prefix,
-                                    np.asarray(noise_keys))
-            raw = standard_normals(states, counts.shape[1])
-            noise = raw * self._variation.sigma_vml(counts, self.cols)
+        states = fold_key_block(self._noise_prefix, np.asarray(noise_keys))
+        raw = standard_normals(states, counts.shape[1])
+        noise = raw * self._variation.sigma_vml(counts, self.cols)
         if self._domain == "current":
-            noise = -noise
+            noise = -noise  # droop noise subtracts from the sampled level
         return v_ideal + noise

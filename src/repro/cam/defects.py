@@ -21,11 +21,11 @@ F1 cliff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.cam.array import CamArray, SearchResult
+from repro.cam.array import BatchSearchResult, CamArray
 from repro.cam.cell import MatchMode
 from repro.errors import CamConfigError
 
@@ -57,16 +57,16 @@ class DefectMap:
         return int(self.stuck_match.sum() + self.stuck_mismatch.sum())
 
     def apply(self, matches: np.ndarray) -> np.ndarray:
-        """Overlay the row defects on a decision vector."""
+        """Overlay the row defects on a ``(..., M)`` decision block."""
         matches = np.asarray(matches, dtype=bool)
-        if matches.shape != self.stuck_match.shape:
+        if matches.shape[-1:] != self.stuck_match.shape:
             raise CamConfigError(
                 f"decision shape {matches.shape} != defect map shape "
                 f"{self.stuck_match.shape}"
             )
         out = matches.copy()
-        out[self.stuck_match] = True
-        out[self.stuck_mismatch] = False
+        out[..., self.stuck_match] = True
+        out[..., self.stuck_mismatch] = False
         return out
 
 
@@ -101,23 +101,17 @@ class DefectiveArray:
     def store(self, segments: np.ndarray) -> None:
         self._array.store(segments)
 
-    def search(self, read: np.ndarray, threshold: int,
-               mode: MatchMode = MatchMode.ED_STAR) -> SearchResult:
-        """Search, with defective rows overriding their decisions."""
-        result = self._array.search(read, threshold, mode)
-        # Trim/pad: decisions only cover written rows.
-        n = result.matches.shape[0]
+    def search_batch(self, queries: np.ndarray,
+                     threshold: "int | np.ndarray",
+                     mode: MatchMode = MatchMode.ED_STAR
+                     ) -> BatchSearchResult:
+        """Search a ``(B, N)`` block (keyed by query index), with
+        defective rows overriding their decisions."""
+        result = self._array.search_batch(queries, threshold, mode)
+        # Decisions only cover written rows.
+        n = result.matches.shape[-1]
         defects = DefectMap(
             stuck_match=self._defects.stuck_match[:n],
             stuck_mismatch=self._defects.stuck_mismatch[:n],
         )
-        patched = defects.apply(result.matches)
-        return SearchResult(
-            matches=patched,
-            mismatch_counts=result.mismatch_counts,
-            v_ml=result.v_ml,
-            threshold=result.threshold,
-            mode=result.mode,
-            energy_joules=result.energy_joules,
-            latency_ns=result.latency_ns,
-        )
+        return replace(result, matches=defects.apply(result.matches))

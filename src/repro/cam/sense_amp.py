@@ -16,8 +16,6 @@ We default to the mid-point between levels ``T`` and ``T+1``
 (``V_ref = (T + 1/2)/N * VDD``), which is what a designer would
 calibrate to; ``strict_paper_rule=True`` reproduces the literal paper
 equation.  This choice is recorded in DESIGN.md.
-
-An optional input-referred offset models SA imperfection.
 """
 
 from __future__ import annotations
@@ -41,15 +39,12 @@ class SenseAmplifier:
     rising:
         True for the charge domain (V_ML rises with mismatches), False
         for the sampled current domain.
-    offset_sigma:
-        Input-referred offset standard deviation in volts (0 = ideal).
     strict_paper_rule:
         Place ``V_ref`` exactly at ``T/N*VDD`` instead of the midpoint.
     """
 
     vdd: float = constants.VDD_VOLTS
     rising: bool = True
-    offset_sigma: float = 0.0
     strict_paper_rule: bool = False
 
     def reference_voltage(self, threshold: int, n_cells: int) -> float:
@@ -82,59 +77,34 @@ class SenseAmplifier:
 
     def decide_sweep(self, v_ml: np.ndarray, thresholds: np.ndarray,
                      n_cells: int) -> np.ndarray:
-        """Decisions for every threshold of a sweep over one voltage block.
+        """``(T, B, M)`` decisions of a ``(T, B)`` threshold block.
 
-        ``v_ml`` is the ``(B, M)`` (or ``(M,)``) voltage block of one
-        search pass; ``thresholds`` is the ``(T,)`` sweep vector.  The
-        returned ``(T,) + v_ml.shape`` block's slice ``t`` is
-        bit-identical to ``decide(v_ml, thresholds[t], n_cells)`` — the
-        voltages are sampled once and every reference is compared
-        against the same analog levels, which is what makes a
-        threshold sweep cost one search pass instead of ``T``.
-
-        Offset sampling is a per-decision draw, so a sweep over an
-        imperfect SA bank (``offset_sigma > 0``) cannot share one
-        voltage block; such banks must use :meth:`decide` per
-        threshold.
+        The search pass's comparison: ``v_ml`` is the ``(B, M)``
+        voltage block of one pass and ``thresholds`` a 2-D block whose
+        axes broadcast against ``(T, B)`` — a batch is ``(1, B)``, a
+        threshold sweep ``(T, 1)``.  The voltages are sampled once and
+        every reference is compared against the same analog levels,
+        which is what makes a threshold sweep cost one search pass.
         """
-        if self.offset_sigma > 0.0:
-            raise ThresholdError(
-                "decide_sweep requires offset_sigma == 0; offset draws "
-                "are per-decision and cannot be shared across a sweep"
-            )
-        v_ml = np.asarray(v_ml, dtype=float)
         thresholds = np.asarray(thresholds)
-        if thresholds.ndim != 1:
+        if thresholds.ndim != 2:
             raise ThresholdError(
-                f"thresholds must be a 1-D sweep vector, got shape "
+                f"thresholds must be a 2-D (T, B) block, got shape "
                 f"{thresholds.shape}"
             )
-        v_ref = self.reference_voltages(thresholds, n_cells)
-        v_ref = v_ref.reshape((thresholds.shape[0],) + (1,) * v_ml.ndim)
-        if self.rising:
-            return v_ml[None, ...] <= v_ref
-        return v_ml[None, ...] >= v_ref
+        return self.decide(v_ml, thresholds, n_cells)
 
     def decide(self, v_ml: np.ndarray, threshold: "int | np.ndarray",
-               n_cells: int,
-               rng: "np.random.Generator | None" = None) -> np.ndarray:
-        """Match decisions for a vector of matchline voltages.
+               n_cells: int) -> np.ndarray:
+        """Match decisions for a block of matchline voltages.
 
-        ``threshold`` may be a scalar (one search, ``v_ml`` of shape
-        ``(M,)``) or a ``(B,)`` vector of per-query thresholds paired
-        with a ``(B, M)`` voltage block from a batched search.
+        ``threshold`` is a scalar or an array broadcasting against the
+        leading (query) axes of ``v_ml``: a ``(B,)`` vector pairs with
+        a ``(B, M)`` voltage block, a ``(T, B)`` block yields
+        ``(T, B, M)`` decisions.
         """
         v_ml = np.asarray(v_ml, dtype=float)
-        if np.ndim(threshold) == 0:
-            v_ref = self.reference_voltage(int(threshold), n_cells)
-        else:
-            v_ref = self.reference_voltages(threshold, n_cells)[:, None]
-        if self.offset_sigma > 0.0:
-            if rng is None:
-                raise ThresholdError(
-                    "offset_sigma > 0 requires an rng for offset sampling"
-                )
-            v_ml = v_ml + rng.normal(0.0, self.offset_sigma, size=v_ml.shape)
+        v_ref = self.reference_voltages(threshold, n_cells)[..., None]
         if self.rising:
             return v_ml <= v_ref
         return v_ml >= v_ref

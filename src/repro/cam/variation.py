@@ -92,12 +92,6 @@ class ChargeDomainVariation:
             raise CamConfigError("zero variation supports unbounded states")
         return int(math.floor((1.0 / (separation * self.sigma_rel)) ** 2))
 
-    def sample_noise(self, n_mismatch: np.ndarray, n_cells: int,
-                     rng: np.random.Generator) -> np.ndarray:
-        """Draw additive V_ML noise for each row."""
-        sigma = self.sigma_vml(n_mismatch, n_cells)
-        return rng.normal(0.0, 1.0, size=np.shape(n_mismatch)) * sigma
-
 
 @dataclass(frozen=True)
 class CurrentDomainVariation:
@@ -167,9 +161,3 @@ class CurrentDomainVariation:
         if self.sigma_rel == 0.0:
             raise CamConfigError("zero variation supports unbounded states")
         return int(math.floor((1.0 / (2.0 * separation * self.sigma_rel)) ** 2))
-
-    def sample_noise(self, n_mismatch: np.ndarray, n_cells: int,
-                     rng: np.random.Generator) -> np.ndarray:
-        """Draw additive sampled-droop noise for each row."""
-        sigma = self.sigma_vml(n_mismatch, n_cells)
-        return rng.normal(0.0, 1.0, size=np.shape(n_mismatch)) * sigma

@@ -8,7 +8,7 @@
 """
 
 from repro.core.fragmentation import FragmentedMatcher, FragmentOutcome
-from repro.core.hdac import HdacOutcome, hdac_correct
+from repro.core.hdac import hdac_correct_batch
 from repro.core.matcher import (
     AsmCapMatcher,
     MatchBatchOutcome,
@@ -32,13 +32,12 @@ from repro.core.policy import (
     tasr_lower_bound,
     tasr_lower_bound_for_model,
 )
-from repro.core.tasr import TasrOutcome, rotation_offsets, tasr_correct
+from repro.core.tasr import rotation_offsets
 
 __all__ = [
     "AsmCapMatcher",
     "FragmentOutcome",
     "FragmentedMatcher",
-    "HdacOutcome",
     "MappingReport",
     "MatchBatchOutcome",
     "MatchOutcome",
@@ -47,15 +46,13 @@ __all__ = [
     "ReadMapping",
     "ReadMappingPipeline",
     "ShardedReadMappingPipeline",
-    "TasrOutcome",
     "encode_shard_references",
-    "hdac_correct",
+    "hdac_correct_batch",
     "hdac_enabled",
     "hdac_probability",
     "hdac_probability_for_model",
     "resolve_shard_plan",
     "rotation_offsets",
-    "tasr_correct",
     "tasr_enabled",
     "tasr_lower_bound",
     "tasr_lower_bound_for_model",

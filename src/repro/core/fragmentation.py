@@ -142,23 +142,23 @@ class FragmentedMatcher:
             )
         fragment_threshold = self.per_fragment_threshold(threshold)
         width = self._array.cols
-        matches = np.zeros((self._n_segments, self._n_fragments), dtype=bool)
-        energy = latency = 0.0
-        for f in range(self._n_fragments):
-            fragment = read[f * width : (f + 1) * width]
-            result = self._array.search(fragment, fragment_threshold, mode)
-            block = result.matches[
-                f * self._n_segments : (f + 1) * self._n_segments
-            ]
-            matches[:, f] = block
-            energy += result.energy_joules
-            latency += result.latency_ns
+        n_segments, n_fragments = self._n_segments, self._n_fragments
+        # One search_batch over all fragments: query f is fragment f
+        # (keyed by its index), and only its own column block of rows
+        # holds the matching fragment of each segment.
+        result = self._array.search_batch(
+            read.reshape(n_fragments, width), fragment_threshold, mode,
+        )
+        matches = np.stack([
+            result.matches[f, f * n_segments:(f + 1) * n_segments]
+            for f in range(n_fragments)
+        ], axis=1)
         decisions = matches.sum(axis=1) >= self._min_matches
         return FragmentOutcome(
             decisions=decisions,
             fragment_matches=matches,
             per_fragment_threshold=fragment_threshold,
-            n_searches=self._n_fragments,
-            energy_joules=energy,
-            latency_ns=latency,
+            n_searches=n_fragments,
+            energy_joules=sum(result.energy_per_query_joules.tolist()),
+            latency_ns=result.latency_ns,
         )

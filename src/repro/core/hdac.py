@@ -14,83 +14,20 @@ The correction is applied independently per row (each row's SA produced
 its own pair of decisions), with one uniform draw per disagreeing row,
 exactly as Algorithm 1 generates ``X ~ U(0, 1)`` per matching result.
 
-Two draw sources are supported: :func:`hdac_correct` consumes a
-sequential :class:`numpy.random.Generator` (the legacy scalar path),
-while :func:`hdac_correct_keyed` / :func:`hdac_correct_batch` draw the
-``i``-th disagreeing row's uniform from a counter-based keyed stream
-(:mod:`repro.cam.keyed_noise`), which makes scalar and batched
-executions bit-identical regardless of ordering.
+Every draw is keyed by ``(seed, query_key, pass)``, with HDAC's own
+stream tag as the pass: the ``i``-th disagreeing row of a query takes
+counter ``i`` of that query's stream (:mod:`repro.cam.keyed_noise`),
+so the correction depends on the query's key and decisions alone —
+never on batching or ordering.  A scalar match is a one-row block of
+the same apply.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cam.keyed_noise import uniforms
 from repro.errors import ThresholdError
-
-
-@dataclass(frozen=True)
-class HdacOutcome:
-    """Result of applying Algorithm 1 to one search's row decisions.
-
-    Attributes
-    ----------
-    decisions:
-        Final per-row match decisions.
-    n_disagreements:
-        Rows where the HD and ED* decisions differed.
-    n_hd_selected:
-        Disagreeing rows where the Hamming decision won the draw.
-    """
-
-    decisions: np.ndarray
-    n_disagreements: int
-    n_hd_selected: int
-
-
-def hdac_correct(ed_star_decisions: np.ndarray,
-                 hamming_decisions: np.ndarray,
-                 p: float,
-                 rng: np.random.Generator) -> HdacOutcome:
-    """Apply Algorithm 1 to paired per-row decisions.
-
-    Parameters
-    ----------
-    ed_star_decisions:
-        Boolean per-row ED* match decisions (``O_ED*``).
-    hamming_decisions:
-        Boolean per-row HD match decisions (``O_HD``).
-    p:
-        Probability of selecting the Hamming decision on disagreement.
-    rng:
-        Random generator for the per-row uniform draws.
-    """
-    ed_star_decisions = np.asarray(ed_star_decisions, dtype=bool)
-    hamming_decisions = np.asarray(hamming_decisions, dtype=bool)
-    if ed_star_decisions.shape != hamming_decisions.shape:
-        raise ThresholdError(
-            f"decision shapes differ: {ed_star_decisions.shape} vs "
-            f"{hamming_decisions.shape}"
-        )
-    if not 0.0 <= p <= 1.0:
-        raise ThresholdError(f"p must be a probability, got {p}")
-
-    disagree = ed_star_decisions != hamming_decisions
-    n_disagreements = int(disagree.sum())
-    decisions = ed_star_decisions.copy()
-    n_hd_selected = 0
-    if n_disagreements and p > 0.0:
-        draws = rng.random(n_disagreements) < p
-        n_hd_selected = int(draws.sum())
-        selected = np.zeros_like(disagree)
-        selected[np.flatnonzero(disagree)[draws]] = True
-        decisions[selected] = hamming_decisions[selected]
-    return HdacOutcome(decisions=decisions,
-                       n_disagreements=n_disagreements,
-                       n_hd_selected=n_hd_selected)
 
 
 def _keyed_selection(ed: np.ndarray, hd: np.ndarray,
@@ -100,8 +37,7 @@ def _keyed_selection(ed: np.ndarray, hd: np.ndarray,
     ``ed``/``hd`` are ``(..., M)`` decision blocks, ``p`` and
     ``states`` broadcast against the leading axes.  The ``i``-th
     disagreeing row of a query consumes counter ``i`` of that query's
-    stream — the same association a scalar pass over one query makes,
-    which is what keeps scalar and batched corrections bit-identical.
+    stream, whatever else rides in the block.
     """
     disagree = ed != hd
     # Ordinal of each disagreeing row within its query (garbage at
@@ -111,101 +47,31 @@ def _keyed_selection(ed: np.ndarray, hd: np.ndarray,
     return disagree & (draws < p)
 
 
-def hdac_correct_keyed(ed_star_decisions: np.ndarray,
-                       hamming_decisions: np.ndarray,
-                       p: float, state: int) -> HdacOutcome:
-    """Apply Algorithm 1 with draws from one keyed stream.
-
-    Bit-identical to the matching row of :func:`hdac_correct_batch`.
-    """
-    ed = np.asarray(ed_star_decisions, dtype=bool)
-    hd = np.asarray(hamming_decisions, dtype=bool)
-    if ed.shape != hd.shape:
-        raise ThresholdError(
-            f"decision shapes differ: {ed.shape} vs {hd.shape}"
-        )
-    if not 0.0 <= p <= 1.0:
-        raise ThresholdError(f"p must be a probability, got {p}")
-    selected = _keyed_selection(ed, hd, np.float64(p),
-                                np.uint64(int(state)))
-    decisions = np.where(selected, hd, ed)
-    return HdacOutcome(decisions=decisions,
-                       n_disagreements=int((ed != hd).sum()),
-                       n_hd_selected=int(selected.sum()))
-
-
-def hdac_correct_sweep(ed_star_decisions: np.ndarray,
-                       hamming_decisions: np.ndarray,
-                       p: np.ndarray,
-                       states: np.ndarray) -> np.ndarray:
-    """Vectorised Algorithm 1 over a ``(T, B, M)`` threshold sweep.
-
-    Every threshold of a sweep re-runs the correction on the *same*
-    per-query keyed streams — exactly what a scalar per-threshold loop
-    does, since the stream key is ``(seed, query)`` and never includes
-    the threshold.  The draw a row receives still depends on its
-    disagreement ordinal, which varies with the threshold's decision
-    pattern, so slices are corrected independently.
-
-    Parameters
-    ----------
-    ed_star_decisions / hamming_decisions:
-        ``(T, B, M)`` boolean decision blocks.
-    p:
-        ``(T,)`` per-threshold Hamming-selection probabilities.
-    states:
-        ``(B,)`` folded keyed-stream states (uint64), one per query.
-
-    Returns
-    -------
-    The corrected ``(T, B, M)`` decisions; slice ``t`` is bit-identical
-    to ``hdac_correct_batch(ed[t], hd[t], full(B, p[t]), states)``.
-    """
-    ed = np.asarray(ed_star_decisions, dtype=bool)
-    hd = np.asarray(hamming_decisions, dtype=bool)
-    if ed.shape != hd.shape or ed.ndim != 3:
-        raise ThresholdError(
-            f"sweep decision blocks must share one (T, B, M) shape, got "
-            f"{ed.shape} vs {hd.shape}"
-        )
-    p = np.asarray(p, dtype=float)
-    if p.shape != (ed.shape[0],):
-        raise ThresholdError(
-            f"p must be per-threshold with shape ({ed.shape[0]},), got "
-            f"{p.shape}"
-        )
-    if ((p < 0.0) | (p > 1.0)).any():
-        raise ThresholdError("p entries must be probabilities in [0, 1]")
-    states = np.asarray(states, dtype=np.uint64)
-    if states.shape != (ed.shape[1],):
-        raise ThresholdError(
-            f"states must be per-query with shape ({ed.shape[1]},), got "
-            f"{states.shape}"
-        )
-    selected = _keyed_selection(ed, hd, p[:, None, None],
-                                states[None, :, None])
-    return np.where(selected, hd, ed)
-
-
 def hdac_correct_batch(ed_star_decisions: np.ndarray,
                        hamming_decisions: np.ndarray,
                        p: np.ndarray,
                        states: np.ndarray) -> np.ndarray:
-    """Vectorised Algorithm 1 over a ``(B, M)`` decision block.
+    """Vectorised Algorithm 1 over any ``(..., M)`` decision block.
 
     Parameters
     ----------
     ed_star_decisions / hamming_decisions:
-        ``(B, M)`` boolean decision blocks.
+        ``(..., M)`` boolean decision blocks — ``(B, M)`` for a batch,
+        ``(T, B, M)`` for a threshold sweep.
     p:
-        ``(B,)`` per-query Hamming-selection probabilities.
+        Hamming-selection probabilities broadcasting against the
+        leading axes (``(B,)`` per query, ``(T, 1)`` per threshold).
     states:
-        ``(B,)`` folded keyed-stream states (uint64), one per query.
+        Folded keyed-stream states (uint64) broadcasting against the
+        leading axes, one per query.
 
     Returns
     -------
-    The corrected ``(B, M)`` decisions; row ``q`` is bit-identical to
-    ``hdac_correct_keyed(ed[q], hd[q], p[q], states[q])``.
+    The corrected decisions.  Every threshold of a sweep re-runs the
+    correction on the *same* per-query streams (the key never includes
+    the threshold); the draw a row receives still depends on its
+    disagreement ordinal, so each threshold's slice is corrected
+    independently and equals the batch correction at that threshold.
     """
     ed = np.asarray(ed_star_decisions, dtype=bool)
     hd = np.asarray(hamming_decisions, dtype=bool)
@@ -217,5 +83,5 @@ def hdac_correct_batch(ed_star_decisions: np.ndarray,
     if ((p < 0.0) | (p > 1.0)).any():
         raise ThresholdError("p entries must be probabilities in [0, 1]")
     states = np.asarray(states, dtype=np.uint64)
-    selected = _keyed_selection(ed, hd, p[:, None], states[:, None])
+    selected = _keyed_selection(ed, hd, p[..., None], states[..., None])
     return np.where(selected, hd, ed)

@@ -14,15 +14,18 @@ the array; the matcher only sequences searches and combines their
 decisions, mirroring the controller's role in Fig. 4(a).  All energy
 and latency of the extra searches is accounted in the outcome.
 
-**Batched matching.**  :meth:`AsmCapMatcher.match_batch` runs the same
-flow over a ``(B, N)`` block of reads with three vectorised passes:
-one batched ED* search, one batched HD search restricted (by boolean
-mask) to the queries whose ``p`` warrants the extra cycle, and one
-batched rotated search per TASR offset for the queries above ``Tl``.
-Determinism is anchored on per-query *keys*: noise and HDAC draws are
-keyed by ``(query_key, pass)``, so ``match(read, T, query_key=q)`` and
-row ``q`` of ``match_batch`` produce bit-identical decisions no matter
-how the work is ordered or sharded.
+**One flow over a threshold block.**  The flow runs once over a
+``(B, N)`` block of reads and a broadcast ``(T, B)`` threshold block:
+:meth:`AsmCapMatcher.match_batch` is a ``(1, B)`` block (one threshold
+per read), :meth:`AsmCapMatcher.match_sweep` a ``(T, 1)`` block (a
+threshold sweep shared by every read), and :meth:`AsmCapMatcher.match`
+the one-row slice of a batch.  Each strategy pass is issued once over
+the cells it applies to — the HD pass over the cells whose ``p`` clears
+the disable cut, the rotated passes over the cells at or above ``Tl``
+— so costs are charged exactly where a pass ran.  Every draw is keyed
+by ``(seed, query_key, pass)``, never by the threshold or the block's
+composition, so any batching, sweep or sharding of the same keyed reads
+makes bit-identical decisions.
 """
 
 from __future__ import annotations
@@ -35,25 +38,25 @@ import numpy as np
 from repro import constants
 from repro.cam.array import CamArray, StoredReference
 from repro.cam.cell import MatchMode
-from repro.cam.keyed_noise import fold_key, fold_key_block, fold_key_from
+from repro.cam.keyed_noise import fold_key, fold_key_block
 from repro.core import policy
-from repro.core.hdac import (
-    HdacOutcome,
-    hdac_correct,
-    hdac_correct_batch,
-    hdac_correct_keyed,
-    hdac_correct_sweep,
-)
-from repro.core.tasr import TasrOutcome, rotation_offsets, tasr_correct
+from repro.core.hdac import hdac_correct_batch
+from repro.core.tasr import DIRECTIONS, rotation_offsets
 from repro.errors import CamConfigError
 from repro.genome.edits import ErrorModel
 
-#: Pass tags separating the keyed noise streams of one query's searches.
-_PASS_ED_STAR = 0
-_PASS_HAMMING = 1
-#: Rotated passes use ``_PASS_ROTATION + offset`` (offset may be
+#: Pass tags separating the keyed noise streams of one query's searches
+#: (shared with the EDAM baseline; streams never mix across arrays
+#: because the array seed is folded in first).
+PASS_ED_STAR = 0
+PASS_HAMMING = 1
+#: Rotated passes use ``PASS_ROTATION + offset`` (offset may be
 #: negative; the bias keeps the tag non-negative for seeding).
-_PASS_ROTATION = 512
+PASS_ROTATION = 512
+
+#: The sweep apply's former name, kept resolvable for the benchmark's
+#: probe list; it is the one keyed apply.
+hdac_correct_sweep = hdac_correct_batch
 
 #: Domain-separation tag for the keyed HDAC uniform draws.
 _HDAC_STREAM_TAG = 0x4DAC
@@ -102,9 +105,6 @@ class MatchOutcome:
         The ``p`` used this call (0 when HDAC was skipped).
     tasr_lower_bound:
         The ``Tl`` in force.
-    hdac / tasr:
-        Detailed strategy outcomes (None when the strategy was off or
-        did not trigger).
     """
 
     decisions: np.ndarray
@@ -114,8 +114,6 @@ class MatchOutcome:
     latency_ns: float
     hdac_probability: float
     tasr_lower_bound: int
-    hdac: "HdacOutcome | None" = None
-    tasr: "TasrOutcome | None" = None
 
 
 @dataclass(frozen=True)
@@ -231,6 +229,50 @@ class MatchSweepOutcome:
         return self.decisions[int(index[0])]
 
 
+def query_key_vector(query_keys: "Sequence[int] | None",
+                     n_queries: int) -> np.ndarray:
+    """Per-read determinism keys as int64; default ``0..B-1``."""
+    if query_keys is None:
+        return np.arange(n_queries, dtype=np.int64)
+    if len(query_keys) != n_queries:
+        raise CamConfigError(
+            f"{len(query_keys)} query keys for {n_queries} reads"
+        )
+    return np.asarray([int(k) for k in query_keys], dtype=np.int64)
+
+
+def pass_keys(keys: np.ndarray, tag: int) -> np.ndarray:
+    """``(B, 2)`` array noise-key rows ``(query_key, tag)`` for one pass."""
+    return np.column_stack((keys, np.full(keys.shape[0], tag,
+                                          dtype=np.int64)))
+
+
+def read_block(reads: np.ndarray, caller: str) -> np.ndarray:
+    """Coerce a ``(B, N)`` uint8 read block, naming *caller* on error."""
+    reads = np.asarray(reads, dtype=np.uint8)
+    if reads.ndim != 2:
+        raise CamConfigError(
+            f"{caller} needs a (B, N) block, got shape {reads.shape}"
+        )
+    return reads
+
+
+@dataclass(frozen=True)
+class _FlowResult:
+    """The flow's outputs over a ``(T, B)`` block of (threshold, read)
+    cells; ``probabilities`` and the masks keep the threshold block's
+    broadcast shape."""
+
+    decisions: np.ndarray
+    n_searches: np.ndarray
+    energy: np.ndarray
+    latency: np.ndarray
+    probabilities: np.ndarray
+    hdac_mask: np.ndarray
+    tasr_mask: np.ndarray
+    lower_bound: int
+
+
 class AsmCapMatcher:
     """Full ASMCap matching flow over one CAM array.
 
@@ -244,7 +286,7 @@ class AsmCapMatcher:
     config:
         Strategy configuration.
     seed:
-        Seed for HDAC's uniform draws.
+        Seed folded into HDAC's keyed uniform draws.
     """
 
     def __init__(self, array: CamArray, error_model: ErrorModel,
@@ -254,8 +296,7 @@ class AsmCapMatcher:
         self._config = config or MatcherConfig()
         self._seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._hdac_prefix = fold_key((self._seed, _HDAC_STREAM_TAG))
-        self._rng = np.random.default_rng(seed)
-        if self._config.tasr_direction not in ("both", "left", "right"):
+        if self._config.tasr_direction not in DIRECTIONS:
             raise CamConfigError(
                 f"invalid tasr_direction {self._config.tasr_direction!r}"
             )
@@ -277,11 +318,11 @@ class AsmCapMatcher:
         work happened once, in :meth:`StoredReference.encode`, and each
         call here builds only the cheap per-session state — a
         :class:`~repro.cam.array.CamArray` with its own *seed* (keyed
-        noise prefix, sequential RNG, cost ledger) plus the matcher's
-        own HDAC stream.  A matcher built this way is bit-identical to
-        one over a privately-stored array with the same segments and
-        seeds — that equivalence is what makes a frontend session
-        reproduce a standalone service exactly.
+        noise prefix, cost ledger) plus the matcher's own HDAC stream.
+        A matcher built this way is bit-identical to one over a
+        privately-stored array with the same segments and seeds — that
+        equivalence is what makes a frontend session reproduce a
+        standalone service exactly.
         """
         array = CamArray(domain=domain, noisy=noisy, seed=seed,
                          ledger_compaction=ledger_compaction,
@@ -313,103 +354,39 @@ class AsmCapMatcher:
             self._model, self._array.cols, gamma=self._config.tasr_gamma,
         )
 
-    def _noise_key(self, query_key: "int | None",
-                   pass_tag: int) -> "tuple[int, int] | None":
-        """The array noise key for one (query, pass) pair, or None."""
-        if query_key is None:
-            return None
-        return (int(query_key), pass_tag)
-
-    def _hdac_state(self, query_key: int) -> int:
-        """The folded keyed-stream state for one query's HDAC draws."""
-        return fold_key_from(self._hdac_prefix, (int(query_key),))
-
     def match(self, read: np.ndarray, threshold: int,
               query_key: "int | None" = None) -> MatchOutcome:
         """Match one read against all stored rows at threshold ``T``.
 
-        With a ``query_key`` all random draws (variation noise, HDAC
-        uniforms) come from keyed streams, making the outcome
-        bit-identical to row ``query_key``'s slice of a
-        :meth:`match_batch` call that used the same keys — regardless
-        of batch composition or execution order.
+        The one-row slice of :meth:`match_batch`: keyed by
+        ``query_key`` (default 0, the read's index in a one-read
+        block), so the outcome equals row ``q`` of any
+        :meth:`match_batch` call that keys that read ``query_key``.
         """
         read = np.asarray(read, dtype=np.uint8)
-        base = self._array.search(
-            read, threshold, MatchMode.ED_STAR,
-            noise_key=self._noise_key(query_key, _PASS_ED_STAR),
+        batch = self.match_batch(
+            read[None, :], threshold,
+            query_keys=None if query_key is None else [query_key],
         )
-        decisions = base.matches.copy()
-        n_searches = 1
-        energy = base.energy_joules
-        latency = base.latency_ns
-
-        # --- HDAC (Algorithm 1) -----------------------------------------
-        hdac_outcome: HdacOutcome | None = None
-        p = 0.0
-        if self._config.enable_hdac:
-            p_raw = self.hdac_probability(threshold)
-            if policy.hdac_enabled(p_raw, self._config.hdac_disable_threshold):
-                p = p_raw
-                hd = self._array.search(
-                    read, threshold, MatchMode.HAMMING,
-                    noise_key=self._noise_key(query_key, _PASS_HAMMING),
-                )
-                n_searches += 1
-                energy += hd.energy_joules
-                latency += hd.latency_ns
-                if query_key is None:
-                    hdac_outcome = hdac_correct(decisions, hd.matches, p,
-                                                self._rng)
-                else:
-                    hdac_outcome = hdac_correct_keyed(
-                        decisions, hd.matches, p,
-                        self._hdac_state(query_key),
-                    )
-                decisions = hdac_outcome.decisions
-
-        # --- TASR (Algorithm 2) -------------------------------------------
-        tasr_outcome: TasrOutcome | None = None
-        lower_bound = self.tasr_lower_bound()
-        if self._config.enable_tasr:
-            rotation_costs: list[tuple[float, float]] = []
-
-            def rotated_search(offset: int) -> np.ndarray:
-                result = self._array.search_rotated(
-                    read, threshold, offset, MatchMode.ED_STAR,
-                    noise_key=self._noise_key(query_key,
-                                              _PASS_ROTATION + offset),
-                )
-                rotation_costs.append((result.energy_joules, result.latency_ns))
-                return result.matches
-
-            tasr_outcome = tasr_correct(
-                decisions, rotated_search, threshold, lower_bound,
-                nr=self._config.tasr_nr,
-                direction=self._config.tasr_direction,
-            )
-            decisions = tasr_outcome.decisions
-            n_searches += tasr_outcome.n_extra_searches
-            for rot_energy, rot_latency in rotation_costs:
-                energy += rot_energy
-                latency += rot_latency
-
         return MatchOutcome(
-            decisions=decisions, threshold=threshold, n_searches=n_searches,
-            energy_joules=energy, latency_ns=latency,
-            hdac_probability=p, tasr_lower_bound=lower_bound,
-            hdac=hdac_outcome, tasr=tasr_outcome,
+            decisions=batch.decisions[0],
+            threshold=int(batch.thresholds[0]),
+            n_searches=int(batch.n_searches[0]),
+            energy_joules=float(batch.energy_joules[0]),
+            latency_ns=float(batch.latency_ns[0]),
+            hdac_probability=float(batch.hdac_probabilities[0]),
+            tasr_lower_bound=batch.tasr_lower_bound,
         )
 
     def match_batch(self, reads: np.ndarray,
                     threshold: "int | np.ndarray",
                     query_keys: "Sequence[int] | None" = None
                     ) -> MatchBatchOutcome:
-        """Match a ``(B, N)`` block of reads in three vectorised passes.
+        """Match a ``(B, N)`` block of reads: the ``(1, B)`` flow.
 
         1. one batched ED* search over the whole block;
-        2. one batched HD search over the boolean mask of queries whose
-           ``p`` clears the HDAC disable threshold (Algorithm 1);
+        2. one batched HD search over the queries whose ``p`` clears
+           the HDAC disable threshold (Algorithm 1);
         3. per TASR offset, one batched rotated ED* search over the
            queries with ``T >= Tl`` (Algorithm 2).
 
@@ -423,239 +400,177 @@ class AsmCapMatcher:
             Per-query determinism keys; defaults to ``0..B-1``.  Use
             globally unique keys (e.g. the read's position in the full
             workload) so chunked and sharded executions stay
-            bit-identical with the scalar path.
+            bit-identical.
         """
-        reads = np.asarray(reads, dtype=np.uint8)
-        if reads.ndim != 2:
-            raise CamConfigError(
-                f"match_batch needs a (B, N) block, got shape {reads.shape}"
-            )
-        n_queries = reads.shape[0]
+        reads = read_block(reads, "match_batch")
         thresholds = np.broadcast_to(
-            np.asarray(threshold, dtype=int), (n_queries,)
+            np.asarray(threshold, dtype=int), (reads.shape[0],)
         ).copy()
-        if query_keys is None:
-            keys = np.arange(n_queries, dtype=np.int64)
-        else:
-            if len(query_keys) != n_queries:
-                raise CamConfigError(
-                    f"{len(query_keys)} query keys for {n_queries} reads"
-                )
-            keys = np.asarray([int(k) for k in query_keys], dtype=np.int64)
-
-        def pass_keys(subset: np.ndarray, tag: int) -> np.ndarray:
-            """(B', 2) noise-key rows for one pass over a key subset."""
-            return np.column_stack(
-                (subset, np.full(subset.shape[0], tag, dtype=np.int64))
-            )
-
-        # HDAC eligibility is known before any search (``p`` is an
-        # off-line function of the threshold), so when any query will
-        # issue the HD pass one dual sweep supplies both modes' counts.
-        probabilities = np.zeros(n_queries)
-        hdac_mask = np.zeros(n_queries, dtype=bool)
-        p_raw = np.zeros(n_queries)
-        if self._config.enable_hdac and n_queries:
-            for t in np.unique(thresholds):
-                p_raw[thresholds == t] = self.hdac_probability(int(t))
-            hdac_mask = p_raw >= self._config.hdac_disable_threshold
-
-        # One dual sweep shares the encoding only when every query will
-        # issue the HD pass (the common scalar-threshold case); with a
-        # sparse mask the HD pass computes counts for its subset alone.
-        ed_counts = hd_counts = None
-        if n_queries and hdac_mask.all():
-            ed_counts, hd_counts = \
-                self._array.mismatch_counts_batch_dual(reads)
-
-        base = self._array.search_batch(
-            reads, thresholds, MatchMode.ED_STAR,
-            noise_keys=pass_keys(keys, _PASS_ED_STAR),
-            precomputed_counts=ed_counts,
-        )
-        decisions = base.matches.copy()
-        n_searches = np.ones(n_queries, dtype=int)
-        energy = base.energy_per_query_joules.copy()
-        latency = np.full(n_queries, self._array.search_time_ns)
-
-        # --- HDAC (Algorithm 1), masked to the queries worth the cycle --
-        if hdac_mask.any():
-            idx = np.flatnonzero(hdac_mask)
-            hd = self._array.search_batch(
-                reads[idx], thresholds[idx], MatchMode.HAMMING,
-                noise_keys=pass_keys(keys[idx], _PASS_HAMMING),
-                precomputed_counts=(None if hd_counts is None
-                                    else hd_counts[idx]),
-            )
-            states = fold_key_block(self._hdac_prefix, keys[idx])
-            decisions[idx] = hdac_correct_batch(
-                decisions[idx], hd.matches, p_raw[idx], states
-            )
-            n_searches[idx] += 1
-            energy[idx] += hd.energy_per_query_joules
-            latency[idx] += self._array.search_time_ns
-            probabilities = np.where(hdac_mask, p_raw, 0.0)
-
-        # --- TASR (Algorithm 2), masked to the queries above Tl ----------
-        lower_bound = self.tasr_lower_bound()
-        tasr_mask = np.zeros(n_queries, dtype=bool)
-        if self._config.enable_tasr and n_queries:
-            tasr_mask = thresholds >= lower_bound
-            if tasr_mask.any():
-                idx = np.flatnonzero(tasr_mask)
-                offsets = rotation_offsets(self._config.tasr_nr,
-                                           self._config.tasr_direction)
-                for offset in offsets:
-                    rotated = np.roll(reads[idx], -offset, axis=1)
-                    result = self._array.search_batch(
-                        rotated, thresholds[idx], MatchMode.ED_STAR,
-                        noise_keys=pass_keys(keys[idx],
-                                             _PASS_ROTATION + offset),
-                        rotation=offset,
-                    )
-                    decisions[idx] |= result.matches
-                    n_searches[idx] += 1
-                    energy[idx] += result.energy_per_query_joules
-                    latency[idx] += self._array.search_time_ns
-
+        flow = self._flow(reads, thresholds[None, :], query_keys,
+                          sweep=False)
         return MatchBatchOutcome(
-            decisions=decisions, thresholds=thresholds,
-            n_searches=n_searches, energy_joules=energy,
-            latency_ns=latency, hdac_probabilities=probabilities,
-            tasr_lower_bound=lower_bound,
-            hdac_mask=hdac_mask, tasr_mask=tasr_mask,
+            decisions=flow.decisions[0], thresholds=thresholds,
+            n_searches=flow.n_searches[0], energy_joules=flow.energy[0],
+            latency_ns=flow.latency[0],
+            hdac_probabilities=flow.probabilities[0],
+            tasr_lower_bound=flow.lower_bound,
+            hdac_mask=flow.hdac_mask[0], tasr_mask=flow.tasr_mask[0],
         )
 
     def match_sweep(self, reads: np.ndarray,
                     thresholds: "Sequence[int] | np.ndarray",
                     query_keys: "Sequence[int] | None" = None
                     ) -> MatchSweepOutcome:
-        """Match a ``(B, N)`` block against a whole threshold sweep.
+        """Match a ``(B, N)`` block against a threshold sweep: the
+        ``(T, 1)`` flow.
 
-        The engine behind Fig. 7's curves: every random draw of the
-        flow is keyed by ``(query_key, pass)`` — never by the threshold
-        — so a ``T``-point sweep computes each pass's mismatch counts
-        and noisy matchline voltages **once** and applies the threshold
-        vector as vectorised sense-amp reference comparisons:
+        The engine behind Fig. 7's curves: every random draw is keyed
+        by ``(query_key, pass)`` — never by the threshold — so each
+        pass computes its mismatch counts and noisy matchline voltages
+        **once** and applies the threshold vector as vectorised
+        sense-amp reference comparisons:
 
         1. one ED* count + noise pass, ``T`` reference comparisons;
-        2. one HD count + noise pass shared by every threshold whose
-           ``p`` clears the HDAC disable cut, with Algorithm 1 applied
-           per threshold on the per-query keyed streams;
+        2. one HD pass shared by every threshold whose ``p`` clears the
+           HDAC disable cut, with Algorithm 1 applied per threshold on
+           the per-query keyed streams;
         3. one rotated ED* pass per TASR offset shared by every
            threshold at or above ``Tl`` (Algorithm 2).
 
         A sweep therefore issues ``2 + 2 * NR`` array passes instead of
-        the scalar path's up-to ``T * (2 + 2 * NR)``, while slice ``t``
-        of the result stays bit-identical to
-        ``match_batch(reads, thresholds[t], query_keys)`` — and hence
-        to per-read ``match(read, thresholds[t], query_key=k)`` calls.
-
-        Parameters
-        ----------
-        reads:
-            ``(B, N)`` uint8 read codes.
-        thresholds:
-            ``(T,)`` sweep vector shared by the whole block.
-        query_keys:
-            Per-query determinism keys; defaults to ``0..B-1``.
+        up to ``T * (2 + 2 * NR)``, while slice ``t`` stays
+        bit-identical to ``match_batch(reads, thresholds[t],
+        query_keys)``.  ``thresholds`` is the ``(T,)`` sweep vector;
+        ``query_keys`` defaults to ``0..B-1``.
         """
-        reads = np.asarray(reads, dtype=np.uint8)
-        if reads.ndim != 2:
-            raise CamConfigError(
-                f"match_sweep needs a (B, N) block, got shape {reads.shape}"
-            )
-        n_queries = reads.shape[0]
+        reads = read_block(reads, "match_sweep")
         thresholds = np.asarray(thresholds, dtype=int)
         if thresholds.ndim != 1 or thresholds.shape[0] == 0:
             raise CamConfigError(
                 f"thresholds must be a non-empty 1-D sweep vector, got "
                 f"shape {thresholds.shape}"
             )
-        n_thresholds = thresholds.shape[0]
-        if query_keys is None:
-            keys = np.arange(n_queries, dtype=np.int64)
-        else:
-            if len(query_keys) != n_queries:
-                raise CamConfigError(
-                    f"{len(query_keys)} query keys for {n_queries} reads"
-                )
-            keys = np.asarray([int(k) for k in query_keys], dtype=np.int64)
-
-        def pass_keys(tag: int) -> np.ndarray:
-            return np.column_stack(
-                (keys, np.full(n_queries, tag, dtype=np.int64))
-            )
-
-        # Per-threshold HDAC eligibility (p is an off-line function of
-        # the threshold alone; every query of a sweep shares it).
-        p_per_threshold = np.zeros(n_thresholds)
-        hdac_mask = np.zeros(n_thresholds, dtype=bool)
-        if self._config.enable_hdac:
-            p_per_threshold = np.asarray(
-                [self.hdac_probability(int(t)) for t in thresholds]
-            )
-            hdac_mask = (p_per_threshold
-                         >= self._config.hdac_disable_threshold)
-
-        ed_counts = hd_counts = None
-        if n_queries and hdac_mask.any():
-            ed_counts, hd_counts = \
-                self._array.mismatch_counts_batch_dual(reads)
-
-        base = self._array.search_sweep(
-            reads, thresholds, MatchMode.ED_STAR,
-            noise_keys=pass_keys(_PASS_ED_STAR),
-            precomputed_counts=ed_counts,
-        )
-        decisions = base.matches.copy()
-        n_searches = np.ones((n_thresholds, n_queries), dtype=int)
-        energy = np.tile(base.energy_per_query_joules, (n_thresholds, 1))
-        latency = np.full((n_thresholds, n_queries),
-                          self._array.search_time_ns)
-
-        # --- HDAC (Algorithm 1), shared HD pass, per-threshold apply --
-        probabilities = np.where(hdac_mask, p_per_threshold, 0.0)
-        if hdac_mask.any() and n_queries:
-            idx = np.flatnonzero(hdac_mask)
-            hd = self._array.search_sweep(
-                reads, thresholds[idx], MatchMode.HAMMING,
-                noise_keys=pass_keys(_PASS_HAMMING),
-                precomputed_counts=hd_counts,
-            )
-            states = fold_key_block(self._hdac_prefix, keys)
-            decisions[idx] = hdac_correct_sweep(
-                decisions[idx], hd.matches, p_per_threshold[idx], states
-            )
-            n_searches[idx] += 1
-            energy[idx] += hd.energy_per_query_joules
-            latency[idx] += self._array.search_time_ns
-
-        # --- TASR (Algorithm 2), shared rotated passes above Tl -------
-        lower_bound = self.tasr_lower_bound()
-        tasr_mask = np.zeros(n_thresholds, dtype=bool)
-        if self._config.enable_tasr and n_queries:
-            tasr_mask = thresholds >= lower_bound
-            if tasr_mask.any():
-                idx = np.flatnonzero(tasr_mask)
-                offsets = rotation_offsets(self._config.tasr_nr,
-                                           self._config.tasr_direction)
-                for offset in offsets:
-                    rotated = np.roll(reads, -offset, axis=1)
-                    result = self._array.search_sweep(
-                        rotated, thresholds[idx], MatchMode.ED_STAR,
-                        noise_keys=pass_keys(_PASS_ROTATION + offset),
-                        rotation=offset,
-                    )
-                    decisions[idx] |= result.matches
-                    n_searches[idx] += 1
-                    energy[idx] += result.energy_per_query_joules
-                    latency[idx] += self._array.search_time_ns
-
+        flow = self._flow(reads, thresholds[:, None], query_keys,
+                          sweep=True)
         return MatchSweepOutcome(
-            decisions=decisions, thresholds=thresholds,
-            n_searches=n_searches, energy_joules=energy,
-            latency_ns=latency, hdac_probabilities=probabilities,
-            tasr_lower_bound=lower_bound,
+            decisions=flow.decisions, thresholds=thresholds,
+            n_searches=flow.n_searches, energy_joules=flow.energy,
+            latency_ns=flow.latency,
+            hdac_probabilities=flow.probabilities[:, 0],
+            tasr_lower_bound=flow.lower_bound,
+            hdac_mask=flow.hdac_mask[:, 0], tasr_mask=flow.tasr_mask[:, 0],
+        )
+
+    def _flow(self, reads: np.ndarray, block: np.ndarray,
+              query_keys: "Sequence[int] | None",
+              sweep: bool) -> _FlowResult:
+        """ED* -> HDAC -> TASR over a ``(1, B)`` or ``(T, 1)`` block.
+
+        Each pass covers the cells its mask selects: rows (thresholds)
+        and columns (reads) of the ``(T, B)`` grid.  A batch pass
+        searches the selected reads at their own thresholds
+        (:meth:`~repro.cam.array.CamArray.search_batch`), a sweep pass
+        every read at the selected thresholds
+        (:meth:`~repro.cam.array.CamArray.search_sweep`); its
+        decisions and costs fold into exactly those cells.
+        """
+        array, config = self._array, self._config
+        n_queries = reads.shape[0]
+        keys = query_key_vector(query_keys, n_queries)
+        grid = (block.shape[0], n_queries)
+        n_searches = np.zeros(grid, dtype=int)
+        energy = np.zeros(grid)
+        latency = np.zeros(grid)
+
+        def cells_of(mask: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+            full = np.broadcast_to(mask, grid)
+            return (np.flatnonzero(full.any(axis=1)),
+                    np.flatnonzero(full.any(axis=0)))
+
+        def issue(rows: np.ndarray, cols: np.ndarray, mode: MatchMode,
+                  tag: int, counts: "np.ndarray | None" = None,
+                  rotation: int = 0):
+            """One array pass over the selected cells; charges its costs
+            there and returns ``(cells, search result)``."""
+            every = cols.shape[0] == n_queries
+            queries = reads if every else reads[cols]
+            if counts is not None and not every:
+                counts = counts[cols]
+            if rotation:
+                queries = np.roll(queries, -rotation, axis=1)
+            kwargs = {"noise_keys": pass_keys(keys[cols], tag),
+                      "precomputed_counts": counts, "rotation": rotation}
+            if sweep:
+                result = array.search_sweep(queries, block[rows, 0], mode,
+                                            **kwargs)
+            else:
+                result = array.search_batch(queries, block[0, cols], mode,
+                                            **kwargs)
+            # A (1, B) or (T, 1) block always selects whole threshold
+            # rows (batch) or whole read columns (sweep), so at most one
+            # axis needs an index array; whole axes stay slices (views).
+            cells = (slice(None) if rows.shape[0] == grid[0] else rows,
+                     slice(None) if every else cols)
+            n_searches[cells] += 1
+            energy[cells] += result.energy_per_query_joules
+            latency[cells] += array.search_time_ns
+            return cells, result
+
+        def block_matches(result) -> np.ndarray:
+            """A pass's decisions as a ``(T', B', M)`` block."""
+            return result.matches if sweep else result.matches[None]
+
+        # HDAC eligibility is known before any search (``p`` is an
+        # off-line function of the threshold), so when the HD pass will
+        # cover every read one dual sweep supplies both modes' counts.
+        p_block = np.zeros(block.shape)
+        hdac_mask = np.zeros(block.shape, dtype=bool)
+        if config.enable_hdac:
+            for t in np.unique(block):
+                p_block[block == t] = self.hdac_probability(int(t))
+            hdac_mask = p_block >= config.hdac_disable_threshold
+        hd_rows, hd_cols = cells_of(hdac_mask)
+        ed_counts = hd_counts = None
+        if n_queries and hd_cols.shape[0] == n_queries:
+            ed_counts, hd_counts = array.mismatch_counts_batch_dual(reads)
+
+        # Each pass's result stays referenced until the next pass has
+        # run (``base`` to the end).  Freeing a pass's (B, M) blocks
+        # before the next pass allocates its own lets the C allocator
+        # trim the heap and fault it back in: ~5x the page faults per
+        # batch.
+        _, base = issue(np.arange(grid[0]), np.arange(n_queries),
+                        MatchMode.ED_STAR, PASS_ED_STAR, ed_counts)
+        decisions = block_matches(base)
+
+        # --- HDAC (Algorithm 1), over the cells worth the cycle -------
+        if hd_rows.shape[0]:
+            cells, hd = issue(hd_rows, hd_cols, MatchMode.HAMMING,
+                              PASS_HAMMING, hd_counts)
+            decisions[cells] = hdac_correct_batch(
+                decisions[cells], block_matches(hd),
+                p_block[cells],
+                fold_key_block(self._hdac_prefix, keys[hd_cols]),
+            )
+
+        # --- TASR (Algorithm 2), over the cells above Tl --------------
+        lower_bound = self.tasr_lower_bound()
+        tasr_mask = np.zeros(block.shape, dtype=bool)
+        if config.enable_tasr and n_queries:
+            tasr_mask = block >= lower_bound
+            rows, cols = cells_of(tasr_mask)
+            if rows.shape[0]:
+                for offset in rotation_offsets(config.tasr_nr,
+                                               config.tasr_direction):
+                    cells, rotated = issue(rows, cols, MatchMode.ED_STAR,
+                                           PASS_ROTATION + offset,
+                                           rotation=offset)
+                    decisions[cells] |= block_matches(rotated)
+
+        return _FlowResult(
+            decisions=decisions, n_searches=n_searches, energy=energy,
+            latency=latency,
+            probabilities=np.where(hdac_mask, p_block, 0.0),
             hdac_mask=hdac_mask, tasr_mask=tasr_mask,
+            lower_bound=lower_bound,
         )

@@ -1,4 +1,4 @@
-"""Read-mapping pipelines: scalar, batched and sharded execution.
+"""Read-mapping pipelines: batched and sharded execution.
 
 :class:`ReadMappingPipeline` runs a matcher over a batch of reads and
 collects per-read match locations plus aggregate cost statistics —
@@ -8,17 +8,11 @@ latency/energy with H-tree and buffer overheads lives in
 :mod:`repro.arch.accelerator`; this pipeline charges array-level costs
 only, which is what the per-read diagnostics need.
 
-**Execution models.**  Three progressively faster paths:
+**Execution models.**  Two paths over the one keyed matcher flow:
 
-* :meth:`ReadMappingPipeline.run` — the original per-read Python loop
-  (one :meth:`~repro.core.matcher.AsmCapMatcher.match` per read),
-  drawing from the matcher's legacy *sequential* noise stream;
 * :meth:`ReadMappingPipeline.run_batched` — one
   :meth:`~repro.core.matcher.AsmCapMatcher.match_batch` over the whole
-  block, vectorising the ED*, HDAC and TASR passes on *keyed* noise
-  streams.  Bit-identical to a scalar loop that passes
-  ``query_key=index`` — but not to plain :meth:`run`, whose
-  sequential draws depend on call order;
+  block, vectorising the ED*, HDAC and TASR passes;
 * :class:`ShardedReadMappingPipeline` — the software model of
   Fig. 4(a)'s full system: the reference is partitioned across several
   CAM-array *shards* (the contiguous bank assignment of
@@ -33,16 +27,16 @@ only, which is what the per-read diagnostics need.
   like the banks behind the H-tree — so its cost totals are *not*
   comparable to a single-array run.
 
-Within each keyed path, determinism is anchored on per-read *query
-keys* (the read's global position in the workload): variation noise
-and HDAC draws are keyed by ``(query_key, pass)``, so the scalar
-wrapper :meth:`ShardedReadMappingPipeline.map_read` and the chunked,
+Determinism is anchored on per-read *query keys* (the read's global
+position in the workload): every draw is keyed by ``(seed, query_key,
+pass)`` and a single read is a one-row block, so the one-read wrapper
+:meth:`ShardedReadMappingPipeline.map_read` and the chunked,
 multi-threaded :meth:`ShardedReadMappingPipeline.run` make
 bit-identical decisions under a fixed seed.  The ``first_read_index``
-offset on both ``run`` methods extends the same anchor to incremental
-execution — :mod:`repro.service` streams a workload through these
-engines micro-batch by micro-batch, bit-identical to one call over
-the whole block.
+offset of ``run_batched`` and the sharded ``run`` extends the same
+anchor to incremental execution — :mod:`repro.service` streams a
+workload through these engines micro-batch by micro-batch,
+bit-identical to one call over the whole block.
 """
 
 from __future__ import annotations
@@ -222,35 +216,11 @@ class ReadMappingPipeline:
         pipeline issued is recorded there as a typed event)."""
         return self._matcher.array.ledger
 
-    def map_read(self, read: "np.ndarray | ReadRecord",
-                 threshold: int, index: int = 0) -> ReadMapping:
-        """Map a single read; returns its matched row indices."""
-        outcome = self._matcher.match(_read_codes(read), threshold)
-        matched_rows = tuple(int(i) for i in np.flatnonzero(outcome.decisions))
-        return ReadMapping(read_index=index, matched_rows=matched_rows,
-                           outcome=outcome)
-
-    def run(self, reads: "Sequence[np.ndarray] | Sequence[ReadRecord]",
-            threshold: int) -> MappingReport:
-        """Map every read and aggregate the statistics.
-
-        An empty batch is a valid degenerate input for a streaming
-        caller and yields an empty report.
-        """
-        report = MappingReport()
-        for index, read in enumerate(reads):
-            report.add(self.map_read(read, threshold, index=index))
-        return report
-
     def run_batched(self,
                     reads: "Sequence[np.ndarray] | Sequence[ReadRecord]",
                     threshold: int,
                     first_read_index: int = 0) -> MappingReport:
         """Map the whole batch through the vectorised matcher passes.
-
-        Decisions are bit-identical to a scalar loop that calls
-        ``matcher.match(read, threshold, query_key=index)`` per read —
-        the keyed noise streams make execution order irrelevant.
 
         ``first_read_index`` offsets the query keys (and the reported
         ``read_index`` values): read ``i`` of this call is keyed as

@@ -18,15 +18,12 @@ timing model charges.
 
 The rotation direction is configurable: the paper rotates "left (right)"
 — we default to exploring both directions (``NR`` each way), with
-left-only and right-only modes for the ablation benchmarks.
+left-only and right-only modes for the ablation benchmarks.  This
+module holds the rotation schedule; :class:`~repro.core.matcher.
+AsmCapMatcher` issues the rotated passes and ORs them in.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from repro import constants
 from repro.errors import ThresholdError
@@ -55,72 +52,3 @@ def rotation_offsets(nr: int = constants.TASR_NR,
     if direction == "right":
         return right
     return left + right
-
-
-@dataclass(frozen=True)
-class TasrOutcome:
-    """Result of applying Algorithm 2.
-
-    Attributes
-    ----------
-    decisions:
-        Final per-row decisions (OR over the base and rotated searches).
-    triggered:
-        Whether ``T >= Tl`` allowed rotations at all.
-    n_extra_searches:
-        Rotated searches issued (0 when not triggered).
-    rotation_cycles:
-        Total shift-register cycles spent on rotations.
-    """
-
-    decisions: np.ndarray
-    triggered: bool
-    n_extra_searches: int
-    rotation_cycles: int
-
-
-def tasr_correct(base_decisions: np.ndarray,
-                 rotated_search: Callable[[int], np.ndarray],
-                 threshold: int,
-                 lower_bound: int,
-                 nr: int = constants.TASR_NR,
-                 direction: str = "both") -> TasrOutcome:
-    """Apply Algorithm 2 on top of an existing base search.
-
-    Parameters
-    ----------
-    base_decisions:
-        Per-row decisions of the unrotated ED* search (i = 0).
-    rotated_search:
-        Callback issuing an ED* search with the read rotated by the
-        given offset (positive = left) and returning per-row decisions.
-        The matcher wires this to the array's shift registers.
-    threshold, lower_bound:
-        ``T`` and ``Tl``; rotations fire only when ``T >= Tl``.
-    nr:
-        Rotations per direction.
-    direction:
-        ``"both"`` / ``"left"`` / ``"right"``.
-    """
-    base_decisions = np.asarray(base_decisions, dtype=bool)
-    if threshold < 0:
-        raise ThresholdError(f"threshold must be non-negative, got {threshold}")
-    if threshold < lower_bound:
-        return TasrOutcome(decisions=base_decisions.copy(), triggered=False,
-                           n_extra_searches=0, rotation_cycles=0)
-
-    decisions = base_decisions.copy()
-    n_extra = 0
-    cycles = 0
-    for offset in rotation_offsets(nr, direction):
-        rotated = np.asarray(rotated_search(offset), dtype=bool)
-        if rotated.shape != decisions.shape:
-            raise ThresholdError(
-                f"rotated decisions shape {rotated.shape} != base "
-                f"{decisions.shape}"
-            )
-        decisions |= rotated
-        n_extra += 1
-        cycles += abs(offset)
-    return TasrOutcome(decisions=decisions, triggered=True,
-                       n_extra_searches=n_extra, rotation_cycles=cycles)

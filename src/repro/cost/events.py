@@ -72,13 +72,13 @@ class SearchPassEvent(LedgerEvent):
         ``(B, M)`` digital mismatch populations (query, stored row).
     thresholds:
         Sense-amp reference levels evaluated on this pass: per-query
-        ``(B,)`` for scalar/batched searches, the ``(T,)`` sweep vector
+        ``(B,)`` for batched searches, the ``(T,)`` sweep vector
         for sweep passes.
     sweep:
         True when one physical pass served a whole threshold sweep.
     query_keys:
-        The per-query determinism keys, when the caller used keyed
-        noise streams (None for legacy sequential draws).
+        The per-query noise keys of the pass (None for synthetic
+        events, such as the analytic typical-activity pass).
     """
 
     domain: str

@@ -15,7 +15,7 @@ import numpy as np
 from repro.cam.array import CamArray
 from repro.cam.defects import DefectiveArray, DefectMap
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
-from repro.eval.confusion import ConfusionMatrix
+from repro.eval.confusion import confusion_series
 from repro.eval.ground_truth import GroundTruth, label_dataset
 from repro.eval.reporting import format_table
 from repro.genome.datasets import Dataset, build_dataset
@@ -27,16 +27,12 @@ def _mean_f1(dataset: Dataset, truth: GroundTruth, config: MatcherConfig,
                      domain="charge", noisy=True, seed=seed)
     array.store(dataset.segments)
     matcher = AsmCapMatcher(array, dataset.model, config, seed=seed + 1)
-    scores = []
-    for threshold in thresholds:
-        matrix = ConfusionMatrix()
-        labels = truth.labels(threshold)
-        for index, record in enumerate(dataset.reads):
-            matrix.update(matcher.match(record.read.codes,
-                                        threshold).decisions,
-                          labels[index])
-        scores.append(matrix.f1)
-    return float(np.mean(scores))
+    reads = np.stack([record.read.codes for record in dataset.reads])
+    decisions = matcher.match_sweep(reads, thresholds).decisions
+    labels = np.stack([truth.labels(threshold) for threshold in thresholds])
+    return float(np.mean([
+        matrix.f1 for matrix in confusion_series(decisions, labels)
+    ]))
 
 
 def hdac_ablation(n_reads: int = 48, n_segments: int = 64,
@@ -94,10 +90,7 @@ def defect_ablation(n_segments: int = 64, seed: int = 0) -> str:
         defects = DefectMap.sample(n_segments, 0.0, rate,
                                    np.random.default_rng(seed + 1))
         wrapped = DefectiveArray(array, defects)
-        hits = sum(
-            int(wrapped.search(segments[r], 0).matches[r])
-            for r in range(n_segments)
-        )
+        hits = int(wrapped.search_batch(segments, 0).matches.diagonal().sum())
         rows.append((f"{rate * 100:.0f} %", defects.n_defective,
                      hits / n_segments * 100))
     return format_table(

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
+from repro.arch import autotune
 from repro.arch.autotune import (
     ENCODED_BYTES_PER_CELL,
     ENGINE_ENV,
@@ -15,6 +19,7 @@ from repro.arch.autotune import (
     ShardPlan,
     available_cpus,
     plan_engine,
+    plan_backend,
     plan_microbatch,
     plan_shards,
     resolve_engine,
@@ -211,3 +216,34 @@ class TestPipelineIntegration:
         report_explicit = explicit.run(reads, threshold=8)
         for a, b in zip(report_auto.mappings, report_explicit.mappings, strict=True):
             assert a.matched_rows == b.matched_rows
+
+
+class TestPlanBackendRace:
+    def test_concurrent_first_callers_calibrate_once(self, monkeypatch):
+        """Eight threads racing on an empty cache run one calibration
+        and all receive the backend it picked."""
+        calls = []
+
+        def counting_calibration():
+            calls.append(threading.get_ident())
+            time.sleep(0.05)  # widen the race window
+            return {"numpy-gemm": 2.0, "bitpacked": 1.0}
+
+        monkeypatch.setattr(autotune, "_PLANNED_BACKEND", None)
+        monkeypatch.setattr(autotune, "calibrate_kernel_backends",
+                            counting_calibration)
+        barrier = threading.Barrier(8, timeout=10)
+        picked = []
+
+        def worker():
+            barrier.wait()
+            picked.append(plan_backend())
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(calls) == 1
+        assert picked == ["bitpacked"] * 8

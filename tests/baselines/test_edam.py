@@ -28,6 +28,14 @@ class TestMatcher:
         with pytest.raises(CamConfigError):
             EdamMatcher(array=charge)
 
+    def test_invalid_sr_direction_rejected_at_construction(self):
+        """A bad direction fails in __init__, before any search runs,
+        and even when SR is off."""
+        with pytest.raises(CamConfigError, match="sr_direction"):
+            EdamMatcher(rows=4, cols=16, sr_direction="up")
+        with pytest.raises(CamConfigError, match="sr_direction"):
+            EdamMatcher(rows=4, cols=16, enable_sr=True, sr_direction="")
+
     def test_default_construction(self, dataset):
         matcher = EdamMatcher(rows=16, cols=128, noisy=False)
         matcher.store(dataset.segments)

@@ -12,6 +12,13 @@ from repro.distance.hamming import hamming_distance_batch
 from repro.errors import CamConfigError, ThresholdError
 
 
+def search_one(array, read, threshold, mode=MatchMode.ED_STAR, **kwargs):
+    """One read as a one-row block: ``(matches, counts, v_ml)`` of row 0."""
+    result = array.search_batch(np.asarray(read)[None, :], threshold, mode,
+                                **kwargs)
+    return result.matches[0], result.mismatch_counts[0], result.v_ml[0]
+
+
 @pytest.fixture
 def stored_segments(rng):
     return rng.integers(0, 4, (16, 32)).astype(np.uint8)
@@ -43,7 +50,7 @@ class TestConfiguration:
     def test_empty_array_search_rejected(self, rng):
         array = CamArray(rows=4, cols=8, domain="charge")
         with pytest.raises(CamConfigError):
-            array.search(rng.integers(0, 4, 8).astype(np.uint8), 2)
+            search_one(array, rng.integers(0, 4, 8).astype(np.uint8), 2)
 
 
 class TestDigitalCounts:
@@ -61,9 +68,9 @@ class TestDigitalCounts:
                               hamming_distance_batch(stored_segments, read))
 
     def test_stored_read_matches_itself(self, charge_array, stored_segments):
-        result = charge_array.search(stored_segments[3], threshold=0)
-        assert result.matches[3]
-        assert result.mismatch_counts[3] == 0
+        matches, counts, _ = search_one(charge_array, stored_segments[3], 0)
+        assert matches[3]
+        assert counts[3] == 0
 
 
 class TestNoiselessSearch:
@@ -71,32 +78,31 @@ class TestNoiselessSearch:
                                                stored_segments, rng):
         read = rng.integers(0, 4, 32).astype(np.uint8)
         for threshold in (0, 2, 8, 31):
-            result = charge_array.search(read, threshold)
-            expected = result.mismatch_counts <= threshold
-            assert np.array_equal(result.matches, expected)
+            matches, counts, _ = search_one(charge_array, read, threshold)
+            assert np.array_equal(matches, counts <= threshold)
 
     def test_current_domain_same_digital_behaviour(self, current_array,
                                                    charge_array, rng):
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        charge = charge_array.search(read, 4)
-        current = current_array.search(read, 4)
-        assert np.array_equal(charge.matches, current.matches)
+        charge, _, _ = search_one(charge_array, read, 4)
+        current, _, _ = search_one(current_array, read, 4)
+        assert np.array_equal(charge, current)
 
     def test_voltage_polarity(self, charge_array, current_array, rng):
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        v_charge = charge_array.search(read, 4).v_ml
-        v_current = current_array.search(read, 4).v_ml
+        v_charge = search_one(charge_array, read, 4)[2]
+        v_current = search_one(current_array, read, 4)[2]
         # Complementary transfer functions (same digital counts).
         assert np.allclose(v_charge + v_current, 1.2)
 
     def test_threshold_out_of_range(self, charge_array, rng):
         read = rng.integers(0, 4, 32).astype(np.uint8)
         with pytest.raises(ThresholdError):
-            charge_array.search(read, 33)
+            search_one(charge_array, read, 33)
 
     def test_wrong_read_width(self, charge_array):
         with pytest.raises(CamConfigError):
-            charge_array.search(np.zeros(31, dtype=np.uint8), 2)
+            search_one(charge_array, np.zeros(31, dtype=np.uint8), 2)
 
 
 class TestNoisySearch:
@@ -108,8 +114,8 @@ class TestNoisySearch:
                          seed=1)
         clean.store(stored_segments)
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        v_noisy = noisy.search(read, 4).v_ml
-        v_clean = clean.search(read, 4).v_ml
+        v_noisy = search_one(noisy, read, 4)[2]
+        v_clean = search_one(clean, read, 4)[2]
         assert not np.allclose(v_noisy, v_clean)
 
     def test_charge_domain_noise_rarely_flips(self, stored_segments):
@@ -118,13 +124,9 @@ class TestNoisySearch:
         array = CamArray(rows=16, cols=32, domain="charge", noisy=True,
                          seed=2)
         array.store(stored_segments)
-        flips = 0
-        for _ in range(50):
-            read = rng.integers(0, 4, 32).astype(np.uint8)
-            result = array.search(read, 4)
-            expected = result.mismatch_counts <= 4
-            flips += int((result.matches != expected).sum())
-        assert flips == 0
+        reads = rng.integers(0, 4, (50, 32)).astype(np.uint8)
+        result = array.search_batch(reads, 4)
+        assert np.array_equal(result.matches, result.mismatch_counts <= 4)
 
     def test_current_domain_noise_flips_boundary(self, rng):
         """EDAM's noise floor must flip decisions at the boundary."""
@@ -141,19 +143,17 @@ class TestNoisySearch:
         from repro.cam.cell import MatchMode
         boundary = int(array.mismatch_counts(read, MatchMode.ED_STAR)[0])
         assert boundary >= 1
-        flips = 0
+        # One trial per noise key: 400 keyed copies of the same read.
         trials = 400
-        for _ in range(trials):
-            result = array.search(read, boundary)
-            if not result.matches[0]:
-                flips += 1
+        result = array.search_batch(np.tile(read, (trials, 1)), boundary)
+        flips = int((~result.matches[:, 0]).sum())
         assert 0 < flips < trials  # noisy boundary, not deterministic
 
 
 class TestCostAccounting:
     def test_energy_positive_and_recorded(self, charge_array, rng):
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        result = charge_array.search(read, 4)
+        result = charge_array.search_batch(read[None, :], 4)
         assert result.energy_joules > 0
         assert charge_array.stats.total_energy_joules == pytest.approx(
             result.energy_joules
@@ -162,13 +162,13 @@ class TestCostAccounting:
     def test_current_domain_costs_more_energy(self, charge_array,
                                               current_array, rng):
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        e_charge = charge_array.search(read, 4).energy_joules
-        e_current = current_array.search(read, 4).energy_joules
+        e_charge = charge_array.search_batch(read[None, :], 4).energy_joules
+        e_current = current_array.search_batch(read[None, :], 4).energy_joules
         assert e_current > e_charge
 
     def test_stats_accumulate(self, charge_array, rng):
         for _ in range(3):
-            charge_array.search(rng.integers(0, 4, 32).astype(np.uint8), 4)
+            search_one(charge_array, rng.integers(0, 4, 32).astype(np.uint8), 4)
         assert charge_array.stats.n_searches == 3
         assert charge_array.stats.total_latency_ns == pytest.approx(3 * 0.9)
 
@@ -194,24 +194,8 @@ class TestBatchSearch:
             hd, charge_array.mismatch_counts_batch(reads, MatchMode.HAMMING)
         )
 
-    def test_sequential_stream_equivalence(self, stored_segments, rng):
-        """Un-keyed batch == consecutive scalar searches, same seed."""
-        reads = rng.integers(0, 4, (5, 32)).astype(np.uint8)
-        for domain in ("charge", "current"):
-            batch_array = CamArray(rows=16, cols=32, domain=domain,
-                                   noisy=True, seed=8)
-            batch_array.store(stored_segments)
-            scalar_array = CamArray(rows=16, cols=32, domain=domain,
-                                    noisy=True, seed=8)
-            scalar_array.store(stored_segments)
-            batch = batch_array.search_batch(reads, 6)
-            for q in range(5):
-                scalar = scalar_array.search(reads[q], 6)
-                assert np.array_equal(batch.matches[q], scalar.matches)
-                assert np.allclose(batch.v_ml[q], scalar.v_ml)
-
     def test_keyed_noise_is_order_independent(self, stored_segments, rng):
-        """Keyed scalar replay in any order matches the batch rows."""
+        """Keyed one-row replay in any order matches the batch rows."""
         reads = rng.integers(0, 4, (5, 32)).astype(np.uint8)
         array = CamArray(rows=16, cols=32, domain="charge", noisy=True,
                          seed=4)
@@ -219,27 +203,27 @@ class TestBatchSearch:
         keys = [(100 + q, 1) for q in range(5)]
         batch = array.search_batch(reads, 6, noise_keys=keys)
         for q in reversed(range(5)):
-            scalar = array.search(reads[q], 6, noise_key=keys[q])
-            assert np.allclose(batch.v_ml[q], scalar.v_ml)
-            assert np.array_equal(batch.matches[q], scalar.matches)
+            matches, _, v_ml = search_one(array, reads[q], 6,
+                                          noise_keys=[keys[q]])
+            assert np.array_equal(batch.v_ml[q], v_ml)
+            assert np.array_equal(batch.matches[q], matches)
 
     def test_per_query_thresholds(self, charge_array, rng):
         reads = rng.integers(0, 4, (4, 32)).astype(np.uint8)
         thresholds = np.array([0, 4, 16, 32])
         batch = charge_array.search_batch(reads, thresholds)
         for q in range(4):
-            scalar = charge_array.search(reads[q], int(thresholds[q]))
-            assert np.array_equal(batch.matches[q], scalar.matches)
+            matches, _, _ = search_one(charge_array, reads[q],
+                                       int(thresholds[q]))
+            assert np.array_equal(batch.matches[q], matches)
 
     def test_energy_matches_scalar(self, charge_array, current_array, rng):
         reads = rng.integers(0, 4, (3, 32)).astype(np.uint8)
         for array in (charge_array, current_array):
             batch = array.search_batch(reads, 5)
             for q in range(3):
-                scalar = array.search(reads[q], 5)
-                assert batch.energy_per_query_joules[q] == pytest.approx(
-                    scalar.energy_joules
-                )
+                one = array.search_batch(reads[q:q + 1], 5)
+                assert batch.energy_per_query_joules[q] == one.energy_joules
             assert batch.energy_joules == pytest.approx(
                 batch.energy_per_query_joules.sum()
             )
@@ -290,17 +274,21 @@ class TestBatchSearch:
 
 class TestRotatedSearch:
     def test_rotation_applied(self, charge_array, stored_segments):
-        # Store a segment, search its right-rotated version with a left
-        # rotation: the rotations cancel and the row matches exactly.
+        # Search a segment's right-rotated version as a left-rotated
+        # pass (the caller rotates, as the matchers do): the rotations
+        # cancel, the row matches exactly, and the pass is tagged.
         rotated_read = np.roll(stored_segments[5], 1)
-        result = charge_array.search_rotated(rotated_read, 0, rotation=1)
-        assert result.matches[5]
-        assert result.mismatch_counts[5] == 0
+        matches, counts, _ = search_one(charge_array,
+                                        np.roll(rotated_read, -1), 0,
+                                        rotation=1)
+        assert matches[5]
+        assert counts[5] == 0
+        assert charge_array.ledger.pass_counts() == {"TasrRotationPass": 1}
 
     def test_rotation_cycles_recorded(self, charge_array, rng):
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        charge_array.search_rotated(read, 4, rotation=2)
-        charge_array.search_rotated(read, 4, rotation=-3)
+        search_one(charge_array, np.roll(read, -2), 4, rotation=2)
+        search_one(charge_array, np.roll(read, 3), 4, rotation=-3)
         assert charge_array.stats.n_rotation_cycles == 5
 
 

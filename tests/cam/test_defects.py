@@ -56,8 +56,8 @@ class TestDefectiveArray:
         defects.stuck_match[7] = True
         wrapped = DefectiveArray(clean_array, defects)
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        result = wrapped.search(read, threshold=0)
-        assert result.matches[7]
+        result = wrapped.search_batch(read[None, :], threshold=0)
+        assert result.matches[0, 7]
 
     def test_stuck_mismatch_row_never_matches(self, clean_array):
         defects = DefectMap(stuck_match=np.zeros(16, bool),
@@ -65,8 +65,8 @@ class TestDefectiveArray:
         defects.stuck_mismatch[3] = True
         wrapped = DefectiveArray(clean_array, defects)
         stored = clean_array.stored_segments()[3]
-        result = wrapped.search(stored, threshold=0)
-        assert not result.matches[3]  # exact match suppressed by defect
+        result = wrapped.search_batch(stored[None, :], threshold=0)
+        assert not result.matches[0, 3]  # exact match suppressed by defect
 
     def test_healthy_rows_unaffected(self, clean_array, rng):
         defects = DefectMap(stuck_match=np.zeros(16, bool),
@@ -74,9 +74,10 @@ class TestDefectiveArray:
         defects.stuck_match[0] = True
         wrapped = DefectiveArray(clean_array, defects)
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        clean = clean_array.search(read, 4).matches
-        patched = wrapped.search(read, 4).matches
-        assert np.array_equal(clean[1:], patched[1:])
+        clean = clean_array.search_batch(read[None, :], 4).matches
+        patched = wrapped.search_batch(read[None, :], 4).matches
+        assert np.array_equal(clean[:, 1:], patched[:, 1:])
+        assert patched[0, 0]
 
     def test_shape_mismatch_rejected(self, clean_array):
         defects = DefectMap(stuck_match=np.zeros(8, bool),
@@ -94,11 +95,9 @@ class TestDefectiveArray:
             defects = DefectMap.sample(32, 0.0, rate,
                                        np.random.default_rng(5))
             wrapped = DefectiveArray(array, defects)
-            hits = sum(
-                int(wrapped.search(segments[r], 0).matches[r])
-                for r in range(32)
-            )
-            recovered.append(hits)
+            # Read r searched as row r of one block: its self-match.
+            hits = wrapped.search_batch(segments, 0).matches.diagonal()
+            recovered.append(int(hits.sum()))
         assert recovered[0] == 32
         assert recovered[0] >= recovered[1] >= recovered[2]
         assert recovered[2] < 32

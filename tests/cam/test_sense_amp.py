@@ -49,15 +49,3 @@ class TestDecide:
         sa = SenseAmplifier(vdd=1.2, rising=True)
         v_at_t = np.array([8.0]) / 256 * 1.2
         assert sa.decide(v_at_t, 8, 256).tolist() == [True]
-
-    def test_offset_requires_rng(self):
-        sa = SenseAmplifier(offset_sigma=0.001)
-        with pytest.raises(ThresholdError):
-            sa.decide(np.array([0.5]), 4, 256)
-
-    def test_offset_perturbs_boundary(self, rng):
-        sa = SenseAmplifier(vdd=1.2, rising=True, offset_sigma=0.05)
-        v = np.full(5000, 4.5 / 256 * 1.2)  # exactly on the boundary
-        decisions = sa.decide(v, 4, 256, rng=rng)
-        fraction = decisions.mean()
-        assert 0.4 < fraction < 0.6  # offset splits boundary 50/50

@@ -9,6 +9,7 @@ import pytest
 
 from repro import constants
 from repro.cam.energy import vml_variance_eq2
+from repro.cam.keyed_noise import fold_key, standard_normals
 from repro.cam.variation import ChargeDomainVariation, CurrentDomainVariation
 from repro.errors import CamConfigError
 
@@ -46,10 +47,12 @@ class TestChargeDomain:
         with pytest.raises(CamConfigError):
             ChargeDomainVariation(sigma_rel=0.0).distinguishable_states()
 
-    def test_noise_sampling_statistics(self, rng):
+    def test_noise_sampling_statistics(self):
+        """Keyed normals scaled by sigma_vml — the array's noise draw."""
         model = ChargeDomainVariation()
         counts = np.full(20_000, 128)
-        noise = model.sample_noise(counts, 256, rng)
+        noise = (standard_normals(fold_key((5,)), counts.shape[0])
+                 * model.sigma_vml(counts, 256))
         expected_sigma = float(model.sigma_vml(128, 256))
         assert abs(noise.std() - expected_sigma) / expected_sigma < 0.05
         assert abs(noise.mean()) < expected_sigma / 10

@@ -1,89 +1,88 @@
-"""Tests for Algorithm 1 (HDAC)."""
+"""Tests for Algorithm 1 (HDAC), applied on keyed draw streams."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.hdac import hdac_correct
+from repro.cam.keyed_noise import fold_key
+from repro.core.hdac import hdac_correct_batch
 from repro.errors import ThresholdError
+
+#: One folded keyed-stream state (a query's HDAC stream).
+STATE = fold_key((7,))
 
 
 class TestAgreementCases:
-    def test_agreeing_decisions_untouched(self, rng):
+    def test_agreeing_decisions_untouched(self):
         decisions = np.array([True, False, True, False])
-        outcome = hdac_correct(decisions, decisions.copy(), p=1.0, rng=rng)
-        assert np.array_equal(outcome.decisions, decisions)
-        assert outcome.n_disagreements == 0
-        assert outcome.n_hd_selected == 0
+        out = hdac_correct_batch(decisions, decisions.copy(), 1.0, STATE)
+        assert np.array_equal(out, decisions)
 
-    def test_p_zero_keeps_ed_star(self, rng):
+    def test_p_zero_keeps_ed_star(self):
         ed = np.array([True, True, False])
         hd = np.array([False, False, True])
-        outcome = hdac_correct(ed, hd, p=0.0, rng=rng)
-        assert np.array_equal(outcome.decisions, ed)
-        assert outcome.n_disagreements == 3
-        assert outcome.n_hd_selected == 0
+        assert np.array_equal(hdac_correct_batch(ed, hd, 0.0, STATE), ed)
 
-    def test_p_one_takes_hamming(self, rng):
+    def test_p_one_takes_hamming(self):
         ed = np.array([True, True, False])
         hd = np.array([False, False, True])
-        outcome = hdac_correct(ed, hd, p=1.0, rng=rng)
-        assert np.array_equal(outcome.decisions, hd)
-        assert outcome.n_hd_selected == 3
+        assert np.array_equal(hdac_correct_batch(ed, hd, 1.0, STATE), hd)
 
 
 class TestProbabilisticSelection:
     def test_selection_rate_matches_p(self):
-        rng = np.random.default_rng(0)
         n = 20_000
         ed = np.ones(n, dtype=bool)
         hd = np.zeros(n, dtype=bool)
-        outcome = hdac_correct(ed, hd, p=0.3, rng=rng)
-        rate = outcome.n_hd_selected / n
-        assert rate == pytest.approx(0.3, abs=0.02)
-        assert outcome.decisions.sum() == n - outcome.n_hd_selected
+        out = hdac_correct_batch(ed, hd, 0.3, STATE)
+        n_hd_selected = int((~out).sum())
+        assert n_hd_selected / n == pytest.approx(0.3, abs=0.02)
 
-    def test_only_disagreeing_rows_touched(self, rng):
+    def test_only_disagreeing_rows_touched(self):
         ed = np.array([True, True, False, False])
         hd = np.array([True, False, False, True])
-        outcome = hdac_correct(ed, hd, p=1.0, rng=rng)
+        out = hdac_correct_batch(ed, hd, 1.0, STATE)
         # Rows 0 and 2 agree and must be preserved.
-        assert outcome.decisions[0] == ed[0]
-        assert outcome.decisions[2] == ed[2]
-        assert outcome.n_disagreements == 2
+        assert out[0] == ed[0]
+        assert out[2] == ed[2]
+        assert np.array_equal(out, hd)
 
     def test_deterministic_given_seed(self):
         ed = np.random.default_rng(1).random(100) < 0.5
         hd = np.random.default_rng(2).random(100) < 0.5
-        a = hdac_correct(ed, hd, 0.5, np.random.default_rng(7))
-        b = hdac_correct(ed, hd, 0.5, np.random.default_rng(7))
-        assert np.array_equal(a.decisions, b.decisions)
+        a = hdac_correct_batch(ed, hd, 0.5, STATE)
+        b = hdac_correct_batch(ed, hd, 0.5, STATE)
+        assert np.array_equal(a, b)
+        other = hdac_correct_batch(ed, hd, 0.5, fold_key((8,)))
+        assert not np.array_equal(a, other)
 
 
 class TestCorrectionSemantics:
-    def test_substitution_hiding_fp_corrected(self, rng):
+    def test_substitution_hiding_fp_corrected(self):
         """The Fig. 5 scenario: ED* says match (hidden substitutions),
         HD says mismatch; with p = 1 the FP is corrected."""
         ed_star_match = np.array([True])
         hamming_mismatch = np.array([False])
-        outcome = hdac_correct(ed_star_match, hamming_mismatch, 1.0, rng)
-        assert not outcome.decisions[0]
+        out = hdac_correct_batch(ed_star_match, hamming_mismatch, 1.0, STATE)
+        assert not out[0]
 
 
 class TestValidation:
-    def test_shape_mismatch(self, rng):
+    def test_shape_mismatch(self):
         with pytest.raises(ThresholdError):
-            hdac_correct(np.array([True]), np.array([True, False]), 0.5, rng)
+            hdac_correct_batch(np.array([True]), np.array([True, False]),
+                               0.5, STATE)
 
-    def test_invalid_probability(self, rng):
+    def test_invalid_probability(self):
         with pytest.raises(ThresholdError):
-            hdac_correct(np.array([True]), np.array([False]), 1.5, rng)
+            hdac_correct_batch(np.array([True]), np.array([False]), 1.5,
+                               STATE)
 
-    def test_inputs_not_mutated(self, rng):
+    def test_inputs_not_mutated(self):
         ed = np.array([True, False])
         hd = np.array([False, True])
         ed_copy, hd_copy = ed.copy(), hd.copy()
-        hdac_correct(ed, hd, 1.0, rng)
+        hdac_correct_batch(ed, hd, 1.0, STATE)
         assert np.array_equal(ed, ed_copy)
         assert np.array_equal(hd, hd_copy)

@@ -18,7 +18,7 @@ from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
 from repro.cam.cell import MatchMode
 from repro.cam.sense_amp import SenseAmplifier
-from repro.core.hdac import hdac_correct_batch, hdac_correct_sweep
+from repro.core.hdac import hdac_correct_batch
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.errors import CamConfigError, ThresholdError
 from repro.eval.confusion import f1_from_decisions
@@ -245,20 +245,15 @@ class TestSenseAmpSweep:
         sa = SenseAmplifier()
         v_ml = np.linspace(0.0, 1.0, 64).reshape(4, 16)
         thresholds = np.array([0, 3, 9, 16])
-        sweep = sa.decide_sweep(v_ml, thresholds, 16)
+        sweep = sa.decide_sweep(v_ml, thresholds[:, None], 16)
         for t_index, threshold in enumerate(thresholds):
             assert np.array_equal(sweep[t_index],
                                   sa.decide(v_ml, int(threshold), 16))
 
-    def test_offset_sigma_rejected(self):
-        sa = SenseAmplifier(offset_sigma=0.01)
-        with pytest.raises(ThresholdError):
-            sa.decide_sweep(np.zeros((2, 4)), np.array([1]), 4)
-
     def test_threshold_shape_rejected(self):
         sa = SenseAmplifier()
         with pytest.raises(ThresholdError):
-            sa.decide_sweep(np.zeros((2, 4)), np.array([[1]]), 4)
+            sa.decide_sweep(np.zeros((2, 4)), np.array([1]), 4)
 
 
 class TestHdacSweep:
@@ -268,7 +263,7 @@ class TestHdacSweep:
         hd = rng.random((n_thresholds, n_queries, n_rows)) < 0.5
         p = np.array([0.0, 0.4, 1.0])
         states = np.arange(1, n_queries + 1, dtype=np.uint64) * 977
-        swept = hdac_correct_sweep(ed, hd, p, states)
+        swept = hdac_correct_batch(ed, hd, p[:, None], states)
         for t in range(n_thresholds):
             batch = hdac_correct_batch(ed[t], hd[t],
                                        np.full(n_queries, p[t]), states)
@@ -277,12 +272,14 @@ class TestHdacSweep:
     def test_validation(self):
         block = np.zeros((2, 3, 4), dtype=bool)
         states = np.arange(3, dtype=np.uint64)
+        p = np.zeros((2, 1))
         with pytest.raises(ThresholdError):
-            hdac_correct_sweep(block, block[0], np.zeros(2), states)
+            hdac_correct_batch(block, block[0], p, states)
         with pytest.raises(ThresholdError):
-            hdac_correct_sweep(block, block, np.zeros(3), states)
-        with pytest.raises(ThresholdError):
-            hdac_correct_sweep(block, block, np.array([0.5, 1.5]), states)
-        with pytest.raises(ThresholdError):
-            hdac_correct_sweep(block, block, np.zeros(2),
-                               states[:2])
+            hdac_correct_batch(block, block, np.array([[0.5], [1.5]]),
+                               states)
+        # p and states must broadcast against the (T, B) leading axes.
+        with pytest.raises(ValueError):
+            hdac_correct_batch(block, block, np.zeros((3, 1)), states)
+        with pytest.raises(ValueError):
+            hdac_correct_batch(block, block, p, states[:2])

@@ -31,25 +31,31 @@ def make_matcher(dataset, config=None, noisy=False, seed=0):
     return AsmCapMatcher(array, dataset.model, config, seed=seed)
 
 
+def passes(matcher):
+    """Search passes per ledger event class."""
+    return matcher.array.ledger.pass_counts()
+
+
 class TestSearchScheduling:
     def test_condition_a_issues_hd_search(self, dataset_a):
         """HDAC active in Condition A: base + Hamming = 2 searches."""
         matcher = make_matcher(dataset_a)
         outcome = matcher.match(dataset_a.reads[0].read.codes, threshold=2)
         assert outcome.n_searches == 2
-        assert outcome.hdac is not None
+        assert passes(matcher) == {"EdStarPass": 1, "HdacPass": 1}
         assert outcome.hdac_probability > 0
 
     def test_condition_a_no_tasr(self, dataset_a):
         matcher = make_matcher(dataset_a)
         outcome = matcher.match(dataset_a.reads[0].read.codes, threshold=8)
-        assert outcome.tasr is not None and not outcome.tasr.triggered
+        assert 8 < outcome.tasr_lower_bound
+        assert "TasrRotationPass" not in passes(matcher)
 
     def test_condition_b_skips_hdac(self, dataset_b):
         """HDAC's p < 1 % in Condition B: no extra Hamming search."""
         matcher = make_matcher(dataset_b)
         outcome = matcher.match(dataset_b.reads[0].read.codes, threshold=4)
-        assert outcome.hdac is None
+        assert "HdacPass" not in passes(matcher)
         assert outcome.hdac_probability == 0.0
 
     def test_condition_b_triggers_tasr_above_tl(self, dataset_b):
@@ -57,15 +63,15 @@ class TestSearchScheduling:
         lower_bound = matcher.tasr_lower_bound()
         outcome = matcher.match(dataset_b.reads[0].read.codes,
                                 threshold=lower_bound)
-        assert outcome.tasr is not None and outcome.tasr.triggered
-        assert outcome.n_searches == 1 + outcome.tasr.n_extra_searches
+        n_rotations = passes(matcher)["TasrRotationPass"]
+        assert n_rotations == 2 * matcher.config.tasr_nr
+        assert outcome.n_searches == 1 + n_rotations
 
     def test_plain_config_single_search(self, dataset_a):
         matcher = make_matcher(dataset_a, MatcherConfig.plain())
         outcome = matcher.match(dataset_a.reads[0].read.codes, threshold=2)
         assert outcome.n_searches == 1
-        assert outcome.hdac is None
-        assert outcome.tasr is None
+        assert passes(matcher) == {"EdStarPass": 1}
 
 
 class TestAccounting:

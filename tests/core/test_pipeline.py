@@ -1,4 +1,4 @@
-"""Tests for the scalar, batched and sharded read-mapping pipelines."""
+"""Tests for the batched and sharded read-mapping pipelines."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ def pipeline_and_dataset():
 class TestMapping:
     def test_maps_most_reads_to_origin(self, pipeline_and_dataset):
         pipeline, dataset = pipeline_and_dataset
-        report = pipeline.run(dataset.reads, threshold=8)
+        report = pipeline.run_batched(dataset.reads, threshold=8)
         assert report.n_reads == 16
         assert report.mapped_fraction >= 0.8
         hits = 0
@@ -39,12 +39,12 @@ class TestMapping:
 
     def test_unique_fraction_bounded(self, pipeline_and_dataset):
         pipeline, dataset = pipeline_and_dataset
-        report = pipeline.run(dataset.reads, threshold=8)
+        report = pipeline.run_batched(dataset.reads, threshold=8)
         assert 0.0 <= report.unique_fraction <= report.mapped_fraction
 
     def test_aggregates_consistent(self, pipeline_and_dataset):
         pipeline, dataset = pipeline_and_dataset
-        report = pipeline.run(dataset.reads, threshold=4)
+        report = pipeline.run_batched(dataset.reads, threshold=4)
         assert report.n_searches == sum(
             m.outcome.n_searches for m in report.mappings
         )
@@ -57,19 +57,19 @@ class TestMapping:
 
     def test_throughput_positive(self, pipeline_and_dataset):
         pipeline, dataset = pipeline_and_dataset
-        report = pipeline.run(dataset.reads, threshold=4)
+        report = pipeline.run_batched(dataset.reads, threshold=4)
         assert report.reads_per_second > 0
 
     def test_accepts_raw_code_arrays(self, pipeline_and_dataset):
         pipeline, dataset = pipeline_and_dataset
         raw = [record.read.codes for record in dataset.reads[:3]]
-        report = pipeline.run(raw, threshold=4)
+        report = pipeline.run_batched(raw, threshold=4)
         assert report.n_reads == 3
 
     def test_empty_batch_yields_empty_report(self, pipeline_and_dataset):
         """An empty batch is a valid degenerate streaming input."""
         pipeline, _ = pipeline_and_dataset
-        report = pipeline.run([], threshold=4)
+        report = pipeline.run_batched([], threshold=4)
         assert report.n_reads == 0
         assert report.mappings == []
         assert report.mapped_fraction == 0.0
@@ -77,7 +77,8 @@ class TestMapping:
 
     def test_map_read_indices(self, pipeline_and_dataset):
         pipeline, dataset = pipeline_and_dataset
-        mapping = pipeline.map_read(dataset.reads[0], threshold=8, index=7)
+        mapping = pipeline.run_batched(dataset.reads[:1], threshold=8,
+                                       first_read_index=7).mappings[0]
         assert mapping.read_index == 7
         assert all(0 <= row < 16 for row in mapping.matched_rows)
 
@@ -193,7 +194,7 @@ class TestShardedPipeline:
             array, noisy_dataset.model, MatcherConfig.plain()
         ))
         sharded_report = sharded.run(noisy_dataset.reads, threshold=8)
-        flat_report = flat.run(noisy_dataset.reads, threshold=8)
+        flat_report = flat.run_batched(noisy_dataset.reads, threshold=8)
         for a, b in zip(sharded_report.mappings, flat_report.mappings, strict=True):
             assert a.matched_rows == b.matched_rows
 

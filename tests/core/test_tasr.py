@@ -1,12 +1,16 @@
-"""Tests for Algorithm 2 (TASR)."""
+"""Tests for Algorithm 2 (TASR): the rotation schedule and how the
+matcher issues and combines the rotated passes."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.tasr import rotation_offsets, tasr_correct
-from repro.errors import ThresholdError
+from repro.cam.array import CamArray
+from repro.core.matcher import AsmCapMatcher, MatcherConfig
+from repro.core.tasr import rotation_offsets
+from repro.errors import CamConfigError, ThresholdError
+from repro.genome.edits import ErrorModel
 
 
 class TestRotationOffsets:
@@ -31,74 +35,72 @@ class TestRotationOffsets:
             rotation_offsets(-1, "both")
 
 
+def _tasr_matcher(segments, **config):
+    """A noiseless TASR-only matcher (HDAC off) over *segments*."""
+    array = CamArray(rows=segments.shape[0], cols=segments.shape[1],
+                     noisy=False, seed=0)
+    array.store(segments)
+    return AsmCapMatcher(array, ErrorModel.condition_b(),
+                         MatcherConfig(enable_hdac=False, **config))
+
+
+@pytest.fixture
+def segments(rng):
+    return rng.integers(0, 4, (8, 64)).astype(np.uint8)
+
+
 class TestThresholdGuard:
-    def test_below_lower_bound_skips_rotations(self):
-        calls = []
+    def test_below_lower_bound_skips_rotations(self, segments):
+        matcher = _tasr_matcher(segments)
+        lower_bound = matcher.tasr_lower_bound()
+        assert lower_bound >= 1
+        outcome = matcher.match_batch(segments[:2], lower_bound - 1)
+        assert not outcome.tasr_mask.any()
+        assert outcome.n_searches.tolist() == [1, 1]
+        assert "TasrRotationPass" not in matcher.array.ledger.pass_counts()
 
-        def search(offset):
-            calls.append(offset)
-            return np.array([True])
-
-        base = np.array([False])
-        outcome = tasr_correct(base, search, threshold=3, lower_bound=6)
-        assert not outcome.triggered
-        assert outcome.n_extra_searches == 0
-        assert calls == []
-        assert np.array_equal(outcome.decisions, base)
-
-    def test_at_lower_bound_triggers(self):
-        calls = []
-
-        def search(offset):
-            calls.append(offset)
-            return np.array([False])
-
-        tasr_correct(np.array([False]), search, threshold=6, lower_bound=6,
-                     nr=2, direction="both")
-        assert len(calls) == 4
+    def test_at_lower_bound_triggers(self, segments):
+        matcher = _tasr_matcher(segments, tasr_nr=2, tasr_direction="both")
+        outcome = matcher.match_batch(segments[:2],
+                                      matcher.tasr_lower_bound())
+        assert outcome.tasr_mask.all()
+        assert outcome.n_searches.tolist() == [5, 5]
+        assert matcher.array.ledger.pass_counts()["TasrRotationPass"] == 4
 
 
 class TestDecisionCombination:
-    def test_or_semantics(self):
-        def search(offset):
-            # Only the +1 rotation finds the match.
-            return np.array([offset == 1, False])
+    def test_or_semantics(self, segments):
+        # Shifted by two bases, the read escapes ED*'s one-base window;
+        # only a rotated pass brings it back within reach.
+        read = np.roll(segments[3], 2)
+        threshold = max(4, _tasr_matcher(segments).tasr_lower_bound())
+        plain = _tasr_matcher(segments, enable_tasr=False)
+        assert not plain.match(read, threshold).decisions[3]
+        outcome = _tasr_matcher(segments).match(read, threshold)
+        assert outcome.decisions[3]
+        assert outcome.decisions.sum() == 1
 
-        base = np.array([False, False])
-        outcome = tasr_correct(base, search, threshold=6, lower_bound=2,
-                               nr=2, direction="both")
-        assert outcome.decisions.tolist() == [True, False]
+    def test_base_matches_preserved(self, segments):
+        matcher = _tasr_matcher(segments)
+        threshold = max(2, matcher.tasr_lower_bound())
+        assert matcher.match(segments[5], threshold).decisions[5]
 
-    def test_base_matches_preserved(self):
-        def search(offset):
-            return np.array([False])
+    def test_rotation_cycles_counted(self, segments):
+        matcher = _tasr_matcher(segments, tasr_nr=2, tasr_direction="both")
+        outcome = matcher.match(segments[0], 8)
+        assert matcher.array.stats.n_rotation_cycles == 1 + 2 + 1 + 2
+        assert outcome.n_searches == 1 + 4
 
-        base = np.array([True])
-        outcome = tasr_correct(base, search, threshold=8, lower_bound=2)
-        assert outcome.decisions[0]
+    def test_base_not_mutated(self, segments):
+        reads = segments[:3].copy()
+        _tasr_matcher(segments, tasr_nr=1, tasr_direction="left") \
+            .match_batch(reads, 8)
+        assert np.array_equal(reads, segments[:3])
 
-    def test_rotation_cycles_counted(self):
-        def search(offset):
-            return np.array([False])
+    def test_shape_mismatch_rejected(self, segments):
+        with pytest.raises(CamConfigError):
+            _tasr_matcher(segments).match(np.zeros(63, np.uint8), 8)
 
-        outcome = tasr_correct(np.array([False]), search, threshold=8,
-                               lower_bound=2, nr=2, direction="both")
-        assert outcome.rotation_cycles == 1 + 2 + 1 + 2
-        assert outcome.n_extra_searches == 4
-
-    def test_base_not_mutated(self):
-        base = np.array([False, True])
-        snapshot = base.copy()
-        tasr_correct(base, lambda o: np.array([True, True]), threshold=8,
-                     lower_bound=2, nr=1, direction="left")
-        assert np.array_equal(base, snapshot)
-
-    def test_shape_mismatch_rejected(self):
+    def test_negative_threshold_rejected(self, segments):
         with pytest.raises(ThresholdError):
-            tasr_correct(np.array([False]), lambda o: np.zeros(2, bool),
-                         threshold=8, lower_bound=2)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ThresholdError):
-            tasr_correct(np.array([False]), lambda o: np.array([False]),
-                         threshold=-1, lower_bound=2)
+            _tasr_matcher(segments).match(segments[0], -1)

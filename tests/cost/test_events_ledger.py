@@ -60,7 +60,7 @@ class TestEventEmission:
 
     def test_scalar_search_emits_ed_star_pass(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
-        small_array.search(read, 4)
+        small_array.search_batch(read[None, :], 4)
         passes = small_array.ledger.search_passes()
         assert len(passes) == 1
         event = passes[0]
@@ -74,14 +74,14 @@ class TestEventEmission:
 
     def test_hamming_search_emits_hdac_pass(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
-        small_array.search(read, 4, MatchMode.HAMMING)
+        small_array.search_batch(read[None, :], 4, MatchMode.HAMMING)
         event = small_array.ledger.search_passes()[0]
         assert isinstance(event, HdacPass)
         assert event.mode == "hamming"
 
     def test_rotated_search_emits_rotation_pass(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
-        small_array.search_rotated(read, 4, rotation=2)
+        small_array.search_batch(np.roll(read, -2)[None, :], 4, rotation=2)
         event = small_array.ledger.search_passes()[0]
         assert isinstance(event, TasrRotationPass)
         assert event.rotation == 2
@@ -124,7 +124,7 @@ class TestLedger:
 
     def test_of_type_and_search_passes(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
-        small_array.search(read, 4)
+        small_array.search_batch(read[None, :], 4)
         assert len(small_array.ledger.of_type(ReferenceLoad)) == 1
         assert len(small_array.ledger.search_passes()) == 1
         assert all(isinstance(e, SearchPassEvent)
@@ -138,7 +138,7 @@ class TestLedger:
 
     def test_clear(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
-        small_array.search(read, 4)
+        small_array.search_batch(read[None, :], 4)
         small_array.ledger.clear()
         assert len(small_array.ledger) == 0
         assert small_array.stats.n_searches == 0
@@ -162,8 +162,8 @@ class TestStatsView:
     def test_stats_accumulate_in_event_order(self, small_array, rng):
         reads = rng.integers(0, 4, (3, 16)).astype(np.uint8)
         for i, read in enumerate(reads):
-            small_array.search(read, 4)
-            small_array.search_rotated(read, 4, rotation=i)
+            small_array.search_batch(read[None, :], 4)
+            small_array.search_batch(np.roll(read, -i)[None, :], 4, rotation=i)
         stats = small_array.stats
         assert stats.n_searches == 6
         assert stats.n_rotation_cycles == 0 + 1 + 2

@@ -67,8 +67,8 @@ class TestArrayPathCompaction:
         queries = rng.integers(0, 4, (9, 24)).astype(np.uint8)
         for i, query in enumerate(queries):
             for array in (plain, compacting):
-                array.search(query, 5, MatchMode.ED_STAR,
-                             noise_key=(i, 0))
+                array.search_batch(query[None, :], 5, MatchMode.ED_STAR,
+                                   noise_keys=[(i, 0)])
         assert compacting.ledger.n_folded > 0
         _assert_views_identical(plain.ledger, compacting.ledger)
         assert compacting.stats == plain.stats
@@ -328,8 +328,8 @@ class TestRandomisedFoldPoints:
         for i, fold_here in enumerate(fold_points):
             query = rng.integers(0, 4, 24).astype(np.uint8)
             for array in (plain, compacting_manual):
-                array.search(query, 5, MatchMode.ED_STAR,
-                             noise_key=(i, 0))
+                array.search_batch(query[None, :], 5, MatchMode.ED_STAR,
+                                   noise_keys=[(i, 0)])
             if fold_here:
                 compacting_manual.ledger.compact()
         assert (search_stats(compacting_manual.ledger)

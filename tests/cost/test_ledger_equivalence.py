@@ -68,7 +68,8 @@ class TestArrayPathIdentity:
         keys = [(i, 0) for i in range(7)]
 
         scalar_energies = np.asarray([
-            array_scalar.search(q, 5, mode, noise_key=k).energy_joules
+            array_scalar.search_batch(q[None, :], 5, mode,
+                                      noise_keys=[k]).energy_joules
             for q, k in zip(queries, keys, strict=True)
         ])
         batch = array_batch.search_batch(queries, 5, mode, noise_keys=keys)
@@ -86,7 +87,7 @@ class TestArrayPathIdentity:
         array.store(rng.integers(0, 4, (10, 20)).astype(np.uint8))
         queries = rng.integers(0, 4, (5, 20)).astype(np.uint8)
         array.search_batch(queries, 4, mode)
-        array.search(queries[0], 4, mode)
+        array.search_batch(queries[:1], 4, mode)
         for event in array.ledger.search_passes():
             assert np.array_equal(event.energy_per_query_joules,
                                   _seed_pass_energy(event))

@@ -66,11 +66,10 @@ class TestAgainstMonteCarlo:
         threshold = count  # boundary row
         predicted = float(flip_probability(count, threshold, n_cells,
                                            "current"))
+        # One trial per noise key: 3000 keyed copies of the same read.
         trials = 3000
-        flips = sum(
-            int(not array.search(read, threshold).matches[0])
-            for _ in range(trials)
-        )
+        result = array.search_batch(np.tile(read, (trials, 1)), threshold)
+        flips = int((~result.matches[:, 0]).sum())
         measured = flips / trials
         assert measured == pytest.approx(predicted, abs=0.03)
 

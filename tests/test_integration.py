@@ -53,7 +53,8 @@ class TestDigitalConsistency:
         edam.store(dataset.segments)
         for record in dataset.reads:
             for threshold in (1, 4, 8):
-                a = charge.search(record.read.codes, threshold).matches
+                a = charge.search_batch(record.read.codes[None, :],
+                                        threshold).matches[0]
                 e = edam.match(record.read.codes, threshold).decisions
                 assert np.array_equal(a, e)
 
@@ -64,12 +65,13 @@ class TestDigitalConsistency:
         array.store(dataset.segments)
         threshold = 2
         for record in dataset.reads:
-            result = array.search(record.read.codes, threshold)
+            result = array.search_batch(record.read.codes[None, :],
+                                        threshold)
             counts_hd = array.mismatch_counts(record.read.codes,
                                               MatchMode.HAMMING)
-            for s in np.flatnonzero(result.matches):
-                assert result.mismatch_counts[s] <= threshold
-                assert result.mismatch_counts[s] <= counts_hd[s]
+            for s in np.flatnonzero(result.matches[0]):
+                assert result.mismatch_counts[0, s] <= threshold
+                assert result.mismatch_counts[0, s] <= counts_hd[s]
 
 
 class TestMappingAgreesWithAlignment:
@@ -79,8 +81,8 @@ class TestMappingAgreesWithAlignment:
         array = CamArray(rows=32, cols=128, noisy=False)
         array.store(dataset.segments)
         for record in dataset.reads[:8]:
-            result = array.search(record.read.codes, threshold=8)
-            for s in np.flatnonzero(result.matches):
+            result = array.search_batch(record.read.codes[None, :], 8)
+            for s in np.flatnonzero(result.matches[0]):
                 segment = DnaSequence(dataset.segments[s])
                 hit = best_semiglobal_hit(record.read, segment)
                 assert hit.distance <= 10
@@ -100,8 +102,8 @@ class TestSystemLevel:
         array.store(dataset.segments)
         for record in dataset.reads[:5]:
             system = accelerator.match_read(record.read.codes, 6)
-            local = array.search(record.read.codes, 6)
-            assert np.array_equal(system.matches, local.matches)
+            local = array.search_batch(record.read.codes[None, :], 6)
+            assert np.array_equal(system.matches, local.matches[0])
 
     def test_scheduler_consistent_with_accelerator_energy(self, dataset):
         """Stream-phase energy per read ~ accelerator estimate."""

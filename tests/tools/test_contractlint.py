@@ -73,6 +73,8 @@ CHECKER_CASES = [
                  "src/repro/cam/fixture.py", {}, id="layering"),
     pytest.param("fault_hooks_violation.py", "fault_hooks_clean.py",
                  "src/repro/cam/fixture.py", {}, id="fault-hooks"),
+    pytest.param("keyed_noise_violation.py", "keyed_noise_clean.py",
+                 "src/repro/core/fixture.py", {}, id="keyed-noise"),
 ]
 
 
@@ -141,6 +143,31 @@ class TestExactMessages:
         cl601 = [f for f in findings if f.code == "CL601"]
         assert "refstore.sav" in cl601[0].message
         assert "refstore.save" in cl601[0].message  # the known list
+
+
+class TestKeyedNoiseScope:
+    """CL104 covers the decision path only: fault injectors elsewhere
+    in ``cam/`` keep their (seeded) generators."""
+
+    SOURCE = ("import numpy as np\n"
+              "def inject(rate, rng: np.random.Generator, seed):\n"
+              "    return np.random.default_rng(seed)\n")
+
+    @pytest.mark.parametrize("rel_path", [
+        "src/repro/cam/array.py", "src/repro/cam/sense_amp.py",
+        "src/repro/baselines/edam.py", "src/repro/core/hdac.py",
+    ])
+    def test_decision_path_is_flagged(self, rel_path):
+        findings = lint_source(self.SOURCE, rel_path, repo=make_repo())
+        assert sorted((f.code, f.line) for f in findings) == [
+            ("CL104", 2), ("CL104", 3)]
+
+    @pytest.mark.parametrize("rel_path", [
+        "src/repro/cam/defects.py", "src/repro/cam/sram.py",
+        "src/repro/genome/reads.py",
+    ])
+    def test_fault_injectors_are_out_of_scope(self, rel_path):
+        assert lint_source(self.SOURCE, rel_path, repo=make_repo()) == []
 
 
 class TestKnobCheckerCatchesThePr5Bug:

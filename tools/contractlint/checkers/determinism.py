@@ -18,6 +18,15 @@ draw from an entropy source that is not keyed by an argument:
   module-level functions (``random.Random`` construction is CL102's
   business; ``np.random.default_rng``/``Generator`` are constructors,
   not draws).
+* ``CL104`` — a sequential RNG on the keyed decision path: any
+  ``np.random.default_rng(...)`` call (seeded or not) or
+  ``np.random.Generator`` parameter in ``src/repro/core/``,
+  ``cam/array.py``, ``cam/variation.py``, ``cam/sense_amp.py``,
+  ``baselines/edam.py`` or ``arch/accelerator.py``.  Every draw there
+  is keyed by ``(seed, query_key, pass)`` (:mod:`repro.cam.keyed_noise`);
+  a stream whose draws depend on call order would make decisions
+  depend on batching.  ``cam/defects.py`` and ``cam/sram.py`` keep
+  their generators: they inject input faults, not decision noise.
 
 ``time.perf_counter`` is deliberately *not* flagged: it is the
 monotonic latency instrument of the stats/autotune paths, and the
@@ -142,4 +151,56 @@ class DeterminismChecker(Checker):
                 emit(node, "CL103",
                      f"'{callname}' uses the hidden global RNG state; "
                      f"draw from an explicit random.Random(seed)")
+        return findings
+
+
+#: Modules whose every draw must be keyed (the search decision path).
+KEYED_SCOPE = (
+    "src/repro/core",
+    "src/repro/cam/array.py",
+    "src/repro/cam/variation.py",
+    "src/repro/cam/sense_amp.py",
+    "src/repro/baselines/edam.py",
+    "src/repro/arch/accelerator.py",
+)
+
+
+def _annotation_text(node: "ast.expr | None") -> str:
+    if node is None:
+        return ""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return ast.unparse(node)
+
+
+@register
+class KeyedNoiseChecker(Checker):
+    name = "keyed-noise"
+    codes = {
+        "CL104": "sequential RNG (np.random.default_rng call or "
+                 "np.random.Generator parameter) on the keyed search "
+                 "decision path",
+    }
+    scope = KEYED_SCOPE
+
+    def check(self, ctx: FileContext, repo: RepoContext) -> "list[Finding]":
+        findings: "list[Finding]" = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call) \
+                    and _dotted(node.func)[-1:] == ("default_rng",):
+                findings.append(Finding(
+                    path=ctx.rel_path, line=node.lineno,
+                    col=node.col_offset, code="CL104",
+                    message=f"'{'.'.join(_dotted(node.func))}()' is a "
+                            f"sequential stream; key every draw by "
+                            f"(seed, query_key, pass)"))
+            elif isinstance(node, ast.arg) \
+                    and "random.Generator" in _annotation_text(
+                        node.annotation):
+                findings.append(Finding(
+                    path=ctx.rel_path, line=node.lineno,
+                    col=node.col_offset, code="CL104",
+                    message=f"parameter '{node.arg}' takes a sequential "
+                            f"np.random.Generator; key every draw by "
+                            f"(seed, query_key, pass)"))
         return findings
