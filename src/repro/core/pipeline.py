@@ -319,10 +319,11 @@ def resolve_shard_plan(n_rows: int, cols: int,
 
     The single definition of how ``None`` knobs autotune
     (:func:`repro.arch.autotune.plan_shards`) — shared by
-    :class:`ShardedReadMappingPipeline` and the multi-session frontend
-    (:mod:`repro.service.frontend`), so a frontend session and a
-    standalone pipeline built from the same knobs can never resolve
-    differently (the bit-identity contract depends on it).
+    :class:`ShardedReadMappingPipeline` and the service layer's shard
+    resolution (:func:`repro.service.session.shard_reference`), so a
+    service session and a standalone pipeline built from the same
+    knobs can never resolve differently (the bit-identity contract
+    depends on it).
     """
     if n_shards is None or chunk_size is None:
         plan = plan_shards(n_rows, max(1, cols))

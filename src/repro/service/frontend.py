@@ -2,474 +2,106 @@
 
 The accelerator's whole economic argument is amortisation: one
 expensive resource — the reference, encoded and stored in the CAM
-arrays — serves an entire read workload.  PR 4's
-:class:`~repro.service.stream.StreamingMappingService` modelled the
-*time* axis of that amortisation (a single long-running feed) but not
-the *client* axis: every service instance re-encoded and re-stored the
-reference and served exactly one synchronous caller.
+arrays — serves an entire read workload.  The standalone
+:class:`~repro.service.stream.StreamingMappingService` models the
+*time* axis of that amortisation (one long-running feed);
+:class:`MappingFrontend` adds the *client* axis:
 
-:class:`MappingFrontend` adds the client axis:
-
-* **encode once** — the reference is stored and one-hot-encoded
-  exactly once, as a sealed, immutable
-  :class:`~repro.cam.array.StoredReference` (per shard for the sharded
-  engine), shared by every session;
+* **encode once** — the reference is resolved exactly once into
+  sealed, immutable :class:`~repro.cam.array.StoredReference` shards
+  shared by every session.  It may be a segment matrix (encoded here),
+  a sealed stored reference, or — with a catalog — a reference name
+  per session (both adopted with zero encode passes);
 * **many sessions** — :meth:`MappingFrontend.session` opens an
-  independent :class:`MappingSession`: its own seed (keyed noise
-  prefix, HDAC stream), threshold, micro-batch size, compacting cost
-  ledgers and aggregate report, all borrowing the shared reference;
-* **one worker pool** — a persistent, autotuned
-  (:func:`repro.arch.autotune.plan_service_pool`) pool of dispatch
-  workers executes queued micro-batches **fairly**: the scheduler
-  round-robins across sessions with pending work, so one heavy feed
-  cannot starve the others; a session's own batches run serially, in
-  submission order (one worker at a time), which is what keeps its
-  report folding deterministic;
+  independent :class:`~repro.service.session.MappingSession`: its own
+  seed (keyed noise prefix, HDAC stream), threshold, micro-batch size,
+  compacting cost ledgers and aggregate report, all borrowing the
+  shared reference;
+* **one worker pool** — the sessions' *pooled* executor: a persistent,
+  autotuned (:func:`repro.arch.autotune.plan_service_pool`) pool of
+  dispatch workers runs queued micro-batches **fairly**, round-robin
+  across sessions with pending work, so one heavy feed cannot starve
+  the others; a session's own batches run serially, in submission
+  order, which keeps its report folding deterministic;
 * **bounded backlog** — at most ``max_backlog`` queued micro-batches
   frontend-wide; a full backlog either blocks the submitting thread
   (``backpressure="block"``, the default) or raises
   :class:`~repro.errors.ServiceError` (``backpressure="error"``);
-* for the sharded engine, every session's pipeline shares the
-  frontend's one persistent shard fan-out — a thread executor
-  (``shard_engine="thread"``) or one
+* for the sharded engine, every session's pipeline shares one shard
+  fan-out per reference — a thread executor or one
   :class:`~repro.parallel.ProcessShardEngine` whose spawned workers
-  attach the shared-memory shard references once and serve every
-  session's self-contained tasks (``shard_engine="process"``) —
-  instead of owning a pool each.
+  attach the shard references once and serve every session's
+  self-contained tasks.
 
-**Session-isolation / determinism contract.**  A session configured
-with ``(seed, threshold, micro_batch, compaction)`` and fed a read
-sequence is **bit-identical** — per-read decisions, per-read costs,
-and the aggregate report — to a standalone
-:class:`~repro.service.stream.StreamingMappingService` built with the
-same configuration over the same reads, no matter how many other
-sessions run concurrently, how their feeds interleave, how many pool
-workers exist, or where micro-batch boundaries fall.  This holds
-because every random draw is keyed by ``(seed, read index, pass)``
-(never by wall-clock, thread or batch shape), the shared reference is
-immutable, and per-session state (ledgers, RNG, report) is never
-shared.  ``tests/service/test_frontend.py`` asserts it under
-concurrent randomized feeds; DESIGN.md states the binding rules.
+**Session-isolation contract.**  A session is the same
+:class:`~repro.service.session.MappingSession` as the standalone
+service, run by a different executor, so with the same ``(seed,
+threshold, micro_batch, compaction)`` and reads it is
+**bit-identical** to a standalone service, however many other
+sessions run, however their feeds interleave, however many pool
+workers exist and wherever micro-batch boundaries fall: every random
+draw is keyed by ``(seed, read index, pass)``, the shared reference is
+immutable, and per-session state is never shared.  A failed engine
+call is sticky on its own session only.  ``tests/service/
+test_frontend.py`` keeps the twin comparison as a regression test of
+the two executors; DESIGN.md states the binding rules.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.arch.autotune import (
     MIN_SERVICE_BACKLOG,
-    plan_microbatch,
     plan_service_pool,
     resolve_engine,
 )
-from repro.arch.scheduler import bank_row_ranges
 from repro.cam.array import StoredReference, as_segments_matrix
-from repro.core.matcher import AsmCapMatcher, MatcherConfig
-from repro.core.pipeline import (
-    MappingReport,
-    ReadMapping,
-    ReadMappingPipeline,
-    ShardedReadMappingPipeline,
-    encode_shard_references,
-    resolve_shard_plan,
-)
-from repro.refstore.format import slice_stored_reference
+from repro.core.matcher import MatcherConfig
+from repro.core.pipeline import encode_shard_references
 from repro.cost.events import ReferenceLoad
 from repro.cost.ledger import CostLedger
-from repro.cost.views import SearchStats
 from repro.errors import CamConfigError, ServiceError
-from repro.faults.hooks import fire as _fire_fault
 from repro.genome.edits import ErrorModel
-from repro.genome.reads import ReadRecord
+from repro.knobs import validate_reference_source, validate_service_knobs
 from repro.parallel import ProcessShardEngine
-from repro.service.stream import (
+from repro.service.session import (
     DEFAULT_SERVICE_COMPACTION,
-    ServiceStats,
-    engine_ledgers,
-    engine_merged_stats,
-    engine_observability,
-    validate_service_knobs,
+    MappingSession,
+    build_pipeline,
+    check_engine,
+    shard_reference,
 )
 
-_ENGINES = ("batched", "sharded")
+__all__ = ["MappingFrontend", "MappingSession"]
+
 _BACKPRESSURE = ("block", "error")
 
 
-class _QueuedBatch:
-    """One session micro-batch awaiting a dispatch worker.
-
-    Carries its determinism anchor explicitly: ``first_read_index`` is
-    assigned at *enqueue* time (submission order), so no scheduling
-    reordering can ever perturb the keyed noise streams.
-    """
-
-    __slots__ = ("first_read_index", "codes")
-
-    def __init__(self, first_read_index: int, codes: "list[np.ndarray]"):
-        self.first_read_index = first_read_index
-        self.codes = codes
-
-
-class MappingSession:
-    """One independent client stream over a frontend's shared reference.
-
-    Mirrors the :class:`~repro.service.stream.StreamingMappingService`
-    surface (``submit`` / ``submit_many`` / ``flush`` / ``drain`` /
-    ``close`` / ``stats`` / ``report``) with asynchronous execution:
-    full micro-batches are queued to the frontend's worker pool, and
-    :meth:`drain` / :meth:`close` wait for this session's queue to
-    empty.  A session is intended to be fed by one client thread
-    (results and lifecycle are still safe to *read* from others).
-
-    Created by :meth:`MappingFrontend.session` — not directly.
-    """
-
-    def __init__(self, frontend: "MappingFrontend", index: int,
-                 pipeline, threshold: int, micro_batch: int,
-                 retain_mappings: bool, cols: int):
-        self._frontend = frontend
-        self._index = index
-        self._pipeline = pipeline
-        self._threshold = int(threshold)
-        self._micro_batch = int(micro_batch)
-        self._retain_mappings = bool(retain_mappings)
-        # Explicit, not frontend.cols: on a catalog frontend each
-        # session's width follows its own named reference.
-        self._cols = int(cols)
-        #: Serialises engine dispatches against ledger-reading
-        #: observability calls; always acquired BEFORE the frontend
-        #: lock (the one global lock-ordering rule).
-        self._dispatch_mutex = threading.Lock()
-        # Everything below is guarded by the frontend's lock.
-        self._buffer: "list[np.ndarray]" = []
-        self._pending: "deque[_QueuedBatch]" = deque()
-        self._executing = False
-        self._report = MappingReport()
-        self._last_batch: "tuple[ReadMapping, ...]" = ()
-        self._n_submitted = 0
-        self._n_enqueued = 0
-        self._n_dispatched = 0
-        self._n_batches = 0
-        self._closed = False
-        self._closing = False
-        self._failure: "BaseException | None" = None
-        self._started_at: "float | None" = None
-        self._idle = threading.Condition(frontend._lock)
-
-    # -- configuration ------------------------------------------------------
-
-    @property
-    def index(self) -> int:
-        """Stable session number within the frontend (open order)."""
-        return self._index
-
-    @property
-    def engine(self) -> str:
-        return self._frontend.engine
-
-    @property
-    def threshold(self) -> int:
-        return self._threshold
-
-    @property
-    def micro_batch(self) -> int:
-        """Reads coalesced per queued dispatch."""
-        return self._micro_batch
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def pipeline(self):
-        """This session's private engine (its arrays borrow the
-        frontend's shared stored reference)."""
-        return self._pipeline
-
-    @property
-    def report(self) -> MappingReport:
-        """Aggregate over every *completed* dispatch — a defensive
-        snapshot, safe to mutate (same contract as the standalone
-        service after the aliasing fix)."""
-        with self._frontend._lock:
-            return self._report.snapshot()
-
-    @property
-    def batches_dispatched(self) -> int:
-        """Micro-batches completed so far."""
-        with self._frontend._lock:
-            return self._n_batches
-
-    @property
-    def last_batch_mappings(self) -> "tuple[ReadMapping, ...]":
-        """The most recently completed micro-batch's per-read results
-        (replaced wholesale per dispatch; bounded on endless feeds)."""
-        with self._frontend._lock:
-            return self._last_batch
-
-    # -- feed ---------------------------------------------------------------
-
-    def submit(self, read: "np.ndarray | ReadRecord") -> None:
-        """Accept one read; queue a micro-batch whenever one fills.
-
-        Raises :class:`~repro.errors.ServiceError` once the session or
-        frontend is closed, or (``backpressure="error"``) when the
-        frontend backlog is full; with ``backpressure="block"`` a full
-        backlog blocks here until a worker frees a slot.  A rejected
-        submit is **all-or-nothing**: the read was *not* accepted, so
-        the caller retries the same read after backing off (no risk of
-        duplicating it).
-        """
-        codes = np.asarray(
-            read.read.codes if isinstance(read, ReadRecord) else read,
-            dtype=np.uint8,
-        )
-        if codes.shape != (self._cols,):
-            raise CamConfigError(
-                f"read shape {codes.shape} does not fit reference width "
-                f"{self._cols}"
-            )
-        with self._frontend._lock:
-            self._check_open_locked()
-            if self._started_at is None:
-                self._started_at = time.perf_counter()
-            self._buffer.append(codes)
-            self._n_submitted += 1
-            if len(self._buffer) >= self._micro_batch:
-                try:
-                    self._enqueue_locked()
-                except ServiceError:
-                    # Backlog full under the error policy: hand the
-                    # read back so a retry cannot duplicate it.
-                    self._buffer.pop()
-                    self._n_submitted -= 1
-                    raise
-
-    def submit_many(
-            self,
-            reads: "Iterable[np.ndarray] | Iterable[ReadRecord]") -> int:
-        """Consume any read iterable, queueing batches as they fill.
-
-        Lazy — an endless generator works; at most one micro-batch is
-        ever coalesced here (queued batches are bounded by the
-        frontend backlog).  Returns how many reads were accepted.
-        """
-        n = 0
-        for read in reads:
-            self.submit(read)
-            n += 1
-        return n
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def flush(self) -> int:
-        """Queue the buffered reads now, full micro-batch or not.
-
-        Returns how many reads were queued (0 when the buffer was
-        empty — flushing twice is a no-op, not an error).  Unlike the
-        synchronous service this does *not* wait for execution;
-        :meth:`drain` does.
-        """
-        with self._frontend._lock:
-            self._check_open_locked()
-            return self._enqueue_locked()
-
-    def drain(self) -> MappingReport:
-        """Flush, wait until this session's queue is fully executed,
-        and return the aggregate report (a defensive snapshot).
-
-        The session stays open — a long-running caller drains at
-        checkpoint boundaries and keeps feeding.
-        """
-        with self._frontend._lock:
-            self._check_open_locked()
-            self._enqueue_locked(wait=True)
-            self._wait_idle_locked()
-            return self._report.snapshot()
-
-    def close(self) -> MappingReport:
-        """Drain, end the session, and return the final report.
-
-        Idempotent; later :meth:`submit` / :meth:`flush` /
-        :meth:`drain` calls raise
-        :class:`~repro.errors.ServiceError`.  Each call returns a
-        fresh defensive snapshot.
-        """
-        with self._frontend._lock:
-            if not self._closed:
-                self._check_failure_locked()
-                # Refuse new feeds from here on: a concurrent submitter
-                # refilling the queue must not keep the drain below
-                # from ever terminating.
-                self._closing = True
-                if self._frontend._running:
-                    self._enqueue_locked(wait=True)
-                    self._wait_idle_locked()
-                elif self._buffer or self._pending or self._executing:
-                    # The frontend stopped (no workers left) while this
-                    # session still had accepted-but-unexecuted reads:
-                    # surface the loss instead of waiting forever.
-                    raise ServiceError(
-                        f"the mapping frontend was closed while session "
-                        f"{self._index} still had reads in flight"
-                    )
-                self._closed = True
-            return self._report.snapshot()
-
-    def __enter__(self) -> "MappingSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- observability ------------------------------------------------------
-
-    def ledgers(self) -> "tuple[CostLedger, ...]":
-        """This session's cost ledgers (engine order)."""
-        return engine_ledgers(self._frontend.engine, self._pipeline)
-
-    def merged_stats(self) -> SearchStats:
-        """Whole-session search counters (exact under compaction)."""
-        with self._dispatch_mutex:
-            return engine_merged_stats(self._frontend.engine,
-                                       self._pipeline)
-
-    def stats(self) -> ServiceStats:
-        """Snapshot this session's observable state
-        (:class:`~repro.service.stream.ServiceStats`)."""
-        # Lock order: dispatch mutex first (freezes the ledgers), then
-        # the frontend lock (freezes the counters) — the same order the
-        # dispatch workers use.
-        with self._dispatch_mutex:
-            stats = engine_merged_stats(self._frontend.engine,
-                                        self._pipeline)
-            (pass_counts, events_live, events_folded, population,
-             compactions) = engine_observability(self._frontend.engine,
-                                                 self._pipeline)
-            with self._frontend._lock:
-                wall = (0.0 if self._started_at is None
-                        else time.perf_counter() - self._started_at)
-                return ServiceStats(
-                    reads_submitted=self._n_submitted,
-                    reads_dispatched=self._n_dispatched,
-                    reads_in_flight=self._n_submitted - self._n_dispatched,
-                    reads_mapped=self._report.n_mapped,
-                    batches_dispatched=self._n_batches,
-                    micro_batch=self._micro_batch,
-                    n_searches=stats.n_searches,
-                    pass_counts=pass_counts,
-                    total_energy_joules=stats.total_energy_joules,
-                    total_latency_ns=stats.total_latency_ns,
-                    wall_seconds=wall,
-                    reads_per_second=(self._n_dispatched / wall
-                                      if wall > 0.0 else 0.0),
-                    ledger_events_live=events_live,
-                    ledger_events_folded=events_folded,
-                    ledger_population_elements=population,
-                    compactions=compactions,
-                )
-
-    # -- internals (frontend lock held) -------------------------------------
-
-    def _check_failure_locked(self) -> None:
-        if self._failure is not None:
-            raise ServiceError(
-                f"session {self._index} dispatch failed: "
-                f"{self._failure!r}"
-            ) from self._failure
-
-    def _check_open_locked(self) -> None:
-        self._check_failure_locked()
-        if self._closed or self._closing:
-            raise ServiceError(f"session {self._index} has been closed")
-        if not self._frontend._running:
-            raise ServiceError("the mapping frontend has been closed")
-
-    def _enqueue_locked(self, wait: bool = False) -> int:
-        """Move the coalescing buffer onto the frontend's work queue.
-
-        Applies the backlog bound: blocks (releasing the lock) or
-        raises per the frontend's backpressure policy.  On the error
-        path the reads stay buffered, so a later flush can retry.
-        ``wait=True`` forces blocking regardless of the policy —
-        :meth:`drain` / :meth:`close` are synchronisation points that
-        *relieve* pressure, so erroring there would be perverse.
-        """
-        if not self._buffer:
-            return 0
-        frontend = self._frontend
-        # Chaos hook: a backlog-saturation fault raises the same
-        # documented ServiceError a genuinely full queue would, so the
-        # all-or-nothing submit unwind is exercised for real.
-        _fire_fault("service.frontend.enqueue", session=self)
-        while frontend._backlog_count >= frontend._max_backlog:
-            if frontend._backpressure == "error" and not wait:
-                raise ServiceError(
-                    f"frontend backlog full "
-                    f"({frontend._max_backlog} queued micro-batches); "
-                    f"drain sessions or slow the feed"
-                )
-            frontend._backlog_free.wait()
-            # Not _check_open_locked: close() itself enqueues through
-            # here after setting _closing — only a dispatch failure or
-            # a stopped frontend should abort the wait.
-            self._check_failure_locked()
-            if not frontend._running:
-                raise ServiceError(
-                    "the mapping frontend has been closed"
-                )
-        batch = _QueuedBatch(self._n_enqueued, self._buffer)
-        self._buffer = []
-        self._n_enqueued += len(batch.codes)
-        self._pending.append(batch)
-        frontend._backlog_count += 1
-        frontend._work.notify()
-        return len(batch.codes)
-
-    def _wait_idle_locked(self) -> None:
-        """Wait until every queued batch of this session completed."""
-        while self._pending or self._executing:
-            if not self._frontend._running:
-                raise ServiceError(
-                    f"the mapping frontend was closed while session "
-                    f"{self._index} still had reads in flight"
-                )
-            self._idle.wait()
-            self._check_failure_locked()
-        self._check_failure_locked()
-
-
+@dataclass(frozen=True)
 class _RefState:
-    """A catalog frontend's per-reference shared state, built lazily.
+    """One resolved reference source, shared by every session over it.
 
-    One per named reference ever used by a session: the catalog lease
-    (pinning the mapped file for the frontend's lifetime), the
-    zero-copy shard slices sessions borrow, the resolved shard plan,
-    and — when the fan-out resolved to ``"process"`` — the one
-    :class:`~repro.parallel.ProcessShardEngine` every session over
-    this reference shares (its workers re-open the store file by path:
-    no shared-memory copy).
+    ``roots`` are the references whose encode passes this state owns
+    (the per-shard encodes of a segment matrix, else the adopted
+    reference itself); ``lease`` pins a catalog reference for the
+    frontend's lifetime; ``process_engine`` is the one
+    :class:`~repro.parallel.ProcessShardEngine` of a ``"process"``
+    fan-out (file-backed shards are attached by path, not copied).
     """
 
-    __slots__ = ("name", "lease", "shards", "cols", "n_rows",
-                 "chunk_size", "shard_engine_kind", "process_engine")
-
-    def __init__(self, name, lease, shards, cols, n_rows, chunk_size,
-                 shard_engine_kind, process_engine):
-        self.name = name
-        self.lease = lease
-        self.shards = shards
-        self.cols = cols
-        self.n_rows = n_rows
-        self.chunk_size = chunk_size
-        self.shard_engine_kind = shard_engine_kind
-        self.process_engine = process_engine
+    lease: "object | None"
+    roots: "tuple[StoredReference, ...]"
+    shards: "tuple[StoredReference, ...]"
+    n_rows: int
+    cols: int
+    chunk_size: "int | None"
+    shard_engine: "str | None"
+    process_engine: "ProcessShardEngine | None"
 
 
 class MappingFrontend:
@@ -478,11 +110,13 @@ class MappingFrontend:
     Parameters
     ----------
     segments:
-        ``(n_rows, N)`` uint8 matrix of reference segments — encoded
-        and stored **once**, at construction, for every session.
-        Must be ``None`` when ``catalog=`` is given: a catalog
-        frontend encodes *nothing*; each session names the stored
-        reference it maps against.
+        The shared reference: a ``(n_rows, N)`` uint8 segment matrix —
+        encoded and stored **once**, at construction, for every
+        session — or a **sealed**
+        :class:`~repro.cam.array.StoredReference`, adopted with zero
+        encode passes.  Must be ``None`` when ``catalog=`` is given: a
+        catalog frontend encodes *nothing*; each session names the
+        stored reference it maps against.
     error_model:
         Workload error rates driving the HDAC/TASR policies (shared:
         the policies are a property of the stored workload).
@@ -521,12 +155,12 @@ class MappingFrontend:
     shard_engine:
         Sharded-engine fan-out execution engine — ``"thread"`` shares
         one fan-out thread pool across sessions, ``"process"`` shares
-        one :class:`~repro.parallel.ProcessShardEngine` (the shard
-        references live in shared memory and one spawned worker pool
-        serves every session's self-contained tasks), ``None`` resolves
-        through the standard order (environment variable, then
-        autotune).  Resolved once, frontend-wide, so every session's
-        pipeline agrees.  Bit-identical either way.
+        one :class:`~repro.parallel.ProcessShardEngine` per reference
+        (one spawned worker pool serves every session's self-contained
+        tasks), ``None`` resolves through the standard order
+        (environment variable, then autotune).  Resolved once per
+        reference, so every session's pipeline agrees.  Bit-identical
+        either way.
     catalog:
         A :class:`~repro.refstore.ReferenceCatalog` to serve stored
         references from.  Sessions then pass ``reference=<name>`` to
@@ -539,7 +173,8 @@ class MappingFrontend:
         the caller and is left open by :meth:`close`.
     """
 
-    def __init__(self, segments: "np.ndarray | None",
+    def __init__(self,
+                 segments: "np.ndarray | StoredReference | None",
                  error_model: ErrorModel,
                  config: "MatcherConfig | None" = None,
                  engine: str = "batched",
@@ -553,20 +188,12 @@ class MappingFrontend:
                  backend: "str | None" = None,
                  shard_engine: "str | None" = None,
                  catalog: "object | None" = None):
-        if engine not in _ENGINES:
-            raise ServiceError(
-                f"engine must be one of {_ENGINES}, got {engine!r}"
-            )
+        validate_service_knobs(backend=backend, engine=shard_engine)
+        check_engine(engine, shard_engine)
         if backpressure not in _BACKPRESSURE:
             raise ServiceError(
                 f"backpressure must be one of {_BACKPRESSURE}, got "
                 f"{backpressure!r}"
-            )
-        validate_service_knobs(backend=backend, engine=shard_engine)
-        if shard_engine is not None and engine != "sharded":
-            raise ServiceError(
-                f"shard_engine={shard_engine!r} applies to the sharded "
-                f"engine only (engine={engine!r})"
             )
         if catalog is not None and segments is not None:
             raise CamConfigError(
@@ -578,6 +205,12 @@ class MappingFrontend:
             raise CamConfigError(
                 "segments is required unless a catalog= is given"
             )
+        if catalog is None:
+            validate_reference_source(segments)
+        for name, value in (("pool_workers", pool_workers),
+                            ("max_backlog", max_backlog)):
+            if value is not None and int(value) < 1:
+                raise ServiceError(f"{name} must be positive, got {value}")
         self._engine_kind = engine
         self._model = error_model
         self._config = config
@@ -586,88 +219,38 @@ class MappingFrontend:
         self._backend = backend
         self._backpressure = backpressure
         self._catalog = catalog
-        # Catalog mode resolves these per named reference, lazily.
         self._req_n_shards = n_shards
         self._req_chunk_size = chunk_size
         self._req_shard_engine = shard_engine
-        self._ref_states: "dict[str, _RefState]" = {}
-        self._ref_lock = threading.Lock()
         #: Frontend-level traffic ledger; holds the single
         #: ReferenceLoad per shard (the encode-once evidence) — session
         #: ledgers only ever see search passes.
         self._ledger = CostLedger()
-        self._chunk_size: "int | None" = None
         self._shard_executor: "ThreadPoolExecutor | None" = None
-        self._process_engine: "ProcessShardEngine | None" = None
-        self._shard_engine_kind: "str | None" = None
-
+        self._ref_lock = threading.Lock()
+        #: Resolved references by catalog name; a segments (or stored
+        #: reference) frontend holds its one pre-resolved state under
+        #: ``None``.
+        self._ref_states: "dict[str | None, _RefState]" = {}
+        self._default: "_RefState | None" = None
         if catalog is None:
-            segments = as_segments_matrix(segments)
-            self._n_rows: "int | None" = int(segments.shape[0])
-            self._cols: "int | None" = int(segments.shape[1])
-            # --- encode and store the reference EXACTLY ONCE -----------
-            if engine == "batched":
-                self._stored_refs: "tuple[StoredReference, ...]" = (
-                    StoredReference.encode(segments),
-                )
-            else:
-                self._stored_refs, self._chunk_size = \
-                    encode_shard_references(
-                        segments, n_shards=n_shards,
-                        chunk_size=chunk_size,
-                    )
-            for ref in self._stored_refs:
-                self._ledger.record(ReferenceLoad(
-                    n_segments=ref.n_segments, n_cells=ref.cols,
-                ))
-            plan = plan_service_pool(n_shards=self.n_shards)
+            self._default = self._ref_states[None] = self._resolve(segments)
+            plan = plan_service_pool(n_shards=len(self._default.shards))
         else:
-            # Zero encode passes, ever: references arrive through the
-            # catalog as mmap-opened store files, per session.
-            self._n_rows = None
-            self._cols = None
-            self._stored_refs = ()
             # Reference geometry is unknown until sessions open, so
             # the dispatch pool assumes a fan-out of 1 unless the
             # caller pinned n_shards; pass pool_workers to tune.
             plan = plan_service_pool(n_shards=max(1, n_shards or 1))
 
         # --- persistent dispatch pool ----------------------------------
-        if pool_workers is None:
-            pool_workers = plan.n_workers
-        if int(pool_workers) < 1:
-            raise ServiceError(
-                f"pool_workers must be positive, got {pool_workers}"
-            )
-        if max_backlog is None:
-            # Scale with the *resolved* worker count (an explicit
-            # pool_workers override included), not the plan's.
-            max_backlog = max(MIN_SERVICE_BACKLOG, 2 * int(pool_workers))
-        if int(max_backlog) < 1:
-            raise ServiceError(
-                f"max_backlog must be positive, got {max_backlog}"
-            )
-        self._pool_workers = int(pool_workers)
-        self._max_backlog = int(max_backlog)
-        if engine == "sharded" and catalog is None:
-            # One frontend-wide resolution: every session's pipeline
-            # receives the resolved name explicitly, so no session can
-            # disagree with the frontend about which fan-out runs.
-            self._shard_engine_kind = resolve_engine(
-                shard_engine, self._n_rows, self._cols,
-                n_shards=self.n_shards,
-            )
-            if self._shard_engine_kind == "process":
-                self._process_engine = ProcessShardEngine(
-                    self._stored_refs, domain=domain, noisy=noisy,
-                    n_workers=max(1, plan.shard_workers),
-                )
-            else:
-                self._shard_executor = ThreadPoolExecutor(
-                    max_workers=max(1, plan.shard_workers),
-                    thread_name_prefix="asmcap-frontend-shard",
-                )
-
+        self._pool_workers = int(plan.n_workers if pool_workers is None
+                                 else pool_workers)
+        # Scale with the *resolved* worker count (an explicit
+        # pool_workers override included), not the plan's.
+        self._max_backlog = int(
+            max(MIN_SERVICE_BACKLOG, 2 * self._pool_workers)
+            if max_backlog is None else max_backlog
+        )
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._backlog_free = threading.Condition(self._lock)
@@ -697,32 +280,35 @@ class MappingFrontend:
         """Reference segment width (every read must match it) —
         ``None`` on a catalog frontend, where each session's width
         follows its named reference."""
-        return self._cols
+        return None if self._default is None else self._default.cols
 
     @property
     def n_shards(self) -> int:
         """Shards the reference is partitioned across (1 = batched;
         0 on a catalog frontend, whose shard counts are per
         reference)."""
-        return len(self._stored_refs)
+        return 0 if self._default is None else len(self._default.shards)
 
     @property
     def catalog(self) -> "object | None":
         """The :class:`~repro.refstore.ReferenceCatalog` sessions
-        borrow from (``None`` on a segments frontend)."""
+        borrow from (``None`` otherwise)."""
         return self._catalog
 
     @property
     def shard_engine(self) -> "str | None":
         """Resolved shard fan-out engine (``"thread"`` or
-        ``"process"``); ``None`` on the batched engine."""
-        return self._shard_engine_kind
+        ``"process"``); ``None`` on the batched engine and on a catalog
+        frontend, which resolves it per reference."""
+        return None if self._default is None else self._default.shard_engine
 
     def process_engine(self) -> "ProcessShardEngine | None":
         """The shared process engine (``None`` unless the sharded
-        engine resolved to ``"process"``) — every session's pipeline
-        fans out on this one pool of spawned workers."""
-        return self._process_engine
+        engine resolved to ``"process"``; per reference on a catalog
+        frontend) — every session's pipeline fans out on this one pool
+        of spawned workers."""
+        return (None if self._default is None
+                else self._default.process_engine)
 
     @property
     def pool_workers(self) -> int:
@@ -747,27 +333,26 @@ class MappingFrontend:
     def ledger(self) -> CostLedger:
         """Frontend-level traffic ledger (the per-shard
         :class:`~repro.cost.events.ReferenceLoad` events live here —
-        recorded once, at construction, not per session)."""
+        recorded once per reference, not per session)."""
         return self._ledger
 
     @property
     def stored_references(self) -> "tuple[StoredReference, ...]":
-        """The shared, sealed reference(s) — one entry per shard; on a
-        catalog frontend, every shard of every reference opened so far
-        (reference open order)."""
-        if self._catalog is None:
-            return self._stored_refs
+        """The shared, sealed shard references — on a catalog frontend,
+        every shard of every reference opened so far (open order)."""
         with self._ref_lock:
             return tuple(shard for state in self._ref_states.values()
                          for shard in state.shards)
 
     def encode_count(self) -> int:
-        """Total one-hot encode passes across the shared reference —
-        stays equal to :attr:`n_shards` no matter how many sessions
-        open (the benchmark's encode-once evidence), and stays **0**
-        on a catalog frontend: mmap-opened references are adopted, not
-        encoded."""
-        return sum(ref.n_encodes for ref in self.stored_references)
+        """Total one-hot encode passes behind the shared references —
+        :attr:`n_shards` for a segment matrix, the adopted reference's
+        own ``n_encodes`` otherwise (**0** for a catalog's mmap-opened
+        files), however many sessions open (the encode-once
+        evidence)."""
+        with self._ref_lock:
+            return sum(root.n_encodes for state in self._ref_states.values()
+                       for root in state.roots)
 
     @property
     def sessions(self) -> "tuple[MappingSession, ...]":
@@ -775,70 +360,77 @@ class MappingFrontend:
         with self._lock:
             return tuple(self._sessions)
 
-    # -- session factory ----------------------------------------------------
+    # -- reference resolution -----------------------------------------------
+
+    def _resolve(self, source, lease=None) -> _RefState:
+        """Resolve one reference source into shared shards, once.
+
+        A segment matrix is encoded (per shard, at the bank ranges
+        :func:`~repro.core.pipeline.encode_shard_references` cuts); a
+        sealed reference — the caller's, or a catalog *lease*'s — is
+        sliced zero-copy at the same ranges.  The sharded engine then
+        resolves its fan-out for this geometry and, for ``"process"``,
+        builds the one engine every session over this reference shares.
+        """
+        try:
+            if lease is not None:
+                source = lease.reference
+            if isinstance(source, StoredReference):
+                roots = (source,)
+                n_rows, cols = source.n_segments, source.cols
+                shards, chunk_size = shard_reference(
+                    self._engine_kind, source, self._req_n_shards,
+                    self._req_chunk_size)
+            else:
+                segments = as_segments_matrix(source)
+                n_rows, cols = segments.shape
+                if self._engine_kind == "batched":
+                    shards, chunk_size = (
+                        (StoredReference.encode(segments),), None)
+                else:
+                    shards, chunk_size = encode_shard_references(
+                        segments, n_shards=self._req_n_shards,
+                        chunk_size=self._req_chunk_size)
+                roots = shards
+            kind = process_engine = None
+            if self._engine_kind == "sharded":
+                kind = resolve_engine(self._req_shard_engine, n_rows, cols,
+                                      n_shards=len(shards))
+                plan = plan_service_pool(n_shards=len(shards))
+                if kind == "process":
+                    process_engine = ProcessShardEngine(
+                        shards, domain=self._domain, noisy=self._noisy,
+                        n_workers=max(1, plan.shard_workers),
+                    )
+                elif self._shard_executor is None:
+                    # One thread fan-out shared by every thread-kind
+                    # reference, sized for the first one's geometry.
+                    self._shard_executor = ThreadPoolExecutor(
+                        max_workers=max(1, plan.shard_workers),
+                        thread_name_prefix="asmcap-frontend-shard",
+                    )
+        except BaseException:
+            if lease is not None:
+                lease.close()
+            raise
+        for shard in shards:
+            self._ledger.record(ReferenceLoad(
+                n_segments=shard.n_segments, n_cells=shard.cols,
+            ))
+        return _RefState(lease, roots, shards, int(n_rows), int(cols),
+                         chunk_size, kind, process_engine)
 
     def _reference_state(self, name: str) -> _RefState:
-        """The shared per-reference state for *name*, built on first
-        use (catalog frontends only).
-
-        Borrows a lease (pinned until :meth:`close`), slices the
-        mapped reference into zero-copy shards at exactly the bank
-        ranges :func:`~repro.core.pipeline.encode_shard_references`
-        would use, resolves the fan-out engine for this geometry, and
-        — for ``"process"`` — builds the one engine whose workers
-        attach the shards by store-file path (no per-boot copies).
-        """
+        """The shared state of catalog reference *name*, borrowed (and
+        pinned until :meth:`close`) on first use."""
         with self._ref_lock:
             state = self._ref_states.get(name)
-            if state is not None:
-                return state
-            lease = self._catalog.borrow(name)
-            try:
-                reference = lease.reference
-                cols = reference.cols
-                n_rows = reference.n_segments
-                chunk_size = None
-                kind = None
-                process_engine = None
-                if self._engine_kind == "batched":
-                    shards = (reference,)
-                else:
-                    n_sh, chunk_size = resolve_shard_plan(
-                        n_rows, cols, self._req_n_shards,
-                        self._req_chunk_size,
-                    )
-                    shards = slice_stored_reference(
-                        reference, bank_row_ranges(n_rows, n_sh)
-                    )
-                    kind = resolve_engine(
-                        self._req_shard_engine, n_rows, cols,
-                        n_shards=len(shards),
-                    )
-                    plan = plan_service_pool(n_shards=len(shards))
-                    if kind == "process":
-                        process_engine = ProcessShardEngine(
-                            shards, domain=self._domain,
-                            noisy=self._noisy,
-                            n_workers=max(1, plan.shard_workers),
-                        )
-                    elif self._shard_executor is None:
-                        # One thread fan-out shared by every thread-kind
-                        # reference, sized for the first one's geometry.
-                        self._shard_executor = ThreadPoolExecutor(
-                            max_workers=max(1, plan.shard_workers),
-                            thread_name_prefix="asmcap-frontend-shard",
-                        )
-            except BaseException:
-                lease.close()
-                raise
-            for shard in shards:
-                self._ledger.record(ReferenceLoad(
-                    n_segments=shard.n_segments, n_cells=shard.cols,
-                ))
-            state = _RefState(name, lease, shards, cols, n_rows,
-                              chunk_size, kind, process_engine)
-            self._ref_states[name] = state
+            if state is None:
+                state = self._ref_states[name] = self._resolve(
+                    name, self._catalog.borrow(name))
             return state
+
+    # -- session factory ----------------------------------------------------
 
     def session(self, threshold: int,
                 seed: int = 0,
@@ -853,87 +445,50 @@ class MappingFrontend:
 
         Parameters mirror :class:`~repro.service.stream.
         StreamingMappingService`: per-session ``seed`` (determinism
-        key base), ``threshold``, ``micro_batch`` (``None`` autotunes
-        — same plan as the standalone service), ledger ``compaction``,
-        ``retain_mappings`` and kernel ``backend`` (``None`` = the
-        frontend's default).  The expensive reference state is *not*
-        rebuilt: only per-session arrays/matchers/ledgers are.
+        key base), ``threshold`` (non-negative, checked here:
+        :class:`~repro.errors.ThresholdError`), ``micro_batch``
+        (``None`` autotunes — same plan as the standalone service),
+        ledger ``compaction``, ``retain_mappings`` and kernel
+        ``backend`` (``None`` = the frontend's default).  The expensive
+        reference state is *not* rebuilt: only per-session
+        arrays/matchers/ledgers are.
 
         On a catalog frontend ``reference`` names the catalog entry
         this session maps against (required; sessions over different
-        names coexist, each reference opened and sliced once).  On a
-        segments frontend ``reference`` must stay ``None``.
+        names coexist, each reference opened and sliced once).  On any
+        other frontend ``reference`` must stay ``None``.
         """
         validate_service_knobs(micro_batch, compaction, backend=backend)
-        if backend is None:
-            backend = self._backend
-        if self._catalog is not None:
-            if reference is None:
-                raise ServiceError(
-                    "this frontend serves a reference catalog; name "
-                    "the session's reference: session(..., "
-                    "reference=<name>)"
-                )
-            state = self._reference_state(reference)
-            cols = state.cols
-            if micro_batch is None:
-                micro_batch = plan_microbatch(
-                    state.n_rows, cols, n_shards=len(state.shards)
-                )
-            if self._engine_kind == "batched":
-                pipeline = ReadMappingPipeline(AsmCapMatcher.over_stored(
-                    state.shards[0], self._model,
-                    config or self._config,
-                    domain=self._domain, noisy=self._noisy, seed=seed,
-                    ledger_compaction=compaction, backend=backend,
-                ))
-            else:
-                pipeline = ShardedReadMappingPipeline(
-                    state.shards, self._model, n_shards=None,
-                    config=config or self._config,
-                    domain=self._domain, noisy=self._noisy, seed=seed,
-                    chunk_size=state.chunk_size,
-                    ledger_compaction=compaction, backend=backend,
-                    engine=state.shard_engine_kind,
-                    executor=self._shard_executor,
-                    process_engine=state.process_engine,
-                )
-        else:
+        if self._catalog is None:
             if reference is not None:
                 raise ServiceError(
                     f"reference={reference!r} needs a catalog frontend "
                     f"(MappingFrontend(None, ..., catalog=...))"
                 )
-            cols = self._cols
-            if micro_batch is None:
-                micro_batch = plan_microbatch(self._n_rows, self._cols,
-                                              n_shards=self.n_shards)
-            if self._engine_kind == "batched":
-                matcher = AsmCapMatcher.over_stored(
-                    self._stored_refs[0], self._model,
-                    config or self._config,
-                    domain=self._domain, noisy=self._noisy, seed=seed,
-                    ledger_compaction=compaction, backend=backend,
-                )
-                pipeline = ReadMappingPipeline(matcher)
-            else:
-                pipeline = ShardedReadMappingPipeline(
-                    self._stored_refs, self._model, n_shards=None,
-                    config=config or self._config,
-                    domain=self._domain, noisy=self._noisy, seed=seed,
-                    chunk_size=self._chunk_size,
-                    ledger_compaction=compaction, backend=backend,
-                    engine=self._shard_engine_kind,
-                    executor=self._shard_executor,
-                    process_engine=self._process_engine,
-                )
+            state = self._default
+        elif reference is None:
+            raise ServiceError(
+                "this frontend serves a reference catalog; name the "
+                "session's reference: session(..., reference=<name>)"
+            )
+        else:
+            state = self._reference_state(reference)
+        pipeline = build_pipeline(
+            self._engine_kind, state.shards, self._model,
+            config or self._config, seed=seed, compaction=compaction,
+            backend=self._backend if backend is None else backend,
+            domain=self._domain, noisy=self._noisy,
+            chunk_size=state.chunk_size, shard_engine=state.shard_engine,
+            executor=self._shard_executor,
+            process_engine=state.process_engine,
+        )
         with self._lock:
             if not self._running:
                 raise ServiceError("the mapping frontend has been closed")
             session = MappingSession(
-                self, index=len(self._sessions), pipeline=pipeline,
-                threshold=threshold, micro_batch=int(micro_batch),
-                retain_mappings=retain_mappings, cols=cols,
+                self, len(self._sessions), self._engine_kind, pipeline,
+                threshold, micro_batch, retain_mappings,
+                (state.n_rows, state.cols, len(state.shards)),
             )
             self._sessions.append(session)
             return session
@@ -941,7 +496,8 @@ class MappingFrontend:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Drain every open session, stop the workers, release pools.
+        """Drain every open session, stop the workers, release the
+        shared references and fan-outs.
 
         Idempotent.  Sessions that already failed are skipped (their
         owners saw — or will see — the ``ServiceError``); everything
@@ -969,20 +525,16 @@ class MappingFrontend:
             thread.join()
         if self._shard_executor is not None:
             self._shard_executor.shutdown(wait=True)
-        if self._process_engine is not None:
-            # Joins the spawned workers and unlinks every shared
-            # segment — the frontend owns the engine, sessions only
-            # borrow it.
-            self._process_engine.close()
         with self._ref_lock:
-            # Catalog mode: stop the per-reference fan-out engines,
-            # then unpin the leases so the catalog may evict.  The
-            # catalog itself belongs to the caller and stays open.
+            # Stop each reference's process fan-out (joining its
+            # workers, unlinking shared segments), then unpin catalog
+            # leases so the catalog may evict.  The catalog itself
+            # belongs to the caller and stays open.
             for state in self._ref_states.values():
                 if state.process_engine is not None:
                     state.process_engine.close()
-                state.lease.close()
-            self._ref_states.clear()
+                if state.lease is not None:
+                    state.lease.close()
         self._closed = True
 
     def __enter__(self) -> "MappingFrontend":
@@ -991,11 +543,10 @@ class MappingFrontend:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- scheduling internals -----------------------------------------------
+    # -- pooled executor ----------------------------------------------------
 
-    def _next_task_locked(
-            self) -> "tuple[MappingSession, _QueuedBatch] | None":
-        """Pick the next (session, batch) fairly — round-robin over
+    def _next_task_locked(self):
+        """Pick the next ``(session, batch)`` fairly — round-robin over
         sessions with pending work whose serial slot is free."""
         n = len(self._sessions)
         for offset in range(n):
@@ -1015,61 +566,8 @@ class MappingFrontend:
                         return
                     self._work.wait()
                     task = self._next_task_locked()
-                session, batch = task
+                session, (first, codes) = task
                 session._executing = True
                 self._backlog_count -= 1
                 self._backlog_free.notify_all()
-            self._execute(session, batch)
-
-    def _execute(self, session: MappingSession,
-                 batch: _QueuedBatch) -> None:
-        """Run one micro-batch on a worker thread and fold the result.
-
-        The engine dispatch runs outside the frontend lock (that is
-        the parallelism) but inside the session's dispatch mutex (that
-        is the per-session serialisation observability relies on);
-        folding happens under the frontend lock with the same add()
-        sequence a one-shot run performs, so per-session aggregates
-        stay bit-identical to the standalone service.
-        """
-        with session._dispatch_mutex:
-            failure: "BaseException | None" = None
-            report = None
-            try:
-                # Chaos hook inside the try: a poisoned read raised
-                # here is captured as this session's failure, exactly
-                # like an engine-side error would be.
-                _fire_fault("service.frontend.execute", session=session,
-                            first_read_index=batch.first_read_index)
-                if self._engine_kind == "batched":
-                    report = session._pipeline.run_batched(
-                        batch.codes, session._threshold,
-                        first_read_index=batch.first_read_index)
-                else:
-                    report = session._pipeline.run(
-                        batch.codes, session._threshold,
-                        first_read_index=batch.first_read_index)
-            except BaseException as exc:  # noqa: BLE001 — kept for the feeder
-                failure = exc
-            with self._lock:
-                if failure is None:
-                    for mapping in report.mappings:
-                        session._report.add(mapping)
-                    if not session._retain_mappings:
-                        session._report.mappings.clear()
-                    session._last_batch = tuple(report.mappings)
-                    session._n_dispatched += len(batch.codes)
-                    session._n_batches += 1
-                else:
-                    session._failure = failure
-                    # Drop the failed session's queue so blocked
-                    # feeders and drainers wake instead of hanging.
-                    dropped = len(session._pending)
-                    session._pending.clear()
-                    self._backlog_count -= dropped
-                    if dropped:
-                        self._backlog_free.notify_all()
-                session._executing = False
-                if session._pending:
-                    self._work.notify()
-                session._idle.notify_all()
+            session._execute(first, codes)

@@ -1,30 +1,37 @@
-"""Long-running streaming read-mapping service.
+"""Long-running streaming read-mapping service: the inline session.
 
-Every pre-existing execution path is one-shot: the caller hands
+Every one-shot execution path hands
 :meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` (or the
 sharded pipeline) a complete read block and gets a report back.  A
 sequencing front-end does not work like that — reads arrive
 incrementally, for hours.  :class:`StreamingMappingService` is the
-long-running entry point:
+long-running entry point: a
+:class:`~repro.service.session.MappingSession` whose executor is the
+caller's own thread.
 
 * **feed** — reads are submitted one at a time (or from any iterator)
   and coalesced into micro-batches sized by
   :func:`repro.arch.autotune.plan_microbatch`;
-* **dispatch** — each full micro-batch flows through the existing
-  batched (:meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched`)
-  or sharded (:meth:`~repro.core.pipeline.ShardedReadMappingPipeline.run`)
+* **dispatch** — each full micro-batch runs, before ``submit``
+  returns, through the batched
+  (:meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched`) or
+  sharded (:meth:`~repro.core.pipeline.ShardedReadMappingPipeline.run`)
   engine with its global read offset as the determinism key base;
 * **bounded memory** — the arrays' cost ledgers run in compaction mode
   (:class:`repro.cost.ledger.CostLedger`), folding fully-materialised
   pass events into exact checkpoints, so the retained event count
   plateaus instead of growing linearly with the stream;
-* **observe** — :meth:`StreamingMappingService.stats` snapshots a
-  :class:`ServiceStats` (throughput, reads in flight, per-strategy
-  pass counts, energy/latency read from the compacted ledger views);
-* **drain / close** — :meth:`flush` dispatches a partial micro-batch,
-  :meth:`drain` flushes and returns the aggregate report,
-  :meth:`close` drains and ends the lifecycle (the service is also a
-  context manager).
+* **observe** — :meth:`~repro.service.session.MappingSession.stats`
+  snapshots a :class:`~repro.service.session.ServiceStats`;
+* **drain / close** — ``flush`` runs a partial micro-batch, ``drain``
+  flushes and returns the aggregate report, ``close`` drains, releases
+  the engine (and any catalog lease) and ends the lifecycle (the
+  service is also a context manager).
+
+A failed engine call is sticky: the call that ran it re-raises the
+engine's error, every later ``submit`` / ``flush`` / ``drain`` raises
+:class:`~repro.errors.ServiceError` chained to it, and ``close`` still
+releases the engine and the lease before raising.
 
 **Determinism contract.**  Read ``i`` of the stream (0-based
 submission order) is keyed as global read ``i``, so a streamed session
@@ -38,145 +45,45 @@ it at soak scale while demonstrating the flat-memory ledger.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.arch.autotune import plan_microbatch
-from repro.arch.scheduler import bank_row_ranges
-from repro.cam.array import CamArray, StoredReference, as_segments_matrix
-from repro.core.matcher import AsmCapMatcher, MatcherConfig
+from repro.cam.array import StoredReference, as_segments_matrix
+from repro.core.matcher import MatcherConfig
 from repro.core.pipeline import (
     MappingReport,
     ReadMapping,
-    ReadMappingPipeline,
     ShardedReadMappingPipeline,
-    resolve_shard_plan,
 )
-from repro.cost.ledger import CostLedger
-from repro.cost.views import (
-    SearchStats,
-    fold_ledger_observability,
-    search_stats,
-)
-from repro.errors import CamConfigError, ServiceError
-from repro.faults.hooks import fire as _fire_fault
 from repro.genome.edits import ErrorModel
 from repro.genome.reads import ReadRecord
 from repro.knobs import validate_reference_source, validate_service_knobs
-from repro.refstore.format import slice_stored_reference
+from repro.service.session import (
+    DEFAULT_SERVICE_COMPACTION,
+    MappingSession,
+    ServiceStats,
+    build_pipeline,
+    check_engine,
+    shard_reference,
+)
 
 __all__ = [
     "DEFAULT_SERVICE_COMPACTION",
     "ServiceStats",
     "StreamingMappingService",
-    "engine_ledgers",
-    "engine_observability",
-    "fold_ledger_observability",
+    "stream_mapped",
     "validate_service_knobs",
 ]
 
-_ENGINES = ("batched", "sharded")
 
-#: Default live-event bound for the service's compacting ledgers: deep
-#: enough that a whole micro-batch's passes (2 + 2*NR events) stay
-#: inspectable between folds, shallow enough that memory is flat.
-DEFAULT_SERVICE_COMPACTION = 64
-
-
-def engine_ledgers(engine: str, pipeline) -> "tuple[CostLedger, ...]":
-    """Every cost ledger an engine owns, in deterministic order
-    (system traffic first for the sharded engine, then arrays)."""
-    if engine == "batched":
-        return (pipeline.ledger,)
-    return (pipeline.ledger,
-            *(m.array.ledger for m in pipeline.matchers))
-
-
-def engine_observability(
-        engine: str, pipeline,
-        ) -> "tuple[dict[str, int], int, int, int, int]":
-    """The engine's ledger-observability fold, engine-appropriate.
-
-    Thread-engine and batched pipelines fold their live ledgers
-    (:func:`~repro.cost.views.fold_ledger_observability`); a sharded
-    pipeline on the process engine reads its accumulated worker-side
-    ledger summaries instead (the per-task events were folded at the
-    process boundary and never cross it).
-    """
-    if engine == "sharded" and pipeline.engine == "process":
-        return pipeline.ledger_observability()
-    return fold_ledger_observability(engine_ledgers(engine, pipeline))
-
-
-def engine_merged_stats(engine: str, pipeline) -> SearchStats:
-    """Whole-engine search counters (exact under compaction).
-
-    Delegates to the engine's own fold so there is exactly one
-    definition of the whole-system aggregation per engine.
-    """
-    if engine == "sharded":
-        return pipeline.merged_stats()
-    return search_stats(pipeline.ledger)
-
-
-@dataclass(frozen=True)
-class ServiceStats:
-    """One observability snapshot of a streaming service.
-
-    Attributes
-    ----------
-    reads_submitted / reads_dispatched / reads_in_flight:
-        Stream accounting: everything accepted, everything that went
-        through an engine dispatch, and the coalescing-buffer backlog.
-    reads_mapped:
-        Dispatched reads with at least one matched row.
-    batches_dispatched / micro_batch:
-        Micro-batches issued so far and the configured batch size.
-    n_searches:
-        Physical search passes issued (from the ledger views, folded
-        events included).
-    pass_counts:
-        Per-strategy pass counts by event class
-        (``EdStarPass`` / ``HdacPass`` / ``TasrRotationPass``),
-        checkpoint summaries included.
-    total_energy_joules / total_latency_ns:
-        Modelled hardware cost, read from the (compacted) ledger
-        views — bit-identical to an uncompacted run's views.
-    wall_seconds / reads_per_second:
-        Simulator wall-clock since the first submission and the
-        dispatch throughput over it.
-    ledger_events_live / ledger_events_folded /
-    ledger_population_elements:
-        Bounded-memory evidence: live events, events folded into
-        checkpoints, and retained mismatch-population elements
-        (the dominant ledger payload), summed over every ledger.
-    compactions:
-        Total prefix folds across every ledger.
-    """
-
-    reads_submitted: int
-    reads_dispatched: int
-    reads_in_flight: int
-    reads_mapped: int
-    batches_dispatched: int
-    micro_batch: int
-    n_searches: int
-    pass_counts: "dict[str, int]"
-    total_energy_joules: float
-    total_latency_ns: float
-    wall_seconds: float
-    reads_per_second: float
-    ledger_events_live: int
-    ledger_events_folded: int
-    ledger_population_elements: int
-    compactions: int
-
-
-class StreamingMappingService:
+class StreamingMappingService(MappingSession):
     """Accept reads incrementally; map them in autotuned micro-batches.
+
+    The one session of the inline executor: this constructor resolves
+    the knobs and the reference source and builds the engine; feeding,
+    lifecycle and observability are
+    :class:`~repro.service.session.MappingSession`'s.
 
     Parameters
     ----------
@@ -192,7 +99,9 @@ class StreamingMappingService:
     error_model:
         Workload error rates driving the HDAC/TASR policies.
     threshold:
-        The matching threshold ``T`` applied to every read.
+        The matching threshold ``T`` applied to every read; a negative
+        one raises :class:`~repro.errors.ThresholdError` here, before
+        any read is accepted.
     config:
         Strategy configuration (default: the paper's full setting).
     engine:
@@ -262,350 +171,65 @@ class StreamingMappingService:
                  shard_engine: "str | None" = None,
                  retain_mappings: bool = True,
                  catalog: "object | None" = None):
-        if engine not in _ENGINES:
-            raise ServiceError(
-                f"engine must be one of {_ENGINES}, got {engine!r}"
-            )
         validate_service_knobs(micro_batch, compaction,
                                max_workers=max_workers, backend=backend,
                                engine=shard_engine)
+        check_engine(engine, shard_engine)
         validate_reference_source(segments, catalog=catalog)
-        if shard_engine is not None and engine != "sharded":
-            raise ServiceError(
-                f"shard_engine={shard_engine!r} applies to the sharded "
-                f"engine only (engine={engine!r})"
-            )
-        self._threshold = int(threshold)
-        self._engine_kind = engine
-        self._retain_mappings = bool(retain_mappings)
-        self._lease = None
-        stored: "StoredReference | None" = None
-        if catalog is not None:
-            self._lease = catalog.borrow(segments)
-            stored = self._lease.reference
-        elif isinstance(segments, StoredReference):
-            stored = segments
+        self._lease = None if catalog is None else catalog.borrow(segments)
+        pipeline = None
         try:
-            if stored is not None:
-                # Pre-encoded reference (catalog lease or caller-owned
-                # stored reference): zero encode passes here — the
-                # batched engine borrows it whole, the sharded engine
-                # slices zero-copy shard views at the same bank ranges
-                # encode_shard_references would use.
-                self._cols = stored.cols
-                n_rows = stored.n_segments
-                if engine == "batched":
-                    self._pipeline = ReadMappingPipeline(
-                        AsmCapMatcher.over_stored(
-                            stored, error_model, config, domain=domain,
-                            noisy=noisy, seed=seed,
-                            ledger_compaction=compaction,
-                            backend=backend)
-                    )
-                    n_shards_effective = 1
-                else:
-                    n_shards_r, chunk_size = resolve_shard_plan(
-                        n_rows, self._cols, n_shards, chunk_size
-                    )
-                    shards = slice_stored_reference(
-                        stored, bank_row_ranges(n_rows, n_shards_r)
-                    )
-                    self._pipeline = ShardedReadMappingPipeline(
-                        shards, error_model, n_shards=None,
-                        config=config, domain=domain, noisy=noisy,
-                        seed=seed, max_workers=max_workers,
-                        chunk_size=chunk_size,
-                        ledger_compaction=compaction, backend=backend,
-                        engine=shard_engine,
-                    )
-                    n_shards_effective = self._pipeline.n_shards
+            source = segments if self._lease is None else self._lease.reference
+            if isinstance(source, StoredReference):
+                # Pre-encoded (catalog lease or caller-owned): zero
+                # encode passes — the engine borrows it, sharded into
+                # zero-copy slices.
+                n_rows, cols = source.n_segments, source.cols
+                source, chunk_size = shard_reference(engine, source,
+                                                     n_shards, chunk_size)
+                n_shards = None
             else:
-                segments = as_segments_matrix(segments)
-                self._cols = int(segments.shape[1])
-                n_rows = int(segments.shape[0])
-                if engine == "batched":
-                    array = CamArray(rows=segments.shape[0],
-                                     cols=self._cols,
-                                     domain=domain, noisy=noisy,
-                                     seed=seed,
-                                     ledger_compaction=compaction,
-                                     backend=backend)
-                    array.store(segments)
-                    self._pipeline = ReadMappingPipeline(
-                        AsmCapMatcher(array, error_model, config,
-                                      seed=seed)
-                    )
-                    n_shards_effective = 1
-                else:
-                    # n_shards=None flows straight through — the sharded
-                    # pipeline owns the plan_shards autotune.
-                    self._pipeline = ShardedReadMappingPipeline(
-                        segments, error_model, n_shards=n_shards,
-                        config=config, domain=domain, noisy=noisy,
-                        seed=seed, max_workers=max_workers,
-                        chunk_size=chunk_size,
-                        ledger_compaction=compaction, backend=backend,
-                        engine=shard_engine,
-                    )
-                    n_shards_effective = self._pipeline.n_shards
-        except BaseException:
-            if self._lease is not None:
-                self._lease.close()
-            raise
-        if micro_batch is None:
-            micro_batch = plan_microbatch(n_rows, self._cols,
-                                          n_shards=n_shards_effective)
-            validate_service_knobs(micro_batch=micro_batch)
-        self._micro_batch = int(micro_batch)
-        self._buffer: list[np.ndarray] = []
-        self._report = MappingReport()
-        self._last_batch: tuple[ReadMapping, ...] = ()
-        self._n_submitted = 0
-        self._n_dispatched = 0
-        self._n_batches = 0
-        self._closed = False
-        self._started_at: "float | None" = None
-
-    # -- configuration ------------------------------------------------------
-
-    @property
-    def micro_batch(self) -> int:
-        """Reads coalesced per engine dispatch."""
-        return self._micro_batch
-
-    @property
-    def engine(self) -> str:
-        """``"batched"`` or ``"sharded"``."""
-        return self._engine_kind
-
-    @property
-    def shard_engine(self) -> "str | None":
-        """The sharded pipeline's resolved fan-out engine
-        (``"thread"`` or ``"process"``); ``None`` on the batched
-        engine, which has no shard fan-out."""
-        if self._engine_kind != "sharded":
-            return None
-        return self._pipeline.engine
-
-    @property
-    def backend(self) -> str:
-        """Kernel backend name the engine's arrays search with."""
-        return self._pipeline.backend
-
-    @property
-    def threshold(self) -> int:
-        return self._threshold
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def pipeline(self):
-        """The underlying engine (a :class:`ReadMappingPipeline` or a
-        :class:`ShardedReadMappingPipeline`)."""
-        return self._pipeline
-
-    @property
-    def report(self) -> MappingReport:
-        """The aggregate report over every *dispatched* read so far.
-
-        Buffered (in-flight) reads are not in it yet; :meth:`drain`
-        for a complete view.
-
-        A defensive :meth:`~repro.core.pipeline.MappingReport.snapshot`
-        — callers may mutate it (``report.mappings.clear()``, …)
-        without corrupting the service's live aggregates or breaking
-        the streamed/one-shot bit-identity contract.  :meth:`drain`
-        and :meth:`close` return the same kind of snapshot.
-        """
-        return self._report.snapshot()
-
-    @property
-    def batches_dispatched(self) -> int:
-        """Micro-batches the engine has run so far."""
-        return self._n_batches
-
-    @property
-    def last_batch_mappings(self) -> "tuple[ReadMapping, ...]":
-        """The most recent micro-batch's per-read results.
-
-        Replaced wholesale on every dispatch (one micro-batch of
-        memory, independent of ``retain_mappings``) — the hand-off
-        surface :func:`stream_mapped` drains, bounded even on endless
-        feeds.
-        """
-        return self._last_batch
-
-    # -- feed ---------------------------------------------------------------
-
-    def submit(self, read: "np.ndarray | ReadRecord") -> None:
-        """Accept one read into the coalescing buffer.
-
-        Dispatches a micro-batch through the engine whenever the
-        buffer fills; raises :class:`~repro.errors.ServiceError` once
-        the service is closed.
-        """
-        self._check_open()
-        codes = np.asarray(
-            read.read.codes if isinstance(read, ReadRecord) else read,
-            dtype=np.uint8,
-        )
-        if codes.shape != (self._cols,):
-            raise CamConfigError(
-                f"read shape {codes.shape} does not fit reference width "
-                f"{self._cols}"
+                source = as_segments_matrix(source)
+                n_rows, cols = source.shape
+            pipeline = build_pipeline(
+                engine, source, error_model, config, seed=seed,
+                compaction=compaction, backend=backend, domain=domain,
+                noisy=noisy, n_shards=n_shards, chunk_size=chunk_size,
+                shard_engine=shard_engine, max_workers=max_workers,
             )
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
-        self._buffer.append(codes)
-        self._n_submitted += 1
-        if len(self._buffer) >= self._micro_batch:
-            self._dispatch()
-
-    def submit_many(
-            self,
-            reads: "Iterable[np.ndarray] | Iterable[ReadRecord]") -> int:
-        """Consume any read iterable, dispatching as batches fill.
-
-        The iterable is read lazily — an endless generator works; only
-        one micro-batch of reads is ever buffered.  Returns how many
-        reads were accepted.
-        """
-        n = 0
-        for read in reads:
-            self.submit(read)
-            n += 1
-        return n
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def flush(self) -> int:
-        """Dispatch the buffered reads now, full micro-batch or not.
-
-        Returns how many reads were dispatched.  A timeout-driven
-        caller uses this to bound result latency when the feed stalls
-        below the micro-batch size.
-        """
-        self._check_open()
-        return self._dispatch()
-
-    def drain(self) -> MappingReport:
-        """Flush everything in flight and return the aggregate report.
-
-        The service stays open — a long-running caller drains at
-        checkpoint boundaries and keeps feeding.  The returned report
-        is a defensive snapshot (see :attr:`report`).
-        """
-        self._check_open()
-        self._dispatch()
-        return self._report.snapshot()
+            super().__init__(
+                None, 0, engine, pipeline, threshold, micro_batch,
+                retain_mappings,
+                (n_rows, cols,
+                 1 if engine == "batched" else pipeline.n_shards),
+            )
+        except BaseException:
+            self._release(pipeline)
+            raise
 
     def close(self) -> MappingReport:
-        """Drain, end the lifecycle, and return the final report.
+        """Drain, end the lifecycle, release the engine, and return the
+        final report.
 
-        Idempotent; every later :meth:`submit` / :meth:`flush` raises
-        :class:`~repro.errors.ServiceError`.  The returned report is a
-        defensive snapshot (see :attr:`report`); each call returns a
-        fresh one.
+        Idempotent; every later :meth:`submit` / :meth:`flush` /
+        :meth:`drain` raises :class:`~repro.errors.ServiceError`.  The
+        sharded engine's fan-out pool and a catalog lease are released
+        even when the final drain raises (a failed service).  Each call
+        returns a fresh defensive snapshot.
         """
-        if not self._closed:
-            self._dispatch()
-            if self._engine_kind == "sharded":
-                # Release the sharded engine's persistent fan-out pool.
-                self._pipeline.close()
-            if self._lease is not None:
-                # Unpin the catalog reference only after the engines
-                # that searched its arrays are gone.
-                self._lease.close()
+        try:
+            return super().close()
+        finally:
             self._closed = True
-        return self._report.snapshot()
+            self._release(self._pipeline)
 
-    def __enter__(self) -> "StreamingMappingService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- observability ------------------------------------------------------
-
-    def ledgers(self) -> tuple[CostLedger, ...]:
-        """Every cost ledger the service owns (deterministic order:
-        system traffic first for the sharded engine, then arrays)."""
-        return engine_ledgers(self._engine_kind, self._pipeline)
-
-    def merged_stats(self) -> SearchStats:
-        """Whole-service search counters (exact under compaction).
-
-        Delegates to the engine's own fold so there is exactly one
-        definition of the whole-system aggregation per engine.
-        """
-        return engine_merged_stats(self._engine_kind, self._pipeline)
-
-    def stats(self) -> ServiceStats:
-        """Snapshot the service's observable state (see
-        :class:`ServiceStats`)."""
-        stats = self.merged_stats()
-        (pass_counts, events_live, events_folded, population,
-         compactions) = engine_observability(self._engine_kind,
-                                             self._pipeline)
-        wall = (0.0 if self._started_at is None
-                else time.perf_counter() - self._started_at)
-        return ServiceStats(
-            reads_submitted=self._n_submitted,
-            reads_dispatched=self._n_dispatched,
-            reads_in_flight=len(self._buffer),
-            reads_mapped=self._report.n_mapped,
-            batches_dispatched=self._n_batches,
-            micro_batch=self._micro_batch,
-            n_searches=stats.n_searches,
-            pass_counts=pass_counts,
-            total_energy_joules=stats.total_energy_joules,
-            total_latency_ns=stats.total_latency_ns,
-            wall_seconds=wall,
-            reads_per_second=(self._n_dispatched / wall if wall > 0.0
-                              else 0.0),
-            ledger_events_live=events_live,
-            ledger_events_folded=events_folded,
-            ledger_population_elements=population,
-            compactions=compactions,
-        )
-
-    # -- internals ----------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServiceError("the streaming service has been closed")
-
-    def _dispatch(self) -> int:
-        """Run the buffered micro-batch through the engine."""
-        if not self._buffer:
-            return 0
-        # Chaos hook, before the buffer swap: a poisoned-read fault
-        # raising here leaves the reads coalesced, so a later drain
-        # (e.g. the close() path) still dispatches them once.
-        _fire_fault("service.stream.dispatch", service=self,
-                    first_read_index=self._n_dispatched)
-        batch = self._buffer
-        self._buffer = []
-        first = self._n_dispatched
-        if self._engine_kind == "batched":
-            report = self._pipeline.run_batched(
-                batch, self._threshold, first_read_index=first)
-        else:
-            report = self._pipeline.run(
-                batch, self._threshold, first_read_index=first)
-        # Fold the batch report into the aggregate with the same
-        # per-read add() sequence a one-shot run performs, so the
-        # aggregate totals are bit-identical to it.
-        for mapping in report.mappings:
-            self._report.add(mapping)
-        if not self._retain_mappings:
-            self._report.mappings.clear()
-        self._last_batch = tuple(report.mappings)
-        self._n_dispatched += len(batch)
-        self._n_batches += 1
-        return len(batch)
+    def _release(self, pipeline) -> None:
+        if isinstance(pipeline, ShardedReadMappingPipeline):
+            pipeline.close()
+        if self._lease is not None:
+            # Unpin the catalog reference only after the engines that
+            # searched its arrays are gone.
+            self._lease.close()
 
 
 def stream_mapped(service: StreamingMappingService,
@@ -627,8 +251,8 @@ def stream_mapped(service: StreamingMappingService,
     for read in reads:
         before = service.batches_dispatched
         service.submit(read)
-        # One submit dispatches at most one micro-batch, and it does
-        # so inside this call — a new batch here is always ours.
+        # One submit runs at most one micro-batch, and it does so
+        # inside this call — a new batch here is always ours.
         if service.batches_dispatched != before:
             yield from service.last_batch_mappings
     before = service.batches_dispatched

@@ -66,6 +66,26 @@ class TestStreamingService:
         assert process_stats.ledger_events_folded > 0
         assert process_stats.compactions > 0
 
+    def test_close_releases_process_engine_after_failure(self, workload):
+        segments, model, reads = workload
+        service = StreamingMappingService(
+            segments, model, threshold=THRESHOLD, engine="sharded",
+            n_shards=2, micro_batch=4, seed=3, max_workers=1,
+            shard_engine="process")
+        service.submit_many(reads[:4])  # boots the private engine
+        engine = service.pipeline.process_engine()
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("array fire")
+
+        service.pipeline.run = explode
+        with pytest.raises(RuntimeError, match="array fire"):
+            service.submit_many(reads[4:8])
+        with pytest.raises(ServiceError, match="dispatch failed"):
+            service.close()
+        assert engine.closed
+        assert service.pipeline.process_engine() is None
+
     def test_shard_engine_on_batched_engine_rejected(self, workload):
         segments, model, _ = workload
         with pytest.raises(ServiceError, match="sharded"):

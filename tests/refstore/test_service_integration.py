@@ -133,6 +133,36 @@ class TestStreamingService:
                                     model, threshold=THRESHOLD)
 
 
+class TestEngineFailure:
+    def test_close_releases_lease_and_pool_after_failure(self, workload,
+                                                         catalog):
+        """A failed service still releases its catalog pin and its
+        shard fan-out pool on close."""
+        _, model, reads = workload
+        service = StreamingMappingService(
+            "main", model, threshold=THRESHOLD, engine="sharded",
+            n_shards=2, micro_batch=4, seed=3, shard_engine="thread",
+            catalog=catalog)
+        original = service.pipeline.run
+
+        def flaky(batch, *args, **kwargs):
+            if kwargs["first_read_index"] >= 4:
+                raise RuntimeError("array fire")
+            return original(batch, *args, **kwargs)
+
+        service.pipeline.run = flaky
+        with pytest.raises(RuntimeError, match="array fire"):
+            service.submit_many(reads)
+        assert catalog.stats().pinned_count == 1
+        with pytest.raises(ServiceError, match="dispatch failed"):
+            service.close()
+        assert service.closed
+        assert catalog.stats().pinned_count == 0
+        assert service.pipeline._pool is None
+        with pytest.raises(ServiceError):
+            service.submit(reads[0])
+
+
 class TestProcessEngineZeroCopy:
     def test_file_backed_shards_boot_without_copies(self, workload,
                                                     tmp_path):
@@ -246,6 +276,40 @@ class TestFrontend:
         assert (after.hits + after.misses
                 - before.hits - before.misses) == 1
         assert after.pinned_count == 0
+
+    @pytest.mark.parametrize("engine", ["batched", "sharded"])
+    def test_stored_reference_frontend(self, workload, engine):
+        """A sealed StoredReference serves a frontend like its segments
+        do, adopted with no further encode passes."""
+        segments, model, reads = workload
+        reference = StoredReference.encode(segments)
+        kwargs = {"engine": engine,
+                  "n_shards": (2 if engine == "sharded" else None),
+                  "shard_engine": ("thread" if engine == "sharded"
+                                   else None)}
+        with MappingFrontend(segments, model, **kwargs) as frontend:
+            fresh = [frontend.session(threshold=THRESHOLD, seed=seed,
+                                      micro_batch=4) for seed in (3, 11)]
+            for session in fresh:
+                session.submit_many(reads)
+            fresh = [session.close() for session in fresh]
+        with MappingFrontend(reference, model, **kwargs) as frontend:
+            assert frontend.cols == segments.shape[1]
+            assert frontend.n_shards == (2 if engine == "sharded" else 1)
+            served = [frontend.session(threshold=THRESHOLD, seed=seed,
+                                       micro_batch=4) for seed in (3, 11)]
+            assert frontend.encode_count() == reference.n_encodes == 1
+            for session in served:
+                session.submit_many(reads)
+            served = [session.close() for session in served]
+            assert frontend.encode_count() == reference.n_encodes == 1
+        for ours, theirs in zip(served, fresh, strict=True):
+            _reports_identical(ours, theirs)
+
+    def test_unsealed_stored_reference_frontend_rejected(self, workload):
+        _, model, _ = workload
+        with pytest.raises(CamConfigError, match="sealed"):
+            MappingFrontend(StoredReference(rows=4, cols=8), model)
 
     def test_catalog_frontend_rejects_segments(self, workload, catalog):
         segments, model, _ = workload

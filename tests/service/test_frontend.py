@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.pipeline import MappingReport
 from repro.cost.events import ReferenceLoad
-from repro.errors import CamConfigError, ServiceError
+from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.service import (
     MappingFrontend,
     StreamingMappingService,
@@ -407,6 +407,15 @@ class TestLifecycle:
         with pytest.raises(ServiceError):
             MappingFrontend(small_dataset_a.segments,
                             small_dataset_a.model, pool_workers=0)
+
+    def test_negative_threshold_rejected_before_any_read(
+            self, small_dataset_a):
+        """Regression: a negative threshold was accepted and only
+        poisoned the session at its first dispatch, deep in HDAC."""
+        with _frontend(small_dataset_a, engine="batched") as frontend:
+            with pytest.raises(ThresholdError, match="non-negative"):
+                frontend.session(-1)
+            assert frontend.sessions == ()
 
     def test_failed_dispatch_surfaces_on_the_session(self,
                                                      small_dataset_a):

@@ -23,7 +23,7 @@ from repro.core.pipeline import (
     ReadMappingPipeline,
     ShardedReadMappingPipeline,
 )
-from repro.errors import CamConfigError, ServiceError
+from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.service import (
     DEFAULT_SERVICE_COMPACTION,
     StreamingMappingService,
@@ -341,3 +341,88 @@ class TestStreamMapped:
             assert ours.matched_rows == theirs.matched_rows
         assert service.report.total_energy_joules \
             == reference.total_energy_joules
+
+
+def _fail_on_call(pipeline, method: str, failing_call: int) -> "list[int]":
+    """Make ``pipeline.<method>`` raise on its *failing_call*-th call
+    (1-based); returns the ``first_read_index`` of every call."""
+    original = getattr(pipeline, method)
+    keys: "list[int]" = []
+
+    def flaky(*args, **kwargs):
+        keys.append(kwargs["first_read_index"])
+        if len(keys) == failing_call:
+            raise RuntimeError("array fire")
+        return original(*args, **kwargs)
+
+    setattr(pipeline, method, flaky)
+    return keys
+
+
+class TestEngineFailure:
+    def test_failed_dispatch_is_sticky(self, small_dataset_a):
+        """Regression: an engine error after the buffer swap dropped
+        that micro-batch silently, and the next batch was keyed from
+        the stale dispatch count (stream reads 32-47 as reads 16-31)
+        while stats() reported nothing in flight."""
+        reads = np.concatenate([_reads(small_dataset_a)] * 3)[:64]
+        service = StreamingMappingService(
+            small_dataset_a.segments, small_dataset_a.model,
+            threshold=THRESHOLD, micro_batch=16, seed=0,
+        )
+        keys = _fail_on_call(service.pipeline, "run_batched", 2)
+        with pytest.raises(RuntimeError, match="array fire"):
+            service.submit_many(reads)
+        snap = service.stats()
+        assert (snap.reads_submitted, snap.reads_dispatched) == (32, 16)
+        assert snap.reads_in_flight == 16  # the lost batch stays visible
+        for call in (lambda: service.submit(reads[32]), service.flush,
+                     service.drain):
+            with pytest.raises(ServiceError, match="dispatch failed") \
+                    as info:
+                call()
+            assert isinstance(info.value.__cause__, RuntimeError)
+        assert keys == [0, 16]  # nothing ran at a stale offset
+        assert service.stats().reads_submitted == 32
+        with pytest.raises(ServiceError):
+            service.close()
+        assert service.closed
+
+    def test_poisoned_read_leaves_the_service_usable(self,
+                                                     small_dataset_a):
+        """A fault at the dispatch hook fires before the buffer swap:
+        the reads stay buffered and the next dispatch runs them once."""
+        from repro.faults import Fault, FaultPlan, arm
+
+        reads = _reads(small_dataset_a)
+        reference = _one_shot_batched(small_dataset_a, reads)
+        service = StreamingMappingService(
+            small_dataset_a.segments, small_dataset_a.model,
+            threshold=THRESHOLD, micro_batch=4, seed=0,
+        )
+        plan = FaultPlan.of(
+            Fault("poisoned_read", "service.stream.dispatch", 1), seed=0)
+        with arm(plan):
+            with pytest.raises(CamConfigError, match="injected"):
+                service.submit_many(reads)
+            assert service.stats().reads_in_flight == 4
+            service.submit_many(reads[8:])
+        _assert_reports_identical(service.close(), reference)
+
+
+class TestThresholdValidation:
+    def test_negative_threshold_rejected_at_construction(
+            self, small_dataset_a):
+        with pytest.raises(ThresholdError, match="non-negative"):
+            StreamingMappingService(
+                small_dataset_a.segments, small_dataset_a.model,
+                threshold=-1,
+            )
+
+    def test_negative_threshold_rejected_on_sharded_engine(
+            self, small_dataset_a):
+        with pytest.raises(ThresholdError):
+            StreamingMappingService(
+                small_dataset_a.segments, small_dataset_a.model,
+                threshold=-1, engine="sharded", n_shards=2,
+            )
