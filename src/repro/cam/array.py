@@ -45,12 +45,29 @@ noise_keys[q]`` (default ``(q,)``, the read's index in the block), so
 two executions that issue the same keyed searches — in any order,
 batched or swept, single-threaded or sharded across workers — see
 bit-identical noise and make bit-identical decisions.
+
+**Noise is drawn only where it can decide.**  A keyed normal is
+bounded, ``|z| <= NORMAL_BOUND`` (:mod:`repro.cam.keyed_noise`), so a
+row whose count sits at level ``n`` has its voltage inside
+``V_ideal(n) ± NORMAL_BOUND·σ(n)`` (plus a float-rounding margin).
+Each pass builds that ``(N+1)``-level table once, decides both band
+ends through the sense amplifiers for every distinct threshold of the
+pass, and so classifies every level as always-match, never-match or
+*in band*.  Out-of-band (query, row) pairs are decided at their
+level's ideal voltage, looked up by digital count; only in-band pairs
+(in band for *any* threshold of a sweep) draw their keyed normals, by
+stream position, and are decided through the same comparator.  The
+decisions are those of the dense draw, bit for bit; the dense voltages
+themselves (:attr:`BatchSearchResult.v_ml`) are materialised lazily,
+only when read.  DESIGN.md ("Determinism: keyed noise and exact
+noise-band pruning") carries the full argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,7 +77,12 @@ from repro.cam.matchline import ChargeDomainMatchline, CurrentDomainMatchline
 from repro.cam.sense_amp import SenseAmplifier
 from repro.cam.sram import SramPlane
 from repro.cam.variation import ChargeDomainVariation, CurrentDomainVariation
-from repro.cam.keyed_noise import fold_key, fold_key_block, standard_normals
+from repro.cam.keyed_noise import (
+    NORMAL_BOUND,
+    fold_key,
+    fold_key_block,
+    standard_normals,
+)
 from repro.cost.events import (
     EdStarPass,
     HdacPass,
@@ -85,6 +107,11 @@ _DOMAINS = ("charge", "current")
 #: Domain-separation tag for keyed noise streams (arbitrary constant;
 #: keeps keyed draws disjoint from any other derived stream).
 _NOISE_STREAM_TAG = 0x5EED
+
+#: Relative float-rounding margin widening each level's noise band: it
+#: covers the few ulps of rounding in ``z·σ``, in ``V_ideal + z·σ`` and
+#: in evaluating the bound itself, with many orders to spare.
+_BAND_MARGIN = 1e-9
 
 
 def as_segments_matrix(segments: np.ndarray) -> np.ndarray:
@@ -117,7 +144,9 @@ class BatchSearchResult:
     mismatch_counts:
         ``(B, M)`` digital mismatch counts (ED* or HD).
     v_ml:
-        ``(B, M)`` noisy analog matchline voltages.
+        ``(B, M)`` noisy analog matchline voltages.  The decisions never
+        need them densely, so they are drawn on first read (a lazy,
+        cached property).
     thresholds:
         ``(B,)`` per-query thresholds (a scalar input is broadcast).
     mode:
@@ -131,12 +160,16 @@ class BatchSearchResult:
 
     matches: np.ndarray
     mismatch_counts: np.ndarray
-    v_ml: np.ndarray
     thresholds: np.ndarray
     mode: MatchMode
     energy_joules: float
     latency_ns: float
     energy_per_query_joules: np.ndarray
+    _voltages: "Callable[[], np.ndarray]" = field(repr=False, compare=False)
+
+    @cached_property
+    def v_ml(self) -> np.ndarray:
+        return self._voltages()
 
     @property
     def n_queries(self) -> int:
@@ -171,7 +204,8 @@ class SweepSearchResult:
         ``(B, M)`` digital mismatch counts (threshold-independent).
     v_ml:
         ``(B, M)`` noisy analog matchline voltages (shared by every
-        threshold — the sweep's whole point).
+        threshold — the sweep's whole point), drawn on first read like
+        :attr:`BatchSearchResult.v_ml`.
     thresholds:
         ``(T,)`` the sweep vector.
     mode:
@@ -185,11 +219,15 @@ class SweepSearchResult:
 
     matches: np.ndarray
     mismatch_counts: np.ndarray
-    v_ml: np.ndarray
     thresholds: np.ndarray
     mode: MatchMode
     energy_per_query_joules: np.ndarray
     latency_ns: float
+    _voltages: "Callable[[], np.ndarray]" = field(repr=False, compare=False)
+
+    @cached_property
+    def v_ml(self) -> np.ndarray:
+        return self._voltages()
 
     @property
     def n_thresholds(self) -> int:
@@ -735,17 +773,18 @@ class CamArray:
         thresholds = np.broadcast_to(
             np.asarray(threshold, dtype=int), (n_queries,)
         ).copy()
-        matches, counts, v_ml, event = self._keyed_pass(
+        matches, counts, voltages, event = self._keyed_pass(
             queries, thresholds[None, :], mode, noise_keys,
             precomputed_counts, rotation, sweep=False,
         )
         energy_per_query = event.energy_per_query_joules
         return BatchSearchResult(
-            matches=matches[0], mismatch_counts=counts, v_ml=v_ml,
+            matches=matches[0], mismatch_counts=counts,
             thresholds=thresholds, mode=mode,
             energy_joules=float(energy_per_query.sum()),
             latency_ns=self._search_time_ns * n_queries,
             energy_per_query_joules=energy_per_query,
+            _voltages=voltages,
         )
 
     def search_sweep(self, queries: np.ndarray,
@@ -772,15 +811,16 @@ class CamArray:
                 f"thresholds must be a non-empty 1-D sweep vector, got "
                 f"shape {thresholds.shape}"
             )
-        matches, counts, v_ml, event = self._keyed_pass(
+        matches, counts, voltages, event = self._keyed_pass(
             queries, thresholds[:, None], mode, noise_keys,
             precomputed_counts, rotation, sweep=True,
         )
         return SweepSearchResult(
-            matches=matches, mismatch_counts=counts, v_ml=v_ml,
+            matches=matches, mismatch_counts=counts,
             thresholds=thresholds, mode=mode,
             energy_per_query_joules=event.energy_per_query_joules,
             latency_ns=self._search_time_ns,
+            _voltages=voltages,
         )
 
     def _keyed_pass(self, queries: np.ndarray, thresholds: np.ndarray,
@@ -789,8 +829,9 @@ class CamArray:
         """The one search pass: counts, keyed noise, a threshold block.
 
         ``thresholds`` is a ``(1, B)`` or ``(T, 1)`` block broadcasting
-        against ``(T, B)``.  Returns ``(matches, counts, v_ml, event)``
-        with ``(T, B, M)`` matches and the recorded ledger event, which
+        against ``(T, B)``.  Returns ``(matches, counts, voltages,
+        event)`` with ``(T, B, M)`` matches, a thunk materialising the
+        dense ``(B, M)`` voltages, and the recorded ledger event, which
         carries the ``(B,)`` batch or ``(T,)`` sweep threshold vector.
         """
         n_queries = queries.shape[0]
@@ -804,15 +845,16 @@ class CamArray:
             raise CamConfigError(
                 f"{len(noise_keys)} noise keys for {n_queries} queries"
             )
+        noise_keys = np.asarray(noise_keys)
         if counts is None:
             counts = self.mismatch_counts_batch(queries, mode)
-        v_ml = self._keyed_voltages(counts, noise_keys)
-        matches = self._sense_amp.decide_sweep(v_ml, thresholds, self.cols)
+        matches = self._decide(counts, thresholds, noise_keys)
         event = self._emit_pass(
             counts, thresholds[:, 0] if sweep else thresholds[0], mode,
             sweep=sweep, noise_keys=noise_keys, rotation=rotation,
         )
-        return matches, counts, v_ml, event
+        voltages = partial(self._keyed_voltages, counts, noise_keys)
+        return matches, counts, voltages, event
 
     # -- internals ----------------------------------------------------------
 
@@ -833,19 +875,89 @@ class CamArray:
             )
         return queries
 
-    def _keyed_voltages(
-            self, counts: np.ndarray,
-            noise_keys: "Sequence[tuple[int, ...]]") -> np.ndarray:
-        """``(B, M)`` matchline voltages with per-query keyed noise."""
+    def _level_table(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(V_ideal, σ, half-width)`` of every level ``n = 0..N``.
+
+        A row at level ``n`` samples a voltage within ``V_ideal(n) ±
+        half-width(n)``: ``NORMAL_BOUND·σ(n)`` widened by
+        :data:`_BAND_MARGIN` for float rounding.  A noiseless level
+        (``σ = 0``, or an ideal array) samples ``V_ideal`` exactly.
+        """
+        levels = np.arange(self.cols + 1)
+        v_ideal = self._ideal_voltages(levels)
+        if not self._noisy:
+            sigma = np.zeros(levels.shape)
+            return v_ideal, sigma, sigma
+        sigma = self._variation.sigma_vml(levels, self.cols)
+        reach = NORMAL_BOUND * sigma
+        half = np.where(
+            sigma > 0, reach + _BAND_MARGIN * (np.abs(v_ideal) + reach), 0.0)
+        return v_ideal, sigma, half
+
+    def _decide(self, counts: np.ndarray, thresholds: np.ndarray,
+                noise_keys: np.ndarray) -> np.ndarray:
+        """``(T, B, M)`` decisions of one pass, drawing noise in band only.
+
+        Both ends of every level's noise band are decided for each
+        distinct threshold of the pass.  A level whose ends agree
+        decides alike for any voltage in its band — its ideal one
+        included — so every pair is first decided at its level's ideal
+        voltage, looked up by count.  A pair in band for any threshold
+        of its query then draws its keyed normal (stream position = its
+        row) and is re-decided for every threshold, exactly as the
+        dense draw decides it.
+        """
+        n_cells = self.cols
+        v_ideal, sigma, half = self._level_table()
+        matches = self._sense_amp.decide_sweep(v_ideal[counts], thresholds,
+                                               n_cells)
+        distinct, inverse = np.unique(thresholds, return_inverse=True)
+        ends = self._sense_amp.decide_sweep(
+            np.stack([v_ideal - half, v_ideal + half]),
+            distinct[:, None], n_cells)
+        band = ends[:, 0] != ends[:, 1]
+        if not band.any():
+            return matches
+        # (query, level) in band for any threshold the query meets; a
+        # flat lookup, (q, n) -> q * (N + 1) + n, broadcasts one row.
+        per_query = band[inverse.reshape(thresholds.shape)].any(axis=0)
+        in_band = per_query.ravel()[
+            np.arange(per_query.shape[0])[:, None] * (n_cells + 1) + counts]
+        queries, rows = np.nonzero(in_band)
+        levels = counts[queries, rows]
+        states = fold_key_block(self._noise_prefix, noise_keys)[queries]
+        v_ml = self._add_noise(v_ideal[levels], sigma[levels],
+                               standard_normals(states, rows))
+        if thresholds.shape[1] > 1:
+            thresholds = thresholds[:, queries]
+        matches[:, queries, rows] = self._sense_amp.decide_sweep(
+            v_ml[:, None], thresholds, n_cells)[..., 0]
+        return matches
+
+    def _ideal_voltages(self, counts: np.ndarray) -> np.ndarray:
         if self._domain == "charge":
-            v_ideal = self._matchline.ideal_voltage(counts, self.cols)
-        else:
-            v_ideal = self._matchline.sampled_voltage(counts, self.cols)
-        if not self._noisy or counts.shape[0] == 0:
-            return v_ideal.astype(float)
-        states = fold_key_block(self._noise_prefix, np.asarray(noise_keys))
-        raw = standard_normals(states, counts.shape[1])
-        noise = raw * self._variation.sigma_vml(counts, self.cols)
+            return self._matchline.ideal_voltage(counts, self.cols)
+        return self._matchline.sampled_voltage(counts, self.cols)
+
+    def _add_noise(self, v_ideal: np.ndarray, sigma: np.ndarray,
+                   raw: np.ndarray) -> np.ndarray:
+        noise = raw * sigma
         if self._domain == "current":
             noise = -noise  # droop noise subtracts from the sampled level
         return v_ideal + noise
+
+    def _keyed_voltages(self, counts: np.ndarray,
+                        noise_keys: np.ndarray) -> np.ndarray:
+        """Dense ``(B, M)`` matchline voltages with per-query keyed noise.
+
+        What :attr:`BatchSearchResult.v_ml` materialises; the decisions
+        of :meth:`_decide` equal :meth:`SenseAmplifier.decide_sweep`
+        over these voltages.
+        """
+        v_ideal = self._ideal_voltages(counts)
+        if not self._noisy or counts.shape[0] == 0:
+            return v_ideal.astype(float)
+        states = fold_key_block(self._noise_prefix, noise_keys)
+        return self._add_noise(
+            v_ideal, self._variation.sigma_vml(counts, self.cols),
+            standard_normals(states, counts.shape[1]))

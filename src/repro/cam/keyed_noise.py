@@ -15,7 +15,14 @@ This module implements that source as a counter-based RNG:
   textbook splitmix64 construction, vectorised over numpy ``uint64``
   arrays (modular wrap-around is the intended arithmetic);
 * uniforms take the top 53 bits; standard normals combine two uniforms
-  through the Box-Muller transform.
+  through the Box-Muller transform, so draw ``j`` is the cos (even
+  ``j``) or sin (odd ``j``) output of pair ``j // 2``.  That makes the
+  stream **counter-addressable**: :func:`standard_normals` draws either
+  a dense prefix or an arbitrary array of stream positions,
+  bit-identical either way;
+* the 53-bit uniforms bound every normal: ``|z| <= NORMAL_BOUND``
+  (~8.5717).  The search pass relies on the bound to skip draws that
+  cannot change a decision (see :mod:`repro.cam.array`).
 
 Statistical quality is ample for Monte-Carlo device noise (splitmix64
 passes BigCrush), and every draw costs a handful of vectorised ufunc
@@ -115,29 +122,60 @@ def uniforms(states: "np.ndarray | int",
         * _INV_2_53
 
 
-def standard_normals(states: "np.ndarray | int", n: int) -> np.ndarray:
-    """``n`` standard-normal draws per stream via Box-Muller.
+def _box_muller(states: np.ndarray,
+                pairs: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(radius, angle)`` of Box-Muller pair ``pairs`` of each stream.
 
-    Each uniform pair yields both Box-Muller outputs (cos and sin), so
-    ``n`` draws cost ``n/2`` transforms.  ``states`` of shape ``(B,)``
-    yields a ``(B, n)`` block whose row ``q`` is exactly the block a
-    scalar call with ``states[q]`` would produce — the property the
-    scalar/batched equivalence rests on.
+    Pair ``k`` consumes counters ``2k`` (radius) and ``2k + 1``
+    (angle); ``states`` and ``pairs`` broadcast elementwise.
     """
-    states = np.asarray(states, dtype=np.uint64)
-    block = states.reshape(states.shape + (1,))
-    n_pairs = (n + 1) // 2
-    counters = np.arange(n_pairs, dtype=np.uint64)
-    u1 = (_bits(block, counters * np.uint64(2)) >> np.uint64(11)) \
-        .astype(float)
-    u2 = uniforms(block, counters * np.uint64(2) + np.uint64(1))
+    counters = pairs * np.uint64(2)
+    u1 = (_bits(states, counters) >> np.uint64(11)).astype(float)
+    u2 = uniforms(states, counters + np.uint64(1))
     # Shift u1 into (0, 1] so log() never sees 0.
     u1 = (u1 + 1.0) * _INV_2_53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * math.pi) * u2
+    return np.sqrt(-2.0 * np.log(u1)), (2.0 * math.pi) * u2
+
+
+#: Largest ``|z|`` :func:`standard_normals` can return, ~8.5717: the
+#: Box-Muller radius at the smallest shifted uniform ``u1 = 2**-53``
+#: (``|cos|, |sin| <= 1`` cannot enlarge it).
+NORMAL_BOUND = float(np.sqrt(-2.0 * np.log(_INV_2_53)))
+
+
+def standard_normals(states: "np.ndarray | int",
+                     n: "int | np.ndarray") -> np.ndarray:
+    """Standard-normal draws via Box-Muller, dense or by stream position.
+
+    Draw ``j`` of a stream is the cos (even ``j``) or sin (odd ``j``)
+    output of Box-Muller pair ``j // 2``.
+
+    * ``n`` an int: the first ``n`` draws of every stream.  ``states``
+      of shape ``(B,)`` yields a ``(B, n)`` block whose row ``q`` is
+      exactly the block a scalar call with ``states[q]`` would produce
+      — the property the scalar/batched equivalence rests on.  Each
+      pair's cos and sin are both used, so ``n`` draws cost ``n/2``
+      transforms.
+    * ``n`` an integer array of stream positions: draw ``n[k]`` of
+      stream ``states[k]`` (the two broadcast), bit-identical to that
+      entry of the dense block.  Each element evaluates only the trig
+      function its parity selects.
+    """
+    states = np.asarray(states, dtype=np.uint64)
+    if np.ndim(n) > 0:
+        states, positions = np.broadcast_arrays(
+            states, np.asarray(n, dtype=np.uint64))
+        radius, angle = _box_muller(states, positions >> np.uint64(1))
+        odd = (positions & np.uint64(1)).astype(bool)
+        even = ~odd
+        result = np.empty(positions.shape, dtype=float)
+        result[even] = radius[even] * np.cos(angle[even])
+        result[odd] = radius[odd] * np.sin(angle[odd])
+        return result
+    n_pairs = (n + 1) // 2
+    radius, angle = _box_muller(states.reshape(states.shape + (1,)),
+                                np.arange(n_pairs, dtype=np.uint64))
     result = np.empty(states.shape + (2 * n_pairs,), dtype=float)
     result[..., 0::2] = radius * np.cos(angle)
     result[..., 1::2] = radius * np.sin(angle)
-    if np.ndim(states) == 0:
-        return result[:n]
     return result[..., :n]

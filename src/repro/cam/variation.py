@@ -117,9 +117,22 @@ class CurrentDomainVariation:
 
         A chain distinguishing S levels under the ``separation``-sigma
         rule has adjacent levels ``2 * separation * sigma`` apart, so
-        ``sigma = VDD / (2 * separation * S)``.
+        ``sigma = VDD / (2 * separation * S)``.  Zero variation, or
+        variation so small that S overflows a float, is a zero floor
+        (S -> infinity); variation too large to resolve even one state
+        (S = 0) is a :class:`~repro.errors.CamConfigError`.
         """
-        states = self.distinguishable_states(self.separation)
+        if self.sigma_rel == 0.0:
+            return 0.0
+        try:
+            states = self.distinguishable_states(self.separation)
+        except OverflowError:
+            return 0.0
+        if states == 0:
+            raise CamConfigError(
+                f"sigma_rel={self.sigma_rel} resolves no state at "
+                f"{self.separation}-sigma separation"
+            )
         return self.vdd / (2.0 * self.separation * states)
 
     def sigma_vml(self, n_mismatch: "int | np.ndarray", n_cells: int) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.cam.keyed_noise import (
+    NORMAL_BOUND,
     fold_key,
     fold_key_block,
     fold_key_from,
@@ -57,7 +60,7 @@ class TestStreams:
         state = fold_key((2,))
         forward = uniforms(state, np.arange(16))
         backward = uniforms(state, np.arange(15, -1, -1))
-        assert np.allclose(forward, backward[::-1])
+        assert np.array_equal(forward, backward[::-1])
 
     def test_normals_rowwise_match_scalar(self):
         """Row q of a block equals a scalar call with that state."""
@@ -65,8 +68,8 @@ class TestStreams:
         block = standard_normals(states, 13)
         assert block.shape == (6, 13)
         for q in range(6):
-            assert np.allclose(block[q],
-                               standard_normals(int(states[q]), 13))
+            assert np.array_equal(block[q],
+                                  standard_normals(int(states[q]), 13))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8])
     def test_normals_odd_and_even_lengths(self, n):
@@ -83,3 +86,58 @@ class TestStreams:
         a = standard_normals(fold_key((1, 0)), 32)
         b = standard_normals(fold_key((1, 1)), 32)
         assert not np.allclose(a, b)
+
+
+class TestBound:
+    def test_bound_is_the_53_bit_box_muller_radius(self):
+        assert NORMAL_BOUND == pytest.approx(math.sqrt(106 * math.log(2)),
+                                             rel=1e-15)
+        assert 8.5716 < NORMAL_BOUND < 8.5718
+
+    def test_extreme_uniform_reaches_the_bound(self):
+        """State 0's first draw is all-zero bits: u1 = 2**-53."""
+        cos_draw, sin_draw = standard_normals(np.zeros(1, np.uint64), 2)[0]
+        assert math.hypot(cos_draw, sin_draw) == pytest.approx(
+            NORMAL_BOUND, rel=1e-15)
+        assert max(abs(cos_draw), abs(sin_draw)) <= NORMAL_BOUND
+
+    def test_a_million_draws_stay_within_the_bound(self):
+        states = fold_key_block(fold_key((13,)), np.arange(1000))
+        draws = standard_normals(states, 1000)
+        assert draws.size == 1_000_000
+        assert np.abs(draws).max() <= NORMAL_BOUND
+
+
+class TestPositionalDraw:
+    """Drawing by stream position is bit-identical to the dense block."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 13, 257])
+    def test_every_position_matches_dense(self, n):
+        states = fold_key_block(fold_key((21,)), np.arange(9))
+        dense = standard_normals(states, n)
+        queries, rows = np.indices(dense.shape).reshape(2, -1)
+        drawn = standard_normals(states[queries], rows)
+        assert np.array_equal(drawn, dense.ravel())
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_odd_and_even_columns(self, parity):
+        states = fold_key_block(fold_key((22,)), np.arange(5))
+        dense = standard_normals(states, 31)
+        rows = np.arange(parity, 31, 2)
+        drawn = standard_normals(states[:, None], rows[None, :])
+        assert drawn.shape == (5, rows.size)
+        assert np.array_equal(drawn, dense[:, rows])
+
+    def test_scattered_positions_in_any_order(self):
+        states = fold_key_block(fold_key((23,)), np.arange(40))
+        dense = standard_normals(states, 255)
+        rng = np.random.default_rng(3)
+        queries = rng.integers(0, 40, 500)
+        rows = rng.integers(0, 255, 500)
+        assert np.array_equal(standard_normals(states[queries], rows),
+                              dense[queries, rows])
+
+    def test_scalar_state_broadcasts(self):
+        state = fold_key((24,))
+        assert np.array_equal(standard_normals(state, np.array([6, 3, 0])),
+                              standard_normals(state, 7)[[6, 3, 0]])

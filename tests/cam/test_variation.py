@@ -112,3 +112,28 @@ class TestCurrentDomain:
         for threshold in (1, 4, 8, 16):
             assert (float(charge.sigma_vml(threshold, 256)) * 5
                     < float(current.sigma_vml(threshold, 256)))
+
+    @pytest.mark.parametrize("count_dependent", [False, True])
+    def test_zero_variation_is_a_zero_floor(self, count_dependent):
+        model = CurrentDomainVariation(sigma_rel=0.0,
+                                       count_dependent=count_dependent)
+        assert model.sensing_noise_floor() == 0.0
+        assert not model.sigma_vml(np.arange(33), 32).any()
+        assert model.worst_case_sigma(32) == 0.0
+        with pytest.raises(CamConfigError):
+            model.distinguishable_states()
+
+    def test_zero_variation_keeps_timing_jitter(self):
+        model = CurrentDomainVariation(sigma_rel=0.0, timing_jitter_rel=0.01)
+        assert float(model.sigma_vml(16, 32)) == pytest.approx(0.5 * 0.01
+                                                               * model.vdd)
+
+    def test_vanishing_variation_is_a_zero_floor(self):
+        model = CurrentDomainVariation(sigma_rel=1e-200)
+        assert model.sensing_noise_floor() == 0.0
+        assert not model.sigma_vml(np.arange(33), 32).any()
+
+    def test_unresolvable_variation_rejected(self):
+        model = CurrentDomainVariation(sigma_rel=0.2)
+        with pytest.raises(CamConfigError):
+            model.sensing_noise_floor()
