@@ -191,21 +191,23 @@ def main() -> None:
 
     # [readme:backend]
     # Kernel backends: the mismatch-count primitive behind every path
-    # is pluggable (explicit backend= knob > the REPRO_KERNEL_BACKEND
-    # env var > per-machine autotune).  Backends are bit-identical by
-    # contract — swapping one changes speed and nothing else.
+    # sits behind a registry (explicit backend= knob > the
+    # REPRO_KERNEL_BACKEND env var > per-machine autotune).  Every
+    # registered backend counts exactly like the boolean reference, so
+    # the choice changes speed and nothing else.
     from repro.kernels import available_backends
 
-    packed_array = CamArray(rows=64, cols=128, domain="charge", seed=1,
-                            backend="bitpacked")
-    packed_array.store(dataset.segments)
-    packed_matcher = AsmCapMatcher(packed_array, dataset.model,
-                                   MatcherConfig(), seed=1)
-    packed = packed_matcher.match(reads[0], threshold=4, query_key=0)
-    assert np.array_equal(packed.decisions, outcome.decisions)
-    assert packed.energy_joules == outcome.energy_joules
-    print(f"backend: {array.backend} == bitpacked bit-for-bit "
-          f"(registered: {', '.join(available_backends())})")
+    for name in available_backends():
+        lane_array = CamArray(rows=64, cols=128, domain="charge", seed=1,
+                              backend=name)
+        lane_array.store(dataset.segments)
+        lane_matcher = AsmCapMatcher(lane_array, dataset.model,
+                                     MatcherConfig(), seed=1)
+        lane = lane_matcher.match(reads[0], threshold=4, query_key=0)
+        assert np.array_equal(lane.decisions, outcome.decisions)
+        assert lane.energy_joules == outcome.energy_joules
+    print(f"backend: {array.backend} (registered: "
+          f"{', '.join(available_backends())})")
     # [/readme:backend]
 
     print("OK: scalar, batched, sharded, sweep, streaming, "

@@ -265,8 +265,8 @@ ENGINE_ENV = "REPRO_EXECUTION_ENGINE"
 #: vectorised kernels.
 PROCESS_MIN_CPUS = 4
 
-#: Encoded-reference bytes per stored cell: 1 (segments) + 16 (float32
-#: one-hot) + the 2-bit packed planes and masks (~0.25) — the payload
+#: Encoded-reference bytes per stored cell: exactly 1 (uint8 segments)
+#: + 16 (float32 one-hot), the payload that
 #: :func:`repro.parallel.share_stored_reference` puts in shared memory.
 ENCODED_BYTES_PER_CELL = 17
 
@@ -282,9 +282,9 @@ def estimate_stored_reference_bytes(n_rows: int, cols: int) -> int:
     :data:`ENCODED_BYTES_PER_CELL` over the reference geometry — the
     same estimate :func:`plan_engine` thresholds on, exposed so a
     :class:`~repro.refstore.ReferenceCatalog` byte budget can be sized
-    from reference shapes before any file exists.  An upper-ish bound
-    on the true store-file size (which adds a fixed header and
-    per-array alignment padding but packs the planes tighter).
+    from reference shapes before any file exists.  Exact for the
+    payload; a store file adds a fixed header and per-array alignment
+    padding on top.
     """
     if n_rows <= 0:
         raise ArchConfigError(f"n_rows must be positive, got {n_rows}")

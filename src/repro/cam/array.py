@@ -243,11 +243,10 @@ class StoredReference:
 
     The digital half of an array: an :class:`~repro.cam.sram.SramPlane`
     holding the reference segments plus the cached
-    :class:`~repro.kernels.EncodedReference` (float one-hot *and*
-    2-bit-packed bitplanes, built in one pass) every kernel backend
-    searches against.  Everything here is a pure function of the
-    stored segments — no noise, no RNG, no ledger
-    — so once *sealed* a ``StoredReference`` is an immutable,
+    :class:`~repro.kernels.EncodedReference` (the float one-hot, built
+    in one pass) every kernel backend searches against.  Everything
+    here is a pure function of the stored segments — no noise, no RNG,
+    no ledger — so once *sealed* a ``StoredReference`` is an immutable,
     thread-safe value that any number of :class:`CamArray` instances
     can share (``CamArray(stored=ref)``): per-session arrays keep their
     own seeds, noise prefixes and cost ledgers while the expensive
@@ -517,7 +516,7 @@ class CamArray:
         streaming service passes.
     backend:
         Kernel backend for the digital mismatch-count primitives: a
-        registered name (``"numpy-gemm"``, ``"bitpacked"``, …), a
+        registered name (``"numpy-gemm"``), a
         :class:`~repro.kernels.KernelBackend` instance, or ``None``
         (default) to resolve through the standard selection order —
         the ``REPRO_KERNEL_BACKEND`` env var, then

@@ -46,6 +46,27 @@ _INF16 = np.int16(1 << 14)
 _QGRAM_Q = 3
 
 
+def _row_histograms(values: np.ndarray, n_bins: int) -> np.ndarray:
+    """``(R, n_bins)`` int32 per-row histograms of ``(R, L)`` bin ids.
+
+    One global ``np.bincount`` with the row index folded into the high
+    bits, so the whole block costs one pass instead of one call per row.
+    """
+    n_rows = values.shape[0]
+    keys = np.arange(n_rows, dtype=np.int64)[:, None] * n_bins + values
+    counts = np.bincount(keys.ravel(), minlength=n_rows * n_bins)
+    return counts.reshape(n_rows, n_bins).astype(np.int32)
+
+
+def composition_profiles(rows: np.ndarray, n_codes: int) -> np.ndarray:
+    """``(R, n_codes)`` int32 base-composition histograms of code rows.
+
+    Accepts any code below *n_codes*, so reads carrying ambiguity codes
+    (>= 4) are profiled like any other symbol.
+    """
+    return _row_histograms(np.asarray(rows, dtype=np.int64), n_codes)
+
+
 def composition_lower_bound(segments: np.ndarray,
                             reads: np.ndarray) -> np.ndarray:
     """Cheap per-pair lower bound on the edit distance.
@@ -54,22 +75,17 @@ def composition_lower_bound(segments: np.ndarray,
     L1 distance by at most 2 (a substitution moves one count down and
     another up; an insertion or deletion moves one count), so
     ``ED(a, b) >= ceil(L1(comp(a), comp(b)) / 2)`` for every pair.
-    The composition profiles come from the resolved
-    :mod:`repro.kernels` backend (the bitpacked lane counts them from
-    its bitplanes; every backend is bit-identical), and the bound
-    costs one ``(R, M, n_codes)`` broadcast — nothing next to the
-    banded DP — and at Fig.-7 scales it proves >40-80 % of pairs
-    "greater than band" before the DP runs.
+    The bound costs two :func:`composition_profiles` passes and one
+    ``(R, M, n_codes)`` broadcast — nothing next to the banded DP —
+    and at Fig.-7 scales it proves >40-80 % of pairs "greater than
+    band" before the DP runs.
     """
-    from repro.kernels import resolve_backend
-
     segments = np.asarray(segments, dtype=np.uint8)
     reads = np.asarray(reads, dtype=np.uint8)
     n_codes = int(max(segments.max(initial=0),
                       reads.max(initial=0))) + 1
-    backend = resolve_backend(None)
-    seg_comp = backend.composition_profiles(segments, n_codes)
-    read_comp = backend.composition_profiles(reads, n_codes)
+    seg_comp = composition_profiles(segments, n_codes)
+    read_comp = composition_profiles(reads, n_codes)
     l1 = np.abs(read_comp[:, None, :] - seg_comp[None, :, :]).sum(axis=2)
     return (l1 + 1) // 2
 
@@ -92,15 +108,12 @@ def qgram_profiles(rows: np.ndarray, q: int = _QGRAM_Q) -> np.ndarray:
         raise SequenceError(
             f"rows of length {length} have no {q}-grams"
         )
-    # Base-4 values of every window, then one global bincount with the
-    # row index folded into the high bits.
+    # Base-4 values of every window, histogrammed per row.
     values = np.zeros((n_rows, length - q + 1), dtype=np.int64)
     for offset in range(q):
         values = values * alphabet_size + rows[:, offset:length - q + 1
                                                + offset]
-    keys = (np.arange(n_rows, dtype=np.int64)[:, None] * n_grams + values)
-    counts = np.bincount(keys.ravel(), minlength=n_rows * n_grams)
-    return counts.reshape(n_rows, n_grams).astype(np.int32)
+    return _row_histograms(values, n_grams)
 
 
 def _qgram_bound_from_l1(l1: np.ndarray, q: int) -> np.ndarray:

@@ -15,7 +15,7 @@ resource — into actively falsified properties:
   because it builds on the service stack, which itself imports these
   hooks);
 * :mod:`repro.faults.scenarios` — small deterministic workloads across
-  engine x backend x compaction combinations for the chaos harness
+  engine x route x compaction combinations for the chaos harness
   (``tools/chaos_soak.py``) and the tier-1 fixtures
   (``tests/faults/``).
 

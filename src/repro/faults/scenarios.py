@@ -1,4 +1,4 @@
-"""Deterministic chaos workloads across engine x backend x compaction.
+"""Deterministic chaos workloads across engine x route x compaction.
 
 Each :class:`ChaosScenario` is a small, fully seeded mapping workload
 with a fixed route through the stack — direct segments into the
@@ -265,7 +265,7 @@ class ChaosScenario:
 _SERVICE_KINDS = ("poisoned_read", "slow_batch")
 
 #: The chaos matrix: both service engines, both shard fan-out engines,
-#: both kernel backends, compaction on and off, all four routes.
+#: compaction on and off, all four routes.
 SCENARIOS: "tuple[ChaosScenario, ...]" = (
     ChaosScenario(
         name="stream-batched-gemm",
@@ -274,8 +274,8 @@ SCENARIOS: "tuple[ChaosScenario, ...]" = (
         fault_kinds=_SERVICE_KINDS,
     ),
     ChaosScenario(
-        name="stream-sharded-thread-bitpacked",
-        engine="sharded", shard_engine="thread", backend="bitpacked",
+        name="stream-sharded-thread-gemm",
+        engine="sharded", shard_engine="thread", backend="numpy-gemm",
         compaction=8, route="stream",
         fault_kinds=_SERVICE_KINDS,
     ),
@@ -293,15 +293,15 @@ SCENARIOS: "tuple[ChaosScenario, ...]" = (
                                       "store_crc_flip"),
     ),
     ChaosScenario(
-        name="store-sharded-process-bitpacked",
-        engine="sharded", shard_engine="process", backend="bitpacked",
+        name="store-sharded-process-gemm",
+        engine="sharded", shard_engine="process", backend="numpy-gemm",
         compaction=8, route="store",
         fault_kinds=_SERVICE_KINDS + _PROCESS_KINDS
         + ("store_truncate", "store_crc_flip"),
     ),
     ChaosScenario(
-        name="catalog-batched-bitpacked",
-        engine="batched", shard_engine=None, backend="bitpacked",
+        name="catalog-batched-gemm",
+        engine="batched", shard_engine=None, backend="numpy-gemm",
         compaction=8, route="catalog",
         fault_kinds=_SERVICE_KINDS + ("poisoned_open",),
     ),
@@ -312,8 +312,8 @@ SCENARIOS: "tuple[ChaosScenario, ...]" = (
         fault_kinds=("poisoned_read", "slow_batch", "backlog_flood"),
     ),
     ChaosScenario(
-        name="frontend-sharded-thread-bitpacked",
-        engine="sharded", shard_engine="thread", backend="bitpacked",
+        name="frontend-sharded-thread-gemm",
+        engine="sharded", shard_engine="thread", backend="numpy-gemm",
         compaction=None, route="frontend",
         fault_kinds=("poisoned_read", "slow_batch", "backlog_flood"),
     ),

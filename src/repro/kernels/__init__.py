@@ -1,18 +1,16 @@
-"""repro.kernels — pluggable mismatch-count kernel backends.
+"""repro.kernels — the mismatch-count kernel and its backend registry.
 
-The registry behind every search path's ``backend=`` knob:
-
-* ``"numpy-gemm"`` — the float32 one-hot GEMM (the original hot path);
-* ``"bitpacked"`` — 2-bit-packed uint64 bitplanes, XOR + popcount;
-* ``"numba"`` — the packed kernel with a jitted popcount reduction,
-  registered only when numba is importable.
+One lane is registered: ``"numpy-gemm"``, the float32 one-hot GEMM.
+Query codes outside ACGT route to the shared boolean fallback, which
+is also the test oracle.  The registry seam stays so a future lane
+can be added, raced and selected without touching the search paths.
 
 Selection order everywhere: explicit ``backend=`` knob >
 ``REPRO_KERNEL_BACKEND`` env var > ``repro.arch.autotune.plan_backend``
-(cached per-machine micro-calibration).  All backends return exactly
-equal integer counts — decisions, ledger events and reports are
-bit-identical by construction (see ``docs/api.md``, "Kernel
-backends").
+(cached per-machine micro-calibration over the registered lanes).  A
+backend must return exactly the boolean reference's integer counts, so
+decisions, ledger events and reports never depend on the choice (see
+``docs/api.md``, "Kernel backends").
 """
 
 from repro.kernels.base import (
@@ -22,9 +20,7 @@ from repro.kernels.base import (
     encode_reference,
     encoded_reference_arrays,
     encoded_reference_from_arrays,
-    pack_bitplanes,
     slice_encoded_reference,
-    valid_masks,
 )
 from repro.kernels.registry import (
     DEFAULT_BACKEND,
@@ -36,11 +32,8 @@ from repro.kernels.registry import (
     resolve_backend,
 )
 from repro.kernels.gemm import GemmBackend
-from repro.kernels.bitpacked import BitpackedBackend
-from repro.kernels import numba_lane as _numba_lane  # noqa: F401 (registers)
 
 __all__ = [
-    "BitpackedBackend",
     "DEFAULT_BACKEND",
     "ENCODED_REFERENCE_FIELDS",
     "EncodedReference",
@@ -53,9 +46,7 @@ __all__ = [
     "available_backends",
     "encode_reference",
     "get_backend",
-    "pack_bitplanes",
     "register_backend",
     "resolve_backend",
     "slice_encoded_reference",
-    "valid_masks",
 ]

@@ -1,31 +1,28 @@
 """Substrate shared by every kernel backend.
 
-The mismatch-count primitives behind ``CamArray.search`` /
-``search_batch`` / ``search_sweep`` (and the ground-truth banded DP's
-counting prefilter) are pluggable *kernel backends*.  Each backend
-computes the same three exact quantities:
+The mismatch-count primitives behind ``CamArray.search_batch`` /
+``search_sweep`` are pluggable *kernel backends*.  Each backend
+computes the same two exact quantities:
 
 * ``counts_batch(encoded, queries, ed_star=...)`` — per-row digital
   mismatch counts, HD or the neighbour-tolerant ED* of
   :mod:`repro.distance.ed_star`;
 * ``counts_batch_dual(encoded, queries)`` — the ``(ED*, HD)`` pair from
-  one shared query pass (the controller's back-to-back search trick);
-* ``composition_profiles(rows, n_codes)`` — per-row base-composition
-  histograms, the 1-gram prefilter of the banded DP.
+  one shared query pass (the controller's back-to-back search trick).
 
 **Exactness contract.**  Counts are small integers (bounded by the row
-length), and every backend computes them exactly — the float32 GEMM is
-exact below ``2**24``, the packed path is pure integer arithmetic — so
-*every* digital decision, ledger event and report downstream is
-bit-identical across backends.  The property tests in
-``tests/kernels/`` enforce ``==``, not ``approx``.
+length), and a backend must compute them exactly — the float32 GEMM is
+exact below ``2**24`` — so every digital decision, ledger event and
+report downstream is independent of the backend choice.  The property
+tests in ``tests/kernels/`` enforce ``==`` against the boolean
+reference, not ``approx``.
 
 This module owns the pieces every backend shares: the
-:class:`EncodedReference` value (all per-reference encodings, built in
-one pass over the segments), the 2-bit → uint64 bitplane packing, and
-the boolean-sweep fallback that handles query codes outside ACGT
-(ambiguity codes cannot be one-hot indexed or 2-bit packed, so both
-exact lanes route them to the same reference comparison).
+:class:`EncodedReference` value (the per-reference encodings, built in
+one pass over the segments) and the boolean-sweep fallback that
+handles query codes outside ACGT (ambiguity codes cannot be one-hot
+indexed, so they route to the reference comparison; it is also the
+test oracle).
 
 Layering: this package sits *below* ``repro.cam`` — it imports only
 numpy, ``repro.errors``, ``repro.genome.alphabet`` and the boolean
@@ -46,77 +43,20 @@ from repro.genome import alphabet
 #: same ~8 MB bound the pre-registry GEMM path used.
 CHUNK_ELEMS = 1 << 23
 
-#: Target uint64 words per packed ``(B, M, W)`` equality buffer (8 MB).
-PACKED_CHUNK_WORDS = 1 << 20
-
-_WORD_BITS = 64
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def pack_bitplanes(rows: np.ndarray) -> np.ndarray:
-    """``(R, N)`` uint8 DNA codes → ``(R, 2, W)`` uint64 bitplanes.
-
-    Plane 0 holds bit 0 of each 2-bit code, plane 1 bit 1, both packed
-    little-endian so code ``j`` of a row lives at bit ``j % 64`` of
-    word ``j // 64``.  Tail bits beyond ``N`` are zero (callers mask
-    them with :func:`valid_masks`).  Requires codes below 4.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    n_rows, n_cells = rows.shape
-    n_words = max(1, (n_cells + _WORD_BITS - 1) // _WORD_BITS)
-    planes = np.empty((n_rows, 2, n_words), dtype=np.uint64)
-    for plane_index in (0, 1):
-        bits = (rows >> plane_index) & np.uint8(1)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        padded = np.zeros((n_rows, n_words * 8), dtype=np.uint8)
-        padded[:, :packed.shape[1]] = packed
-        # Little-endian byte → word view (every supported platform).
-        planes[:, plane_index, :] = padded.view("<u8")
-    return planes
-
-
-def valid_masks(n_cells: int,
-                n_words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(valid, valid_no_first, valid_no_last)`` word masks.
-
-    ``valid`` keeps exactly the first *n_cells* bit positions;
-    ``valid_no_first`` additionally clears position 0 and
-    ``valid_no_last`` position ``n_cells - 1`` — the edge cells whose
-    missing neighbour comparison contributes no ED* match.
-    """
-    valid = np.zeros(n_words, dtype=np.uint64)
-    full_words, remainder = divmod(n_cells, _WORD_BITS)
-    valid[:full_words] = _ALL_ONES
-    if remainder:
-        valid[full_words] = np.uint64((1 << remainder) - 1)
-    no_first = valid.copy()
-    no_last = valid.copy()
-    if n_cells > 0:
-        no_first[0] &= ~np.uint64(1)
-        last_word, last_bit = divmod(n_cells - 1, _WORD_BITS)
-        no_last[last_word] &= ~np.uint64(1 << last_bit)
-    return valid, no_first, no_last
-
 
 @dataclass(frozen=True)
 class EncodedReference:
     """Every per-reference search encoding, built in one pass.
 
     An immutable value the backends compute *against*: the raw stored
-    segments (the boolean fallback's input), the float32 one-hot the
-    GEMM lane multiplies, and the 2-bit-packed uint64 bitplanes (plus
-    their validity masks) the popcount lanes XOR.  Building all of
-    them together is what lets a sealed :class:`repro.cam.array.
-    StoredReference` stay thread-safe and encoded exactly once while
-    any backend serves any session.
+    segments (the boolean fallback's input) and the float32 one-hot the
+    GEMM lane multiplies.  Building them together is what lets a sealed
+    :class:`repro.cam.array.StoredReference` stay thread-safe and
+    encoded exactly once while any backend serves any session.
     """
 
     segments: np.ndarray        # (M, N) uint8, read-only
     onehot: np.ndarray          # (M, N * 4) float32, read-only
-    planes: np.ndarray          # (M, 2, W) uint64, read-only
-    valid: np.ndarray           # (W,) uint64 in-range bit mask
-    valid_no_first: np.ndarray  # (W,) mask minus cell 0
-    valid_no_last: np.ndarray   # (W,) mask minus cell N-1
 
     @property
     def n_rows(self) -> int:
@@ -126,17 +66,13 @@ class EncodedReference:
     def n_cells(self) -> int:
         return self.segments.shape[1]
 
-    @property
-    def n_words(self) -> int:
-        return self.planes.shape[2]
-
 
 def encode_reference(segments: np.ndarray) -> EncodedReference:
     """One encoding pass producing every backend's search cache.
 
     float32 is exact for the GEMM lane: every partial inner product is
     an integer below ``2**24``.  Stored codes are alphabet-checked at
-    write time, so the 2-bit packing is always faithful.
+    write time, so the one-hot index is always in range.
     """
     segments = np.ascontiguousarray(segments, dtype=np.uint8)
     n_rows, n_cells = segments.shape
@@ -145,21 +81,14 @@ def encode_reference(segments: np.ndarray) -> EncodedReference:
     if segments.size:
         onehot[np.arange(n_rows * n_cells), segments.ravel()] = 1.0
     onehot = onehot.reshape(n_rows, n_cells * alphabet.ALPHABET_SIZE)
-    planes = pack_bitplanes(segments)
-    valid, no_first, no_last = valid_masks(n_cells, planes.shape[2])
-    for array in (segments, onehot, planes, valid, no_first, no_last):
+    for array in (segments, onehot):
         array.setflags(write=False)
-    return EncodedReference(segments=segments, onehot=onehot, planes=planes,
-                            valid=valid, valid_no_first=no_first,
-                            valid_no_last=no_last)
+    return EncodedReference(segments=segments, onehot=onehot)
 
 
 #: The payload arrays of an :class:`EncodedReference`, in the fixed
 #: serialisation order the shared-memory transport uses.
-ENCODED_REFERENCE_FIELDS = (
-    "segments", "onehot", "planes",
-    "valid", "valid_no_first", "valid_no_last",
-)
+ENCODED_REFERENCE_FIELDS = ("segments", "onehot")
 
 
 def encoded_reference_arrays(
@@ -180,13 +109,11 @@ def slice_encoded_reference(encoded: EncodedReference, start: int,
                             stop: int) -> EncodedReference:
     """A zero-copy row slice ``[start:stop)`` of an encoding.
 
-    Because every per-row cache (segments, one-hot, bitplanes) is a
-    pure per-row function of the stored segments, slicing the full
-    encoding is **bit-identical** to encoding the sliced segments —
-    which is what lets one mmap-opened reference
-    (:mod:`repro.refstore`) serve a sharded pipeline without an
-    encoding pass per shard.  The validity masks depend only on the
-    cell width, so they are shared by every slice.
+    Because every per-row cache (segments, one-hot) is a pure per-row
+    function of the stored segments, slicing the full encoding is
+    **bit-identical** to encoding the sliced segments — which is what
+    lets one mmap-opened reference (:mod:`repro.refstore`) serve a
+    sharded pipeline without an encoding pass per shard.
     """
     start, stop = int(start), int(stop)
     n_rows = encoded.segments.shape[0]
@@ -195,14 +122,8 @@ def slice_encoded_reference(encoded: EncodedReference, start: int,
             f"row slice [{start}, {stop}) is outside the encoding's "
             f"{n_rows} rows"
         )
-    return EncodedReference(
-        segments=encoded.segments[start:stop],
-        onehot=encoded.onehot[start:stop],
-        planes=encoded.planes[start:stop],
-        valid=encoded.valid,
-        valid_no_first=encoded.valid_no_first,
-        valid_no_last=encoded.valid_no_last,
-    )
+    return EncodedReference(segments=encoded.segments[start:stop],
+                            onehot=encoded.onehot[start:stop])
 
 
 def encoded_reference_from_arrays(
@@ -230,10 +151,10 @@ class KernelBackend:
     """Base class of the mismatch-count kernel backends.
 
     Subclasses implement :meth:`_counts` (and optionally
-    :meth:`_counts_dual` and :meth:`composition_profiles`); the public
-    entry points here own what must never differ between backends —
-    the exact-lane eligibility gate and the shared boolean fallback
-    for queries carrying non-ACGT ambiguity codes.
+    :meth:`_counts_dual`); the public entry points here own what must
+    never differ between backends — the exact-lane eligibility gate
+    and the shared boolean fallback for queries carrying non-ACGT
+    ambiguity codes.
     """
 
     #: Registry name; subclasses override.
@@ -261,23 +182,6 @@ class KernelBackend:
             return ed, hd
         return self._counts_dual(encoded, queries)
 
-    def composition_profiles(self, rows: np.ndarray,
-                             n_codes: int) -> np.ndarray:
-        """``(R, n_codes)`` int32 base-composition histograms.
-
-        The 1-gram prefilter input of
-        :func:`repro.distance.edit_distance.composition_lower_bound`.
-        Unlike the count kernels this accepts arbitrary code values
-        (the ground truth labels raw reads); packed overrides fall
-        back here when a code does not fit 2 bits.
-        """
-        rows = np.asarray(rows, dtype=np.uint8)
-        if rows.shape[0] == 0:
-            return np.zeros((0, n_codes), dtype=np.int32)
-        return np.stack(
-            [np.bincount(row, minlength=n_codes) for row in rows]
-        ).astype(np.int32)
-
     # -- shared gates ------------------------------------------------------
 
     @staticmethod
@@ -285,8 +189,8 @@ class KernelBackend:
         """Whether the backend's exact lane can encode this search.
 
         Stored codes are alphabet-checked at write time; only query
-        codes outside ACGT (which neither a one-hot lookup nor a 2-bit
-        packing can represent) force the boolean comparison fallback.
+        codes outside ACGT (which a one-hot lookup cannot represent)
+        force the boolean comparison fallback.
         """
         if queries.shape[0] == 0:
             return False

@@ -17,12 +17,11 @@ single definition of it, so the two formats cannot drift::
     repro.kernels.ENCODED_REFERENCE_FIELDS)  payload_length bytes
 
 The meta JSON records each array's name/dtype/shape/offset/nbytes.
-Payload arrays start on 64-byte boundaries (cache-line aligned; uint64
-planes need at least 8).  One CRC32 covers the whole payload region —
-alignment padding included, which is why writers must zero-initialise
-it — and a second covers the meta JSON, so a torn, truncated or
-foreign container fails loudly at open instead of producing silently
-wrong mismatch counts.
+Payload arrays start on 64-byte boundaries (cache-line aligned).  One
+CRC32 covers the whole payload region — alignment padding included,
+which is why writers must zero-initialise it — and a second covers the
+meta JSON, so a torn, truncated or foreign container fails loudly at
+open instead of producing silently wrong mismatch counts.
 
 The codec is buffer-agnostic: :func:`plan_layout` sizes a container
 for a set of arrays, :func:`write_payload` + :func:`seal_header` fill
@@ -57,8 +56,8 @@ __all__ = [
 #: payload_length`` — little-endian, fixed width.
 HEADER = struct.Struct("<8sIIIIQ")
 
-#: Payload arrays start on this alignment (numpy views over uint64
-#: planes need 8; 64 keeps rows cache-line aligned).
+#: Payload arrays start on this alignment (numpy views over float32
+#: need 4; 64 keeps rows cache-line aligned).
 ALIGN = 64
 
 

@@ -2,7 +2,7 @@
 
 The process engine's zero-copy substrate: a sealed
 :class:`~repro.cam.array.StoredReference` — the SRAM plane plus the
-one-pass :class:`~repro.kernels.EncodedReference` planes — is written
+one-pass :class:`~repro.kernels.EncodedReference` arrays — is written
 **once** into a ``multiprocessing.shared_memory`` segment by
 :func:`share_stored_reference`, and every worker process maps the same
 physical pages back into a sealed reference with
@@ -83,8 +83,9 @@ __all__ = [
 SHM_MAGIC = b"ASMCAPSM"
 
 #: Header format version; bumped on any layout change so an attach
-#: against a stale writer fails loudly.
-SHM_VERSION = 1
+#: against a stale writer fails loudly.  Version 2 dropped the
+#: bitplane arrays from the payload.
+SHM_VERSION = 2
 
 
 @dataclass(frozen=True)

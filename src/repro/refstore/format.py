@@ -5,10 +5,10 @@ memory transport carries a sealed
 :class:`~repro.cam.array.StoredReference` across a *process* boundary,
 this format carries it across a *restart* boundary.
 :func:`save_stored_reference` writes the full
-:class:`~repro.kernels.EncodedReference` payload (raw segments, float
-one-hot, 2-bit bitplanes, validity masks) into one versioned,
-CRC32-checksummed file; :func:`open_stored_reference` maps it back
-**read-only via** ``mmap`` — zero copy, zero encoding passes
+:class:`~repro.kernels.EncodedReference` payload (raw segments and
+float one-hot) into one versioned, CRC32-checksummed file;
+:func:`open_stored_reference` maps it back **read-only via**
+``mmap`` — zero copy, zero encoding passes
 (``n_encodes`` of an opened reference stays 0 forever), and because
 the OS page cache backs the mapping, every process that opens the same
 file shares the same physical pages.  Service boot drops from
@@ -78,7 +78,8 @@ REFSTORE_MAGIC = b"ASMCAPRF"
 
 #: File format version; bumped on any layout change so an open
 #: against a stale writer fails loudly instead of mis-reading bytes.
-REFSTORE_VERSION = 1
+#: Version 2 dropped the bitplane arrays from the payload.
+REFSTORE_VERSION = 2
 
 
 @dataclass(frozen=True)

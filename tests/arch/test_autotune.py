@@ -227,7 +227,7 @@ class TestPlanBackendRace:
         def counting_calibration():
             calls.append(threading.get_ident())
             time.sleep(0.05)  # widen the race window
-            return {"numpy-gemm": 2.0, "bitpacked": 1.0}
+            return {"numpy-gemm": 2.0, "faster-lane": 1.0}
 
         monkeypatch.setattr(autotune, "_PLANNED_BACKEND", None)
         monkeypatch.setattr(autotune, "calibrate_kernel_backends",
@@ -246,4 +246,4 @@ class TestPlanBackendRace:
             thread.join(timeout=10)
             assert not thread.is_alive()
         assert len(calls) == 1
-        assert picked == ["bitpacked"] * 8
+        assert picked == ["faster-lane"] * 8

@@ -11,6 +11,7 @@ from repro.distance.edit_distance import (
     banded_edit_distance,
     banded_edit_distance_batch,
     composition_lower_bound,
+    composition_profiles,
     edit_distance,
     edit_distance_matrix,
 )
@@ -142,6 +143,26 @@ class TestCompositionLowerBound:
                 exact = edit_distance(DnaSequence(reads[r]),
                                       DnaSequence(segments[s]))
                 assert bound[r, s] <= exact
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=5),
+           st.integers(min_value=0, max_value=600),
+           st.integers(0, 2**32 - 1))
+    def test_profiles_equal_per_row_bincount(self, max_code, n_rows,
+                                             n_cols, seed):
+        """The row-folded histogram ``==`` one bincount per row, for
+        ACGT and ambiguity codes (4..6) alike and past 255 cells."""
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, max_code + 1,
+                            (n_rows, n_cols)).astype(np.uint8)
+        n_codes = max_code + 1
+        expected = np.zeros((n_rows, n_codes), dtype=np.int32)
+        for index, row in enumerate(rows):
+            expected[index] = np.bincount(row, minlength=n_codes)
+        got = composition_profiles(rows, n_codes)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, expected)
 
     def test_identical_rows_bound_zero(self, rng):
         rows = rng.integers(0, 4, (3, 16)).astype(np.uint8)

@@ -124,7 +124,7 @@ class TestEndToEnd:
     def test_sharded_thread_poison_surfaces(self, checker,
                                             poison_plan):
         verdict = checker.check(
-            get_scenario("stream-sharded-thread-bitpacked"),
+            get_scenario("stream-sharded-thread-gemm"),
             poison_plan)
         assert verdict.ok
         assert verdict.verdict == "surfaced"
@@ -143,7 +143,7 @@ class TestEndToEnd:
             Fault("poisoned_open", "refstore.catalog.open", 0),
             seed=104)
         verdict = checker.check(
-            get_scenario("catalog-batched-bitpacked"), plan)
+            get_scenario("catalog-batched-gemm"), plan)
         assert verdict.ok
         assert verdict.verdict == "surfaced"
         assert verdict.error_type == "RefStoreError"
@@ -172,7 +172,7 @@ class TestEndToEnd:
         assert verdict.fired == ()
 
     def test_verdicts_reproduce(self, checker, poison_plan):
-        scenario = get_scenario("stream-sharded-thread-bitpacked")
+        scenario = get_scenario("stream-sharded-thread-gemm")
         first = checker.check(scenario, poison_plan)
         second = checker.check(scenario, poison_plan)
         assert first.describe() == second.describe()
@@ -187,13 +187,25 @@ class TestEndToEnd:
 
 
 class TestScenarioMatrix:
-    def test_matrix_covers_both_engines_and_backends(self):
+    def test_matrix_covers_every_engine_and_route(self):
+        from repro.kernels import available_backends
+
         assert {s.engine for s in SCENARIOS} == {"batched", "sharded"}
-        assert {s.backend for s in SCENARIOS} == \
-            {"numpy-gemm", "bitpacked"}
         assert {s.shard_engine for s in SCENARIOS
                 if s.shard_engine} == {"thread", "process"}
         assert {s.compaction for s in SCENARIOS} == {None, 8}
+        routes = [(s.route, s.engine, s.shard_engine) for s in SCENARIOS]
+        assert sorted(routes, key=str) == sorted([
+            ("stream", "batched", None),
+            ("stream", "sharded", "thread"),
+            ("stream", "sharded", "process"),
+            ("store", "sharded", "thread"),
+            ("store", "sharded", "process"),
+            ("catalog", "batched", None),
+            ("frontend", "batched", None),
+            ("frontend", "sharded", "thread"),
+        ], key=str)
+        assert {s.backend for s in SCENARIOS} <= set(available_backends())
 
     def test_reachable_points_are_valid(self):
         from repro.faults import HOOK_POINTS

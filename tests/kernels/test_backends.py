@@ -2,9 +2,10 @@
 
 The binding contract of :mod:`repro.kernels`: every registered backend
 returns **exactly equal integer counts** — the boolean comparison sweep
-is the reference semantics, the GEMM and bitpacked lanes are
-implementations of it.  These tests pin the registry/resolution API and
-the bit-identity at the primitive level; the execution-path identity
+is the reference semantics, the GEMM lane an implementation of it.
+These tests pin the registry/resolution API (against the test lane of
+``conftest.py``) and the bit-identity at the primitive level, including
+rows longer than 255 cells; the execution-path identity
 (scalar/batched/sweep/sharded) lives in ``test_cross_backend.py``.
 """
 
@@ -23,7 +24,6 @@ from repro.errors import CamConfigError
 from repro.kernels import (
     DEFAULT_BACKEND,
     KERNEL_BACKEND_ENV,
-    BitpackedBackend,
     GemmBackend,
     as_backend,
     available_backends,
@@ -48,10 +48,12 @@ def _reference_counts(segments: np.ndarray, queries: np.ndarray,
 
 
 class TestRegistry:
-    def test_both_builtin_backends_registered(self):
+    def test_gemm_is_the_builtin_backend(self):
+        assert available_backends() == ("numpy-gemm",)
+
+    def test_registered_lane_is_listed_sorted(self, reference_lane):
         names = available_backends()
-        assert "numpy-gemm" in names
-        assert "bitpacked" in names
+        assert names == (reference_lane, "numpy-gemm")
         assert names == tuple(sorted(names))
 
     def test_get_backend_unknown_name(self):
@@ -63,13 +65,13 @@ class TestRegistry:
     def test_as_backend_defaults_to_gemm(self):
         assert as_backend(None).name == DEFAULT_BACKEND == "numpy-gemm"
 
-    def test_as_backend_passthrough(self):
-        backend = BitpackedBackend()
+    def test_as_backend_passthrough(self, reference_lane):
+        backend = GemmBackend()
         assert as_backend(backend) is backend
-        assert as_backend("bitpacked").name == "bitpacked"
+        assert as_backend(reference_lane).name == reference_lane
 
     def test_validate_service_knobs_backend(self):
-        validate_service_knobs(backend="bitpacked")
+        validate_service_knobs(backend="numpy-gemm")
         validate_service_knobs(backend=GemmBackend())
         with pytest.raises(CamConfigError):
             validate_service_knobs(backend="no-such-backend")
@@ -95,13 +97,13 @@ class TestEncodedReferenceErrors:
 class TestResolutionOrder:
     """Explicit knob > ``REPRO_KERNEL_BACKEND`` env var > autotune."""
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "bitpacked")
+    def test_explicit_beats_env(self, monkeypatch, reference_lane):
+        monkeypatch.setenv(KERNEL_BACKEND_ENV, reference_lane)
         assert resolve_backend("numpy-gemm").name == "numpy-gemm"
 
-    def test_env_beats_autotune(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "bitpacked")
-        assert resolve_backend(None).name == "bitpacked"
+    def test_env_beats_autotune(self, monkeypatch, reference_lane):
+        monkeypatch.setenv(KERNEL_BACKEND_ENV, reference_lane)
+        assert resolve_backend(None).name == reference_lane
 
     def test_invalid_env_value_names_the_variable(self, monkeypatch):
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "warp-drive")
@@ -114,21 +116,21 @@ class TestResolutionOrder:
         assert resolve_backend(None).name in available_backends()
 
     def test_instance_passthrough(self):
-        backend = BitpackedBackend()
+        backend = GemmBackend()
         assert resolve_backend(backend) is backend
 
-    def test_array_resolves_explicit_knob(self):
+    def test_array_resolves_explicit_knob(self, reference_lane):
         array = CamArray(rows=4, cols=16, noisy=False,
-                         backend="bitpacked")
-        assert array.backend == "bitpacked"
+                         backend=reference_lane)
+        assert array.backend == reference_lane
 
     def test_array_rejects_unknown_backend(self):
         with pytest.raises(CamConfigError):
             CamArray(rows=4, cols=16, backend="warp-drive")
 
-    def test_array_env_override(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "bitpacked")
-        assert CamArray(rows=4, cols=16, noisy=False).backend == "bitpacked"
+    def test_array_env_override(self, monkeypatch, reference_lane):
+        monkeypatch.setenv(KERNEL_BACKEND_ENV, reference_lane)
+        assert CamArray(rows=4, cols=16, noisy=False).backend == reference_lane
 
 
 class TestEncodeOnce:
@@ -146,17 +148,17 @@ class TestEncodeOnce:
 
     def test_encoded_reference_arrays_are_read_only(self):
         encoded = encode_reference(np.zeros((2, 8), dtype=np.uint8))
-        for arr in (encoded.segments, encoded.onehot, encoded.planes,
-                    encoded.valid):
+        for arr in (encoded.segments, encoded.onehot):
             assert not arr.flags.writeable
 
 
 # -- randomized exact-equality properties (satellite: fallback lanes) --
 
 # Codes 0..3 are ACGT; 4..6 stand for N/ambiguity codes that force the
-# boolean fallback lane.
+# boolean fallback lane.  Rows reach 600 cells so random counts pass
+# 255 (a uint8 accumulator would wrap there).
 _acgt_rows = st.integers(min_value=1, max_value=7)
-_cols = st.integers(min_value=1, max_value=70)
+_cols = st.integers(min_value=1, max_value=600)
 
 
 @st.composite
@@ -190,8 +192,8 @@ class TestExactEqualityProperties:
     @given(_workload(max_code=6))
     def test_ambiguity_codes_fall_back_exactly(self, workload):
         """Reads with N/ambiguity codes agree with the boolean
-        reference on every backend (the packed/GEMM lanes route them
-        to the shared fallback)."""
+        reference on every backend (the GEMM lane routes them to the
+        shared fallback)."""
         segments, queries = workload
         encoded = encode_reference(segments)
         for ed_star in (True, False):
@@ -215,7 +217,7 @@ class TestExactEqualityProperties:
                 hd, backend.counts_batch(encoded, queries, ed_star=False))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=1, max_value=64),
+    @given(st.integers(min_value=1, max_value=600),
            st.integers(0, 2**32 - 1))
     def test_single_row_reference(self, n_cols, seed):
         rng = np.random.default_rng(seed)
@@ -240,27 +242,70 @@ class TestExactEqualityProperties:
 
 
 class TestCompositionProfiles:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=6),
-           st.integers(min_value=1, max_value=70),
-           st.integers(0, 2**32 - 1))
-    def test_backends_agree_with_bincount(self, max_code, n_cols, seed):
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, max_code + 1, (4, n_cols)).astype(np.uint8)
-        n_codes = int(rows.max()) + 1
-        expected = np.stack(
-            [np.bincount(row, minlength=n_codes) for row in rows]
-        ).astype(np.int32)
-        for name in available_backends():
-            got = get_backend(name).composition_profiles(rows, n_codes)
-            assert np.array_equal(got, expected), name
-
     def test_mixed_alphabet_pair_bound(self):
         """ACGT segments vs ambiguity-code reads: the profile widths
-        must agree (regression for the bitplane path returning 4 bins
-        when the other operand needs more)."""
+        must agree (both operands take the joint ``n_codes`` bins)."""
         segments = np.array([[0, 1, 2, 3]], dtype=np.uint8)
         reads = np.array([[0, 1, 2, 7]], dtype=np.uint8)
         bound = composition_lower_bound(segments, reads)
         assert bound.shape == (1, 1)
         assert bound[0, 0] == 1  # one base differs -> L1=2 -> bound 1
+
+
+def _composition_bound_reference(segments: np.ndarray,
+                                 reads: np.ndarray) -> np.ndarray:
+    """The 1-gram bound from one ``np.bincount`` per row."""
+    n_codes = int(max(segments.max(), reads.max())) + 1
+
+    def profiles(rows):
+        return np.stack([np.bincount(row, minlength=n_codes)
+                         for row in rows]).astype(np.int64)
+
+    l1 = np.abs(profiles(reads)[:, None, :]
+                - profiles(segments)[None, :, :]).sum(axis=2)
+    return (l1 + 1) // 2
+
+
+class TestPaperGeometry:
+    """Counts of 255 and more at the paper's 256-base row width.
+
+    A lane that accumulates per-row counts in ``uint8`` wraps at 256:
+    an all-mismatch row of 256 cells then reads as a perfect match.
+    The rows here make every count reach the row length.
+    """
+
+    @pytest.mark.parametrize("n_cols", [255, 256, 257, 1024])
+    def test_full_length_counts_match_reference(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        segments = np.stack([
+            np.full(n_cols, 1, dtype=np.uint8),  # all C
+            np.full(n_cols, 3, dtype=np.uint8),  # homopolymer T run
+            np.full(n_cols, 0, dtype=np.uint8),  # all A
+            rng.integers(0, 4, n_cols).astype(np.uint8),
+        ])
+        queries = np.stack([
+            np.full(n_cols, 0, dtype=np.uint8),  # all A
+            np.full(n_cols, 3, dtype=np.uint8),  # all T
+            rng.integers(0, 4, n_cols).astype(np.uint8),
+        ])
+        encoded = encode_reference(segments)
+        expected_ed = _reference_counts(segments, queries, True)
+        expected_hd = _reference_counts(segments, queries, False)
+        # The oracle itself: all A against all C mismatches every cell.
+        assert expected_ed[0, 0] == expected_hd[0, 0] == n_cols
+        for name in available_backends():
+            backend = get_backend(name)
+            assert np.array_equal(
+                backend.counts_batch(encoded, queries, ed_star=True),
+                expected_ed), name
+            assert np.array_equal(
+                backend.counts_batch(encoded, queries, ed_star=False),
+                expected_hd), name
+            ed, hd = backend.counts_batch_dual(encoded, queries)
+            assert np.array_equal(ed, expected_ed), name
+            assert np.array_equal(hd, expected_hd), name
+        bound = composition_lower_bound(segments, queries)
+        assert np.array_equal(
+            bound, _composition_bound_reference(segments, queries))
+        # A 256+-long T run is all T: the bound against all A is N.
+        assert bound[0, 1] == n_cols

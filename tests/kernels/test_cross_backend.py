@@ -1,11 +1,13 @@
 """Cross-backend bit-identity on every execution path.
 
-The tentpole contract of the kernel registry: swapping the backend
-knob changes *nothing observable* — decisions, per-read costs,
-cost-ledger views and aggregate reports are exactly equal on the
-scalar, batched, sweep and sharded paths (and through the streaming
-service and multi-session frontend built on them).  Everything here is
-asserted with ``==`` / ``array_equal``, never ``approx``.
+The contract of the kernel registry: swapping the backend knob changes
+*nothing observable* — decisions, per-read costs, cost-ledger views
+and aggregate reports are exactly equal on the scalar, batched, sweep
+and sharded paths (and through the streaming service and
+multi-session frontend built on them).  The GEMM lane is compared with
+the boolean-reference test lane of ``conftest.py``, so each path is
+checked against the reference count semantics end to end.  Everything
+here is asserted with ``==`` / ``array_equal``, never ``approx``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,13 @@ from repro.core.pipeline import (
 from repro.service.frontend import MappingFrontend
 from repro.service.stream import StreamingMappingService
 
-BACKENDS = ("numpy-gemm", "bitpacked")
 THRESHOLD = 12
+
+
+@pytest.fixture()
+def backends(reference_lane) -> "tuple[str, str]":
+    """The GEMM lane and the boolean-reference lane, in that order."""
+    return ("numpy-gemm", reference_lane)
 
 
 def _reads(dataset) -> np.ndarray:
@@ -58,10 +65,10 @@ def _assert_reports_identical(a, b):
 
 
 class TestScalarPath:
-    def test_search_and_match_identical(self, small_dataset_a):
+    def test_search_and_match_identical(self, small_dataset_a, backends):
         reads = _reads(small_dataset_a)[:6]
         per_backend = []
-        for backend in BACKENDS:
+        for backend in backends:
             matcher = _matcher(small_dataset_a, backend)
             outcomes = [matcher.match(read, THRESHOLD, query_key=i)
                         for i, read in enumerate(reads)]
@@ -74,22 +81,22 @@ class TestScalarPath:
             assert ref.latency_ns == alt.latency_ns
         _assert_stats_equal(ref_stats, alt_stats)
 
-    def test_raw_counts_identical(self, small_dataset_a):
+    def test_raw_counts_identical(self, small_dataset_a, backends):
         reads = _reads(small_dataset_a)[:4]
         for mode in (MatchMode.ED_STAR, MatchMode.HAMMING):
             counts = [
                 _matcher(small_dataset_a, b).array.mismatch_counts_batch(
                     reads, mode)
-                for b in BACKENDS
+                for b in backends
             ]
             assert np.array_equal(counts[0], counts[1])
 
 
 class TestBatchedPath:
-    def test_match_batch_identical(self, small_dataset_a):
+    def test_match_batch_identical(self, small_dataset_a, backends):
         reads = _reads(small_dataset_a)
         outcomes = []
-        for backend in BACKENDS:
+        for backend in backends:
             matcher = _matcher(small_dataset_a, backend)
             outcomes.append(matcher.match_batch(
                 reads, THRESHOLD, query_keys=list(range(reads.shape[0]))
@@ -104,11 +111,11 @@ class TestBatchedPath:
 
 
 class TestSweepPath:
-    def test_match_sweep_identical(self, small_dataset_a):
+    def test_match_sweep_identical(self, small_dataset_a, backends):
         reads = _reads(small_dataset_a)[:8]
         thresholds = np.asarray([6, 10, 14], dtype=int)
         outcomes = []
-        for backend in BACKENDS:
+        for backend in backends:
             matcher = _matcher(small_dataset_a, backend)
             outcomes.append(matcher.match_sweep(reads, thresholds))
         ref, alt = outcomes
@@ -118,10 +125,10 @@ class TestSweepPath:
 
 
 class TestShardedPath:
-    def test_sharded_run_identical(self, small_dataset_a):
+    def test_sharded_run_identical(self, small_dataset_a, backends):
         reads = list(_reads(small_dataset_a))
         reports, stats = [], []
-        for backend in BACKENDS:
+        for backend in backends:
             pipeline = ShardedReadMappingPipeline(
                 small_dataset_a.segments, small_dataset_a.model,
                 n_shards=4, seed=3, backend=backend,
@@ -135,10 +142,10 @@ class TestShardedPath:
 
 
 class TestServicePaths:
-    def test_streaming_service_identical(self, small_dataset_a):
+    def test_streaming_service_identical(self, small_dataset_a, backends):
         reads = list(_reads(small_dataset_a))
         reports = []
-        for backend in BACKENDS:
+        for backend in backends:
             service = StreamingMappingService(
                 small_dataset_a.segments, small_dataset_a.model,
                 threshold=THRESHOLD, micro_batch=5, seed=3,
@@ -149,10 +156,10 @@ class TestServicePaths:
             reports.append(service.close())
         _assert_reports_identical(reports[0], reports[1])
 
-    def test_frontend_sessions_identical(self, small_dataset_a):
+    def test_frontend_sessions_identical(self, small_dataset_a, backends):
         reads = list(_reads(small_dataset_a))
         reports = []
-        for backend in BACKENDS:
+        for backend in backends:
             with MappingFrontend(small_dataset_a.segments,
                                  small_dataset_a.model,
                                  backend=backend) as frontend:
@@ -162,24 +169,23 @@ class TestServicePaths:
             assert frontend.encode_count() == 1
         _assert_reports_identical(reports[0], reports[1])
 
-    def test_session_backend_override(self, small_dataset_a):
+    def test_session_backend_override(self, small_dataset_a, backends):
         reads = list(_reads(small_dataset_a))
         with MappingFrontend(small_dataset_a.segments,
                              small_dataset_a.model,
                              backend="numpy-gemm") as frontend:
             default = frontend.session(threshold=THRESHOLD, seed=3)
-            packed = frontend.session(threshold=THRESHOLD, seed=3,
-                                      backend="bitpacked")
+            other = frontend.session(threshold=THRESHOLD, seed=3,
+                                     backend=backends[1])
             assert default.pipeline.backend == "numpy-gemm"
-            assert packed.pipeline.backend == "bitpacked"
+            assert other.pipeline.backend == backends[1]
             default.submit_many(reads)
-            packed.submit_many(reads)
-            _assert_reports_identical(default.close(), packed.close())
+            other.submit_many(reads)
+            _assert_reports_identical(default.close(), other.close())
 
 
 class TestPipelineBackendProperty:
-    def test_batched_pipeline_reports_backend(self, small_dataset_a):
-        pipeline = ReadMappingPipeline(
-            _matcher(small_dataset_a, "bitpacked")
-        )
-        assert pipeline.backend == "bitpacked"
+    def test_batched_pipeline_reports_backend(self, small_dataset_a, backends):
+        for backend in backends:
+            pipeline = ReadMappingPipeline(_matcher(small_dataset_a, backend))
+            assert pipeline.backend == backend

@@ -171,14 +171,14 @@ class TestLedgerViews:
 class TestWorkerBackendResolution:
     def test_env_var_reaches_workers(self, workload, monkeypatch):
         segments, model, reads = workload
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bitpacked")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy-gemm")
         planned_before = autotune._PLANNED_BACKEND
         with ShardedReadMappingPipeline(
                 segments, model, n_shards=2, seed=5, chunk_size=8,
                 engine="process", max_workers=2) as pipe:
             report = pipe.run(reads, THRESHOLD)
             engine = pipe.process_engine()
-            assert engine.worker_backends() == ("bitpacked", "bitpacked")
+            assert engine.worker_backends() == ("numpy-gemm", "numpy-gemm")
             assert engine.worker_encode_counts() == (0, 0)
         # The spawn must not have perturbed the parent's backend plan.
         assert autotune._PLANNED_BACKEND == planned_before
@@ -193,11 +193,11 @@ class TestWorkerBackendResolution:
         with ShardedReadMappingPipeline(
                 segments, model, n_shards=2, seed=5, chunk_size=8,
                 engine="process", max_workers=1,
-                backend="bitpacked") as pipe:
+                backend="numpy-gemm") as pipe:
             report = pipe.run(reads[:8], THRESHOLD)
         with ShardedReadMappingPipeline(
                 segments, model, n_shards=2, seed=5, chunk_size=8,
-                engine="thread", backend="bitpacked") as thread_pipe:
+                engine="thread", backend="numpy-gemm") as thread_pipe:
             _reports_identical(thread_pipe.run(reads[:8], THRESHOLD),
                                report)
 

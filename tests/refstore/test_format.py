@@ -233,6 +233,16 @@ class TestValidation:
         with pytest.raises(RefStoreError, match="header version"):
             open_stored_reference(store)
 
+    def test_version_one_file_names_both_versions(self, store):
+        # A store written before the bitplanes left the payload.
+        with open(store, "r+b") as handle:
+            handle.seek(len(REFSTORE_MAGIC))
+            handle.write(struct.pack("<I", 1))
+        with pytest.raises(RefStoreError,
+                           match="header version 1; this build reads "
+                                 "version 2"):
+            open_stored_reference(store)
+
     def test_meta_corruption(self, store):
         _corrupt(store, HEADER.size)
         with pytest.raises(RefStoreError, match="meta checksum"):

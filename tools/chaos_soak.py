@@ -3,9 +3,8 @@
 
 Fans ``--schedules`` generated :class:`~repro.faults.plan.FaultPlan`
 schedules across the :data:`~repro.faults.scenarios.SCENARIOS` chaos
-matrix (batched + sharded engines, thread + process fan-out, both
-kernel backends, compaction on and off, stream / store / catalog /
-frontend routes) and judges every run with the
+matrix (batched + sharded engines, thread + process fan-out,
+compaction on and off, stream / store / catalog / frontend routes) and judges every run with the
 :class:`~repro.faults.checker.InvariantChecker` trichotomy: each
 injected fault must either **surface** as its documented typed error
 or be **tolerated** with results bit-identical to the fault-free
