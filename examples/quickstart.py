@@ -79,23 +79,6 @@ def main() -> None:
     # [/readme:sharded]
     assert sharded_report.n_reads == report.n_reads
 
-    # [readme:engine]
-    # Execution engines: the sharded fan-out defaults to threads, but
-    # engine="process" runs it on long-lived spawned workers that
-    # attach the encoded reference zero-copy through POSIX shared
-    # memory (explicit knob > REPRO_EXECUTION_ENGINE env var >
-    # per-machine autotune).  Engines are bit-identical by contract —
-    # swapping one changes scheduling and nothing else.
-    with ShardedReadMappingPipeline(
-            dataset.segments, dataset.model, n_shards=4, seed=1,
-            engine="process", max_workers=2) as process_sharded:
-        process_report = process_sharded.run(reads, threshold=4)
-    assert (process_report.total_energy_joules
-            == sharded_report.total_energy_joules)
-    print(f"engine : process == thread bit-for-bit over "
-          f"{process_sharded.n_shards} shards")
-    # [/readme:engine]
-
     # [readme:sweep]
     # Sweep path: a whole threshold sweep in ONE count+noise pass per
     # search — slice t is bit-identical to the batched path at

@@ -45,11 +45,8 @@ registered backend once per process and caches the winner — the last
 step of the selection order (explicit ``backend=`` knob >
 ``REPRO_KERNEL_BACKEND`` env var > calibration).
 
-The sharded fan-out's *execution engine* (worker threads vs worker
-processes over shared-memory references — :mod:`repro.parallel`)
-resolves here as well: :func:`plan_engine` is the autotune tail of the
-selection order (explicit ``engine=`` knob > ``REPRO_EXECUTION_ENGINE``
-env var > this), implemented by :func:`resolve_engine`.
+The reference catalog's byte budget is sized from reference shapes
+through :func:`estimate_stored_reference_bytes`.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import ArchConfigError, CamConfigError
+from repro.errors import ArchConfigError
 
 #: A shard below this many rows spends more time in per-pass Python
 #: dispatch than in the vectorised compare kernels.
@@ -249,38 +246,17 @@ def sweep_worker_count(n_runs: int,
     return max(1, min(int(n_runs), available_cpus(cpu_count)))
 
 
-# -- execution-engine selection ---------------------------------------------
-
-#: The sharded fan-out's execution engines: worker threads sharing the
-#: parent's memory, or worker processes attaching the encoded
-#: reference through shared memory (:mod:`repro.parallel`).
-EXECUTION_ENGINES = ("thread", "process")
-
-#: Environment knob forcing the execution engine (mirrors
-#: ``REPRO_KERNEL_BACKEND``): explicit ``engine=`` > this > autotune.
-ENGINE_ENV = "REPRO_EXECUTION_ENGINE"
-
-#: Below this core budget a process pool only adds spawn/IPC overhead
-#: on top of thread workers that already release the GIL in the
-#: vectorised kernels.
-PROCESS_MIN_CPUS = 4
+# -- stored-reference sizing ------------------------------------------------
 
 #: Encoded-reference bytes per stored cell: exactly 1 (uint8 segments)
-#: + 16 (float32 one-hot), the payload that
-#: :func:`repro.parallel.share_stored_reference` puts in shared memory.
+#: + 16 (float32 one-hot), the payload a reference store file carries.
 ENCODED_BYTES_PER_CELL = 17
-
-#: References whose encoded payload is smaller than this amortise
-#: neither the worker spawn nor the per-task queue hop; keep them on
-#: threads.
-PROCESS_MIN_REFERENCE_BYTES = 1 << 22
 
 
 def estimate_stored_reference_bytes(n_rows: int, cols: int) -> int:
     """Approximate encoded-payload bytes of one stored reference.
 
-    :data:`ENCODED_BYTES_PER_CELL` over the reference geometry — the
-    same estimate :func:`plan_engine` thresholds on, exposed so a
+    :data:`ENCODED_BYTES_PER_CELL` over the reference geometry, so a
     :class:`~repro.refstore.ReferenceCatalog` byte budget can be sized
     from reference shapes before any file exists.  Exact for the
     payload; a store file adds a fixed header and per-array alignment
@@ -291,66 +267,6 @@ def estimate_stored_reference_bytes(n_rows: int, cols: int) -> int:
     if cols <= 0:
         raise ArchConfigError(f"cols must be positive, got {cols}")
     return int(n_rows) * int(cols) * ENCODED_BYTES_PER_CELL
-
-
-def plan_engine(n_rows: int, cols: int,
-                n_shards: "int | None" = None,
-                cpu_count: "int | None" = None) -> str:
-    """Pick the sharded fan-out's execution engine for this workload.
-
-    ``"process"`` only pays off when all three of: the machine has
-    cores to scale onto (:data:`PROCESS_MIN_CPUS`), the reference is
-    partitioned (a single shard has no fan-out to parallelise), and
-    the encoded payload is large enough
-    (:data:`PROCESS_MIN_REFERENCE_BYTES`) that zero-copy sharing beats
-    the workers' spawn cost.  Everything else stays on ``"thread"``.
-    Either answer is purely a performance choice — the engines are
-    bit-identical by contract (see :mod:`repro.parallel`).
-
-    Parameters
-    ----------
-    n_rows / cols:
-        Reference geometry (drives the shared-payload estimate).
-    n_shards:
-        Resolved shard count (``None`` = unknown, assume partitioned).
-    cpu_count:
-        Core budget; defaults to ``os.cpu_count()``.  Explicit values
-        make plans reproducible across machines (tests pin this).
-    """
-    if n_rows <= 0:
-        raise ArchConfigError(f"n_rows must be positive, got {n_rows}")
-    if cols <= 0:
-        raise ArchConfigError(f"cols must be positive, got {cols}")
-    if n_shards is not None and n_shards < 2:
-        return "thread"
-    if available_cpus(cpu_count) < PROCESS_MIN_CPUS:
-        return "thread"
-    if n_rows * cols * ENCODED_BYTES_PER_CELL < PROCESS_MIN_REFERENCE_BYTES:
-        return "thread"
-    return "process"
-
-
-def resolve_engine(engine: "str | None", n_rows: int, cols: int,
-                   n_shards: "int | None" = None,
-                   cpu_count: "int | None" = None) -> str:
-    """Resolve the ``engine=`` knob through the standard order.
-
-    Explicit knob > :data:`ENGINE_ENV` environment variable >
-    :func:`plan_engine` autotune — the same shape as the kernel-backend
-    selection (:func:`repro.kernels.resolve_backend`).  Raises
-    :class:`~repro.errors.CamConfigError` on names outside
-    :data:`EXECUTION_ENGINES`, wherever they came from.
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or None
-    if engine is None:
-        return plan_engine(n_rows, cols, n_shards=n_shards,
-                           cpu_count=cpu_count)
-    if engine not in EXECUTION_ENGINES:
-        raise CamConfigError(
-            f"engine must be one of {EXECUTION_ENGINES}, got {engine!r}"
-        )
-    return engine
 
 
 # -- kernel-backend calibration ---------------------------------------------

@@ -274,7 +274,6 @@ class StoredReference:
         self._segments: "np.ndarray | None" = None
         self._sealed = False
         self._n_encodes = 0
-        self._source: "object | None" = None
 
     @classmethod
     def encode(cls, segments: np.ndarray,
@@ -297,25 +296,15 @@ class StoredReference:
         return reference
 
     @classmethod
-    def adopt_encoded(cls, encoded: EncodedReference,
-                      source: "object | None" = None) -> "StoredReference":
+    def adopt_encoded(cls, encoded: EncodedReference) -> "StoredReference":
         """A sealed reference *adopting* a pre-built encoding, zero-copy.
 
-        The attach path of :mod:`repro.parallel` and the mmap-open
-        path of :mod:`repro.refstore`: a process that mapped the
-        encoded payload out of shared memory or a store file rebuilds
-        the sealed value directly — the plane backs onto the shared
-        segment matrix (:meth:`~repro.cam.sram.SramPlane.from_stored`),
-        the encoding cache is pre-populated with the shared views, and
-        **no encoding pass runs** (:attr:`n_encodes` stays 0, the
-        encode-once evidence on both paths).
-
-        ``source`` records where the adopted payload came from — a
-        picklable provenance ticket (e.g. a
-        :class:`repro.refstore.format.FileReferenceHandle`) that lets
-        downstream engines re-attach the *same* bytes in another
-        process without copying them (see
-        :class:`repro.parallel.ProcessShardEngine`).
+        The mmap-open path of :mod:`repro.refstore` and its zero-copy
+        shard slicing: the sealed value is rebuilt directly over the
+        payload views — the plane backs onto the segment matrix
+        (:meth:`~repro.cam.sram.SramPlane.from_stored`), the encoding
+        cache is pre-populated with the views, and **no encoding pass
+        runs** (:attr:`n_encodes` stays 0, the encode-once evidence).
         """
         reference = cls.__new__(cls)
         reference._plane = SramPlane.from_stored(encoded.segments)
@@ -323,7 +312,6 @@ class StoredReference:
         reference._encoded = encoded
         reference._sealed = True
         reference._n_encodes = 0
-        reference._source = source
         return reference
 
     # -- configuration ----------------------------------------------------
@@ -349,18 +337,6 @@ class StoredReference:
     def n_segments(self) -> int:
         """Stored (written) reference rows."""
         return self._plane.n_written
-
-    @property
-    def source(self) -> "object | None":
-        """Provenance of an adopted payload (``None`` when encoded
-        in-process).
-
-        A picklable ticket another process can re-attach the same
-        bytes from — the path-based shard hand-off of
-        :class:`repro.parallel.ProcessShardEngine` reads it to skip
-        the per-boot shared-memory copy for store-backed references.
-        """
-        return self._source
 
     @property
     def n_encodes(self) -> int:

@@ -46,8 +46,8 @@ class SramPlane:
     def from_stored(cls, data: np.ndarray) -> "SramPlane":
         """A fully-written plane *adopting* an existing code matrix.
 
-        The zero-copy attach path of :mod:`repro.parallel`: the matrix
-        (typically a read-only view over a shared-memory buffer) backs
+        The zero-copy open path of :mod:`repro.refstore`: the matrix
+        (typically a read-only view over a mapped store file) backs
         the plane directly — no per-row copy — and every row is marked
         written.  Such a plane is immutable in practice: the adopted
         matrix is left read-only, so fault injection on it raises.

@@ -18,11 +18,8 @@ only, which is what the per-read diagnostics need.
   CAM-array *shards* (the contiguous bank assignment of
   :func:`repro.arch.scheduler.bank_row_ranges`), the global buffer
   broadcasts every read chunk to all shards, and shards search
-  concurrently — on an in-process thread pool (``engine="thread"``)
-  or on long-lived spawned worker processes attached to shared-memory
-  references (``engine="process"``, :mod:`repro.parallel`); the two
-  engines make bit-identical decisions and reports.  Matched rows come
-  back in global coordinates; per-read energy sums over shards while
+  concurrently on a persistent thread pool.  Matched rows come back
+  in global coordinates; per-read energy sums over shards while
   latency takes the maximum — shards operate in parallel, exactly
   like the banks behind the H-tree — so its cost totals are *not*
   comparable to a single-array run.
@@ -49,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arch.autotune import plan_shards, resolve_engine
+from repro.arch.autotune import plan_shards
 from repro.arch.scheduler import bank_row_ranges
 from repro.cam.array import CamArray, StoredReference, as_segments_matrix
 from repro.cost.events import BufferBroadcast
@@ -66,12 +63,11 @@ from repro.core.matcher import (
     MatchOutcome,
     MatcherConfig,
 )
-from repro.errors import CamConfigError, LedgerCompactionError
+from repro.errors import CamConfigError
 from repro.genome import alphabet
 from repro.genome.edits import ErrorModel
 from repro.genome.reads import ReadRecord
 from repro.knobs import validate_service_knobs
-from repro.parallel import LedgerSummary, ProcessShardEngine, ShardTask
 
 #: Reads handed to one worker task at a time; bounds the per-pass
 #: blocks a shard materialises while streaming a workload.
@@ -289,10 +285,8 @@ def _concat_outcomes(
         chunks: "list[MatchBatchOutcome]") -> MatchBatchOutcome:
     """Concatenate one shard's per-chunk outcomes in chunk order.
 
-    The single reassembly both engines use: the thread engine's
-    per-shard worker produces the chunk list in-process, the process
-    engine collects it from worker tasks — either way the arrays are
-    stitched back identically, chunk boundaries leaving no trace.
+    The arrays are stitched back identically to one un-chunked pass,
+    chunk boundaries leaving no trace.
     """
     if len(chunks) == 1:
         return chunks[0]
@@ -318,7 +312,9 @@ def resolve_shard_plan(n_rows: int, cols: int,
     """Resolve the ``(n_shards, chunk_size)`` knobs exactly once.
 
     The single definition of how ``None`` knobs autotune
-    (:func:`repro.arch.autotune.plan_shards`) — shared by
+    (:func:`repro.arch.autotune.plan_shards`) and of the check that
+    explicit ones are positive
+    (:class:`~repro.errors.CamConfigError` naming the knob) — shared by
     :class:`ShardedReadMappingPipeline` and the service layer's shard
     resolution (:func:`repro.service.session.shard_reference`), so a
     service session and a standalone pipeline built from the same
@@ -331,6 +327,10 @@ def resolve_shard_plan(n_rows: int, cols: int,
             n_shards = plan.n_shards
         if chunk_size is None:
             chunk_size = plan.chunk_size
+    if n_shards <= 0:
+        raise CamConfigError(
+            f"n_shards must be positive, got {n_shards}"
+        )
     if chunk_size <= 0:
         raise CamConfigError(
             f"chunk_size must be positive, got {chunk_size}"
@@ -406,9 +406,11 @@ class ShardedReadMappingPipeline:
         Number of array shards to partition the rows across; shards
         that would receive no rows are dropped.  ``None`` autotunes
         the shard count from the reference size and the machine's CPU
-        count (:func:`repro.arch.autotune.plan_shards`).  With
-        pre-encoded shard references the count is fixed by the
-        sequence; pass ``None`` (or the matching count).
+        count (:func:`repro.arch.autotune.plan_shards`); explicit
+        values must be positive (:class:`~repro.errors.CamConfigError`
+        otherwise, from :func:`resolve_shard_plan`).  With pre-encoded
+        shard references the count is fixed by the sequence; pass
+        ``None`` (or the matching count).
     config:
         Strategy configuration shared by every shard's matcher.
     domain / noisy / seed:
@@ -437,32 +439,12 @@ class ShardedReadMappingPipeline:
         Kernel backend for every shard array's mismatch-count
         primitives (``None`` = the standard selection order; see
         :mod:`repro.kernels`).  Bit-identical across backends, so the
-        knob only changes speed, never decisions or reports.  The
-        process engine ships the knob to its workers **by name** (each
-        worker re-resolves it in its own process), so with
-        ``engine="process"`` it must be a registry name string, never
-        a backend instance.
-    engine:
-        Shard fan-out execution engine: ``"thread"`` runs every shard
-        on the persistent in-process pool, ``"process"`` fans out to
-        long-lived spawned worker processes over shared-memory
-        references (:mod:`repro.parallel`).  ``None`` resolves through
-        the standard order — ``REPRO_EXECUTION_ENGINE`` environment
-        variable, then :func:`repro.arch.autotune.plan_engine`.  The
-        engines are bit-identical in decisions, per-read costs and
-        reports for any worker count; only wall-clock changes.
+        knob only changes speed, never decisions or reports.
     executor:
         An externally-owned executor to run the shard fan-out on
         instead of a private pool — the multi-session frontend shares
         one across every session's pipeline.  :meth:`close` leaves an
         injected executor running (its owner closes it).
-    process_engine:
-        An externally-owned :class:`~repro.parallel.ProcessShardEngine`
-        to run the process fan-out on instead of a private one — the
-        multi-session frontend shares one worker pool (and one set of
-        shared segments) across sessions.  Requires a resolved
-        ``engine`` of ``"process"`` and a shard count matching this
-        pipeline; :meth:`close` leaves an injected engine running.
     """
 
     def __init__(self,
@@ -477,14 +459,10 @@ class ShardedReadMappingPipeline:
                  chunk_size: "int | None" = DEFAULT_READ_CHUNK,
                  ledger_compaction: "int | None" = None,
                  backend: "str | None" = None,
-                 engine: "str | None" = None,
-                 executor: "ThreadPoolExecutor | None" = None,
-                 process_engine: "ProcessShardEngine | None" = None):
+                 executor: "ThreadPoolExecutor | None" = None):
         validate_service_knobs(compaction=ledger_compaction,
-                               max_workers=max_workers, backend=backend,
-                               engine=engine)
+                               max_workers=max_workers, backend=backend)
         self._matchers: list[AsmCapMatcher] = []
-        self._stored_shards: "tuple[StoredReference, ...] | None" = None
         if _is_stored_shards(segments):
             shards = tuple(segments)
             if n_shards is not None and n_shards != len(shards):
@@ -503,10 +481,6 @@ class ShardedReadMappingPipeline:
             _, chunk_size = resolve_shard_plan(
                 n_rows, self._cols, len(shards), chunk_size
             )
-            self._engine_kind = resolve_engine(
-                engine, n_rows, self._cols, n_shards=len(shards)
-            )
-            self._stored_shards = shards
             ranges, start = [], 0
             for shard_index, shard in enumerate(shards):
                 ranges.append((start, start + shard.n_segments))
@@ -525,57 +499,16 @@ class ShardedReadMappingPipeline:
             )
             self._ranges = bank_row_ranges(segments.shape[0], n_shards)
             self._cols = int(segments.shape[1])
-            self._engine_kind = resolve_engine(
-                engine, int(segments.shape[0]), self._cols,
-                n_shards=len(self._ranges),
-            )
-            if self._engine_kind == "process":
-                # The process engine shares sealed references, so the
-                # raw matrix is encoded shard by shard exactly once
-                # here; the parent-side matchers borrow the same
-                # references (bit-identical to the CamArray path —
-                # see StoredReference.encode).
-                self._stored_shards = tuple(
-                    StoredReference.encode(segments[start:stop])
-                    for start, stop in self._ranges
-                )
-                for shard_index, shard in enumerate(self._stored_shards):
-                    self._matchers.append(AsmCapMatcher.over_stored(
-                        shard, error_model, config, domain=domain,
-                        noisy=noisy, seed=seed + shard_index,
-                        ledger_compaction=ledger_compaction,
-                        backend=backend,
-                    ))
-            else:
-                for shard, (start, stop) in enumerate(self._ranges):
-                    array = CamArray(rows=stop - start, cols=self._cols,
-                                     domain=domain, noisy=noisy,
-                                     seed=seed + shard,
-                                     ledger_compaction=ledger_compaction,
-                                     backend=backend)
-                    array.store(segments[start:stop])
-                    self._matchers.append(
-                        AsmCapMatcher(array, error_model, config,
-                                      seed=seed + shard)
-                    )
-        if self._engine_kind == "process" and backend is not None \
-                and not isinstance(backend, str):
-            raise CamConfigError(
-                "the process engine resolves kernel backends by name "
-                "inside each worker; pass a registry name string, not "
-                f"a backend instance ({backend!r})"
-            )
-        if process_engine is not None:
-            if self._engine_kind != "process":
-                raise CamConfigError(
-                    f"process_engine was injected but the resolved "
-                    f"execution engine is {self._engine_kind!r}"
-                )
-            if process_engine.n_shards != len(self._matchers):
-                raise CamConfigError(
-                    f"the injected process engine serves "
-                    f"{process_engine.n_shards} shards; this pipeline "
-                    f"has {len(self._matchers)}"
+            for shard, (start, stop) in enumerate(self._ranges):
+                array = CamArray(rows=stop - start, cols=self._cols,
+                                 domain=domain, noisy=noisy,
+                                 seed=seed + shard,
+                                 ledger_compaction=ledger_compaction,
+                                 backend=backend)
+                array.store(segments[start:stop])
+                self._matchers.append(
+                    AsmCapMatcher(array, error_model, config,
+                                  seed=seed + shard)
                 )
         self._chunk_size = int(chunk_size)
         if max_workers is None:
@@ -586,25 +519,6 @@ class ShardedReadMappingPipeline:
             self._max_workers = int(max_workers)
         self._external_executor = executor
         self._pool: "ThreadPoolExecutor | None" = None
-        self._external_engine = process_engine
-        self._owned_engine: "ProcessShardEngine | None" = None
-        # Task-construction state for the process fan-out: tasks are
-        # self-contained (seed/config/model/backend travel with each
-        # one), which is what lets sessions with different settings
-        # share one engine.
-        self._model = error_model
-        self._config = config
-        self._domain = domain
-        self._noisy = bool(noisy)
-        self._seed = int(seed)
-        self._task_backend: "str | None" = backend \
-            if isinstance(backend, str) else None
-        #: Per-shard worker-side ledger summaries, in chunk order —
-        #: the process engine's bounded-memory stand-in for the shard
-        #: ledgers the thread engine accumulates in-process.
-        self._summaries: "list[list[LedgerSummary]]" = [
-            [] for _ in self._matchers
-        ]
         #: System-level traffic events (global-buffer broadcasts); the
         #: per-shard search passes live in each shard array's ledger.
         self._ledger = CostLedger(compaction=ledger_compaction)
@@ -622,11 +536,6 @@ class ShardedReadMappingPipeline:
     def backend(self) -> str:
         """Kernel backend name shared by every shard array."""
         return self._matchers[0].array.backend
-
-    @property
-    def engine(self) -> str:
-        """Resolved shard fan-out engine (``"thread"`` or ``"process"``)."""
-        return self._engine_kind
 
     @property
     def ledger(self) -> CostLedger:
@@ -657,49 +566,16 @@ class ShardedReadMappingPipeline:
         """True when the fan-out pool is pipeline-private (not injected)."""
         return self._external_executor is None
 
-    def _process_pool(self) -> ProcessShardEngine:
-        """The persistent process engine (injected, or lazily built).
-
-        The private engine shares every shard reference and spawns its
-        workers on first use — the same lazy shape as the thread pool,
-        so merely constructing a process pipeline costs no processes.
-        """
-        if self._external_engine is not None:
-            return self._external_engine
-        if self._owned_engine is None:
-            self._owned_engine = ProcessShardEngine(
-                self._stored_shards, domain=self._domain,
-                noisy=self._noisy, n_workers=self._max_workers,
-            )
-        return self._owned_engine
-
-    @property
-    def owns_process_engine(self) -> bool:
-        """True when the process engine is pipeline-private (not injected)."""
-        return self._external_engine is None
-
-    def process_engine(self) -> "ProcessShardEngine | None":
-        """The live process engine, if any (``None`` before the lazy
-        start of a private one, and always on the thread engine)."""
-        if self._external_engine is not None:
-            return self._external_engine
-        return self._owned_engine
-
     def close(self) -> None:
-        """Release the private fan-out resources (idempotent).
+        """Release the private fan-out pool (idempotent).
 
-        Shuts down the private thread pool and/or the private process
-        engine (joining its workers and unlinking their shared-memory
-        segments).  Injected executors/engines are left untouched —
-        their owner closes them.  The pipeline stays usable: a later
-        :meth:`run` re-creates the private pool or engine.
+        An injected executor is left untouched — its owner closes it.
+        The pipeline stays usable: a later :meth:`run` re-creates the
+        private pool.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._owned_engine is not None:
-            self._owned_engine.close()
-            self._owned_engine = None
 
     def __enter__(self) -> "ShardedReadMappingPipeline":
         return self
@@ -718,15 +594,7 @@ class ShardedReadMappingPipeline:
         the shard checkpoints cannot be spliced mid-stream (the merge
         raises :class:`~repro.errors.LedgerCompactionError`) — read
         whole-system statistics through :meth:`merged_stats` instead.
-        The process engine folds worker-side events at the process
-        boundary (only summaries cross it), so it raises too.
         """
-        if self._engine_kind == "process":
-            raise LedgerCompactionError(
-                "the process engine folds worker-side ledger events at "
-                "the process boundary; read whole-system statistics "
-                "through merged_stats() or ledger_observability()"
-            )
         return CostLedger.merged(
             self._ledger,
             *(matcher.array.ledger for matcher in self._matchers),
@@ -743,22 +611,7 @@ class ShardedReadMappingPipeline:
         Note the combination order differs from
         ``search_stats(merged_ledger())``'s single interleaved fold,
         so the two agree to float precision, not bit-for-bit.
-
-        On the process engine each worker folds its task's ledger
-        before returning (:class:`~repro.parallel.LedgerSummary`), and
-        the folds are summed here in deterministic shard-major task
-        order.  Integer counters are exact against the thread engine;
-        the float totals group additions per task rather than per
-        event, so they agree to float precision, not bit-for-bit (the
-        per-read energies/latencies in the report stay bit-identical —
-        they never cross a fold).
         """
-        if self._engine_kind == "process":
-            return merge_search_stats(
-                summary.stats
-                for shard in self._summaries
-                for summary in shard
-            )
         return merge_search_stats(
             search_stats(matcher.array.ledger)
             for matcher in self._matchers
@@ -771,24 +624,8 @@ class ShardedReadMappingPipeline:
         ``(pass_counts, events_live, events_folded,
         population_elements, compactions)`` — the same fold
         :func:`repro.cost.views.fold_ledger_observability` defines for
-        in-process ledgers.  On the thread engine it runs over the
-        broadcast ledger plus every shard ledger; on the process
-        engine the shard events were folded worker-side, so each
-        task's :class:`~repro.parallel.LedgerSummary` contributes its
-        pass counts and folded-event total (counted as one compaction
-        — the fold at the process boundary).
+        ledgers, over the broadcast ledger plus every shard ledger.
         """
-        if self._engine_kind == "process":
-            pass_counts, live, folded, population, compactions = \
-                fold_ledger_observability((self._ledger,))
-            for shard in self._summaries:
-                for summary in shard:
-                    for name, count in summary.pass_counts.items():
-                        pass_counts[name] = \
-                            pass_counts.get(name, 0) + count
-                    folded += summary.n_events
-                    compactions += 1
-            return pass_counts, live, folded, population, compactions
         return fold_ledger_observability(
             (self._ledger,
              *(matcher.array.ledger for matcher in self._matchers))
@@ -851,8 +688,6 @@ class ShardedReadMappingPipeline:
             self._ledger.record(BufferBroadcast(
                 n_reads=stop - start, read_bits=read_bits,
             ))
-        if self._engine_kind == "process":
-            return self._run_process(codes, threshold, keys)
         pool = self._executor()
         futures = [
             pool.submit(self._match_shard, matcher, codes, threshold,
@@ -872,47 +707,6 @@ class ShardedReadMappingPipeline:
             futures_wait(futures)
             raise
         return self._merge(shard_outcomes, keys)
-
-    def _run_process(self, codes: np.ndarray, threshold: int,
-                     keys: "list[int]") -> MappingReport:
-        """The process fan-out: self-contained tasks, deterministic merge.
-
-        Tasks are cut at exactly the thread engine's chunk boundaries
-        and enumerated chunk-major (every shard of chunk 0, then of
-        chunk 1, ...), so the earliest work reaches idle workers
-        first.  :meth:`~repro.parallel.ProcessShardEngine.run_tasks`
-        returns results in task order regardless of scheduling, and
-        the per-shard chunk concatenation plus :meth:`_merge` below
-        are the very same code the thread engine runs — which is the
-        mechanical half of the bit-identity contract (the keyed noise
-        streams are the other half).
-        """
-        engine = self._process_pool()
-        n_shards = len(self._matchers)
-        tasks = []
-        for start in range(0, codes.shape[0], self._chunk_size):
-            stop = start + self._chunk_size
-            chunk = np.ascontiguousarray(codes[start:stop])
-            chunk_keys = tuple(int(key) for key in keys[start:stop])
-            for shard_index in range(n_shards):
-                tasks.append(ShardTask(
-                    shard_index=shard_index, codes=chunk,
-                    keys=chunk_keys, threshold=int(threshold),
-                    seed=self._seed, config=self._config,
-                    error_model=self._model,
-                    backend=self._task_backend,
-                ))
-        results = engine.run_tasks(tasks)
-        per_shard: "list[list[MatchBatchOutcome]]" = [
-            [] for _ in range(n_shards)
-        ]
-        for index, (outcome, summary) in enumerate(results):
-            shard_index = index % n_shards
-            per_shard[shard_index].append(outcome)
-            self._summaries[shard_index].append(summary)
-        return self._merge(
-            [_concat_outcomes(chunks) for chunks in per_shard], keys
-        )
 
     def _match_shard(self, matcher: AsmCapMatcher, codes: np.ndarray,
                      threshold: int,

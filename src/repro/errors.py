@@ -71,7 +71,7 @@ class RefStoreError(CamConfigError):
     wrong format/version, or when a :class:`~repro.refstore.catalog.
     ReferenceCatalog` rule is violated (evicting a pinned reference,
     borrowing an unknown name, exceeding lifecycle bounds).  Derives
-    from :class:`CamConfigError` so transport-agnostic callers that
-    already guard shared-memory attach failures catch file-store
-    failures with the same ``except`` clause.
+    from :class:`CamConfigError` so callers that already guard
+    configuration errors catch file-store failures with the same
+    ``except`` clause.
     """

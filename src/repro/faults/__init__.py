@@ -7,7 +7,7 @@ resource — into actively falsified properties:
 * :mod:`repro.faults.plan` — typed faults and seed-keyed
   :class:`FaultPlan` schedules (same seed, same schedule);
 * :mod:`repro.faults.hooks` — the named injection points threaded
-  through the parallel/refstore/service modules (:func:`fire` is a
+  through the refstore/service modules (:func:`fire` is a
   no-op unless a plan is :func:`arm`-ed);
 * :mod:`repro.faults.checker` — the :class:`InvariantChecker` judging
   every chaos run against the surface-or-tolerate trichotomy plus

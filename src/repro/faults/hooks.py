@@ -11,23 +11,19 @@ hooks live permanently on the dispatch paths.
 Armed, every ``fire(point)`` increments that point's hit counter (under
 one lock, so concurrent dispatch threads count consistently) and, when
 the plan schedules a fault on ``(point, hit)``, applies the fault's
-action: killing a worker, flipping payload bytes, truncating a store
-buffer, raising a typed error, or sleeping.  Actions run *outside* the
-counter lock — a stall must not serialise unrelated hook points.
+action: flipping payload bytes, truncating a store buffer, corrupting
+a store file, raising a typed error, or sleeping.  Actions run
+*outside* the counter lock — a stall must not serialise unrelated hook
+points.
 
 Arming is deliberately process-local and non-reentrant: one armed plan
-at a time, and faults never propagate into spawned worker processes
-(the ``spawn`` context inherits nothing) — which is why cross-process
-faults are injected on the parent side (e.g. ``shm_corrupt`` flips the
-segment at *share* time, so the worker's attach fails through the
-engine's existing fatal handshake).
+at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import signal
 import threading
 import time
 
@@ -51,8 +47,8 @@ def fire(point: str, **ctx) -> None:
 
     Production call sites invoke this unconditionally — the unarmed
     path returns immediately.  *ctx* carries whatever the point's
-    faults may need (the engine, a mutable buffer + layout, a file
-    path); unused context is ignored.
+    faults may need (a mutable buffer, a file path); unused context
+    is ignored.
     """
     injector = _ACTIVE
     if injector is None:
@@ -105,7 +101,7 @@ class FaultInjector:
             if fault is not None:
                 self.fired.append(fault)
         if fault is not None:
-            # Outside the lock: a stall or kill must not serialise
+            # Outside the lock: a stall must not serialise
             # other hook points (or deadlock a concurrent fire).
             _apply(fault, ctx)
 
@@ -146,21 +142,11 @@ def _stall(fault: Fault, ctx: dict) -> None:
     time.sleep(_STALL_MIN_SECONDS + (fault.arg % 1000) / 1000.0 * span)
 
 
-def _kill_worker(fault: Fault, ctx: dict) -> None:
-    engine = ctx.get("engine")
-    if engine is None:
-        return
-    pids = engine.worker_pids()
-    if not pids:
-        return
-    os.kill(pids[fault.arg % len(pids)], signal.SIGKILL)
-
-
 def _payload_bounds(buf) -> "tuple[int, int]":
     """(payload_start, payload_length) read from a sealed container
     header — so corruption always lands on CRC-covered bytes even when
     the buffer is page-rounded past the payload."""
-    from repro.parallel.header import HEADER, aligned
+    from repro.refstore.header import HEADER, aligned
 
     _, _, meta_length, _, _, payload_length = HEADER.unpack_from(buf, 0)
     return aligned(HEADER.size + meta_length), payload_length
@@ -211,10 +197,6 @@ def _flood_backlog(fault: Fault, ctx: dict) -> None:
 
 
 _ACTIONS = {
-    "worker_kill": _kill_worker,
-    "kill_mid_drain": _kill_worker,
-    "worker_stall": _stall,
-    "shm_corrupt": _flip_payload_byte,
     "store_truncate": _truncate_store,
     "store_crc_flip": _flip_payload_byte,
     "poisoned_open": _corrupt_store_file,

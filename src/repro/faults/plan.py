@@ -12,7 +12,7 @@ exactly and assert that verdicts are reproducible.
 The catalogue of injectable failures lives in :data:`FAULT_SPECS`: for
 every kind, the hook points it may attach to and the *documented* typed
 errors it is allowed to surface as.  A kind with an empty expected set
-(``worker_stall``, ``slow_batch``) must be **tolerated** — the run has
+(``slow_batch``) must be **tolerated** — the run has
 to complete bit-identically to the fault-free baseline.  That table is
 the single source the :class:`~repro.faults.checker.InvariantChecker`
 judges runs against; adding a fault kind means declaring its contract
@@ -47,9 +47,6 @@ __all__ = [
 #: ``fire(point, ...)`` calls with any other name raise at arm time —
 #: a typo'd hook would otherwise silently never fire.
 HOOK_POINTS = (
-    "parallel.engine.dispatch",
-    "parallel.shm.share",
-    "parallel.shm.attach",
     "refstore.save",
     "refstore.open",
     "refstore.catalog.open",
@@ -79,26 +76,6 @@ class FaultSpec:
 #: reachable only through merge-rule violations, which no current kind
 #: induces, but it stays in the documented surface set of the checker.
 FAULT_SPECS: "dict[str, FaultSpec]" = {
-    "worker_kill": FaultSpec(
-        points=("parallel.engine.dispatch",),
-        expected=(ServiceError,),
-        doc="SIGKILL one process-engine worker before a dispatch",
-    ),
-    "kill_mid_drain": FaultSpec(
-        points=("parallel.engine.dispatch",),
-        expected=(ServiceError,),
-        doc="SIGKILL one worker at the drain-time dispatch",
-    ),
-    "worker_stall": FaultSpec(
-        points=("parallel.engine.dispatch",),
-        expected=(),
-        doc="stall a dispatch briefly (latency only; must be tolerated)",
-    ),
-    "shm_corrupt": FaultSpec(
-        points=("parallel.shm.share", "parallel.shm.attach"),
-        expected=(ServiceError, CamConfigError),
-        doc="flip one payload byte of a shared reference segment",
-    ),
     "store_truncate": FaultSpec(
         points=("refstore.save",),
         expected=(RefStoreError,),
@@ -140,7 +117,7 @@ DOCUMENTED_ERRORS = (ServiceError, CamConfigError, LedgerCompactionError)
 class Fault:
     """One scheduled failure: *kind* at *point*, on that point's
     *hit*-th firing (0-based), with a kind-specific integer *arg*
-    (byte offset, worker index, stall milliseconds — see
+    (byte offset, stall milliseconds — see
     :mod:`repro.faults.hooks`)."""
 
     kind: str
@@ -215,9 +192,7 @@ class FaultPlan:
 
         Picks *n_faults* faults from *kinds* (default: every kind),
         each attached to one of its allowed points at a hit index in
-        ``[0, max_hits)``.  ``kill_mid_drain`` always lands on hit
-        ``max_hits - 1``: callers size *max_hits* to their run's
-        dispatch count so the kill arrives at the drain-time dispatch.
+        ``[0, max_hits)``.
 
         *points*, when given, restricts attachment to hook points the
         caller's workload actually reaches (a chaos scenario's
@@ -260,8 +235,7 @@ class FaultPlan:
             if not allowed:
                 continue
             point = rng.choice(allowed)
-            hit = (max_hits - 1 if kind == "kill_mid_drain"
-                   else rng.randrange(max_hits))
+            hit = rng.randrange(max_hits)
             if (point, hit) in taken:
                 continue
             taken.add((point, hit))

@@ -16,8 +16,7 @@ size) rather than autotuned, so hit indices — and therefore which
 dispatch a scheduled fault lands on — are identical on every machine.
 Every scenario issues exactly :data:`N_DISPATCHES` micro-batch
 dispatches (the last one at drain time), which is the ``max_hits`` a
-generated plan should use; ``kill_mid_drain`` then lands on the
-drain-time dispatch by construction.
+generated plan should use.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ SEED = 11
 N_SHARDS = 2
 #: ceil(N_READS / MICRO_BATCH): 4 full batches + the drain-time flush.
 N_DISPATCHES = 5
-
-#: Fault kinds reaching the process engine's hook points (appended to
-#: a scenario's service-level kinds when its fan-out is ``process``).
-_PROCESS_KINDS = ("worker_kill", "worker_stall", "kill_mid_drain")
 
 
 def _workload() -> "tuple[np.ndarray, list[np.ndarray]]":
@@ -108,7 +103,6 @@ class ChaosScenario:
 
     name: str
     engine: str                      # "batched" | "sharded"
-    shard_engine: "str | None"       # None | "thread" | "process"
     backend: str
     compaction: "int | None"
     route: str                       # "stream" | "store" | "catalog"
@@ -120,10 +114,7 @@ class ChaosScenario:
     def reachable_points(self) -> "tuple[str, ...]":
         """The hook points this route actually drives — plan
         generation attaches faults here only, so schedules are rarely
-        vacuous.  ``parallel.shm.attach`` is never listed: it fires in
-        the spawned worker, where the parent's armed injector does not
-        exist (shm corruption is injected parent-side at share time
-        instead)."""
+        vacuous."""
         if self.route == "frontend":
             return ("service.frontend.enqueue",
                     "service.frontend.execute")
@@ -132,11 +123,6 @@ class ChaosScenario:
             points += ("refstore.save", "refstore.open")
         elif self.route == "catalog":
             points += ("refstore.save", "refstore.catalog.open")
-        if self.shard_engine == "process":
-            points += ("parallel.engine.dispatch",)
-            if self.route == "stream":
-                # File-backed routes share shards by path, not shm.
-                points += ("parallel.shm.share",)
         return points
 
     def run(self) -> ScenarioOutcome:
@@ -163,8 +149,7 @@ class ChaosScenario:
             "backend": self.backend,
         }
         if self.engine == "sharded":
-            kwargs.update(n_shards=N_SHARDS, max_workers=1,
-                          shard_engine=self.shard_engine)
+            kwargs.update(n_shards=N_SHARDS, max_workers=1)
         kwargs.update(extra)
         return StreamingMappingService(source, **kwargs)
 
@@ -234,8 +219,7 @@ class ChaosScenario:
         kwargs = {"engine": self.engine, "pool_workers": 2,
                   "backend": self.backend}
         if self.engine == "sharded":
-            kwargs.update(n_shards=N_SHARDS,
-                          shard_engine=self.shard_engine)
+            kwargs.update(n_shards=N_SHARDS)
         frontend = MappingFrontend(segments, _error_model(), **kwargs)
         handled: "list[BaseException]" = []
         try:
@@ -264,56 +248,50 @@ class ChaosScenario:
 
 _SERVICE_KINDS = ("poisoned_read", "slow_batch")
 
-#: The chaos matrix: both service engines, both shard fan-out engines,
-#: compaction on and off, all four routes.
+#: The chaos matrix: both service engines, compaction on and off, all
+#: four routes.
 SCENARIOS: "tuple[ChaosScenario, ...]" = (
     ChaosScenario(
         name="stream-batched-gemm",
-        engine="batched", shard_engine=None, backend="numpy-gemm",
+        engine="batched", backend="numpy-gemm",
         compaction=None, route="stream",
         fault_kinds=_SERVICE_KINDS,
     ),
     ChaosScenario(
-        name="stream-sharded-thread-gemm",
-        engine="sharded", shard_engine="thread", backend="numpy-gemm",
+        name="stream-sharded-gemm",
+        engine="sharded", backend="numpy-gemm",
         compaction=8, route="stream",
         fault_kinds=_SERVICE_KINDS,
     ),
     ChaosScenario(
-        name="stream-sharded-process-gemm",
-        engine="sharded", shard_engine="process", backend="numpy-gemm",
-        compaction=8, route="stream",
-        fault_kinds=_SERVICE_KINDS + _PROCESS_KINDS + ("shm_corrupt",),
-    ),
-    ChaosScenario(
-        name="store-sharded-thread-gemm",
-        engine="sharded", shard_engine="thread", backend="numpy-gemm",
+        name="store-sharded-gemm",
+        engine="sharded", backend="numpy-gemm",
         compaction=None, route="store",
         fault_kinds=_SERVICE_KINDS + ("store_truncate",
                                       "store_crc_flip"),
     ),
     ChaosScenario(
-        name="store-sharded-process-gemm",
-        engine="sharded", shard_engine="process", backend="numpy-gemm",
+        name="store-sharded-compact-gemm",
+        engine="sharded", backend="numpy-gemm",
         compaction=8, route="store",
-        fault_kinds=_SERVICE_KINDS + _PROCESS_KINDS
-        + ("store_truncate", "store_crc_flip"),
+        fault_kinds=_SERVICE_KINDS + ("store_truncate",
+                                      "store_crc_flip"),
     ),
     ChaosScenario(
         name="catalog-batched-gemm",
-        engine="batched", shard_engine=None, backend="numpy-gemm",
+        engine="batched", backend="numpy-gemm",
         compaction=8, route="catalog",
         fault_kinds=_SERVICE_KINDS + ("poisoned_open",),
     ),
     ChaosScenario(
         name="frontend-batched-gemm",
-        engine="batched", shard_engine=None, backend="numpy-gemm",
+        engine="batched", backend="numpy-gemm",
         compaction=8, route="frontend",
         fault_kinds=("poisoned_read", "slow_batch", "backlog_flood"),
     ),
     ChaosScenario(
-        name="frontend-sharded-thread-gemm",
-        engine="sharded", shard_engine="thread", backend="numpy-gemm",
+        name="frontend-sharded-gemm",
+        engine="sharded", backend="numpy-gemm",
         compaction=None, route="frontend",
         fault_kinds=("poisoned_read", "slow_batch", "backlog_flood"),
     ),

@@ -87,7 +87,7 @@ def encode_reference(segments: np.ndarray) -> EncodedReference:
 
 
 #: The payload arrays of an :class:`EncodedReference`, in the fixed
-#: serialisation order the shared-memory transport uses.
+#: serialisation order of the reference store's container.
 ENCODED_REFERENCE_FIELDS = ("segments", "onehot")
 
 
@@ -95,11 +95,11 @@ def encoded_reference_arrays(
         encoded: EncodedReference) -> "tuple[tuple[str, np.ndarray], ...]":
     """``(name, array)`` pairs of an encoding's payload, fixed order.
 
-    The single definition of "everything a worker process needs to
-    search a reference" — :mod:`repro.parallel` serialises exactly
-    these arrays into a shared-memory segment, and
-    :func:`encoded_reference_from_arrays` rebuilds the value from
-    them, so the transport cannot drift from the dataclass.
+    The single definition of "everything needed to search a
+    reference" — :mod:`repro.refstore` writes exactly these arrays
+    into a store file, and :func:`encoded_reference_from_arrays`
+    rebuilds the value from them, so the file format cannot drift
+    from the dataclass.
     """
     return tuple((name, getattr(encoded, name))
                  for name in ENCODED_REFERENCE_FIELDS)
@@ -130,10 +130,10 @@ def encoded_reference_from_arrays(
         arrays: "dict[str, np.ndarray]") -> EncodedReference:
     """Rebuild an :class:`EncodedReference` from its payload arrays.
 
-    The inverse of :func:`encoded_reference_arrays` for zero-copy
-    transports: the arrays are adopted as-is (marked read-only, never
-    copied, no re-encoding pass), so views over a shared-memory buffer
-    stay views.
+    The inverse of :func:`encoded_reference_arrays` for the zero-copy
+    store open: the arrays are adopted as-is (marked read-only, never
+    copied, no re-encoding pass), so views over a mapped file stay
+    views.
     """
     missing = [name for name in ENCODED_REFERENCE_FIELDS
                if name not in arrays]

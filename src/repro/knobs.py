@@ -11,12 +11,9 @@ boundary — ``micro_batch=0`` is a configuration mistake, not a request
 for autotuning (that is ``None``), and it should fail loudly instead
 of being coerced or surfacing as an unrelated lower-layer error.
 
-The sharded fan-out's execution-engine knob (``engine="thread" |
-"process"`` on the pipeline, ``shard_engine=`` at the service layer —
-see :mod:`repro.parallel`) is validated here too, since it threads
-through the same layers.  Knobs that only exist at the service layer
-(the service's own ``engine="batched" | "sharded"``,
-``backpressure=``, ``pool_workers=``) keep raising
+Knobs that only exist at the service layer (the service's
+``engine="batched" | "sharded"``, ``backpressure=``,
+``pool_workers=``) keep raising
 :class:`~repro.errors.ServiceError` there — this gate owns exactly the
 knobs that thread through multiple layers.
 """
@@ -32,23 +29,12 @@ def validate_service_knobs(micro_batch: "int | None" = None,
                            *,
                            max_workers: "int | None" = None,
                            backend: "str | KernelBackend | None" = None,
-                           engine: "str | None" = None,
                            ) -> None:
     """Reject falsy/invalid cross-layer knobs at a constructor boundary.
 
     Every knob treats ``None`` as "autotune/disable"; explicit values
     must be valid.  Raises :class:`~repro.errors.CamConfigError`.
     """
-    if engine is not None:
-        # Function-level import: the autotune module sits above the
-        # kernels registry this gate already imports.
-        from repro.arch.autotune import EXECUTION_ENGINES
-
-        if engine not in EXECUTION_ENGINES:
-            raise CamConfigError(
-                f"engine must be one of {EXECUTION_ENGINES}, got "
-                f"{engine!r}"
-            )
     if micro_batch is not None and int(micro_batch) < 1:
         raise CamConfigError(
             f"micro_batch must be positive, got {micro_batch}"

@@ -4,9 +4,9 @@ Encode a reference once, :func:`save_stored_reference` it, and every
 later service boot :func:`open_stored_reference`-s the file back as a
 sealed zero-copy :class:`~repro.cam.array.StoredReference` via
 ``mmap`` — no encoding pass (``n_encodes`` stays 0), page-cache
-shared across processes, every open guarded by the same
-magic/version/CRC32 ladder as the shared-memory transport (the two
-containers share one codec, :mod:`repro.parallel.header`).
+shared across processes, every open guarded by a
+magic/version/CRC32 ladder (the container codec,
+:mod:`repro.refstore.header`).
 
 :class:`ReferenceCatalog` layers multi-tenant residency on top:
 names → files, lazy opens, byte-budgeted LRU eviction that never
@@ -26,7 +26,6 @@ from repro.refstore.catalog import (
 from repro.refstore.format import (
     REFSTORE_MAGIC,
     REFSTORE_VERSION,
-    FileReferenceHandle,
     MappedReference,
     open_stored_reference,
     save_stored_reference,
@@ -35,7 +34,6 @@ from repro.refstore.format import (
 
 __all__ = [
     "CatalogStats",
-    "FileReferenceHandle",
     "MappedReference",
     "REFSTORE_MAGIC",
     "REFSTORE_VERSION",

@@ -1,12 +1,9 @@
 """The on-disk stored-reference container: save once, mmap forever.
 
-The boot-time twin of :mod:`repro.parallel.shm`: where the shared
-memory transport carries a sealed
-:class:`~repro.cam.array.StoredReference` across a *process* boundary,
-this format carries it across a *restart* boundary.
 :func:`save_stored_reference` writes the full
-:class:`~repro.kernels.EncodedReference` payload (raw segments and
-float one-hot) into one versioned, CRC32-checksummed file;
+:class:`~repro.kernels.EncodedReference` payload of a sealed
+:class:`~repro.cam.array.StoredReference` (raw segments and float
+one-hot) into one versioned, CRC32-checksummed file;
 :func:`open_stored_reference` maps it back **read-only via**
 ``mmap`` — zero copy, zero encoding passes
 (``n_encodes`` of an opened reference stays 0 forever), and because
@@ -14,10 +11,7 @@ the OS page cache backs the mapping, every process that opens the same
 file shares the same physical pages.  Service boot drops from
 O(encode) to O(page-fault).
 
-**File layout.**  Exactly the shared container codec of
-:mod:`repro.parallel.header` — the two formats are the same bytes
-behind different magics (``b"ASMCAPRF"`` here, ``b"ASMCAPSM"`` in
-shared memory), so they cannot drift::
+**File layout.**  The container codec of :mod:`repro.refstore.header`::
 
     magic | version | meta_length | meta_crc32 | payload_crc32 |
     payload_length | meta JSON | padding | 64-byte-aligned arrays
@@ -26,16 +20,10 @@ Every open validates magic, version, size and both CRC32s before
 building a view; a truncated, torn, foreign or stale file raises
 :class:`~repro.errors.RefStoreError`, never a silently wrong count.
 
-**Provenance and sharding.**  An opened reference carries a picklable
-:class:`FileReferenceHandle` as its
-:attr:`~repro.cam.array.StoredReference.source`, and
-:func:`slice_stored_reference` cuts zero-copy per-shard references
-whose handles name the same file plus a row range.  The process
-engine (:class:`repro.parallel.ProcessShardEngine`) recognises those
-handles and has its workers re-open the file directly — no per-boot
-shared-memory copy of the reference at all.  Slicing is bit-identical
-to encoding the sliced rows because every per-row cache is a pure
-per-row function of the segments
+**Sharding.**  :func:`slice_stored_reference` cuts zero-copy per-shard
+references at the sharded engine's bank ranges.  Slicing is
+bit-identical to encoding the sliced rows because every per-row cache
+is a pure per-row function of the segments
 (:func:`repro.kernels.slice_encoded_reference`).
 """
 
@@ -43,7 +31,6 @@ from __future__ import annotations
 
 import mmap
 import os
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cam.array import StoredReference
@@ -55,7 +42,7 @@ from repro.kernels import (
     encoded_reference_from_arrays,
     slice_encoded_reference,
 )
-from repro.parallel.header import (
+from repro.refstore.header import (
     open_container,
     plan_layout,
     seal_header,
@@ -65,37 +52,19 @@ from repro.parallel.header import (
 __all__ = [
     "REFSTORE_MAGIC",
     "REFSTORE_VERSION",
-    "FileReferenceHandle",
     "MappedReference",
     "open_stored_reference",
     "save_stored_reference",
     "slice_stored_reference",
 ]
 
-#: Leading magic bytes of every on-disk stored-reference file (the
-#: shared-memory twin uses ``b"ASMCAPSM"``).
+#: Leading magic bytes of every on-disk stored-reference file.
 REFSTORE_MAGIC = b"ASMCAPRF"
 
 #: File format version; bumped on any layout change so an open
 #: against a stale writer fails loudly instead of mis-reading bytes.
 #: Version 2 dropped the bitplane arrays from the payload.
 REFSTORE_VERSION = 2
-
-
-@dataclass(frozen=True)
-class FileReferenceHandle:
-    """A picklable ticket for one store file (optionally a row slice).
-
-    Everything else an open needs (geometry, dtypes, offsets,
-    checksums) lives in the file's own header, so the ticket a
-    coordinator sends to its workers is the path — plus the
-    ``[start, stop)`` row range for a shard of the stored reference
-    (``None``/``None`` = the whole reference).
-    """
-
-    path: str
-    start: "int | None" = None
-    stop: "int | None" = None
 
 
 def save_stored_reference(path, reference: StoredReference) -> int:
@@ -203,9 +172,7 @@ class MappedReference:
         self.close()
 
 
-def open_stored_reference(
-        source: "FileReferenceHandle | str | os.PathLike",
-        ) -> MappedReference:
+def open_stored_reference(path: "str | os.PathLike") -> MappedReference:
     """Map a store file back into a sealed stored reference, zero-copy.
 
     Validates the versioned header (magic, version, size, meta CRC32,
@@ -213,52 +180,35 @@ def open_stored_reference(
     read-only view over the read-only mapping, and the sealed
     reference is rebuilt without an encoding pass
     (:meth:`~repro.cam.array.StoredReference.adopt_encoded` —
-    ``n_encodes`` stays 0).  A :class:`FileReferenceHandle` carrying a
-    row range opens that shard slice (the worker-side attach of the
-    process engine's path-based hand-off).  Raises
+    ``n_encodes`` stays 0).  Raises
     :class:`~repro.errors.RefStoreError` on a missing file and on any
     header or checksum mismatch.
     """
-    if isinstance(source, FileReferenceHandle):
-        handle = source
-    else:
-        handle = FileReferenceHandle(path=os.fspath(source))
+    path = os.fspath(path)
     try:
-        with open(handle.path, "rb") as file:
+        with open(path, "rb") as file:
             mapping = mmap.mmap(file.fileno(), 0,
                                 access=mmap.ACCESS_READ)
     except FileNotFoundError as exc:
         raise RefStoreError(
-            f"no reference store file {handle.path!r}"
+            f"no reference store file {path!r}"
         ) from exc
     except (OSError, ValueError) as exc:
         # ValueError: mmap of an empty file.
         raise RefStoreError(
-            f"could not map reference store {handle.path!r}: {exc}"
+            f"could not map reference store {path!r}: {exc}"
         ) from exc
     view = memoryview(mapping)
     try:
-        _fire_fault("refstore.open", path=handle.path)
+        _fire_fault("refstore.open", path=path)
         arrays = open_container(
             view, magic=REFSTORE_MAGIC, version=REFSTORE_VERSION,
-            describe=f"reference store {handle.path!r}",
+            describe=f"reference store {path!r}",
             error=RefStoreError,
             expected_fields=ENCODED_REFERENCE_FIELDS,
         )
-        encoded = encoded_reference_from_arrays(arrays)
-        if handle.start is not None or handle.stop is not None:
-            start = 0 if handle.start is None else int(handle.start)
-            stop = (encoded.segments.shape[0] if handle.stop is None
-                    else int(handle.stop))
-            try:
-                encoded = slice_encoded_reference(encoded, start, stop)
-            except CamConfigError as exc:
-                raise RefStoreError(
-                    f"reference store {handle.path!r}: {exc}"
-                ) from exc
-            handle = FileReferenceHandle(handle.path, start, stop)
-        reference = StoredReference.adopt_encoded(encoded,
-                                                  source=handle)
+        reference = StoredReference.adopt_encoded(
+            encoded_reference_from_arrays(arrays))
     except BaseException:
         try:
             view.release()
@@ -266,8 +216,7 @@ def open_stored_reference(
         except (OSError, BufferError):  # pragma: no cover
             pass
         raise
-    return MappedReference(mapping, view, reference, handle.path,
-                           len(view))
+    return MappedReference(mapping, view, reference, path, len(view))
 
 
 def slice_stored_reference(
@@ -282,35 +231,17 @@ def slice_stored_reference(
     (``n_encodes == 0`` on every shard).  Bit-identical to
     ``StoredReference.encode(segments[start:stop])`` because every
     per-row cache is a pure per-row function of the stored rows.
-
-    When the parent came from a store file, each shard's
-    :attr:`~repro.cam.array.StoredReference.source` is a
-    :class:`FileReferenceHandle` naming the same file plus the (file
-    absolute) row range — which is what lets the process engine's
-    workers re-open the shard by path instead of receiving a
-    shared-memory copy.
     """
     if not reference.sealed:
         raise RefStoreError(
             "only a sealed StoredReference can be sliced into shards"
         )
     encoded = reference.encoded()
-    parent = reference.source
-    base = 0
-    path = None
-    if isinstance(parent, FileReferenceHandle):
-        path = parent.path
-        base = 0 if parent.start is None else int(parent.start)
     shards = []
     for start, stop in ranges:
         try:
             sliced = slice_encoded_reference(encoded, start, stop)
         except CamConfigError as exc:
             raise RefStoreError(str(exc)) from exc
-        source = None
-        if path is not None:
-            source = FileReferenceHandle(path, base + int(start),
-                                         base + int(stop))
-        shards.append(StoredReference.adopt_encoded(sliced,
-                                                    source=source))
+        shards.append(StoredReference.adopt_encoded(sliced))
     return tuple(shards)

@@ -1,13 +1,10 @@
-"""The shared container codec behind both reference transports.
+"""The container codec of the on-disk reference store.
 
-Two containers carry a sealed :class:`~repro.cam.array.StoredReference`
-payload across a process or time boundary: the shared-memory segments
-of :mod:`repro.parallel.shm` (process boundary) and the on-disk files
-of :mod:`repro.refstore.format` (boot boundary).  Both use the exact
-same layout — only the leading magic differs — and this module is the
-single definition of it, so the two formats cannot drift::
+A sealed :class:`~repro.cam.array.StoredReference` payload crosses the
+boot boundary in the store files of :mod:`repro.refstore.format`, and
+this module is the single definition of their layout::
 
-    magic (8 bytes, container-specific)      8 bytes
+    magic (REFSTORE_MAGIC)                   8 bytes
     version, meta_length                     2 x uint32 (little-endian)
     meta_crc32, payload_crc32                2 x uint32
     payload_length                           uint64
@@ -25,9 +22,8 @@ open instead of producing silently wrong mismatch counts.
 
 The codec is buffer-agnostic: :func:`plan_layout` sizes a container
 for a set of arrays, :func:`write_payload` + :func:`seal_header` fill
-any writable buffer (a ``multiprocessing.shared_memory`` mapping, a
-pre-sized ``bytearray`` destined for disk), and :func:`open_container`
-validates any readable buffer (a shared segment, an ``mmap``) and
+any writable buffer (a pre-sized ``bytearray`` destined for disk), and
+:func:`open_container` validates any readable buffer (an ``mmap``) and
 returns read-only, zero-copy array views over it.
 """
 
@@ -151,8 +147,7 @@ def open_container(buf, *, magic: bytes, version: int, describe: str,
     The full validation ladder — size, magic, version, truncation,
     meta CRC32, payload CRC32, field names — runs before any view is
     built, raising *error* with *describe* naming the container (e.g.
-    ``"shared segment 'x'"`` or ``"reference store '/p'"``) on the
-    first violation.  Every returned array is a read-only view over
+    ``"reference store '/p'"``) on the first violation.  Every returned array is a read-only view over
     *buf*; the caller owns keeping the buffer mapped while they live.
     """
     if len(buf) < HEADER.size:

@@ -28,10 +28,7 @@ arrays — serves an entire read workload.  The standalone
   (``backpressure="block"``, the default) or raises
   :class:`~repro.errors.ServiceError` (``backpressure="error"``);
 * for the sharded engine, every session's pipeline shares one shard
-  fan-out per reference — a thread executor or one
-  :class:`~repro.parallel.ProcessShardEngine` whose spawned workers
-  attach the shard references once and serve every session's
-  self-contained tasks.
+  fan-out thread pool.
 
 **Session-isolation contract.**  A session is the same
 :class:`~repro.service.session.MappingSession` as the standalone
@@ -55,11 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arch.autotune import (
-    MIN_SERVICE_BACKLOG,
-    plan_service_pool,
-    resolve_engine,
-)
+from repro.arch.autotune import MIN_SERVICE_BACKLOG, plan_service_pool
 from repro.cam.array import StoredReference, as_segments_matrix
 from repro.core.matcher import MatcherConfig
 from repro.core.pipeline import encode_shard_references
@@ -68,7 +61,6 @@ from repro.cost.ledger import CostLedger
 from repro.errors import CamConfigError, ServiceError
 from repro.genome.edits import ErrorModel
 from repro.knobs import validate_reference_source, validate_service_knobs
-from repro.parallel import ProcessShardEngine
 from repro.service.session import (
     DEFAULT_SERVICE_COMPACTION,
     MappingSession,
@@ -89,9 +81,7 @@ class _RefState:
     ``roots`` are the references whose encode passes this state owns
     (the per-shard encodes of a segment matrix, else the adopted
     reference itself); ``lease`` pins a catalog reference for the
-    frontend's lifetime; ``process_engine`` is the one
-    :class:`~repro.parallel.ProcessShardEngine` of a ``"process"``
-    fan-out (file-backed shards are attached by path, not copied).
+    frontend's lifetime.
     """
 
     lease: "object | None"
@@ -100,8 +90,6 @@ class _RefState:
     n_rows: int
     cols: int
     chunk_size: "int | None"
-    shard_engine: "str | None"
-    process_engine: "ProcessShardEngine | None"
 
 
 class MappingFrontend:
@@ -152,25 +140,14 @@ class MappingFrontend:
         individual sessions may override it.  Bit-identical across
         backends, so the frontend/standalone equivalence holds
         whichever backend runs.
-    shard_engine:
-        Sharded-engine fan-out execution engine — ``"thread"`` shares
-        one fan-out thread pool across sessions, ``"process"`` shares
-        one :class:`~repro.parallel.ProcessShardEngine` per reference
-        (one spawned worker pool serves every session's self-contained
-        tasks), ``None`` resolves through the standard order
-        (environment variable, then autotune).  Resolved once per
-        reference, so every session's pipeline agrees.  Bit-identical
-        either way.
     catalog:
         A :class:`~repro.refstore.ReferenceCatalog` to serve stored
         references from.  Sessions then pass ``reference=<name>`` to
         :meth:`session`; the frontend borrows each named reference
         once (pinned until :meth:`close`), slices it into the same
         bank ranges a segments frontend would encode, and never runs
-        an encode pass — :meth:`encode_count` stays 0.  With the
-        process fan-out, workers attach the store file by path, so
-        booting copies zero reference bytes.  The catalog belongs to
-        the caller and is left open by :meth:`close`.
+        an encode pass — :meth:`encode_count` stays 0.  The catalog
+        belongs to the caller and is left open by :meth:`close`.
     """
 
     def __init__(self,
@@ -186,10 +163,9 @@ class MappingFrontend:
                  max_backlog: "int | None" = None,
                  backpressure: str = "block",
                  backend: "str | None" = None,
-                 shard_engine: "str | None" = None,
                  catalog: "object | None" = None):
-        validate_service_knobs(backend=backend, engine=shard_engine)
-        check_engine(engine, shard_engine)
+        validate_service_knobs(backend=backend)
+        check_engine(engine)
         if backpressure not in _BACKPRESSURE:
             raise ServiceError(
                 f"backpressure must be one of {_BACKPRESSURE}, got "
@@ -221,7 +197,6 @@ class MappingFrontend:
         self._catalog = catalog
         self._req_n_shards = n_shards
         self._req_chunk_size = chunk_size
-        self._req_shard_engine = shard_engine
         #: Frontend-level traffic ledger; holds the single
         #: ReferenceLoad per shard (the encode-once evidence) — session
         #: ledgers only ever see search passes.
@@ -296,21 +271,6 @@ class MappingFrontend:
         return self._catalog
 
     @property
-    def shard_engine(self) -> "str | None":
-        """Resolved shard fan-out engine (``"thread"`` or
-        ``"process"``); ``None`` on the batched engine and on a catalog
-        frontend, which resolves it per reference."""
-        return None if self._default is None else self._default.shard_engine
-
-    def process_engine(self) -> "ProcessShardEngine | None":
-        """The shared process engine (``None`` unless the sharded
-        engine resolved to ``"process"``; per reference on a catalog
-        frontend) — every session's pipeline fans out on this one pool
-        of spawned workers."""
-        return (None if self._default is None
-                else self._default.process_engine)
-
-    @property
     def pool_workers(self) -> int:
         """Persistent dispatch-worker threads."""
         return self._pool_workers
@@ -368,9 +328,9 @@ class MappingFrontend:
         A segment matrix is encoded (per shard, at the bank ranges
         :func:`~repro.core.pipeline.encode_shard_references` cuts); a
         sealed reference — the caller's, or a catalog *lease*'s — is
-        sliced zero-copy at the same ranges.  The sharded engine then
-        resolves its fan-out for this geometry and, for ``"process"``,
-        builds the one engine every session over this reference shares.
+        sliced zero-copy at the same ranges.  The first sharded
+        reference also sizes the one shard fan-out pool every session
+        shares.
         """
         try:
             if lease is not None:
@@ -392,23 +352,15 @@ class MappingFrontend:
                         segments, n_shards=self._req_n_shards,
                         chunk_size=self._req_chunk_size)
                 roots = shards
-            kind = process_engine = None
-            if self._engine_kind == "sharded":
-                kind = resolve_engine(self._req_shard_engine, n_rows, cols,
-                                      n_shards=len(shards))
+            if self._engine_kind == "sharded" \
+                    and self._shard_executor is None:
+                # One fan-out shared by every reference, sized for the
+                # first one's geometry.
                 plan = plan_service_pool(n_shards=len(shards))
-                if kind == "process":
-                    process_engine = ProcessShardEngine(
-                        shards, domain=self._domain, noisy=self._noisy,
-                        n_workers=max(1, plan.shard_workers),
-                    )
-                elif self._shard_executor is None:
-                    # One thread fan-out shared by every thread-kind
-                    # reference, sized for the first one's geometry.
-                    self._shard_executor = ThreadPoolExecutor(
-                        max_workers=max(1, plan.shard_workers),
-                        thread_name_prefix="asmcap-frontend-shard",
-                    )
+                self._shard_executor = ThreadPoolExecutor(
+                    max_workers=max(1, plan.shard_workers),
+                    thread_name_prefix="asmcap-frontend-shard",
+                )
         except BaseException:
             if lease is not None:
                 lease.close()
@@ -418,7 +370,7 @@ class MappingFrontend:
                 n_segments=shard.n_segments, n_cells=shard.cols,
             ))
         return _RefState(lease, roots, shards, int(n_rows), int(cols),
-                         chunk_size, kind, process_engine)
+                         chunk_size)
 
     def _reference_state(self, name: str) -> _RefState:
         """The shared state of catalog reference *name*, borrowed (and
@@ -478,9 +430,7 @@ class MappingFrontend:
             config or self._config, seed=seed, compaction=compaction,
             backend=self._backend if backend is None else backend,
             domain=self._domain, noisy=self._noisy,
-            chunk_size=state.chunk_size, shard_engine=state.shard_engine,
-            executor=self._shard_executor,
-            process_engine=state.process_engine,
+            chunk_size=state.chunk_size, executor=self._shard_executor,
         )
         with self._lock:
             if not self._running:
@@ -526,13 +476,9 @@ class MappingFrontend:
         if self._shard_executor is not None:
             self._shard_executor.shutdown(wait=True)
         with self._ref_lock:
-            # Stop each reference's process fan-out (joining its
-            # workers, unlinking shared segments), then unpin catalog
-            # leases so the catalog may evict.  The catalog itself
-            # belongs to the caller and stays open.
+            # Unpin catalog leases so the catalog may evict.  The
+            # catalog itself belongs to the caller and stays open.
             for state in self._ref_states.values():
-                if state.process_engine is not None:
-                    state.process_engine.close()
                 if state.lease is not None:
                     state.lease.close()
         self._closed = True

@@ -131,16 +131,11 @@ class ServiceStats:
     compactions: int
 
 
-def check_engine(engine: str, shard_engine: "str | None") -> None:
-    """The ``engine`` / ``shard_engine`` rule of every service boundary."""
+def check_engine(engine: str) -> None:
+    """The ``engine`` rule of every service boundary."""
     if engine not in ENGINES:
         raise ServiceError(
             f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    if shard_engine is not None and engine != "sharded":
-        raise ServiceError(
-            f"shard_engine={shard_engine!r} applies to the sharded "
-            f"engine only (engine={engine!r})"
         )
 
 
@@ -169,9 +164,8 @@ def build_pipeline(engine: str, reference, error_model, config, *,
                    backend: "str | None", domain: str, noisy: bool,
                    n_shards: "int | None" = None,
                    chunk_size: "int | None" = None,
-                   shard_engine: "str | None" = None,
                    max_workers: "int | None" = None,
-                   executor=None, process_engine=None):
+                   executor=None):
     """The service layer's one batched/sharded engine construction.
 
     *reference* is either a segment matrix, encoded here into the
@@ -187,8 +181,7 @@ def build_pipeline(engine: str, reference, error_model, config, *,
             domain=domain, noisy=noisy, seed=seed,
             max_workers=max_workers, chunk_size=chunk_size,
             ledger_compaction=compaction, backend=backend,
-            engine=shard_engine, executor=executor,
-            process_engine=process_engine,
+            executor=executor,
         )
     if isinstance(reference, tuple):
         return ReadMappingPipeline(AsmCapMatcher.over_stored(
@@ -270,12 +263,6 @@ class MappingSession:
     def engine(self) -> str:
         """``"batched"`` or ``"sharded"``."""
         return self._engine
-
-    @property
-    def shard_engine(self) -> "str | None":
-        """The sharded pipeline's resolved fan-out engine (``"thread"``
-        or ``"process"``); ``None`` on the batched engine."""
-        return self._pipeline.engine if self._engine == "sharded" else None
 
     @property
     def backend(self) -> str:
@@ -472,15 +459,8 @@ class MappingSession:
         # the session lock (freezes the counters) — as executors do.
         with self._dispatch_mutex:
             stats = self._merged_stats_unlocked()
-            if self._engine == "sharded" \
-                    and self._pipeline.engine == "process":
-                # Worker-side ledgers were folded at the process
-                # boundary; only their summaries cross it.
-                observability = self._pipeline.ledger_observability()
-            else:
-                observability = fold_ledger_observability(self.ledgers())
             (pass_counts, events_live, events_folded, population,
-             compactions) = observability
+             compactions) = fold_ledger_observability(self.ledgers())
             with self._lock:
                 wall = (0.0 if self._started_at is None
                         else time.perf_counter() - self._started_at)

@@ -132,12 +132,6 @@ class StreamingMappingService(MappingSession):
         :mod:`repro.kernels`).  Bit-identical across backends, so a
         streamed session keeps its one-shot bit-identity contract
         whichever backend runs.
-    shard_engine:
-        Sharded-engine fan-out execution engine — ``"thread"``,
-        ``"process"`` or ``None`` (the standard resolution order; see
-        :class:`~repro.core.pipeline.ShardedReadMappingPipeline`).
-        Sharded engine only; bit-identical either way, so the knob
-        never touches the determinism contract.
     retain_mappings:
         Keep every per-read :class:`~repro.core.pipeline.ReadMapping`
         in the aggregate report (the one-shot behaviour, needed for
@@ -168,13 +162,11 @@ class StreamingMappingService(MappingSession):
                  chunk_size: "int | None" = None,
                  max_workers: "int | None" = None,
                  backend: "str | None" = None,
-                 shard_engine: "str | None" = None,
                  retain_mappings: bool = True,
                  catalog: "object | None" = None):
         validate_service_knobs(micro_batch, compaction,
-                               max_workers=max_workers, backend=backend,
-                               engine=shard_engine)
-        check_engine(engine, shard_engine)
+                               max_workers=max_workers, backend=backend)
+        check_engine(engine)
         validate_reference_source(segments, catalog=catalog)
         self._lease = None if catalog is None else catalog.borrow(segments)
         pipeline = None
@@ -195,7 +187,7 @@ class StreamingMappingService(MappingSession):
                 engine, source, error_model, config, seed=seed,
                 compaction=compaction, backend=backend, domain=domain,
                 noisy=noisy, n_shards=n_shards, chunk_size=chunk_size,
-                shard_engine=shard_engine, max_workers=max_workers,
+                max_workers=max_workers,
             )
             super().__init__(
                 None, 0, engine, pipeline, threshold, micro_batch,

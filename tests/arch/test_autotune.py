@@ -10,22 +10,18 @@ import pytest
 from repro.arch import autotune
 from repro.arch.autotune import (
     ENCODED_BYTES_PER_CELL,
-    ENGINE_ENV,
     MAX_CHUNK_READS,
     MIN_CHUNK_READS,
     MIN_ROWS_PER_SHARD,
-    PROCESS_MIN_CPUS,
-    PROCESS_MIN_REFERENCE_BYTES,
     ShardPlan,
     available_cpus,
-    plan_engine,
+    estimate_stored_reference_bytes,
     plan_backend,
     plan_microbatch,
     plan_shards,
-    resolve_engine,
     sweep_worker_count,
 )
-from repro.errors import ArchConfigError, CamConfigError
+from repro.errors import ArchConfigError
 from repro.core.pipeline import ShardedReadMappingPipeline
 from repro.genome.datasets import build_dataset
 
@@ -133,66 +129,24 @@ class TestSweepWorkers:
         assert available_cpus() >= 1
 
 
-# A reference whose encoded payload clears PROCESS_MIN_REFERENCE_BYTES
-# (1024 * 256 * 17 B ≈ 4.25 MiB ≥ 4 MiB).
-_BIG_ROWS, _BIG_COLS = 1024, 256
+class TestEstimateStoredReferenceBytes:
+    def test_matches_the_encoded_payload(self):
+        import numpy as np
 
+        from repro.cam.array import StoredReference
+        from repro.kernels import encoded_reference_arrays
 
-class TestPlanEngine:
-    def test_big_partitioned_reference_on_big_host(self):
-        assert (_BIG_ROWS * _BIG_COLS * ENCODED_BYTES_PER_CELL
-                >= PROCESS_MIN_REFERENCE_BYTES)
-        assert plan_engine(_BIG_ROWS, _BIG_COLS, n_shards=4,
-                           cpu_count=8) == "process"
-
-    def test_small_host_stays_on_threads(self):
-        assert plan_engine(_BIG_ROWS, _BIG_COLS, n_shards=4,
-                           cpu_count=PROCESS_MIN_CPUS - 1) == "thread"
-
-    def test_single_shard_stays_on_threads(self):
-        assert plan_engine(_BIG_ROWS, _BIG_COLS, n_shards=1,
-                           cpu_count=8) == "thread"
-
-    def test_small_reference_stays_on_threads(self):
-        assert plan_engine(64, 128, n_shards=4, cpu_count=8) == "thread"
-
-    def test_unknown_shard_count_assumes_partitioned(self):
-        assert plan_engine(_BIG_ROWS, _BIG_COLS, n_shards=None,
-                           cpu_count=8) == "process"
+        segments = np.zeros((24, 40), dtype=np.uint8)
+        payload = sum(array.nbytes for _, array in encoded_reference_arrays(
+            StoredReference.encode(segments).encoded()))
+        assert estimate_stored_reference_bytes(24, 40) == payload \
+            == 24 * 40 * ENCODED_BYTES_PER_CELL
 
     def test_validation(self):
         with pytest.raises(ArchConfigError):
-            plan_engine(0, 64)
+            estimate_stored_reference_bytes(0, 64)
         with pytest.raises(ArchConfigError):
-            plan_engine(64, 0)
-
-
-class TestResolveEngine:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "process")
-        assert resolve_engine("thread", _BIG_ROWS, _BIG_COLS,
-                              n_shards=4, cpu_count=8) == "thread"
-
-    def test_env_beats_plan(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "process")
-        # The plan alone would say "thread" on a tiny host.
-        assert resolve_engine(None, _BIG_ROWS, _BIG_COLS, n_shards=4,
-                              cpu_count=1) == "process"
-
-    def test_falls_back_to_plan(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine(None, _BIG_ROWS, _BIG_COLS, n_shards=4,
-                              cpu_count=8) == "process"
-        assert resolve_engine(None, 64, 128, n_shards=4,
-                              cpu_count=8) == "thread"
-
-    def test_rejects_unknown_names(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        with pytest.raises(CamConfigError, match="engine"):
-            resolve_engine("fork", 64, 128)
-        monkeypatch.setenv(ENGINE_ENV, "fork")
-        with pytest.raises(CamConfigError, match="engine"):
-            resolve_engine(None, 64, 128)
+            estimate_stored_reference_bytes(64, 0)
 
 
 class TestPipelineIntegration:

@@ -17,13 +17,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.arch.autotune import (  # noqa: E402
-    EXECUTION_ENGINES,
     MAX_CHUNK_READS,
     MIN_CHUNK_READS,
     MIN_ROWS_PER_SHARD,
     MIN_SERVICE_BACKLOG,
     TARGET_CHUNK_ELEMS,
-    plan_engine,
     plan_microbatch,
     plan_service_pool,
     plan_shards,
@@ -110,38 +108,6 @@ class TestPlanMicrobatch:
         # More shards -> smaller largest shard -> batches may grow.
         assert plan_microbatch(n_rows, cols, n_shards=n_shards + 1) >= \
             plan_microbatch(n_rows, cols, n_shards=n_shards)
-
-
-class TestPlanEngine:
-    @given(n_rows=n_rows_s, cols=cols_s,
-           n_shards=st.one_of(st.none(), shards_s), cpus=cpus_s)
-    def test_always_a_known_engine(self, n_rows, cols, n_shards, cpus):
-        engine = plan_engine(n_rows, cols, n_shards=n_shards,
-                             cpu_count=cpus)
-        assert engine in EXECUTION_ENGINES
-
-    @given(n_rows=n_rows_s, cols=cols_s, cpus=cpus_s)
-    def test_single_shard_stays_on_threads(self, n_rows, cols, cpus):
-        assert plan_engine(n_rows, cols, n_shards=1,
-                           cpu_count=cpus) == "thread"
-
-    @given(n_rows=st.integers(min_value=1, max_value=(1 << 20) - 1),
-           cols=cols_s, cpus=cpus_s)
-    def test_threshold_monotone_in_rows(self, n_rows, cols, cpus):
-        # Once a reference is big enough for processes, growing it
-        # never flips the answer back to threads.
-        if plan_engine(n_rows, cols, n_shards=4,
-                       cpu_count=cpus) == "process":
-            assert plan_engine(n_rows + 1, cols, n_shards=4,
-                               cpu_count=cpus) == "process"
-
-    @given(n_rows=n_rows_s, cols=cols_s,
-           cpus=st.integers(min_value=1, max_value=255))
-    def test_threshold_monotone_in_cpus(self, n_rows, cols, cpus):
-        if plan_engine(n_rows, cols, n_shards=4,
-                       cpu_count=cpus) == "process":
-            assert plan_engine(n_rows, cols, n_shards=4,
-                               cpu_count=cpus + 1) == "process"
 
 
 class TestPlanServicePool:

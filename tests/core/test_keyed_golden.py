@@ -9,7 +9,7 @@ digests of those outputs on each path the library exposes:
   in condition B above ``Tl``);
 * ``AsmCapMatcher.match_sweep`` over each condition's Fig. 7 sweep;
 * ``EdamMatcher.match_sweep`` with and without Sequence Rotation;
-* ``ShardedReadMappingPipeline.run`` on the thread and process engines;
+* ``ShardedReadMappingPipeline.run``;
 * ``measure_strategy_profile``.
 
 A refactor of the search, matcher or HDAC layers must leave every
@@ -138,20 +138,19 @@ def test_edam_match_sweep_digest(enable_sr):
         == EDAM_SWEEP[enable_sr]
 
 
-SHARDED = {"process": "8b20f61c50c8690c", "thread": "926709a55d436b13"}
+SHARDED = "926709a55d436b13"
 
 
-@pytest.mark.parametrize("engine", sorted(SHARDED))
-def test_sharded_run_digest(engine):
+def test_sharded_run_digest():
     dataset = _dataset("A")
     with ShardedReadMappingPipeline(
             dataset.segments, dataset.model, n_shards=3, seed=6,
-            chunk_size=10, engine=engine, max_workers=2) as pipeline:
+            chunk_size=10, max_workers=2) as pipeline:
         report = pipeline.run(dataset.reads, 6, first_read_index=40)
         pass_counts = pipeline.ledger_observability()[0]
         stats = pipeline.merged_stats()
     assert _digest(*_report_parts(report), sorted(pass_counts.items()),
-                   *_stats_parts(stats)) == SHARDED[engine]
+                   *_stats_parts(stats)) == SHARDED
 
 
 def test_strategy_profile_digest():

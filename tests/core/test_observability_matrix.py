@@ -1,11 +1,10 @@
-"""Observability across the engine x compaction matrix.
+"""Sharded observability across the compaction matrix.
 
 ``merged_stats()`` / ``ledger_observability()`` are the operator's
 whole-system evidence, and the determinism contract extends to them:
-the integer counters must be identical across the thread engine, the
-process engine, compacted ledgers and append-only ledgers for the
-same seeded run — compaction and fan-out change *where* events fold,
-never *what* they count.
+the counters must be identical between compacted and append-only
+ledgers for the same seeded run — compaction changes *where* events
+fold, never *what* they count.
 """
 
 from __future__ import annotations
@@ -16,14 +15,13 @@ import pytest
 from repro.core.pipeline import ShardedReadMappingPipeline
 from repro.genome.edits import ErrorModel
 
-# Threaded/process stress paths: a deadlock must fail loud in CI,
-# not eat the job timeout (inert without the pytest-timeout plugin).
+# Threaded stress path: a deadlock must fail loud in CI, not eat the
+# job timeout (inert without the pytest-timeout plugin).
 pytestmark = pytest.mark.timeout(120)
 
 THRESHOLD = 8
 N_SHARDS = 2
 COMPACTIONS = (None, 8)
-ENGINES = ("thread", "process")
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +32,7 @@ def workload():
     return segments, reads
 
 
-def _run(workload, engine: str, compaction: "int | None"):
+def _run(workload, compaction: "int | None"):
     segments, reads = workload
     pipeline = ShardedReadMappingPipeline(
         segments, ErrorModel(substitution=0.02, insertion=0.01,
@@ -43,7 +41,7 @@ def _run(workload, engine: str, compaction: "int | None"):
         # Small chunks so the run produces enough ledger events for
         # the compaction bound to actually engage.
         chunk_size=4,
-        ledger_compaction=compaction, engine=engine,
+        ledger_compaction=compaction,
     )
     try:
         report = pipeline.run(reads, threshold=THRESHOLD)
@@ -56,17 +54,14 @@ def _run(workload, engine: str, compaction: "int | None"):
 
 @pytest.fixture(scope="module")
 def matrix(workload):
-    """One run per engine x compaction cell."""
-    return {
-        (engine, compaction): _run(workload, engine, compaction)
-        for engine in ENGINES
-        for compaction in COMPACTIONS
-    }
+    """One run per compaction setting."""
+    return {compaction: _run(workload, compaction)
+            for compaction in COMPACTIONS}
 
 
 class TestMergedStatsMatrix:
     def test_integer_counters_identical_across_matrix(self, matrix):
-        baseline = matrix[("thread", None)][1]
+        baseline = matrix[None][1]
         assert baseline.n_searches > 0
         for key, (_, stats, _) in matrix.items():
             assert stats.n_searches == baseline.n_searches, key
@@ -74,27 +69,16 @@ class TestMergedStatsMatrix:
                 baseline.n_rotation_cycles, key
 
     def test_thread_float_totals_exact_under_compaction(self, matrix):
-        # Same engine, same fold order: compaction restores the folded
-        # prefix exactly, so even the float totals are bit-identical.
-        plain = matrix[("thread", None)][1]
-        compacted = matrix[("thread", 8)][1]
+        # Same fold order: compaction restores the folded prefix
+        # exactly, so even the float totals are bit-identical.
+        plain = matrix[None][1]
+        compacted = matrix[8][1]
         assert compacted.total_energy_joules == \
             plain.total_energy_joules
         assert compacted.total_latency_ns == plain.total_latency_ns
 
-    def test_process_float_totals_match_to_precision(self, matrix):
-        # Process workers fold per task, so float grouping differs:
-        # the contract is float-precision agreement, not bit identity.
-        plain = matrix[("thread", None)][1]
-        for compaction in COMPACTIONS:
-            stats = matrix[("process", compaction)][1]
-            assert stats.total_energy_joules == pytest.approx(
-                plain.total_energy_joules, rel=1e-12)
-            assert stats.total_latency_ns == pytest.approx(
-                plain.total_latency_ns, rel=1e-12)
-
     def test_reports_bit_identical_across_matrix(self, matrix):
-        baseline = matrix[("thread", None)][0]
+        baseline = matrix[None][0]
         for key, (report, _, _) in matrix.items():
             assert report.n_mapped == baseline.n_mapped, key
             assert report.total_energy_joules == \
@@ -107,41 +91,28 @@ class TestMergedStatsMatrix:
 
 class TestLedgerObservabilityMatrix:
     def test_pass_counts_identical_across_matrix(self, matrix):
-        baseline = matrix[("thread", None)][2][0]
+        baseline = matrix[None][2][0]
         assert baseline  # at least one pass kind counted
         for key, (_, _, observability) in matrix.items():
             assert observability[0] == baseline, key
 
     def test_thread_append_only_never_compacts(self, matrix):
-        _, live, folded, _, compactions = matrix[("thread", None)][2]
+        _, live, folded, _, compactions = matrix[None][2]
         assert compactions == 0
         assert folded == 0
         assert live > 0
 
     def test_thread_compaction_bounds_live_events(self, matrix):
-        _, live_plain, _, _, _ = matrix[("thread", None)][2]
-        _, live, folded, _, compactions = matrix[("thread", 8)][2]
+        _, live_plain, _, _, _ = matrix[None][2]
+        _, live, folded, _, compactions = matrix[8][2]
         assert compactions > 0
         assert folded > 0
         assert live < live_plain
 
-    def test_process_folds_at_worker_boundary(self, matrix):
-        # Worker-side folds count as compactions even without a
-        # ledger bound — the fold at the process boundary is real.
-        for compaction in COMPACTIONS:
-            _, _, folded, _, compactions = \
-                matrix[("process", compaction)][2]
-            assert compactions > 0, compaction
-            assert folded > 0, compaction
-
     def test_population_stays_with_live_events(self, matrix):
-        # Population is a property of *live* events: the thread engine
-        # reports it (shrinking as compaction folds events away); the
-        # process engine folds worker-side, so no live shard events —
-        # and no population — ever cross the boundary.
-        plain = matrix[("thread", None)][2][3]
-        compacted = matrix[("thread", 8)][2][3]
+        # Population is a property of *live* events: it shrinks as
+        # compaction folds events away.
+        plain = matrix[None][2][3]
+        compacted = matrix[8][2][3]
         assert plain > 0
         assert 0 < compacted < plain
-        for compaction in COMPACTIONS:
-            assert matrix[("process", compaction)][2][3] == 0

@@ -254,7 +254,7 @@ class TestShardedPipeline:
         persistent pool across runs and release it on close()."""
         pipeline = ShardedReadMappingPipeline(
             noisy_dataset.segments, noisy_dataset.model, n_shards=2,
-            noisy=False, seed=3, engine="thread",
+            noisy=False, seed=3,
         )
         assert pipeline.owns_executor
         assert pipeline._pool is None  # lazy until the first run
@@ -275,7 +275,7 @@ class TestShardedPipeline:
     def test_context_manager_closes_executor(self, noisy_dataset):
         with ShardedReadMappingPipeline(
                 noisy_dataset.segments, noisy_dataset.model, n_shards=2,
-                noisy=False, engine="thread") as pipeline:
+                noisy=False) as pipeline:
             pipeline.run(noisy_dataset.reads[:2], threshold=8)
             assert pipeline._pool is not None
         assert pipeline._pool is None
@@ -330,6 +330,56 @@ class TestStoredShardConstruction:
         )
         another.run(noisy_dataset.reads[:2], threshold=8)
         assert sum(s.n_encodes for s in shards) == len(shards)
+
+    @pytest.mark.parametrize("route", ["segments", "encoded", "sliced",
+                                       "mapped"])
+    def test_merged_ledger_on_every_route(self, noisy_dataset, route,
+                                          tmp_path):
+        """Without compaction, every construction route keeps the full
+        event streams, so the merged ledger's fold matches
+        merged_stats() and its pass counts match the observability
+        fold."""
+        from repro.cam.array import StoredReference
+        from repro.core.pipeline import encode_shard_references
+        from repro.cost.views import search_stats
+        from repro.refstore import (
+            open_stored_reference,
+            save_stored_reference,
+            slice_stored_reference,
+        )
+
+        segments, model = noisy_dataset.segments, noisy_dataset.model
+        ranges = ShardedReadMappingPipeline(
+            segments, model, n_shards=3).shard_ranges
+        mapped = None
+        if route == "segments":
+            source = segments
+        elif route == "encoded":
+            source, _ = encode_shard_references(segments, n_shards=3)
+        elif route == "sliced":
+            source = slice_stored_reference(
+                StoredReference.encode(segments), ranges)
+        else:
+            path = tmp_path / "ref.asmcap"
+            save_stored_reference(path, StoredReference.encode(segments))
+            mapped = open_stored_reference(path)
+            source = slice_stored_reference(mapped.reference, ranges)
+        try:
+            with ShardedReadMappingPipeline(
+                    source, model, n_shards=3, seed=5,
+                    chunk_size=7) as pipeline:
+                pipeline.run(noisy_dataset.reads, threshold=8)
+                merged = pipeline.merged_ledger()
+                stats = pipeline.merged_stats()
+                pass_counts = pipeline.ledger_observability()[0]
+        finally:
+            if mapped is not None:
+                mapped.close()
+        assert merged.pass_counts() == pass_counts
+        folded = search_stats(merged)
+        assert folded.n_searches == stats.n_searches > 0
+        assert folded.total_energy_joules == pytest.approx(
+            stats.total_energy_joules, rel=1e-12)
 
     def test_stored_shard_count_conflict_rejected(self, noisy_dataset):
         from repro.core.pipeline import encode_shard_references

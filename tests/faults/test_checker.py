@@ -124,7 +124,7 @@ class TestEndToEnd:
     def test_sharded_thread_poison_surfaces(self, checker,
                                             poison_plan):
         verdict = checker.check(
-            get_scenario("stream-sharded-thread-gemm"),
+            get_scenario("stream-sharded-gemm"),
             poison_plan)
         assert verdict.ok
         assert verdict.verdict == "surfaced"
@@ -133,7 +133,7 @@ class TestEndToEnd:
         plan = FaultPlan.of(
             Fault("store_truncate", "refstore.save", 0), seed=103)
         verdict = checker.check(
-            get_scenario("store-sharded-thread-gemm"), plan)
+            get_scenario("store-sharded-gemm"), plan)
         assert verdict.ok
         assert verdict.verdict == "surfaced"
         assert verdict.error_type == "RefStoreError"
@@ -172,7 +172,7 @@ class TestEndToEnd:
         assert verdict.fired == ()
 
     def test_verdicts_reproduce(self, checker, poison_plan):
-        scenario = get_scenario("stream-sharded-thread-gemm")
+        scenario = get_scenario("stream-sharded-gemm")
         first = checker.check(scenario, poison_plan)
         second = checker.check(scenario, poison_plan)
         assert first.describe() == second.describe()
@@ -191,19 +191,16 @@ class TestScenarioMatrix:
         from repro.kernels import available_backends
 
         assert {s.engine for s in SCENARIOS} == {"batched", "sharded"}
-        assert {s.shard_engine for s in SCENARIOS
-                if s.shard_engine} == {"thread", "process"}
         assert {s.compaction for s in SCENARIOS} == {None, 8}
-        routes = [(s.route, s.engine, s.shard_engine) for s in SCENARIOS]
+        routes = [(s.route, s.engine, s.compaction) for s in SCENARIOS]
         assert sorted(routes, key=str) == sorted([
             ("stream", "batched", None),
-            ("stream", "sharded", "thread"),
-            ("stream", "sharded", "process"),
-            ("store", "sharded", "thread"),
-            ("store", "sharded", "process"),
-            ("catalog", "batched", None),
-            ("frontend", "batched", None),
-            ("frontend", "sharded", "thread"),
+            ("stream", "sharded", 8),
+            ("store", "sharded", None),
+            ("store", "sharded", 8),
+            ("catalog", "batched", 8),
+            ("frontend", "batched", 8),
+            ("frontend", "sharded", None),
         ], key=str)
         assert {s.backend for s in SCENARIOS} <= set(available_backends())
 
@@ -233,9 +230,8 @@ class TestScenarioMatrix:
         # Error-contract regression (contractlint CL401): a bad route
         # raises the typed config error, not a bare ValueError.
         scenario = ChaosScenario(
-            name="bogus", engine="batched", shard_engine=None,
-            backend="numpy-gemm", compaction=None, route="teleport",
-            fault_kinds=(),
+            name="bogus", engine="batched", backend="numpy-gemm",
+            compaction=None, route="teleport", fault_kinds=(),
         )
         with pytest.raises(CamConfigError, match="unknown scenario route"):
             scenario.run()

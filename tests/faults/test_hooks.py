@@ -69,11 +69,11 @@ class TestFiring:
 
     def test_fired_log_preserves_order(self):
         early = Fault("slow_batch", "service.stream.dispatch", 0)
-        late = Fault("worker_stall", "parallel.engine.dispatch", 1)
+        late = Fault("slow_batch", "service.frontend.execute", 1)
         with arm(_plan(early, late)) as injector:
-            fire("parallel.engine.dispatch")
+            fire("service.frontend.execute")
             fire("service.stream.dispatch")
-            fire("parallel.engine.dispatch")
+            fire("service.frontend.execute")
         assert injector.fired == [early, late]
 
 
@@ -98,7 +98,7 @@ class TestBufferActions:
         """A minimal sealed container around *payload* (one array)."""
         import numpy as np
 
-        from repro.parallel.header import (
+        from repro.refstore.header import (
             plan_layout,
             seal_header,
             write_payload,
@@ -111,12 +111,12 @@ class TestBufferActions:
         seal_header(buf, layout, magic=b"TESTMAG1", version=1)
         return buf, layout
 
-    def test_shm_corrupt_flips_payload_byte(self):
+    def test_crc_flip_flips_payload_byte(self):
         payload = bytes(range(64))
         buf, layout = self._sealed(payload)
-        fault = Fault("shm_corrupt", "parallel.shm.share", 0, arg=130)
+        fault = Fault("store_crc_flip", "refstore.save", 0, arg=130)
         with arm(_plan(fault)):
-            fire("parallel.shm.share", buf=buf)
+            fire("refstore.save", buf=buf, path=None)
         start = layout.payload_start
         corrupted = bytes(buf[start:start + len(payload)])
         assert corrupted != payload
@@ -147,10 +147,9 @@ class TestBufferActions:
         # A fault whose context is absent (no buf, no path) degrades
         # to a no-op rather than crashing the hook site.
         for fault in (
-            Fault("shm_corrupt", "parallel.shm.share", 0),
+            Fault("store_crc_flip", "refstore.save", 0),
             Fault("store_truncate", "refstore.save", 0),
             Fault("poisoned_open", "refstore.catalog.open", 0),
-            Fault("worker_kill", "parallel.engine.dispatch", 0),
         ):
             with arm(_plan(fault)) as injector:
                 fire(fault.point)

@@ -105,12 +105,6 @@ class TestGenerate:
             plan = FaultPlan.generate(seed, n_faults=2, max_hits=3)
             assert all(0 <= f.hit < 3 for f in plan.faults)
 
-    def test_kill_mid_drain_pinned_to_last_hit(self):
-        plan = FaultPlan.generate(5, kinds=("kill_mid_drain",),
-                                  max_hits=5)
-        (fault,) = plan.faults
-        assert fault.hit == 4
-
     def test_invalid_knobs_rejected(self):
         with pytest.raises(CamConfigError, match="unknown fault kind"):
             FaultPlan.generate(0, kinds=("bogus",))

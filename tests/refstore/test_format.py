@@ -1,7 +1,6 @@
 """Tests for the on-disk stored-reference container.
 
-Mirror of ``tests/parallel/test_shm.py`` for the restart boundary:
-saving and mapping must be a bit-exact, zero-copy, encode-free
+Saving and mapping must be a bit-exact, zero-copy, encode-free
 roundtrip, and every corrupted / truncated / foreign / stale file
 must fail loudly with :class:`~repro.errors.RefStoreError` — never
 with silently wrong mismatch counts.
@@ -19,14 +18,13 @@ from hypothesis import strategies as st
 from repro.cam.array import StoredReference
 from repro.errors import CamConfigError, RefStoreError
 from repro.kernels import ENCODED_REFERENCE_FIELDS, encoded_reference_arrays
-from repro.parallel.header import HEADER, aligned
 from repro.refstore import (
     REFSTORE_MAGIC,
-    FileReferenceHandle,
     open_stored_reference,
     save_stored_reference,
     slice_stored_reference,
 )
+from repro.refstore.header import HEADER, aligned
 
 
 @pytest.fixture(scope="module")
@@ -92,18 +90,13 @@ class TestRoundtrip:
                 with pytest.raises(ValueError):
                     arrays[name].flat[0] = 0
 
-    def test_opened_reference_carries_file_source(self, store):
+    def test_accepts_str_and_pathlike(self, store, tmp_path):
         with open_stored_reference(store) as mapped:
-            source = mapped.reference.source
-            assert isinstance(source, FileReferenceHandle)
-            assert source.path == store
-            assert mapped.path == store
-
-    def test_accepts_handle_and_pathlike(self, store, tmp_path):
-        with open_stored_reference(FileReferenceHandle(store)) as mapped:
             assert mapped.reference.sealed
+            assert mapped.path == store
         with open_stored_reference(tmp_path / "ref.asmcap") as mapped:
             assert mapped.reference.sealed
+            assert mapped.path == store
 
     def test_save_returns_file_size(self, tmp_path, reference):
         import os
@@ -143,35 +136,16 @@ class TestSlicing:
                     shard, StoredReference.encode(segments[start:stop])
                 )
 
-    def test_shard_sources_name_file_and_range(self, store):
-        with open_stored_reference(store) as mapped:
-            shards = slice_stored_reference(mapped.reference,
-                                            [(4, 12), (12, 32)])
-        assert [shard.source for shard in shards] == [
-            FileReferenceHandle(store, 4, 12),
-            FileReferenceHandle(store, 12, 32),
-        ]
-
-    def test_handle_range_opens_the_shard(self, store):
-        with open_stored_reference(store) as mapped:
-            shard = slice_stored_reference(mapped.reference,
-                                           [(6, 21)])[0]
-            with open_stored_reference(shard.source) as remote:
-                _assert_bit_exact(remote.reference, shard)
-                assert remote.reference.n_encodes == 0
-
-    def test_nested_slice_composes_file_offsets(self, store):
+    def test_nested_slice_matches_fresh_encode(self, store):
+        rng = np.random.default_rng(42)
+        segments = rng.integers(0, 4, size=(32, 96), dtype=np.uint8)
         with open_stored_reference(store) as mapped:
             outer = slice_stored_reference(mapped.reference,
                                            [(8, 28)])[0]
             inner = slice_stored_reference(outer, [(2, 9)])[0]
-            assert inner.source == FileReferenceHandle(store, 10, 17)
-            with open_stored_reference(inner.source) as remote:
-                _assert_bit_exact(remote.reference, inner)
-
-    def test_memoryless_slice_has_no_source(self, reference):
-        shard = slice_stored_reference(reference, [(0, 8)])[0]
-        assert shard.source is None
+            assert inner.n_encodes == 0
+            _assert_bit_exact(
+                inner, StoredReference.encode(segments[10:17]))
 
     def test_bad_ranges_rejected(self, store):
         with open_stored_reference(store) as mapped:
@@ -216,14 +190,6 @@ class TestValidation:
 
     def test_bad_magic(self, store):
         _corrupt(store, 0)
-        with pytest.raises(RefStoreError, match="bad magic"):
-            open_stored_reference(store)
-
-    def test_shm_segment_magic_is_foreign(self, store):
-        # A shared-memory image is NOT a store file: same codec,
-        # different magic, and the open must say so.
-        with open(store, "r+b") as handle:
-            handle.write(b"ASMCAPSM")
         with pytest.raises(RefStoreError, match="bad magic"):
             open_stored_reference(store)
 

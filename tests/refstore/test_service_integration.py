@@ -3,8 +3,7 @@
 The standing contract of the reference store: a mapping session over
 a catalog-opened (mmap, ``n_encodes == 0``) reference produces
 bit-identical decisions, costs and reports to one over a freshly
-encoded reference — on every engine and fan-out, and with **zero**
-reference-copy bytes when the process engine boots from store files.
+encoded reference — on the batched and the sharded engine.
 """
 
 from __future__ import annotations
@@ -15,24 +14,17 @@ import pytest
 from repro.cam.array import StoredReference
 from repro.errors import CamConfigError, RefStoreError, ServiceError
 from repro.genome.edits import ErrorModel
-from repro.parallel import ProcessShardEngine
 from repro.refstore import (
-    FileReferenceHandle,
     ReferenceCatalog,
     open_stored_reference,
     save_stored_reference,
-    slice_stored_reference,
 )
 from repro.service.frontend import MappingFrontend
 from repro.service.stream import StreamingMappingService
 
 THRESHOLD = 8
 
-ENGINES = [
-    ("batched", None),
-    ("sharded", "thread"),
-    ("sharded", "process"),
-]
+ENGINES = ["batched", "sharded"]
 
 
 @pytest.fixture(scope="module")
@@ -70,39 +62,33 @@ def _reports_identical(a, b) -> None:
 
 
 class TestStreamingService:
-    def _run(self, source, workload, engine, shard_engine,
-             catalog=None):
+    def _run(self, source, workload, engine, catalog=None):
         _, model, reads = workload
         with StreamingMappingService(
                 source, model, threshold=THRESHOLD, engine=engine,
                 n_shards=(2 if engine == "sharded" else None),
-                micro_batch=4, seed=3, shard_engine=shard_engine,
-                catalog=catalog) as service:
+                micro_batch=4, seed=3, catalog=catalog) as service:
             service.submit_many(reads)
             return service.drain()
 
-    @pytest.mark.parametrize("engine,shard_engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_catalog_session_matches_fresh_encode(self, workload,
-                                                  catalog, engine,
-                                                  shard_engine):
+                                                  catalog, engine):
         segments = workload[0]
-        fresh = self._run(segments, workload, engine, shard_engine)
-        served = self._run("main", workload, engine, shard_engine,
-                           catalog=catalog)
+        fresh = self._run(segments, workload, engine)
+        served = self._run("main", workload, engine, catalog=catalog)
         _reports_identical(served, fresh)
         assert catalog.stats().pinned_count == 0  # close released it
 
-    @pytest.mark.parametrize("engine,shard_engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_stored_reference_matches_fresh_encode(self, workload,
-                                                   tmp_path, engine,
-                                                   shard_engine):
+                                                   tmp_path, engine):
         segments = workload[0]
         path = tmp_path / "ref.asmcap"
         save_stored_reference(path, StoredReference.encode(segments))
-        fresh = self._run(segments, workload, engine, shard_engine)
+        fresh = self._run(segments, workload, engine)
         with open_stored_reference(path) as mapped:
-            served = self._run(mapped.reference, workload, engine,
-                               shard_engine)
+            served = self._run(mapped.reference, workload, engine)
             assert mapped.reference.n_encodes == 0
         _reports_identical(served, fresh)
 
@@ -141,8 +127,7 @@ class TestEngineFailure:
         _, model, reads = workload
         service = StreamingMappingService(
             "main", model, threshold=THRESHOLD, engine="sharded",
-            n_shards=2, micro_batch=4, seed=3, shard_engine="thread",
-            catalog=catalog)
+            n_shards=2, micro_batch=4, seed=3, catalog=catalog)
         original = service.pipeline.run
 
         def flaky(batch, *args, **kwargs):
@@ -163,79 +148,26 @@ class TestEngineFailure:
             service.submit(reads[0])
 
 
-class TestProcessEngineZeroCopy:
-    def test_file_backed_shards_boot_without_copies(self, workload,
-                                                    tmp_path):
-        """The acceptance criterion: booting the process engine from a
-        store file moves zero reference bytes — no shared-memory
-        segment is ever created, and no worker runs an encode pass."""
-        segments, model, reads = workload
-        path = tmp_path / "ref.asmcap"
-        save_stored_reference(path, StoredReference.encode(segments))
-        with open_stored_reference(path) as mapped:
-            shards = slice_stored_reference(mapped.reference,
-                                            [(0, 24), (24, 48)])
-            assert all(isinstance(s.source, FileReferenceHandle)
-                       for s in shards)
-            with ProcessShardEngine(shards, n_workers=2) as engine:
-                engine.start()
-                assert engine.shared_nbytes == 0
-                assert engine.worker_encode_counts() == (0, 0)
-
-        with StreamingMappingService(
-                segments, model, threshold=THRESHOLD, engine="sharded",
-                n_shards=2, micro_batch=4, seed=3,
-                shard_engine="process") as service:
-            service.submit_many(reads)
-            fresh = service.drain()
-        with open_stored_reference(path) as mapped:
-            with StreamingMappingService(
-                    mapped.reference, model, threshold=THRESHOLD,
-                    engine="sharded", n_shards=2, micro_batch=4,
-                    seed=3, shard_engine="process") as service:
-                service.submit_many(reads)
-                served = service.drain()
-                engine = service.pipeline.process_engine()
-                assert engine.shared_nbytes == 0
-                assert engine.worker_encode_counts() == tuple(
-                    0 for _ in range(engine.n_workers))
-        _reports_identical(served, fresh)
-
-    def test_memory_backed_shards_still_share(self, workload):
-        # The shared-memory fallback stays available for references
-        # that never touched disk.
-        segments, _, _ = workload
-        reference = StoredReference.encode(segments)
-        shards = slice_stored_reference(reference, [(0, 24), (24, 48)])
-        assert all(s.source is None for s in shards)
-        with ProcessShardEngine(shards, n_workers=2) as engine:
-            engine.start()
-            assert engine.shared_nbytes > 0
-            assert engine.worker_encode_counts() == (0, 0)
-
-
 class TestFrontend:
-    def _base_report(self, workload, engine, shard_engine):
+    def _base_report(self, workload, engine):
         segments, model, reads = workload
         with MappingFrontend(
                 segments, model, engine=engine,
-                n_shards=(2 if engine == "sharded" else None),
-                shard_engine=shard_engine) as frontend:
+                n_shards=(2 if engine == "sharded" else None)) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=3,
                                        micro_batch=4)
             session.submit_many(reads)
             return session.close()
 
-    @pytest.mark.parametrize("engine,shard_engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_catalog_sessions_match_fresh_encode(self, workload,
-                                                 catalog, engine,
-                                                 shard_engine):
+                                                 catalog, engine):
         _, model, reads = workload
-        fresh = self._base_report(workload, engine, shard_engine)
+        fresh = self._base_report(workload, engine)
         with MappingFrontend(
                 None, model, engine=engine,
                 n_shards=(2 if engine == "sharded" else None),
-                shard_engine=shard_engine, catalog=catalog) as frontend:
+                catalog=catalog) as frontend:
             main = frontend.session(threshold=THRESHOLD, seed=3,
                                     micro_batch=4, reference="main")
             other = frontend.session(threshold=THRESHOLD, seed=3,
@@ -284,9 +216,7 @@ class TestFrontend:
         segments, model, reads = workload
         reference = StoredReference.encode(segments)
         kwargs = {"engine": engine,
-                  "n_shards": (2 if engine == "sharded" else None),
-                  "shard_engine": ("thread" if engine == "sharded"
-                                   else None)}
+                  "n_shards": (2 if engine == "sharded" else None)}
         with MappingFrontend(segments, model, **kwargs) as frontend:
             fresh = [frontend.session(threshold=THRESHOLD, seed=seed,
                                       micro_batch=4) for seed in (3, 11)]

@@ -242,8 +242,7 @@ class TestSharedEncoding:
             assert array_a.ledger is not array_b.ledger
 
     def test_sharded_sessions_share_one_executor(self, small_dataset_a):
-        with _frontend(small_dataset_a, engine="sharded",
-                       shard_engine="thread") as frontend:
+        with _frontend(small_dataset_a, engine="sharded") as frontend:
             a = frontend.session(threshold=THRESHOLD, seed=0)
             b = frontend.session(threshold=THRESHOLD, seed=1)
             assert not a.pipeline.owns_executor

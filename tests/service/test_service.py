@@ -26,6 +26,7 @@ from repro.core.pipeline import (
 from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.service import (
     DEFAULT_SERVICE_COMPACTION,
+    MappingFrontend,
     StreamingMappingService,
     stream_mapped,
 )
@@ -426,3 +427,29 @@ class TestThresholdValidation:
                 small_dataset_a.segments, small_dataset_a.model,
                 threshold=-1, engine="sharded", n_shards=2,
             )
+
+
+class TestShardCountValidation:
+    """``n_shards`` <= 0 raises the same typed error, naming the knob,
+    at every boundary that resolves it (like ``chunk_size`` and
+    ``max_workers`` do)."""
+
+    @pytest.mark.parametrize("n_shards", [0, -1])
+    @pytest.mark.parametrize("boundary", ["pipeline", "service",
+                                          "frontend"])
+    def test_nonpositive_n_shards_names_the_knob(self, small_dataset_a,
+                                                 boundary, n_shards):
+        segments, model = small_dataset_a.segments, small_dataset_a.model
+        build = {
+            "pipeline": lambda: ShardedReadMappingPipeline(
+                segments, model, n_shards=n_shards),
+            "service": lambda: StreamingMappingService(
+                segments, model, threshold=THRESHOLD, engine="sharded",
+                n_shards=n_shards),
+            "frontend": lambda: MappingFrontend(
+                segments, model, engine="sharded", n_shards=n_shards),
+        }[boundary]
+        with pytest.raises(CamConfigError,
+                           match=f"n_shards must be positive, got "
+                                 f"{n_shards}"):
+            build()

@@ -23,8 +23,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Knob names pinned for fixture runs (the production run reads them
 #: from src/repro/knobs.py; fixtures must not depend on the tree).
-KNOBS = ("micro_batch", "compaction", "max_workers", "backend",
-         "engine", "shard_engine")
+KNOBS = ("micro_batch", "compaction", "max_workers", "backend")
 
 #: Hook points pinned for fixture runs.
 HOOKS = ("refstore.save", "refstore.open")
@@ -32,12 +31,10 @@ HOOKS = ("refstore.save", "refstore.open")
 _MARKER = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)$")
 
 
-def make_repo(*, closure=(), hook_points=HOOKS) -> RepoContext:
+def make_repo(*, hook_points=HOOKS) -> RepoContext:
     """A RepoContext independent of cwd and of the real tree."""
-    repo = RepoContext(root=Path("."), config=LintConfig(),
+    return RepoContext(root=Path("."), config=LintConfig(),
                        knob_names=KNOBS, hook_points=hook_points)
-    repo.shared["process_safety.closure"] = set(closure)
-    return repo
 
 
 def expected_markers(source: str) -> "list[tuple[int, str]]":
@@ -57,53 +54,46 @@ def lint_fixture(name: str, rel_path: str, repo=None):
     return source, findings
 
 
-#: (violation fixture, clean twin, rel_path it impersonates, repo kwargs)
+#: (violation fixture, clean twin, rel_path it impersonates)
 CHECKER_CASES = [
     pytest.param("determinism_violation.py", "determinism_clean.py",
-                 "src/repro/cam/fixture.py", {}, id="determinism"),
-    pytest.param("process_safety_violation.py", "process_safety_clean.py",
-                 "src/repro/parallel/fixture.py",
-                 {"closure": ("src/repro/parallel/fixture.py",)},
-                 id="process-safety"),
+                 "src/repro/cam/fixture.py", id="determinism"),
     pytest.param("knobs_violation.py", "knobs_clean.py",
-                 "src/repro/cam/fixture.py", {}, id="knobs"),
+                 "src/repro/cam/fixture.py", id="knobs"),
     pytest.param("error_contract_violation.py", "error_contract_clean.py",
-                 "src/repro/cam/fixture.py", {}, id="error-contract"),
+                 "src/repro/cam/fixture.py", id="error-contract"),
     pytest.param("layering_violation.py", "layering_clean.py",
-                 "src/repro/cam/fixture.py", {}, id="layering"),
+                 "src/repro/cam/fixture.py", id="layering"),
     pytest.param("fault_hooks_violation.py", "fault_hooks_clean.py",
-                 "src/repro/cam/fixture.py", {}, id="fault-hooks"),
+                 "src/repro/cam/fixture.py", id="fault-hooks"),
     pytest.param("keyed_noise_violation.py", "keyed_noise_clean.py",
-                 "src/repro/core/fixture.py", {}, id="keyed-noise"),
+                 "src/repro/core/fixture.py", id="keyed-noise"),
 ]
 
 
 class TestGoldenFixtures:
-    @pytest.mark.parametrize("violation, clean, rel_path, repo_kwargs",
+    @pytest.mark.parametrize("violation, clean, rel_path",
                              CHECKER_CASES)
     def test_violation_fixture_flags_exactly_the_marked_lines(
-            self, violation, clean, rel_path, repo_kwargs):
-        source, findings = lint_fixture(violation, rel_path,
-                                        make_repo(**repo_kwargs))
+            self, violation, clean, rel_path):
+        source, findings = lint_fixture(violation, rel_path)
         expected = expected_markers(source)
         assert expected, f"{violation} declares no # expect: markers"
         got = sorted((f.line, f.code) for f in findings)
         assert got == expected
 
-    @pytest.mark.parametrize("violation, clean, rel_path, repo_kwargs",
+    @pytest.mark.parametrize("violation, clean, rel_path",
                              CHECKER_CASES)
     def test_clean_twin_produces_zero_findings(
-            self, violation, clean, rel_path, repo_kwargs):
-        _, findings = lint_fixture(clean, rel_path,
-                                   make_repo(**repo_kwargs))
+            self, violation, clean, rel_path):
+        _, findings = lint_fixture(clean, rel_path)
         assert findings == []
 
-    @pytest.mark.parametrize("violation, clean, rel_path, repo_kwargs",
+    @pytest.mark.parametrize("violation, clean, rel_path",
                              CHECKER_CASES)
     def test_findings_carry_rel_path_and_messages(
-            self, violation, clean, rel_path, repo_kwargs):
-        _, findings = lint_fixture(violation, rel_path,
-                                   make_repo(**repo_kwargs))
+            self, violation, clean, rel_path):
+        _, findings = lint_fixture(violation, rel_path)
         for finding in findings:
             assert finding.path == rel_path
             assert finding.message
@@ -176,14 +166,14 @@ class TestKnobCheckerCatchesThePr5Bug:
     instead of raising."""
 
     PR5_PATTERN = (
-        "class ProcessShardEngine:\n"
+        "class ShardedReadMappingPipeline:\n"
         "    def __init__(self, max_workers, plan):\n"
         "        self._max_workers = max_workers or plan.max_workers\n"
     )
 
     def test_pr5_pattern_is_flagged(self):
         findings = lint_source(self.PR5_PATTERN,
-                               "src/repro/parallel/engine.py",
+                               "src/repro/core/pipeline.py",
                                repo=make_repo())
         assert [(f.code, f.line) for f in findings] == [("CL301", 3)]
 
@@ -191,7 +181,7 @@ class TestKnobCheckerCatchesThePr5Bug:
         fixed = self.PR5_PATTERN.replace(
             "max_workers or plan.max_workers",
             "max_workers if max_workers is not None else plan.max_workers")
-        assert lint_source(fixed, "src/repro/parallel/engine.py",
+        assert lint_source(fixed, "src/repro/core/pipeline.py",
                            repo=make_repo()) == []
 
     def test_attribute_spelling_is_flagged_too(self):

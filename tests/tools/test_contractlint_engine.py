@@ -104,13 +104,13 @@ class TestRepoFacts:
     def test_knob_names_read_from_this_repo(self):
         knobs = read_knob_names(REPO_ROOT)
         assert set(knobs) >= {"micro_batch", "compaction", "max_workers",
-                              "backend", "engine", "shard_engine"}
+                              "backend"}
 
     def test_hook_points_read_from_this_repo(self):
         points = read_hook_points(REPO_ROOT)
         assert "refstore.save" in points
         assert "service.stream.dispatch" in points
-        assert len(points) >= 9
+        assert len(points) >= 6
 
     def test_knob_names_track_the_validator_signature(self, tmp_path):
         knobs_py = tmp_path / "src" / "repro" / "knobs.py"
@@ -119,8 +119,7 @@ class TestRepoFacts:
             "def validate_service_knobs(micro_batch=None, *, warp=None):\n"
             "    return None\n")
         knobs = read_knob_names(tmp_path)
-        assert "warp" in knobs          # new knob picked up automatically
-        assert "shard_engine" in knobs  # the alias rides along
+        assert "warp" in knobs  # new knob picked up automatically
 
     def test_missing_tree_falls_back(self, tmp_path):
         assert "micro_batch" in read_knob_names(tmp_path)
@@ -223,7 +222,7 @@ class TestSelfRun:
 class TestRegistry:
     def test_every_code_family_is_registered(self):
         codes = all_codes()
-        for family in ("CL001", "CL101", "CL201", "CL301", "CL401",
+        for family in ("CL001", "CL101", "CL301", "CL401",
                        "CL501", "CL601"):
             assert family in codes
 

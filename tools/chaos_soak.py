@@ -3,8 +3,8 @@
 
 Fans ``--schedules`` generated :class:`~repro.faults.plan.FaultPlan`
 schedules across the :data:`~repro.faults.scenarios.SCENARIOS` chaos
-matrix (batched + sharded engines, thread + process fan-out,
-compaction on and off, stream / store / catalog / frontend routes) and judges every run with the
+matrix (batched + sharded engines, compaction on and off,
+stream / store / catalog / frontend routes) and judges every run with the
 :class:`~repro.faults.checker.InvariantChecker` trichotomy: each
 injected fault must either **surface** as its documented typed error
 or be **tolerated** with results bit-identical to the fault-free
@@ -49,21 +49,12 @@ from repro.faults.scenarios import SCENARIOS, get_scenario  # noqa: E402
 #: (a prime stride keeps soak seeds from aliasing each other's plans).
 SEED_STRIDE = 1_000_003
 
-#: ``--smoke`` keeps CI fast: fewer schedules, thread-only scenarios
-#: (no spawn cost), and a smaller replay sample.
+#: ``--smoke`` keeps CI fast: fewer schedules and a smaller replay
+#: sample.
 SMOKE_SCHEDULES = 8
 
 #: How many schedules the reproducibility pass replays.
 REPLAY_SAMPLE = 4
-
-
-def scenario_matrix(smoke: bool):
-    """The scenarios a soak cycles through (smoke drops process
-    fan-out — spawn startup dominates a tier-1 budget)."""
-    if not smoke:
-        return SCENARIOS
-    return tuple(scenario for scenario in SCENARIOS
-                 if scenario.shard_engine != "process")
 
 
 def plan_for(schedule: int, seed: int, scenario) -> FaultPlan:
@@ -76,9 +67,8 @@ def plan_for(schedule: int, seed: int, scenario) -> FaultPlan:
 
 
 def run_schedule(checker: InvariantChecker, schedule: int, seed: int,
-                 smoke: bool) -> "dict[str, object]":
-    matrix = scenario_matrix(smoke)
-    scenario = matrix[schedule % len(matrix)]
+                 scenarios=SCENARIOS) -> "dict[str, object]":
+    scenario = scenarios[schedule % len(scenarios)]
     plan = plan_for(schedule, seed, scenario)
     started = time.perf_counter()
     verdict = checker.check(scenario, plan)
@@ -95,14 +85,14 @@ def _stable(record: "dict[str, object]") -> "dict[str, object]":
             if key != "elapsed_s"}
 
 
-def run_soak(schedules: int, seed: int, smoke: bool,
+def run_soak(schedules: int, seed: int, scenarios=SCENARIOS,
              log=print) -> "tuple[list[dict], list[str]]":
     """Run the sweep + replay pass; return (records, failures)."""
     checker = InvariantChecker()
     records: "list[dict[str, object]]" = []
     failures: "list[str]" = []
     for schedule in range(schedules):
-        record = run_schedule(checker, schedule, seed, smoke)
+        record = run_schedule(checker, schedule, seed, scenarios)
         records.append(record)
         status = "ok " if record["ok"] else "FAIL"
         log(f"[{schedule:3d}] {status} {record['scenario']:<36} "
@@ -121,7 +111,7 @@ def run_soak(schedules: int, seed: int, smoke: bool,
     replay = InvariantChecker()
     step = max(1, schedules // REPLAY_SAMPLE)
     for schedule in range(0, schedules, step):
-        again = run_schedule(replay, schedule, seed, smoke)
+        again = run_schedule(replay, schedule, seed, scenarios)
         if _stable(again) != _stable(records[schedule]):
             failures.append(
                 f"schedule {schedule} is nondeterministic: replay "
@@ -141,8 +131,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="soak seed; one integer reproduces the "
                         "whole sweep (default 0)")
     parser.add_argument("--smoke", action="store_true",
-                        help=f"tier-1 mode: {SMOKE_SCHEDULES} schedules, "
-                        f"thread-only scenarios")
+                        help=f"tier-1 mode: {SMOKE_SCHEDULES} schedules")
     parser.add_argument("--json", type=Path, default=None,
                         metavar="PATH",
                         help="write the verdict records as JSON")
@@ -154,13 +143,10 @@ def main(argv: "list[str] | None" = None) -> int:
     schedules = SMOKE_SCHEDULES if args.smoke else args.schedules
     if schedules <= 0:
         parser.error("--schedules must be positive")
-    if args.scenario is not None:
-        get_scenario(args.scenario)  # fail fast on typos
-        global scenario_matrix  # noqa: PLW0603 - debug pin
-        pinned = (get_scenario(args.scenario),)
-        scenario_matrix = lambda smoke: pinned  # noqa: E731
+    scenarios = (SCENARIOS if args.scenario is None
+                 else (get_scenario(args.scenario),))
 
-    records, failures = run_soak(schedules, args.seed, args.smoke)
+    records, failures = run_soak(schedules, args.seed, scenarios)
 
     verdicts = [record["verdict"] for record in records]
     summary = {

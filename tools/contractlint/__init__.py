@@ -2,8 +2,7 @@
 
 The reproduction's value proposition is a set of *contracts* — bit-
 identical decisions under keyed noise for any scheduling/backend/
-engine/process count, kernel backends crossing process boundaries by
-name only, validated service knobs, a typed fail-loud error hierarchy,
+worker count, validated service knobs, a typed fail-loud error hierarchy,
 registered fault-hook points, and a downward-only import layering.
 Every one of them used to be enforced only by runtime tests and
 reviewer vigilance, and at least one real bug (a falsy ``or`` that
@@ -24,10 +23,10 @@ Architecture (see DESIGN.md, "Static contract enforcement"):
   config/allowlists from ``pyproject.toml``, and the checker registry.
 * :mod:`tools.contractlint.checkers` — one module per contract family,
   each registering a :class:`~tools.contractlint.core.Checker` with
-  stable ``CLxxx`` error codes: ``CL1xx`` determinism, ``CL2xx``
-  process-safety, ``CL3xx`` knob hygiene, ``CL4xx`` error contract,
-  ``CL5xx`` layering, ``CL6xx`` fault-hook consistency (``CL0xx`` are
-  the tool's own meta codes).
+  stable ``CLxxx`` error codes: ``CL1xx`` determinism, ``CL3xx`` knob
+  hygiene, ``CL4xx`` error contract, ``CL5xx`` layering, ``CL6xx``
+  fault-hook consistency (``CL0xx`` are the tool's own meta codes;
+  ``CL2xx`` is retired).
 
 The package is intentionally pure-stdlib and never imports
 :mod:`repro`: repo facts it needs (knob names, hook-point names) are

@@ -6,5 +6,4 @@ from tools.contractlint.checkers import (  # noqa: F401  (registration imports)
     fault_hooks,
     knobs,
     layering,
-    process_safety,
 )

@@ -1,10 +1,9 @@
 """CL3xx — knob hygiene: ``None`` means autotune, falsy means *bug*.
 
 The binding contract (``repro/knobs.py``): the cross-layer constructor
-knobs (``micro_batch``, ``compaction``, ``max_workers``, ``backend``,
-``engine``, plus the ``shard_engine`` alias) treat ``None`` as
-"autotune/disable" and validate every explicit value through
-``validate_service_knobs``.  The one bug class this permits is
+knobs (``micro_batch``, ``compaction``, ``max_workers``, ``backend``)
+treat ``None`` as "autotune/disable" and validate every explicit value
+through ``validate_service_knobs``.  The one bug class this permits is
 *falsy-swallowing*: ``max_workers or plan.max_workers`` silently turns
 the invalid explicit value ``0`` into an autotune request instead of
 the loud ``CamConfigError`` the contract promises — the exact bug PR 5

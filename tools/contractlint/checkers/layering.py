@@ -5,8 +5,8 @@ production scale"): the package DAG has a declared layer order, and a
 lower layer importing a higher one at *module level* couples the CAM
 physics to the service veneer and eventually deadlocks the import
 graph.  Function-level imports are the sanctioned escape hatch for
-genuine cycles (``knobs`` validating an ``engine`` name against the
-autotune table) and are deliberately not checked.
+genuine cycles (``knobs`` checking a reference source against
+``cam.array``'s ``StoredReference``) and are deliberately not checked.
 
 * ``CL501`` — a module in layer *n* imports a package in a layer
   above *n* at module level.
@@ -37,14 +37,13 @@ LAYERS: "dict[str, int]" = {
     "kernels": 3,
     "knobs": 4,
     "cam": 5,
-    "parallel": 6,
-    "arch": 7,
-    "core": 7,
-    "baselines": 8,
-    "refstore": 8,
-    "eval": 9,
-    "service": 9,
-    "experiments": 10,
+    "arch": 6,
+    "core": 6,
+    "baselines": 7,
+    "refstore": 7,
+    "eval": 8,
+    "service": 8,
+    "experiments": 9,
 }
 
 

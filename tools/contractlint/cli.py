@@ -27,8 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m tools.contractlint",
         description="Statically enforce the repo's determinism, "
-                    "process-safety, knob, error, layering and "
-                    "fault-hook contracts.",
+                    "knob, error, layering and fault-hook contracts.",
     )
     parser.add_argument(
         "files", nargs="*", type=Path,

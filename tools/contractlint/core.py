@@ -115,8 +115,7 @@ class RepoContext:
     """Repo-level facts shared by the checkers.
 
     ``knob_names`` come from the parameter list of
-    ``validate_service_knobs`` in ``src/repro/knobs.py`` (plus the
-    service-layer aliases that validate through it) and ``hook_points``
+    ``validate_service_knobs`` in ``src/repro/knobs.py`` and ``hook_points``
     from the ``HOOK_POINTS`` tuple in ``src/repro/faults/plan.py`` —
     both read from *source*, never imported, so the linter works on an
     unimportable tree.  Checkers stash cross-file state in ``shared``
@@ -247,20 +246,16 @@ def _apply_suppressions(findings: "list[Finding]", ctx: FileContext,
 
 # -- repo facts read from source ---------------------------------------------
 
-#: Aliases validated through the same gate as a canonical knob: the
-#: service layer's ``shard_engine=`` is the pipeline's ``engine=``.
-KNOB_ALIASES = ("shard_engine",)
-
 #: Fallbacks when the source of truth is absent (tiny test repos).
 _FALLBACK_KNOBS = ("micro_batch", "compaction", "max_workers",
-                   "backend", "engine")
+                   "backend")
 
 
 def read_knob_names(root: Path) -> "tuple[str, ...]":
     """Parameter names of ``validate_service_knobs`` in knobs.py."""
     path = root / "src" / "repro" / "knobs.py"
     if not path.is_file():
-        return _FALLBACK_KNOBS + KNOB_ALIASES
+        return _FALLBACK_KNOBS
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if (isinstance(node, ast.FunctionDef)
@@ -268,8 +263,8 @@ def read_knob_names(root: Path) -> "tuple[str, ...]":
             args = node.args
             names = [a.arg for a in args.posonlyargs + args.args
                      + args.kwonlyargs]
-            return tuple(names) + KNOB_ALIASES
-    return _FALLBACK_KNOBS + KNOB_ALIASES
+            return tuple(names)
+    return _FALLBACK_KNOBS
 
 
 def read_hook_points(root: Path) -> "tuple[str, ...]":
@@ -363,7 +358,7 @@ def lint_source(source: str, rel_path: str,
     """
     if repo is None:
         repo = RepoContext(root=Path("."), config=LintConfig(),
-                           knob_names=_FALLBACK_KNOBS + KNOB_ALIASES,
+                           knob_names=_FALLBACK_KNOBS,
                            hook_points=())
     tree = ast.parse(source)
     ctx = FileContext(rel_path=rel_path, tree=tree, source=source)
