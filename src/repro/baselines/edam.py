@@ -104,21 +104,22 @@ class EdamMatcher:
         EDAM's SR fires unconditionally, so every pass covers the whole
         ``(B, N)`` block at every threshold: a batch (``sweep=False``,
         scalar or ``(B,)`` thresholds) or a sweep (``(T,)`` vector).
+        The base and every rotated pass's counts come from one encode
+        of the block (``mismatch_counts_batch(..., rotations=)``).
         """
         search = self._array.search_sweep if sweep else \
             self._array.search_batch
         keys = query_key_vector(query_keys, reads.shape[0])
-        results = [search(reads, thresholds, MatchMode.ED_STAR,
-                          noise_keys=pass_keys(keys, PASS_ED_STAR))]
+        offsets = (0,)
         if self._enable_sr:
-            for offset in rotation_offsets(self._sr_nr, self._sr_direction):
-                results.append(search(
-                    np.roll(reads, -offset, axis=1), thresholds,
-                    MatchMode.ED_STAR,
-                    noise_keys=pass_keys(keys, PASS_ROTATION + offset),
-                    rotation=offset,
-                ))
-        return results
+            offsets += rotation_offsets(self._sr_nr, self._sr_direction)
+        counts = self._array.mismatch_counts_batch(reads, MatchMode.ED_STAR,
+                                                   rotations=offsets)
+        return [search(reads, thresholds, MatchMode.ED_STAR,
+                       noise_keys=pass_keys(keys, PASS_ROTATION + offset
+                                            if offset else PASS_ED_STAR),
+                       precomputed_counts=pass_counts, rotation=offset)
+                for offset, pass_counts in zip(offsets, counts)]
 
     def match(self, read: np.ndarray, threshold: int,
               query_key: "int | None" = None) -> EdamOutcome:

@@ -432,6 +432,7 @@ class StoredReference:
 
     def counts_batch(self, queries: np.ndarray, mode: MatchMode,
                      backend: "str | KernelBackend | None" = None,
+                     rotations: "Sequence[int] | None" = None,
                      ) -> np.ndarray:
         """Digital ``(B, M)`` mismatch counts for a block of queries.
 
@@ -441,11 +442,18 @@ class StoredReference:
         pass their resolved ``backend=`` knob), every one of which
         returns exactly equal integer counts.  Codes outside the DNA
         alphabet fall back to the shared boolean comparison sweep.
+
+        ``rotations`` asks for the TASR/SR passes of the block from one
+        encode: ``(R, B, M)`` counts, slice ``i`` equal to the counts of
+        ``np.roll(queries, -rotations[i], axis=1)`` (offset 0 is the
+        unrotated base pass) — the read loaded once and rotated in
+        place by the shift registers (Fig. 4).
         """
         self._segments_for_search()
         is_ed_star = mode is MatchMode.ED_STAR
         return as_backend(backend).counts_batch(self.encoded(), queries,
-                                                ed_star=is_ed_star)
+                                                ed_star=is_ed_star,
+                                                rotations=rotations)
 
     def counts_batch_dual(
             self, queries: np.ndarray,
@@ -656,17 +664,22 @@ class CamArray:
         return self._stored.counts(read, mode, backend=self._backend)
 
     def mismatch_counts_batch(self, queries: np.ndarray,
-                              mode: MatchMode) -> np.ndarray:
+                              mode: MatchMode,
+                              rotations: "Sequence[int] | None" = None,
+                              ) -> np.ndarray:
         """Digital ``(B, M)`` mismatch counts for a block of queries.
 
         Bit-exact with :meth:`mismatch_counts` applied per query; the
         computation dispatches to the array's resolved kernel backend
         on :class:`StoredReference` (bit-identical whichever backend
-        runs).
+        runs).  With ``rotations``, the ``(R, B, M)`` counts of every
+        rotated pass from one encode (see
+        :meth:`StoredReference.counts_batch`).
         """
         queries = self._check_queries(queries)
         return self._stored.counts_batch(queries, mode,
-                                         backend=self._backend)
+                                         backend=self._backend,
+                                         rotations=rotations)
 
     def mismatch_counts_batch_dual(
             self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -736,12 +749,15 @@ class CamArray:
         precomputed_counts:
             Digital counts for these queries in this mode, if the
             caller already holds them (e.g. one half of a
-            :meth:`mismatch_counts_batch_dual` sweep); must equal what
-            :meth:`mismatch_counts_batch` would return.
+            :meth:`mismatch_counts_batch_dual` sweep, or one slice of a
+            ``mismatch_counts_batch(..., rotations=)`` call); must
+            equal what :meth:`mismatch_counts_batch` would return for
+            the (rotated) queries.
         rotation:
-            Signed rotation offset the caller applied to the queries
-            before the search (tags the cost event as a rotation pass
-            and charges its shift-register cycles).
+            Signed rotation offset of the pass (tags the cost event as
+            a rotation pass and charges its shift-register cycles).
+            Without ``precomputed_counts`` the queries are searched as
+            given, so the caller passes them already rotated.
         """
         queries = self._check_queries(queries)
         n_queries = queries.shape[0]

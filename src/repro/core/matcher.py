@@ -22,7 +22,12 @@ threshold sweep shared by every read), and :meth:`AsmCapMatcher.match`
 the one-row slice of a batch.  Each strategy pass is issued once over
 the cells it applies to — the HD pass over the cells whose ``p`` clears
 the disable cut, the rotated passes over the cells at or above ``Tl``
-— so costs are charged exactly where a pass ran.  Every draw is keyed
+— so costs are charged exactly where a pass ran.  The reads are
+encoded once per flow, as the searchlines load a read once and the
+shift registers rotate it in place: the rotated passes (and the base
+ED* pass, when the rotations cover every read) take their counts from
+one ``mismatch_counts_batch(..., rotations=)`` call, while each pass
+still records its own ledger event.  Every draw is keyed
 by ``(seed, query_key, pass)``, never by the threshold or the block's
 composition, so any batching, sweep or sharding of the same keyed reads
 makes bit-identical decisions.
@@ -490,14 +495,11 @@ class AsmCapMatcher:
         def issue(rows: np.ndarray, cols: np.ndarray, mode: MatchMode,
                   tag: int, counts: "np.ndarray | None" = None,
                   rotation: int = 0):
-            """One array pass over the selected cells; charges its costs
-            there and returns ``(cells, search result)``."""
+            """One array pass over the selected cells (``counts``, when
+            given, are the pass's counts for exactly those reads);
+            charges its costs there and returns ``(cells, result)``."""
             every = cols.shape[0] == n_queries
             queries = reads if every else reads[cols]
-            if counts is not None and not every:
-                counts = counts[cols]
-            if rotation:
-                queries = np.roll(queries, -rotation, axis=1)
             kwargs = {"noise_keys": pass_keys(keys[cols], tag),
                       "precomputed_counts": counts, "rotation": rotation}
             if sweep:
@@ -520,9 +522,11 @@ class AsmCapMatcher:
             """A pass's decisions as a ``(T', B', M)`` block."""
             return result.matches if sweep else result.matches[None]
 
-        # HDAC eligibility is known before any search (``p`` is an
-        # off-line function of the threshold), so when the HD pass will
-        # cover every read one dual sweep supplies both modes' counts.
+        # HDAC and TASR eligibility are known before any search (``p``
+        # and ``Tl`` are off-line functions of the threshold), so every
+        # pass's counts come from as few encodes as possible: one
+        # rotations call yields all TASR passes (plus the base ED* pass
+        # when they cover every read), one dual call the ED*/HD pair.
         p_block = np.zeros(block.shape)
         hdac_mask = np.zeros(block.shape, dtype=bool)
         if config.enable_hdac:
@@ -530,9 +534,27 @@ class AsmCapMatcher:
                 p_block[block == t] = self.hdac_probability(int(t))
             hdac_mask = p_block >= config.hdac_disable_threshold
         hd_rows, hd_cols = cells_of(hdac_mask)
+        lower_bound = self.tasr_lower_bound()
+        tasr_mask = np.zeros(block.shape, dtype=bool)
+        if config.enable_tasr and n_queries:
+            tasr_mask = block >= lower_bound
+        tasr_rows, tasr_cols = cells_of(tasr_mask)
+        offsets = rotation_offsets(config.tasr_nr, config.tasr_direction) \
+            if tasr_rows.shape[0] else ()
         ed_counts = hd_counts = None
+        rotated = ()
+        if offsets and tasr_cols.shape[0] == n_queries:
+            ed_counts, *rotated = array.mismatch_counts_batch(
+                reads, MatchMode.ED_STAR, rotations=(0,) + offsets)
+        elif offsets:
+            rotated = array.mismatch_counts_batch(
+                reads[tasr_cols], MatchMode.ED_STAR, rotations=offsets)
         if n_queries and hd_cols.shape[0] == n_queries:
-            ed_counts, hd_counts = array.mismatch_counts_batch_dual(reads)
+            if ed_counts is None:
+                ed_counts, hd_counts = array.mismatch_counts_batch_dual(reads)
+            else:
+                hd_counts = array.mismatch_counts_batch(reads,
+                                                        MatchMode.HAMMING)
 
         # Each pass's result stays referenced until the next pass has
         # run (``base`` to the end).  Freeing a pass's (B, M) blocks
@@ -554,18 +576,11 @@ class AsmCapMatcher:
             )
 
         # --- TASR (Algorithm 2), over the cells above Tl --------------
-        lower_bound = self.tasr_lower_bound()
-        tasr_mask = np.zeros(block.shape, dtype=bool)
-        if config.enable_tasr and n_queries:
-            tasr_mask = block >= lower_bound
-            rows, cols = cells_of(tasr_mask)
-            if rows.shape[0]:
-                for offset in rotation_offsets(config.tasr_nr,
-                                               config.tasr_direction):
-                    cells, rotated = issue(rows, cols, MatchMode.ED_STAR,
-                                           PASS_ROTATION + offset,
-                                           rotation=offset)
-                    decisions[cells] |= block_matches(rotated)
+        for offset, counts in zip(offsets, rotated):
+            cells, result = issue(tasr_rows, tasr_cols, MatchMode.ED_STAR,
+                                  PASS_ROTATION + offset, counts,
+                                  rotation=offset)
+            decisions[cells] |= block_matches(result)
 
         return _FlowResult(
             decisions=decisions, n_searches=n_searches, energy=energy,

@@ -6,7 +6,9 @@ computes the same two exact quantities:
 
 * ``counts_batch(encoded, queries, ed_star=...)`` — per-row digital
   mismatch counts, HD or the neighbour-tolerant ED* of
-  :mod:`repro.distance.ed_star`;
+  :mod:`repro.distance.ed_star`; with ``rotations=`` offsets, the
+  ``(R, B, M)`` counts of the block rotated left by each offset (the
+  TASR/SR passes; offset 0 is the unrotated base pass);
 * ``counts_batch_dual(encoded, queries)`` — the ``(ED*, HD)`` pair from
   one shared query pass (the controller's back-to-back search trick).
 
@@ -32,6 +34,8 @@ reference kernels of ``repro.distance.ed_star``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -147,14 +151,24 @@ def encoded_reference_from_arrays(
                                for name in ENCODED_REFERENCE_FIELDS})
 
 
+def _per_offset_counts(count: "Callable[[np.ndarray], np.ndarray]",
+                      queries: np.ndarray, offsets: "tuple[int, ...]",
+                      n_rows: int) -> np.ndarray:
+    """``(R, B, M)`` counts of ``count`` over each left-rotated block."""
+    out = np.empty((len(offsets), queries.shape[0], n_rows), dtype=np.intp)
+    for index, offset in enumerate(offsets):
+        out[index] = count(np.roll(queries, -offset, axis=1))
+    return out
+
+
 class KernelBackend:
     """Base class of the mismatch-count kernel backends.
 
     Subclasses implement :meth:`_counts` (and optionally
-    :meth:`_counts_dual`); the public entry points here own what must
-    never differ between backends — the exact-lane eligibility gate
-    and the shared boolean fallback for queries carrying non-ACGT
-    ambiguity codes.
+    :meth:`_counts_dual` and :meth:`_rotated_counts`); the public entry
+    points here own what must never differ between backends — the
+    exact-lane eligibility gate and the shared boolean fallback for
+    queries carrying non-ACGT ambiguity codes.
     """
 
     #: Registry name; subclasses override.
@@ -163,12 +177,29 @@ class KernelBackend:
     # -- public entry points ----------------------------------------------
 
     def counts_batch(self, encoded: EncodedReference, queries: np.ndarray,
-                     *, ed_star: bool) -> np.ndarray:
-        """Exact ``(B, M)`` mismatch counts (ED* or Hamming)."""
-        if not self.exact_lane_eligible(queries):
-            return self._fallback_counts(encoded.segments, queries,
-                                         ed_star=ed_star)
-        return self._counts(encoded, queries, ed_star=ed_star)
+                     *, ed_star: bool,
+                     rotations: "Sequence[int] | None" = None) -> np.ndarray:
+        """Exact ``(B, M)`` mismatch counts (ED* or Hamming).
+
+        With ``rotations``, the ``(R, B, M)`` counts of the block
+        rotated left by each offset (``np.roll(queries, -offset,
+        axis=1)``; negative offsets rotate right, 0 is the block as
+        given).
+        """
+        eligible = self.exact_lane_eligible(queries)
+        if rotations is None:
+            if not eligible:
+                return self._fallback_counts(encoded.segments, queries,
+                                             ed_star=ed_star)
+            return self._counts(encoded, queries, ed_star=ed_star)
+        offsets = tuple(int(offset) for offset in rotations)
+        if not eligible:
+            return _per_offset_counts(
+                partial(self._fallback_counts, encoded.segments,
+                        ed_star=ed_star),
+                queries, offsets, encoded.n_rows)
+        return self._rotated_counts(encoded, queries, offsets,
+                                    ed_star=ed_star)
 
     def counts_batch_dual(
             self, encoded: EncodedReference,
@@ -224,6 +255,14 @@ class KernelBackend:
         ed = self._counts(encoded, queries, ed_star=True)
         hd = self._counts(encoded, queries, ed_star=False)
         return ed, hd
+
+    def _rotated_counts(self, encoded: EncodedReference, queries: np.ndarray,
+                        offsets: "tuple[int, ...]", *,
+                        ed_star: bool) -> np.ndarray:
+        """Roll the block per offset and count each copy."""
+        return _per_offset_counts(
+            partial(self._counts, encoded, ed_star=ed_star),
+            queries, offsets, encoded.n_rows)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

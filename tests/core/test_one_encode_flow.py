@@ -1,0 +1,248 @@
+"""The fused flow equals the per-pass flow, pass for pass.
+
+``AsmCapMatcher._flow`` and ``EdamMatcher`` take the base ED* counts
+and every TASR/SR rotation's counts from one encode of the block
+(``mismatch_counts_batch(..., rotations=)``) and hand them to each
+pass through ``precomputed_counts``.  The reference here is the route
+that encode replaced: every pass searches its own ``np.roll`` copy of
+the reads and counts it inside the search.  Decisions, per-cell
+search counts, energies, latencies and every ledger event must be
+``==`` — on sweeps whose thresholds straddle ``Tl``, on batches whose
+per-read thresholds straddle it (a partial TASR column set), with HDAC
+sharing the block, and on EDAM's unconditional SR.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.baselines.edam import EdamMatcher
+from repro.cam.array import CamArray, StoredReference
+from repro.cam.cell import MatchMode
+from repro.cam.keyed_noise import fold_key_block
+from repro.core.hdac import hdac_correct_batch
+from repro.core.matcher import (
+    PASS_ED_STAR,
+    PASS_HAMMING,
+    PASS_ROTATION,
+    AsmCapMatcher,
+    MatcherConfig,
+    pass_keys,
+)
+from repro.core.tasr import rotation_offsets
+from repro.genome.datasets import build_dataset
+
+N_READS, READ_LENGTH, N_SEGMENTS = 24, 256, 32
+KEYS = np.arange(100, 100 + N_READS, dtype=np.int64)
+
+
+def _dataset(condition: str):
+    return build_dataset(condition, n_reads=N_READS, read_length=READ_LENGTH,
+                         n_segments=N_SEGMENTS, seed=11)
+
+
+def _reads(dataset) -> np.ndarray:
+    return np.stack([record.read.codes for record in dataset.reads])
+
+
+def _matcher(dataset, config: "MatcherConfig | None" = None):
+    array = CamArray(rows=N_SEGMENTS, cols=READ_LENGTH, seed=4)
+    array.store(dataset.segments)
+    return AsmCapMatcher(array, dataset.model, config, seed=5)
+
+
+def _edam(dataset) -> EdamMatcher:
+    matcher = EdamMatcher(rows=N_SEGMENTS, cols=READ_LENGTH,
+                          enable_sr=True, seed=9)
+    matcher.store(dataset.segments)
+    return matcher
+
+
+def _events_equal(a, b) -> bool:
+    if len(a) != len(b):
+        return False
+    for x, y in zip(a, b):
+        if type(x) is not type(y):
+            return False
+        for f in dataclasses.fields(x):
+            u, v = getattr(x, f.name), getattr(y, f.name)
+            same = (np.array_equal(u, v) if isinstance(u, np.ndarray)
+                    else u == v)
+            if not same:
+                return False
+    return True
+
+
+def _search(array, sweep, queries, thresholds, mode, keys, tag, rotation):
+    search = array.search_sweep if sweep else array.search_batch
+    return search(np.roll(queries, -rotation, axis=1), thresholds, mode,
+                  noise_keys=pass_keys(keys, tag), rotation=rotation)
+
+
+def _per_pass_flow(matcher: AsmCapMatcher, reads, block, sweep):
+    """ED* -> HDAC -> TASR with every pass re-encoding its own reads."""
+    array, config = matcher.array, matcher.config
+    grid = (block.shape[0], reads.shape[0])
+    full_block = np.broadcast_to(block, grid)
+    n_searches = np.zeros(grid, dtype=int)
+    energy = np.zeros(grid)
+    latency = np.zeros(grid)
+
+    def run(mask, mode, tag, rotation=0):
+        full = np.broadcast_to(mask, grid)
+        rows = np.flatnonzero(full.any(axis=1))
+        cols = np.flatnonzero(full.any(axis=0))
+        thresholds = block[rows, 0] if sweep else block[0, cols]
+        result = _search(array, sweep, reads[cols], thresholds, mode,
+                         KEYS[cols], tag, rotation)
+        cells = np.ix_(rows, cols)
+        n_searches[cells] += 1
+        energy[cells] += result.energy_per_query_joules
+        latency[cells] += array.search_time_ns
+        return cells, cols, (result.matches if sweep
+                             else result.matches[None])
+
+    _, _, decisions = run(np.ones(block.shape, dtype=bool),
+                          MatchMode.ED_STAR, PASS_ED_STAR)
+    decisions = decisions.copy()
+    if config.enable_hdac:
+        p = np.vectorize(matcher.hdac_probability, otypes=[float])(
+            full_block)
+        hd_mask = p >= config.hdac_disable_threshold
+        if hd_mask.any():
+            cells, cols, hd = run(hd_mask, MatchMode.HAMMING, PASS_HAMMING)
+            decisions[cells] = hdac_correct_batch(
+                decisions[cells], hd, p[cells],
+                fold_key_block(matcher._hdac_prefix, KEYS[cols]))
+    tasr_mask = full_block >= matcher.tasr_lower_bound()
+    if config.enable_tasr and tasr_mask.any():
+        for offset in rotation_offsets(config.tasr_nr,
+                                       config.tasr_direction):
+            cells, _, rotated = run(tasr_mask, MatchMode.ED_STAR,
+                                    PASS_ROTATION + offset, offset)
+            decisions[cells] |= rotated
+    return decisions, n_searches, energy, latency
+
+
+def _assert_flow_equal(dataset, thresholds, sweep, config=None):
+    fused, reference = _matcher(dataset, config), _matcher(dataset, config)
+    reads = _reads(dataset)
+    if sweep:
+        outcome = fused.match_sweep(reads, thresholds, query_keys=KEYS)
+        block = np.asarray(thresholds)[:, None]
+    else:
+        outcome = fused.match_batch(reads, thresholds, query_keys=KEYS)
+        block = np.broadcast_to(thresholds, (N_READS,))[None, :]
+    decisions, n_searches, energy, latency = _per_pass_flow(
+        reference, reads, block, sweep)
+    if not sweep:
+        decisions, n_searches, energy, latency = (
+            decisions[0], n_searches[0], energy[0], latency[0])
+    assert np.array_equal(outcome.decisions, decisions)
+    assert np.array_equal(outcome.n_searches, n_searches)
+    assert np.array_equal(outcome.energy_joules, energy)
+    assert np.array_equal(outcome.latency_ns, latency)
+    assert _events_equal(fused.array.ledger.events,
+                         reference.array.ledger.events)
+    return fused, outcome
+
+
+def _straddling(low: int, high: int) -> np.ndarray:
+    """Per-read thresholds cycling ``low..high``."""
+    return np.resize(np.arange(low, high + 1), N_READS)
+
+
+class TestAsmCapFlow:
+    def test_sweep_straddling_tl(self):
+        dataset = _dataset("B")
+        fused, outcome = _assert_flow_equal(dataset, list(range(2, 17)),
+                                            sweep=True)
+        assert outcome.tasr_lower_bound == 6
+        assert outcome.tasr_mask.any() and not outcome.tasr_mask.all()
+        # One base pass plus 2 * NR rotations; HDAC is inert in B.
+        nr = fused.config.tasr_nr
+        assert len(fused.array.ledger.search_passes()) == 1 + 2 * nr
+
+    def test_batch_straddling_tl_partial_columns(self):
+        dataset = _dataset("B")
+        thresholds = _straddling(2, 16)
+        fused, outcome = _assert_flow_equal(dataset, thresholds,
+                                            sweep=False)
+        assert outcome.tasr_mask.any() and not outcome.tasr_mask.all()
+        assert len(fused.array.ledger.search_passes()) \
+            == 1 + 2 * fused.config.tasr_nr
+
+    def test_batch_every_read_above_tl(self):
+        fused, outcome = _assert_flow_equal(_dataset("B"), 8, sweep=False)
+        assert outcome.tasr_mask.all()
+
+    @pytest.mark.parametrize("sweep", [True, False])
+    def test_hdac_and_tasr_share_the_block(self, sweep):
+        """A small gamma pulls Tl into the HDAC range of condition A,
+        so the dual/HD counts and the rotations serve one flow."""
+        dataset = _dataset("A")
+        config = MatcherConfig(tasr_gamma=2e-5)
+        thresholds = list(range(1, 9)) if sweep \
+            else _straddling(1, 8)
+        _, outcome = _assert_flow_equal(dataset, thresholds, sweep, config)
+        assert outcome.hdac_mask.any() and outcome.tasr_mask.any()
+
+    def test_hdac_and_tasr_cover_every_read(self):
+        dataset = _dataset("A")
+        config = MatcherConfig(tasr_gamma=2e-5)
+        _, outcome = _assert_flow_equal(dataset, 6, False, config)
+        assert outcome.hdac_mask.all() and outcome.tasr_mask.all()
+
+    def test_one_kernel_call_when_tasr_covers_every_read(self, monkeypatch):
+        calls = []
+        counts_batch = StoredReference.counts_batch
+
+        def spy(self, *args, **kwargs):
+            calls.append(kwargs.get("rotations"))
+            return counts_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(StoredReference, "counts_batch", spy)
+        dataset = _dataset("B")
+        matcher = _matcher(dataset)
+        matcher.match_batch(_reads(dataset), 8, query_keys=KEYS)
+        assert calls == [(0,) + rotation_offsets(matcher.config.tasr_nr,
+                                                 "both")]
+
+
+class TestEdamSequenceRotation:
+    def _reference(self, matcher, reads, thresholds, sweep):
+        return [_search(matcher.array, sweep, reads, thresholds,
+                        MatchMode.ED_STAR, KEYS[:reads.shape[0]],
+                        PASS_ROTATION + offset if offset else PASS_ED_STAR,
+                        offset)
+                for offset in (0,) + rotation_offsets(2, "both")]
+
+    def test_sweep_equals_per_pass(self):
+        dataset = _dataset("B")
+        reads, thresholds = _reads(dataset), list(range(2, 17, 2))
+        fused, reference = _edam(dataset), _edam(dataset)
+        decisions = fused.match_sweep(reads, thresholds, query_keys=KEYS)
+        results = self._reference(reference, reads, thresholds, sweep=True)
+        assert np.array_equal(
+            decisions, np.logical_or.reduce([r.matches for r in results]))
+        assert len(fused.array.ledger.search_passes()) == 1 + 2 * 2
+        assert _events_equal(fused.array.ledger.events,
+                             reference.array.ledger.events)
+
+    def test_match_equals_per_pass(self):
+        dataset = _dataset("B")
+        read = _reads(dataset)[3]
+        fused, reference = _edam(dataset), _edam(dataset)
+        outcome = fused.match(read, 8, query_key=int(KEYS[0]))
+        results = self._reference(reference, read[None, :], 8, sweep=False)
+        assert np.array_equal(
+            outcome.decisions,
+            np.logical_or.reduce([r.matches[0] for r in results]))
+        assert outcome.n_searches == len(results)
+        assert outcome.energy_joules == sum(
+            float(r.energy_per_query_joules[0]) for r in results)
+        assert _events_equal(fused.array.ledger.events,
+                             reference.array.ledger.events)

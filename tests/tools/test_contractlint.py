@@ -68,6 +68,9 @@ CHECKER_CASES = [
                  "src/repro/cam/fixture.py", id="fault-hooks"),
     pytest.param("keyed_noise_violation.py", "keyed_noise_clean.py",
                  "src/repro/core/fixture.py", id="keyed-noise"),
+    pytest.param("one_encode_rotation_violation.py",
+                 "one_encode_rotation_clean.py",
+                 "src/repro/core/fixture.py", id="one-encode-rotation"),
 ]
 
 
@@ -157,6 +160,33 @@ class TestKeyedNoiseScope:
         "src/repro/genome/reads.py",
     ])
     def test_fault_injectors_are_out_of_scope(self, rel_path):
+        assert lint_source(self.SOURCE, rel_path, repo=make_repo()) == []
+
+
+class TestOneEncodeRotationScope:
+    """CL105 covers the matchers only: the kernel's per-offset default,
+    the shift-register model and sequence helpers may roll."""
+
+    SOURCE = ("import numpy as np\n"
+              "def rotate(reads, offset):\n"
+              "    return np.roll(reads, -offset, axis=1)\n")
+
+    @pytest.mark.parametrize("rel_path", [
+        "src/repro/core/matcher.py", "src/repro/core/tasr.py",
+        "src/repro/baselines/edam.py",
+    ])
+    def test_matcher_paths_are_flagged(self, rel_path):
+        findings = lint_source(self.SOURCE, rel_path, repo=make_repo())
+        assert [(f.code, f.line) for f in findings] == [("CL105", 3)]
+        assert findings[0].message == (
+            "'np.roll()' re-encodes a rotated copy of the reads; take "
+            "rotated counts from mismatch_counts_batch(..., rotations=)")
+
+    @pytest.mark.parametrize("rel_path", [
+        "src/repro/kernels/base.py", "src/repro/cam/shift_register.py",
+        "src/repro/genome/sequence.py", "src/repro/baselines/kraken.py",
+    ])
+    def test_other_layers_are_out_of_scope(self, rel_path):
         assert lint_source(self.SOURCE, rel_path, repo=make_repo()) == []
 
 

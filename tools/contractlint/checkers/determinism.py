@@ -28,6 +28,13 @@ draw from an entropy source that is not keyed by an argument:
   depend on batching.  ``cam/defects.py`` and ``cam/sram.py`` keep
   their generators: they inject input faults, not decision noise.
 
+* ``CL105`` — a re-encoded rotation on the decision path: any
+  ``np.roll`` call in ``src/repro/core/`` or ``baselines/edam.py``.
+  A TASR/SR pass's counts come from the kernel's one-encode entry,
+  ``mismatch_counts_batch(..., rotations=)`` (the read loaded once and
+  rotated in place, Fig. 4); a rolled copy of the reads would be
+  encoded again for every rotation.
+
 ``time.perf_counter`` is deliberately *not* flagged: it is the
 monotonic latency instrument of the stats/autotune paths, and the
 cross-backend/engine bit-identity contract (enforced at runtime by the
@@ -204,3 +211,36 @@ class KeyedNoiseChecker(Checker):
                             f"np.random.Generator; key every draw by "
                             f"(seed, query_key, pass)"))
         return findings
+
+
+#: Modules whose rotated passes must come from the one-encode entry.
+ROTATION_SCOPE = (
+    "src/repro/core",
+    "src/repro/baselines/edam.py",
+)
+
+#: Call spellings of ``numpy.roll``.
+_ROLL_CALLS = {("np", "roll"), ("numpy", "roll"), ("roll",)}
+
+
+@register
+class OneEncodeRotationChecker(Checker):
+    name = "one-encode-rotation"
+    codes = {
+        "CL105": "np.roll on the matcher decision path (rotated counts "
+                 "come from mismatch_counts_batch(..., rotations=))",
+    }
+    scope = ROTATION_SCOPE
+
+    def check(self, ctx: FileContext, repo: RepoContext) -> "list[Finding]":
+        return [
+            Finding(path=ctx.rel_path, line=node.lineno,
+                    col=node.col_offset, code="CL105",
+                    message=f"'{'.'.join(_dotted(node.func))}()' re-encodes "
+                            f"a rotated copy of the reads; take rotated "
+                            f"counts from mismatch_counts_batch(..., "
+                            f"rotations=)")
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, ast.Call)
+            and _dotted(node.func) in _ROLL_CALLS
+        ]
