@@ -9,19 +9,20 @@ Slow Monte-Carlo benches use ``benchmark.pedantic`` with a single round
 so the harness prints the artifact once per invocation instead of
 re-simulating it dozens of times.
 
-The standalone ``python benchmarks/bench_*.py`` entry points also share
-the machine-readable output contract defined here: every script takes
+The standalone ``python benchmarks/bench_*.py`` entry points that CI
+archives (``bench_fig8_system.py``, ``bench_refstore_warmstart.py``)
+share the machine-readable output contract defined here: each takes
 ``--json PATH`` (:func:`add_json_argument`) and dumps one
 ``{"bench", "config", "timings", "derived"}`` document via
-:func:`write_bench_json`, so CI can archive results and trend them
-without scraping tables from stdout.
+:func:`write_bench_json`, so CI can archive results without scraping
+tables from stdout.  Simulator throughput is measured by
+``perfbench/run.py``, not here.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.genome.datasets import build_dataset
@@ -69,8 +70,3 @@ def bench_dataset_b():
     """The Condition-B workload used by the accuracy benches."""
     return build_dataset("B", n_reads=48, read_length=256, n_segments=64,
                          seed=2)
-
-
-@pytest.fixture(scope="session")
-def bench_rng():
-    return np.random.default_rng(999)

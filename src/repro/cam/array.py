@@ -264,8 +264,8 @@ class StoredReference:
       concurrent readers never race on lazy initialisation.
 
     :attr:`n_encodes` counts encoding passes — the evidence
-    ``benchmarks/bench_frontend_concurrency.py`` uses to show a shared
-    reference is encoded once, not once per session.
+    ``tests/service/test_frontend.py`` uses to show a shared reference
+    is encoded once, not once per session.
     """
 
     def __init__(self, rows: int, cols: int):

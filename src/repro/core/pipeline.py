@@ -321,21 +321,24 @@ def resolve_shard_plan(n_rows: int, cols: int,
     knobs can never resolve differently (the bit-identity contract
     depends on it).
     """
+    check_shard_knobs(n_shards, chunk_size)
     if n_shards is None or chunk_size is None:
         plan = plan_shards(n_rows, max(1, cols))
         if n_shards is None:
             n_shards = plan.n_shards
         if chunk_size is None:
             chunk_size = plan.chunk_size
-    if n_shards <= 0:
-        raise CamConfigError(
-            f"n_shards must be positive, got {n_shards}"
-        )
-    if chunk_size <= 0:
-        raise CamConfigError(
-            f"chunk_size must be positive, got {chunk_size}"
-        )
     return int(n_shards), int(chunk_size)
+
+
+def check_shard_knobs(n_shards: "int | None",
+                      chunk_size: "int | None") -> None:
+    """Raise :class:`~repro.errors.CamConfigError` naming the knob
+    unless each explicit shard knob is positive (``None`` autotunes)."""
+    for name, value in (("n_shards", n_shards),
+                        ("chunk_size", chunk_size)):
+        if value is not None and value <= 0:
+            raise CamConfigError(f"{name} must be positive, got {value}")
 
 
 def encode_shard_references(segments: np.ndarray,

@@ -24,13 +24,15 @@ apply every threshold as a sense-amp reference comparison, so a T-point
 curve costs ~1 search pass per read instead of T.  Noise determinism is
 anchored on per-read query keys (the read's dataset index): the sweep
 is bit-identical to a per-threshold scalar loop that passes
-``query_key=read_index``, regardless of batching.  Systems without
-``decide_sweep`` fall back to the legacy per-read ``decide`` loop.
+``query_key=read_index``, regardless of batching.  ``decide_sweep`` is
+the whole :class:`MatchSystem` protocol; the built-in adapters also
+keep a keyed per-read ``decide`` as that scalar oracle, which
+``tests/eval/test_experiment.py`` and perfbench's fig7-sweep check
+compare against the sweep.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -47,15 +49,12 @@ from repro.genome.datasets import Dataset
 
 
 class MatchSystem(Protocol):
-    """Anything that maps (read codes, threshold) -> per-segment bools.
+    """Anything that maps a read block and a threshold vector to
+    per-segment match decisions, ``(T, B, M)`` bool, in one batched
+    pass (row ``q`` of the block is keyed as read ``q``)."""
 
-    Systems may additionally expose ``decide_sweep(reads, thresholds)
-    -> (T, B, M) bool`` to let :class:`AccuracyExperiment` evaluate a
-    whole threshold sweep in one batched pass; without it, evaluation
-    falls back to per-read :meth:`decide` calls.
-    """
-
-    def decide(self, read: np.ndarray, threshold: int) -> np.ndarray: ...
+    def decide_sweep(self, reads: np.ndarray,
+                     thresholds: np.ndarray) -> np.ndarray: ...
 
 
 #: A factory builds a system for one dataset + seed (fresh noise).
@@ -227,13 +226,10 @@ class AccuracyExperiment:
                  seed_offset: int = 0) -> AccuracyResult:
         """Run one system over all reads and thresholds.
 
-        Systems exposing ``decide_sweep`` are evaluated in one batched
-        sweep pass (see the module docstring); the confusion matrices
-        of the whole threshold vector then accumulate in four
-        vectorised reductions (:func:`repro.eval.confusion
-        .confusion_series`).  Other systems run the legacy per-read
-        loop, keyed by read index so both paths agree bit-for-bit
-        whenever the system supports keys.
+        The system's ``decide_sweep`` evaluates the whole threshold
+        vector in one batched pass (see the module docstring); the
+        confusion matrices then accumulate in four vectorised
+        reductions (:func:`repro.eval.confusion.confusion_series`).
         """
         system = factory(self._dataset, self._seed + seed_offset)
         thresholds = np.asarray(self._thresholds, dtype=int)
@@ -246,31 +242,14 @@ class AccuracyExperiment:
         reads = np.stack(
             [record.read.codes for record in self._dataset.reads]
         )
-        decide_sweep = getattr(system, "decide_sweep", None)
-        if decide_sweep is not None:
-            decisions = np.asarray(decide_sweep(reads, thresholds),
-                                   dtype=bool)
-            if decisions.shape[:2] != (thresholds.shape[0],
-                                       reads.shape[0]):
-                raise ExperimentError(
-                    f"decide_sweep returned shape {decisions.shape} for "
-                    f"{thresholds.shape[0]} thresholds x "
-                    f"{reads.shape[0]} reads"
-                )
-        else:
-            keyed = self._accepts_read_index(system)
-            decisions = np.stack([
-                np.stack([
-                    np.asarray(
-                        system.decide(read, int(threshold),
-                                      read_index=read_index)
-                        if keyed else system.decide(read, int(threshold)),
-                        dtype=bool,
-                    )
-                    for read_index, read in enumerate(reads)
-                ])
-                for threshold in thresholds
-            ])
+        decisions = np.asarray(system.decide_sweep(reads, thresholds),
+                               dtype=bool)
+        if decisions.shape[:2] != (thresholds.shape[0], reads.shape[0]):
+            raise ExperimentError(
+                f"decide_sweep returned shape {decisions.shape} for "
+                f"{thresholds.shape[0]} thresholds x "
+                f"{reads.shape[0]} reads"
+            )
         truth = np.stack(
             [self._truth.labels(int(t)) for t in thresholds]
         )
@@ -279,22 +258,6 @@ class AccuracyExperiment:
             int(t): matrix for t, matrix in zip(thresholds, matrices, strict=True)
         }
         return AccuracyResult(name=name, per_threshold=per_threshold)
-
-    @staticmethod
-    def _accepts_read_index(system: MatchSystem) -> bool:
-        """Whether the fallback loop can key ``decide`` by read index.
-
-        Systems whose ``decide`` accepts a ``read_index`` keyword (all
-        the built-in adapters) get the read's dataset index, which is
-        what keeps the fallback bit-identical to the sweep path;
-        plain two-argument systems are called as-is.  Probed once per
-        system — the answer is constant.
-        """
-        try:
-            parameters = inspect.signature(system.decide).parameters
-        except (TypeError, ValueError):
-            return False
-        return "read_index" in parameters
 
     def evaluate_all(self, systems: "dict[str, SystemFactory]"
                      ) -> dict[str, AccuracyResult]:

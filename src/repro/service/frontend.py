@@ -55,7 +55,7 @@ import numpy as np
 from repro.arch.autotune import MIN_SERVICE_BACKLOG, plan_service_pool
 from repro.cam.array import StoredReference, as_segments_matrix
 from repro.core.matcher import MatcherConfig
-from repro.core.pipeline import encode_shard_references
+from repro.core.pipeline import check_shard_knobs, encode_shard_references
 from repro.cost.events import ReferenceLoad
 from repro.cost.ledger import CostLedger
 from repro.errors import CamConfigError, ServiceError
@@ -187,6 +187,8 @@ class MappingFrontend:
                             ("max_backlog", max_backlog)):
             if value is not None and int(value) < 1:
                 raise ServiceError(f"{name} must be positive, got {value}")
+        if engine == "sharded":
+            check_shard_knobs(n_shards, chunk_size)
         self._engine_kind = engine
         self._model = error_model
         self._config = config
@@ -213,9 +215,10 @@ class MappingFrontend:
             plan = plan_service_pool(n_shards=len(self._default.shards))
         else:
             # Reference geometry is unknown until sessions open, so
-            # the dispatch pool assumes a fan-out of 1 unless the
+            # the dispatch pool assumes a fan-out of 1 unless a sharded
             # caller pinned n_shards; pass pool_workers to tune.
-            plan = plan_service_pool(n_shards=max(1, n_shards or 1))
+            pinned = engine == "sharded" and n_shards is not None
+            plan = plan_service_pool(n_shards=n_shards if pinned else 1)
 
         # --- persistent dispatch pool ----------------------------------
         self._pool_workers = int(plan.n_workers if pool_workers is None

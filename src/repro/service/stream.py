@@ -39,8 +39,8 @@ is **bit-identical** to one ``run_batched`` (or one sharded ``run``)
 call over the same reads with the same seeds — per-read decisions,
 per-read costs and the aggregate report — for *any* micro-batch
 boundaries.  ``tests/service/test_service.py`` asserts this over
-randomized boundaries; ``benchmarks/bench_service_stream.py`` asserts
-it at soak scale while demonstrating the flat-memory ledger.
+randomized boundaries, and at soak scale (100k reads, slow lane)
+while checking that the compacted ledger stays flat.
 """
 
 from __future__ import annotations
@@ -114,13 +114,12 @@ class StreamingMappingService(MappingSession):
         Live-event bound handed to every ledger
         (:data:`DEFAULT_SERVICE_COMPACTION`); ``None`` disables
         compaction and reproduces the append-only ledgers of the
-        one-shot paths (the memory baseline the soak benchmark
+        one-shot paths (the memory baseline the streaming soak test
         compares against).
     domain / noisy / seed:
-        Array configuration.  The batched engine builds its array with
-        ``seed`` and its matcher with the same ``seed`` (the
-        convention of ``benchmarks/bench_batch_pipeline.py``); the
-        sharded engine derives per-shard seeds exactly as
+        Array configuration.  The batched engine builds its array and
+        its matcher with the same ``seed``; the sharded engine derives
+        per-shard seeds exactly as
         :class:`~repro.core.pipeline.ShardedReadMappingPipeline` does
         — so a one-shot pipeline built the same way is bit-identical.
     n_shards / chunk_size / max_workers:

@@ -77,41 +77,7 @@ class TestEvaluation:
 
 
 class TestFallbackPath:
-    """Systems without decide_sweep run the keyed per-read loop."""
-
-    def test_keyed_fallback_matches_sweep_path(self, dataset):
-        from repro.eval.experiment import _asmcap_system
-        from repro.core.matcher import MatcherConfig
-
-        class _NoSweep:
-            """Keyed scalar adapter that hides decide_sweep."""
-
-            def __init__(self, dataset, seed):
-                self._inner = _asmcap_system(dataset, seed,
-                                             MatcherConfig())
-
-            def decide(self, read, threshold, read_index=None):
-                return self._inner.decide(read, threshold,
-                                          read_index=read_index)
-
-        experiment = AccuracyExperiment(dataset, [2, 4], seed=3)
-        fallback = experiment.evaluate("fallback", _NoSweep)
-        swept = experiment.evaluate("sweep", asmcap_full_system)
-        assert fallback.f1_series() == swept.f1_series()
-
-    def test_plain_two_argument_system_supported(self, dataset):
-        class _Exact:
-            """Minimal protocol-only system (no read_index keyword)."""
-
-            def __init__(self, dataset, seed):
-                self._segments = dataset.segments
-
-            def decide(self, read, threshold):
-                return (self._segments != read).sum(axis=1) <= threshold
-
-        experiment = AccuracyExperiment(dataset, [2, 4], seed=0)
-        result = experiment.evaluate("hamming", _Exact)
-        assert sorted(result.per_threshold) == [2, 4]
+    """Edge cases of the one ``decide_sweep`` evaluation path."""
 
     def test_zero_read_dataset_degenerate(self, dataset):
         """A streaming caller's empty dataset yields empty matrices."""
@@ -127,15 +93,47 @@ class TestFallbackPath:
             def __init__(self, dataset, seed):
                 self._n = dataset.n_segments
 
-            def decide(self, read, threshold):
-                return np.zeros(self._n, dtype=bool)
-
             def decide_sweep(self, reads, thresholds):
                 return np.zeros((1, 1, self._n), dtype=bool)
 
         experiment = AccuracyExperiment(dataset, [2, 4], seed=0)
         with pytest.raises(ExperimentError):
             experiment.evaluate("broken", _Broken)
+
+
+class TestSweepEqualsScalar:
+    """Every built-in adapter's sweep reproduces its keyed per-read
+    ``decide`` loop, so the Fig. 7 F1 curves are the scalar ones."""
+
+    @pytest.mark.parametrize("condition", ["A", "B"])
+    def test_run_sweep_f1_equals_keyed_decide_loop(self, condition):
+        from repro.eval.confusion import ConfusionMatrix
+        from repro.eval.sweeps import run_sweep
+        from repro.experiments.fig7 import thresholds_for
+
+        systems = {"edam": edam_system, "plain": asmcap_plain_system,
+                   "full": asmcap_full_system, "kraken": kraken_system}
+        shape = {"n_reads": 24, "read_length": 64, "n_segments": 32}
+        swept = run_sweep(condition, systems, thresholds_for(condition),
+                          n_runs=1, seed=5, **shape)
+        # Run 0 of run_sweep: dataset and experiment both seeded 5.
+        dataset = build_dataset(condition, seed=5, **shape)
+        experiment = AccuracyExperiment(dataset, thresholds_for(condition),
+                                        seed=5)
+        for i, (name, factory) in enumerate(systems.items()):
+            # evaluate_all's seed offset for the i-th system.
+            system = factory(dataset, experiment.seed + i * 7919)
+            scalar_f1 = []
+            for threshold in experiment.thresholds:
+                truth = experiment.ground_truth.labels(threshold)
+                matrix = ConfusionMatrix()
+                for q, record in enumerate(dataset.reads):
+                    matrix.update(system.decide(record.read.codes,
+                                                threshold, read_index=q),
+                                  truth[q])
+                scalar_f1.append(matrix.f1)
+            assert swept.systems[name].f1_runs[0].tolist() == scalar_f1, \
+                name
 
 
 class TestDeterminism:

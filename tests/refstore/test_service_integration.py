@@ -248,6 +248,21 @@ class TestFrontend:
         with pytest.raises(CamConfigError, match="segments is required"):
             MappingFrontend(None, model)
 
+    @pytest.mark.parametrize("knob,value", [("n_shards", 0),
+                                            ("n_shards", -3),
+                                            ("chunk_size", 0)])
+    def test_catalog_frontend_rejects_bad_shard_knobs(self, workload,
+                                                      catalog, knob,
+                                                      value):
+        """Regression: a sharded catalog frontend accepted a
+        non-positive shard knob and raised only when the first
+        session opened; a segments frontend raises at construction."""
+        _, model, _ = workload
+        with pytest.raises(CamConfigError,
+                           match=f"{knob} must be positive, got {value}"):
+            MappingFrontend(None, model, engine="sharded",
+                            catalog=catalog, **{knob: value})
+
     def test_session_reference_knob_validated(self, workload, catalog):
         segments, model, _ = workload
         with MappingFrontend(None, model, catalog=catalog) as frontend:

@@ -23,6 +23,7 @@ import pytest
 from repro.core.pipeline import MappingReport
 from repro.cost.events import ReferenceLoad
 from repro.errors import CamConfigError, ServiceError, ThresholdError
+from repro.genome.datasets import build_dataset
 from repro.service import (
     MappingFrontend,
     StreamingMappingService,
@@ -250,6 +251,86 @@ class TestSharedEncoding:
             assert (a.pipeline._external_executor
                     is b.pipeline._external_executor
                     is frontend._shard_executor)
+
+
+def _reference_loads(ledger) -> int:
+    """ReferenceLoad events in a ledger, folded checkpoint included."""
+    n = len(ledger.of_type(ReferenceLoad))
+    if ledger.checkpoint is not None:
+        n += ledger.checkpoint.n_reference_loads
+    return n
+
+
+def _feed_concurrently(clients, reads) -> None:
+    """Feed every client the whole read block, one thread each."""
+    errors = []
+
+    def feed(client):
+        try:
+            client.submit_many(reads)
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=feed, args=(client,))
+               for client in clients]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+        assert not thread.is_alive(), "feeder thread hung"
+    assert not errors
+
+
+@pytest.mark.slow
+class TestFrontendSoak:
+    """The nightly soak: 8 concurrent sessions x 12.5k condition-B
+    reads over one frontend, against 8 standalone services fed the
+    same way."""
+
+    N_SESSIONS = 8
+    N_READS = 12_500
+    N_SHARDS = 4
+
+    @pytest.mark.timeout(600)
+    @pytest.mark.parametrize("engine", ["batched", "sharded"])
+    def test_encoded_once_and_sessions_match_standalone(self, engine):
+        dataset = build_dataset("B", n_reads=self.N_READS, read_length=96,
+                                n_segments=64, seed=0)
+        reads = _reads(dataset)
+        n_shards = self.N_SHARDS if engine == "sharded" else 1
+        knobs = {"engine": engine}
+        if engine == "sharded":
+            knobs["n_shards"] = n_shards
+        with MappingFrontend(dataset.segments, dataset.model,
+                             **knobs) as frontend:
+            sessions = [frontend.session(threshold=6, seed=s,
+                                         micro_batch=256)
+                        for s in range(self.N_SESSIONS)]
+            _feed_concurrently(sessions, reads)
+            results = [session.close() for session in sessions]
+            assert frontend.encode_count() == n_shards
+            assert _reference_loads(frontend.ledger) == n_shards
+            for session in sessions:
+                for ledger in session.ledgers():
+                    assert _reference_loads(ledger) == 0
+
+        services = [StreamingMappingService(
+            dataset.segments, dataset.model, threshold=6, micro_batch=256,
+            seed=s, **knobs) for s in range(self.N_SESSIONS)]
+        _feed_concurrently(services, reads)
+        references = [service.close() for service in services]
+        # Each standalone service pays its own encode per shard.
+        matchers = [matcher for service in services
+                    for matcher in (service.pipeline.matchers
+                                    if engine == "sharded"
+                                    else (service.pipeline.matcher,))]
+        assert sum(m.array.stored.n_encodes for m in matchers) \
+            == self.N_SESSIONS * n_shards
+        assert sum(_reference_loads(ledger) for service in services
+                   for ledger in service.ledgers()) \
+            == self.N_SESSIONS * n_shards
+        for result, reference in zip(results, references, strict=True):
+            _assert_reports_identical(result, reference)
 
 
 class TestLifecycle:

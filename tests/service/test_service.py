@@ -24,6 +24,7 @@ from repro.core.pipeline import (
     ShardedReadMappingPipeline,
 )
 from repro.errors import CamConfigError, ServiceError, ThresholdError
+from repro.genome.datasets import build_dataset
 from repro.service import (
     DEFAULT_SERVICE_COMPACTION,
     MappingFrontend,
@@ -38,14 +39,15 @@ def _reads(dataset) -> np.ndarray:
     return np.stack([record.read.codes for record in dataset.reads])
 
 
-def _one_shot_batched(dataset, reads, seed=0) -> MappingReport:
+def _one_shot_batched(dataset, reads, seed=0,
+                      threshold=THRESHOLD) -> MappingReport:
     array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
                      domain="charge", noisy=True, seed=seed)
     array.store(dataset.segments)
     pipeline = ReadMappingPipeline(
         AsmCapMatcher(array, dataset.model, MatcherConfig(), seed=seed)
     )
-    return pipeline.run_batched(reads, THRESHOLD)
+    return pipeline.run_batched(reads, threshold)
 
 
 def _assert_reports_identical(ours: MappingReport,
@@ -144,6 +146,62 @@ class TestStreamedBitIdentity:
         )
         service.submit_many(reads)
         _assert_reports_identical(service.close(), reference)
+
+
+@pytest.mark.slow
+class TestStreamSoak:
+    """The nightly soak: 100k condition-B reads at T = 6, so every
+    micro-batch issues ED* plus 2·NR TASR passes."""
+
+    N_READS = 100_000
+    MICRO_BATCH = 512
+    COMPACTION = 8
+    SAMPLE_EVERY = 16  # micro-batches between ledger samples
+
+    def _stream(self, dataset, reads, compaction):
+        """One streamed pass: ``(service, report, live-event samples)``."""
+        service = StreamingMappingService(
+            dataset.segments, dataset.model, threshold=6,
+            micro_batch=self.MICRO_BATCH, compaction=compaction, seed=0,
+        )
+        live = []
+        for batch, begin in enumerate(range(0, reads.shape[0],
+                                            self.MICRO_BATCH)):
+            service.submit_many(reads[begin:begin + self.MICRO_BATCH])
+            if (batch + 1) % self.SAMPLE_EVERY == 0:
+                live.append(service.stats().ledger_events_live)
+        report = service.close()
+        live.append(service.stats().ledger_events_live)
+        return service, report, live
+
+    def test_compacted_ledger_plateaus_and_report_matches_one_shot(self):
+        dataset = build_dataset("B", n_reads=self.N_READS, read_length=96,
+                                n_segments=32, seed=0)
+        reads = _reads(dataset)
+        compacted, compacted_report, compacted_live = self._stream(
+            dataset, reads, self.COMPACTION)
+        plain, plain_report, plain_live = self._stream(dataset, reads,
+                                                       None)
+
+        # Bounded memory: the compacted ledger never holds more than
+        # its bound plus the checkpoint and one unfolded micro-batch
+        # of passes, while the append-only ledger grows with the feed.
+        passes_per_batch = -(-plain_live[-1]
+                             // plain.stats().batches_dispatched)
+        peak = max(compacted_live)
+        n_ledgers = len(compacted.ledgers())
+        assert peak <= n_ledgers * (self.COMPACTION + 1) \
+            + passes_per_batch + 1
+        assert plain_live[-1] >= 2 * peak
+        assert plain_live[-1] >= 1.5 * plain_live[len(plain_live) // 2 - 1]
+        assert compacted.stats().compactions > 0
+
+        # Determinism: both streams == the one-shot run, and the
+        # compacted views == the append-only views.
+        reference = _one_shot_batched(dataset, reads, threshold=6)
+        _assert_reports_identical(compacted_report, reference)
+        _assert_reports_identical(plain_report, reference)
+        assert compacted.merged_stats() == plain.merged_stats()
 
 
 class TestLifecycle:

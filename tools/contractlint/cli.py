@@ -4,7 +4,7 @@ Exit codes: 0 clean, 1 findings, 2 usage/configuration error.  The
 ``--json`` document follows the repo's bench-JSON shape
 (``{"bench", "config", "timings", "derived"}`` — see
 ``benchmarks/conftest.py``) with the findings appended, so the CI
-artifact folds into the same tooling that trends the benchmarks.
+artifact reads like the bench documents archived beside it.
 """
 
 from __future__ import annotations
