@@ -15,7 +15,7 @@ memories.  This library re-implements the full system in Python:
 * :mod:`repro.cost` — unified cost accounting: typed hardware events
   collected in a ledger, with energy/latency/power as derived views
   and measured strategy profiles for Fig. 8;
-* :mod:`repro.arch` — the 512-array system with timing/power models;
+* :mod:`repro.arch` — timing/power models and autotuning;
 * :mod:`repro.service` — the long-running streaming entry point:
   incremental read feed, autotuned micro-batches, bounded-memory
   ledgers via compaction;

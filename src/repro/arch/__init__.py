@@ -1,18 +1,15 @@
-"""System architecture: configuration, timing, power, interconnect.
+"""System architecture: timing, power, autotuning.
 
-* :mod:`repro.arch.config` — geometry/electrical configuration;
 * :mod:`repro.arch.timing` — cycle-level latency model;
 * :mod:`repro.arch.power` — Section V-B area/power breakdown;
-* :mod:`repro.arch.htree` — read-broadcast H-tree;
-* :mod:`repro.arch.buffer` — global buffer and controller;
-* :mod:`repro.arch.accelerator` — the assembled multi-array system.
+* :mod:`repro.arch.autotune` — shard, micro-batch and pool planning.
+
+The functional banked model of Fig. 4(a) is
+:class:`repro.core.pipeline.ShardedReadMappingPipeline`; the analytic
+per-read system cost behind Fig. 8 is
+:func:`repro.experiments.fig8.asmcap_read_cost`.
 """
 
-from repro.arch.accelerator import (
-    AsmCapAccelerator,
-    ReadCostEstimate,
-    SystemMatch,
-)
 from repro.arch.autotune import (
     ServicePoolPlan,
     ShardPlan,
@@ -22,9 +19,6 @@ from repro.arch.autotune import (
     plan_shards,
     sweep_worker_count,
 )
-from repro.arch.buffer import Controller, GlobalBuffer
-from repro.arch.config import ArchConfig
-from repro.arch.htree import HTreeModel
 from repro.arch.power import (
     PowerBreakdown,
     array_area_mm2,
@@ -34,22 +28,12 @@ from repro.arch.power import (
     component_energies_per_search,
     steady_state_search_period_ns,
 )
-from repro.arch.scheduler import BatchSchedule, BatchScheduler
 from repro.arch.timing import TimingModel
 
 __all__ = [
-    "ArchConfig",
-    "AsmCapAccelerator",
-    "BatchSchedule",
-    "BatchScheduler",
-    "Controller",
-    "GlobalBuffer",
-    "HTreeModel",
     "PowerBreakdown",
-    "ReadCostEstimate",
     "ServicePoolPlan",
     "ShardPlan",
-    "SystemMatch",
     "TimingModel",
     "array_area_mm2",
     "array_power_breakdown",

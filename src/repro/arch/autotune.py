@@ -15,10 +15,10 @@ Heuristics (all clamped, all deterministic given their inputs):
   per-pass Python overhead over enough matchline rows) and never more
   shards than rows.
 * **chunk size** — bound the peak boolean/one-hot working set of one
-  worker's vectorised pass to :data:`TARGET_CHUNK_ELEMS` elements,
-  mirroring ``repro.cam.array``'s internal chunking, and keep chunks
-  large enough (:data:`MIN_CHUNK_READS`) that per-chunk dispatch cost
-  stays negligible.
+  worker's vectorised pass to :data:`repro.constants.CHUNK_ELEMS`
+  elements, mirroring ``repro.cam.array``'s internal chunking, and keep
+  chunks large enough (:data:`MIN_CHUNK_READS`) that per-chunk dispatch
+  cost stays negligible.
 * **workers** — one thread per shard, capped at the CPU count (numpy
   releases the GIL inside the comparison kernels, so threads scale
   until cores run out).
@@ -56,16 +56,12 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.constants import CHUNK_ELEMS
 from repro.errors import ArchConfigError
 
 #: A shard below this many rows spends more time in per-pass Python
 #: dispatch than in the vectorised compare kernels.
 MIN_ROWS_PER_SHARD = 32
-
-#: Target element count of one worker chunk's comparison working set
-#: (matches the kernel backends' ``repro.kernels.base.CHUNK_ELEMS``
-#: bound: ~8 MB of boolean planes).
-TARGET_CHUNK_ELEMS = 1 << 23
 
 #: Lower bound on reads per chunk — below this the chunk bookkeeping
 #: dominates.
@@ -135,13 +131,13 @@ def _chunk_reads(rows_per_shard: int, cols: int) -> int:
 
     One block materialises roughly a ``(chunk, rows_per_shard)`` count
     matrix plus a ``(chunk, cols * 4)`` one-hot encoding per pass;
-    bound the larger of the two to :data:`TARGET_CHUNK_ELEMS`, clamped
-    to ``[MIN_CHUNK_READS, MAX_CHUNK_READS]``.  Shared by the worker
+    bound the larger of the two to :data:`~repro.constants.CHUNK_ELEMS`,
+    clamped to ``[MIN_CHUNK_READS, MAX_CHUNK_READS]``.  Shared by the worker
     chunking (:func:`plan_shards`) and the streaming micro-batches
     (:func:`plan_microbatch`) so the two sizings cannot drift.
     """
     per_read_elems = max(rows_per_shard, cols * 4, 1)
-    chunk = TARGET_CHUNK_ELEMS // per_read_elems
+    chunk = CHUNK_ELEMS // per_read_elems
     return int(min(MAX_CHUNK_READS, max(MIN_CHUNK_READS, chunk)))
 
 
@@ -156,8 +152,8 @@ def plan_microbatch(n_rows: int, cols: int,
     per-dispatch Python overhead over the vectorised passes
     (:data:`MIN_CHUNK_READS`), small enough that one dispatch's
     comparison working set stays inside the array's ~8 MB target
-    (:data:`TARGET_CHUNK_ELEMS`) — with the per-read footprint taken
-    from the *largest* shard when the reference is partitioned.
+    (:data:`~repro.constants.CHUNK_ELEMS`) — with the per-read footprint
+    taken from the *largest* shard when the reference is partitioned.
 
     Parameters
     ----------

@@ -14,6 +14,9 @@ Two kinds of constants live here:
    models; every *ratio* the experiments report is still produced by the
    models, not hard-coded.
 
+One simulator setting lives here too: :data:`CHUNK_ELEMS`, the working-set
+budget every chunked kernel and the shard autotuner share.
+
 Sources are cited next to each value (section / table of the paper).
 """
 
@@ -212,6 +215,16 @@ SAVI_VOTE_ENERGY_J = 20e-9
 
 SAVI_ACCURACY = 0.938
 """Average seed-and-vote accuracy the paper quotes for SaVI [11]."""
+
+# --------------------------------------------------------------------------
+# Simulator working-set budget
+# --------------------------------------------------------------------------
+
+CHUNK_ELEMS = 1 << 23
+"""Target element count of one chunked comparison/encoding block (~8 MB
+of boolean planes): the batched ED* kernels, the kernel backends and the
+shard autotuner's chunk plan all bound their working set by it.  Not a
+paper parameter; changing it changes no model output."""
 
 # --------------------------------------------------------------------------
 # Fig. 8 anchors (paper-reported ratios, used for verification only)

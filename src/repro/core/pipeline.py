@@ -3,10 +3,10 @@
 :class:`ReadMappingPipeline` runs a matcher over a batch of reads and
 collects per-read match locations plus aggregate cost statistics —
 the read-mapping loop of Fig. 4(a) (sequencing machine -> memory ->
-global buffer -> arrays) at the algorithmic level.  System-level
-latency/energy with H-tree and buffer overheads lives in
-:mod:`repro.arch.accelerator`; this pipeline charges array-level costs
-only, which is what the per-read diagnostics need.
+global buffer -> arrays) at the algorithmic level.  The analytic
+full-system per-read cost behind Fig. 8 lives in
+:func:`repro.experiments.fig8.asmcap_read_cost`; these pipelines charge
+the simulated passes, which is what the per-read diagnostics need.
 
 **Execution models.**  Two paths over the one keyed matcher flow:
 
@@ -16,8 +16,8 @@ only, which is what the per-read diagnostics need.
 * :class:`ShardedReadMappingPipeline` — the software model of
   Fig. 4(a)'s full system: the reference is partitioned across several
   CAM-array *shards* (the contiguous bank assignment of
-  :func:`repro.arch.scheduler.bank_row_ranges`), the global buffer
-  broadcasts every read chunk to all shards, and shards search
+  :func:`bank_row_ranges`), the global buffer broadcasts every read
+  chunk to all shards, and shards search
   concurrently on a persistent thread pool.  Matched rows come back
   in global coordinates; per-read energy sums over shards while
   latency takes the maximum — shards operate in parallel, exactly
@@ -47,7 +47,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.arch.autotune import plan_shards
-from repro.arch.scheduler import bank_row_ranges
 from repro.cam.array import CamArray, StoredReference, as_segments_matrix
 from repro.cost.events import BufferBroadcast
 from repro.cost.ledger import CostLedger
@@ -63,7 +62,7 @@ from repro.core.matcher import (
     MatchOutcome,
     MatcherConfig,
 )
-from repro.errors import CamConfigError
+from repro.errors import ArchConfigError, CamConfigError
 from repro.genome import alphabet
 from repro.genome.edits import ErrorModel
 from repro.genome.reads import ReadRecord
@@ -305,6 +304,31 @@ def _concat_outcomes(
     )
 
 
+def bank_row_ranges(n_rows: int, n_banks: int
+                    ) -> tuple[tuple[int, int], ...]:
+    """Contiguous ``(start, stop)`` row ranges assigned to each bank.
+
+    Rows map to contiguous blocks in bank order, balanced across the
+    requested banks (sizes differ by at most one row) so every shard
+    worker stays busy.  Banks that would receive no rows are omitted,
+    so the result may be shorter than ``n_banks``.
+    """
+    if n_rows <= 0:
+        raise ArchConfigError(f"n_rows must be positive, got {n_rows}")
+    if n_banks <= 0:
+        raise ArchConfigError(f"n_banks must be positive, got {n_banks}")
+    base, extra = divmod(n_rows, n_banks)
+    sizes = [base + 1] * extra + [base] * (n_banks - extra)
+    ranges = []
+    start = 0
+    for size in sizes:
+        if size == 0:
+            continue
+        ranges.append((start, start + size))
+        start += size
+    return tuple(ranges)
+
+
 def resolve_shard_plan(n_rows: int, cols: int,
                        n_shards: "int | None",
                        chunk_size: "int | None"
@@ -347,11 +371,10 @@ def encode_shard_references(segments: np.ndarray,
                             ) -> tuple[tuple[StoredReference, ...], int]:
     """Partition *segments* into sealed per-shard stored references.
 
-    Applies the accelerator's contiguous bank assignment
-    (:func:`repro.arch.scheduler.bank_row_ranges`) with the knobs
-    resolved by :func:`resolve_shard_plan`, and encodes each shard's
-    rows exactly once (:meth:`StoredReference.encode`).  Returns
-    ``(shards, chunk_size)``; feeding the shards back into
+    Applies the contiguous bank assignment (:func:`bank_row_ranges`)
+    with the knobs resolved by :func:`resolve_shard_plan`, and encodes
+    each shard's rows exactly once (:meth:`StoredReference.encode`).
+    Returns ``(shards, chunk_size)``; feeding the shards back into
     ``ShardedReadMappingPipeline(shards, ...)`` builds a pipeline
     bit-identical to one constructed from the raw segment matrix with
     the same knobs and seeds — without re-encoding per pipeline.
@@ -372,8 +395,7 @@ class ShardedReadMappingPipeline:
 
     The software model of Fig. 4(a)'s system view: the reference's
     segment rows are assigned to ``n_shards`` CAM arrays using the
-    accelerator's contiguous bank assignment
-    (:func:`repro.arch.scheduler.bank_row_ranges`), every read is
+    contiguous bank assignment (:func:`bank_row_ranges`), every read is
     broadcast to all shards (the global buffer + H-tree), and shards
     search concurrently.  Matched row indices are reported in global
     (whole-reference) coordinates.

@@ -1,8 +1,8 @@
 """Unified hardware cost accounting: events -> ledger -> views.
 
 Every execution path of the simulator (scalar, batched, sweep and
-sharded searches; the accelerator's functional broadcast) reports its
-hardware cost through **one** subsystem:
+sharded searches) reports its hardware cost through **one**
+subsystem:
 
 * :mod:`repro.cost.events` — typed events describing what the hardware
   did (:class:`EdStarPass`, :class:`HdacPass`,
@@ -11,7 +11,7 @@ hardware cost through **one** subsystem:
   mismatch populations each pass observed;
 * :mod:`repro.cost.ledger` — :class:`CostLedger`, the append-only
   event collector owned by every :class:`~repro.cam.array.CamArray`
-  (and, at system level, by the accelerator and the sharded pipeline);
+  (and, at system level, by the sharded pipeline and the frontend);
 * :mod:`repro.cost.views` — energy / latency / throughput / power
   *derived* from the events through the physical models
   (:mod:`repro.cam.energy`, :mod:`repro.arch.timing`,

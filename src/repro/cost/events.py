@@ -19,7 +19,7 @@ Event taxonomy
   unconditional SR), carrying the rotation offset so the shift-register
   cycle count is derivable;
 * :class:`ReferenceLoad` — reference segments written into an array
-  (or distributed across the accelerator);
+  (or encoded once for a frontend's shared reference);
 * :class:`BufferBroadcast` — a read block fetched from the global
   buffer and broadcast down the H-tree;
 * :class:`CompactionCheckpoint` — the bounded-memory summary a

@@ -2,8 +2,8 @@
 
 Every :class:`~repro.cam.array.CamArray` owns a :class:`CostLedger`
 and records one :class:`~repro.cost.events.SearchPassEvent` per
-physical pass; system-level components (the accelerator, the sharded
-pipeline) own their own ledgers for :class:`ReferenceLoad` /
+physical pass; system-level components (the sharded pipeline, the
+service frontend) own their own ledgers for :class:`ReferenceLoad` /
 :class:`BufferBroadcast` traffic and merge the array ledgers in
 deterministic (shard) order when a whole-system view is needed.
 

@@ -1,6 +1,6 @@
 """Strategy profiles: measured per-read search statistics for Fig. 8.
 
-The accelerator's analytic cost path needs two workload statistics:
+Fig. 8's analytic cost path needs two workload statistics:
 average *searches per read* and average *shift-register rotation
 cycles per read* with the HDAC/TASR strategies enabled.  The paper
 measures them on the functional design; this module does the same —
@@ -70,10 +70,9 @@ class StrategyProfile:
     def plain(cls, condition: str = "plain") -> "StrategyProfile":
         """The strategy-free baseline: one ED* search, no rotations.
 
-        What the analytic cost paths
-        (:meth:`repro.arch.accelerator.AsmCapAccelerator.estimate_read_cost`,
-        :func:`repro.experiments.fig8.asmcap_read_cost`) assume when no
-        profile is passed — a plain single-search read.
+        What the analytic cost path
+        (:func:`repro.experiments.fig8.asmcap_read_cost`) assumes when
+        no profile is passed — a plain single-search read.
         """
         return cls(condition=condition, searches_per_read=1.0,
                    rotation_cycles_per_read=0.0, source="analytic")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import CHUNK_ELEMS
 from repro.errors import SequenceError
 from repro.genome.sequence import DnaSequence
 
@@ -152,10 +153,6 @@ def ed_star(segment: DnaSequence, read: DnaSequence) -> int:
     return int(ed_star_batch(segment.codes[None, :], read.codes)[0])
 
 
-#: Target element count per (chunk, M, N) block of the batched kernels.
-_CHUNK_ELEMS = 1 << 23
-
-
 def mismatch_counts_all_reads(segments: np.ndarray,
                               reads: np.ndarray) -> np.ndarray:
     """ED* for every (read, segment) pair: ``(R, M)`` int matrix.
@@ -171,7 +168,7 @@ def mismatch_counts_all_reads(segments: np.ndarray,
         raise SequenceError(f"segments must be 2-D, got shape {segments.shape}")
     n_reads = reads.shape[0]
     counts = np.empty((n_reads, segments.shape[0]), dtype=np.intp)
-    chunk = max(1, _CHUNK_ELEMS // max(1, segments.size))
+    chunk = max(1, CHUNK_ELEMS // max(1, segments.size))
     for start in range(0, n_reads, chunk):
         counts[start:start + chunk] = ed_star_counts_batch(
             segments, reads[start:start + chunk]

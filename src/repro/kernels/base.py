@@ -27,8 +27,8 @@ indexed, so they route to the reference comparison; it is also the
 test oracle).
 
 Layering: this package sits *below* ``repro.cam`` — it imports only
-numpy, ``repro.errors``, ``repro.genome.alphabet`` and the boolean
-reference kernels of ``repro.distance.ed_star``.
+numpy, ``repro.constants``, ``repro.errors``, ``repro.genome.alphabet``
+and the boolean reference kernels of ``repro.distance.ed_star``.
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.constants import CHUNK_ELEMS
 from repro.distance.ed_star import mismatch_counts_all_reads
 from repro.errors import CamConfigError
 from repro.genome import alphabet
-
-#: Target element count per chunked encoding/comparison buffer — the
-#: same ~8 MB bound the pre-registry GEMM path used.
-CHUNK_ELEMS = 1 << 23
 
 
 @dataclass(frozen=True)

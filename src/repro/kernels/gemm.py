@@ -31,8 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.constants import CHUNK_ELEMS
 from repro.genome import alphabet
-from repro.kernels.base import CHUNK_ELEMS, EncodedReference, KernelBackend
+from repro.kernels.base import EncodedReference, KernelBackend
 from repro.kernels.registry import register_backend
 
 #: The "no neighbour" code past either edge of a row.

@@ -377,8 +377,15 @@ class MappingFrontend:
 
     def _reference_state(self, name: str) -> _RefState:
         """The shared state of catalog reference *name*, borrowed (and
-        pinned until :meth:`close`) on first use."""
+        pinned until :meth:`close`) on first use.
+
+        The open check runs under ``_ref_lock``: :meth:`close` stops the
+        frontend before it takes that lock to unpin, so a lease borrowed
+        here is always one :meth:`close` releases.
+        """
         with self._ref_lock:
+            if not self._running:
+                raise ServiceError("the mapping frontend has been closed")
             state = self._ref_states.get(name)
             if state is None:
                 state = self._ref_states[name] = self._resolve(

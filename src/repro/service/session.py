@@ -39,7 +39,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.arch.autotune import plan_microbatch
-from repro.arch.scheduler import bank_row_ranges
 from repro.cam.array import CamArray, StoredReference
 from repro.core.matcher import AsmCapMatcher
 from repro.core.pipeline import (
@@ -47,6 +46,7 @@ from repro.core.pipeline import (
     ReadMapping,
     ReadMappingPipeline,
     ShardedReadMappingPipeline,
+    bank_row_ranges,
     resolve_shard_plan,
 )
 from repro.cost.ledger import CostLedger

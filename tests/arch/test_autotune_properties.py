@@ -21,12 +21,12 @@ from repro.arch.autotune import (  # noqa: E402
     MIN_CHUNK_READS,
     MIN_ROWS_PER_SHARD,
     MIN_SERVICE_BACKLOG,
-    TARGET_CHUNK_ELEMS,
     plan_microbatch,
     plan_service_pool,
     plan_shards,
     sweep_worker_count,
 )
+from repro.constants import CHUNK_ELEMS  # noqa: E402
 
 #: Timing-free pure functions; the default deadline only buys flakes
 #: on loaded CI machines.
@@ -66,7 +66,7 @@ class TestPlanShards:
         # the lower clamp the budget is allowed to overflow (tiny
         # chunks would cost more than the memory they save).
         if plan.chunk_size > MIN_CHUNK_READS:
-            assert plan.chunk_size * per_read <= TARGET_CHUNK_ELEMS
+            assert plan.chunk_size * per_read <= CHUNK_ELEMS
 
     @given(n_rows=st.integers(min_value=1, max_value=(1 << 20) - 1),
            cols=cols_s, cpus=cpus_s)

@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import constants
 from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.core.pipeline import (
     ReadMappingPipeline,
     ShardedReadMappingPipeline,
+    bank_row_ranges,
 )
-from repro.errors import CamConfigError
+from repro.errors import ArchConfigError, CamConfigError
+from repro.genome import alphabet
 from repro.genome.datasets import build_dataset
 
 
@@ -23,6 +26,66 @@ def pipeline_and_dataset():
     array.store(dataset.segments)
     matcher = AsmCapMatcher(array, dataset.model, MatcherConfig(), seed=0)
     return ReadMappingPipeline(matcher), dataset
+
+
+class TestBankRowRanges:
+    def test_even_split_covers_all_rows(self):
+        ranges = bank_row_ranges(100, 4)
+        assert ranges == ((0, 25), (25, 50), (50, 75), (75, 100))
+
+    def test_uneven_split_balances_within_one_row(self):
+        ranges = bank_row_ranges(10, 4)
+        assert ranges == ((0, 3), (3, 6), (6, 8), (8, 10))
+        sizes = [stop - start for start, stop in ranges]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_all_requested_banks_used_when_possible(self):
+        ranges = bank_row_ranges(9, 8)
+        assert len(ranges) == 8
+        sizes = [stop - start for start, stop in ranges]
+        assert sorted(sizes, reverse=True) == [2, 1, 1, 1, 1, 1, 1, 1]
+
+    def test_more_banks_than_rows_drops_empty_banks(self):
+        ranges = bank_row_ranges(3, 8)
+        assert ranges == ((0, 1), (1, 2), (2, 3))
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ArchConfigError):
+            bank_row_ranges(0, 4)
+        with pytest.raises(ArchConfigError):
+            bank_row_ranges(10, 0)
+
+    @pytest.mark.parametrize("n_rows,n_banks", [(-1, 4), (10, -3)])
+    def test_negative_arguments_rejected(self, n_rows, n_banks):
+        with pytest.raises(ArchConfigError):
+            bank_row_ranges(n_rows, n_banks)
+
+    @pytest.mark.parametrize("n_rows,n_banks", [
+        (1, 1), (1, 4), (7, 3), (16, 16), (17, 16), (31, 4), (100, 7),
+        (255, 256), (1000, 3), (4096, 512),
+    ])
+    def test_partition_invariants(self, n_rows, n_banks):
+        """Contiguous, in bank order, covering every row once, one bank
+        per row at most, and balanced within one row."""
+        ranges = bank_row_ranges(n_rows, n_banks)
+        assert len(ranges) == min(n_rows, n_banks)
+        assert ranges[0][0] == 0
+        assert ranges[-1][1] == n_rows
+        for (_, stop), (start, _) in zip(ranges, ranges[1:], strict=False):
+            assert stop == start
+        sizes = [stop - start for start, stop in ranges]
+        assert min(sizes) >= 1
+        assert max(sizes) - min(sizes) <= 1
+        # Larger banks come first.
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_paper_system_gives_each_bank_one_full_array(self):
+        """Fig. 4(a): 512 arrays of 256 rows hold 512 x 256 segments."""
+        n_rows = constants.ARRAY_COUNT * constants.ARRAY_ROWS
+        ranges = bank_row_ranges(n_rows, constants.ARRAY_COUNT)
+        assert len(ranges) == constants.ARRAY_COUNT
+        assert {stop - start for start, stop in ranges} == {
+            constants.ARRAY_ROWS}
 
 
 class TestMapping:
@@ -293,6 +356,145 @@ class TestShardedPipeline:
             assert report.n_reads == 3
             pipeline.close()  # must NOT shut the injected executor down
             assert executor.submit(lambda: 42).result() == 42
+
+
+def make_flat_plain_pipeline(dataset):
+    """One noiseless array holding the whole reference, no strategies."""
+    array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
+                     noisy=False)
+    array.store(dataset.segments)
+    return ReadMappingPipeline(AsmCapMatcher(
+        array, dataset.model, MatcherConfig.plain()
+    ))
+
+
+class TestShardedSystem:
+    """The banked system model of Fig. 4(a): rows spread over arrays,
+    every read broadcast to all of them, results in global rows."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+    def test_segments_distributed(self, noisy_dataset, n_shards):
+        with ShardedReadMappingPipeline(
+                noisy_dataset.segments, noisy_dataset.model,
+                n_shards=n_shards, noisy=False) as pipeline:
+            assert pipeline.shard_ranges == bank_row_ranges(
+                noisy_dataset.n_segments, n_shards)
+            for matcher, (start, stop) in zip(pipeline.matchers,
+                                              pipeline.shard_ranges,
+                                              strict=True):
+                assert np.array_equal(matcher.array.stored_segments(),
+                                      noisy_dataset.segments[start:stop])
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 5, 8, 32])
+    def test_agrees_with_single_array_at_any_bank_count(self,
+                                                        noisy_dataset,
+                                                        n_shards):
+        """Noiseless and strategy-free, the bank count changes nothing
+        the reads see: rows, per-read energy and per-read latency all
+        equal one array holding the whole reference."""
+        flat = make_flat_plain_pipeline(noisy_dataset).run_batched(
+            noisy_dataset.reads, threshold=8)
+        with ShardedReadMappingPipeline(
+                noisy_dataset.segments, noisy_dataset.model,
+                n_shards=n_shards, config=MatcherConfig.plain(),
+                noisy=False) as pipeline:
+            report = pipeline.run(noisy_dataset.reads, threshold=8)
+        for a, b in zip(report.mappings, flat.mappings, strict=True):
+            assert a.matched_rows == b.matched_rows
+            # Energy sums over banks, latency is one bank's search.
+            assert a.outcome.energy_joules == pytest.approx(
+                b.outcome.energy_joules, rel=1e-12)
+            assert a.outcome.latency_ns == b.outcome.latency_ns
+
+    def test_wrong_read_width_rejected(self, sharded_plain, noisy_dataset):
+        wide = np.zeros((2, noisy_dataset.read_length + 1), dtype=np.uint8)
+        with pytest.raises(CamConfigError):
+            sharded_plain.run(wide, threshold=8)
+        with pytest.raises(CamConfigError):
+            sharded_plain.map_read(wide[0], 8)
+
+    @pytest.mark.parametrize("chunk_size", [3, 24, 100])
+    def test_one_batched_pass_per_chunk_per_shard(self, noisy_dataset,
+                                                  chunk_size):
+        """Each shard sees one batched search per chunk, not one
+        search per read, and the buffer broadcasts each chunk once."""
+        from repro.cost.events import BufferBroadcast
+
+        n_reads = len(noisy_dataset.reads)
+        n_chunks = -(-n_reads // chunk_size)
+        with ShardedReadMappingPipeline(
+                noisy_dataset.segments, noisy_dataset.model, n_shards=3,
+                config=MatcherConfig.plain(), noisy=False,
+                chunk_size=chunk_size) as pipeline:
+            pipeline.run(noisy_dataset.reads, threshold=8)
+            for matcher in pipeline.matchers:
+                passes = matcher.array.ledger.search_passes()
+                assert len(passes) == n_chunks
+                assert sum(p.n_queries for p in passes) == n_reads
+            broadcasts = pipeline.ledger.of_type(BufferBroadcast)
+        assert len(broadcasts) == n_chunks
+        assert sum(b.n_reads for b in broadcasts) == n_reads
+        assert {b.read_bits for b in broadcasts} == {
+            noisy_dataset.read_length * alphabet.BITS_PER_BASE}
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 24])
+    def test_chunk_size_leaves_no_trace(self, noisy_dataset, chunk_size):
+        """Noisy, strategies on: chunk boundaries change neither the
+        decisions nor the per-read costs."""
+        def run(chunk):
+            with ShardedReadMappingPipeline(
+                    noisy_dataset.segments, noisy_dataset.model,
+                    n_shards=3, noisy=True, seed=4,
+                    chunk_size=chunk) as pipeline:
+                return pipeline.run(noisy_dataset.reads, threshold=8)
+
+        whole, chunked = run(4096), run(chunk_size)
+        for a, b in zip(chunked.mappings, whole.mappings, strict=True):
+            assert a.matched_rows == b.matched_rows
+            assert a.outcome.n_searches == b.outcome.n_searches
+            assert a.outcome.energy_joules == b.outcome.energy_joules
+            assert a.outcome.latency_ns == b.outcome.latency_ns
+
+    @pytest.mark.parametrize("split", [1, 8, 23])
+    def test_offset_calls_compose_to_one_call(self, noisy_dataset, split):
+        """Two calls whose ``first_read_index`` offsets tile the
+        workload equal one call over all of it."""
+        def pipeline():
+            return ShardedReadMappingPipeline(
+                noisy_dataset.segments, noisy_dataset.model, n_shards=2,
+                noisy=True, seed=6, chunk_size=5)
+
+        reads = noisy_dataset.reads
+        with pipeline() as whole_pipeline:
+            whole = whole_pipeline.run(reads, threshold=8)
+        with pipeline() as streamed:
+            head = streamed.run(reads[:split], threshold=8)
+            tail = streamed.run(reads[split:], threshold=8,
+                                first_read_index=split)
+        parts = head.mappings + tail.mappings
+        assert [m.read_index for m in parts] == list(range(len(reads)))
+        for a, b in zip(parts, whole.mappings, strict=True):
+            assert a.matched_rows == b.matched_rows
+            assert a.outcome.energy_joules == b.outcome.energy_joules
+
+    def test_report_energy_equals_shard_ledgers(self, noisy_dataset):
+        """The report's energy is the sum of every bank's search
+        passes as recorded in the shard ledgers."""
+        with ShardedReadMappingPipeline(
+                noisy_dataset.segments, noisy_dataset.model, n_shards=3,
+                noisy=True, seed=2) as pipeline:
+            report = pipeline.run(noisy_dataset.reads, threshold=8)
+            stats = pipeline.merged_stats()
+        assert stats.n_searches == report.n_searches
+        assert stats.total_energy_joules == pytest.approx(
+            report.total_energy_joules, rel=1e-12)
+
+    @pytest.fixture
+    def sharded_plain(self, noisy_dataset):
+        with ShardedReadMappingPipeline(
+                noisy_dataset.segments, noisy_dataset.model, n_shards=3,
+                config=MatcherConfig.plain(), noisy=False) as pipeline:
+            yield pipeline
 
 
 class TestStoredShardConstruction:

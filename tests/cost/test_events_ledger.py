@@ -41,22 +41,21 @@ class TestEventEmission:
         loads = small_array.ledger.of_type(ReferenceLoad)
         assert [load.n_segments for load in loads] == [8, 2]
 
-    def test_accelerator_merged_ledger_counts_loads_once(self, rng):
-        from repro.arch.accelerator import AsmCapAccelerator
-        from repro.arch.config import ArchConfig
+    def test_sharded_merged_ledger_counts_loads_once(self, rng):
+        from repro.core.pipeline import ShardedReadMappingPipeline
+        from repro.genome.edits import ErrorModel
 
-        acc = AsmCapAccelerator(
-            config=ArchConfig(n_arrays=4, array_rows=8, array_cols=16),
-            n_functional_arrays=2, noisy=False,
-        )
         segments = rng.integers(0, 4, (12, 16)).astype(np.uint8)
-        acc.load_reference(segments)
-        acc.match_read(segments[0], 2)
-        merged = acc.merged_ledger()
+        with ShardedReadMappingPipeline(
+                segments, ErrorModel.condition_a(), n_shards=2,
+                noisy=False) as pipeline:
+            pipeline.map_read(segments[0], 2)
+            merged = pipeline.merged_ledger()
         loads = merged.of_type(ReferenceLoad)
         assert sum(load.n_segments for load in loads) == 12
-        # Both functional arrays' search passes are merged in.
+        # Both shards' search passes are merged in, after the broadcast.
         assert len(merged.search_passes()) >= 2
+        assert isinstance(merged.events[0], BufferBroadcast)
 
     def test_scalar_search_emits_ed_star_pass(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)

@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import constants
-from repro.arch.accelerator import AsmCapAccelerator
-from repro.arch.config import ArchConfig
 from repro.arch.power import component_energies_per_search
 from repro.cost.profile import (
     StrategyProfile,
@@ -15,9 +13,8 @@ from repro.cost.profile import (
     typical_search_event,
 )
 from repro.cost.views import component_energies
-from repro.errors import ArchConfigError, ExperimentError
+from repro.errors import ExperimentError
 from repro.experiments.fig8 import (
-    analytic_strategy_profile,
     asmcap_read_cost,
     compute_fig8,
     strategy_search_profile,
@@ -144,28 +141,8 @@ class TestFig8Measured:
 
 
 class TestEstimateReadCostProfileOnly:
-    @pytest.fixture(scope="class")
-    def accelerator(self):
-        return AsmCapAccelerator(
-            config=ArchConfig.paper_system(), n_functional_arrays=1
-        )
-
-    def test_profile_drives_the_estimate(self, accelerator):
-        plain = accelerator.estimate_read_cost(StrategyProfile.plain())
-        full = accelerator.estimate_read_cost(
-            analytic_strategy_profile("B")
-        )
-        assert full.searches_per_read > plain.searches_per_read
-        assert full.latency_ns > plain.latency_ns
-        assert full.energy_joules > plain.energy_joules
-
-    def test_defaults_to_plain_read(self, accelerator):
-        assert (accelerator.estimate_read_cost().searches_per_read
-                == 1.0)
-
-    def test_rejects_scalar_argument(self, accelerator):
-        with pytest.raises(ArchConfigError):
-            accelerator.estimate_read_cost(2.0)
+    """The per-read cost estimate reads a StrategyProfile; the plain
+    profile is its strategy-free default."""
 
     def test_plain_profile_is_one_search_no_rotation(self):
         plain = StrategyProfile.plain()

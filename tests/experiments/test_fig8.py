@@ -127,3 +127,75 @@ class TestCostHelpers:
         text = fig8.render()
         for name in SYSTEMS:
             assert name in text
+
+
+def _profile(searches: float, cycles: float = 0.0):
+    from repro.cost.profile import StrategyProfile
+    return StrategyProfile(condition="test", searches_per_read=searches,
+                           rotation_cycles_per_read=cycles,
+                           source="analytic")
+
+
+class TestAnalyticReadCost:
+    """The one analytic per-read cost model of the 512-array system."""
+
+    def test_plain_latency_is_one_issue_period(self):
+        from repro.arch.power import steady_state_search_period_ns
+        assert (asmcap_read_cost().latency_ns
+                == steady_state_search_period_ns())
+
+    def test_plain_energy_is_one_search_on_every_array(self):
+        from repro.arch.power import component_energies_per_search
+        per_array = sum(component_energies_per_search().values())
+        assert asmcap_read_cost().energy_joules == pytest.approx(
+            per_array * constants.ARRAY_COUNT, rel=1e-12)
+
+    @pytest.mark.parametrize("n_arrays", [1, 64, 512])
+    def test_energy_linear_in_arrays_latency_independent(self, n_arrays):
+        one = asmcap_read_cost(n_arrays=1)
+        many = asmcap_read_cost(n_arrays=n_arrays)
+        assert many.energy_joules == pytest.approx(
+            n_arrays * one.energy_joules, rel=1e-12)
+        # Arrays search in parallel behind the H-tree.
+        assert many.latency_ns == one.latency_ns
+
+    @pytest.mark.parametrize("searches", [1.5, 2.0, 3.0, 5.0])
+    def test_more_searches_cost_more(self, searches):
+        plain = asmcap_read_cost()
+        more = asmcap_read_cost(_profile(searches))
+        assert more.latency_ns == pytest.approx(
+            plain.latency_ns
+            + (searches - 1.0) * constants.ASMCAP_SEARCH_TIME_NS)
+        assert more.energy_joules == pytest.approx(
+            searches * plain.energy_joules)
+
+    def test_rotation_cycles_add_shift_latency_only(self):
+        from repro.arch.timing import SHIFT_CYCLE_NS
+        still = asmcap_read_cost(_profile(3.0))
+        shifted = asmcap_read_cost(_profile(3.0, cycles=4.0))
+        assert shifted.latency_ns == pytest.approx(
+            still.latency_ns + 4.0 * SHIFT_CYCLE_NS)
+        assert shifted.energy_joules == still.energy_joules
+
+    def test_name_tracks_strategies(self):
+        assert asmcap_read_cost().name == "ASMCap w/o H&T"
+        assert asmcap_read_cost(_profile(2.0)).name == "ASMCap w/ H&T"
+
+    def test_profile_drives_the_estimate(self):
+        from repro.experiments.fig8 import analytic_strategy_profile
+        plain = asmcap_read_cost()
+        full = asmcap_read_cost(analytic_strategy_profile("B"))
+        assert full.latency_ns > plain.latency_ns
+        assert full.energy_joules > plain.energy_joules
+
+    def test_current_domain_costs_more(self):
+        """EDAM (current domain) pays more per read than ASMCap."""
+        edam, asmcap = edam_read_cost(), asmcap_read_cost()
+        assert edam.energy_joules > asmcap.energy_joules
+        assert edam.latency_ns > asmcap.latency_ns
+
+    @pytest.mark.parametrize("argument", [2, "B", (2.0, 0.0)])
+    def test_rejects_non_profile_argument(self, argument):
+        from repro.errors import ExperimentError
+        with pytest.raises(ExperimentError):
+            asmcap_read_cost(argument)

@@ -287,3 +287,15 @@ class TestFrontend:
         assert catalog.stats().pinned_count == 0
         with catalog.borrow("main") as lease:  # catalog stays usable
             assert lease.reference.sealed
+
+    def test_session_after_close_pins_nothing(self, workload, tmp_path):
+        segments, model, _ = workload
+        with ReferenceCatalog() as cat:
+            cat.store("r", StoredReference.encode(segments),
+                      tmp_path / "r.asmcap")
+            frontend = MappingFrontend(None, model, catalog=cat)
+            frontend.close()
+            with pytest.raises(ServiceError, match="closed"):
+                frontend.session(threshold=THRESHOLD, reference="r")
+            assert cat.stats().pinned_count == 0
+            cat.evict("r")  # no leaked lease refuses the eviction

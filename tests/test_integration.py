@@ -10,10 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arch import ArchConfig, AsmCapAccelerator, BatchScheduler
 from repro.baselines import CmCpuBaseline, EdamMatcher, ResmaBaseline
 from repro.cam import CamArray, MatchMode
-from repro.core import MatcherConfig
+from repro.core import (
+    AsmCapMatcher,
+    MatcherConfig,
+    ReadMappingPipeline,
+    ShardedReadMappingPipeline,
+)
 from repro.distance import (
     best_semiglobal_hit,
     edit_distance,
@@ -89,32 +93,42 @@ class TestMappingAgreesWithAlignment:
 
 
 class TestSystemLevel:
-    def test_accelerator_agrees_with_single_array(self, dataset):
-        """One functional array == plain CamArray behaviour."""
-        config = ArchConfig(array_rows=32, array_cols=128, n_arrays=4)
-        accelerator = AsmCapAccelerator(
-            config, error_model=dataset.model,
-            matcher_config=MatcherConfig.plain(),
-            n_functional_arrays=1, noisy=False,
-        )
-        accelerator.load_reference(dataset.segments)
+    """The banked system (Fig. 4(a)) against one array."""
+
+    def test_sharded_system_agrees_with_single_array(self, dataset):
+        """Noiseless banks == plain CamArray behaviour, in global rows."""
         array = CamArray(rows=32, cols=128, noisy=False)
         array.store(dataset.segments)
-        for record in dataset.reads[:5]:
-            system = accelerator.match_read(record.read.codes, 6)
-            local = array.search_batch(record.read.codes[None, :], 6)
-            assert np.array_equal(system.matches, local.matches[0])
+        with ShardedReadMappingPipeline(
+                dataset.segments, dataset.model, n_shards=4,
+                config=MatcherConfig.plain(), noisy=False) as system:
+            for index, record in enumerate(dataset.reads[:5]):
+                mapping = system.map_read(record, 6, index=index)
+                local = array.search_batch(record.read.codes[None, :], 6)
+                assert mapping.matched_rows == tuple(
+                    np.flatnonzero(local.matches[0]).tolist())
 
-    def test_scheduler_consistent_with_accelerator_energy(self, dataset):
-        """Stream-phase energy per read ~ accelerator estimate."""
-        scheduler = BatchScheduler(ArchConfig.paper_system(),
-                                   searches_per_read=1.0)
-        schedule = scheduler.schedule(n_reads=1000, n_segments=512)
-        accelerator = AsmCapAccelerator(ArchConfig.paper_system(),
-                                        n_functional_arrays=1, noisy=False)
-        estimate = accelerator.estimate_read_cost()
-        per_read = schedule.stream_energy_joules / 1000
-        assert per_read == pytest.approx(estimate.energy_joules, rel=0.05)
+    @pytest.mark.parametrize("condition", ["A", "B"])
+    def test_strategies_are_bank_independent(self, condition):
+        """HDAC and TASR decide per row, so splitting the reference
+        over banks leaves every read's rows and energy unchanged; each
+        bank issues the read's searches itself."""
+        data = build_dataset(condition, n_reads=16, read_length=128,
+                             n_segments=32, seed=200)
+        array = CamArray(rows=32, cols=128, noisy=False)
+        array.store(data.segments)
+        flat = ReadMappingPipeline(AsmCapMatcher(
+            array, data.model, MatcherConfig())).run_batched(
+                data.reads, threshold=8)
+        with ShardedReadMappingPipeline(
+                data.segments, data.model, n_shards=4,
+                noisy=False) as system:
+            report = system.run(data.reads, threshold=8)
+        for a, b in zip(report.mappings, flat.mappings, strict=True):
+            assert a.matched_rows == b.matched_rows
+            assert a.outcome.n_searches == 4 * b.outcome.n_searches
+            assert a.outcome.energy_joules == pytest.approx(
+                b.outcome.energy_joules, rel=1e-12)
 
 
 class TestBaselineAccuracyGroundTruth:

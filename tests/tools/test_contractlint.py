@@ -190,6 +190,35 @@ class TestOneEncodeRotationScope:
         assert lint_source(self.SOURCE, rel_path, repo=make_repo()) == []
 
 
+class TestArchRanksBelowCore:
+    """CL501 ranks ``arch`` (timing, power, autotune plans) strictly
+    below ``core``: the pipeline may import the plans, never the
+    reverse at module level."""
+
+    @pytest.mark.parametrize("line", [
+        "from repro.core.pipeline import ShardedReadMappingPipeline\n",
+        "import repro.core.matcher\n",
+    ], ids=["from-import", "import"])
+    def test_module_level_core_import_in_arch_is_flagged(self, line):
+        findings = lint_source(line, "src/repro/arch/autotune.py",
+                               repo=make_repo())
+        assert [(f.code, f.line) for f in findings] == [("CL501", 1)]
+        assert findings[0].message.startswith(
+            "'repro.arch' (layer 6) imports 'repro.core' (layer 7)")
+
+    def test_function_level_core_import_in_arch_is_clean(self):
+        source = ("def plan():\n"
+                  "    from repro.core.pipeline import bank_row_ranges\n"
+                  "    return bank_row_ranges\n")
+        assert lint_source(source, "src/repro/arch/autotune.py",
+                           repo=make_repo()) == []
+
+    def test_core_imports_arch_downward(self):
+        source = "from repro.arch.autotune import plan_shards\n"
+        assert lint_source(source, "src/repro/core/pipeline.py",
+                           repo=make_repo()) == []
+
+
 class TestKnobCheckerCatchesThePr5Bug:
     """ISSUE acceptance: the falsy-`or` checker provably catches the
     reverted PR 5 pattern — ``max_workers=0`` silently autotuning

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs smoke check: the README front door can never rot.
+"""Docs smoke check: the README front door and the API map can never rot.
 
-Three guarantees, enforced by CI's ``docs-smoke`` job:
+Four guarantees, enforced by CI's ``docs-smoke`` job:
 
 1. **The README quickstart runs.**  Every fenced ``python`` block in
    README.md is executed, in order, in one shared namespace (so later
@@ -14,6 +14,13 @@ Three guarantees, enforced by CI's ``docs-smoke`` job:
    the other and this script fails with a diff.
 3. **The example itself still passes.**  ``examples/quickstart.py`` is
    imported and its ``main()`` executed (it self-checks internally).
+4. **The module map names real entry points.**  Every backticked entry
+   point in the "Module map" table of ``docs/api.md`` must resolve as
+   an attribute of its row's package or of one of that package's
+   submodules.  Parenthesised method lists (nested ones too) are
+   stripped first; ``name_a/b`` expands to ``name_a`` and ``name_b``;
+   backticked commands and paths (anything that is not a dotted name)
+   are not entry points.
 
 Run from the repository root::
 
@@ -23,6 +30,8 @@ Run from the repository root::
 from __future__ import annotations
 
 import difflib
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -30,12 +39,17 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = REPO_ROOT / "README.md"
 QUICKSTART = REPO_ROOT / "examples" / "quickstart.py"
+API_DOC = REPO_ROOT / "docs" / "api.md"
 
 _TAG_RE = re.compile(r"<!--\s*quickstart:([\w-]+)\s*-->")
 _FENCE_RE = re.compile(
     r"(?:<!--\s*quickstart:([\w-]+)\s*-->\s*\n)?```python\n(.*?)```",
     re.DOTALL,
 )
+_PARENS_RE = re.compile(r"\([^()]*\)")
+_BACKTICK_RE = re.compile(r"`([^`]+)`")
+_DOTTED_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+_ALTERNATIVES_RE = re.compile(r"[\w.]+(?:/\w+)+")
 
 
 def extract_readme_blocks(text: str) -> "list[tuple[str | None, str]]":
@@ -98,6 +112,82 @@ def check_sync(blocks, sections) -> "list[str]":
     return errors
 
 
+def strip_parentheticals(text: str) -> str:
+    """*text* without its parenthesised groups, innermost first."""
+    while True:
+        stripped = _PARENS_RE.sub("", text)
+        if stripped == text:
+            return text
+        text = stripped
+
+
+def expand_alternatives(token: str) -> "list[str]":
+    """``ErrorModel.condition_a/b`` -> both spelled-out names."""
+    if not _ALTERNATIVES_RE.fullmatch(token):
+        return [token]
+    head, *alternatives = token.split("/")
+    return [head] + [head[:len(head) - len(alt)] + alt
+                     for alt in alternatives]
+
+
+def module_map_entries(text: str) -> "list[tuple[str, list[str]]]":
+    """``(package, entry points)`` per row of the "Module map" table."""
+    if "## Module map" not in text:
+        return []
+    section = text.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            continue
+        cells = [cell.strip() for cell in line.strip("| \t").split("|")]
+        package = _BACKTICK_RE.fullmatch(cells[0])
+        if package is None:
+            continue  # header or separator row
+        entries = [name
+                   for token in _BACKTICK_RE.findall(
+                       strip_parentheticals(cells[-1]))
+                   for name in expand_alternatives(token)
+                   if _DOTTED_RE.fullmatch(name)]
+        rows.append((package.group(1), entries))
+    return rows
+
+
+def _resolves(obj, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def check_module_map(text: str) -> "list[str]":
+    """Entry points of the module map that name nothing importable."""
+    rows = module_map_entries(text)
+    if not rows:
+        return ["docs/api.md has no \"Module map\" table"]
+    errors: list[str] = []
+    sys.path.insert(0, str(REPO_ROOT))  # the tools.* rows
+    try:
+        for package_name, entries in rows:
+            package = importlib.import_module(package_name)
+            # Importing a submodule also binds it on the package, so
+            # ``fig7.run_fig7`` resolves from the package itself.
+            scopes = [package] + [
+                importlib.import_module(f"{package_name}.{info.name}")
+                for info in pkgutil.iter_modules(package.__path__)
+                if info.name != "__main__"
+            ]
+            for name in entries:
+                if not any(_resolves(scope, name) for scope in scopes):
+                    errors.append(
+                        f"docs/api.md module map: `{name}` is not an "
+                        f"attribute of {package_name} or its submodules"
+                    )
+    finally:
+        sys.path.remove(str(REPO_ROOT))
+    return errors
+
+
 def run_blocks(blocks) -> None:
     """Execute every README python block in one shared namespace."""
     namespace: dict = {"__name__": "__readme__"}
@@ -134,7 +224,8 @@ def main() -> int:
         print("FAIL: examples/quickstart.py has no [readme:*] sections",
               file=sys.stderr)
         return 1
-    errors = check_sync(blocks, sections)
+    errors = (check_sync(blocks, sections)
+              + check_module_map(API_DOC.read_text()))
     if errors:
         for error in errors:
             print(f"FAIL: {error}", file=sys.stderr)
@@ -142,7 +233,8 @@ def main() -> int:
     run_blocks(blocks)
     run_example()
     print(f"OK: {len(blocks)} README blocks executed, "
-          f"{len(sections)} in sync with examples/quickstart.py")
+          f"{len(sections)} in sync with examples/quickstart.py, "
+          f"module map resolves")
     return 0
 
 

@@ -21,11 +21,11 @@ draw from an entropy source that is not keyed by an argument:
 * ``CL104`` — a sequential RNG on the keyed decision path: any
   ``np.random.default_rng(...)`` call (seeded or not) or
   ``np.random.Generator`` parameter in ``src/repro/core/``,
-  ``cam/array.py``, ``cam/variation.py``, ``cam/sense_amp.py``,
-  ``baselines/edam.py`` or ``arch/accelerator.py``.  Every draw there
-  is keyed by ``(seed, query_key, pass)`` (:mod:`repro.cam.keyed_noise`);
-  a stream whose draws depend on call order would make decisions
-  depend on batching.  ``cam/defects.py`` and ``cam/sram.py`` keep
+  ``cam/array.py``, ``cam/variation.py``, ``cam/sense_amp.py`` or
+  ``baselines/edam.py``.  Every draw there is keyed by
+  ``(seed, query_key, pass)`` (:mod:`repro.cam.keyed_noise`); a stream
+  whose draws depend on call order would make decisions depend on
+  batching.  ``cam/defects.py`` and ``cam/sram.py`` keep
   their generators: they inject input faults, not decision noise.
 
 * ``CL105`` — a re-encoded rotation on the decision path: any
@@ -168,7 +168,6 @@ KEYED_SCOPE = (
     "src/repro/cam/variation.py",
     "src/repro/cam/sense_amp.py",
     "src/repro/baselines/edam.py",
-    "src/repro/arch/accelerator.py",
 )
 
 

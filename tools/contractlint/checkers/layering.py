@@ -13,10 +13,11 @@ genuine cycles (``knobs`` checking a reference source against
 * ``CL502`` — a module outside the declared layer map: new top-level
   packages must declare their layer here (one line) before they land.
 
-``arch`` and ``core`` share a rank by design — the accelerator model
-wraps the matcher while the pipeline consumes the autotune plans — as
-do the sibling leaf stacks (``baselines``/``refstore``,
-``eval``/``service``); same-rank imports are legal in both directions.
+``arch`` (timing, power, autotune plans) ranks strictly below
+``core``: the pipeline consumes the autotune plans, and nothing in
+``arch`` wraps the matcher.  The sibling leaf stacks
+(``baselines``/``refstore``, ``eval``/``service``) share a rank;
+same-rank imports are legal in both directions.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ LAYERS: "dict[str, int]" = {
     "knobs": 4,
     "cam": 5,
     "arch": 6,
-    "core": 6,
-    "baselines": 7,
-    "refstore": 7,
-    "eval": 8,
-    "service": 8,
-    "experiments": 9,
+    "core": 7,
+    "baselines": 8,
+    "refstore": 8,
+    "eval": 9,
+    "service": 9,
+    "experiments": 10,
 }
 
 
