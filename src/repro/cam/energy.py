@@ -67,29 +67,3 @@ def vml_variance_eq2(n_mismatch: "int | np.ndarray", n_cells: int,
     counts = _check(n_mismatch, n_cells)
     return counts * (n_cells - counts) / n_cells**3 * sigma_rel**2 * vdd**2
 
-
-def worst_case_mismatch(n_cells: int) -> int:
-    """The mismatch count that maximises Eq. (1)/(2): ``N // 2``."""
-    if n_cells <= 0:
-        raise CamConfigError(f"n_cells must be positive, got {n_cells}")
-    return n_cells // 2
-
-
-def typical_genome_energy_ratio(n_cells: int,
-                                typical_mismatch_fraction: float = 0.7
-                                ) -> float:
-    """Energy of a typical genome row relative to the worst case.
-
-    Genome rows unrelated to the query mismatch at roughly
-    ``1 - 1/4 - neighbour credit`` of positions (~70 % for DNA under the
-    ED* rule); this helper quantifies the paper's claim that typical
-    search energy sits far below the Eq. (1) peak.
-    """
-    if not 0.0 <= typical_mismatch_fraction <= 1.0:
-        raise CamConfigError("typical_mismatch_fraction must be in [0, 1]")
-    n_typ = typical_mismatch_fraction * n_cells
-    peak = worst_case_mismatch(n_cells)
-    peak_energy = peak * (n_cells - peak)
-    if peak_energy == 0:
-        return 0.0
-    return float(n_typ * (n_cells - n_typ) / peak_energy)

@@ -50,7 +50,6 @@ from repro.cost.views import (
     component_energies,
     component_energy_totals,
     merge_search_stats,
-    search_pass_energy,
     search_pass_energy_per_query,
     search_pass_latency_ns,
     search_stats,
@@ -74,7 +73,6 @@ __all__ = [
     "measure_strategy_profile",
     "merge_search_stats",
     "profile_from_ledger",
-    "search_pass_energy",
     "search_pass_energy_per_query",
     "search_pass_latency_ns",
     "search_stats",

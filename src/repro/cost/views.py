@@ -68,11 +68,6 @@ def search_pass_energy_per_query(event: SearchPassEvent) -> np.ndarray:
     return np.asarray(cells + peripherals, dtype=float)
 
 
-def search_pass_energy(event: SearchPassEvent) -> float:
-    """Total array energy of one pass (sum of the per-query view)."""
-    return event.energy_joules
-
-
 def search_pass_latency_ns(event: SearchPassEvent) -> float:
     """Array-occupancy time of one pass: one cycle per query."""
     return event.search_time_ns * event.n_queries

@@ -8,7 +8,6 @@
   mismatch count.
 """
 
-from repro.distance.alignment import Alignment, align, cigar_edit_count
 from repro.distance.comparison_matrix import (
     AntiDiagonalTraversal,
     TraversalStats,
@@ -28,32 +27,12 @@ from repro.distance.edit_distance import (
     edit_distance,
     edit_distance_matrix,
 )
-from repro.distance.hamming import (
-    hamming_distance,
-    hamming_distance_batch,
-    hamming_matches,
-)
-from repro.distance.landau_vishkin import landau_vishkin, lv_within
-from repro.distance.myers import myers_distance_to_all, myers_edit_distance
-from repro.distance.semiglobal import (
-    SemiglobalHit,
-    best_semiglobal_hit,
-    occurrences_within,
-    semiglobal_distances,
-)
+from repro.distance.hamming import hamming_distance, hamming_distance_batch
+from repro.distance.myers import myers_edit_distance
 
 __all__ = [
-    "Alignment",
     "AntiDiagonalTraversal",
-    "align",
-    "cigar_edit_count",
-    "SemiglobalHit",
     "TraversalStats",
-    "best_semiglobal_hit",
-    "landau_vishkin",
-    "lv_within",
-    "occurrences_within",
-    "semiglobal_distances",
     "banded_edit_distance",
     "banded_edit_distance_batch",
     "comparison_matrix_distance",
@@ -64,10 +43,8 @@ __all__ = [
     "edit_distance_matrix",
     "hamming_distance",
     "hamming_distance_batch",
-    "hamming_matches",
     "match_planes",
     "match_planes_batch",
     "mismatch_counts_all_reads",
-    "myers_distance_to_all",
     "myers_edit_distance",
 ]

@@ -56,13 +56,3 @@ def hamming_distance_batch(segments: np.ndarray, read: np.ndarray) -> np.ndarray
         )
     return np.count_nonzero(segments != read[None, :], axis=1)
 
-
-def hamming_matches(segments: np.ndarray, read: np.ndarray) -> np.ndarray:
-    """Boolean per-cell co-located match matrix ``(M, N)``.
-
-    This is the ``O_C`` plane of the ASMCap cell logic: entry ``[i, j]``
-    is True when stored base ``j`` of row ``i`` equals read base ``j``.
-    """
-    segments = np.asarray(segments)
-    read = np.asarray(read)
-    return segments == read[None, :]

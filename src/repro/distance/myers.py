@@ -71,11 +71,3 @@ def myers_edit_distance(a: DnaSequence, b: DnaSequence) -> int:
 
     return score
 
-
-def myers_distance_to_all(pattern: DnaSequence,
-                          segments: np.ndarray) -> np.ndarray:
-    """Edit distance of *pattern* against each row of *segments*."""
-    segments = np.asarray(segments, dtype=np.uint8)
-    return np.array([
-        myers_edit_distance(pattern, DnaSequence(row)) for row in segments
-    ], dtype=np.int32)

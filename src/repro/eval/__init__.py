@@ -23,51 +23,29 @@ from repro.eval.experiment import (
     kraken_system,
 )
 from repro.eval.ground_truth import GroundTruth, label_dataset
-from repro.eval.noise_margin import (
-    ExpectedConfusion,
-    expected_confusion,
-    flip_probability,
-)
-from repro.eval.reporting import format_ratio, format_series, format_table, to_csv
-from repro.eval.roc import PrCurve, RocCurve, pr_curve, roc_curve
+from repro.eval.noise_margin import flip_probability
+from repro.eval.reporting import format_ratio, format_series, format_table
 from repro.eval.sweeps import SweepResult, SweepSeries, run_sweep
-from repro.eval.threshold_selection import (
-    ThresholdChoice,
-    ThresholdSelector,
-    expected_edit_distance,
-    rule_of_thumb_threshold,
-)
 
 __all__ = [
     "AccuracyExperiment",
     "AccuracyResult",
     "ConfusionMatrix",
-    "ExpectedConfusion",
     "GroundTruth",
-    "PrCurve",
-    "RocCurve",
     "SweepResult",
     "SweepSeries",
-    "ThresholdChoice",
-    "ThresholdSelector",
     "asmcap_full_system",
     "asmcap_plain_system",
     "confusion_from_decisions",
     "confusion_series",
     "edam_sr_system",
     "edam_system",
-    "expected_confusion",
-    "expected_edit_distance",
     "f1_from_decisions",
     "flip_probability",
-    "pr_curve",
-    "roc_curve",
-    "rule_of_thumb_threshold",
     "format_ratio",
     "format_series",
     "format_table",
     "kraken_system",
     "label_dataset",
     "run_sweep",
-    "to_csv",
 ]

@@ -9,10 +9,8 @@ the decision is a Q-function of the margin:
     P(flip) = Q( |n - (T + 1/2)| * spacing / sigma(n) )
 
 with ``spacing = VDD/N`` and ``sigma(n)`` from the domain's variation
-model.  From these per-row flip probabilities the expected confusion
-matrix — and therefore the expected F1 — follows directly, giving an
-instant, noise-model-exact prediction the tests compare against the
-sampled arrays.
+model.  The tests compare these noise-model-exact predictions against
+the flip rates the sampled arrays measure.
 
 This also quantifies the paper's Section V-D argument: at the paper's
 variations, ASMCap's flip probability at any threshold <= 16 is
@@ -23,7 +21,6 @@ of the time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,59 +87,3 @@ def flip_probability(mismatch_count: "int | np.ndarray", threshold: int,
                      np.inf)
     return _gaussian_sf(z)
 
-
-@dataclass(frozen=True)
-class ExpectedConfusion:
-    """Expected confusion counts under analytic noise."""
-
-    tp: float
-    fp: float
-    fn: float
-    tn: float
-
-    @property
-    def sensitivity(self) -> float:
-        denominator = self.tp + self.fn
-        return self.tp / denominator if denominator else 0.0
-
-    @property
-    def precision(self) -> float:
-        denominator = self.tp + self.fp
-        return self.tp / denominator if denominator else 0.0
-
-    @property
-    def f1(self) -> float:
-        s, p = self.sensitivity, self.precision
-        return 2 * s * p / (s + p) if (s + p) else 0.0
-
-
-def expected_confusion(mismatch_counts: np.ndarray, truth: np.ndarray,
-                       threshold: int, n_cells: int,
-                       domain: str = "charge",
-                       strict_paper_rule: bool = False) -> ExpectedConfusion:
-    """Expected confusion matrix over (pair) decisions.
-
-    Parameters
-    ----------
-    mismatch_counts:
-        Digital mismatch counts per decision pair (any shape).
-    truth:
-        Boolean ground-truth labels, same shape.
-    threshold, n_cells, domain, strict_paper_rule:
-        As in :func:`flip_probability`.
-    """
-    counts = np.asarray(mismatch_counts)
-    truth = np.asarray(truth, dtype=bool)
-    if counts.shape != truth.shape:
-        raise ThresholdError(
-            f"counts shape {counts.shape} != truth shape {truth.shape}"
-        )
-    digital_match = counts <= threshold
-    flips = flip_probability(counts, threshold, n_cells, domain,
-                             strict_paper_rule)
-    p_match = np.where(digital_match, 1.0 - flips, flips)
-    tp = float(p_match[truth].sum())
-    fn = float((1.0 - p_match[truth]).sum())
-    fp = float(p_match[~truth].sum())
-    tn = float((1.0 - p_match[~truth]).sum())
-    return ExpectedConfusion(tp=tp, fp=fp, fn=fn, tn=tn)

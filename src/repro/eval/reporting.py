@@ -1,4 +1,4 @@
-"""Report formatting: ASCII tables and CSV series for the experiments.
+"""Report formatting: ASCII tables and numeric series for the experiments.
 
 Every experiment driver prints through these helpers so the regenerated
 tables/figures look uniform and can be diffed run-to-run.  Figures are
@@ -66,22 +66,6 @@ def format_series(x_label: str, x_values: Sequence[object],
         for i, x in enumerate(x_values)
     ]
     return format_table(headers, rows, title=title)
-
-
-def to_csv(headers: Sequence[str],
-           rows: Iterable[Sequence[object]]) -> str:
-    """Minimal CSV rendering (no quoting needs arise in our data)."""
-    out = io.StringIO()
-    out.write(",".join(str(h) for h in headers) + "\n")
-    for row in rows:
-        cells = []
-        for value in row:
-            text = repr(value) if isinstance(value, float) else str(value)
-            if "," in text:
-                raise ExperimentError(f"CSV cell contains a comma: {text!r}")
-            cells.append(text)
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
 
 
 def format_ratio(value: float) -> str:

@@ -20,15 +20,8 @@ from repro.genome.generator import (
     RepeatProfile,
     generate_reference,
 )
-from repro.genome.kmer import KmerIndex, canonical_kmer, iter_kmers, kmer_profile
-from repro.genome.quality import (
-    QualityProfile,
-    error_probability_to_phred,
-    phred_to_error_probability,
-    quality_aware_substitutions,
-)
+from repro.genome.kmer import KmerIndex, canonical_kmer, iter_kmers
 from repro.genome.reads import ReadRecord, ReadSampler
-from repro.genome.spectrum import MutationSpectrum, is_transition, measure_ti_tv
 from repro.genome.sequence import DnaSequence
 
 __all__ = [
@@ -40,8 +33,6 @@ __all__ = [
     "EditPlan",
     "ErrorModel",
     "KmerIndex",
-    "MutationSpectrum",
-    "QualityProfile",
     "ReadRecord",
     "ReadSampler",
     "ReferenceGenerator",
@@ -50,14 +41,8 @@ __all__ = [
     "canonical_kmer",
     "decode",
     "encode",
-    "error_probability_to_phred",
     "generate_reference",
-    "phred_to_error_probability",
-    "quality_aware_substitutions",
     "inject_edits",
-    "is_transition",
-    "measure_ti_tv",
     "iter_kmers",
-    "kmer_profile",
     "resolve_condition",
 ]

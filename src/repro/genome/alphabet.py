@@ -100,14 +100,6 @@ def reverse_complement_codes(codes: np.ndarray) -> np.ndarray:
     return complement_codes(codes)[::-1]
 
 
-def is_valid_sequence(text: str) -> bool:
-    """Check whether *text* is a valid (possibly empty) DNA string."""
-    if not text:
-        return True
-    raw = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.uint8)
-    return bool((_ASCII_TO_CODE[raw] != 255).all())
-
-
 def random_codes(length: int, rng: np.random.Generator,
                  gc_content: float = 0.5) -> np.ndarray:
     """Draw *length* random base codes with a target GC content.

@@ -6,8 +6,9 @@ library types so every experiment can run on real data when it is
 available, falling back to the synthetic generator otherwise.
 
 Ambiguity codes: real assemblies contain ``N`` runs (and rarer IUPAC
-codes).  The CAM hardware stores exactly two bits per base, so ambiguous
-characters must be resolved at parse time.  Three policies are offered:
+codes), upper or lower case.  The CAM hardware stores exactly two bits
+per base, so ambiguous characters must be resolved at parse time.  Three
+policies are offered:
 
 * ``"error"`` — refuse the file (default; safest);
 * ``"skip"`` — drop ambiguous characters from the sequence;
@@ -27,7 +28,7 @@ from repro.errors import DatasetError
 from repro.genome import alphabet
 from repro.genome.sequence import DnaSequence
 
-_AMBIGUOUS = set("NRYSWKMBDHVn")
+_AMBIGUOUS = frozenset("NRYSWKMBDHV" + "NRYSWKMBDHV".lower())
 _RESOLUTIONS = ("error", "skip", "random")
 
 
@@ -52,6 +53,12 @@ class FastqRecord:
             raise DatasetError(
                 f"FASTQ record {self.name!r}: sequence length "
                 f"{len(self.sequence)} != quality length {len(self.qualities)}"
+            )
+        if len(self.qualities) and not (
+                0 <= self.qualities.min() and self.qualities.max() <= 93):
+            raise DatasetError(
+                f"FASTQ record {self.name!r}: Phred+33 qualities must be "
+                "in 0..93"
             )
 
 
@@ -150,7 +157,7 @@ def parse_fastq(source: Union[str, Path, TextIO], ambiguous: str = "error",
     close = isinstance(source, (str, Path))
     records: list[FastqRecord] = []
     try:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
+        lines = [line.rstrip("\r\n") for line in handle if line.strip()]
     finally:
         if close:
             handle.close()
@@ -169,6 +176,10 @@ def parse_fastq(source: Union[str, Path, TextIO], ambiguous: str = "error",
             raise DatasetError(
                 "ambiguous='skip' would desynchronise FASTQ qualities; "
                 "use 'random' or 'error' for FASTQ"
+            )
+        if any(not "!" <= c <= "~" for c in qual_line):
+            raise DatasetError(
+                f"FASTQ record {i // 4}: quality characters must be in '!'..'~'"
             )
         qualities = np.array([ord(c) - 33 for c in qual_line], dtype=np.int16)
         records.append(FastqRecord(name=header[1:].split()[0],

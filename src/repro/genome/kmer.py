@@ -76,15 +76,6 @@ def iter_kmers(sequence: DnaSequence, k: int,
         yield position, canonical_kmer(value, k) if canonical else value
 
 
-def kmer_profile(sequence: DnaSequence, k: int,
-                 canonical: bool = False) -> dict[int, int]:
-    """Count occurrences of each k-mer."""
-    counts: dict[int, int] = defaultdict(int)
-    for _, kmer in iter_kmers(sequence, k, canonical=canonical):
-        counts[kmer] += 1
-    return dict(counts)
-
-
 @dataclass
 class KmerIndex:
     """Exact-match k-mer index over a reference sequence.

@@ -9,9 +9,7 @@ from repro import constants
 from repro.cam.energy import (
     search_energy_eq1,
     search_energy_per_row,
-    typical_genome_energy_ratio,
     vml_variance_eq2,
-    worst_case_mismatch,
 )
 from repro.errors import CamConfigError
 
@@ -68,20 +66,3 @@ class TestEq2:
     def test_vanishes_at_extremes(self):
         assert vml_variance_eq2(0, 256) == pytest.approx(0.0)
         assert vml_variance_eq2(256, 256) == pytest.approx(0.0)
-
-
-class TestHelpers:
-    def test_worst_case_mismatch(self):
-        assert worst_case_mismatch(256) == 128
-        assert worst_case_mismatch(7) == 3
-
-    def test_typical_ratio_below_one(self):
-        ratio = typical_genome_energy_ratio(256)
-        assert 0.0 < ratio < 1.0
-
-    def test_typical_ratio_at_peak_is_one(self):
-        assert typical_genome_energy_ratio(256, 0.5) == pytest.approx(1.0)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(CamConfigError):
-            typical_genome_energy_ratio(256, 1.5)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.distance.hamming import (
     hamming_distance,
     hamming_distance_batch,
-    hamming_matches,
 )
 from repro.errors import SequenceError
 from repro.genome.sequence import DnaSequence
@@ -60,10 +59,3 @@ class TestBatch:
         with pytest.raises(SequenceError):
             hamming_distance_batch(np.zeros(4, dtype=np.uint8),
                                    np.zeros(4, dtype=np.uint8))
-
-    def test_matches_plane(self, rng):
-        segments = rng.integers(0, 4, (4, 10)).astype(np.uint8)
-        read = rng.integers(0, 4, 10).astype(np.uint8)
-        plane = hamming_matches(segments, read)
-        counts = hamming_distance_batch(segments, read)
-        assert np.array_equal((~plane).sum(axis=1), counts)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance.edit_distance import edit_distance
-from repro.distance.myers import myers_distance_to_all, myers_edit_distance
+from repro.distance.myers import myers_edit_distance
 from repro.genome.sequence import DnaSequence
 
 dna = st.text(alphabet="ACGT", max_size=60).map(DnaSequence)
@@ -36,11 +36,3 @@ class TestMyers:
         a = DnaSequence(rng.integers(0, 4, 300).astype(np.uint8))
         b = DnaSequence(rng.integers(0, 4, 300).astype(np.uint8))
         assert myers_edit_distance(a, b) == edit_distance(a, b)
-
-    def test_distance_to_all(self, rng):
-        pattern = DnaSequence(rng.integers(0, 4, 20).astype(np.uint8))
-        segments = rng.integers(0, 4, (5, 20)).astype(np.uint8)
-        result = myers_distance_to_all(pattern, segments)
-        expected = [edit_distance(pattern, DnaSequence(row))
-                    for row in segments]
-        assert result.tolist() == expected

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cam.array import CamArray
+from repro.core.matcher import AsmCapMatcher, MatcherConfig
+from repro.distance.ed_star import mismatch_counts_all_reads
 from repro.distance.edit_distance import edit_distance
+from repro.distance.hamming import hamming_distance_batch
 from repro.errors import ExperimentError
+from repro.eval.confusion import f1_from_decisions
 from repro.eval.ground_truth import label_dataset
 from repro.genome.datasets import build_dataset
 from repro.genome.sequence import DnaSequence
@@ -62,3 +68,47 @@ class TestLabelling:
     def test_negative_threshold_rejected(self, dataset):
         with pytest.raises(ExperimentError):
             label_dataset(dataset, max_threshold=-1)
+
+
+def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """P(a true pair scores below a false pair); ties count half."""
+    pos, neg = scores[labels][:, None], scores[~labels][None, :]
+    return float((pos < neg).mean() + (pos == neg).mean() / 2)
+
+
+class TestMatcherScoresAgainstTruth:
+    def test_ed_star_scores_discriminate(self):
+        """ED* counts must separate origin pairs from random pairs."""
+        dataset = build_dataset("A", n_reads=16, read_length=128,
+                                n_segments=16, seed=150)
+        reads = np.stack([r.read.codes for r in dataset.reads])
+        scores = mismatch_counts_all_reads(dataset.segments, reads)
+        labels = label_dataset(dataset, 8).labels(8)
+        assert _auc(scores.ravel(), labels.ravel()) > 0.95
+
+    def test_ed_star_beats_hamming_under_indels(self):
+        """Condition B shifts reads; the neighbour window absorbs it."""
+        dataset = build_dataset("B", n_reads=32, read_length=256,
+                                n_segments=32, seed=150)
+        reads = np.stack([r.read.codes for r in dataset.reads])
+        ed_star = mismatch_counts_all_reads(dataset.segments, reads)
+        hamming = np.stack([hamming_distance_batch(dataset.segments, read)
+                            for read in reads])
+        labels = label_dataset(dataset, 8).labels(8).ravel()
+        assert _auc(ed_star.ravel(), labels) > _auc(hamming.ravel(), labels)
+
+    def test_f1_optimal_threshold_beats_tightest(self):
+        dataset = build_dataset("A", n_reads=24, read_length=128,
+                                n_segments=24, seed=140)
+        array = CamArray(rows=24, cols=128, noisy=False)
+        array.store(dataset.segments)
+        matcher = AsmCapMatcher(array, dataset.model, MatcherConfig.plain())
+        truth = label_dataset(dataset, 8)
+        curve = {}
+        for threshold in range(1, 9):
+            decisions = np.stack([matcher.match(r.read.codes, threshold,
+                                                query_key=i).decisions
+                                  for i, r in enumerate(dataset.reads)])
+            curve[threshold] = f1_from_decisions(decisions,
+                                                 truth.labels(threshold))
+        assert max(curve.values()) > curve[1]

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cam.array import CamArray
 from repro.errors import ThresholdError
-from repro.eval.noise_margin import expected_confusion, flip_probability
+from repro.eval.noise_margin import flip_probability
 
 
 class TestFlipProbability:
@@ -72,29 +72,3 @@ class TestAgainstMonteCarlo:
         flips = int((~result.matches[:, 0]).sum())
         measured = flips / trials
         assert measured == pytest.approx(predicted, abs=0.03)
-
-
-class TestExpectedConfusion:
-    def test_noiseless_limit_matches_digital(self):
-        counts = np.array([[0, 3, 10], [2, 8, 50]])
-        truth = np.array([[True, True, True], [True, False, False]])
-        result = expected_confusion(counts, truth, threshold=4,
-                                    n_cells=256, domain="charge")
-        # Charge-domain noise is negligible: expect the digital matrix.
-        assert result.tp == pytest.approx(3, abs=1e-3)
-        assert result.fp == pytest.approx(0, abs=1e-3)
-        assert result.fn == pytest.approx(1, abs=1e-3)
-        assert result.tn == pytest.approx(2, abs=1e-3)
-
-    def test_f1_degrades_with_current_noise(self):
-        rng = np.random.default_rng(0)
-        counts = rng.integers(0, 12, (50, 4))
-        truth = counts <= 4
-        charge = expected_confusion(counts, truth, 4, 256, "charge")
-        current = expected_confusion(counts, truth, 4, 256, "current")
-        assert current.f1 < charge.f1
-        assert charge.f1 == pytest.approx(1.0, abs=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ThresholdError):
-            expected_confusion(np.zeros(3), np.zeros(4, dtype=bool), 2, 256)

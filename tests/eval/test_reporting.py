@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
-from repro.eval.reporting import format_ratio, format_series, format_table, to_csv
+from repro.eval.reporting import format_ratio, format_series, format_table
 
 
 class TestFormatTable:
@@ -38,20 +38,6 @@ class TestFormatSeries:
     def test_curve_length_mismatch(self):
         with pytest.raises(ExperimentError):
             format_series("T", [1, 2], {"f1": [0.1]})
-
-
-class TestCsv:
-    def test_round_structure(self):
-        text = to_csv(["a", "b"], [(1, 2), (3, 4)])
-        assert text == "a,b\n1,2\n3,4\n"
-
-    def test_floats_full_precision(self):
-        text = to_csv(["v"], [(0.1,)])
-        assert "0.1" in text
-
-    def test_comma_rejected(self):
-        with pytest.raises(ExperimentError):
-            to_csv(["a"], [("x,y",)])
 
 
 class TestFormatRatio:

@@ -65,16 +65,6 @@ class TestComplement:
             alphabet.complement_codes(np.array([5], dtype=np.uint8))
 
 
-class TestValidation:
-    def test_valid_sequences(self):
-        assert alphabet.is_valid_sequence("GATTACA")
-        assert alphabet.is_valid_sequence("")
-
-    def test_invalid_sequences(self):
-        assert not alphabet.is_valid_sequence("GATTACAN")
-        assert not alphabet.is_valid_sequence("123")
-
-
 class TestRandomCodes:
     def test_length_and_range(self, rng):
         codes = alphabet.random_codes(1000, rng)

@@ -91,6 +91,48 @@ class TestInjection:
         assert plan.n_insertions == pytest.approx(0.002 * n, rel=0.3)
         assert plan.n_deletions == pytest.approx(0.002 * n, rel=0.3)
 
+    def test_bursts_multiply_insertions(self):
+        """Geometric bursts of mean length 1/(1-p) double at p = 0.5."""
+        seq = generate_reference(100_000, seed=8, with_repeats=False)
+        _, plain = inject_edits(seq, ErrorModel(insertion=0.01),
+                                np.random.default_rng(8))
+        _, bursty = inject_edits(seq, ErrorModel(insertion=0.01,
+                                                 burst_prob=0.5),
+                                 np.random.default_rng(9))
+        assert bursty.n_insertions == pytest.approx(
+            2 * plain.n_insertions, rel=0.15)
+
+    def test_plan_length_matches_expected_edits(self, rng):
+        """``len(plan) ~ n * (es + eid / (1 - burst_prob))``."""
+        seq = generate_reference(50_000, seed=1, with_repeats=False)
+        model = ErrorModel(substitution=0.01, insertion=0.004,
+                           deletion=0.004, burst_prob=0.3)
+        _, plan = inject_edits(seq, model, rng)
+        expected = len(seq) * (model.substitution
+                               + model.indel_rate / (1 - model.burst_prob))
+        assert len(plan) == pytest.approx(expected, rel=0.15)
+
+    @pytest.mark.parametrize("base", "ACGT")
+    def test_substitutions_uniform_over_other_bases(self, base, rng):
+        seq = DnaSequence(base * 30_000)
+        _, plan = inject_edits(seq, ErrorModel(substitution=0.05), rng)
+        replaced = [e.base for e in plan.edits]
+        assert base not in replaced
+        for other in set("ACGT") - {base}:
+            assert replaced.count(other) / len(replaced) == pytest.approx(
+                1 / 3, abs=0.04)
+
+    def test_uniform_substitutions_ti_tv_is_half(self, rng):
+        """One transition partner, two transversion partners per base."""
+        seq = generate_reference(100_000, seed=4, with_repeats=False)
+        edited, _ = inject_edits(seq, ErrorModel(substitution=0.02), rng)
+        changed = seq.codes != edited.codes
+        partner = np.array([2, 3, 0, 1])  # A<->G, C<->T
+        transitions = np.count_nonzero(
+            partner[seq.codes[changed]] == edited.codes[changed])
+        transversions = np.count_nonzero(changed) - transitions
+        assert transitions / transversions == pytest.approx(0.5, rel=0.15)
+
     def test_edit_distance_bounded_by_plan(self, rng):
         """True ED never exceeds the number of injected edits."""
         for seed in range(5):

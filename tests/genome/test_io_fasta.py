@@ -82,6 +82,19 @@ class TestFastaParsing:
             ("a", "ACGT" * 30), ("b", "GG")
         ]
 
+    @pytest.mark.parametrize("policy", ["error", "skip", "random"])
+    def test_lowercase_iupac_codes_follow_policy(self, policy):
+        source = io.StringIO(">s\nACrGT\n")
+        if policy == "error":
+            with pytest.raises(DatasetError, match="ambigu"):
+                parse_fasta(source, ambiguous=policy)
+            return
+        text = str(parse_fasta(source, ambiguous=policy)[0].sequence)
+        if policy == "skip":
+            assert text == "ACGT"
+        else:
+            assert len(text) == 5 and text[:2] + text[3:] == "ACGT"
+
     def test_write_wraps_lines(self):
         buffer = io.StringIO()
         write_fasta([FastaRecord("x", DnaSequence("A" * 100))], buffer,
@@ -111,6 +124,37 @@ class TestFastqParsing:
         with pytest.raises(DatasetError, match="desynchronise"):
             parse_fastq(io.StringIO("@x\nACNT\n+\nIIII\n"),
                         ambiguous="skip")
+
+    def test_crlf_line_endings(self):
+        records = parse_fastq(io.StringIO("@r1\r\nACGT\r\n+\r\nIIII\r\n"))
+        assert str(records[0].sequence) == "ACGT"
+        assert records[0].qualities.tolist() == [40, 40, 40, 40]
+
+    def test_quality_outside_phred33_rejected(self):
+        for quality in ("II I", "II\x7fI"):
+            with pytest.raises(DatasetError, match="quality"):
+                parse_fastq(io.StringIO(f"@r1\nACGT\n+\n{quality}\n"))
+
+    @pytest.mark.parametrize("char,phred", [
+        ("!", 0), ("+", 10), ("5", 20), ("?", 30), ("~", 93),
+    ])
+    def test_phred33_known_values(self, char, phred):
+        records = parse_fastq(io.StringIO(f"@r1\nA\n+\n{char}\n"))
+        assert records[0].qualities.tolist() == [phred]
+
+    def test_quality_round_trip_full_range(self):
+        qualities = np.arange(94, dtype=np.int16)
+        record = FastqRecord("q", DnaSequence("ACGT" * 23 + "AC"), qualities)
+        buffer = io.StringIO()
+        write_fastq([record], buffer)
+        buffer.seek(0)
+        assert np.array_equal(parse_fastq(buffer)[0].qualities, qualities)
+
+    @pytest.mark.parametrize("quality", [-1, 94])
+    def test_out_of_range_quality_rejected(self, quality):
+        with pytest.raises(DatasetError, match="Phred"):
+            FastqRecord("x", DnaSequence("AC"),
+                        np.array([30, quality], dtype=np.int16))
 
     def test_quality_length_mismatch(self):
         with pytest.raises(DatasetError):

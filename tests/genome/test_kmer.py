@@ -13,7 +13,6 @@ from repro.genome.kmer import (
     KmerIndex,
     canonical_kmer,
     iter_kmers,
-    kmer_profile,
     pack_kmer,
     reverse_complement_kmer,
     unpack_kmer,
@@ -67,10 +66,6 @@ class TestIteration:
     def test_invalid_k(self):
         with pytest.raises(DatasetError):
             list(iter_kmers(DnaSequence("ACGT"), 0))
-
-    def test_profile_counts(self):
-        profile = kmer_profile(DnaSequence("AAAA"), 2)
-        assert profile == {pack_kmer(alphabet.encode("AA")): 3}
 
 
 class TestIndex:

@@ -183,7 +183,7 @@ class TestOneEncodeRotationScope:
             "rotated counts from mismatch_counts_batch(..., rotations=)")
 
     @pytest.mark.parametrize("rel_path", [
-        "src/repro/kernels/base.py", "src/repro/cam/shift_register.py",
+        "src/repro/kernels/base.py", "src/repro/cam/array.py",
         "src/repro/genome/sequence.py", "src/repro/baselines/kraken.py",
     ])
     def test_other_layers_are_out_of_scope(self, rel_path):
