@@ -32,12 +32,9 @@ dispatches).
 
 The multi-session frontend (:mod:`repro.service.frontend`) sizes its
 persistent dispatch pool through :func:`plan_service_pool`: session
-dispatches are independent of each other, but a *sharded* session's
-dispatch itself fans out across shard workers, so the session-level
-worker count divides the core budget by the per-dispatch fan-out
-width (stacking both levels at full width would only oversubscribe
-the cores), and the backlog bound scales with the worker count so
-backpressure engages before the queue outruns the pool.
+dispatches are independent of each other, so the pool takes one worker
+per core, and the backlog bound scales with the worker count so
+submitters block before the queue outruns the pool.
 
 The kernel-backend registry (:mod:`repro.kernels`) resolves its
 autotune tail here too: :func:`plan_backend` micro-calibrates every
@@ -141,39 +138,30 @@ def _chunk_reads(rows_per_shard: int, cols: int) -> int:
     return int(min(MAX_CHUNK_READS, max(MIN_CHUNK_READS, chunk)))
 
 
-def plan_microbatch(n_rows: int, cols: int,
-                    n_shards: int = 1) -> int:
+def plan_microbatch(n_rows: int, cols: int) -> int:
     """Reads per streaming micro-batch for a reference of this size.
 
     The streaming service coalesces incrementally-submitted reads and
-    dispatches them through the batched (or sharded) engine once a
-    micro-batch is full.  The size balances the same two forces the
-    worker-chunk heuristic does: batches big enough to amortise
-    per-dispatch Python overhead over the vectorised passes
-    (:data:`MIN_CHUNK_READS`), small enough that one dispatch's
-    comparison working set stays inside the array's ~8 MB target
-    (:data:`~repro.constants.CHUNK_ELEMS`) — with the per-read footprint
-    taken from the *largest* shard when the reference is partitioned.
+    dispatches them through the batched engine once a micro-batch is
+    full.  The size balances the same two forces the worker-chunk
+    heuristic does: batches big enough to amortise per-dispatch Python
+    overhead over the vectorised passes (:data:`MIN_CHUNK_READS`),
+    small enough that one dispatch's comparison working set stays
+    inside the array's ~8 MB target
+    (:data:`~repro.constants.CHUNK_ELEMS`).
 
     Parameters
     ----------
     n_rows:
-        Total reference segment rows stored across the system.
+        Reference segment rows stored in the array.
     cols:
         Segment width in bases.
-    n_shards:
-        Shards the rows are partitioned across (1 = single array);
-        each shard sees the whole micro-batch, so the bound applies
-        per shard.
     """
     if n_rows <= 0:
         raise ArchConfigError(f"n_rows must be positive, got {n_rows}")
     if cols <= 0:
         raise ArchConfigError(f"cols must be positive, got {cols}")
-    if n_shards <= 0:
-        raise ArchConfigError(f"n_shards must be positive, got {n_shards}")
-    rows_per_shard = -(-n_rows // n_shards)  # ceil
-    return _chunk_reads(rows_per_shard, cols)
+    return _chunk_reads(n_rows, cols)
 
 
 @dataclass(frozen=True)
@@ -185,16 +173,12 @@ class ServicePoolPlan:
     n_workers:
         Persistent dispatch-worker threads (concurrent micro-batch
         dispatches across sessions).
-    shard_workers:
-        Threads of the *shared* shard fan-out executor (sharded
-        engine only; 0 when the engine has a single array).
     max_backlog:
         Queued micro-batches (across all sessions) before submits
-        block or fail — the frontend's backpressure bound.
+        block — the frontend's backpressure bound.
     """
 
     n_workers: int
-    shard_workers: int
     max_backlog: int
 
 
@@ -203,29 +187,27 @@ class ServicePoolPlan:
 MIN_SERVICE_BACKLOG = 8
 
 
-def plan_service_pool(n_shards: int = 1,
+def plan_service_pool(n_workers: "int | None" = None,
                       cpu_count: "int | None" = None) -> ServicePoolPlan:
     """Size the frontend's dispatch pool for this machine.
 
     Parameters
     ----------
-    n_shards:
-        Shard fan-out width of one session dispatch (1 = the batched
-        engine's single array).
+    n_workers:
+        A pinned worker count; ``None`` takes one worker per core.
+        The backlog bound scales with whichever count results.
     cpu_count:
         Core budget; defaults to ``os.cpu_count()``.  Explicit values
         make plans reproducible across machines (tests pin this).
     """
-    if n_shards < 1:
-        raise ArchConfigError(f"n_shards must be positive, got {n_shards}")
-    cpus = available_cpus(cpu_count)
-    fanout = min(int(n_shards), cpus)
-    n_workers = max(1, cpus // fanout)
-    shard_workers = 0 if n_shards == 1 else min(cpus, fanout * n_workers)
+    if n_workers is None:
+        n_workers = available_cpus(cpu_count)
+    elif n_workers < 1:
+        raise ArchConfigError(
+            f"n_workers must be positive, got {n_workers}")
     return ServicePoolPlan(
-        n_workers=n_workers,
-        shard_workers=shard_workers,
-        max_backlog=max(MIN_SERVICE_BACKLOG, 2 * n_workers),
+        n_workers=int(n_workers),
+        max_backlog=max(MIN_SERVICE_BACKLOG, 2 * int(n_workers)),
     )
 
 

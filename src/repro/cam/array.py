@@ -121,13 +121,47 @@ def as_segments_matrix(segments: np.ndarray) -> np.ndarray:
     that accepts raw segments (arrays, pipelines, services, the
     frontend): a non-empty 2-D uint8 ``(rows, N)`` matrix.
     """
-    segments = np.asarray(segments, dtype=np.uint8)
+    try:
+        segments = np.asarray(segments, dtype=np.uint8)
+    except (TypeError, ValueError) as exc:
+        raise CamConfigError(
+            f"segments must be a (rows, N) code matrix: {exc}"
+        ) from exc
     if segments.ndim != 2 or segments.shape[0] == 0:
         raise CamConfigError(
             f"segments must be a non-empty (rows, N) matrix, got "
             f"shape {segments.shape}"
         )
     return segments
+
+
+def as_read_codes(reads) -> np.ndarray:
+    """Coerce read codes (one read or a block) to uint8, exactly.
+
+    The one definition of "read codes" shared by every layer that
+    accepts reads (arrays, matchers, pipelines, service sessions): an
+    integer array whose values fit 0..255.  Codes 0..3 are bases; 4..255
+    take the ambiguity fallback.  A non-integer dtype or a value outside
+    0..255 raises :class:`~repro.errors.CamConfigError` instead of being
+    truncated or wrapped.  A uint8 input is returned without a value
+    scan.
+    """
+    reads = np.asarray(reads)
+    if reads.dtype == np.uint8:
+        return reads
+    if reads.size == 0:
+        return reads.astype(np.uint8)
+    if not np.issubdtype(reads.dtype, np.integer):
+        raise CamConfigError(
+            f"read codes must be integers, got dtype {reads.dtype}"
+        )
+    low, high = int(reads.min()), int(reads.max())
+    if low < 0 or high > 255:
+        raise CamConfigError(
+            f"read codes must be in 0..255, got values in "
+            f"[{low}, {high}]"
+        )
+    return reads.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -427,7 +461,7 @@ class StoredReference:
     def counts(self, read: np.ndarray, mode: MatchMode,
                backend: "str | KernelBackend | None" = None) -> np.ndarray:
         """Digital per-row mismatch counts for one read."""
-        read = np.asarray(read, dtype=np.uint8)
+        read = as_read_codes(read)
         return self.counts_batch(read[None, :], mode, backend=backend)[0]
 
     def counts_batch(self, queries: np.ndarray, mode: MatchMode,
@@ -850,7 +884,7 @@ class CamArray:
     # -- internals ----------------------------------------------------------
 
     def _check_read(self, read: np.ndarray) -> np.ndarray:
-        read = np.asarray(read, dtype=np.uint8)
+        read = as_read_codes(read)
         if read.shape != (self.cols,):
             raise CamConfigError(
                 f"read shape {read.shape} does not fit array width {self.cols}"
@@ -858,7 +892,7 @@ class CamArray:
         return read
 
     def _check_queries(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.asarray(queries, dtype=np.uint8)
+        queries = as_read_codes(queries)
         if queries.ndim != 2 or queries.shape[1] != self.cols:
             raise CamConfigError(
                 f"query block shape {queries.shape} does not fit array "

@@ -21,7 +21,6 @@ from repro.core.pipeline import (
     ReadMapping,
     ReadMappingPipeline,
     ShardedReadMappingPipeline,
-    encode_shard_references,
     resolve_shard_plan,
 )
 from repro.core.policy import (
@@ -46,7 +45,6 @@ __all__ = [
     "ReadMapping",
     "ReadMappingPipeline",
     "ShardedReadMappingPipeline",
-    "encode_shard_references",
     "hdac_correct_batch",
     "hdac_enabled",
     "hdac_probability",

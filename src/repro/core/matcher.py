@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import constants
-from repro.cam.array import CamArray, StoredReference
+from repro.cam.array import CamArray, StoredReference, as_read_codes
 from repro.cam.cell import MatchMode
 from repro.cam.keyed_noise import fold_key, fold_key_block
 from repro.core import policy
@@ -254,7 +254,7 @@ def pass_keys(keys: np.ndarray, tag: int) -> np.ndarray:
 
 def read_block(reads: np.ndarray, caller: str) -> np.ndarray:
     """Coerce a ``(B, N)`` uint8 read block, naming *caller* on error."""
-    reads = np.asarray(reads, dtype=np.uint8)
+    reads = as_read_codes(reads)
     if reads.ndim != 2:
         raise CamConfigError(
             f"{caller} needs a (B, N) block, got shape {reads.shape}"
@@ -368,7 +368,7 @@ class AsmCapMatcher:
         block), so the outcome equals row ``q`` of any
         :meth:`match_batch` call that keys that read ``query_key``.
         """
-        read = np.asarray(read, dtype=np.uint8)
+        read = as_read_codes(read)
         batch = self.match_batch(
             read[None, :], threshold,
             query_keys=None if query_key is None else [query_key],

@@ -32,8 +32,9 @@ multi-threaded :meth:`ShardedReadMappingPipeline.run` make
 bit-identical decisions under a fixed seed.  The ``first_read_index``
 offset of ``run_batched`` and the sharded ``run`` extends the same
 anchor to incremental execution — :mod:`repro.service` streams a
-workload through these engines micro-batch by micro-batch,
-bit-identical to one call over the whole block.
+workload through ``run_batched`` micro-batch by micro-batch,
+bit-identical to one call over the whole block, and a sharded ``run``
+per micro-batch is bit-identical to one sharded ``run`` the same way.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.arch.autotune import plan_shards
-from repro.cam.array import CamArray, StoredReference, as_segments_matrix
+from repro.cam.array import CamArray, as_read_codes, as_segments_matrix
 from repro.cost.events import BufferBroadcast
 from repro.cost.ledger import CostLedger
 from repro.cost.views import (
@@ -160,26 +161,15 @@ class MappingReport:
         )
 
 
-def _is_stored_shards(segments) -> bool:
-    """Whether *segments* is a sequence of pre-encoded shard references."""
-    if isinstance(segments, StoredReference):
-        raise CamConfigError(
-            "pass shard references as a sequence (one StoredReference "
-            "per shard), not a bare StoredReference"
-        )
-    return (isinstance(segments, (list, tuple))
-            and len(segments) > 0
-            and all(isinstance(item, StoredReference) for item in segments))
-
-
 def _read_codes(read: "np.ndarray | ReadRecord") -> np.ndarray:
-    return read.read.codes if isinstance(read, ReadRecord) else np.asarray(read)
+    return as_read_codes(read.read.codes if isinstance(read, ReadRecord)
+                         else read)
 
 
 def _codes_matrix(reads: "Sequence[np.ndarray] | Sequence[ReadRecord]",
                   ) -> np.ndarray:
     """Stack a read sequence into a ``(B, N)`` uint8 matrix."""
-    rows = [np.asarray(_read_codes(read), dtype=np.uint8) for read in reads]
+    rows = [_read_codes(read) for read in reads]
     if not rows:
         return np.zeros((0, 0), dtype=np.uint8)
     widths = {row.shape for row in rows}
@@ -338,14 +328,12 @@ def resolve_shard_plan(n_rows: int, cols: int,
     The single definition of how ``None`` knobs autotune
     (:func:`repro.arch.autotune.plan_shards`) and of the check that
     explicit ones are positive
-    (:class:`~repro.errors.CamConfigError` naming the knob) — shared by
-    :class:`ShardedReadMappingPipeline` and the service layer's shard
-    resolution (:func:`repro.service.session.shard_reference`), so a
-    service session and a standalone pipeline built from the same
-    knobs can never resolve differently (the bit-identity contract
-    depends on it).
+    (:class:`~repro.errors.CamConfigError` naming the knob).
     """
-    check_shard_knobs(n_shards, chunk_size)
+    for name, value in (("n_shards", n_shards),
+                        ("chunk_size", chunk_size)):
+        if value is not None and value <= 0:
+            raise CamConfigError(f"{name} must be positive, got {value}")
     if n_shards is None or chunk_size is None:
         plan = plan_shards(n_rows, max(1, cols))
         if n_shards is None:
@@ -353,41 +341,6 @@ def resolve_shard_plan(n_rows: int, cols: int,
         if chunk_size is None:
             chunk_size = plan.chunk_size
     return int(n_shards), int(chunk_size)
-
-
-def check_shard_knobs(n_shards: "int | None",
-                      chunk_size: "int | None") -> None:
-    """Raise :class:`~repro.errors.CamConfigError` naming the knob
-    unless each explicit shard knob is positive (``None`` autotunes)."""
-    for name, value in (("n_shards", n_shards),
-                        ("chunk_size", chunk_size)):
-        if value is not None and value <= 0:
-            raise CamConfigError(f"{name} must be positive, got {value}")
-
-
-def encode_shard_references(segments: np.ndarray,
-                            n_shards: "int | None" = None,
-                            chunk_size: "int | None" = None,
-                            ) -> tuple[tuple[StoredReference, ...], int]:
-    """Partition *segments* into sealed per-shard stored references.
-
-    Applies the contiguous bank assignment (:func:`bank_row_ranges`)
-    with the knobs resolved by :func:`resolve_shard_plan`, and encodes
-    each shard's rows exactly once (:meth:`StoredReference.encode`).
-    Returns ``(shards, chunk_size)``; feeding the shards back into
-    ``ShardedReadMappingPipeline(shards, ...)`` builds a pipeline
-    bit-identical to one constructed from the raw segment matrix with
-    the same knobs and seeds — without re-encoding per pipeline.
-    """
-    segments = as_segments_matrix(segments)
-    n_shards, chunk_size = resolve_shard_plan(
-        segments.shape[0], segments.shape[1], n_shards, chunk_size
-    )
-    shards = tuple(
-        StoredReference.encode(segments[start:stop])
-        for start, stop in bank_row_ranges(segments.shape[0], n_shards)
-    )
-    return shards, chunk_size
 
 
 class ShardedReadMappingPipeline:
@@ -406,7 +359,7 @@ class ShardedReadMappingPipeline:
 
     The shard fan-out runs on one **persistent** worker pool, created
     lazily on the first :meth:`run` and reused across calls — a
-    streaming service dispatches thousands of micro-batches, and the
+    streamed workload dispatches thousands of micro-batches, and the
     old build-and-tear-down-per-call executor dominated small-batch
     latency.  :meth:`close` (or the context-manager protocol) releases
     the pool; a later :meth:`run` simply re-creates it.  Call sites
@@ -418,13 +371,7 @@ class ShardedReadMappingPipeline:
     Parameters
     ----------
     segments:
-        ``(n_rows, N)`` uint8 matrix of reference segments — **or** a
-        sequence of sealed, shard-ordered
-        :class:`~repro.cam.array.StoredReference` objects (e.g. from
-        :func:`encode_shard_references`), in which case the expensive
-        per-shard store/encode work is *shared*, not repeated: each
-        shard matcher borrows its reference and owns only per-pipeline
-        seed/noise/ledger state.
+        ``(n_rows, N)`` uint8 matrix of reference segments.
     error_model:
         Workload error rates driving the HDAC/TASR policies.
     n_shards:
@@ -433,9 +380,7 @@ class ShardedReadMappingPipeline:
         the shard count from the reference size and the machine's CPU
         count (:func:`repro.arch.autotune.plan_shards`); explicit
         values must be positive (:class:`~repro.errors.CamConfigError`
-        otherwise, from :func:`resolve_shard_plan`).  With pre-encoded
-        shard references the count is fixed by the sequence; pass
-        ``None`` (or the matching count).
+        otherwise, from :func:`resolve_shard_plan`).
     config:
         Strategy configuration shared by every shard's matcher.
     domain / noisy / seed:
@@ -465,15 +410,10 @@ class ShardedReadMappingPipeline:
         primitives (``None`` = the standard selection order; see
         :mod:`repro.kernels`).  Bit-identical across backends, so the
         knob only changes speed, never decisions or reports.
-    executor:
-        An externally-owned executor to run the shard fan-out on
-        instead of a private pool — the multi-session frontend shares
-        one across every session's pipeline.  :meth:`close` leaves an
-        injected executor running (its owner closes it).
     """
 
     def __init__(self,
-                 segments: "np.ndarray | Sequence[StoredReference]",
+                 segments: np.ndarray,
                  error_model: ErrorModel,
                  n_shards: "int | None" = 4,
                  config: "MatcherConfig | None" = None,
@@ -483,58 +423,27 @@ class ShardedReadMappingPipeline:
                  max_workers: "int | None" = None,
                  chunk_size: "int | None" = DEFAULT_READ_CHUNK,
                  ledger_compaction: "int | None" = None,
-                 backend: "str | None" = None,
-                 executor: "ThreadPoolExecutor | None" = None):
+                 backend: "str | None" = None):
         validate_service_knobs(compaction=ledger_compaction,
                                max_workers=max_workers, backend=backend)
         self._matchers: list[AsmCapMatcher] = []
-        if _is_stored_shards(segments):
-            shards = tuple(segments)
-            if n_shards is not None and n_shards != len(shards):
-                raise CamConfigError(
-                    f"n_shards={n_shards} conflicts with the "
-                    f"{len(shards)} pre-encoded shard references"
-                )
-            widths = {shard.cols for shard in shards}
-            if len(widths) != 1:
-                raise CamConfigError(
-                    f"shard references must share one width, got "
-                    f"{sorted(widths)}"
-                )
-            self._cols = shards[0].cols
-            n_rows = sum(shard.n_segments for shard in shards)
-            _, chunk_size = resolve_shard_plan(
-                n_rows, self._cols, len(shards), chunk_size
+        segments = as_segments_matrix(segments)
+        n_shards, chunk_size = resolve_shard_plan(
+            segments.shape[0], segments.shape[1], n_shards, chunk_size
+        )
+        self._ranges = bank_row_ranges(segments.shape[0], n_shards)
+        self._cols = int(segments.shape[1])
+        for shard, (start, stop) in enumerate(self._ranges):
+            array = CamArray(rows=stop - start, cols=self._cols,
+                             domain=domain, noisy=noisy,
+                             seed=seed + shard,
+                             ledger_compaction=ledger_compaction,
+                             backend=backend)
+            array.store(segments[start:stop])
+            self._matchers.append(
+                AsmCapMatcher(array, error_model, config,
+                              seed=seed + shard)
             )
-            ranges, start = [], 0
-            for shard_index, shard in enumerate(shards):
-                ranges.append((start, start + shard.n_segments))
-                start += shard.n_segments
-                self._matchers.append(AsmCapMatcher.over_stored(
-                    shard, error_model, config, domain=domain,
-                    noisy=noisy, seed=seed + shard_index,
-                    ledger_compaction=ledger_compaction,
-                    backend=backend,
-                ))
-            self._ranges = tuple(ranges)
-        else:
-            segments = as_segments_matrix(segments)
-            n_shards, chunk_size = resolve_shard_plan(
-                segments.shape[0], segments.shape[1], n_shards, chunk_size
-            )
-            self._ranges = bank_row_ranges(segments.shape[0], n_shards)
-            self._cols = int(segments.shape[1])
-            for shard, (start, stop) in enumerate(self._ranges):
-                array = CamArray(rows=stop - start, cols=self._cols,
-                                 domain=domain, noisy=noisy,
-                                 seed=seed + shard,
-                                 ledger_compaction=ledger_compaction,
-                                 backend=backend)
-                array.store(segments[start:stop])
-                self._matchers.append(
-                    AsmCapMatcher(array, error_model, config,
-                                  seed=seed + shard)
-                )
         self._chunk_size = int(chunk_size)
         if max_workers is None:
             self._max_workers = max(
@@ -542,7 +451,6 @@ class ShardedReadMappingPipeline:
             )
         else:
             self._max_workers = int(max_workers)
-        self._external_executor = executor
         self._pool: "ThreadPoolExecutor | None" = None
         #: System-level traffic events (global-buffer broadcasts); the
         #: per-shard search passes live in each shard array's ledger.
@@ -570,15 +478,12 @@ class ShardedReadMappingPipeline:
     # -- executor lifecycle -------------------------------------------------
 
     def _executor(self) -> ThreadPoolExecutor:
-        """The persistent fan-out pool (injected, or lazily created).
+        """The persistent fan-out pool (lazily created).
 
-        One pool serves every :meth:`run` call — a streaming service
+        One pool serves every :meth:`run` call — a streamed workload
         dispatches thousands of micro-batches, and per-call executor
-        construction (the pre-fix behaviour) pays thread start-up and
-        tear-down on each one.
+        construction pays thread start-up and tear-down on each one.
         """
-        if self._external_executor is not None:
-            return self._external_executor
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self._max_workers,
@@ -586,17 +491,11 @@ class ShardedReadMappingPipeline:
             )
         return self._pool
 
-    @property
-    def owns_executor(self) -> bool:
-        """True when the fan-out pool is pipeline-private (not injected)."""
-        return self._external_executor is None
-
     def close(self) -> None:
-        """Release the private fan-out pool (idempotent).
+        """Release the fan-out pool (idempotent).
 
-        An injected executor is left untouched — its owner closes it.
         The pipeline stays usable: a later :meth:`run` re-creates the
-        private pool.
+        pool.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -673,7 +572,7 @@ class ShardedReadMappingPipeline:
         Bit-identical to the read's row in a :meth:`run` over any
         workload that places it at global position *index*.
         """
-        codes = np.asarray(_read_codes(read), dtype=np.uint8)[None, :]
+        codes = _read_codes(read)[None, :]
         report = self._run_keyed(codes, threshold, keys=[index])
         return report.mappings[0]
 

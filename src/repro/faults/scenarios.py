@@ -1,4 +1,4 @@
-"""Deterministic chaos workloads across engine x route x compaction.
+"""Deterministic chaos workloads across route x compaction.
 
 Each :class:`ChaosScenario` is a small, fully seeded mapping workload
 with a fixed route through the stack — direct segments into the
@@ -11,12 +11,12 @@ final :class:`~repro.core.pipeline.MappingReport`; the
 :class:`~repro.faults.checker.InvariantChecker` compares armed runs
 against the fault-free baseline bit for bit.
 
-Scenario geometry is pinned (shard counts, worker counts, micro-batch
-size) rather than autotuned, so hit indices — and therefore which
-dispatch a scheduled fault lands on — are identical on every machine.
-Every scenario issues exactly :data:`N_DISPATCHES` micro-batch
-dispatches (the last one at drain time), which is the ``max_hits`` a
-generated plan should use.
+Scenario geometry is pinned (worker counts, micro-batch size) rather
+than autotuned, so hit indices — and therefore which dispatch a
+scheduled fault lands on — are identical on every machine.  Every
+scenario issues exactly :data:`N_DISPATCHES` micro-batch dispatches
+(the last one at drain time), which is the ``max_hits`` a generated
+plan should use.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ N_READS = 18
 MICRO_BATCH = 4
 THRESHOLD = 6
 SEED = 11
-N_SHARDS = 2
 #: ceil(N_READS / MICRO_BATCH): 4 full batches + the drain-time flush.
 N_DISPATCHES = 5
 
@@ -102,7 +101,6 @@ class ChaosScenario:
     """One fixed route through the stack plus its applicable faults."""
 
     name: str
-    engine: str                      # "batched" | "sharded"
     backend: str
     compaction: "int | None"
     route: str                       # "stream" | "store" | "catalog"
@@ -144,12 +142,9 @@ class ChaosScenario:
 
         kwargs = {
             "error_model": _error_model(), "threshold": THRESHOLD,
-            "engine": self.engine, "micro_batch": MICRO_BATCH,
-            "compaction": self.compaction, "seed": SEED,
-            "backend": self.backend,
+            "micro_batch": MICRO_BATCH, "compaction": self.compaction,
+            "seed": SEED, "backend": self.backend,
         }
-        if self.engine == "sharded":
-            kwargs.update(n_shards=N_SHARDS, max_workers=1)
         kwargs.update(extra)
         return StreamingMappingService(source, **kwargs)
 
@@ -216,11 +211,8 @@ class ChaosScenario:
         from repro.service.frontend import MappingFrontend
 
         segments, reads = _workload()
-        kwargs = {"engine": self.engine, "pool_workers": 2,
-                  "backend": self.backend}
-        if self.engine == "sharded":
-            kwargs.update(n_shards=N_SHARDS)
-        frontend = MappingFrontend(segments, _error_model(), **kwargs)
+        frontend = MappingFrontend(segments, _error_model(),
+                                   pool_workers=2, backend=self.backend)
         handled: "list[BaseException]" = []
         try:
             session = frontend.session(
@@ -247,53 +239,40 @@ class ChaosScenario:
 
 
 _SERVICE_KINDS = ("poisoned_read", "slow_batch")
+_STORE_KINDS = _SERVICE_KINDS + ("store_truncate", "store_crc_flip")
+_FRONTEND_KINDS = ("poisoned_read", "slow_batch", "backlog_flood")
 
-#: The chaos matrix: both service engines, compaction on and off, all
-#: four routes.
+#: The chaos matrix: all four routes, compaction on and off (the
+#: catalog route runs compacted only).
 SCENARIOS: "tuple[ChaosScenario, ...]" = (
     ChaosScenario(
-        name="stream-batched-gemm",
-        engine="batched", backend="numpy-gemm",
-        compaction=None, route="stream",
-        fault_kinds=_SERVICE_KINDS,
+        name="stream-batched-gemm", backend="numpy-gemm",
+        compaction=None, route="stream", fault_kinds=_SERVICE_KINDS,
     ),
     ChaosScenario(
-        name="stream-sharded-gemm",
-        engine="sharded", backend="numpy-gemm",
-        compaction=8, route="stream",
-        fault_kinds=_SERVICE_KINDS,
+        name="stream-batched-compact-gemm", backend="numpy-gemm",
+        compaction=8, route="stream", fault_kinds=_SERVICE_KINDS,
     ),
     ChaosScenario(
-        name="store-sharded-gemm",
-        engine="sharded", backend="numpy-gemm",
-        compaction=None, route="store",
-        fault_kinds=_SERVICE_KINDS + ("store_truncate",
-                                      "store_crc_flip"),
+        name="store-batched-gemm", backend="numpy-gemm",
+        compaction=None, route="store", fault_kinds=_STORE_KINDS,
     ),
     ChaosScenario(
-        name="store-sharded-compact-gemm",
-        engine="sharded", backend="numpy-gemm",
-        compaction=8, route="store",
-        fault_kinds=_SERVICE_KINDS + ("store_truncate",
-                                      "store_crc_flip"),
+        name="store-batched-compact-gemm", backend="numpy-gemm",
+        compaction=8, route="store", fault_kinds=_STORE_KINDS,
     ),
     ChaosScenario(
-        name="catalog-batched-gemm",
-        engine="batched", backend="numpy-gemm",
+        name="catalog-batched-gemm", backend="numpy-gemm",
         compaction=8, route="catalog",
         fault_kinds=_SERVICE_KINDS + ("poisoned_open",),
     ),
     ChaosScenario(
-        name="frontend-batched-gemm",
-        engine="batched", backend="numpy-gemm",
-        compaction=8, route="frontend",
-        fault_kinds=("poisoned_read", "slow_batch", "backlog_flood"),
+        name="frontend-batched-gemm", backend="numpy-gemm",
+        compaction=8, route="frontend", fault_kinds=_FRONTEND_KINDS,
     ),
     ChaosScenario(
-        name="frontend-sharded-gemm",
-        engine="sharded", backend="numpy-gemm",
-        compaction=None, route="frontend",
-        fault_kinds=("poisoned_read", "slow_batch", "backlog_flood"),
+        name="frontend-batched-uncompacted-gemm", backend="numpy-gemm",
+        compaction=None, route="frontend", fault_kinds=_FRONTEND_KINDS,
     ),
 )
 

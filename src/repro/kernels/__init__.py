@@ -20,7 +20,6 @@ from repro.kernels.base import (
     encode_reference,
     encoded_reference_arrays,
     encoded_reference_from_arrays,
-    slice_encoded_reference,
 )
 from repro.kernels.registry import (
     DEFAULT_BACKEND,
@@ -48,5 +47,4 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "slice_encoded_reference",
 ]

@@ -106,27 +106,6 @@ def encoded_reference_arrays(
                  for name in ENCODED_REFERENCE_FIELDS)
 
 
-def slice_encoded_reference(encoded: EncodedReference, start: int,
-                            stop: int) -> EncodedReference:
-    """A zero-copy row slice ``[start:stop)`` of an encoding.
-
-    Because every per-row cache (segments, one-hot) is a pure per-row
-    function of the stored segments, slicing the full encoding is
-    **bit-identical** to encoding the sliced segments — which is what
-    lets one mmap-opened reference (:mod:`repro.refstore`) serve a
-    sharded pipeline without an encoding pass per shard.
-    """
-    start, stop = int(start), int(stop)
-    n_rows = encoded.segments.shape[0]
-    if not (0 <= start < stop <= n_rows):
-        raise CamConfigError(
-            f"row slice [{start}, {stop}) is outside the encoding's "
-            f"{n_rows} rows"
-        )
-    return EncodedReference(segments=encoded.segments[start:stop],
-                            onehot=encoded.onehot[start:stop])
-
-
 def encoded_reference_from_arrays(
         arrays: "dict[str, np.ndarray]") -> EncodedReference:
     """Rebuild an :class:`EncodedReference` from its payload arrays.

@@ -11,9 +11,8 @@ boundary — ``micro_batch=0`` is a configuration mistake, not a request
 for autotuning (that is ``None``), and it should fail loudly instead
 of being coerced or surfacing as an unrelated lower-layer error.
 
-Knobs that only exist at the service layer (the service's
-``engine="batched" | "sharded"``, ``backpressure=``,
-``pool_workers=``) keep raising
+Knobs that only exist at the service layer (the frontend's
+``pool_workers=`` and ``max_backlog=``) keep raising
 :class:`~repro.errors.ServiceError` there — this gate owns exactly the
 knobs that thread through multiple layers.
 """

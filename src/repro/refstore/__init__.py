@@ -29,7 +29,6 @@ from repro.refstore.format import (
     MappedReference,
     open_stored_reference,
     save_stored_reference,
-    slice_stored_reference,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "ReferenceLease",
     "open_stored_reference",
     "save_stored_reference",
-    "slice_stored_reference",
 ]

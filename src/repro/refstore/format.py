@@ -19,28 +19,20 @@ O(encode) to O(page-fault).
 Every open validates magic, version, size and both CRC32s before
 building a view; a truncated, torn, foreign or stale file raises
 :class:`~repro.errors.RefStoreError`, never a silently wrong count.
-
-**Sharding.**  :func:`slice_stored_reference` cuts zero-copy per-shard
-references at the sharded engine's bank ranges.  Slicing is
-bit-identical to encoding the sliced rows because every per-row cache
-is a pure per-row function of the segments
-(:func:`repro.kernels.slice_encoded_reference`).
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-from typing import Sequence
 
 from repro.cam.array import StoredReference
-from repro.errors import CamConfigError, RefStoreError
+from repro.errors import RefStoreError
 from repro.faults.hooks import fire as _fire_fault
 from repro.kernels import (
     ENCODED_REFERENCE_FIELDS,
     encoded_reference_arrays,
     encoded_reference_from_arrays,
-    slice_encoded_reference,
 )
 from repro.refstore.header import (
     open_container,
@@ -55,7 +47,6 @@ __all__ = [
     "MappedReference",
     "open_stored_reference",
     "save_stored_reference",
-    "slice_stored_reference",
 ]
 
 #: Leading magic bytes of every on-disk stored-reference file.
@@ -218,30 +209,3 @@ def open_stored_reference(path: "str | os.PathLike") -> MappedReference:
         raise
     return MappedReference(mapping, view, reference, path, len(view))
 
-
-def slice_stored_reference(
-        reference: StoredReference,
-        ranges: "Sequence[tuple[int, int]]",
-        ) -> "tuple[StoredReference, ...]":
-    """Cut sealed zero-copy shard references at the given row ranges.
-
-    Each ``(start, stop)`` range becomes an independent sealed
-    :class:`~repro.cam.array.StoredReference` over *views* of the
-    parent's encoded arrays — no copy, no encoding pass
-    (``n_encodes == 0`` on every shard).  Bit-identical to
-    ``StoredReference.encode(segments[start:stop])`` because every
-    per-row cache is a pure per-row function of the stored rows.
-    """
-    if not reference.sealed:
-        raise RefStoreError(
-            "only a sealed StoredReference can be sliced into shards"
-        )
-    encoded = reference.encoded()
-    shards = []
-    for start, stop in ranges:
-        try:
-            sliced = slice_encoded_reference(encoded, start, stop)
-        except CamConfigError as exc:
-            raise RefStoreError(str(exc)) from exc
-        shards.append(StoredReference.adopt_encoded(sliced))
-    return tuple(shards)

@@ -7,8 +7,8 @@ executors:
 
 * :class:`MappingSession` (:mod:`repro.service.session`) — the one
   session core: it coalesces reads into autotuned micro-batches, keys
-  them by stream offset, runs the batched or sharded engine, folds the
-  aggregate report and keeps every cost ledger bounded via compaction
+  them by stream offset, runs the batched engine, folds the aggregate
+  report and keeps its cost ledger bounded via compaction
   (:class:`repro.cost.ledger.CostLedger`);
 * :class:`StreamingMappingService` — the *inline* executor: one
   session whose micro-batches run on the caller's thread before
@@ -26,8 +26,8 @@ executors:
 
 A failed engine call is sticky on its session: later calls raise
 :class:`~repro.errors.ServiceError` chained to the cause.  The streamed
-session is bit-identical to the equivalent one-shot ``run_batched`` /
-sharded ``run`` call for any micro-batch boundaries; see
+session is bit-identical to the equivalent one-shot ``run_batched``
+call for any micro-batch boundaries; see
 :mod:`repro.service.session` and :mod:`repro.service.stream` for the
 determinism contract and :mod:`repro.service.frontend` for the
 session-isolation contract.

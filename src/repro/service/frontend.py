@@ -7,9 +7,9 @@ arrays — serves an entire read workload.  The standalone
 *time* axis of that amortisation (one long-running feed);
 :class:`MappingFrontend` adds the *client* axis:
 
-* **encode once** — the reference is resolved exactly once into
-  sealed, immutable :class:`~repro.cam.array.StoredReference` shards
-  shared by every session.  It may be a segment matrix (encoded here),
+* **encode once** — the reference is resolved exactly once into a
+  sealed, immutable :class:`~repro.cam.array.StoredReference` shared
+  by every session.  It may be a segment matrix (encoded here),
   a sealed stored reference, or — with a catalog — a reference name
   per session (both adopted with zero encode passes);
 * **many sessions** — :meth:`MappingFrontend.session` opens an
@@ -24,11 +24,8 @@ arrays — serves an entire read workload.  The standalone
   the others; a session's own batches run serially, in submission
   order, which keeps its report folding deterministic;
 * **bounded backlog** — at most ``max_backlog`` queued micro-batches
-  frontend-wide; a full backlog either blocks the submitting thread
-  (``backpressure="block"``, the default) or raises
-  :class:`~repro.errors.ServiceError` (``backpressure="error"``);
-* for the sharded engine, every session's pipeline shares one shard
-  fan-out thread pool.
+  frontend-wide; a full backlog blocks the submitting thread until a
+  worker frees a slot.
 
 **Session-isolation contract.**  A session is the same
 :class:`~repro.service.session.MappingSession` as the standalone
@@ -47,15 +44,13 @@ the two executors; DESIGN.md states the binding rules.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arch.autotune import MIN_SERVICE_BACKLOG, plan_service_pool
+from repro.arch.autotune import plan_service_pool
 from repro.cam.array import StoredReference, as_segments_matrix
 from repro.core.matcher import MatcherConfig
-from repro.core.pipeline import check_shard_knobs, encode_shard_references
 from repro.cost.events import ReferenceLoad
 from repro.cost.ledger import CostLedger
 from repro.errors import CamConfigError, ServiceError
@@ -65,31 +60,22 @@ from repro.service.session import (
     DEFAULT_SERVICE_COMPACTION,
     MappingSession,
     build_pipeline,
-    check_engine,
-    shard_reference,
 )
 
 __all__ = ["MappingFrontend", "MappingSession"]
-
-_BACKPRESSURE = ("block", "error")
 
 
 @dataclass(frozen=True)
 class _RefState:
     """One resolved reference source, shared by every session over it.
 
-    ``roots`` are the references whose encode passes this state owns
-    (the per-shard encodes of a segment matrix, else the adopted
-    reference itself); ``lease`` pins a catalog reference for the
-    frontend's lifetime.
+    ``reference`` is the sealed reference every session borrows (the
+    encode of a segment matrix, else the adopted reference itself);
+    ``lease`` pins a catalog reference for the frontend's lifetime.
     """
 
     lease: "object | None"
-    roots: "tuple[StoredReference, ...]"
-    shards: "tuple[StoredReference, ...]"
-    n_rows: int
-    cols: int
-    chunk_size: "int | None"
+    reference: StoredReference
 
 
 class MappingFrontend:
@@ -111,29 +97,15 @@ class MappingFrontend:
     config:
         Default strategy configuration for sessions (each session may
         override).
-    engine:
-        ``"batched"`` (one shared array image) or ``"sharded"`` (the
-        reference partitioned across autotuned shards; sessions share
-        the per-shard references *and* one shard fan-out executor).
     domain / noisy:
         Array configuration shared by every session's arrays.
-    n_shards / chunk_size:
-        Sharded-engine knobs, resolved exactly as
-        :class:`~repro.core.pipeline.ShardedReadMappingPipeline`
-        resolves them (``None`` autotunes) — a frontend session is
-        therefore bit-identical to a standalone sharded service built
-        with the same knobs.
     pool_workers:
         Dispatch workers in the persistent pool; ``None`` autotunes
         via :func:`repro.arch.autotune.plan_service_pool`.
     max_backlog:
-        Queued micro-batches (frontend-wide) before backpressure
-        engages; ``None`` autotunes.
-    backpressure:
-        ``"block"`` (default): a submit that fills the backlog waits
-        for a worker; ``"error"``: it raises
-        :class:`~repro.errors.ServiceError` and leaves the reads
-        buffered for a later retry.
+        Queued micro-batches (frontend-wide) before a submit that
+        fills the backlog waits for a worker; ``None`` autotunes (from
+        the resolved worker count).
     backend:
         Default kernel backend for every session's arrays (``None`` =
         the standard selection order; see :mod:`repro.kernels`);
@@ -144,9 +116,8 @@ class MappingFrontend:
         A :class:`~repro.refstore.ReferenceCatalog` to serve stored
         references from.  Sessions then pass ``reference=<name>`` to
         :meth:`session`; the frontend borrows each named reference
-        once (pinned until :meth:`close`), slices it into the same
-        bank ranges a segments frontend would encode, and never runs
-        an encode pass — :meth:`encode_count` stays 0.  The catalog
+        once (pinned until :meth:`close`) and never runs an encode
+        pass — :meth:`encode_count` stays 0.  The catalog
         belongs to the caller and is left open by :meth:`close`.
     """
 
@@ -154,23 +125,13 @@ class MappingFrontend:
                  segments: "np.ndarray | StoredReference | None",
                  error_model: ErrorModel,
                  config: "MatcherConfig | None" = None,
-                 engine: str = "batched",
                  domain: str = "charge",
                  noisy: bool = True,
-                 n_shards: "int | None" = None,
-                 chunk_size: "int | None" = None,
                  pool_workers: "int | None" = None,
                  max_backlog: "int | None" = None,
-                 backpressure: str = "block",
                  backend: "str | None" = None,
                  catalog: "object | None" = None):
         validate_service_knobs(backend=backend)
-        check_engine(engine)
-        if backpressure not in _BACKPRESSURE:
-            raise ServiceError(
-                f"backpressure must be one of {_BACKPRESSURE}, got "
-                f"{backpressure!r}"
-            )
         if catalog is not None and segments is not None:
             raise CamConfigError(
                 "a catalog frontend takes no construction-time "
@@ -187,23 +148,16 @@ class MappingFrontend:
                             ("max_backlog", max_backlog)):
             if value is not None and int(value) < 1:
                 raise ServiceError(f"{name} must be positive, got {value}")
-        if engine == "sharded":
-            check_shard_knobs(n_shards, chunk_size)
-        self._engine_kind = engine
         self._model = error_model
         self._config = config
         self._domain = domain
         self._noisy = bool(noisy)
         self._backend = backend
-        self._backpressure = backpressure
         self._catalog = catalog
-        self._req_n_shards = n_shards
-        self._req_chunk_size = chunk_size
         #: Frontend-level traffic ledger; holds the single
-        #: ReferenceLoad per shard (the encode-once evidence) — session
-        #: ledgers only ever see search passes.
+        #: ReferenceLoad per resolved reference (the encode-once
+        #: evidence) — session ledgers only ever see search passes.
         self._ledger = CostLedger()
-        self._shard_executor: "ThreadPoolExecutor | None" = None
         self._ref_lock = threading.Lock()
         #: Resolved references by catalog name; a segments (or stored
         #: reference) frontend holds its one pre-resolved state under
@@ -212,23 +166,14 @@ class MappingFrontend:
         self._default: "_RefState | None" = None
         if catalog is None:
             self._default = self._ref_states[None] = self._resolve(segments)
-            plan = plan_service_pool(n_shards=len(self._default.shards))
-        else:
-            # Reference geometry is unknown until sessions open, so
-            # the dispatch pool assumes a fan-out of 1 unless a sharded
-            # caller pinned n_shards; pass pool_workers to tune.
-            pinned = engine == "sharded" and n_shards is not None
-            plan = plan_service_pool(n_shards=n_shards if pinned else 1)
 
         # --- persistent dispatch pool ----------------------------------
-        self._pool_workers = int(plan.n_workers if pool_workers is None
-                                 else pool_workers)
-        # Scale with the *resolved* worker count (an explicit
-        # pool_workers override included), not the plan's.
-        self._max_backlog = int(
-            max(MIN_SERVICE_BACKLOG, 2 * self._pool_workers)
-            if max_backlog is None else max_backlog
-        )
+        # The backlog scales with the *resolved* worker count (an
+        # explicit pool_workers override included).
+        plan = plan_service_pool(pool_workers)
+        self._pool_workers = plan.n_workers
+        self._max_backlog = int(plan.max_backlog if max_backlog is None
+                                else max_backlog)
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._backlog_free = threading.Condition(self._lock)
@@ -249,23 +194,11 @@ class MappingFrontend:
     # -- configuration ------------------------------------------------------
 
     @property
-    def engine(self) -> str:
-        """``"batched"`` or ``"sharded"``."""
-        return self._engine_kind
-
-    @property
     def cols(self) -> "int | None":
         """Reference segment width (every read must match it) —
         ``None`` on a catalog frontend, where each session's width
         follows its named reference."""
-        return None if self._default is None else self._default.cols
-
-    @property
-    def n_shards(self) -> int:
-        """Shards the reference is partitioned across (1 = batched;
-        0 on a catalog frontend, whose shard counts are per
-        reference)."""
-        return 0 if self._default is None else len(self._default.shards)
+        return None if self._default is None else self._default.reference.cols
 
     @property
     def catalog(self) -> "object | None":
@@ -280,13 +213,8 @@ class MappingFrontend:
 
     @property
     def max_backlog(self) -> int:
-        """Queued micro-batches before backpressure engages."""
+        """Queued micro-batches before a submit waits for a worker."""
         return self._max_backlog
-
-    @property
-    def backpressure(self) -> str:
-        """``"block"`` or ``"error"``."""
-        return self._backpressure
 
     @property
     def closed(self) -> bool:
@@ -294,28 +222,28 @@ class MappingFrontend:
 
     @property
     def ledger(self) -> CostLedger:
-        """Frontend-level traffic ledger (the per-shard
+        """Frontend-level traffic ledger (the
         :class:`~repro.cost.events.ReferenceLoad` events live here —
         recorded once per reference, not per session)."""
         return self._ledger
 
     @property
     def stored_references(self) -> "tuple[StoredReference, ...]":
-        """The shared, sealed shard references — on a catalog frontend,
-        every shard of every reference opened so far (open order)."""
+        """The shared, sealed references — on a catalog frontend, every
+        reference opened so far (open order)."""
         with self._ref_lock:
-            return tuple(shard for state in self._ref_states.values()
-                         for shard in state.shards)
+            return tuple(state.reference
+                         for state in self._ref_states.values())
 
     def encode_count(self) -> int:
         """Total one-hot encode passes behind the shared references —
-        :attr:`n_shards` for a segment matrix, the adopted reference's
-        own ``n_encodes`` otherwise (**0** for a catalog's mmap-opened
+        1 for a segment matrix, the adopted reference's own
+        ``n_encodes`` otherwise (**0** for a catalog's mmap-opened
         files), however many sessions open (the encode-once
         evidence)."""
         with self._ref_lock:
-            return sum(root.n_encodes for state in self._ref_states.values()
-                       for root in state.roots)
+            return sum(state.reference.n_encodes
+                       for state in self._ref_states.values())
 
     @property
     def sessions(self) -> "tuple[MappingSession, ...]":
@@ -326,54 +254,17 @@ class MappingFrontend:
     # -- reference resolution -----------------------------------------------
 
     def _resolve(self, source, lease=None) -> _RefState:
-        """Resolve one reference source into shared shards, once.
+        """Resolve one reference source into the shared reference, once.
 
-        A segment matrix is encoded (per shard, at the bank ranges
-        :func:`~repro.core.pipeline.encode_shard_references` cuts); a
-        sealed reference — the caller's, or a catalog *lease*'s — is
-        sliced zero-copy at the same ranges.  The first sharded
-        reference also sizes the one shard fan-out pool every session
-        shares.
+        A segment matrix is encoded; a sealed reference — the caller's,
+        or a catalog *lease*'s — is adopted as is.
         """
-        try:
-            if lease is not None:
-                source = lease.reference
-            if isinstance(source, StoredReference):
-                roots = (source,)
-                n_rows, cols = source.n_segments, source.cols
-                shards, chunk_size = shard_reference(
-                    self._engine_kind, source, self._req_n_shards,
-                    self._req_chunk_size)
-            else:
-                segments = as_segments_matrix(source)
-                n_rows, cols = segments.shape
-                if self._engine_kind == "batched":
-                    shards, chunk_size = (
-                        (StoredReference.encode(segments),), None)
-                else:
-                    shards, chunk_size = encode_shard_references(
-                        segments, n_shards=self._req_n_shards,
-                        chunk_size=self._req_chunk_size)
-                roots = shards
-            if self._engine_kind == "sharded" \
-                    and self._shard_executor is None:
-                # One fan-out shared by every reference, sized for the
-                # first one's geometry.
-                plan = plan_service_pool(n_shards=len(shards))
-                self._shard_executor = ThreadPoolExecutor(
-                    max_workers=max(1, plan.shard_workers),
-                    thread_name_prefix="asmcap-frontend-shard",
-                )
-        except BaseException:
-            if lease is not None:
-                lease.close()
-            raise
-        for shard in shards:
-            self._ledger.record(ReferenceLoad(
-                n_segments=shard.n_segments, n_cells=shard.cols,
-            ))
-        return _RefState(lease, roots, shards, int(n_rows), int(cols),
-                         chunk_size)
+        if not isinstance(source, StoredReference):
+            source = StoredReference.encode(as_segments_matrix(source))
+        self._ledger.record(ReferenceLoad(
+            n_segments=source.n_segments, n_cells=source.cols,
+        ))
+        return _RefState(lease, source)
 
     def _reference_state(self, name: str) -> _RefState:
         """The shared state of catalog reference *name*, borrowed (and
@@ -388,8 +279,9 @@ class MappingFrontend:
                 raise ServiceError("the mapping frontend has been closed")
             state = self._ref_states.get(name)
             if state is None:
+                lease = self._catalog.borrow(name)
                 state = self._ref_states[name] = self._resolve(
-                    name, self._catalog.borrow(name))
+                    lease.reference, lease)
             return state
 
     # -- session factory ----------------------------------------------------
@@ -417,7 +309,7 @@ class MappingFrontend:
 
         On a catalog frontend ``reference`` names the catalog entry
         this session maps against (required; sessions over different
-        names coexist, each reference opened and sliced once).  On any
+        names coexist, each reference opened once).  On any
         other frontend ``reference`` must stay ``None``.
         """
         validate_service_knobs(micro_batch, compaction, backend=backend)
@@ -436,19 +328,17 @@ class MappingFrontend:
         else:
             state = self._reference_state(reference)
         pipeline = build_pipeline(
-            self._engine_kind, state.shards, self._model,
-            config or self._config, seed=seed, compaction=compaction,
+            state.reference, self._model, config or self._config,
+            seed=seed, compaction=compaction,
             backend=self._backend if backend is None else backend,
             domain=self._domain, noisy=self._noisy,
-            chunk_size=state.chunk_size, executor=self._shard_executor,
         )
         with self._lock:
             if not self._running:
                 raise ServiceError("the mapping frontend has been closed")
             session = MappingSession(
-                self, len(self._sessions), self._engine_kind, pipeline,
-                threshold, micro_batch, retain_mappings,
-                (state.n_rows, state.cols, len(state.shards)),
+                self, len(self._sessions), pipeline, threshold,
+                micro_batch, retain_mappings,
             )
             self._sessions.append(session)
             return session
@@ -456,8 +346,8 @@ class MappingFrontend:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Drain every open session, stop the workers, release the
-        shared references and fan-outs.
+        """Drain every open session, stop the workers and release the
+        shared references.
 
         Idempotent.  Sessions that already failed are skipped (their
         owners saw — or will see — the ``ServiceError``); everything
@@ -483,8 +373,6 @@ class MappingFrontend:
                 session._idle.notify_all()
         for thread in self._threads:
             thread.join()
-        if self._shard_executor is not None:
-            self._shard_executor.shutdown(wait=True)
         with self._ref_lock:
             # Unpin catalog leases so the catalog may evict.  The
             # catalog itself belongs to the caller and stays open.

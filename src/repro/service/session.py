@@ -2,10 +2,11 @@
 
 A :class:`MappingSession` is one client stream over a reference.  It
 validates and coalesces reads into micro-batches, keys each batch by
-its offset in the stream, runs the engine (``run_batched`` on the
-batched engine, ``run`` on the sharded one), folds every batch report
-into the session aggregate and snapshots :class:`ServiceStats`.  Two
-executors run the batches, and nothing else differs between them:
+its offset in the stream, runs the engine (one
+:meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` per
+micro-batch), folds every batch report into the session aggregate and
+snapshots :class:`ServiceStats`.  Two executors run the batches, and
+nothing else differs between them:
 
 * **pooled** — the persistent workers of a
   :class:`~repro.service.frontend.MappingFrontend`: round-robin across
@@ -39,16 +40,14 @@ from typing import Iterable
 import numpy as np
 
 from repro.arch.autotune import plan_microbatch
-from repro.cam.array import CamArray, StoredReference
-from repro.core.matcher import AsmCapMatcher
-from repro.core.pipeline import (
-    MappingReport,
-    ReadMapping,
-    ReadMappingPipeline,
-    ShardedReadMappingPipeline,
-    bank_row_ranges,
-    resolve_shard_plan,
+from repro.cam.array import (
+    CamArray,
+    StoredReference,
+    as_read_codes,
+    as_segments_matrix,
 )
+from repro.core.matcher import AsmCapMatcher
+from repro.core.pipeline import MappingReport, ReadMapping, ReadMappingPipeline
 from repro.cost.ledger import CostLedger
 from repro.cost.views import (
     SearchStats,
@@ -58,18 +57,13 @@ from repro.cost.views import (
 from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.faults.hooks import fire as _fire_fault
 from repro.genome.reads import ReadRecord
-from repro.refstore.format import slice_stored_reference
 
 __all__ = [
     "DEFAULT_SERVICE_COMPACTION",
     "MappingSession",
     "ServiceStats",
     "build_pipeline",
-    "check_engine",
-    "shard_reference",
 ]
-
-ENGINES = ("batched", "sharded")
 
 #: Default live-event bound for the service's compacting ledgers: deep
 #: enough that a whole micro-batch's passes (2 + 2*NR events) stay
@@ -131,63 +125,23 @@ class ServiceStats:
     compactions: int
 
 
-def check_engine(engine: str) -> None:
-    """The ``engine`` rule of every service boundary."""
-    if engine not in ENGINES:
-        raise ServiceError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
+def build_pipeline(reference, error_model, config, *, seed: int,
+                   compaction: "int | None", backend: "str | None",
+                   domain: str, noisy: bool) -> ReadMappingPipeline:
+    """The service layer's one engine construction.
 
-
-def shard_reference(engine: str, reference: StoredReference,
-                    n_shards: "int | None", chunk_size: "int | None",
-                    ) -> "tuple[tuple[StoredReference, ...], int | None]":
-    """``(shards, chunk_size)`` of a sealed reference for *engine*.
-
-    The batched engine borrows the reference whole.  The sharded engine
-    gets zero-copy slices at exactly the bank ranges
-    :func:`~repro.core.pipeline.encode_shard_references` would encode,
-    so a stored or catalog reference runs bit-identical to its segments.
+    *reference* is either a sealed
+    :class:`~repro.cam.array.StoredReference` the engine borrows with
+    zero encode passes, or a segment matrix, encoded here into the
+    engine's own array (``CamArray.store``).  The array and the matcher
+    share ``seed``.
     """
-    if engine == "batched":
-        return (reference,), None
-    n_rows = reference.n_segments
-    n_shards, chunk_size = resolve_shard_plan(n_rows, reference.cols,
-                                              n_shards, chunk_size)
-    shards = slice_stored_reference(reference,
-                                    bank_row_ranges(n_rows, n_shards))
-    return shards, chunk_size
-
-
-def build_pipeline(engine: str, reference, error_model, config, *,
-                   seed: int, compaction: "int | None",
-                   backend: "str | None", domain: str, noisy: bool,
-                   n_shards: "int | None" = None,
-                   chunk_size: "int | None" = None,
-                   max_workers: "int | None" = None,
-                   executor=None):
-    """The service layer's one batched/sharded engine construction.
-
-    *reference* is either a segment matrix, encoded here into the
-    engine's own arrays (``CamArray.store`` on the batched engine, the
-    sharded pipeline's per-shard encode otherwise), or a tuple of
-    sealed shard references the engine borrows with zero encode passes.
-    The batched engine builds its array and matcher with the same
-    ``seed``; the sharded engine derives per-shard seeds itself.
-    """
-    if engine == "sharded":
-        return ShardedReadMappingPipeline(
-            reference, error_model, n_shards=n_shards, config=config,
-            domain=domain, noisy=noisy, seed=seed,
-            max_workers=max_workers, chunk_size=chunk_size,
-            ledger_compaction=compaction, backend=backend,
-            executor=executor,
-        )
-    if isinstance(reference, tuple):
+    if isinstance(reference, StoredReference):
         return ReadMappingPipeline(AsmCapMatcher.over_stored(
-            reference[0], error_model, config, domain=domain, noisy=noisy,
+            reference, error_model, config, domain=domain, noisy=noisy,
             seed=seed, ledger_compaction=compaction, backend=backend,
         ))
+    reference = as_segments_matrix(reference)
     array = CamArray(rows=reference.shape[0], cols=reference.shape[1],
                      domain=domain, noisy=noisy, seed=seed,
                      ledger_compaction=compaction, backend=backend)
@@ -208,28 +162,26 @@ class MappingSession:
     session is :class:`~repro.service.stream.StreamingMappingService`.
     """
 
-    def __init__(self, frontend, index: int, engine: str, pipeline,
-                 threshold: int, micro_batch: "int | None",
-                 retain_mappings: bool,
-                 geometry: "tuple[int, int, int]"):
+    def __init__(self, frontend, index: int,
+                 pipeline: ReadMappingPipeline, threshold: int,
+                 micro_batch: "int | None", retain_mappings: bool):
         if int(threshold) < 0:
             raise ThresholdError(
                 f"threshold must be non-negative, got {threshold}"
             )
-        n_rows, cols, n_shards = geometry
+        stored = pipeline.matcher.array.stored
         if micro_batch is None:
-            micro_batch = plan_microbatch(n_rows, cols, n_shards=n_shards)
+            micro_batch = plan_microbatch(stored.n_segments, stored.cols)
         #: The pooled executor's frontend; ``None`` runs inline.
         self._frontend = frontend
         self._label = (f"session {index}" if frontend is not None
                        else "the streaming service")
         self._index = index
-        self._engine = engine
         self._pipeline = pipeline
         self._threshold = int(threshold)
         self._micro_batch = int(micro_batch)
         self._retain_mappings = bool(retain_mappings)
-        self._cols = int(cols)
+        self._cols = int(stored.cols)
         #: A pooled session shares the frontend's lock (which guards
         #: everything below); an inline one owns its own.
         self._lock = (threading.Lock() if frontend is None
@@ -260,11 +212,6 @@ class MappingSession:
         return self._index
 
     @property
-    def engine(self) -> str:
-        """``"batched"`` or ``"sharded"``."""
-        return self._engine
-
-    @property
     def backend(self) -> str:
         """Kernel backend name the engine's arrays search with."""
         return self._pipeline.backend
@@ -283,9 +230,8 @@ class MappingSession:
         return self._closed
 
     @property
-    def pipeline(self):
-        """This session's private engine (a :class:`ReadMappingPipeline`
-        or a :class:`ShardedReadMappingPipeline`)."""
+    def pipeline(self) -> ReadMappingPipeline:
+        """This session's private engine."""
         return self._pipeline
 
     @property
@@ -324,18 +270,16 @@ class MappingSession:
         """Accept one read; hand a micro-batch to the executor whenever
         the buffer fills (inline: it runs before this call returns).
 
-        Raises :class:`~repro.errors.ServiceError` once the session (or
-        its frontend) is closed or failed, or — pooled, with
-        ``backpressure="error"`` — when the frontend backlog is full;
-        with ``backpressure="block"`` a full backlog blocks here until a
-        worker frees a slot.  A rejected pooled submit is
-        **all-or-nothing**: the read was *not* accepted, so the caller
-        retries the same read after backing off.
+        Raises :class:`~repro.errors.CamConfigError` for a read that is
+        not an integer code vector in 0..255 of the reference width,
+        and :class:`~repro.errors.ServiceError` once the session (or its
+        frontend) is closed or failed.  Pooled, a full frontend backlog
+        blocks here until a worker frees a slot.  A rejected pooled
+        submit is **all-or-nothing**: the read was *not* accepted, so
+        the caller retries the same read after backing off.
         """
-        codes = np.asarray(
-            read.read.codes if isinstance(read, ReadRecord) else read,
-            dtype=np.uint8,
-        )
+        codes = as_read_codes(
+            read.read.codes if isinstance(read, ReadRecord) else read)
         if codes.shape != (self._cols,):
             raise CamConfigError(
                 f"read shape {codes.shape} does not fit reference width "
@@ -355,8 +299,10 @@ class MappingSession:
             try:
                 self._enqueue_locked()
             except ServiceError:
-                # Backlog refused the batch: hand the read back so a
-                # retry cannot duplicate it.
+                # The enqueue was refused (a fault at the enqueue
+                # hook, or the frontend stopped while this submit
+                # waited): hand the read back so a retry cannot
+                # duplicate it.
                 self._buffer.pop()
                 self._n_submitted -= 1
                 raise
@@ -397,7 +343,7 @@ class MappingSession:
         """
         with self._lock:
             self._check_open_locked()
-            self._enqueue_locked(wait=True)
+            self._enqueue_locked()
             self._wait_idle_locked()
             return self._report.snapshot()
 
@@ -416,7 +362,7 @@ class MappingSession:
                 # from ever terminating.
                 self._closing = True
                 if self._executor_running:
-                    self._enqueue_locked(wait=True)
+                    self._enqueue_locked()
                     self._wait_idle_locked()
                 elif self._buffer or self._pending or self._executing:
                     # The frontend stopped (no workers left) while this
@@ -438,19 +384,14 @@ class MappingSession:
     # -- observability ------------------------------------------------------
 
     def ledgers(self) -> "tuple[CostLedger, ...]":
-        """Every cost ledger the session's engine owns (deterministic
-        order: system traffic first for the sharded engine, then
-        arrays)."""
-        if self._engine == "batched":
-            return (self._pipeline.ledger,)
-        return (self._pipeline.ledger,
-                *(m.array.ledger for m in self._pipeline.matchers))
+        """Every cost ledger the session's engine owns (its array's)."""
+        return (self._pipeline.ledger,)
 
     def merged_stats(self) -> SearchStats:
         """Whole-session search counters (exact under compaction),
         from the engine's own fold."""
         with self._dispatch_mutex:
-            return self._merged_stats_unlocked()
+            return search_stats(self._pipeline.ledger)
 
     def stats(self) -> ServiceStats:
         """Snapshot this session's observable state
@@ -458,7 +399,7 @@ class MappingSession:
         # Lock order: dispatch mutex first (freezes the ledgers), then
         # the session lock (freezes the counters) — as executors do.
         with self._dispatch_mutex:
-            stats = self._merged_stats_unlocked()
+            stats = search_stats(self._pipeline.ledger)
             (pass_counts, events_live, events_folded, population,
              compactions) = fold_ledger_observability(self.ledgers())
             with self._lock:
@@ -483,11 +424,6 @@ class MappingSession:
                     ledger_population_elements=population,
                     compactions=compactions,
                 )
-
-    def _merged_stats_unlocked(self) -> SearchStats:
-        if self._engine == "sharded":
-            return self._pipeline.merged_stats()
-        return search_stats(self._pipeline.ledger)
 
     # -- internals (session lock held) --------------------------------------
 
@@ -539,33 +475,24 @@ class MappingSession:
             raise failure
         return len(codes)
 
-    def _enqueue_locked(self, wait: bool = False) -> int:
+    def _enqueue_locked(self) -> int:
         """Hand the coalescing buffer to the executor.
 
         Inline, the batch runs now.  Pooled, it joins the frontend's
-        work queue under the backlog bound: blocks (releasing the lock)
-        or raises per the frontend's backpressure policy, and on the
-        error path the reads stay buffered for a later retry.
-        ``wait=True`` forces blocking regardless of the policy —
-        :meth:`drain` / :meth:`close` are synchronisation points that
-        *relieve* pressure, so erroring there would be perverse.
+        work queue under the backlog bound, blocking (and releasing the
+        lock) while the backlog is full; if the enqueue is refused the
+        reads stay buffered for a later retry.
         """
         if not self._buffer:
             return 0
         if self._frontend is None:
             return self._run_inline_locked()
         frontend = self._frontend
-        # Chaos hook: a backlog-saturation fault raises the same
-        # documented ServiceError a genuinely full queue would, so the
-        # all-or-nothing submit unwind is exercised for real.
+        # Chaos hook: a backlog-saturation fault raises a documented
+        # ServiceError here, so the all-or-nothing submit unwind is
+        # exercised for real.
         _fire_fault("service.frontend.enqueue", session=self)
         while frontend._backlog_count >= frontend._max_backlog:
-            if frontend._backpressure == "error" and not wait:
-                raise ServiceError(
-                    f"frontend backlog full "
-                    f"({frontend._max_backlog} queued micro-batches); "
-                    f"drain sessions or slow the feed"
-                )
             frontend._backlog_free.wait()
             # Not _check_open_locked: close() itself enqueues through
             # here after setting _closing — only a dispatch failure or
@@ -613,12 +540,8 @@ class MappingSession:
                     # here fails the session like an engine error.
                     _fire_fault("service.frontend.execute", session=self,
                                 first_read_index=first)
-                if self._engine == "batched":
-                    report = self._pipeline.run_batched(
-                        codes, self._threshold, first_read_index=first)
-                else:
-                    report = self._pipeline.run(
-                        codes, self._threshold, first_read_index=first)
+                report = self._pipeline.run_batched(
+                    codes, self._threshold, first_read_index=first)
             except BaseException as exc:  # noqa: BLE001 — kept for the feeder
                 failure = exc
             with self._lock:

@@ -1,11 +1,10 @@
 """Long-running streaming read-mapping service: the inline session.
 
 Every one-shot execution path hands
-:meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` (or the
-sharded pipeline) a complete read block and gets a report back.  A
-sequencing front-end does not work like that — reads arrive
-incrementally, for hours.  :class:`StreamingMappingService` is the
-long-running entry point: a
+:meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` a complete
+read block and gets a report back.  A sequencing front-end does not
+work like that — reads arrive incrementally, for hours.
+:class:`StreamingMappingService` is the long-running entry point: a
 :class:`~repro.service.session.MappingSession` whose executor is the
 caller's own thread.
 
@@ -13,11 +12,10 @@ caller's own thread.
   and coalesced into micro-batches sized by
   :func:`repro.arch.autotune.plan_microbatch`;
 * **dispatch** — each full micro-batch runs, before ``submit``
-  returns, through the batched
-  (:meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched`) or
-  sharded (:meth:`~repro.core.pipeline.ShardedReadMappingPipeline.run`)
-  engine with its global read offset as the determinism key base;
-* **bounded memory** — the arrays' cost ledgers run in compaction mode
+  returns, through
+  :meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` with its
+  global read offset as the determinism key base;
+* **bounded memory** — the array's cost ledger runs in compaction mode
   (:class:`repro.cost.ledger.CostLedger`), folding fully-materialised
   pass events into exact checkpoints, so the retained event count
   plateaus instead of growing linearly with the stream;
@@ -25,22 +23,25 @@ caller's own thread.
   snapshots a :class:`~repro.service.session.ServiceStats`;
 * **drain / close** — ``flush`` runs a partial micro-batch, ``drain``
   flushes and returns the aggregate report, ``close`` drains, releases
-  the engine (and any catalog lease) and ends the lifecycle (the
-  service is also a context manager).
+  any catalog lease and ends the lifecycle (the service is also a
+  context manager).
 
 A failed engine call is sticky: the call that ran it re-raises the
 engine's error, every later ``submit`` / ``flush`` / ``drain`` raises
 :class:`~repro.errors.ServiceError` chained to it, and ``close`` still
-releases the engine and the lease before raising.
+releases the lease before raising.
 
 **Determinism contract.**  Read ``i`` of the stream (0-based
 submission order) is keyed as global read ``i``, so a streamed session
-is **bit-identical** to one ``run_batched`` (or one sharded ``run``)
-call over the same reads with the same seeds — per-read decisions,
-per-read costs and the aggregate report — for *any* micro-batch
-boundaries.  ``tests/service/test_service.py`` asserts this over
-randomized boundaries, and at soak scale (100k reads, slow lane)
-while checking that the compacted ledger stays flat.
+is **bit-identical** to one ``run_batched`` call over the same reads
+with the same seed — per-read decisions, per-read costs and the
+aggregate report — for *any* micro-batch boundaries.
+``tests/service/test_service.py`` asserts this over randomized
+boundaries, and at soak scale (100k reads, slow lane) while checking
+that the compacted ledger stays flat.  A banked (sharded) run of the
+same stream is one
+:meth:`~repro.core.pipeline.ShardedReadMappingPipeline.run` per
+micro-batch with ``first_read_index`` set the same way.
 """
 
 from __future__ import annotations
@@ -49,13 +50,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.cam.array import StoredReference, as_segments_matrix
+from repro.cam.array import StoredReference
 from repro.core.matcher import MatcherConfig
-from repro.core.pipeline import (
-    MappingReport,
-    ReadMapping,
-    ShardedReadMappingPipeline,
-)
+from repro.core.pipeline import MappingReport, ReadMapping
 from repro.genome.edits import ErrorModel
 from repro.genome.reads import ReadRecord
 from repro.knobs import validate_reference_source, validate_service_knobs
@@ -64,8 +61,6 @@ from repro.service.session import (
     MappingSession,
     ServiceStats,
     build_pipeline,
-    check_engine,
-    shard_reference,
 )
 
 __all__ = [
@@ -104,9 +99,6 @@ class StreamingMappingService(MappingSession):
         any read is accepted.
     config:
         Strategy configuration (default: the paper's full setting).
-    engine:
-        ``"batched"`` (one CAM array, the default) or ``"sharded"``
-        (the reference partitioned across autotuned shards).
     micro_batch:
         Reads coalesced per dispatch; ``None`` autotunes via
         :func:`repro.arch.autotune.plan_microbatch`.
@@ -117,14 +109,9 @@ class StreamingMappingService(MappingSession):
         one-shot paths (the memory baseline the streaming soak test
         compares against).
     domain / noisy / seed:
-        Array configuration.  The batched engine builds its array and
-        its matcher with the same ``seed``; the sharded engine derives
-        per-shard seeds exactly as
-        :class:`~repro.core.pipeline.ShardedReadMappingPipeline` does
-        — so a one-shot pipeline built the same way is bit-identical.
-    n_shards / chunk_size / max_workers:
-        Sharded-engine knobs, forwarded to the sharded pipeline
-        (``None`` autotunes).
+        Array configuration.  The array and the matcher are built with
+        the same ``seed``, so a one-shot pipeline built the same way is
+        bit-identical.
     backend:
         Kernel backend for the engine's mismatch-count primitives
         (``None`` = the standard selection order; see
@@ -151,75 +138,47 @@ class StreamingMappingService(MappingSession):
                  error_model: ErrorModel,
                  threshold: int,
                  config: "MatcherConfig | None" = None,
-                 engine: str = "batched",
                  micro_batch: "int | None" = None,
                  compaction: "int | None" = DEFAULT_SERVICE_COMPACTION,
                  domain: str = "charge",
                  noisy: bool = True,
                  seed: int = 0,
-                 n_shards: "int | None" = None,
-                 chunk_size: "int | None" = None,
-                 max_workers: "int | None" = None,
                  backend: "str | None" = None,
                  retain_mappings: bool = True,
                  catalog: "object | None" = None):
-        validate_service_knobs(micro_batch, compaction,
-                               max_workers=max_workers, backend=backend)
-        check_engine(engine)
+        validate_service_knobs(micro_batch, compaction, backend=backend)
         validate_reference_source(segments, catalog=catalog)
         self._lease = None if catalog is None else catalog.borrow(segments)
-        pipeline = None
         try:
-            source = segments if self._lease is None else self._lease.reference
-            if isinstance(source, StoredReference):
-                # Pre-encoded (catalog lease or caller-owned): zero
-                # encode passes — the engine borrows it, sharded into
-                # zero-copy slices.
-                n_rows, cols = source.n_segments, source.cols
-                source, chunk_size = shard_reference(engine, source,
-                                                     n_shards, chunk_size)
-                n_shards = None
-            else:
-                source = as_segments_matrix(source)
-                n_rows, cols = source.shape
             pipeline = build_pipeline(
-                engine, source, error_model, config, seed=seed,
+                segments if self._lease is None else self._lease.reference,
+                error_model, config, seed=seed,
                 compaction=compaction, backend=backend, domain=domain,
-                noisy=noisy, n_shards=n_shards, chunk_size=chunk_size,
-                max_workers=max_workers,
+                noisy=noisy,
             )
-            super().__init__(
-                None, 0, engine, pipeline, threshold, micro_batch,
-                retain_mappings,
-                (n_rows, cols,
-                 1 if engine == "batched" else pipeline.n_shards),
-            )
+            super().__init__(None, 0, pipeline, threshold, micro_batch,
+                             retain_mappings)
         except BaseException:
-            self._release(pipeline)
+            self._release()
             raise
 
     def close(self) -> MappingReport:
-        """Drain, end the lifecycle, release the engine, and return the
-        final report.
+        """Drain, end the lifecycle, release any catalog lease, and
+        return the final report.
 
         Idempotent; every later :meth:`submit` / :meth:`flush` /
-        :meth:`drain` raises :class:`~repro.errors.ServiceError`.  The
-        sharded engine's fan-out pool and a catalog lease are released
-        even when the final drain raises (a failed service).  Each call
-        returns a fresh defensive snapshot.
+        :meth:`drain` raises :class:`~repro.errors.ServiceError`.  A
+        catalog lease is released even when the final drain raises (a
+        failed service).  Each call returns a fresh defensive snapshot.
         """
         try:
             return super().close()
         finally:
             self._closed = True
-            self._release(self._pipeline)
+            self._release()
 
-    def _release(self, pipeline) -> None:
-        if isinstance(pipeline, ShardedReadMappingPipeline):
-            pipeline.close()
+    def _release(self) -> None:
         if self._lease is not None:
-            # Unpin the catalog reference only after the engines that
-            # searched its arrays are gone.
             self._lease.close()
 
 

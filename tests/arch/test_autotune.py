@@ -13,11 +13,13 @@ from repro.arch.autotune import (
     MAX_CHUNK_READS,
     MIN_CHUNK_READS,
     MIN_ROWS_PER_SHARD,
+    MIN_SERVICE_BACKLOG,
     ShardPlan,
     available_cpus,
     estimate_stored_reference_bytes,
     plan_backend,
     plan_microbatch,
+    plan_service_pool,
     plan_shards,
     sweep_worker_count,
 )
@@ -94,20 +96,29 @@ class TestPlanMicrobatch:
         large = plan_microbatch(1 << 20, 64)
         assert large <= small
 
-    def test_sharding_relaxes_the_bound(self):
-        """Each shard sees a slice of the rows, so the same reference
-        split across shards affords micro-batches at least as large."""
-        whole = plan_microbatch(1 << 18, 64, n_shards=1)
-        split = plan_microbatch(1 << 18, 64, n_shards=8)
-        assert split >= whole
-
     def test_validation(self):
         with pytest.raises(ArchConfigError):
             plan_microbatch(0, 64)
         with pytest.raises(ArchConfigError):
             plan_microbatch(64, 0)
+
+
+class TestPlanServicePool:
+    def test_one_worker_per_core(self):
+        plan = plan_service_pool(cpu_count=6)
+        assert plan.n_workers == 6
+        assert plan.max_backlog == 12
+
+    def test_pinned_workers_size_the_backlog(self):
+        plan = plan_service_pool(16, cpu_count=2)
+        assert plan.n_workers == 16
+        assert plan.max_backlog == 32
+        assert plan_service_pool(1, cpu_count=2).max_backlog == \
+            MIN_SERVICE_BACKLOG
+
+    def test_validation(self):
         with pytest.raises(ArchConfigError):
-            plan_microbatch(64, 64, n_shards=0)
+            plan_service_pool(0)
 
 
 class TestSweepWorkers:

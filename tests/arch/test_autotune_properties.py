@@ -36,7 +36,7 @@ settings.load_profile("autotune")
 n_rows_s = st.integers(min_value=1, max_value=1 << 20)
 cols_s = st.integers(min_value=1, max_value=4096)
 cpus_s = st.integers(min_value=1, max_value=256)
-shards_s = st.integers(min_value=1, max_value=128)
+workers_s = st.integers(min_value=1, max_value=128)
 
 
 class TestPlanShards:
@@ -89,58 +89,39 @@ class TestPlanShards:
 
 
 class TestPlanMicrobatch:
-    @given(n_rows=n_rows_s, cols=cols_s, n_shards=shards_s)
-    def test_bounded(self, n_rows, cols, n_shards):
-        batch = plan_microbatch(n_rows, cols, n_shards=n_shards)
+    @given(n_rows=n_rows_s, cols=cols_s)
+    def test_bounded(self, n_rows, cols):
+        batch = plan_microbatch(n_rows, cols)
         assert MIN_CHUNK_READS <= batch <= MAX_CHUNK_READS
 
     @given(n_rows=st.integers(min_value=1, max_value=(1 << 20) - 1),
-           cols=cols_s, n_shards=shards_s)
-    def test_nonincreasing_in_rows(self, n_rows, cols, n_shards):
+           cols=cols_s)
+    def test_nonincreasing_in_rows(self, n_rows, cols):
         # Bigger references -> per-read footprint grows -> batches
         # shrink (or stay put); never the other way.
-        assert plan_microbatch(n_rows + 1, cols, n_shards=n_shards) <= \
-            plan_microbatch(n_rows, cols, n_shards=n_shards)
-
-    @given(n_rows=n_rows_s, cols=cols_s,
-           n_shards=st.integers(min_value=1, max_value=127))
-    def test_nondecreasing_in_shards(self, n_rows, cols, n_shards):
-        # More shards -> smaller largest shard -> batches may grow.
-        assert plan_microbatch(n_rows, cols, n_shards=n_shards + 1) >= \
-            plan_microbatch(n_rows, cols, n_shards=n_shards)
+        assert plan_microbatch(n_rows + 1, cols) <= \
+            plan_microbatch(n_rows, cols)
 
 
 class TestPlanServicePool:
-    @given(n_shards=shards_s, cpus=cpus_s)
-    def test_never_zero_workers(self, n_shards, cpus):
-        plan = plan_service_pool(n_shards, cpu_count=cpus)
+    @given(n_workers=st.none() | workers_s, cpus=cpus_s)
+    def test_never_zero_workers(self, n_workers, cpus):
+        plan = plan_service_pool(n_workers, cpu_count=cpus)
         assert plan.n_workers >= 1
         assert plan.max_backlog >= MIN_SERVICE_BACKLOG
         assert plan.max_backlog == max(MIN_SERVICE_BACKLOG,
                                        2 * plan.n_workers)
 
-    @given(n_shards=shards_s, cpus=cpus_s)
-    def test_shard_workers_iff_sharded(self, n_shards, cpus):
-        plan = plan_service_pool(n_shards, cpu_count=cpus)
-        if n_shards == 1:
-            assert plan.shard_workers == 0
-        else:
-            assert 1 <= plan.shard_workers <= cpus
+    @given(n_workers=workers_s, cpus=cpus_s)
+    def test_pinned_worker_count_is_kept(self, n_workers, cpus):
+        # The backlog follows a pinned count, not the core budget.
+        assert plan_service_pool(n_workers,
+                                 cpu_count=cpus).n_workers == n_workers
 
-    @given(n_shards=shards_s, cpus=cpus_s)
-    def test_two_level_pool_never_oversubscribes(self, n_shards, cpus):
-        # Session workers x per-dispatch fan-out stays within the
-        # core budget (modulo the >=1 worker floor on tiny machines).
-        plan = plan_service_pool(n_shards, cpu_count=cpus)
-        fanout = min(n_shards, cpus)
-        assert plan.n_workers * fanout <= max(cpus, fanout)
-
-    @given(n_shards=shards_s,
-           cpus=st.integers(min_value=1, max_value=255))
-    def test_workers_monotone_in_cpus(self, n_shards, cpus):
-        assert plan_service_pool(n_shards,
-                                 cpu_count=cpus + 1).n_workers >= \
-            plan_service_pool(n_shards, cpu_count=cpus).n_workers
+    @given(cpus=st.integers(min_value=1, max_value=255))
+    def test_workers_monotone_in_cpus(self, cpus):
+        assert plan_service_pool(cpu_count=cpus + 1).n_workers >= \
+            plan_service_pool(cpu_count=cpus).n_workers
 
 
 class TestSweepWorkers:

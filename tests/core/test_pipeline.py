@@ -295,6 +295,27 @@ class TestShardedPipeline:
                 noisy_dataset.segments, noisy_dataset.model, chunk_size=0
             )
 
+    def test_stored_references_rejected_with_a_typed_error(
+            self, noisy_dataset):
+        """The pipeline takes only a segment matrix: a stored
+        reference, or a sequence of them, raises a typed error."""
+        from repro.cam.array import StoredReference
+
+        shard = StoredReference.encode(noisy_dataset.segments)
+        for source in (shard, (shard, shard)):
+            with pytest.raises(CamConfigError, match="segments must be"):
+                ShardedReadMappingPipeline(source, noisy_dataset.model)
+
+    @pytest.mark.parametrize("n_shards", [0, -1])
+    def test_nonpositive_n_shards_names_the_knob(self, noisy_dataset,
+                                                 n_shards):
+        with pytest.raises(CamConfigError,
+                           match=f"n_shards must be positive, got "
+                                 f"{n_shards}"):
+            ShardedReadMappingPipeline(
+                noisy_dataset.segments, noisy_dataset.model,
+                n_shards=n_shards)
+
     def test_max_workers_zero_rejected(self, noisy_dataset):
         """Regression: max_workers=0 used to be swallowed into the
         autotune fallback by a falsy `or`; it must raise like
@@ -319,7 +340,6 @@ class TestShardedPipeline:
             noisy_dataset.segments, noisy_dataset.model, n_shards=2,
             noisy=False, seed=3,
         )
-        assert pipeline.owns_executor
         assert pipeline._pool is None  # lazy until the first run
         pipeline.run(noisy_dataset.reads[:3], threshold=8)
         pool = pipeline._pool
@@ -342,20 +362,6 @@ class TestShardedPipeline:
             pipeline.run(noisy_dataset.reads[:2], threshold=8)
             assert pipeline._pool is not None
         assert pipeline._pool is None
-
-    def test_injected_executor_is_shared_not_owned(self, noisy_dataset):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            pipeline = ShardedReadMappingPipeline(
-                noisy_dataset.segments, noisy_dataset.model, n_shards=2,
-                noisy=False, executor=executor,
-            )
-            assert not pipeline.owns_executor
-            report = pipeline.run(noisy_dataset.reads[:3], threshold=8)
-            assert report.n_reads == 3
-            pipeline.close()  # must NOT shut the injected executor down
-            assert executor.submit(lambda: 42).result() == 42
 
 
 def make_flat_plain_pipeline(dataset):
@@ -496,101 +502,24 @@ class TestShardedSystem:
                 config=MatcherConfig.plain(), noisy=False) as pipeline:
             yield pipeline
 
-
-class TestStoredShardConstruction:
-    def test_stored_shards_bit_identical_to_segments(self, noisy_dataset):
-        """A pipeline over pre-encoded shard references reproduces the
-        segment-matrix construction exactly (same seeds, same ranges,
-        same decisions and costs) — encode once, build many."""
-        from repro.core.pipeline import encode_shard_references
-
-        reference = ShardedReadMappingPipeline(
-            noisy_dataset.segments, noisy_dataset.model, n_shards=3,
-            noisy=True, seed=5, chunk_size=7,
-        )
-        shards, chunk = encode_shard_references(
-            noisy_dataset.segments, n_shards=3, chunk_size=7
-        )
-        shared = ShardedReadMappingPipeline(
-            shards, noisy_dataset.model, n_shards=None, noisy=True,
-            seed=5, chunk_size=chunk,
-        )
-        assert shared.n_shards == reference.n_shards
-        assert shared.shard_ranges == reference.shard_ranges
-        ours = shared.run(noisy_dataset.reads, threshold=8)
-        theirs = reference.run(noisy_dataset.reads, threshold=8)
-        assert ours.total_energy_joules == theirs.total_energy_joules
-        for a, b in zip(ours.mappings, theirs.mappings, strict=True):
-            assert a.matched_rows == b.matched_rows
-            assert a.outcome.energy_joules == b.outcome.energy_joules
-            assert a.outcome.latency_ns == b.outcome.latency_ns
-        # Every pipeline built from the same shards shares the encode.
-        assert sum(s.n_encodes for s in shards) == len(shards)
-        another = ShardedReadMappingPipeline(
-            shards, noisy_dataset.model, n_shards=None, seed=5,
-            chunk_size=chunk,
-        )
-        another.run(noisy_dataset.reads[:2], threshold=8)
-        assert sum(s.n_encodes for s in shards) == len(shards)
-
-    @pytest.mark.parametrize("route", ["segments", "encoded", "sliced",
-                                       "mapped"])
-    def test_merged_ledger_on_every_route(self, noisy_dataset, route,
-                                          tmp_path):
-        """Without compaction, every construction route keeps the full
-        event streams, so the merged ledger's fold matches
-        merged_stats() and its pass counts match the observability
-        fold."""
-        from repro.cam.array import StoredReference
-        from repro.core.pipeline import encode_shard_references
+    def test_merged_ledger_matches_merged_stats(self, noisy_dataset):
+        """Without compaction the full event streams are kept, so the
+        merged ledger's fold matches merged_stats() and its pass counts
+        match the observability fold."""
         from repro.cost.views import search_stats
-        from repro.refstore import (
-            open_stored_reference,
-            save_stored_reference,
-            slice_stored_reference,
-        )
 
-        segments, model = noisy_dataset.segments, noisy_dataset.model
-        ranges = ShardedReadMappingPipeline(
-            segments, model, n_shards=3).shard_ranges
-        mapped = None
-        if route == "segments":
-            source = segments
-        elif route == "encoded":
-            source, _ = encode_shard_references(segments, n_shards=3)
-        elif route == "sliced":
-            source = slice_stored_reference(
-                StoredReference.encode(segments), ranges)
-        else:
-            path = tmp_path / "ref.asmcap"
-            save_stored_reference(path, StoredReference.encode(segments))
-            mapped = open_stored_reference(path)
-            source = slice_stored_reference(mapped.reference, ranges)
-        try:
-            with ShardedReadMappingPipeline(
-                    source, model, n_shards=3, seed=5,
-                    chunk_size=7) as pipeline:
-                pipeline.run(noisy_dataset.reads, threshold=8)
-                merged = pipeline.merged_ledger()
-                stats = pipeline.merged_stats()
-                pass_counts = pipeline.ledger_observability()[0]
-        finally:
-            if mapped is not None:
-                mapped.close()
+        with ShardedReadMappingPipeline(
+                noisy_dataset.segments, noisy_dataset.model, n_shards=3,
+                seed=5, chunk_size=7) as pipeline:
+            pipeline.run(noisy_dataset.reads, threshold=8)
+            merged = pipeline.merged_ledger()
+            stats = pipeline.merged_stats()
+            pass_counts = pipeline.ledger_observability()[0]
         assert merged.pass_counts() == pass_counts
         folded = search_stats(merged)
         assert folded.n_searches == stats.n_searches > 0
         assert folded.total_energy_joules == pytest.approx(
             stats.total_energy_joules, rel=1e-12)
-
-    def test_stored_shard_count_conflict_rejected(self, noisy_dataset):
-        from repro.core.pipeline import encode_shard_references
-
-        shards, _ = encode_shard_references(noisy_dataset.segments,
-                                            n_shards=3)
-        with pytest.raises(CamConfigError):
-            ShardedReadMappingPipeline(shards, noisy_dataset.model,
-                                       n_shards=2)
 
     @pytest.mark.slow
     def test_sharded_stress_10k_reads(self):

@@ -1,9 +1,9 @@
-"""The trichotomy judge and end-to-end chaos checks (thread routes).
+"""The trichotomy judge and end-to-end chaos checks.
 
 ``judge()`` is a pure function, so its verdict table is tested in
 isolation; the end-to-end checks drive real scenarios through the
-armed service stack (thread engines only — the process fan-out is the
-chaos soak's job, kept out of the tier-1 budget).
+armed service stack (the full seeded sweep is the chaos soak's job,
+kept out of the tier-1 budget).
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class TestResourceSnapshot:
 
 
 class TestEndToEnd:
-    """Real chaos runs over the thread-engine scenarios."""
+    """Real chaos runs over the scenario matrix."""
 
     def test_baseline_is_stable(self, checker):
         scenario = get_scenario("stream-batched-gemm")
@@ -121,10 +121,10 @@ class TestEndToEnd:
         assert verdict.verdict == "tolerated"
         assert verdict.error_type is None
 
-    def test_sharded_thread_poison_surfaces(self, checker,
-                                            poison_plan):
+    def test_compacted_stream_poison_surfaces(self, checker,
+                                              poison_plan):
         verdict = checker.check(
-            get_scenario("stream-sharded-gemm"),
+            get_scenario("stream-batched-compact-gemm"),
             poison_plan)
         assert verdict.ok
         assert verdict.verdict == "surfaced"
@@ -133,7 +133,7 @@ class TestEndToEnd:
         plan = FaultPlan.of(
             Fault("store_truncate", "refstore.save", 0), seed=103)
         verdict = checker.check(
-            get_scenario("store-sharded-gemm"), plan)
+            get_scenario("store-batched-gemm"), plan)
         assert verdict.ok
         assert verdict.verdict == "surfaced"
         assert verdict.error_type == "RefStoreError"
@@ -172,7 +172,7 @@ class TestEndToEnd:
         assert verdict.fired == ()
 
     def test_verdicts_reproduce(self, checker, poison_plan):
-        scenario = get_scenario("stream-sharded-gemm")
+        scenario = get_scenario("stream-batched-compact-gemm")
         first = checker.check(scenario, poison_plan)
         second = checker.check(scenario, poison_plan)
         assert first.describe() == second.describe()
@@ -187,21 +187,20 @@ class TestEndToEnd:
 
 
 class TestScenarioMatrix:
-    def test_matrix_covers_every_engine_and_route(self):
+    def test_matrix_covers_every_route_and_compaction(self):
         from repro.kernels import available_backends
 
-        assert {s.engine for s in SCENARIOS} == {"batched", "sharded"}
-        assert {s.compaction for s in SCENARIOS} == {None, 8}
-        routes = [(s.route, s.engine, s.compaction) for s in SCENARIOS]
+        routes = [(s.route, s.compaction) for s in SCENARIOS]
         assert sorted(routes, key=str) == sorted([
-            ("stream", "batched", None),
-            ("stream", "sharded", 8),
-            ("store", "sharded", None),
-            ("store", "sharded", 8),
-            ("catalog", "batched", 8),
-            ("frontend", "batched", 8),
-            ("frontend", "sharded", None),
+            ("stream", None),
+            ("stream", 8),
+            ("store", None),
+            ("store", 8),
+            ("catalog", 8),
+            ("frontend", 8),
+            ("frontend", None),
         ], key=str)
+        assert len({s.name for s in SCENARIOS}) == len(SCENARIOS)
         assert {s.backend for s in SCENARIOS} <= set(available_backends())
 
     def test_reachable_points_are_valid(self):
@@ -230,7 +229,7 @@ class TestScenarioMatrix:
         # Error-contract regression (contractlint CL401): a bad route
         # raises the typed config error, not a bare ValueError.
         scenario = ChaosScenario(
-            name="bogus", engine="batched", backend="numpy-gemm",
+            name="bogus", backend="numpy-gemm",
             compaction=None, route="teleport", fault_kinds=(),
         )
         with pytest.raises(CamConfigError, match="unknown scenario route"):

@@ -32,7 +32,6 @@ from repro.kernels import (
     encoded_reference_from_arrays,
     get_backend,
     resolve_backend,
-    slice_encoded_reference,
 )
 from repro.knobs import validate_service_knobs
 
@@ -80,11 +79,6 @@ class TestRegistry:
 class TestEncodedReferenceErrors:
     """Error-contract regressions (contractlint CL401): encoding
     helpers raise typed config errors, not bare ``ValueError``."""
-
-    def test_slice_out_of_range_raises_typed_error(self):
-        encoded = encode_reference(np.zeros((4, 8), dtype=np.uint8))
-        with pytest.raises(CamConfigError, match="outside the encoding"):
-            slice_encoded_reference(encoded, 2, 9)
 
     def test_from_arrays_missing_field_raises_typed_error(self):
         encoded = encode_reference(np.zeros((2, 8), dtype=np.uint8))

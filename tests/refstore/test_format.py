@@ -22,7 +22,6 @@ from repro.refstore import (
     REFSTORE_MAGIC,
     open_stored_reference,
     save_stored_reference,
-    slice_stored_reference,
 )
 from repro.refstore.header import HEADER, aligned
 
@@ -118,46 +117,6 @@ class TestRoundtrip:
         save_stored_reference(path, second)
         with open_stored_reference(path) as mapped:
             _assert_bit_exact(mapped.reference, second)
-
-
-class TestSlicing:
-    def test_slice_matches_fresh_encode(self, store):
-        rng = np.random.default_rng(42)
-        segments = rng.integers(0, 4, size=(32, 96), dtype=np.uint8)
-        with open_stored_reference(store) as mapped:
-            shards = slice_stored_reference(
-                mapped.reference, [(0, 10), (10, 25), (25, 32)]
-            )
-            for shard, (start, stop) in zip(
-                    shards, [(0, 10), (10, 25), (25, 32)], strict=True):
-                assert shard.sealed
-                assert shard.n_encodes == 0
-                _assert_bit_exact(
-                    shard, StoredReference.encode(segments[start:stop])
-                )
-
-    def test_nested_slice_matches_fresh_encode(self, store):
-        rng = np.random.default_rng(42)
-        segments = rng.integers(0, 4, size=(32, 96), dtype=np.uint8)
-        with open_stored_reference(store) as mapped:
-            outer = slice_stored_reference(mapped.reference,
-                                           [(8, 28)])[0]
-            inner = slice_stored_reference(outer, [(2, 9)])[0]
-            assert inner.n_encodes == 0
-            _assert_bit_exact(
-                inner, StoredReference.encode(segments[10:17]))
-
-    def test_bad_ranges_rejected(self, store):
-        with open_stored_reference(store) as mapped:
-            with pytest.raises(RefStoreError):
-                slice_stored_reference(mapped.reference, [(10, 5)])
-            with pytest.raises(RefStoreError):
-                slice_stored_reference(mapped.reference, [(0, 1000)])
-
-    def test_unsealed_reference_rejected(self):
-        with pytest.raises(RefStoreError, match="sealed"):
-            slice_stored_reference(StoredReference(rows=4, cols=8),
-                                   [(0, 2)])
 
 
 class TestSavePreconditions:

@@ -3,7 +3,7 @@
 The standing contract of the reference store: a mapping session over
 a catalog-opened (mmap, ``n_encodes == 0``) reference produces
 bit-identical decisions, costs and reports to one over a freshly
-encoded reference — on the batched and the sharded engine.
+encoded reference.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from repro.service.frontend import MappingFrontend
 from repro.service.stream import StreamingMappingService
 
 THRESHOLD = 8
-
-ENGINES = ["batched", "sharded"]
 
 
 @pytest.fixture(scope="module")
@@ -62,33 +60,30 @@ def _reports_identical(a, b) -> None:
 
 
 class TestStreamingService:
-    def _run(self, source, workload, engine, catalog=None):
+    def _run(self, source, workload, catalog=None):
         _, model, reads = workload
         with StreamingMappingService(
-                source, model, threshold=THRESHOLD, engine=engine,
-                n_shards=(2 if engine == "sharded" else None),
-                micro_batch=4, seed=3, catalog=catalog) as service:
+                source, model, threshold=THRESHOLD, micro_batch=4,
+                seed=3, catalog=catalog) as service:
             service.submit_many(reads)
             return service.drain()
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_catalog_session_matches_fresh_encode(self, workload,
-                                                  catalog, engine):
+                                                  catalog):
         segments = workload[0]
-        fresh = self._run(segments, workload, engine)
-        served = self._run("main", workload, engine, catalog=catalog)
+        fresh = self._run(segments, workload)
+        served = self._run("main", workload, catalog=catalog)
         _reports_identical(served, fresh)
         assert catalog.stats().pinned_count == 0  # close released it
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_stored_reference_matches_fresh_encode(self, workload,
-                                                   tmp_path, engine):
+                                                   tmp_path):
         segments = workload[0]
         path = tmp_path / "ref.asmcap"
         save_stored_reference(path, StoredReference.encode(segments))
-        fresh = self._run(segments, workload, engine)
+        fresh = self._run(segments, workload)
         with open_stored_reference(path) as mapped:
-            served = self._run(mapped.reference, workload, engine)
+            served = self._run(mapped.reference, workload)
             assert mapped.reference.n_encodes == 0
         _reports_identical(served, fresh)
 
@@ -120,22 +115,20 @@ class TestStreamingService:
 
 
 class TestEngineFailure:
-    def test_close_releases_lease_and_pool_after_failure(self, workload,
-                                                         catalog):
-        """A failed service still releases its catalog pin and its
-        shard fan-out pool on close."""
+    def test_close_releases_lease_after_failure(self, workload, catalog):
+        """A failed service still releases its catalog pin on close."""
         _, model, reads = workload
         service = StreamingMappingService(
-            "main", model, threshold=THRESHOLD, engine="sharded",
-            n_shards=2, micro_batch=4, seed=3, catalog=catalog)
-        original = service.pipeline.run
+            "main", model, threshold=THRESHOLD, micro_batch=4, seed=3,
+            catalog=catalog)
+        original = service.pipeline.run_batched
 
         def flaky(batch, *args, **kwargs):
             if kwargs["first_read_index"] >= 4:
                 raise RuntimeError("array fire")
             return original(batch, *args, **kwargs)
 
-        service.pipeline.run = flaky
+        service.pipeline.run_batched = flaky
         with pytest.raises(RuntimeError, match="array fire"):
             service.submit_many(reads)
         assert catalog.stats().pinned_count == 1
@@ -143,31 +136,24 @@ class TestEngineFailure:
             service.close()
         assert service.closed
         assert catalog.stats().pinned_count == 0
-        assert service.pipeline._pool is None
         with pytest.raises(ServiceError):
             service.submit(reads[0])
 
 
 class TestFrontend:
-    def _base_report(self, workload, engine):
+    def _base_report(self, workload):
         segments, model, reads = workload
-        with MappingFrontend(
-                segments, model, engine=engine,
-                n_shards=(2 if engine == "sharded" else None)) as frontend:
+        with MappingFrontend(segments, model) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=3,
                                        micro_batch=4)
             session.submit_many(reads)
             return session.close()
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_catalog_sessions_match_fresh_encode(self, workload,
-                                                 catalog, engine):
+                                                 catalog):
         _, model, reads = workload
-        fresh = self._base_report(workload, engine)
-        with MappingFrontend(
-                None, model, engine=engine,
-                n_shards=(2 if engine == "sharded" else None),
-                catalog=catalog) as frontend:
+        fresh = self._base_report(workload)
+        with MappingFrontend(None, model, catalog=catalog) as frontend:
             main = frontend.session(threshold=THRESHOLD, seed=3,
                                     micro_batch=4, reference="main")
             other = frontend.session(threshold=THRESHOLD, seed=3,
@@ -189,8 +175,7 @@ class TestFrontend:
                                                     catalog):
         _, model, reads = workload
         before = catalog.stats()
-        with MappingFrontend(None, model, engine="sharded", n_shards=2,
-                             catalog=catalog) as frontend:
+        with MappingFrontend(None, model, catalog=catalog) as frontend:
             first = frontend.session(threshold=THRESHOLD, seed=3,
                                      micro_batch=4, reference="main")
             second = frontend.session(threshold=THRESHOLD, seed=11,
@@ -199,9 +184,12 @@ class TestFrontend:
             second.submit_many(reads[:13])
             first.close()
             second.close()
-            shards = frontend.stored_references
-            assert len(shards) == 2  # one open, one slice pass
-            assert all(s.n_encodes == 0 for s in shards)
+            references = frontend.stored_references
+            assert len(references) == 1  # one open, shared
+            assert references[0].n_encodes == 0
+            assert (first.pipeline.matcher.array.stored
+                    is second.pipeline.matcher.array.stored
+                    is references[0])
         after = catalog.stats()
         # Both sessions rode one borrow: exactly one open (hit or
         # miss), not two.
@@ -209,23 +197,20 @@ class TestFrontend:
                 - before.hits - before.misses) == 1
         assert after.pinned_count == 0
 
-    @pytest.mark.parametrize("engine", ["batched", "sharded"])
-    def test_stored_reference_frontend(self, workload, engine):
+    def test_stored_reference_frontend(self, workload):
         """A sealed StoredReference serves a frontend like its segments
         do, adopted with no further encode passes."""
         segments, model, reads = workload
         reference = StoredReference.encode(segments)
-        kwargs = {"engine": engine,
-                  "n_shards": (2 if engine == "sharded" else None)}
-        with MappingFrontend(segments, model, **kwargs) as frontend:
+        with MappingFrontend(segments, model) as frontend:
             fresh = [frontend.session(threshold=THRESHOLD, seed=seed,
                                       micro_batch=4) for seed in (3, 11)]
             for session in fresh:
                 session.submit_many(reads)
             fresh = [session.close() for session in fresh]
-        with MappingFrontend(reference, model, **kwargs) as frontend:
+        with MappingFrontend(reference, model) as frontend:
             assert frontend.cols == segments.shape[1]
-            assert frontend.n_shards == (2 if engine == "sharded" else 1)
+            assert frontend.stored_references == (reference,)
             served = [frontend.session(threshold=THRESHOLD, seed=seed,
                                        micro_batch=4) for seed in (3, 11)]
             assert frontend.encode_count() == reference.n_encodes == 1
@@ -247,21 +232,6 @@ class TestFrontend:
             MappingFrontend(segments, model, catalog=catalog)
         with pytest.raises(CamConfigError, match="segments is required"):
             MappingFrontend(None, model)
-
-    @pytest.mark.parametrize("knob,value", [("n_shards", 0),
-                                            ("n_shards", -3),
-                                            ("chunk_size", 0)])
-    def test_catalog_frontend_rejects_bad_shard_knobs(self, workload,
-                                                      catalog, knob,
-                                                      value):
-        """Regression: a sharded catalog frontend accepted a
-        non-positive shard knob and raised only when the first
-        session opened; a segments frontend raises at construction."""
-        _, model, _ = workload
-        with pytest.raises(CamConfigError,
-                           match=f"{knob} must be positive, got {value}"):
-            MappingFrontend(None, model, engine="sharded",
-                            catalog=catalog, **{knob: value})
 
     def test_session_reference_knob_validated(self, workload, catalog):
         segments, model, _ = workload

@@ -8,7 +8,7 @@ an aggregate report **bit-identical** to a standalone
 :class:`~repro.service.StreamingMappingService` with the same seed and
 reads.  Plus the service-layer mechanics the tentpole adds: the
 reference is encoded once (not per session), scheduling is fair
-round-robin, the backlog is bounded with block/error backpressure, and
+round-robin, a full backlog blocks its submitter, and
 the lifecycle edges (submit-after-close, flush idempotency) behave.
 """
 
@@ -56,25 +56,18 @@ def _assert_reports_identical(ours: MappingReport,
         assert a.outcome.n_searches == b.outcome.n_searches
 
 
-def _standalone(dataset, reads, *, engine, seed, micro_batch, threshold,
+def _standalone(dataset, reads, *, seed, micro_batch, threshold,
                 compaction) -> MappingReport:
     service = StreamingMappingService(
         dataset.segments, dataset.model, threshold=threshold,
-        engine=engine, micro_batch=micro_batch, seed=seed,
-        compaction=compaction,
-        n_shards=(4 if engine == "sharded" else None),
-        chunk_size=(7 if engine == "sharded" else None),
+        micro_batch=micro_batch, seed=seed, compaction=compaction,
     )
     service.submit_many(reads)
     return service.close()
 
 
-def _frontend(dataset, *, engine, **kwargs) -> MappingFrontend:
-    if engine == "sharded":
-        kwargs.setdefault("n_shards", 4)
-        kwargs.setdefault("chunk_size", 7)
-    return MappingFrontend(dataset.segments, dataset.model,
-                           engine=engine, **kwargs)
+def _frontend(dataset, **kwargs) -> MappingFrontend:
+    return MappingFrontend(dataset.segments, dataset.model, **kwargs)
 
 
 def _wait_until(predicate, timeout: float = 10.0) -> None:
@@ -103,10 +96,9 @@ def _gate_session(session) -> threading.Event:
 class TestSessionBitIdentity:
     """Concurrent sessions == standalone services, bit for bit."""
 
-    @pytest.mark.parametrize("engine", ["batched", "sharded"])
     @pytest.mark.parametrize("compaction", [None, 4])
     def test_threaded_sessions_match_standalone(self, small_dataset_a,
-                                                engine, compaction):
+                                                compaction):
         """N client threads feed N sessions with randomized submission
         chunks, flushes and micro-batch sizes; every session must
         reproduce its standalone twin exactly."""
@@ -120,8 +112,7 @@ class TestSessionBitIdentity:
                 "threshold": THRESHOLD + index,
                 "chunk_seed": int(rng.integers(0, 2**31 - 1)),
             })
-        with _frontend(small_dataset_a, engine=engine,
-                       pool_workers=3) as frontend:
+        with _frontend(small_dataset_a, pool_workers=3) as frontend:
             sessions = [
                 frontend.session(threshold=p["threshold"], seed=p["seed"],
                                  micro_batch=p["micro_batch"],
@@ -156,7 +147,7 @@ class TestSessionBitIdentity:
             results = [session.close() for session in sessions]
         for result, p in zip(results, profiles, strict=True):
             reference = _standalone(
-                small_dataset_a, reads, engine=engine, seed=p["seed"],
+                small_dataset_a, reads, seed=p["seed"],
                 micro_batch=p["micro_batch"], threshold=p["threshold"],
                 compaction=compaction,
             )
@@ -166,7 +157,7 @@ class TestSessionBitIdentity:
         """Interleaving submissions across sessions from one thread
         does not leak state between them."""
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             a = frontend.session(threshold=THRESHOLD, seed=0,
                                  micro_batch=4)
             b = frontend.session(threshold=THRESHOLD, seed=0,
@@ -178,14 +169,14 @@ class TestSessionBitIdentity:
         # Same seed + same reads -> the two sessions agree exactly...
         _assert_reports_identical(ra, rb)
         # ...and both equal the standalone service.
-        reference = _standalone(small_dataset_a, reads, engine="batched",
+        reference = _standalone(small_dataset_a, reads,
                                 seed=0, micro_batch=4,
                                 threshold=THRESHOLD, compaction=64)
         _assert_reports_identical(ra, reference)
 
     def test_session_stats_match_standalone(self, small_dataset_a):
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0,
                                        micro_batch=6, compaction=2)
             session.submit_many(reads)
@@ -208,31 +199,28 @@ class TestSessionBitIdentity:
 
 
 class TestSharedEncoding:
-    @pytest.mark.parametrize("engine,n_refs", [("batched", 1),
-                                               ("sharded", 4)])
-    def test_reference_encoded_once_across_sessions(self, small_dataset_a,
-                                                    engine, n_refs):
+    def test_reference_encoded_once_across_sessions(self,
+                                                    small_dataset_a):
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine=engine) as frontend:
-            assert frontend.n_shards == n_refs
-            assert frontend.encode_count() == n_refs
+        with _frontend(small_dataset_a) as frontend:
+            assert frontend.encode_count() == 1
             sessions = [frontend.session(threshold=THRESHOLD, seed=s)
                         for s in range(4)]
             for session in sessions:
                 session.submit_many(reads)
                 session.close()
-            # Four sessions served; still exactly one encode per shard.
-            assert frontend.encode_count() == n_refs
-            # The reference loads live in the frontend ledger, once —
+            # Four sessions served; still exactly one encode.
+            assert frontend.encode_count() == 1
+            # The reference load lives in the frontend ledger, once —
             # never in the per-session ledgers.
-            assert len(frontend.ledger.of_type(ReferenceLoad)) == n_refs
+            assert len(frontend.ledger.of_type(ReferenceLoad)) == 1
             for session in sessions:
                 for ledger in session.ledgers():
                     assert not ledger.of_type(ReferenceLoad)
 
     def test_sessions_borrow_the_same_reference_objects(self,
                                                         small_dataset_a):
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             a = frontend.session(threshold=THRESHOLD, seed=0)
             b = frontend.session(threshold=THRESHOLD, seed=1)
             array_a = a.pipeline.matcher.array
@@ -241,16 +229,6 @@ class TestSharedEncoding:
             assert array_b.stored is frontend.stored_references[0]
             assert array_a is not array_b
             assert array_a.ledger is not array_b.ledger
-
-    def test_sharded_sessions_share_one_executor(self, small_dataset_a):
-        with _frontend(small_dataset_a, engine="sharded") as frontend:
-            a = frontend.session(threshold=THRESHOLD, seed=0)
-            b = frontend.session(threshold=THRESHOLD, seed=1)
-            assert not a.pipeline.owns_executor
-            assert not b.pipeline.owns_executor
-            assert (a.pipeline._external_executor
-                    is b.pipeline._external_executor
-                    is frontend._shard_executor)
 
 
 def _reference_loads(ledger) -> int:
@@ -289,46 +267,34 @@ class TestFrontendSoak:
 
     N_SESSIONS = 8
     N_READS = 12_500
-    N_SHARDS = 4
 
     @pytest.mark.timeout(600)
-    @pytest.mark.parametrize("engine", ["batched", "sharded"])
-    def test_encoded_once_and_sessions_match_standalone(self, engine):
+    def test_encoded_once_and_sessions_match_standalone(self):
         dataset = build_dataset("B", n_reads=self.N_READS, read_length=96,
                                 n_segments=64, seed=0)
         reads = _reads(dataset)
-        n_shards = self.N_SHARDS if engine == "sharded" else 1
-        knobs = {"engine": engine}
-        if engine == "sharded":
-            knobs["n_shards"] = n_shards
-        with MappingFrontend(dataset.segments, dataset.model,
-                             **knobs) as frontend:
+        with MappingFrontend(dataset.segments, dataset.model) as frontend:
             sessions = [frontend.session(threshold=6, seed=s,
                                          micro_batch=256)
                         for s in range(self.N_SESSIONS)]
             _feed_concurrently(sessions, reads)
             results = [session.close() for session in sessions]
-            assert frontend.encode_count() == n_shards
-            assert _reference_loads(frontend.ledger) == n_shards
+            assert frontend.encode_count() == 1
+            assert _reference_loads(frontend.ledger) == 1
             for session in sessions:
                 for ledger in session.ledgers():
                     assert _reference_loads(ledger) == 0
 
         services = [StreamingMappingService(
             dataset.segments, dataset.model, threshold=6, micro_batch=256,
-            seed=s, **knobs) for s in range(self.N_SESSIONS)]
+            seed=s) for s in range(self.N_SESSIONS)]
         _feed_concurrently(services, reads)
         references = [service.close() for service in services]
-        # Each standalone service pays its own encode per shard.
-        matchers = [matcher for service in services
-                    for matcher in (service.pipeline.matchers
-                                    if engine == "sharded"
-                                    else (service.pipeline.matcher,))]
-        assert sum(m.array.stored.n_encodes for m in matchers) \
-            == self.N_SESSIONS * n_shards
+        # Each standalone service pays its own encode.
+        assert sum(service.pipeline.matcher.array.stored.n_encodes
+                   for service in services) == self.N_SESSIONS
         assert sum(_reference_loads(ledger) for service in services
-                   for ledger in service.ledgers()) \
-            == self.N_SESSIONS * n_shards
+                   for ledger in service.ledgers()) == self.N_SESSIONS
         for result, reference in zip(results, references, strict=True):
             _assert_reports_identical(result, reference)
 
@@ -336,7 +302,7 @@ class TestFrontendSoak:
 class TestLifecycle:
     def test_submit_after_session_close_raises(self, small_dataset_a):
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0,
                                        micro_batch=4)
             session.submit_many(reads[:5])
@@ -357,7 +323,7 @@ class TestLifecycle:
 
     def test_flush_is_idempotent(self, small_dataset_a):
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0,
                                        micro_batch=16)
             session.submit_many(reads[:5])
@@ -370,7 +336,7 @@ class TestLifecycle:
 
     def test_drain_keeps_session_open(self, small_dataset_a):
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0,
                                        micro_batch=4)
             session.submit_many(reads[:3])
@@ -381,7 +347,7 @@ class TestLifecycle:
     def test_frontend_close_is_idempotent_and_final(self,
                                                     small_dataset_a):
         reads = _reads(small_dataset_a)
-        frontend = _frontend(small_dataset_a, engine="batched")
+        frontend = _frontend(small_dataset_a)
         session = frontend.session(threshold=THRESHOLD, seed=0,
                                    micro_batch=4)
         session.submit_many(reads[:6])
@@ -403,7 +369,7 @@ class TestLifecycle:
         must raise ServiceError when it still holds in-flight reads,
         and close cleanly when it does not."""
         reads = _reads(small_dataset_a)
-        frontend = _frontend(small_dataset_a, engine="batched")
+        frontend = _frontend(small_dataset_a)
         undrained = frontend.session(threshold=THRESHOLD, seed=0,
                                      micro_batch=16)
         idle = frontend.session(threshold=THRESHOLD, seed=1,
@@ -430,8 +396,7 @@ class TestLifecycle:
         it cannot refill the queue and keep the drain from ever
         terminating."""
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched",
-                       pool_workers=1) as frontend:
+        with _frontend(small_dataset_a, pool_workers=1) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0,
                                        micro_batch=1)
             gate = _gate_session(session)
@@ -450,13 +415,12 @@ class TestLifecycle:
 
     def test_autotuned_backlog_scales_with_pool_workers_override(
             self, small_dataset_a):
-        with _frontend(small_dataset_a, engine="batched",
-                       pool_workers=16) as frontend:
+        with _frontend(small_dataset_a, pool_workers=16) as frontend:
             assert frontend.max_backlog == 32
 
     def test_session_reports_are_safe_to_mutate(self, small_dataset_a):
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0,
                                        micro_batch=4)
             session.submit_many(reads)
@@ -468,7 +432,7 @@ class TestLifecycle:
             assert len(final.mappings) == reads.shape[0]
 
     def test_rejects_bad_reads_and_knobs(self, small_dataset_a):
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0)
             with pytest.raises(CamConfigError):
                 session.submit(np.zeros(3, dtype=np.uint8))
@@ -480,19 +444,13 @@ class TestLifecycle:
                 frontend.session(threshold=THRESHOLD, backend="no-such")
         with pytest.raises(ServiceError):
             MappingFrontend(small_dataset_a.segments,
-                            small_dataset_a.model, engine="warp")
-        with pytest.raises(ServiceError):
-            MappingFrontend(small_dataset_a.segments,
-                            small_dataset_a.model, backpressure="shrug")
-        with pytest.raises(ServiceError):
-            MappingFrontend(small_dataset_a.segments,
                             small_dataset_a.model, pool_workers=0)
 
     def test_negative_threshold_rejected_before_any_read(
             self, small_dataset_a):
         """Regression: a negative threshold was accepted and only
         poisoned the session at its first dispatch, deep in HDAC."""
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             with pytest.raises(ThresholdError, match="non-negative"):
                 frontend.session(-1)
             assert frontend.sessions == ()
@@ -502,7 +460,7 @@ class TestLifecycle:
         """An engine failure poisons only its own session: waiters get
         a ServiceError instead of hanging, others keep working."""
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched") as frontend:
+        with _frontend(small_dataset_a) as frontend:
             broken = frontend.session(threshold=THRESHOLD, seed=0,
                                       micro_batch=2)
             healthy = frontend.session(threshold=THRESHOLD, seed=1,
@@ -522,42 +480,11 @@ class TestLifecycle:
 
 
 class TestBackpressure:
-    def test_error_policy_raises_and_recovers(self, small_dataset_a):
-        reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched", pool_workers=1,
-                       max_backlog=2, backpressure="error") as frontend:
-            session = frontend.session(threshold=THRESHOLD, seed=0,
-                                       micro_batch=1)
-            gate = _gate_session(session)
-            session.submit(reads[0])  # picked up, blocked at the gate
-            _wait_until(lambda: session._executing)
-            session.submit(reads[1])  # backlog 1
-            session.submit(reads[2])  # backlog 2 == max_backlog
-            with pytest.raises(ServiceError):
-                session.submit(reads[3])  # full -> error policy raises
-            # The rejected submit is all-or-nothing: the read was NOT
-            # accepted, so retrying it cannot duplicate it.  (stats()
-            # would synchronise with the gated dispatch — read the
-            # counter directly.)
-            with frontend._lock:
-                assert session._n_submitted == 3
-            gate.set()
-            session.drain()      # relieves the pressure...
-            session.submit(reads[3])  # ...and the retry goes through
-            report = session.close()
-            assert report.n_reads == 4
-            _assert_reports_identical(
-                report,
-                _standalone(small_dataset_a, reads[:4], engine="batched",
-                            seed=0, micro_batch=1, threshold=THRESHOLD,
-                            compaction=64),
-            )
-
-    def test_block_policy_blocks_until_a_worker_frees_a_slot(
+    def test_full_backlog_blocks_until_a_worker_frees_a_slot(
             self, small_dataset_a):
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, engine="batched", pool_workers=1,
-                       max_backlog=2, backpressure="block") as frontend:
+        with _frontend(small_dataset_a, pool_workers=1,
+                       max_backlog=2) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0,
                                        micro_batch=1)
             gate = _gate_session(session)
@@ -584,7 +511,7 @@ class TestFairScheduling:
         reads = _reads(small_dataset_a)
         order: "list[str]" = []
         log_lock = threading.Lock()
-        with _frontend(small_dataset_a, engine="batched", pool_workers=1,
+        with _frontend(small_dataset_a, pool_workers=1,
                        max_backlog=16) as frontend:
             heavy = frontend.session(threshold=THRESHOLD, seed=0,
                                      micro_batch=1)

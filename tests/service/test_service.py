@@ -3,8 +3,8 @@
 The service's determinism contract: a streamed session — any
 micro-batch boundaries, any mix of ``submit`` / ``submit_many`` /
 ``flush`` calls — is **bit-identical** to one one-shot
-``run_batched`` (or sharded ``run``) execution over the same reads
-with the same seeds: per-read decisions, per-read costs, and the
+``run_batched`` execution over the same reads with the same seed:
+per-read decisions, per-read costs, and the
 aggregate report.  Ledger compaction must not perturb any of it.
 """
 
@@ -18,16 +18,11 @@ from hypothesis import strategies as st
 from repro.arch.autotune import plan_microbatch
 from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
-from repro.core.pipeline import (
-    MappingReport,
-    ReadMappingPipeline,
-    ShardedReadMappingPipeline,
-)
+from repro.core.pipeline import MappingReport, ReadMappingPipeline
 from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.genome.datasets import build_dataset
 from repro.service import (
     DEFAULT_SERVICE_COMPACTION,
-    MappingFrontend,
     StreamingMappingService,
     stream_mapped,
 )
@@ -132,20 +127,6 @@ class TestStreamedBitIdentity:
         assert (services[2].merged_stats()
                 == services[None].merged_stats())
         assert services[2].stats().compactions > 0
-
-    def test_sharded_engine(self, small_dataset_a):
-        reads = _reads(small_dataset_a)
-        reference = ShardedReadMappingPipeline(
-            small_dataset_a.segments, small_dataset_a.model, n_shards=4,
-            noisy=True, seed=0, chunk_size=7,
-        ).run(reads, THRESHOLD)
-        service = StreamingMappingService(
-            small_dataset_a.segments, small_dataset_a.model,
-            threshold=THRESHOLD, engine="sharded", n_shards=4,
-            chunk_size=7, micro_batch=9, seed=0,
-        )
-        service.submit_many(reads)
-        _assert_reports_identical(service.close(), reference)
 
 
 @pytest.mark.slow
@@ -263,8 +244,6 @@ class TestLifecycle:
         service = self._service(small_dataset_a)
         with pytest.raises(CamConfigError):
             service.submit(np.zeros(3, dtype=np.uint8))
-        with pytest.raises(ServiceError):
-            self._service(small_dataset_a, engine="warp")
         with pytest.raises(CamConfigError):
             self._service(small_dataset_a, micro_batch=0)
 
@@ -478,36 +457,3 @@ class TestThresholdValidation:
                 threshold=-1,
             )
 
-    def test_negative_threshold_rejected_on_sharded_engine(
-            self, small_dataset_a):
-        with pytest.raises(ThresholdError):
-            StreamingMappingService(
-                small_dataset_a.segments, small_dataset_a.model,
-                threshold=-1, engine="sharded", n_shards=2,
-            )
-
-
-class TestShardCountValidation:
-    """``n_shards`` <= 0 raises the same typed error, naming the knob,
-    at every boundary that resolves it (like ``chunk_size`` and
-    ``max_workers`` do)."""
-
-    @pytest.mark.parametrize("n_shards", [0, -1])
-    @pytest.mark.parametrize("boundary", ["pipeline", "service",
-                                          "frontend"])
-    def test_nonpositive_n_shards_names_the_knob(self, small_dataset_a,
-                                                 boundary, n_shards):
-        segments, model = small_dataset_a.segments, small_dataset_a.model
-        build = {
-            "pipeline": lambda: ShardedReadMappingPipeline(
-                segments, model, n_shards=n_shards),
-            "service": lambda: StreamingMappingService(
-                segments, model, threshold=THRESHOLD, engine="sharded",
-                n_shards=n_shards),
-            "frontend": lambda: MappingFrontend(
-                segments, model, engine="sharded", n_shards=n_shards),
-        }[boundary]
-        with pytest.raises(CamConfigError,
-                           match=f"n_shards must be positive, got "
-                                 f"{n_shards}"):
-            build()

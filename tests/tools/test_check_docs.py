@@ -1,12 +1,15 @@
-"""Tests for docs-smoke's module-map guarantee (``tools/check_docs.py``)."""
+"""Tests for docs-smoke's module-map and signature-block guarantees
+(``tools/check_docs.py``)."""
 
 from __future__ import annotations
 
 from tools.check_docs import (
     API_DOC,
     check_module_map,
+    check_signatures,
     expand_alternatives,
     module_map_entries,
+    signature_keywords,
     strip_parentheticals,
 )
 
@@ -74,3 +77,51 @@ def test_api_doc_module_map_resolves():
     text = API_DOC.read_text(encoding="utf-8")
     assert len(module_map_entries(text)) >= 10
     assert check_module_map(text) == []
+
+
+def _signature_blocks(service: str) -> str:
+    return "\n".join([
+        "# API", "", "```", service,
+        "MappingFrontend(segments, model, pool_workers=None,",
+        "                catalog=None)   # note: x=1 is a comment",
+        "  .session(threshold, seed=0, reference=None)",
+        "```",
+    ])
+
+
+def test_signature_keywords_skip_comments_and_positionals():
+    text = _signature_blocks(
+        "StreamingMappingService(segments, model, threshold,\n"
+        "                        micro_batch=None)  # autotuned")
+    assert signature_keywords(text, "StreamingMappingService(") == [
+        ["micro_batch"]]
+    assert signature_keywords(text, "MappingFrontend(") == [
+        ["pool_workers", "catalog"]]
+    assert signature_keywords(text, ".session(") == [["seed", "reference"]]
+
+
+def test_signature_blocks_of_live_parameters_pass():
+    text = _signature_blocks(
+        "StreamingMappingService(segments, model, threshold,\n"
+        "                        micro_batch=None, compaction=64)")
+    assert check_signatures(text) == []
+
+
+def test_a_deleted_keyword_in_a_signature_block_is_reported():
+    text = _signature_blocks(
+        "StreamingMappingService(segments, model, threshold,\n"
+        "                        engine=\"batched\"|\"sharded\")")
+    assert check_signatures(text) == [
+        "docs/api.md: `engine=` in a StreamingMappingService(...) block "
+        "is not a parameter of StreamingMappingService"]
+
+
+def test_a_missing_signature_block_is_reported():
+    text = "# API\n\n```\nMappingFrontend(segments, model)\n" \
+           "  .session(threshold)\n```\n"
+    assert check_signatures(text) == [
+        "docs/api.md has no StreamingMappingService(...) signature block"]
+
+
+def test_api_doc_signature_blocks_resolve():
+    assert check_signatures(API_DOC.read_text(encoding="utf-8")) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs smoke check: the README front door and the API map can never rot.
 
-Four guarantees, enforced by CI's ``docs-smoke`` job:
+Five guarantees, enforced by CI's ``docs-smoke`` job:
 
 1. **The README quickstart runs.**  Every fenced ``python`` block in
    README.md is executed, in order, in one shared namespace (so later
@@ -21,6 +21,11 @@ Four guarantees, enforced by CI's ``docs-smoke`` job:
    stripped first; ``name_a/b`` expands to ``name_a`` and ``name_b``;
    backticked commands and paths (anything that is not a dotted name)
    are not entry points.
+5. **The service signature blocks name real parameters.**  Every
+   ``name=`` keyword of a ``StreamingMappingService(...)``,
+   ``MappingFrontend(...)`` or ``.session(...)`` call in a fenced block
+   of ``docs/api.md`` (comments stripped) must be a parameter of that
+   callable, checked with :func:`inspect.signature`.
 
 Run from the repository root::
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import difflib
 import importlib
+import inspect
 import pkgutil
 import re
 import sys
@@ -50,6 +56,16 @@ _PARENS_RE = re.compile(r"\([^()]*\)")
 _BACKTICK_RE = re.compile(r"`([^`]+)`")
 _DOTTED_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 _ALTERNATIVES_RE = re.compile(r"[\w.]+(?:/\w+)+")
+_CODE_BLOCK_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.DOTALL | re.MULTILINE)
+_KEYWORD_RE = re.compile(r"\b([A-Za-z_]\w*)=(?!=)")
+
+#: Call openers of the docs/api.md signature blocks -> the callable
+#: (module, qualified name) whose parameters they must name.
+SIGNATURE_BLOCKS = {
+    "StreamingMappingService(": ("repro.service", "StreamingMappingService"),
+    "MappingFrontend(": ("repro.service", "MappingFrontend"),
+    ".session(": ("repro.service", "MappingFrontend.session"),
+}
 
 
 def extract_readme_blocks(text: str) -> "list[tuple[str | None, str]]":
@@ -188,6 +204,47 @@ def check_module_map(text: str) -> "list[str]":
     return errors
 
 
+def signature_keywords(text: str, opener: str) -> "list[list[str]]":
+    """The ``name=`` keywords of every ``opener...)`` call in *text*'s
+    fenced code blocks, comments stripped, one list per call."""
+    calls = []
+    for block in _CODE_BLOCK_RE.findall(text):
+        code = "\n".join(line.split("#", 1)[0]
+                         for line in block.splitlines())
+        start = code.find(opener)
+        while start != -1:
+            depth = 0
+            for end in range(start + len(opener) - 1, len(code)):
+                depth += {"(": 1, ")": -1}.get(code[end], 0)
+                if depth == 0:
+                    break
+            calls.append(_KEYWORD_RE.findall(code[start + len(opener):end]))
+            start = code.find(opener, end)
+    return calls
+
+
+def check_signatures(text: str) -> "list[str]":
+    """Signature-block keywords that are not parameters of their
+    callable (and openers with no block at all)."""
+    errors: list[str] = []
+    for opener, (module, qualname) in SIGNATURE_BLOCKS.items():
+        target = importlib.import_module(module)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+        parameters = inspect.signature(target).parameters
+        calls = signature_keywords(text, opener)
+        if not calls:
+            errors.append(f"docs/api.md has no {opener}...) signature "
+                          f"block")
+        for name in (name for keywords in calls for name in keywords):
+            if name not in parameters:
+                errors.append(
+                    f"docs/api.md: `{name}=` in a {opener}...) block is "
+                    f"not a parameter of {qualname}"
+                )
+    return errors
+
+
 def run_blocks(blocks) -> None:
     """Execute every README python block in one shared namespace."""
     namespace: dict = {"__name__": "__readme__"}
@@ -224,8 +281,10 @@ def main() -> int:
         print("FAIL: examples/quickstart.py has no [readme:*] sections",
               file=sys.stderr)
         return 1
+    api_doc = API_DOC.read_text()
     errors = (check_sync(blocks, sections)
-              + check_module_map(API_DOC.read_text()))
+              + check_module_map(api_doc)
+              + check_signatures(api_doc))
     if errors:
         for error in errors:
             print(f"FAIL: {error}", file=sys.stderr)
@@ -234,7 +293,7 @@ def main() -> int:
     run_example()
     print(f"OK: {len(blocks)} README blocks executed, "
           f"{len(sections)} in sync with examples/quickstart.py, "
-          f"module map resolves")
+          f"module map and signature blocks resolve")
     return 0
 
 
