@@ -94,14 +94,14 @@ def main() -> None:
 
     # [readme:service]
     # Streaming service: reads arrive incrementally, are coalesced
-    # into autotuned micro-batches, and the cost ledger stays bounded
-    # via compaction — while the final report is bit-identical to the
-    # one-shot batched run above, for any micro-batch boundaries.
+    # into autotuned micro-batches, and the cost ledger always
+    # compacts, so memory stays bounded — while the final report is
+    # bit-identical to the one-shot batched run above, for any
+    # micro-batch boundaries.
     from repro.service import StreamingMappingService
 
     service = StreamingMappingService(dataset.segments, dataset.model,
-                                      threshold=4, micro_batch=8,
-                                      compaction=4, seed=1)
+                                      threshold=4, micro_batch=8, seed=1)
     service.submit_many(iter(reads))
     streamed = service.close()
     stats = service.stats()
@@ -121,8 +121,7 @@ def main() -> None:
     from repro.service import MappingFrontend
 
     with MappingFrontend(dataset.segments, dataset.model) as frontend:
-        alice = frontend.session(threshold=4, seed=1, micro_batch=8,
-                                 compaction=4)
+        alice = frontend.session(threshold=4, seed=1, micro_batch=8)
         bob = frontend.session(threshold=5, seed=2)
         alice.submit_many(iter(reads))
         bob.submit_many(iter(reads))
@@ -156,7 +155,7 @@ def main() -> None:
                   store_dir / "chr1.asmcap")
     with MappingFrontend(None, dataset.model, catalog=catalog) as served:
         warm = served.session(threshold=4, seed=1, micro_batch=8,
-                              compaction=4, reference="chr1")
+                              reference="chr1")
         warm.submit_many(iter(reads))
         warm_report = warm.close()
         encodes = served.encode_count()

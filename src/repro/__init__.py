@@ -17,8 +17,8 @@ memories.  This library re-implements the full system in Python:
   and measured strategy profiles for Fig. 8;
 * :mod:`repro.arch` — timing/power models and autotuning;
 * :mod:`repro.service` — the long-running streaming entry point:
-  incremental read feed, autotuned micro-batches, bounded-memory
-  ledgers via compaction;
+  incremental read feed, autotuned micro-batches, ledgers that always
+  compact (bounded memory);
 * :mod:`repro.baselines` — EDAM, CM-CPU, ReSMA, SaVI, Kraken-like;
 * :mod:`repro.eval` — F1 evaluation machinery;
 * :mod:`repro.experiments` — drivers regenerating every paper artifact.

@@ -13,7 +13,6 @@ per-read system cost behind Fig. 8 is
 from repro.arch.autotune import (
     ServicePoolPlan,
     ShardPlan,
-    estimate_stored_reference_bytes,
     plan_microbatch,
     plan_service_pool,
     plan_shards,
@@ -40,7 +39,6 @@ __all__ = [
     "cell_area_fraction",
     "cell_area_um2",
     "component_energies_per_search",
-    "estimate_stored_reference_bytes",
     "plan_microbatch",
     "plan_service_pool",
     "plan_shards",

@@ -41,9 +41,6 @@ autotune tail here too: :func:`plan_backend` micro-calibrates every
 registered backend once per process and caches the winner — the last
 step of the selection order (explicit ``backend=`` knob >
 ``REPRO_KERNEL_BACKEND`` env var > calibration).
-
-The reference catalog's byte budget is sized from reference shapes
-through :func:`estimate_stored_reference_bytes`.
 """
 
 from __future__ import annotations
@@ -222,29 +219,6 @@ def sweep_worker_count(n_runs: int,
     if n_runs < 1:
         raise ArchConfigError(f"n_runs must be positive, got {n_runs}")
     return max(1, min(int(n_runs), available_cpus(cpu_count)))
-
-
-# -- stored-reference sizing ------------------------------------------------
-
-#: Encoded-reference bytes per stored cell: exactly 1 (uint8 segments)
-#: + 16 (float32 one-hot), the payload a reference store file carries.
-ENCODED_BYTES_PER_CELL = 17
-
-
-def estimate_stored_reference_bytes(n_rows: int, cols: int) -> int:
-    """Approximate encoded-payload bytes of one stored reference.
-
-    :data:`ENCODED_BYTES_PER_CELL` over the reference geometry, so a
-    :class:`~repro.refstore.ReferenceCatalog` byte budget can be sized
-    from reference shapes before any file exists.  Exact for the
-    payload; a store file adds a fixed header and per-array alignment
-    padding on top.
-    """
-    if n_rows <= 0:
-        raise ArchConfigError(f"n_rows must be positive, got {n_rows}")
-    if cols <= 0:
-        raise ArchConfigError(f"cols must be positive, got {cols}")
-    return int(n_rows) * int(cols) * ENCODED_BYTES_PER_CELL
 
 
 # -- kernel-backend calibration ---------------------------------------------

@@ -186,8 +186,7 @@ class BatchSearchResult:
     mode:
         ED*/HD mode of the whole batch.
     energy_joules / latency_ns:
-        Totals over the batch; see the per-query accessors for the
-        amortised view.
+        Totals over the batch.
     energy_per_query_joules:
         ``(B,)`` per-query array energies.
     """
@@ -209,13 +208,6 @@ class BatchSearchResult:
     def n_queries(self) -> int:
         return int(self.matches.shape[0])
 
-    @property
-    def amortised_energy_per_query_joules(self) -> float:
-        return self.energy_joules / self.n_queries if self.n_queries else 0.0
-
-    @property
-    def amortised_latency_per_query_ns(self) -> float:
-        return self.latency_ns / self.n_queries if self.n_queries else 0.0
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ from repro.errors import ArchConfigError, CamConfigError
 from repro.genome import alphabet
 from repro.genome.edits import ErrorModel
 from repro.genome.reads import ReadRecord
-from repro.knobs import validate_service_knobs
+from repro.knobs import check_count, validate_service_knobs
 
 #: Reads handed to one worker task at a time; bounds the per-pass
 #: blocks a shard materialises while streaming a workload.
@@ -115,16 +115,6 @@ class MappingReport:
     @property
     def unique_fraction(self) -> float:
         return self.n_unique / self.n_reads if self.n_reads else 0.0
-
-    @property
-    def mean_energy_per_read_joules(self) -> float:
-        return (self.total_energy_joules / self.n_reads
-                if self.n_reads else 0.0)
-
-    @property
-    def mean_latency_per_read_ns(self) -> float:
-        return (self.total_latency_ns / self.n_reads
-                if self.n_reads else 0.0)
 
     @property
     def reads_per_second(self) -> float:
@@ -330,10 +320,8 @@ def resolve_shard_plan(n_rows: int, cols: int,
     explicit ones are positive
     (:class:`~repro.errors.CamConfigError` naming the knob).
     """
-    for name, value in (("n_shards", n_shards),
-                        ("chunk_size", chunk_size)):
-        if value is not None and value <= 0:
-            raise CamConfigError(f"{name} must be positive, got {value}")
+    check_count("n_shards", n_shards)
+    check_count("chunk_size", chunk_size)
     if n_shards is None or chunk_size is None:
         plan = plan_shards(n_rows, max(1, cols))
         if n_shards is None:
@@ -398,13 +386,6 @@ class ShardedReadMappingPipeline:
         Reads per worker task; bounds peak memory of the vectorised
         comparison blocks.  ``None`` autotunes it from the per-shard
         row count and segment width.
-    ledger_compaction:
-        ``None`` (default) keeps every ledger append-only; an integer
-        bound opts every shard array's ledger *and* the system-level
-        traffic ledger into bounded-memory compaction
-        (:class:`repro.cost.ledger.CostLedger`).  With compaction on,
-        read whole-system statistics through :meth:`merged_stats` —
-        :meth:`merged_ledger` needs the full event streams.
     backend:
         Kernel backend for every shard array's mismatch-count
         primitives (``None`` = the standard selection order; see
@@ -422,10 +403,8 @@ class ShardedReadMappingPipeline:
                  seed: int = 0,
                  max_workers: "int | None" = None,
                  chunk_size: "int | None" = DEFAULT_READ_CHUNK,
-                 ledger_compaction: "int | None" = None,
                  backend: "str | None" = None):
-        validate_service_knobs(compaction=ledger_compaction,
-                               max_workers=max_workers, backend=backend)
+        validate_service_knobs(max_workers=max_workers, backend=backend)
         self._matchers: list[AsmCapMatcher] = []
         segments = as_segments_matrix(segments)
         n_shards, chunk_size = resolve_shard_plan(
@@ -436,9 +415,7 @@ class ShardedReadMappingPipeline:
         for shard, (start, stop) in enumerate(self._ranges):
             array = CamArray(rows=stop - start, cols=self._cols,
                              domain=domain, noisy=noisy,
-                             seed=seed + shard,
-                             ledger_compaction=ledger_compaction,
-                             backend=backend)
+                             seed=seed + shard, backend=backend)
             array.store(segments[start:stop])
             self._matchers.append(
                 AsmCapMatcher(array, error_model, config,
@@ -454,7 +431,7 @@ class ShardedReadMappingPipeline:
         self._pool: "ThreadPoolExecutor | None" = None
         #: System-level traffic events (global-buffer broadcasts); the
         #: per-shard search passes live in each shard array's ledger.
-        self._ledger = CostLedger(compaction=ledger_compaction)
+        self._ledger = CostLedger()
 
     @property
     def n_shards(self) -> int:
@@ -514,9 +491,10 @@ class ShardedReadMappingPipeline:
         shard order — independent of worker scheduling, so ledger
         views over a sharded run are reproducible.
 
-        Needs the full event streams: with ``ledger_compaction`` on,
-        the shard checkpoints cannot be spliced mid-stream (the merge
-        raises :class:`~repro.errors.LedgerCompactionError`) — read
+        Needs the full event streams: a shard ledger that was compacted
+        (:meth:`~repro.cost.ledger.CostLedger.compact`) cannot be
+        spliced mid-stream, so the merge raises
+        :class:`~repro.errors.LedgerCompactionError` — read
         whole-system statistics through :meth:`merged_stats` instead.
         """
         return CostLedger.merged(

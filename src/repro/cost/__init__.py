@@ -9,9 +9,13 @@ subsystem:
   :class:`TasrRotationPass`, :class:`ReferenceLoad`,
   :class:`BufferBroadcast`), carrying pass counts and the per-row
   mismatch populations each pass observed;
-* :mod:`repro.cost.ledger` — :class:`CostLedger`, the append-only
-  event collector owned by every :class:`~repro.cam.array.CamArray`
-  (and, at system level, by the sharded pipeline and the frontend);
+* :mod:`repro.cost.ledger` — :class:`CostLedger`, the event collector
+  owned by every :class:`~repro.cam.array.CamArray` (and, at system
+  level, by the sharded pipeline and the frontend).  Append-only by
+  default; a compacting ledger (the services') folds its events into
+  one :class:`CompactionCheckpoint` that keeps only the
+  ``search_stats`` sums and per-class event counts, so those two views
+  stay exact and a strategy profile refuses it;
 * :mod:`repro.cost.views` — energy / latency / throughput / power
   *derived* from the events through the physical models
   (:mod:`repro.cam.energy`, :mod:`repro.arch.timing`,
@@ -33,7 +37,6 @@ from repro.cost.events import (
     EdStarPass,
     HdacPass,
     LedgerEvent,
-    PassClassSummary,
     ReferenceLoad,
     SearchPassEvent,
     TasrRotationPass,
@@ -48,7 +51,6 @@ from repro.cost.profile import (
 from repro.cost.views import (
     SearchStats,
     component_energies,
-    component_energy_totals,
     merge_search_stats,
     search_pass_energy_per_query,
     search_pass_latency_ns,
@@ -62,14 +64,12 @@ __all__ = [
     "EdStarPass",
     "HdacPass",
     "LedgerEvent",
-    "PassClassSummary",
     "ReferenceLoad",
     "SearchPassEvent",
     "SearchStats",
     "StrategyProfile",
     "TasrRotationPass",
     "component_energies",
-    "component_energy_totals",
     "measure_strategy_profile",
     "merge_search_stats",
     "profile_from_ledger",

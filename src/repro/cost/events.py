@@ -23,9 +23,9 @@ Event taxonomy
 * :class:`BufferBroadcast` — a read block fetched from the global
   buffer and broadcast down the H-tree;
 * :class:`CompactionCheckpoint` — the bounded-memory summary a
-  compacting ledger folds fully-materialised events into: exact
-  resume values for every ledger view plus one
-  :class:`PassClassSummary` per folded event class (see
+  compacting ledger folds its events into: the exact
+  :func:`~repro.cost.views.search_stats` resume values and a count of
+  folded events per class (see
   :meth:`repro.cost.ledger.CostLedger.compact`).
 
 A *pass* event covers a whole query block: ``mismatch_counts`` is the
@@ -179,119 +179,27 @@ class ReferenceLoad(LedgerEvent):
         return self.n_segments * self.n_cells
 
 
-@dataclass(frozen=True)
-class PassClassSummary:
-    """Exact totals for every folded pass of one event class.
-
-    The per-class ledger summary a :class:`CompactionCheckpoint`
-    carries: counts, energy/latency accumulated in event order within
-    the class, and the first two moments (plus extrema) of the folded
-    per-row mismatch populations — enough to keep strategy pass counts
-    and population statistics observable after the full events are
-    gone.
-
-    Attributes
-    ----------
-    n_passes:
-        Events of this class folded so far.
-    n_queries:
-        Physical queries those passes streamed through the array.
-    shift_cycles:
-        Shift-register cycles the passes spent (rotation passes only).
-    energy_joules / latency_ns:
-        Class totals (event-order accumulation within the class).
-    population_count:
-        Number of folded ``(query, row)`` mismatch populations.
-    population_sum / population_sumsq:
-        First two raw moments of the folded mismatch counts.
-    population_min / population_max:
-        Extrema of the folded mismatch counts (0 when nothing folded).
-    """
-
-    n_passes: int = 0
-    n_queries: int = 0
-    shift_cycles: int = 0
-    energy_joules: float = 0.0
-    latency_ns: float = 0.0
-    population_count: int = 0
-    population_sum: int = 0
-    population_sumsq: float = 0.0
-    population_min: int = 0
-    population_max: int = 0
-
-    def fold(self, event: SearchPassEvent) -> "PassClassSummary":
-        """This summary with one more pass folded in (a new summary)."""
-        counts = event.mismatch_counts
-        if counts.size:
-            low, high = int(counts.min()), int(counts.max())
-            if self.population_count:
-                low = min(low, self.population_min)
-                high = max(high, self.population_max)
-        else:
-            low, high = self.population_min, self.population_max
-        return PassClassSummary(
-            n_passes=self.n_passes + 1,
-            n_queries=self.n_queries + event.n_queries,
-            shift_cycles=self.shift_cycles + event.shift_cycles,
-            energy_joules=self.energy_joules + event.energy_joules,
-            latency_ns=self.latency_ns + event.latency_ns,
-            population_count=self.population_count + int(counts.size),
-            population_sum=self.population_sum + int(counts.sum()),
-            population_sumsq=(self.population_sumsq
-                              + float((counts.astype(float) ** 2).sum())),
-            population_min=low,
-            population_max=high,
-        )
-
-    @property
-    def population_mean(self) -> float:
-        """Mean folded mismatch population (0 when empty)."""
-        if self.population_count == 0:
-            return 0.0
-        return self.population_sum / self.population_count
-
-
 @dataclass(frozen=True, eq=False)
 class CompactionCheckpoint(LedgerEvent):
     """The folded prefix of a compacting ledger.
 
     A compacting :class:`~repro.cost.ledger.CostLedger` replaces its
-    oldest fully-materialised events with one checkpoint holding
+    live events with one checkpoint holding only what the ledger's
+    readers still need:
 
-    * **exact resume values** for the order-sensitive views: the
-      running :func:`~repro.cost.views.search_stats` accumulation
-      (``n_searches`` / ``n_rotation_cycles`` / ``total_energy_joules``
-      / ``total_latency_ns``) and, for all-charge-domain prefixes, the
-      running :func:`~repro.cost.views.component_energy_totals`
-      per-component sums — both accumulated **in event order** at fold
+    * the **exact resume values** of
+      :func:`~repro.cost.views.search_stats` (``n_searches`` /
+      ``n_rotation_cycles`` / ``total_energy_joules`` /
+      ``total_latency_ns``), accumulated **in event order** at fold
       time, so a view resuming from the checkpoint performs the same
       float additions the uncompacted event sequence would;
-    * **typed per-event-class summaries** (:class:`PassClassSummary`
-      keyed by event class name, e.g. ``"EdStarPass"``) plus folded
-      :class:`ReferenceLoad` / :class:`BufferBroadcast` traffic totals.
+    * ``event_counts``: folded events per class name (every class,
+      e.g. ``"EdStarPass"`` or ``"ReferenceLoad"``), which keeps
+      :meth:`~repro.cost.ledger.CostLedger.pass_counts` exact.
 
     A checkpoint is only legal as the *first* event of a ledger — the
     resume values are prefixes of the accumulation, nothing else (see
     DESIGN.md, "Cost-ledger contract: compaction").
-
-    Attributes
-    ----------
-    n_folded:
-        Total events folded into this checkpoint.
-    n_searches / n_rotation_cycles / total_energy_joules /
-    total_latency_ns:
-        The exact :func:`~repro.cost.views.search_stats` resume values.
-    component_totals:
-        The exact :func:`~repro.cost.views.component_energy_totals`
-        resume values, or None when a folded pass was current-domain
-        (that view rejects current-domain passes, so it must keep
-        raising after they fold).
-    pass_summaries:
-        Per-event-class summaries of the folded search passes.
-    n_reference_loads / n_segments_loaded / n_bases_loaded:
-        Folded :class:`ReferenceLoad` totals.
-    n_broadcasts / n_reads_broadcast / n_bits_broadcast:
-        Folded :class:`BufferBroadcast` totals.
     """
 
     n_folded: int
@@ -299,14 +207,7 @@ class CompactionCheckpoint(LedgerEvent):
     n_rotation_cycles: int
     total_energy_joules: float
     total_latency_ns: float
-    component_totals: "dict[str, float] | None"
-    pass_summaries: "dict[str, PassClassSummary]"
-    n_reference_loads: int = 0
-    n_segments_loaded: int = 0
-    n_bases_loaded: int = 0
-    n_broadcasts: int = 0
-    n_reads_broadcast: int = 0
-    n_bits_broadcast: int = 0
+    event_counts: "dict[str, int]"
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,37 +13,42 @@ The ledger stores events only; every energy/latency/power number is a
 **Compaction (bounded memory).**  An append-only ledger retains every
 pass's ``(B, M)`` mismatch populations, which grows without bound in a
 long-running service.  ``CostLedger(compaction=K)`` opts into the
-compacting mode: whenever more than ``K`` foldable events are live,
-the oldest fully-materialised events are folded into one leading
-:class:`~repro.cost.events.CompactionCheckpoint` carrying exact resume
-values for every ledger view plus typed per-event-class summaries.
-Folding is **prefix-only** and preserves bit-identity: the checkpoint
-stores the views' own running float accumulations computed in event
-order, so ``search_stats`` / ``component_energy_totals`` over the
-compacted ledger read exactly the floats the uncompacted event
-sequence would produce (property-tested in
-``tests/cost/test_ledger_compaction.py``).  Sweep passes are never
-folded by default — strategy-profile harvesting
-(:func:`repro.cost.profile.profile_from_ledger`) needs their per-event
-threshold coverage — and block further folding until
-:meth:`CostLedger.compact` is called with ``fold_sweep=True`` (after
-the profile has been harvested) or the ledger is cleared.  See
-DESIGN.md, "Cost-ledger contract: compaction".
+compacting mode, which follows one rule: once more than ``K`` events
+are live, every live event — sweep passes included — folds into one
+leading :class:`~repro.cost.events.CompactionCheckpoint`.  The
+checkpoint keeps only what the ledger's readers need: the
+:func:`~repro.cost.views.search_stats` running sums, accumulated in
+event order, and a count of folded events per class name.  So
+``search_stats`` and :meth:`CostLedger.pass_counts` over a compacted
+ledger read exactly what the uncompacted event sequence would
+(property-tested in ``tests/cost/test_ledger_compaction.py``).  What
+needs the events themselves refuses a checkpoint: strategy-profile
+harvesting (:func:`repro.cost.profile.profile_from_ledger`) raises
+:class:`~repro.errors.LedgerCompactionError`.  See DESIGN.md,
+"Cost-ledger contract: compaction".
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Iterator
 
 from repro.cost.events import (
-    BufferBroadcast,
     CompactionCheckpoint,
+    EdStarPass,
+    HdacPass,
     LedgerEvent,
-    PassClassSummary,
-    ReferenceLoad,
     SearchPassEvent,
+    TasrRotationPass,
 )
 from repro.errors import LedgerCompactionError
+
+#: The event classes :meth:`CostLedger.pass_counts` reads from a
+#: checkpoint, which counts every folded class by name.
+_PASS_CLASS_NAMES = frozenset(
+    cls.__name__
+    for cls in (SearchPassEvent, EdStarPass, HdacPass, TasrRotationPass)
+)
 
 
 class CostLedger:
@@ -57,17 +62,20 @@ class CostLedger:
         ``None`` (the default) keeps every event forever — the
         append-only mode every one-shot experiment uses.  An integer
         ``K >= 1`` opts into bounded-memory compaction: after each
-        :meth:`record`, if more than ``K`` foldable events are live,
-        the foldable prefix is folded into the leading
+        :meth:`record`, if more than ``K`` events are live, every
+        live event folds into the leading
         :class:`~repro.cost.events.CompactionCheckpoint`.
     """
 
     def __init__(self, events: "Iterable[LedgerEvent] | None" = None,
                  compaction: "int | None" = None):
-        if compaction is not None and int(compaction) < 1:
+        if compaction is not None and (
+                isinstance(compaction, bool)
+                or not isinstance(compaction, numbers.Integral)
+                or compaction < 1):
             raise LedgerCompactionError(
-                f"compaction bound must be a positive event count, got "
-                f"{compaction}"
+                f"compaction bound must be an integer event count >= 1, "
+                f"got {compaction!r}"
             )
         self._events: list[LedgerEvent] = list(events or ())
         self._compaction = None if compaction is None else int(compaction)
@@ -83,7 +91,8 @@ class CostLedger:
         """
         self._events.append(event)
         if (self._compaction is not None
-                and self._n_live_foldable() > self._compaction):
+                and len(self._events) - self._n_checkpoints()
+                > self._compaction):
             self.compact()
         return event
 
@@ -155,126 +164,64 @@ class CostLedger:
         counts: dict[str, int] = {}
         checkpoint = self.checkpoint
         if checkpoint is not None:
-            for name, summary in checkpoint.pass_summaries.items():
-                counts[name] = counts.get(name, 0) + summary.n_passes
+            for name, n in checkpoint.event_counts.items():
+                if name in _PASS_CLASS_NAMES:
+                    counts[name] = n
         for event in self._events:
             if isinstance(event, SearchPassEvent):
                 name = type(event).__name__
                 counts[name] = counts.get(name, 0) + 1
         return counts
 
-    def _n_live_foldable(self) -> int:
-        """Live events the next :meth:`compact` call would fold."""
-        n = 0
-        start = 1 if self.checkpoint is not None else 0
-        for event in self._events[start:]:
-            if isinstance(event, SearchPassEvent) and event.sweep:
-                break
-            n += 1
-        return n
+    def _n_checkpoints(self) -> int:
+        return 0 if self.checkpoint is None else 1
 
-    def compact(self, fold_sweep: bool = False) -> int:
-        """Fold the foldable event prefix into the checkpoint.
+    def compact(self) -> int:
+        """Fold every live event into the leading checkpoint.
 
-        Folding walks events oldest-first and stops at the first sweep
-        pass (unless ``fold_sweep=True``): a sweep pass's per-event
-        threshold coverage feeds strategy-profile harvesting, and a
-        non-prefix fold would break the views' float-accumulation
-        order.  Every folded event's derived views are materialised
-        (cached) before it is discarded, so callers still holding the
-        event object keep working.
+        The checkpoint carries the running ``search_stats`` sums on:
+        each folded pass adds to them in event order, exactly the
+        additions :func:`~repro.cost.views.search_stats` performs.
+        Reading a folded pass's energy caches its derived views, so
+        callers still holding the event object keep working.
 
         Returns the number of events folded by this call.
         """
-        from repro.cost.views import component_energies
-
         checkpoint = self.checkpoint
-        start = 0 if checkpoint is None else 1
-        fold: list[LedgerEvent] = []
-        for event in self._events[start:]:
-            if (isinstance(event, SearchPassEvent) and event.sweep
-                    and not fold_sweep):
-                break
-            fold.append(event)
+        fold = self._events[self._n_checkpoints():]
         if not fold:
             return 0
-
         if checkpoint is None:
-            n_folded = 0
-            n_searches = 0
-            n_rotation_cycles = 0
-            total_energy = 0.0
-            total_latency = 0.0
-            component_totals: "dict[str, float] | None" = {
-                "cells": 0.0, "shift_registers": 0.0, "sense_amps": 0.0,
-            }
-            summaries: dict[str, PassClassSummary] = {}
-            loads = [0, 0, 0]
-            broadcasts = [0, 0, 0]
+            n_searches = n_rotation_cycles = 0
+            total_energy = total_latency = 0.0
+            counts: "dict[str, int]" = {}
         else:
-            n_folded = checkpoint.n_folded
             n_searches = checkpoint.n_searches
             n_rotation_cycles = checkpoint.n_rotation_cycles
             total_energy = checkpoint.total_energy_joules
             total_latency = checkpoint.total_latency_ns
-            component_totals = (None if checkpoint.component_totals is None
-                                else dict(checkpoint.component_totals))
-            summaries = dict(checkpoint.pass_summaries)
-            loads = [checkpoint.n_reference_loads,
-                     checkpoint.n_segments_loaded,
-                     checkpoint.n_bases_loaded]
-            broadcasts = [checkpoint.n_broadcasts,
-                          checkpoint.n_reads_broadcast,
-                          checkpoint.n_bits_broadcast]
-
+            counts = dict(checkpoint.event_counts)
         for event in fold:
-            n_folded += 1
-            if isinstance(event, SearchPassEvent):
-                # The same per-event accumulation search_stats performs,
-                # in the same event order — the exact resume contract.
-                n_searches += event.n_queries
-                n_rotation_cycles += event.shift_cycles
-                total_energy += event.energy_joules
-                total_latency += event.latency_ns
-                if component_totals is not None:
-                    if event.domain == "charge":
-                        for key, value in component_energies(event).items():
-                            component_totals[key] += value
-                    else:
-                        component_totals = None
-                name = type(event).__name__
-                summaries[name] = summaries.get(
-                    name, PassClassSummary()).fold(event)
-            elif isinstance(event, ReferenceLoad):
-                loads[0] += 1
-                loads[1] += event.n_segments
-                loads[2] += event.n_bases
-            elif isinstance(event, BufferBroadcast):
-                broadcasts[0] += 1
-                broadcasts[1] += event.n_reads
-                broadcasts[2] += event.total_bits
-            elif isinstance(event, CompactionCheckpoint):
+            if isinstance(event, CompactionCheckpoint):
                 raise LedgerCompactionError(
                     "a checkpoint may only appear as the ledger's first "
                     "event; refusing to fold one mid-stream"
                 )
-
-        merged = CompactionCheckpoint(
-            n_folded=n_folded,
+            name = type(event).__name__
+            counts[name] = counts.get(name, 0) + 1
+            if isinstance(event, SearchPassEvent):
+                n_searches += event.n_queries
+                n_rotation_cycles += event.shift_cycles
+                total_energy += event.energy_joules
+                total_latency += event.latency_ns
+        self._events[:] = [CompactionCheckpoint(
+            n_folded=self.n_folded + len(fold),
             n_searches=n_searches,
             n_rotation_cycles=n_rotation_cycles,
             total_energy_joules=total_energy,
             total_latency_ns=total_latency,
-            component_totals=component_totals,
-            pass_summaries=summaries,
-            n_reference_loads=loads[0],
-            n_segments_loaded=loads[1],
-            n_bases_loaded=loads[2],
-            n_broadcasts=broadcasts[0],
-            n_reads_broadcast=broadcasts[1],
-            n_bits_broadcast=broadcasts[2],
-        )
-        self._events[:start + len(fold)] = [merged]
+            event_counts=counts,
+        )]
         self._n_compactions += 1
         return len(fold)
 

@@ -29,12 +29,13 @@ import numpy as np
 
 from repro import constants
 from repro.cost.events import (
+    CompactionCheckpoint,
     EdStarPass,
     LedgerEvent,
     SearchPassEvent,
     TasrRotationPass,
 )
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, LedgerCompactionError
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,22 @@ def profile_from_ledger(events: Iterable[LedgerEvent],
     per-read average over runs, never a multiple of it.
 
     Harvesting needs the *full* sweep-pass events (per-event threshold
-    coverage), which is exactly why ledger compaction never folds
-    sweep passes by default: a ``compact(fold_sweep=True)`` destroys
-    what this function reads, so harvest the profile first (see
-    DESIGN.md, "Cost-ledger contract: compaction").
+    coverage).  A compacted ledger has folded some of them away, so a
+    :class:`~repro.cost.events.CompactionCheckpoint` raises
+    :class:`~repro.errors.LedgerCompactionError` instead of yielding a
+    profile over part of the sweep (see DESIGN.md, "Cost-ledger
+    contract: compaction").
     """
-    sweep_passes = [event for event in events
-                    if isinstance(event, SearchPassEvent) and event.sweep]
+    sweep_passes = []
+    for event in events:
+        if isinstance(event, CompactionCheckpoint):
+            raise LedgerCompactionError(
+                f"the ledger folded {event.n_folded} events into a "
+                "compaction checkpoint; a strategy profile needs every "
+                "sweep pass, so harvest it from an append-only ledger"
+            )
+        if isinstance(event, SearchPassEvent) and event.sweep:
+            sweep_passes.append(event)
     if not sweep_passes:
         raise ExperimentError(
             "no sweep passes recorded; run match_sweep before harvesting "

@@ -84,7 +84,6 @@ def component_energies(event: SearchPassEvent) -> dict[str, float]:
     rather than silently mis-accounted.
     """
     from repro.cam.energy import search_energy_per_row
-    from repro.errors import CamConfigError
 
     if event.domain != "charge":
         raise CamConfigError(
@@ -108,38 +107,6 @@ def _reject_midstream_checkpoint(position: int) -> None:
             f"compaction checkpoint at event position {position}; a "
             "checkpoint is only legal as a ledger's first event"
         )
-
-
-def component_energy_totals(
-        events: Iterable[LedgerEvent]) -> dict[str, float]:
-    """Component energies summed over every search pass of a ledger.
-
-    Charge-domain ledgers only (the Section V-B split); a
-    current-domain pass raises rather than being mis-accounted — and a
-    checkpoint that folded a current-domain pass keeps raising (its
-    ``component_totals`` is None).  A leading
-    :class:`~repro.cost.events.CompactionCheckpoint` contributes its
-    exact per-component resume sums, so compacted and uncompacted
-    ledgers read bit-identical totals.
-    """
-    totals = {"cells": 0.0, "shift_registers": 0.0, "sense_amps": 0.0}
-    for position, event in enumerate(events):
-        if isinstance(event, CompactionCheckpoint):
-            _reject_midstream_checkpoint(position)
-            if event.component_totals is None:
-                raise CamConfigError(
-                    "component_energy_totals models the charge-domain "
-                    "Section V-B split; this ledger folded a "
-                    "current-domain pass"
-                )
-            for key, value in event.component_totals.items():
-                totals[key] += value
-            continue
-        if not isinstance(event, SearchPassEvent):
-            continue
-        for key, value in component_energies(event).items():
-            totals[key] += value
-    return totals
 
 
 @dataclass

@@ -46,10 +46,6 @@ class GroundTruth:
             )
         return self.distances <= threshold
 
-    def labels_for_read(self, read_index: int, threshold: int) -> np.ndarray:
-        """Truth row for one read."""
-        return self.labels(threshold)[read_index]
-
     @property
     def n_reads(self) -> int:
         return int(self.distances.shape[0])

@@ -91,11 +91,6 @@ class Fig8Result:
         return (self.costs[baseline].energy_joules
                 / self.costs[system].energy_joules)
 
-    def speedup_series(self, system: str) -> dict[str, float]:
-        """Speedup of *system* over each other system."""
-        return {name: self.speedup_over(name, system)
-                for name in SYSTEMS if name != system}
-
     def render_profiles(self) -> str:
         """The measured strategy statistics vs the analytic cross-check."""
         if not self.profiles:

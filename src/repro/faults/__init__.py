@@ -14,8 +14,8 @@ resource — into actively falsified properties:
   resource hygiene (import it explicitly; it is not re-exported here
   because it builds on the service stack, which itself imports these
   hooks);
-* :mod:`repro.faults.scenarios` — small deterministic workloads across
-  engine x route x compaction combinations for the chaos harness
+* :mod:`repro.faults.scenarios` — small deterministic workloads, one
+  per route through the service stack, for the chaos harness
   (``tools/chaos_soak.py``) and the tier-1 fixtures
   (``tests/faults/``).
 

@@ -1,4 +1,4 @@
-"""Deterministic chaos workloads across route x compaction.
+"""Deterministic chaos workloads, one per route.
 
 Each :class:`ChaosScenario` is a small, fully seeded mapping workload
 with a fixed route through the stack — direct segments into the
@@ -102,7 +102,6 @@ class ChaosScenario:
 
     name: str
     backend: str
-    compaction: "int | None"
     route: str                       # "stream" | "store" | "catalog"
     #                                # | "frontend"
     fault_kinds: "tuple[str, ...]"
@@ -142,8 +141,7 @@ class ChaosScenario:
 
         kwargs = {
             "error_model": _error_model(), "threshold": THRESHOLD,
-            "micro_batch": MICRO_BATCH, "compaction": self.compaction,
-            "seed": SEED, "backend": self.backend,
+            "micro_batch": MICRO_BATCH, "seed": SEED, "backend": self.backend,
         }
         kwargs.update(extra)
         return StreamingMappingService(source, **kwargs)
@@ -217,7 +215,6 @@ class ChaosScenario:
         try:
             session = frontend.session(
                 THRESHOLD, seed=SEED, micro_batch=MICRO_BATCH,
-                compaction=self.compaction,
             )
             for read in reads:
                 try:
@@ -242,37 +239,25 @@ _SERVICE_KINDS = ("poisoned_read", "slow_batch")
 _STORE_KINDS = _SERVICE_KINDS + ("store_truncate", "store_crc_flip")
 _FRONTEND_KINDS = ("poisoned_read", "slow_batch", "backlog_flood")
 
-#: The chaos matrix: all four routes, compaction on and off (the
-#: catalog route runs compacted only).
+#: The chaos matrix: one scenario per route.  Every route's service
+#: compacts its ledger, and no scenario result reads a ledger value.
 SCENARIOS: "tuple[ChaosScenario, ...]" = (
     ChaosScenario(
         name="stream-batched-gemm", backend="numpy-gemm",
-        compaction=None, route="stream", fault_kinds=_SERVICE_KINDS,
-    ),
-    ChaosScenario(
-        name="stream-batched-compact-gemm", backend="numpy-gemm",
-        compaction=8, route="stream", fault_kinds=_SERVICE_KINDS,
+        route="stream", fault_kinds=_SERVICE_KINDS,
     ),
     ChaosScenario(
         name="store-batched-gemm", backend="numpy-gemm",
-        compaction=None, route="store", fault_kinds=_STORE_KINDS,
-    ),
-    ChaosScenario(
-        name="store-batched-compact-gemm", backend="numpy-gemm",
-        compaction=8, route="store", fault_kinds=_STORE_KINDS,
+        route="store", fault_kinds=_STORE_KINDS,
     ),
     ChaosScenario(
         name="catalog-batched-gemm", backend="numpy-gemm",
-        compaction=8, route="catalog",
+        route="catalog",
         fault_kinds=_SERVICE_KINDS + ("poisoned_open",),
     ),
     ChaosScenario(
         name="frontend-batched-gemm", backend="numpy-gemm",
-        compaction=8, route="frontend", fault_kinds=_FRONTEND_KINDS,
-    ),
-    ChaosScenario(
-        name="frontend-batched-uncompacted-gemm", backend="numpy-gemm",
-        compaction=None, route="frontend", fault_kinds=_FRONTEND_KINDS,
+        route="frontend", fault_kinds=_FRONTEND_KINDS,
     ),
 )
 

@@ -32,10 +32,8 @@ BASE_TO_CODE = {base: code for code, base in enumerate(BASES)}
 #: Map 2-bit code -> base character.
 CODE_TO_BASE = {code: base for code, base in enumerate(BASES)}
 
-#: Watson-Crick complements (A-T and C-G pairs, Section II-A).
-COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
-
-#: Complement in code space: A(0)<->T(3), C(1)<->G(2), i.e. 3 - code.
+#: Watson-Crick complements in code space (A-T and C-G pairs, Section
+#: II-A): A(0)<->T(3), C(1)<->G(2), i.e. 3 - code.
 _COMPLEMENT_CODES = np.array([3, 2, 1, 0], dtype=np.uint8)
 
 # Lookup table from ASCII byte -> code (255 marks invalid characters).

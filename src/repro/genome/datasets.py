@@ -29,10 +29,6 @@ from repro.genome.generator import ReferenceGenerator, RepeatProfile
 from repro.genome.reads import ReadRecord, ReadSampler
 from repro.genome.sequence import DnaSequence
 
-#: Canonical names for the paper's two error-injection conditions.
-CONDITION_NAMES = ("A", "B")
-
-
 def resolve_condition(condition: "str | ErrorModel",
                       burst_prob: float = 0.3) -> ErrorModel:
     """Turn ``"A"``/``"B"`` (or an explicit model) into an ErrorModel."""

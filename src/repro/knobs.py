@@ -11,16 +11,35 @@ boundary — ``micro_batch=0`` is a configuration mistake, not a request
 for autotuning (that is ``None``), and it should fail loudly instead
 of being coerced or surfacing as an unrelated lower-layer error.
 
-Knobs that only exist at the service layer (the frontend's
-``pool_workers=`` and ``max_backlog=``) keep raising
+Every count knob passes :func:`check_count`, which also rejects a
+``bool``, ``float`` or ``str`` rather than truncating it.  Knobs that
+only exist at the service layer (the frontend's ``pool_workers=`` and
+``max_backlog=``) go through the same check but keep raising
 :class:`~repro.errors.ServiceError` there — this gate owns exactly the
 knobs that thread through multiple layers.
 """
 
 from __future__ import annotations
 
+import numbers
+
 from repro.errors import CamConfigError
 from repro.kernels import KernelBackend, get_backend
+
+
+def check_count(name: str, value, error: type = CamConfigError) -> None:
+    """Reject a count knob that is set but not a positive integer.
+
+    ``None`` passes (autotune/disable).  Python and numpy integers are
+    accepted; a ``bool``, ``float`` or ``str`` raises *error* instead
+    of being truncated (``micro_batch=2.7`` is a mistake, not 2).
+    """
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{name} must be positive, got {value}")
 
 
 def validate_service_knobs(micro_batch: "int | None" = None,
@@ -32,21 +51,12 @@ def validate_service_knobs(micro_batch: "int | None" = None,
     """Reject falsy/invalid cross-layer knobs at a constructor boundary.
 
     Every knob treats ``None`` as "autotune/disable"; explicit values
-    must be valid.  Raises :class:`~repro.errors.CamConfigError`.
+    must be valid (counts: positive integers).  Raises
+    :class:`~repro.errors.CamConfigError`.
     """
-    if micro_batch is not None and int(micro_batch) < 1:
-        raise CamConfigError(
-            f"micro_batch must be positive, got {micro_batch}"
-        )
-    if compaction is not None and int(compaction) < 1:
-        raise CamConfigError(
-            f"compaction must be a positive live-event bound (or None "
-            f"to disable), got {compaction}"
-        )
-    if max_workers is not None and int(max_workers) < 1:
-        raise CamConfigError(
-            f"max_workers must be positive, got {max_workers}"
-        )
+    check_count("micro_batch", micro_batch)
+    check_count("compaction", compaction)
+    check_count("max_workers", max_workers)
     if backend is not None and not isinstance(backend, KernelBackend):
         get_backend(backend)  # raises CamConfigError on unknown names
 

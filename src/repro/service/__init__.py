@@ -7,9 +7,11 @@ executors:
 
 * :class:`MappingSession` (:mod:`repro.service.session`) — the one
   session core: it coalesces reads into autotuned micro-batches, keys
-  them by stream offset, runs the batched engine, folds the aggregate
-  report and keeps its cost ledger bounded via compaction
-  (:class:`repro.cost.ledger.CostLedger`);
+  them by stream offset, runs the batched engine and folds the
+  aggregate report.  Its cost ledger always compacts at
+  :data:`DEFAULT_SERVICE_COMPACTION` live events
+  (:class:`repro.cost.ledger.CostLedger`), so memory stays flat and no
+  service takes a compaction knob;
 * :class:`StreamingMappingService` — the *inline* executor: one
   session whose micro-batches run on the caller's thread before
   ``submit`` returns;

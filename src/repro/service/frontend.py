@@ -30,7 +30,7 @@ arrays — serves an entire read workload.  The standalone
 **Session-isolation contract.**  A session is the same
 :class:`~repro.service.session.MappingSession` as the standalone
 service, run by a different executor, so with the same ``(seed,
-threshold, micro_batch, compaction)`` and reads it is
+threshold, micro_batch)`` and reads it is
 **bit-identical** to a standalone service, however many other
 sessions run, however their feeds interleave, however many pool
 workers exist and wherever micro-batch boundaries fall: every random
@@ -55,12 +55,12 @@ from repro.cost.events import ReferenceLoad
 from repro.cost.ledger import CostLedger
 from repro.errors import CamConfigError, ServiceError
 from repro.genome.edits import ErrorModel
-from repro.knobs import validate_reference_source, validate_service_knobs
-from repro.service.session import (
-    DEFAULT_SERVICE_COMPACTION,
-    MappingSession,
-    build_pipeline,
+from repro.knobs import (
+    check_count,
+    validate_reference_source,
+    validate_service_knobs,
 )
+from repro.service.session import MappingSession, build_pipeline
 
 __all__ = ["MappingFrontend", "MappingSession"]
 
@@ -144,10 +144,8 @@ class MappingFrontend:
             )
         if catalog is None:
             validate_reference_source(segments)
-        for name, value in (("pool_workers", pool_workers),
-                            ("max_backlog", max_backlog)):
-            if value is not None and int(value) < 1:
-                raise ServiceError(f"{name} must be positive, got {value}")
+        check_count("pool_workers", pool_workers, ServiceError)
+        check_count("max_backlog", max_backlog, ServiceError)
         self._model = error_model
         self._config = config
         self._domain = domain
@@ -289,7 +287,6 @@ class MappingFrontend:
     def session(self, threshold: int,
                 seed: int = 0,
                 micro_batch: "int | None" = None,
-                compaction: "int | None" = DEFAULT_SERVICE_COMPACTION,
                 retain_mappings: bool = True,
                 config: "MatcherConfig | None" = None,
                 backend: "str | None" = None,
@@ -302,7 +299,7 @@ class MappingFrontend:
         key base), ``threshold`` (non-negative, checked here:
         :class:`~repro.errors.ThresholdError`), ``micro_batch``
         (``None`` autotunes — same plan as the standalone service),
-        ledger ``compaction``, ``retain_mappings`` and kernel
+        ``retain_mappings`` and kernel
         ``backend`` (``None`` = the frontend's default).  The expensive
         reference state is *not* rebuilt: only per-session
         arrays/matchers/ledgers are.
@@ -312,7 +309,7 @@ class MappingFrontend:
         names coexist, each reference opened once).  On any
         other frontend ``reference`` must stay ``None``.
         """
-        validate_service_knobs(micro_batch, compaction, backend=backend)
+        validate_service_knobs(micro_batch, backend=backend)
         if self._catalog is None:
             if reference is not None:
                 raise ServiceError(
@@ -329,8 +326,7 @@ class MappingFrontend:
             state = self._reference_state(reference)
         pipeline = build_pipeline(
             state.reference, self._model, config or self._config,
-            seed=seed, compaction=compaction,
-            backend=self._backend if backend is None else backend,
+            seed=seed, backend=self._backend if backend is None else backend,
             domain=self._domain, noisy=self._noisy,
         )
         with self._lock:

@@ -48,7 +48,6 @@ from repro.cam.array import (
 )
 from repro.core.matcher import AsmCapMatcher
 from repro.core.pipeline import MappingReport, ReadMapping, ReadMappingPipeline
-from repro.cost.ledger import CostLedger
 from repro.cost.views import (
     SearchStats,
     fold_ledger_observability,
@@ -65,9 +64,10 @@ __all__ = [
     "build_pipeline",
 ]
 
-#: Default live-event bound for the service's compacting ledgers: deep
-#: enough that a whole micro-batch's passes (2 + 2*NR events) stay
-#: inspectable between folds, shallow enough that memory is flat.
+#: The live-event bound of every service ledger (services always
+#: compact): deep enough that a whole micro-batch's passes (2 + 2*NR
+#: events) stay inspectable between folds, shallow enough that memory
+#: is flat.
 DEFAULT_SERVICE_COMPACTION = 64
 
 
@@ -91,20 +91,20 @@ class ServiceStats:
     pass_counts:
         Per-strategy pass counts by event class
         (``EdStarPass`` / ``HdacPass`` / ``TasrRotationPass``),
-        checkpoint summaries included.
+        folded passes included.
     total_energy_joules / total_latency_ns:
-        Modelled hardware cost, read from the (compacted) ledger
-        views — bit-identical to an uncompacted run's views.
+        Modelled hardware cost, read from the compacted ledger's
+        ``search_stats`` view — bit-identical to an uncompacted run's.
     wall_seconds / reads_per_second:
         Simulator wall-clock since the first submission and the
         dispatch throughput over it.
     ledger_events_live / ledger_events_folded /
     ledger_population_elements:
-        Bounded-memory evidence: live events, events folded into
-        checkpoints, and retained mismatch-population elements
-        (the dominant ledger payload), summed over every ledger.
+        Bounded-memory evidence of the session's compacting ledger:
+        live events, events folded into its checkpoint, and retained
+        mismatch-population elements (the dominant ledger payload).
     compactions:
-        Total prefix folds across every ledger.
+        How many times the ledger has folded.
     """
 
     reads_submitted: int
@@ -126,25 +126,28 @@ class ServiceStats:
 
 
 def build_pipeline(reference, error_model, config, *, seed: int,
-                   compaction: "int | None", backend: "str | None",
-                   domain: str, noisy: bool) -> ReadMappingPipeline:
+                   backend: "str | None", domain: str,
+                   noisy: bool) -> ReadMappingPipeline:
     """The service layer's one engine construction.
 
     *reference* is either a sealed
     :class:`~repro.cam.array.StoredReference` the engine borrows with
     zero encode passes, or a segment matrix, encoded here into the
     engine's own array (``CamArray.store``).  The array and the matcher
-    share ``seed``.
+    share ``seed``, and the array's ledger compacts at
+    :data:`DEFAULT_SERVICE_COMPACTION`.
     """
     if isinstance(reference, StoredReference):
         return ReadMappingPipeline(AsmCapMatcher.over_stored(
             reference, error_model, config, domain=domain, noisy=noisy,
-            seed=seed, ledger_compaction=compaction, backend=backend,
+            seed=seed, ledger_compaction=DEFAULT_SERVICE_COMPACTION,
+            backend=backend,
         ))
     reference = as_segments_matrix(reference)
     array = CamArray(rows=reference.shape[0], cols=reference.shape[1],
                      domain=domain, noisy=noisy, seed=seed,
-                     ledger_compaction=compaction, backend=backend)
+                     ledger_compaction=DEFAULT_SERVICE_COMPACTION,
+                     backend=backend)
     array.store(reference)
     return ReadMappingPipeline(
         AsmCapMatcher(array, error_model, config, seed=seed)
@@ -383,10 +386,6 @@ class MappingSession:
 
     # -- observability ------------------------------------------------------
 
-    def ledgers(self) -> "tuple[CostLedger, ...]":
-        """Every cost ledger the session's engine owns (its array's)."""
-        return (self._pipeline.ledger,)
-
     def merged_stats(self) -> SearchStats:
         """Whole-session search counters (exact under compaction),
         from the engine's own fold."""
@@ -401,7 +400,8 @@ class MappingSession:
         with self._dispatch_mutex:
             stats = search_stats(self._pipeline.ledger)
             (pass_counts, events_live, events_folded, population,
-             compactions) = fold_ledger_observability(self.ledgers())
+             compactions) = fold_ledger_observability(
+                 (self._pipeline.ledger,))
             with self._lock:
                 wall = (0.0 if self._started_at is None
                         else time.perf_counter() - self._started_at)

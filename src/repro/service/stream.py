@@ -15,10 +15,11 @@ caller's own thread.
   returns, through
   :meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` with its
   global read offset as the determinism key base;
-* **bounded memory** — the array's cost ledger runs in compaction mode
-  (:class:`repro.cost.ledger.CostLedger`), folding fully-materialised
-  pass events into exact checkpoints, so the retained event count
-  plateaus instead of growing linearly with the stream;
+* **bounded memory** — the array's cost ledger always compacts
+  (:class:`repro.cost.ledger.CostLedger`, bound
+  :data:`DEFAULT_SERVICE_COMPACTION`): its events fold into one exact
+  checkpoint, so the retained event count plateaus instead of growing
+  linearly with the stream;
 * **observe** — :meth:`~repro.service.session.MappingSession.stats`
   snapshots a :class:`~repro.service.session.ServiceStats`;
 * **drain / close** — ``flush`` runs a partial micro-batch, ``drain``
@@ -102,12 +103,6 @@ class StreamingMappingService(MappingSession):
     micro_batch:
         Reads coalesced per dispatch; ``None`` autotunes via
         :func:`repro.arch.autotune.plan_microbatch`.
-    compaction:
-        Live-event bound handed to every ledger
-        (:data:`DEFAULT_SERVICE_COMPACTION`); ``None`` disables
-        compaction and reproduces the append-only ledgers of the
-        one-shot paths (the memory baseline the streaming soak test
-        compares against).
     domain / noisy / seed:
         Array configuration.  The array and the matcher are built with
         the same ``seed``, so a one-shot pipeline built the same way is
@@ -139,22 +134,20 @@ class StreamingMappingService(MappingSession):
                  threshold: int,
                  config: "MatcherConfig | None" = None,
                  micro_batch: "int | None" = None,
-                 compaction: "int | None" = DEFAULT_SERVICE_COMPACTION,
                  domain: str = "charge",
                  noisy: bool = True,
                  seed: int = 0,
                  backend: "str | None" = None,
                  retain_mappings: bool = True,
                  catalog: "object | None" = None):
-        validate_service_knobs(micro_batch, compaction, backend=backend)
+        validate_service_knobs(micro_batch, backend=backend)
         validate_reference_source(segments, catalog=catalog)
         self._lease = None if catalog is None else catalog.borrow(segments)
         try:
             pipeline = build_pipeline(
                 segments if self._lease is None else self._lease.reference,
-                error_model, config, seed=seed,
-                compaction=compaction, backend=backend, domain=domain,
-                noisy=noisy,
+                error_model, config, seed=seed, backend=backend,
+                domain=domain, noisy=noisy,
             )
             super().__init__(None, 0, pipeline, threshold, micro_batch,
                              retain_mappings)

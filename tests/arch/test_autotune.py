@@ -9,14 +9,12 @@ import pytest
 
 from repro.arch import autotune
 from repro.arch.autotune import (
-    ENCODED_BYTES_PER_CELL,
     MAX_CHUNK_READS,
     MIN_CHUNK_READS,
     MIN_ROWS_PER_SHARD,
     MIN_SERVICE_BACKLOG,
     ShardPlan,
     available_cpus,
-    estimate_stored_reference_bytes,
     plan_backend,
     plan_microbatch,
     plan_service_pool,
@@ -138,26 +136,6 @@ class TestSweepWorkers:
     def test_available_cpus_floor(self):
         assert available_cpus(0) == 1
         assert available_cpus() >= 1
-
-
-class TestEstimateStoredReferenceBytes:
-    def test_matches_the_encoded_payload(self):
-        import numpy as np
-
-        from repro.cam.array import StoredReference
-        from repro.kernels import encoded_reference_arrays
-
-        segments = np.zeros((24, 40), dtype=np.uint8)
-        payload = sum(array.nbytes for _, array in encoded_reference_arrays(
-            StoredReference.encode(segments).encoded()))
-        assert estimate_stored_reference_bytes(24, 40) == payload \
-            == 24 * 40 * ENCODED_BYTES_PER_CELL
-
-    def test_validation(self):
-        with pytest.raises(ArchConfigError):
-            estimate_stored_reference_bytes(0, 64)
-        with pytest.raises(ArchConfigError):
-            estimate_stored_reference_bytes(64, 0)
 
 
 class TestPipelineIntegration:

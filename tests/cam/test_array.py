@@ -243,7 +243,7 @@ class TestBatchSearch:
         assert batch.n_queries == 0
         assert batch.matches.shape == (0, 16)
         assert batch.energy_joules == 0.0
-        assert batch.amortised_latency_per_query_ns == 0.0
+        assert batch.latency_ns == 0.0
 
     def test_bad_shapes_rejected(self, charge_array, rng):
         with pytest.raises(CamConfigError):

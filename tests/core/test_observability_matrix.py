@@ -4,7 +4,10 @@
 whole-system evidence, and the determinism contract extends to them:
 the counters must be identical between compacted and append-only
 ledgers for the same seeded run — compaction changes *where* events
-fold, never *what* they count.
+fold, never *what* they count.  The sharded pipeline keeps append-only
+ledgers, so the compacted cell folds every ledger between two
+micro-batches (``CostLedger.compact``), the point where a long-running
+banked stream would fold.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ pytestmark = pytest.mark.timeout(120)
 
 THRESHOLD = 8
 N_SHARDS = 2
-COMPACTIONS = (None, 8)
+#: Append-only, and every ledger folded after the first micro-batch.
+COMPACTIONS = (None, "folded")
+#: Reads in the first micro-batch; the second takes the rest.
+SPLIT = 8
 
 
 @pytest.fixture(scope="module")
@@ -32,19 +38,25 @@ def workload():
     return segments, reads
 
 
-def _run(workload, compaction: "int | None"):
+def _run(workload, compaction: "str | None"):
     segments, reads = workload
     pipeline = ShardedReadMappingPipeline(
         segments, ErrorModel(substitution=0.02, insertion=0.01,
                              deletion=0.01),
         n_shards=N_SHARDS, seed=5, max_workers=1,
-        # Small chunks so the run produces enough ledger events for
-        # the compaction bound to actually engage.
+        # Small chunks so each micro-batch records several events.
         chunk_size=4,
-        ledger_compaction=compaction,
     )
     try:
-        report = pipeline.run(reads, threshold=THRESHOLD)
+        report = pipeline.run(reads[:SPLIT], threshold=THRESHOLD)
+        if compaction is not None:
+            for ledger in (pipeline.ledger,
+                           *(m.array.ledger for m in pipeline.matchers)):
+                ledger.compact()
+        tail = pipeline.run(reads[SPLIT:], threshold=THRESHOLD,
+                            first_read_index=SPLIT)
+        for mapping in tail.mappings:
+            report.add(mapping)
         stats = pipeline.merged_stats()
         observability = pipeline.ledger_observability()
         return report, stats, observability
@@ -72,7 +84,7 @@ class TestMergedStatsMatrix:
         # Same fold order: compaction restores the folded prefix
         # exactly, so even the float totals are bit-identical.
         plain = matrix[None][1]
-        compacted = matrix[8][1]
+        compacted = matrix["folded"][1]
         assert compacted.total_energy_joules == \
             plain.total_energy_joules
         assert compacted.total_latency_ns == plain.total_latency_ns
@@ -104,7 +116,7 @@ class TestLedgerObservabilityMatrix:
 
     def test_thread_compaction_bounds_live_events(self, matrix):
         _, live_plain, _, _, _ = matrix[None][2]
-        _, live, folded, _, compactions = matrix[8][2]
+        _, live, folded, _, compactions = matrix["folded"][2]
         assert compactions > 0
         assert folded > 0
         assert live < live_plain
@@ -113,6 +125,6 @@ class TestLedgerObservabilityMatrix:
         # Population is a property of *live* events: it shrinks as
         # compaction folds events away.
         plain = matrix[None][2][3]
-        compacted = matrix[8][2][3]
+        compacted = matrix["folded"][2][3]
         assert plain > 0
         assert 0 < compacted < plain

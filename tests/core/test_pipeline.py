@@ -114,9 +114,9 @@ class TestMapping:
         assert report.total_energy_joules == pytest.approx(sum(
             m.outcome.energy_joules for m in report.mappings
         ))
-        assert report.mean_latency_per_read_ns == pytest.approx(
-            report.total_latency_ns / report.n_reads
-        )
+        assert report.total_latency_ns == pytest.approx(sum(
+            m.outcome.latency_ns for m in report.mappings
+        ))
 
     def test_throughput_positive(self, pipeline_and_dataset):
         pipeline, dataset = pipeline_and_dataset

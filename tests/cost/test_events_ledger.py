@@ -17,7 +17,12 @@ from repro.cost.events import (
     TasrRotationPass,
 )
 from repro.cost.ledger import CostLedger
-from repro.cost.views import search_pass_energy_per_query, search_stats
+from repro.cost.views import (
+    component_energies,
+    search_pass_energy_per_query,
+    search_stats,
+)
+from repro.errors import CamConfigError
 
 
 @pytest.fixture
@@ -180,3 +185,26 @@ class TestStatsView:
         expected = sum(e.energy_joules
                        for e in small_array.ledger.search_passes())
         assert stats.total_energy_joules == pytest.approx(expected)
+
+
+class TestComponentView:
+    """The Section V-B split of one pass (what the breakdown reads)."""
+
+    def test_cells_and_sense_amps_are_the_pass_energy(self, small_array,
+                                                      rng):
+        queries = rng.integers(0, 4, (5, 16)).astype(np.uint8)
+        result = small_array.search_batch(queries, 3)
+        parts = component_energies(small_array.ledger.search_passes()[-1])
+        assert parts["cells"] + parts["sense_amps"] == pytest.approx(
+            result.energy_joules, rel=1e-12)
+        # The shift registers hold the read every cycle, pass or not.
+        assert parts["shift_registers"] == (
+            constants.SHIFT_REGISTER_ENERGY_PER_SEARCH_J * 5)
+
+    def test_current_domain_pass_is_rejected(self, rng):
+        array = CamArray(rows=8, cols=16, domain="current", noisy=False,
+                         seed=3)
+        array.store(rng.integers(0, 4, (8, 16)).astype(np.uint8))
+        array.search_batch(rng.integers(0, 4, (2, 16)).astype(np.uint8), 3)
+        with pytest.raises(CamConfigError, match="charge-domain"):
+            component_energies(array.ledger.search_passes()[-1])

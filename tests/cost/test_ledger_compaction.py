@@ -1,15 +1,17 @@
 """Ledger-compaction equivalence property tests.
 
 The compaction contract (DESIGN.md, "Cost-ledger contract:
-compaction"): folding fully-materialised events into a
-:class:`~repro.cost.events.CompactionCheckpoint` must leave every
-ledger view **bit-identical** — the checkpoint stores the views' own
-running float accumulations, computed in event order at fold time, so
-a view resuming from it performs exactly the additions the uncompacted
-event sequence would.  Every comparison below is exact (``==``), on
-all four execution paths (scalar, batched, sweep, sharded), and the
-illegality rules (mid-stream checkpoints, compacted merges, sweep
-folding) are enforced.
+compaction"): once more than ``K`` events are live, every live event
+folds into one :class:`~repro.cost.events.CompactionCheckpoint`, and
+the ledger's two readers stay **bit-identical** — ``search_stats``
+resumes from the checkpoint's running sums (the same float additions,
+in event order, performed at fold time) and ``pass_counts()`` reads
+the checkpoint's per-class event counts.  Every comparison below is
+exact (``==``) on the scalar, batched, sweep and sharded paths.  What
+needs the events themselves refuses a checkpoint: strategy-profile
+harvesting raises :class:`~repro.errors.LedgerCompactionError`, as do
+views meeting a mid-stream checkpoint and merges that would splice
+one.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from repro.cost.events import (
 )
 from repro.cost.ledger import CostLedger
 from repro.cost.profile import profile_from_ledger
-from repro.errors import ExperimentError
-from repro.cost.views import component_energy_totals, search_stats
-from repro.errors import CamConfigError, LedgerCompactionError
+from repro.cost.views import search_stats
+from repro.errors import LedgerCompactionError
 
 
 def _twin_arrays(rng, domain="charge", rows=12, cols=24, seed=5,
@@ -52,10 +53,15 @@ def _twin_arrays(rng, domain="charge", rows=12, cols=24, seed=5,
 
 def _assert_views_identical(plain: CostLedger, compacting: CostLedger):
     assert search_stats(compacting) == search_stats(plain)
-    if all(not hasattr(e, "domain") or e.domain == "charge"
-           for e in plain):
-        assert (component_energy_totals(compacting)
-                == component_energy_totals(plain))
+    assert compacting.pass_counts() == plain.pass_counts()
+
+
+def _checkpoint(**fields) -> CompactionCheckpoint:
+    values = dict(n_folded=1, n_searches=1, n_rotation_cycles=0,
+                  total_energy_joules=0.0, total_latency_ns=0.0,
+                  event_counts={"EdStarPass": 1})
+    values.update(fields)
+    return CompactionCheckpoint(**values)
 
 
 @pytest.mark.parametrize("domain", ["charge", "current"])
@@ -86,18 +92,20 @@ class TestArrayPathCompaction:
         assert compacting.ledger.n_folded > 0
         _assert_views_identical(plain.ledger, compacting.ledger)
 
-    def test_current_domain_component_view_still_raises(self, rng, domain):
-        """Folding a current-domain pass must not launder the
-        charge-only Section V-B split into a silent number."""
-        if domain == "charge":
-            pytest.skip("current-domain behaviour")
-        _, compacting = _twin_arrays(rng, domain)
-        queries = rng.integers(0, 4, (9, 24)).astype(np.uint8)
+    def test_bound_counts_every_live_event(self, rng, domain):
+        """More than K live events fold them all: the store's
+        ReferenceLoad counts toward the bound, and the ledger holds
+        only the checkpoint afterwards."""
+        _, compacting = _twin_arrays(rng, domain, compaction=2)
+        queries = rng.integers(0, 4, (3, 24)).astype(np.uint8)
         compacting.search_batch(queries, 5, MatchMode.ED_STAR)
-        compacting.ledger.compact()
-        assert compacting.ledger.checkpoint.component_totals is None
-        with pytest.raises(CamConfigError):
-            component_energy_totals(compacting.ledger)
+        assert compacting.ledger.n_folded == 0  # ReferenceLoad + 1 pass
+        compacting.search_batch(queries, 5, MatchMode.HAMMING)
+        ledger = compacting.ledger
+        assert ledger.events == (ledger.checkpoint,)
+        assert ledger.n_folded == 3
+        assert ledger.checkpoint.event_counts == {
+            "ReferenceLoad": 1, "EdStarPass": 1, "HdacPass": 1}
 
 
 class TestMatcherCompaction:
@@ -129,12 +137,11 @@ class TestMatcherCompaction:
                               outcomes[None].decisions)
         assert np.array_equal(outcomes[2].energy_joules,
                               outcomes[None].energy_joules)
-        _assert_views_identical(ledgers[None], ledgers[2])
         # Per-class counts survive folding.
-        assert ledgers[2].pass_counts() == ledgers[None].pass_counts()
+        _assert_views_identical(ledgers[None], ledgers[2])
 
-    def test_pass_class_summaries_match_folded_events(self, rng):
-        plain, compacting = _twin_arrays(rng, compaction=2)
+    def test_event_counts_match_folded_events(self, rng):
+        plain, compacting = _twin_arrays(rng, compaction=None)
         queries = rng.integers(0, 4, (5, 24)).astype(np.uint8)
         keys = [(i, 0) for i in range(5)]
         for array in (plain, compacting):
@@ -145,35 +152,29 @@ class TestMatcherCompaction:
             array.search_batch(np.roll(queries, -1, axis=1), 5,
                                MatchMode.ED_STAR, noise_keys=keys,
                                rotation=1)
-        compacting.ledger.compact()
-        summaries = compacting.ledger.checkpoint.pass_summaries
-        events = plain.ledger.search_passes()
-        by_class = {
-            "EdStarPass": [e for e in events
-                           if isinstance(e, EdStarPass)
-                           and not isinstance(e, TasrRotationPass)],
-            "HdacPass": [e for e in events if isinstance(e, HdacPass)],
-            "TasrRotationPass": [e for e in events
-                                 if isinstance(e, TasrRotationPass)],
-        }
-        for name, group in by_class.items():
-            summary = summaries[name]
-            assert summary.n_passes == len(group)
-            assert summary.n_queries == sum(e.n_queries for e in group)
-            assert summary.shift_cycles == sum(e.shift_cycles
-                                               for e in group)
-            counts = np.concatenate(
-                [e.mismatch_counts.ravel() for e in group])
-            assert summary.population_count == counts.size
-            assert summary.population_sum == int(counts.sum())
-            assert summary.population_min == int(counts.min())
-            assert summary.population_max == int(counts.max())
-            assert summary.population_mean == pytest.approx(
-                float(counts.mean()))
+        assert compacting.ledger.compact() == len(plain.ledger)
+        checkpoint = compacting.ledger.checkpoint
+        assert checkpoint.n_folded == len(plain.ledger)
+        counts: "dict[str, int]" = {}
+        for event in plain.ledger:
+            name = type(event).__name__
+            counts[name] = counts.get(name, 0) + 1
+        assert checkpoint.event_counts == counts
+        assert counts["ReferenceLoad"] == 1
+        # pass_counts reads only the search-pass classes back out.
+        assert compacting.ledger.pass_counts() == {
+            "EdStarPass": 1, "HdacPass": 1, "TasrRotationPass": 1}
+        stats = search_stats(plain.ledger)
+        assert (checkpoint.n_searches, checkpoint.n_rotation_cycles,
+                checkpoint.total_energy_joules,
+                checkpoint.total_latency_ns) == (
+            stats.n_searches, stats.n_rotation_cycles,
+            stats.total_energy_joules, stats.total_latency_ns)
 
 
 class TestSweepCompaction:
-    """Sweep passes are preserved; fold_sweep is the explicit escape."""
+    """Sweep passes fold like any other event; the profile refuses the
+    checkpoint that results."""
 
     def _sweep_ledger(self, dataset, compaction):
         array = CamArray(rows=dataset.n_segments,
@@ -187,70 +188,92 @@ class TestSweepCompaction:
         matcher.match_sweep(reads, np.arange(1, 9))
         return array.ledger
 
-    def test_sweep_passes_never_auto_fold(self, small_dataset_a):
+    def test_sweep_passes_auto_fold(self, small_dataset_a):
         ledger = self._sweep_ledger(small_dataset_a, compaction=1)
-        # Every sweep pass is still live — profile harvesting needs
-        # their per-event threshold coverage.
-        assert all(event.sweep for event in ledger.search_passes())
-        assert len(ledger.search_passes()) > 0
-        profile = profile_from_ledger(ledger, range(1, 9))
         plain = self._sweep_ledger(small_dataset_a, compaction=None)
-        assert profile == profile_from_ledger(plain, range(1, 9))
-        assert search_stats(ledger) == search_stats(plain)
+        assert ledger.n_folded > 0
+        assert len(ledger.search_passes()) <= 1
+        assert all(event.sweep for event in plain.search_passes())
+        _assert_views_identical(plain, ledger)
 
     def test_fold_sweep_folds_exactly_and_kills_harvesting(
             self, small_dataset_a):
-        ledger = self._sweep_ledger(small_dataset_a, compaction=1)
+        ledger = self._sweep_ledger(small_dataset_a, compaction=None)
         plain = self._sweep_ledger(small_dataset_a, compaction=None)
-        folded = ledger.compact(fold_sweep=True)
-        assert folded > 0
+        folded = ledger.compact()
+        assert folded == len(plain)
         assert not ledger.search_passes()
-        assert search_stats(ledger) == search_stats(plain)
-        with pytest.raises(ExperimentError):
+        _assert_views_identical(plain, ledger)
+        profile_from_ledger(plain, range(1, 9))  # the full events work
+        with pytest.raises(LedgerCompactionError, match="checkpoint"):
             profile_from_ledger(ledger, range(1, 9))
+
+    def test_profile_raises_on_any_checkpoint(self, small_dataset_a):
+        """Even a checkpoint that folded no sweep pass stops the
+        profile: the rule is about the checkpoint, not its contents."""
+        plain = self._sweep_ledger(small_dataset_a, compaction=None)
+        events = [_checkpoint(event_counts={"ReferenceLoad": 1},
+                              n_searches=0), *plain.search_passes()]
+        with pytest.raises(LedgerCompactionError):
+            profile_from_ledger(events, range(1, 9))
 
 
 class TestShardedCompaction:
-    """Sharded runs: per-shard and system-level views stay exact."""
+    """Sharded runs: per-shard and system-level views stay exact when
+    the shard ledgers are compacted between micro-batches."""
+
+    @staticmethod
+    def _compact_shards(pipeline) -> None:
+        for matcher in pipeline.matchers:
+            matcher.array.ledger.compact()
+        pipeline.ledger.compact()
 
     def test_sharded_run(self, small_dataset_a):
         reads = np.stack([r.read.codes for r in small_dataset_a.reads])
+        half = reads.shape[0] // 2
         pipelines = {}
         reports = {}
-        for compaction in (None, 2):
+        for compact in (False, True):
             pipeline = ShardedReadMappingPipeline(
                 small_dataset_a.segments, small_dataset_a.model,
                 n_shards=4, noisy=True, seed=0, chunk_size=7,
-                ledger_compaction=compaction,
             )
-            reports[compaction] = pipeline.run(reads, 3)
-            pipelines[compaction] = pipeline
-        compacted, plain = pipelines[2], pipelines[None]
-        assert any(m.array.ledger.n_folded > 0
+            with pipeline:
+                pipeline.run(reads[:half], 3)
+                if compact:
+                    self._compact_shards(pipeline)
+                reports[compact] = pipeline.run(reads[half:], 3,
+                                                first_read_index=half)
+            pipelines[compact] = pipeline
+        compacted, plain = pipelines[True], pipelines[False]
+        assert all(m.array.ledger.n_folded > 0
                    for m in compacted.matchers)
-        # Reports are bit-identical (per-read costs are captured in
-        # outcomes before any fold).
-        assert (reports[2].total_energy_joules
-                == reports[None].total_energy_joules)
-        assert (reports[2].total_latency_ns
-                == reports[None].total_latency_ns)
+        # Reports after a fold are bit-identical.
+        assert (reports[True].total_energy_joules
+                == reports[False].total_energy_joules)
+        assert (reports[True].total_latency_ns
+                == reports[False].total_latency_ns)
         # Per-shard ledger views are exact...
-        for ours, theirs in zip(compacted.matchers, plain.matchers, strict=True):
-            assert (search_stats(ours.array.ledger)
-                    == search_stats(theirs.array.ledger))
+        for ours, theirs in zip(compacted.matchers, plain.matchers,
+                                strict=True):
+            _assert_views_identical(theirs.array.ledger,
+                                    ours.array.ledger)
         # ...and so is the deterministic shard-ordered aggregation.
         assert compacted.merged_stats() == plain.merged_stats()
+        assert (compacted.ledger_observability()[0]
+                == plain.ledger_observability()[0])
 
     def test_merged_ledger_rejects_compacted_shards(self,
                                                     small_dataset_a):
         reads = np.stack([r.read.codes for r in small_dataset_a.reads])
-        pipeline = ShardedReadMappingPipeline(
-            small_dataset_a.segments, small_dataset_a.model, n_shards=2,
-            noisy=True, seed=0, chunk_size=7, ledger_compaction=2,
-        )
-        pipeline.run(reads, 3)
-        with pytest.raises(LedgerCompactionError):
-            pipeline.merged_ledger()
+        with ShardedReadMappingPipeline(
+                small_dataset_a.segments, small_dataset_a.model,
+                n_shards=2, noisy=True, seed=0,
+                chunk_size=7) as pipeline:
+            pipeline.run(reads, 3)
+            pipeline.matchers[1].array.ledger.compact()
+            with pytest.raises(LedgerCompactionError):
+                pipeline.merged_ledger()
 
     def test_merged_accepts_leading_compacted_ledger(self, rng):
         _, compacting = _twin_arrays(rng, compaction=2)
@@ -267,31 +290,22 @@ class TestCompactionRules:
     """The illegality rules and the bookkeeping surface."""
 
     def test_midstream_checkpoint_rejected_by_views(self):
-        checkpoint = CompactionCheckpoint(
-            n_folded=1, n_searches=1, n_rotation_cycles=0,
-            total_energy_joules=0.0, total_latency_ns=0.0,
-            component_totals=None, pass_summaries={},
-        )
-        events = [ReferenceLoad(n_segments=1, n_cells=8), checkpoint]
+        events = [ReferenceLoad(n_segments=1, n_cells=8), _checkpoint()]
         with pytest.raises(LedgerCompactionError):
             search_stats(events)
-        with pytest.raises(LedgerCompactionError):
-            component_energy_totals(events)
 
     def test_compact_refuses_midstream_checkpoint(self):
-        checkpoint = CompactionCheckpoint(
-            n_folded=1, n_searches=1, n_rotation_cycles=0,
-            total_energy_joules=0.0, total_latency_ns=0.0,
-            component_totals=None, pass_summaries={},
-        )
         ledger = CostLedger([ReferenceLoad(n_segments=1, n_cells=8),
-                             checkpoint])
+                             _checkpoint()])
         with pytest.raises(LedgerCompactionError):
             ledger.compact()
+        assert len(ledger) == 2  # nothing folded
 
     def test_invalid_bound_rejected(self):
-        with pytest.raises(LedgerCompactionError):
-            CostLedger(compaction=0)
+        for bound in (0, -1, 1.5, True, "3"):
+            with pytest.raises(LedgerCompactionError):
+                CostLedger(compaction=bound)
+        assert CostLedger(compaction=np.int64(3)).compaction == 3
 
     def test_clear_drops_checkpoint(self, rng):
         _, compacting = _twin_arrays(rng, compaction=1)
@@ -314,25 +328,47 @@ class TestCompactionRules:
                               folded_energy)
 
 
-class TestRandomisedFoldPoints:
-    """Property: any interleaving of searches and compact() calls
-    reads the same stats as the append-only ledger."""
+#: One step of a randomised ledger workload: the pass kind and whether
+#: ``compact()`` runs after it.
+_STEPS = st.tuples(st.sampled_from(("ed_star", "hamming", "rotation",
+                                    "sweep")),
+                   st.booleans())
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.booleans(), min_size=1, max_size=24),
+
+class TestRandomisedFoldPoints:
+    """Property: any interleaving of passes (sweep passes included),
+    automatic folds at any bound and manual ``compact()`` calls reads
+    the same ``search_stats`` and ``pass_counts()`` as the append-only
+    ledger, in both domains."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_STEPS, min_size=1, max_size=16),
+           st.sampled_from(("charge", "current")),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
            st.integers(min_value=0, max_value=2**31 - 1))
-    def test_stats_invariant_under_fold_points(self, fold_points, seed):
+    def test_stats_invariant_under_fold_points(self, steps, domain,
+                                               bound, seed):
         rng = np.random.default_rng(seed)
-        plain, compacting = _twin_arrays(rng, compaction=None)
-        compacting_manual = compacting  # manual compact() only
-        for i, fold_here in enumerate(fold_points):
-            query = rng.integers(0, 4, 24).astype(np.uint8)
-            for array in (plain, compacting_manual):
-                array.search_batch(query[None, :], 5, MatchMode.ED_STAR,
-                                   noise_keys=[(i, 0)])
+        plain, compacting = _twin_arrays(rng, domain, compaction=bound)
+        thresholds = np.arange(1, 6)
+        for i, (kind, fold_here) in enumerate(steps):
+            n = int(rng.integers(1, 4))
+            queries = rng.integers(0, 4, (n, 24)).astype(np.uint8)
+            keys = [(i, q) for q in range(n)]
+            for array in (plain, compacting):
+                if kind == "sweep":
+                    array.search_sweep(queries, thresholds,
+                                       noise_keys=keys)
+                elif kind == "rotation":
+                    array.search_batch(np.roll(queries, 1, axis=1), 5,
+                                       noise_keys=keys, rotation=-1)
+                else:
+                    mode = (MatchMode.ED_STAR if kind == "ed_star"
+                            else MatchMode.HAMMING)
+                    array.search_batch(queries, 5, mode, noise_keys=keys)
             if fold_here:
-                compacting_manual.ledger.compact()
-        assert (search_stats(compacting_manual.ledger)
-                == search_stats(plain.ledger))
-        assert (component_energy_totals(compacting_manual.ledger)
-                == component_energy_totals(plain.ledger))
+                compacting.ledger.compact()
+        _assert_views_identical(plain.ledger, compacting.ledger)
+        assert compacting.stats == plain.stats
+        if bound is not None:
+            assert len(compacting.ledger) <= bound + 1

@@ -123,11 +123,13 @@ class TestEndToEnd:
 
     def test_compacted_stream_poison_surfaces(self, checker,
                                               poison_plan):
+        # Every service compacts; this stream serves a stored reference.
         verdict = checker.check(
-            get_scenario("stream-batched-compact-gemm"),
+            get_scenario("store-batched-gemm"),
             poison_plan)
         assert verdict.ok
         assert verdict.verdict == "surfaced"
+        assert verdict.hygiene == ()
 
     def test_store_truncate_surfaces_as_refstore_error(self, checker):
         plan = FaultPlan.of(
@@ -172,7 +174,7 @@ class TestEndToEnd:
         assert verdict.fired == ()
 
     def test_verdicts_reproduce(self, checker, poison_plan):
-        scenario = get_scenario("stream-batched-compact-gemm")
+        scenario = get_scenario("stream-batched-gemm")
         first = checker.check(scenario, poison_plan)
         second = checker.check(scenario, poison_plan)
         assert first.describe() == second.describe()
@@ -187,19 +189,11 @@ class TestEndToEnd:
 
 
 class TestScenarioMatrix:
-    def test_matrix_covers_every_route_and_compaction(self):
+    def test_matrix_covers_every_route(self):
         from repro.kernels import available_backends
 
-        routes = [(s.route, s.compaction) for s in SCENARIOS]
-        assert sorted(routes, key=str) == sorted([
-            ("stream", None),
-            ("stream", 8),
-            ("store", None),
-            ("store", 8),
-            ("catalog", 8),
-            ("frontend", 8),
-            ("frontend", None),
-        ], key=str)
+        routes = [s.route for s in SCENARIOS]
+        assert sorted(routes) == ["catalog", "frontend", "store", "stream"]
         assert len({s.name for s in SCENARIOS}) == len(SCENARIOS)
         assert {s.backend for s in SCENARIOS} <= set(available_backends())
 
@@ -230,7 +224,7 @@ class TestScenarioMatrix:
         # raises the typed config error, not a bare ValueError.
         scenario = ChaosScenario(
             name="bogus", backend="numpy-gemm",
-            compaction=None, route="teleport", fault_kinds=(),
+            route="teleport", fault_kinds=(),
         )
         with pytest.raises(CamConfigError, match="unknown scenario route"):
             scenario.run()

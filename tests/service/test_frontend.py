@@ -56,11 +56,11 @@ def _assert_reports_identical(ours: MappingReport,
         assert a.outcome.n_searches == b.outcome.n_searches
 
 
-def _standalone(dataset, reads, *, seed, micro_batch, threshold,
-                compaction) -> MappingReport:
+def _standalone(dataset, reads, *, seed, micro_batch,
+                threshold) -> MappingReport:
     service = StreamingMappingService(
         dataset.segments, dataset.model, threshold=threshold,
-        micro_batch=micro_batch, seed=seed, compaction=compaction,
+        micro_batch=micro_batch, seed=seed,
     )
     service.submit_many(reads)
     return service.close()
@@ -96,12 +96,13 @@ def _gate_session(session) -> threading.Event:
 class TestSessionBitIdentity:
     """Concurrent sessions == standalone services, bit for bit."""
 
-    @pytest.mark.parametrize("compaction", [None, 4])
+    @pytest.mark.parametrize("pool_workers", [4, None])
     def test_threaded_sessions_match_standalone(self, small_dataset_a,
-                                                compaction):
+                                                pool_workers):
         """N client threads feed N sessions with randomized submission
         chunks, flushes and micro-batch sizes; every session must
-        reproduce its standalone twin exactly."""
+        reproduce its standalone twin exactly, on a pinned or an
+        autotuned pool."""
         reads = _reads(small_dataset_a)
         rng = np.random.default_rng(42)
         profiles = []
@@ -112,11 +113,11 @@ class TestSessionBitIdentity:
                 "threshold": THRESHOLD + index,
                 "chunk_seed": int(rng.integers(0, 2**31 - 1)),
             })
-        with _frontend(small_dataset_a, pool_workers=3) as frontend:
+        with _frontend(small_dataset_a,
+                       pool_workers=pool_workers) as frontend:
             sessions = [
                 frontend.session(threshold=p["threshold"], seed=p["seed"],
-                                 micro_batch=p["micro_batch"],
-                                 compaction=compaction)
+                                 micro_batch=p["micro_batch"])
                 for p in profiles
             ]
             errors = []
@@ -149,7 +150,6 @@ class TestSessionBitIdentity:
             reference = _standalone(
                 small_dataset_a, reads, seed=p["seed"],
                 micro_batch=p["micro_batch"], threshold=p["threshold"],
-                compaction=compaction,
             )
             _assert_reports_identical(result, reference)
 
@@ -171,21 +171,23 @@ class TestSessionBitIdentity:
         # ...and both equal the standalone service.
         reference = _standalone(small_dataset_a, reads,
                                 seed=0, micro_batch=4,
-                                threshold=THRESHOLD, compaction=64)
+                                threshold=THRESHOLD)
         _assert_reports_identical(ra, reference)
 
     def test_session_stats_match_standalone(self, small_dataset_a):
-        reads = _reads(small_dataset_a)
+        # One read per micro-batch, three passes over the reads: enough
+        # ledger events for the service bound to fold.
+        reads = np.concatenate([_reads(small_dataset_a)] * 3)
         with _frontend(small_dataset_a) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0,
-                                       micro_batch=6, compaction=2)
+                                       micro_batch=1)
             session.submit_many(reads)
             session.close()
             snap = session.stats()
             merged = session.merged_stats()
         standalone = StreamingMappingService(
             small_dataset_a.segments, small_dataset_a.model,
-            threshold=THRESHOLD, micro_batch=6, seed=0, compaction=2,
+            threshold=THRESHOLD, micro_batch=1, seed=0,
         )
         standalone.submit_many(reads)
         standalone.close()
@@ -215,8 +217,7 @@ class TestSharedEncoding:
             # never in the per-session ledgers.
             assert len(frontend.ledger.of_type(ReferenceLoad)) == 1
             for session in sessions:
-                for ledger in session.ledgers():
-                    assert not ledger.of_type(ReferenceLoad)
+                assert _reference_loads(session.pipeline.ledger) == 0
 
     def test_sessions_borrow_the_same_reference_objects(self,
                                                         small_dataset_a):
@@ -235,7 +236,7 @@ def _reference_loads(ledger) -> int:
     """ReferenceLoad events in a ledger, folded checkpoint included."""
     n = len(ledger.of_type(ReferenceLoad))
     if ledger.checkpoint is not None:
-        n += ledger.checkpoint.n_reference_loads
+        n += ledger.checkpoint.event_counts.get("ReferenceLoad", 0)
     return n
 
 
@@ -282,8 +283,7 @@ class TestFrontendSoak:
             assert frontend.encode_count() == 1
             assert _reference_loads(frontend.ledger) == 1
             for session in sessions:
-                for ledger in session.ledgers():
-                    assert _reference_loads(ledger) == 0
+                assert _reference_loads(session.pipeline.ledger) == 0
 
         services = [StreamingMappingService(
             dataset.segments, dataset.model, threshold=6, micro_batch=256,
@@ -293,8 +293,8 @@ class TestFrontendSoak:
         # Each standalone service pays its own encode.
         assert sum(service.pipeline.matcher.array.stored.n_encodes
                    for service in services) == self.N_SESSIONS
-        assert sum(_reference_loads(ledger) for service in services
-                   for ledger in service.ledgers()) == self.N_SESSIONS
+        assert sum(_reference_loads(service.pipeline.ledger)
+                   for service in services) == self.N_SESSIONS
         for result, reference in zip(results, references, strict=True):
             _assert_reports_identical(result, reference)
 
@@ -439,7 +439,7 @@ class TestLifecycle:
             with pytest.raises(CamConfigError):
                 frontend.session(threshold=THRESHOLD, micro_batch=0)
             with pytest.raises(CamConfigError):
-                frontend.session(threshold=THRESHOLD, compaction=0)
+                frontend.session(threshold=THRESHOLD, micro_batch=-2)
             with pytest.raises(CamConfigError):
                 frontend.session(threshold=THRESHOLD, backend="no-such")
         with pytest.raises(ServiceError):

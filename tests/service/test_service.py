@@ -5,7 +5,8 @@ micro-batch boundaries, any mix of ``submit`` / ``submit_many`` /
 ``flush`` calls — is **bit-identical** to one one-shot
 ``run_batched`` execution over the same reads with the same seed:
 per-read decisions, per-read costs, and the
-aggregate report.  Ledger compaction must not perturb any of it.
+aggregate report.  The service always compacts its ledger, and that
+must not perturb any of it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.arch.autotune import plan_microbatch
 from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.core.pipeline import MappingReport, ReadMappingPipeline
+from repro.cost.views import search_stats
 from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.genome.datasets import build_dataset
 from repro.service import (
@@ -34,15 +36,30 @@ def _reads(dataset) -> np.ndarray:
     return np.stack([record.read.codes for record in dataset.reads])
 
 
-def _one_shot_batched(dataset, reads, seed=0,
-                      threshold=THRESHOLD) -> MappingReport:
+def _pipeline(dataset, seed=0) -> ReadMappingPipeline:
+    """The one-shot engine: the service's, with an append-only ledger."""
     array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
                      domain="charge", noisy=True, seed=seed)
     array.store(dataset.segments)
-    pipeline = ReadMappingPipeline(
+    return ReadMappingPipeline(
         AsmCapMatcher(array, dataset.model, MatcherConfig(), seed=seed)
     )
-    return pipeline.run_batched(reads, threshold)
+
+
+def _one_shot_batched(dataset, reads, seed=0,
+                      threshold=THRESHOLD) -> MappingReport:
+    return _pipeline(dataset, seed).run_batched(reads, threshold)
+
+
+def _append_only_stream(dataset, reads, micro_batch, seed=0,
+                        threshold=THRESHOLD) -> ReadMappingPipeline:
+    """The service's micro-batches run one by one on an append-only
+    ledger: the uncompacted twin of a streamed session's ledger."""
+    pipeline = _pipeline(dataset, seed)
+    for begin in range(0, reads.shape[0], micro_batch):
+        pipeline.run_batched(reads[begin:begin + micro_batch], threshold,
+                             first_read_index=begin)
+    return pipeline
 
 
 def _assert_reports_identical(ours: MappingReport,
@@ -111,22 +128,20 @@ class TestStreamedBitIdentity:
         _assert_reports_identical(one_by_one.close(), bulk.close())
 
     def test_compaction_does_not_perturb_results(self, small_dataset_a):
-        reads = _reads(small_dataset_a)
-        reports = {}
-        services = {}
-        for compaction in (None, 2):
-            service = StreamingMappingService(
-                small_dataset_a.segments, small_dataset_a.model,
-                threshold=THRESHOLD, micro_batch=6, seed=0,
-                compaction=compaction,
-            )
-            service.submit_many(reads)
-            reports[compaction] = service.close()
-            services[compaction] = service
-        _assert_reports_identical(reports[2], reports[None])
-        assert (services[2].merged_stats()
-                == services[None].merged_stats())
-        assert services[2].stats().compactions > 0
+        # One read per micro-batch, three passes over the reads: enough
+        # ledger events for the service bound to fold.
+        reads = np.concatenate([_reads(small_dataset_a)] * 3)
+        service = StreamingMappingService(
+            small_dataset_a.segments, small_dataset_a.model,
+            threshold=THRESHOLD, micro_batch=1, seed=0,
+        )
+        service.submit_many(reads)
+        _assert_reports_identical(service.close(),
+                                  _one_shot_batched(small_dataset_a, reads))
+        plain = _append_only_stream(small_dataset_a, reads, micro_batch=1)
+        assert service.merged_stats() == search_stats(plain.ledger)
+        assert service.stats().pass_counts == plain.ledger.pass_counts()
+        assert service.stats().compactions > 0
 
 
 @pytest.mark.slow
@@ -136,18 +151,19 @@ class TestStreamSoak:
 
     N_READS = 100_000
     MICRO_BATCH = 512
-    COMPACTION = 8
     SAMPLE_EVERY = 16  # micro-batches between ledger samples
 
-    def _stream(self, dataset, reads, compaction):
+    def _batches(self, reads):
+        return enumerate(range(0, reads.shape[0], self.MICRO_BATCH))
+
+    def _stream(self, dataset, reads):
         """One streamed pass: ``(service, report, live-event samples)``."""
         service = StreamingMappingService(
             dataset.segments, dataset.model, threshold=6,
-            micro_batch=self.MICRO_BATCH, compaction=compaction, seed=0,
+            micro_batch=self.MICRO_BATCH, seed=0,
         )
         live = []
-        for batch, begin in enumerate(range(0, reads.shape[0],
-                                            self.MICRO_BATCH)):
+        for batch, begin in self._batches(reads):
             service.submit_many(reads[begin:begin + self.MICRO_BATCH])
             if (batch + 1) % self.SAMPLE_EVERY == 0:
                 live.append(service.stats().ledger_events_live)
@@ -155,34 +171,46 @@ class TestStreamSoak:
         live.append(service.stats().ledger_events_live)
         return service, report, live
 
+    def _append_only(self, dataset, reads):
+        """The same micro-batches on an append-only ledger:
+        ``(pipeline, live-event samples)``."""
+        pipeline = _pipeline(dataset)
+        live = []
+        for batch, begin in self._batches(reads):
+            pipeline.run_batched(reads[begin:begin + self.MICRO_BATCH], 6,
+                                 first_read_index=begin)
+            if (batch + 1) % self.SAMPLE_EVERY == 0:
+                live.append(len(pipeline.ledger))
+        live.append(len(pipeline.ledger))
+        return pipeline, live
+
     def test_compacted_ledger_plateaus_and_report_matches_one_shot(self):
         dataset = build_dataset("B", n_reads=self.N_READS, read_length=96,
                                 n_segments=32, seed=0)
         reads = _reads(dataset)
         compacted, compacted_report, compacted_live = self._stream(
-            dataset, reads, self.COMPACTION)
-        plain, plain_report, plain_live = self._stream(dataset, reads,
-                                                       None)
+            dataset, reads)
+        plain, plain_live = self._append_only(dataset, reads)
 
         # Bounded memory: the compacted ledger never holds more than
         # its bound plus the checkpoint and one unfolded micro-batch
         # of passes, while the append-only ledger grows with the feed.
         passes_per_batch = -(-plain_live[-1]
-                             // plain.stats().batches_dispatched)
+                             // compacted.stats().batches_dispatched)
         peak = max(compacted_live)
-        n_ledgers = len(compacted.ledgers())
-        assert peak <= n_ledgers * (self.COMPACTION + 1) \
+        assert peak <= DEFAULT_SERVICE_COMPACTION + 1 \
             + passes_per_batch + 1
         assert plain_live[-1] >= 2 * peak
         assert plain_live[-1] >= 1.5 * plain_live[len(plain_live) // 2 - 1]
         assert compacted.stats().compactions > 0
 
-        # Determinism: both streams == the one-shot run, and the
+        # Determinism: the stream == the one-shot run, and the
         # compacted views == the append-only views.
         reference = _one_shot_batched(dataset, reads, threshold=6)
         _assert_reports_identical(compacted_report, reference)
-        _assert_reports_identical(plain_report, reference)
-        assert compacted.merged_stats() == plain.merged_stats()
+        assert compacted.merged_stats() == search_stats(plain.ledger)
+        assert (compacted.stats().pass_counts
+                == plain.ledger.pass_counts())
 
 
 class TestLifecycle:
@@ -275,11 +303,11 @@ class TestLifecycle:
         _assert_reports_identical(service.close(), reference)
 
     def test_rejects_falsy_knobs(self, small_dataset_a):
-        """Regression: compaction=0 must fail at the service boundary
-        (the shared CamConfigError knob gate), not deep inside the
-        ledger layer."""
+        """Regression: a falsy knob must fail at the service boundary
+        (the shared CamConfigError knob gate), not deep inside a lower
+        layer."""
         with pytest.raises(CamConfigError):
-            self._service(small_dataset_a, compaction=0)
+            self._service(small_dataset_a, micro_batch=0)
         with pytest.raises(CamConfigError):
             self._service(small_dataset_a, micro_batch=-3)
         with pytest.raises(CamConfigError):
@@ -303,17 +331,18 @@ class TestLifecycle:
 
 class TestObservability:
     def test_stats_snapshot(self, small_dataset_a):
-        reads = _reads(small_dataset_a)
+        # Enough one-read micro-batches for the service bound to fold.
+        reads = np.concatenate([_reads(small_dataset_a)] * 3)
         service = StreamingMappingService(
             small_dataset_a.segments, small_dataset_a.model,
-            threshold=THRESHOLD, micro_batch=6, seed=0, compaction=2,
+            threshold=THRESHOLD, micro_batch=1, seed=0,
         )
         service.submit_many(reads)
         service.close()
         snap = service.stats()
         assert snap.reads_dispatched == reads.shape[0]
         assert snap.reads_in_flight == 0
-        assert snap.micro_batch == 6
+        assert snap.micro_batch == 1
         assert snap.reads_mapped == service.report.n_mapped
         assert snap.n_searches == service.merged_stats().n_searches
         assert snap.pass_counts.get("EdStarPass", 0) > 0
@@ -328,7 +357,7 @@ class TestObservability:
             small_dataset_a.segments, small_dataset_a.model,
             threshold=THRESHOLD, seed=0,
         )
-        assert (service.ledgers()[0].compaction
+        assert (service.pipeline.ledger.compaction
                 == DEFAULT_SERVICE_COMPACTION)
 
     def test_autotuned_micro_batch(self, small_dataset_a):

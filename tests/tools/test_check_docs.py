@@ -103,7 +103,7 @@ def test_signature_keywords_skip_comments_and_positionals():
 def test_signature_blocks_of_live_parameters_pass():
     text = _signature_blocks(
         "StreamingMappingService(segments, model, threshold,\n"
-        "                        micro_batch=None, compaction=64)")
+        "                        micro_batch=None, retain_mappings=True)")
     assert check_signatures(text) == []
 
 

@@ -3,8 +3,8 @@
 
 Fans ``--schedules`` generated :class:`~repro.faults.plan.FaultPlan`
 schedules across the :data:`~repro.faults.scenarios.SCENARIOS` chaos
-matrix (the batched engine on the stream / store / catalog / frontend
-routes, compaction on and off) and judges every run with the
+matrix (one scenario per route: the batched engine on the stream,
+store, catalog and frontend routes) and judges every run with the
 :class:`~repro.faults.checker.InvariantChecker` trichotomy: each
 injected fault must either **surface** as its documented typed error
 or be **tolerated** with results bit-identical to the fault-free
