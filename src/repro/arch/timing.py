@@ -37,7 +37,6 @@ class TimingModel:
     """Latency accounting for one accelerator flavour."""
 
     domain: str = "charge"
-    shift_cycle_ns: float = SHIFT_CYCLE_NS
 
     def __post_init__(self) -> None:
         if self.domain not in ("charge", "current"):
@@ -62,31 +61,3 @@ class TimingModel:
             "discharge": EDAM_DISCHARGE_NS,
             "sample_hold": EDAM_SAMPLE_HOLD_NS,
         }
-
-    def read_match_latency_ns(self, n_searches: int,
-                              rotation_cycles: int = 0) -> float:
-        """Array-level latency for matching one read.
-
-        ``n_searches`` counts every issued search (base + HD + rotated);
-        ``rotation_cycles`` counts single-base register shifts.
-        """
-        if n_searches <= 0:
-            raise ArchConfigError(
-                f"n_searches must be positive, got {n_searches}"
-            )
-        if rotation_cycles < 0:
-            raise ArchConfigError(
-                f"rotation_cycles must be non-negative, got {rotation_cycles}"
-            )
-        return (n_searches * self.search_cycle_ns
-                + rotation_cycles * self.shift_cycle_ns)
-
-    def throughput_reads_per_second(self, searches_per_read: float,
-                                    rotation_cycles_per_read: float = 0.0
-                                    ) -> float:
-        """Steady-state reads/s of one array issuing back-to-back searches."""
-        latency = (searches_per_read * self.search_cycle_ns
-                   + rotation_cycles_per_read * self.shift_cycle_ns)
-        if latency <= 0.0:
-            raise ArchConfigError("per-read latency must be positive")
-        return 1e9 / latency

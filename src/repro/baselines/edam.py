@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import constants
-from repro.cam.array import CamArray
+from repro.cam.array import CamArray, as_read_codes
 from repro.cam.cell import MatchMode
 from repro.core.matcher import (
     PASS_ED_STAR,
@@ -119,7 +119,7 @@ class EdamMatcher:
                        noise_keys=pass_keys(keys, PASS_ROTATION + offset
                                             if offset else PASS_ED_STAR),
                        precomputed_counts=pass_counts, rotation=offset)
-                for offset, pass_counts in zip(offsets, counts)]
+                for offset, pass_counts in zip(offsets, counts, strict=True)]
 
     def match(self, read: np.ndarray, threshold: int,
               query_key: "int | None" = None) -> EdamOutcome:
@@ -130,7 +130,7 @@ class EdamMatcher:
         decisions equal row ``q`` of any :meth:`match_sweep` call that
         keys that read ``query_key``.
         """
-        read = np.asarray(read, dtype=np.uint8)
+        read = as_read_codes(read)
         results = self._passes(read[None, :], threshold,
                                None if query_key is None else [query_key],
                                sweep=False)

@@ -1,12 +1,12 @@
 """Behavioural circuit models of the ML-CAM arrays.
 
-* :mod:`repro.cam.sram` — storage plane;
 * :mod:`repro.cam.cell` — single-cell comparison logic (Fig. 4(c));
 * :mod:`repro.cam.matchline` — charge/current-domain transfer functions;
 * :mod:`repro.cam.variation` — Monte-Carlo device variation (Sec. V-D);
 * :mod:`repro.cam.sense_amp` — threshold comparison;
 * :mod:`repro.cam.energy` — Eq. (1)/(2) energy and variance models;
-* :mod:`repro.cam.array` — the assembled M x N array.
+* :mod:`repro.cam.array` — the stored reference and the assembled
+  M x N array.
 """
 
 from repro.cam.array import (
@@ -25,7 +25,6 @@ from repro.cam.energy import (
 )
 from repro.cam.matchline import ChargeDomainMatchline, CurrentDomainMatchline
 from repro.cam.sense_amp import SenseAmplifier
-from repro.cam.sram import SramPlane
 from repro.cam.variation import ChargeDomainVariation, CurrentDomainVariation
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "StoredReference",
     "SweepSearchResult",
     "SenseAmplifier",
-    "SramPlane",
     "search_energy_eq1",
     "search_energy_per_row",
     "vml_variance_eq2",

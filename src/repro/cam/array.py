@@ -2,7 +2,7 @@
 
 :class:`CamArray` ties the pieces together:
 
-* an :class:`~repro.cam.sram.SramPlane` holding the reference segments;
+* a :class:`StoredReference` holding the reference segments;
 * vectorised cell logic (the ``O_L/O_C/O_R`` planes of
   :mod:`repro.distance.ed_star` — bit-exact with
   :class:`~repro.cam.cell.AsmCapCell`);
@@ -20,17 +20,17 @@ parameters.  A *search* compares a block of reads against every stored
 row in parallel.
 
 **Shared stored references.**  The expensive part of bringing an array
-up is writing the reference into the SRAM plane and encoding it for
-the batched kernel backends (:mod:`repro.kernels`); everything else an
-array owns (its noise-key prefix, the cost ledger) is cheap
-per-session state.  :class:`StoredReference` splits the two: it
-holds the stored segments plus the cached encoding (one pass builds
-every backend's cache) as an immutable, thread-safe
-value that **many arrays can share** — ``CamArray(stored=ref)`` borrows
-the reference without re-encoding or re-storing it, while keeping its
-own seed, noise prefix and ledger.  This is what lets a multi-session
-service front end (:mod:`repro.service.frontend`) encode the reference
-exactly once and serve N concurrent sessions over it.
+up is storing the reference and encoding it for the batched kernel
+backends (:mod:`repro.kernels`); everything else an array owns (its
+noise-key prefix, the cost ledger) is cheap per-session state.
+:class:`StoredReference` splits the two: it holds the stored segments
+plus their encoding (one pass builds every backend's cache) as an
+immutable, thread-safe value that **many arrays can share** —
+``CamArray(stored=ref)`` borrows the reference without re-encoding or
+re-storing it, while keeping its own seed, noise prefix and ledger.
+This is what lets a multi-session service front end
+(:mod:`repro.service.frontend`) encode the reference exactly once and
+serve N concurrent sessions over it.
 
 **One keyed search pass.**  Every search is one pass over a ``(B, N)``
 block of reads and a broadcast ``(T, B)`` threshold block — the
@@ -75,7 +75,6 @@ from repro import constants
 from repro.cam.cell import MatchMode
 from repro.cam.matchline import ChargeDomainMatchline, CurrentDomainMatchline
 from repro.cam.sense_amp import SenseAmplifier
-from repro.cam.sram import SramPlane
 from repro.cam.variation import ChargeDomainVariation, CurrentDomainVariation
 from repro.cam.keyed_noise import (
     NORMAL_BOUND,
@@ -93,6 +92,7 @@ from repro.cost.events import (
 from repro.cost.ledger import CostLedger
 from repro.cost.views import SearchStats, search_stats
 from repro.errors import CamConfigError, ThresholdError
+from repro.genome import alphabet
 from repro.kernels import (
     EncodedReference,
     KernelBackend,
@@ -100,7 +100,7 @@ from repro.kernels import (
     encode_reference,
     resolve_backend,
 )
-from repro.knobs import validate_service_knobs
+from repro.knobs import check_count, validate_service_knobs
 
 _DOMAINS = ("charge", "current")
 
@@ -115,24 +115,38 @@ _BAND_MARGIN = 1e-9
 
 
 def as_segments_matrix(segments: np.ndarray) -> np.ndarray:
-    """Validate and coerce a reference-segment matrix.
+    """Validate and coerce a reference-segment matrix, exactly.
 
     The one definition of "a storable reference" shared by every layer
     that accepts raw segments (arrays, pipelines, services, the
-    frontend): a non-empty 2-D uint8 ``(rows, N)`` matrix.
+    frontend): a non-empty 2-D ``(rows, N)`` integer matrix of 2-bit
+    codes (0..3), returned as uint8.  A non-integer dtype or a code
+    outside 0..3 raises :class:`~repro.errors.CamConfigError` instead
+    of being truncated or wrapped.
     """
     try:
-        segments = np.asarray(segments, dtype=np.uint8)
+        segments = np.asarray(segments)
     except (TypeError, ValueError) as exc:
         raise CamConfigError(
             f"segments must be a (rows, N) code matrix: {exc}"
         ) from exc
-    if segments.ndim != 2 or segments.shape[0] == 0:
+    if segments.ndim != 2 or segments.shape[0] == 0 \
+            or segments.shape[1] == 0:
         raise CamConfigError(
             f"segments must be a non-empty (rows, N) matrix, got "
             f"shape {segments.shape}"
         )
-    return segments
+    if not np.issubdtype(segments.dtype, np.integer):
+        raise CamConfigError(
+            f"segment codes must be integers, got dtype {segments.dtype}"
+        )
+    low, high = int(segments.min()), int(segments.max())
+    if low < 0 or high >= alphabet.ALPHABET_SIZE:
+        raise CamConfigError(
+            f"segment codes must be 2-bit (0..3), got values in "
+            f"[{low}, {high}]"
+        )
+    return segments.astype(np.uint8, copy=False)
 
 
 def as_read_codes(reads) -> np.ndarray:
@@ -267,76 +281,68 @@ class SweepSearchResult:
 class StoredReference:
     """The stored, encoded reference content of one CAM array.
 
-    The digital half of an array: an :class:`~repro.cam.sram.SramPlane`
-    holding the reference segments plus the cached
-    :class:`~repro.kernels.EncodedReference` (the float one-hot, built
-    in one pass) every kernel backend searches against.  Everything
-    here is a pure function of the stored segments — no noise, no RNG,
-    no ledger — so once *sealed* a ``StoredReference`` is an immutable,
-    thread-safe value that any number of :class:`CamArray` instances
-    can share (``CamArray(stored=ref)``): per-session arrays keep their
-    own seeds, noise prefixes and cost ledgers while the expensive
-    encode/store work happens exactly once.
+    The digital half of an array, as one immutable value: the stored
+    segments (what the two 6T SRAM cells per base of Fig. 4(c) hold),
+    their :class:`~repro.kernels.EncodedReference` (the float one-hot,
+    built in one pass) every kernel backend searches against, the row
+    capacity :attr:`rows` and :attr:`n_encodes`.  Everything here is a
+    pure function of the stored segments — no noise, no RNG, no ledger
+    — so a ``StoredReference`` is thread-safe by construction, and any
+    number of :class:`CamArray` instances can share it
+    (``CamArray(stored=ref)``): per-session arrays keep their own seeds,
+    noise prefixes and cost ledgers while the encode happens exactly
+    once.  Nothing mutates it: storing new segments builds a new
+    reference (:meth:`CamArray.store`).
 
-    Two lifecycles:
-
-    * **owned (mutable)** — every ``CamArray()`` constructed without
-      ``stored=`` creates its own private, unsealed reference;
-      :meth:`CamArray.store` rewrites it (invalidating the encoding
-      cache), preserving the pre-existing single-array semantics.
-    * **shared (sealed)** — :meth:`StoredReference.encode` stores and
-      eagerly encodes a segment matrix, then seals it: later
-      :meth:`store` calls raise and every cache is precomputed, so
-      concurrent readers never race on lazy initialisation.
-
+    Built by :meth:`encode` (validate and encode once) or by
+    :meth:`adopt_encoded` (the store open path, zero encodes).
     :attr:`n_encodes` counts encoding passes — the evidence
     ``tests/service/test_frontend.py`` uses to show a shared reference
     is encoded once, not once per session.
     """
 
-    def __init__(self, rows: int, cols: int):
-        self._plane = SramPlane(rows, cols)
-        self._encoded: "EncodedReference | None" = None
-        self._segments: "np.ndarray | None" = None
-        self._sealed = False
-        self._n_encodes = 0
+    def __init__(self, segments: np.ndarray, rows: "int | None" = None):
+        # A private copy: the encoding marks its arrays read-only, and
+        # the caller's matrix must stay theirs.
+        segments = as_segments_matrix(segments).copy()
+        if rows is None:
+            rows = segments.shape[0]
+        if segments.shape[0] > rows:
+            raise CamConfigError(
+                f"{segments.shape[0]} segments exceed {rows} rows"
+            )
+        self._encoded = encode_reference(segments)
+        self._rows = int(rows)
+        self._n_encodes = 1
 
     @classmethod
     def encode(cls, segments: np.ndarray,
                rows: "int | None" = None) -> "StoredReference":
-        """Store *segments*, encode them once, and seal the result.
+        """Validate *segments* and encode them once.
 
         Parameters
         ----------
         segments:
-            ``(n_rows, N)`` uint8 matrix of reference segments.
+            ``(n_rows, N)`` matrix of 2-bit reference codes.
         rows:
-            Plane row count (default: exactly ``n_rows``) — a larger
-            plane models a partially-filled bank.
+            Row capacity (default: exactly ``n_rows``) — a larger
+            capacity models a partially-filled bank.
         """
-        segments = as_segments_matrix(segments)
-        reference = cls(rows if rows is not None else segments.shape[0],
-                        segments.shape[1])
-        reference.store(segments)
-        reference.seal()
-        return reference
+        return cls(segments, rows)
 
     @classmethod
     def adopt_encoded(cls, encoded: EncodedReference) -> "StoredReference":
-        """A sealed reference *adopting* a pre-built encoding, zero-copy.
+        """A reference *adopting* a pre-built encoding, zero-copy.
 
-        The mmap-open path of :mod:`repro.refstore` and its zero-copy
-        shard slicing: the sealed value is rebuilt directly over the
-        payload views — the plane backs onto the segment matrix
-        (:meth:`~repro.cam.sram.SramPlane.from_stored`), the encoding
-        cache is pre-populated with the views, and **no encoding pass
-        runs** (:attr:`n_encodes` stays 0, the encode-once evidence).
+        The mmap-open path of :mod:`repro.refstore`: the value is
+        rebuilt directly over the payload views, the segment codes are
+        checked like any stored segments, and **no encoding pass runs**
+        (:attr:`n_encodes` stays 0, the encode-once evidence).
         """
+        as_segments_matrix(encoded.segments)
         reference = cls.__new__(cls)
-        reference._plane = SramPlane.from_stored(encoded.segments)
-        reference._segments = encoded.segments
         reference._encoded = encoded
-        reference._sealed = True
+        reference._rows = encoded.n_rows
         reference._n_encodes = 0
         return reference
 
@@ -344,117 +350,39 @@ class StoredReference:
 
     @property
     def rows(self) -> int:
-        return self._plane.rows
+        """Row capacity (at least :attr:`n_segments`)."""
+        return self._rows
 
     @property
     def cols(self) -> int:
-        return self._plane.cols
-
-    @property
-    def plane(self) -> SramPlane:
-        return self._plane
-
-    @property
-    def sealed(self) -> bool:
-        """Whether this reference is immutable (safe to share)."""
-        return self._sealed
+        return self._encoded.n_cells
 
     @property
     def n_segments(self) -> int:
-        """Stored (written) reference rows."""
-        return self._plane.n_written
+        """Stored reference rows."""
+        return self._encoded.n_rows
 
     @property
     def n_encodes(self) -> int:
-        """Encoding passes performed over this reference.
+        """Encoding passes performed over this reference: 1 when
+        encoded, 0 when adopted.
 
         One pass builds *every* backend's search cache (see
-        :func:`repro.kernels.encode_reference`), so a sealed shared
-        reference reports exactly 1 no matter how many sessions or
-        backends search it.
+        :func:`repro.kernels.encode_reference`), so a shared reference
+        reports 1 no matter how many sessions or backends search it.
         """
         return self._n_encodes
 
-    # -- lifecycle --------------------------------------------------------
-
-    def store(self, segments: np.ndarray) -> None:
-        """Write reference segments into the plane (row 0 upward).
-
-        Raises :class:`~repro.errors.CamConfigError` once sealed —
-        shared references are immutable by contract.
-        """
-        if self._sealed:
-            raise CamConfigError(
-                "this StoredReference is sealed (shared, immutable); "
-                "encode a new reference instead of mutating it"
-            )
-        segments = np.asarray(segments, dtype=np.uint8)
-        self._plane.write_all(segments)
-        self._encoded = None
-        self._segments = None
-
-    def seal(self) -> "StoredReference":
-        """Freeze the reference and precompute every search cache.
-
-        Eager precomputation is what makes a sealed reference
-        thread-safe: concurrent searches only ever *read* the caches.
-        """
-        if self._plane.n_written == 0:
-            raise CamConfigError("cannot seal an empty StoredReference")
-        if not self._sealed:
-            segments = self._plane.data[self._plane.written_mask]
-            segments.setflags(write=False)
-            self._segments = segments
-            self._sealed = True
-            self.encoded()
-        return self
-
     @property
     def segments(self) -> np.ndarray:
-        """The valid stored rows as an ``(n_written, N)`` matrix.
-
-        Sealed references return one cached read-only matrix; mutable
-        ones re-read the plane on every call (so direct plane
-        mutations, e.g. fault injection, stay visible).
-        """
-        if self._segments is not None:
-            return self._segments
-        return self._plane.data[self._plane.written_mask]
-
-    def _segments_for_search(self) -> np.ndarray:
-        segments = self.segments
-        if segments.shape[0] == 0:
-            raise CamConfigError("search issued against an empty array")
-        return segments
-
-    # -- digital count computation ---------------------------------------
+        """The stored rows as a read-only ``(n_segments, N)`` matrix."""
+        return self._encoded.segments
 
     def encoded(self) -> EncodedReference:
-        """Every backend's search cache, built in one encoding pass.
-
-        Sealed references build this once, in :meth:`seal`, before any
-        sharing begins (concurrent searches then only ever *read* it);
-        mutable references rebuild lazily after each :meth:`store`.
-        """
-        if self._encoded is None:
-            self._encoded = encode_reference(self._segments_for_search())
-            self._n_encodes += 1
+        """Every backend's search cache, built in one encoding pass."""
         return self._encoded
 
-    def stored_onehot(self) -> np.ndarray:
-        """``(M, N * 4)`` float32 one-hot of the stored rows (cached).
-
-        The GEMM lane's slice of :meth:`encoded`, kept as a named
-        accessor; float32 is exact here — every partial inner product
-        is an integer below 2**24.
-        """
-        return self.encoded().onehot
-
-    def counts(self, read: np.ndarray, mode: MatchMode,
-               backend: "str | KernelBackend | None" = None) -> np.ndarray:
-        """Digital per-row mismatch counts for one read."""
-        read = as_read_codes(read)
-        return self.counts_batch(read[None, :], mode, backend=backend)[0]
+    # -- digital count computation ---------------------------------------
 
     def counts_batch(self, queries: np.ndarray, mode: MatchMode,
                      backend: "str | KernelBackend | None" = None,
@@ -462,8 +390,7 @@ class StoredReference:
                      ) -> np.ndarray:
         """Digital ``(B, M)`` mismatch counts for a block of queries.
 
-        Bit-exact with :meth:`counts` applied per query — and
-        bit-exact across *backends*: the computation dispatches to a
+        Bit-exact across *backends*: the computation dispatches to a
         :mod:`repro.kernels` backend (default ``numpy-gemm``; arrays
         pass their resolved ``backend=`` knob), every one of which
         returns exactly equal integer counts.  Codes outside the DNA
@@ -475,9 +402,8 @@ class StoredReference:
         unrotated base pass) — the read loaded once and rotated in
         place by the shift registers (Fig. 4).
         """
-        self._segments_for_search()
         is_ed_star = mode is MatchMode.ED_STAR
-        return as_backend(backend).counts_batch(self.encoded(), queries,
+        return as_backend(backend).counts_batch(self._encoded, queries,
                                                 ed_star=is_ed_star,
                                                 rotations=rotations)
 
@@ -494,8 +420,7 @@ class StoredReference:
         still hold the read.  Bit-exact with two :meth:`counts_batch`
         calls, on any backend.
         """
-        self._segments_for_search()
-        return as_backend(backend).counts_batch_dual(self.encoded(),
+        return as_backend(backend).counts_batch_dual(self._encoded,
                                                      queries)
 
 
@@ -534,15 +459,13 @@ class CamArray:
         Every backend returns bit-identical counts, so the knob is
         purely a performance choice.
     stored:
-        A **sealed** :class:`StoredReference` to borrow instead of
-        owning a private storage plane.  The array's geometry comes
-        from the reference (``rows``/``cols`` are ignored), the
-        expensive store/encode work is *not* repeated, and
-        :meth:`store` is disabled — the reference is shared and
-        immutable.  All per-array state (seed, noise streams, ledger)
-        stays private, so N arrays over one reference draw
-        independent keyed noise exactly as N privately-stored arrays
-        with the same seeds would.
+        A :class:`StoredReference` to borrow instead of storing a
+        private one.  The array's geometry comes from the reference
+        (``rows``/``cols`` are ignored), the encode is *not* repeated,
+        and :meth:`store` is disabled — the reference is shared.  All
+        per-array state (seed, noise streams, ledger) stays private, so
+        N arrays over one reference draw independent keyed noise
+        exactly as N privately-stored arrays with the same seeds would.
     """
 
     def __init__(self, rows: int = constants.ARRAY_ROWS,
@@ -564,18 +487,13 @@ class CamArray:
         self._backend = resolve_backend(backend)
         self._domain = domain
         if stored is not None:
-            if not stored.sealed:
-                raise CamConfigError(
-                    "a shared StoredReference must be sealed before "
-                    "arrays can borrow it (StoredReference.encode does "
-                    "both)"
-                )
-            self._stored = stored
-            self._shares_stored = True
-            cols = stored.cols
+            rows, cols = stored.rows, stored.cols
         else:
-            self._stored = StoredReference(rows, cols)
-            self._shares_stored = False
+            check_count("rows", rows)
+            check_count("cols", cols)
+        self._rows, self._cols = int(rows), int(cols)
+        self._stored = stored
+        self._shares_stored = stored is not None
         self._noisy = noisy
         self._seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._noise_prefix = fold_key((self._seed, _NOISE_STREAM_TAG))
@@ -605,24 +523,25 @@ class CamArray:
 
     @property
     def rows(self) -> int:
-        return self._stored.rows
+        return self._rows
 
     @property
     def cols(self) -> int:
-        return self._stored.cols
+        return self._cols
 
     @property
     def domain(self) -> str:
         return self._domain
 
     @property
-    def stored(self) -> StoredReference:
-        """The stored-reference state (owned, or shared when sealed)."""
+    def stored(self) -> "StoredReference | None":
+        """The stored reference (owned or borrowed); ``None`` before
+        the first :meth:`store`."""
         return self._stored
 
     @property
     def shares_stored_reference(self) -> bool:
-        """True when this array borrows a shared, sealed reference."""
+        """True when this array borrows a shared reference."""
         return self._shares_stored
 
     @property
@@ -637,10 +556,6 @@ class CamArray:
     @property
     def search_time_ns(self) -> float:
         return self._search_time_ns
-
-    @property
-    def plane(self) -> SramPlane:
-        return self._stored.plane
 
     @property
     def sense_amp(self) -> SenseAmplifier:
@@ -663,31 +578,32 @@ class CamArray:
     # -- data path --------------------------------------------------------
 
     def store(self, segments: np.ndarray) -> None:
-        """Write reference segments into the rows (row 0 upward).
+        """Store reference segments in rows 0 upward, replacing any
+        earlier content, and encode them once.
 
         Disabled on arrays that borrow a shared
-        :class:`StoredReference` — the reference is sealed by contract;
-        build a new one with :meth:`StoredReference.encode` instead.
+        :class:`StoredReference`; build a new one with
+        :meth:`StoredReference.encode` instead.
         """
         if self._shares_stored:
             raise CamConfigError(
-                "this array borrows a shared, sealed StoredReference; "
-                "store() would mutate every session sharing it"
+                "this array borrows a shared StoredReference; store() "
+                "would change what every session sharing it searches"
             )
-        segments = np.asarray(segments, dtype=np.uint8)
-        self._stored.store(segments)
+        reference = StoredReference(segments, rows=self._rows)
+        if reference.cols != self._cols:
+            raise CamConfigError(
+                f"segments shape {reference.segments.shape} does not fit "
+                f"array {self._rows}x{self._cols}"
+            )
+        self._stored = reference
         self.ledger.record(ReferenceLoad(
-            n_segments=int(segments.shape[0]), n_cells=self.cols,
+            n_segments=reference.n_segments, n_cells=self._cols,
         ))
 
     def stored_segments(self) -> np.ndarray:
-        """The valid stored rows as an ``(n_written, N)`` matrix."""
-        return self._stored.segments
-
-    def mismatch_counts(self, read: np.ndarray, mode: MatchMode) -> np.ndarray:
-        """Digital per-row mismatch counts for *read* (no analog path)."""
-        read = self._check_read(read)
-        return self._stored.counts(read, mode, backend=self._backend)
+        """The stored rows as a read-only ``(n_segments, N)`` matrix."""
+        return self._reference().segments
 
     def mismatch_counts_batch(self, queries: np.ndarray,
                               mode: MatchMode,
@@ -695,17 +611,16 @@ class CamArray:
                               ) -> np.ndarray:
         """Digital ``(B, M)`` mismatch counts for a block of queries.
 
-        Bit-exact with :meth:`mismatch_counts` applied per query; the
-        computation dispatches to the array's resolved kernel backend
-        on :class:`StoredReference` (bit-identical whichever backend
-        runs).  With ``rotations``, the ``(R, B, M)`` counts of every
-        rotated pass from one encode (see
+        The computation dispatches to the array's resolved kernel
+        backend on :class:`StoredReference` (bit-identical whichever
+        backend runs).  With ``rotations``, the ``(R, B, M)`` counts of
+        every rotated pass from one encode (see
         :meth:`StoredReference.counts_batch`).
         """
         queries = self._check_queries(queries)
-        return self._stored.counts_batch(queries, mode,
-                                         backend=self._backend,
-                                         rotations=rotations)
+        return self._reference().counts_batch(queries, mode,
+                                              backend=self._backend,
+                                              rotations=rotations)
 
     def mismatch_counts_batch_dual(
             self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -715,8 +630,8 @@ class CamArray:
         :meth:`StoredReference.counts_batch_dual`.
         """
         queries = self._check_queries(queries)
-        return self._stored.counts_batch_dual(queries,
-                                              backend=self._backend)
+        return self._reference().counts_batch_dual(queries,
+                                                   backend=self._backend)
 
     def _emit_pass(self, counts: np.ndarray, thresholds: np.ndarray,
                    mode: MatchMode, sweep: bool,
@@ -875,13 +790,10 @@ class CamArray:
 
     # -- internals ----------------------------------------------------------
 
-    def _check_read(self, read: np.ndarray) -> np.ndarray:
-        read = as_read_codes(read)
-        if read.shape != (self.cols,):
-            raise CamConfigError(
-                f"read shape {read.shape} does not fit array width {self.cols}"
-            )
-        return read
+    def _reference(self) -> StoredReference:
+        if self._stored is None:
+            raise CamConfigError("search issued against an empty array")
+        return self._stored
 
     def _check_queries(self, queries: np.ndarray) -> np.ndarray:
         queries = as_read_codes(queries)

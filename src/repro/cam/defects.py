@@ -3,18 +3,16 @@
 Manufacturing defects and wear leave CAM arrays with broken elements;
 an accelerator deployed for "task-intensive but accuracy-insensitive"
 screening (Section V-E) must degrade gracefully rather than fail.  The
-models here inject the three defect classes that matter to a search
-array, as post-processing on a :class:`~repro.cam.array.CamArray`
-search result or its stored data:
+models here inject the two row defect classes that matter to a
+search array, as post-processing on a
+:class:`~repro.cam.array.CamArray` search result:
 
 * **stuck rows** — a matchline shorted high or low: the row always or
   never reports 'match' regardless of data;
 * **dead sense amplifiers** — the row's comparator output is frozen at
-  its last value; modelled as stuck-mismatch (conservative);
-* **storage bit flips** — delegated to
-  :meth:`repro.cam.sram.SramPlane.inject_bit_flips`.
+  its last value; modelled as stuck-mismatch (conservative).
 
-:class:`DefectModel` wraps an array and applies row defects to every
+:class:`DefectiveArray` wraps an array and applies row defects to every
 search result, so experiments can sweep defect density and measure the
 F1 cliff.
 """

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cam.array import CamArray
+from repro.cam.array import CamArray, as_read_codes, as_segments_matrix
 from repro.cam.cell import MatchMode
 from repro.errors import CamConfigError, ThresholdError
 
@@ -79,9 +79,7 @@ class FragmentedMatcher:
 
     def __init__(self, array: CamArray, segments: np.ndarray,
                  min_fragment_matches: int = 1):
-        segments = np.asarray(segments, dtype=np.uint8)
-        if segments.ndim != 2:
-            raise CamConfigError("segments must be a 2-D matrix")
+        segments = as_segments_matrix(segments)
         n_segments, total_len = segments.shape
         width = array.cols
         if total_len % width != 0:
@@ -90,8 +88,6 @@ class FragmentedMatcher:
                 f"array width {width}"
             )
         n_fragments = total_len // width
-        if n_fragments < 1:
-            raise CamConfigError("segments shorter than one fragment")
         if n_segments * n_fragments > array.rows:
             raise CamConfigError(
                 f"{n_segments} segments x {n_fragments} fragments exceed "
@@ -135,7 +131,7 @@ class FragmentedMatcher:
     def match(self, read: np.ndarray, threshold: int,
               mode: MatchMode = MatchMode.ED_STAR) -> FragmentOutcome:
         """Match one long read at read-level threshold ``T``."""
-        read = np.asarray(read, dtype=np.uint8)
+        read = as_read_codes(read)
         if read.shape != (self.read_length,):
             raise CamConfigError(
                 f"read shape {read.shape} != expected ({self.read_length},)"

@@ -51,7 +51,7 @@ class EncodedReference:
 
     An immutable value the backends compute *against*: the raw stored
     segments (the boolean fallback's input) and the float32 one-hot the
-    GEMM lane multiplies.  Building them together is what lets a sealed
+    GEMM lane multiplies.  Building them together is what lets a
     :class:`repro.cam.array.StoredReference` stay thread-safe and
     encoded exactly once while any backend serves any session.
     """

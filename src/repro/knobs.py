@@ -66,7 +66,7 @@ def validate_reference_source(segments, *,
     """Reject inconsistent ``(segments, catalog)`` constructor pairings.
 
     The service layer accepts three reference sources in the
-    ``segments`` position: a raw segment matrix, a sealed
+    ``segments`` position: a raw segment matrix, a
     :class:`~repro.cam.array.StoredReference` (e.g. from
     :func:`repro.refstore.open_stored_reference`), or — with
     ``catalog=`` — a reference *name* to borrow from a
@@ -75,14 +75,8 @@ def validate_reference_source(segments, *,
     :class:`~repro.errors.CamConfigError`:
 
     * ``catalog=`` given → ``segments`` must be a name string;
-    * a name string without ``catalog=`` is meaningless;
-    * a passed-in stored reference must be sealed (an unsealed one
-      still accepts stores, and sessions must never race them).
+    * a name string without ``catalog=`` is meaningless.
     """
-    # Function-level import: cam.array imports this module's sibling
-    # gate, so the reference type cannot be imported at module level.
-    from repro.cam.array import StoredReference
-
     if catalog is not None and not isinstance(segments, str):
         raise CamConfigError(
             f"with catalog=, pass the reference name (a str) in "
@@ -91,11 +85,5 @@ def validate_reference_source(segments, *,
     if catalog is None and isinstance(segments, str):
         raise CamConfigError(
             f"a reference name ({segments!r}) needs catalog=; without "
-            f"one, pass a segment matrix or a sealed StoredReference"
-        )
-    if isinstance(segments, StoredReference) and not segments.sealed:
-        raise CamConfigError(
-            "a StoredReference passed to the service layer must be "
-            "sealed (StoredReference.encode(...) seals; adopted "
-            "references are born sealed)"
+            f"one, pass a segment matrix or a StoredReference"
         )

@@ -2,7 +2,7 @@
 
 Encode a reference once, :func:`save_stored_reference` it, and every
 later service boot :func:`open_stored_reference`-s the file back as a
-sealed zero-copy :class:`~repro.cam.array.StoredReference` via
+zero-copy :class:`~repro.cam.array.StoredReference` via
 ``mmap`` — no encoding pass (``n_encodes`` stays 0), page-cache
 shared across processes, every open guarded by a
 magic/version/CRC32 ladder (the container codec,

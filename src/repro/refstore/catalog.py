@@ -104,7 +104,7 @@ class ReferenceLease:
 
     @property
     def reference(self) -> StoredReference:
-        """The sealed mapped reference (invalid once the lease closes)."""
+        """The mapped reference (invalid once the lease closes)."""
         if self._catalog is None:
             raise RefStoreError(
                 f"lease on reference {self._name!r} has been closed"

@@ -1,7 +1,7 @@
 """The on-disk stored-reference container: save once, mmap forever.
 
 :func:`save_stored_reference` writes the full
-:class:`~repro.kernels.EncodedReference` payload of a sealed
+:class:`~repro.kernels.EncodedReference` payload of a
 :class:`~repro.cam.array.StoredReference` (raw segments and float
 one-hot) into one versioned, CRC32-checksummed file;
 :func:`open_stored_reference` maps it back **read-only via**
@@ -59,23 +59,16 @@ REFSTORE_VERSION = 2
 
 
 def save_stored_reference(path, reference: StoredReference) -> int:
-    """Write a sealed reference's full encoded payload to *path*.
+    """Write a stored reference's full encoded payload to *path*.
 
     One encode, ever: the bytes written are exactly the arrays of
     ``reference.encoded()``, so every later
     :func:`open_stored_reference` skips the encoding pass entirely.
     The write is atomic (temp file + ``os.replace``) — a crashed or
     concurrent writer can never leave a half-written file behind the
-    final name.  Returns the file size in bytes.  Requires a
-    **sealed** reference (the payload must be immutable once other
-    processes can map it); raises
-    :class:`~repro.errors.RefStoreError` otherwise.
+    final name.  Returns the file size in bytes; a failed write
+    raises :class:`~repro.errors.RefStoreError`.
     """
-    if not reference.sealed:
-        raise RefStoreError(
-            "only a sealed StoredReference can be saved to a store "
-            "file (seal() or StoredReference.encode(...) first)"
-        )
     path = os.fspath(path)
     arrays = encoded_reference_arrays(reference.encoded())
     layout = plan_layout(arrays)
@@ -107,7 +100,7 @@ def save_stored_reference(path, reference: StoredReference) -> int:
 class MappedReference:
     """Owner of one read-only mmap of a stored-reference file.
 
-    :attr:`reference` is a sealed
+    :attr:`reference` is a
     :class:`~repro.cam.array.StoredReference` whose arrays are
     zero-copy views over the mapping; this owner keeps the mapping
     alive and :meth:`close` drops it (the views die with it — only
@@ -164,11 +157,11 @@ class MappedReference:
 
 
 def open_stored_reference(path: "str | os.PathLike") -> MappedReference:
-    """Map a store file back into a sealed stored reference, zero-copy.
+    """Map a store file back into a stored reference, zero-copy.
 
     Validates the versioned header (magic, version, size, meta CRC32,
     payload CRC32) before building any view; every payload array is a
-    read-only view over the read-only mapping, and the sealed
+    read-only view over the read-only mapping, and the
     reference is rebuilt without an encoding pass
     (:meth:`~repro.cam.array.StoredReference.adopt_encoded` —
     ``n_encodes`` stays 0).  Raises

@@ -1,6 +1,6 @@
 """The container codec of the on-disk reference store.
 
-A sealed :class:`~repro.cam.array.StoredReference` payload crosses the
+A :class:`~repro.cam.array.StoredReference` payload crosses the
 boot boundary in the store files of :mod:`repro.refstore.format`, and
 this module is the single definition of their layout::
 

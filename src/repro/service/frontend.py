@@ -8,9 +8,9 @@ arrays — serves an entire read workload.  The standalone
 :class:`MappingFrontend` adds the *client* axis:
 
 * **encode once** — the reference is resolved exactly once into a
-  sealed, immutable :class:`~repro.cam.array.StoredReference` shared
+  immutable :class:`~repro.cam.array.StoredReference` shared
   by every session.  It may be a segment matrix (encoded here),
-  a sealed stored reference, or — with a catalog — a reference name
+  a stored reference, or — with a catalog — a reference name
   per session (both adopted with zero encode passes);
 * **many sessions** — :meth:`MappingFrontend.session` opens an
   independent :class:`~repro.service.session.MappingSession`: its own
@@ -69,7 +69,7 @@ __all__ = ["MappingFrontend", "MappingSession"]
 class _RefState:
     """One resolved reference source, shared by every session over it.
 
-    ``reference`` is the sealed reference every session borrows (the
+    ``reference`` is the reference every session borrows (the
     encode of a segment matrix, else the adopted reference itself);
     ``lease`` pins a catalog reference for the frontend's lifetime.
     """
@@ -86,7 +86,7 @@ class MappingFrontend:
     segments:
         The shared reference: a ``(n_rows, N)`` uint8 segment matrix —
         encoded and stored **once**, at construction, for every
-        session — or a **sealed**
+        session — or a
         :class:`~repro.cam.array.StoredReference`, adopted with zero
         encode passes.  Must be ``None`` when ``catalog=`` is given: a
         catalog frontend encodes *nothing*; each session names the
@@ -227,7 +227,7 @@ class MappingFrontend:
 
     @property
     def stored_references(self) -> "tuple[StoredReference, ...]":
-        """The shared, sealed references — on a catalog frontend, every
+        """The shared references — on a catalog frontend, every
         reference opened so far (open order)."""
         with self._ref_lock:
             return tuple(state.reference
@@ -254,7 +254,7 @@ class MappingFrontend:
     def _resolve(self, source, lease=None) -> _RefState:
         """Resolve one reference source into the shared reference, once.
 
-        A segment matrix is encoded; a sealed reference — the caller's,
+        A segment matrix is encoded; a stored reference — the caller's,
         or a catalog *lease*'s — is adopted as is.
         """
         if not isinstance(source, StoredReference):

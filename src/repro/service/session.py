@@ -130,7 +130,7 @@ def build_pipeline(reference, error_model, config, *, seed: int,
                    noisy: bool) -> ReadMappingPipeline:
     """The service layer's one engine construction.
 
-    *reference* is either a sealed
+    *reference* is either a
     :class:`~repro.cam.array.StoredReference` the engine borrows with
     zero encode passes, or a segment matrix, encoded here into the
     engine's own array (``CamArray.store``).  The array and the matcher

@@ -85,7 +85,7 @@ class StreamingMappingService(MappingSession):
     ----------
     segments:
         The reference, in one of three forms: a ``(n_rows, N)`` uint8
-        segment matrix (encoded here, once); a **sealed**
+        segment matrix (encoded here, once); a
         :class:`~repro.cam.array.StoredReference` — e.g. from
         :func:`repro.refstore.open_stored_reference` — whose encoding
         is reused with **zero** further encode passes; or, with

@@ -40,31 +40,6 @@ class TestSearchCycle:
 
 
 class TestReadLatency:
-    def test_single_search(self):
-        model = TimingModel("charge")
-        assert model.read_match_latency_ns(1) == pytest.approx(0.9)
-
-    def test_hdac_adds_one_cycle(self):
-        model = TimingModel("charge")
-        assert model.read_match_latency_ns(2) == pytest.approx(1.8)
-
-    def test_rotations_add_shift_cycles(self):
-        model = TimingModel("charge")
-        with_rotation = model.read_match_latency_ns(5, rotation_cycles=6)
-        assert with_rotation == pytest.approx(5 * 0.9 + 6 * model.shift_cycle_ns)
-
-    def test_invalid_inputs(self):
-        model = TimingModel("charge")
-        with pytest.raises(ArchConfigError):
-            model.read_match_latency_ns(0)
-        with pytest.raises(ArchConfigError):
-            model.read_match_latency_ns(1, rotation_cycles=-1)
-
-    def test_throughput(self):
-        model = TimingModel("charge")
-        assert model.throughput_reads_per_second(1.0) == \
-            pytest.approx(1e9 / 0.9)
-
     def test_speed_ratio_matches_paper(self):
         """Table I: EDAM search is ~2.6-2.7x slower."""
         ratio = (TimingModel("current").search_cycle_ns

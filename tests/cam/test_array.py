@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cam.array import CamArray, StoredReference
 from repro.cam.cell import MatchMode
+from repro.cost.events import ReferenceLoad
 from repro.distance.ed_star import ed_star_batch
 from repro.distance.hamming import hamming_distance_batch
 from repro.errors import CamConfigError, ThresholdError
+from repro.kernels import EncodedReference, KernelBackend, encode_reference
 
 
 def search_one(array, read, threshold, mode=MatchMode.ED_STAR, **kwargs):
@@ -17,6 +21,11 @@ def search_one(array, read, threshold, mode=MatchMode.ED_STAR, **kwargs):
     result = array.search_batch(np.asarray(read)[None, :], threshold, mode,
                                 **kwargs)
     return result.matches[0], result.mismatch_counts[0], result.v_ml[0]
+
+
+def counts_one(array, read, mode):
+    """Digital counts of one read, as a one-row block."""
+    return array.mismatch_counts_batch(np.asarray(read)[None, :], mode)[0]
 
 
 @pytest.fixture
@@ -57,13 +66,13 @@ class TestDigitalCounts:
     def test_ed_star_counts_match_kernel(self, charge_array,
                                          stored_segments, rng):
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        counts = charge_array.mismatch_counts(read, MatchMode.ED_STAR)
+        counts = counts_one(charge_array, read, MatchMode.ED_STAR)
         assert np.array_equal(counts, ed_star_batch(stored_segments, read))
 
     def test_hamming_counts_match_kernel(self, charge_array,
                                          stored_segments, rng):
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        counts = charge_array.mismatch_counts(read, MatchMode.HAMMING)
+        counts = counts_one(charge_array, read, MatchMode.HAMMING)
         assert np.array_equal(counts,
                               hamming_distance_batch(stored_segments, read))
 
@@ -141,7 +150,7 @@ class TestNoisySearch:
         for i in (50, 100, 150, 200):
             read[i] = (read[i] + 2) % 4
         from repro.cam.cell import MatchMode
-        boundary = int(array.mismatch_counts(read, MatchMode.ED_STAR)[0])
+        boundary = int(counts_one(array, read, MatchMode.ED_STAR)[0])
         assert boundary >= 1
         # One trial per noise key: 400 keyed copies of the same read.
         trials = 400
@@ -181,7 +190,7 @@ class TestBatchSearch:
             counts = charge_array.mismatch_counts_batch(reads, mode)
             for q in range(9):
                 assert np.array_equal(
-                    counts[q], charge_array.mismatch_counts(reads[q], mode)
+                    counts[q], counts_one(charge_array, reads[q], mode)
                 )
 
     def test_dual_counts_match_single_mode(self, charge_array, rng):
@@ -268,7 +277,7 @@ class TestBatchSearch:
         for q in range(5):
             assert np.array_equal(
                 counts[q],
-                charge_array.mismatch_counts(reads[q], MatchMode.ED_STAR),
+                counts_one(charge_array, reads[q], MatchMode.ED_STAR),
             )
 
 
@@ -295,27 +304,55 @@ class TestRotatedSearch:
 class TestStoredReference:
     """The shareable stored-segment/encoding split behind CamArray."""
 
-    def test_encode_seals_and_precomputes(self, stored_segments):
+    def test_encode_validates_and_encodes_once(self, stored_segments):
         ref = StoredReference.encode(stored_segments)
-        assert ref.sealed
         assert ref.rows == 16 and ref.cols == 32
         assert ref.n_segments == 16
-        # Encoded exactly once, eagerly, at seal time.
+        # Encoded exactly once, eagerly, at construction.
         assert ref.n_encodes == 1
         assert np.array_equal(ref.segments, stored_segments)
-        with pytest.raises(CamConfigError):
-            ref.store(stored_segments)
-        # The shared caches are read-only.
-        with pytest.raises(ValueError):
-            ref.segments[0, 0] = 1
-        with pytest.raises(ValueError):
-            ref.stored_onehot()[0, 0] = 0.5
+        assert ref.encoded().segments is ref.segments
+        # The caller's matrix is copied, not frozen.
+        assert stored_segments.flags.writeable
+        partial = StoredReference.encode(stored_segments[:5], rows=16)
+        assert partial.rows == 16 and partial.n_segments == 5
 
-    def test_encode_rejects_bad_segments(self):
+    def test_encode_rejects_bad_segments(self, stored_segments):
         with pytest.raises(CamConfigError):
             StoredReference.encode(np.zeros((0, 8), dtype=np.uint8))
         with pytest.raises(CamConfigError):
-            StoredReference(4, 8).seal()  # empty plane
+            StoredReference.encode(np.zeros((4, 0), dtype=np.uint8))
+        with pytest.raises(CamConfigError, match="exceed"):
+            StoredReference.encode(stored_segments, rows=15)
+        with pytest.raises(CamConfigError, match="2-bit"):
+            StoredReference.encode(np.full((2, 8), 4, dtype=np.uint8))
+
+    @pytest.mark.parametrize("build", ["encode", "adopt_encoded",
+                                       "CamArray.store"])
+    def test_stored_content_is_read_only(self, stored_segments, build):
+        if build == "encode":
+            ref = StoredReference.encode(stored_segments)
+        elif build == "adopt_encoded":
+            ref = StoredReference.adopt_encoded(
+                encode_reference(stored_segments.copy()))
+            assert ref.n_encodes == 0
+        else:
+            array = CamArray(rows=16, cols=32)
+            array.store(stored_segments)
+            ref = array.stored
+            assert ref.n_encodes == 1
+        with pytest.raises(ValueError):
+            ref.segments[0, 0] = 1
+        with pytest.raises(ValueError):
+            ref.encoded().onehot[0, 0] = 0.5
+
+    def test_adopted_encoding_is_checked(self):
+        bad = encode_reference(np.zeros((2, 8), dtype=np.uint8))
+        codes = bad.segments.copy()
+        codes[0, 0] = 7
+        with pytest.raises(CamConfigError, match="2-bit"):
+            StoredReference.adopt_encoded(EncodedReference(
+                segments=codes, onehot=bad.onehot))
 
     def test_borrowing_arrays_share_without_reencoding(
             self, stored_segments, rng):
@@ -335,13 +372,9 @@ class TestStoredReference:
         with pytest.raises(CamConfigError):
             arrays[0].store(stored_segments)
 
-    def test_unsealed_reference_cannot_be_borrowed(self):
-        with pytest.raises(CamConfigError):
-            CamArray(stored=StoredReference(4, 8))
-
     def test_shared_array_bit_identical_to_private(
             self, stored_segments, rng):
-        """An array borrowing a sealed reference makes the same keyed
+        """An array borrowing a shared reference makes the same keyed
         decisions as one that privately stored the same segments with
         the same seed (the session bit-identity anchor)."""
         private = CamArray(rows=16, cols=32, domain="charge", noisy=True,
@@ -372,3 +405,45 @@ class TestStoredReference:
         # Different seeds -> different keyed noise over the same counts.
         assert np.array_equal(ra.mismatch_counts, rb.mismatch_counts)
         assert not np.array_equal(ra.v_ml, rb.v_ml)
+
+
+class TestStoreSequence:
+    """Each ``store`` replaces the array's whole content: after any
+    sequence of stores, growing or shrinking within the capacity, the
+    array holds, searches and records exactly the latest segments."""
+
+    ROWS, COLS = 8, 12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           sizes=st.lists(st.integers(1, ROWS), min_size=1, max_size=5))
+    @example(seed=0, sizes=[8, 4])
+    def test_latest_store_is_what_is_searched(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        array = CamArray(rows=self.ROWS, cols=self.COLS, noisy=False)
+        queries = rng.integers(0, 4, (3, self.COLS)).astype(np.uint8)
+        for n_rows in sizes:
+            segments = rng.integers(0, 4, (n_rows, self.COLS)).astype(
+                np.uint8)
+            array.store(segments)
+            assert np.array_equal(array.stored_segments(), segments)
+            for mode in (MatchMode.ED_STAR, MatchMode.HAMMING):
+                expected = KernelBackend._fallback_counts(
+                    segments, queries, ed_star=mode is MatchMode.ED_STAR)
+                assert np.array_equal(
+                    array.mismatch_counts_batch(queries, mode), expected)
+            assert array.search_batch(queries, 2).matches.shape == (
+                3, n_rows)
+            loads = array.ledger.of_type(ReferenceLoad)
+            assert loads[-1].n_segments == n_rows
+        assert len(loads) == len(sizes)
+
+    def test_store_rejects_what_does_not_fit(self, rng):
+        array = CamArray(rows=self.ROWS, cols=self.COLS)
+        with pytest.raises(CamConfigError, match="exceed"):
+            array.store(rng.integers(0, 4, (self.ROWS + 1, self.COLS)))
+        with pytest.raises(CamConfigError, match="does not fit"):
+            array.store(rng.integers(0, 4, (2, self.COLS + 1)))
+        assert array.stored is None and len(array.ledger) == 0
+        with pytest.raises(CamConfigError, match="empty array"):
+            array.stored_segments()

@@ -62,7 +62,8 @@ class TestAgainstMonteCarlo:
         for i in (40, 90, 140, 190):
             read[i] = (read[i] + 2) % 4
         from repro.cam.cell import MatchMode
-        count = int(array.mismatch_counts(read, MatchMode.ED_STAR)[0])
+        count = int(array.mismatch_counts_batch(read[None, :],
+                                                MatchMode.ED_STAR)[0, 0])
         threshold = count  # boundary row
         predicted = float(flip_probability(count, threshold, n_cells,
                                            "current"))

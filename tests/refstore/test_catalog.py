@@ -49,7 +49,6 @@ class TestRegistration:
         assert list(catalog) == ["a", "b", "c"]
         with catalog.borrow("a") as lease:
             assert lease.name == "a"
-            assert lease.reference.sealed
             assert lease.reference.n_encodes == 0
             assert lease.nbytes > 0
 
@@ -150,7 +149,7 @@ class TestEviction:
         assert catalog.stats().evictions == 1
         # Evicted references reopen on the next borrow.
         with catalog.borrow("a") as lease:
-            assert lease.reference.sealed
+            assert lease.reference.n_encodes == 0
         assert catalog.stats().misses == 2
 
     def test_evict_refuses_pinned(self, catalog):
@@ -189,8 +188,8 @@ class TestEviction:
             with cat.borrow("b") as lease_b:
                 assert set(cat.resident_names()) == {"a", "b"}
                 assert cat.stats().resident_bytes > size
-                assert lease_a.reference.sealed
-                assert lease_b.reference.sealed
+                assert lease_a.reference.n_encodes == 0
+                assert lease_b.reference.n_encodes == 0
             # b unpinned: the deferred sweep now evicts it (LRU).
             assert cat.resident_names() == ("a",)
         cat.close()

@@ -107,12 +107,6 @@ class TestStreamingService:
                                     catalog=catalog)
         assert catalog.stats().pinned_count == 0
 
-    def test_unsealed_stored_reference_rejected(self, workload):
-        _, model, _ = workload
-        with pytest.raises(CamConfigError, match="sealed"):
-            StreamingMappingService(StoredReference(rows=4, cols=8),
-                                    model, threshold=THRESHOLD)
-
 
 class TestEngineFailure:
     def test_close_releases_lease_after_failure(self, workload, catalog):
@@ -198,7 +192,7 @@ class TestFrontend:
         assert after.pinned_count == 0
 
     def test_stored_reference_frontend(self, workload):
-        """A sealed StoredReference serves a frontend like its segments
+        """A StoredReference serves a frontend like its segments
         do, adopted with no further encode passes."""
         segments, model, reads = workload
         reference = StoredReference.encode(segments)
@@ -220,11 +214,6 @@ class TestFrontend:
             assert frontend.encode_count() == reference.n_encodes == 1
         for ours, theirs in zip(served, fresh, strict=True):
             _reports_identical(ours, theirs)
-
-    def test_unsealed_stored_reference_frontend_rejected(self, workload):
-        _, model, _ = workload
-        with pytest.raises(CamConfigError, match="sealed"):
-            MappingFrontend(StoredReference(rows=4, cols=8), model)
 
     def test_catalog_frontend_rejects_segments(self, workload, catalog):
         segments, model, _ = workload
@@ -256,7 +245,7 @@ class TestFrontend:
         frontend.close()
         assert catalog.stats().pinned_count == 0
         with catalog.borrow("main") as lease:  # catalog stays usable
-            assert lease.reference.sealed
+            assert lease.reference.n_encodes == 0
 
     def test_session_after_close_pins_nothing(self, workload, tmp_path):
         segments, model, _ = workload

@@ -82,8 +82,8 @@ class TestDigitalConsistency:
         for record in dataset.reads:
             result = array.search_batch(record.read.codes[None, :],
                                         threshold)
-            counts_hd = array.mismatch_counts(record.read.codes,
-                                              MatchMode.HAMMING)
+            counts_hd = array.mismatch_counts_batch(
+                record.read.codes[None, :], MatchMode.HAMMING)[0]
             for s in np.flatnonzero(result.matches[0]):
                 assert result.mismatch_counts[0, s] <= threshold
                 assert result.mismatch_counts[0, s] <= counts_hd[s]

@@ -1,11 +1,13 @@
-"""Read codes are checked, never silently truncated or wrapped.
+"""Read and segment codes are checked, never silently truncated or
+wrapped.
 
 Every layer that accepts reads coerces them through one helper,
 :func:`repro.cam.array.as_read_codes`: an integer array whose values
 fit 0..255 becomes uint8 (codes 4..255 take the ambiguity fallback);
 a float read, or a value outside 0..255, raises
-:class:`~repro.errors.CamConfigError` at every entry point — the same
-contract segment matrices already had.
+:class:`~repro.errors.CamConfigError` at every entry point.  Segment
+matrices have the same contract through
+:func:`repro.cam.array.as_segments_matrix`, with the 2-bit range 0..3.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cam.array import CamArray, as_read_codes
+from repro.baselines.edam import EdamMatcher
+from repro.cam.array import CamArray, StoredReference, as_read_codes
+from repro.cam.cell import MatchMode
+from repro.core.fragmentation import FragmentedMatcher
 from repro.core.matcher import AsmCapMatcher
 from repro.core.pipeline import ReadMappingPipeline, ShardedReadMappingPipeline
 from repro.errors import CamConfigError
@@ -70,9 +75,25 @@ def _search_batch(dataset, read):
 
 
 def _mismatch_counts(dataset, read):
-    from repro.cam.cell import MatchMode
+    _matcher(dataset).array.mismatch_counts_batch([read], MatchMode.ED_STAR)
 
-    _matcher(dataset).array.mismatch_counts(read, MatchMode.ED_STAR)
+
+def _edam_match(dataset, read):
+    matcher = EdamMatcher(rows=dataset.n_segments, cols=dataset.read_length,
+                          seed=0)
+    matcher.store(dataset.segments)
+    matcher.match(read, THRESHOLD)
+
+
+def _fragmented(dataset) -> FragmentedMatcher:
+    """The dataset's segments as two half-length fragments each."""
+    width = dataset.read_length // 2
+    array = CamArray(rows=2 * dataset.n_segments, cols=width, seed=0)
+    return FragmentedMatcher(array, dataset.segments)
+
+
+def _fragmented_match(dataset, read):
+    _fragmented(dataset).match(read, THRESHOLD)
 
 
 ENTRY_POINTS = {
@@ -84,6 +105,8 @@ ENTRY_POINTS = {
     "matcher.match_batch": _match_batch,
     "array.search_batch": _search_batch,
     "array.mismatch_counts": _mismatch_counts,
+    "edam.match": _edam_match,
+    "fragmented.match": _fragmented_match,
 }
 
 
@@ -108,6 +131,64 @@ def test_bad_read_codes_raise_at_every_entry_point(dataset, entry, bad):
     read = _bad_reads(dataset.reads[0].read.codes)[bad]
     with pytest.raises(CamConfigError, match="read codes"):
         ENTRY_POINTS[entry](dataset, read)
+
+
+def _store(dataset, segments):
+    CamArray(rows=dataset.n_segments,
+             cols=dataset.read_length).store(segments)
+
+
+def _encode(dataset, segments):
+    StoredReference.encode(segments)
+
+
+def _service(dataset, segments):
+    StreamingMappingService(segments, dataset.model, THRESHOLD).close()
+
+
+def _frontend(dataset, segments):
+    MappingFrontend(segments, dataset.model).close()
+
+
+def _sharded(dataset, segments):
+    ShardedReadMappingPipeline(segments, dataset.model, n_shards=2).close()
+
+
+def _fragmented_init(dataset, segments):
+    width = dataset.read_length // 2
+    FragmentedMatcher(CamArray(rows=2 * dataset.n_segments, cols=width),
+                      segments)
+
+
+SEGMENT_ENTRY_POINTS = {
+    "array.store": _store,
+    "StoredReference.encode": _encode,
+    "service": _service,
+    "frontend": _frontend,
+    "sharded": _sharded,
+    "fragmented": _fragmented_init,
+}
+
+
+def _bad_segments(segments: np.ndarray) -> dict:
+    """The matrices that used to be truncated or wrapped to 2-bit codes."""
+    too_big = segments.astype(np.int64)
+    too_big[0, 0] = 256
+    negative = segments.tolist()
+    negative[0][0] = -1
+    return {
+        "float": segments + 0.5,
+        "int64-256": too_big,
+        "list-negative": negative,
+    }
+
+
+@pytest.mark.parametrize("bad", ["float", "int64-256", "list-negative"])
+@pytest.mark.parametrize("entry", sorted(SEGMENT_ENTRY_POINTS))
+def test_bad_segment_codes_raise_at_every_entry_point(dataset, entry, bad):
+    segments = _bad_segments(dataset.segments)[bad]
+    with pytest.raises(CamConfigError, match="segment codes"):
+        SEGMENT_ENTRY_POINTS[entry](dataset, segments)
 
 
 def test_uint8_reads_skip_the_value_scan():

@@ -68,6 +68,41 @@ def test_a_deleted_entry_point_is_reported():
         "of repro.arch or its submodules"]
 
 
+def test_method_lists_resolve_on_their_owner():
+    # `ledger` is a `self.ledger = ...` assignment in CamArray.__init__,
+    # not a class attribute; `(→ X)` names an entry of the package.
+    text = _module_map(
+        "| `repro.cam` | arrays | `CamArray` (`store`, `ledger`, "
+        "`search_batch(..., rotations=)`), `keyed_noise` (`fold_key`) |",
+        "| `repro.refstore` | store | `open_stored_reference` "
+        "(→ `MappedReference`) |",
+    )
+    assert check_module_map(text) == []
+
+
+def test_a_deleted_method_is_reported_on_its_owner():
+    text = _module_map(
+        "| `repro.cam` | arrays | `StoredReference` (`encode`, `seal`) |",
+        "| `repro.eval` | accuracy | `AccuracyExperiment` (`evaluate`, "
+        "`run_sweep`) |",
+    )
+    assert check_module_map(text) == [
+        "docs/api.md module map: `StoredReference` (`seal`): "
+        "StoredReference has no attribute seal",
+        "docs/api.md module map: `AccuracyExperiment` (`run_sweep`): "
+        "AccuracyExperiment has no attribute run_sweep"]
+
+
+def test_an_arrow_group_names_package_entries():
+    text = _module_map(
+        "| `repro.refstore` | store | `open_stored_reference` "
+        "(→ `RetiredReference`) |",
+    )
+    assert check_module_map(text) == [
+        "docs/api.md module map: `RetiredReference` is not an attribute "
+        "of repro.refstore or its submodules"]
+
+
 def test_missing_module_map_is_reported():
     assert check_module_map("# API\n\n| `repro.arch` | x | `Nope` |\n") == [
         'docs/api.md has no "Module map" table']

@@ -156,8 +156,7 @@ class TestKeyedNoiseScope:
             ("CL104", 2), ("CL104", 3)]
 
     @pytest.mark.parametrize("rel_path", [
-        "src/repro/cam/defects.py", "src/repro/cam/sram.py",
-        "src/repro/genome/reads.py",
+        "src/repro/cam/defects.py", "src/repro/genome/reads.py",
     ])
     def test_fault_injectors_are_out_of_scope(self, rel_path):
         assert lint_source(self.SOURCE, rel_path, repo=make_repo()) == []

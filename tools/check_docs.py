@@ -17,10 +17,14 @@ Five guarantees, enforced by CI's ``docs-smoke`` job:
 4. **The module map names real entry points.**  Every backticked entry
    point in the "Module map" table of ``docs/api.md`` must resolve as
    an attribute of its row's package or of one of that package's
-   submodules.  Parenthesised method lists (nested ones too) are
-   stripped first; ``name_a/b`` expands to ``name_a`` and ``name_b``;
+   submodules; ``name_a/b`` expands to ``name_a`` and ``name_b``;
    backticked commands and paths (anything that is not a dotted name)
-   are not entry points.
+   are not entry points.  The parenthesised list after an entry names
+   its members: each must be an attribute of the entry or a
+   ``self.<name>`` assignment in its source (``CamArray`` (``ledger``)),
+   and a list written ``(→ `X`)`` names entries of the row's package.
+   Call arguments inside a member (``counts_batch(..., rotations=)``)
+   and groups nested deeper are not checked.
 5. **The service signature blocks name real parameters.**  Every
    ``name=`` keyword of a ``StreamingMappingService(...)``,
    ``MappingFrontend(...)`` or ``.session(...)`` call in a fenced block
@@ -146,8 +150,63 @@ def expand_alternatives(token: str) -> "list[str]":
                      for alt in alternatives]
 
 
-def module_map_entries(text: str) -> "list[tuple[str, list[str]]]":
-    """``(package, entry points)`` per row of the "Module map" table."""
+def entry_groups(cell: str) -> "list[tuple[str, str | None]]":
+    """``(token, text of the group right after it)`` for every
+    backticked token outside parentheses; parentheses inside backticks
+    do not count."""
+    groups: "list[tuple[str, str | None]]" = []
+    depth = start = end = position = 0  # end: after the last entry
+    while position < len(cell):
+        char = cell[position]
+        if char == "`":
+            close = cell.index("`", position + 1)
+            if depth == 0:
+                groups.append((cell[position + 1:close], None))
+                end = close + 1
+            position = close
+        elif char == "(":
+            depth += 1
+            if depth == 1:
+                start = position
+        elif char == ")":
+            depth -= 1
+            if depth == 0 and groups and groups[-1][1] is None \
+                    and not cell[end:start].strip():
+                groups[-1] = (groups[-1][0], cell[start + 1:position])
+        position += 1
+    return groups
+
+
+def _dotted_names(token: str) -> "list[str]":
+    return [name for name in expand_alternatives(token)
+            if _DOTTED_RE.fullmatch(name)]
+
+
+def _cell_entries(cell: str) -> "list[str]":
+    return [name for token, _ in entry_groups(cell)
+            for name in _dotted_names(token)]
+
+
+def _member_lists(cell: str) -> "list[tuple[str, list[str]]]":
+    """``(entry, members)`` for every entry followed by a group; an
+    arrow group's names are entries and come back with owner ``""``."""
+    lists = []
+    for token, group in entry_groups(cell):
+        if group is None:
+            continue
+        members = [name for member in _BACKTICK_RE.findall(
+                       strip_parentheticals(group))
+                   for name in _dotted_names(member)]
+        if group.lstrip().startswith("→"):
+            lists.append(("", members))
+        else:
+            lists.extend((owner, members) for owner in _dotted_names(token))
+    return lists
+
+
+def module_map_rows(text: str) -> "list[tuple[str, str]]":
+    """``(package, entry-point cell)`` per row of the "Module map"
+    table."""
     if "## Module map" not in text:
         return []
     section = text.split("## Module map", 1)[1].split("\n## ", 1)[0]
@@ -157,34 +216,56 @@ def module_map_entries(text: str) -> "list[tuple[str, list[str]]]":
             continue
         cells = [cell.strip() for cell in line.strip("| \t").split("|")]
         package = _BACKTICK_RE.fullmatch(cells[0])
-        if package is None:
-            continue  # header or separator row
-        entries = [name
-                   for token in _BACKTICK_RE.findall(
-                       strip_parentheticals(cells[-1]))
-                   for name in expand_alternatives(token)
-                   if _DOTTED_RE.fullmatch(name)]
-        rows.append((package.group(1), entries))
+        if package is not None:  # not the header or separator row
+            rows.append((package.group(1), cells[-1]))
     return rows
 
 
-def _resolves(obj, dotted: str) -> bool:
-    for part in dotted.split("."):
-        if not hasattr(obj, part):
-            return False
-        obj = getattr(obj, part)
-    return True
+def module_map_entries(text: str) -> "list[tuple[str, list[str]]]":
+    """``(package, entry points)`` per row of the "Module map" table."""
+    return [(package, _cell_entries(cell))
+            for package, cell in module_map_rows(text)]
+
+
+_MISSING = object()
+
+
+def _find(scopes, dotted: str):
+    """The object *dotted* names in the first scope that has it, or
+    ``_MISSING``."""
+    for scope in scopes:
+        found = scope
+        for part in dotted.split("."):
+            found = getattr(found, part, _MISSING)
+            if found is _MISSING:
+                break
+        if found is not _MISSING:
+            return found
+    return _MISSING
+
+
+def _has_member(owner, name: str) -> bool:
+    """An attribute of *owner*, or a ``self.<name>`` assignment in
+    its class source (an instance attribute set in ``__init__``)."""
+    if hasattr(owner, name):
+        return True
+    if not inspect.isclass(owner):
+        return False
+    assigned = re.compile(
+        rf"\bself\.{re.escape(name)}\s*(?::[^=\n]*)?=(?!=)")
+    return bool(assigned.search(inspect.getsource(owner)))
 
 
 def check_module_map(text: str) -> "list[str]":
-    """Entry points of the module map that name nothing importable."""
-    rows = module_map_entries(text)
+    """Entry points and members of the module map that name nothing
+    importable."""
+    rows = module_map_rows(text)
     if not rows:
         return ["docs/api.md has no \"Module map\" table"]
     errors: list[str] = []
     sys.path.insert(0, str(REPO_ROOT))  # the tools.* rows
     try:
-        for package_name, entries in rows:
+        for package_name, cell in rows:
             package = importlib.import_module(package_name)
             # Importing a submodule also binds it on the package, so
             # ``fig7.run_fig7`` resolves from the package itself.
@@ -193,12 +274,23 @@ def check_module_map(text: str) -> "list[str]":
                 for info in pkgutil.iter_modules(package.__path__)
                 if info.name != "__main__"
             ]
-            for name in entries:
-                if not any(_resolves(scope, name) for scope in scopes):
-                    errors.append(
-                        f"docs/api.md module map: `{name}` is not an "
-                        f"attribute of {package_name} or its submodules"
-                    )
+            entries = _cell_entries(cell)
+            for owner, members in _member_lists(cell):
+                if not owner:
+                    entries += members
+                    continue
+                found = _find(scopes, owner)
+                errors += [
+                    f"docs/api.md module map: `{owner}` (`{name}`): "
+                    f"{owner} has no attribute {name}"
+                    for name in members
+                    if found is not _MISSING and not _has_member(found, name)
+                ]
+            errors += [
+                f"docs/api.md module map: `{name}` is not an attribute "
+                f"of {package_name} or its submodules"
+                for name in entries if _find(scopes, name) is _MISSING
+            ]
     finally:
         sys.path.remove(str(REPO_ROOT))
     return errors

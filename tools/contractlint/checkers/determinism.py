@@ -25,8 +25,8 @@ draw from an entropy source that is not keyed by an argument:
   ``baselines/edam.py``.  Every draw there is keyed by
   ``(seed, query_key, pass)`` (:mod:`repro.cam.keyed_noise`); a stream
   whose draws depend on call order would make decisions depend on
-  batching.  ``cam/defects.py`` and ``cam/sram.py`` keep
-  their generators: they inject input faults, not decision noise.
+  batching.  ``cam/defects.py`` keeps its generator: it injects
+  input faults, not decision noise.
 
 * ``CL105`` — a re-encoded rotation on the decision path: any
   ``np.roll`` call in ``src/repro/core/`` or ``baselines/edam.py``.
