@@ -302,9 +302,7 @@ class StoredReference:
     """
 
     def __init__(self, segments: np.ndarray, rows: "int | None" = None):
-        # A private copy: the encoding marks its arrays read-only, and
-        # the caller's matrix must stay theirs.
-        segments = as_segments_matrix(segments).copy()
+        segments = as_segments_matrix(segments)
         if rows is None:
             rows = segments.shape[0]
         if segments.shape[0] > rows:
@@ -518,6 +516,8 @@ class CamArray:
             self._search_time_ns = constants.EDAM_SEARCH_TIME_NS
         #: The array's cost ledger: one typed event per physical pass.
         self.ledger = CostLedger(compaction=ledger_compaction)
+        self._levels: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" \
+            = None
 
     # -- configuration ----------------------------------------------------
 
@@ -811,17 +811,24 @@ class CamArray:
         half-width(n)``: ``NORMAL_BOUND·σ(n)`` widened by
         :data:`_BAND_MARGIN` for float rounding.  A noiseless level
         (``σ = 0``, or an ideal array) samples ``V_ideal`` exactly.
+
+        Built at the first pass and kept (read-only): every input is
+        fixed for the array's lifetime.
         """
-        levels = np.arange(self.cols + 1)
-        v_ideal = self._ideal_voltages(levels)
-        if not self._noisy:
-            sigma = np.zeros(levels.shape)
-            return v_ideal, sigma, sigma
-        sigma = self._variation.sigma_vml(levels, self.cols)
-        reach = NORMAL_BOUND * sigma
-        half = np.where(
-            sigma > 0, reach + _BAND_MARGIN * (np.abs(v_ideal) + reach), 0.0)
-        return v_ideal, sigma, half
+        if self._levels is None:
+            levels = np.arange(self.cols + 1)
+            v_ideal = self._ideal_voltages(levels)
+            if not self._noisy:
+                sigma = half = np.zeros(levels.shape)
+            else:
+                sigma = self._variation.sigma_vml(levels, self.cols)
+                reach = NORMAL_BOUND * sigma
+                half = np.where(sigma > 0, reach + _BAND_MARGIN
+                                * (np.abs(v_ideal) + reach), 0.0)
+            for table in (v_ideal, sigma, half):
+                table.setflags(write=False)
+            self._levels = (v_ideal, sigma, half)
+        return self._levels
 
     def _decide(self, counts: np.ndarray, thresholds: np.ndarray,
                 noise_keys: np.ndarray) -> np.ndarray:

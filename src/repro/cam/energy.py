@@ -13,10 +13,14 @@ uses to argue ASMCap's low power (Section III-C).
 
 Eq. (1) treats all M rows as sharing one mismatch count; the per-row
 form :func:`search_energy_per_row` sums the actual counts, which the
-array model uses.
+array model uses.  A row's energy depends only on its count level, so
+:func:`search_energy_per_query` gathers it from a per-level table
+(:func:`level_energies`) built with the same float operations.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,12 +28,16 @@ from repro import constants
 from repro.errors import CamConfigError
 
 
-def _check(n_mismatch: np.ndarray, n_cells: int) -> np.ndarray:
-    counts = np.asarray(n_mismatch, dtype=float)
+def _check_range(counts: np.ndarray, n_cells: int) -> None:
     if n_cells <= 0:
         raise CamConfigError(f"n_cells must be positive, got {n_cells}")
-    if (counts < 0).any() or (counts > n_cells).any():
+    if counts.size and (counts.min() < 0 or counts.max() > n_cells):
         raise CamConfigError("mismatch counts must be within 0..n_cells")
+
+
+def _check(n_mismatch: np.ndarray, n_cells: int) -> np.ndarray:
+    counts = np.asarray(n_mismatch, dtype=float)
+    _check_range(counts, n_cells)
     return counts
 
 
@@ -58,6 +66,47 @@ def search_energy_per_row(n_mismatch: np.ndarray, n_cells: int,
     """
     counts = _check(n_mismatch, n_cells)
     return counts * (n_cells - counts) / n_cells * mu_c * vdd**2
+
+
+@lru_cache(maxsize=32)
+def level_energies(n_cells: int,
+                   vdd: float = constants.VDD_VOLTS) -> np.ndarray:
+    """Read-only ``(N + 1,)`` per-row energy of every level ``n = 0..N``.
+
+    :func:`search_energy_per_row`'s expression at the MIM capacitance,
+    evaluated over the float levels: the same operations in the same
+    order, so entry ``n`` has the bits of that function at count ``n``.
+    Built once per ``(N, vdd)``.
+    """
+    if n_cells <= 0:
+        raise CamConfigError(f"n_cells must be positive, got {n_cells}")
+    counts = np.arange(n_cells + 1, dtype=float)
+    table = (counts * (n_cells - counts) / n_cells
+             * constants.MIM_CAPACITOR_FARADS * vdd**2)
+    table.setflags(write=False)
+    return table
+
+
+def search_energy_per_query(n_mismatch: np.ndarray, n_cells: int,
+                            vdd: float = constants.VDD_VOLTS) -> np.ndarray:
+    """``(B,)`` charge-domain cell energy per query, joules.
+
+    :func:`search_energy_per_row` over a ``(B, M)`` count block, summed
+    over rows (axis 1).  C-contiguous integer counts (every kernel
+    block) gather from :func:`level_energies`, after one min/max range
+    check: the gathered block equals the formula's in values, shape,
+    dtype and memory layout, so the row sums run the same additions
+    and are bit-identical.  Other counts take the formula (the float
+    activity of the synthetic typical-search event; a layout the
+    gather would not reproduce).
+    """
+    counts = np.asarray(n_mismatch)
+    if not (np.issubdtype(counts.dtype, np.integer)
+            and counts.flags.c_contiguous):
+        return search_energy_per_row(counts, n_cells,
+                                     vdd=vdd).sum(axis=1)
+    _check_range(counts, n_cells)
+    return level_energies(n_cells, vdd).take(counts).sum(axis=1)
 
 
 def vml_variance_eq2(n_mismatch: "int | np.ndarray", n_cells: int,

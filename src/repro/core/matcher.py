@@ -35,7 +35,7 @@ makes bit-identical decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -119,6 +119,14 @@ class MatchOutcome:
     latency_ns: float
     hdac_probability: float
     tasr_lower_bound: int
+
+    def __eq__(self, other: object) -> bool:
+        """Equal values, decisions compared element by element."""
+        if not isinstance(other, MatchOutcome):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name),
+                                  getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -243,6 +251,9 @@ def query_key_vector(query_keys: "Sequence[int] | None",
         raise CamConfigError(
             f"{len(query_keys)} query keys for {n_queries} reads"
         )
+    if isinstance(query_keys, np.ndarray) and query_keys.ndim == 1 \
+            and np.issubdtype(query_keys.dtype, np.signedinteger):
+        return query_keys.astype(np.int64, copy=False)
     return np.asarray([int(k) for k in query_keys], dtype=np.int64)
 
 

@@ -42,7 +42,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, replace
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -82,22 +84,91 @@ class ReadMapping:
     matched_rows: tuple[int, ...]
     outcome: MatchOutcome
 
-    @property
-    def is_mapped(self) -> bool:
-        return bool(self.matched_rows)
 
-    @property
-    def is_unique(self) -> bool:
-        return len(self.matched_rows) == 1
+def _read_mapping(read_index: int, matched_rows: "tuple[int, ...]",
+                  decisions: np.ndarray, threshold: int, n_searches: int,
+                  energy: float, latency: float, hdac_probability: float,
+                  tasr_lower_bound: int) -> ReadMapping:
+    """One read's :class:`ReadMapping` from its column entries."""
+    return ReadMapping(
+        read_index=read_index,
+        matched_rows=matched_rows,
+        outcome=MatchOutcome(
+            decisions=decisions, threshold=threshold,
+            n_searches=n_searches, energy_joules=energy,
+            latency_ns=latency, hdac_probability=hdac_probability,
+            tasr_lower_bound=tasr_lower_bound,
+        ),
+    )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class _ReadColumns:
+    """One engine call's per-read results as immutable columns.
+
+    ``(B,)`` read indices, thresholds, search counts, energies,
+    latencies and HDAC ``p``; the ``(B, M)`` decisions; and the matched
+    rows in CSR form: read ``q`` matched
+    ``rows[row_ptr[q]:row_ptr[q + 1]]``.
+    """
+
+    read_index: np.ndarray
+    thresholds: np.ndarray
+    n_searches: np.ndarray
+    energy: np.ndarray
+    latency: np.ndarray
+    hdac_probabilities: np.ndarray
+    decisions: np.ndarray
+    row_ptr: np.ndarray
+    rows: np.ndarray
+    tasr_lower_bound: int
+
+    def __len__(self) -> int:
+        return self.read_index.shape[0]
+
+    @cached_property
+    def mappings(self) -> "list[ReadMapping]":
+        """The per-read view: Python ints, floats and tuples in every
+        field but the ``decisions`` row.
+
+        Built on first access and kept with the block, so every report
+        that shares the block (a snapshot, a fold) shares these
+        objects; callers get them only inside a list of their own.
+        """
+        ptr = self.row_ptr.tolist()
+        rows = self.rows.tolist()
+        matched = [tuple(rows[a:b])
+                   for a, b in zip(ptr[:-1], ptr[1:], strict=True)]
+        return list(map(
+            _read_mapping, self.read_index.tolist(), matched,
+            self.decisions, self.thresholds.tolist(),
+            self.n_searches.tolist(), self.energy.tolist(),
+            self.latency.tolist(), self.hdac_probabilities.tolist(),
+            repeat(self.tasr_lower_bound),
+        ))
+
+
+def _left_fold(total: float, parts: "Sequence[Sequence[float]]") -> float:
+    """``((total + a[0]) + a[1]) + ...`` over the concatenated *parts*.
+
+    The per-read loop's float sum: ``np.add.accumulate`` adds strictly
+    in order, so the result has the bits of one ``+=`` per read, where
+    ``np.sum`` (pairwise) or ``total + sum(parts)`` would not.
+    """
+    return float(np.add.accumulate(np.concatenate(([total], *parts)))[-1])
+
+
+@dataclass(eq=False)
 class MappingReport:
     """Aggregate statistics for one pipeline run.
 
     A thin view: per-read costs come from the match outcomes, whose
     energies/latencies are derived from the cost-ledger events
     (:mod:`repro.cost`); the report only sums them in read order.
+
+    Per-read results are kept as column blocks, one per engine call;
+    :attr:`mappings` is their per-read view, built on first access.
+    :meth:`add` folds a later report in, block by block.
     """
 
     n_reads: int = 0
@@ -106,7 +177,10 @@ class MappingReport:
     n_searches: int = 0
     total_energy_joules: float = 0.0
     total_latency_ns: float = 0.0
-    mappings: list[ReadMapping] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self._blocks: "list[_ReadColumns]" = []
+        self._mappings: "list[ReadMapping] | None" = None
 
     @property
     def mapped_fraction(self) -> float:
@@ -123,32 +197,74 @@ class MappingReport:
             return 0.0
         return self.n_reads / (self.total_latency_ns * 1e-9)
 
-    def add(self, mapping: ReadMapping) -> None:
-        """Fold one read's mapping into the aggregates."""
-        self.mappings.append(mapping)
-        self.n_reads += 1
-        self.n_mapped += int(mapping.is_mapped)
-        self.n_unique += int(mapping.is_unique)
-        self.n_searches += mapping.outcome.n_searches
-        self.total_energy_joules += mapping.outcome.energy_joules
-        self.total_latency_ns += mapping.outcome.latency_ns
+    @property
+    def mappings(self) -> "list[ReadMapping]":
+        """Every read's :class:`ReadMapping`, in read order.
+
+        A plain list of this report's own, built on first access from
+        the blocks' per-read views (shared with every report holding the
+        same blocks) and then kept: mutating it changes this list only,
+        never the aggregates or the columns :meth:`add` folds.
+        """
+        if self._mappings is None:
+            self._mappings = list(chain.from_iterable(
+                block.mappings for block in self._blocks))
+        return self._mappings
+
+    def add(self, later: "MappingReport") -> None:
+        """Fold *later* in: its reads follow this report's.
+
+        The counters add; each float total continues as the per-read
+        left fold over *later*'s reads, in read order
+        (:func:`_left_fold`), so folding micro-batch reports one by one
+        is bit-identical to one report over the whole stream.  A report
+        whose per-read results were cleared (:meth:`clear_mappings`)
+        folds its totals as one addend.
+        """
+        self.n_reads += later.n_reads
+        self.n_mapped += later.n_mapped
+        self.n_unique += later.n_unique
+        self.n_searches += later.n_searches
+        blocks = later._blocks
+        if sum(map(len, blocks)) == later.n_reads:
+            energy = [block.energy for block in blocks]
+            latency = [block.latency for block in blocks]
+        else:
+            energy = [[later.total_energy_joules]]
+            latency = [[later.total_latency_ns]]
+        self.total_energy_joules = _left_fold(self.total_energy_joules,
+                                              energy)
+        self.total_latency_ns = _left_fold(self.total_latency_ns, latency)
+        self._blocks.extend(blocks)
+        if self._mappings is not None:
+            self._mappings.extend(later.mappings)
+
+    def clear_mappings(self) -> None:
+        """Drop the per-read results, keeping the aggregates."""
+        self._blocks = []
+        self._mappings = None
 
     def snapshot(self) -> "MappingReport":
-        """A defensive copy: same aggregates, a fresh mappings list.
+        """A defensive copy: same aggregates, its own mappings list.
 
         What a long-lived service hands out to callers — mutating the
         snapshot (e.g. ``report.mappings.clear()``) cannot corrupt the
-        live aggregates it was taken from.  The per-read
-        :class:`ReadMapping` entries are frozen, so sharing them is
-        safe.
+        live aggregates it was taken from.  The column blocks are
+        immutable, so the copy shares them, and with them the frozen
+        :class:`ReadMapping` objects of their per-read views: every
+        snapshot's list points at the same objects.
         """
-        return MappingReport(
-            n_reads=self.n_reads, n_mapped=self.n_mapped,
-            n_unique=self.n_unique, n_searches=self.n_searches,
-            total_energy_joules=self.total_energy_joules,
-            total_latency_ns=self.total_latency_ns,
-            mappings=list(self.mappings),
-        )
+        copy = replace(self)
+        copy._blocks = list(self._blocks)
+        if self._mappings is not None:
+            copy._mappings = list(self._mappings)
+        return copy
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MappingReport):
+            return NotImplemented
+        return (astuple(self) == astuple(other)
+                and self.mappings == other.mappings)
 
 
 def _read_codes(read: "np.ndarray | ReadRecord") -> np.ndarray:
@@ -158,7 +274,12 @@ def _read_codes(read: "np.ndarray | ReadRecord") -> np.ndarray:
 
 def _codes_matrix(reads: "Sequence[np.ndarray] | Sequence[ReadRecord]",
                   ) -> np.ndarray:
-    """Stack a read sequence into a ``(B, N)`` uint8 matrix."""
+    """Stack a read sequence into a ``(B, N)`` uint8 matrix.
+
+    A 2-D array is already one: it is coerced in one call.
+    """
+    if isinstance(reads, np.ndarray) and reads.ndim == 2:
+        return as_read_codes(reads)
     rows = [_read_codes(read) for read in reads]
     if not rows:
         return np.zeros((0, 0), dtype=np.uint8)
@@ -209,7 +330,7 @@ class ReadMappingPipeline:
         if codes.shape[0] == 0:
             return MappingReport()
         first = int(first_read_index)
-        keys = list(range(first, first + codes.shape[0]))
+        keys = np.arange(first, first + codes.shape[0], dtype=np.int64)
         outcome = self._matcher.match_batch(codes, threshold,
                                             query_keys=keys)
         return _build_report(
@@ -228,35 +349,41 @@ def _build_report(decisions: np.ndarray, thresholds: np.ndarray,
                   n_searches: np.ndarray, energy: np.ndarray,
                   latency: np.ndarray, hdac_probabilities: np.ndarray,
                   tasr_lower_bound: int,
-                  read_indices: "list[int]") -> MappingReport:
-    """Assemble a :class:`MappingReport` from per-query batch arrays."""
+                  read_indices: "Sequence[int]") -> MappingReport:
+    """Assemble a :class:`MappingReport` from per-query batch arrays.
+
+    Array code throughout: one ``nonzero`` pass gives the CSR matched
+    rows, ``bincount`` the per-read hit counts, and the float totals
+    are the per-read left fold from zero.
+    """
     n_queries = decisions.shape[0]
-    # One global nonzero pass instead of B per-row scans, and plain
-    # python lists so the hot loop never touches numpy scalars.
     hit_query, hit_row = np.nonzero(decisions)
-    boundaries = np.searchsorted(hit_query, np.arange(1, n_queries))
-    rows_per_read = np.split(hit_row, boundaries)
-    thresholds_l = thresholds.tolist()
-    n_searches_l = n_searches.tolist()
-    energy_l = np.asarray(energy, dtype=float).tolist()
-    latency_l = np.asarray(latency, dtype=float).tolist()
-    hdac_l = hdac_probabilities.tolist()
-    report = MappingReport()
-    for q in range(n_queries):
-        per_read = MatchOutcome(
-            decisions=decisions[q],
-            threshold=thresholds_l[q],
-            n_searches=n_searches_l[q],
-            energy_joules=energy_l[q],
-            latency_ns=latency_l[q],
-            hdac_probability=hdac_l[q],
-            tasr_lower_bound=tasr_lower_bound,
-        )
-        report.add(ReadMapping(
-            read_index=read_indices[q],
-            matched_rows=tuple(rows_per_read[q].tolist()),
-            outcome=per_read,
-        ))
+    hits = np.bincount(hit_query, minlength=n_queries)
+    row_ptr = np.zeros(n_queries + 1, dtype=np.intp)
+    np.cumsum(hits, out=row_ptr[1:])
+    columns = {
+        "read_index": np.asarray(read_indices, dtype=np.int64),
+        "thresholds": np.asarray(thresholds),
+        "n_searches": np.asarray(n_searches),
+        "energy": np.asarray(energy, dtype=float),
+        "latency": np.asarray(latency, dtype=float),
+        "hdac_probabilities": np.asarray(hdac_probabilities),
+        "decisions": decisions,
+        "row_ptr": row_ptr,
+        "rows": hit_row,
+    }
+    for column in columns.values():
+        column.setflags(write=False)
+    block = _ReadColumns(**columns, tasr_lower_bound=tasr_lower_bound)
+    report = MappingReport(
+        n_reads=n_queries,
+        n_mapped=int(np.count_nonzero(hits)),
+        n_unique=int(np.count_nonzero(hits == 1)),
+        n_searches=int(block.n_searches.sum()),
+        total_energy_joules=_left_fold(0.0, (block.energy,)),
+        total_latency_ns=_left_fold(0.0, (block.latency,)),
+    )
+    report._blocks.append(block)
     return report
 
 
@@ -551,7 +678,8 @@ class ShardedReadMappingPipeline:
         workload that places it at global position *index*.
         """
         codes = _read_codes(read)[None, :]
-        report = self._run_keyed(codes, threshold, keys=[index])
+        report = self._run_keyed(codes, threshold,
+                                 keys=np.array([index], dtype=np.int64))
         return report.mappings[0]
 
     def run(self, reads: "Sequence[np.ndarray] | Sequence[ReadRecord]",
@@ -568,14 +696,14 @@ class ShardedReadMappingPipeline:
         if codes.shape[0] == 0:
             return MappingReport()
         first = int(first_read_index)
-        return self._run_keyed(codes, threshold,
-                               keys=list(range(first,
-                                               first + codes.shape[0])))
+        return self._run_keyed(
+            codes, threshold,
+            keys=np.arange(first, first + codes.shape[0], dtype=np.int64))
 
     # -- internals ----------------------------------------------------------
 
     def _run_keyed(self, codes: np.ndarray, threshold: int,
-                   keys: "list[int]") -> MappingReport:
+                   keys: np.ndarray) -> MappingReport:
         """Search *codes* on every shard concurrently and merge."""
         if codes.shape[1] != self._cols:
             raise CamConfigError(
@@ -612,7 +740,7 @@ class ShardedReadMappingPipeline:
 
     def _match_shard(self, matcher: AsmCapMatcher, codes: np.ndarray,
                      threshold: int,
-                     keys: "list[int]") -> MatchBatchOutcome:
+                     keys: np.ndarray) -> MatchBatchOutcome:
         """One shard's matches for the whole workload, chunk by chunk."""
         chunks = []
         for start in range(0, codes.shape[0], self._chunk_size):
@@ -623,7 +751,7 @@ class ShardedReadMappingPipeline:
         return _concat_outcomes(chunks)
 
     def _merge(self, shard_outcomes: "list[MatchBatchOutcome]",
-               keys: "list[int]") -> MappingReport:
+               keys: np.ndarray) -> MappingReport:
         """Merge per-shard outcomes into one global report.
 
         Row decisions concatenate in shard (= global row) order;

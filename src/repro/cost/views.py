@@ -46,18 +46,19 @@ from repro.errors import CamConfigError, LedgerCompactionError
 def search_pass_energy_per_query(event: SearchPassEvent) -> np.ndarray:
     """``(B,)`` array energy per query of one search pass.
 
-    The charge domain applies Eq. (1) row by row
-    (:func:`repro.cam.energy.search_energy_per_row`); the current
-    domain charges the matchline pre-charge plus per-mismatch
-    discharge.  Sense-amp energy is charged per stored row.
+    The charge domain applies Eq. (1) row by row, gathered from the
+    per-level table (:func:`repro.cam.energy.search_energy_per_query`);
+    the current domain charges the matchline pre-charge plus
+    per-mismatch discharge.  Sense-amp energy is charged per stored
+    row.
     """
-    from repro.cam.energy import search_energy_per_row
+    from repro.cam.energy import search_energy_per_query
 
     counts = event.mismatch_counts
     n_rows = counts.shape[1]
     if event.domain == "charge":
-        cells = search_energy_per_row(counts, event.n_cells,
-                                      vdd=event.vdd).sum(axis=1)
+        cells = search_energy_per_query(counts, event.n_cells,
+                                        vdd=event.vdd)
     else:
         precharge = (constants.EDAM_ML_PRECHARGE_CAP_F
                      * event.vdd**2 * n_rows)

@@ -73,9 +73,11 @@ def encode_reference(segments: np.ndarray) -> EncodedReference:
 
     float32 is exact for the GEMM lane: every partial inner product is
     an integer below ``2**24``.  Stored codes are alphabet-checked at
-    write time, so the one-hot index is always in range.
+    write time, so the one-hot index is always in range.  The encoding
+    freezes a private copy of *segments*; the caller's matrix stays
+    writeable.
     """
-    segments = np.ascontiguousarray(segments, dtype=np.uint8)
+    segments = np.array(segments, dtype=np.uint8, order="C")
     n_rows, n_cells = segments.shape
     onehot = np.zeros((n_rows * n_cells, alphabet.ALPHABET_SIZE),
                       dtype=np.float32)

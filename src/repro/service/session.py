@@ -196,7 +196,7 @@ class MappingSession:
         self._pending: "deque[tuple[int, list[np.ndarray]]]" = deque()
         self._executing = False
         self._report = MappingReport()
-        self._last_batch: "tuple[ReadMapping, ...]" = ()
+        self._last_batch = MappingReport()
         self._n_submitted = 0
         self._n_enqueued = 0
         self._n_dispatched = 0
@@ -262,10 +262,13 @@ class MappingSession:
 
         Replaced wholesale per batch (one micro-batch of memory,
         whatever ``retain_mappings`` says) — the hand-off surface
-        :func:`~repro.service.stream.stream_mapped` drains.
+        :func:`~repro.service.stream.stream_mapped` drains.  Built from
+        the batch report's columns on first access, outside the session
+        lock (the batch report is never folded into after it lands).
         """
         with self._lock:
-            return self._last_batch
+            batch = self._last_batch
+        return tuple(batch.mappings)
 
     # -- feed ---------------------------------------------------------------
 
@@ -526,11 +529,12 @@ class MappingSession:
 
         The engine call runs outside the session lock but inside the
         dispatch mutex (the per-session serialisation observability
-        relies on).  The fold runs under the lock with the same
-        per-read ``add()`` sequence a one-shot run performs, so the
-        aggregate totals are bit-identical to it.  A failure is recorded
-        (sticky) and returned; queued batches are dropped so blocked
-        feeders and drainers wake instead of hanging.
+        relies on).  The fold is one
+        :meth:`~repro.core.pipeline.MappingReport.add` under the lock,
+        which continues the per-read left fold a one-shot run performs,
+        so the aggregate totals are bit-identical to it.  A failure is
+        recorded (sticky) and returned; queued batches are dropped so
+        blocked feeders and drainers wake instead of hanging.
         """
         with self._dispatch_mutex:
             failure: "BaseException | None" = None
@@ -541,16 +545,16 @@ class MappingSession:
                     _fire_fault("service.frontend.execute", session=self,
                                 first_read_index=first)
                 report = self._pipeline.run_batched(
-                    codes, self._threshold, first_read_index=first)
+                    np.stack(codes), self._threshold,
+                    first_read_index=first)
             except BaseException as exc:  # noqa: BLE001 — kept for the feeder
                 failure = exc
             with self._lock:
                 if failure is None:
-                    for mapping in report.mappings:
-                        self._report.add(mapping)
+                    self._report.add(report)
                     if not self._retain_mappings:
-                        self._report.mappings.clear()
-                    self._last_batch = tuple(report.mappings)
+                        self._report.clear_mappings()
+                    self._last_batch = report
                     self._n_dispatched += len(codes)
                     self._n_batches += 1
                 else:

@@ -114,12 +114,16 @@ class StreamingMappingService(MappingSession):
         streamed session keeps its one-shot bit-identity contract
         whichever backend runs.
     retain_mappings:
-        Keep every per-read :class:`~repro.core.pipeline.ReadMapping`
-        in the aggregate report (the one-shot behaviour, needed for
-        bit-identity comparisons).  ``False`` drops them after their
-        counters fold in, bounding result memory for endless streams
-        (aggregate totals stay bit-identical — the same additions run
-        in the same order).
+        Keep every micro-batch's per-read results in the aggregate
+        report, as column blocks whose
+        :class:`~repro.core.pipeline.ReadMapping` list is built on
+        first access (the one-shot behaviour, needed for bit-identity
+        comparisons).  ``False`` drops them once each batch has folded
+        in (:meth:`~repro.core.pipeline.MappingReport.clear_mappings`),
+        bounding result memory for endless streams; the aggregate
+        totals stay bit-identical (the same additions run in the same
+        order).  Either way :attr:`last_batch_mappings` holds the
+        latest batch.
     catalog:
         A :class:`~repro.refstore.ReferenceCatalog` to borrow the
         reference from; ``segments`` must then be a registered

@@ -7,10 +7,15 @@ import pytest
 
 from repro import constants
 from repro.cam.energy import (
+    level_energies,
     search_energy_eq1,
+    search_energy_per_query,
     search_energy_per_row,
     vml_variance_eq2,
 )
+from repro.cost.events import EdStarPass
+from repro.cost.profile import typical_search_event
+from repro.cost.views import component_energies, search_pass_energy_per_query
 from repro.errors import CamConfigError
 
 
@@ -66,3 +71,74 @@ class TestEq2:
     def test_vanishes_at_extremes(self):
         assert vml_variance_eq2(0, 256) == pytest.approx(0.0)
         assert vml_variance_eq2(256, 256) == pytest.approx(0.0)
+
+
+def _counts_block(n_cells: int, seed: int) -> np.ndarray:
+    """A ``(B, M)`` int count block holding both extremes, 0 and N."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, n_cells + 1, size=(9, 300))
+    counts[0, :3] = (0, n_cells, n_cells // 2)
+    return counts
+
+
+def _pass(counts: np.ndarray, n_cells: int, vdd: float) -> EdStarPass:
+    return EdStarPass(
+        domain="charge", mode="ed_star", n_cells=n_cells, vdd=vdd,
+        search_time_ns=constants.ASMCAP_SEARCH_TIME_NS,
+        mismatch_counts=counts,
+        thresholds=np.zeros(counts.shape[0], dtype=int),
+    )
+
+
+class TestLevelTable:
+    """The per-level energy table is the per-row formula, bit for bit:
+    ``==`` throughout, never ``approx``."""
+
+    @pytest.mark.parametrize("vdd", [constants.VDD_VOLTS, 0.9, 1.05, 1.3])
+    @pytest.mark.parametrize("n_cells", [1, 7, 64, 256])
+    def test_gathered_row_sums_equal_the_formula(self, n_cells, vdd):
+        counts = _counts_block(n_cells, seed=n_cells)
+        formula = search_energy_per_row(counts, n_cells, vdd=vdd)
+        table = level_energies(n_cells, vdd=vdd)
+        assert np.array_equal(table[counts], formula)
+        assert np.array_equal(table[counts].sum(axis=1),
+                              formula.sum(axis=1))
+        assert np.array_equal(search_energy_per_query(counts, n_cells,
+                                                      vdd=vdd),
+                              formula.sum(axis=1))
+
+    def test_table_is_cached_and_read_only(self):
+        table = level_energies(64, vdd=0.9)
+        assert level_energies(64, vdd=0.9) is table
+        assert table.shape == (65,)
+        assert not table.flags.writeable
+
+    def test_non_contiguous_counts_take_the_formula(self):
+        counts = np.asfortranarray(_counts_block(64, seed=3))
+        assert np.array_equal(
+            search_energy_per_query(counts, 64),
+            search_energy_per_row(counts, 64).sum(axis=1))
+
+    @pytest.mark.parametrize("bad", [-1, 65])
+    def test_out_of_range_count_raises_through_the_view(self, bad):
+        counts = _counts_block(64, seed=4)
+        counts[2, 5] = bad
+        with pytest.raises(CamConfigError, match="within 0..n_cells"):
+            search_pass_energy_per_query(_pass(counts, 64, 1.2))
+        with pytest.raises(CamConfigError, match="within 0..n_cells"):
+            search_energy_per_query(counts, 64)
+
+    def test_typical_search_event_energies_unchanged(self):
+        """The float-count synthetic event keeps the formula: pinned
+        to the values before the level table existed."""
+        parts = component_energies(typical_search_event())
+        assert {name: value.hex() for name, value in parts.items()} == {
+            "cells": "0x1.946d29ab52bb4p-35",
+            "shift_registers": "0x1.982382e829366p-37",
+            "sense_amps": "0x1.036847569cd7ap-38",
+        }
+        small = component_energies(typical_search_event(rows=64, cols=128))
+        assert small["cells"].hex() == "0x1.946d29ab52bb6p-38"
+        per_query = search_pass_energy_per_query(typical_search_event())
+        assert [value.hex() for value in per_query.tolist()] == [
+            "0x1.b4da329626563p-35"]

@@ -216,3 +216,28 @@ def test_replace_keeps_lazy_voltages():
     replaced = dataclasses.replace(result, matches=~result.matches)
     assert np.array_equal(replaced.v_ml, result.v_ml)
     assert np.array_equal(replaced.matches, ~result.matches)
+
+
+@pytest.mark.parametrize("domain", ["charge", "current"])
+def test_level_table_is_built_once_at_the_first_pass(domain, monkeypatch):
+    """The per-level ``(V_ideal, σ, half-width)`` table is computed at
+    the first pass (after any post-construction variation swap, as the
+    property test above does) and reused by every later pass."""
+    array = CamArray(4, 32, domain=domain, seed=2)
+    array.store(np.zeros((4, 32), dtype=np.uint8))
+    calls = []
+    real = type(array.variation).sigma_vml
+
+    def counting(self, levels, n_cells):
+        calls.append(np.shape(levels))
+        return real(self, levels, n_cells)
+
+    monkeypatch.setattr(type(array.variation), "sigma_vml", counting)
+    queries = np.zeros((3, 32), dtype=np.uint8)
+    first = array.search_batch(queries, 4)
+    for threshold in (0, 8, 16):
+        array.search_batch(queries, threshold)
+    array.search_sweep(queries, np.arange(5))
+    assert calls == [(33,)]
+    again = array.search_batch(queries, 4)
+    assert np.array_equal(first.matches, again.matches)

@@ -55,8 +55,7 @@ def _run(workload, compaction: "str | None"):
                 ledger.compact()
         tail = pipeline.run(reads[SPLIT:], threshold=THRESHOLD,
                             first_read_index=SPLIT)
-        for mapping in tail.mappings:
-            report.add(mapping)
+        report.add(tail)
         stats = pipeline.merged_stats()
         observability = pipeline.ledger_observability()
         return report, stats, observability

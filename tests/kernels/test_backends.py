@@ -145,6 +145,21 @@ class TestEncodeOnce:
         for arr in (encoded.segments, encoded.onehot):
             assert not arr.flags.writeable
 
+    @pytest.mark.parametrize("segments", [
+        np.zeros((2, 4), dtype=np.uint8),
+        np.zeros((2, 4), dtype=np.int64),
+        np.asfortranarray(np.zeros((2, 4), dtype=np.uint8)),
+    ], ids=["contiguous-uint8", "int64", "fortran-uint8"])
+    def test_callers_matrix_stays_writeable(self, segments):
+        """The encoding freezes its own copy: a C-contiguous uint8
+        input used to be frozen in place."""
+        encoded = encode_reference(segments)
+        assert segments.flags.writeable
+        assert not encoded.segments.flags.writeable
+        assert not np.shares_memory(encoded.segments, segments)
+        segments[0, 0] = 3
+        assert encoded.segments[0, 0] == 0
+
 
 # -- randomized exact-equality properties (satellite: fallback lanes) --
 

@@ -235,6 +235,17 @@ class TestLifecycle:
         assert snap.reads_dispatched == 5
         assert snap.batches_dispatched == 1
 
+    def test_drains_share_the_per_read_objects(self, small_dataset_a):
+        """Each drained snapshot is a list of its own over the same
+        frozen ``ReadMapping`` objects, not a rebuilt copy of them."""
+        service = self._service(small_dataset_a)
+        service.submit_many(_reads(small_dataset_a)[:20])
+        first, second = service.drain(), service.drain()
+        assert first.mappings is not second.mappings
+        assert first.mappings[0] is second.mappings[0]
+        assert first.mappings[-1] is service.report.mappings[-1]
+        assert service.last_batch_mappings[0] is first.mappings[16]
+
     def test_drain_keeps_service_open(self, small_dataset_a):
         service = self._service(small_dataset_a)
         reads = _reads(small_dataset_a)

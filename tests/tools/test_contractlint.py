@@ -17,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from tools.contractlint import LintConfig, RepoContext, lint_source
+from tools.contractlint import LintConfig, RepoContext, lint_source, run_lint
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Knob names pinned for fixture runs (the production run reads them
 #: from src/repro/knobs.py; fixtures must not depend on the tree).
@@ -71,6 +72,8 @@ CHECKER_CASES = [
     pytest.param("one_encode_rotation_violation.py",
                  "one_encode_rotation_clean.py",
                  "src/repro/core/fixture.py", id="one-encode-rotation"),
+    pytest.param("per_read_fold_violation.py", "per_read_fold_clean.py",
+                 "src/repro/core/pipeline.py", id="per-read-fold"),
 ]
 
 
@@ -187,6 +190,67 @@ class TestOneEncodeRotationScope:
     ])
     def test_other_layers_are_out_of_scope(self, rel_path):
         assert lint_source(self.SOURCE, rel_path, repo=make_repo()) == []
+
+
+class TestNoPerReadFold:
+    """CL106 keeps per-read object churn off the batch report path:
+    the per-read report build and the session's per-read replay that
+    the columnar report replaced are both flagged."""
+
+    BUILD_REPORT_LOOP = (
+        "def _build_report(decisions, energy_l, read_indices):\n"
+        "    report = MappingReport()\n"
+        "    for q in range(decisions.shape[0]):\n"
+        "        per_read = MatchOutcome(\n"
+        "            decisions=decisions[q], threshold=8, n_searches=1,\n"
+        "            energy_joules=energy_l[q], latency_ns=4.5,\n"
+        "            hdac_probability=0.0, tasr_lower_bound=52)\n"
+        "        report.add(ReadMapping(\n"
+        "            read_index=read_indices[q], matched_rows=(),\n"
+        "            outcome=per_read))\n"
+        "    return report\n"
+    )
+    SESSION_REPLAY_LOOP = (
+        "class MappingSession:\n"
+        "    def _execute(self, report):\n"
+        "        with self._lock:\n"
+        "            for mapping in report.mappings:\n"
+        "                self._report.add(mapping)\n"
+        "            self._last_batch = tuple(report.mappings)\n"
+    )
+
+    def test_per_read_report_build_is_flagged(self):
+        findings = lint_source(self.BUILD_REPORT_LOOP,
+                               "src/repro/core/pipeline.py",
+                               repo=make_repo())
+        assert sorted((f.code, f.line, f.col) for f in findings) == [
+            ("CL106", 4, 19), ("CL106", 8, 8), ("CL106", 8, 19)]
+        messages = {f.message for f in findings}
+        assert ("'.add()' in a loop folds per read; fold each batch "
+                "report with one MappingReport.add(report)") in messages
+        assert ("'MatchOutcome(...)' built per read in a loop; keep "
+                "batch results as columns and build the per-read view "
+                "lazily") in messages
+
+    def test_session_replay_is_flagged(self):
+        findings = lint_source(self.SESSION_REPLAY_LOOP,
+                               "src/repro/service/session.py",
+                               repo=make_repo())
+        assert [(f.code, f.line) for f in findings] == [("CL106", 5)]
+
+    @pytest.mark.parametrize("rel_path", [
+        "src/repro/core/matcher.py", "src/repro/cost/ledger.py",
+        "tests/core/test_pipeline.py",
+    ])
+    def test_other_modules_are_out_of_scope(self, rel_path):
+        assert lint_source(self.BUILD_REPORT_LOOP, rel_path,
+                           repo=make_repo()) == []
+
+    def test_batch_path_of_the_tree_is_clean(self):
+        files = [REPO_ROOT / "src/repro/core/pipeline.py",
+                 *sorted((REPO_ROOT / "src/repro/service").glob("*.py"))]
+        findings = run_lint(REPO_ROOT, files=files)
+        assert [f.render() for f in findings] == []
 
 
 class TestArchRanksBelowCore:

@@ -35,6 +35,20 @@ draw from an entropy source that is not keyed by an argument:
   rotated in place, Fig. 4); a rolled copy of the reads would be
   encoded again for every rotation.
 
+* ``CL106`` — per-read object churn on the batch path: a
+  ``ReadMapping(...)`` or ``MatchOutcome(...)`` construction, or a
+  report fold (``.add(...)`` on a receiver named ``*report``, or with a
+  per-read argument: a ``ReadMapping(...)``, an element of
+  ``X.mappings``), inside a ``for``/``while`` body or a comprehension
+  in ``src/repro/core/pipeline.py`` or ``src/repro/service/``.  A batch
+  report is built and folded as columns (one ``MappingReport.add`` per
+  micro-batch).  The rule matches names, not costs: it is a guard
+  against the per-read loops coming back, not a performance guarantee.
+  The one intended per-read builder is the lazy view
+  (``_ReadColumns.mappings``), which maps a one-object helper over the
+  columns with ``map(...)`` — a form the rule deliberately leaves
+  alone.
+
 ``time.perf_counter`` is deliberately *not* flagged: it is the
 monotonic latency instrument of the stats/autotune paths, and the
 cross-backend/engine bit-identity contract (enforced at runtime by the
@@ -243,3 +257,103 @@ class OneEncodeRotationChecker(Checker):
             if isinstance(node, ast.Call)
             and _dotted(node.func) in _ROLL_CALLS
         ]
+
+
+#: Modules whose batch reports are built and folded as columns.
+BATCH_PATH_SCOPE = (
+    "src/repro/core/pipeline.py",
+    "src/repro/service",
+)
+
+#: Per-read result types a batch path must not build in a loop.
+_PER_READ_TYPES = {"ReadMapping", "MatchOutcome"}
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
+                   ast.GeneratorExp)
+
+
+def _per_read_names(tree: ast.AST) -> "set[str]":
+    """Names a loop or comprehension binds to the elements of some
+    ``X.mappings`` (``for mapping in report.mappings``)."""
+    names: "set[str]" = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) \
+                and isinstance(node.iter, ast.Attribute) \
+                and node.iter.attr == "mappings":
+            names.update(n.id for n in ast.walk(node.target)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _is_report_fold(call: ast.Call, per_read: "set[str]") -> bool:
+    """``.add(...)`` on a report, or with one read's result."""
+    if not (isinstance(call.func, ast.Attribute)
+            and call.func.attr == "add"):
+        return False
+    receiver = call.func.value
+    if isinstance(receiver, ast.Call):
+        receiver = receiver.func
+    name = _dotted(receiver)[-1:]
+    if name and name[0].lower().endswith("report"):
+        return True
+    for arg in call.args:
+        if isinstance(arg, ast.Call) \
+                and _dotted(arg.func)[-1:] == ("ReadMapping",):
+            return True
+        if isinstance(arg, ast.Subscript) \
+                and isinstance(arg.value, ast.Attribute) \
+                and arg.value.attr == "mappings":
+            return True
+        if isinstance(arg, ast.Name) and arg.id in per_read:
+            return True
+    return False
+
+
+def _repeated_calls(tree: ast.AST) -> "list[ast.Call]":
+    """Calls inside a loop body or a comprehension (nested scopes
+    included: a function defined in a loop body runs per iteration
+    too)."""
+    calls: "list[ast.Call]" = []
+    for node in ast.walk(tree):
+        if isinstance(node, _LOOPS):
+            roots = [*node.body, *node.orelse]
+        elif isinstance(node, _COMPREHENSIONS):
+            roots = [node]
+        else:
+            continue
+        for root in roots:
+            calls.extend(child for child in ast.walk(root)
+                         if isinstance(child, ast.Call))
+    return calls
+
+
+@register
+class PerReadFoldChecker(Checker):
+    name = "per-read-fold"
+    codes = {
+        "CL106": "per-read ReadMapping/MatchOutcome construction or "
+                 "report .add() fold in a loop on the batch report path",
+    }
+    scope = BATCH_PATH_SCOPE
+
+    def check(self, ctx: FileContext, repo: RepoContext) -> "list[Finding]":
+        findings: "dict[tuple[int, int], Finding]" = {}
+        per_read = _per_read_names(ctx.tree)
+        for call in _repeated_calls(ctx.tree):
+            name = _dotted(call.func)[-1:]
+            if name and name[0] in _PER_READ_TYPES:
+                message = (f"'{name[0]}(...)' built per read in a loop; "
+                           f"keep batch results as columns and build "
+                           f"the per-read view lazily")
+            elif _is_report_fold(call, per_read):
+                message = ("'.add()' in a loop folds per read; fold "
+                           "each batch report with one "
+                           "MappingReport.add(report)")
+            else:
+                continue
+            # A call nested in two loops is reported once.
+            findings[(call.lineno, call.col_offset)] = Finding(
+                path=ctx.rel_path, line=call.lineno, col=call.col_offset,
+                code="CL106", message=message)
+        return list(findings.values())
