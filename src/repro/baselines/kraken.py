@@ -15,15 +15,27 @@ CAM matchers: a segment is called a match when enough of the read's
 k-mers occur in that segment.
 
 **Implementation.**  Everything is vectorised and *exact* — no k-mer
-hashing.  The index assigns every distinct reference k-mer window an
-integer id by sorting the raw ``(k,)`` byte windows (a void-dtype
-``np.unique``), and stores a dense id -> segment membership table.
-Classification slides windows over the read block, finds each window's
-id with one ``searchsorted``, and gathers/sums membership rows — so
+hashing.  Each k-mer window is packed at 2 bits per base by doubling
+(shift-or over spans of 1, 2, 4, ... bases).  The leading 32 bases fill
+one uint64 word; for k > 32 the remaining bases follow in chunks of at
+most 16.  The index dense-ranks the leading words with one ``argsort``
+and folds each later chunk into the rank as ``rank * 4**len + word``,
+re-ranking after every fold, so every key fits int64 and equal ids
+mean equal windows.  It stores one CSR row per k-mer id listing the
+segments that hold it, each segment once however often the k-mer
+repeats there.  Classification packs the read block's windows, looks
+them up level by level with ``searchsorted`` (needles sorted first),
+and sums hits per ``(read, segment)`` with one ``np.bincount`` — so
 :meth:`KrakenLikeClassifier.classify_batch` scores a whole ``(B, L)``
 read block without any per-k-mer Python.  The scalar
 :meth:`KrakenLikeClassifier.classify` is the batch-of-one special case,
 guaranteeing the two agree bit-for-bit.
+
+**Input contract.**  A packed window holds only the codes 0-3.  A
+segment carrying any other code raises :class:`DatasetError` naming it
+(the CAM rejects such a reference too).  A read window carrying one
+counts as a miss, which is exact: it cannot equal any window of an
+ACGT-only reference.
 """
 
 from __future__ import annotations
@@ -31,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import DatasetError, ThresholdError
 from repro.genome.sequence import DnaSequence
@@ -58,15 +69,70 @@ class KrakenBatchOutcome:
     n_kmers: int
 
 
-def _window_keys(windows: np.ndarray) -> np.ndarray:
-    """View fixed-width uint8 windows as one void key per row.
+#: Bases packed into the leading uint64 word of a k-mer (2 bits each).
+_WORD_BASES = 32
 
-    Void keys compare as raw bytes, which makes sorting, ``unique``
-    and ``searchsorted`` over k-mer windows exact without packing
-    k-mers into (over-wide) integers.
+#: Most bases per later chunk: a dense rank (below 2**31) times 4**16
+#: plus a 16-base word stays below 2**63.
+_CHUNK_BASES = 16
+
+
+def _packed_windows(codes: np.ndarray, span: int) -> np.ndarray:
+    """``(B, L - span + 1)`` uint64: every *span*-base window of the
+    ``(B, L)`` code block at 2 bits per base, first base most
+    significant.
+
+    Built by doubling: windows of ``2w`` bases are the ``w``-base
+    windows at ``p`` and ``p + w`` shifted and or-ed together, and
+    *span*'s binary digits pick which power-of-two pieces to append.
     """
-    windows = np.ascontiguousarray(windows)
-    return windows.view(np.dtype((np.void, windows.shape[1]))).ravel()
+    n_cols = codes.shape[1]
+    piece = codes.astype(np.uint64)
+    width = 1
+    value, value_span = None, 0
+    remaining = span
+    while True:
+        if remaining & width:
+            if value is None:
+                value, value_span = piece, width
+            else:
+                n = n_cols - value_span - width + 1
+                value = ((value[:, :n] << 2 * width)
+                         | piece[:, value_span : value_span + n])
+                value_span += width
+            remaining -= width
+        if not remaining:
+            return value
+        n = n_cols - 2 * width + 1
+        piece = (piece[:, :n] << 2 * width) | piece[:, width : width + n]
+        width *= 2
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal sorted values."""
+    starts = np.empty(ordered.shape[0], dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ranks of *values* and their sorted distinct values.
+
+    One ``argsort``: ``np.unique`` costs many times more on the same
+    integer keys.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = _run_starts(ordered)
+    ranks = np.empty(ordered.shape[0], dtype=np.int64)
+    ranks[order] = np.cumsum(starts) - 1
+    return ranks, ordered[starts]
+
+
+def _fold(ranks: np.ndarray, words: np.ndarray, span: int) -> np.ndarray:
+    """Keys ``rank * 4**span + word`` of a later *span*-base chunk."""
+    return ranks * (1 << 2 * span) + words.astype(np.int64)
 
 
 class KrakenLikeClassifier:
@@ -97,31 +163,46 @@ class KrakenLikeClassifier:
             raise ThresholdError(
                 f"confidence must be in (0, 1], got {confidence}"
             )
+        if k < 1:
+            raise DatasetError(f"k must be positive, got {k}")
         if k > segments.shape[1]:
             raise DatasetError(
                 f"k = {k} exceeds segment length {segments.shape[1]}"
             )
+        bad = segments >= 4
+        if bad.any():
+            raise DatasetError(
+                f"segments hold code {int(segments[bad].max())}; the "
+                "k-mer index packs the DNA codes 0-3 only"
+            )
         self._k = k
         self._confidence = confidence
         self._n_segments = int(segments.shape[0])
+        # Bases per packed level: the leading word, then later chunks.
+        first = min(k, _WORD_BASES)
+        self._spans = [first] + [min(_CHUNK_BASES, k - start) for start
+                                 in range(first, k, _CHUNK_BASES)]
+        # Level 0 holds the sorted distinct leading words, each later
+        # level the sorted distinct folded keys.
+        self._levels: list[np.ndarray] = []
+        ids = np.empty(0, dtype=np.int64)
         if self._n_segments:
-            windows = sliding_window_view(segments, k, axis=1)
-            n_windows = windows.shape[1]
-            keys = _window_keys(windows.reshape(-1, k))
-            self._unique_kmers, inverse = np.unique(keys,
-                                                    return_inverse=True)
-            # Dense id -> segment membership; the extra trailing row
-            # stays all-zero and absorbs missing (non-reference) ids.
-            membership = np.zeros(
-                (self._unique_kmers.shape[0] + 1, self._n_segments),
-                dtype=np.uint8,
-            )
-            segment_ids = np.repeat(np.arange(self._n_segments), n_windows)
-            membership[inverse.ravel(), segment_ids] = 1
-            self._membership = membership
-        else:
-            self._unique_kmers = np.empty(0, dtype=np.dtype((np.void, k)))
-            self._membership = np.zeros((1, 0), dtype=np.uint8)
+            for level, words in enumerate(self._chunk_words(segments)):
+                keys = words.ravel()
+                if level:
+                    keys = _fold(ids, keys, self._spans[level])
+                ids, distinct = _dense_rank(keys)
+                self._levels.append(distinct)
+        # CSR rows k-mer id -> segments holding it, each segment once.
+        n_windows = segments.shape[1] - k + 1
+        pairs = np.sort(ids * self._n_segments
+                        + np.arange(ids.shape[0]) // n_windows)
+        kmer_ids, self._segments_of = np.divmod(pairs[_run_starts(pairs)],
+                                                self._n_segments)
+        n_ids = self._levels[-1].shape[0] if self._levels else 0
+        self._row_starts = np.zeros(n_ids + 1, dtype=np.int64)
+        np.cumsum(np.bincount(kmer_ids, minlength=n_ids),
+                  out=self._row_starts[1:])
 
     @property
     def k(self) -> int:
@@ -131,23 +212,48 @@ class KrakenLikeClassifier:
     def n_segments(self) -> int:
         return self._n_segments
 
-    def _window_ids(self, codes: np.ndarray) -> np.ndarray:
-        """``(B, n_kmers)`` membership-row ids for a read block.
+    def _chunk_words(self, codes: np.ndarray) -> list[np.ndarray]:
+        """Per level, the ``(B, n_windows)`` packed words of every k-mer
+        window of a code block."""
+        n_windows = codes.shape[1] - self._k + 1
+        packed: dict[int, np.ndarray] = {}
+        words, start = [], 0
+        for span in self._spans:
+            if span not in packed:
+                packed[span] = _packed_windows(codes, span)
+            words.append(packed[span][:, start : start + n_windows])
+            start += span
+        return words
 
-        Windows absent from the reference map to the table's all-zero
-        trailing row.
+    def _window_hits(self, codes: np.ndarray) -> tuple[np.ndarray,
+                                                       np.ndarray]:
+        """Flat indices of the block's k-mer windows found in the index,
+        and their k-mer ids.
+
+        Windows holding a code >= 4 are misses.  The needles are sorted
+        once by leading word, which keeps each level's ``searchsorted``
+        walking the index in order.
         """
-        windows = sliding_window_view(codes, self._k, axis=1)
-        keys = _window_keys(windows.reshape(-1, self._k))
-        missing = self._unique_kmers.shape[0]
-        if missing == 0:
-            return np.zeros((codes.shape[0], windows.shape[1]),
-                            dtype=np.intp)
-        positions = np.searchsorted(self._unique_kmers, keys)
-        clipped = np.minimum(positions, missing - 1)
-        found = self._unique_kmers[clipped] == keys
-        ids = np.where(found, clipped, missing)
-        return ids.reshape(codes.shape[0], windows.shape[1])
+        if not self._levels:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        n_reads, length = codes.shape
+        n_windows = length - self._k + 1
+        bad = np.zeros((n_reads, length + 1), dtype=np.int32)
+        np.cumsum(codes >= 4, axis=1, out=bad[:, 1:])
+        valid = bad[:, self._k:] == bad[:, :n_windows]
+        words = self._chunk_words(codes)
+        found = np.flatnonzero(valid)
+        found = found[np.argsort(words[0].ravel()[found])]
+        for level, distinct in enumerate(self._levels):
+            needles = words[level].ravel()[found]
+            if level:
+                needles = _fold(ids, needles, self._spans[level])
+            positions = np.searchsorted(distinct, needles)
+            clipped = np.minimum(positions, distinct.shape[0] - 1)
+            hit = distinct[clipped] == needles
+            found, ids = found[hit], positions[hit]
+        return found, ids
 
     def classify_batch(self, reads: np.ndarray) -> KrakenBatchOutcome:
         """Hit fractions and decisions for a ``(B, L)`` read block."""
@@ -162,9 +268,19 @@ class KrakenLikeClassifier:
                 f"reads of length {reads.shape[1]} shorter than "
                 f"k = {self._k}"
             )
-        ids = self._window_ids(reads)
-        n_kmers = int(ids.shape[1])
-        hits = self._membership[ids].sum(axis=1, dtype=np.int32)
+        n_reads = reads.shape[0]
+        n_kmers = reads.shape[1] - self._k + 1
+        windows, ids = self._window_hits(reads)
+        # Expand each found window to the segments of its CSR row.
+        starts = self._row_starts[ids]
+        counts = self._row_starts[ids + 1] - starts
+        ends = np.cumsum(counts)
+        entries = (np.repeat(starts - (ends - counts), counts)
+                   + np.arange(counts.sum()))
+        cells = (np.repeat(windows // n_kmers, counts) * self._n_segments
+                 + self._segments_of[entries])
+        hits = np.bincount(cells, minlength=n_reads * self._n_segments)
+        hits = hits.reshape(n_reads, self._n_segments).astype(np.int32)
         fractions = hits / n_kmers
         return KrakenBatchOutcome(
             hit_fractions=fractions,

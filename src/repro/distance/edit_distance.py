@@ -24,6 +24,18 @@ Before the DP runs, two exact lower-bound prefilters prove most pairs
 Ukkonen's q-gram bound (:func:`qgram_lower_bound`, ``q = 3``) pairwise
 over its survivors.  Both are true lower bounds, so the prefiltered
 labelling stays exact — property-tested against the unfiltered DP.
+
+The DP itself exits early.  Every ``_COMPACT_EVERY`` rows it drops the
+pairs whose band row minimum is above the band, and compacts its
+tables down to the pairs still live.  This is exact: DP values never
+decrease along an alignment path, and every in-band path from
+``(0, 0)`` to ``(L, L)`` crosses row ``i`` inside the band, so the row
+minimum is a lower bound on the final banded value — a pair whose row
+minimum exceeds the band ends above it and keeps the ``band + 1`` cap
+its result cell was filled with.  Live pairs run the same integer
+arithmetic as before compaction.  At Fig.-7 scales about 96 of some
+530 prefilter survivors — roughly each read's own segment — are still
+live after the first 48 rows.
 """
 
 from __future__ import annotations
@@ -44,6 +56,11 @@ _INF16 = np.int16(1 << 14)
 #: the profile table tiny (64 bins) while separating unrelated DNA
 #: pairs far better than the 1-gram composition bound.
 _QGRAM_Q = 3
+
+#: Rows between early-exit checks of the batched banded DP: every this
+#: many rows, pairs whose band row minimum already exceeds the band are
+#: dropped from the loop.
+_COMPACT_EVERY = 8
 
 
 def _row_histograms(values: np.ndarray, n_bins: int) -> np.ndarray:
@@ -206,9 +223,11 @@ def banded_edit_distance_batch(segments: np.ndarray, reads: np.ndarray,
     Notes
     -----
     The DP runs in anti-band (offset) space: for DP cell ``(i, j)`` the
-    offset is ``d = j - i + k`` with ``d in [0, 2k]``.  All pairs advance
-    through rows ``i = 1..L`` together; each row costs a handful of
-    vectorised operations over a ``(R*M, 2k+1)`` table.
+    offset is ``d = j - i + k`` with ``d in [0, 2k]``.  The prefilter
+    survivors advance through rows ``i = 1..L`` together; each row
+    costs a handful of vectorised operations over a ``(2k+1, P)``
+    table, and every ``_COMPACT_EVERY`` rows the pairs already proven
+    above the band leave it.
     """
     segments = np.ascontiguousarray(segments, dtype=np.uint8)
     reads = np.ascontiguousarray(reads, dtype=np.uint8)
@@ -244,25 +263,31 @@ def banded_edit_distance_batch(segments: np.ndarray, reads: np.ndarray,
     if (length >= _QGRAM_Q
             and int(max(segments.max(initial=0),
                         reads.max(initial=0))) < 4):
-        seg_prof = qgram_profiles(segments)
-        read_prof = qgram_profiles(reads)
-        l1 = np.abs(read_prof[read_idx].astype(np.int64)
-                    - seg_prof[seg_idx]).sum(axis=1)
+        # Profile counts are at most the row length, so below 2**15
+        # they and their differences fit int16: the pairwise gathers
+        # then move a quarter of the bytes of int64 ones.
+        prof_dtype = np.int16 if length < 1 << 15 else np.int32
+        seg_prof = qgram_profiles(segments).astype(prof_dtype)
+        read_prof = qgram_profiles(reads).astype(prof_dtype)
+        diff = read_prof[read_idx]
+        np.subtract(diff, seg_prof[seg_idx], out=diff)
+        np.abs(diff, out=diff)
+        l1 = diff.sum(axis=1, dtype=np.int64)
         survivors = _qgram_bound_from_l1(l1, _QGRAM_Q) <= k
         read_idx = read_idx[survivors]
         seg_idx = seg_idx[survivors]
         if read_idx.size == 0:
             return result
 
-    # Compact pair-major layout over the surviving pairs only.
-    pair_reads = reads[read_idx]                             # (P, L)
-    pair_segments = segments[seg_idx]                        # (P, L)
-    n_pairs = pair_reads.shape[0]
-
-    # Segments padded with an impossible code so neighbour gathers at the
-    # row edges always compare unequal (validity is enforced separately).
-    padded = np.full((n_pairs, length + 2 * k), 255, dtype=np.uint8)
-    padded[:, k : k + length] = pair_segments
+    # Band-major layout over the surviving pairs only, one column per
+    # pair: row i's read bases are one contiguous vector, and the
+    # segments are padded with an impossible code so neighbour gathers
+    # at the band edges always compare unequal (validity is enforced
+    # separately).
+    pair_reads = np.ascontiguousarray(reads[read_idx].T)      # (L, P)
+    n_pairs = read_idx.shape[0]
+    padded = np.full((length + 2 * k, n_pairs), 255, dtype=np.uint8)
+    padded[k : k + length] = segments[seg_idx].T
 
     # int16 tables when the DP values fit (they never exceed
     # length + band + 1): the smaller element size roughly halves the
@@ -272,48 +297,72 @@ def banded_edit_distance_batch(segments: np.ndarray, reads: np.ndarray,
         dp_dtype, dp_inf = np.int16, _INF16
     else:
         dp_dtype, dp_inf = np.int32, _INF
-    d_offsets = np.arange(width, dtype=dp_dtype)
+    d_column = np.arange(width, dtype=dp_dtype)[:, None]
 
-    # Row i = 0: D[0][j] = j.  With offset d = j - i + k, row 0 has
-    # j = d - k, so only offsets d >= k are inside the matrix.
-    prev = np.full((n_pairs, width), dp_inf, dtype=dp_dtype)
-    js = d_offsets.astype(np.int32) - k
-    valid0 = (js >= 0) & (js <= length)
-    prev[:, valid0] = js[valid0][None, :].astype(dp_dtype)
+    # The table holds E[d] = D[i][j] - d rather than D itself, which
+    # turns the insertion term into a plain running minimum.  Row
+    # i = 0: D[0][j] = j with j = d - k, so E = -k on the offsets
+    # inside the matrix (d >= k, j <= length).
+    prev = np.full((width, n_pairs), dp_inf, dtype=dp_dtype)
+    prev[k : min(width, length + k + 1)] = -k
 
-    shifted = np.empty_like(prev)
+    # Pairs still in the loop, as indices into read_idx / seg_idx.
+    alive = np.arange(n_pairs)
+    cur = np.empty_like(prev)
+    mismatch = np.empty_like(prev)
+    up = np.empty((width - 1, n_pairs), dtype=dp_dtype)
     for i in range(1, length + 1):
-        # j for each offset at this row, and which offsets are inside the
-        # matrix (0 <= j <= length).
-        js = i + d_offsets.astype(np.int32) - k
-        inside = (js >= 0) & (js <= length)
-        # Substitution term: D[i-1][j-1] + (a[i-1] != b[j-1]).  In offset
-        # space the diagonal predecessor shares d.  Gather the segment
-        # bases b[j-1] for the whole band: padded columns (j-1) + k =
-        # i + d - 1, i.e. the contiguous slice [i-1, i-1+width).
-        seg_band = padded[:, i - 1 : i - 1 + width]
-        mismatch = (seg_band != pair_reads[:, i - 1][:, None]).astype(dp_dtype)
-        tmp = prev + mismatch
-        # Deletion term (up): predecessor at offset d+1.
-        shifted[:, :-1] = prev[:, 1:]
-        shifted[:, -1] = dp_inf
-        np.minimum(tmp, shifted + dp_dtype(1), out=tmp)
-        # Base column j = 0 (only when i <= k): D[i][0] = i.
-        if i <= k:
-            tmp[:, k - i] = i
-        # Kill offsets outside the matrix before the insertion scan.
-        tmp[:, ~inside] = dp_inf
-        # Insertion term (left) via min-accumulate along the band.
-        tmp -= d_offsets[None, :]
-        np.minimum.accumulate(tmp, axis=1, out=tmp)
-        tmp += d_offsets[None, :]
-        tmp[:, ~inside] = dp_inf
-        prev, shifted = tmp, prev
+        # Offsets inside the matrix (0 <= j = i + d - k <= length) are
+        # [lo, hi); only the first and last k rows have any outside.
+        lo = max(0, k - i)
+        hi = min(width, length - i + k + 1)
+        edge = lo > 0 or hi < width
+        # Substitution: D[i-1][j-1] + (a[i-1] != b[j-1]), the same
+        # offset d.  The segment bases b[j-1] of the whole band are
+        # padded rows (j-1) + k = i + d - 1, i.e. the slice
+        # [i-1, i-1+width).
+        np.not_equal(padded[i - 1 : i - 1 + width], pair_reads[i - 1],
+                     out=mismatch, casting="unsafe")
+        np.add(prev, mismatch, out=cur)
+        # Deletion: D[i-1][j] + 1 sits at offset d+1 (none for the last
+        # offset), which is E[d+1] + 2 in E terms.
+        np.add(prev[1:], 2, out=up)
+        np.minimum(cur[:-1], up, out=cur[:-1])
+        if edge:
+            # Base column j = 0 (only when i <= k): D[i][0] = i at
+            # d = k - i, so E = 2i - k.
+            if i <= k:
+                cur[k - i] = 2 * i - k
+            # Kill offsets outside the matrix before the insertion scan.
+            cur[:lo] = dp_inf
+            cur[hi:] = dp_inf
+        # Insertion: D[i][j-1] + 1 sits at offset d-1, which is E[d-1]
+        # in E terms, so the whole chain is a running minimum.
+        np.minimum.accumulate(cur, axis=0, out=cur)
+        if edge:
+            cur[:lo] = dp_inf
+            cur[hi:] = dp_inf
+        prev, cur = cur, prev
+        if i % _COMPACT_EVERY == 0:
+            # Early exit: a band row minimum above k is a lower bound
+            # on the pair's final value (see the module docstring), so
+            # the pair keeps the cap it was filled with.
+            live = (prev + d_column).min(axis=0) <= k
+            if not live.all():
+                alive = alive[live]
+                if alive.size == 0:
+                    return result
+                prev = np.ascontiguousarray(prev[:, live])
+                padded = np.ascontiguousarray(padded[:, live])
+                pair_reads = np.ascontiguousarray(pair_reads[:, live])
+                cur = np.empty_like(prev)
+                mismatch = np.empty_like(prev)
+                up = np.empty((width - 1, alive.size), dtype=dp_dtype)
 
-    # Offset of j == length at i == length; scatter into the
+    # D[length][length] sits at offset k; scatter into the
     # prefiltered result grid.
-    survivors = np.minimum(prev[:, k].astype(np.int32), cap)
-    result[read_idx, seg_idx] = survivors
+    result[read_idx[alive], seg_idx[alive]] = np.minimum(
+        prev[k].astype(np.int32) + k, cap)
     return result
 
 

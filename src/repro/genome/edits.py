@@ -12,6 +12,18 @@ deletes a consecutive ``AA``) frequently occur in bursts.  The injector
 therefore supports geometric burst lengths: after starting an indel
 event, each additional adjacent base is included with probability
 ``burst_prob``.  ``burst_prob = 0`` gives pure i.i.d. single-base indels.
+
+**Stream contract.**  The generator draws are part of a dataset's
+identity: a read's edits, and every read sampled after it, depend on
+exactly which values :func:`inject_edits` consumes, in which order.
+The reference order is a per-base scan — one ``random()`` per base,
+then the event's own scalar ``integers``/``random`` calls.  The
+implementation finds the next event with one block ``random(n)``
+draw, restores the saved ``bit_generator.state`` and redraws only the
+doubles up to the event, so it consumes the same values in the same
+order.  ``bit_generator.advance`` must not replace the restore: it
+drops PCG64's buffered ``uint32`` half-word that a small-range
+``integers`` call leaves behind, and the next ``integers`` draw moves.
 """
 
 from __future__ import annotations
@@ -152,10 +164,25 @@ def inject_edits(sequence: DnaSequence, model: ErrorModel,
     out: list[int] = []
     plan = EditPlan()
     p_sub, p_ins, p_del = model.substitution, model.insertion, model.deletion
+    p_event = model.total_rate
+    bit_generator = rng.bit_generator
     i = 0
     n = len(source)
     while i < n:
-        x = rng.random()
+        # Find the next event with one block draw, then rewind and
+        # consume exactly the doubles the scalar scan would have used
+        # up to and including it (see the module docstring).
+        state = bit_generator.state
+        block = rng.random(n - i)
+        j = int(np.argmax(block < p_event))
+        x = block[j]
+        if x >= p_event:
+            out.extend(source[i:].tolist())
+            break
+        bit_generator.state = state
+        rng.random(j + 1)
+        out.extend(source[i:i + j].tolist())
+        i += j
         if x < p_sub:
             new_code = _different_base(int(source[i]), rng)
             plan.edits.append(Edit(EditKind.SUBSTITUTION, i,
@@ -173,7 +200,7 @@ def inject_edits(sequence: DnaSequence, model: ErrorModel,
                     break
             out.append(int(source[i]))
             i += 1
-        elif x < p_sub + p_ins + p_del:
+        else:
             # Delete a burst of consecutive bases starting at i.
             while i < n:
                 plan.edits.append(Edit(EditKind.DELETION, i,
@@ -181,9 +208,6 @@ def inject_edits(sequence: DnaSequence, model: ErrorModel,
                 i += 1
                 if rng.random() >= model.burst_prob:
                     break
-        else:
-            out.append(int(source[i]))
-            i += 1
     edited = DnaSequence(np.array(out, dtype=np.uint8))
     return edited, plan
 
