@@ -44,7 +44,10 @@ a counter-based stream seeded by ``(array_seed, stream_tag) +
 noise_keys[q]`` (default ``(q,)``, the read's index in the block), so
 two executions that issue the same keyed searches — in any order,
 batched or swept, single-threaded or sharded across workers — see
-bit-identical noise and make bit-identical decisions.
+bit-identical noise and make bit-identical decisions.  A batch search
+may also carry ``P`` back-to-back passes over the same reads (a *pass
+block*: the base ED* pass and its TASR rotations, or the ED*/HD pair),
+decided as one ``(P·B, M)`` block and recorded as ``P`` events.
 
 **Noise is drawn only where it can decide.**  A keyed normal is
 bounded, ``|z| <= NORMAL_BOUND`` (:mod:`repro.cam.keyed_noise`), so a
@@ -198,7 +201,8 @@ class BatchSearchResult:
     thresholds:
         ``(B,)`` per-query thresholds (a scalar input is broadcast).
     mode:
-        ED*/HD mode of the whole batch.
+        ED*/HD mode of the whole batch (a tuple, one per pass, for a
+        pass block; see :meth:`CamArray.search_batch`).
     energy_joules / latency_ns:
         Totals over the batch.
     energy_per_query_joules:
@@ -276,6 +280,12 @@ class SweepSearchResult:
     @property
     def n_queries(self) -> int:
         return int(self.mismatch_counts.shape[0])
+
+
+def _reshaped(voltages: "Callable[[], np.ndarray]",
+              shape: "tuple[int, ...]") -> np.ndarray:
+    """A pass block's dense voltages with their leading pass axis."""
+    return voltages().reshape(shape)
 
 
 class StoredReference:
@@ -633,10 +643,10 @@ class CamArray:
         return self._reference().counts_batch_dual(queries,
                                                    backend=self._backend)
 
-    def _emit_pass(self, counts: np.ndarray, thresholds: np.ndarray,
-                   mode: MatchMode, sweep: bool,
-                   noise_keys, rotation: int) -> SearchPassEvent:
-        """Record one physical pass as a typed event in the ledger.
+    def _pass_event(self, counts: np.ndarray, thresholds: np.ndarray,
+                    mode: MatchMode, sweep: bool, noise_keys: np.ndarray,
+                    rotation: int) -> SearchPassEvent:
+        """One physical pass as a typed event (not yet recorded).
 
         Classification: a Hamming pass is HDAC's extra search, a
         rotated ED* pass is a TASR/SR rotation (carrying its
@@ -650,7 +660,7 @@ class CamArray:
             cls, extra = TasrRotationPass, {"rotation": int(rotation)}
         else:
             cls, extra = EdStarPass, {}
-        event = cls(
+        return cls(
             domain=self._domain,
             mode="hamming" if mode is MatchMode.HAMMING else "ed_star",
             n_cells=self.cols, vdd=self._vdd,
@@ -658,18 +668,19 @@ class CamArray:
             mismatch_counts=counts,
             thresholds=np.asarray(thresholds, dtype=int),
             sweep=sweep,
-            query_keys=np.asarray(noise_keys),
+            query_keys=noise_keys,
             **extra,
         )
-        self.ledger.record(event)
-        return event
 
     def search_batch(self, queries: np.ndarray,
                      threshold: "int | np.ndarray",
-                     mode: MatchMode = MatchMode.ED_STAR,
-                     noise_keys: "Sequence[tuple[int, ...]] | None" = None,
-                     precomputed_counts: "np.ndarray | None" = None,
-                     rotation: int = 0) -> BatchSearchResult:
+                     mode: "MatchMode | Sequence[MatchMode]"
+                     = MatchMode.ED_STAR,
+                     noise_keys: "Sequence | None" = None,
+                     precomputed_counts: "np.ndarray | Sequence | None"
+                     = None,
+                     rotation: "int | Sequence[int]" = 0
+                     ) -> BatchSearchResult:
         """Search a ``(B, N)`` block of queries in one vectorised pass.
 
         The ``(1, B)`` threshold block of the keyed pass: one threshold
@@ -699,23 +710,52 @@ class CamArray:
             a rotation pass and charges its shift-register cycles).
             Without ``precomputed_counts`` the queries are searched as
             given, so the caller passes them already rotated.
+
+        **A pass block.**  With ``rotation`` a sequence of ``P``
+        offsets, the call issues ``P`` back-to-back passes over the
+        same reads — the base ED* pass and its TASR rotations, or the
+        ED*/HD pair — the read loaded once while the searchlines hold
+        it.  ``mode`` then holds ``P`` modes, ``noise_keys`` ``P``
+        per-pass key blocks, and ``precomputed_counts`` ``None``, a
+        ``(P, B, M)`` array or ``P`` ``(B, M)`` blocks.  Every result
+        array gains a leading pass axis, the result's ``mode`` is the
+        tuple of modes, and the ledger records one event per pass, in
+        order, each ``==`` the event its own call would record.
         """
         queries = self._check_queries(queries)
         n_queries = queries.shape[0]
         thresholds = np.broadcast_to(
             np.asarray(threshold, dtype=int), (n_queries,)
         ).copy()
-        matches, counts, voltages, event = self._keyed_pass(
-            queries, thresholds[None, :], mode, noise_keys,
-            precomputed_counts, rotation, sweep=False,
+        if np.ndim(rotation) == 0:
+            passes = [(mode, int(rotation), noise_keys)]
+        elif (isinstance(mode, MatchMode) or noise_keys is None
+              or not len(mode) == len(noise_keys) == len(rotation)):
+            raise CamConfigError(
+                "a pass block needs one mode and one noise-key block "
+                "per rotation"
+            )
+        else:
+            passes = [(m, int(r), k) for m, r, k in zip(
+                mode, rotation, noise_keys, strict=True)]
+        matches, counts, voltages, energy = self._keyed_pass(
+            queries, thresholds[None, :], passes, precomputed_counts,
+            sweep=False,
         )
-        energy_per_query = event.energy_per_query_joules
+        matches = matches[0]
+        if np.ndim(rotation) != 0:
+            shape = (len(passes), n_queries)
+            matches = matches.reshape(shape + matches.shape[1:])
+            counts = counts.reshape(matches.shape)
+            energy = energy.reshape(shape)
+            voltages = partial(_reshaped, voltages, matches.shape)
+            mode = tuple(mode)
         return BatchSearchResult(
-            matches=matches[0], mismatch_counts=counts,
+            matches=matches, mismatch_counts=counts,
             thresholds=thresholds, mode=mode,
-            energy_joules=float(energy_per_query.sum()),
-            latency_ns=self._search_time_ns * n_queries,
-            energy_per_query_joules=energy_per_query,
+            energy_joules=float(energy.sum()),
+            latency_ns=self._search_time_ns * n_queries * len(passes),
+            energy_per_query_joules=energy,
             _voltages=voltages,
         )
 
@@ -734,7 +774,7 @@ class CamArray:
         result is bit-identical to :meth:`search_batch` at
         ``thresholds[t]`` with the same keys.  ``thresholds`` is the
         ``(T,)`` sweep vector shared by every query; the other
-        parameters are those of :meth:`search_batch`.
+        parameters are those of a single-pass :meth:`search_batch`.
         """
         queries = self._check_queries(queries)
         thresholds = np.asarray(thresholds, dtype=int)
@@ -743,50 +783,93 @@ class CamArray:
                 f"thresholds must be a non-empty 1-D sweep vector, got "
                 f"shape {thresholds.shape}"
             )
-        matches, counts, voltages, event = self._keyed_pass(
-            queries, thresholds[:, None], mode, noise_keys,
-            precomputed_counts, rotation, sweep=True,
+        matches, counts, voltages, energy = self._keyed_pass(
+            queries, thresholds[:, None], [(mode, rotation, noise_keys)],
+            precomputed_counts, sweep=True,
         )
         return SweepSearchResult(
             matches=matches, mismatch_counts=counts,
             thresholds=thresholds, mode=mode,
-            energy_per_query_joules=event.energy_per_query_joules,
+            energy_per_query_joules=energy,
             latency_ns=self._search_time_ns,
             _voltages=voltages,
         )
 
     def _keyed_pass(self, queries: np.ndarray, thresholds: np.ndarray,
-                    mode: MatchMode, noise_keys, counts: "np.ndarray | None",
-                    rotation: int, sweep: bool):
-        """The one search pass: counts, keyed noise, a threshold block.
+                    passes: list, counts, sweep: bool):
+        """The one keyed search pass: counts, keyed noise, a threshold
+        block, over ``P`` back-to-back passes of one read block.
 
         ``thresholds`` is a ``(1, B)`` or ``(T, 1)`` block broadcasting
-        against ``(T, B)``.  Returns ``(matches, counts, voltages,
-        event)`` with ``(T, B, M)`` matches, a thunk materialising the
-        dense ``(B, M)`` voltages, and the recorded ledger event, which
-        carries the ``(B,)`` batch or ``(T,)`` sweep threshold vector.
+        against ``(T, B)``; ``passes`` holds each pass's ``(mode,
+        rotation, noise_keys)`` and ``counts`` their ``(B, M)`` counts
+        (``None``: counted here, the queries as given; one pass may
+        give a bare ``(B, M)`` block).  The passes are decided as one
+        ``(P·B, M)`` block whose row ``p·B + q`` is read ``q`` in pass
+        ``p``, under that pass's keys and the read's threshold: a
+        pass's decisions depend only on its counts, thresholds and
+        keys, so stacking changes none of them.  Returns ``(matches,
+        counts, voltages, energy)`` — ``(T, P·B, M)`` matches, the
+        ``(P·B, M)`` counts, a thunk materialising their dense
+        voltages and the ``(P·B,)`` energies — and records one event
+        per pass, in order.  A block of passes gathers its energies
+        once, pre-seeding each event's energy view.
         """
         n_queries = queries.shape[0]
         if not ((thresholds >= 0) & (thresholds <= self.cols)).all():
             raise ThresholdError(
                 f"thresholds out of range 0..{self.cols}"
             )
-        if noise_keys is None:
-            noise_keys = np.arange(n_queries, dtype=np.int64)[:, None]
-        elif len(noise_keys) != n_queries:
-            raise CamConfigError(
-                f"{len(noise_keys)} noise keys for {n_queries} queries"
-            )
-        noise_keys = np.asarray(noise_keys)
+        keys = []
+        for _, _, noise_keys in passes:
+            if noise_keys is None:
+                noise_keys = np.arange(n_queries, dtype=np.int64)[:, None]
+            elif len(noise_keys) != n_queries:
+                raise CamConfigError(
+                    f"{len(noise_keys)} noise keys for {n_queries} queries"
+                )
+            keys.append(np.asarray(noise_keys))
         if counts is None:
-            counts = self.mismatch_counts_batch(queries, mode)
-        matches = self._decide(counts, thresholds, noise_keys)
-        event = self._emit_pass(
-            counts, thresholds[:, 0] if sweep else thresholds[0], mode,
-            sweep=sweep, noise_keys=noise_keys, rotation=rotation,
-        )
-        voltages = partial(self._keyed_voltages, counts, noise_keys)
-        return matches, counts, voltages, event
+            counts = [self.mismatch_counts_batch(queries, mode)
+                      for mode, _, _ in passes]
+        elif isinstance(counts, np.ndarray) and counts.ndim == 2:
+            counts = [counts]
+        per_pass = list(counts)
+        if len(per_pass) != len(passes):
+            raise CamConfigError(
+                f"{len(per_pass)} count blocks for {len(passes)} passes"
+            )
+        if len(passes) == 1:
+            stacked, stacked_keys = per_pass[0], keys[0]
+        else:
+            stacked = (counts.reshape(-1, counts.shape[-1])
+                       if isinstance(counts, np.ndarray)
+                       else np.concatenate(per_pass))
+            stacked_keys = np.concatenate(keys)
+            if not sweep:
+                thresholds = np.tile(thresholds, len(passes))
+        matches = self._decide(stacked, thresholds, stacked_keys)
+        pass_thresholds = (thresholds[:, 0] if sweep
+                           else thresholds[0, :n_queries])
+        events = [self._pass_event(block, pass_thresholds, mode, sweep,
+                                   noise_keys, rotation)
+                  for block, (mode, rotation, _), noise_keys
+                  in zip(per_pass, passes, keys, strict=True)]
+        if len(events) > 1:
+            # The block read as one stream of P·B searches (never
+            # recorded): one level-table gather serves every pass.
+            energy = self._pass_event(stacked, pass_thresholds,
+                                      passes[0][0], sweep, stacked_keys,
+                                      0).energy_per_query_joules
+            for index, event in enumerate(events):
+                event.seed_energy_per_query(
+                    energy[index * n_queries:(index + 1) * n_queries])
+        for event in events:
+            self.ledger.record(event)
+        if len(events) == 1:
+            energy = events[0].energy_per_query_joules
+        voltages = partial(self._keyed_voltages, stacked, stacked_keys)
+        return matches, stacked, voltages, energy
 
     # -- internals ----------------------------------------------------------
 
@@ -834,29 +917,41 @@ class CamArray:
                 noise_keys: np.ndarray) -> np.ndarray:
         """``(T, B, M)`` decisions of one pass, drawing noise in band only.
 
-        Both ends of every level's noise band are decided for each
-        distinct threshold of the pass.  A level whose ends agree
-        decides alike for any voltage in its band — its ideal one
-        included — so every pair is first decided at its level's ideal
-        voltage, looked up by count.  A pair in band for any threshold
-        of its query then draws its keyed normal (stream position = its
-        row) and is re-decided for every threshold, exactly as the
-        dense draw decides it.
+        One sense-amp call decides every level's ideal voltage and both
+        ends of its noise band for each distinct threshold of the pass:
+        a ``(D, N+1)`` level-decision table, the same comparisons on the
+        same float values a gather of ``V_ideal`` by count would make.
+        Every pair is first decided at its level's ideal voltage by
+        count — with the integer cut ``count < cut[t]`` when every row
+        of the table is a prefix (a monotone matchline), else by a
+        gather from the table.  A level whose band ends agree decides
+        alike for any voltage in its band, so only a pair in band for
+        any threshold of its query draws its keyed normal (stream
+        position = its row) and is re-decided for every threshold,
+        exactly as the dense draw decides it.
         """
         n_cells = self.cols
         v_ideal, sigma, half = self._level_table()
-        matches = self._sense_amp.decide_sweep(v_ideal[counts], thresholds,
-                                               n_cells)
         distinct, inverse = np.unique(thresholds, return_inverse=True)
-        ends = self._sense_amp.decide_sweep(
-            np.stack([v_ideal - half, v_ideal + half]),
-            distinct[:, None], n_cells)
-        band = ends[:, 0] != ends[:, 1]
+        inverse = inverse.reshape(thresholds.shape)
+        table, *ends = self._sense_amp.decide_sweep(
+            np.stack([v_ideal, v_ideal - half, v_ideal + half]),
+            distinct[:, None], n_cells).transpose(1, 0, 2)
+        cut = table.sum(axis=1)
+        if (table == (np.arange(n_cells + 1) < cut[:, None])).all():
+            # Counts and cuts fit 0..N+1, so the compare runs in the
+            # narrowest unsigned type (several times faster than intp).
+            narrow = np.min_scalar_type(n_cells + 1)
+            matches = (counts.astype(narrow)
+                       < cut.astype(narrow)[inverse][..., None])
+        else:
+            matches = table[inverse[..., None], counts]
+        band = ends[0] != ends[1]
         if not band.any():
             return matches
         # (query, level) in band for any threshold the query meets; a
         # flat lookup, (q, n) -> q * (N + 1) + n, broadcasts one row.
-        per_query = band[inverse.reshape(thresholds.shape)].any(axis=0)
+        per_query = band[inverse].any(axis=0)
         in_band = per_query.ravel()[
             np.arange(per_query.shape[0])[:, None] * (n_cells + 1) + counts]
         queries, rows = np.nonzero(in_band)

@@ -26,7 +26,9 @@ the disable cut, the rotated passes over the cells at or above ``Tl``
 encoded once per flow, as the searchlines load a read once and the
 shift registers rotate it in place: the rotated passes (and the base
 ED* pass, when the rotations cover every read) take their counts from
-one ``mismatch_counts_batch(..., rotations=)`` call, while each pass
+one ``mismatch_counts_batch(..., rotations=)`` call.  A batch whose
+passes all cover every read issues them as one pass block (one
+``search_batch``: one decide, one energy gather), while each pass
 still records its own ledger event.  Every draw is keyed
 by ``(seed, query_key, pass)``, never by the threshold or the block's
 composition, so any batching, sweep or sharding of the same keyed reads
@@ -503,12 +505,12 @@ class AsmCapMatcher:
             return (np.flatnonzero(full.any(axis=1)),
                     np.flatnonzero(full.any(axis=0)))
 
-        def issue(rows: np.ndarray, cols: np.ndarray, mode: MatchMode,
-                  tag: int, counts: "np.ndarray | None" = None,
-                  rotation: int = 0):
+        def search(rows: np.ndarray, cols: np.ndarray, mode: MatchMode,
+                   tag: int, counts: "np.ndarray | None",
+                   rotation: int):
             """One array pass over the selected cells (``counts``, when
             given, are the pass's counts for exactly those reads);
-            charges its costs there and returns ``(cells, result)``."""
+            returns ``(cells, matches, energy_per_query)``."""
             every = cols.shape[0] == n_queries
             queries = reads if every else reads[cols]
             kwargs = {"noise_keys": pass_keys(keys[cols], tag),
@@ -516,22 +518,35 @@ class AsmCapMatcher:
             if sweep:
                 result = array.search_sweep(queries, block[rows, 0], mode,
                                             **kwargs)
+                matches = result.matches
             else:
                 result = array.search_batch(queries, block[0, cols], mode,
                                             **kwargs)
+                matches = result.matches[None]
             # A (1, B) or (T, 1) block always selects whole threshold
             # rows (batch) or whole read columns (sweep), so at most one
             # axis needs an index array; whole axes stay slices (views).
             cells = (slice(None) if rows.shape[0] == grid[0] else rows,
                      slice(None) if every else cols)
-            n_searches[cells] += 1
-            energy[cells] += result.energy_per_query_joules
-            latency[cells] += array.search_time_ns
-            return cells, result
+            return cells, matches, result.energy_per_query_joules
 
-        def block_matches(result) -> np.ndarray:
-            """A pass's decisions as a ``(T', B', M)`` block."""
-            return result.matches if sweep else result.matches[None]
+        def search_block(passes):
+            """Every pass over every read as one pass block
+            (:meth:`~repro.cam.array.CamArray.search_batch` with one
+            rotation per pass), split back into per-pass results."""
+            modes, tags, counts, rotations = zip(*(
+                (mode, tag, counts, rotation)
+                for _, _, mode, tag, counts, rotation in passes), strict=True)
+            if MatchMode.HAMMING not in modes:
+                counts = block_counts  # the rotations call, as issued
+            result = array.search_batch(
+                reads, block[0], modes,
+                noise_keys=[pass_keys(keys, tag) for tag in tags],
+                precomputed_counts=counts, rotation=rotations)
+            whole = (slice(None), slice(None))
+            for index, matches in enumerate(result.matches):
+                yield (whole, matches[None],
+                       result.energy_per_query_joules[index])
 
         # HDAC and TASR eligibility are known before any search (``p``
         # and ``Tl`` are off-line functions of the threshold), so every
@@ -552,11 +567,12 @@ class AsmCapMatcher:
         tasr_rows, tasr_cols = cells_of(tasr_mask)
         offsets = rotation_offsets(config.tasr_nr, config.tasr_direction) \
             if tasr_rows.shape[0] else ()
-        ed_counts = hd_counts = None
+        ed_counts = hd_counts = block_counts = None
         rotated = ()
         if offsets and tasr_cols.shape[0] == n_queries:
-            ed_counts, *rotated = array.mismatch_counts_batch(
+            block_counts = array.mismatch_counts_batch(
                 reads, MatchMode.ED_STAR, rotations=(0,) + offsets)
+            ed_counts, *rotated = block_counts
         elif offsets:
             rotated = array.mismatch_counts_batch(
                 reads[tasr_cols], MatchMode.ED_STAR, rotations=offsets)
@@ -567,31 +583,49 @@ class AsmCapMatcher:
                 hd_counts = array.mismatch_counts_batch(reads,
                                                         MatchMode.HAMMING)
 
-        # Each pass's result stays referenced until the next pass has
-        # run (``base`` to the end).  Freeing a pass's (B, M) blocks
-        # before the next pass allocates its own lets the C allocator
-        # trim the heap and fault it back in: ~5x the page faults per
-        # batch.
-        _, base = issue(np.arange(grid[0]), np.arange(n_queries),
-                        MatchMode.ED_STAR, PASS_ED_STAR, ed_counts)
-        decisions = block_matches(base)
-
-        # --- HDAC (Algorithm 1), over the cells worth the cycle -------
+        # ED* -> HDAC -> TASR, each pass as (rows, cols, mode, tag,
+        # counts, rotation).
+        passes = [(np.arange(grid[0]), np.arange(n_queries),
+                   MatchMode.ED_STAR, PASS_ED_STAR, ed_counts, 0)]
         if hd_rows.shape[0]:
-            cells, hd = issue(hd_rows, hd_cols, MatchMode.HAMMING,
-                              PASS_HAMMING, hd_counts)
-            decisions[cells] = hdac_correct_batch(
-                decisions[cells], block_matches(hd),
-                p_block[cells],
-                fold_key_block(self._hdac_prefix, keys[hd_cols]),
-            )
+            passes.append((hd_rows, hd_cols, MatchMode.HAMMING,
+                           PASS_HAMMING, hd_counts, 0))
+        passes.extend((tasr_rows, tasr_cols, MatchMode.ED_STAR,
+                       PASS_ROTATION + offset, counts, offset)
+                      for offset, counts in zip(offsets, rotated,
+                                                  strict=True))
+        # A batch whose passes all cover every read decides them as one
+        # block; otherwise each pass is its own search.  Per-pass
+        # results are produced lazily, so each stays referenced until
+        # the next pass has run (``decisions`` to the end): freeing a
+        # pass's (B, M) blocks before the next pass allocates its own
+        # lets the C allocator trim the heap and fault it back in, ~5x
+        # the page faults per batch.
+        if not sweep and len(passes) > 1 and all(
+                cols.shape[0] == n_queries for _, cols, *_ in passes):
+            results = search_block(passes)
+        else:
+            results = (search(*pass_) for pass_ in passes)
 
-        # --- TASR (Algorithm 2), over the cells above Tl --------------
-        for offset, counts in zip(offsets, rotated):
-            cells, result = issue(tasr_rows, tasr_cols, MatchMode.ED_STAR,
-                                  PASS_ROTATION + offset, counts,
-                                  rotation=offset)
-            decisions[cells] |= block_matches(result)
+        # Costs are charged and decisions combined in pass order, so
+        # every float accumulation runs as in a pass-by-pass flow.
+        decisions = None
+        for (_, cols, mode, _, _, _), (cells, matches, pass_energy) \
+                in zip(passes, results, strict=True):
+            n_searches[cells] += 1
+            energy[cells] += pass_energy
+            latency[cells] += array.search_time_ns
+            if decisions is None:
+                decisions = matches.copy()
+            elif mode is MatchMode.HAMMING:
+                # --- HDAC (Algorithm 1), over the cells worth the cycle
+                decisions[cells] = hdac_correct_batch(
+                    decisions[cells], matches, p_block[cells],
+                    fold_key_block(self._hdac_prefix, keys[cols]),
+                )
+            else:
+                # --- TASR (Algorithm 2), over the cells above Tl
+                decisions[cells] |= matches
 
         return _FlowResult(
             decisions=decisions, n_searches=n_searches, energy=energy,

@@ -123,6 +123,17 @@ class SearchPassEvent(LedgerEvent):
             object.__setattr__(self, "_energy_per_query", cached)
         return cached
 
+    def seed_energy_per_query(self, energy: np.ndarray) -> None:
+        """Cache the energy view from values gathered elsewhere.
+
+        A pass block gathers the energies of its passes in one call
+        (:meth:`repro.cam.array.CamArray.search_batch`); each pass's
+        slice is ``==`` :func:`~repro.cost.views.
+        search_pass_energy_per_query` over this event, so seeding it
+        spares the ledger fold from computing it again.
+        """
+        object.__setattr__(self, "_energy_per_query", energy)
+
     @property
     def energy_joules(self) -> float:
         """Total array energy of the pass (derived view)."""

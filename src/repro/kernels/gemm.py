@@ -2,27 +2,37 @@
 
 Each query cell's *acceptable* stored bases (the co-located read base
 plus, in ED* mode, its immediate neighbours — the searchline fan-out of
-Fig. 4(c)) become a ``(B, N * 4)`` float32 mask, and one BLAS matmul
-against the stored one-hot counts the matches.  float32 is exact here:
-every partial inner product is an integer below ``2**24``.
+Fig. 4(c)) become four float32 mask columns, and a BLAS matmul against
+the stored one-hot counts the matches.  float32 is exact here: every
+partial inner product is an integer below ``2**24``.
 
-**Table-gather encode.**  A cell's mask is a function of at most three
+**One gather per mode.**  A cell's mask is a function of at most three
 codes, so it is gathered, not scattered: a packed ``uint32`` table
 holds each possible cell's four mask bytes.  ED* indexes a 100-entry
-table at ``prev*20 + cur*5 + next`` (code 4 stands for "no neighbour"
-past either row edge), HD a 4-entry table at ``cur``.  ``take`` over
-the index block, viewed as ``uint8``, is the mask; it is copied into
-one float32 buffer reused by every pass of a call.
+table at ``prev*20 + cur*5 + next`` (code 4 stands for "no neighbour"),
+HD a 4-entry table at ``cur``.  A call gathers each mode's mask of the
+block once, with **circular** neighbours: cell ``j``'s ``prev`` and
+``next`` are cells ``j - 1`` and ``j + 1`` mod ``N``.
 
-**Rotations from one encode.**  A left rotation by ``r`` reads cell
-``j`` of the rotated read from cell ``(j + r) mod N`` of the original,
-so the rotated code block is a window of the block laid twice side by
-side — a view, not a copy.  Its mask at ``j`` depends only on the
-rotated codes at ``j - 1, j, j + 1`` (edge sentinels included), which
-is exactly the index the table is gathered at; the rotated counts
-therefore equal a fresh encode of ``np.roll(queries, -r, axis=1)``.
-The base pass and every TASR/SR rotation of a block come out of one
-call, one GEMM per pass over the reused mask buffer.
+**Passes are windows of that mask.**  A left rotation by ``r`` reads
+cell ``j`` of the rotated read from cell ``(j + r) mod N`` of the
+original, and for ``j`` in ``1..N-2`` the rotated cell's neighbours are
+the circular neighbours of that original cell — so the rotated mask is
+the circular mask's columns rotated by ``r`` cells, two slice copies.
+Only the rotated read's first and last cells differ: their neighbour
+across the row edge is the sentinel, so they are re-gathered at
+``EDGE*20 + q[r]*5 + q[r+1]`` and ``q[r-2]*20 + q[r-1]*5 + EDGE``
+(indices mod ``N``, which stays exact for ``N <= 2``).  HD masks
+have no neighbours and need no fix.  The rotated counts therefore
+equal a fresh encode of ``np.roll(queries, -r, axis=1)``.
+
+**One GEMM per chunk.**  Every pass of a call — the base pass and each
+TASR/SR rotation, or the ED*/HD pair — copies its window into one
+``(P·B, 4N)`` float32 buffer, and one matmul per chunk (sized by
+:data:`~repro.constants.CHUNK_ELEMS` over the ``P·B`` rows) counts them
+all.  Each output row is the same integer dot product of the same mask
+row as in a per-pass GEMM, so the stacked call is ``==`` per-pass
+calls.  Each pass's ``(B, M)`` block is written separately.
 """
 
 from __future__ import annotations
@@ -38,6 +48,8 @@ from repro.kernels.registry import register_backend
 
 #: The "no neighbour" code past either edge of a row.
 _EDGE = alphabet.ALPHABET_SIZE
+#: Mask columns per cell.
+_WIDTH = alphabet.ALPHABET_SIZE
 
 
 def _packed_table(*codes: np.ndarray) -> np.ndarray:
@@ -57,38 +69,63 @@ _ED_STAR_TABLE = _packed_table(*np.meshgrid(
 _HD_TABLE = _packed_table(np.arange(_EDGE))
 
 
-def _gemm_chunks(n_queries: int, n_cells: int) -> "list[tuple[int, int]]":
-    """Query-block chunks bounding the float32 mask's memory."""
-    per_query = max(1, n_cells * alphabet.ALPHABET_SIZE)
-    chunk = max(1, CHUNK_ELEMS // per_query)
-    return [(start, min(start + chunk, n_queries))
-            for start in range(0, n_queries, chunk)]
+def _gemm_chunks(n_rows: int, n_cells: int) -> "list[tuple[int, int]]":
+    """Stacked-row chunks bounding the float32 mask's memory."""
+    per_row = max(1, n_cells * _WIDTH)
+    chunk = max(1, CHUNK_ELEMS // per_row)
+    return [(start, min(start + chunk, n_rows))
+            for start in range(0, n_rows, chunk)]
 
 
-def _ed_star_index(codes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``prev*20 + cur*5 + next`` per cell, :data:`_EDGE` past a row edge."""
-    np.multiply(codes, 5, out=out)
-    out[:, 0] += _EDGE * 20
-    out[:, 1:] += codes[:, :-1] * np.uint8(20)
-    out[:, :-1] += codes[:, 1:]
-    out[:, -1] += _EDGE
-    return out
+def _circular_mask(codes: np.ndarray, ed_star: bool) -> np.ndarray:
+    """The ``(B, N * 4)`` uint8 mask of ``codes``, neighbours circular."""
+    if not ed_star:
+        return np.take(_HD_TABLE, codes).view(np.uint8)
+    index = np.multiply(codes, 5)
+    index[:, 1:] += codes[:, :-1] * np.uint8(20)
+    index[:, 0] += codes[:, -1] * np.uint8(20)
+    index[:, :-1] += codes[:, 1:]
+    index[:, -1] += codes[:, 0]
+    return np.take(_ED_STAR_TABLE, index).view(np.uint8)
 
 
-def _gather_mask(codes: np.ndarray, ed_star: bool, index: np.ndarray,
-                 packed: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Gather the ``(B, N * 4)`` float32 mask of ``codes`` into ``mask``.
+def _edge_masks(codes: np.ndarray,
+                shift: int) -> "tuple[np.ndarray, np.ndarray]":
+    """``(B, 4)`` ED* masks of the first and last cells of ``codes``
+    rotated left by ``shift``, the sentinel past each row edge.
 
-    ``index`` (uint8) and ``packed`` (uint32) are ``(B, N)`` scratch
-    buffers; ``codes`` may be a strided window (a rotation view).
+    With ``N <= 2`` the in-row neighbour taken mod ``N`` is the cell
+    itself or the row's other cell, exactly what the rotated read holds
+    there; with ``N = 1`` it is the cell's own base, which adds nothing
+    to its mask, so both masks are the lone cell's.
     """
+    n_cells = codes.shape[1]
+
+    def at(cell: int) -> np.ndarray:
+        return codes[:, cell % n_cells].astype(np.intp)
+
+    first = _EDGE * 20 + at(shift) * 5 + at(shift + 1)
+    last = at(shift - 2) * 20 + at(shift - 1) * 5 + _EDGE
+    return tuple(_ED_STAR_TABLE.take(index).view(np.uint8).reshape(-1, _WIDTH)
+                 for index in (first, last))
+
+
+def _window(circular: np.ndarray, codes: np.ndarray, offset: int,
+            ed_star: bool, out: np.ndarray) -> np.ndarray:
+    """Write the float32 mask of ``codes`` rotated left by ``offset``.
+
+    ``circular`` is ``_circular_mask(codes, ed_star)``; the rotated
+    mask is its columns rotated by ``offset`` cells, with the two edge
+    cells re-gathered in ED* mode.
+    """
+    n_cells = codes.shape[1]
+    shift = offset % n_cells
+    cut = (n_cells - shift) * _WIDTH
+    out[:, :cut] = circular[:, shift * _WIDTH:]
+    out[:, cut:] = circular[:, :shift * _WIDTH]
     if ed_star:
-        table, codes = _ED_STAR_TABLE, _ed_star_index(codes, index)
-    else:
-        table = _HD_TABLE
-    np.take(table, codes, out=packed, mode="clip")
-    mask[...] = packed.view(np.uint8)
-    return mask
+        out[:, :_WIDTH], out[:, -_WIDTH:] = _edge_masks(codes, shift)
+    return out
 
 
 class GemmBackend(KernelBackend):
@@ -127,27 +164,34 @@ class GemmBackend(KernelBackend):
                 outs: "Sequence[np.ndarray]") -> None:
         """Write each ``(ed_star, offset)`` pass's ``(B, M)`` counts.
 
-        One GEMM per pass and chunk; the index, packed and float32
-        mask buffers are allocated once and reused by every pass.
+        One circular mask gather per mode; pass ``p`` owns rows
+        ``p*B .. (p+1)*B`` of the stacked float32 buffer, and each
+        chunk of those rows is one GEMM.
         """
         queries = np.asarray(queries, dtype=np.uint8)
         n_queries, n_cells = queries.shape
-        chunks = _gemm_chunks(n_queries, n_cells)
-        rows = chunks[0][1] if chunks else 0
-        index = np.empty((rows, n_cells), dtype=np.uint8)
-        packed = np.empty((rows, n_cells), dtype=np.uint32)
-        mask = np.empty((rows, n_cells * alphabet.ALPHABET_SIZE),
+        circular = {ed_star: _circular_mask(queries, ed_star)
+                    for ed_star in {ed_star for ed_star, _ in passes}}
+        chunks = _gemm_chunks(len(passes) * n_queries, n_cells)
+        mask = np.empty((chunks[0][1] if chunks else 0, n_cells * _WIDTH),
                         dtype=np.float32)
         stored = encoded.onehot.T
         for start, stop in chunks:
-            size = stop - start
-            block = queries[start:stop]
-            twice = np.concatenate((block, block), axis=1)
-            for (ed_star, offset), out in zip(passes, outs):
-                shift = offset % n_cells
-                _gather_mask(twice[:, shift:shift + n_cells], ed_star,
-                             index[:size], packed[:size], mask[:size])
-                out[start:stop] = n_cells - mask[:size] @ stored
+            writes = []
+            for index, ((ed_star, offset), out) in enumerate(
+                    zip(passes, outs, strict=True)):
+                base = index * n_queries
+                first, last = max(start, base), min(stop, base + n_queries)
+                if first >= last:
+                    continue
+                rows = slice(first - start, last - start)
+                reads = slice(first - base, last - base)
+                _window(circular[ed_star][reads], queries[reads], offset,
+                        ed_star, mask[rows])
+                writes.append((rows, out[reads]))
+            counted = mask[:stop - start] @ stored
+            for rows, out in writes:
+                np.subtract(n_cells, counted[rows], out=out, casting="unsafe")
 
 
 register_backend(GemmBackend())

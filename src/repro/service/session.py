@@ -35,6 +35,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -192,8 +193,10 @@ class MappingSession:
         #: Serialises engine calls against ledger-reading observability;
         #: always acquired BEFORE ``_lock`` (the one lock-ordering rule).
         self._dispatch_mutex = threading.Lock()
+        #: Coalescing buffer: validated ``(k, N)`` read blocks.
         self._buffer: "list[np.ndarray]" = []
-        self._pending: "deque[tuple[int, list[np.ndarray]]]" = deque()
+        self._n_buffered = 0
+        self._pending: "deque[tuple[int, np.ndarray]]" = deque()
         self._executing = False
         self._report = MappingReport()
         self._last_batch = MappingReport()
@@ -284,6 +287,44 @@ class MappingSession:
         submit is **all-or-nothing**: the read was *not* accepted, so
         the caller retries the same read after backing off.
         """
+        self._accept(self._read_codes(read)[None])
+
+    def submit_many(
+            self,
+            reads: "Iterable[np.ndarray] | Iterable[ReadRecord]") -> int:
+        """Consume any read iterable, handing batches off as they fill.
+
+        Lazy — an endless generator works: each step pulls at most the
+        buffer's free room (``micro_batch`` minus the buffered reads),
+        validates that slice as one block and accepts it under one lock
+        hold, so at most one micro-batch is ever coalesced here.
+        Returns how many reads were accepted.
+
+        Per read, the outcome is :meth:`submit`'s: a bad read at slice
+        position ``k`` accepts reads ``0..k-1`` and raises the error
+        ``submit`` raises for it (the slice's later reads were pulled
+        from the iterable but are not accepted).  A refused pooled
+        enqueue hands the **whole slice** back (``reads_submitted``
+        returns to its value before the slice) and raises; earlier
+        slices stay accepted.
+        """
+        reads = iter(reads)
+        n = 0
+        while True:
+            # One feeding thread owns the buffer's fill level, so the
+            # room read here cannot go stale before the slice lands.
+            room = max(1, self._micro_batch - self._n_buffered)
+            block, error = self._block_codes(list(islice(reads, room)))
+            if block is not None:
+                self._accept(block)
+                n += block.shape[0]
+            if error is not None:
+                raise error
+            if block is None or block.shape[0] < room:
+                return n
+
+    def _read_codes(self, read: "np.ndarray | ReadRecord") -> np.ndarray:
+        """One read's validated ``(N,)`` uint8 codes."""
         codes = as_read_codes(
             read.read.codes if isinstance(read, ReadRecord) else read)
         if codes.shape != (self._cols,):
@@ -291,13 +332,51 @@ class MappingSession:
                 f"read shape {codes.shape} does not fit reference width "
                 f"{self._cols}"
             )
+        return codes
+
+    def _block_codes(
+            self, reads: list,
+            ) -> "tuple[np.ndarray | None, Exception | None]":
+        """The ``(k, N)`` codes of a slice's valid prefix (``None`` when
+        empty) and the error of its first bad read (``None`` if none).
+
+        A slice of one dtype is stacked and checked at once: stacking
+        keeps the dtype, so one :func:`as_read_codes` range scan and one
+        shape check decide exactly what per-read checks would.  A mixed
+        or failing slice is re-checked read by read, as :meth:`submit`
+        checks it, up to its first bad read.
+        """
+        try:
+            arrays = [np.asarray(read.read.codes
+                                 if isinstance(read, ReadRecord) else read)
+                      for read in reads]
+            if arrays and len({array.dtype for array in arrays}) == 1:
+                block = as_read_codes(np.stack(arrays))
+                if block.shape[1:] == (self._cols,):
+                    return block, None
+        except (CamConfigError, TypeError, ValueError):
+            pass
+        codes = []
+        error = None
+        for read in reads:
+            try:
+                codes.append(self._read_codes(read))
+            except Exception as exc:  # noqa: BLE001 — re-raised by the caller
+                error = exc
+                break
+        return (np.stack(codes) if codes else None), error
+
+    def _accept(self, block: np.ndarray) -> None:
+        """Buffer a validated ``(k, N)`` block under one lock hold and
+        hand the buffer to the executor once it is full."""
         with self._lock:
             self._check_open_locked()
             if self._started_at is None:
                 self._started_at = time.perf_counter()
-            self._buffer.append(codes)
-            self._n_submitted += 1
-            if len(self._buffer) < self._micro_batch:
+            self._buffer.append(block)
+            self._n_buffered += block.shape[0]
+            self._n_submitted += block.shape[0]
+            if self._n_buffered < self._micro_batch:
                 return
             if self._frontend is None:
                 self._run_inline_locked()
@@ -307,25 +386,12 @@ class MappingSession:
             except ServiceError:
                 # The enqueue was refused (a fault at the enqueue
                 # hook, or the frontend stopped while this submit
-                # waited): hand the read back so a retry cannot
+                # waited): hand the block back so a retry cannot
                 # duplicate it.
                 self._buffer.pop()
-                self._n_submitted -= 1
+                self._n_buffered -= block.shape[0]
+                self._n_submitted -= block.shape[0]
                 raise
-
-    def submit_many(
-            self,
-            reads: "Iterable[np.ndarray] | Iterable[ReadRecord]") -> int:
-        """Consume any read iterable, handing batches off as they fill.
-
-        Lazy — an endless generator works; at most one micro-batch is
-        ever coalesced here.  Returns how many reads were accepted.
-        """
-        n = 0
-        for read in reads:
-            self.submit(read)
-            n += 1
-        return n
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -447,16 +513,20 @@ class MappingSession:
         if not self._executor_running:
             raise ServiceError("the mapping frontend has been closed")
 
-    def _take_locked(self) -> "tuple[int, list[np.ndarray]]":
-        """Swap the coalescing buffer out as one batch.
+    def _take_locked(self) -> "tuple[int, np.ndarray]":
+        """Swap the coalescing buffer out as one ``(B, N)`` batch.
 
         The batch's key base (``first_read_index``) is assigned here, in
         submission order, so no executor scheduling can perturb the
-        keyed noise streams.
+        keyed noise streams.  A buffer of one block (a whole
+        ``submit_many`` slice) is the batch as-is.
         """
-        batch = (self._n_enqueued, self._buffer)
+        blocks = self._buffer
+        batch = (self._n_enqueued,
+                 blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
         self._buffer = []
-        self._n_enqueued += len(batch[1])
+        self._n_enqueued += self._n_buffered
+        self._n_buffered = 0
         return batch
 
     def _run_inline_locked(self) -> int:
@@ -524,7 +594,7 @@ class MappingSession:
     # -- execution (called WITHOUT the session lock) ------------------------
 
     def _execute(self, first: int,
-                 codes: "list[np.ndarray]") -> "BaseException | None":
+                 codes: np.ndarray) -> "BaseException | None":
         """Run one micro-batch through the engine and fold the result.
 
         The engine call runs outside the session lock but inside the
@@ -545,7 +615,7 @@ class MappingSession:
                     _fire_fault("service.frontend.execute", session=self,
                                 first_read_index=first)
                 report = self._pipeline.run_batched(
-                    np.stack(codes), self._threshold,
+                    codes, self._threshold,
                     first_read_index=first)
             except BaseException as exc:  # noqa: BLE001 — kept for the feeder
                 failure = exc

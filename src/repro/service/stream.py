@@ -47,6 +47,7 @@ micro-batch with ``first_read_index`` set the same way.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -185,23 +186,28 @@ def stream_mapped(service: StreamingMappingService,
     """Feed *reads* through *service*, yielding mappings as batches
     complete.
 
-    A convenience generator for pull-style callers: reads are
-    submitted lazily and each completed micro-batch's
-    :class:`~repro.core.pipeline.ReadMapping` results are yielded in
-    read order (the trailing partial batch is flushed at the end).
-    Results are handed off per micro-batch
+    A convenience generator for pull-style callers: each step hands
+    :meth:`~repro.service.session.MappingSession.submit_many` one lazy
+    slice of up to a micro-batch of reads, and each completed
+    micro-batch's :class:`~repro.core.pipeline.ReadMapping` results
+    are yielded in read order (the trailing partial batch is flushed
+    at the end).  Results are handed off per micro-batch
     (:attr:`StreamingMappingService.last_batch_mappings`), so memory
     stays bounded on endless feeds — pair with
     ``retain_mappings=False`` so the aggregate report does not retain
     them either.
     """
-    for read in reads:
+    reads = iter(reads)
+    while True:
         before = service.batches_dispatched
-        service.submit(read)
-        # One submit runs at most one micro-batch, and it does so
-        # inside this call — a new batch here is always ours.
+        fed = service.submit_many(islice(reads, service.micro_batch))
+        # A micro-batch of reads completes at most one micro-batch, and
+        # the inline executor runs it inside this call — a new batch
+        # here is always ours.
         if service.batches_dispatched != before:
             yield from service.last_batch_mappings
+        if fed < service.micro_batch:
+            break
     before = service.batches_dispatched
     service.flush()
     if service.batches_dispatched != before:

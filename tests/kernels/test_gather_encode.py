@@ -2,11 +2,12 @@
 
 ``numpy-gemm`` builds each query cell's acceptable-base mask by
 gathering a packed table at the cell's code (HD) or at ``prev*20 +
-cur*5 + next`` (ED*), and serves the TASR/SR rotations of a block from
-one encode (``counts_batch(..., rotations=)``).  The oracles here:
+cur*5 + next`` (ED*, circular neighbours), once per mode, and serves
+every pass as a window of that mask with the two edge cells
+re-gathered (``counts_batch(..., rotations=)``).  The oracles here:
 
 * the flat-index scatter the lane used before the gather, kept only in
-  this file — gathered masks must ``==`` it, rotated windows included;
+  this file — windowed masks must ``==`` it, rotated windows included;
 * per-offset ``np.roll`` plus a plain ``counts_batch`` — rotated counts
   must ``==`` it on every backend (the GEMM override, the default
   roll-per-offset of the test lane, and the non-ACGT fallback).
@@ -24,7 +25,7 @@ from repro.cam.cell import MatchMode
 from repro.core.tasr import DIRECTIONS, rotation_offsets
 from repro.genome import alphabet
 from repro.kernels import available_backends, encode_reference, get_backend
-from repro.kernels.gemm import _gather_mask
+from repro.kernels.gemm import _circular_mask, _window
 
 N_CELLS = (1, 2, 3, 256)
 
@@ -44,12 +45,12 @@ def _scatter_mask(queries: np.ndarray, ed_star: bool) -> np.ndarray:
     return acceptable.reshape(n_queries, n_cells * alphabet.ALPHABET_SIZE)
 
 
-def _gathered(codes: np.ndarray, ed_star: bool) -> np.ndarray:
+def _gathered(codes: np.ndarray, ed_star: bool,
+              offset: int = 0) -> np.ndarray:
+    """The lane's float32 mask of ``codes`` rotated left by ``offset``."""
     n_queries, n_cells = codes.shape
-    return _gather_mask(
-        codes, ed_star,
-        np.empty((n_queries, n_cells), dtype=np.uint8),
-        np.empty((n_queries, n_cells), dtype=np.uint32),
+    return _window(
+        _circular_mask(codes, ed_star), codes, offset, ed_star,
         np.empty((n_queries, n_cells * alphabet.ALPHABET_SIZE),
                  dtype=np.float32))
 
@@ -91,15 +92,11 @@ class TestGatheredMasks:
     @settings(max_examples=40, deadline=None)
     @given(_blocks(), st.integers(-5, 5))
     def test_rotated_window_equals_scatter_of_roll(self, block, offset):
-        """A window of the doubled block encodes like the rolled copy."""
+        """A window of the circular mask encodes like the rolled copy."""
         _, queries = block
-        n_cells = queries.shape[1]
-        shift = offset % n_cells
-        window = np.concatenate((queries, queries),
-                                axis=1)[:, shift:shift + n_cells]
         rolled = np.roll(queries, -offset, axis=1)
         for ed_star in (True, False):
-            assert np.array_equal(_gathered(window, ed_star),
+            assert np.array_equal(_gathered(queries, ed_star, offset),
                                   _scatter_mask(rolled, ed_star))
 
     @pytest.mark.parametrize("n_cells", N_CELLS)

@@ -74,6 +74,8 @@ CHECKER_CASES = [
                  "src/repro/core/fixture.py", id="one-encode-rotation"),
     pytest.param("per_read_fold_violation.py", "per_read_fold_clean.py",
                  "src/repro/core/pipeline.py", id="per-read-fold"),
+    pytest.param("per_read_submit_violation.py", "per_read_submit_clean.py",
+                 "src/repro/service/fixture.py", id="per-read-submit"),
 ]
 
 

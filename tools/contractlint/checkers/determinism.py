@@ -47,7 +47,10 @@ draw from an entropy source that is not keyed by an argument:
   The one intended per-read builder is the lazy view
   (``_ReadColumns.mappings``), which maps a one-object helper over the
   columns with ``map(...)`` — a form the rule deliberately leaves
-  alone.
+  alone.  In ``src/repro/service/`` it also flags a ``.submit(...)``
+  call in a loop or comprehension: ``submit_many`` validates and
+  accepts whole micro-batch slices, and ``submit`` is the one-read
+  entry for callers, not a building block of the service's own feeds.
 
 ``time.perf_counter`` is deliberately *not* flagged: it is the
 monotonic latency instrument of the stats/autotune paths, and the
@@ -260,9 +263,12 @@ class OneEncodeRotationChecker(Checker):
 
 
 #: Modules whose batch reports are built and folded as columns.
+#: The service layer, whose feeds go through ``submit_many``.
+SERVICE_SCOPE = "src/repro/service"
+
 BATCH_PATH_SCOPE = (
     "src/repro/core/pipeline.py",
-    "src/repro/service",
+    SERVICE_SCOPE,
 )
 
 #: Per-read result types a batch path must not build in a loop.
@@ -332,8 +338,9 @@ def _repeated_calls(tree: ast.AST) -> "list[ast.Call]":
 class PerReadFoldChecker(Checker):
     name = "per-read-fold"
     codes = {
-        "CL106": "per-read ReadMapping/MatchOutcome construction or "
-                 "report .add() fold in a loop on the batch report path",
+        "CL106": "per-read ReadMapping/MatchOutcome construction, "
+                 "report .add() fold, or service .submit() in a loop on "
+                 "the batch path",
     }
     scope = BATCH_PATH_SCOPE
 
@@ -350,6 +357,12 @@ class PerReadFoldChecker(Checker):
                 message = ("'.add()' in a loop folds per read; fold "
                            "each batch report with one "
                            "MappingReport.add(report)")
+            elif (isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "submit"
+                  and ctx.rel_path.startswith(SERVICE_SCOPE)):
+                message = ("'.submit()' in a loop feeds the session one "
+                           "read at a time; hand micro-batch slices to "
+                           "submit_many")
             else:
                 continue
             # A call nested in two loops is reported once.
