@@ -103,7 +103,7 @@ class EdamMatcher:
 
         EDAM's SR fires unconditionally, so every pass covers the whole
         ``(B, N)`` block at every threshold: a batch (``sweep=False``,
-        scalar or ``(B,)`` thresholds) or a sweep (``(T,)`` vector).
+        one integer threshold) or a sweep (``(T,)`` vector).
         The base and every rotated pass's counts come from one encode
         of the block (``mismatch_counts_batch(..., rotations=)``).
         """

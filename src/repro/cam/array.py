@@ -33,11 +33,12 @@ This is what lets a multi-session service front end
 serve N concurrent sessions over it.
 
 **One keyed search pass.**  Every search is one pass over a ``(B, N)``
-block of reads and a broadcast ``(T, B)`` threshold block — the
-software analogue of Fig. 4(a)'s global buffer streaming reads into the
-array back-to-back.  :meth:`CamArray.search_batch` is a ``(1, B)``
-block (one threshold per query), :meth:`CamArray.search_sweep` a
-``(T, 1)`` block (a threshold sweep shared by every query); a single
+block of reads and a ``(T,)`` threshold vector — the software analogue
+of Fig. 4(a)'s global buffer streaming reads into the array
+back-to-back while the sense amplifiers hold one ``V_ref`` per
+threshold.  :meth:`CamArray.search_batch` is ``T = 1`` (one integer
+threshold for the whole batch), :meth:`CamArray.search_sweep` the
+vector itself (a threshold sweep shared by every query); a single
 read is a one-row block.  Every draw is keyed by
 ``(seed, query_key, pass)``: query ``q``'s variation noise comes from
 a counter-based stream seeded by ``(array_seed, stream_tag) +
@@ -54,11 +55,11 @@ bounded, ``|z| <= NORMAL_BOUND`` (:mod:`repro.cam.keyed_noise`), so a
 row whose count sits at level ``n`` has its voltage inside
 ``V_ideal(n) ± NORMAL_BOUND·σ(n)`` (plus a float-rounding margin).
 Each pass builds that ``(N+1)``-level table once, decides both band
-ends through the sense amplifiers for every distinct threshold of the
-pass, and so classifies every level as always-match, never-match or
-*in band*.  Out-of-band (query, row) pairs are decided at their
-level's ideal voltage, looked up by digital count; only in-band pairs
-(in band for *any* threshold of a sweep) draw their keyed normals, by
+ends through the sense amplifiers for every threshold of the pass, and
+so classifies every level as always-match, never-match or *in band*.
+Out-of-band (query, row) pairs are decided at their level's ideal
+voltage, looked up by digital count; only in-band pairs (in band for
+*any* threshold of a sweep) draw their keyed normals, by
 stream position, and are decided through the same comparator.  The
 decisions are those of the dense draw, bit for bit; the dense voltages
 themselves (:attr:`BatchSearchResult.v_ml`) are materialised lazily,
@@ -103,7 +104,12 @@ from repro.kernels import (
     encode_reference,
     resolve_backend,
 )
-from repro.knobs import check_count, validate_service_knobs
+from repro.knobs import (
+    check_count,
+    check_threshold,
+    check_thresholds,
+    validate_service_knobs,
+)
 
 _DOMAINS = ("charge", "current")
 
@@ -199,7 +205,7 @@ class BatchSearchResult:
         need them densely, so they are drawn on first read (a lazy,
         cached property).
     thresholds:
-        ``(B,)`` per-query thresholds (a scalar input is broadcast).
+        ``(B,)`` the batch's one threshold, broadcast per query.
     mode:
         ED*/HD mode of the whole batch (a tuple, one per pass, for a
         pass block; see :meth:`CamArray.search_batch`).
@@ -666,14 +672,14 @@ class CamArray:
             n_cells=self.cols, vdd=self._vdd,
             search_time_ns=self._search_time_ns,
             mismatch_counts=counts,
-            thresholds=np.asarray(thresholds, dtype=int),
+            thresholds=thresholds,
             sweep=sweep,
             query_keys=noise_keys,
             **extra,
         )
 
     def search_batch(self, queries: np.ndarray,
-                     threshold: "int | np.ndarray",
+                     threshold: int,
                      mode: "MatchMode | Sequence[MatchMode]"
                      = MatchMode.ED_STAR,
                      noise_keys: "Sequence | None" = None,
@@ -683,16 +689,17 @@ class CamArray:
                      ) -> BatchSearchResult:
         """Search a ``(B, N)`` block of queries in one vectorised pass.
 
-        The ``(1, B)`` threshold block of the keyed pass: one threshold
-        per query.
+        The ``T = 1`` case of the keyed pass: every query is decided
+        against one sense-amp reference.
 
         Parameters
         ----------
         queries:
             ``(B, N)`` uint8 read codes.
         threshold:
-            Scalar threshold shared by the batch, or a ``(B,)`` vector
-            of per-query thresholds.
+            The one integer threshold of the batch; a vector raises
+            :class:`~repro.errors.ThresholdError` (a threshold vector
+            is a sweep: :meth:`search_sweep`).
         mode:
             ED*/HD mode for the whole batch.
         noise_keys:
@@ -724,9 +731,7 @@ class CamArray:
         """
         queries = self._check_queries(queries)
         n_queries = queries.shape[0]
-        thresholds = np.broadcast_to(
-            np.asarray(threshold, dtype=int), (n_queries,)
-        ).copy()
+        threshold = check_threshold(threshold, "search_sweep")
         if np.ndim(rotation) == 0:
             passes = [(mode, int(rotation), noise_keys)]
         elif (isinstance(mode, MatchMode) or noise_keys is None
@@ -739,7 +744,7 @@ class CamArray:
             passes = [(m, int(r), k) for m, r, k in zip(
                 mode, rotation, noise_keys, strict=True)]
         matches, counts, voltages, energy = self._keyed_pass(
-            queries, thresholds[None, :], passes, precomputed_counts,
+            queries, np.array([threshold]), passes, precomputed_counts,
             sweep=False,
         )
         matches = matches[0]
@@ -752,7 +757,7 @@ class CamArray:
             mode = tuple(mode)
         return BatchSearchResult(
             matches=matches, mismatch_counts=counts,
-            thresholds=thresholds, mode=mode,
+            thresholds=np.full(n_queries, threshold), mode=mode,
             energy_joules=float(energy.sum()),
             latency_ns=self._search_time_ns * n_queries * len(passes),
             energy_per_query_joules=energy,
@@ -767,24 +772,19 @@ class CamArray:
                      rotation: int = 0) -> SweepSearchResult:
         """Evaluate one search pass against a whole threshold sweep.
 
-        The ``(T, 1)`` threshold block of the keyed pass: counts and
-        keyed variation noise are threshold-independent, so the pass is
-        computed once and the sweep vector is applied as ``T``
-        vectorised sense-amp reference comparisons — slice ``t`` of the
-        result is bit-identical to :meth:`search_batch` at
-        ``thresholds[t]`` with the same keys.  ``thresholds`` is the
-        ``(T,)`` sweep vector shared by every query; the other
+        The keyed pass over the whole ``(T,)`` threshold vector:
+        counts and keyed variation noise are threshold-independent, so
+        the pass is computed once and the sweep vector is applied as
+        ``T`` vectorised sense-amp reference comparisons — slice ``t``
+        of the result is bit-identical to :meth:`search_batch` at
+        ``thresholds[t]`` with the same keys.  ``thresholds`` is a
+        non-empty 1-D integer vector shared by every query; the other
         parameters are those of a single-pass :meth:`search_batch`.
         """
         queries = self._check_queries(queries)
-        thresholds = np.asarray(thresholds, dtype=int)
-        if thresholds.ndim != 1 or thresholds.shape[0] == 0:
-            raise ThresholdError(
-                f"thresholds must be a non-empty 1-D sweep vector, got "
-                f"shape {thresholds.shape}"
-            )
+        thresholds = check_thresholds(thresholds)
         matches, counts, voltages, energy = self._keyed_pass(
-            queries, thresholds[:, None], [(mode, rotation, noise_keys)],
+            queries, thresholds, [(mode, rotation, noise_keys)],
             precomputed_counts, sweep=True,
         )
         return SweepSearchResult(
@@ -797,18 +797,19 @@ class CamArray:
 
     def _keyed_pass(self, queries: np.ndarray, thresholds: np.ndarray,
                     passes: list, counts, sweep: bool):
-        """The one keyed search pass: counts, keyed noise, a threshold
-        block, over ``P`` back-to-back passes of one read block.
+        """The one keyed search pass: counts, keyed noise and a ``(T,)``
+        threshold vector, over ``P`` back-to-back passes of one read
+        block.
 
-        ``thresholds`` is a ``(1, B)`` or ``(T, 1)`` block broadcasting
-        against ``(T, B)``; ``passes`` holds each pass's ``(mode,
-        rotation, noise_keys)`` and ``counts`` their ``(B, M)`` counts
-        (``None``: counted here, the queries as given; one pass may
-        give a bare ``(B, M)`` block).  The passes are decided as one
-        ``(P·B, M)`` block whose row ``p·B + q`` is read ``q`` in pass
-        ``p``, under that pass's keys and the read's threshold: a
-        pass's decisions depend only on its counts, thresholds and
-        keys, so stacking changes none of them.  Returns ``(matches,
+        ``thresholds`` is the sweep vector (a batch is ``T = 1``, its
+        events carrying the threshold broadcast to ``(B,)``);
+        ``passes`` holds each pass's ``(mode, rotation, noise_keys)``
+        and ``counts`` their ``(B, M)`` counts (``None``: counted here,
+        the queries as given; one pass may give a bare ``(B, M)``
+        block).  The passes are decided as one ``(P·B, M)`` block whose
+        row ``p·B + q`` is read ``q`` in pass ``p``, under that pass's
+        keys: a pass's decisions depend only on its counts, thresholds
+        and keys, so stacking changes none of them.  Returns ``(matches,
         counts, voltages, energy)`` — ``(T, P·B, M)`` matches, the
         ``(P·B, M)`` counts, a thunk materialising their dense
         voltages and the ``(P·B,)`` energies — and records one event
@@ -846,11 +847,9 @@ class CamArray:
                        if isinstance(counts, np.ndarray)
                        else np.concatenate(per_pass))
             stacked_keys = np.concatenate(keys)
-            if not sweep:
-                thresholds = np.tile(thresholds, len(passes))
         matches = self._decide(stacked, thresholds, stacked_keys)
-        pass_thresholds = (thresholds[:, 0] if sweep
-                           else thresholds[0, :n_queries])
+        pass_thresholds = (thresholds if sweep
+                           else np.full(n_queries, thresholds[0]))
         events = [self._pass_event(block, pass_thresholds, mode, sweep,
                                    noise_keys, rotation)
                   for block, (mode, rotation, _), noise_keys
@@ -918,51 +917,42 @@ class CamArray:
         """``(T, B, M)`` decisions of one pass, drawing noise in band only.
 
         One sense-amp call decides every level's ideal voltage and both
-        ends of its noise band for each distinct threshold of the pass:
-        a ``(D, N+1)`` level-decision table, the same comparisons on the
-        same float values a gather of ``V_ideal`` by count would make.
-        Every pair is first decided at its level's ideal voltage by
-        count — with the integer cut ``count < cut[t]`` when every row
-        of the table is a prefix (a monotone matchline), else by a
-        gather from the table.  A level whose band ends agree decides
-        alike for any voltage in its band, so only a pair in band for
-        any threshold of its query draws its keyed normal (stream
-        position = its row) and is re-decided for every threshold,
-        exactly as the dense draw decides it.
+        ends of its noise band for each threshold of the ``(T,)``
+        vector: a ``(T, N+1)`` level-decision table, the same
+        comparisons on the same float values a gather of ``V_ideal`` by
+        count would make.  Every pair is first decided at its level's
+        ideal voltage by count — with the integer cut ``count <
+        cut[t]`` when every row of the table is a prefix (a monotone
+        matchline), else by a gather from the table.  A level whose
+        band ends agree decides alike for any voltage in its band, so
+        only a pair whose level is in band for any threshold draws its
+        keyed normal (stream position = its row) and is re-decided for
+        every threshold, exactly as the dense draw decides it.
         """
         n_cells = self.cols
         v_ideal, sigma, half = self._level_table()
-        distinct, inverse = np.unique(thresholds, return_inverse=True)
-        inverse = inverse.reshape(thresholds.shape)
         table, *ends = self._sense_amp.decide_sweep(
             np.stack([v_ideal, v_ideal - half, v_ideal + half]),
-            distinct[:, None], n_cells).transpose(1, 0, 2)
+            thresholds[:, None], n_cells).transpose(1, 0, 2)
         cut = table.sum(axis=1)
         if (table == (np.arange(n_cells + 1) < cut[:, None])).all():
             # Counts and cuts fit 0..N+1, so the compare runs in the
             # narrowest unsigned type (several times faster than intp).
             narrow = np.min_scalar_type(n_cells + 1)
             matches = (counts.astype(narrow)
-                       < cut.astype(narrow)[inverse][..., None])
+                       < cut.astype(narrow)[:, None, None])
         else:
-            matches = table[inverse[..., None], counts]
+            matches = table[:, counts]
         band = ends[0] != ends[1]
         if not band.any():
             return matches
-        # (query, level) in band for any threshold the query meets; a
-        # flat lookup, (q, n) -> q * (N + 1) + n, broadcasts one row.
-        per_query = band[inverse].any(axis=0)
-        in_band = per_query.ravel()[
-            np.arange(per_query.shape[0])[:, None] * (n_cells + 1) + counts]
-        queries, rows = np.nonzero(in_band)
+        queries, rows = np.nonzero(band.any(axis=0)[counts])
         levels = counts[queries, rows]
         states = fold_key_block(self._noise_prefix, noise_keys)[queries]
         v_ml = self._add_noise(v_ideal[levels], sigma[levels],
                                standard_normals(states, rows))
-        if thresholds.shape[1] > 1:
-            thresholds = thresholds[:, queries]
         matches[:, queries, rows] = self._sense_amp.decide_sweep(
-            v_ml[:, None], thresholds, n_cells)[..., 0]
+            v_ml[:, None], thresholds[:, None], n_cells)[..., 0]
         return matches
 
     def _ideal_voltages(self, counts: np.ndarray) -> np.ndarray:

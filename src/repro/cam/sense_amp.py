@@ -53,13 +53,13 @@ class SenseAmplifier:
 
     def reference_voltages(self, thresholds: np.ndarray,
                            n_cells: int) -> np.ndarray:
-        """Vectorised ``V_ref`` for a block of per-query thresholds.
+        """Vectorised ``V_ref`` for an array of thresholds.
 
-        The batched search path programs one reference per query (the
-        SA reference DAC is shared across a row of queries streaming
-        through the array); this evaluates them all at once.  The
-        scalar :meth:`reference_voltage` delegates here so the two
-        paths cannot drift.
+        A search programs one reference per threshold (the SA
+        reference DAC is shared by every query streaming through the
+        array); a sweep evaluates its whole vector at once.  The scalar
+        :meth:`reference_voltage` delegates here so the two paths
+        cannot drift.
         """
         if n_cells <= 0:
             raise ThresholdError(f"n_cells must be positive, got {n_cells}")
@@ -81,10 +81,11 @@ class SenseAmplifier:
 
         The search pass's comparison: ``v_ml`` is the ``(B, M)``
         voltage block of one pass and ``thresholds`` a 2-D block whose
-        axes broadcast against ``(T, B)`` — a batch is ``(1, B)``, a
-        threshold sweep ``(T, 1)``.  The voltages are sampled once and
-        every reference is compared against the same analog levels,
-        which is what makes a threshold sweep cost one search pass.
+        axes broadcast against ``(T, B)`` — the keyed pass hands its
+        ``(T,)`` threshold vector over as a ``(T, 1)`` column (a batch
+        is ``T = 1``).  The voltages are sampled once and every
+        reference is compared against the same analog levels, which is
+        what makes a threshold sweep cost one search pass.
         """
         thresholds = np.asarray(thresholds)
         if thresholds.ndim != 2:

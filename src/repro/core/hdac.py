@@ -60,7 +60,8 @@ def hdac_correct_batch(ed_star_decisions: np.ndarray,
         ``(T, B, M)`` for a threshold sweep.
     p:
         Hamming-selection probabilities broadcasting against the
-        leading axes (``(B,)`` per query, ``(T, 1)`` per threshold).
+        leading axes: ``(T, 1)``, one per threshold (a batch is
+        ``T = 1``), since ``p`` is a function of the threshold alone.
     states:
         Folded keyed-stream states (uint64) broadcasting against the
         leading axes, one per query.

@@ -14,23 +14,23 @@ the array; the matcher only sequences searches and combines their
 decisions, mirroring the controller's role in Fig. 4(a).  All energy
 and latency of the extra searches is accounted in the outcome.
 
-**One flow over a threshold block.**  The flow runs once over a
-``(B, N)`` block of reads and a broadcast ``(T, B)`` threshold block:
-:meth:`AsmCapMatcher.match_batch` is a ``(1, B)`` block (one threshold
-per read), :meth:`AsmCapMatcher.match_sweep` a ``(T, 1)`` block (a
-threshold sweep shared by every read), and :meth:`AsmCapMatcher.match`
-the one-row slice of a batch.  Each strategy pass is issued once over
-the cells it applies to — the HD pass over the cells whose ``p`` clears
-the disable cut, the rotated passes over the cells at or above ``Tl``
-— so costs are charged exactly where a pass ran.  The reads are
+**One flow over a threshold vector.**  The flow runs once over a
+``(B, N)`` block of reads and a ``(T,)`` threshold vector, as the sense
+amplifiers compare every matchline against one ``V_ref`` per search:
+:meth:`AsmCapMatcher.match_batch` is ``T = 1`` (one integer threshold
+for the whole batch), :meth:`AsmCapMatcher.match_sweep` the vector
+itself, and :meth:`AsmCapMatcher.match` the one-row slice of a batch.
+HDAC and TASR eligibility depend on the threshold alone, so every pass
+covers every read: the HD pass runs at the thresholds whose ``p``
+clears the disable cut, the rotated passes at those at or above
+``Tl``, and costs are charged exactly where a pass ran.  The reads are
 encoded once per flow, as the searchlines load a read once and the
-shift registers rotate it in place: the rotated passes (and the base
-ED* pass, when the rotations cover every read) take their counts from
-one ``mismatch_counts_batch(..., rotations=)`` call.  A batch whose
-passes all cover every read issues them as one pass block (one
+shift registers rotate it in place: the base ED* pass and the rotated
+passes take their counts from one ``mismatch_counts_batch(...,
+rotations=)`` call.  A batch issues its passes as one pass block (one
 ``search_batch``: one decide, one energy gather), while each pass
-still records its own ledger event.  Every draw is keyed
-by ``(seed, query_key, pass)``, never by the threshold or the block's
+still records its own ledger event.  Every draw is keyed by ``(seed,
+query_key, pass)``, never by the threshold or the block's
 composition, so any batching, sweep or sharding of the same keyed reads
 makes bit-identical decisions.
 """
@@ -49,8 +49,9 @@ from repro.cam.keyed_noise import fold_key, fold_key_block
 from repro.core import policy
 from repro.core.hdac import hdac_correct_batch
 from repro.core.tasr import DIRECTIONS, rotation_offsets
-from repro.errors import CamConfigError
+from repro.errors import CamConfigError, ThresholdError
 from repro.genome.edits import ErrorModel
+from repro.knobs import check_integer, check_threshold, check_thresholds
 
 #: Pass tags separating the keyed noise streams of one query's searches
 #: (shared with the EDAM baseline; streams never mix across arrays
@@ -143,7 +144,7 @@ class MatchBatchOutcome:
     decisions:
         ``(B, M)`` final per-query, per-row match decisions.
     thresholds:
-        ``(B,)`` thresholds used (a scalar input is broadcast).
+        ``(B,)`` the batch's one threshold, broadcast per query.
     n_searches:
         ``(B,)`` search operations issued per query.
     energy_joules / latency_ns:
@@ -236,7 +237,8 @@ class MatchSweepOutcome:
 
     def at_threshold(self, threshold: int) -> np.ndarray:
         """The ``(B, M)`` decision slice for one sweep threshold."""
-        index = np.flatnonzero(self.thresholds == int(threshold))
+        threshold = check_integer("threshold", threshold, ThresholdError)
+        index = np.flatnonzero(self.thresholds == threshold)
         if index.size == 0:
             raise CamConfigError(
                 f"threshold {threshold} is not part of this sweep"
@@ -246,7 +248,11 @@ class MatchSweepOutcome:
 
 def query_key_vector(query_keys: "Sequence[int] | None",
                      n_queries: int) -> np.ndarray:
-    """Per-read determinism keys as int64; default ``0..B-1``."""
+    """Per-read determinism keys as int64; default ``0..B-1``.
+
+    A non-integer key raises :class:`~repro.errors.CamConfigError`:
+    truncating keys ``0.5`` and ``0.9`` would share one noise stream.
+    """
     if query_keys is None:
         return np.arange(n_queries, dtype=np.int64)
     if len(query_keys) != n_queries:
@@ -256,7 +262,8 @@ def query_key_vector(query_keys: "Sequence[int] | None",
     if isinstance(query_keys, np.ndarray) and query_keys.ndim == 1 \
             and np.issubdtype(query_keys.dtype, np.signedinteger):
         return query_keys.astype(np.int64, copy=False)
-    return np.asarray([int(k) for k in query_keys], dtype=np.int64)
+    return np.asarray([check_integer("query key", k) for k in query_keys],
+                      dtype=np.int64)
 
 
 def pass_keys(keys: np.ndarray, tag: int) -> np.ndarray:
@@ -277,9 +284,9 @@ def read_block(reads: np.ndarray, caller: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _FlowResult:
-    """The flow's outputs over a ``(T, B)`` block of (threshold, read)
-    cells; ``probabilities`` and the masks keep the threshold block's
-    broadcast shape."""
+    """The flow's outputs: ``(T, B)`` (threshold, read) cells for the
+    decisions and costs, ``(T,)`` per threshold for ``probabilities``
+    and the masks."""
 
     decisions: np.ndarray
     n_searches: np.ndarray
@@ -396,24 +403,25 @@ class AsmCapMatcher:
             tasr_lower_bound=batch.tasr_lower_bound,
         )
 
-    def match_batch(self, reads: np.ndarray,
-                    threshold: "int | np.ndarray",
+    def match_batch(self, reads: np.ndarray, threshold: int,
                     query_keys: "Sequence[int] | None" = None
                     ) -> MatchBatchOutcome:
-        """Match a ``(B, N)`` block of reads: the ``(1, B)`` flow.
+        """Match a ``(B, N)`` block of reads: the ``T = 1`` flow.
 
         1. one batched ED* search over the whole block;
-        2. one batched HD search over the queries whose ``p`` clears
-           the HDAC disable threshold (Algorithm 1);
-        3. per TASR offset, one batched rotated ED* search over the
-           queries with ``T >= Tl`` (Algorithm 2).
+        2. one batched HD search if ``p`` clears the HDAC disable
+           threshold (Algorithm 1);
+        3. per TASR offset, one batched rotated ED* search if
+           ``T >= Tl`` (Algorithm 2).
 
         Parameters
         ----------
         reads:
             ``(B, N)`` uint8 read codes.
         threshold:
-            Scalar or ``(B,)`` per-query thresholds.
+            The batch's one integer threshold; a vector raises
+            :class:`~repro.errors.ThresholdError` (a threshold vector
+            is a sweep: :meth:`match_sweep`).
         query_keys:
             Per-query determinism keys; defaults to ``0..B-1``.  Use
             globally unique keys (e.g. the read's position in the full
@@ -421,26 +429,26 @@ class AsmCapMatcher:
             bit-identical.
         """
         reads = read_block(reads, "match_batch")
-        thresholds = np.broadcast_to(
-            np.asarray(threshold, dtype=int), (reads.shape[0],)
-        ).copy()
-        flow = self._flow(reads, thresholds[None, :], query_keys,
+        threshold = check_threshold(threshold, "match_sweep")
+        flow = self._flow(reads, np.array([threshold]), query_keys,
                           sweep=False)
+        n_queries = reads.shape[0]
         return MatchBatchOutcome(
-            decisions=flow.decisions[0], thresholds=thresholds,
+            decisions=flow.decisions[0],
+            thresholds=np.full(n_queries, threshold),
             n_searches=flow.n_searches[0], energy_joules=flow.energy[0],
             latency_ns=flow.latency[0],
-            hdac_probabilities=flow.probabilities[0],
+            hdac_probabilities=np.full(n_queries, flow.probabilities[0]),
             tasr_lower_bound=flow.lower_bound,
-            hdac_mask=flow.hdac_mask[0], tasr_mask=flow.tasr_mask[0],
+            hdac_mask=np.full(n_queries, flow.hdac_mask[0]),
+            tasr_mask=np.full(n_queries, flow.tasr_mask[0]),
         )
 
     def match_sweep(self, reads: np.ndarray,
                     thresholds: "Sequence[int] | np.ndarray",
                     query_keys: "Sequence[int] | None" = None
                     ) -> MatchSweepOutcome:
-        """Match a ``(B, N)`` block against a threshold sweep: the
-        ``(T, 1)`` flow.
+        """Match a ``(B, N)`` block against a ``(T,)`` threshold sweep.
 
         The engine behind Fig. 7's curves: every random draw is keyed
         by ``(query_key, pass)`` — never by the threshold — so each
@@ -458,179 +466,135 @@ class AsmCapMatcher:
         A sweep therefore issues ``2 + 2 * NR`` array passes instead of
         up to ``T * (2 + 2 * NR)``, while slice ``t`` stays
         bit-identical to ``match_batch(reads, thresholds[t],
-        query_keys)``.  ``thresholds`` is the ``(T,)`` sweep vector;
-        ``query_keys`` defaults to ``0..B-1``.
+        query_keys)``.  ``thresholds`` is a non-empty 1-D integer
+        vector; ``query_keys`` defaults to ``0..B-1``.
         """
         reads = read_block(reads, "match_sweep")
-        thresholds = np.asarray(thresholds, dtype=int)
-        if thresholds.ndim != 1 or thresholds.shape[0] == 0:
-            raise CamConfigError(
-                f"thresholds must be a non-empty 1-D sweep vector, got "
-                f"shape {thresholds.shape}"
-            )
-        flow = self._flow(reads, thresholds[:, None], query_keys,
-                          sweep=True)
+        thresholds = check_thresholds(thresholds)
+        flow = self._flow(reads, thresholds, query_keys, sweep=True)
         return MatchSweepOutcome(
             decisions=flow.decisions, thresholds=thresholds,
             n_searches=flow.n_searches, energy_joules=flow.energy,
             latency_ns=flow.latency,
-            hdac_probabilities=flow.probabilities[:, 0],
+            hdac_probabilities=flow.probabilities,
             tasr_lower_bound=flow.lower_bound,
-            hdac_mask=flow.hdac_mask[:, 0], tasr_mask=flow.tasr_mask[:, 0],
+            hdac_mask=flow.hdac_mask, tasr_mask=flow.tasr_mask,
         )
 
-    def _flow(self, reads: np.ndarray, block: np.ndarray,
+    def _flow(self, reads: np.ndarray, thresholds: np.ndarray,
               query_keys: "Sequence[int] | None",
               sweep: bool) -> _FlowResult:
-        """ED* -> HDAC -> TASR over a ``(1, B)`` or ``(T, 1)`` block.
+        """ED* -> HDAC -> TASR over a ``(T,)`` threshold vector.
 
-        Each pass covers the cells its mask selects: rows (thresholds)
-        and columns (reads) of the ``(T, B)`` grid.  A batch pass
-        searches the selected reads at their own thresholds
-        (:meth:`~repro.cam.array.CamArray.search_batch`), a sweep pass
-        every read at the selected thresholds
-        (:meth:`~repro.cam.array.CamArray.search_sweep`); its
-        decisions and costs fold into exactly those cells.
+        HDAC and TASR eligibility are functions of the threshold alone
+        (``p`` and ``Tl`` are off-line), so every pass covers every read
+        and selects only thresholds: the HD pass those whose ``p``
+        clears the disable cut, the rotated passes those at or above
+        ``Tl``.  A batch (``T = 1``) issues its passes as one pass block
+        (:meth:`~repro.cam.array.CamArray.search_batch`: one decide,
+        one energy gather, one ledger event per pass); a sweep issues
+        one :meth:`~repro.cam.array.CamArray.search_sweep` per pass over
+        the thresholds it selects.  Decisions and costs fold into
+        exactly the ``(threshold, read)`` cells a pass ran for.
         """
         array, config = self._array, self._config
         n_queries = reads.shape[0]
         keys = query_key_vector(query_keys, n_queries)
-        grid = (block.shape[0], n_queries)
+        grid = (thresholds.shape[0], n_queries)
         n_searches = np.zeros(grid, dtype=int)
         energy = np.zeros(grid)
         latency = np.zeros(grid)
 
-        def cells_of(mask: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-            full = np.broadcast_to(mask, grid)
-            return (np.flatnonzero(full.any(axis=1)),
-                    np.flatnonzero(full.any(axis=0)))
-
-        def search(rows: np.ndarray, cols: np.ndarray, mode: MatchMode,
-                   tag: int, counts: "np.ndarray | None",
-                   rotation: int):
-            """One array pass over the selected cells (``counts``, when
-            given, are the pass's counts for exactly those reads);
-            returns ``(cells, matches, energy_per_query)``."""
-            every = cols.shape[0] == n_queries
-            queries = reads if every else reads[cols]
-            kwargs = {"noise_keys": pass_keys(keys[cols], tag),
-                      "precomputed_counts": counts, "rotation": rotation}
-            if sweep:
-                result = array.search_sweep(queries, block[rows, 0], mode,
-                                            **kwargs)
-                matches = result.matches
-            else:
-                result = array.search_batch(queries, block[0, cols], mode,
-                                            **kwargs)
-                matches = result.matches[None]
-            # A (1, B) or (T, 1) block always selects whole threshold
-            # rows (batch) or whole read columns (sweep), so at most one
-            # axis needs an index array; whole axes stay slices (views).
-            cells = (slice(None) if rows.shape[0] == grid[0] else rows,
-                     slice(None) if every else cols)
-            return cells, matches, result.energy_per_query_joules
-
-        def search_block(passes):
-            """Every pass over every read as one pass block
-            (:meth:`~repro.cam.array.CamArray.search_batch` with one
-            rotation per pass), split back into per-pass results."""
-            modes, tags, counts, rotations = zip(*(
-                (mode, tag, counts, rotation)
-                for _, _, mode, tag, counts, rotation in passes), strict=True)
-            if MatchMode.HAMMING not in modes:
-                counts = block_counts  # the rotations call, as issued
-            result = array.search_batch(
-                reads, block[0], modes,
-                noise_keys=[pass_keys(keys, tag) for tag in tags],
-                precomputed_counts=counts, rotation=rotations)
-            whole = (slice(None), slice(None))
-            for index, matches in enumerate(result.matches):
-                yield (whole, matches[None],
-                       result.energy_per_query_joules[index])
-
-        # HDAC and TASR eligibility are known before any search (``p``
-        # and ``Tl`` are off-line functions of the threshold), so every
-        # pass's counts come from as few encodes as possible: one
-        # rotations call yields all TASR passes (plus the base ED* pass
-        # when they cover every read), one dual call the ED*/HD pair.
-        p_block = np.zeros(block.shape)
-        hdac_mask = np.zeros(block.shape, dtype=bool)
+        p = np.zeros(thresholds.shape)
+        hdac_mask = np.zeros(thresholds.shape, dtype=bool)
         if config.enable_hdac:
-            for t in np.unique(block):
-                p_block[block == t] = self.hdac_probability(int(t))
-            hdac_mask = p_block >= config.hdac_disable_threshold
-        hd_rows, hd_cols = cells_of(hdac_mask)
+            p = np.array([self.hdac_probability(t)
+                          for t in thresholds.tolist()])
+            hdac_mask = p >= config.hdac_disable_threshold
         lower_bound = self.tasr_lower_bound()
-        tasr_mask = np.zeros(block.shape, dtype=bool)
+        tasr_mask = np.zeros(thresholds.shape, dtype=bool)
         if config.enable_tasr and n_queries:
-            tasr_mask = block >= lower_bound
-        tasr_rows, tasr_cols = cells_of(tasr_mask)
+            tasr_mask = thresholds >= lower_bound
         offsets = rotation_offsets(config.tasr_nr, config.tasr_direction) \
-            if tasr_rows.shape[0] else ()
+            if tasr_mask.any() else ()
+
+        # The reads are encoded as few times as possible: one rotations
+        # call yields the base ED* pass and every TASR pass, one dual
+        # call the ED*/HD pair.
         ed_counts = hd_counts = block_counts = None
         rotated = ()
-        if offsets and tasr_cols.shape[0] == n_queries:
+        if offsets:
             block_counts = array.mismatch_counts_batch(
                 reads, MatchMode.ED_STAR, rotations=(0,) + offsets)
             ed_counts, *rotated = block_counts
-        elif offsets:
-            rotated = array.mismatch_counts_batch(
-                reads[tasr_cols], MatchMode.ED_STAR, rotations=offsets)
-        if n_queries and hd_cols.shape[0] == n_queries:
+        if n_queries and hdac_mask.any():
             if ed_counts is None:
                 ed_counts, hd_counts = array.mismatch_counts_batch_dual(reads)
             else:
                 hd_counts = array.mismatch_counts_batch(reads,
                                                         MatchMode.HAMMING)
 
-        # ED* -> HDAC -> TASR, each pass as (rows, cols, mode, tag,
-        # counts, rotation).
-        passes = [(np.arange(grid[0]), np.arange(n_queries),
-                   MatchMode.ED_STAR, PASS_ED_STAR, ed_counts, 0)]
-        if hd_rows.shape[0]:
-            passes.append((hd_rows, hd_cols, MatchMode.HAMMING,
-                           PASS_HAMMING, hd_counts, 0))
-        passes.extend((tasr_rows, tasr_cols, MatchMode.ED_STAR,
+        # ED* -> HDAC -> TASR, each pass as (thresholds it runs at,
+        # mode, tag, counts, rotation).
+        passes = [(np.ones(thresholds.shape, dtype=bool), MatchMode.ED_STAR,
+                   PASS_ED_STAR, ed_counts, 0)]
+        if hd_counts is not None:
+            passes.append((hdac_mask, MatchMode.HAMMING, PASS_HAMMING,
+                           hd_counts, 0))
+        passes.extend((tasr_mask, MatchMode.ED_STAR,
                        PASS_ROTATION + offset, counts, offset)
                       for offset, counts in zip(offsets, rotated,
                                                   strict=True))
-        # A batch whose passes all cover every read decides them as one
-        # block; otherwise each pass is its own search.  Per-pass
-        # results are produced lazily, so each stays referenced until
-        # the next pass has run (``decisions`` to the end): freeing a
-        # pass's (B, M) blocks before the next pass allocates its own
-        # lets the C allocator trim the heap and fault it back in, ~5x
-        # the page faults per batch.
-        if not sweep and len(passes) > 1 and all(
-                cols.shape[0] == n_queries for _, cols, *_ in passes):
-            results = search_block(passes)
+
+        def sweep_pass(at, mode, tag, counts, rotation):
+            result = array.search_sweep(
+                reads, thresholds[at], mode,
+                noise_keys=pass_keys(keys, tag),
+                precomputed_counts=counts, rotation=rotation)
+            return result.matches, result.energy_per_query_joules
+
+        if sweep:
+            # Per-pass results are produced lazily, so each stays
+            # referenced until the next pass has run: freeing a pass's
+            # blocks before the next allocates its own lets the C
+            # allocator trim the heap and fault it back in.
+            results = (sweep_pass(*pass_) for pass_ in passes)
         else:
-            results = (search(*pass_) for pass_ in passes)
+            modes, tags, counts, rotations = zip(*(
+                pass_[1:] for pass_ in passes), strict=True)
+            search = array.search_batch(
+                reads, thresholds[0], modes,
+                noise_keys=[pass_keys(keys, tag) for tag in tags],
+                precomputed_counts=(block_counts if hd_counts is None
+                                    else counts),
+                rotation=rotations)
+            results = zip(search.matches[:, None],
+                          search.energy_per_query_joules, strict=True)
 
         # Costs are charged and decisions combined in pass order, so
         # every float accumulation runs as in a pass-by-pass flow.
         decisions = None
-        for (_, cols, mode, _, _, _), (cells, matches, pass_energy) \
+        for (at, mode, *_), (matches, pass_energy) \
                 in zip(passes, results, strict=True):
-            n_searches[cells] += 1
-            energy[cells] += pass_energy
-            latency[cells] += array.search_time_ns
+            n_searches[at] += 1
+            energy[at] += pass_energy
+            latency[at] += array.search_time_ns
             if decisions is None:
                 decisions = matches.copy()
             elif mode is MatchMode.HAMMING:
-                # --- HDAC (Algorithm 1), over the cells worth the cycle
-                decisions[cells] = hdac_correct_batch(
-                    decisions[cells], matches, p_block[cells],
-                    fold_key_block(self._hdac_prefix, keys[cols]),
+                # --- HDAC (Algorithm 1), at the thresholds worth the cycle
+                decisions[at] = hdac_correct_batch(
+                    decisions[at], matches, p[at][:, None],
+                    fold_key_block(self._hdac_prefix, keys),
                 )
             else:
-                # --- TASR (Algorithm 2), over the cells above Tl
-                decisions[cells] |= matches
+                # --- TASR (Algorithm 2), at the thresholds above Tl
+                decisions[at] |= matches
 
         return _FlowResult(
             decisions=decisions, n_searches=n_searches, energy=energy,
             latency=latency,
-            probabilities=np.where(hdac_mask, p_block, 0.0),
+            probabilities=np.where(hdac_mask, p, 0.0),
             hdac_mask=hdac_mask, tasr_mask=tasr_mask,
             lower_bound=lower_bound,
         )

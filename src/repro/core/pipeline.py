@@ -69,7 +69,12 @@ from repro.errors import ArchConfigError, CamConfigError
 from repro.genome import alphabet
 from repro.genome.edits import ErrorModel
 from repro.genome.reads import ReadRecord
-from repro.knobs import check_count, validate_service_knobs
+from repro.knobs import (
+    check_count,
+    check_integer,
+    check_threshold,
+    validate_service_knobs,
+)
 
 #: Reads handed to one worker task at a time; bounds the per-pass
 #: blocks a shard materialises while streaming a workload.
@@ -325,11 +330,16 @@ class ReadMappingPipeline:
         therefore bit-identical to one ``run_batched`` call over the
         whole workload, for any micro-batch boundaries (the streaming
         service's determinism contract — :mod:`repro.service`).
+        ``threshold`` is one integer for the whole call and
+        ``first_read_index`` an integer; anything else raises (a
+        :class:`~repro.errors.ThresholdError` and a
+        :class:`~repro.errors.CamConfigError`) rather than truncating.
         """
+        threshold = check_threshold(threshold, "match_sweep")
+        first = check_integer("first_read_index", first_read_index)
         codes = _codes_matrix(reads)
         if codes.shape[0] == 0:
             return MappingReport()
-        first = int(first_read_index)
         keys = np.arange(first, first + codes.shape[0], dtype=np.int64)
         outcome = self._matcher.match_batch(codes, threshold,
                                             query_keys=keys)
@@ -678,8 +688,9 @@ class ShardedReadMappingPipeline:
         workload that places it at global position *index*.
         """
         codes = _read_codes(read)[None, :]
-        report = self._run_keyed(codes, threshold,
-                                 keys=np.array([index], dtype=np.int64))
+        report = self._run_keyed(
+            codes, check_threshold(threshold, "match_sweep"),
+            keys=np.array([check_integer("index", index)], dtype=np.int64))
         return report.mappings[0]
 
     def run(self, reads: "Sequence[np.ndarray] | Sequence[ReadRecord]",
@@ -690,12 +701,14 @@ class ShardedReadMappingPipeline:
         ``first_read_index`` offsets the determinism keys exactly as
         in :meth:`ReadMappingPipeline.run_batched`: a streamed
         sequence of calls whose offsets tile the workload is
-        bit-identical to one call over the whole workload.
+        bit-identical to one call over the whole workload.  Both
+        arguments are validated as there, before any shard runs.
         """
+        threshold = check_threshold(threshold, "match_sweep")
+        first = check_integer("first_read_index", first_read_index)
         codes = _codes_matrix(reads)
         if codes.shape[0] == 0:
             return MappingReport()
-        first = int(first_read_index)
         return self._run_keyed(
             codes, threshold,
             keys=np.arange(first, first + codes.shape[0], dtype=np.int64))

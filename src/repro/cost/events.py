@@ -32,8 +32,8 @@ A *pass* event covers a whole query block: ``mismatch_counts`` is the
 ``(B, M)`` matrix of digital mismatch populations (query, stored row),
 exactly what the sense amplifiers converted to decisions.  Scalar
 searches record a ``(1, M)`` block.  ``thresholds`` holds the sense-amp
-reference levels evaluated against the pass's analog voltages: the
-``(B,)`` per-query thresholds of a scalar/batched search, or the
+reference levels evaluated against the pass's analog voltages: a
+scalar/batched search's one threshold broadcast to ``(B,)``, or the
 ``(T,)`` sweep vector of a sweep pass (``sweep=True``), where one
 physical pass serves every threshold — the distinction the strategy
 profile harvesting relies on.
@@ -71,9 +71,9 @@ class SearchPassEvent(LedgerEvent):
     mismatch_counts:
         ``(B, M)`` digital mismatch populations (query, stored row).
     thresholds:
-        Sense-amp reference levels evaluated on this pass: per-query
-        ``(B,)`` for batched searches, the ``(T,)`` sweep vector
-        for sweep passes.
+        Sense-amp reference levels evaluated on this pass: the batch's
+        one threshold broadcast to ``(B,)`` for batched searches, the
+        ``(T,)`` sweep vector for sweep passes.
     sweep:
         True when one physical pass served a whole threshold sweep.
     query_keys:
@@ -108,7 +108,7 @@ class SearchPassEvent(LedgerEvent):
 
     def covers_threshold(self, threshold: int) -> bool:
         """Whether this pass's decisions served *threshold*."""
-        return bool(np.any(self.thresholds == int(threshold)))
+        return bool(np.any(self.thresholds == threshold))
 
     # -- derived views (cached; computed by repro.cost.views) ------------
 

@@ -216,7 +216,7 @@ def measure_strategy_profile(condition: str,
         MatcherConfig(tasr_direction=tasr_direction), seed=seed + 1,
     )
     reads = np.stack([record.read.codes for record in dataset.reads])
-    matcher.match_sweep(reads, np.asarray(thresholds, dtype=int))
+    matcher.match_sweep(reads, thresholds)
     return profile_from_ledger(array.ledger, thresholds, condition=label)
 
 

@@ -46,6 +46,7 @@ from repro.errors import ExperimentError
 from repro.eval.confusion import ConfusionMatrix, confusion_series
 from repro.eval.ground_truth import GroundTruth, label_dataset
 from repro.genome.datasets import Dataset
+from repro.knobs import check_thresholds
 
 
 class MatchSystem(Protocol):
@@ -195,12 +196,13 @@ class AccuracyExperiment:
 
     def __init__(self, dataset: Dataset, thresholds: "list[int]",
                  seed: int = 0):
-        if not thresholds:
+        if not len(thresholds):
             raise ExperimentError("thresholds must be non-empty")
-        if any(t < 0 for t in thresholds):
+        vector = check_thresholds(thresholds)
+        if (vector < 0).any():
             raise ExperimentError("thresholds must be non-negative")
         self._dataset = dataset
-        self._thresholds = sorted({int(t) for t in thresholds})
+        self._thresholds = sorted(set(vector.tolist()))
         self._seed = seed
         self._truth: GroundTruth = label_dataset(dataset,
                                                  max(self._thresholds))

@@ -17,29 +17,83 @@ only exist at the service layer (the frontend's ``pool_workers=`` and
 ``max_backlog=``) go through the same check but keep raising
 :class:`~repro.errors.ServiceError` there — this gate owns exactly the
 knobs that thread through multiple layers.
+
+The same rule holds for the values every search threads down: a
+batch's one threshold (:func:`check_threshold`), a sweep's threshold
+vector (:func:`check_thresholds`) and the determinism keys
+(:func:`check_integer`, raising :class:`~repro.errors.CamConfigError`)
+are integers or an error, never truncated — ``threshold=2.7`` is a
+mistake, not ``T = 2``, and keys ``0.5`` and ``0.9`` are not one
+noise stream.  Contractlint ``CL304`` keeps truncating coercions of
+those parameters out of the rest of ``src/repro``.
 """
 
 from __future__ import annotations
 
 import numbers
 
-from repro.errors import CamConfigError
+import numpy as np
+
+from repro.errors import CamConfigError, ThresholdError
 from repro.kernels import KernelBackend, get_backend
+
+
+def check_integer(name: str, value, error: type = CamConfigError) -> int:
+    """*value* as a Python ``int``, or *error* if it is not an integer.
+
+    Python and numpy integers are accepted; a ``bool``, ``float``,
+    ``str`` or array raises *error* instead of being truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_count(name: str, value, error: type = CamConfigError) -> None:
     """Reject a count knob that is set but not a positive integer.
 
-    ``None`` passes (autotune/disable).  Python and numpy integers are
-    accepted; a ``bool``, ``float`` or ``str`` raises *error* instead
-    of being truncated (``micro_batch=2.7`` is a mistake, not 2).
+    ``None`` passes (autotune/disable); anything else must pass
+    :func:`check_integer` (``micro_batch=2.7`` is a mistake, not 2).
     """
     if value is None:
         return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < 1:
+    if check_integer(name, value, error) < 1:
         raise error(f"{name} must be positive, got {value}")
+
+
+def check_threshold(value, sweep_call: str) -> int:
+    """A batch's one threshold ``T`` as a Python ``int``.
+
+    A batch takes exactly one threshold: a vector raises
+    :class:`~repro.errors.ThresholdError` naming *sweep_call*, the
+    entry point that takes one, and a non-integer raises it too.  The
+    range ``0..N`` is the array's to check (it knows ``N``).
+    """
+    if np.ndim(value) != 0:
+        raise ThresholdError(
+            f"a batch takes one threshold, got shape {np.shape(value)}; "
+            f"pass a threshold vector to {sweep_call}"
+        )
+    return check_integer("threshold", value, ThresholdError)
+
+
+def check_thresholds(values) -> np.ndarray:
+    """A sweep's threshold vector as a new non-empty 1-D int64 array.
+
+    Raises :class:`~repro.errors.ThresholdError` for any other shape
+    and for a non-integer dtype (floats, bools, strings).
+    """
+    vector = np.asarray(values)
+    if vector.ndim != 1 or vector.shape[0] == 0:
+        raise ThresholdError(
+            f"thresholds must be a non-empty 1-D sweep vector, got "
+            f"shape {vector.shape}"
+        )
+    if not np.issubdtype(vector.dtype, np.integer):
+        raise ThresholdError(
+            f"thresholds must be integers, got dtype {vector.dtype}"
+        )
+    return vector.astype(np.int64)
 
 
 def validate_service_knobs(micro_batch: "int | None" = None,

@@ -57,6 +57,7 @@ from repro.cost.views import (
 from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.faults.hooks import fire as _fire_fault
 from repro.genome.reads import ReadRecord
+from repro.knobs import check_integer
 
 __all__ = [
     "DEFAULT_SERVICE_COMPACTION",
@@ -169,7 +170,8 @@ class MappingSession:
     def __init__(self, frontend, index: int,
                  pipeline: ReadMappingPipeline, threshold: int,
                  micro_batch: "int | None", retain_mappings: bool):
-        if int(threshold) < 0:
+        threshold = check_integer("threshold", threshold, ThresholdError)
+        if threshold < 0:
             raise ThresholdError(
                 f"threshold must be non-negative, got {threshold}"
             )
@@ -182,7 +184,7 @@ class MappingSession:
                        else "the streaming service")
         self._index = index
         self._pipeline = pipeline
-        self._threshold = int(threshold)
+        self._threshold = threshold
         self._micro_batch = int(micro_batch)
         self._retain_mappings = bool(retain_mappings)
         self._cols = int(stored.cols)

@@ -217,14 +217,20 @@ class TestBatchSearch:
             assert np.array_equal(batch.v_ml[q], v_ml)
             assert np.array_equal(batch.matches[q], matches)
 
-    def test_per_query_thresholds(self, charge_array, rng):
+    def test_threshold_vector_names_search_sweep(self, charge_array, rng):
+        """A batch takes one threshold; a vector is a sweep's, and is
+        refused before any pass is recorded."""
         reads = rng.integers(0, 4, (4, 32)).astype(np.uint8)
-        thresholds = np.array([0, 4, 16, 32])
-        batch = charge_array.search_batch(reads, thresholds)
-        for q in range(4):
-            matches, _, _ = search_one(charge_array, reads[q],
-                                       int(thresholds[q]))
-            assert np.array_equal(batch.matches[q], matches)
+        for thresholds in (np.array([0, 4, 16, 32]), [4, 4, 4, 4],
+                           np.array([4])):
+            with pytest.raises(ThresholdError, match="search_sweep"):
+                charge_array.search_batch(reads, thresholds)
+        assert not charge_array.ledger.search_passes()
+        sweep = charge_array.search_sweep(reads, np.array([0, 4, 16, 32]))
+        for t, threshold in enumerate((0, 4, 16, 32)):
+            assert np.array_equal(
+                sweep.matches[t],
+                charge_array.search_batch(reads, threshold).matches)
 
     def test_energy_matches_scalar(self, charge_array, current_array, rng):
         reads = rng.integers(0, 4, (3, 32)).astype(np.uint8)

@@ -1,21 +1,24 @@
 """The integer-cut decide and the stacked pass block are exact.
 
 ``CamArray._decide`` decides every pair at its level's ideal voltage
-from a ``(D, N+1)`` level-decision table — by the integer cut
+from a ``(T, N+1)`` level-decision table — by the integer cut
 ``count < cut[t]`` when every table row is a prefix, by a table gather
 otherwise — and re-decides in-band pairs with their keyed normals.
 The oracle is the float decide it replaced
 (:class:`_FloatDecideArray`): ``decide_sweep(V_ideal[counts], …)``
 followed by the same in-band re-decide.  Decisions must be ``==`` in
 the charge and current domains, with ``strict_paper_vref`` on and
-off, for ``(1, B)`` per-query threshold blocks and ``(T, 1)`` sweeps
-reaching thresholds 0 and ``N``, on noisy arrays with in-band pairs
-and on a non-monotone level table (the gather branch).
+off, for ``(T,)`` threshold vectors holding duplicate and unsorted
+thresholds (``_decide`` takes the vector as given, with no
+``np.unique``) and reaching thresholds 0 and ``N``, on noisy arrays
+with in-band pairs and on a non-monotone level table (the gather
+branch).
 
-A flow whose passes all cover every read issues them as one pass
+A batch flow issues its passes (a lone ED* pass included) as one pass
 block through ``search_batch``.  Each recorded event's pre-seeded
 energy must ``==`` the views function over that event, and the events
-must match a pass-by-pass flow's in class, rotation, counts and keys.
+must match a pass-by-pass flow's in class, rotation, counts, keys and
+``(B,)`` broadcast thresholds.
 """
 
 from __future__ import annotations
@@ -45,27 +48,22 @@ class _FloatDecideArray(CamArray):
     def _decide(self, counts, thresholds, noise_keys):
         n_cells = self.cols
         v_ideal, sigma, half = self._level_table()
-        matches = self.sense_amp.decide_sweep(v_ideal[counts], thresholds,
+        block = thresholds[:, None]
+        matches = self.sense_amp.decide_sweep(v_ideal[counts], block,
                                               n_cells)
-        distinct, inverse = np.unique(thresholds, return_inverse=True)
         ends = self.sense_amp.decide_sweep(
-            np.stack([v_ideal - half, v_ideal + half]),
-            distinct[:, None], n_cells)
+            np.stack([v_ideal - half, v_ideal + half]), block, n_cells)
         band = ends[:, 0] != ends[:, 1]
         if not band.any():
             return matches
-        per_query = band[inverse.reshape(thresholds.shape)].any(axis=0)
-        in_band = per_query.ravel()[
-            np.arange(per_query.shape[0])[:, None] * (n_cells + 1) + counts]
+        in_band = band.any(axis=0)[counts]
         queries, rows = np.nonzero(in_band)
         levels = counts[queries, rows]
         states = fold_key_block(self._noise_prefix, noise_keys)[queries]
         v_ml = self._add_noise(v_ideal[levels], sigma[levels],
                                standard_normals(states, rows))
-        if thresholds.shape[1] > 1:
-            thresholds = thresholds[:, queries]
         matches[:, queries, rows] = self.sense_amp.decide_sweep(
-            v_ml[:, None], thresholds, n_cells)[..., 0]
+            v_ml[:, None], block, n_cells)[..., 0]
         return matches
 
 
@@ -88,7 +86,8 @@ class _ShuffledFloatArray(_ShuffledLevels, _FloatDecideArray):
 
 @st.composite
 def _decisions(draw):
-    """An array configuration, a count block and a threshold block."""
+    """An array configuration, a count block and a ``(T,)`` threshold
+    vector holding a duplicate, in any order."""
     n_cells = draw(st.sampled_from(N_CELLS))
     domain = draw(st.sampled_from(["charge", "current"]))
     config = {
@@ -106,12 +105,9 @@ def _decisions(draw):
     counts = rng.integers(0, n_cells + 1, (n_queries, n_rows))
     edges = st.sampled_from([0, n_cells])
     level = st.one_of(edges, st.integers(0, n_cells))
-    if draw(st.booleans()):
-        thresholds = np.asarray(draw(st.lists(
-            level, min_size=1, max_size=5)))[:, None]
-    else:
-        thresholds = np.asarray(draw(st.lists(
-            level, min_size=n_queries, max_size=n_queries)))[None, :]
+    values = draw(st.lists(level, min_size=1, max_size=5))
+    values.append(draw(st.sampled_from(values)))
+    thresholds = np.asarray(draw(st.permutations(values)))
     keys = np.column_stack((np.arange(n_queries), np.full(n_queries, 3)))
     return n_cells, config, counts, thresholds, keys
 
@@ -150,14 +146,31 @@ class TestIntegerCut:
         counts = rng.integers(0, n_cells + 1, (30, 40))
         keys = np.column_stack((np.arange(30), np.full(30, 1)))
         v_ideal, _, half = cut._level_table()
-        for thresholds in (np.arange(0, n_cells + 1, 8)[:, None],
-                           rng.integers(0, n_cells + 1, (1, 30))):
+        for thresholds in (np.arange(0, n_cells + 1, 8),
+                           rng.integers(0, n_cells + 1, 30)):
             ends = cut.sense_amp.decide_sweep(
                 np.stack([v_ideal - half, v_ideal + half]),
                 np.unique(thresholds)[:, None], n_cells)
             assert (ends[:, 0] != ends[:, 1]).any()  # in-band levels exist
             assert np.array_equal(cut._decide(counts, thresholds, keys),
                                   float_._decide(counts, thresholds, keys))
+
+    def test_each_threshold_decides_its_own_slice(self):
+        """Duplicate and unsorted thresholds: slice ``t`` of a vector
+        decide equals the ``T = 1`` decide at ``thresholds[t]``."""
+        array = CamArray(rows=40, cols=64, domain="current",
+                         sigma_rel=1 / 6, seed=9)
+        rng = np.random.default_rng(6)
+        counts = rng.integers(0, 65, (30, 40))
+        keys = np.column_stack((np.arange(30), np.full(30, 2)))
+        thresholds = np.array([40, 8, 40, 0, 64, 8])
+        got = array._decide(counts, thresholds, keys)
+        assert got.shape == (6, 30, 40)
+        for t in range(thresholds.shape[0]):
+            assert np.array_equal(
+                got[t], array._decide(counts, thresholds[t:t + 1], keys)[0])
+        assert np.array_equal(got[0], got[2]) and np.array_equal(got[1],
+                                                                 got[5])
 
 
 def _dataset(condition: str):
@@ -180,6 +193,8 @@ class _PassByPassArray(CamArray):
             return super().search_batch(queries, threshold, mode,
                                         noise_keys, precomputed_counts,
                                         rotation)
+        if precomputed_counts is None:
+            precomputed_counts = [None] * len(rotation)
         results = [super(_PassByPassArray, self).search_batch(
             queries, threshold, m, keys, counts, r)
             for m, keys, counts, r in zip(mode, noise_keys,
@@ -193,6 +208,7 @@ class _PassByPassArray(CamArray):
 
 
 _STACKED_FLOWS = [
+    pytest.param("B", 8, MatcherConfig.plain(), 1, id="lone-ed-star"),
     pytest.param("B", 8, None, 5, id="ed-star-and-rotations"),
     pytest.param("A", 4, None, 2, id="ed-star-hd-pair"),
     pytest.param("A", 6, MatcherConfig(tasr_gamma=2e-5), 6,
@@ -244,6 +260,7 @@ class TestStackedFlow:
                                   theirs.mismatch_counts)
             assert np.array_equal(ours.query_keys, theirs.query_keys)
             assert np.array_equal(ours.thresholds, theirs.thresholds)
+            assert ours.thresholds.tolist() == [threshold] * reads.shape[0]
             assert np.array_equal(ours.energy_per_query_joules,
                                   theirs.energy_per_query_joules)
 

@@ -34,7 +34,8 @@ class _DenseArray(CamArray):
 
     def _decide(self, counts, thresholds, noise_keys):
         return self.sense_amp.decide_sweep(
-            self._keyed_voltages(counts, noise_keys), thresholds, self.cols)
+            self._keyed_voltages(counts, noise_keys), thresholds[:, None],
+            self.cols)
 
 
 def _events_equal(a, b) -> bool:
@@ -54,7 +55,8 @@ def _events_equal(a, b) -> bool:
 
 @st.composite
 def pass_cases(draw):
-    """One keyed pass: array config, crowded counts, a threshold block."""
+    """One keyed pass: array config, crowded counts, a sweep vector or
+    a batch's one threshold."""
     n_cells = draw(st.sampled_from(N_CELLS))
     domain = draw(st.sampled_from(["charge", "current"]))
     # The current domain's noise floor needs >= 1 distinguishable
@@ -81,15 +83,9 @@ def pass_cases(draw):
     sweep = draw(st.booleans())
     centres = draw(st.lists(st.integers(0, n_cells), min_size=1,
                             max_size=4))
-    if sweep:
-        thresholds = np.asarray(centres)
-        near = np.broadcast_to(thresholds, (n_queries, thresholds.size))
-    else:
-        # Mixed per-query thresholds in one batch.
-        picks = draw(st.lists(st.sampled_from(centres), min_size=n_queries,
-                              max_size=n_queries))
-        thresholds = np.asarray(picks, dtype=int)
-        near = thresholds[:, None]
+    thresholds = (np.asarray(centres) if sweep
+                  else draw(st.sampled_from(centres)))
+    near = np.broadcast_to(thresholds, (n_queries, np.size(thresholds)))
     # Counts crowd around the thresholds: a pick plus a small offset.
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     which = rng.integers(0, near.shape[1], (n_queries, n_rows))
@@ -127,7 +123,7 @@ def test_pruned_pass_equals_dense_pass(case):
     queries = np.zeros((counts.shape[0], n_cells), dtype=np.uint8)
     got = _search(pruned, sweep, queries, thresholds, counts)
     want = _search(dense, sweep, queries, thresholds, counts)
-    block = thresholds[:, None] if sweep else thresholds[None, :]
+    block = thresholds[:, None] if sweep else [[thresholds]]
     oracle = pruned.sense_amp.decide_sweep(got.v_ml, block, n_cells)
     assert np.array_equal(got.matches, oracle if sweep else oracle[0])
     assert np.array_equal(got.matches, want.matches)
@@ -197,7 +193,8 @@ def test_matcher_flows_match_the_unpruned_reference(condition):
         edam.store(dataset.segments)
         runs.append((
             asm.match_sweep(reads, thresholds).decisions,
-            asm.match_batch(reads, thresholds[np.arange(24) % 9]).decisions,
+            np.stack([asm.match_batch(reads, t).decisions
+                      for t in thresholds.tolist()]),
             edam.match_sweep(reads, thresholds),
             asm_array.ledger.events, edam_array.ledger.events,
         ))

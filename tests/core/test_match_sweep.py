@@ -208,7 +208,7 @@ class TestMatchSweepBitIdentity:
         matcher = _fresh_matcher(dataset, MatcherConfig())
         with pytest.raises(CamConfigError):
             matcher.match_sweep(reads[0], [1, 2])
-        with pytest.raises(CamConfigError):
+        with pytest.raises(ThresholdError):
             matcher.match_sweep(reads, [])
         with pytest.raises(CamConfigError):
             matcher.match_sweep(reads, [1, 2], query_keys=[1])

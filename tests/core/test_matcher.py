@@ -7,7 +7,7 @@ import pytest
 
 from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
-from repro.errors import CamConfigError
+from repro.errors import CamConfigError, ThresholdError
 from repro.genome.datasets import build_dataset
 from repro.genome.edits import ErrorModel
 
@@ -195,17 +195,21 @@ class TestBatchMatching:
         assert tasr_batch.tasr_mask.all()
         assert not tasr_batch.hdac_mask.any()
 
-    def test_per_query_thresholds_mix_masks(self, dataset_a):
-        """A threshold vector can enable HDAC for only some queries."""
+    def test_threshold_vector_names_match_sweep(self, dataset_a):
+        """A batch takes one threshold: a vector raises, pointing to
+        ``match_sweep``, whose vector enables HDAC per threshold."""
         matcher = make_matcher(dataset_a)
         reads = np.stack([r.read.codes for r in dataset_a.reads[:4]])
         thresholds = np.array([1, 30, 2, 25])
-        batch = matcher.match_batch(reads, thresholds)
-        assert batch.hdac_mask.tolist() == [True, False, True, False]
-        for q in range(4):
-            outcome = matcher.match(reads[q], int(thresholds[q]),
-                                    query_key=q)
-            assert np.array_equal(batch.decisions[q], outcome.decisions)
+        with pytest.raises(ThresholdError, match="match_sweep"):
+            matcher.match_batch(reads, thresholds)
+        assert not matcher.array.ledger.search_passes()
+        sweep = matcher.match_sweep(reads, thresholds)
+        assert sweep.hdac_mask.tolist() == [True, False, True, False]
+        for t, threshold in enumerate(thresholds.tolist()):
+            batch = matcher.match_batch(reads, threshold)
+            assert batch.hdac_mask.all() == sweep.hdac_mask[t]
+            assert np.array_equal(batch.decisions, sweep.decisions[t])
 
     def test_totals_consistent(self, dataset_a):
         matcher = make_matcher(dataset_a)

@@ -7,9 +7,9 @@ pass through ``precomputed_counts``.  The reference here is the route
 that encode replaced: every pass searches its own ``np.roll`` copy of
 the reads and counts it inside the search.  Decisions, per-cell
 search counts, energies, latencies and every ledger event must be
-``==`` — on sweeps whose thresholds straddle ``Tl``, on batches whose
-per-read thresholds straddle it (a partial TASR column set), with HDAC
-sharing the block, and on EDAM's unconditional SR.
+``==`` — on sweeps whose thresholds straddle ``Tl``, on batches either
+side of it, with HDAC sharing the block, and on EDAM's unconditional
+SR.  A batch takes one threshold: a per-read vector is refused.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.core.matcher import (
     pass_keys,
 )
 from repro.core.tasr import rotation_offsets
+from repro.errors import ThresholdError
 from repro.genome.datasets import build_dataset
 
 N_READS, READ_LENGTH, N_SEGMENTS = 24, 256, 32
@@ -82,48 +83,43 @@ def _search(array, sweep, queries, thresholds, mode, keys, tag, rotation):
                   noise_keys=pass_keys(keys, tag), rotation=rotation)
 
 
-def _per_pass_flow(matcher: AsmCapMatcher, reads, block, sweep):
-    """ED* -> HDAC -> TASR with every pass re-encoding its own reads."""
+def _per_pass_flow(matcher: AsmCapMatcher, reads, thresholds, sweep):
+    """ED* -> HDAC -> TASR with every pass re-encoding its own reads,
+    over a ``(T,)`` threshold vector (a batch is ``T = 1``)."""
     array, config = matcher.array, matcher.config
-    grid = (block.shape[0], reads.shape[0])
-    full_block = np.broadcast_to(block, grid)
+    grid = (thresholds.shape[0], reads.shape[0])
     n_searches = np.zeros(grid, dtype=int)
     energy = np.zeros(grid)
     latency = np.zeros(grid)
 
     def run(mask, mode, tag, rotation=0):
-        full = np.broadcast_to(mask, grid)
-        rows = np.flatnonzero(full.any(axis=1))
-        cols = np.flatnonzero(full.any(axis=0))
-        thresholds = block[rows, 0] if sweep else block[0, cols]
-        result = _search(array, sweep, reads[cols], thresholds, mode,
-                         KEYS[cols], tag, rotation)
-        cells = np.ix_(rows, cols)
-        n_searches[cells] += 1
-        energy[cells] += result.energy_per_query_joules
-        latency[cells] += array.search_time_ns
-        return cells, cols, (result.matches if sweep
-                             else result.matches[None])
+        rows = np.flatnonzero(mask)
+        result = _search(array, sweep, reads,
+                         thresholds[rows] if sweep else int(thresholds[0]),
+                         mode, KEYS, tag, rotation)
+        n_searches[rows] += 1
+        energy[rows] += result.energy_per_query_joules
+        latency[rows] += array.search_time_ns
+        return rows, (result.matches if sweep else result.matches[None])
 
-    _, _, decisions = run(np.ones(block.shape, dtype=bool),
-                          MatchMode.ED_STAR, PASS_ED_STAR)
+    _, decisions = run(np.ones(grid[0], dtype=bool), MatchMode.ED_STAR,
+                       PASS_ED_STAR)
     decisions = decisions.copy()
     if config.enable_hdac:
-        p = np.vectorize(matcher.hdac_probability, otypes=[float])(
-            full_block)
+        p = np.array([matcher.hdac_probability(int(t)) for t in thresholds])
         hd_mask = p >= config.hdac_disable_threshold
         if hd_mask.any():
-            cells, cols, hd = run(hd_mask, MatchMode.HAMMING, PASS_HAMMING)
-            decisions[cells] = hdac_correct_batch(
-                decisions[cells], hd, p[cells],
-                fold_key_block(matcher._hdac_prefix, KEYS[cols]))
-    tasr_mask = full_block >= matcher.tasr_lower_bound()
+            rows, hd = run(hd_mask, MatchMode.HAMMING, PASS_HAMMING)
+            decisions[rows] = hdac_correct_batch(
+                decisions[rows], hd, p[rows][:, None],
+                fold_key_block(matcher._hdac_prefix, KEYS))
+    tasr_mask = thresholds >= matcher.tasr_lower_bound()
     if config.enable_tasr and tasr_mask.any():
         for offset in rotation_offsets(config.tasr_nr,
                                        config.tasr_direction):
-            cells, _, rotated = run(tasr_mask, MatchMode.ED_STAR,
-                                    PASS_ROTATION + offset, offset)
-            decisions[cells] |= rotated
+            rows, rotated = run(tasr_mask, MatchMode.ED_STAR,
+                                PASS_ROTATION + offset, offset)
+            decisions[rows] |= rotated
     return decisions, n_searches, energy, latency
 
 
@@ -132,12 +128,10 @@ def _assert_flow_equal(dataset, thresholds, sweep, config=None):
     reads = _reads(dataset)
     if sweep:
         outcome = fused.match_sweep(reads, thresholds, query_keys=KEYS)
-        block = np.asarray(thresholds)[:, None]
     else:
         outcome = fused.match_batch(reads, thresholds, query_keys=KEYS)
-        block = np.broadcast_to(thresholds, (N_READS,))[None, :]
     decisions, n_searches, energy, latency = _per_pass_flow(
-        reference, reads, block, sweep)
+        reference, reads, np.atleast_1d(thresholds), sweep)
     if not sweep:
         decisions, n_searches, energy, latency = (
             decisions[0], n_searches[0], energy[0], latency[0])
@@ -166,14 +160,20 @@ class TestAsmCapFlow:
         nr = fused.config.tasr_nr
         assert len(fused.array.ledger.search_passes()) == 1 + 2 * nr
 
-    def test_batch_straddling_tl_partial_columns(self):
+    def test_batch_threshold_vector_names_match_sweep(self):
+        """Per-read thresholds straddling ``Tl`` are a sweep's job: the
+        batch refuses them before any pass runs."""
         dataset = _dataset("B")
-        thresholds = _straddling(2, 16)
-        fused, outcome = _assert_flow_equal(dataset, thresholds,
-                                            sweep=False)
-        assert outcome.tasr_mask.any() and not outcome.tasr_mask.all()
-        assert len(fused.array.ledger.search_passes()) \
-            == 1 + 2 * fused.config.tasr_nr
+        matcher = _matcher(dataset)
+        with pytest.raises(ThresholdError, match="match_sweep"):
+            matcher.match_batch(_reads(dataset), _straddling(2, 16),
+                                query_keys=KEYS)
+        assert not matcher.array.ledger.search_passes()
+
+    def test_batch_below_tl_issues_no_rotation(self):
+        fused, outcome = _assert_flow_equal(_dataset("B"), 4, sweep=False)
+        assert outcome.tasr_lower_bound > 4 and not outcome.tasr_mask.any()
+        assert len(fused.array.ledger.search_passes()) == 1
 
     def test_batch_every_read_above_tl(self):
         fused, outcome = _assert_flow_equal(_dataset("B"), 8, sweep=False)
@@ -185,10 +185,17 @@ class TestAsmCapFlow:
         so the dual/HD counts and the rotations serve one flow."""
         dataset = _dataset("A")
         config = MatcherConfig(tasr_gamma=2e-5)
-        thresholds = list(range(1, 9)) if sweep \
-            else _straddling(1, 8)
-        _, outcome = _assert_flow_equal(dataset, thresholds, sweep, config)
-        assert outcome.hdac_mask.any() and outcome.tasr_mask.any()
+        if sweep:
+            _, outcome = _assert_flow_equal(dataset, list(range(1, 9)),
+                                            sweep, config)
+            assert outcome.hdac_mask.any() and outcome.tasr_mask.any()
+            return
+        both = 0
+        for threshold in range(1, 9):
+            _, outcome = _assert_flow_equal(dataset, threshold, sweep,
+                                            config)
+            both += bool(outcome.hdac_mask.all() and outcome.tasr_mask.all())
+        assert both
 
     def test_hdac_and_tasr_cover_every_read(self):
         dataset = _dataset("A")

@@ -1,0 +1,190 @@
+"""Thresholds and determinism keys are integers at every boundary.
+
+``int()`` turns ``2.7`` into 2, ``True`` into 1 and ``"4"`` into 4, so a
+boundary that coerced a threshold with it ran some other ``T``, and one
+that coerced a key put reads keyed ``0.5`` and ``0.9`` on one noise
+stream.  Every boundary now rejects a non-integer threshold with
+:class:`~repro.errors.ThresholdError` and a non-integer key or key
+offset with :class:`~repro.errors.CamConfigError`; a batch boundary
+also refuses a threshold vector, naming the sweep call that takes one.
+Numpy integers are accepted and keep their value.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.baselines.edam import EdamMatcher
+from repro.cam.array import CamArray
+from repro.core.matcher import AsmCapMatcher
+from repro.core.pipeline import ReadMappingPipeline, ShardedReadMappingPipeline
+from repro.errors import CamConfigError, ThresholdError
+from repro.eval.experiment import AccuracyExperiment
+from repro.service import MappingFrontend, StreamingMappingService
+
+
+def _reads(dataset, n=4):
+    return np.stack([r.read.codes for r in dataset.reads[:n]])
+
+
+def _matcher(dataset):
+    array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
+                     seed=1)
+    array.store(dataset.segments)
+    return AsmCapMatcher(array, dataset.model, seed=2)
+
+
+def _service(dataset, value):
+    StreamingMappingService(dataset.segments, dataset.model,
+                            threshold=value).close()
+
+
+def _session(dataset, value):
+    with MappingFrontend(dataset.segments, dataset.model,
+                         pool_workers=1) as frontend:
+        frontend.session(value).close()
+
+
+def _sharded(dataset, value):
+    with ShardedReadMappingPipeline(dataset.segments, dataset.model,
+                                    n_shards=2) as pipeline:
+        pipeline.run(_reads(dataset), value)
+
+
+def _map_read(dataset, threshold=4, index=0):
+    with ShardedReadMappingPipeline(dataset.segments, dataset.model,
+                                    n_shards=2) as pipeline:
+        pipeline.map_read(_reads(dataset)[0], threshold, index=index)
+
+
+#: boundary -> run it with one threshold set to a value
+SCALAR_BOUNDARIES = {
+    "service": _service,
+    "frontend-session": _session,
+    "search_batch": lambda ds, v: _matcher(ds).array.search_batch(
+        _reads(ds), v),
+    "match_batch": lambda ds, v: _matcher(ds).match_batch(_reads(ds), v),
+    "match": lambda ds, v: _matcher(ds).match(_reads(ds)[0], v),
+    "run_batched": lambda ds, v: ReadMappingPipeline(
+        _matcher(ds)).run_batched(_reads(ds), v),
+    "run_batched-empty": lambda ds, v: ReadMappingPipeline(
+        _matcher(ds)).run_batched([], v),
+    "sharded-run": _sharded,
+    "sharded-map_read": lambda ds, v: _map_read(ds, threshold=v),
+    "at_threshold": lambda ds, v: _matcher(ds).match_sweep(
+        _reads(ds), [2, 8]).at_threshold(v),
+}
+
+#: boundary -> run it with a threshold sweep vector
+SWEEP_BOUNDARIES = {
+    "search_sweep": lambda ds, v: _matcher(ds).array.search_sweep(
+        _reads(ds), v),
+    "match_sweep": lambda ds, v: _matcher(ds).match_sweep(_reads(ds), v),
+    "edam-match_sweep": lambda ds, v: _edam(ds).match_sweep(_reads(ds), v),
+    "accuracy-experiment": lambda ds, v: AccuracyExperiment(ds, v),
+}
+
+#: boundary -> run it with a first key / key vector set to a value
+KEY_BOUNDARIES = {
+    "run_batched-first_read_index": lambda ds, v: ReadMappingPipeline(
+        _matcher(ds)).run_batched(_reads(ds), 4, first_read_index=v),
+    "sharded-first_read_index": lambda ds, v: _sharded_keyed(ds, v),
+    "sharded-map_read-index": lambda ds, v: _map_read(ds, index=v),
+    "match-query_key": lambda ds, v: _matcher(ds).match(
+        _reads(ds)[0], 4, query_key=v),
+}
+
+
+def _edam(dataset):
+    matcher = EdamMatcher(rows=dataset.n_segments, cols=dataset.read_length,
+                          enable_sr=True, seed=3)
+    matcher.store(dataset.segments)
+    return matcher
+
+
+def _sharded_keyed(dataset, first):
+    with ShardedReadMappingPipeline(dataset.segments, dataset.model,
+                                    n_shards=2) as pipeline:
+        pipeline.run(_reads(dataset), 4, first_read_index=first)
+
+
+@pytest.mark.parametrize("value", [2.7, True, "4", 4.0],
+                         ids=["float", "bool", "str", "integral-float"])
+@pytest.mark.parametrize("boundary", sorted(SCALAR_BOUNDARIES))
+def test_non_integer_threshold_raises(small_dataset_a, boundary, value):
+    with pytest.raises(ThresholdError, match="must be an integer"):
+        SCALAR_BOUNDARIES[boundary](small_dataset_a, value)
+
+
+@pytest.mark.parametrize("boundary", sorted(
+    set(SCALAR_BOUNDARIES) - {"service", "frontend-session", "match",
+                              "at_threshold"}))
+def test_threshold_vector_names_the_sweep_call(small_dataset_a, boundary):
+    sweep = "search_sweep" if boundary == "search_batch" else "match_sweep"
+    with pytest.raises(ThresholdError, match=sweep):
+        SCALAR_BOUNDARIES[boundary](small_dataset_a, np.array([4, 4, 4, 4]))
+
+
+@pytest.mark.parametrize("boundary", ["service", "frontend-session"])
+def test_session_threshold_vector_raises(small_dataset_a, boundary):
+    with pytest.raises(ThresholdError, match="must be an integer"):
+        SCALAR_BOUNDARIES[boundary](small_dataset_a, np.array([4]))
+
+
+@pytest.mark.parametrize("value", [
+    [2.5, 4.9], np.array([2.0, 4.0]), [True, False], ["2", "4"],
+], ids=["floats", "float-array", "bools", "strs"])
+@pytest.mark.parametrize("boundary", sorted(SWEEP_BOUNDARIES))
+def test_non_integer_sweep_raises(small_dataset_a, boundary, value):
+    with pytest.raises(ThresholdError, match="must be integers"):
+        SWEEP_BOUNDARIES[boundary](small_dataset_a, value)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"],
+                         ids=["float", "bool", "str"])
+@pytest.mark.parametrize("boundary", sorted(KEY_BOUNDARIES))
+def test_non_integer_key_raises(small_dataset_a, boundary, value):
+    with pytest.raises(CamConfigError, match="must be an integer"):
+        KEY_BOUNDARIES[boundary](small_dataset_a, value)
+
+
+@pytest.mark.parametrize("keys", [
+    [0.5, 1.5, 2.5, 3.9], np.array([0.5, 1.5, 2.5, 3.9]),
+    [0, 1, True, 3], np.array([0, 1, 2, 3], dtype=np.float32),
+], ids=["floats", "float-array", "bool", "float32-array"])
+def test_non_integer_query_keys_raise(small_dataset_a, keys):
+    matcher = _matcher(small_dataset_a)
+    reads = _reads(small_dataset_a)
+    for run in (lambda: matcher.match_batch(reads, 4, query_keys=keys),
+                lambda: matcher.match_sweep(reads, [2, 4], query_keys=keys),
+                lambda: _edam(small_dataset_a).match_sweep(
+                    reads, [2, 4], query_keys=keys)):
+        with pytest.raises(CamConfigError, match="must be an integer"):
+            run()
+    assert not matcher.array.ledger.search_passes()
+
+
+def test_numpy_integers_keep_their_value(small_dataset_a):
+    dataset = small_dataset_a
+    matcher = _matcher(dataset)
+    reads = _reads(dataset)
+    plain = _matcher(dataset).match_batch(reads, 4, query_keys=[5, 6, 7, 8])
+    typed = matcher.match_batch(reads, np.int32(4),
+                                query_keys=np.array([5, 6, 7, 8],
+                                                    dtype=np.uint16))
+    assert np.array_equal(typed.decisions, plain.decisions)
+    assert typed.thresholds.tolist() == [4] * 4
+    sweep = matcher.match_sweep(reads, np.array([8, 2], dtype=np.uint8))
+    assert sweep.thresholds.tolist() == [8, 2]
+    assert np.array_equal(sweep.at_threshold(np.int64(2)),
+                          sweep.decisions[1])
+    service = StreamingMappingService(dataset.segments, dataset.model,
+                                      threshold=np.int64(6))
+    assert service.threshold == 6 and type(service.threshold) is int
+    service.close()
+    report = ReadMappingPipeline(_matcher(dataset)).run_batched(
+        reads, np.uint8(4), first_read_index=np.int64(10))
+    assert [m.read_index for m in report.mappings] == [10, 11, 12, 13]
+    experiment = AccuracyExperiment(dataset, np.array([4, 1, 4]))
+    assert experiment.thresholds == [1, 4]

@@ -76,6 +76,9 @@ CHECKER_CASES = [
                  "src/repro/core/pipeline.py", id="per-read-fold"),
     pytest.param("per_read_submit_violation.py", "per_read_submit_clean.py",
                  "src/repro/service/fixture.py", id="per-read-submit"),
+    pytest.param("threshold_coercion_violation.py",
+                 "threshold_coercion_clean.py",
+                 "src/repro/core/fixture.py", id="threshold-coercion"),
 ]
 
 
@@ -314,3 +317,28 @@ class TestKnobCheckerCatchesThePr5Bug:
         findings = lint_source(source, "src/repro/core/planner.py",
                                repo=make_repo())
         assert [f.code for f in findings] == ["CL301"]
+
+
+class TestThresholdCoercion:
+    """CL304: a threshold or key parameter is validated through
+    ``repro.knobs``, never truncated with ``int``."""
+
+    def test_message_names_the_parameter_and_the_gates(self):
+        _, findings = lint_fixture("threshold_coercion_violation.py",
+                                   "src/repro/core/fixture.py")
+        assert findings[0].message == (
+            "'int(first_read_index)' truncates parameter "
+            "'first_read_index' (2.7 -> 2, True -> 1); validate it with "
+            "repro.knobs (check_threshold, check_thresholds, "
+            "check_integer)")
+
+    def test_the_gate_module_is_exempt(self):
+        source = (FIXTURES / "threshold_coercion_violation.py").read_text(
+            encoding="utf-8")
+        assert lint_source(source, "src/repro/knobs.py",
+                           repo=make_repo()) == []
+
+    def test_outside_src_is_out_of_scope(self):
+        source = "def f(threshold):\n    return int(threshold)\n"
+        assert lint_source(source, "benchmarks/bench.py",
+                           repo=make_repo()) == []

@@ -122,3 +122,72 @@ class KnobChecker(Checker):
                              f"knob parameter {arg.arg!r} defaults to a "
                              f"falsy value; spell 'unset' as None")
         return findings
+
+
+#: Parameters whose values reach the search as given: a truncated
+#: threshold runs another ``T``, a truncated key another noise stream.
+GUARDED_PARAMETERS = ("threshold", "thresholds", "first_read_index",
+                      "query_keys")
+
+#: The one module allowed to coerce them (after validating).
+GATE_MODULE = "src/repro/knobs.py"
+
+
+def _int_dtype(node: "ast.AST | None") -> bool:
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def _coerced(call: ast.Call) -> "ast.AST | None":
+    """The operand *call* truncates to ``int``, if it is one of
+    ``int(x)``, ``np.asarray(x, dtype=int)`` or ``x.astype(int)``."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "int" and call.args:
+        return call.args[0]
+    if isinstance(func, ast.Attribute) and func.attr in ("asarray", "array") \
+            and call.args:
+        dtype = next((k.value for k in call.keywords if k.arg == "dtype"),
+                     call.args[1] if len(call.args) > 1 else None)
+        return call.args[0] if _int_dtype(dtype) else None
+    if isinstance(func, ast.Attribute) and func.attr == "astype" \
+            and call.args and _int_dtype(call.args[0]):
+        return func.value
+    return None
+
+
+@register
+class ThresholdCoercionChecker(Checker):
+    name = "threshold-coercion"
+    codes = {
+        "CL304": "truncating int coercion of a threshold or determinism "
+                 "key parameter (validate through repro.knobs instead)",
+    }
+    scope = ("src/repro",)
+
+    def check(self, ctx: FileContext, repo: RepoContext) -> "list[Finding]":
+        if ctx.rel_path == GATE_MODULE:
+            return []
+        found: "dict[tuple[int, int], Finding]" = {}
+        for function in ast.walk(ctx.tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = function.args
+            guarded = {a.arg for a in (*args.posonlyargs, *args.args,
+                                       *args.kwonlyargs)
+                       if a.arg in GUARDED_PARAMETERS}
+            if not guarded:
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call):
+                    continue
+                operand = _coerced(node)
+                if isinstance(operand, ast.Name) and operand.id in guarded:
+                    found[(node.lineno, node.col_offset)] = Finding(
+                        path=ctx.rel_path, line=node.lineno,
+                        col=node.col_offset, code="CL304",
+                        message=f"'{ast.unparse(node)}' truncates parameter "
+                                f"{operand.id!r} (2.7 -> 2, True -> 1); "
+                                f"validate it with repro.knobs "
+                                f"(check_threshold, check_thresholds, "
+                                f"check_integer)")
+        return list(found.values())
