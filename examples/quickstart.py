@@ -2,7 +2,7 @@
 """Quickstart: every execution path of the ASMCap reproduction.
 
 Walks the public API end to end — one workload through the scalar,
-batched, sharded, sweep and streaming-service engines — asserting the
+batched, sweep and streaming-service engines — asserting the
 determinism contracts between them along the way.
 
 The ``# [readme:<name>]`` markers delimit the code blocks the README's
@@ -64,20 +64,6 @@ def main() -> None:
           f"{report.total_energy_joules * 1e9:.2f} nJ total")
     assert report.mappings[0].matched_rows == tuple(matched_rows)
     # [/readme:batched]
-
-    # [readme:sharded]
-    # Sharded path: the reference partitioned across CAM-array shards
-    # behind a modelled global buffer + H-tree, searched by concurrent
-    # workers (n_shards=None autotunes to the machine).
-    from repro.core import ShardedReadMappingPipeline
-
-    sharded = ShardedReadMappingPipeline(dataset.segments, dataset.model,
-                                         n_shards=4, seed=1)
-    sharded_report = sharded.run(reads, threshold=4)
-    print(f"sharded: {sharded.n_shards} shards, "
-          f"{sharded_report.mapped_fraction:.2f} mapped")
-    # [/readme:sharded]
-    assert sharded_report.n_reads == report.n_reads
 
     # [readme:sweep]
     # Sweep path: a whole threshold sweep in ONE count+noise pass per
@@ -192,7 +178,7 @@ def main() -> None:
           f"{', '.join(available_backends())})")
     # [/readme:backend]
 
-    print("OK: scalar, batched, sharded, sweep, streaming, "
+    print("OK: scalar, batched, sweep, streaming, "
           "multi-session, catalog-served and every kernel backend "
           "agree.")
 

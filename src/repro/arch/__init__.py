@@ -2,20 +2,18 @@
 
 * :mod:`repro.arch.timing` — cycle-level latency model;
 * :mod:`repro.arch.power` — Section V-B area/power breakdown;
-* :mod:`repro.arch.autotune` — shard, micro-batch and pool planning.
+* :mod:`repro.arch.autotune` — micro-batch, pool, sweep-worker and
+  kernel-backend planning.
 
-The functional banked model of Fig. 4(a) is
-:class:`repro.core.pipeline.ShardedReadMappingPipeline`; the analytic
-per-read system cost behind Fig. 8 is
+The banked system of Fig. 4(a) is modelled analytically: the per-read
+system cost behind Fig. 8 is
 :func:`repro.experiments.fig8.asmcap_read_cost`.
 """
 
 from repro.arch.autotune import (
     ServicePoolPlan,
-    ShardPlan,
     plan_microbatch,
     plan_service_pool,
-    plan_shards,
     sweep_worker_count,
 )
 from repro.arch.power import (
@@ -32,7 +30,6 @@ from repro.arch.timing import TimingModel
 __all__ = [
     "PowerBreakdown",
     "ServicePoolPlan",
-    "ShardPlan",
     "TimingModel",
     "array_area_mm2",
     "array_power_breakdown",
@@ -41,7 +38,6 @@ __all__ = [
     "component_energies_per_search",
     "plan_microbatch",
     "plan_service_pool",
-    "plan_shards",
     "steady_state_search_period_ns",
     "sweep_worker_count",
 ]

@@ -1,34 +1,18 @@
-"""Shard/chunk autotuning: pick execution parameters from the workload.
+"""Execution-parameter autotuning: sizing picked from the workload.
 
-PR 1's sharded pipeline took ``n_shards`` and ``chunk_size`` as
-constants, which silently mis-sizes both extremes: a 64-row reference
-split across 16 shards wastes every worker on 4-row arrays, while a
-million-row reference on 4 shards leaves cores idle.  This module
-derives the parameters from the only two things that matter — the
-reference size and the machine — with the same memory-bounding logic
-the array's batched GEMM path uses.
+Every heuristic here is clamped and deterministic given its inputs
+(the reference size and the machine's core count).
 
-Heuristics (all clamped, all deterministic given their inputs):
-
-* **shards** — one worker core per shard, but never shards smaller
-  than :data:`MIN_ROWS_PER_SHARD` rows (a shard must amortise its
-  per-pass Python overhead over enough matchline rows) and never more
-  shards than rows.
-* **chunk size** — bound the peak boolean/one-hot working set of one
-  worker's vectorised pass to :data:`repro.constants.CHUNK_ELEMS`
-  elements, mirroring ``repro.cam.array``'s internal chunking, and keep
-  chunks large enough (:data:`MIN_CHUNK_READS`) that per-chunk dispatch
-  cost stays negligible.
-* **workers** — one thread per shard, capped at the CPU count (numpy
-  releases the GIL inside the comparison kernels, so threads scale
-  until cores run out).
+The streaming service sizes its micro-batches through
+:func:`plan_microbatch`: the coalescing buffer a long-running feed
+accumulates between dispatches is bounded to the same ~8 MB working
+set (:data:`repro.constants.CHUNK_ELEMS`) the array's batched GEMM
+path chunks to, and kept large enough (:data:`MIN_CHUNK_READS`) that
+per-dispatch cost stays negligible.
 
 The Monte-Carlo sweep runner reuses the same machine signal through
 :func:`sweep_worker_count` (independent repetitions, so the only cap
-is cores vs runs), and the streaming service sizes its micro-batches
-through :func:`plan_microbatch` (the same working-set bound, applied
-to the coalescing buffer a long-running feed accumulates between
-dispatches).
+is cores vs runs).
 
 The multi-session frontend (:mod:`repro.service.frontend`) sizes its
 persistent dispatch pool through :func:`plan_service_pool`: session
@@ -53,36 +37,13 @@ from dataclasses import dataclass
 from repro.constants import CHUNK_ELEMS
 from repro.errors import ArchConfigError
 
-#: A shard below this many rows spends more time in per-pass Python
-#: dispatch than in the vectorised compare kernels.
-MIN_ROWS_PER_SHARD = 32
-
-#: Lower bound on reads per chunk — below this the chunk bookkeeping
-#: dominates.
+#: Lower bound on reads per micro-batch — below this the per-dispatch
+#: bookkeeping dominates.
 MIN_CHUNK_READS = 64
 
-#: Upper bound on reads per chunk — above this the merged per-pass
+#: Upper bound on reads per micro-batch — above this the per-pass
 #: blocks stop fitting in outer caches regardless of element budget.
 MAX_CHUNK_READS = 8192
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Autotuned execution parameters for a sharded pipeline run.
-
-    Attributes
-    ----------
-    n_shards:
-        CAM-array shards to partition the reference across.
-    chunk_size:
-        Reads per worker task.
-    max_workers:
-        Worker threads for the shard fan-out.
-    """
-
-    n_shards: int
-    chunk_size: int
-    max_workers: int
 
 
 def available_cpus(cpu_count: "int | None" = None) -> int:
@@ -92,60 +53,19 @@ def available_cpus(cpu_count: "int | None" = None) -> int:
     return max(1, int(cpu_count))
 
 
-def plan_shards(n_rows: int, cols: int,
-                cpu_count: "int | None" = None) -> ShardPlan:
-    """Pick ``(n_shards, chunk_size, max_workers)`` for a reference.
-
-    Parameters
-    ----------
-    n_rows:
-        Reference segment rows to be partitioned across shards.
-    cols:
-        Segment width in bases (drives the per-read memory bound).
-    cpu_count:
-        Core budget; defaults to ``os.cpu_count()``.  Explicit values
-        make plans reproducible across machines (tests pin this).
-    """
-    if n_rows <= 0:
-        raise ArchConfigError(f"n_rows must be positive, got {n_rows}")
-    if cols <= 0:
-        raise ArchConfigError(f"cols must be positive, got {cols}")
-    cpus = available_cpus(cpu_count)
-    by_size = max(1, n_rows // MIN_ROWS_PER_SHARD)
-    n_shards = max(1, min(cpus, by_size, n_rows))
-
-    rows_per_shard = -(-n_rows // n_shards)  # ceil
-    return ShardPlan(n_shards=n_shards,
-                     chunk_size=_chunk_reads(rows_per_shard, cols),
-                     max_workers=min(n_shards, cpus))
-
-
-def _chunk_reads(rows_per_shard: int, cols: int) -> int:
-    """Reads per dispatch bounding one vectorised pass's working set.
-
-    One block materialises roughly a ``(chunk, rows_per_shard)`` count
-    matrix plus a ``(chunk, cols * 4)`` one-hot encoding per pass;
-    bound the larger of the two to :data:`~repro.constants.CHUNK_ELEMS`,
-    clamped to ``[MIN_CHUNK_READS, MAX_CHUNK_READS]``.  Shared by the worker
-    chunking (:func:`plan_shards`) and the streaming micro-batches
-    (:func:`plan_microbatch`) so the two sizings cannot drift.
-    """
-    per_read_elems = max(rows_per_shard, cols * 4, 1)
-    chunk = CHUNK_ELEMS // per_read_elems
-    return int(min(MAX_CHUNK_READS, max(MIN_CHUNK_READS, chunk)))
-
-
 def plan_microbatch(n_rows: int, cols: int) -> int:
     """Reads per streaming micro-batch for a reference of this size.
 
     The streaming service coalesces incrementally-submitted reads and
     dispatches them through the batched engine once a micro-batch is
-    full.  The size balances the same two forces the worker-chunk
-    heuristic does: batches big enough to amortise per-dispatch Python
-    overhead over the vectorised passes (:data:`MIN_CHUNK_READS`),
-    small enough that one dispatch's comparison working set stays
-    inside the array's ~8 MB target
-    (:data:`~repro.constants.CHUNK_ELEMS`).
+    full.  The size balances two forces: batches big enough to
+    amortise per-dispatch Python overhead over the vectorised passes
+    (:data:`MIN_CHUNK_READS`), small enough that one dispatch's
+    comparison working set stays inside the array's ~8 MB target
+    (:data:`~repro.constants.CHUNK_ELEMS`).  One dispatch materialises
+    roughly an ``(n, n_rows)`` count matrix plus an ``(n, cols * 4)``
+    one-hot encoding per pass, so the larger of the two bounds ``n``,
+    clamped to ``[MIN_CHUNK_READS, MAX_CHUNK_READS]``.
 
     Parameters
     ----------
@@ -158,7 +78,8 @@ def plan_microbatch(n_rows: int, cols: int) -> int:
         raise ArchConfigError(f"n_rows must be positive, got {n_rows}")
     if cols <= 0:
         raise ArchConfigError(f"cols must be positive, got {cols}")
-    return _chunk_reads(n_rows, cols)
+    batch = CHUNK_ELEMS // max(n_rows, cols * 4)
+    return int(min(MAX_CHUNK_READS, max(MIN_CHUNK_READS, batch)))
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,11 @@ class EdamMatcher:
             )
         if sr_direction not in DIRECTIONS:
             raise CamConfigError(f"invalid sr_direction {sr_direction!r}")
+        rotations = rotation_offsets(sr_nr, sr_direction)
         self._array = array
         self._enable_sr = enable_sr
-        self._sr_nr = sr_nr
-        self._sr_direction = sr_direction
+        #: The base pass, then SR's rotations when enabled.
+        self._offsets = (0,) + rotations if enable_sr else (0,)
 
     @property
     def array(self) -> CamArray:
@@ -110,16 +111,14 @@ class EdamMatcher:
         search = self._array.search_sweep if sweep else \
             self._array.search_batch
         keys = query_key_vector(query_keys, reads.shape[0])
-        offsets = (0,)
-        if self._enable_sr:
-            offsets += rotation_offsets(self._sr_nr, self._sr_direction)
         counts = self._array.mismatch_counts_batch(reads, MatchMode.ED_STAR,
-                                                   rotations=offsets)
+                                                   rotations=self._offsets)
         return [search(reads, thresholds, MatchMode.ED_STAR,
                        noise_keys=pass_keys(keys, PASS_ROTATION + offset
                                             if offset else PASS_ED_STAR),
                        precomputed_counts=pass_counts, rotation=offset)
-                for offset, pass_counts in zip(offsets, counts, strict=True)]
+                for offset, pass_counts in zip(self._offsets, counts,
+                                               strict=True)]
 
     def match(self, read: np.ndarray, threshold: int,
               query_key: "int | None" = None) -> EdamOutcome:

@@ -44,7 +44,7 @@ read is a one-row block.  Every draw is keyed by
 a counter-based stream seeded by ``(array_seed, stream_tag) +
 noise_keys[q]`` (default ``(q,)``, the read's index in the block), so
 two executions that issue the same keyed searches — in any order,
-batched or swept, single-threaded or sharded across workers — see
+batched or swept, on one thread or a pool of workers — see
 bit-identical noise and make bit-identical decisions.  A batch search
 may also carry ``P`` back-to-back passes over the same reads (a *pass
 block*: the base ED* pass and its TASR rotations, or the ED*/HD pair),

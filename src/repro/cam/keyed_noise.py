@@ -4,7 +4,7 @@ The batched search engine needs a noise source with a property
 sequential generators cannot offer: the noise of search *q* must depend
 only on its **key** — not on how many searches ran before it, which
 thread ran it, or whether it was part of a batch.  That is what makes
-scalar, batched, chunked and sharded executions bit-identical (see
+scalar, batched, chunked and streamed executions bit-identical (see
 :mod:`repro.cam.array`).
 
 This module implements that source as a counter-based RNG:

@@ -15,7 +15,7 @@ Two kinds of constants live here:
    models, not hard-coded.
 
 One simulator setting lives here too: :data:`CHUNK_ELEMS`, the working-set
-budget every chunked kernel and the shard autotuner share.
+budget every chunked kernel and the micro-batch autotuner share.
 
 Sources are cited next to each value (section / table of the paper).
 """
@@ -223,7 +223,7 @@ SAVI_ACCURACY = 0.938
 CHUNK_ELEMS = 1 << 23
 """Target element count of one chunked comparison/encoding block (~8 MB
 of boolean planes): the batched ED* kernels, the kernel backends and the
-shard autotuner's chunk plan all bound their working set by it.  Not a
+streaming micro-batch plan all bound their working set by it.  Not a
 paper parameter; changing it changes no model output."""
 
 # --------------------------------------------------------------------------

@@ -20,8 +20,6 @@ from repro.core.pipeline import (
     MappingReport,
     ReadMapping,
     ReadMappingPipeline,
-    ShardedReadMappingPipeline,
-    resolve_shard_plan,
 )
 from repro.core.policy import (
     hdac_enabled,
@@ -44,12 +42,10 @@ __all__ = [
     "MatcherConfig",
     "ReadMapping",
     "ReadMappingPipeline",
-    "ShardedReadMappingPipeline",
     "hdac_correct_batch",
     "hdac_enabled",
     "hdac_probability",
     "hdac_probability_for_model",
-    "resolve_shard_plan",
     "rotation_offsets",
     "tasr_enabled",
     "tasr_lower_bound",

@@ -31,8 +31,8 @@ rotations=)`` call.  A batch issues its passes as one pass block (one
 ``search_batch``: one decide, one energy gather), while each pass
 still records its own ledger event.  Every draw is keyed by ``(seed,
 query_key, pass)``, never by the threshold or the block's
-composition, so any batching, sweep or sharding of the same keyed reads
-makes bit-identical decisions.
+composition, so any batching, sweep or micro-batching of the same
+keyed reads makes bit-identical decisions.
 """
 
 from __future__ import annotations
@@ -325,6 +325,8 @@ class AsmCapMatcher:
             raise CamConfigError(
                 f"invalid tasr_direction {self._config.tasr_direction!r}"
             )
+        self._offsets = rotation_offsets(self._config.tasr_nr,
+                                         self._config.tasr_direction)
 
     @classmethod
     def over_stored(cls, stored: StoredReference, error_model: ErrorModel,
@@ -425,7 +427,7 @@ class AsmCapMatcher:
         query_keys:
             Per-query determinism keys; defaults to ``0..B-1``.  Use
             globally unique keys (e.g. the read's position in the full
-            workload) so chunked and sharded executions stay
+            workload) so chunked and streamed executions stay
             bit-identical.
         """
         reads = read_block(reads, "match_batch")
@@ -515,8 +517,7 @@ class AsmCapMatcher:
         tasr_mask = np.zeros(thresholds.shape, dtype=bool)
         if config.enable_tasr and n_queries:
             tasr_mask = thresholds >= lower_bound
-        offsets = rotation_offsets(config.tasr_nr, config.tasr_direction) \
-            if tasr_mask.any() else ()
+        offsets = self._offsets if tasr_mask.any() else ()
 
         # The reads are encoded as few times as possible: one rotations
         # call yields the base ED* pass and every TASR pass, one dual

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from repro import constants
 from repro.errors import ThresholdError
+from repro.knobs import check_integer
 
 #: Valid rotation direction modes.
 DIRECTIONS = ("both", "left", "right")
@@ -38,7 +39,11 @@ def rotation_offsets(nr: int = constants.TASR_NR,
 
     Positive = left rotation, negative = right rotation.  The unrotated
     search (i = 0 in the paper's loop) is the caller's base search.
+    ``nr`` is a non-negative integer; a ``bool``, ``float`` or ``str``
+    raises :class:`~repro.errors.ThresholdError` rather than running
+    another ``NR``.
     """
+    nr = check_integer("NR", nr, ThresholdError)
     if nr < 0:
         raise ThresholdError(f"NR must be non-negative, got {nr}")
     if direction not in DIRECTIONS:

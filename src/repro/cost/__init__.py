@@ -1,17 +1,15 @@
 """Unified hardware cost accounting: events -> ledger -> views.
 
-Every execution path of the simulator (scalar, batched, sweep and
-sharded searches) reports its hardware cost through **one**
-subsystem:
+Every execution path of the simulator (scalar, batched and sweep
+searches) reports its hardware cost through **one** subsystem:
 
 * :mod:`repro.cost.events` — typed events describing what the hardware
   did (:class:`EdStarPass`, :class:`HdacPass`,
-  :class:`TasrRotationPass`, :class:`ReferenceLoad`,
-  :class:`BufferBroadcast`), carrying pass counts and the per-row
-  mismatch populations each pass observed;
+  :class:`TasrRotationPass`, :class:`ReferenceLoad`), carrying pass
+  counts and the per-row mismatch populations each pass observed;
 * :mod:`repro.cost.ledger` — :class:`CostLedger`, the event collector
   owned by every :class:`~repro.cam.array.CamArray` (and, at system
-  level, by the sharded pipeline and the frontend).  Append-only by
+  level, by the frontend).  Append-only by
   default; a compacting ledger (the services') folds its events into
   one :class:`CompactionCheckpoint` that keeps only the
   ``search_stats`` sums and per-class event counts, so those two views
@@ -27,12 +25,11 @@ subsystem:
 
 The contract (see DESIGN.md): events record *what happened* (counts
 and populations), never joules; all energy/latency numbers are derived
-views, so the scalar, batched, sweep and sharded paths cannot drift
-apart — they all read from the same model.
+views, so the scalar, batched and sweep paths cannot drift apart —
+they all read from the same model.
 """
 
 from repro.cost.events import (
-    BufferBroadcast,
     CompactionCheckpoint,
     EdStarPass,
     HdacPass,
@@ -51,14 +48,12 @@ from repro.cost.profile import (
 from repro.cost.views import (
     SearchStats,
     component_energies,
-    merge_search_stats,
     search_pass_energy_per_query,
     search_pass_latency_ns,
     search_stats,
 )
 
 __all__ = [
-    "BufferBroadcast",
     "CompactionCheckpoint",
     "CostLedger",
     "EdStarPass",
@@ -71,7 +66,6 @@ __all__ = [
     "TasrRotationPass",
     "component_energies",
     "measure_strategy_profile",
-    "merge_search_stats",
     "profile_from_ledger",
     "search_pass_energy_per_query",
     "search_pass_latency_ns",

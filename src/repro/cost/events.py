@@ -5,8 +5,8 @@ queries, against how many stored rows, and the per-row mismatch
 populations the pass observed.  Events never carry joules or watts:
 energy, latency and power are *derived views* computed from the event
 by :mod:`repro.cost.views` through the physical models.  That split is
-what keeps the scalar, batched, sweep and sharded execution paths on
-one accounting model (see DESIGN.md, "Cost-ledger contract").
+what keeps the scalar, batched and sweep execution paths on one
+accounting model (see DESIGN.md, "Cost-ledger contract").
 
 Event taxonomy
 --------------
@@ -20,8 +20,6 @@ Event taxonomy
   cycle count is derivable;
 * :class:`ReferenceLoad` — reference segments written into an array
   (or encoded once for a frontend's shared reference);
-* :class:`BufferBroadcast` — a read block fetched from the global
-  buffer and broadcast down the H-tree;
 * :class:`CompactionCheckpoint` — the bounded-memory summary a
   compacting ledger folds its events into: the exact
   :func:`~repro.cost.views.search_stats` resume values and a count of
@@ -219,23 +217,3 @@ class CompactionCheckpoint(LedgerEvent):
     total_energy_joules: float
     total_latency_ns: float
     event_counts: "dict[str, int]"
-
-
-@dataclass(frozen=True, eq=False)
-class BufferBroadcast(LedgerEvent):
-    """A read block fetched from the global buffer and broadcast.
-
-    Attributes
-    ----------
-    n_reads:
-        Reads in the broadcast block.
-    read_bits:
-        Bits per broadcast read (2 bits/base at the paper's encoding).
-    """
-
-    n_reads: int
-    read_bits: int
-
-    @property
-    def total_bits(self) -> int:
-        return self.n_reads * self.read_bits

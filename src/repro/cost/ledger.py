@@ -2,10 +2,9 @@
 
 Every :class:`~repro.cam.array.CamArray` owns a :class:`CostLedger`
 and records one :class:`~repro.cost.events.SearchPassEvent` per
-physical pass; system-level components (the sharded pipeline, the
-service frontend) own their own ledgers for :class:`ReferenceLoad` /
-:class:`BufferBroadcast` traffic and merge the array ledgers in
-deterministic (shard) order when a whole-system view is needed.
+physical pass; the service frontend owns a system-level ledger of its
+own for the :class:`~repro.cost.events.ReferenceLoad` of each
+reference it resolves.
 
 The ledger stores events only; every energy/latency/power number is a
 *view* computed by :mod:`repro.cost.views` on demand.
@@ -224,32 +223,3 @@ class CostLedger:
         )]
         self._n_compactions += 1
         return len(fold)
-
-    @classmethod
-    def merged(cls, *ledgers: "CostLedger") -> "CostLedger":
-        """One ledger holding every input's events, input order.
-
-        Shard merges pass shard-ordered ledgers, so the merged event
-        order — and therefore every order-sensitive view — is
-        deterministic regardless of worker scheduling.
-
-        A compacted ledger is only accepted as the *first* input: its
-        checkpoint stays the merged ledger's head, so the views'
-        resume-from-prefix contract still holds.  A checkpoint from a
-        later input would land mid-stream — the interleaved
-        accumulation it folded away no longer exists — so such merges
-        raise :class:`~repro.errors.LedgerCompactionError`; aggregate
-        compacted shard ledgers at the stats level instead (e.g.
-        :meth:`repro.core.pipeline.ShardedReadMappingPipeline.
-        merged_stats`).
-        """
-        merged = cls()
-        for position, ledger in enumerate(ledgers):
-            if position > 0 and ledger.checkpoint is not None:
-                raise LedgerCompactionError(
-                    "cannot merge a compacted ledger after the first "
-                    "position: its checkpoint would land mid-stream; "
-                    "aggregate per-ledger views instead"
-                )
-            merged._events.extend(ledger.events)
-        return merged

@@ -17,8 +17,8 @@ push them through the physical models:
 
 :class:`~repro.cam.array.CamArray` derives its per-search energies and
 its cumulative :class:`SearchStats` from here, which is what makes the
-scalar, batched, sweep and sharded paths bit-identical by construction
-— they all read the same view over the same events.
+scalar, batched and sweep paths bit-identical by construction — they
+all read the same view over the same events.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.cost.events import (
     SearchPassEvent,
     TasrRotationPass,
 )
+from repro.cost.ledger import CostLedger
 from repro.errors import CamConfigError, LedgerCompactionError
 
 # repro.cam.energy is imported lazily inside the view functions: the
@@ -162,44 +163,14 @@ def search_stats(events: Iterable[LedgerEvent]) -> SearchStats:
 
 
 def fold_ledger_observability(
-        ledgers,
+        ledger: CostLedger,
         ) -> "tuple[dict[str, int], int, int, int, int]":
-    """Fold the bounded-memory evidence over a set of ledgers.
+    """The bounded-memory evidence of one ledger.
 
     Returns ``(pass_counts, events_live, events_folded,
     population_elements, compactions)`` — the ledger-derived fields of
     :class:`repro.service.stream.ServiceStats`, defined once for the
-    single-client service, the frontend's sessions, and the sharded
-    pipeline's engine observability alike.
+    single-client service and the frontend's sessions alike.
     """
-    pass_counts: "dict[str, int]" = {}
-    events_live = 0
-    events_folded = 0
-    population = 0
-    compactions = 0
-    for ledger in ledgers:
-        for name, count in ledger.pass_counts().items():
-            pass_counts[name] = pass_counts.get(name, 0) + count
-        events_live += len(ledger)
-        events_folded += ledger.n_folded
-        population += ledger.live_population_elements()
-        compactions += ledger.n_compactions
-    return pass_counts, events_live, events_folded, population, compactions
-
-
-def merge_search_stats(parts: Iterable[SearchStats]) -> SearchStats:
-    """Sum per-ledger :class:`SearchStats` folds in input order.
-
-    The system-level aggregation for independently-owned (possibly
-    compacted) ledgers: each part is that ledger's own exact fold, and
-    the parts are combined field-wise in deterministic input order —
-    bit-identical between compacted and uncompacted runs because every
-    per-ledger fold is.
-    """
-    merged = SearchStats()
-    for part in parts:
-        merged.n_searches += part.n_searches
-        merged.n_rotation_cycles += part.n_rotation_cycles
-        merged.total_energy_joules += part.total_energy_joules
-        merged.total_latency_ns += part.total_latency_ns
-    return merged
+    return (ledger.pass_counts(), len(ledger), ledger.n_folded,
+            ledger.live_population_elements(), ledger.n_compactions)

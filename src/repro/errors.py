@@ -51,12 +51,12 @@ class ExperimentError(ReproError):
 class LedgerCompactionError(ReproError):
     """A cost-ledger compaction rule was violated.
 
-    Raised when a view meets a :class:`~repro.cost.events.
-    CompactionCheckpoint` anywhere but at the head of the event
-    sequence, or when ledgers are merged in a way that would place a
-    checkpoint mid-stream — both would silently change the float
-    accumulation order the views guarantee (see DESIGN.md,
-    "Cost-ledger contract").
+    Raised when a view or a compaction meets a :class:`~repro.cost.
+    events.CompactionCheckpoint` anywhere but at the head of the event
+    sequence — that would silently change the float accumulation
+    order the views guarantee (see DESIGN.md, "Cost-ledger
+    contract") — when a strategy profile is asked of a ledger holding
+    one, and for an invalid compaction bound.
     """
 
 

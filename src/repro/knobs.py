@@ -1,8 +1,7 @@
 """One shared validation gate for the cross-layer constructor knobs.
 
-``backend=``, ``max_workers=``, ``micro_batch=`` and ``compaction=``
-appear at four constructor boundaries (:class:`repro.cam.CamArray`,
-:class:`repro.core.pipeline.ShardedReadMappingPipeline`,
+``backend=``, ``micro_batch=`` and ``compaction=`` appear at three
+constructor boundaries (:class:`repro.cam.CamArray`,
 :class:`repro.service.StreamingMappingService` and
 :class:`repro.service.MappingFrontend`).  They are validated *here*,
 once, so a falsy or invalid value raises the same
@@ -99,7 +98,6 @@ def check_thresholds(values) -> np.ndarray:
 def validate_service_knobs(micro_batch: "int | None" = None,
                            compaction: "int | None" = None,
                            *,
-                           max_workers: "int | None" = None,
                            backend: "str | KernelBackend | None" = None,
                            ) -> None:
     """Reject falsy/invalid cross-layer knobs at a constructor boundary.
@@ -110,7 +108,6 @@ def validate_service_knobs(micro_batch: "int | None" = None,
     """
     check_count("micro_batch", micro_batch)
     check_count("compaction", compaction)
-    check_count("max_workers", max_workers)
     if backend is not None and not isinstance(backend, KernelBackend):
         get_backend(backend)  # raises CamConfigError on unknown names
 

@@ -471,8 +471,7 @@ class MappingSession:
         with self._dispatch_mutex:
             stats = search_stats(self._pipeline.ledger)
             (pass_counts, events_live, events_folded, population,
-             compactions) = fold_ledger_observability(
-                 (self._pipeline.ledger,))
+             compactions) = fold_ledger_observability(self._pipeline.ledger)
             with self._lock:
                 wall = (0.0 if self._started_at is None
                         else time.perf_counter() - self._started_at)

@@ -39,10 +39,7 @@ with the same seed — per-read decisions, per-read costs and the
 aggregate report — for *any* micro-batch boundaries.
 ``tests/service/test_service.py`` asserts this over randomized
 boundaries, and at soak scale (100k reads, slow lane) while checking
-that the compacted ledger stays flat.  A banked (sharded) run of the
-same stream is one
-:meth:`~repro.core.pipeline.ShardedReadMappingPipeline.run` per
-micro-batch with ``first_read_index`` set the same way.
+that the compacted ledger stays flat.
 """
 
 from __future__ import annotations

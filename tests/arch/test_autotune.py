@@ -1,4 +1,4 @@
-"""Tests for shard/chunk autotuning."""
+"""Tests for micro-batch, pool, sweep-worker and backend autotuning."""
 
 from __future__ import annotations
 
@@ -11,72 +11,14 @@ from repro.arch import autotune
 from repro.arch.autotune import (
     MAX_CHUNK_READS,
     MIN_CHUNK_READS,
-    MIN_ROWS_PER_SHARD,
     MIN_SERVICE_BACKLOG,
-    ShardPlan,
     available_cpus,
     plan_backend,
     plan_microbatch,
     plan_service_pool,
-    plan_shards,
     sweep_worker_count,
 )
 from repro.errors import ArchConfigError
-from repro.core.pipeline import ShardedReadMappingPipeline
-from repro.genome.datasets import build_dataset
-
-
-class TestPlanShards:
-    def test_deterministic_given_inputs(self):
-        a = plan_shards(1024, 256, cpu_count=8)
-        b = plan_shards(1024, 256, cpu_count=8)
-        assert a == b
-
-    def test_never_more_shards_than_cpus(self):
-        assert plan_shards(10_000, 256, cpu_count=4).n_shards <= 4
-
-    def test_small_reference_stays_single_shard(self):
-        """A reference below one shard quantum must not be split."""
-        plan = plan_shards(MIN_ROWS_PER_SHARD, 256, cpu_count=16)
-        assert plan.n_shards == 1
-
-    def test_shards_scale_with_reference(self):
-        small = plan_shards(64, 256, cpu_count=16).n_shards
-        large = plan_shards(16 * MIN_ROWS_PER_SHARD, 256,
-                            cpu_count=16).n_shards
-        assert large >= small
-        assert large == 16
-
-    def test_shards_never_exceed_rows(self):
-        assert plan_shards(2, 8, cpu_count=64).n_shards <= 2
-
-    def test_chunk_size_bounds(self):
-        for rows in (32, 1024, 1 << 20):
-            for cols in (16, 256, 4096):
-                plan = plan_shards(rows, cols, cpu_count=8)
-                assert MIN_CHUNK_READS <= plan.chunk_size <= MAX_CHUNK_READS
-
-    def test_wider_segments_shrink_chunks(self):
-        narrow = plan_shards(1024, 64, cpu_count=4).chunk_size
-        wide = plan_shards(1024, 16384, cpu_count=4).chunk_size
-        assert wide <= narrow
-
-    def test_workers_capped_by_shards_and_cpus(self):
-        plan = plan_shards(1 << 16, 256, cpu_count=6)
-        assert plan.max_workers <= plan.n_shards
-        assert plan.max_workers <= 6
-
-    def test_validation(self):
-        with pytest.raises(ArchConfigError):
-            plan_shards(0, 256)
-        with pytest.raises(ArchConfigError):
-            plan_shards(128, 0)
-
-    def test_plan_is_frozen(self):
-        plan = plan_shards(128, 128, cpu_count=2)
-        assert isinstance(plan, ShardPlan)
-        with pytest.raises(AttributeError):
-            plan.n_shards = 3
 
 
 class TestPlanMicrobatch:
@@ -136,29 +78,6 @@ class TestSweepWorkers:
     def test_available_cpus_floor(self):
         assert available_cpus(0) == 1
         assert available_cpus() >= 1
-
-
-class TestPipelineIntegration:
-    def test_autotuned_pipeline_matches_explicit(self):
-        """n_shards=None resolves to the plan and stays bit-identical
-        to an explicitly configured pipeline with the same plan."""
-        dataset = build_dataset("A", n_reads=8, read_length=96,
-                                n_segments=64, seed=4)
-        reads = [r.read.codes for r in dataset.reads]
-        auto = ShardedReadMappingPipeline(
-            dataset.segments, dataset.model, n_shards=None,
-            chunk_size=None, seed=0,
-        )
-        plan = plan_shards(64, 96)
-        assert auto.n_shards == plan.n_shards
-        explicit = ShardedReadMappingPipeline(
-            dataset.segments, dataset.model, n_shards=plan.n_shards,
-            chunk_size=plan.chunk_size, seed=0,
-        )
-        report_auto = auto.run(reads, threshold=8)
-        report_explicit = explicit.run(reads, threshold=8)
-        for a, b in zip(report_auto.mappings, report_explicit.mappings, strict=True):
-            assert a.matched_rows == b.matched_rows
 
 
 class TestPlanBackendRace:

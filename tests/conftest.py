@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite.
 
-Slow-lane split: tests marked ``@pytest.mark.slow`` (large sharded
-stress runs and similar) are skipped unless ``--run-slow`` is given, so
+Slow-lane split: tests marked ``@pytest.mark.slow`` (streaming soaks
+and similar) are skipped unless ``--run-slow`` is given, so
 the default CI gate stays fast while the nightly lane can run
 ``pytest --run-slow`` for full coverage.
 """

@@ -9,7 +9,6 @@ digests of those outputs on each path the library exposes:
   in condition B above ``Tl``);
 * ``AsmCapMatcher.match_sweep`` over each condition's Fig. 7 sweep;
 * ``EdamMatcher.match_sweep`` with and without Sequence Rotation;
-* ``ShardedReadMappingPipeline.run``;
 * ``measure_strategy_profile``.
 
 A refactor of the search, matcher or HDAC layers must leave every
@@ -27,7 +26,7 @@ import pytest
 from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher
-from repro.core.pipeline import ReadMappingPipeline, ShardedReadMappingPipeline
+from repro.core.pipeline import ReadMappingPipeline
 from repro.cost.profile import measure_strategy_profile
 from repro.cost.views import search_stats
 from repro.genome.datasets import build_dataset
@@ -136,21 +135,6 @@ def test_edam_match_sweep_digest(enable_sr):
     assert _digest(decisions, sorted(ledger.pass_counts().items()),
                    *_stats_parts(search_stats(ledger))) \
         == EDAM_SWEEP[enable_sr]
-
-
-SHARDED = "926709a55d436b13"
-
-
-def test_sharded_run_digest():
-    dataset = _dataset("A")
-    with ShardedReadMappingPipeline(
-            dataset.segments, dataset.model, n_shards=3, seed=6,
-            chunk_size=10, max_workers=2) as pipeline:
-        report = pipeline.run(dataset.reads, 6, first_read_index=40)
-        pass_counts = pipeline.ledger_observability()[0]
-        stats = pipeline.merged_stats()
-    assert _digest(*_report_parts(report), sorted(pass_counts.items()),
-                   *_stats_parts(stats)) == SHARDED
 
 
 def test_strategy_profile_digest():

@@ -9,7 +9,6 @@ from repro import constants
 from repro.cam.array import CamArray
 from repro.cam.cell import MatchMode
 from repro.cost.events import (
-    BufferBroadcast,
     EdStarPass,
     HdacPass,
     ReferenceLoad,
@@ -45,22 +44,6 @@ class TestEventEmission:
         small_array.store(rng.integers(0, 4, (2, 16)).astype(np.uint8))
         loads = small_array.ledger.of_type(ReferenceLoad)
         assert [load.n_segments for load in loads] == [8, 2]
-
-    def test_sharded_merged_ledger_counts_loads_once(self, rng):
-        from repro.core.pipeline import ShardedReadMappingPipeline
-        from repro.genome.edits import ErrorModel
-
-        segments = rng.integers(0, 4, (12, 16)).astype(np.uint8)
-        with ShardedReadMappingPipeline(
-                segments, ErrorModel.condition_a(), n_shards=2,
-                noisy=False) as pipeline:
-            pipeline.map_read(segments[0], 2)
-            merged = pipeline.merged_ledger()
-        loads = merged.of_type(ReferenceLoad)
-        assert sum(load.n_segments for load in loads) == 12
-        # Both shards' search passes are merged in, after the broadcast.
-        assert len(merged.search_passes()) >= 2
-        assert isinstance(merged.events[0], BufferBroadcast)
 
     def test_scalar_search_emits_ed_star_pass(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
@@ -121,7 +104,7 @@ class TestLedger:
     def test_order_preserved(self):
         ledger = CostLedger()
         first = ledger.record(ReferenceLoad(n_segments=1, n_cells=4))
-        second = ledger.record(BufferBroadcast(n_reads=2, read_bits=8))
+        second = ledger.record(ReferenceLoad(n_segments=2, n_cells=8))
         assert ledger.events == (first, second)
         assert len(ledger) == 2
         assert list(ledger) == [first, second]
@@ -134,22 +117,12 @@ class TestLedger:
         assert all(isinstance(e, SearchPassEvent)
                    for e in small_array.ledger.search_passes())
 
-    def test_merged_preserves_input_order(self):
-        a = CostLedger([ReferenceLoad(n_segments=1, n_cells=4)])
-        b = CostLedger([BufferBroadcast(n_reads=1, read_bits=8)])
-        merged = CostLedger.merged(a, b)
-        assert merged.events == a.events + b.events
-
     def test_clear(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
         small_array.search_batch(read[None, :], 4)
         small_array.ledger.clear()
         assert len(small_array.ledger) == 0
         assert small_array.stats.n_searches == 0
-
-    def test_broadcast_totals(self):
-        event = BufferBroadcast(n_reads=3, read_bits=512)
-        assert event.total_bits == 3 * 512
 
 
 class TestStatsView:

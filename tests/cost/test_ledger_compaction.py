@@ -7,11 +7,10 @@ the ledger's two readers stay **bit-identical** — ``search_stats``
 resumes from the checkpoint's running sums (the same float additions,
 in event order, performed at fold time) and ``pass_counts()`` reads
 the checkpoint's per-class event counts.  Every comparison below is
-exact (``==``) on the scalar, batched, sweep and sharded paths.  What
-needs the events themselves refuses a checkpoint: strategy-profile
+exact (``==``) on the scalar, batched and sweep paths.  What needs
+the events themselves refuses a checkpoint: strategy-profile
 harvesting raises :class:`~repro.errors.LedgerCompactionError`, as do
-views meeting a mid-stream checkpoint and merges that would splice
-one.
+views and compactions meeting a mid-stream checkpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 from repro.cam.array import CamArray
 from repro.cam.cell import MatchMode
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
-from repro.core.pipeline import ShardedReadMappingPipeline
 from repro.cost.events import (
     CompactionCheckpoint,
     EdStarPass,
@@ -216,74 +214,6 @@ class TestSweepCompaction:
                               n_searches=0), *plain.search_passes()]
         with pytest.raises(LedgerCompactionError):
             profile_from_ledger(events, range(1, 9))
-
-
-class TestShardedCompaction:
-    """Sharded runs: per-shard and system-level views stay exact when
-    the shard ledgers are compacted between micro-batches."""
-
-    @staticmethod
-    def _compact_shards(pipeline) -> None:
-        for matcher in pipeline.matchers:
-            matcher.array.ledger.compact()
-        pipeline.ledger.compact()
-
-    def test_sharded_run(self, small_dataset_a):
-        reads = np.stack([r.read.codes for r in small_dataset_a.reads])
-        half = reads.shape[0] // 2
-        pipelines = {}
-        reports = {}
-        for compact in (False, True):
-            pipeline = ShardedReadMappingPipeline(
-                small_dataset_a.segments, small_dataset_a.model,
-                n_shards=4, noisy=True, seed=0, chunk_size=7,
-            )
-            with pipeline:
-                pipeline.run(reads[:half], 3)
-                if compact:
-                    self._compact_shards(pipeline)
-                reports[compact] = pipeline.run(reads[half:], 3,
-                                                first_read_index=half)
-            pipelines[compact] = pipeline
-        compacted, plain = pipelines[True], pipelines[False]
-        assert all(m.array.ledger.n_folded > 0
-                   for m in compacted.matchers)
-        # Reports after a fold are bit-identical.
-        assert (reports[True].total_energy_joules
-                == reports[False].total_energy_joules)
-        assert (reports[True].total_latency_ns
-                == reports[False].total_latency_ns)
-        # Per-shard ledger views are exact...
-        for ours, theirs in zip(compacted.matchers, plain.matchers,
-                                strict=True):
-            _assert_views_identical(theirs.array.ledger,
-                                    ours.array.ledger)
-        # ...and so is the deterministic shard-ordered aggregation.
-        assert compacted.merged_stats() == plain.merged_stats()
-        assert (compacted.ledger_observability()[0]
-                == plain.ledger_observability()[0])
-
-    def test_merged_ledger_rejects_compacted_shards(self,
-                                                    small_dataset_a):
-        reads = np.stack([r.read.codes for r in small_dataset_a.reads])
-        with ShardedReadMappingPipeline(
-                small_dataset_a.segments, small_dataset_a.model,
-                n_shards=2, noisy=True, seed=0,
-                chunk_size=7) as pipeline:
-            pipeline.run(reads, 3)
-            pipeline.matchers[1].array.ledger.compact()
-            with pytest.raises(LedgerCompactionError):
-                pipeline.merged_ledger()
-
-    def test_merged_accepts_leading_compacted_ledger(self, rng):
-        _, compacting = _twin_arrays(rng, compaction=2)
-        queries = rng.integers(0, 4, (6, 24)).astype(np.uint8)
-        compacting.search_batch(queries, 5, MatchMode.ED_STAR)
-        compacting.ledger.compact()
-        other = CostLedger([ReferenceLoad(n_segments=2, n_cells=24)])
-        merged = CostLedger.merged(compacting.ledger, other)
-        assert merged.checkpoint is not None
-        assert search_stats(merged) == search_stats(compacting.ledger)
 
 
 class TestCompactionRules:

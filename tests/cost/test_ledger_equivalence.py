@@ -3,7 +3,7 @@
 The acceptance contract of the cost-ledger refactor: energies and
 latencies **derived from the ledger events** are bit-identical to the
 seed's float accumulation on every execution path — scalar, batched,
-sweep and sharded — under a fixed seed, for both array modes and both
+sweep and the batched read-mapping report — under a fixed seed, for both array modes and both
 error conditions.  Every comparison below is exact (``==`` /
 ``array_equal``), not approximate: the views and the outcomes must
 read the same floats.
@@ -19,7 +19,7 @@ from repro.cam.array import CamArray
 from repro.cam.cell import MatchMode
 from repro.cam.energy import search_energy_per_row
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
-from repro.core.pipeline import ShardedReadMappingPipeline
+from repro.core.pipeline import ReadMappingPipeline
 from repro.cost.events import EdStarPass, SearchPassEvent, TasrRotationPass
 from repro.cost.ledger import CostLedger
 
@@ -192,30 +192,22 @@ class TestMatcherPathReconstruction:
                               batch.energy_joules)
 
     @pytest.mark.parametrize("condition", ["A", "B"])
-    def test_sharded_report(self, condition, small_dataset_a,
+    def test_batched_report(self, condition, small_dataset_a,
                             small_dataset_b):
         dataset = (small_dataset_a if condition == "A"
                    else small_dataset_b)
         threshold = CONDITION_THRESHOLD[condition]
-        pipeline = ShardedReadMappingPipeline(
-            dataset.segments, dataset.model, n_shards=4, noisy=True,
-            seed=0, chunk_size=7,
-        )
+        pipeline = ReadMappingPipeline(_make_matcher(dataset))
         reads = _dataset_reads(dataset)
-        report = pipeline.run(reads, threshold)
+        report = pipeline.run_batched(reads, threshold)
         n = reads.shape[0]
-        # Per-shard per-query totals from each shard's ledger, then the
-        # sharded merge semantics: energy sums over shards, latency
-        # takes the shard max.
-        shard_energy = np.zeros((pipeline.n_shards, n))
-        shard_latency = np.zeros((pipeline.n_shards, n))
-        for s, matcher in enumerate(pipeline.matchers):
-            for event in matcher.array.ledger.search_passes():
-                positions = event.query_keys[:, 0]
-                shard_energy[s, positions] += event.energy_per_query_joules
-                shard_latency[s, positions] += event.search_time_ns
-        energy = np.sum(shard_energy, axis=0)
-        latency = np.max(shard_latency, axis=0)
+        # Per-query totals from the array's ledger, in pass order.
+        energy = np.zeros(n)
+        latency = np.zeros(n)
+        for event in pipeline.ledger.search_passes():
+            positions = event.query_keys[:, 0]
+            energy[positions] += event.energy_per_query_joules
+            latency[positions] += event.search_time_ns
         for q, mapping in enumerate(report.mappings):
             assert mapping.outcome.energy_joules == energy[q]
             assert mapping.outcome.latency_ns == latency[q]
@@ -224,17 +216,3 @@ class TestMatcherPathReconstruction:
         for q in range(n):
             total_energy += energy[q]
         assert report.total_energy_joules == total_energy
-
-    def test_sharded_broadcast_events(self, small_dataset_a):
-        pipeline = ShardedReadMappingPipeline(
-            small_dataset_a.segments, small_dataset_a.model, n_shards=2,
-            noisy=True, seed=0, chunk_size=10,
-        )
-        reads = _dataset_reads(small_dataset_a)  # 24 reads -> 3 chunks
-        pipeline.run(reads, 3)
-        broadcasts = pipeline.ledger.events
-        assert [b.n_reads for b in broadcasts] == [10, 10, 4]
-        merged = pipeline.merged_ledger()
-        assert len(merged) == len(pipeline.ledger) + sum(
-            len(m.array.ledger) for m in pipeline.matchers
-        )

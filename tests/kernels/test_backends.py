@@ -6,7 +6,7 @@ is the reference semantics, the GEMM lane an implementation of it.
 These tests pin the registry/resolution API (against the test lane of
 ``conftest.py``) and the bit-identity at the primitive level, including
 rows longer than 255 cells; the execution-path identity
-(scalar/batched/sweep/sharded) lives in ``test_cross_backend.py``.
+(scalar/batched/sweep/service) lives in ``test_cross_backend.py``.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The contract of the kernel registry: swapping the backend knob changes
 *nothing observable* — decisions, per-read costs, cost-ledger views
-and aggregate reports are exactly equal on the scalar, batched, sweep
-and sharded paths (and through the streaming service and
-multi-session frontend built on them).  The GEMM lane is compared with
+and aggregate reports are exactly equal on the scalar, batched and
+sweep paths (and through the streaming service and multi-session
+frontend built on them).  The GEMM lane is compared with
 the boolean-reference test lane of ``conftest.py``, so each path is
 checked against the reference count semantics end to end.  Everything
 here is asserted with ``==`` / ``array_equal``, never ``approx``.
@@ -18,10 +18,7 @@ import pytest
 from repro.cam.array import CamArray
 from repro.cam.cell import MatchMode
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
-from repro.core.pipeline import (
-    ReadMappingPipeline,
-    ShardedReadMappingPipeline,
-)
+from repro.core.pipeline import ReadMappingPipeline
 from repro.service.frontend import MappingFrontend
 from repro.service.stream import StreamingMappingService
 
@@ -122,23 +119,6 @@ class TestSweepPath:
         assert np.array_equal(ref.decisions, alt.decisions)
         assert np.array_equal(ref.n_searches, alt.n_searches)
         assert np.array_equal(ref.energy_joules, alt.energy_joules)
-
-
-class TestShardedPath:
-    def test_sharded_run_identical(self, small_dataset_a, backends):
-        reads = list(_reads(small_dataset_a))
-        reports, stats = [], []
-        for backend in backends:
-            pipeline = ShardedReadMappingPipeline(
-                small_dataset_a.segments, small_dataset_a.model,
-                n_shards=4, seed=3, backend=backend,
-            )
-            assert pipeline.backend == backend
-            with pipeline:
-                reports.append(pipeline.run(reads, THRESHOLD))
-                stats.append(pipeline.merged_stats())
-        _assert_reports_identical(reports[0], reports[1])
-        _assert_stats_equal(stats[0], stats[1])
 
 
 class TestServicePaths:

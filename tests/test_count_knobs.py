@@ -4,9 +4,9 @@
 boundary that coerced with it ran a mistyped knob as some other value.
 Each boundary now rejects a ``bool``, ``float`` or ``str`` with its own
 error type (:class:`~repro.errors.CamConfigError` at the shared knob
-gate and the shard plan, :class:`~repro.errors.ServiceError` for the
-frontend's own pool knobs, :class:`~repro.errors.LedgerCompactionError`
-at the ledger) and accepts numpy integers.
+gate, :class:`~repro.errors.ServiceError` for the frontend's own pool
+knobs, :class:`~repro.errors.LedgerCompactionError` at the ledger) and
+accepts numpy integers.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.cam.array import CamArray
-from repro.core.pipeline import ShardedReadMappingPipeline
 from repro.cost.ledger import CostLedger
 from repro.errors import CamConfigError, LedgerCompactionError, ServiceError
 from repro.service import MappingFrontend, StreamingMappingService
@@ -36,11 +35,6 @@ def _session(dataset, value):
         frontend.session(3, micro_batch=value).close()
 
 
-def _pipeline(dataset, **knob):
-    ShardedReadMappingPipeline(dataset.segments, dataset.model,
-                               **knob).close()
-
-
 #: boundary -> (build it with the knob set to a value, its error type)
 BOUNDARIES = {
     "service-micro_batch": (_service, CamConfigError),
@@ -50,14 +44,6 @@ BOUNDARIES = {
         lambda ds, v: _frontend(ds, pool_workers=1, max_backlog=v),
         ServiceError),
     "session-micro_batch": (_session, CamConfigError),
-    "pipeline-n_shards": (
-        lambda ds, v: _pipeline(ds, n_shards=v), CamConfigError),
-    "pipeline-max_workers": (
-        lambda ds, v: _pipeline(ds, n_shards=2, max_workers=v),
-        CamConfigError),
-    "pipeline-chunk_size": (
-        lambda ds, v: _pipeline(ds, n_shards=2, chunk_size=v),
-        CamConfigError),
     "array-ledger_compaction": (
         lambda ds, v: CamArray(rows=4, cols=8, ledger_compaction=v),
         CamConfigError),
@@ -92,7 +78,5 @@ def test_accepted_counts_keep_their_value(small_dataset_a):
                          pool_workers=np.int64(2),
                          max_backlog=np.uint8(3)) as frontend:
         assert (frontend.pool_workers, frontend.max_backlog) == (2, 3)
-    with ShardedReadMappingPipeline(
-            small_dataset_a.segments, small_dataset_a.model,
-            n_shards=np.int16(2), max_workers=np.int64(1)) as pipeline:
-        assert (pipeline.n_shards, pipeline.max_workers) == (2, 1)
+    array = CamArray(rows=4, cols=8, ledger_compaction=np.int16(2))
+    assert array.ledger.compaction == 2

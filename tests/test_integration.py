@@ -16,7 +16,6 @@ from repro.core import (
     AsmCapMatcher,
     MatcherConfig,
     ReadMappingPipeline,
-    ShardedReadMappingPipeline,
 )
 from repro.distance import edit_distance, myers_edit_distance
 from repro.eval import AccuracyExperiment, asmcap_plain_system, label_dataset
@@ -105,40 +104,33 @@ class TestMappingAgreesWithAlignment:
 class TestSystemLevel:
     """The banked system (Fig. 4(a)) against one array."""
 
-    def test_sharded_system_agrees_with_single_array(self, dataset):
-        """Noiseless banks == plain CamArray behaviour, in global rows."""
-        array = CamArray(rows=32, cols=128, noisy=False)
-        array.store(dataset.segments)
-        with ShardedReadMappingPipeline(
-                dataset.segments, dataset.model, n_shards=4,
-                config=MatcherConfig.plain(), noisy=False) as system:
-            for index, record in enumerate(dataset.reads[:5]):
-                mapping = system.map_read(record, 6, index=index)
-                local = array.search_batch(record.read.codes[None, :], 6)
-                assert mapping.matched_rows == tuple(
-                    np.flatnonzero(local.matches[0]).tolist())
-
     @pytest.mark.parametrize("condition", ["A", "B"])
     def test_strategies_are_bank_independent(self, condition):
         """HDAC and TASR decide per row, so splitting the reference
-        over banks leaves every read's rows and energy unchanged; each
-        bank issues the read's searches itself."""
+        over four banks of eight rows leaves every read's rows and
+        energy unchanged; each bank issues the read's searches itself."""
         data = build_dataset(condition, n_reads=16, read_length=128,
                              n_segments=32, seed=200)
-        array = CamArray(rows=32, cols=128, noisy=False)
-        array.store(data.segments)
-        flat = ReadMappingPipeline(AsmCapMatcher(
-            array, data.model, MatcherConfig())).run_batched(
-                data.reads, threshold=8)
-        with ShardedReadMappingPipeline(
-                data.segments, data.model, n_shards=4,
-                noisy=False) as system:
-            report = system.run(data.reads, threshold=8)
-        for a, b in zip(report.mappings, flat.mappings, strict=True):
-            assert a.matched_rows == b.matched_rows
-            assert a.outcome.n_searches == 4 * b.outcome.n_searches
-            assert a.outcome.energy_joules == pytest.approx(
-                b.outcome.energy_joules, rel=1e-12)
+
+        def mapped(first_row, n_rows):
+            array = CamArray(rows=n_rows, cols=128, noisy=False)
+            array.store(data.segments[first_row:first_row + n_rows])
+            return ReadMappingPipeline(AsmCapMatcher(
+                array, data.model, MatcherConfig())).run_batched(
+                    data.reads, threshold=8).mappings
+
+        flat = mapped(0, 32)
+        banks = {start: mapped(start, 8) for start in range(0, 32, 8)}
+        for q, whole in enumerate(flat):
+            parts = {start: bank[q] for start, bank in banks.items()}
+            assert whole.matched_rows == tuple(
+                start + row for start, part in parts.items()
+                for row in part.matched_rows)
+            for part in parts.values():
+                assert part.outcome.n_searches == whole.outcome.n_searches
+            assert sum(part.outcome.energy_joules
+                       for part in parts.values()) == pytest.approx(
+                whole.outcome.energy_joules, rel=1e-12)
 
 
 class TestBaselineAccuracyGroundTruth:

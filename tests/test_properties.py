@@ -132,7 +132,7 @@ class TestBatchScalarEquivalence:
 
     Fuzzed over random query blocks, geometries and thresholds, in both
     analog domains and both match modes — the invariant the batched
-    engine (and everything sharded on top of it) rests on.
+    engine (and everything streamed on top of it) rests on.
     """
 
     @settings(max_examples=40, deadline=None)

@@ -20,7 +20,7 @@ from repro.cam.array import CamArray, StoredReference, as_read_codes
 from repro.cam.cell import MatchMode
 from repro.core.fragmentation import FragmentedMatcher
 from repro.core.matcher import AsmCapMatcher
-from repro.core.pipeline import ReadMappingPipeline, ShardedReadMappingPipeline
+from repro.core.pipeline import ReadMappingPipeline
 from repro.errors import CamConfigError
 from repro.genome.datasets import build_dataset
 from repro.service import MappingFrontend, StreamingMappingService
@@ -54,12 +54,6 @@ def _frontend_submit(dataset, read):
 
 def _run_batched(dataset, read):
     ReadMappingPipeline(_matcher(dataset)).run_batched([read], THRESHOLD)
-
-
-def _sharded_run(dataset, read):
-    with ShardedReadMappingPipeline(dataset.segments, dataset.model,
-                                    n_shards=2) as pipeline:
-        pipeline.run([read], THRESHOLD)
 
 
 def _match(dataset, read):
@@ -100,7 +94,6 @@ ENTRY_POINTS = {
     "service.submit": _service_submit,
     "frontend.session.submit": _frontend_submit,
     "pipeline.run_batched": _run_batched,
-    "sharded.run": _sharded_run,
     "matcher.match": _match,
     "matcher.match_batch": _match_batch,
     "array.search_batch": _search_batch,
@@ -150,10 +143,6 @@ def _frontend(dataset, segments):
     MappingFrontend(segments, dataset.model).close()
 
 
-def _sharded(dataset, segments):
-    ShardedReadMappingPipeline(segments, dataset.model, n_shards=2).close()
-
-
 def _fragmented_init(dataset, segments):
     width = dataset.read_length // 2
     FragmentedMatcher(CamArray(rows=2 * dataset.n_segments, cols=width),
@@ -165,7 +154,6 @@ SEGMENT_ENTRY_POINTS = {
     "StoredReference.encode": _encode,
     "service": _service,
     "frontend": _frontend,
-    "sharded": _sharded,
     "fragmented": _fragmented_init,
 }
 

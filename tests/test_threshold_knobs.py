@@ -7,7 +7,9 @@ stream.  Every boundary now rejects a non-integer threshold with
 :class:`~repro.errors.ThresholdError` and a non-integer key or key
 offset with :class:`~repro.errors.CamConfigError`; a batch boundary
 also refuses a threshold vector, naming the sweep call that takes one.
-Numpy integers are accepted and keep their value.
+The rotation count ``NR`` of TASR and of EDAM's SR is checked the same
+way, once, when the matcher is built.  Numpy integers are accepted and
+keep their value.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import pytest
 
 from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
-from repro.core.matcher import AsmCapMatcher
-from repro.core.pipeline import ReadMappingPipeline, ShardedReadMappingPipeline
+from repro.core.matcher import AsmCapMatcher, MatcherConfig
+from repro.core.pipeline import ReadMappingPipeline
 from repro.errors import CamConfigError, ThresholdError
 from repro.eval.experiment import AccuracyExperiment
 from repro.service import MappingFrontend, StreamingMappingService
@@ -46,18 +48,6 @@ def _session(dataset, value):
         frontend.session(value).close()
 
 
-def _sharded(dataset, value):
-    with ShardedReadMappingPipeline(dataset.segments, dataset.model,
-                                    n_shards=2) as pipeline:
-        pipeline.run(_reads(dataset), value)
-
-
-def _map_read(dataset, threshold=4, index=0):
-    with ShardedReadMappingPipeline(dataset.segments, dataset.model,
-                                    n_shards=2) as pipeline:
-        pipeline.map_read(_reads(dataset)[0], threshold, index=index)
-
-
 #: boundary -> run it with one threshold set to a value
 SCALAR_BOUNDARIES = {
     "service": _service,
@@ -70,8 +60,6 @@ SCALAR_BOUNDARIES = {
         _matcher(ds)).run_batched(_reads(ds), v),
     "run_batched-empty": lambda ds, v: ReadMappingPipeline(
         _matcher(ds)).run_batched([], v),
-    "sharded-run": _sharded,
-    "sharded-map_read": lambda ds, v: _map_read(ds, threshold=v),
     "at_threshold": lambda ds, v: _matcher(ds).match_sweep(
         _reads(ds), [2, 8]).at_threshold(v),
 }
@@ -89,24 +77,24 @@ SWEEP_BOUNDARIES = {
 KEY_BOUNDARIES = {
     "run_batched-first_read_index": lambda ds, v: ReadMappingPipeline(
         _matcher(ds)).run_batched(_reads(ds), 4, first_read_index=v),
-    "sharded-first_read_index": lambda ds, v: _sharded_keyed(ds, v),
-    "sharded-map_read-index": lambda ds, v: _map_read(ds, index=v),
     "match-query_key": lambda ds, v: _matcher(ds).match(
         _reads(ds)[0], 4, query_key=v),
 }
 
 
-def _edam(dataset):
+def _edam(dataset, **knobs):
     matcher = EdamMatcher(rows=dataset.n_segments, cols=dataset.read_length,
-                          enable_sr=True, seed=3)
+                          enable_sr=True, seed=3, **knobs)
     matcher.store(dataset.segments)
     return matcher
 
 
-def _sharded_keyed(dataset, first):
-    with ShardedReadMappingPipeline(dataset.segments, dataset.model,
-                                    n_shards=2) as pipeline:
-        pipeline.run(_reads(dataset), 4, first_read_index=first)
+#: constructor -> build it with the rotation count NR set to a value
+NR_BOUNDARIES = {
+    "matcher-tasr_nr": lambda ds, v: AsmCapMatcher(
+        CamArray(rows=4, cols=8), ds.model, MatcherConfig(tasr_nr=v)),
+    "edam-sr_nr": lambda ds, v: _edam(ds, sr_nr=v),
+}
 
 
 @pytest.mark.parametrize("value", [2.7, True, "4", 4.0],
@@ -147,6 +135,36 @@ def test_non_integer_sweep_raises(small_dataset_a, boundary, value):
 def test_non_integer_key_raises(small_dataset_a, boundary, value):
     with pytest.raises(CamConfigError, match="must be an integer"):
         KEY_BOUNDARIES[boundary](small_dataset_a, value)
+
+
+@pytest.mark.parametrize("value", [2.7, True, "2", 2.0],
+                         ids=["float", "bool", "str", "integral-float"])
+@pytest.mark.parametrize("boundary", sorted(NR_BOUNDARIES))
+def test_non_integer_nr_raises_at_construction(small_dataset_a, boundary,
+                                               value):
+    with pytest.raises(ThresholdError, match="NR must be an integer"):
+        NR_BOUNDARIES[boundary](small_dataset_a, value)
+
+
+@pytest.mark.parametrize("boundary", sorted(NR_BOUNDARIES))
+def test_negative_nr_raises_at_construction(small_dataset_a, boundary):
+    with pytest.raises(ThresholdError, match="NR must be non-negative"):
+        NR_BOUNDARIES[boundary](small_dataset_a, -1)
+
+
+def test_numpy_integer_nr_runs_its_rotations(small_dataset_a):
+    dataset = small_dataset_a
+    reads = _reads(dataset)
+    threshold = int(dataset.read_length)  # above Tl: TASR rotates
+    for nr in (np.int16(1), np.uint8(2)):
+        array = CamArray(rows=dataset.n_segments, cols=dataset.read_length)
+        array.store(dataset.segments)
+        AsmCapMatcher(array, dataset.model,
+                      MatcherConfig(tasr_nr=nr)).match_batch(reads, threshold)
+        assert array.ledger.pass_counts()["TasrRotationPass"] == 2 * nr
+        edam = _edam(dataset, sr_nr=nr)
+        edam.match_sweep(reads, [threshold])
+        assert edam.array.ledger.pass_counts()["TasrRotationPass"] == 2 * nr
 
 
 @pytest.mark.parametrize("keys", [

@@ -61,7 +61,7 @@ def test_package_and_submodule_attributes_resolve():
 def test_a_deleted_entry_point_is_reported():
     text = _module_map(
         "| `repro.arch` | timing, power, autotune | `RetiredSystemModel` "
-        "(`match_batch`), `plan_shards` |",
+        "(`match_batch`), `plan_microbatch` |",
     )
     assert check_module_map(text) == [
         "docs/api.md module map: `RetiredSystemModel` is not an attribute "

@@ -103,8 +103,7 @@ class TestConfig:
 class TestRepoFacts:
     def test_knob_names_read_from_this_repo(self):
         knobs = read_knob_names(REPO_ROOT)
-        assert set(knobs) >= {"micro_batch", "compaction", "max_workers",
-                              "backend"}
+        assert set(knobs) == {"micro_batch", "compaction", "backend"}
 
     def test_hook_points_read_from_this_repo(self):
         points = read_hook_points(REPO_ROOT)

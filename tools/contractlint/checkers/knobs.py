@@ -1,13 +1,13 @@
 """CL3xx — knob hygiene: ``None`` means autotune, falsy means *bug*.
 
 The binding contract (``repro/knobs.py``): the cross-layer constructor
-knobs (``micro_batch``, ``compaction``, ``max_workers``, ``backend``)
-treat ``None`` as "autotune/disable" and validate every explicit value
-through ``validate_service_knobs``.  The one bug class this permits is
-*falsy-swallowing*: ``max_workers or plan.max_workers`` silently turns
+knobs (``micro_batch``, ``compaction``, ``backend``) treat ``None`` as
+"autotune/disable" and validate every explicit value through
+``validate_service_knobs``.  The one bug class this permits is
+*falsy-swallowing*: ``micro_batch or plan.micro_batch`` silently turns
 the invalid explicit value ``0`` into an autotune request instead of
-the loud ``CamConfigError`` the contract promises — the exact bug PR 5
-shipped and later reverted.  The knob name list is read from the
+the loud ``CamConfigError`` the contract promises — the exact bug a
+worker-count knob once shipped and later reverted.  The knob name list is read from the
 parameter list of ``validate_service_knobs`` itself, so adding a knob
 to the gate automatically extends the lint.
 
@@ -19,7 +19,7 @@ to the gate automatically extends the lint.
   ``while micro_batch:``): same falsy/None conflation one branch
   earlier.  Test ``is None`` / ``is not None`` explicitly.
 * ``CL303`` — a knob-named parameter with a *falsy* non-``None``
-  default (``backend=""``, ``max_workers=0``): indistinguishable from
+  default (``backend=""``, ``micro_batch=0``): indistinguishable from
   "unset" to any downstream truthiness check, and invalid per the
   validation gate anyway.
 """
@@ -35,7 +35,7 @@ def _knob_name(node: ast.AST, knobs: "tuple[str, ...]") -> "str | None":
     if isinstance(node, ast.Name) and node.id in knobs:
         return node.id
     if isinstance(node, ast.Attribute):
-        # self.micro_batch / config._max_workers style attributes.
+        # self.micro_batch / config._micro_batch style attributes.
         attr = node.attr.lstrip("_")
         if attr in knobs:
             return node.attr

@@ -247,8 +247,7 @@ def _apply_suppressions(findings: "list[Finding]", ctx: FileContext,
 # -- repo facts read from source ---------------------------------------------
 
 #: Fallbacks when the source of truth is absent (tiny test repos).
-_FALLBACK_KNOBS = ("micro_batch", "compaction", "max_workers",
-                   "backend")
+_FALLBACK_KNOBS = ("micro_batch", "compaction", "backend")
 
 
 def read_knob_names(root: Path) -> "tuple[str, ...]":
