@@ -101,7 +101,7 @@ def main() -> None:
     # [readme:frontend]
     # Multi-session frontend: the reference is encoded and stored
     # ONCE (a shared StoredReference) and many concurrent sessions
-    # multiplex over it through one fair, backpressured worker pool.
+    # are opened over it, each run on the thread that feeds it.
     # Each session keeps its own seed/threshold/ledgers, so it is
     # bit-identical to a standalone service with the same settings.
     from repro.service import MappingFrontend

@@ -2,7 +2,7 @@
 
 * :mod:`repro.arch.timing` — cycle-level latency model;
 * :mod:`repro.arch.power` — Section V-B area/power breakdown;
-* :mod:`repro.arch.autotune` — micro-batch, pool, sweep-worker and
+* :mod:`repro.arch.autotune` — micro-batch, sweep-worker and
   kernel-backend planning.
 
 The banked system of Fig. 4(a) is modelled analytically: the per-read
@@ -10,12 +10,7 @@ system cost behind Fig. 8 is
 :func:`repro.experiments.fig8.asmcap_read_cost`.
 """
 
-from repro.arch.autotune import (
-    ServicePoolPlan,
-    plan_microbatch,
-    plan_service_pool,
-    sweep_worker_count,
-)
+from repro.arch.autotune import plan_microbatch, sweep_worker_count
 from repro.arch.power import (
     PowerBreakdown,
     array_area_mm2,
@@ -29,7 +24,6 @@ from repro.arch.timing import TimingModel
 
 __all__ = [
     "PowerBreakdown",
-    "ServicePoolPlan",
     "TimingModel",
     "array_area_mm2",
     "array_power_breakdown",
@@ -37,7 +31,6 @@ __all__ = [
     "cell_area_um2",
     "component_energies_per_search",
     "plan_microbatch",
-    "plan_service_pool",
     "steady_state_search_period_ns",
     "sweep_worker_count",
 ]

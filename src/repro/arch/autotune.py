@@ -12,13 +12,9 @@ per-dispatch cost stays negligible.
 
 The Monte-Carlo sweep runner reuses the same machine signal through
 :func:`sweep_worker_count` (independent repetitions, so the only cap
-is cores vs runs).
-
-The multi-session frontend (:mod:`repro.service.frontend`) sizes its
-persistent dispatch pool through :func:`plan_service_pool`: session
-dispatches are independent of each other, so the pool takes one worker
-per core, and the backlog bound scales with the worker count so
-submitters block before the queue outruns the pool.
+is cores vs runs).  It is the one thread pool left in ``src/repro``
+(contractlint ``CL107``): the services run every micro-batch on the
+thread that feeds it, and the count kernel's BLAS owns the cores.
 
 The kernel-backend registry (:mod:`repro.kernels`) resolves its
 autotune tail here too: :func:`plan_backend` micro-calibrates every
@@ -32,10 +28,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
-
 from repro.constants import CHUNK_ELEMS
 from repro.errors import ArchConfigError
+from repro.knobs import check_integer
 
 #: Lower bound on reads per micro-batch — below this the per-dispatch
 #: bookkeeping dominates.
@@ -82,64 +77,19 @@ def plan_microbatch(n_rows: int, cols: int) -> int:
     return int(min(MAX_CHUNK_READS, max(MIN_CHUNK_READS, batch)))
 
 
-@dataclass(frozen=True)
-class ServicePoolPlan:
-    """Autotuned sizing for a multi-session service frontend.
-
-    Attributes
-    ----------
-    n_workers:
-        Persistent dispatch-worker threads (concurrent micro-batch
-        dispatches across sessions).
-    max_backlog:
-        Queued micro-batches (across all sessions) before submits
-        block — the frontend's backpressure bound.
-    """
-
-    n_workers: int
-    max_backlog: int
-
-
-#: Minimum frontend backlog: even a one-core host should absorb a
-#: small burst before backpressure engages.
-MIN_SERVICE_BACKLOG = 8
-
-
-def plan_service_pool(n_workers: "int | None" = None,
-                      cpu_count: "int | None" = None) -> ServicePoolPlan:
-    """Size the frontend's dispatch pool for this machine.
-
-    Parameters
-    ----------
-    n_workers:
-        A pinned worker count; ``None`` takes one worker per core.
-        The backlog bound scales with whichever count results.
-    cpu_count:
-        Core budget; defaults to ``os.cpu_count()``.  Explicit values
-        make plans reproducible across machines (tests pin this).
-    """
-    if n_workers is None:
-        n_workers = available_cpus(cpu_count)
-    elif n_workers < 1:
-        raise ArchConfigError(
-            f"n_workers must be positive, got {n_workers}")
-    return ServicePoolPlan(
-        n_workers=int(n_workers),
-        max_backlog=max(MIN_SERVICE_BACKLOG, 2 * int(n_workers)),
-    )
-
-
 def sweep_worker_count(n_runs: int,
                        cpu_count: "int | None" = None) -> int:
     """Worker threads for a Monte-Carlo sweep of independent runs.
 
     Each repetition owns its dataset, arrays and noise streams, so runs
     parallelise freely; the only cap is cores (and it never pays to
-    spawn more workers than runs).
+    spawn more workers than runs).  *n_runs* must be a positive integer
+    (:class:`~repro.errors.ArchConfigError` otherwise, never truncated).
     """
+    n_runs = check_integer("n_runs", n_runs, ArchConfigError)
     if n_runs < 1:
         raise ArchConfigError(f"n_runs must be positive, got {n_runs}")
-    return max(1, min(int(n_runs), available_cpus(cpu_count)))
+    return max(1, min(n_runs, available_cpus(cpu_count)))
 
 
 # -- kernel-backend calibration ---------------------------------------------

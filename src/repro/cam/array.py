@@ -106,6 +106,7 @@ from repro.kernels import (
 )
 from repro.knobs import (
     check_count,
+    check_integer,
     check_threshold,
     check_thresholds,
     validate_service_knobs,
@@ -509,7 +510,7 @@ class CamArray:
         self._stored = stored
         self._shares_stored = stored is not None
         self._noisy = noisy
-        self._seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self._seed = check_integer("seed", seed) & 0xFFFFFFFFFFFFFFFF
         self._noise_prefix = fold_key((self._seed, _NOISE_STREAM_TAG))
         self._vdd = vdd
         if domain == "charge":

@@ -319,7 +319,7 @@ class AsmCapMatcher:
         self._array = array
         self._model = error_model
         self._config = config or MatcherConfig()
-        self._seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self._seed = check_integer("seed", seed) & 0xFFFFFFFFFFFFFFFF
         self._hdac_prefix = fold_key((self._seed, _HDAC_STREAM_TAG))
         if self._config.tasr_direction not in DIRECTIONS:
             raise CamConfigError(

@@ -180,6 +180,18 @@ def edit_distance(a: DnaSequence, b: DnaSequence) -> int:
     return int(prev[m])
 
 
+def _check_band(band) -> int:
+    """*band* as a non-negative Python ``int``, or
+    :class:`~repro.errors.ThresholdError` (``2.9`` is not band 2)."""
+    # Function-level: repro.knobs sits above this layer (CL501).
+    from repro.knobs import check_integer
+
+    band = check_integer("band", band, ThresholdError)
+    if band < 0:
+        raise ThresholdError(f"band must be non-negative, got {band}")
+    return band
+
+
 def banded_edit_distance(a: DnaSequence, b: DnaSequence, band: int) -> int:
     """Banded Levenshtein distance.
 
@@ -188,8 +200,7 @@ def banded_edit_distance(a: DnaSequence, b: DnaSequence, band: int) -> int:
     lengths are supported as long as ``|len(a) - len(b)| <= band``
     (otherwise the distance trivially exceeds the band).
     """
-    if band < 0:
-        raise ThresholdError(f"band must be non-negative, got {band}")
+    band = _check_band(band)
     if abs(len(a) - len(b)) > band:
         return band + 1
     if len(a) == len(b):
@@ -238,11 +249,9 @@ def banded_edit_distance_batch(segments: np.ndarray, reads: np.ndarray,
             f"length mismatch: segments have {segments.shape[1]} columns, "
             f"reads have {reads.shape[1]}"
         )
-    if band < 0:
-        raise ThresholdError(f"band must be non-negative, got {band}")
+    k = _check_band(band)
     n_segments, length = segments.shape
     n_reads = reads.shape[0]
-    k = int(band)
     width = 2 * k + 1
     cap = np.int32(k + 1)
 

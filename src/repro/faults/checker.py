@@ -8,10 +8,7 @@ vacuous):
   errors (:class:`~repro.errors.ServiceError` /
   :class:`~repro.errors.CamConfigError` /
   :class:`~repro.errors.LedgerCompactionError`, per
-  :data:`~repro.faults.plan.FAULT_SPECS`), or the scenario handled
-  such an error through a documented recovery (e.g. retrying an
-  all-or-nothing submit) and still finished **bit-identical** to the
-  fault-free baseline;
+  :data:`~repro.faults.plan.FAULT_SPECS`);
 * **tolerated** — the run completed with results bit-identical
   (``==``) to the fault-free baseline;
 * anything else is a **violation**: an undocumented error type, an
@@ -20,9 +17,9 @@ vacuous):
 On top of the trichotomy, :class:`InvariantChecker` asserts resource
 hygiene around the chaos run: no leaked ``/dev/shm`` segments, no
 spawned processes left behind, thread count back at its baseline, and
-(when the scenario owns a catalog) all leases released.  Teardown is
-asynchronous (worker joins, finalizers), so hygiene polls briefly
-before declaring a leak.
+(when the scenario owns a catalog) all leases released.  Teardown may
+be asynchronous (weakref finalizers), so hygiene polls briefly before
+declaring a leak.
 
 Verdicts are pure data (:class:`ChaosVerdict`), JSON-ready for the
 ``tools/chaos_soak.py`` artifact, and deterministic for a given
@@ -38,7 +35,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
 from repro.faults.hooks import arm
 from repro.faults.plan import DOCUMENTED_ERRORS, Fault, FaultPlan
 
@@ -137,13 +133,11 @@ class ChaosVerdict:
 
 def judge(fired: "tuple[Fault, ...]",
           error: "BaseException | None",
-          handled: "tuple[BaseException, ...]",
           result, baseline) -> "tuple[str, str | None, str]":
     """The trichotomy as a pure function — unit-testable in isolation.
 
     Returns ``(verdict, error_type_name, detail)`` given the fired
-    faults, the exception that aborted the run (if any), the typed
-    errors the scenario handled through documented recoveries, and the
+    faults, the exception that aborted the run (if any), and the
     canonical results of the chaos and baseline runs.
     """
     if error is not None:
@@ -158,20 +152,9 @@ def judge(fired: "tuple[Fault, ...]",
                     f"typed error without a fired fault documenting "
                     f"it: {error!r}")
         return ("surfaced", type(error).__name__, "")
-    for exc in handled:
-        if not isinstance(exc, DOCUMENTED_ERRORS):
-            return ("violation", type(exc).__name__,
-                    f"scenario handled an undocumented error: {exc!r}")
-        if not any(fault.expected and isinstance(exc, fault.expected)
-                   for fault in fired):
-            return ("violation", type(exc).__name__,
-                    f"handled error without a fired fault documenting "
-                    f"it: {exc!r}")
     if result != baseline:
         return ("violation", None,
                 "completed run drifted from the fault-free baseline")
-    if handled:
-        return ("surfaced", type(handled[0]).__name__, "")
     return ("tolerated", None, "")
 
 
@@ -193,14 +176,7 @@ class InvariantChecker:
         """The scenario's fault-free canonical result (cached)."""
         cached = self._baselines.get(scenario.name)
         if cached is None:
-            outcome = scenario.run()
-            if outcome.handled:
-                raise ReproError(
-                    f"scenario {scenario.name!r} handled errors on its "
-                    f"fault-free baseline run: {outcome.handled!r}"
-                )
-            cached = outcome.result
-            self._baselines[scenario.name] = cached
+            cached = self._baselines[scenario.name] = scenario.run()
         return cached
 
     def check(self, scenario, plan: FaultPlan) -> ChaosVerdict:
@@ -208,26 +184,19 @@ class InvariantChecker:
         before = resource_snapshot()
         error: "BaseException | None" = None
         result = None
-        handled: "tuple[BaseException, ...]" = ()
         with arm(plan) as injector:
             try:
-                outcome = scenario.run()
-                result = outcome.result
-                handled = outcome.handled
-            except ReproError as exc:
-                error = exc
+                result = scenario.run()
             except BaseException as exc:  # noqa: BLE001 - judged below
                 error = exc
         fired = tuple(injector.fired)
-        verdict, error_type, detail = judge(fired, error, handled,
-                                            result, baseline)
+        verdict, error_type, detail = judge(fired, error, result, baseline)
         # Release the run's object graph before auditing hygiene: an
         # aborted run's traceback pins the scenario frames — service,
         # engine, queues and their semaphores — which would otherwise
         # read as a leak until this function returned.
         error = None
         result = None
-        handled = ()
         gc.collect()
         hygiene = tuple(_hygiene_violations(before))
         return ChaosVerdict(

@@ -27,7 +27,7 @@ import os
 import threading
 import time
 
-from repro.errors import CamConfigError, ServiceError
+from repro.errors import CamConfigError
 from repro.faults.plan import HOOK_POINTS, Fault, FaultPlan
 
 __all__ = ["FaultInjector", "arm", "fire", "armed"]
@@ -189,18 +189,10 @@ def _poison_read(fault: Fault, ctx: dict) -> None:
     )
 
 
-def _flood_backlog(fault: Fault, ctx: dict) -> None:
-    raise ServiceError(
-        f"frontend backlog full (injected saturation at hit "
-        f"{fault.hit}); drain sessions or slow the feed"
-    )
-
-
 _ACTIONS = {
     "store_truncate": _truncate_store,
     "store_crc_flip": _flip_payload_byte,
     "poisoned_open": _corrupt_store_file,
     "poisoned_read": _poison_read,
     "slow_batch": _stall,
-    "backlog_flood": _flood_backlog,
 }

@@ -51,8 +51,6 @@ HOOK_POINTS = (
     "refstore.open",
     "refstore.catalog.open",
     "service.stream.dispatch",
-    "service.frontend.enqueue",
-    "service.frontend.execute",
 )
 
 
@@ -92,19 +90,14 @@ FAULT_SPECS: "dict[str, FaultSpec]" = {
         doc="corrupt a store file on disk just before a catalog open",
     ),
     "poisoned_read": FaultSpec(
-        points=("service.stream.dispatch", "service.frontend.execute"),
+        points=("service.stream.dispatch",),
         expected=(CamConfigError, ServiceError),
         doc="raise a typed error mid-micro-batch from the dispatch path",
     ),
     "slow_batch": FaultSpec(
-        points=("service.stream.dispatch", "service.frontend.execute"),
+        points=("service.stream.dispatch",),
         expected=(),
         doc="delay a micro-batch dispatch (latency only; tolerated)",
-    ),
-    "backlog_flood": FaultSpec(
-        points=("service.frontend.enqueue",),
-        expected=(ServiceError,),
-        doc="simulate a saturated frontend backlog at enqueue",
     ),
 }
 

@@ -5,14 +5,13 @@ with a fixed route through the stack — direct segments into the
 streaming service, via a saved store file, via a catalog borrow, or
 through the multi-session frontend — and a declared set of applicable
 fault kinds (the hook points its route actually reaches).  ``run()``
-executes the workload once and returns a :class:`ScenarioOutcome`
-whose ``result`` is a canonical, ``==``-comparable projection of the
-final :class:`~repro.core.pipeline.MappingReport`; the
+executes the workload once and returns a canonical, ``==``-comparable
+projection of the final :class:`~repro.core.pipeline.MappingReport`;
+the
 :class:`~repro.faults.checker.InvariantChecker` compares armed runs
 against the fault-free baseline bit for bit.
 
-Scenario geometry is pinned (worker counts, micro-batch size) rather
-than autotuned, so hit indices — and therefore which dispatch a
+Scenario geometry is pinned (micro-batch size) rather than autotuned, so hit indices — and therefore which dispatch a
 scheduled fault lands on — are identical on every machine.  Every
 scenario issues exactly :data:`N_DISPATCHES` micro-batch dispatches
 (the last one at drain time), which is the ``max_hits`` a generated
@@ -34,7 +33,6 @@ __all__ = [
     "N_DISPATCHES",
     "SCENARIOS",
     "ChaosScenario",
-    "ScenarioOutcome",
     "canonical_report",
     "get_scenario",
 ]
@@ -86,17 +84,6 @@ def canonical_report(report) -> tuple:
 
 
 @dataclass(frozen=True)
-class ScenarioOutcome:
-    """``result`` plus the documented typed errors the scenario
-    *handled* through a sanctioned recovery (currently: retrying an
-    all-or-nothing submit after backlog saturation) — recorded so the
-    checker can demand they were caused by a fired fault."""
-
-    result: tuple
-    handled: "tuple[BaseException, ...]" = ()
-
-
-@dataclass(frozen=True)
 class ChaosScenario:
     """One fixed route through the stack plus its applicable faults."""
 
@@ -112,9 +99,6 @@ class ChaosScenario:
         """The hook points this route actually drives — plan
         generation attaches faults here only, so schedules are rarely
         vacuous."""
-        if self.route == "frontend":
-            return ("service.frontend.enqueue",
-                    "service.frontend.execute")
         points = ("service.stream.dispatch",)
         if self.route == "store":
             points += ("refstore.save", "refstore.open")
@@ -122,7 +106,7 @@ class ChaosScenario:
             points += ("refstore.save", "refstore.catalog.open")
         return points
 
-    def run(self) -> ScenarioOutcome:
+    def run(self) -> tuple:
         with tempfile.TemporaryDirectory(prefix="asmcap-chaos-") as dir_:
             if self.route == "stream":
                 return self._run_stream(None)
@@ -146,17 +130,17 @@ class ChaosScenario:
         kwargs.update(extra)
         return StreamingMappingService(source, **kwargs)
 
-    def _run_stream(self, _) -> ScenarioOutcome:
+    def _run_stream(self, _) -> tuple:
         segments, reads = _workload()
         service = self._service(segments)
         try:
             service.submit_many(reads)
-            return ScenarioOutcome(canonical_report(service.drain()))
+            return canonical_report(service.drain())
         finally:
             with contextlib.suppress(ReproError):
                 service.close()
 
-    def _run_store(self, workdir: Path) -> ScenarioOutcome:
+    def _run_store(self, workdir: Path) -> tuple:
         from repro.cam.array import StoredReference
         from repro.refstore.format import (
             open_stored_reference,
@@ -171,16 +155,14 @@ class ChaosScenario:
             service = self._service(mapped.reference)
             try:
                 service.submit_many(reads)
-                return ScenarioOutcome(
-                    canonical_report(service.drain())
-                )
+                return canonical_report(service.drain())
             finally:
                 with contextlib.suppress(ReproError):
                     service.close()
         finally:
             mapped.close()
 
-    def _run_catalog(self, workdir: Path) -> ScenarioOutcome:
+    def _run_catalog(self, workdir: Path) -> tuple:
         from repro.cam.array import StoredReference
         from repro.refstore import ReferenceCatalog
 
@@ -192,9 +174,7 @@ class ChaosScenario:
             service = self._service("ref", catalog=catalog)
             try:
                 service.submit_many(reads)
-                return ScenarioOutcome(
-                    canonical_report(service.drain())
-                )
+                return canonical_report(service.drain())
             finally:
                 with contextlib.suppress(ReproError):
                     service.close()
@@ -205,31 +185,18 @@ class ChaosScenario:
                 )
             catalog.close()
 
-    def _run_frontend(self) -> ScenarioOutcome:
+    def _run_frontend(self) -> tuple:
         from repro.service.frontend import MappingFrontend
 
         segments, reads = _workload()
         frontend = MappingFrontend(segments, _error_model(),
-                                   pool_workers=2, backend=self.backend)
-        handled: "list[BaseException]" = []
+                                   backend=self.backend)
         try:
             session = frontend.session(
                 THRESHOLD, seed=SEED, micro_batch=MICRO_BATCH,
             )
-            for read in reads:
-                try:
-                    session.submit(read)
-                except ServiceError as exc:
-                    if "backlog full" not in str(exc):
-                        raise
-                    # The documented recovery: a rejected submit is
-                    # all-or-nothing, so retrying the same read cannot
-                    # duplicate it.
-                    handled.append(exc)
-                    session.submit(read)
-            report = session.drain()
-            return ScenarioOutcome(canonical_report(report),
-                                   tuple(handled))
+            session.submit_many(reads)
+            return canonical_report(session.drain())
         finally:
             with contextlib.suppress(ReproError):
                 frontend.close()
@@ -237,7 +204,6 @@ class ChaosScenario:
 
 _SERVICE_KINDS = ("poisoned_read", "slow_batch")
 _STORE_KINDS = _SERVICE_KINDS + ("store_truncate", "store_crc_flip")
-_FRONTEND_KINDS = ("poisoned_read", "slow_batch", "backlog_flood")
 
 #: The chaos matrix: one scenario per route.  Every route's service
 #: compacts its ledger, and no scenario result reads a ledger value.
@@ -257,7 +223,7 @@ SCENARIOS: "tuple[ChaosScenario, ...]" = (
     ),
     ChaosScenario(
         name="frontend-batched-gemm", backend="numpy-gemm",
-        route="frontend", fault_kinds=_FRONTEND_KINDS,
+        route="frontend", fault_kinds=_SERVICE_KINDS,
     ),
 )
 

@@ -11,20 +11,23 @@ for autotuning (that is ``None``), and it should fail loudly instead
 of being coerced or surfacing as an unrelated lower-layer error.
 
 Every count knob passes :func:`check_count`, which also rejects a
-``bool``, ``float`` or ``str`` rather than truncating it.  Knobs that
-only exist at the service layer (the frontend's ``pool_workers=`` and
-``max_backlog=``) go through the same check but keep raising
-:class:`~repro.errors.ServiceError` there — this gate owns exactly the
+``bool``, ``float`` or ``str`` rather than truncating it.  Counts that
+live in one layer (the catalog's ``byte_budget=``, the sweep's
+``n_runs``) go through the same check but raise that layer's error
+(:class:`~repro.errors.RefStoreError`,
+:class:`~repro.errors.ArchConfigError`) — this gate owns exactly the
 knobs that thread through multiple layers.
 
 The same rule holds for the values every search threads down: a
 batch's one threshold (:func:`check_threshold`), a sweep's threshold
-vector (:func:`check_thresholds`) and the determinism keys
-(:func:`check_integer`, raising :class:`~repro.errors.CamConfigError`)
-are integers or an error, never truncated — ``threshold=2.7`` is a
-mistake, not ``T = 2``, and keys ``0.5`` and ``0.9`` are not one
-noise stream.  Contractlint ``CL304`` keeps truncating coercions of
-those parameters out of the rest of ``src/repro``.
+vector (:func:`check_thresholds`), the ground-truth DP's band, and
+the determinism keys and seeds (:func:`check_integer`, raising
+:class:`~repro.errors.CamConfigError`) are integers or an error, never
+truncated — ``threshold=2.7`` is a mistake, not ``T = 2``, keys
+``0.5`` and ``0.9`` are not one noise stream, and ``seed=True`` is not
+seed 1.  A seed is masked to 64 bits only after its gate.  Contractlint
+``CL304`` keeps truncating coercions of those parameters out of the
+rest of ``src/repro``.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from typing import Iterator
 
 from repro.cam.array import StoredReference
 from repro.errors import RefStoreError
+from repro.knobs import check_count
 from repro.faults.hooks import fire as _fire_fault
 from repro.refstore.format import (
     MappedReference,
@@ -144,14 +145,9 @@ class ReferenceCatalog:
     """
 
     def __init__(self, byte_budget: "int | None" = None):
-        if byte_budget is not None:
-            byte_budget = int(byte_budget)
-            if byte_budget <= 0:
-                raise RefStoreError(
-                    f"byte_budget must be positive or None, got "
-                    f"{byte_budget}"
-                )
-        self._byte_budget = byte_budget
+        check_count("byte_budget", byte_budget, RefStoreError)
+        self._byte_budget = (None if byte_budget is None
+                             else int(byte_budget))
         self._lock = threading.Lock()
         self._entries: "dict[str, _Entry]" = {}
         self._clock = 0

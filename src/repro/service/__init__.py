@@ -2,8 +2,8 @@
 
 One-shot experiments hand the engines a complete read block;
 :mod:`repro.service` keeps the system up while reads arrive
-incrementally, with flat memory.  It has one session type with two
-executors:
+incrementally, with flat memory.  It has one session type, run on
+the thread that feeds it:
 
 * :class:`MappingSession` (:mod:`repro.service.session`) — the one
   session core: it coalesces reads into autotuned micro-batches, keys
@@ -12,15 +12,14 @@ executors:
   :data:`DEFAULT_SERVICE_COMPACTION` live events
   (:class:`repro.cost.ledger.CostLedger`), so memory stays flat and no
   service takes a compaction knob;
-* :class:`StreamingMappingService` — the *inline* executor: one
-  session whose micro-batches run on the caller's thread before
+* :class:`StreamingMappingService` — one standalone session over its
+  own reference, whose micro-batches run on the caller's thread before
   ``submit`` returns;
-* :class:`MappingFrontend` — the *pooled* executor: the reference is
-  resolved and stored **once** and many sessions multiplex over it
-  through one persistent autotuned worker pool with fair round-robin
-  scheduling and a bounded backlog; each session is bit-identical to a
-  standalone :class:`StreamingMappingService` with the same seed and
-  reads, by construction;
+* :class:`MappingFrontend` — the reference is resolved and stored
+  **once** and many sessions are opened over it, each run on the
+  thread that feeds it (the frontend starts no thread); each session
+  is bit-identical to a standalone :class:`StreamingMappingService`
+  with the same seed and reads, by construction;
 * :class:`ServiceStats` — the observability snapshot (throughput,
   reads in flight, per-strategy pass counts, energy/latency from the
   compacted ledger views);

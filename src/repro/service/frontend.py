@@ -1,4 +1,4 @@
-"""Multi-session concurrent mapping front end over one shared reference.
+"""Multi-session mapping front end over one shared reference.
 
 The accelerator's whole economic argument is amortisation: one
 expensive resource — the reference, encoded and stored in the CAM
@@ -17,28 +17,23 @@ arrays — serves an entire read workload.  The standalone
   seed (keyed noise prefix, HDAC stream), threshold, micro-batch size,
   compacting cost ledgers and aggregate report, all borrowing the
   shared reference;
-* **one worker pool** — the sessions' *pooled* executor: a persistent,
-  autotuned (:func:`repro.arch.autotune.plan_service_pool`) pool of
-  dispatch workers runs queued micro-batches **fairly**, round-robin
-  across sessions with pending work, so one heavy feed cannot starve
-  the others; a session's own batches run serially, in submission
-  order, which keeps its report folding deterministic;
-* **bounded backlog** — at most ``max_backlog`` queued micro-batches
-  frontend-wide; a full backlog blocks the submitting thread until a
-  worker frees a slot.
+* **no threads of its own** — each session runs its micro-batches on
+  the thread that feeds it, exactly as the standalone service does.
+  Sessions fed from different client threads run concurrently; the
+  parallelism inside one engine call is the count kernel's BLAS
+  (DESIGN.md, "Layer audit: one session executor").
 
 **Session-isolation contract.**  A session is the same
 :class:`~repro.service.session.MappingSession` as the standalone
-service, run by a different executor, so with the same ``(seed,
+service, built by the same function, so with the same ``(seed,
 threshold, micro_batch)`` and reads it is
 **bit-identical** to a standalone service, however many other
-sessions run, however their feeds interleave, however many pool
-workers exist and wherever micro-batch boundaries fall: every random
-draw is keyed by ``(seed, read index, pass)``, the shared reference is
-immutable, and per-session state is never shared.  A failed engine
-call is sticky on its own session only.  ``tests/service/
-test_frontend.py`` keeps the twin comparison as a regression test of
-the two executors; DESIGN.md states the binding rules.
+sessions run, however their feeds interleave and wherever micro-batch
+boundaries fall: every random draw is keyed by ``(seed, read index,
+pass)``, the shared reference is immutable, and per-session state is
+never shared.  A failed engine call is sticky on its own session only.
+``tests/service/test_frontend.py`` keeps the twin comparison as a
+regression test; DESIGN.md states the binding rules.
 """
 
 from __future__ import annotations
@@ -48,18 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arch.autotune import plan_service_pool
 from repro.cam.array import StoredReference, as_segments_matrix
 from repro.core.matcher import MatcherConfig
 from repro.cost.events import ReferenceLoad
 from repro.cost.ledger import CostLedger
 from repro.errors import CamConfigError, ServiceError
 from repro.genome.edits import ErrorModel
-from repro.knobs import (
-    check_count,
-    validate_reference_source,
-    validate_service_knobs,
-)
+from repro.knobs import validate_reference_source, validate_service_knobs
 from repro.service.session import MappingSession, build_pipeline
 
 __all__ = ["MappingFrontend", "MappingSession"]
@@ -99,13 +89,6 @@ class MappingFrontend:
         override).
     domain / noisy:
         Array configuration shared by every session's arrays.
-    pool_workers:
-        Dispatch workers in the persistent pool; ``None`` autotunes
-        via :func:`repro.arch.autotune.plan_service_pool`.
-    max_backlog:
-        Queued micro-batches (frontend-wide) before a submit that
-        fills the backlog waits for a worker; ``None`` autotunes (from
-        the resolved worker count).
     backend:
         Default kernel backend for every session's arrays (``None`` =
         the standard selection order; see :mod:`repro.kernels`);
@@ -127,8 +110,6 @@ class MappingFrontend:
                  config: "MatcherConfig | None" = None,
                  domain: str = "charge",
                  noisy: bool = True,
-                 pool_workers: "int | None" = None,
-                 max_backlog: "int | None" = None,
                  backend: "str | None" = None,
                  catalog: "object | None" = None):
         validate_service_knobs(backend=backend)
@@ -144,8 +125,6 @@ class MappingFrontend:
             )
         if catalog is None:
             validate_reference_source(segments)
-        check_count("pool_workers", pool_workers, ServiceError)
-        check_count("max_backlog", max_backlog, ServiceError)
         self._model = error_model
         self._config = config
         self._domain = domain
@@ -156,38 +135,20 @@ class MappingFrontend:
         #: ReferenceLoad per resolved reference (the encode-once
         #: evidence) — session ledgers only ever see search passes.
         self._ledger = CostLedger()
-        self._ref_lock = threading.Lock()
+        #: Guards the reference states, the session list and the open
+        #: flag: ``close`` clears the flag before it closes sessions or
+        #: unpins leases, so nothing opened after it is left running.
+        self._lock = threading.Lock()
         #: Resolved references by catalog name; a segments (or stored
         #: reference) frontend holds its one pre-resolved state under
         #: ``None``.
         self._ref_states: "dict[str | None, _RefState]" = {}
         self._default: "_RefState | None" = None
-        if catalog is None:
-            self._default = self._ref_states[None] = self._resolve(segments)
-
-        # --- persistent dispatch pool ----------------------------------
-        # The backlog scales with the *resolved* worker count (an
-        # explicit pool_workers override included).
-        plan = plan_service_pool(pool_workers)
-        self._pool_workers = plan.n_workers
-        self._max_backlog = int(plan.max_backlog if max_backlog is None
-                                else max_backlog)
-        self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._backlog_free = threading.Condition(self._lock)
-        self._backlog_count = 0
         self._sessions: "list[MappingSession]" = []
-        self._rr_next = 0
         self._running = True
         self._closed = False
-        self._threads = [
-            threading.Thread(target=self._worker_loop,
-                             name=f"asmcap-frontend-worker-{i}",
-                             daemon=True)
-            for i in range(self._pool_workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        if catalog is None:
+            self._default = self._ref_states[None] = self._resolve(segments)
 
     # -- configuration ------------------------------------------------------
 
@@ -206,13 +167,13 @@ class MappingFrontend:
 
     @property
     def pool_workers(self) -> int:
-        """Persistent dispatch-worker threads."""
-        return self._pool_workers
+        """Always 0: sessions run on the threads that feed them.
 
-    @property
-    def max_backlog(self) -> int:
-        """Queued micro-batches before a submit waits for a worker."""
-        return self._max_backlog
+        Kept read-only for the benchmark's configuration record, which
+        still reads it; it goes with the PR that edits ``perfbench/``
+        (ROADMAP item 1).
+        """
+        return 0
 
     @property
     def closed(self) -> bool:
@@ -229,7 +190,7 @@ class MappingFrontend:
     def stored_references(self) -> "tuple[StoredReference, ...]":
         """The shared references — on a catalog frontend, every
         reference opened so far (open order)."""
-        with self._ref_lock:
+        with self._lock:
             return tuple(state.reference
                          for state in self._ref_states.values())
 
@@ -239,7 +200,7 @@ class MappingFrontend:
         ``n_encodes`` otherwise (**0** for a catalog's mmap-opened
         files), however many sessions open (the encode-once
         evidence)."""
-        with self._ref_lock:
+        with self._lock:
             return sum(state.reference.n_encodes
                        for state in self._ref_states.values())
 
@@ -268,11 +229,11 @@ class MappingFrontend:
         """The shared state of catalog reference *name*, borrowed (and
         pinned until :meth:`close`) on first use.
 
-        The open check runs under ``_ref_lock``: :meth:`close` stops the
-        frontend before it takes that lock to unpin, so a lease borrowed
-        here is always one :meth:`close` releases.
+        The open check runs under the frontend lock, which :meth:`close`
+        holds to stop the frontend and again to unpin, so a lease
+        borrowed here is always one :meth:`close` releases.
         """
-        with self._ref_lock:
+        with self._lock:
             if not self._running:
                 raise ServiceError("the mapping frontend has been closed")
             state = self._ref_states.get(name)
@@ -332,9 +293,10 @@ class MappingFrontend:
         with self._lock:
             if not self._running:
                 raise ServiceError("the mapping frontend has been closed")
+            index = len(self._sessions)
             session = MappingSession(
-                self, len(self._sessions), pipeline, threshold,
-                micro_batch, retain_mappings,
+                pipeline, threshold, micro_batch, retain_mappings,
+                index=index, label=f"session {index}",
             )
             self._sessions.append(session)
             return session
@@ -342,72 +304,39 @@ class MappingFrontend:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Drain every open session, stop the workers and release the
-        shared references.
+        """Stop opening sessions, drain and close every open one, and
+        release the shared references.
 
-        Idempotent.  Sessions that already failed are skipped (their
-        owners saw — or will see — the ``ServiceError``); everything
-        else is drained through the still-running workers first, so no
-        accepted read is silently dropped.
+        Idempotent.  New sessions are refused first, so a
+        :meth:`session` call racing this one either raises
+        :class:`~repro.errors.ServiceError` or returns a session that
+        is closed here.  Sessions that already failed are skipped
+        (their owners saw — or will see — the ``ServiceError``);
+        everything else is drained first (each close waits for a batch
+        another thread has in flight), so no accepted read is silently
+        dropped.
         """
-        if self._closed:
-            return
-        for session in self.sessions:
+        with self._lock:
+            if self._closed:
+                return
+            self._running = False
+            sessions = tuple(self._sessions)
+        for session in sessions:
             if not session.closed:
                 try:
                     session.close()
                 except ServiceError:
                     pass  # failed session: its owner handles the error
         with self._lock:
-            self._running = False
-            self._work.notify_all()
-            self._backlog_free.notify_all()
-            # Wake any drainer of a session that raced past the drain
-            # sweep above (opened concurrently with this close) so it
-            # raises instead of waiting on workers that are gone.
-            for session in self._sessions:
-                session._idle.notify_all()
-        for thread in self._threads:
-            thread.join()
-        with self._ref_lock:
             # Unpin catalog leases so the catalog may evict.  The
             # catalog itself belongs to the caller and stays open.
             for state in self._ref_states.values():
                 if state.lease is not None:
                     state.lease.close()
-        self._closed = True
+            self._closed = True
 
     def __enter__(self) -> "MappingFrontend":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    # -- pooled executor ----------------------------------------------------
-
-    def _next_task_locked(self):
-        """Pick the next ``(session, batch)`` fairly — round-robin over
-        sessions with pending work whose serial slot is free."""
-        n = len(self._sessions)
-        for offset in range(n):
-            position = (self._rr_next + offset) % n
-            session = self._sessions[position]
-            if session._pending and not session._executing:
-                self._rr_next = (position + 1) % n
-                return session, session._pending.popleft()
-        return None
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                task = self._next_task_locked()
-                while task is None:
-                    if not self._running:
-                        return
-                    self._work.wait()
-                    task = self._next_task_locked()
-                session, (first, codes) = task
-                session._executing = True
-                self._backlog_count -= 1
-                self._backlog_free.notify_all()
-            session._execute(first, codes)

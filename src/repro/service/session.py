@@ -5,35 +5,41 @@ validates and coalesces reads into micro-batches, keys each batch by
 its offset in the stream, runs the engine (one
 :meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` per
 micro-batch), folds every batch report into the session aggregate and
-snapshots :class:`ServiceStats`.  Two executors run the batches, and
-nothing else differs between them:
+snapshots :class:`ServiceStats`.
 
-* **pooled** — the persistent workers of a
-  :class:`~repro.service.frontend.MappingFrontend`: round-robin across
-  sessions, a bounded backlog, ``drain`` waits for the queue;
-* **inline** — the caller's thread, before ``submit`` returns.
-  :class:`~repro.service.stream.StreamingMappingService` is the session
-  on this executor.
+There is one executor: the thread that fills a micro-batch runs it,
+before ``submit`` / ``submit_many`` returns (``flush``, ``drain`` and
+``close`` run a partial one the same way).  The standalone
+:class:`~repro.service.stream.StreamingMappingService` is one such
+session; each :meth:`MappingFrontend.session
+<repro.service.frontend.MappingFrontend.session>` is another, over a
+reference the frontend resolved once.  A frontend session and a
+standalone service with the same seed, threshold, micro-batch and reads
+are therefore bit-identical by construction (DESIGN.md, "Session
+isolation").
 
-A frontend session and a standalone service with the same seed,
-threshold, micro-batch and reads are therefore bit-identical by
-construction (DESIGN.md, "Session isolation").
+**One dispatch at a time.**  Every call that changes a session's
+stream (``submit``, ``submit_many``, ``flush``, ``drain``, ``close``)
+holds its dispatch mutex, so its batches take their keys and fold in
+key order, and a ``drain`` or ``close`` from another thread returns
+only after an engine call in flight has folded in.  The session lock
+is held only around state changes, never across the engine call, so
+``report`` and the counters stay readable while a batch runs.
 
 **Sticky failures.**  A failed engine call poisons its session: the
 batch it was running is lost, so every later ``submit`` / ``flush`` /
 ``drain`` / ``close`` raises :class:`~repro.errors.ServiceError`
 chained to the cause instead of keying further reads at a wrong
-offset.  On the inline executor the call that ran the batch re-raises
-the engine's own error first.  A fault raised at a dispatch hook
-*before* the batch is taken (a poisoned read) leaves the reads
-buffered and the session usable.
+offset.  The call that ran the batch re-raises the engine's own error
+first.  A fault raised at the dispatch hook *before* the batch is
+taken (a poisoned read) leaves the reads buffered and the session
+usable.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
@@ -81,8 +87,8 @@ class ServiceStats:
     ----------
     reads_submitted / reads_dispatched / reads_in_flight:
         Stream accounting: everything accepted, everything an engine
-        call completed, and the difference (buffered, queued or
-        running — and, after a failed engine call, lost).
+        call completed, and the difference (buffered or running — and,
+        after a failed engine call, lost).
     reads_mapped:
         Dispatched reads with at least one matched row.
     batches_dispatched / micro_batch:
@@ -161,15 +167,18 @@ class MappingSession:
 
     ``submit`` / ``submit_many`` / ``flush`` / ``drain`` / ``close`` /
     ``stats`` / ``report``.  A session is fed by one client thread;
-    results and lifecycle are safe to *read* from others.  Pooled
-    sessions come from :meth:`MappingFrontend.session
-    <repro.service.frontend.MappingFrontend.session>`; the inline
-    session is :class:`~repro.service.stream.StreamingMappingService`.
+    results and lifecycle are safe to *read*, and ``drain`` / ``close``
+    safe to call, from others.  Frontend sessions come from
+    :meth:`MappingFrontend.session
+    <repro.service.frontend.MappingFrontend.session>` (``index`` is the
+    open order and ``label`` names the session in errors); the
+    standalone session is
+    :class:`~repro.service.stream.StreamingMappingService`.
     """
 
-    def __init__(self, frontend, index: int,
-                 pipeline: ReadMappingPipeline, threshold: int,
-                 micro_batch: "int | None", retain_mappings: bool):
+    def __init__(self, pipeline: ReadMappingPipeline, threshold: int,
+                 micro_batch: "int | None", retain_mappings: bool, *,
+                 index: int = 0, label: str = "the streaming service"):
         threshold = check_integer("threshold", threshold, ThresholdError)
         if threshold < 0:
             raise ThresholdError(
@@ -178,28 +187,23 @@ class MappingSession:
         stored = pipeline.matcher.array.stored
         if micro_batch is None:
             micro_batch = plan_microbatch(stored.n_segments, stored.cols)
-        #: The pooled executor's frontend; ``None`` runs inline.
-        self._frontend = frontend
-        self._label = (f"session {index}" if frontend is not None
-                       else "the streaming service")
+        self._label = label
         self._index = index
         self._pipeline = pipeline
         self._threshold = threshold
         self._micro_batch = int(micro_batch)
         self._retain_mappings = bool(retain_mappings)
         self._cols = int(stored.cols)
-        #: A pooled session shares the frontend's lock (which guards
-        #: everything below); an inline one owns its own.
-        self._lock = (threading.Lock() if frontend is None
-                      else frontend._lock)
-        #: Serialises engine calls against ledger-reading observability;
-        #: always acquired BEFORE ``_lock`` (the one lock-ordering rule).
+        #: Held by every call that changes the stream, across its
+        #: engine call; always acquired BEFORE ``_lock`` (the one
+        #: lock-ordering rule).
         self._dispatch_mutex = threading.Lock()
+        #: Guards the state below for readers; held only around
+        #: changes, never across an engine call.
+        self._lock = threading.Lock()
         #: Coalescing buffer: validated ``(k, N)`` read blocks.
         self._buffer: "list[np.ndarray]" = []
         self._n_buffered = 0
-        self._pending: "deque[tuple[int, np.ndarray]]" = deque()
-        self._executing = False
         self._report = MappingReport()
         self._last_batch = MappingReport()
         self._n_submitted = 0
@@ -210,7 +214,6 @@ class MappingSession:
         self._closing = False
         self._failure: "BaseException | None" = None
         self._started_at: "float | None" = None
-        self._idle = threading.Condition(self._lock)
 
     # -- configuration ------------------------------------------------------
 
@@ -246,8 +249,8 @@ class MappingSession:
     def report(self) -> MappingReport:
         """The aggregate over every *completed* engine call.
 
-        Buffered or queued reads are not in it yet; :meth:`drain` for a
-        complete view.  A defensive
+        Buffered reads and a batch still in the engine are not in it
+        yet; :meth:`drain` for a complete view.  A defensive
         :meth:`~repro.core.pipeline.MappingReport.snapshot`: callers may
         mutate it without corrupting the session's live aggregates.
         :meth:`drain` and :meth:`close` return the same kind of snapshot.
@@ -278,23 +281,20 @@ class MappingSession:
     # -- feed ---------------------------------------------------------------
 
     def submit(self, read: "np.ndarray | ReadRecord") -> None:
-        """Accept one read; hand a micro-batch to the executor whenever
-        the buffer fills (inline: it runs before this call returns).
+        """Accept one read; run a micro-batch whenever the buffer fills,
+        before this call returns.
 
         Raises :class:`~repro.errors.CamConfigError` for a read that is
         not an integer code vector in 0..255 of the reference width,
-        and :class:`~repro.errors.ServiceError` once the session (or its
-        frontend) is closed or failed.  Pooled, a full frontend backlog
-        blocks here until a worker frees a slot.  A rejected pooled
-        submit is **all-or-nothing**: the read was *not* accepted, so
-        the caller retries the same read after backing off.
+        and :class:`~repro.errors.ServiceError` once the session is
+        closing, closed or failed.
         """
         self._accept(self._read_codes(read)[None])
 
     def submit_many(
             self,
             reads: "Iterable[np.ndarray] | Iterable[ReadRecord]") -> int:
-        """Consume any read iterable, handing batches off as they fill.
+        """Consume any read iterable, running batches as they fill.
 
         Lazy — an endless generator works: each step pulls at most the
         buffer's free room (``micro_batch`` minus the buffered reads),
@@ -305,16 +305,13 @@ class MappingSession:
         Per read, the outcome is :meth:`submit`'s: a bad read at slice
         position ``k`` accepts reads ``0..k-1`` and raises the error
         ``submit`` raises for it (the slice's later reads were pulled
-        from the iterable but are not accepted).  A refused pooled
-        enqueue hands the **whole slice** back (``reads_submitted``
-        returns to its value before the slice) and raises; earlier
-        slices stay accepted.
+        from the iterable but are not accepted).
         """
         reads = iter(reads)
         n = 0
         while True:
-            # One feeding thread owns the buffer's fill level, so the
-            # room read here cannot go stale before the slice lands.
+            # One feeding thread fills the buffer; another thread's
+            # flush can only empty it, so this room never overfills.
             room = max(1, self._micro_batch - self._n_buffered)
             block, error = self._block_codes(list(islice(reads, room)))
             if block is not None:
@@ -369,85 +366,68 @@ class MappingSession:
         return (np.stack(codes) if codes else None), error
 
     def _accept(self, block: np.ndarray) -> None:
-        """Buffer a validated ``(k, N)`` block under one lock hold and
-        hand the buffer to the executor once it is full."""
-        with self._lock:
-            self._check_open_locked()
-            if self._started_at is None:
-                self._started_at = time.perf_counter()
-            self._buffer.append(block)
-            self._n_buffered += block.shape[0]
-            self._n_submitted += block.shape[0]
-            if self._n_buffered < self._micro_batch:
-                return
-            if self._frontend is None:
-                self._run_inline_locked()
-                return
-            try:
-                self._enqueue_locked()
-            except ServiceError:
-                # The enqueue was refused (a fault at the enqueue
-                # hook, or the frontend stopped while this submit
-                # waited): hand the block back so a retry cannot
-                # duplicate it.
-                self._buffer.pop()
-                self._n_buffered -= block.shape[0]
-                self._n_submitted -= block.shape[0]
-                raise
+        """Buffer a validated ``(k, N)`` block and run the buffer once
+        it is full."""
+        with self._dispatch_mutex:
+            with self._lock:
+                self._check_open_locked()
+                if self._started_at is None:
+                    self._started_at = time.perf_counter()
+                self._buffer.append(block)
+                self._n_buffered += block.shape[0]
+                self._n_submitted += block.shape[0]
+                if self._n_buffered < self._micro_batch:
+                    return
+            self._dispatch()
 
     # -- lifecycle ----------------------------------------------------------
 
     def flush(self) -> int:
-        """Hand the buffered reads to the executor now, full micro-batch
-        or not, and return how many (0 when the buffer was empty).
-
-        Inline, they have run when this returns; pooled, they are only
-        queued — :meth:`drain` waits for them.
-        """
-        with self._lock:
-            self._check_open_locked()
-            return self._enqueue_locked()
+        """Run the buffered reads now, full micro-batch or not, and
+        return how many (0 when the buffer was empty)."""
+        with self._dispatch_mutex:
+            with self._lock:
+                self._check_open_locked()
+            return self._dispatch()
 
     def drain(self) -> MappingReport:
-        """Flush, wait until every accepted read has run, and return the
-        aggregate report (a defensive snapshot).
+        """Flush, and return the aggregate report (a defensive
+        snapshot) once every accepted read has run — including a batch
+        another thread has in the engine.
 
         The session stays open — a long-running caller drains at
         checkpoint boundaries and keeps feeding.
         """
-        with self._lock:
-            self._check_open_locked()
-            self._enqueue_locked()
-            self._wait_idle_locked()
-            return self._report.snapshot()
+        with self._dispatch_mutex:
+            with self._lock:
+                self._check_open_locked()
+            self._dispatch()
+            with self._lock:
+                return self._report.snapshot()
 
     def close(self) -> MappingReport:
         """Drain, end the session, and return the final report.
 
         Idempotent; later :meth:`submit` / :meth:`flush` /
-        :meth:`drain` calls raise :class:`~repro.errors.ServiceError`.
-        Each call returns a fresh defensive snapshot.
+        :meth:`drain` calls raise :class:`~repro.errors.ServiceError`,
+        and so does a feed from another thread once this call has
+        begun.  Each call returns a fresh defensive snapshot.
         """
         with self._lock:
             if not self._closed:
                 self._check_failure_locked()
-                # Refuse new feeds from here on: a concurrent submitter
-                # refilling the queue must not keep the drain below
-                # from ever terminating.
+                # Refuse new feeds before waiting for the dispatch
+                # mutex: a feeder looping on submit must not keep this
+                # drain from ever starting.
                 self._closing = True
-                if self._executor_running:
-                    self._enqueue_locked()
-                    self._wait_idle_locked()
-                elif self._buffer or self._pending or self._executing:
-                    # The frontend stopped (no workers left) while this
-                    # session still had accepted-but-unexecuted reads:
-                    # surface the loss instead of waiting forever.
-                    raise ServiceError(
-                        f"the mapping frontend was closed while "
-                        f"{self._label} still had reads in flight"
-                    )
+        with self._dispatch_mutex:
+            if not self._closed:
+                with self._lock:
+                    self._check_failure_locked()
+                self._dispatch()
+            with self._lock:
                 self._closed = True
-            return self._report.snapshot()
+                return self._report.snapshot()
 
     def __enter__(self) -> "MappingSession":
         return self
@@ -467,7 +447,7 @@ class MappingSession:
         """Snapshot this session's observable state
         (:class:`ServiceStats`)."""
         # Lock order: dispatch mutex first (freezes the ledgers), then
-        # the session lock (freezes the counters) — as executors do.
+        # the session lock (freezes the counters) — as dispatches do.
         with self._dispatch_mutex:
             stats = search_stats(self._pipeline.ledger)
             (pass_counts, events_live, events_folded, population,
@@ -495,11 +475,7 @@ class MappingSession:
                     compactions=compactions,
                 )
 
-    # -- internals (session lock held) --------------------------------------
-
-    @property
-    def _executor_running(self) -> bool:
-        return self._frontend is None or self._frontend._running
+    # -- internals ----------------------------------------------------------
 
     def _check_failure_locked(self) -> None:
         if self._failure is not None:
@@ -511,132 +487,46 @@ class MappingSession:
         self._check_failure_locked()
         if self._closed or self._closing:
             raise ServiceError(f"{self._label} has been closed")
-        if not self._executor_running:
-            raise ServiceError("the mapping frontend has been closed")
 
-    def _take_locked(self) -> "tuple[int, np.ndarray]":
-        """Swap the coalescing buffer out as one ``(B, N)`` batch.
+    def _dispatch(self) -> int:
+        """Run the buffered reads as one micro-batch on this thread and
+        fold the result; return how many ran.
 
-        The batch's key base (``first_read_index``) is assigned here, in
-        submission order, so no executor scheduling can perturb the
-        keyed noise streams.  A buffer of one block (a whole
-        ``submit_many`` slice) is the batch as-is.
+        Called with the dispatch mutex held (it alone changes the
+        buffer), without the session lock: the engine call runs outside
+        it.  The batch's key base (``first_read_index``) is its offset
+        in submission order, and batches fold in that order, with one
+        :meth:`~repro.core.pipeline.MappingReport.add` each — the
+        per-read left fold a one-shot run performs, so the aggregate
+        totals are bit-identical to it.  A failure is recorded (sticky)
+        and the engine's error re-raised.
         """
-        blocks = self._buffer
-        batch = (self._n_enqueued,
-                 blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
-        self._buffer = []
-        self._n_enqueued += self._n_buffered
-        self._n_buffered = 0
-        return batch
-
-    def _run_inline_locked(self) -> int:
-        """Inline executor: run the buffered batch on the caller's
-        thread, releasing the lock around the engine call (the same
-        lock order a pool worker uses)."""
+        if not self._buffer:
+            return 0
         # Chaos hook, before the buffer swap: a poisoned-read fault
         # raising here leaves the reads coalesced, so a later drain
         # (e.g. the close() path) still runs them once.
         _fire_fault("service.stream.dispatch", service=self,
                     first_read_index=self._n_enqueued)
-        first, codes = self._take_locked()
-        self._lock.release()
+        with self._lock:
+            blocks = self._buffer
+            first = self._n_enqueued
+            codes = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            self._buffer = []
+            self._n_enqueued += self._n_buffered
+            self._n_buffered = 0
         try:
-            failure = self._execute(first, codes)
-        finally:
-            self._lock.acquire()
-        if failure is not None:
-            raise failure
-        return len(codes)
-
-    def _enqueue_locked(self) -> int:
-        """Hand the coalescing buffer to the executor.
-
-        Inline, the batch runs now.  Pooled, it joins the frontend's
-        work queue under the backlog bound, blocking (and releasing the
-        lock) while the backlog is full; if the enqueue is refused the
-        reads stay buffered for a later retry.
-        """
-        if not self._buffer:
-            return 0
-        if self._frontend is None:
-            return self._run_inline_locked()
-        frontend = self._frontend
-        # Chaos hook: a backlog-saturation fault raises a documented
-        # ServiceError here, so the all-or-nothing submit unwind is
-        # exercised for real.
-        _fire_fault("service.frontend.enqueue", session=self)
-        while frontend._backlog_count >= frontend._max_backlog:
-            frontend._backlog_free.wait()
-            # Not _check_open_locked: close() itself enqueues through
-            # here after setting _closing — only a dispatch failure or
-            # a stopped frontend should abort the wait.
-            self._check_failure_locked()
-            if not frontend._running:
-                raise ServiceError("the mapping frontend has been closed")
-        batch = self._take_locked()
-        self._pending.append(batch)
-        frontend._backlog_count += 1
-        frontend._work.notify()
-        return len(batch[1])
-
-    def _wait_idle_locked(self) -> None:
-        """Wait until every queued batch of this session completed."""
-        while self._pending or self._executing:
-            if not self._executor_running:
-                raise ServiceError(
-                    f"the mapping frontend was closed while "
-                    f"{self._label} still had reads in flight"
-                )
-            self._idle.wait()
-            self._check_failure_locked()
-        self._check_failure_locked()
-
-    # -- execution (called WITHOUT the session lock) ------------------------
-
-    def _execute(self, first: int,
-                 codes: np.ndarray) -> "BaseException | None":
-        """Run one micro-batch through the engine and fold the result.
-
-        The engine call runs outside the session lock but inside the
-        dispatch mutex (the per-session serialisation observability
-        relies on).  The fold is one
-        :meth:`~repro.core.pipeline.MappingReport.add` under the lock,
-        which continues the per-read left fold a one-shot run performs,
-        so the aggregate totals are bit-identical to it.  A failure is
-        recorded (sticky) and returned; queued batches are dropped so
-        blocked feeders and drainers wake instead of hanging.
-        """
-        with self._dispatch_mutex:
-            failure: "BaseException | None" = None
-            try:
-                if self._frontend is not None:
-                    # Chaos hook inside the try: a poisoned read raised
-                    # here fails the session like an engine error.
-                    _fire_fault("service.frontend.execute", session=self,
-                                first_read_index=first)
-                report = self._pipeline.run_batched(
-                    codes, self._threshold,
-                    first_read_index=first)
-            except BaseException as exc:  # noqa: BLE001 — kept for the feeder
-                failure = exc
+            report = self._pipeline.run_batched(
+                codes, self._threshold, first_read_index=first)
+        except BaseException as exc:
             with self._lock:
-                if failure is None:
-                    self._report.add(report)
-                    if not self._retain_mappings:
-                        self._report.clear_mappings()
-                    self._last_batch = report
-                    self._n_dispatched += len(codes)
-                    self._n_batches += 1
-                else:
-                    self._failure = failure
-                    dropped = len(self._pending)
-                    self._pending.clear()
-                    if dropped:
-                        self._frontend._backlog_count -= dropped
-                        self._frontend._backlog_free.notify_all()
-                self._executing = False
-                if self._pending:
-                    self._frontend._work.notify()
-                self._idle.notify_all()
-        return failure
+                self._failure = exc
+            raise
+        with self._lock:
+            self._report.add(report)
+            if not self._retain_mappings:
+                self._report.clear_mappings()
+            self._last_batch = report
+            self._n_dispatched += len(codes)
+            self._n_batches += 1
+        return len(codes)

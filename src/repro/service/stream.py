@@ -1,12 +1,12 @@
-"""Long-running streaming read-mapping service: the inline session.
+"""Long-running streaming read-mapping service: the standalone session.
 
 Every one-shot execution path hands
 :meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` a complete
 read block and gets a report back.  A sequencing front-end does not
 work like that — reads arrive incrementally, for hours.
 :class:`StreamingMappingService` is the long-running entry point: a
-:class:`~repro.service.session.MappingSession` whose executor is the
-caller's own thread.
+:class:`~repro.service.session.MappingSession` over its own
+reference, run on the caller's own thread.
 
 * **feed** — reads are submitted one at a time (or from any iterator)
   and coalesced into micro-batches sized by
@@ -74,8 +74,8 @@ __all__ = [
 class StreamingMappingService(MappingSession):
     """Accept reads incrementally; map them in autotuned micro-batches.
 
-    The one session of the inline executor: this constructor resolves
-    the knobs and the reference source and builds the engine; feeding,
+    A session with its own reference: this constructor resolves the
+    knobs and the reference source and builds the engine; feeding,
     lifecycle and observability are
     :class:`~repro.service.session.MappingSession`'s.
 
@@ -151,7 +151,7 @@ class StreamingMappingService(MappingSession):
                 error_model, config, seed=seed, backend=backend,
                 domain=domain, noisy=noisy,
             )
-            super().__init__(None, 0, pipeline, threshold, micro_batch,
+            super().__init__(pipeline, threshold, micro_batch,
                              retain_mappings)
         except BaseException:
             self._release()
@@ -199,8 +199,7 @@ def stream_mapped(service: StreamingMappingService,
         before = service.batches_dispatched
         fed = service.submit_many(islice(reads, service.micro_batch))
         # A micro-batch of reads completes at most one micro-batch, and
-        # the inline executor runs it inside this call — a new batch
-        # here is always ours.
+        # it runs inside this call — a new batch here is always ours.
         if service.batches_dispatched != before:
             yield from service.last_batch_mappings
         if fed < service.micro_batch:

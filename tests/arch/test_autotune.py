@@ -1,4 +1,4 @@
-"""Tests for micro-batch, pool, sweep-worker and backend autotuning."""
+"""Tests for micro-batch, sweep-worker and backend autotuning."""
 
 from __future__ import annotations
 
@@ -11,11 +11,9 @@ from repro.arch import autotune
 from repro.arch.autotune import (
     MAX_CHUNK_READS,
     MIN_CHUNK_READS,
-    MIN_SERVICE_BACKLOG,
     available_cpus,
     plan_backend,
     plan_microbatch,
-    plan_service_pool,
     sweep_worker_count,
 )
 from repro.errors import ArchConfigError
@@ -41,24 +39,6 @@ class TestPlanMicrobatch:
             plan_microbatch(0, 64)
         with pytest.raises(ArchConfigError):
             plan_microbatch(64, 0)
-
-
-class TestPlanServicePool:
-    def test_one_worker_per_core(self):
-        plan = plan_service_pool(cpu_count=6)
-        assert plan.n_workers == 6
-        assert plan.max_backlog == 12
-
-    def test_pinned_workers_size_the_backlog(self):
-        plan = plan_service_pool(16, cpu_count=2)
-        assert plan.n_workers == 16
-        assert plan.max_backlog == 32
-        assert plan_service_pool(1, cpu_count=2).max_backlog == \
-            MIN_SERVICE_BACKLOG
-
-    def test_validation(self):
-        with pytest.raises(ArchConfigError):
-            plan_service_pool(0)
 
 
 class TestSweepWorkers:

@@ -1,9 +1,9 @@
 """Property tests for the autotune planners.
 
 Hypothesis sweeps the planner domains for the invariants the rest of
-the stack leans on: never zero workers, micro-batches inside the
-working-set bound, and monotone responses to growing references and
-machines.
+the stack leans on: sweep workers bounded by runs and cores,
+micro-batches inside the working-set bound, and a monotone response to
+growing references.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.arch.autotune import (  # noqa: E402
     MAX_CHUNK_READS,
     MIN_CHUNK_READS,
-    MIN_SERVICE_BACKLOG,
     plan_microbatch,
-    plan_service_pool,
     sweep_worker_count,
 )
 from repro.constants import CHUNK_ELEMS  # noqa: E402
@@ -31,7 +29,6 @@ settings.load_profile("autotune")
 n_rows_s = st.integers(min_value=1, max_value=1 << 20)
 cols_s = st.integers(min_value=1, max_value=4096)
 cpus_s = st.integers(min_value=1, max_value=256)
-workers_s = st.integers(min_value=1, max_value=128)
 
 
 class TestPlanMicrobatch:
@@ -56,27 +53,6 @@ class TestPlanMicrobatch:
         # shrink (or stay put); never the other way.
         assert plan_microbatch(n_rows + 1, cols) <= \
             plan_microbatch(n_rows, cols)
-
-
-class TestPlanServicePool:
-    @given(n_workers=st.none() | workers_s, cpus=cpus_s)
-    def test_never_zero_workers(self, n_workers, cpus):
-        plan = plan_service_pool(n_workers, cpu_count=cpus)
-        assert plan.n_workers >= 1
-        assert plan.max_backlog >= MIN_SERVICE_BACKLOG
-        assert plan.max_backlog == max(MIN_SERVICE_BACKLOG,
-                                       2 * plan.n_workers)
-
-    @given(n_workers=workers_s, cpus=cpus_s)
-    def test_pinned_worker_count_is_kept(self, n_workers, cpus):
-        # The backlog follows a pinned count, not the core budget.
-        assert plan_service_pool(n_workers,
-                                 cpu_count=cpus).n_workers == n_workers
-
-    @given(cpus=st.integers(min_value=1, max_value=255))
-    def test_workers_monotone_in_cpus(self, cpus):
-        assert plan_service_pool(cpu_count=cpus + 1).n_workers >= \
-            plan_service_pool(cpu_count=cpus).n_workers
 
 
 class TestSweepWorkers:

@@ -18,37 +18,36 @@ from repro.faults.scenarios import SCENARIOS, ChaosScenario, get_scenario
 BASE = (18, 12)  # stand-in canonical results for the pure-judge tests
 _POISON = Fault("poisoned_read", "service.stream.dispatch", 1)
 _STALL = Fault("slow_batch", "service.stream.dispatch", 0)
-_FLOOD = Fault("backlog_flood", "service.frontend.enqueue", 2)
 
 
 class TestJudge:
     def test_clean_identical_run_is_tolerated(self):
-        verdict, error_type, detail = judge((), None, (), BASE, BASE)
+        verdict, error_type, detail = judge((), None, BASE, BASE)
         assert (verdict, error_type, detail) == ("tolerated", None, "")
 
     def test_fired_documented_error_is_surfaced(self):
         verdict, error_type, _ = judge(
-            (_POISON,), CamConfigError("injected"), (), None, BASE)
+            (_POISON,), CamConfigError("injected"), None, BASE)
         assert verdict == "surfaced"
         assert error_type == "CamConfigError"
 
     def test_subclass_of_documented_error_counts(self):
         fault = Fault("poisoned_open", "refstore.catalog.open", 0)
         verdict, error_type, _ = judge(
-            (fault,), RefStoreError("corrupt"), (), None, BASE)
+            (fault,), RefStoreError("corrupt"), None, BASE)
         assert verdict == "surfaced"
         assert error_type == "RefStoreError"
 
     def test_undocumented_error_type_is_violation(self):
         verdict, error_type, detail = judge(
-            (_POISON,), RuntimeError("boom"), (), None, BASE)
+            (_POISON,), RuntimeError("boom"), None, BASE)
         assert verdict == "violation"
         assert error_type == "RuntimeError"
         assert "undocumented" in detail
 
     def test_error_without_fired_fault_is_violation(self):
         verdict, _, detail = judge(
-            (), ServiceError("spurious"), (), None, BASE)
+            (), ServiceError("spurious"), None, BASE)
         assert verdict == "violation"
         assert "without a fired fault" in detail
 
@@ -56,32 +55,12 @@ class TestJudge:
         # A stall fault documents no error; a ServiceError alongside
         # it has no fired fault to blame.
         verdict, _, detail = judge(
-            (_STALL,), ServiceError("spurious"), (), None, BASE)
+            (_STALL,), ServiceError("spurious"), None, BASE)
         assert verdict == "violation"
         assert "without a fired fault" in detail
 
     def test_result_drift_is_violation(self):
-        verdict, _, detail = judge((_STALL,), None, (), (18, 11), BASE)
-        assert verdict == "violation"
-        assert "drifted" in detail
-
-    def test_handled_documented_error_is_surfaced(self):
-        verdict, error_type, _ = judge(
-            (_FLOOD,), None, (ServiceError("backlog full"),),
-            BASE, BASE)
-        assert verdict == "surfaced"
-        assert error_type == "ServiceError"
-
-    def test_handled_error_needs_fired_fault(self):
-        verdict, _, detail = judge(
-            (), None, (ServiceError("backlog full"),), BASE, BASE)
-        assert verdict == "violation"
-        assert "handled error" in detail
-
-    def test_handled_run_must_still_match_baseline(self):
-        verdict, _, detail = judge(
-            (_FLOOD,), None, (ServiceError("backlog full"),),
-            (18, 11), BASE)
+        verdict, _, detail = judge((_STALL,), None, (18, 11), BASE)
         assert verdict == "violation"
         assert "drifted" in detail
 
@@ -100,7 +79,7 @@ class TestEndToEnd:
     def test_baseline_is_stable(self, checker):
         scenario = get_scenario("stream-batched-gemm")
         first = checker.baseline(scenario)
-        assert first == scenario.run().result
+        assert first == scenario.run()
         assert first[0] == 18  # every read accounted for
 
     def test_poisoned_read_surfaces(self, checker, poison_plan):
@@ -150,23 +129,21 @@ class TestEndToEnd:
         assert verdict.verdict == "surfaced"
         assert verdict.error_type == "RefStoreError"
 
-    def test_frontend_backlog_flood_is_handled(self, checker):
-        plan = FaultPlan.of(
-            Fault("backlog_flood", "service.frontend.enqueue", 3),
-            seed=105)
+    def test_frontend_poisoned_read_surfaces(self, checker, poison_plan):
+        # Frontend sessions run on the feeding thread, so a poisoned
+        # read fires at the same dispatch hook as the standalone
+        # service's, and the frontend's close leaves no thread behind.
         verdict = checker.check(get_scenario("frontend-batched-gemm"),
-                                plan)
+                                poison_plan)
         assert verdict.ok
-        # The scenario retries the rejected submit (all-or-nothing),
-        # so the flood surfaces as a handled error with results still
-        # bit-identical to the baseline.
         assert verdict.verdict == "surfaced"
-        assert verdict.error_type == "ServiceError"
+        assert verdict.error_type == "CamConfigError"
+        assert verdict.hygiene == ()
 
     def test_vacuous_plan_is_tolerated(self, checker):
+        # The stream route saves no store file: the fault never fires.
         plan = FaultPlan.of(
-            Fault("poisoned_read", "service.frontend.execute", 0),
-            seed=106)
+            Fault("store_truncate", "refstore.save", 0), seed=106)
         verdict = checker.check(get_scenario("stream-batched-gemm"),
                                 plan)
         assert verdict.ok

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CamConfigError, ServiceError
+from repro.errors import CamConfigError
 from repro.faults import Fault, FaultPlan, arm, armed, fire
 
 
@@ -50,13 +50,13 @@ class TestFiring:
         }
 
     def test_points_count_independently(self):
-        fault = Fault("backlog_flood", "service.frontend.enqueue", 1)
+        fault = Fault("poisoned_read", "service.stream.dispatch", 1)
         with arm(_plan(fault)) as injector:
-            fire("service.frontend.execute")
-            fire("service.frontend.execute")
-            fire("service.frontend.enqueue")         # hit 0: quiet
-            with pytest.raises(ServiceError, match="backlog full"):
-                fire("service.frontend.enqueue")     # hit 1
+            fire("refstore.open")
+            fire("refstore.open")
+            fire("service.stream.dispatch")          # hit 0: quiet
+            with pytest.raises(CamConfigError, match="injected"):
+                fire("service.stream.dispatch")      # hit 1
         assert injector.fired == [fault]
 
     def test_unscheduled_point_never_fires(self):
@@ -64,16 +64,16 @@ class TestFiring:
                       arg=0)
         with arm(_plan(fault)) as injector:
             for _ in range(3):
-                fire("service.frontend.execute")
+                fire("refstore.open")
         assert injector.fired == []
 
     def test_fired_log_preserves_order(self):
         early = Fault("slow_batch", "service.stream.dispatch", 0)
-        late = Fault("slow_batch", "service.frontend.execute", 1)
+        late = Fault("store_truncate", "refstore.save", 1)
         with arm(_plan(early, late)) as injector:
-            fire("service.frontend.execute")
+            fire("refstore.save")
             fire("service.stream.dispatch")
-            fire("service.frontend.execute")
+            fire("refstore.save")                    # no buffer: no-op
         assert injector.fired == [early, late]
 
 

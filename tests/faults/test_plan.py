@@ -87,11 +87,11 @@ class TestGenerate:
                    for f in plan.faults)
 
     def test_points_can_exclude_every_kind(self):
-        # backlog_flood only attaches to frontend.enqueue; restricting
+        # store_truncate only attaches to refstore.save; restricting
         # points elsewhere must yield an empty (vacuous) plan, not an
         # invalid fault.
         plan = FaultPlan.generate(
-            3, kinds=("backlog_flood",),
+            3, kinds=("store_truncate",),
             points=("service.stream.dispatch",),
         )
         assert plan.faults == ()

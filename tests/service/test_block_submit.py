@@ -7,9 +7,8 @@ the outcome must be :meth:`submit`'s: the reports of any split of one
 stream across ``submit`` and ``submit_many`` — fed with lists,
 generators, 2-D arrays or ``ReadRecord``\\ s — are ``==``, with the same
 ledger event counts; a bad read at slice position ``k`` accepts
-exactly ``k`` reads and raises ``submit``'s error; a refused enqueue
-hands the whole slice back; a generator is never pulled past one
-micro-batch.  ``stream_mapped`` rides on the same path.
+exactly ``k`` reads and raises ``submit``'s error; a generator is
+never pulled past one micro-batch.  ``stream_mapped`` rides on the same path.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CamConfigError, ServiceError
-from repro.faults import Fault, FaultPlan, arm
+from repro.errors import CamConfigError
 from repro.genome.datasets import build_dataset
-from repro.service import MappingFrontend, StreamingMappingService
+from repro.service import StreamingMappingService
 from repro.service.stream import stream_mapped
 
 THRESHOLD = 3
@@ -157,32 +155,6 @@ class TestBadReadInASlice:
         with pytest.raises(CamConfigError, match="integers"):
             service.submit_many(reads)
         assert service.stats().reads_submitted == 1
-
-
-class TestRefusedEnqueue:
-    def test_the_slice_is_handed_back_whole(self):
-        frontend = MappingFrontend(_DATASET.segments, _DATASET.model,
-                                   pool_workers=1)
-        try:
-            session = frontend.session(THRESHOLD, seed=3,
-                                       micro_batch=MICRO_BATCH)
-            session.submit_many(_READS[:2])
-            plan = FaultPlan.of(
-                Fault("backlog_flood", "service.frontend.enqueue", 0),
-                seed=0)
-            with arm(plan):
-                with pytest.raises(ServiceError, match="backlog full"):
-                    session.submit_many(_READS[2:])
-            # The refused slice was the buffer's room (3 reads); the 2
-            # reads before it stay accepted.
-            assert session.stats().reads_submitted == 2
-            session.submit_many(_READS[2:])
-            report = session.drain()
-        finally:
-            frontend.close()
-        reference = _service()
-        _per_read(reference, _READS)
-        assert _report_key(report) == _report_key(reference.close())
 
 
 class TestLaziness:

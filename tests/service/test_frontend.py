@@ -1,33 +1,39 @@
-"""Multi-session frontend tests: isolation, fairness, backpressure.
+"""Multi-session frontend tests: isolation, one executor, lifecycle.
 
 The frontend's session-isolation/determinism contract: any session of
 a concurrent N-session :class:`~repro.service.MappingFrontend` —
-whatever the other sessions do, however the pool schedules, wherever
-micro-batch boundaries fall — produces per-read decisions, costs, and
-an aggregate report **bit-identical** to a standalone
+whatever the other sessions do, however their feeds interleave,
+wherever micro-batch boundaries fall — produces per-read decisions,
+costs, and an aggregate report **bit-identical** to a standalone
 :class:`~repro.service.StreamingMappingService` with the same seed and
-reads.  Plus the service-layer mechanics the tentpole adds: the
-reference is encoded once (not per session), scheduling is fair
-round-robin, a full backlog blocks its submitter, and
-the lifecycle edges (submit-after-close, flush idempotency) behave.
+reads.  Plus the service-layer mechanics: the reference is encoded
+once (not per session), the frontend starts no thread (each session
+runs on the thread that feeds it), a ``drain``/``close`` from another
+thread waits for the batch in flight and batches fold in key order,
+and the lifecycle edges (submit-after-close, flush idempotency, close
+racing ``session()`` or a feeder) behave.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.cam.array import StoredReference
 from repro.core.pipeline import MappingReport
 from repro.cost.events import ReferenceLoad
 from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.genome.datasets import build_dataset
+from repro.refstore import ReferenceCatalog
 from repro.service import (
     MappingFrontend,
     StreamingMappingService,
 )
+from repro.service import frontend as frontend_module
 
 # Threaded/process stress paths: a deadlock must fail loud in CI,
 # not eat the job timeout (inert without the pytest-timeout plugin).
@@ -78,43 +84,61 @@ def _wait_until(predicate, timeout: float = 10.0) -> None:
         time.sleep(0.005)
 
 
-def _gate_session(session) -> threading.Event:
-    """Make the session's engine dispatch wait on the returned event
-    (deterministic backlog control for backpressure/fairness tests)."""
-    gate = threading.Event()
+def _gate_session(session) -> "tuple[threading.Event, threading.Event]":
+    """Hold the session's engine calls until the first returned event
+    is set; the second is set once a call is held (deterministic
+    control of a batch in flight for the lifecycle race tests)."""
+    gate, entered = threading.Event(), threading.Event()
     pipeline = session.pipeline
     original = pipeline.run_batched
 
     def gated(*args, **kwargs):
+        entered.set()
         assert gate.wait(timeout=30.0), "gate never released"
         return original(*args, **kwargs)
 
     pipeline.run_batched = gated
-    return gate
+    return gate, entered
+
+
+def _run_in_thread(call) -> "tuple[threading.Thread, dict]":
+    """Start *call* on a new thread; its result or error lands in the
+    returned dict."""
+    out: dict = {}
+
+    def run():
+        try:
+            out["result"] = call()
+        except BaseException as exc:  # noqa: BLE001 - asserted by the test
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, out
 
 
 class TestSessionBitIdentity:
     """Concurrent sessions == standalone services, bit for bit."""
 
-    @pytest.mark.parametrize("pool_workers", [4, None])
+    @pytest.mark.parametrize("micro_batch", [4, None])
     def test_threaded_sessions_match_standalone(self, small_dataset_a,
-                                                pool_workers):
+                                                micro_batch):
         """N client threads feed N sessions with randomized submission
-        chunks, flushes and micro-batch sizes; every session must
-        reproduce its standalone twin exactly, on a pinned or an
-        autotuned pool."""
+        chunks and flushes; every session must reproduce its
+        standalone twin exactly, with pinned micro-batch sizes (a
+        different one per session) or autotuned ones."""
         reads = _reads(small_dataset_a)
         rng = np.random.default_rng(42)
         profiles = []
         for index in range(3):
             profiles.append({
                 "seed": int(rng.integers(0, 1000)),
-                "micro_batch": int(rng.integers(1, 9)),
+                "micro_batch": (None if micro_batch is None
+                                else micro_batch + index),
                 "threshold": THRESHOLD + index,
                 "chunk_seed": int(rng.integers(0, 2**31 - 1)),
             })
-        with _frontend(small_dataset_a,
-                       pool_workers=pool_workers) as frontend:
+        with _frontend(small_dataset_a) as frontend:
             sessions = [
                 frontend.session(threshold=p["threshold"], seed=p["seed"],
                                  micro_batch=p["micro_batch"])
@@ -354,7 +378,8 @@ class TestLifecycle:
         frontend.close()
         assert frontend.closed
         frontend.close()  # idempotent
-        # Close drained the in-flight work before stopping workers.
+        # Close drained the buffered reads before releasing the
+        # reference.
         assert session.closed
         assert session.report.n_reads == 6
         with pytest.raises(ServiceError):
@@ -362,61 +387,66 @@ class TestLifecycle:
         with pytest.raises(ServiceError):
             session.submit(reads[0])
 
-    def test_close_race_raises_instead_of_hanging(self, small_dataset_a):
-        """Regression: a session that slipped past frontend.close()'s
-        drain sweep (opened concurrently) used to block forever in
-        close()/drain() waiting on workers that had already exited; it
-        must raise ServiceError when it still holds in-flight reads,
-        and close cleanly when it does not."""
+    def test_close_race_raises_instead_of_hanging(self, small_dataset_a,
+                                                  monkeypatch):
+        """Regression: a session() racing frontend.close() could slip
+        past close's drain sweep and be left open.  close() now refuses
+        new sessions before it closes the open ones, so it finishes
+        while the racing call is still building its engine, and that
+        call then raises ServiceError instead of returning a session
+        nothing will close."""
         reads = _reads(small_dataset_a)
         frontend = _frontend(small_dataset_a)
-        undrained = frontend.session(threshold=THRESHOLD, seed=0,
-                                     micro_batch=16)
-        idle = frontend.session(threshold=THRESHOLD, seed=1,
-                                micro_batch=16)
-        undrained.submit_many(reads[:3])  # buffered, below micro-batch
-        # Simulate the race: stop the workers exactly as close() does,
-        # but without the drain sweep that normally precedes it.
-        with frontend._lock:
-            frontend._running = False
-            frontend._work.notify_all()
-            frontend._backlog_free.notify_all()
-            for session in frontend._sessions:
-                session._idle.notify_all()
-        for thread in frontend._threads:
-            thread.join()
-        with pytest.raises(ServiceError):
-            undrained.close()
-        assert idle.close().n_reads == 0  # no work in flight: clean
+        buffered = frontend.session(threshold=THRESHOLD, seed=0,
+                                    micro_batch=16)
+        buffered.submit_many(reads[:3])  # below a micro-batch
+        building, release = threading.Event(), threading.Event()
+        original = frontend_module.build_pipeline
+
+        def held(*args, **kwargs):
+            building.set()
+            assert release.wait(timeout=30.0), "build never released"
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(frontend_module, "build_pipeline", held)
+        racer, out = _run_in_thread(
+            lambda: frontend.session(threshold=THRESHOLD, seed=1))
+        assert building.wait(timeout=10.0)
+        frontend.close()  # does not wait for the racing session()
+        release.set()
+        racer.join(timeout=10.0)
+        assert not racer.is_alive()
+        assert isinstance(out.get("error"), ServiceError)
+        assert frontend.sessions == (buffered,)
+        assert buffered.closed and buffered.report.n_reads == 3
 
     def test_submits_racing_close_raise_instead_of_stalling_it(
             self, small_dataset_a):
-        """Regression: close() drains before marking the session
-        closed; a feeder racing it must be refused (ServiceError) so
-        it cannot refill the queue and keep the drain from ever
-        terminating."""
+        """Regression: close() refuses new feeds before it waits for
+        the batch in flight; a feeder racing it is refused
+        (ServiceError) once that batch has folded in, so it cannot
+        keep the drain from ever starting."""
         reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, pool_workers=1) as frontend:
+        with _frontend(small_dataset_a) as frontend:
             session = frontend.session(threshold=THRESHOLD, seed=0,
                                        micro_batch=1)
-            gate = _gate_session(session)
-            session.submit(reads[0])
-            _wait_until(lambda: session._executing)
-            closer = threading.Thread(target=session.close)
-            closer.start()
+            gate, entered = _gate_session(session)
+            feeder, fed = _run_in_thread(lambda: session.submit(reads[0]))
+            assert entered.wait(timeout=10.0)  # read 0 is in the engine
+            closer, closed = _run_in_thread(session.close)
             _wait_until(lambda: session._closing)
-            with pytest.raises(ServiceError):
-                session.submit(reads[1])  # close in progress: refused
+            late, refused = _run_in_thread(lambda: session.submit(reads[1]))
             gate.set()
-            closer.join(timeout=10.0)
-            assert not closer.is_alive()
+            for thread in (feeder, closer, late):
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            assert "error" not in fed and "error" not in closed
+            assert isinstance(refused.get("error"), ServiceError)
             assert session.closed
             assert session.report.n_reads == 1
-
-    def test_autotuned_backlog_scales_with_pool_workers_override(
-            self, small_dataset_a):
-        with _frontend(small_dataset_a, pool_workers=16) as frontend:
-            assert frontend.max_backlog == 32
+            _assert_reports_identical(closed["result"], _standalone(
+                small_dataset_a, reads[:1], seed=0, micro_batch=1,
+                threshold=THRESHOLD))
 
     def test_session_reports_are_safe_to_mutate(self, small_dataset_a):
         reads = _reads(small_dataset_a)
@@ -442,9 +472,6 @@ class TestLifecycle:
                 frontend.session(threshold=THRESHOLD, micro_batch=-2)
             with pytest.raises(CamConfigError):
                 frontend.session(threshold=THRESHOLD, backend="no-such")
-        with pytest.raises(ServiceError):
-            MappingFrontend(small_dataset_a.segments,
-                            small_dataset_a.model, pool_workers=0)
 
     def test_negative_threshold_rejected_before_any_read(
             self, small_dataset_a):
@@ -470,7 +497,10 @@ class TestLifecycle:
                 raise RuntimeError("array fire")
 
             broken.pipeline.run_batched = explode
-            broken.submit_many(reads[:2])  # queues a batch that fails
+            # The feeding thread runs the batch: it sees the engine's
+            # own error, every later call a ServiceError.
+            with pytest.raises(RuntimeError, match="array fire"):
+                broken.submit_many(reads[:2])
             with pytest.raises(ServiceError):
                 broken.drain()
             with pytest.raises(ServiceError):
@@ -479,66 +509,114 @@ class TestLifecycle:
             assert healthy.close().n_reads == reads.shape[0]
 
 
-class TestBackpressure:
-    def test_full_backlog_blocks_until_a_worker_frees_a_slot(
-            self, small_dataset_a):
-        reads = _reads(small_dataset_a)
-        with _frontend(small_dataset_a, pool_workers=1,
-                       max_backlog=2) as frontend:
-            session = frontend.session(threshold=THRESHOLD, seed=0,
-                                       micro_batch=1)
-            gate = _gate_session(session)
-            session.submit(reads[0])
-            _wait_until(lambda: session._executing)
-            session.submit(reads[1])
-            session.submit(reads[2])
+class TestOneExecutor:
+    """Every session runs on the thread that feeds it: the frontend
+    starts no thread, a lifecycle call from another thread waits for
+    the batch in flight, and batches fold in key order."""
 
-            feeder = threading.Thread(target=session.submit,
-                                      args=(reads[3],))
-            feeder.start()
+    def test_frontend_starts_no_thread(self, small_dataset_a):
+        reads = _reads(small_dataset_a)
+        before = threading.active_count()
+        with _frontend(small_dataset_a) as frontend:
+            assert threading.active_count() == before
+            sessions = [frontend.session(threshold=THRESHOLD, seed=s,
+                                         micro_batch=4) for s in range(3)]
+            assert threading.active_count() == before
+            for session in sessions:
+                session.submit_many(reads)
+                assert threading.active_count() == before
+                assert session.drain().n_reads == reads.shape[0]
+            assert frontend.pool_workers == 0
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("call", ["drain", "close"])
+    def test_lifecycle_call_waits_for_the_batch_in_flight(
+            self, small_dataset_a, call):
+        reads = _reads(small_dataset_a)[:4]
+        with _frontend(small_dataset_a) as frontend:
+            session = frontend.session(threshold=THRESHOLD, seed=2,
+                                       micro_batch=4)
+            gate, entered = _gate_session(session)
+            feeder, fed = _run_in_thread(lambda: session.submit_many(reads))
+            assert entered.wait(timeout=10.0)
+            caller, out = _run_in_thread(getattr(session, call))
             time.sleep(0.1)
-            assert feeder.is_alive()  # blocked on the full backlog
+            assert caller.is_alive()  # the batch has not folded in yet
             gate.set()
-            feeder.join(timeout=10.0)
-            assert not feeder.is_alive()
-            assert session.close().n_reads == 4
+            for thread in (feeder, caller):
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            assert fed == {"result": 4} and "error" not in out
+        _assert_reports_identical(out["result"], _standalone(
+            small_dataset_a, reads, seed=2, micro_batch=4,
+            threshold=THRESHOLD))
 
+    def test_batches_fold_in_key_order_under_concurrent_flushes(
+            self, small_dataset_a):
+        """Three threads flushing and draining while the client feeds
+        (more threads than cores, short switch interval) cut the stream
+        at arbitrary points; every batch still takes its keys and folds
+        in submission order, so the report equals the standalone
+        twin's."""
+        reads = np.concatenate([_reads(small_dataset_a)] * 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _frontend(small_dataset_a) as frontend:
+                session = frontend.session(threshold=THRESHOLD, seed=5,
+                                           micro_batch=3)
+                stop = threading.Event()
 
-class TestFairScheduling:
-    def test_round_robin_interleaves_sessions(self, small_dataset_a):
-        """With one worker, a heavy session's queue must not starve a
-        light one: completions interleave round-robin."""
-        reads = _reads(small_dataset_a)
-        order: "list[str]" = []
-        log_lock = threading.Lock()
-        with _frontend(small_dataset_a, pool_workers=1,
-                       max_backlog=16) as frontend:
-            heavy = frontend.session(threshold=THRESHOLD, seed=0,
-                                     micro_batch=1)
-            light = frontend.session(threshold=THRESHOLD, seed=1,
-                                     micro_batch=1)
-            gate = threading.Event()
+                def cut_until_stopped(cut):
+                    while not stop.is_set():
+                        cut()
 
-            def wrap(session, label):
-                original = session.pipeline.run_batched
+                cutters = [_run_in_thread(lambda cut=cut: cut_until_stopped(cut))
+                           for cut in (session.flush, session.flush,
+                                       session.drain)]
+                try:
+                    for read in reads:
+                        session.submit(read)
+                finally:
+                    stop.set()
+                    for thread, _ in cutters:
+                        thread.join(timeout=10.0)
+                        assert not thread.is_alive()
+                assert all("error" not in out for _, out in cutters)
+                report = session.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [m.read_index for m in report.mappings] == \
+            list(range(reads.shape[0]))
+        _assert_reports_identical(report, _standalone(
+            small_dataset_a, reads, seed=5, micro_batch=3,
+            threshold=THRESHOLD))
 
-                def logged(*args, **kwargs):
-                    assert gate.wait(timeout=30.0)
-                    with log_lock:
-                        order.append(label)
-                    return original(*args, **kwargs)
+    def test_close_racing_session_leaves_no_session_running(
+            self, small_dataset_a, tmp_path):
+        """A client opening sessions in a loop while the frontend
+        closes: every session it got is closed by the time close()
+        returns and the catalog lease is released; its next call is
+        refused."""
+        catalog = ReferenceCatalog()
+        catalog.store("ref", StoredReference.encode(small_dataset_a.segments),
+                      tmp_path / "ref.asmcap")
+        frontend = MappingFrontend(None, small_dataset_a.model,
+                                   catalog=catalog)
+        opened = []
+        start = threading.Barrier(2, timeout=10.0)
 
-                session.pipeline.run_batched = logged
+        def open_until_refused():
+            start.wait()
+            while True:
+                opened.append(frontend.session(THRESHOLD, reference="ref"))
 
-            wrap(heavy, "heavy")
-            wrap(light, "light")
-            heavy.submit_many(reads[:6])   # 6 queued micro-batches
-            light.submit_many(reads[:2])   # 2 queued micro-batches
-            gate.set()
-            heavy.close()
-            light.close()
-        # The light session's two batches run interleaved with the
-        # heavy queue (round-robin), not after it.
-        assert order.count("light") == 2 and order.count("heavy") == 6
-        assert "light" in order[:3]
-        assert order.index("light", order.index("light") + 1) <= 4
+        opener, out = _run_in_thread(open_until_refused)
+        start.wait()
+        frontend.close()
+        opener.join(timeout=10.0)
+        assert not opener.is_alive()
+        assert isinstance(out.get("error"), ServiceError)
+        assert all(session.closed for session in opened)
+        assert catalog.stats().pinned_count == 0
+        catalog.close()

@@ -4,8 +4,9 @@
 boundary that coerced with it ran a mistyped knob as some other value.
 Each boundary now rejects a ``bool``, ``float`` or ``str`` with its own
 error type (:class:`~repro.errors.CamConfigError` at the shared knob
-gate, :class:`~repro.errors.ServiceError` for the frontend's own pool
-knobs, :class:`~repro.errors.LedgerCompactionError` at the ledger) and
+gate, :class:`~repro.errors.LedgerCompactionError` at the ledger,
+:class:`~repro.errors.RefStoreError` at the catalog's byte budget,
+:class:`~repro.errors.ArchConfigError` at the sweep's run count) and
 accepts numpy integers.
 """
 
@@ -14,9 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arch.autotune import sweep_worker_count
 from repro.cam.array import CamArray
 from repro.cost.ledger import CostLedger
-from repro.errors import CamConfigError, LedgerCompactionError, ServiceError
+from repro.errors import (
+    ArchConfigError,
+    CamConfigError,
+    LedgerCompactionError,
+    RefStoreError,
+)
+from repro.refstore import ReferenceCatalog
 from repro.service import MappingFrontend, StreamingMappingService
 
 
@@ -25,25 +33,19 @@ def _service(dataset, value):
                             micro_batch=value).close()
 
 
-def _frontend(dataset, **knob):
-    MappingFrontend(dataset.segments, dataset.model, **knob).close()
-
-
 def _session(dataset, value):
-    with MappingFrontend(dataset.segments, dataset.model,
-                         pool_workers=1) as frontend:
+    with MappingFrontend(dataset.segments, dataset.model) as frontend:
         frontend.session(3, micro_batch=value).close()
 
 
 #: boundary -> (build it with the knob set to a value, its error type)
 BOUNDARIES = {
     "service-micro_batch": (_service, CamConfigError),
-    "frontend-pool_workers": (
-        lambda ds, v: _frontend(ds, pool_workers=v), ServiceError),
-    "frontend-max_backlog": (
-        lambda ds, v: _frontend(ds, pool_workers=1, max_backlog=v),
-        ServiceError),
     "session-micro_batch": (_session, CamConfigError),
+    "catalog-byte_budget": (
+        lambda ds, v: ReferenceCatalog(byte_budget=v).close(),
+        RefStoreError),
+    "sweep-n_runs": (lambda ds, v: sweep_worker_count(v), ArchConfigError),
     "array-ledger_compaction": (
         lambda ds, v: CamArray(rows=4, cols=8, ledger_compaction=v),
         CamConfigError),
@@ -74,9 +76,10 @@ def test_accepted_counts_keep_their_value(small_dataset_a):
         micro_batch=np.int32(5))
     assert service.micro_batch == 5
     service.close()
-    with MappingFrontend(small_dataset_a.segments, small_dataset_a.model,
-                         pool_workers=np.int64(2),
-                         max_backlog=np.uint8(3)) as frontend:
-        assert (frontend.pool_workers, frontend.max_backlog) == (2, 3)
+    catalog = ReferenceCatalog(byte_budget=np.uint32(1 << 20))
+    assert catalog.stats().byte_budget == 1 << 20
+    assert type(catalog.stats().byte_budget) is int
+    catalog.close()
+    assert sweep_worker_count(np.int64(3), cpu_count=8) == 3
     array = CamArray(rows=4, cols=8, ledger_compaction=np.int16(2))
     assert array.ledger.compaction == 2

@@ -3,10 +3,11 @@
 ``int()`` turns ``2.7`` into 2, ``True`` into 1 and ``"4"`` into 4, so a
 boundary that coerced a threshold with it ran some other ``T``, and one
 that coerced a key put reads keyed ``0.5`` and ``0.9`` on one noise
-stream.  Every boundary now rejects a non-integer threshold with
-:class:`~repro.errors.ThresholdError` and a non-integer key or key
-offset with :class:`~repro.errors.CamConfigError`; a batch boundary
-also refuses a threshold vector, naming the sweep call that takes one.
+stream.  Every boundary now rejects a non-integer threshold (and the
+ground-truth DP's band) with :class:`~repro.errors.ThresholdError` and
+a non-integer key, key offset or determinism seed with
+:class:`~repro.errors.CamConfigError`; a batch boundary also refuses a
+threshold vector, naming the sweep call that takes one.
 The rotation count ``NR`` of TASR and of EDAM's SR is checked the same
 way, once, when the matcher is built.  Numpy integers are accepted and
 keep their value.
@@ -21,6 +22,7 @@ from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.core.pipeline import ReadMappingPipeline
+from repro.distance.edit_distance import banded_edit_distance_batch
 from repro.errors import CamConfigError, ThresholdError
 from repro.eval.experiment import AccuracyExperiment
 from repro.service import MappingFrontend, StreamingMappingService
@@ -43,8 +45,7 @@ def _service(dataset, value):
 
 
 def _session(dataset, value):
-    with MappingFrontend(dataset.segments, dataset.model,
-                         pool_workers=1) as frontend:
+    with MappingFrontend(dataset.segments, dataset.model) as frontend:
         frontend.session(value).close()
 
 
@@ -62,6 +63,8 @@ SCALAR_BOUNDARIES = {
         _matcher(ds)).run_batched([], v),
     "at_threshold": lambda ds, v: _matcher(ds).match_sweep(
         _reads(ds), [2, 8]).at_threshold(v),
+    "banded-band": lambda ds, v: banded_edit_distance_batch(
+        ds.segments, _reads(ds), v),
 }
 
 #: boundary -> run it with a threshold sweep vector
@@ -79,6 +82,9 @@ KEY_BOUNDARIES = {
         _matcher(ds)).run_batched(_reads(ds), 4, first_read_index=v),
     "match-query_key": lambda ds, v: _matcher(ds).match(
         _reads(ds)[0], 4, query_key=v),
+    "array-seed": lambda ds, v: CamArray(rows=4, cols=8, seed=v),
+    "matcher-seed": lambda ds, v: AsmCapMatcher(
+        CamArray(rows=4, cols=8), ds.model, seed=v),
 }
 
 
@@ -107,7 +113,7 @@ def test_non_integer_threshold_raises(small_dataset_a, boundary, value):
 
 @pytest.mark.parametrize("boundary", sorted(
     set(SCALAR_BOUNDARIES) - {"service", "frontend-session", "match",
-                              "at_threshold"}))
+                              "at_threshold", "banded-band"}))
 def test_threshold_vector_names_the_sweep_call(small_dataset_a, boundary):
     sweep = "search_sweep" if boundary == "search_batch" else "match_sweep"
     with pytest.raises(ThresholdError, match=sweep):
@@ -206,3 +212,14 @@ def test_numpy_integers_keep_their_value(small_dataset_a):
     assert [m.read_index for m in report.mappings] == [10, 11, 12, 13]
     experiment = AccuracyExperiment(dataset, np.array([4, 1, 4]))
     assert experiment.thresholds == [1, 4]
+    assert np.array_equal(
+        banded_edit_distance_batch(dataset.segments, reads, np.uint8(3)),
+        banded_edit_distance_batch(dataset.segments, reads, 3))
+
+    def noisy_voltages(seed):
+        array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
+                         sigma_rel=0.3, seed=seed)
+        array.store(dataset.segments)
+        return array.search_batch(reads, 4).v_ml
+
+    assert np.array_equal(noisy_voltages(np.uint64(7)), noisy_voltages(7))

@@ -18,3 +18,7 @@ def match_sweep(reads, thresholds, query_keys=None):
 
 def summary(counts, threshold):
     return int(counts.sum()), threshold  # coerces a local, not the knob
+
+
+def build_array(rows, seed=0):
+    return int(rows), check_integer("seed", seed) & 0xFFFFFFFFFFFFFFFF

@@ -18,3 +18,7 @@ def keyed(query_keys):
     def inner():
         return int(query_keys)  # expect: CL304
     return inner
+
+
+def build_array(rows, seed=0):
+    return rows, int(seed) & 0xFFFFFFFFFFFFFFFF  # expect: CL304

@@ -79,6 +79,9 @@ CHECKER_CASES = [
     pytest.param("threshold_coercion_violation.py",
                  "threshold_coercion_clean.py",
                  "src/repro/core/fixture.py", id="threshold-coercion"),
+    pytest.param("one_parallelism_violation.py",
+                 "one_parallelism_clean.py",
+                 "src/repro/service/fixture.py", id="one-parallelism"),
 ]
 
 
@@ -342,3 +345,34 @@ class TestThresholdCoercion:
         source = "def f(threshold):\n    return int(threshold)\n"
         assert lint_source(source, "benchmarks/bench.py",
                            repo=make_repo()) == []
+
+
+class TestOneParallelism:
+    """CL107: the services start no thread; the Monte-Carlo sweep's
+    pool is the one worker pool in ``src/repro``."""
+
+    SOURCE = ("import threading\n"
+              "def start(loop):\n"
+              "    threading.Thread(target=loop).start()\n")
+
+    def test_message_names_the_call(self):
+        findings = lint_source(self.SOURCE, "src/repro/service/frontend.py",
+                               repo=make_repo())
+        assert [(f.code, f.line) for f in findings] == [("CL107", 3)]
+        assert findings[0].message == (
+            "'threading.Thread()' starts a second level of parallelism; "
+            "run the work on the calling thread and leave the cores to "
+            "the count kernel's BLAS")
+
+    def test_the_sweep_runner_is_exempt(self):
+        source = (FIXTURES / "one_parallelism_violation.py").read_text(
+            encoding="utf-8")
+        assert lint_source(source, "src/repro/eval/sweeps.py",
+                           repo=make_repo()) == []
+
+    @pytest.mark.parametrize("rel_path", [
+        "tools/chaos_soak.py", "tests/service/test_frontend.py",
+        "benchmarks/bench.py",
+    ])
+    def test_outside_src_is_out_of_scope(self, rel_path):
+        assert lint_source(self.SOURCE, rel_path, repo=make_repo()) == []

@@ -107,9 +107,9 @@ class TestRepoFacts:
 
     def test_hook_points_read_from_this_repo(self):
         points = read_hook_points(REPO_ROOT)
-        assert "refstore.save" in points
-        assert "service.stream.dispatch" in points
-        assert len(points) >= 6
+        assert set(points) == {"refstore.save", "refstore.open",
+                               "refstore.catalog.open",
+                               "service.stream.dispatch"}
 
     def test_knob_names_track_the_validator_signature(self, tmp_path):
         knobs_py = tmp_path / "src" / "repro" / "knobs.py"

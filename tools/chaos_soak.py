@@ -4,7 +4,8 @@
 Fans ``--schedules`` generated :class:`~repro.faults.plan.FaultPlan`
 schedules across the :data:`~repro.faults.scenarios.SCENARIOS` chaos
 matrix (one scenario per route: the batched engine on the stream,
-store, catalog and frontend routes) and judges every run with the
+store, catalog and frontend routes — store truncation and CRC flips,
+poisoned opens and reads, slow batches) and judges every run with the
 :class:`~repro.faults.checker.InvariantChecker` trichotomy: each
 injected fault must either **surface** as its documented typed error
 or be **tolerated** with results bit-identical to the fault-free

@@ -52,6 +52,14 @@ draw from an entropy source that is not keyed by an argument:
   accepts whole micro-batch slices, and ``submit`` is the one-read
   entry for callers, not a building block of the service's own feeds.
 
+* ``CL107`` — a second level of parallelism: a ``threading.Thread(``,
+  ``ThreadPoolExecutor(`` or ``ProcessPoolExecutor(`` construction
+  anywhere in ``src/repro`` except ``eval/sweeps.py``.  The services
+  run every micro-batch on the thread that feeds it, and the count
+  kernel's BLAS owns the cores: Python worker threads on top contend
+  with it (DESIGN.md, "Layer audit: one session executor").  The
+  Monte-Carlo sweep's pool is the one exception the rule names.
+
 ``time.perf_counter`` is deliberately *not* flagged: it is the
 monotonic latency instrument of the stats/autotune paths, and the
 cross-backend/engine bit-identity contract (enforced at runtime by the
@@ -370,3 +378,39 @@ class PerReadFoldChecker(Checker):
                 path=ctx.rel_path, line=call.lineno, col=call.col_offset,
                 code="CL106", message=message)
         return list(findings.values())
+
+
+#: The one module allowed a worker pool (the Monte-Carlo sweep runner).
+PARALLELISM_EXEMPT = "src/repro/eval/sweeps.py"
+
+#: Call spellings that start threads: ``threading.Thread`` (also
+#: imported bare) and the executors, under any module prefix.
+_THREAD_CALLS = {("threading", "Thread"), ("Thread",)}
+_POOL_CALLS = {("ThreadPoolExecutor",), ("ProcessPoolExecutor",)}
+
+
+@register
+class OneParallelismChecker(Checker):
+    name = "one-parallelism"
+    codes = {
+        "CL107": "thread or worker-pool construction in src/repro "
+                 "outside eval/sweeps.py (the count kernel's BLAS owns "
+                 "the cores)",
+    }
+    scope = ("src/repro",)
+
+    def check(self, ctx: FileContext, repo: RepoContext) -> "list[Finding]":
+        if ctx.rel_path == PARALLELISM_EXEMPT:
+            return []
+        return [
+            Finding(path=ctx.rel_path, line=node.lineno,
+                    col=node.col_offset, code="CL107",
+                    message=f"'{'.'.join(_dotted(node.func))}()' starts a "
+                            f"second level of parallelism; run the work "
+                            f"on the calling thread and leave the cores "
+                            f"to the count kernel's BLAS")
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, ast.Call)
+            and (_dotted(node.func) in _THREAD_CALLS
+                 or _dotted(node.func)[-1:] in _POOL_CALLS)
+        ]

@@ -1,6 +1,6 @@
 """CL6xx — fault-hook consistency: every fire() names a real point.
 
-The binding contract (DESIGN.md, "Fault model"): the nine injection
+The binding contract (DESIGN.md, "Fault model"): the four injection
 hook points are *registered* in ``repro/faults/plan.py`` —
 ``HOOK_POINTS`` is the single source of truth the arming path
 validates against at runtime.  But a production ``fire("typo")`` only

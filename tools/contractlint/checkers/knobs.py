@@ -125,9 +125,10 @@ class KnobChecker(Checker):
 
 
 #: Parameters whose values reach the search as given: a truncated
-#: threshold runs another ``T``, a truncated key another noise stream.
+#: threshold runs another ``T``, a truncated key or seed another noise
+#: stream.
 GUARDED_PARAMETERS = ("threshold", "thresholds", "first_read_index",
-                      "query_keys")
+                      "query_keys", "seed")
 
 #: The one module allowed to coerce them (after validating).
 GATE_MODULE = "src/repro/knobs.py"
