@@ -157,30 +157,24 @@ def main() -> None:
     shutil.rmtree(store_dir)
     # [/readme:catalog]
 
-    # [readme:backend]
-    # Kernel backends: the mismatch-count primitive behind every path
-    # sits behind a registry (explicit backend= knob > the
-    # REPRO_KERNEL_BACKEND env var > per-machine autotune).  Every
-    # registered backend counts exactly like the boolean reference, so
-    # the choice changes speed and nothing else.
-    from repro.kernels import available_backends
+    # [readme:kernel]
+    # Count kernel: one float32 GEMM computes every mismatch count the
+    # searches decide on, exactly the boolean comparison's, in every mode.
+    from repro.cam.cell import MatchMode
+    from repro.distance.ed_star import mismatch_counts_all_reads
 
-    for name in available_backends():
-        lane_array = CamArray(rows=64, cols=128, domain="charge", seed=1,
-                              backend=name)
-        lane_array.store(dataset.segments)
-        lane_matcher = AsmCapMatcher(lane_array, dataset.model,
-                                     MatcherConfig(), seed=1)
-        lane = lane_matcher.match(reads[0], threshold=4, query_key=0)
-        assert np.array_equal(lane.decisions, outcome.decisions)
-        assert lane.energy_joules == outcome.energy_joules
-    print(f"backend: {array.backend} (registered: "
-          f"{', '.join(available_backends())})")
-    # [/readme:backend]
+    counts = array.mismatch_counts_batch(reads, MatchMode.ED_STAR)
+    assert np.array_equal(counts,
+                          mismatch_counts_all_reads(dataset.segments, reads))
+    hamming = array.mismatch_counts_batch(reads, MatchMode.HAMMING)
+    assert np.array_equal(hamming, (reads[:, None, :]
+                                    != dataset.segments[None]).sum(axis=2))
+    print(f"kernel : {array.backend} counts == the boolean oracle over "
+          f"{counts.size} (read, row) pairs")
+    # [/readme:kernel]
 
-    print("OK: scalar, batched, sweep, streaming, "
-          "multi-session, catalog-served and every kernel backend "
-          "agree.")
+    print("OK: scalar, batched, sweep, streaming, multi-session and "
+          "catalog-served paths agree, and the kernel counts exactly.")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,7 @@
 
 * :mod:`repro.arch.timing` — cycle-level latency model;
 * :mod:`repro.arch.power` — Section V-B area/power breakdown;
-* :mod:`repro.arch.autotune` — micro-batch, sweep-worker and
-  kernel-backend planning.
+* :mod:`repro.arch.autotune` — micro-batch and sweep-worker planning.
 
 The banked system of Fig. 4(a) is modelled analytically: the per-read
 system cost behind Fig. 8 is

@@ -16,11 +16,11 @@ is cores vs runs).  It is the one thread pool left in ``src/repro``
 (contractlint ``CL107``): the services run every micro-batch on the
 thread that feeds it, and the count kernel's BLAS owns the cores.
 
-The kernel-backend registry (:mod:`repro.kernels`) resolves its
-autotune tail here too: :func:`plan_backend` micro-calibrates every
-registered backend once per process and caches the winner — the last
-step of the selection order (explicit ``backend=`` knob >
-``REPRO_KERNEL_BACKEND`` env var > calibration).
+There is one count kernel (:mod:`repro.kernels`), so there is no
+kernel to choose.  :func:`plan_backend` and
+:func:`calibrate_kernel_backends` stay only because the benchmark's
+setups time the calibration (its ``arch.autotune`` span) and record
+the plan; they go with ROADMAP item 1's perfbench PR.
 """
 
 from __future__ import annotations
@@ -92,11 +92,10 @@ def sweep_worker_count(n_runs: int,
     return max(1, min(n_runs, available_cpus(cpu_count)))
 
 
-# -- kernel-backend calibration ---------------------------------------------
+# -- kernel calibration (kept for the benchmark harness) -------------------
 
 #: Calibration workload: small enough that the one-time measurement is
-#: a few milliseconds, large enough that the backends' per-call fixed
-#: costs do not dominate the comparison.
+#: a few milliseconds.
 _CALIBRATION_ROWS = 64
 _CALIBRATION_COLS = 128
 _CALIBRATION_QUERIES = 16
@@ -104,58 +103,42 @@ _CALIBRATION_REPEATS = 3
 
 #: Cached :func:`plan_backend` result (one calibration per process).
 _PLANNED_BACKEND: "str | None" = None
-#: Serialises the calibration, so concurrent first callers run it once
-#: and all see the same cached backend.
+#: Serialises the calibration, so concurrent first callers run it once.
 _PLAN_LOCK = threading.Lock()
 
 
-def calibrate_kernel_backends(
-        rows: int = _CALIBRATION_ROWS,
-        cols: int = _CALIBRATION_COLS,
-        n_queries: int = _CALIBRATION_QUERIES,
-        repeats: int = _CALIBRATION_REPEATS) -> "dict[str, float]":
-    """Best-of-*repeats* seconds per registered kernel backend.
+def calibrate_kernel_backends() -> float:
+    """Best-of-:data:`_CALIBRATION_REPEATS` seconds of the count kernel.
 
     Times one dual (ED* + HD) counts pass plus one ED* pass on a
-    deterministic synthetic workload — the mix every execution path
-    actually issues.  Timings decide only *which* backend runs; the
-    counts themselves are bit-identical across backends, so this
-    nondeterminism never reaches a decision, ledger or report.
+    deterministic synthetic workload.  The timing reaches no decision,
+    ledger or report.
     """
     import numpy as np
 
     from repro import kernels
 
     rng = np.random.default_rng(0xA5)
-    segments = rng.integers(0, 4, (rows, cols)).astype(np.uint8)
-    queries = rng.integers(0, 4, (n_queries, cols)).astype(np.uint8)
+    segments = rng.integers(
+        0, 4, (_CALIBRATION_ROWS, _CALIBRATION_COLS)).astype(np.uint8)
+    queries = rng.integers(
+        0, 4, (_CALIBRATION_QUERIES, _CALIBRATION_COLS)).astype(np.uint8)
     encoded = kernels.encode_reference(segments)
-    timings: "dict[str, float]" = {}
-    for name in kernels.available_backends():
-        backend = kernels.get_backend(name)
-        backend.counts_batch_dual(encoded, queries)  # warm-up / JIT
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            backend.counts_batch_dual(encoded, queries)
-            backend.counts_batch(encoded, queries, ed_star=True)
-            best = min(best, time.perf_counter() - start)
-        timings[name] = best
-    return timings
+    kernels.counts_batch_dual(encoded, queries)  # warm-up
+    best = float("inf")
+    for _ in range(_CALIBRATION_REPEATS):
+        start = time.perf_counter()
+        kernels.counts_batch_dual(encoded, queries)
+        kernels.counts_batch(encoded, queries, ed_star=True)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def plan_backend() -> str:
-    """The fastest kernel backend on this machine (cached).
-
-    The autotune tail of the selection order (explicit ``backend=``
-    knob > ``REPRO_KERNEL_BACKEND`` env var > this): a one-time
-    micro-calibration over every registered backend, cached for the
-    process lifetime.  Ties and timer noise are harmless — any
-    registered backend produces bit-identical results.
-    """
+    """``"numpy-gemm"``, after one cached calibration per process."""
     global _PLANNED_BACKEND
     with _PLAN_LOCK:
         if _PLANNED_BACKEND is None:
-            timings = calibrate_kernel_backends()
-            _PLANNED_BACKEND = min(timings, key=timings.get)
+            calibrate_kernel_backends()
+            _PLANNED_BACKEND = "numpy-gemm"
         return _PLANNED_BACKEND

@@ -20,11 +20,11 @@ parameters.  A *search* compares a block of reads against every stored
 row in parallel.
 
 **Shared stored references.**  The expensive part of bringing an array
-up is storing the reference and encoding it for the batched kernel
-backends (:mod:`repro.kernels`); everything else an array owns (its
+up is storing the reference and encoding it for the count kernel
+(:mod:`repro.kernels`); everything else an array owns (its
 noise-key prefix, the cost ledger) is cheap per-session state.
 :class:`StoredReference` splits the two: it holds the stored segments
-plus their encoding (one pass builds every backend's cache) as an
+plus their encoding (built in one pass) as an
 immutable, thread-safe value that **many arrays can share** —
 ``CamArray(stored=ref)`` borrows the reference without re-encoding or
 re-storing it, while keeping its own seed, noise prefix and ledger.
@@ -99,10 +99,9 @@ from repro.errors import CamConfigError, ThresholdError
 from repro.genome import alphabet
 from repro.kernels import (
     EncodedReference,
-    KernelBackend,
-    as_backend,
+    counts_batch,
+    counts_batch_dual,
     encode_reference,
-    resolve_backend,
 )
 from repro.knobs import (
     check_count,
@@ -301,7 +300,7 @@ class StoredReference:
     The digital half of an array, as one immutable value: the stored
     segments (what the two 6T SRAM cells per base of Fig. 4(c) hold),
     their :class:`~repro.kernels.EncodedReference` (the float one-hot,
-    built in one pass) every kernel backend searches against, the row
+    built in one pass) the count kernel searches against, the row
     capacity :attr:`rows` and :attr:`n_encodes`.  Everything here is a
     pure function of the stored segments — no noise, no RNG, no ledger
     — so a ``StoredReference`` is thread-safe by construction, and any
@@ -320,6 +319,7 @@ class StoredReference:
 
     def __init__(self, segments: np.ndarray, rows: "int | None" = None):
         segments = as_segments_matrix(segments)
+        check_count("rows", rows)
         if rows is None:
             rows = segments.shape[0]
         if segments.shape[0] > rows:
@@ -341,7 +341,9 @@ class StoredReference:
             ``(n_rows, N)`` matrix of 2-bit reference codes.
         rows:
             Row capacity (default: exactly ``n_rows``) — a larger
-            capacity models a partially-filled bank.
+            capacity models a partially-filled bank.  A positive
+            integer: a float, bool or string raises
+            :class:`~repro.errors.CamConfigError`.
         """
         return cls(segments, rows)
 
@@ -382,9 +384,9 @@ class StoredReference:
         """Encoding passes performed over this reference: 1 when
         encoded, 0 when adopted.
 
-        One pass builds *every* backend's search cache (see
+        One pass builds the whole search cache (see
         :func:`repro.kernels.encode_reference`), so a shared reference
-        reports 1 no matter how many sessions or backends search it.
+        reports 1 no matter how many sessions search it.
         """
         return self._n_encodes
 
@@ -394,22 +396,20 @@ class StoredReference:
         return self._encoded.segments
 
     def encoded(self) -> EncodedReference:
-        """Every backend's search cache, built in one encoding pass."""
+        """The count kernel's search cache, built in one encoding pass."""
         return self._encoded
 
     # -- digital count computation ---------------------------------------
 
     def counts_batch(self, queries: np.ndarray, mode: MatchMode,
-                     backend: "str | KernelBackend | None" = None,
                      rotations: "Sequence[int] | None" = None,
                      ) -> np.ndarray:
         """Digital ``(B, M)`` mismatch counts for a block of queries.
 
-        Bit-exact across *backends*: the computation dispatches to a
-        :mod:`repro.kernels` backend (default ``numpy-gemm``; arrays
-        pass their resolved ``backend=`` knob), every one of which
-        returns exactly equal integer counts.  Codes outside the DNA
-        alphabet fall back to the shared boolean comparison sweep.
+        Computed by :func:`repro.kernels.counts_batch`, the one count
+        kernel: exact integer counts, equal to the boolean comparison
+        sweep's.  Codes outside the DNA alphabet fall back to that
+        sweep.
 
         ``rotations`` asks for the TASR/SR passes of the block from one
         encode: ``(R, B, M)`` counts, slice ``i`` equal to the counts of
@@ -417,15 +417,12 @@ class StoredReference:
         unrotated base pass) — the read loaded once and rotated in
         place by the shift registers (Fig. 4).
         """
-        is_ed_star = mode is MatchMode.ED_STAR
-        return as_backend(backend).counts_batch(self._encoded, queries,
-                                                ed_star=is_ed_star,
-                                                rotations=rotations)
+        return counts_batch(self._encoded, queries,
+                            ed_star=mode is MatchMode.ED_STAR,
+                            rotations=rotations)
 
     def counts_batch_dual(
-            self, queries: np.ndarray,
-            backend: "str | KernelBackend | None" = None,
-            ) -> tuple[np.ndarray, np.ndarray]:
+            self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(ED*, HD)`` count blocks sharing one encoding sweep.
 
         The co-located comparison determines the HD counts and is also
@@ -433,10 +430,9 @@ class StoredReference:
         reuses the query encoding — the controller's trick of issuing
         the ED* and HD searches back-to-back while the searchlines
         still hold the read.  Bit-exact with two :meth:`counts_batch`
-        calls, on any backend.
+        calls.
         """
-        return as_backend(backend).counts_batch_dual(self._encoded,
-                                                     queries)
+        return counts_batch_dual(self._encoded, queries)
 
 
 class CamArray:
@@ -464,15 +460,6 @@ class CamArray:
         into bounded-memory compaction (see
         :class:`repro.cost.ledger.CostLedger`) — what a long-running
         streaming service passes.
-    backend:
-        Kernel backend for the digital mismatch-count primitives: a
-        registered name (``"numpy-gemm"``), a
-        :class:`~repro.kernels.KernelBackend` instance, or ``None``
-        (default) to resolve through the standard selection order —
-        the ``REPRO_KERNEL_BACKEND`` env var, then
-        :func:`repro.arch.autotune.plan_backend` micro-calibration.
-        Every backend returns bit-identical counts, so the knob is
-        purely a performance choice.
     stored:
         A :class:`StoredReference` to borrow instead of storing a
         private one.  The array's geometry comes from the reference
@@ -492,14 +479,16 @@ class CamArray:
                  strict_paper_vref: bool = False,
                  vdd: float = constants.VDD_VOLTS,
                  ledger_compaction: "int | None" = None,
-                 backend: "str | KernelBackend | None" = None,
                  stored: "StoredReference | None" = None):
         if domain not in _DOMAINS:
             raise CamConfigError(
                 f"domain must be one of {_DOMAINS}, got {domain!r}"
             )
-        validate_service_knobs(compaction=ledger_compaction, backend=backend)
-        self._backend = resolve_backend(backend)
+        validate_service_knobs(compaction=ledger_compaction)
+        # The cached kernel plan; it goes with ROADMAP item 1's
+        # perfbench PR, whose setups time it as ``arch.autotune``.
+        from repro.arch.autotune import plan_backend
+        self._backend = plan_backend()
         self._domain = domain
         if stored is not None:
             rows, cols = stored.rows, stored.cols
@@ -563,8 +552,12 @@ class CamArray:
 
     @property
     def backend(self) -> str:
-        """Name of the resolved kernel backend this array searches with."""
-        return self._backend.name
+        """``"numpy-gemm"``, the one count kernel.
+
+        Read by the benchmark's configuration record; it goes with
+        ROADMAP item 1's perfbench PR.
+        """
+        return self._backend
 
     @property
     def noisy(self) -> bool:
@@ -628,15 +621,12 @@ class CamArray:
                               ) -> np.ndarray:
         """Digital ``(B, M)`` mismatch counts for a block of queries.
 
-        The computation dispatches to the array's resolved kernel
-        backend on :class:`StoredReference` (bit-identical whichever
-        backend runs).  With ``rotations``, the ``(R, B, M)`` counts of
-        every rotated pass from one encode (see
-        :meth:`StoredReference.counts_batch`).
+        Computed by the count kernel on :class:`StoredReference`.  With
+        ``rotations``, the ``(R, B, M)`` counts of every rotated pass
+        from one encode (see :meth:`StoredReference.counts_batch`).
         """
         queries = self._check_queries(queries)
         return self._reference().counts_batch(queries, mode,
-                                              backend=self._backend,
                                               rotations=rotations)
 
     def mismatch_counts_batch_dual(
@@ -647,8 +637,7 @@ class CamArray:
         :meth:`StoredReference.counts_batch_dual`.
         """
         queries = self._check_queries(queries)
-        return self._reference().counts_batch_dual(queries,
-                                                   backend=self._backend)
+        return self._reference().counts_batch_dual(queries)
 
     def _pass_event(self, counts: np.ndarray, thresholds: np.ndarray,
                     mode: MatchMode, sweep: bool, noise_keys: np.ndarray,
@@ -664,7 +653,7 @@ class CamArray:
         if mode is MatchMode.HAMMING and rotation == 0:
             cls, extra = HdacPass, {}
         elif rotation != 0:
-            cls, extra = TasrRotationPass, {"rotation": int(rotation)}
+            cls, extra = TasrRotationPass, {"rotation": rotation}
         else:
             cls, extra = EdStarPass, {}
         return cls(
@@ -714,8 +703,10 @@ class CamArray:
             equal what :meth:`mismatch_counts_batch` would return for
             the (rotated) queries.
         rotation:
-            Signed rotation offset of the pass (tags the cost event as
-            a rotation pass and charges its shift-register cycles).
+            Signed integer rotation offset of the pass (tags the cost
+            event as a rotation pass and charges its shift-register
+            cycles); a float, bool or string raises
+            :class:`~repro.errors.CamConfigError`.
             Without ``precomputed_counts`` the queries are searched as
             given, so the caller passes them already rotated.
 
@@ -734,7 +725,8 @@ class CamArray:
         n_queries = queries.shape[0]
         threshold = check_threshold(threshold, "search_sweep")
         if np.ndim(rotation) == 0:
-            passes = [(mode, int(rotation), noise_keys)]
+            passes = [(mode, check_integer("rotation", rotation),
+                       noise_keys)]
         elif (isinstance(mode, MatchMode) or noise_keys is None
               or not len(mode) == len(noise_keys) == len(rotation)):
             raise CamConfigError(
@@ -742,8 +734,9 @@ class CamArray:
                 "per rotation"
             )
         else:
-            passes = [(m, int(r), k) for m, r, k in zip(
-                mode, rotation, noise_keys, strict=True)]
+            passes = [(m, check_integer("rotation", r), k)
+                      for m, r, k in zip(mode, rotation, noise_keys,
+                                         strict=True)]
         matches, counts, voltages, energy = self._keyed_pass(
             queries, np.array([threshold]), passes, precomputed_counts,
             sweep=False,
@@ -784,6 +777,7 @@ class CamArray:
         """
         queries = self._check_queries(queries)
         thresholds = check_thresholds(thresholds)
+        rotation = check_integer("rotation", rotation)
         matches, counts, voltages, energy = self._keyed_pass(
             queries, thresholds, [(mode, rotation, noise_keys)],
             precomputed_counts, sweep=True,

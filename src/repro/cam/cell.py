@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.errors import CamConfigError
 from repro.genome import alphabet
+from repro.knobs import check_integer
 
 
 class MatchMode(enum.Enum):
@@ -71,11 +72,12 @@ class AsmCapCell:
     """Behavioural model of one ASMCap cell."""
 
     def __init__(self, stored_code: int):
+        stored_code = check_integer("segment codes", stored_code)
         if not 0 <= stored_code < alphabet.ALPHABET_SIZE:
             raise CamConfigError(
-                f"stored code must be 0..3, got {stored_code}"
+                f"segment codes must be 2-bit (0..3), got {stored_code}"
             )
-        self._stored = int(stored_code)
+        self._stored = stored_code
 
     @property
     def stored_code(self) -> int:

@@ -222,7 +222,7 @@ SAVI_ACCURACY = 0.938
 
 CHUNK_ELEMS = 1 << 23
 """Target element count of one chunked comparison/encoding block (~8 MB
-of boolean planes): the batched ED* kernels, the kernel backends and the
+of boolean planes): the batched ED* kernels, the count kernel and the
 streaming micro-batch plan all bound their working set by it.  Not a
 paper parameter; changing it changes no model output."""
 

@@ -335,8 +335,7 @@ class AsmCapMatcher:
                     domain: str = "charge",
                     noisy: bool = True,
                     seed: int = 0,
-                    ledger_compaction: "int | None" = None,
-                    backend: "str | None" = None
+                    ledger_compaction: "int | None" = None
                     ) -> "AsmCapMatcher":
         """A matcher whose array *borrows* a shared stored reference.
 
@@ -353,7 +352,7 @@ class AsmCapMatcher:
         """
         array = CamArray(domain=domain, noisy=noisy, seed=seed,
                          ledger_compaction=ledger_compaction,
-                         backend=backend, stored=stored)
+                         stored=stored)
         return cls(array, error_model, config, seed=seed)
 
     @property

@@ -265,7 +265,11 @@ class ReadMappingPipeline:
 
     @property
     def backend(self) -> str:
-        """Kernel backend name of the underlying array."""
+        """``"numpy-gemm"``, the one count kernel.
+
+        Read by the benchmark's configuration record; it goes with
+        ROADMAP item 1's perfbench PR.
+        """
         return self._matcher.array.backend
 
     @property

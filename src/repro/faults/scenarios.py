@@ -88,7 +88,6 @@ class ChaosScenario:
     """One fixed route through the stack plus its applicable faults."""
 
     name: str
-    backend: str
     route: str                       # "stream" | "store" | "catalog"
     #                                # | "frontend"
     fault_kinds: "tuple[str, ...]"
@@ -125,7 +124,7 @@ class ChaosScenario:
 
         kwargs = {
             "error_model": _error_model(), "threshold": THRESHOLD,
-            "micro_batch": MICRO_BATCH, "seed": SEED, "backend": self.backend,
+            "micro_batch": MICRO_BATCH, "seed": SEED,
         }
         kwargs.update(extra)
         return StreamingMappingService(source, **kwargs)
@@ -189,8 +188,7 @@ class ChaosScenario:
         from repro.service.frontend import MappingFrontend
 
         segments, reads = _workload()
-        frontend = MappingFrontend(segments, _error_model(),
-                                   backend=self.backend)
+        frontend = MappingFrontend(segments, _error_model())
         try:
             session = frontend.session(
                 THRESHOLD, seed=SEED, micro_batch=MICRO_BATCH,
@@ -209,21 +207,20 @@ _STORE_KINDS = _SERVICE_KINDS + ("store_truncate", "store_crc_flip")
 #: compacts its ledger, and no scenario result reads a ledger value.
 SCENARIOS: "tuple[ChaosScenario, ...]" = (
     ChaosScenario(
-        name="stream-batched-gemm", backend="numpy-gemm",
-        route="stream", fault_kinds=_SERVICE_KINDS,
+        name="stream-batched-gemm", route="stream",
+        fault_kinds=_SERVICE_KINDS,
     ),
     ChaosScenario(
-        name="store-batched-gemm", backend="numpy-gemm",
-        route="store", fault_kinds=_STORE_KINDS,
+        name="store-batched-gemm", route="store",
+        fault_kinds=_STORE_KINDS,
     ),
     ChaosScenario(
-        name="catalog-batched-gemm", backend="numpy-gemm",
-        route="catalog",
+        name="catalog-batched-gemm", route="catalog",
         fault_kinds=_SERVICE_KINDS + ("poisoned_open",),
     ),
     ChaosScenario(
-        name="frontend-batched-gemm", backend="numpy-gemm",
-        route="frontend", fault_kinds=_SERVICE_KINDS,
+        name="frontend-batched-gemm", route="frontend",
+        fault_kinds=_SERVICE_KINDS,
     ),
 )
 

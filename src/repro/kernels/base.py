@@ -1,8 +1,8 @@
-"""Substrate shared by every kernel backend.
+"""The encoded reference and the boolean reference counts.
 
-The mismatch-count primitives behind ``CamArray.search_batch`` /
-``search_sweep`` are pluggable *kernel backends*.  Each backend
-computes the same two exact quantities:
+The mismatch counts behind ``CamArray.search_batch`` /
+``search_sweep`` are two exact quantities (:mod:`repro.kernels.gemm`
+computes them):
 
 * ``counts_batch(encoded, queries, ed_star=...)`` — per-row digital
   mismatch counts, HD or the neighbour-tolerant ED* of
@@ -13,18 +13,17 @@ computes the same two exact quantities:
   one shared query pass (the controller's back-to-back search trick).
 
 **Exactness contract.**  Counts are small integers (bounded by the row
-length), and a backend must compute them exactly — the float32 GEMM is
-exact below ``2**24`` — so every digital decision, ledger event and
-report downstream is independent of the backend choice.  The property
-tests in ``tests/kernels/`` enforce ``==`` against the boolean
-reference, not ``approx``.
+length) and are computed exactly — the float32 GEMM is exact below
+``2**24`` — so every digital decision, ledger event and report
+downstream equals what the boolean comparison would give.  The
+property tests in ``tests/kernels/`` enforce ``==`` against
+:func:`_fallback_counts`, not ``approx``.
 
-This module owns the pieces every backend shares: the
-:class:`EncodedReference` value (the per-reference encodings, built in
-one pass over the segments) and the boolean-sweep fallback that
-handles query codes outside ACGT (ambiguity codes cannot be one-hot
-indexed, so they route to the reference comparison; it is also the
-test oracle).
+This module owns the :class:`EncodedReference` value (the
+per-reference encodings, built in one pass over the segments) and the
+boolean-sweep :func:`_fallback_counts`, which handles query codes
+outside ACGT (ambiguity codes cannot be one-hot indexed) and is the
+test oracle.
 
 Layering: this package sits *below* ``repro.cam`` — it imports only
 numpy, ``repro.constants``, ``repro.errors``, ``repro.genome.alphabet``
@@ -34,8 +33,6 @@ and the boolean reference kernels of ``repro.distance.ed_star``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,11 +46,11 @@ from repro.genome import alphabet
 class EncodedReference:
     """Every per-reference search encoding, built in one pass.
 
-    An immutable value the backends compute *against*: the raw stored
+    An immutable value the kernel computes *against*: the raw stored
     segments (the boolean fallback's input) and the float32 one-hot the
-    GEMM lane multiplies.  Building them together is what lets a
+    GEMM multiplies.  Building them together is what lets a
     :class:`repro.cam.array.StoredReference` stay thread-safe and
-    encoded exactly once while any backend serves any session.
+    encoded exactly once while it serves any number of sessions.
     """
 
     segments: np.ndarray        # (M, N) uint8, read-only
@@ -69,9 +66,9 @@ class EncodedReference:
 
 
 def encode_reference(segments: np.ndarray) -> EncodedReference:
-    """One encoding pass producing every backend's search cache.
+    """One encoding pass producing the reference's search cache.
 
-    float32 is exact for the GEMM lane: every partial inner product is
+    float32 is exact for the GEMM: every partial inner product is
     an integer below ``2**24``.  Stored codes are alphabet-checked at
     write time, so the one-hot index is always in range.  The encoding
     freezes a private copy of *segments*; the caller's matrix stays
@@ -129,118 +126,23 @@ def encoded_reference_from_arrays(
                                for name in ENCODED_REFERENCE_FIELDS})
 
 
-def _per_offset_counts(count: "Callable[[np.ndarray], np.ndarray]",
-                      queries: np.ndarray, offsets: "tuple[int, ...]",
-                      n_rows: int) -> np.ndarray:
-    """``(R, B, M)`` counts of ``count`` over each left-rotated block."""
-    out = np.empty((len(offsets), queries.shape[0], n_rows), dtype=np.intp)
-    for index, offset in enumerate(offsets):
-        out[index] = count(np.roll(queries, -offset, axis=1))
-    return out
+def _fallback_counts(segments: np.ndarray, queries: np.ndarray,
+                     *, ed_star: bool) -> np.ndarray:
+    """Boolean-sweep ``(B, M)`` counts, memory-bounded.
 
-
-class KernelBackend:
-    """Base class of the mismatch-count kernel backends.
-
-    Subclasses implement :meth:`_counts` (and optionally
-    :meth:`_counts_dual` and :meth:`_rotated_counts`); the public entry
-    points here own what must never differ between backends — the
-    exact-lane eligibility gate and the shared boolean fallback for
-    queries carrying non-ACGT ambiguity codes.
+    The reference semantics of every count: it serves query blocks
+    carrying non-ACGT codes, which a one-hot lookup cannot represent,
+    and it is the oracle the GEMM kernel is tested against.
     """
-
-    #: Registry name; subclasses override.
-    name = "abstract"
-
-    # -- public entry points ----------------------------------------------
-
-    def counts_batch(self, encoded: EncodedReference, queries: np.ndarray,
-                     *, ed_star: bool,
-                     rotations: "Sequence[int] | None" = None) -> np.ndarray:
-        """Exact ``(B, M)`` mismatch counts (ED* or Hamming).
-
-        With ``rotations``, the ``(R, B, M)`` counts of the block
-        rotated left by each offset (``np.roll(queries, -offset,
-        axis=1)``; negative offsets rotate right, 0 is the block as
-        given).
-        """
-        eligible = self.exact_lane_eligible(queries)
-        if rotations is None:
-            if not eligible:
-                return self._fallback_counts(encoded.segments, queries,
-                                             ed_star=ed_star)
-            return self._counts(encoded, queries, ed_star=ed_star)
-        offsets = tuple(int(offset) for offset in rotations)
-        if not eligible:
-            return _per_offset_counts(
-                partial(self._fallback_counts, encoded.segments,
-                        ed_star=ed_star),
-                queries, offsets, encoded.n_rows)
-        return self._rotated_counts(encoded, queries, offsets,
-                                    ed_star=ed_star)
-
-    def counts_batch_dual(
-            self, encoded: EncodedReference,
-            queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(ED*, HD)`` count blocks sharing one query pass."""
-        if not self.exact_lane_eligible(queries):
-            ed = self._fallback_counts(encoded.segments, queries,
-                                       ed_star=True)
-            hd = self._fallback_counts(encoded.segments, queries,
-                                       ed_star=False)
-            return ed, hd
-        return self._counts_dual(encoded, queries)
-
-    # -- shared gates ------------------------------------------------------
-
-    @staticmethod
-    def exact_lane_eligible(queries: np.ndarray) -> bool:
-        """Whether the backend's exact lane can encode this search.
-
-        Stored codes are alphabet-checked at write time; only query
-        codes outside ACGT (which a one-hot lookup cannot represent)
-        force the boolean comparison fallback.
-        """
-        if queries.shape[0] == 0:
-            return False
-        return int(queries.max()) < alphabet.ALPHABET_SIZE
-
-    @staticmethod
-    def _fallback_counts(segments: np.ndarray, queries: np.ndarray,
-                         *, ed_star: bool) -> np.ndarray:
-        """Boolean-sweep reference (non-ACGT queries), memory-bounded."""
-        if ed_star:
-            return mismatch_counts_all_reads(segments, queries)
-        n_queries = queries.shape[0]
-        counts = np.empty((n_queries, segments.shape[0]), dtype=np.intp)
-        plane_elems = max(1, segments.shape[0] * segments.shape[1])
-        chunk = max(1, CHUNK_ELEMS // plane_elems)
-        for start in range(0, n_queries, chunk):
-            block = queries[start:start + chunk]
-            counts[start:start + chunk] = np.count_nonzero(
-                segments[None, :, :] != block[:, None, :], axis=2
-            )
-        return counts
-
-    # -- backend lanes -----------------------------------------------------
-
-    def _counts(self, encoded: EncodedReference, queries: np.ndarray,
-                *, ed_star: bool) -> np.ndarray:
-        raise NotImplementedError
-
-    def _counts_dual(self, encoded: EncodedReference,
-                     queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ed = self._counts(encoded, queries, ed_star=True)
-        hd = self._counts(encoded, queries, ed_star=False)
-        return ed, hd
-
-    def _rotated_counts(self, encoded: EncodedReference, queries: np.ndarray,
-                        offsets: "tuple[int, ...]", *,
-                        ed_star: bool) -> np.ndarray:
-        """Roll the block per offset and count each copy."""
-        return _per_offset_counts(
-            partial(self._counts, encoded, ed_star=ed_star),
-            queries, offsets, encoded.n_rows)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r}>"
+    if ed_star:
+        return mismatch_counts_all_reads(segments, queries)
+    n_queries = queries.shape[0]
+    counts = np.empty((n_queries, segments.shape[0]), dtype=np.intp)
+    plane_elems = max(1, segments.shape[0] * segments.shape[1])
+    chunk = max(1, CHUNK_ELEMS // plane_elems)
+    for start in range(0, n_queries, chunk):
+        block = queries[start:start + chunk]
+        counts[start:start + chunk] = np.count_nonzero(
+            segments[None, :, :] != block[:, None, :], axis=2
+        )
+    return counts

@@ -1,4 +1,4 @@
-"""The float one-hot GEMM backend (``numpy-gemm``).
+"""The one count kernel (``numpy-gemm``): a float one-hot GEMM.
 
 Each query cell's *acceptable* stored bases (the co-located read base
 plus, in ED* mode, its immediate neighbours — the searchline fan-out of
@@ -33,6 +33,11 @@ TASR/SR rotation, or the ED*/HD pair — copies its window into one
 all.  Each output row is the same integer dot product of the same mask
 row as in a per-pass GEMM, so the stacked call is ``==`` per-pass
 calls.  Each pass's ``(B, M)`` block is written separately.
+
+**The entry points.**  :func:`counts_batch` and :func:`counts_batch_dual`
+run every query block of ACGT codes through the stacked GEMM; a block
+carrying any other code takes the boolean
+:func:`~repro.kernels.base._fallback_counts`, per pass.
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ import numpy as np
 
 from repro.constants import CHUNK_ELEMS
 from repro.genome import alphabet
-from repro.kernels.base import EncodedReference, KernelBackend
-from repro.kernels.registry import register_backend
+from repro.kernels.base import EncodedReference, _fallback_counts
 
 #: The "no neighbour" code past either edge of a row.
 _EDGE = alphabet.ALPHABET_SIZE
@@ -128,70 +132,88 @@ def _window(circular: np.ndarray, codes: np.ndarray, offset: int,
     return out
 
 
-class GemmBackend(KernelBackend):
-    """One-hot float32 GEMM mismatch counts."""
+def counts_batch(encoded: EncodedReference, queries: np.ndarray,
+                 *, ed_star: bool,
+                 rotations: "Sequence[int] | None" = None) -> np.ndarray:
+    """Exact ``(B, M)`` mismatch counts (ED* or Hamming).
 
-    name = "numpy-gemm"
-
-    def _counts(self, encoded: EncodedReference, queries: np.ndarray,
-                *, ed_star: bool) -> np.ndarray:
+    With ``rotations``, the ``(R, B, M)`` counts of the block rotated
+    left by each offset (``np.roll(queries, -offset, axis=1)``;
+    negative offsets rotate right, 0 is the block as given), from one
+    stacked call.
+    """
+    if rotations is None:
         counts = np.empty((queries.shape[0], encoded.n_rows), dtype=np.intp)
-        self._passes(encoded, queries, ((ed_star, 0),), (counts,))
+        _count(encoded, queries, ((ed_star, 0),), (counts,))
         return counts
-
-    def _counts_dual(self, encoded: EncodedReference,
-                     queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Two blocks, not views of one (2, B, M) array: ledgers keep
-        # each pass's counts, and the shared block raised the peak RSS
-        # of a four-session frontend by ~4%.
-        ed = np.empty((queries.shape[0], encoded.n_rows), dtype=np.intp)
-        hd = np.empty_like(ed)
-        self._passes(encoded, queries, ((True, 0), (False, 0)), (ed, hd))
-        return ed, hd
-
-    def _rotated_counts(self, encoded: EncodedReference, queries: np.ndarray,
-                        offsets: "tuple[int, ...]", *,
-                        ed_star: bool) -> np.ndarray:
-        counts = np.empty((len(offsets), queries.shape[0], encoded.n_rows),
-                          dtype=np.intp)
-        self._passes(encoded, queries,
-                     tuple((ed_star, offset) for offset in offsets), counts)
-        return counts
-
-    @staticmethod
-    def _passes(encoded: EncodedReference, queries: np.ndarray,
-                passes: "tuple[tuple[bool, int], ...]",
-                outs: "Sequence[np.ndarray]") -> None:
-        """Write each ``(ed_star, offset)`` pass's ``(B, M)`` counts.
-
-        One circular mask gather per mode; pass ``p`` owns rows
-        ``p*B .. (p+1)*B`` of the stacked float32 buffer, and each
-        chunk of those rows is one GEMM.
-        """
-        queries = np.asarray(queries, dtype=np.uint8)
-        n_queries, n_cells = queries.shape
-        circular = {ed_star: _circular_mask(queries, ed_star)
-                    for ed_star in {ed_star for ed_star, _ in passes}}
-        chunks = _gemm_chunks(len(passes) * n_queries, n_cells)
-        mask = np.empty((chunks[0][1] if chunks else 0, n_cells * _WIDTH),
-                        dtype=np.float32)
-        stored = encoded.onehot.T
-        for start, stop in chunks:
-            writes = []
-            for index, ((ed_star, offset), out) in enumerate(
-                    zip(passes, outs, strict=True)):
-                base = index * n_queries
-                first, last = max(start, base), min(stop, base + n_queries)
-                if first >= last:
-                    continue
-                rows = slice(first - start, last - start)
-                reads = slice(first - base, last - base)
-                _window(circular[ed_star][reads], queries[reads], offset,
-                        ed_star, mask[rows])
-                writes.append((rows, out[reads]))
-            counted = mask[:stop - start] @ stored
-            for rows, out in writes:
-                np.subtract(n_cells, counted[rows], out=out, casting="unsafe")
+    offsets = tuple(int(offset) for offset in rotations)
+    counts = np.empty((len(offsets), queries.shape[0], encoded.n_rows),
+                      dtype=np.intp)
+    _count(encoded, queries, tuple((ed_star, offset) for offset in offsets),
+           counts)
+    return counts
 
 
-register_backend(GemmBackend())
+def counts_batch_dual(encoded: EncodedReference,
+                      queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ED*, HD)`` count blocks sharing one query pass."""
+    # Two blocks, not views of one (2, B, M) array: ledgers keep each
+    # pass's counts, and the shared block raised the peak RSS of a
+    # four-session frontend by ~4%.
+    ed = np.empty((queries.shape[0], encoded.n_rows), dtype=np.intp)
+    hd = np.empty_like(ed)
+    _count(encoded, queries, ((True, 0), (False, 0)), (ed, hd))
+    return ed, hd
+
+
+def _count(encoded: EncodedReference, queries: np.ndarray,
+           passes: "tuple[tuple[bool, int], ...]",
+           outs: "Sequence[np.ndarray]") -> None:
+    """Write each pass's counts: the GEMM, or the boolean fallback.
+
+    Stored codes are alphabet-checked at write time; only a query block
+    carrying a code outside ACGT (which the one-hot masks cannot
+    represent) takes :func:`~repro.kernels.base._fallback_counts`.
+    """
+    if queries.shape[0] and int(queries.max()) < alphabet.ALPHABET_SIZE:
+        _passes(encoded, queries, passes, outs)
+        return
+    for (ed_star, offset), out in zip(passes, outs, strict=True):
+        out[...] = _fallback_counts(encoded.segments,
+                                    np.roll(queries, -offset, axis=1),
+                                    ed_star=ed_star)
+
+
+def _passes(encoded: EncodedReference, queries: np.ndarray,
+            passes: "tuple[tuple[bool, int], ...]",
+            outs: "Sequence[np.ndarray]") -> None:
+    """Write each ``(ed_star, offset)`` pass's ``(B, M)`` counts.
+
+    One circular mask gather per mode; pass ``p`` owns rows
+    ``p*B .. (p+1)*B`` of the stacked float32 buffer, and each chunk
+    of those rows is one GEMM.
+    """
+    queries = np.asarray(queries, dtype=np.uint8)
+    n_queries, n_cells = queries.shape
+    circular = {ed_star: _circular_mask(queries, ed_star)
+                for ed_star in {ed_star for ed_star, _ in passes}}
+    chunks = _gemm_chunks(len(passes) * n_queries, n_cells)
+    mask = np.empty((chunks[0][1] if chunks else 0, n_cells * _WIDTH),
+                    dtype=np.float32)
+    stored = encoded.onehot.T
+    for start, stop in chunks:
+        writes = []
+        for index, ((ed_star, offset), out) in enumerate(
+                zip(passes, outs, strict=True)):
+            base = index * n_queries
+            first, last = max(start, base), min(stop, base + n_queries)
+            if first >= last:
+                continue
+            rows = slice(first - start, last - start)
+            reads = slice(first - base, last - base)
+            _window(circular[ed_star][reads], queries[reads], offset,
+                    ed_star, mask[rows])
+            writes.append((rows, out[reads]))
+        counted = mask[:stop - start] @ stored
+        for rows, out in writes:
+            np.subtract(n_cells, counted[rows], out=out, casting="unsafe")

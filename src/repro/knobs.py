@@ -1,7 +1,7 @@
 """One shared validation gate for the cross-layer constructor knobs.
 
-``backend=``, ``micro_batch=`` and ``compaction=`` appear at three
-constructor boundaries (:class:`repro.cam.CamArray`,
+``micro_batch=`` and ``compaction=`` appear at three constructor
+boundaries (:class:`repro.cam.CamArray`,
 :class:`repro.service.StreamingMappingService` and
 :class:`repro.service.MappingFrontend`).  They are validated *here*,
 once, so a falsy or invalid value raises the same
@@ -21,13 +21,14 @@ knobs that thread through multiple layers.
 The same rule holds for the values every search threads down: a
 batch's one threshold (:func:`check_threshold`), a sweep's threshold
 vector (:func:`check_thresholds`), the ground-truth DP's band, and
-the determinism keys and seeds (:func:`check_integer`, raising
-:class:`~repro.errors.CamConfigError`) are integers or an error, never
-truncated — ``threshold=2.7`` is a mistake, not ``T = 2``, keys
-``0.5`` and ``0.9`` are not one noise stream, and ``seed=True`` is not
-seed 1.  A seed is masked to 64 bits only after its gate.  Contractlint
-``CL304`` keeps truncating coercions of those parameters out of the
-rest of ``src/repro``.
+the determinism keys, seeds and pass rotations (:func:`check_integer`,
+raising :class:`~repro.errors.CamConfigError`) are integers or an
+error, never truncated — ``threshold=2.7`` is a mistake, not ``T = 2``,
+keys ``0.5`` and ``0.9`` are not one noise stream, ``seed=True`` is not
+seed 1 and ``rotation=2.7`` is not the rotation-2 pass.  A seed is
+masked to 64 bits only after its gate.  Contractlint ``CL304`` keeps
+truncating coercions of those parameters out of the rest of
+``src/repro``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numbers
 import numpy as np
 
 from repro.errors import CamConfigError, ThresholdError
-from repro.kernels import KernelBackend, get_backend
 
 
 def check_integer(name: str, value, error: type = CamConfigError) -> int:
@@ -99,10 +99,7 @@ def check_thresholds(values) -> np.ndarray:
 
 
 def validate_service_knobs(micro_batch: "int | None" = None,
-                           compaction: "int | None" = None,
-                           *,
-                           backend: "str | KernelBackend | None" = None,
-                           ) -> None:
+                           compaction: "int | None" = None) -> None:
     """Reject falsy/invalid cross-layer knobs at a constructor boundary.
 
     Every knob treats ``None`` as "autotune/disable"; explicit values
@@ -111,8 +108,6 @@ def validate_service_knobs(micro_batch: "int | None" = None,
     """
     check_count("micro_batch", micro_batch)
     check_count("compaction", compaction)
-    if backend is not None and not isinstance(backend, KernelBackend):
-        get_backend(backend)  # raises CamConfigError on unknown names
 
 
 def validate_reference_source(segments, *,

@@ -39,6 +39,7 @@ regression test; DESIGN.md states the binding rules.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +90,6 @@ class MappingFrontend:
         override).
     domain / noisy:
         Array configuration shared by every session's arrays.
-    backend:
-        Default kernel backend for every session's arrays (``None`` =
-        the standard selection order; see :mod:`repro.kernels`);
-        individual sessions may override it.  Bit-identical across
-        backends, so the frontend/standalone equivalence holds
-        whichever backend runs.
     catalog:
         A :class:`~repro.refstore.ReferenceCatalog` to serve stored
         references from.  Sessions then pass ``reference=<name>`` to
@@ -110,9 +105,7 @@ class MappingFrontend:
                  config: "MatcherConfig | None" = None,
                  domain: str = "charge",
                  noisy: bool = True,
-                 backend: "str | None" = None,
                  catalog: "object | None" = None):
-        validate_service_knobs(backend=backend)
         if catalog is not None and segments is not None:
             raise CamConfigError(
                 "a catalog frontend takes no construction-time "
@@ -129,13 +122,12 @@ class MappingFrontend:
         self._config = config
         self._domain = domain
         self._noisy = bool(noisy)
-        self._backend = backend
         self._catalog = catalog
         #: Frontend-level traffic ledger; holds the single
         #: ReferenceLoad per resolved reference (the encode-once
         #: evidence) — session ledgers only ever see search passes.
         self._ledger = CostLedger()
-        #: Guards the reference states, the session list and the open
+        #: Guards the reference states, the session table and the open
         #: flag: ``close`` clears the flag before it closes sessions or
         #: unpins leases, so nothing opened after it is left running.
         self._lock = threading.Lock()
@@ -144,7 +136,10 @@ class MappingFrontend:
         #: ``None``.
         self._ref_states: "dict[str | None, _RefState]" = {}
         self._default: "_RefState | None" = None
-        self._sessions: "list[MappingSession]" = []
+        #: Open order -> session, held weakly: a session its caller
+        #: dropped is collected with its engine, closed or not.
+        self._sessions = weakref.WeakValueDictionary()
+        self._n_opened = 0
         self._running = True
         self._closed = False
         if catalog is None:
@@ -206,9 +201,16 @@ class MappingFrontend:
 
     @property
     def sessions(self) -> "tuple[MappingSession, ...]":
-        """Every session ever opened (open order)."""
+        """Every opened session something else still references (open
+        order).
+
+        The frontend holds its sessions weakly, so a session its caller
+        dropped is collected, engine and ledgers included, and leaves
+        this tuple; a session still referenced stays listed after it
+        closes.
+        """
         with self._lock:
-            return tuple(self._sessions)
+            return tuple(self._sessions.values())
 
     # -- reference resolution -----------------------------------------------
 
@@ -250,7 +252,6 @@ class MappingFrontend:
                 micro_batch: "int | None" = None,
                 retain_mappings: bool = True,
                 config: "MatcherConfig | None" = None,
-                backend: "str | None" = None,
                 reference: "str | None" = None) -> MappingSession:
         """Open an independent mapping session over the shared
         reference.
@@ -259,9 +260,8 @@ class MappingFrontend:
         StreamingMappingService`: per-session ``seed`` (determinism
         key base), ``threshold`` (non-negative, checked here:
         :class:`~repro.errors.ThresholdError`), ``micro_batch``
-        (``None`` autotunes — same plan as the standalone service),
-        ``retain_mappings`` and kernel
-        ``backend`` (``None`` = the frontend's default).  The expensive
+        (``None`` autotunes — same plan as the standalone service) and
+        ``retain_mappings``.  The expensive
         reference state is *not* rebuilt: only per-session
         arrays/matchers/ledgers are.
 
@@ -270,7 +270,7 @@ class MappingFrontend:
         names coexist, each reference opened once).  On any
         other frontend ``reference`` must stay ``None``.
         """
-        validate_service_knobs(micro_batch, backend=backend)
+        validate_service_knobs(micro_batch)
         if self._catalog is None:
             if reference is not None:
                 raise ServiceError(
@@ -287,18 +287,18 @@ class MappingFrontend:
             state = self._reference_state(reference)
         pipeline = build_pipeline(
             state.reference, self._model, config or self._config,
-            seed=seed, backend=self._backend if backend is None else backend,
-            domain=self._domain, noisy=self._noisy,
+            seed=seed, domain=self._domain, noisy=self._noisy,
         )
         with self._lock:
             if not self._running:
                 raise ServiceError("the mapping frontend has been closed")
-            index = len(self._sessions)
+            index = self._n_opened
             session = MappingSession(
                 pipeline, threshold, micro_batch, retain_mappings,
                 index=index, label=f"session {index}",
             )
-            self._sessions.append(session)
+            self._sessions[index] = session
+            self._n_opened += 1
             return session
 
     # -- lifecycle ----------------------------------------------------------
@@ -310,7 +310,9 @@ class MappingFrontend:
         Idempotent.  New sessions are refused first, so a
         :meth:`session` call racing this one either raises
         :class:`~repro.errors.ServiceError` or returns a session that
-        is closed here.  Sessions that already failed are skipped
+        is closed here.  Only sessions still alive are swept (a dropped
+        one was collected with whatever it buffered).  Sessions that
+        already failed are skipped
         (their owners saw — or will see — the ``ServiceError``);
         everything else is drained first (each close waits for a batch
         another thread has in flight), so no accepted read is silently
@@ -320,7 +322,7 @@ class MappingFrontend:
             if self._closed:
                 return
             self._running = False
-            sessions = tuple(self._sessions)
+            sessions = tuple(self._sessions.values())
         for session in sessions:
             if not session.closed:
                 try:

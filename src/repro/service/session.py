@@ -134,8 +134,7 @@ class ServiceStats:
 
 
 def build_pipeline(reference, error_model, config, *, seed: int,
-                   backend: "str | None", domain: str,
-                   noisy: bool) -> ReadMappingPipeline:
+                   domain: str, noisy: bool) -> ReadMappingPipeline:
     """The service layer's one engine construction.
 
     *reference* is either a
@@ -149,13 +148,11 @@ def build_pipeline(reference, error_model, config, *, seed: int,
         return ReadMappingPipeline(AsmCapMatcher.over_stored(
             reference, error_model, config, domain=domain, noisy=noisy,
             seed=seed, ledger_compaction=DEFAULT_SERVICE_COMPACTION,
-            backend=backend,
         ))
     reference = as_segments_matrix(reference)
     array = CamArray(rows=reference.shape[0], cols=reference.shape[1],
                      domain=domain, noisy=noisy, seed=seed,
-                     ledger_compaction=DEFAULT_SERVICE_COMPACTION,
-                     backend=backend)
+                     ledger_compaction=DEFAULT_SERVICE_COMPACTION)
     array.store(reference)
     return ReadMappingPipeline(
         AsmCapMatcher(array, error_model, config, seed=seed)
@@ -224,7 +221,11 @@ class MappingSession:
 
     @property
     def backend(self) -> str:
-        """Kernel backend name the engine's arrays search with."""
+        """``"numpy-gemm"``, the one count kernel.
+
+        Read by the benchmark's configuration record; it goes with
+        ROADMAP item 1's perfbench PR.
+        """
         return self._pipeline.backend
 
     @property

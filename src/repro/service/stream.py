@@ -105,12 +105,6 @@ class StreamingMappingService(MappingSession):
         Array configuration.  The array and the matcher are built with
         the same ``seed``, so a one-shot pipeline built the same way is
         bit-identical.
-    backend:
-        Kernel backend for the engine's mismatch-count primitives
-        (``None`` = the standard selection order; see
-        :mod:`repro.kernels`).  Bit-identical across backends, so a
-        streamed session keeps its one-shot bit-identity contract
-        whichever backend runs.
     retain_mappings:
         Keep every micro-batch's per-read results in the aggregate
         report, as column blocks whose
@@ -139,17 +133,16 @@ class StreamingMappingService(MappingSession):
                  domain: str = "charge",
                  noisy: bool = True,
                  seed: int = 0,
-                 backend: "str | None" = None,
                  retain_mappings: bool = True,
                  catalog: "object | None" = None):
-        validate_service_knobs(micro_batch, backend=backend)
+        validate_service_knobs(micro_batch)
         validate_reference_source(segments, catalog=catalog)
         self._lease = None if catalog is None else catalog.borrow(segments)
         try:
             pipeline = build_pipeline(
                 segments if self._lease is None else self._lease.reference,
-                error_model, config, seed=seed, backend=backend,
-                domain=domain, noisy=noisy,
+                error_model, config, seed=seed, domain=domain,
+                noisy=noisy,
             )
             super().__init__(pipeline, threshold, micro_batch,
                              retain_mappings)

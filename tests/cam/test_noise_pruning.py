@@ -99,8 +99,7 @@ def pass_cases(draw):
 def _arrays(n_cells, config, variation, n_rows):
     arrays = []
     for cls in (CamArray, _DenseArray):
-        array = cls(rows=n_rows, cols=n_cells, backend="numpy-gemm",
-                    **config)
+        array = cls(rows=n_rows, cols=n_cells, **config)
         if variation is not None:
             array._variation = CurrentDomainVariation(
                 sigma_rel=array.variation.sigma_rel, **variation)

@@ -167,12 +167,9 @@ class TestEndToEnd:
 
 class TestScenarioMatrix:
     def test_matrix_covers_every_route(self):
-        from repro.kernels import available_backends
-
         routes = [s.route for s in SCENARIOS]
         assert sorted(routes) == ["catalog", "frontend", "store", "stream"]
         assert len({s.name for s in SCENARIOS}) == len(SCENARIOS)
-        assert {s.backend for s in SCENARIOS} <= set(available_backends())
 
     def test_reachable_points_are_valid(self):
         from repro.faults import HOOK_POINTS
@@ -200,8 +197,7 @@ class TestScenarioMatrix:
         # Error-contract regression (contractlint CL401): a bad route
         # raises the typed config error, not a bare ValueError.
         scenario = ChaosScenario(
-            name="bogus", backend="numpy-gemm",
-            route="teleport", fault_kinds=(),
+            name="bogus", route="teleport", fault_kinds=(),
         )
         with pytest.raises(CamConfigError, match="unknown scenario route"):
             scenario.run()

@@ -1,12 +1,12 @@
-"""Kernel-backend registry, resolution order and exact-count contracts.
+"""The count kernel's exact-count contract, at the primitive level.
 
-The binding contract of :mod:`repro.kernels`: every registered backend
-returns **exactly equal integer counts** — the boolean comparison sweep
-is the reference semantics, the GEMM lane an implementation of it.
-These tests pin the registry/resolution API (against the test lane of
-``conftest.py``) and the bit-identity at the primitive level, including
-rows longer than 255 cells; the execution-path identity
-(scalar/batched/sweep/service) lives in ``test_cross_backend.py``.
+The binding contract of :mod:`repro.kernels`: ``counts_batch`` and
+``counts_batch_dual`` return **exactly equal integer counts** to the
+boolean comparison sweep, the reference semantics the GEMM implements.
+These tests pin that bit-identity at the primitive level, including
+rows longer than 255 cells, and that no kernel choice is left to make;
+the execution-path identity (scalar/batched/sweep/service) lives in
+``test_cross_backend.py``.
 """
 
 from __future__ import annotations
@@ -16,22 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.autotune import plan_backend
 from repro.cam.array import CamArray, StoredReference
 from repro.cam.cell import MatchMode
 from repro.distance.ed_star import mismatch_counts_all_reads
 from repro.distance.edit_distance import composition_lower_bound
 from repro.errors import CamConfigError
 from repro.kernels import (
-    DEFAULT_BACKEND,
-    KERNEL_BACKEND_ENV,
-    GemmBackend,
-    as_backend,
-    available_backends,
+    counts_batch,
+    counts_batch_dual,
     encode_reference,
     encoded_reference_arrays,
     encoded_reference_from_arrays,
-    get_backend,
-    resolve_backend,
 )
 from repro.knobs import validate_service_knobs
 
@@ -47,33 +43,20 @@ def _reference_counts(segments: np.ndarray, queries: np.ndarray,
 
 
 class TestRegistry:
+    """What is left of the kernel registry: one name, no choice."""
+
     def test_gemm_is_the_builtin_backend(self):
-        assert available_backends() == ("numpy-gemm",)
-
-    def test_registered_lane_is_listed_sorted(self, reference_lane):
-        names = available_backends()
-        assert names == (reference_lane, "numpy-gemm")
-        assert names == tuple(sorted(names))
-
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(CamConfigError) as excinfo:
-            get_backend("warp-drive")
-        # The error lists what IS registered.
-        assert "numpy-gemm" in str(excinfo.value)
-
-    def test_as_backend_defaults_to_gemm(self):
-        assert as_backend(None).name == DEFAULT_BACKEND == "numpy-gemm"
-
-    def test_as_backend_passthrough(self, reference_lane):
-        backend = GemmBackend()
-        assert as_backend(backend) is backend
-        assert as_backend(reference_lane).name == reference_lane
+        """The one kernel's name, as the read-only ``backend``
+        properties and the cached plan report it."""
+        array = CamArray(rows=4, cols=16, noisy=False)
+        assert plan_backend() == array.backend == "numpy-gemm"
 
     def test_validate_service_knobs_backend(self):
-        validate_service_knobs(backend="numpy-gemm")
-        validate_service_knobs(backend=GemmBackend())
-        with pytest.raises(CamConfigError):
-            validate_service_knobs(backend="no-such-backend")
+        """The knob gate takes no kernel choice: a stale ``backend=``
+        fails loudly instead of being ignored."""
+        validate_service_knobs(micro_batch=4, compaction=8)
+        with pytest.raises(TypeError):
+            validate_service_knobs(backend="numpy-gemm")
 
 
 class TestEncodedReferenceErrors:
@@ -89,55 +72,27 @@ class TestEncodedReferenceErrors:
 
 
 class TestResolutionOrder:
-    """Explicit knob > ``REPRO_KERNEL_BACKEND`` env var > autotune."""
-
-    def test_explicit_beats_env(self, monkeypatch, reference_lane):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, reference_lane)
-        assert resolve_backend("numpy-gemm").name == "numpy-gemm"
-
-    def test_env_beats_autotune(self, monkeypatch, reference_lane):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, reference_lane)
-        assert resolve_backend(None).name == reference_lane
-
-    def test_invalid_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "warp-drive")
-        with pytest.raises(CamConfigError) as excinfo:
-            resolve_backend(None)
-        assert KERNEL_BACKEND_ENV in str(excinfo.value)
-
-    def test_autotune_tail_returns_registered_backend(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert resolve_backend(None).name in available_backends()
-
-    def test_instance_passthrough(self):
-        backend = GemmBackend()
-        assert resolve_backend(backend) is backend
-
-    def test_array_resolves_explicit_knob(self, reference_lane):
-        array = CamArray(rows=4, cols=16, noisy=False,
-                         backend=reference_lane)
-        assert array.backend == reference_lane
+    """What is left of backend resolution: a stale knob fails loudly."""
 
     def test_array_rejects_unknown_backend(self):
-        with pytest.raises(CamConfigError):
+        """There is nothing to select: ``CamArray`` has no ``backend=``
+        parameter, so a stale caller fails at the constructor."""
+        with pytest.raises(TypeError):
             CamArray(rows=4, cols=16, backend="warp-drive")
-
-    def test_array_env_override(self, monkeypatch, reference_lane):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, reference_lane)
-        assert CamArray(rows=4, cols=16, noisy=False).backend == reference_lane
 
 
 class TestEncodeOnce:
     def test_one_pass_serves_every_backend(self):
+        """Every count entry point searches the one encoding."""
         rng = np.random.default_rng(7)
         segments = rng.integers(0, 4, (8, 32)).astype(np.uint8)
         queries = rng.integers(0, 4, (5, 32)).astype(np.uint8)
         ref = StoredReference.encode(segments)
         assert ref.n_encodes == 1
-        for name in available_backends():
-            ref.counts_batch(queries, MatchMode.ED_STAR, backend=name)
-            ref.counts_batch(queries, MatchMode.HAMMING, backend=name)
-            ref.counts_batch_dual(queries, backend=name)
+        ref.counts_batch(queries, MatchMode.ED_STAR)
+        ref.counts_batch(queries, MatchMode.HAMMING)
+        ref.counts_batch(queries, MatchMode.ED_STAR, rotations=(0, 1, -1))
+        ref.counts_batch_dual(queries)
         assert ref.n_encodes == 1
 
     def test_encoded_reference_arrays_are_read_only(self):
@@ -161,7 +116,7 @@ class TestEncodeOnce:
         assert encoded.segments[0, 0] == 0
 
 
-# -- randomized exact-equality properties (satellite: fallback lanes) --
+# -- randomized exact-equality properties ----------------------------------
 
 # Codes 0..3 are ACGT; 4..6 stand for N/ambiguity codes that force the
 # boolean fallback lane.  Rows reach 600 cells so random counts pass
@@ -191,39 +146,32 @@ class TestExactEqualityProperties:
         encoded = encode_reference(segments)
         for ed_star in (True, False):
             expected = _reference_counts(segments, queries, ed_star)
-            for name in available_backends():
-                got = get_backend(name).counts_batch(encoded, queries,
-                                                     ed_star=ed_star)
-                assert got.shape == expected.shape
-                assert np.array_equal(got, expected), name
+            got = counts_batch(encoded, queries, ed_star=ed_star)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(_workload(max_code=6))
     def test_ambiguity_codes_fall_back_exactly(self, workload):
         """Reads with N/ambiguity codes agree with the boolean
-        reference on every backend (the GEMM lane routes them to the
-        shared fallback)."""
+        reference (the kernel routes them to the fallback)."""
         segments, queries = workload
         encoded = encode_reference(segments)
         for ed_star in (True, False):
             expected = _reference_counts(segments, queries, ed_star)
-            for name in available_backends():
-                got = get_backend(name).counts_batch(encoded, queries,
-                                                     ed_star=ed_star)
-                assert np.array_equal(got, expected), name
+            got = counts_batch(encoded, queries, ed_star=ed_star)
+            assert np.array_equal(got, expected)
 
     @settings(max_examples=40, deadline=None)
     @given(_workload(max_code=6))
     def test_dual_equals_two_single_passes(self, workload):
         segments, queries = workload
         encoded = encode_reference(segments)
-        for name in available_backends():
-            backend = get_backend(name)
-            ed, hd = backend.counts_batch_dual(encoded, queries)
-            assert np.array_equal(
-                ed, backend.counts_batch(encoded, queries, ed_star=True))
-            assert np.array_equal(
-                hd, backend.counts_batch(encoded, queries, ed_star=False))
+        ed, hd = counts_batch_dual(encoded, queries)
+        assert np.array_equal(
+            ed, counts_batch(encoded, queries, ed_star=True))
+        assert np.array_equal(
+            hd, counts_batch(encoded, queries, ed_star=False))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=600),
@@ -234,20 +182,18 @@ class TestExactEqualityProperties:
         queries = rng.integers(0, 5, (3, n_cols)).astype(np.uint8)
         encoded = encode_reference(segments)
         expected = _reference_counts(segments, queries, True)
-        for name in available_backends():
-            got = get_backend(name).counts_batch(encoded, queries,
-                                                 ed_star=True)
-            assert np.array_equal(got, expected), name
+        got = counts_batch(encoded, queries, ed_star=True)
+        assert np.array_equal(got, expected)
 
     def test_empty_batch_every_backend(self):
         segments = np.zeros((3, 16), dtype=np.uint8)
         queries = np.zeros((0, 16), dtype=np.uint8)
         encoded = encode_reference(segments)
-        for name in available_backends():
-            for ed_star in (True, False):
-                got = get_backend(name).counts_batch(encoded, queries,
-                                                     ed_star=ed_star)
-                assert got.shape == (0, 3)
+        for ed_star in (True, False):
+            got = counts_batch(encoded, queries, ed_star=ed_star)
+            assert got.shape == (0, 3)
+        assert [c.shape for c in counts_batch_dual(encoded, queries)] \
+            == [(0, 3), (0, 3)]
 
 
 class TestCompositionProfiles:
@@ -302,17 +248,13 @@ class TestPaperGeometry:
         expected_hd = _reference_counts(segments, queries, False)
         # The oracle itself: all A against all C mismatches every cell.
         assert expected_ed[0, 0] == expected_hd[0, 0] == n_cols
-        for name in available_backends():
-            backend = get_backend(name)
-            assert np.array_equal(
-                backend.counts_batch(encoded, queries, ed_star=True),
-                expected_ed), name
-            assert np.array_equal(
-                backend.counts_batch(encoded, queries, ed_star=False),
-                expected_hd), name
-            ed, hd = backend.counts_batch_dual(encoded, queries)
-            assert np.array_equal(ed, expected_ed), name
-            assert np.array_equal(hd, expected_hd), name
+        assert np.array_equal(
+            counts_batch(encoded, queries, ed_star=True), expected_ed)
+        assert np.array_equal(
+            counts_batch(encoded, queries, ed_star=False), expected_hd)
+        ed, hd = counts_batch_dual(encoded, queries)
+        assert np.array_equal(ed, expected_ed)
+        assert np.array_equal(hd, expected_hd)
         bound = composition_lower_bound(segments, queries)
         assert np.array_equal(
             bound, _composition_bound_reference(segments, queries))

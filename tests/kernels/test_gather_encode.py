@@ -1,4 +1,4 @@
-"""The GEMM lane's table-gather encode and its one-encode rotations.
+"""The GEMM kernel's table-gather encode and its one-encode rotations.
 
 ``numpy-gemm`` builds each query cell's acceptable-base mask by
 gathering a packed table at the cell's code (HD) or at ``prev*20 +
@@ -6,25 +6,28 @@ cur*5 + next`` (ED*, circular neighbours), once per mode, and serves
 every pass as a window of that mask with the two edge cells
 re-gathered (``counts_batch(..., rotations=)``).  The oracles here:
 
-* the flat-index scatter the lane used before the gather, kept only in
-  this file — windowed masks must ``==`` it, rotated windows included;
-* per-offset ``np.roll`` plus a plain ``counts_batch`` — rotated counts
-  must ``==`` it on every backend (the GEMM override, the default
-  roll-per-offset of the test lane, and the non-ACGT fallback).
+* the flat-index scatter the kernel used before the gather, kept only
+  in this file — windowed masks must ``==`` it, rotated windows
+  included;
+* per-offset ``np.roll`` plus a plain ``counts_batch``, and the boolean
+  ``_fallback_counts`` over the same rolled blocks — rotated counts
+  must ``==`` both, for ACGT blocks (the GEMM) and for non-ACGT ones
+  (the fallback).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cam.array import CamArray, StoredReference
 from repro.cam.cell import MatchMode
 from repro.core.tasr import DIRECTIONS, rotation_offsets
 from repro.genome import alphabet
-from repro.kernels import available_backends, encode_reference, get_backend
+from repro.kernels import counts_batch, encode_reference
+from repro.kernels.base import _fallback_counts
 from repro.kernels.gemm import _circular_mask, _window
 
 N_CELLS = (1, 2, 3, 256)
@@ -47,7 +50,8 @@ def _scatter_mask(queries: np.ndarray, ed_star: bool) -> np.ndarray:
 
 def _gathered(codes: np.ndarray, ed_star: bool,
               offset: int = 0) -> np.ndarray:
-    """The lane's float32 mask of ``codes`` rotated left by ``offset``."""
+    """The kernel's float32 mask of ``codes`` rotated left by
+    ``offset``."""
     n_queries, n_cells = codes.shape
     return _window(
         _circular_mask(codes, ed_star), codes, offset, ed_star,
@@ -55,9 +59,9 @@ def _gathered(codes: np.ndarray, ed_star: bool,
                  dtype=np.float32))
 
 
-def _per_offset(backend, encoded, queries, offsets, ed_star):
+def _per_offset(encoded, queries, offsets, ed_star):
     """The oracle: roll the block per offset, count each copy."""
-    return [backend.counts_batch(encoded, np.roll(queries, -offset, axis=1),
+    return [counts_batch(encoded, np.roll(queries, -offset, axis=1),
                                  ed_star=ed_star) for offset in offsets]
 
 
@@ -112,24 +116,24 @@ class TestGatheredMasks:
 
 
 class TestRotationsFromOneEncode:
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60, deadline=None)
     @given(_blocks(max_code=3))
-    def test_rotations_equal_per_offset_roll(self, reference_lane, block):
+    def test_rotations_equal_per_offset_roll(self, block):
         segments, queries = block
         encoded = encode_reference(segments)
-        for name in available_backends():
-            backend = get_backend(name)
-            for offsets in _every_schedule():
-                for ed_star in (True, False):
-                    got = backend.counts_batch(encoded, queries,
-                                               ed_star=ed_star,
-                                               rotations=offsets)
-                    want = _per_offset(backend, encoded, queries, offsets,
-                                       ed_star)
-                    assert got.shape == (len(offsets), queries.shape[0],
-                                         segments.shape[0])
-                    assert np.array_equal(got, np.stack(want)), name
+        for offsets in _every_schedule():
+            for ed_star in (True, False):
+                got = counts_batch(encoded, queries, ed_star=ed_star,
+                                   rotations=offsets)
+                want = _per_offset(encoded, queries, offsets, ed_star)
+                oracle = [_fallback_counts(
+                    segments, np.roll(queries, -offset, axis=1),
+                    ed_star=ed_star) for offset in offsets]
+                assert got.shape == (len(offsets), queries.shape[0],
+                                     segments.shape[0])
+                assert np.array_equal(got, np.stack(want))
+                assert np.array_equal(
+                    got, np.stack(oracle).reshape(got.shape))
 
     @settings(max_examples=40, deadline=None)
     @given(_blocks(max_code=6))
@@ -137,36 +141,29 @@ class TestRotationsFromOneEncode:
         """Ambiguity codes route every rotation to the boolean sweep."""
         segments, queries = block
         encoded = encode_reference(segments)
-        backend = get_backend("numpy-gemm")
         offsets = (0,) + rotation_offsets(3, "both")
-        got = backend.counts_batch(encoded, queries, ed_star=True,
-                                   rotations=offsets)
-        want = [backend._fallback_counts(segments,
-                                         np.roll(queries, -offset, axis=1),
-                                         ed_star=True)
+        got = counts_batch(encoded, queries, ed_star=True, rotations=offsets)
+        want = [_fallback_counts(segments, np.roll(queries, -offset, axis=1),
+                                 ed_star=True)
                 for offset in offsets]
         assert np.array_equal(got, np.stack(want).reshape(got.shape))
 
     @pytest.mark.parametrize("n_queries", [0, 1])
-    def test_empty_and_single_read_blocks(self, reference_lane, n_queries):
+    def test_empty_and_single_read_blocks(self, n_queries):
         rng = np.random.default_rng(n_queries)
         segments = rng.integers(0, 4, (5, 16)).astype(np.uint8)
         queries = rng.integers(0, 4, (n_queries, 16)).astype(np.uint8)
         encoded = encode_reference(segments)
         offsets = (0, 1, 2, -1, -2)
-        for name in available_backends():
-            backend = get_backend(name)
-            got = backend.counts_batch(encoded, queries, ed_star=True,
-                                       rotations=offsets)
-            assert got.shape == (5, n_queries, 5)
-            want = _per_offset(backend, encoded, queries, offsets, True)
-            assert np.array_equal(got, np.stack(want)), name
+        got = counts_batch(encoded, queries, ed_star=True, rotations=offsets)
+        assert got.shape == (5, n_queries, 5)
+        want = _per_offset(encoded, queries, offsets, True)
+        assert np.array_equal(got, np.stack(want))
 
     def test_no_offsets_is_an_empty_block(self):
         encoded = encode_reference(np.zeros((3, 8), dtype=np.uint8))
         queries = np.zeros((2, 8), dtype=np.uint8)
-        got = get_backend("numpy-gemm").counts_batch(
-            encoded, queries, ed_star=True, rotations=())
+        got = counts_batch(encoded, queries, ed_star=True, rotations=())
         assert got.shape == (0, 2, 3)
 
     def test_stored_reference_and_array_pass_rotations_through(self):

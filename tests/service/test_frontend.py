@@ -16,9 +16,11 @@ racing ``session()`` or a feeder) behave.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -470,8 +472,6 @@ class TestLifecycle:
                 frontend.session(threshold=THRESHOLD, micro_batch=0)
             with pytest.raises(CamConfigError):
                 frontend.session(threshold=THRESHOLD, micro_batch=-2)
-            with pytest.raises(CamConfigError):
-                frontend.session(threshold=THRESHOLD, backend="no-such")
 
     def test_negative_threshold_rejected_before_any_read(
             self, small_dataset_a):
@@ -481,6 +481,26 @@ class TestLifecycle:
             with pytest.raises(ThresholdError, match="non-negative"):
                 frontend.session(-1)
             assert frontend.sessions == ()
+
+    def test_dropped_sessions_are_collected(self, small_dataset_a):
+        """Regression: the frontend held every session it ever opened,
+        so each closed session's engine (arrays, matcher, compacting
+        ledger) stayed alive for the frontend's lifetime."""
+        reads = _reads(small_dataset_a)
+        with _frontend(small_dataset_a) as frontend:
+            refs = []
+            for seed in range(10):
+                session = frontend.session(threshold=THRESHOLD, seed=seed,
+                                           micro_batch=4)
+                session.submit_many(reads)
+                session.close()
+                refs.append(weakref.ref(session))
+                del session
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * 10
+            assert frontend.sessions == ()
+            # The open order keeps counting past collected sessions.
+            assert frontend.session(threshold=THRESHOLD).index == 10
 
     def test_failed_dispatch_surfaces_on_the_session(self,
                                                      small_dataset_a):

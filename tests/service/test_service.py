@@ -321,8 +321,6 @@ class TestLifecycle:
             self._service(small_dataset_a, micro_batch=0)
         with pytest.raises(CamConfigError):
             self._service(small_dataset_a, micro_batch=-3)
-        with pytest.raises(CamConfigError):
-            self._service(small_dataset_a, backend="warp-drive")
 
     def test_retain_mappings_false_bounds_results(self, small_dataset_a):
         reads = _reads(small_dataset_a)

@@ -4,7 +4,7 @@
 boundary that coerced with it ran a mistyped knob as some other value.
 Each boundary now rejects a ``bool``, ``float`` or ``str`` with its own
 error type (:class:`~repro.errors.CamConfigError` at the shared knob
-gate, :class:`~repro.errors.LedgerCompactionError` at the ledger,
+gate and at a stored reference's row capacity, :class:`~repro.errors.LedgerCompactionError` at the ledger,
 :class:`~repro.errors.RefStoreError` at the catalog's byte budget,
 :class:`~repro.errors.ArchConfigError` at the sweep's run count) and
 accepts numpy integers.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.arch.autotune import sweep_worker_count
-from repro.cam.array import CamArray
+from repro.cam.array import CamArray, StoredReference
 from repro.cost.ledger import CostLedger
 from repro.errors import (
     ArchConfigError,
@@ -51,6 +51,12 @@ BOUNDARIES = {
         CamConfigError),
     "ledger-compaction": (
         lambda ds, v: CostLedger(compaction=v), LedgerCompactionError),
+    "stored-rows": (
+        lambda ds, v: StoredReference(ds.segments[:2], rows=v),
+        CamConfigError),
+    "encode-rows": (
+        lambda ds, v: StoredReference.encode(ds.segments[:2], rows=v),
+        CamConfigError),
 }
 
 

@@ -7,7 +7,8 @@ fit 0..255 becomes uint8 (codes 4..255 take the ambiguity fallback);
 a float read, or a value outside 0..255, raises
 :class:`~repro.errors.CamConfigError` at every entry point.  Segment
 matrices have the same contract through
-:func:`repro.cam.array.as_segments_matrix`, with the 2-bit range 0..3.
+:func:`repro.cam.array.as_segments_matrix`, with the 2-bit range 0..3,
+and so has one cell's stored code (:class:`~repro.cam.cell.AsmCapCell`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 
 from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray, StoredReference, as_read_codes
-from repro.cam.cell import MatchMode
+from repro.cam.cell import AsmCapCell, MatchMode
 from repro.core.fragmentation import FragmentedMatcher
 from repro.core.matcher import AsmCapMatcher
 from repro.core.pipeline import ReadMappingPipeline
@@ -150,6 +151,8 @@ def _fragmented_init(dataset, segments):
 
 
 SEGMENT_ENTRY_POINTS = {
+    "AsmCapCell": lambda ds, segments: AsmCapCell(
+        np.asarray(segments)[0, 0]),
     "array.store": _store,
     "StoredReference.encode": _encode,
     "service": _service,

@@ -5,8 +5,8 @@ boundary that coerced a threshold with it ran some other ``T``, and one
 that coerced a key put reads keyed ``0.5`` and ``0.9`` on one noise
 stream.  Every boundary now rejects a non-integer threshold (and the
 ground-truth DP's band) with :class:`~repro.errors.ThresholdError` and
-a non-integer key, key offset or determinism seed with
-:class:`~repro.errors.CamConfigError`; a batch boundary also refuses a
+a non-integer key, key offset, determinism seed, pass rotation or
+cell code with :class:`~repro.errors.CamConfigError`; a batch boundary also refuses a
 threshold vector, naming the sweep call that takes one.
 The rotation count ``NR`` of TASR and of EDAM's SR is checked the same
 way, once, when the matcher is built.  Numpy integers are accepted and
@@ -20,6 +20,7 @@ import pytest
 
 from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
+from repro.cam.cell import AsmCapCell, MatchMode
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.core.pipeline import ReadMappingPipeline
 from repro.distance.edit_distance import banded_edit_distance_batch
@@ -76,7 +77,8 @@ SWEEP_BOUNDARIES = {
     "accuracy-experiment": lambda ds, v: AccuracyExperiment(ds, v),
 }
 
-#: boundary -> run it with a first key / key vector set to a value
+#: boundary -> run it with a first key, key vector, seed, pass rotation
+#: or cell code set to a value
 KEY_BOUNDARIES = {
     "run_batched-first_read_index": lambda ds, v: ReadMappingPipeline(
         _matcher(ds)).run_batched(_reads(ds), 4, first_read_index=v),
@@ -85,6 +87,15 @@ KEY_BOUNDARIES = {
     "array-seed": lambda ds, v: CamArray(rows=4, cols=8, seed=v),
     "matcher-seed": lambda ds, v: AsmCapMatcher(
         CamArray(rows=4, cols=8), ds.model, seed=v),
+    "search_batch-rotation": lambda ds, v: _matcher(ds).array.search_batch(
+        _reads(ds), 4, rotation=v),
+    "search_batch-rotation_block": lambda ds, v: _matcher(
+        ds).array.search_batch(
+            _reads(ds), 4, mode=(MatchMode.ED_STAR,) * 2,
+            noise_keys=[None, None], rotation=(0, v)),
+    "search_sweep-rotation": lambda ds, v: _matcher(ds).array.search_sweep(
+        _reads(ds), [2, 4], rotation=v),
+    "cell-stored_code": lambda ds, v: AsmCapCell(v),
 }
 
 

@@ -22,3 +22,7 @@ def summary(counts, threshold):
 
 def build_array(rows, seed=0):
     return int(rows), check_integer("seed", seed) & 0xFFFFFFFFFFFFFFFF
+
+
+def search_batch(queries, threshold, rotation=0):
+    return queries, threshold, check_integer("rotation", rotation)

@@ -22,3 +22,8 @@ def keyed(query_keys):
 
 def build_array(rows, seed=0):
     return rows, int(seed) & 0xFFFFFFFFFFFFFFFF  # expect: CL304
+
+
+def search_batch(queries, threshold, rotation=0):
+    passes = [int(r) for r in rotation]  # a loop variable, not the knob
+    return queries, passes, int(rotation)  # expect: CL304

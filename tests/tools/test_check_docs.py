@@ -117,7 +117,7 @@ def test_api_doc_module_map_resolves():
 def _signature_blocks(service: str) -> str:
     return "\n".join([
         "# API", "", "```", service,
-        "MappingFrontend(segments, model, backend=None,",
+        "MappingFrontend(segments, model, noisy=True,",
         "                catalog=None)   # note: x=1 is a comment",
         "  .session(threshold, seed=0, reference=None)",
         "```",
@@ -131,7 +131,7 @@ def test_signature_keywords_skip_comments_and_positionals():
     assert signature_keywords(text, "StreamingMappingService(") == [
         ["micro_batch"]]
     assert signature_keywords(text, "MappingFrontend(") == [
-        ["backend", "catalog"]]
+        ["noisy", "catalog"]]
     assert signature_keywords(text, ".session(") == [["seed", "reference"]]
 
 

@@ -24,7 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Knob names pinned for fixture runs (the production run reads them
 #: from src/repro/knobs.py; fixtures must not depend on the tree).
-KNOBS = ("micro_batch", "compaction", "max_workers", "backend")
+KNOBS = ("micro_batch", "compaction", "max_workers")
 
 #: Hook points pinned for fixture runs.
 HOOKS = ("refstore.save", "refstore.open")
@@ -82,6 +82,8 @@ CHECKER_CASES = [
     pytest.param("one_parallelism_violation.py",
                  "one_parallelism_clean.py",
                  "src/repro/service/fixture.py", id="one-parallelism"),
+    pytest.param("no_environment_violation.py", "no_environment_clean.py",
+                 "src/repro/kernels/fixture.py", id="no-environment"),
 ]
 
 
@@ -133,6 +135,15 @@ class TestExactMessages:
                 "values (the PR 5 max_workers=0 bug); use 'max_workers "
                 "if max_workers is not None else ...'") in messages
 
+    def test_cl108_message(self):
+        _, findings = lint_fixture("no_environment_violation.py",
+                                   "src/repro/kernels/fixture.py")
+        assert [f.message for f in findings][:2] == [
+            "'from os import environ, getenv' reads configuration from "
+            "the environment; take it as a parameter instead",
+            "'os.environ' reads configuration from the environment; "
+            "take it as a parameter instead"]
+
     def test_cl402_message(self):
         _, findings = lint_fixture("error_contract_violation.py",
                                    "src/repro/cam/fixture.py")
@@ -174,7 +185,7 @@ class TestKeyedNoiseScope:
 
 
 class TestOneEncodeRotationScope:
-    """CL105 covers the matchers only: the kernel's per-offset default,
+    """CL105 covers the matchers only: the kernel's boolean fallback,
     the shift-register model and sequence helpers may roll."""
 
     SOURCE = ("import numpy as np\n"

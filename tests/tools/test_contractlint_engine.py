@@ -103,7 +103,7 @@ class TestConfig:
 class TestRepoFacts:
     def test_knob_names_read_from_this_repo(self):
         knobs = read_knob_names(REPO_ROOT)
-        assert set(knobs) == {"micro_batch", "compaction", "backend"}
+        assert knobs == ("micro_batch", "compaction")
 
     def test_hook_points_read_from_this_repo(self):
         points = read_hook_points(REPO_ROOT)
@@ -121,7 +121,7 @@ class TestRepoFacts:
         assert "warp" in knobs  # new knob picked up automatically
 
     def test_missing_tree_falls_back(self, tmp_path):
-        assert "micro_batch" in read_knob_names(tmp_path)
+        assert read_knob_names(tmp_path) == ("micro_batch", "compaction")
         assert read_hook_points(tmp_path) == ()
 
 

@@ -1,8 +1,9 @@
 """Contract linter: static enforcement of the repo's binding contracts.
 
 The reproduction's value proposition is a set of *contracts* — bit-
-identical decisions under keyed noise for any scheduling/backend/
-worker count, validated service knobs, a typed fail-loud error hierarchy,
+identical decisions under keyed noise for any scheduling, batching or
+worker count, configuration passed in signatures rather than read from
+the environment, validated service knobs, a typed fail-loud error hierarchy,
 registered fault-hook points, and a downward-only import layering.
 Every one of them used to be enforced only by runtime tests and
 reviewer vigilance, and at least one real bug (a falsy ``or`` that

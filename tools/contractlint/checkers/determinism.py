@@ -2,8 +2,8 @@
 
 The binding contract (DESIGN.md, "Determinism"): every decision the
 library makes is a pure function of explicit seeds and keys — mapping
-reports are bit-identical for any scheduling, backend, engine or
-process count.  Statically that means nothing under ``src/repro`` may
+reports are bit-identical for any scheduling, batching or worker
+count.  Statically that means nothing under ``src/repro`` may
 draw from an entropy source that is not keyed by an argument:
 
 * ``CL101`` — wall-clock / raw-entropy calls whose result can never be
@@ -60,11 +60,18 @@ draw from an entropy source that is not keyed by an argument:
   with it (DESIGN.md, "Layer audit: one session executor").  The
   Monte-Carlo sweep's pool is the one exception the rule names.
 
+* ``CL108`` — configuration from the environment: any ``os.environ``
+  / ``os.environb`` access, ``os.getenv`` / ``os.getenvb`` call, or
+  ``from os import`` of one of them, anywhere in ``src/repro``.  Every
+  setting is a parameter in a signature, where the knob gates validate
+  it and a caller can see it; an environment variable is a knob no
+  signature shows, and two such variables once selected a kernel and
+  an engine behind every caller's back.
+
 ``time.perf_counter`` is deliberately *not* flagged: it is the
 monotonic latency instrument of the stats/autotune paths, and the
-cross-backend/engine bit-identity contract (enforced at runtime by the
-equivalence suites) is exactly the proof that timing never reaches a
-decision.
+bit-identity contract (enforced at runtime by the equivalence suites)
+is exactly the proof that timing never reaches a decision.
 """
 
 from __future__ import annotations
@@ -414,3 +421,38 @@ class OneParallelismChecker(Checker):
             and (_dotted(node.func) in _THREAD_CALLS
                  or _dotted(node.func)[-1:] in _POOL_CALLS)
         ]
+
+
+#: ``os`` attributes that read the process environment.
+_ENVIRON_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+@register
+class NoEnvironmentChecker(Checker):
+    name = "no-environment"
+    codes = {
+        "CL108": "os.environ / os.getenv in src/repro (configuration "
+                 "is a parameter in a signature, not an environment "
+                 "variable)",
+    }
+    scope = ("src/repro",)
+
+    def check(self, ctx: FileContext, repo: RepoContext) -> "list[Finding]":
+        findings: "list[Finding]" = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Attribute) \
+                    and _dotted(node) in {("os", name)
+                                          for name in _ENVIRON_NAMES}:
+                spelled = ".".join(_dotted(node))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                    and any(a.name in _ENVIRON_NAMES for a in node.names):
+                spelled = "from os import " + ", ".join(
+                    a.name for a in node.names if a.name in _ENVIRON_NAMES)
+            else:
+                continue
+            findings.append(Finding(
+                path=ctx.rel_path, line=node.lineno, col=node.col_offset,
+                code="CL108",
+                message=f"'{spelled}' reads configuration from the "
+                        f"environment; take it as a parameter instead"))
+        return findings

@@ -1,7 +1,7 @@
 """CL3xx — knob hygiene: ``None`` means autotune, falsy means *bug*.
 
 The binding contract (``repro/knobs.py``): the cross-layer constructor
-knobs (``micro_batch``, ``compaction``, ``backend``) treat ``None`` as
+knobs (``micro_batch``, ``compaction``) treat ``None`` as
 "autotune/disable" and validate every explicit value through
 ``validate_service_knobs``.  The one bug class this permits is
 *falsy-swallowing*: ``micro_batch or plan.micro_batch`` silently turns
@@ -15,11 +15,11 @@ to the gate automatically extends the lint.
   ``<knob> if <knob> else <default>``): distinguishes ``None`` from
   falsy explicit values by accident, never on purpose.  Use
   ``x if x is not None else default``.
-* ``CL302`` — truthiness test of a knob (``if not backend:``,
+* ``CL302`` — truthiness test of a knob (``if not compaction:``,
   ``while micro_batch:``): same falsy/None conflation one branch
   earlier.  Test ``is None`` / ``is not None`` explicitly.
 * ``CL303`` — a knob-named parameter with a *falsy* non-``None``
-  default (``backend=""``, ``micro_batch=0``): indistinguishable from
+  default (``compaction=""``, ``micro_batch=0``): indistinguishable from
   "unset" to any downstream truthiness check, and invalid per the
   validation gate anyway.
 """
@@ -126,9 +126,9 @@ class KnobChecker(Checker):
 
 #: Parameters whose values reach the search as given: a truncated
 #: threshold runs another ``T``, a truncated key or seed another noise
-#: stream.
+#: stream, a truncated rotation another pass.
 GUARDED_PARAMETERS = ("threshold", "thresholds", "first_read_index",
-                      "query_keys", "seed")
+                      "query_keys", "seed", "rotation")
 
 #: The one module allowed to coerce them (after validating).
 GATE_MODULE = "src/repro/knobs.py"

@@ -247,7 +247,7 @@ def _apply_suppressions(findings: "list[Finding]", ctx: FileContext,
 # -- repo facts read from source ---------------------------------------------
 
 #: Fallbacks when the source of truth is absent (tiny test repos).
-_FALLBACK_KNOBS = ("micro_batch", "compaction", "backend")
+_FALLBACK_KNOBS = ("micro_batch", "compaction")
 
 
 def read_knob_names(root: Path) -> "tuple[str, ...]":
