@@ -2,14 +2,14 @@
 
 * :mod:`repro.arch.timing` — cycle-level latency model;
 * :mod:`repro.arch.power` — Section V-B area/power breakdown;
-* :mod:`repro.arch.autotune` — micro-batch and sweep-worker planning.
+* :mod:`repro.arch.autotune` — micro-batch planning.
 
 The banked system of Fig. 4(a) is modelled analytically: the per-read
 system cost behind Fig. 8 is
 :func:`repro.experiments.fig8.asmcap_read_cost`.
 """
 
-from repro.arch.autotune import plan_microbatch, sweep_worker_count
+from repro.arch.autotune import plan_microbatch
 from repro.arch.power import (
     PowerBreakdown,
     array_area_mm2,
@@ -31,5 +31,4 @@ __all__ = [
     "component_energies_per_search",
     "plan_microbatch",
     "steady_state_search_period_ns",
-    "sweep_worker_count",
 ]

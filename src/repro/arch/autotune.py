@@ -1,7 +1,7 @@
 """Execution-parameter autotuning: sizing picked from the workload.
 
 Every heuristic here is clamped and deterministic given its inputs
-(the reference size and the machine's core count).
+(the reference size).
 
 The streaming service sizes its micro-batches through
 :func:`plan_microbatch`: the coalescing buffer a long-running feed
@@ -10,24 +10,25 @@ set (:data:`repro.constants.CHUNK_ELEMS`) the array's batched GEMM
 path chunks to, and kept large enough (:data:`MIN_CHUNK_READS`) that
 per-dispatch cost stays negligible.
 
-The Monte-Carlo sweep runner reuses the same machine signal through
-:func:`sweep_worker_count` (independent repetitions, so the only cap
-is cores vs runs).  It is the one thread pool left in ``src/repro``
-(contractlint ``CL107``): the services run every micro-batch on the
-thread that feeds it, and the count kernel's BLAS owns the cores.
+There is no thread count to plan: ``src/repro`` starts no thread
+(contractlint ``CL107``).  The services run every micro-batch on the
+thread that feeds it, the Monte-Carlo sweep runs its repetitions in
+order on the calling thread, and the count kernel's BLAS owns the
+cores.
 
 There is one count kernel (:mod:`repro.kernels`), so there is no
-kernel to choose.  :func:`plan_backend` and
-:func:`calibrate_kernel_backends` stay only because the benchmark's
-setups time the calibration (its ``arch.autotune`` span) and record
-the plan; they go with ROADMAP item 1's perfbench PR.
+kernel to choose.  :func:`plan_backend`,
+:func:`calibrate_kernel_backends` and :func:`sweep_worker_count` stay
+only because the benchmark's setups time the calibration (its
+``arch.autotune`` span) and record the plan; they go with ROADMAP
+item 1's perfbench PR.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
+
 from repro.constants import CHUNK_ELEMS
 from repro.errors import ArchConfigError
 from repro.knobs import check_integer
@@ -39,13 +40,6 @@ MIN_CHUNK_READS = 64
 #: Upper bound on reads per micro-batch — above this the per-pass
 #: blocks stop fitting in outer caches regardless of element budget.
 MAX_CHUNK_READS = 8192
-
-
-def available_cpus(cpu_count: "int | None" = None) -> int:
-    """The core budget used by every heuristic (>= 1)."""
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    return max(1, int(cpu_count))
 
 
 def plan_microbatch(n_rows: int, cols: int) -> int:
@@ -77,19 +71,19 @@ def plan_microbatch(n_rows: int, cols: int) -> int:
     return int(min(MAX_CHUNK_READS, max(MIN_CHUNK_READS, batch)))
 
 
-def sweep_worker_count(n_runs: int,
-                       cpu_count: "int | None" = None) -> int:
-    """Worker threads for a Monte-Carlo sweep of independent runs.
+def sweep_worker_count(n_runs: int) -> int:
+    """``1``: the Monte-Carlo sweep runs its repetitions on the calling
+    thread.
 
-    Each repetition owns its dataset, arrays and noise streams, so runs
-    parallelise freely; the only cap is cores (and it never pays to
-    spawn more workers than runs).  *n_runs* must be a positive integer
-    (:class:`~repro.errors.ArchConfigError` otherwise, never truncated).
+    Kept only for the benchmark's config record, which goes with
+    ROADMAP item 1's perfbench PR.  *n_runs* must still be a positive
+    integer (:class:`~repro.errors.ArchConfigError` otherwise, never
+    truncated).
     """
     n_runs = check_integer("n_runs", n_runs, ArchConfigError)
     if n_runs < 1:
         raise ArchConfigError(f"n_runs must be positive, got {n_runs}")
-    return max(1, min(n_runs, available_cpus(cpu_count)))
+    return 1
 
 
 # -- kernel calibration (kept for the benchmark harness) -------------------

@@ -415,8 +415,13 @@ class StoredReference:
         encode: ``(R, B, M)`` counts, slice ``i`` equal to the counts of
         ``np.roll(queries, -rotations[i], axis=1)`` (offset 0 is the
         unrotated base pass) — the read loaded once and rotated in
-        place by the shift registers (Fig. 4).
+        place by the shift registers (Fig. 4).  Each rotation must be
+        an integer (:class:`~repro.errors.CamConfigError` otherwise,
+        never truncated).
         """
+        if rotations is not None:
+            rotations = tuple(check_integer("rotation", rotation)
+                              for rotation in rotations)
         return counts_batch(self._encoded, queries,
                             ed_star=mode is MatchMode.ED_STAR,
                             rotations=rotations)

@@ -23,7 +23,7 @@ the same ledger views as every measured pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class StrategyProfile:
 
 
 def profile_from_ledger(events: Iterable[LedgerEvent],
-                        thresholds: "Iterable[int]",
+                        thresholds: "Sequence[int] | np.ndarray",
                         condition: str = "?") -> StrategyProfile:
     """Harvest a sweep's strategy statistics from recorded events.
 
@@ -121,8 +121,13 @@ def profile_from_ledger(events: Iterable[LedgerEvent],
     :class:`~repro.cost.events.CompactionCheckpoint` raises
     :class:`~repro.errors.LedgerCompactionError` instead of yielding a
     profile over part of the sweep (see DESIGN.md, "Cost-ledger
-    contract: compaction").
+    contract: compaction").  *thresholds* is a non-empty 1-D integer
+    vector (:class:`~repro.errors.ThresholdError` otherwise, never
+    truncated).
     """
+    from repro.knobs import check_thresholds
+
+    thresholds = tuple(check_thresholds(thresholds).tolist())
     sweep_passes = []
     for event in events:
         if isinstance(event, CompactionCheckpoint):
@@ -138,9 +143,6 @@ def profile_from_ledger(events: Iterable[LedgerEvent],
             "no sweep passes recorded; run match_sweep before harvesting "
             "a strategy profile"
         )
-    thresholds = tuple(int(t) for t in thresholds)
-    if not thresholds:
-        raise ExperimentError("strategy profile needs a non-empty sweep")
     searches: list[float] = []
     cycles: list[float] = []
     for threshold in thresholds:

@@ -8,30 +8,25 @@ standard deviation per threshold, plus the paper's headline aggregates
 (mean-F1 ratios between systems, maximum ratio and where it occurs).
 
 **Execution model.**  Each repetition is self-contained — its dataset,
-arrays and noise streams all derive from the run's seed — so runs
-dispatch across ``concurrent.futures`` worker threads (numpy releases
-the GIL inside the heavy kernels) and gather in run order.  Results are
-therefore bit-identical for any worker count, including 1.  Within a
-run, every system's threshold curve is produced by the batched sweep
-engine (:meth:`repro.eval.experiment.AccuracyExperiment.evaluate`): one
-search pass per Fig. 7 curve instead of one per threshold.
+arrays and noise streams all derive from the run's seed — and runs one
+after another on the calling thread, in run order; the cores belong to
+the count kernel's BLAS (DESIGN.md, "Layer audit: one level of
+parallelism").  Within a run, every system's threshold curve is
+produced by the batched sweep engine
+(:meth:`repro.eval.experiment.AccuracyExperiment.evaluate`): one search
+pass per Fig. 7 curve instead of one per threshold.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.arch.autotune import sweep_worker_count
 from repro.errors import ExperimentError
-from repro.eval.experiment import (
-    AccuracyExperiment,
-    AccuracyResult,
-    SystemFactory,
-)
+from repro.eval.experiment import AccuracyExperiment, SystemFactory
 from repro.genome.datasets import build_dataset
+from repro.knobs import check_integer, check_thresholds
 
 
 @dataclass
@@ -98,35 +93,31 @@ def run_sweep(condition: str,
               read_length: int = 256,
               n_segments: int = 128,
               seed: int = 0,
-              burst_prob: float = 0.3,
-              n_workers: "int | None" = None) -> SweepResult:
+              burst_prob: float = 0.3) -> SweepResult:
     """Repeat an accuracy experiment across seeds and aggregate.
 
     Each run draws a fresh dataset (new reference, reads, edits) and
     fresh hardware noise, so the spread is the full Monte-Carlo spread.
-    Runs are dispatched across ``n_workers`` threads (default: one per
-    run up to the CPU count, see
-    :func:`repro.arch.autotune.sweep_worker_count`) and merged in run
-    order — the aggregate is bit-identical for every worker count.
+    Runs execute in run order on the calling thread.  *thresholds* is
+    a 1-D integer vector (:class:`~repro.errors.ThresholdError`
+    otherwise); *n_runs* must be a positive integer and *seed* an
+    integer (:class:`~repro.errors.ExperimentError` otherwise, never
+    truncated).
     """
+    n_runs = check_integer("n_runs", n_runs, ExperimentError)
     if n_runs < 1:
         raise ExperimentError(f"n_runs must be positive, got {n_runs}")
+    seed = check_integer("seed", seed, ExperimentError)
     if not systems:
         raise ExperimentError(
             "systems must be non-empty; a sweep with no systems would "
             "produce a degenerate SweepResult"
         )
-    if n_workers is None:
-        n_workers = sweep_worker_count(n_runs)
-    elif n_workers < 1:
-        raise ExperimentError(
-            f"n_workers must be positive, got {n_workers}"
-        )
-    result = SweepResult(condition=condition,
-                         thresholds=sorted({int(t) for t in thresholds}))
-
-    def one_run(run: int) -> "dict[str, AccuracyResult]":
-        """One self-contained Monte-Carlo repetition (seed-keyed)."""
+    result = SweepResult(
+        condition=condition,
+        thresholds=sorted(set(check_thresholds(thresholds).tolist())))
+    accumulator: dict[str, list[list[float]]] = {name: [] for name in systems}
+    for run in range(n_runs):
         dataset = build_dataset(condition, n_reads=n_reads,
                                 read_length=read_length,
                                 n_segments=n_segments,
@@ -134,18 +125,7 @@ def run_sweep(condition: str,
                                 burst_prob=burst_prob)
         experiment = AccuracyExperiment(dataset, result.thresholds,
                                         seed=seed + run * 7)
-        return experiment.evaluate_all(systems)
-
-    if n_workers == 1 or n_runs == 1:
-        per_run = [one_run(run) for run in range(n_runs)]
-    else:
-        with ThreadPoolExecutor(
-                max_workers=min(n_workers, n_runs)) as pool:
-            per_run = list(pool.map(one_run, range(n_runs)))
-
-    accumulator: dict[str, list[list[float]]] = {name: [] for name in systems}
-    for outcomes in per_run:
-        for name, outcome in outcomes.items():
+        for name, outcome in experiment.evaluate_all(systems).items():
             accumulator[name].append(
                 [outcome.per_threshold[t].f1 for t in result.thresholds]
             )

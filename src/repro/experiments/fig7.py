@@ -97,13 +97,12 @@ def thresholds_for(condition: str) -> list[int]:
 
 def run_fig7(condition: str = "A", n_runs: int = 3, n_reads: int = 96,
              n_segments: int = 128, read_length: int = 256,
-             seed: int = 0, n_workers: "int | None" = None) -> Fig7Result:
+             seed: int = 0) -> Fig7Result:
     """Regenerate one condition of Fig. 7.
 
     Every curve comes from the batched sweep engine (one search pass
-    per read per curve, not per threshold), with Monte-Carlo runs
-    fanned out across ``n_workers`` threads; results are identical for
-    any worker count.
+    per read per curve, not per threshold), with the Monte-Carlo runs
+    executed in run order on the calling thread.
     """
     thresholds = thresholds_for(condition)
     systems = {
@@ -114,22 +113,19 @@ def run_fig7(condition: str = "A", n_runs: int = 3, n_reads: int = 96,
     }
     sweep = run_sweep(condition, systems, thresholds, n_runs=n_runs,
                       n_reads=n_reads, n_segments=n_segments,
-                      read_length=read_length, seed=seed,
-                      n_workers=n_workers)
+                      read_length=read_length, seed=seed)
     kraken_f1 = sweep.systems[SYSTEM_KRAKEN].mean_f1()
     return Fig7Result(condition=condition.strip().upper(), sweep=sweep,
                       kraken_f1=kraken_f1)
 
 
 def main(condition: str = "both", n_runs: int = 3, n_reads: int = 96,
-         n_segments: int = 128, seed: int = 0,
-         n_workers: "int | None" = None) -> str:
+         n_segments: int = 128, seed: int = 0) -> str:
     """Run and render Fig. 7 (one or both conditions)."""
     conditions = ["A", "B"] if condition == "both" else [condition]
     chunks = [
         run_fig7(c, n_runs=n_runs, n_reads=n_reads,
-                 n_segments=n_segments, seed=seed,
-                 n_workers=n_workers).render()
+                 n_segments=n_segments, seed=seed).render()
         for c in conditions
     ]
     return "\n".join(chunks)

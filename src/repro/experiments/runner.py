@@ -62,9 +62,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--segments", type=int, default=128,
                         help="stored segments (fig7/summary)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="Monte-Carlo worker threads (fig7/summary; "
-                             "default: autotuned from runs and cores)")
     args = parser.parse_args(argv)
 
     outputs: list[str] = []
@@ -73,8 +70,8 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.experiment in ("fig7", "all"):
         outputs.append(fig7.main(condition=args.condition,
                                  n_runs=args.runs, n_reads=args.reads,
-                                 n_segments=args.segments, seed=args.seed,
-                                 n_workers=args.workers))
+                                 n_segments=args.segments,
+                                 seed=args.seed))
     if args.experiment in ("fig8", "all"):
         outputs.append(fig8.main())
     if args.experiment in ("breakdown", "all"):

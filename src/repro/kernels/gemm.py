@@ -140,13 +140,14 @@ def counts_batch(encoded: EncodedReference, queries: np.ndarray,
     With ``rotations``, the ``(R, B, M)`` counts of the block rotated
     left by each offset (``np.roll(queries, -offset, axis=1)``;
     negative offsets rotate right, 0 is the block as given), from one
-    stacked call.
+    stacked call.  Offsets are integers; callers gate them
+    (:meth:`repro.cam.array.StoredReference.counts_batch`).
     """
     if rotations is None:
         counts = np.empty((queries.shape[0], encoded.n_rows), dtype=np.intp)
         _count(encoded, queries, ((ed_star, 0),), (counts,))
         return counts
-    offsets = tuple(int(offset) for offset in rotations)
+    offsets = tuple(rotations)
     counts = np.empty((len(offsets), queries.shape[0], encoded.n_rows),
                       dtype=np.intp)
     _count(encoded, queries, tuple((ed_star, offset) for offset in offsets),

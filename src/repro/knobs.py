@@ -15,7 +15,7 @@ Every count knob passes :func:`check_count`, which also rejects a
 live in one layer (the catalog's ``byte_budget=``, the sweep's
 ``n_runs``) go through the same check but raise that layer's error
 (:class:`~repro.errors.RefStoreError`,
-:class:`~repro.errors.ArchConfigError`) — this gate owns exactly the
+:class:`~repro.errors.ExperimentError`) — this gate owns exactly the
 knobs that thread through multiple layers.
 
 The same rule holds for the values every search threads down: a

@@ -1,9 +1,9 @@
 """Property tests for the autotune planners.
 
 Hypothesis sweeps the planner domains for the invariants the rest of
-the stack leans on: sweep workers bounded by runs and cores,
-micro-batches inside the working-set bound, and a monotone response to
-growing references.
+the stack leans on: micro-batches inside the working-set bound, a
+monotone response to growing references, and the sweep-worker shim's
+one worker.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ settings.load_profile("autotune")
 
 n_rows_s = st.integers(min_value=1, max_value=1 << 20)
 cols_s = st.integers(min_value=1, max_value=4096)
-cpus_s = st.integers(min_value=1, max_value=256)
 
 
 class TestPlanMicrobatch:
@@ -56,8 +55,6 @@ class TestPlanMicrobatch:
 
 
 class TestSweepWorkers:
-    @given(n_runs=st.integers(min_value=1, max_value=4096),
-           cpus=cpus_s)
-    def test_bounded_by_runs_and_cpus(self, n_runs, cpus):
-        workers = sweep_worker_count(n_runs, cpu_count=cpus)
-        assert 1 <= workers <= min(n_runs, cpus)
+    @given(n_runs=st.integers(min_value=1, max_value=4096))
+    def test_one_worker(self, n_runs):
+        assert sweep_worker_count(n_runs) == 1

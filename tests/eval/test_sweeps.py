@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
-from repro.eval.experiment import asmcap_plain_system, edam_system
+from repro.eval.experiment import (
+    AccuracyExperiment,
+    asmcap_plain_system,
+    edam_system,
+)
 from repro.eval.sweeps import run_sweep
+from repro.genome.datasets import build_dataset
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +69,14 @@ class TestValidation:
         with pytest.raises(ExperimentError):
             run_sweep("A", {}, [2], n_runs=1)
 
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_sweep("A", {"plain": asmcap_plain_system}, [2],
-                      n_runs=1, n_workers=0)
+    @pytest.mark.parametrize("knobs", [
+        {"n_runs": "3"}, {"n_runs": 2.0}, {"n_runs": True},
+        {"seed": 1.5}, {"seed": True}, {"seed": "1"},
+    ], ids=["runs-str", "runs-float", "runs-bool", "seed-float",
+            "seed-bool", "seed-str"])
+    def test_non_integer_runs_and_seed_rejected(self, knobs):
+        with pytest.raises(ExperimentError, match="must be an integer"):
+            run_sweep("A", {"plain": asmcap_plain_system}, [2], **knobs)
 
     def test_runs_vary_across_seeds(self, sweep):
         """Different repetitions draw different datasets."""
@@ -75,28 +84,30 @@ class TestValidation:
         assert not np.allclose(runs[0], runs[1])
 
 
-class TestWorkerDeterminism:
-    """Monte-Carlo runs are self-contained, so fan-out cannot matter."""
+class TestSerialRuns:
+    """Monte-Carlo runs execute in run order on the calling thread."""
 
-    def test_one_vs_four_workers_bit_identical(self):
-        kwargs = {
-            "thresholds": [2, 4, 6], "n_runs": 4, "n_reads": 12,
-            "read_length": 96, "n_segments": 16, "seed": 9,
-        }
+    def test_equals_a_hand_written_loop(self):
         systems = {"EDAM": edam_system, "plain": asmcap_plain_system}
-        serial = run_sweep("A", systems, n_workers=1, **kwargs)
-        parallel = run_sweep("A", systems, n_workers=4, **kwargs)
+        thresholds, n_runs, seed = [2, 4, 6], 3, 9
+        shape = {"n_reads": 12, "read_length": 96, "n_segments": 16}
+        result = run_sweep("A", systems, thresholds, n_runs=n_runs,
+                           seed=seed, **shape)
+        expected = {name: [] for name in systems}
+        for run in range(n_runs):
+            dataset = build_dataset("A", seed=seed + run * 104729,
+                                    burst_prob=0.3, **shape)
+            outcomes = AccuracyExperiment(
+                dataset, thresholds, seed=seed + run * 7).evaluate_all(systems)
+            for name, outcome in outcomes.items():
+                expected[name].append(
+                    [outcome.per_threshold[t].f1 for t in thresholds])
+        assert result.thresholds == thresholds
         for name in systems:
-            assert np.array_equal(serial.systems[name].f1_runs,
-                                  parallel.systems[name].f1_runs)
+            assert np.array_equal(result.systems[name].f1_runs,
+                                  np.array(expected[name]))
 
-    def test_default_workers_match_serial(self):
-        kwargs = {
-            "thresholds": [2, 4], "n_runs": 2, "n_reads": 8,
-            "read_length": 96, "n_segments": 16, "seed": 1,
-        }
-        systems = {"plain": asmcap_plain_system}
-        serial = run_sweep("A", systems, n_workers=1, **kwargs)
-        auto = run_sweep("A", systems, **kwargs)
-        assert np.array_equal(serial.systems["plain"].f1_runs,
-                              auto.systems["plain"].f1_runs)
+    def test_stale_worker_knob_raises(self):
+        with pytest.raises(TypeError, match="n_workers"):
+            run_sweep("A", {"plain": asmcap_plain_system}, [2], n_runs=1,
+                      n_workers=2)

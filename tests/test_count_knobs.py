@@ -6,7 +6,7 @@ Each boundary now rejects a ``bool``, ``float`` or ``str`` with its own
 error type (:class:`~repro.errors.CamConfigError` at the shared knob
 gate and at a stored reference's row capacity, :class:`~repro.errors.LedgerCompactionError` at the ledger,
 :class:`~repro.errors.RefStoreError` at the catalog's byte budget,
-:class:`~repro.errors.ArchConfigError` at the sweep's run count) and
+:class:`~repro.errors.ExperimentError` at the sweep's run count) and
 accepts numpy integers.
 """
 
@@ -15,15 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arch.autotune import sweep_worker_count
 from repro.cam.array import CamArray, StoredReference
 from repro.cost.ledger import CostLedger
 from repro.errors import (
-    ArchConfigError,
     CamConfigError,
+    ExperimentError,
     LedgerCompactionError,
     RefStoreError,
 )
+from repro.eval.experiment import asmcap_plain_system
+from repro.eval.sweeps import run_sweep
 from repro.refstore import ReferenceCatalog
 from repro.service import MappingFrontend, StreamingMappingService
 
@@ -45,7 +46,9 @@ BOUNDARIES = {
     "catalog-byte_budget": (
         lambda ds, v: ReferenceCatalog(byte_budget=v).close(),
         RefStoreError),
-    "sweep-n_runs": (lambda ds, v: sweep_worker_count(v), ArchConfigError),
+    "sweep-n_runs": (lambda ds, v: run_sweep(
+        "A", {"plain": asmcap_plain_system}, [2], n_runs=v, n_reads=4,
+        read_length=32, n_segments=8), ExperimentError),
     "array-ledger_compaction": (
         lambda ds, v: CamArray(rows=4, cols=8, ledger_compaction=v),
         CamConfigError),
@@ -86,6 +89,9 @@ def test_accepted_counts_keep_their_value(small_dataset_a):
     assert catalog.stats().byte_budget == 1 << 20
     assert type(catalog.stats().byte_budget) is int
     catalog.close()
-    assert sweep_worker_count(np.int64(3), cpu_count=8) == 3
+    sweep = run_sweep("A", {"plain": asmcap_plain_system}, [2],
+                      n_runs=np.int64(3), n_reads=4, read_length=32,
+                      n_segments=8)
+    assert sweep.systems["plain"].f1_runs.shape == (3, 1)
     array = CamArray(rows=4, cols=8, ledger_compaction=np.int16(2))
     assert array.ledger.compaction == 2

@@ -23,9 +23,11 @@ from repro.cam.array import CamArray
 from repro.cam.cell import AsmCapCell, MatchMode
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.core.pipeline import ReadMappingPipeline
+from repro.cost.profile import profile_from_ledger
 from repro.distance.edit_distance import banded_edit_distance_batch
 from repro.errors import CamConfigError, ThresholdError
-from repro.eval.experiment import AccuracyExperiment
+from repro.eval.experiment import AccuracyExperiment, asmcap_plain_system
+from repro.eval.sweeps import run_sweep
 from repro.service import MappingFrontend, StreamingMappingService
 
 
@@ -38,6 +40,12 @@ def _matcher(dataset):
                      seed=1)
     array.store(dataset.segments)
     return AsmCapMatcher(array, dataset.model, seed=2)
+
+
+def _swept_ledger(dataset):
+    matcher = _matcher(dataset)
+    matcher.match_sweep(_reads(dataset), [2, 4])
+    return matcher.array.ledger
 
 
 def _service(dataset, value):
@@ -75,6 +83,11 @@ SWEEP_BOUNDARIES = {
     "match_sweep": lambda ds, v: _matcher(ds).match_sweep(_reads(ds), v),
     "edam-match_sweep": lambda ds, v: _edam(ds).match_sweep(_reads(ds), v),
     "accuracy-experiment": lambda ds, v: AccuracyExperiment(ds, v),
+    "run_sweep": lambda ds, v: run_sweep(
+        "A", {"plain": asmcap_plain_system}, v, n_runs=1, n_reads=4,
+        read_length=32, n_segments=8),
+    "profile_from_ledger": lambda ds, v: profile_from_ledger(
+        _swept_ledger(ds), v),
 }
 
 #: boundary -> run it with a first key, key vector, seed, pass rotation
@@ -95,6 +108,9 @@ KEY_BOUNDARIES = {
             noise_keys=[None, None], rotation=(0, v)),
     "search_sweep-rotation": lambda ds, v: _matcher(ds).array.search_sweep(
         _reads(ds), [2, 4], rotation=v),
+    "mismatch_counts_batch-rotations": lambda ds, v: _matcher(
+        ds).array.mismatch_counts_batch(_reads(ds), MatchMode.ED_STAR,
+                                        rotations=(0, v)),
     "cell-stored_code": lambda ds, v: AsmCapCell(v),
 }
 
@@ -223,6 +239,12 @@ def test_numpy_integers_keep_their_value(small_dataset_a):
     assert [m.read_index for m in report.mappings] == [10, 11, 12, 13]
     experiment = AccuracyExperiment(dataset, np.array([4, 1, 4]))
     assert experiment.thresholds == [1, 4]
+    assert np.array_equal(
+        matcher.array.mismatch_counts_batch(
+            reads, MatchMode.ED_STAR,
+            rotations=np.array([0, 2], dtype=np.int16)),
+        matcher.array.mismatch_counts_batch(reads, MatchMode.ED_STAR,
+                                            rotations=(0, 2)))
     assert np.array_equal(
         banded_edit_distance_batch(dataset.segments, reads, np.uint8(3)),
         banded_edit_distance_batch(dataset.segments, reads, 3))

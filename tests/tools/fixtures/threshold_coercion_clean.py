@@ -26,3 +26,14 @@ def build_array(rows, seed=0):
 
 def search_batch(queries, threshold, rotation=0):
     return queries, threshold, check_integer("rotation", rotation)
+
+
+def counts_batch(queries, rotations=None):
+    offsets = tuple(check_integer("rotation", r) for r in rotations)
+    widths = [int(w) for w in queries.shape]  # iterates no guarded knob
+    return offsets, widths
+
+
+def run_sweep(condition, thresholds):
+    vector = check_thresholds(thresholds)
+    return condition, sorted({int(t) for t in vector})  # gated first

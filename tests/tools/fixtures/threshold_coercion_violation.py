@@ -25,5 +25,16 @@ def build_array(rows, seed=0):
 
 
 def search_batch(queries, threshold, rotation=0):
-    passes = [int(r) for r in rotation]  # a loop variable, not the knob
-    return queries, passes, int(rotation)  # expect: CL304
+    return queries, threshold, int(rotation)  # expect: CL304
+
+
+def counts_batch(queries, rotations=None):
+    offsets = tuple(int(offset) for offset in rotations)  # expect: CL304
+    return queries, offsets
+
+
+def run_sweep(condition, thresholds):
+    levels = []
+    for t in thresholds:
+        levels.append(int(t))  # expect: CL304
+    return condition, sorted({int(t) for t in thresholds})  # expect: CL304

@@ -346,6 +346,15 @@ class TestThresholdCoercion:
             "repro.knobs (check_threshold, check_thresholds, "
             "check_integer)")
 
+    def test_loop_variable_message_names_the_parameter(self):
+        source = ("def counts_batch(queries, rotations=None):\n"
+                  "    return [int(r) for r in rotations]\n")
+        findings = lint_source(source, "src/repro/kernels/fixture.py",
+                               repo=make_repo())
+        assert [(f.code, f.line) for f in findings] == [("CL304", 2)]
+        assert findings[0].message.startswith(
+            "'int(r)' truncates an element of parameter 'rotations'")
+
     def test_the_gate_module_is_exempt(self):
         source = (FIXTURES / "threshold_coercion_violation.py").read_text(
             encoding="utf-8")
@@ -359,8 +368,8 @@ class TestThresholdCoercion:
 
 
 class TestOneParallelism:
-    """CL107: the services start no thread; the Monte-Carlo sweep's
-    pool is the one worker pool in ``src/repro``."""
+    """CL107: nothing in ``src/repro`` starts a thread or a worker
+    pool, the Monte-Carlo sweep runner included."""
 
     SOURCE = ("import threading\n"
               "def start(loop):\n"
@@ -375,11 +384,12 @@ class TestOneParallelism:
             "run the work on the calling thread and leave the cores to "
             "the count kernel's BLAS")
 
-    def test_the_sweep_runner_is_exempt(self):
-        source = (FIXTURES / "one_parallelism_violation.py").read_text(
-            encoding="utf-8")
-        assert lint_source(source, "src/repro/eval/sweeps.py",
-                           repo=make_repo()) == []
+    def test_the_sweep_runner_is_not_exempt(self):
+        source, findings = lint_fixture("one_parallelism_violation.py",
+                                        "src/repro/eval/sweeps.py")
+        assert sorted((f.line, f.code) for f in findings) \
+            == expected_markers(source)
+        assert {f.path for f in findings} == {"src/repro/eval/sweeps.py"}
 
     @pytest.mark.parametrize("rel_path", [
         "tools/chaos_soak.py", "tests/service/test_frontend.py",

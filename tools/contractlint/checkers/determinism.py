@@ -54,11 +54,11 @@ draw from an entropy source that is not keyed by an argument:
 
 * ``CL107`` — a second level of parallelism: a ``threading.Thread(``,
   ``ThreadPoolExecutor(`` or ``ProcessPoolExecutor(`` construction
-  anywhere in ``src/repro`` except ``eval/sweeps.py``.  The services
-  run every micro-batch on the thread that feeds it, and the count
-  kernel's BLAS owns the cores: Python worker threads on top contend
-  with it (DESIGN.md, "Layer audit: one session executor").  The
-  Monte-Carlo sweep's pool is the one exception the rule names.
+  anywhere in ``src/repro``.  The services run every micro-batch on
+  the thread that feeds it, the Monte-Carlo sweep runs its repetitions
+  in order on the calling thread, and the count kernel's BLAS owns the
+  cores: Python worker threads on top contend with it (DESIGN.md,
+  "Layer audit: one level of parallelism").  No module is exempt.
 
 * ``CL108`` — configuration from the environment: any ``os.environ``
   / ``os.environb`` access, ``os.getenv`` / ``os.getenvb`` call, or
@@ -387,9 +387,6 @@ class PerReadFoldChecker(Checker):
         return list(findings.values())
 
 
-#: The one module allowed a worker pool (the Monte-Carlo sweep runner).
-PARALLELISM_EXEMPT = "src/repro/eval/sweeps.py"
-
 #: Call spellings that start threads: ``threading.Thread`` (also
 #: imported bare) and the executors, under any module prefix.
 _THREAD_CALLS = {("threading", "Thread"), ("Thread",)}
@@ -401,14 +398,11 @@ class OneParallelismChecker(Checker):
     name = "one-parallelism"
     codes = {
         "CL107": "thread or worker-pool construction in src/repro "
-                 "outside eval/sweeps.py (the count kernel's BLAS owns "
-                 "the cores)",
+                 "(the count kernel's BLAS owns the cores)",
     }
     scope = ("src/repro",)
 
     def check(self, ctx: FileContext, repo: RepoContext) -> "list[Finding]":
-        if ctx.rel_path == PARALLELISM_EXEMPT:
-            return []
         return [
             Finding(path=ctx.rel_path, line=node.lineno,
                     col=node.col_offset, code="CL107",

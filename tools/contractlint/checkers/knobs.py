@@ -128,7 +128,7 @@ class KnobChecker(Checker):
 #: threshold runs another ``T``, a truncated key or seed another noise
 #: stream, a truncated rotation another pass.
 GUARDED_PARAMETERS = ("threshold", "thresholds", "first_read_index",
-                      "query_keys", "seed", "rotation")
+                      "query_keys", "seed", "rotation", "rotations")
 
 #: The one module allowed to coerce them (after validating).
 GATE_MODULE = "src/repro/knobs.py"
@@ -136,6 +136,21 @@ GATE_MODULE = "src/repro/knobs.py"
 
 def _int_dtype(node: "ast.AST | None") -> bool:
     return isinstance(node, ast.Name) and node.id == "int"
+
+
+def _loop_variables(function: ast.AST,
+                    guarded: "set[str]") -> "dict[str, str]":
+    """Names bound by a ``for`` loop or comprehension in *function*
+    that iterates a guarded parameter, mapped to that parameter."""
+    bound: "dict[str, str]" = {}
+    for node in ast.walk(function):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) \
+                and isinstance(node.iter, ast.Name) \
+                and node.iter.id in guarded:
+            for target in ast.walk(node.target):
+                if isinstance(target, ast.Name):
+                    bound[target.id] = node.iter.id
+    return bound
 
 
 def _coerced(call: ast.Call) -> "ast.AST | None":
@@ -160,7 +175,8 @@ class ThresholdCoercionChecker(Checker):
     name = "threshold-coercion"
     codes = {
         "CL304": "truncating int coercion of a threshold or determinism "
-                 "key parameter (validate through repro.knobs instead)",
+                 "key parameter, or of a loop variable over one "
+                 "(validate through repro.knobs instead)",
     }
     scope = ("src/repro",)
 
@@ -178,17 +194,25 @@ class ThresholdCoercionChecker(Checker):
                        if a.arg in GUARDED_PARAMETERS}
             if not guarded:
                 continue
+            loop_variables = _loop_variables(function, guarded)
             for node in ast.walk(function):
                 if not isinstance(node, ast.Call):
                     continue
                 operand = _coerced(node)
-                if isinstance(operand, ast.Name) and operand.id in guarded:
-                    found[(node.lineno, node.col_offset)] = Finding(
-                        path=ctx.rel_path, line=node.lineno,
-                        col=node.col_offset, code="CL304",
-                        message=f"'{ast.unparse(node)}' truncates parameter "
-                                f"{operand.id!r} (2.7 -> 2, True -> 1); "
-                                f"validate it with repro.knobs "
-                                f"(check_threshold, check_thresholds, "
-                                f"check_integer)")
+                if not isinstance(operand, ast.Name):
+                    continue
+                if operand.id in guarded:
+                    what = f"parameter {operand.id!r}"
+                elif operand.id in loop_variables:
+                    what = (f"an element of parameter "
+                            f"{loop_variables[operand.id]!r}")
+                else:
+                    continue
+                found[(node.lineno, node.col_offset)] = Finding(
+                    path=ctx.rel_path, line=node.lineno,
+                    col=node.col_offset, code="CL304",
+                    message=f"'{ast.unparse(node)}' truncates {what} "
+                            f"(2.7 -> 2, True -> 1); validate it with "
+                            f"repro.knobs (check_threshold, "
+                            f"check_thresholds, check_integer)")
         return list(found.values())
