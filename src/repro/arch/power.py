@@ -17,7 +17,7 @@ component energy models — they are checked, not hard-coded.
 Since the cost-ledger refactor the per-component energies are read
 from :func:`repro.cost.views.component_energies` over a synthetic
 typical-activity search pass
-(:func:`repro.cost.profile.typical_search_event`) — the same view
+(:func:`repro.cost.views.typical_search_event`) — the same view
 every *measured* pass of the functional engine flows through, so the
 Section V-B breakdown, Table I and the ledger cannot drift apart.
 """
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 from repro import constants
 from repro.cam.cell import AsmCapCell
-from repro.cost.profile import typical_search_event
-from repro.cost.views import component_energies
+from repro.cost.views import component_energies, typical_search_event
 from repro.errors import ArchConfigError
 
 #: Layout area per transistor, calibrated so a 28-transistor ASMCap cell

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from repro import constants
 from repro.errors import ArchConfigError
 
-#: EDAM cycle phase decomposition (sums to the 2.4 ns Table I anchor).
-EDAM_PRECHARGE_NS = 0.8
+#: EDAM cycle phase decomposition (with the pre-charge phase,
+#: ``constants.EDAM_PRECHARGE_TIME_NS``, sums to the 2.4 ns Table I
+#: anchor).
 EDAM_DISCHARGE_NS = 0.9
 EDAM_SAMPLE_HOLD_NS = 0.7
 
@@ -57,7 +58,7 @@ class TimingModel:
             # No pre-charge, no sample/hold: evaluate + sense only.
             return {"evaluate": 0.6, "sense": 0.3}
         return {
-            "precharge": EDAM_PRECHARGE_NS,
+            "precharge": constants.EDAM_PRECHARGE_TIME_NS,
             "discharge": EDAM_DISCHARGE_NS,
             "sample_hold": EDAM_SAMPLE_HOLD_NS,
         }

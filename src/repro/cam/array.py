@@ -645,7 +645,7 @@ class CamArray:
         return self._reference().counts_batch_dual(queries)
 
     def _pass_event(self, counts: np.ndarray, thresholds: np.ndarray,
-                    mode: MatchMode, sweep: bool, noise_keys: np.ndarray,
+                    mode: MatchMode, noise_keys: np.ndarray,
                     rotation: int) -> SearchPassEvent:
         """One physical pass as a typed event (not yet recorded).
 
@@ -668,7 +668,6 @@ class CamArray:
             search_time_ns=self._search_time_ns,
             mismatch_counts=counts,
             thresholds=thresholds,
-            sweep=sweep,
             query_keys=noise_keys,
             **extra,
         )
@@ -744,7 +743,6 @@ class CamArray:
                                          strict=True)]
         matches, counts, voltages, energy = self._keyed_pass(
             queries, np.array([threshold]), passes, precomputed_counts,
-            sweep=False,
         )
         matches = matches[0]
         if np.ndim(rotation) != 0:
@@ -785,7 +783,7 @@ class CamArray:
         rotation = check_integer("rotation", rotation)
         matches, counts, voltages, energy = self._keyed_pass(
             queries, thresholds, [(mode, rotation, noise_keys)],
-            precomputed_counts, sweep=True,
+            precomputed_counts,
         )
         return SweepSearchResult(
             matches=matches, mismatch_counts=counts,
@@ -796,25 +794,25 @@ class CamArray:
         )
 
     def _keyed_pass(self, queries: np.ndarray, thresholds: np.ndarray,
-                    passes: list, counts, sweep: bool):
+                    passes: list, counts):
         """The one keyed search pass: counts, keyed noise and a ``(T,)``
         threshold vector, over ``P`` back-to-back passes of one read
         block.
 
-        ``thresholds`` is the sweep vector (a batch is ``T = 1``, its
-        events carrying the threshold broadcast to ``(B,)``);
-        ``passes`` holds each pass's ``(mode, rotation, noise_keys)``
-        and ``counts`` their ``(B, M)`` counts (``None``: counted here,
-        the queries as given; one pass may give a bare ``(B, M)``
-        block).  The passes are decided as one ``(P·B, M)`` block whose
-        row ``p·B + q`` is read ``q`` in pass ``p``, under that pass's
-        keys: a pass's decisions depend only on its counts, thresholds
-        and keys, so stacking changes none of them.  Returns ``(matches,
-        counts, voltages, energy)`` — ``(T, P·B, M)`` matches, the
-        ``(P·B, M)`` counts, a thunk materialising their dense
-        voltages and the ``(P·B,)`` energies — and records one event
-        per pass, in order.  A block of passes gathers its energies
-        once, pre-seeding each event's energy view.
+        ``thresholds`` is the sweep vector (a batch is ``T = 1``), and
+        every event records it; ``passes`` holds each pass's ``(mode,
+        rotation, noise_keys)`` and ``counts`` their ``(B, M)`` counts
+        (``None``: counted here, the queries as given; one pass may
+        give a bare ``(B, M)`` block).  The passes are decided as one
+        ``(P·B, M)`` block whose row ``p·B + q`` is read ``q`` in pass
+        ``p``, under that pass's keys: a pass's decisions depend only
+        on its counts, thresholds and keys, so stacking changes none of
+        them.  Returns ``(matches, counts, voltages, energy)`` —
+        ``(T, P·B, M)`` matches, the ``(P·B, M)`` counts, a thunk
+        materialising their dense voltages and the ``(P·B,)``
+        energies — and records one event per pass, in order.  A block
+        of passes gathers its energies once, pre-seeding each event's
+        energy view.
         """
         n_queries = queries.shape[0]
         if not ((thresholds >= 0) & (thresholds <= self.cols)).all():
@@ -848,17 +846,15 @@ class CamArray:
                        else np.concatenate(per_pass))
             stacked_keys = np.concatenate(keys)
         matches = self._decide(stacked, thresholds, stacked_keys)
-        pass_thresholds = (thresholds if sweep
-                           else np.full(n_queries, thresholds[0]))
-        events = [self._pass_event(block, pass_thresholds, mode, sweep,
-                                   noise_keys, rotation)
+        events = [self._pass_event(block, thresholds, mode, noise_keys,
+                                   rotation)
                   for block, (mode, rotation, _), noise_keys
                   in zip(per_pass, passes, keys, strict=True)]
         if len(events) > 1:
             # The block read as one stream of P·B searches (never
             # recorded): one level-table gather serves every pass.
-            energy = self._pass_event(stacked, pass_thresholds,
-                                      passes[0][0], sweep, stacked_keys,
+            energy = self._pass_event(stacked, thresholds, passes[0][0],
+                                      stacked_keys,
                                       0).energy_per_query_joules
             for index, event in enumerate(events):
                 event.seed_energy_per_query(

@@ -28,6 +28,7 @@ import numpy as np
 from repro.cam.array import CamArray, as_read_codes, as_segments_matrix
 from repro.cam.cell import MatchMode
 from repro.errors import CamConfigError, ThresholdError
+from repro.knobs import check_integer
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,8 @@ class FragmentedMatcher:
         ``(n_segments, n_fragments * N)`` uint8 matrix of long
         reference segments.
     min_fragment_matches:
-        Fragments that must match for a segment-level 'match'.
+        Fragments that must match for a segment-level 'match'; an
+        integer (:class:`~repro.errors.ThresholdError` otherwise).
     """
 
     def __init__(self, array: CamArray, segments: np.ndarray,
@@ -93,6 +95,8 @@ class FragmentedMatcher:
                 f"{n_segments} segments x {n_fragments} fragments exceed "
                 f"{array.rows} array rows"
             )
+        min_fragment_matches = check_integer(
+            "min_fragment_matches", min_fragment_matches, ThresholdError)
         if not 1 <= min_fragment_matches <= n_fragments:
             raise ThresholdError(
                 f"min_fragment_matches must be in 1..{n_fragments}, got "
@@ -121,7 +125,12 @@ class FragmentedMatcher:
         return self._n_fragments * self._array.cols
 
     def per_fragment_threshold(self, threshold: int) -> int:
-        """Split a read-level edit budget across fragments."""
+        """Split a read-level edit budget across fragments.
+
+        *threshold* is an integer; a float, bool or string raises
+        :class:`~repro.errors.ThresholdError` instead of being split.
+        """
+        threshold = check_integer("threshold", threshold, ThresholdError)
         if threshold < 0:
             raise ThresholdError(
                 f"threshold must be non-negative, got {threshold}"

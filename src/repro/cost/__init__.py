@@ -13,15 +13,14 @@ searches) reports its hardware cost through **one** subsystem:
   default; a compacting ledger (the services') folds its events into
   one :class:`CompactionCheckpoint` that keeps only the
   ``search_stats`` sums and per-class event counts, so those two views
-  stay exact and a strategy profile refuses it;
+  stay exact;
 * :mod:`repro.cost.views` — energy / latency / throughput / power
   *derived* from the events through the physical models
   (:mod:`repro.cam.energy`, :mod:`repro.arch.timing`,
   :mod:`repro.arch.power`) — the single accounting implementation that
-  every reported joule and nanosecond flows through;
-* :mod:`repro.cost.profile` — :class:`StrategyProfile`, the measured
-  per-read strategy statistics (searches/read, rotation cycles/read)
-  harvested from a ledger, which feed the analytic Fig. 8 path.
+  every reported joule and nanosecond flows through, plus the
+  synthetic typical-activity pass (:func:`typical_search_event`) that
+  anchors the Section V-B power breakdown and Table I.
 
 The contract (see DESIGN.md): events record *what happened* (counts
 and populations), never joules; all energy/latency numbers are derived
@@ -39,18 +38,13 @@ from repro.cost.events import (
     TasrRotationPass,
 )
 from repro.cost.ledger import CostLedger
-from repro.cost.profile import (
-    StrategyProfile,
-    measure_strategy_profile,
-    profile_from_ledger,
-    typical_search_event,
-)
 from repro.cost.views import (
     SearchStats,
     component_energies,
     search_pass_energy_per_query,
     search_pass_latency_ns,
     search_stats,
+    typical_search_event,
 )
 
 __all__ = [
@@ -62,11 +56,8 @@ __all__ = [
     "ReferenceLoad",
     "SearchPassEvent",
     "SearchStats",
-    "StrategyProfile",
     "TasrRotationPass",
     "component_energies",
-    "measure_strategy_profile",
-    "profile_from_ledger",
     "search_pass_energy_per_query",
     "search_pass_latency_ns",
     "search_stats",

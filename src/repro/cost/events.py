@@ -29,12 +29,10 @@ Event taxonomy
 A *pass* event covers a whole query block: ``mismatch_counts`` is the
 ``(B, M)`` matrix of digital mismatch populations (query, stored row),
 exactly what the sense amplifiers converted to decisions.  Scalar
-searches record a ``(1, M)`` block.  ``thresholds`` holds the sense-amp
-reference levels evaluated against the pass's analog voltages: a
-scalar/batched search's one threshold broadcast to ``(B,)``, or the
-``(T,)`` sweep vector of a sweep pass (``sweep=True``), where one
-physical pass serves every threshold — the distinction the strategy
-profile harvesting relies on.
+searches record a ``(1, M)`` block.  ``thresholds`` holds the ``(T,)``
+sense-amp reference levels the pass's analog voltages were decided
+against: ``(1,)`` for a scalar or batched search, the sweep vector for
+a sweep pass, where one physical pass serves every threshold.
 """
 
 from __future__ import annotations
@@ -69,11 +67,8 @@ class SearchPassEvent(LedgerEvent):
     mismatch_counts:
         ``(B, M)`` digital mismatch populations (query, stored row).
     thresholds:
-        Sense-amp reference levels evaluated on this pass: the batch's
-        one threshold broadcast to ``(B,)`` for batched searches, the
-        ``(T,)`` sweep vector for sweep passes.
-    sweep:
-        True when one physical pass served a whole threshold sweep.
+        ``(T,)`` sense-amp reference levels the pass was decided
+        against: ``(1,)`` for a batch, the sweep vector for a sweep.
     query_keys:
         The per-query noise keys of the pass (None for synthetic
         events, such as the analytic typical-activity pass).
@@ -86,7 +81,6 @@ class SearchPassEvent(LedgerEvent):
     search_time_ns: float
     mismatch_counts: np.ndarray
     thresholds: np.ndarray
-    sweep: bool = False
     query_keys: "np.ndarray | None" = None
 
     @property
@@ -103,10 +97,6 @@ class SearchPassEvent(LedgerEvent):
     def shift_cycles(self) -> int:
         """Shift-register cycles this pass spent (rotated passes only)."""
         return 0
-
-    def covers_threshold(self, threshold: int) -> bool:
-        """Whether this pass's decisions served *threshold*."""
-        return bool(np.any(self.thresholds == threshold))
 
     # -- derived views (cached; computed by repro.cost.views) ------------
 

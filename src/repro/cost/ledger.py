@@ -13,16 +13,15 @@ The ledger stores events only; every energy/latency/power number is a
 pass's ``(B, M)`` mismatch populations, which grows without bound in a
 long-running service.  ``CostLedger(compaction=K)`` opts into the
 compacting mode, which follows one rule: once more than ``K`` events
-are live, every live event — sweep passes included — folds into one
-leading :class:`~repro.cost.events.CompactionCheckpoint`.  The
-checkpoint keeps only what the ledger's readers need: the
+are live, every live event folds into one leading
+:class:`~repro.cost.events.CompactionCheckpoint`.  The checkpoint
+keeps only what the ledger's readers need: the
 :func:`~repro.cost.views.search_stats` running sums, accumulated in
 event order, and a count of folded events per class name.  So
 ``search_stats`` and :meth:`CostLedger.pass_counts` over a compacted
 ledger read exactly what the uncompacted event sequence would
-(property-tested in ``tests/cost/test_ledger_compaction.py``).  What
-needs the events themselves refuses a checkpoint: strategy-profile
-harvesting (:func:`repro.cost.profile.profile_from_ledger`) raises
+(property-tested in ``tests/cost/test_ledger_compaction.py``).  A
+checkpoint anywhere but first raises
 :class:`~repro.errors.LedgerCompactionError`.  See DESIGN.md,
 "Cost-ledger contract: compaction".
 """

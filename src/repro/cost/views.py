@@ -31,12 +31,17 @@ import numpy as np
 from repro import constants
 from repro.cost.events import (
     CompactionCheckpoint,
+    EdStarPass,
     LedgerEvent,
     SearchPassEvent,
     TasrRotationPass,
 )
 from repro.cost.ledger import CostLedger
-from repro.errors import CamConfigError, LedgerCompactionError
+from repro.errors import (
+    CamConfigError,
+    ExperimentError,
+    LedgerCompactionError,
+)
 
 # repro.cam.energy is imported lazily inside the view functions: the
 # cam package's array module imports this module at load time, so a
@@ -98,6 +103,33 @@ def component_energies(event: SearchPassEvent) -> dict[str, float]:
     shift = constants.SHIFT_REGISTER_ENERGY_PER_SEARCH_J * event.n_queries
     sense = constants.SA_ENERGY_PER_ROW_J * event.n_rows * event.n_queries
     return {"cells": cells, "shift_registers": shift, "sense_amps": sense}
+
+
+def typical_search_event(rows: int = constants.ARRAY_ROWS,
+                         cols: int = constants.ARRAY_COLS,
+                         mismatch_fraction: float =
+                         constants.TYPICAL_ED_STAR_MISMATCH_FRACTION,
+                         vdd: float = constants.VDD_VOLTS) -> EdStarPass:
+    """A synthetic ED* pass at typical genome activity.
+
+    Every row mismatches at the typical ED* fraction — the
+    steady-state activity the Section V-B power breakdown and Table I
+    assume.  Feeding this one event to :func:`component_energies`
+    reproduces the analytic per-search component energies, so the
+    breakdown experiments and the measured ledgers share one
+    accounting model.
+    """
+    if not 0.0 <= mismatch_fraction <= 1.0:
+        raise ExperimentError(
+            f"mismatch_fraction must be in [0, 1], got {mismatch_fraction}"
+        )
+    counts = np.full((1, rows), mismatch_fraction * cols)
+    return EdStarPass(
+        domain="charge", mode="ed_star", n_cells=cols, vdd=vdd,
+        search_time_ns=constants.ASMCAP_SEARCH_TIME_NS,
+        mismatch_counts=counts,
+        thresholds=np.zeros(1, dtype=int),
+    )
 
 
 def _reject_midstream_checkpoint(position: int) -> None:

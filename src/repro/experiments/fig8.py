@@ -7,17 +7,15 @@ Per-read latency and energy models (512 arrays x 256 x 256, 64 Mb):
   period (fetch + broadcast + load + search; derived from the Section
   V-B power anchor).  HDAC's Hamming search and TASR's rotated searches
   reuse the already-loaded read, so each extra search adds one search
-  cycle (plus shift cycles for rotations).  The strategy statistics are
-  **measured** on the functional engine: one
-  :meth:`~repro.core.matcher.AsmCapMatcher.match_sweep` pass per
-  condition, with the per-threshold HDAC/TASR search counts and
-  rotation cycles harvested from the array's cost ledger
-  (:func:`repro.cost.profile.measure_strategy_profile`), averaged over
-  each condition's threshold sweep and then over the two conditions —
-  the same "average effect of the proposed strategies" the paper
-  reports.  The old policy-derived profile
-  (:func:`strategy_search_profile`) is kept as an analytic cross-check
-  the driver prints next to the measurement.
+  cycle (plus shift cycles for rotations).  The strategy statistics
+  come from the off-line policies (Section IV): :func:`strategy_profile`
+  counts, per threshold of a condition's Fig. 7 sweep, the base ED*
+  search, HDAC's extra search when ``p`` clears its cut, and one
+  rotated search per TASR offset when ``T >= Tl``, then averages over
+  the sweep and over the two conditions — the paper's "average effect
+  of the proposed strategies".  The functional engine applies the same
+  policies, so its ledger counts the same searches (checked per
+  threshold in ``tests/cost/test_profile.py``).
 * **EDAM** — same structure in the current domain (pre-charge +
   discharge + sample), period derived from its Table-I cell power.
 * **CM-CPU / ReSMA / SaVI** — the baseline cost models of
@@ -30,6 +28,7 @@ so deviations are visible at a glance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -47,10 +46,11 @@ from repro.baselines.edam import (
 from repro.baselines.resma import ResmaBaseline
 from repro.baselines.savi import SaviBaseline
 from repro.core import policy
-from repro.cost.profile import StrategyProfile, measure_strategy_profile
+from repro.core.tasr import rotation_offsets
 from repro.errors import ExperimentError
 from repro.eval.reporting import format_ratio, format_table
-from repro.genome.edits import ErrorModel
+from repro.experiments.fig7 import thresholds_for
+from repro.genome.datasets import resolve_condition
 from repro.genome.generator import generate_reference
 
 #: System ordering used in the rendered figure.
@@ -67,21 +67,69 @@ class SystemCost:
     energy_joules: float
 
 
+@dataclass(frozen=True)
+class StrategyProfile:
+    """Per-read strategy statistics over one condition's sweep.
+
+    Attributes
+    ----------
+    condition:
+        ``"A"``, ``"B"`` or a combined label (``"A+B"``).
+    searches_per_read:
+        Average search operations per read over the sweep.
+    rotation_cycles_per_read:
+        Average shift-register cycles per read over the sweep.
+    thresholds:
+        The sweep vector the averages run over.
+    per_threshold_searches / per_threshold_rotation_cycles:
+        The unaveraged per-threshold statistics.
+    """
+
+    condition: str
+    searches_per_read: float
+    rotation_cycles_per_read: float
+    thresholds: tuple[int, ...] = ()
+    per_threshold_searches: tuple[float, ...] = ()
+    per_threshold_rotation_cycles: tuple[float, ...] = ()
+
+    @classmethod
+    def plain(cls, condition: str = "plain") -> "StrategyProfile":
+        """The strategy-free baseline: one ED* search, no rotations.
+
+        What :func:`asmcap_read_cost` assumes when no profile is
+        passed — a plain single-search read.
+        """
+        return cls(condition=condition, searches_per_read=1.0,
+                   rotation_cycles_per_read=0.0)
+
+    @staticmethod
+    def average(profiles: "Iterable[StrategyProfile]") -> "StrategyProfile":
+        """Equal-weight average over conditions (the paper's Fig. 8
+        "average effect of the proposed strategies")."""
+        profiles = list(profiles)
+        if not profiles:
+            raise ExperimentError("cannot average zero strategy profiles")
+        return StrategyProfile(
+            condition="+".join(p.condition for p in profiles),
+            searches_per_read=float(
+                np.mean([p.searches_per_read for p in profiles])
+            ),
+            rotation_cycles_per_read=float(
+                np.mean([p.rotation_cycles_per_read for p in profiles])
+            ),
+        )
+
+
 @dataclass
 class Fig8Result:
     """All systems' per-read costs plus derived ratios.
 
     ``profiles`` holds the per-condition strategy statistics the
-    ASMCap-with-strategies cost consumed (measured from the functional
-    engine by default); ``analytic_profiles`` holds the policy-derived
-    cross-check for the same conditions.
+    ASMCap-with-strategies cost consumed.
     """
 
     costs: dict[str, SystemCost]
     profiles: dict[str, StrategyProfile] = field(default_factory=dict)
-    analytic_profiles: dict[str, StrategyProfile] = field(
-        default_factory=dict
-    )
 
     def speedup_over(self, baseline: str, system: str) -> float:
         return (self.costs[baseline].latency_ns
@@ -92,28 +140,16 @@ class Fig8Result:
                 / self.costs[system].energy_joules)
 
     def render_profiles(self) -> str:
-        """The measured strategy statistics vs the analytic cross-check."""
+        """The per-condition strategy statistics Fig. 8 charged."""
         if not self.profiles:
             return ""
-        rows = []
-        for condition, profile in sorted(self.profiles.items()):
-            analytic = self.analytic_profiles.get(condition)
-            rows.append((
-                condition,
-                f"{profile.searches_per_read:.3f}",
-                ("-" if analytic is None
-                 else f"{analytic.searches_per_read:.3f}"),
-                f"{profile.rotation_cycles_per_read:.2f}",
-                ("-" if analytic is None
-                 else f"{analytic.rotation_cycles_per_read:.2f}"),
-                profile.source,
-            ))
+        rows = [(condition, f"{profile.searches_per_read:.3f}",
+                 f"{profile.rotation_cycles_per_read:.2f}")
+                for condition, profile in sorted(self.profiles.items())]
         return format_table(
-            ["Condition", "searches/read", "analytic", "rot. cycles/read",
-             "analytic", "source"],
-            rows,
-            title="Strategy statistics (one match_sweep pass per "
-                  "condition, ledger-harvested)",
+            ["Condition", "searches/read", "rot. cycles/read"], rows,
+            title="Strategy statistics (off-line HDAC/TASR policies, "
+                  "averaged over each condition's sweep)",
         )
 
     def render(self) -> str:
@@ -161,28 +197,18 @@ class Fig8Result:
         return "\n".join(parts)
 
 
-def strategy_search_profile(condition: str,
-                            tasr_direction: str = "both"
-                            ) -> tuple[float, float]:
-    """(avg searches per read, avg rotation cycles per read) with the
-    strategies enabled, averaged over the condition's threshold sweep.
+def strategy_profile(condition: str,
+                     tasr_direction: str = "both") -> StrategyProfile:
+    """One condition's strategy statistics, from the off-line policies.
 
-    Derived purely from the policies — HDAC issues its extra search
-    when ``p >= 1 %``, TASR issues one search per rotation offset when
-    ``T >= Tl``.  Kept as the analytic *cross-check* of the measured
-    :func:`repro.cost.profile.measure_strategy_profile`; the two agree
-    whenever the functional matcher applies the paper's policies.
+    For each threshold ``T`` of the condition's Fig. 7 sweep a read
+    costs the base ED* search, HDAC's extra search when
+    ``p(T) >= 1 %``, and one rotated search per TASR offset (plus
+    ``|offset|`` shift cycles each) when ``T >= Tl``.  The profile
+    averages those counts over the sweep.
     """
-    label = condition.strip().upper()
-    if label == "A":
-        model = ErrorModel.condition_a()
-        thresholds = constants.CONDITION_A_THRESHOLDS
-    elif label == "B":
-        model = ErrorModel.condition_b()
-        thresholds = constants.CONDITION_B_THRESHOLDS
-    else:
-        raise ExperimentError(f"unknown condition {condition!r}")
-    from repro.core.tasr import rotation_offsets
+    thresholds = tuple(thresholds_for(condition))
+    model = resolve_condition(condition)
     offsets = rotation_offsets(constants.TASR_NR, tasr_direction)
     lower_bound = policy.tasr_lower_bound(model.indel_rate,
                                           constants.READ_LENGTH)
@@ -199,19 +225,13 @@ def strategy_search_profile(condition: str,
             c = float(sum(abs(o) for o in offsets))
         searches.append(n)
         cycles.append(c)
-    return float(np.mean(searches)), float(np.mean(cycles))
-
-
-def analytic_strategy_profile(condition: str,
-                              tasr_direction: str = "both"
-                              ) -> StrategyProfile:
-    """:func:`strategy_search_profile` as a :class:`StrategyProfile`."""
-    searches, cycles = strategy_search_profile(condition, tasr_direction)
     return StrategyProfile(
         condition=condition.strip().upper(),
-        searches_per_read=searches,
-        rotation_cycles_per_read=cycles,
-        source="analytic",
+        searches_per_read=float(np.mean(searches)),
+        rotation_cycles_per_read=float(np.mean(cycles)),
+        thresholds=thresholds,
+        per_threshold_searches=tuple(searches),
+        per_threshold_rotation_cycles=tuple(cycles),
     )
 
 
@@ -220,10 +240,9 @@ def asmcap_read_cost(profile: "StrategyProfile | None" = None,
                      n_arrays: int = constants.ARRAY_COUNT) -> SystemCost:
     """ASMCap per-read cost with the pipelined extra-search model.
 
-    Pass a :class:`~repro.cost.profile.StrategyProfile` (measured or
-    analytic); ``None`` means the strategy-free baseline,
-    :meth:`~repro.cost.profile.StrategyProfile.plain` (one ED* search,
-    no rotations).
+    Pass a :class:`StrategyProfile`; ``None`` means the strategy-free
+    baseline, :meth:`StrategyProfile.plain` (one ED* search, no
+    rotations).
     """
     if profile is None:
         profile = StrategyProfile.plain()
@@ -231,8 +250,7 @@ def asmcap_read_cost(profile: "StrategyProfile | None" = None,
         raise ExperimentError(
             f"asmcap_read_cost takes a StrategyProfile, got "
             f"{type(profile).__name__} (build one with "
-            f"analytic_strategy_profile, measure_strategy_profile or "
-            f"StrategyProfile.plain())"
+            f"strategy_profile or StrategyProfile.plain())"
         )
     searches_per_read = profile.searches_per_read
     rotation_cycles_per_read = profile.rotation_cycles_per_read
@@ -256,36 +274,19 @@ def edam_read_cost(n_arrays: int = constants.ARRAY_COUNT) -> SystemCost:
 
 
 def compute_fig8(read_length: int = constants.READ_LENGTH,
-                 tasr_direction: str = "both",
-                 measured: bool = True,
-                 seed: int = 0) -> Fig8Result:
+                 tasr_direction: str = "both") -> Fig8Result:
     """Regenerate the Fig. 8 comparison.
 
-    With ``measured=True`` (the default) the ASMCap strategy
-    statistics come from one functional ``match_sweep`` pass per
-    condition, harvested from the cost ledger; ``measured=False``
-    falls back to the policy-derived analytic profile.  Both paths
-    also compute the analytic profile so the result can render the
-    cross-check.
+    The ASMCap-with-strategies cost charges the average of the two
+    conditions' :func:`strategy_profile`.
     """
     cm = CmCpuBaseline()
     resma = ResmaBaseline()
     savi = SaviBaseline(generate_reference(4096, seed=0))
 
-    analytic = {label: analytic_strategy_profile(label, tasr_direction)
+    profiles = {label: strategy_profile(label, tasr_direction)
                 for label in ("A", "B")}
-    if measured:
-        profiles = {
-            label: measure_strategy_profile(
-                label, tasr_direction=tasr_direction, seed=seed,
-            )
-            for label in ("A", "B")
-        }
-    else:
-        profiles = analytic
-    combined = StrategyProfile.average(
-        [profiles["A"], profiles["B"]]
-    )
+    combined = StrategyProfile.average(profiles.values())
 
     # "w/o H&T" is a one-search, zero-rotation read: the strategy-free
     # baseline profile.
@@ -302,12 +303,11 @@ def compute_fig8(read_length: int = constants.READ_LENGTH,
         "ASMCap w/o H&T": plain,
         "ASMCap w/ H&T": full,
     }
-    return Fig8Result(costs=costs, profiles=profiles,
-                      analytic_profiles=analytic)
+    return Fig8Result(costs=costs, profiles=profiles)
 
 
 def main() -> str:
-    """Run and render Fig. 8 (measured strategy statistics)."""
+    """Run and render Fig. 8."""
     return compute_fig8().render()
 
 

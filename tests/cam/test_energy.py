@@ -14,8 +14,11 @@ from repro.cam.energy import (
     vml_variance_eq2,
 )
 from repro.cost.events import EdStarPass
-from repro.cost.profile import typical_search_event
-from repro.cost.views import component_energies, search_pass_energy_per_query
+from repro.cost.views import (
+    component_energies,
+    search_pass_energy_per_query,
+    typical_search_event,
+)
 from repro.errors import CamConfigError
 
 

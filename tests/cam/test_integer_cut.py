@@ -260,7 +260,7 @@ class TestStackedFlow:
                                   theirs.mismatch_counts)
             assert np.array_equal(ours.query_keys, theirs.query_keys)
             assert np.array_equal(ours.thresholds, theirs.thresholds)
-            assert ours.thresholds.tolist() == [threshold] * reads.shape[0]
+            assert ours.thresholds.tolist() == [threshold]
             assert np.array_equal(ours.energy_per_query_joules,
                                   theirs.energy_per_query_joules)
 

@@ -9,7 +9,8 @@ digests of those outputs on each path the library exposes:
   in condition B above ``Tl``);
 * ``AsmCapMatcher.match_sweep`` over each condition's Fig. 7 sweep;
 * ``EdamMatcher.match_sweep`` with and without Sequence Rotation;
-* ``measure_strategy_profile``.
+* Fig. 8's ``strategy_profile``, which the engine's ledger obeys
+  (``tests/cost/test_profile.py``).
 
 A refactor of the search, matcher or HDAC layers must leave every
 digest unchanged; a digest that moves means a decision, a cost or a
@@ -27,8 +28,8 @@ from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher
 from repro.core.pipeline import ReadMappingPipeline
-from repro.cost.profile import measure_strategy_profile
 from repro.cost.views import search_stats
+from repro.experiments.fig8 import strategy_profile
 from repro.genome.datasets import build_dataset
 
 N_READS, READ_LENGTH, N_SEGMENTS = 24, 128, 32
@@ -138,7 +139,7 @@ def test_edam_match_sweep_digest(enable_sr):
 
 
 def test_strategy_profile_digest():
-    profiles = [measure_strategy_profile(c, seed=2) for c in ("A", "B")]
+    profiles = [strategy_profile(c) for c in ("A", "B")]
     assert _digest(*[
         (p.searches_per_read, p.rotation_cycles_per_read, p.thresholds,
          p.per_threshold_searches, p.per_threshold_rotation_cycles)

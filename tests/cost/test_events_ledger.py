@@ -56,8 +56,7 @@ class TestEventEmission:
         assert event.n_queries == 1
         assert event.n_rows == 8
         assert event.shift_cycles == 0
-        assert event.covers_threshold(4)
-        assert not event.covers_threshold(5)
+        assert event.thresholds.tolist() == [4]
 
     def test_hamming_search_emits_hdac_pass(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
@@ -85,10 +84,18 @@ class TestEventEmission:
         queries = rng.integers(0, 4, (3, 16)).astype(np.uint8)
         small_array.search_sweep(queries, np.array([1, 4, 9]))
         event = small_array.ledger.search_passes()[0]
-        assert event.sweep
         assert event.n_queries == 3
-        assert event.covers_threshold(4)
-        assert not event.covers_threshold(3)
+        assert event.thresholds.tolist() == [1, 4, 9]
+
+    def test_batch_pass_records_its_one_threshold(self, small_array, rng):
+        """A batch's event holds the ``(1,)`` vector it was decided
+        against, not a ``(B,)`` broadcast."""
+        queries = rng.integers(0, 4, (5, 16)).astype(np.uint8)
+        small_array.search_batch(queries, 6, mode=(MatchMode.ED_STAR,) * 2,
+                                 noise_keys=[None, None], rotation=(0, 1))
+        for event in small_array.ledger.search_passes():
+            assert event.n_queries == 5
+            assert event.thresholds.tolist() == [6]
 
     def test_event_energy_view_matches_result(self, small_array, rng):
         queries = rng.integers(0, 4, (4, 16)).astype(np.uint8)

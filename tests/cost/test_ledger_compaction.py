@@ -7,10 +7,9 @@ the ledger's two readers stay **bit-identical** — ``search_stats``
 resumes from the checkpoint's running sums (the same float additions,
 in event order, performed at fold time) and ``pass_counts()`` reads
 the checkpoint's per-class event counts.  Every comparison below is
-exact (``==``) on the scalar, batched and sweep paths.  What needs
-the events themselves refuses a checkpoint: strategy-profile
-harvesting raises :class:`~repro.errors.LedgerCompactionError`, as do
-views and compactions meeting a mid-stream checkpoint.
+exact (``==``) on the scalar, batched and sweep paths.  Views and
+compactions meeting a mid-stream checkpoint raise
+:class:`~repro.errors.LedgerCompactionError`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.cost.events import (
     TasrRotationPass,
 )
 from repro.cost.ledger import CostLedger
-from repro.cost.profile import profile_from_ledger
 from repro.cost.views import search_stats
 from repro.errors import LedgerCompactionError
 
@@ -171,8 +169,7 @@ class TestMatcherCompaction:
 
 
 class TestSweepCompaction:
-    """Sweep passes fold like any other event; the profile refuses the
-    checkpoint that results."""
+    """Sweep passes fold like any other event."""
 
     def _sweep_ledger(self, dataset, compaction):
         array = CamArray(rows=dataset.n_segments,
@@ -191,29 +188,18 @@ class TestSweepCompaction:
         plain = self._sweep_ledger(small_dataset_a, compaction=None)
         assert ledger.n_folded > 0
         assert len(ledger.search_passes()) <= 1
-        assert all(event.sweep for event in plain.search_passes())
+        # The base ED* pass serves the whole sweep vector.
+        assert plain.search_passes()[0].thresholds.tolist() == list(
+            range(1, 9))
         _assert_views_identical(plain, ledger)
 
-    def test_fold_sweep_folds_exactly_and_kills_harvesting(
-            self, small_dataset_a):
+    def test_fold_sweep_folds_exactly(self, small_dataset_a):
         ledger = self._sweep_ledger(small_dataset_a, compaction=None)
         plain = self._sweep_ledger(small_dataset_a, compaction=None)
         folded = ledger.compact()
         assert folded == len(plain)
         assert not ledger.search_passes()
         _assert_views_identical(plain, ledger)
-        profile_from_ledger(plain, range(1, 9))  # the full events work
-        with pytest.raises(LedgerCompactionError, match="checkpoint"):
-            profile_from_ledger(ledger, range(1, 9))
-
-    def test_profile_raises_on_any_checkpoint(self, small_dataset_a):
-        """Even a checkpoint that folded no sweep pass stops the
-        profile: the rule is about the checkpoint, not its contents."""
-        plain = self._sweep_ledger(small_dataset_a, compaction=None)
-        events = [_checkpoint(event_counts={"ReferenceLoad": 1},
-                              n_searches=0), *plain.search_passes()]
-        with pytest.raises(LedgerCompactionError):
-            profile_from_ledger(events, range(1, 9))
 
 
 class TestCompactionRules:

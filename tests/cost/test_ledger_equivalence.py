@@ -177,7 +177,6 @@ class TestMatcherPathReconstruction:
         latency = np.zeros((n_thresholds, n_queries))
         searches = np.zeros((n_thresholds, n_queries), dtype=int)
         for event in matcher.array.ledger.search_passes():
-            assert event.sweep
             covered = np.isin(thresholds, event.thresholds)
             energy[covered] += event.energy_per_query_joules
             latency[covered] += event.search_time_ns

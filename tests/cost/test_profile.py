@@ -1,39 +1,92 @@
-"""Tests for the measured strategy profile and its Fig. 8 wiring."""
+"""Tests for Fig. 8's strategy profile and the typical-activity pass.
+
+Fig. 8's strategy statistics come from one function,
+:func:`repro.experiments.fig8.strategy_profile`, which counts them
+from the off-line HDAC/TASR policies.  The evidence that the counts
+are what the hardware model does is measured here: one ``match_batch``
+per swept threshold on a fresh noisy matcher, with the searches and
+shift cycles read off the array's ledger.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import constants
 from repro.arch.power import component_energies_per_search
-from repro.cost.profile import (
-    StrategyProfile,
-    measure_strategy_profile,
-    profile_from_ledger,
+from repro.cam.array import CamArray
+from repro.core.matcher import AsmCapMatcher, MatcherConfig
+from repro.cost.views import (
+    component_energies,
+    search_stats,
     typical_search_event,
 )
-from repro.cost.views import component_energies
 from repro.errors import ExperimentError
 from repro.experiments.fig8 import (
+    StrategyProfile,
     asmcap_read_cost,
     compute_fig8,
-    strategy_search_profile,
+    strategy_profile,
 )
+from repro.genome.datasets import build_dataset
+
+N_READS = 4
+
+
+def _engine_profile(condition: str, direction: str = "both"
+                    ) -> StrategyProfile:
+    """The profile the functional engine's ledger records.
+
+    Per threshold of the condition's sweep, one ``match_batch`` of a
+    small noisy block on a fresh matcher; the ledger's searches and
+    shift cycles divided by the block size are that threshold's
+    per-read statistics.
+    """
+    dataset = build_dataset(condition, n_reads=N_READS,
+                            read_length=constants.READ_LENGTH,
+                            n_segments=8, seed=3)
+    reads = np.stack([record.read.codes for record in dataset.reads])
+    thresholds = strategy_profile(condition, direction).thresholds
+    searches, cycles = [], []
+    for threshold in thresholds:
+        array = CamArray(rows=8, cols=constants.READ_LENGTH,
+                         domain="charge", noisy=True, seed=4)
+        array.store(dataset.segments)
+        matcher = AsmCapMatcher(array, dataset.model,
+                                MatcherConfig(tasr_direction=direction),
+                                seed=5)
+        matcher.match_batch(reads, threshold)
+        stats = search_stats(array.ledger)
+        searches.append(stats.n_searches / N_READS)
+        cycles.append(stats.n_rotation_cycles / N_READS)
+    return StrategyProfile(
+        condition=condition,
+        searches_per_read=float(np.mean(searches)),
+        rotation_cycles_per_read=float(np.mean(cycles)),
+        thresholds=thresholds,
+        per_threshold_searches=tuple(searches),
+        per_threshold_rotation_cycles=tuple(cycles),
+    )
 
 
 class TestMeasuredProfile:
+    """The policy profile, and the engine's ledger measured against it."""
+
     @pytest.mark.parametrize("condition", ["A", "B"])
     def test_measured_matches_analytic(self, condition):
-        """One match_sweep pass measures exactly the policy profile."""
-        measured = measure_strategy_profile(condition)
-        searches, cycles = strategy_search_profile(condition)
-        assert measured.searches_per_read == pytest.approx(searches)
-        assert measured.rotation_cycles_per_read == pytest.approx(cycles)
-        assert measured.source == "measured"
+        """The engine issues exactly the searches and shift cycles the
+        policies charge, at every swept threshold, in every TASR
+        direction."""
+        for direction in ("both", "left", "right"):
+            assert (_engine_profile(condition, direction)
+                    == strategy_profile(condition, direction)), direction
 
     def test_per_threshold_detail(self):
-        profile = measure_strategy_profile("B")
+        profile = strategy_profile("b")
+        assert profile.condition == "B"
         assert profile.thresholds == constants.CONDITION_B_THRESHOLDS
+        assert all(type(t) is int for t in profile.thresholds)
         assert len(profile.per_threshold_searches) == len(
             constants.CONDITION_B_THRESHOLDS
         )
@@ -43,58 +96,13 @@ class TestMeasuredProfile:
         assert max(profile.per_threshold_searches) == 1.0 + 2 * constants.TASR_NR
 
     def test_left_only_cheaper(self):
-        both = measure_strategy_profile("B", tasr_direction="both")
-        left = measure_strategy_profile("B", tasr_direction="left")
+        both = strategy_profile("B", tasr_direction="both")
+        left = strategy_profile("B", tasr_direction="left")
         assert left.searches_per_read < both.searches_per_read
 
     def test_unknown_condition(self):
         with pytest.raises(ExperimentError):
-            measure_strategy_profile("C")
-
-    def test_profile_needs_sweep_events(self):
-        with pytest.raises(ExperimentError):
-            profile_from_ledger([], (1, 2, 3))
-
-    def test_repeated_sweeps_average_not_multiply(self, small_dataset_b):
-        """Two match_sweep runs on one ledger yield the per-read
-        profile, not twice it."""
-        import numpy as np
-
-        from repro.cam.array import CamArray
-        from repro.core.matcher import AsmCapMatcher, MatcherConfig
-
-        dataset = small_dataset_b
-        array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
-                         domain="charge", noisy=True, seed=4)
-        array.store(dataset.segments)
-        matcher = AsmCapMatcher(array, dataset.model, MatcherConfig(),
-                                seed=5)
-        reads = np.stack([r.read.codes for r in dataset.reads])
-        thresholds = np.arange(2, 17, 2)
-        matcher.match_sweep(reads, thresholds)
-        once = profile_from_ledger(array.ledger, thresholds, "B")
-        matcher.match_sweep(reads, thresholds)
-        twice = profile_from_ledger(array.ledger, thresholds, "B")
-        assert twice.searches_per_read == once.searches_per_read
-        assert (twice.rotation_cycles_per_read
-                == once.rotation_cycles_per_read)
-
-    def test_profile_rejects_uncovered_threshold(self, small_dataset_b):
-        import numpy as np
-
-        from repro.cam.array import CamArray
-        from repro.core.matcher import AsmCapMatcher, MatcherConfig
-
-        dataset = small_dataset_b
-        array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
-                         domain="charge", noisy=True, seed=4)
-        array.store(dataset.segments)
-        matcher = AsmCapMatcher(array, dataset.model, MatcherConfig(),
-                                seed=5)
-        reads = np.stack([r.read.codes for r in dataset.reads])
-        matcher.match_sweep(reads, np.array([2, 4]))
-        with pytest.raises(ExperimentError):
-            profile_from_ledger(array.ledger, (2, 4, 6))
+            strategy_profile("C")
 
     def test_average(self):
         a = StrategyProfile("A", 2.0, 0.0)
@@ -111,25 +119,21 @@ class TestMeasuredProfile:
 
 class TestFig8Measured:
     def test_measured_equals_analytic_fig8(self):
-        measured = compute_fig8(measured=True)
-        analytic = compute_fig8(measured=False)
-        for name in measured.costs:
-            assert (measured.costs[name].latency_ns
-                    == analytic.costs[name].latency_ns)
-            assert (measured.costs[name].energy_joules
-                    == analytic.costs[name].energy_joules)
+        """Fig. 8 charged from the engine's ledger counts is bit-equal
+        to Fig. 8 charged from the policies."""
+        measured = asmcap_read_cost(StrategyProfile.average(
+            [_engine_profile("A"), _engine_profile("B")]))
+        assert measured == compute_fig8().costs["ASMCap w/ H&T"]
 
     def test_result_carries_both_profiles(self):
-        result = compute_fig8(measured=True)
-        assert set(result.profiles) == {"A", "B"}
-        assert result.profiles["A"].source == "measured"
-        assert result.analytic_profiles["A"].source == "analytic"
+        result = compute_fig8()
+        assert result.profiles == {"A": strategy_profile("A"),
+                                   "B": strategy_profile("B")}
 
     def test_render_includes_strategy_statistics(self):
-        text = compute_fig8(measured=True).render()
+        text = compute_fig8().render()
         assert "Strategy statistics" in text
-        assert "measured" in text
-        assert "analytic" in text
+        assert "searches/read" in text
 
     def test_asmcap_read_cost_default_is_plain_profile(self):
         assert (asmcap_read_cost().latency_ns
@@ -148,7 +152,6 @@ class TestEstimateReadCostProfileOnly:
         plain = StrategyProfile.plain()
         assert plain.searches_per_read == 1.0
         assert plain.rotation_cycles_per_read == 0.0
-        assert plain.source == "analytic"
 
 
 class TestTypicalEvent:
@@ -164,8 +167,6 @@ class TestTypicalEvent:
         assert event.domain == "charge"
 
     def test_component_view_rejects_current_domain(self):
-        import numpy as np
-
         from repro.cost.events import EdStarPass
         from repro.errors import CamConfigError
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro import constants
+from repro.errors import ExperimentError
 from repro.experiments.fig8 import (
     SYSTEMS,
+    StrategyProfile,
     asmcap_read_cost,
     compute_fig8,
     edam_read_cost,
-    strategy_search_profile,
+    strategy_profile,
 )
 
 
@@ -92,20 +94,21 @@ class TestAnchors:
 
 class TestStrategyProfile:
     def test_condition_a_uses_two_searches(self):
-        searches, cycles = strategy_search_profile("A")
-        assert searches == pytest.approx(2.0)  # HDAC on, TASR off
-        assert cycles == 0.0
+        profile = strategy_profile("A")
+        # HDAC on, TASR off.
+        assert profile.searches_per_read == pytest.approx(2.0)
+        assert profile.rotation_cycles_per_read == 0.0
 
     def test_condition_b_rotates_above_tl(self):
-        searches, cycles = strategy_search_profile("B")
+        profile = strategy_profile("B")
         # Tl = 6: rotations fire at 6 of the 8 swept thresholds.
-        assert searches == pytest.approx(1 + 6 / 8 * 4)
-        assert cycles > 0
+        assert profile.searches_per_read == pytest.approx(1 + 6 / 8 * 4)
+        assert profile.rotation_cycles_per_read > 0
 
     def test_left_only_cheaper(self):
-        both, _ = strategy_search_profile("B", "both")
-        left, _ = strategy_search_profile("B", "left")
-        assert left < both
+        both = strategy_profile("B", "both")
+        left = strategy_profile("B", "left")
+        assert left.searches_per_read < both.searches_per_read
 
 
 class TestCostHelpers:
@@ -114,11 +117,10 @@ class TestCostHelpers:
         assert edam_read_cost().latency_ns > steady_state_search_period_ns()
 
     def test_asmcap_cost_monotone_in_searches(self):
-        from repro.cost.profile import StrategyProfile
         one = asmcap_read_cost(StrategyProfile.plain())
         two = asmcap_read_cost(StrategyProfile(
             condition="test", searches_per_read=2.0,
-            rotation_cycles_per_read=0.0, source="analytic",
+            rotation_cycles_per_read=0.0,
         ))
         assert two.latency_ns > one.latency_ns
         assert two.energy_joules == pytest.approx(2 * one.energy_joules)
@@ -130,10 +132,8 @@ class TestCostHelpers:
 
 
 def _profile(searches: float, cycles: float = 0.0):
-    from repro.cost.profile import StrategyProfile
     return StrategyProfile(condition="test", searches_per_read=searches,
-                           rotation_cycles_per_read=cycles,
-                           source="analytic")
+                           rotation_cycles_per_read=cycles)
 
 
 class TestAnalyticReadCost:
@@ -182,9 +182,8 @@ class TestAnalyticReadCost:
         assert asmcap_read_cost(_profile(2.0)).name == "ASMCap w/ H&T"
 
     def test_profile_drives_the_estimate(self):
-        from repro.experiments.fig8 import analytic_strategy_profile
         plain = asmcap_read_cost()
-        full = asmcap_read_cost(analytic_strategy_profile("B"))
+        full = asmcap_read_cost(strategy_profile("B"))
         assert full.latency_ns > plain.latency_ns
         assert full.energy_joules > plain.energy_joules
 
@@ -196,6 +195,5 @@ class TestAnalyticReadCost:
 
     @pytest.mark.parametrize("argument", [2, "B", (2.0, 0.0)])
     def test_rejects_non_profile_argument(self, argument):
-        from repro.errors import ExperimentError
         with pytest.raises(ExperimentError):
             asmcap_read_cost(argument)

@@ -21,9 +21,9 @@ import pytest
 from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
 from repro.cam.cell import AsmCapCell, MatchMode
+from repro.core.fragmentation import FragmentedMatcher
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.core.pipeline import ReadMappingPipeline
-from repro.cost.profile import profile_from_ledger
 from repro.distance.edit_distance import banded_edit_distance_batch
 from repro.errors import CamConfigError, ThresholdError
 from repro.eval.experiment import AccuracyExperiment, asmcap_plain_system
@@ -42,10 +42,11 @@ def _matcher(dataset):
     return AsmCapMatcher(array, dataset.model, seed=2)
 
 
-def _swept_ledger(dataset):
-    matcher = _matcher(dataset)
-    matcher.match_sweep(_reads(dataset), [2, 4])
-    return matcher.array.ledger
+def _fragmented(dataset, min_fragment_matches=1):
+    """An 8x32 array holding four 64-base segments as two fragments."""
+    return FragmentedMatcher(CamArray(rows=8, cols=32),
+                             dataset.segments[:4, :64],
+                             min_fragment_matches=min_fragment_matches)
 
 
 def _service(dataset, value):
@@ -58,7 +59,8 @@ def _session(dataset, value):
         frontend.session(value).close()
 
 
-#: boundary -> run it with one threshold set to a value
+#: boundary -> run it with one threshold (or a fragment-match count)
+#: set to a value
 SCALAR_BOUNDARIES = {
     "service": _service,
     "frontend-session": _session,
@@ -74,6 +76,11 @@ SCALAR_BOUNDARIES = {
         _reads(ds), [2, 8]).at_threshold(v),
     "banded-band": lambda ds, v: banded_edit_distance_batch(
         ds.segments, _reads(ds), v),
+    "fragmented-match": lambda ds, v: _fragmented(ds).match(
+        ds.segments[0, :64], v),
+    "per_fragment_threshold": lambda ds, v: _fragmented(
+        ds).per_fragment_threshold(v),
+    "fragmented-min_fragment_matches": lambda ds, v: _fragmented(ds, v),
 }
 
 #: boundary -> run it with a threshold sweep vector
@@ -86,8 +93,6 @@ SWEEP_BOUNDARIES = {
     "run_sweep": lambda ds, v: run_sweep(
         "A", {"plain": asmcap_plain_system}, v, n_runs=1, n_reads=4,
         read_length=32, n_segments=8),
-    "profile_from_ledger": lambda ds, v: profile_from_ledger(
-        _swept_ledger(ds), v),
 }
 
 #: boundary -> run it with a first key, key vector, seed, pass rotation
@@ -140,7 +145,9 @@ def test_non_integer_threshold_raises(small_dataset_a, boundary, value):
 
 @pytest.mark.parametrize("boundary", sorted(
     set(SCALAR_BOUNDARIES) - {"service", "frontend-session", "match",
-                              "at_threshold", "banded-band"}))
+                              "at_threshold", "banded-band",
+                              "fragmented-match", "per_fragment_threshold",
+                              "fragmented-min_fragment_matches"}))
 def test_threshold_vector_names_the_sweep_call(small_dataset_a, boundary):
     sweep = "search_sweep" if boundary == "search_batch" else "match_sweep"
     with pytest.raises(ThresholdError, match=sweep):
@@ -248,6 +255,10 @@ def test_numpy_integers_keep_their_value(small_dataset_a):
     assert np.array_equal(
         banded_edit_distance_batch(dataset.segments, reads, np.uint8(3)),
         banded_edit_distance_batch(dataset.segments, reads, 3))
+    fragmented = _fragmented(dataset, np.int64(2))
+    assert fragmented.per_fragment_threshold(np.uint8(3)) == 2
+    assert fragmented.match(dataset.segments[0, :64],
+                            np.int16(3)).per_fragment_threshold == 2
 
     def noisy_voltages(seed):
         array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
