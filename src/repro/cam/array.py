@@ -199,7 +199,9 @@ class BatchSearchResult:
     matches:
         ``(B, M)`` boolean decisions (query q, stored row i).
     mismatch_counts:
-        ``(B, M)`` digital mismatch counts (ED* or HD).
+        ``(B, M)`` digital mismatch counts (ED* or HD), in the count
+        kernel's narrowest unsigned dtype holding ``N`` (``uint16`` at
+        N = 256): widen before arithmetic that can leave ``0..N``.
     v_ml:
         ``(B, M)`` noisy analog matchline voltages.  The decisions never
         need them densely, so they are drawn on first read (a lazy,
@@ -251,7 +253,8 @@ class SweepSearchResult:
     matches:
         ``(T, B, M)`` boolean decisions (threshold t, query q, row i).
     mismatch_counts:
-        ``(B, M)`` digital mismatch counts (threshold-independent).
+        ``(B, M)`` digital mismatch counts (threshold-independent), in
+        the count kernel's dtype (see :class:`BatchSearchResult`).
     v_ml:
         ``(B, M)`` noisy analog matchline voltages (shared by every
         threshold — the sweep's whole point), drawn on first read like
@@ -408,8 +411,8 @@ class StoredReference:
 
         Computed by :func:`repro.kernels.counts_batch`, the one count
         kernel: exact integer counts, equal to the boolean comparison
-        sweep's.  Codes outside the DNA alphabet fall back to that
-        sweep.
+        sweep's, in the narrowest unsigned dtype holding ``N``.  Codes
+        outside the DNA alphabet fall back to that sweep.
 
         ``rotations`` asks for the TASR/SR passes of the block from one
         encode: ``(R, B, M)`` counts, slice ``i`` equal to the counts of
@@ -626,7 +629,8 @@ class CamArray:
                               ) -> np.ndarray:
         """Digital ``(B, M)`` mismatch counts for a block of queries.
 
-        Computed by the count kernel on :class:`StoredReference`.  With
+        Computed by the count kernel on :class:`StoredReference`, in
+        the narrowest unsigned dtype holding ``N``.  With
         ``rotations``, the ``(R, B, M)`` counts of every rotated pass
         from one encode (see :meth:`StoredReference.counts_batch`).
         """
@@ -934,8 +938,10 @@ class CamArray:
         if (table == (np.arange(n_cells + 1) < cut[:, None])).all():
             # Counts and cuts fit 0..N+1, so the compare runs in the
             # narrowest unsigned type (several times faster than intp).
+            # Kernel blocks already come in it whenever N + 1 fits the
+            # dtype of N (N = 256: uint16), so no cast is paid.
             narrow = np.min_scalar_type(n_cells + 1)
-            matches = (counts.astype(narrow)
+            matches = (counts.astype(narrow, copy=False)
                        < cut.astype(narrow)[:, None, None])
         else:
             matches = table[:, counts]

@@ -29,9 +29,12 @@ from repro.errors import CamConfigError
 
 
 def _check_range(counts: np.ndarray, n_cells: int) -> None:
+    """Raise unless every count is in ``0..n_cells``; an unsigned block
+    (every kernel block) needs only its ``max()``."""
     if n_cells <= 0:
         raise CamConfigError(f"n_cells must be positive, got {n_cells}")
-    if counts.size and (counts.min() < 0 or counts.max() > n_cells):
+    if counts.size and (counts.max() > n_cells
+                        or (counts.dtype.kind != "u" and counts.min() < 0)):
         raise CamConfigError("mismatch counts must be within 0..n_cells")
 
 
@@ -93,10 +96,12 @@ def search_energy_per_query(n_mismatch: np.ndarray, n_cells: int,
 
     :func:`search_energy_per_row` over a ``(B, M)`` count block, summed
     over rows (axis 1).  C-contiguous integer counts (every kernel
-    block) gather from :func:`level_energies`, after one min/max range
-    check: the gathered block equals the formula's in values, shape,
-    dtype and memory layout, so the row sums run the same additions
-    and are bit-identical.  Other counts take the formula (the float
+    block) gather from :func:`level_energies`, indexed by the counts
+    in their own dtype, after one range check (a ``max()`` for an
+    unsigned block, ``min()`` and ``max()`` for a signed one): the
+    gathered block equals the formula's in values, shape, dtype and
+    memory layout, so the row sums run the same additions and are
+    bit-identical.  Other counts take the formula (the float
     activity of the synthetic typical-search event; a layout the
     gather would not reproduce).
     """

@@ -52,11 +52,19 @@ from repro.errors import CamConfigError
 
 
 def _validate(n_mismatch: np.ndarray, n_cells: int) -> np.ndarray:
+    """Range-checked counts; integer counts come back as ``intp``.
+
+    Widening first keeps the variance products exact: a narrow
+    unsigned block (the count kernel's ``uint16``) would wrap in
+    ``n_mis * (n_cells - n_mis)``.
+    """
     n_mismatch = np.asarray(n_mismatch)
     if n_cells <= 0:
         raise CamConfigError(f"n_cells must be positive, got {n_cells}")
     if (n_mismatch < 0).any() or (n_mismatch > n_cells).any():
         raise CamConfigError("n_mismatch must be within 0..n_cells")
+    if np.issubdtype(n_mismatch.dtype, np.integer):
+        return n_mismatch.astype(np.intp, copy=False)
     return n_mismatch
 
 

@@ -65,7 +65,9 @@ class SearchPassEvent(LedgerEvent):
     search_time_ns:
         The array's search-cycle time (one pass per query).
     mismatch_counts:
-        ``(B, M)`` digital mismatch populations (query, stored row).
+        ``(B, M)`` digital mismatch populations (query, stored row);
+        kernel blocks are unsigned, in the narrowest dtype holding
+        ``N``.
     thresholds:
         ``(T,)`` sense-amp reference levels the pass was decided
         against: ``(1,)`` for a batch, the sweep vector for a sweep.

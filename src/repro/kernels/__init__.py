@@ -6,7 +6,8 @@ GEMM (:mod:`repro.kernels.gemm`).  Query blocks carrying codes outside
 ACGT route to the boolean fallback, which is also the test oracle.
 The counts are exact integers, equal to the boolean reference's, so
 decisions, ledger events and reports never depend on how they were
-computed (see ``docs/api.md``, "Count kernel").
+computed; they come in the narrowest unsigned dtype holding the row
+length (see ``docs/api.md``, "Count kernel").
 """
 
 from repro.kernels.base import (

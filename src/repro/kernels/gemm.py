@@ -32,7 +32,12 @@ TASR/SR rotation, or the ED*/HD pair — copies its window into one
 :data:`~repro.constants.CHUNK_ELEMS` over the ``P·B`` rows) counts them
 all.  Each output row is the same integer dot product of the same mask
 row as in a per-pass GEMM, so the stacked call is ``==`` per-pass
-calls.  Each pass's ``(B, M)`` block is written separately.
+calls.  Each pass's ``(B, M)`` block is written separately: the
+subtraction ``N - matches`` casts it into the narrowest unsigned dtype
+holding ``N`` (``np.min_scalar_type(N)``: ``uint16`` at the paper's
+256-base rows, ``uint8`` up to 255).  Ledgers keep these blocks, so
+the dtype sets their memory: a quarter of an ``intp`` block at
+N = 256.
 
 **The entry points.**  :func:`counts_batch` and :func:`counts_batch_dual`
 run every query block of ACGT codes through the stacked GEMM; a block
@@ -141,15 +146,17 @@ def counts_batch(encoded: EncodedReference, queries: np.ndarray,
     left by each offset (``np.roll(queries, -offset, axis=1)``;
     negative offsets rotate right, 0 is the block as given), from one
     stacked call.  Offsets are integers; callers gate them
-    (:meth:`repro.cam.array.StoredReference.counts_batch`).
+    (:meth:`repro.cam.array.StoredReference.counts_batch`).  Counts
+    come in the narrowest unsigned dtype holding ``N``.
     """
+    dtype = np.min_scalar_type(encoded.n_cells)
     if rotations is None:
-        counts = np.empty((queries.shape[0], encoded.n_rows), dtype=np.intp)
+        counts = np.empty((queries.shape[0], encoded.n_rows), dtype=dtype)
         _count(encoded, queries, ((ed_star, 0),), (counts,))
         return counts
     offsets = tuple(rotations)
     counts = np.empty((len(offsets), queries.shape[0], encoded.n_rows),
-                      dtype=np.intp)
+                      dtype=dtype)
     _count(encoded, queries, tuple((ed_star, offset) for offset in offsets),
            counts)
     return counts
@@ -159,9 +166,12 @@ def counts_batch_dual(encoded: EncodedReference,
                       queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(ED*, HD)`` count blocks sharing one query pass."""
     # Two blocks, not views of one (2, B, M) array: ledgers keep each
-    # pass's counts, and the shared block raised the peak RSS of a
-    # four-session frontend by ~4%.
-    ed = np.empty((queries.shape[0], encoded.n_rows), dtype=np.intp)
+    # pass's counts, and a shared block stays live while either pass's
+    # event does.  With uint16 blocks the shared one raised a
+    # four-session frontend's peak RSS by 0.2% on a 2-CPU VM (128.3 ->
+    # 128.6 MB; it was ~4% with intp blocks).
+    ed = np.empty((queries.shape[0], encoded.n_rows),
+                  dtype=np.min_scalar_type(encoded.n_cells))
     hd = np.empty_like(ed)
     _count(encoded, queries, ((True, 0), (False, 0)), (ed, hd))
     return ed, hd

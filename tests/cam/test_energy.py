@@ -131,6 +131,28 @@ class TestLevelTable:
         with pytest.raises(CamConfigError, match="within 0..n_cells"):
             search_energy_per_query(counts, 64)
 
+    @pytest.mark.parametrize("n_cells", [1, 64, 255, 256, 512])
+    def test_narrow_counts_gather_the_same_bits(self, n_cells):
+        """A kernel block in its narrow unsigned dtype gathers the same
+        per-query energies, bit for bit, as the same values in intp."""
+        wide = _counts_block(n_cells, seed=n_cells)
+        narrow = wide.astype(np.min_scalar_type(n_cells))
+        assert narrow.dtype.kind == "u"
+        assert [value.hex() for value in
+                search_energy_per_query(narrow, n_cells).tolist()] == [
+            value.hex() for value in
+            search_energy_per_query(wide.astype(np.intp), n_cells).tolist()]
+
+    @pytest.mark.parametrize("counts", [
+        np.array([[0, 256, 257]], dtype=np.uint16),
+        np.array([[0, -1, 256]], dtype=np.int64),
+    ], ids=["uint16-above-N", "int64-negative"])
+    def test_range_check_covers_both_signednesses(self, counts):
+        """The unsigned check reads only ``max()``; a signed block
+        still checks ``min()`` too."""
+        with pytest.raises(CamConfigError, match="within 0..n_cells"):
+            search_energy_per_query(counts, 256)
+
     def test_typical_search_event_energies_unchanged(self):
         """The float-count synthetic event keeps the formula: pinned
         to the values before the level table existed."""

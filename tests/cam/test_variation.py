@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro import constants
+from repro.cam.array import CamArray
+from repro.cam.cell import MatchMode
 from repro.cam.energy import vml_variance_eq2
 from repro.cam.keyed_noise import fold_key, standard_normals
 from repro.cam.variation import ChargeDomainVariation, CurrentDomainVariation
@@ -60,6 +62,46 @@ class TestChargeDomain:
     def test_out_of_range_counts(self):
         with pytest.raises(CamConfigError):
             ChargeDomainVariation().sigma_vml(-1, 256)
+
+
+class TestNarrowCounts:
+    """Unsigned count blocks (the count kernel's dtype) widen before
+    the Eq. (2) product: ``256 * (512 - 256)`` wraps to 0 in uint16."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_unsigned_counts_equal_int64(self, dtype):
+        wide = np.array([0, 1, 200, 255], dtype=np.int64)
+        if np.iinfo(dtype).max >= 256:
+            wide = np.append(wide, [256, 300, 512])
+        for model in (ChargeDomainVariation(),
+                      CurrentDomainVariation(count_dependent=True,
+                                             timing_jitter_rel=0.01)):
+            expected = model.sigma_vml(wide, 512)
+            got = model.sigma_vml(wide.astype(dtype), 512)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    def test_array_voltages_at_half_row(self):
+        """A 512-cell array's lazy ``v_ml`` at ``n = N/2`` equals the
+        voltages of the same search over int64 counts."""
+        rng = np.random.default_rng(5)
+        segments = rng.integers(0, 4, (8, 512)).astype(np.uint8)
+        queries = segments[:3].copy()
+        queries[:, :256] = (queries[:, :256] + 1) % 4  # HD = 256 at row q
+        array = CamArray(rows=8, cols=512, seed=3)
+        array.store(segments)
+        counts = array.mismatch_counts_batch(queries, MatchMode.HAMMING)
+        assert counts.dtype == np.uint16
+        assert (np.diagonal(counts) == 256).all()
+        expected = array.search_batch(
+            queries, 8, MatchMode.HAMMING,
+            precomputed_counts=counts.astype(np.int64)).v_ml
+        for precomputed in (None, counts.astype(np.uint16)):
+            assert np.array_equal(array.search_batch(
+                queries, 8, MatchMode.HAMMING,
+                precomputed_counts=precomputed).v_ml, expected)
+        # The half-row voltages carry noise, not the bare ideal level.
+        assert (np.diagonal(expected) != 0.5 * constants.VDD_VOLTS).all()
 
 
 class TestCurrentDomain:

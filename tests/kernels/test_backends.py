@@ -29,6 +29,7 @@ from repro.kernels import (
     encoded_reference_arrays,
     encoded_reference_from_arrays,
 )
+from repro.kernels.base import _fallback_counts
 from repro.knobs import validate_service_knobs
 
 
@@ -260,3 +261,56 @@ class TestPaperGeometry:
             bound, _composition_bound_reference(segments, queries))
         # A 256+-long T run is all T: the bound against all A is N.
         assert bound[0, 1] == n_cols
+
+
+def _extreme_block(n_cols: int) -> "tuple[np.ndarray, np.ndarray]":
+    """(segments, queries) whose counts reach both 0 and ``n_cols``."""
+    rng = np.random.default_rng(n_cols)
+    segments = np.stack([
+        np.full(n_cols, 1, dtype=np.uint8),  # all C
+        np.full(n_cols, 3, dtype=np.uint8),  # all T
+        rng.integers(0, 4, n_cols).astype(np.uint8),
+    ])
+    queries = np.stack([
+        np.full(n_cols, 0, dtype=np.uint8),  # all A: N against row 0
+        np.full(n_cols, 3, dtype=np.uint8),  # all T: 0 against row 1
+        rng.integers(0, 4, n_cols).astype(np.uint8),
+    ])
+    return segments, queries
+
+
+class TestCountDtype:
+    """Every count block comes in the narrowest unsigned dtype holding
+    ``N``, within ``0..N``, with the oracle's values."""
+
+    @pytest.mark.parametrize("non_acgt", [False, True],
+                             ids=["gemm", "fallback"])
+    @pytest.mark.parametrize("n_cols", [1, 2, 255, 256, 257, 512])
+    def test_every_entry_point(self, n_cols, non_acgt):
+        segments, queries = _extreme_block(n_cols)
+        if non_acgt:
+            queries[2, 0] = 4  # an ambiguity code routes the block
+        encoded = encode_reference(segments)
+        dtype = np.min_scalar_type(n_cols)
+        offsets = (0, 1, -1)
+        blocks = {
+            "ed": (counts_batch(encoded, queries, ed_star=True),
+                   _fallback_counts(segments, queries, ed_star=True)),
+            "hd": (counts_batch(encoded, queries, ed_star=False),
+                   _fallback_counts(segments, queries, ed_star=False)),
+            "rotations": (
+                counts_batch(encoded, queries, ed_star=True,
+                             rotations=offsets),
+                np.stack([_fallback_counts(
+                    segments, np.roll(queries, -offset, axis=1),
+                    ed_star=True) for offset in offsets])),
+        }
+        for name, got in zip(("dual-ed", "dual-hd"),
+                             counts_batch_dual(encoded, queries)):
+            blocks[name] = (got, blocks[name[-2:]][1])
+        for name, (got, expected) in blocks.items():
+            assert got.dtype == dtype, name
+            assert got.min() >= 0 and got.max() <= n_cols, name
+            assert np.array_equal(got, expected), name
+        assert blocks["hd"][0][0, 0] == n_cols
+        assert blocks["hd"][0][1, 1] == 0

@@ -380,6 +380,37 @@ class TestObservability:
         )
 
 
+def _root(array: np.ndarray) -> np.ndarray:
+    """The array owning ``array``'s buffer."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+class TestRetainedCountBytes:
+    """The compacting ledger keeps its live events' count blocks, so
+    their dtype sets the serving path's steady-state memory."""
+
+    def test_map_stream_shape_keeps_narrow_blocks(self):
+        dataset = build_dataset("B", n_reads=2048, read_length=256,
+                                n_segments=256, seed=11)
+        reads = _reads(dataset)
+        service = StreamingMappingService(
+            dataset.segments, dataset.model, threshold=8,
+            micro_batch=256, retain_mappings=False, seed=0,
+        )
+        for unit in range(100):
+            begin = unit % 8 * 256
+            service.submit_many(reads[begin:begin + 256])
+        service.close()
+        blocks = [event.mismatch_counts
+                  for event in service.pipeline.ledger.search_passes()]
+        assert blocks
+        assert {block.dtype for block in blocks} == {np.dtype(np.uint16)}
+        roots = {id(_root(block)): _root(block) for block in blocks}
+        assert sum(root.nbytes for root in roots.values()) <= 10 * 2**20
+
+
 class TestStreamMapped:
     def test_yields_all_mappings_in_order(self, small_dataset_a):
         reads = _reads(small_dataset_a)
