@@ -45,13 +45,6 @@ class TimingModel:
                 f"domain must be 'charge' or 'current', got {self.domain!r}"
             )
 
-    @property
-    def search_cycle_ns(self) -> float:
-        """One in-array search operation."""
-        if self.domain == "charge":
-            return constants.ASMCAP_SEARCH_TIME_NS
-        return constants.EDAM_SEARCH_TIME_NS
-
     def search_phases_ns(self) -> dict[str, float]:
         """Per-phase breakdown of the search cycle."""
         if self.domain == "charge":

@@ -133,13 +133,13 @@ class EdamMatcher:
         results = self._passes(read[None, :], threshold,
                                None if query_key is None else [query_key],
                                sweep=False)
-        # Pre-charge *energy* is already inside the array's
-        # current-domain search energy (repro.cost.views); only the
-        # pre-charge *latency* phase is added here.
+        # Pre-charge energy and latency are both inside the array's
+        # current-domain pass (repro.cost.views; the Table I cycle of
+        # repro.arch.timing), so the outcome is the passes' own cost.
         energy = latency = 0.0
         for result in results:
             energy += float(result.energy_per_query_joules[0])
-            latency += result.latency_ns + constants.EDAM_PRECHARGE_TIME_NS
+            latency += result.latency_ns
         return EdamOutcome(
             decisions=np.logical_or.reduce([r.matches[0] for r in results]),
             n_searches=len(results), energy_joules=energy,

@@ -16,7 +16,7 @@ from repro.cam.array import (
     StoredReference,
     SweepSearchResult,
 )
-from repro.cam.cell import NO_NEIGHBOR, AsmCapCell, MatchMode, PartialMatch
+from repro.cam.cell import AsmCapCell, MatchMode
 from repro.cam.defects import DefectiveArray, DefectMap
 from repro.cam.energy import (
     search_energy_eq1,
@@ -38,8 +38,6 @@ __all__ = [
     "CurrentDomainMatchline",
     "CurrentDomainVariation",
     "MatchMode",
-    "NO_NEIGHBOR",
-    "PartialMatch",
     "SearchStats",
     "StoredReference",
     "SweepSearchResult",

@@ -4,8 +4,8 @@
 
 * a :class:`StoredReference` holding the reference segments;
 * vectorised cell logic (the ``O_L/O_C/O_R`` planes of
-  :mod:`repro.distance.ed_star` — bit-exact with
-  :class:`~repro.cam.cell.AsmCapCell`);
+  :mod:`repro.distance.ed_star` — bit-exact with the per-cell truth
+  table of :mod:`repro.cam.cell`);
 * a matchline transfer function (charge or current domain);
 * a variation model that perturbs the analog voltage;
 * a bank of sense amplifiers that turn voltages into match decisions;
@@ -283,10 +283,6 @@ class SweepSearchResult:
         return self._voltages()
 
     @property
-    def n_thresholds(self) -> int:
-        return int(self.thresholds.shape[0])
-
-    @property
     def n_queries(self) -> int:
         return int(self.mismatch_counts.shape[0])
 
@@ -554,11 +550,6 @@ class CamArray:
         return self._stored
 
     @property
-    def shares_stored_reference(self) -> bool:
-        """True when this array borrows a shared reference."""
-        return self._shares_stored
-
-    @property
     def backend(self) -> str:
         """``"numpy-gemm"``, the one count kernel.
 
@@ -618,10 +609,6 @@ class CamArray:
         self.ledger.record(ReferenceLoad(
             n_segments=reference.n_segments, n_cells=self._cols,
         ))
-
-    def stored_segments(self) -> np.ndarray:
-        """The stored rows as a read-only ``(n_segments, N)`` matrix."""
-        return self._reference().segments
 
     def mismatch_counts_batch(self, queries: np.ndarray,
                               mode: MatchMode,

@@ -15,18 +15,19 @@ them into the cell output ``O``:
   contributes a *mismatch* only when all three comparisons fail;
 * ``S = 0`` (HD mode): ``O = not O_C`` — plain Hamming behaviour.
 
-``O = 1`` means "mismatched cell": the cell drives GND onto the bottom
-plate of its capacitor... actually the matched cell drives GND and the
-mismatched cell drives VDD, so that ``V_ML = n_mis / N * VDD`` rises
-with the mismatch count (Section III-C).  The array model
-(:mod:`repro.cam.array`) evaluates this logic vectorised; this class
-exists for unit-level verification and didactic use.
+``O = 1`` means "mismatched cell": a matched cell drives GND onto the
+bottom plate of its capacitor and a mismatched cell drives VDD, so that
+``V_ML = n_mis / N * VDD`` rises with the mismatch count (Section
+III-C).  The array model (:mod:`repro.cam.array`, through
+:mod:`repro.distance.ed_star`) evaluates this logic vectorised.  What
+stays here is the mode select and the cell's stored code and transistor
+budget (the area model's input); the per-cell truth table is the test
+oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.errors import CamConfigError
 from repro.genome import alphabet
@@ -38,34 +39,6 @@ class MatchMode(enum.Enum):
 
     ED_STAR = "ed_star"   # S = 1: O = O_C + O_L + O_R
     HAMMING = "hamming"   # S = 0: O = O_C
-
-    @property
-    def select_signal(self) -> int:
-        """The value of ``S`` for this mode."""
-        return 1 if self is MatchMode.ED_STAR else 0
-
-
-#: Sentinel searchline value for a missing neighbour (row edge).  No
-#: stored base can equal it, so the comparison contributes no match.
-NO_NEIGHBOR = -1
-
-
-@dataclass(frozen=True)
-class PartialMatch:
-    """The three comparator outputs of one cell for one search."""
-
-    o_l: bool
-    o_c: bool
-    o_r: bool
-
-    def combined(self, mode: MatchMode) -> bool:
-        """The matched/mismatched decision after the mode MUX.
-
-        Returns True when the cell is a *matched* cell.
-        """
-        if mode is MatchMode.ED_STAR:
-            return self.o_l or self.o_c or self.o_r
-        return self.o_c
 
 
 class AsmCapCell:
@@ -82,35 +55,6 @@ class AsmCapCell:
     @property
     def stored_code(self) -> int:
         return self._stored
-
-    @property
-    def stored_base(self) -> str:
-        return alphabet.CODE_TO_BASE[self._stored]
-
-    def compare(self, left: int, co_located: int, right: int) -> PartialMatch:
-        """Evaluate the three comparators against searchline inputs.
-
-        Any input may be :data:`NO_NEIGHBOR` at the row edges.
-        """
-        return PartialMatch(
-            o_l=left == self._stored,
-            o_c=co_located == self._stored,
-            o_r=right == self._stored,
-        )
-
-    def output(self, left: int, co_located: int, right: int,
-               mode: MatchMode) -> int:
-        """Cell output ``O``: 1 = mismatched cell, 0 = matched cell."""
-        return 0 if self.compare(left, co_located, right).combined(mode) else 1
-
-    def capacitor_bottom_voltage(self, left: int, co_located: int, right: int,
-                                 mode: MatchMode, vdd: float) -> float:
-        """Voltage driven onto the capacitor bottom plate.
-
-        Mismatched cells drive VDD, matched cells drive GND, producing
-        the linear charge-domain transfer ``V_ML = n_mis/N * VDD``.
-        """
-        return vdd if self.output(left, co_located, right, mode) else 0.0
 
     #: Transistor budget per cell, used by the area model: two 6T SRAM
     #: cells, 3 x 4T comparison logic (XNOR-style compare per searchline

@@ -58,12 +58,6 @@ class ChargeDomainMatchline:
         counts = _check_counts(n_mismatch, n_cells)
         return counts / n_cells * self.vdd
 
-    def level_spacing(self, n_cells: int) -> float:
-        """Voltage gap between adjacent mismatch counts."""
-        if n_cells <= 0:
-            raise CamConfigError(f"n_cells must be positive, got {n_cells}")
-        return self.vdd / n_cells
-
     #: The capacitive ML needs no pre-charge phase (Section III-C).
     REQUIRES_PRECHARGE = False
     #: ...and no sample-and-hold, because the output is static.
@@ -76,8 +70,7 @@ class CurrentDomainMatchline:
 
     The ML voltage decreases over time; ``sampled_voltage`` evaluates it
     at the design-point sample time where a fully mismatched row has
-    discharged to GND.  ``voltage_at`` exposes the full time dependence
-    for the didactic example scripts.
+    discharged to GND.
     """
 
     vdd: float = constants.VDD_VOLTS
@@ -87,22 +80,6 @@ class CurrentDomainMatchline:
         """ML voltage at the nominal sample time."""
         counts = _check_counts(n_mismatch, n_cells)
         return self.vdd * (1.0 - counts / n_cells)
-
-    def voltage_at(self, n_mismatch: "int | np.ndarray", n_cells: int,
-                   t_fraction: "float | np.ndarray") -> np.ndarray:
-        """ML voltage at a fraction of the nominal sample time.
-
-        ``t_fraction = 1`` is the nominal instant; values above/below
-        model timing error.  The voltage saturates at GND.
-        """
-        counts = _check_counts(n_mismatch, n_cells)
-        droop = counts / n_cells * self.vdd * np.asarray(t_fraction, dtype=float)
-        return np.maximum(0.0, self.vdd - droop)
-
-    def level_spacing(self, n_cells: int) -> float:
-        if n_cells <= 0:
-            raise CamConfigError(f"n_cells must be positive, got {n_cells}")
-        return self.vdd / n_cells
 
     REQUIRES_PRECHARGE = True
     REQUIRES_SAMPLING = True

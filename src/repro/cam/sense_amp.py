@@ -47,19 +47,13 @@ class SenseAmplifier:
     rising: bool = True
     strict_paper_rule: bool = False
 
-    def reference_voltage(self, threshold: int, n_cells: int) -> float:
-        """``V_ref`` for deciding ``n_mis <= threshold``."""
-        return float(self.reference_voltages(np.asarray(threshold), n_cells))
-
     def reference_voltages(self, thresholds: np.ndarray,
                            n_cells: int) -> np.ndarray:
         """Vectorised ``V_ref`` for an array of thresholds.
 
         A search programs one reference per threshold (the SA
         reference DAC is shared by every query streaming through the
-        array); a sweep evaluates its whole vector at once.  The scalar
-        :meth:`reference_voltage` delegates here so the two paths
-        cannot drift.
+        array); a sweep evaluates its whole vector at once.
         """
         if n_cells <= 0:
             raise ThresholdError(f"n_cells must be positive, got {n_cells}")

@@ -173,10 +173,6 @@ class MatchBatchOutcome:
         return int(self.decisions.shape[0])
 
     @property
-    def total_searches(self) -> int:
-        return int(self.n_searches.sum())
-
-    @property
     def total_energy_joules(self) -> float:
         return float(self.energy_joules.sum())
 
@@ -226,10 +222,6 @@ class MatchSweepOutcome:
     tasr_lower_bound: int
     hdac_mask: np.ndarray
     tasr_mask: np.ndarray
-
-    @property
-    def n_thresholds(self) -> int:
-        return int(self.decisions.shape[0])
 
     @property
     def n_queries(self) -> int:

@@ -114,16 +114,6 @@ class CostLedger:
     def __iter__(self) -> Iterator[LedgerEvent]:
         return iter(self._events)
 
-    def search_passes(self) -> "tuple[SearchPassEvent, ...]":
-        """The live (unfolded) search-pass events, oldest first."""
-        return tuple(event for event in self._events
-                     if isinstance(event, SearchPassEvent))
-
-    def of_type(self, *types: type) -> "tuple[LedgerEvent, ...]":
-        """Live events matching any of the given event classes."""
-        return tuple(event for event in self._events
-                     if isinstance(event, types))
-
     # -- compaction ---------------------------------------------------------
 
     @property

@@ -1,7 +1,8 @@
 """String-distance kernels: ground truth (ED), HD, and the ED* estimate.
 
 * :mod:`repro.distance.hamming` — Hamming distance (CAM HD mode);
-* :mod:`repro.distance.edit_distance` — full / banded / batched DP;
+* :mod:`repro.distance.edit_distance` — full DP and the batched banded
+  DP with its exact lower-bound prefilters;
 * :mod:`repro.distance.myers` — bit-parallel oracle;
 * :mod:`repro.distance.comparison_matrix` — anti-diagonal CM (ReSMA);
 * :mod:`repro.distance.ed_star` — the EDAM/ASMCap neighbour-tolerant
@@ -11,40 +12,31 @@
 from repro.distance.comparison_matrix import (
     AntiDiagonalTraversal,
     TraversalStats,
-    comparison_matrix_distance,
 )
 from repro.distance.ed_star import (
     ed_star,
     ed_star_batch,
     ed_star_counts_batch,
     match_planes,
-    match_planes_batch,
     mismatch_counts_all_reads,
 )
 from repro.distance.edit_distance import (
-    banded_edit_distance,
     banded_edit_distance_batch,
     edit_distance,
-    edit_distance_matrix,
 )
-from repro.distance.hamming import hamming_distance, hamming_distance_batch
+from repro.distance.hamming import hamming_distance
 from repro.distance.myers import myers_edit_distance
 
 __all__ = [
     "AntiDiagonalTraversal",
     "TraversalStats",
-    "banded_edit_distance",
     "banded_edit_distance_batch",
-    "comparison_matrix_distance",
     "ed_star",
     "ed_star_batch",
     "ed_star_counts_batch",
     "edit_distance",
-    "edit_distance_matrix",
     "hamming_distance",
-    "hamming_distance_batch",
     "match_planes",
-    "match_planes_batch",
     "mismatch_counts_all_reads",
     "myers_edit_distance",
 ]

@@ -85,8 +85,3 @@ class AntiDiagonalTraversal:
     def distance(self) -> int:
         """The edit distance in the bottom-right corner."""
         return int(self.matrix[-1, -1])
-
-
-def comparison_matrix_distance(a: DnaSequence, b: DnaSequence) -> int:
-    """Edit distance via the anti-diagonal CM (convenience wrapper)."""
-    return AntiDiagonalTraversal.run(a, b).distance

@@ -74,52 +74,12 @@ def ed_star_batch(segments: np.ndarray, read: np.ndarray) -> np.ndarray:
     return np.count_nonzero(~matched, axis=1)
 
 
-def match_planes_batch(
-        segments: np.ndarray,
-        reads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(O_L, O_C, O_R)`` planes for a whole block of reads.
-
-    The batched counterpart of :func:`match_planes`: one 3-D broadcast
-    evaluates every (read, row, cell) comparison at once, modelling a
-    global buffer streaming ``B`` reads into the array back-to-back.
-
-    Parameters
-    ----------
-    segments:
-        ``(M, N)`` uint8 matrix of stored rows.
-    reads:
-        ``(B, N)`` uint8 matrix of read codes.
-
-    Returns
-    -------
-    Three boolean ``(B, M, N)`` planes; ``plane[q, i, j]`` is the
-    comparison outcome of read ``q`` against stored base ``j`` of row
-    ``i``, bit-exact with :func:`match_planes` applied per read.
-    """
-    segments = np.asarray(segments)
-    reads = np.asarray(reads)
-    if segments.ndim != 2:
-        raise SequenceError(f"segments must be 2-D, got shape {segments.shape}")
-    if reads.ndim != 2 or reads.shape[1] != segments.shape[1]:
-        raise SequenceError(
-            f"reads shape {reads.shape} incompatible with segments "
-            f"{segments.shape}"
-        )
-    o_c = segments[None, :, :] == reads[:, None, :]
-    o_l = np.zeros_like(o_c)
-    o_r = np.zeros_like(o_c)
-    if reads.shape[1] > 1:
-        o_l[:, :, 1:] = segments[None, :, 1:] == reads[:, None, :-1]
-        o_r[:, :, :-1] = segments[None, :, :-1] == reads[:, None, 1:]
-    return o_l, o_c, o_r
-
-
 def ed_star_counts_batch(segments: np.ndarray,
                          reads: np.ndarray) -> np.ndarray:
     """ED* of every read against every segment, ``(B, M)`` ints.
 
-    Memory-lean version of :func:`match_planes_batch` + reduce: the
-    neighbour planes are OR-ed into one buffer instead of being
+    The :func:`match_planes` comparison for a whole block of reads, with
+    the neighbour planes OR-ed into one buffer instead of being
     materialised separately.
     """
     segments = np.asarray(segments)

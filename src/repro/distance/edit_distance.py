@@ -1,18 +1,19 @@
-"""Edit (Levenshtein) distance: full DP, banded DP, and batched banded DP.
+"""Edit (Levenshtein) distance: full DP and batched banded DP.
 
 These kernels provide the *ground truth* for every accuracy experiment:
 a (read, segment) pair is a true match at threshold ``T`` iff
 ``edit_distance(segment, read) <= T`` (Section II-B).
 
-Three implementations, all mutually cross-checked in the tests:
+Two implementations, cross-checked in the tests against each other and
+against brute-force oracles (the full DP table, Landau-Vishkin, Myers):
 
 * :func:`edit_distance` — full ``O(n*m)`` dynamic program, row-vectorised
   with numpy (the inner insertion scan uses the ``min-accumulate`` trick);
-* :func:`banded_edit_distance` — ``O(n*k)`` banded DP, exact whenever the
-  true distance is at most the band half-width ``k``;
-* :func:`banded_edit_distance_batch` — the banded DP vectorised across
-  many (read, segment) pairs at once, which is what makes exhaustive
-  ground-truth labelling of a whole dataset tractable in Python.
+* :func:`banded_edit_distance_batch` — the ``O(n*k)`` banded DP, exact
+  whenever the true distance is at most the band half-width ``k``,
+  vectorised across many (read, segment) pairs at once, which is what
+  makes exhaustive ground-truth labelling of a whole dataset tractable
+  in Python.
 
 The batch kernel reports distances **capped at** ``band + 1``: a result
 of ``band + 1`` means "greater than ``band``", which is all the
@@ -21,8 +22,8 @@ experiments need because they never sweep thresholds beyond the band.
 Before the DP runs, two exact lower-bound prefilters prove most pairs
 "greater than band" outright: the 1-gram base-composition bound
 (:func:`composition_lower_bound`) over the full pair grid, then
-Ukkonen's q-gram bound (:func:`qgram_lower_bound`, ``q = 3``) pairwise
-over its survivors.  Both are true lower bounds, so the prefiltered
+Ukkonen's q-gram bound (``ceil(L1 / 2q)`` over :func:`qgram_profiles`,
+``q = 3``) pairwise over its survivors.  Both are true lower bounds, so the prefiltered
 labelling stays exact — property-tested against the unfiltered DP.
 
 The DP itself exits early.  Every ``_COMPACT_EVERY`` rows it drops the
@@ -134,27 +135,15 @@ def qgram_profiles(rows: np.ndarray, q: int = _QGRAM_Q) -> np.ndarray:
 
 
 def _qgram_bound_from_l1(l1: np.ndarray, q: int) -> np.ndarray:
-    """``ceil(L1 / 2q)`` — the bound both q-gram call sites share."""
-    return ((l1 + 2 * q - 1) // (2 * q)).astype(np.int32)
-
-
-def qgram_lower_bound(segments: np.ndarray, reads: np.ndarray,
-                      q: int = _QGRAM_Q) -> np.ndarray:
-    """Ukkonen's q-gram lower bound on the edit distance, per pair.
+    """Ukkonen's q-gram lower bound, ``ceil(L1 / 2q)``, per pair.
 
     A single edit operation destroys at most ``q`` of a string's
     q-grams and creates at most ``q`` new ones, so the L1 distance
     between two q-gram profiles changes by at most ``2q`` per
     operation: ``ED(a, b) >= ceil(L1(profile(a), profile(b)) / 2q)``.
-    Exact (never above the true distance) for any two equal-length
-    code rows over the DNA alphabet; with ``q = 1`` this degenerates
-    to :func:`composition_lower_bound`.
+    With ``q = 1`` this is :func:`composition_lower_bound`.
     """
-    seg_prof = qgram_profiles(segments, q)
-    read_prof = qgram_profiles(reads, q)
-    l1 = np.abs(read_prof[:, None, :].astype(np.int64)
-                - seg_prof[None, :, :]).sum(axis=2)
-    return _qgram_bound_from_l1(l1, q)
+    return ((l1 + 2 * q - 1) // (2 * q)).astype(np.int32)
 
 
 def edit_distance(a: DnaSequence, b: DnaSequence) -> int:
@@ -190,26 +179,6 @@ def _check_band(band) -> int:
     if band < 0:
         raise ThresholdError(f"band must be non-negative, got {band}")
     return band
-
-
-def banded_edit_distance(a: DnaSequence, b: DnaSequence, band: int) -> int:
-    """Banded Levenshtein distance.
-
-    Exact when the true distance is ``<= band``; returns ``band + 1``
-    otherwise (meaning "greater than *band*").  Sequences of different
-    lengths are supported as long as ``|len(a) - len(b)| <= band``
-    (otherwise the distance trivially exceeds the band).
-    """
-    band = _check_band(band)
-    if abs(len(a) - len(b)) > band:
-        return band + 1
-    if len(a) == len(b):
-        result = banded_edit_distance_batch(
-            a.codes[None, :], b.codes[None, :], band
-        )
-        return int(result[0, 0])
-    # Unequal lengths are rare in our experiments; fall back to full DP.
-    return min(edit_distance(a, b), band + 1)
 
 
 def banded_edit_distance_batch(segments: np.ndarray, reads: np.ndarray,
@@ -373,25 +342,3 @@ def banded_edit_distance_batch(segments: np.ndarray, reads: np.ndarray,
     result[read_idx[alive], seg_idx[alive]] = np.minimum(
         prev[k].astype(np.int32) + k, cap)
     return result
-
-
-def edit_distance_matrix(a: DnaSequence, b: DnaSequence) -> np.ndarray:
-    """The full ``(len(a)+1, len(b)+1)`` comparison matrix ``M[i, j]``.
-
-    Exposed for the ReSMA baseline (which processes this matrix
-    anti-diagonal by anti-diagonal) and for didactic examples; prefer
-    :func:`edit_distance` when only the distance is needed.
-    """
-    x, y = a.codes, b.codes
-    n, m = len(x), len(y)
-    table = np.zeros((n + 1, m + 1), dtype=np.int32)
-    table[:, 0] = np.arange(n + 1)
-    table[0, :] = np.arange(m + 1)
-    offsets = np.arange(m + 1, dtype=np.int32)
-    for i in range(1, n + 1):
-        substitution = table[i - 1, :-1] + (y != x[i - 1])
-        row = np.empty(m + 1, dtype=np.int32)
-        row[0] = i
-        row[1:] = np.minimum(substitution, table[i - 1, 1:] + 1)
-        table[i] = offsets + np.minimum.accumulate(row - offsets)
-    return table

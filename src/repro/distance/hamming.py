@@ -28,31 +28,3 @@ def hamming_distance(a: DnaSequence, b: DnaSequence) -> int:
             f"Hamming distance needs equal lengths, got {len(a)} and {len(b)}"
         )
     return int(np.count_nonzero(a.codes != b.codes))
-
-
-def hamming_distance_batch(segments: np.ndarray, read: np.ndarray) -> np.ndarray:
-    """Hamming distance of one read against many stored segments.
-
-    Parameters
-    ----------
-    segments:
-        ``(M, N)`` uint8 matrix of stored rows.
-    read:
-        ``(N,)`` uint8 read codes.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(M,)`` int array of distances.
-    """
-    segments = np.asarray(segments)
-    read = np.asarray(read)
-    if segments.ndim != 2:
-        raise SequenceError(f"segments must be 2-D, got shape {segments.shape}")
-    if read.ndim != 1 or read.shape[0] != segments.shape[1]:
-        raise SequenceError(
-            f"read shape {read.shape} incompatible with segments "
-            f"{segments.shape}"
-        )
-    return np.count_nonzero(segments != read[None, :], axis=1)
-

@@ -11,14 +11,12 @@ from repro.eval.confusion import (
     ConfusionMatrix,
     confusion_from_decisions,
     confusion_series,
-    f1_from_decisions,
 )
 from repro.eval.experiment import (
     AccuracyExperiment,
     AccuracyResult,
     asmcap_full_system,
     asmcap_plain_system,
-    edam_sr_system,
     edam_system,
     kraken_system,
 )
@@ -38,9 +36,7 @@ __all__ = [
     "asmcap_plain_system",
     "confusion_from_decisions",
     "confusion_series",
-    "edam_sr_system",
     "edam_system",
-    "f1_from_decisions",
     "flip_probability",
     "format_ratio",
     "format_series",

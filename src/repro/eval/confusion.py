@@ -74,26 +74,6 @@ class ConfusionMatrix:
         s, p = self.sensitivity, self.precision
         return 2.0 * s * p / (s + p) if (s + p) else 0.0
 
-    @property
-    def accuracy(self) -> float:
-        """(TP + TN) / total; 0 on an empty matrix."""
-        return (self.tp + self.tn) / self.total if self.total else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """Summary dictionary for reporting."""
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "sensitivity": self.sensitivity, "precision": self.precision,
-            "f1": self.f1, "accuracy": self.accuracy,
-        }
-
-
-def f1_from_decisions(predicted: np.ndarray, actual: np.ndarray) -> float:
-    """One-shot F1 for a single decision batch."""
-    matrix = ConfusionMatrix()
-    matrix.update(predicted, actual)
-    return matrix.f1
-
 
 def confusion_from_decisions(predicted: np.ndarray,
                              actual: np.ndarray) -> ConfusionMatrix:

@@ -142,19 +142,6 @@ def edam_system(dataset: Dataset, seed: int) -> MatchSystem:
     return _EdamSystem(matcher)
 
 
-def edam_sr_system(dataset: Dataset, seed: int) -> MatchSystem:
-    """EDAM with its unconditional Sequence Rotation (Section IV-B).
-
-    The variant TASR improves on: rotations always fire, trading FN
-    correction for FP risk at small thresholds.
-    """
-    array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
-                     domain="current", noisy=True, seed=seed)
-    matcher = EdamMatcher(array=array, enable_sr=True)
-    matcher.store(dataset.segments)
-    return _EdamSystem(matcher)
-
-
 def kraken_system(dataset: Dataset, seed: int,
                   k: int = 35, confidence: float = 0.9) -> MatchSystem:
     """Exact k-mer classifier (deterministic; seed unused)."""
@@ -172,9 +159,6 @@ class AccuracyResult:
 
     def f1(self, threshold: int) -> float:
         return self.per_threshold[threshold].f1
-
-    def f1_series(self) -> dict[int, float]:
-        return {t: m.f1 for t, m in sorted(self.per_threshold.items())}
 
     def mean_f1(self) -> float:
         values = [m.f1 for m in self.per_threshold.values()]

@@ -54,10 +54,6 @@ class GroundTruth:
     def n_segments(self) -> int:
         return int(self.distances.shape[1])
 
-    def positives_per_threshold(self, thresholds: "list[int]") -> dict[int, int]:
-        """True-match counts per threshold (dataset difficulty gauge)."""
-        return {t: int(self.labels(t).sum()) for t in thresholds}
-
 
 def label_dataset(dataset: Dataset, max_threshold: int,
                   margin: int = 2) -> GroundTruth:

@@ -41,10 +41,6 @@ class SweepSeries:
     def mean(self) -> np.ndarray:
         return self.f1_runs.mean(axis=0)
 
-    @property
-    def std(self) -> np.ndarray:
-        return self.f1_runs.std(axis=0)
-
     def mean_f1(self) -> float:
         """Grand mean over thresholds and runs."""
         return float(self.f1_runs.mean())

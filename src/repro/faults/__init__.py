@@ -23,7 +23,7 @@ This package root stays import-light (plan + hooks only) so the
 production hook sites can import it without cycles.
 """
 
-from repro.faults.hooks import FaultInjector, arm, armed, fire
+from repro.faults.hooks import FaultInjector, arm, fire
 from repro.faults.plan import (
     FAULT_SPECS,
     HOOK_POINTS,
@@ -40,6 +40,5 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "arm",
-    "armed",
     "fire",
 ]

@@ -30,7 +30,7 @@ import time
 from repro.errors import CamConfigError
 from repro.faults.plan import HOOK_POINTS, Fault, FaultPlan
 
-__all__ = ["FaultInjector", "arm", "fire", "armed"]
+__all__ = ["FaultInjector", "arm", "fire"]
 
 #: The armed injector; ``None`` = unarmed (the zero-overhead fast path).
 _ACTIVE: "FaultInjector | None" = None
@@ -54,11 +54,6 @@ def fire(point: str, **ctx) -> None:
     if injector is None:
         return
     injector._fire(point, ctx)
-
-
-def armed() -> bool:
-    """Whether a fault plan is currently armed in this process."""
-    return _ACTIVE is not None
 
 
 class FaultInjector:
@@ -87,11 +82,6 @@ class FaultInjector:
     @property
     def plan(self) -> FaultPlan:
         return self._plan
-
-    def hit_counts(self) -> "dict[str, int]":
-        """Times each hook point has been reached so far."""
-        with self._lock:
-            return dict(self._counts)
 
     def _fire(self, point: str, ctx: dict) -> None:
         with self._lock:

@@ -1,4 +1,4 @@
-"""DNA alphabet utilities: 2-bit base encoding, validation, complements.
+"""DNA alphabet utilities: 2-bit base encoding and validation.
 
 Genome sequences consist of the four bases Adenine (A), Guanine (G),
 Cytosine (C) and Thymine (T).  Internally the library stores sequences as
@@ -31,10 +31,6 @@ BASE_TO_CODE = {base: code for code, base in enumerate(BASES)}
 
 #: Map 2-bit code -> base character.
 CODE_TO_BASE = {code: base for code, base in enumerate(BASES)}
-
-#: Watson-Crick complements in code space (A-T and C-G pairs, Section
-#: II-A): A(0)<->T(3), C(1)<->G(2), i.e. 3 - code.
-_COMPLEMENT_CODES = np.array([3, 2, 1, 0], dtype=np.uint8)
 
 # Lookup table from ASCII byte -> code (255 marks invalid characters).
 _ASCII_TO_CODE = np.full(256, 255, dtype=np.uint8)
@@ -83,19 +79,6 @@ def decode(codes: np.ndarray) -> str:
             f"code {int(codes.max())} out of range 0..{ALPHABET_SIZE - 1}"
         )
     return _CODE_TO_ASCII[codes].tobytes().decode("ascii")
-
-
-def complement_codes(codes: np.ndarray) -> np.ndarray:
-    """Return the Watson-Crick complement of a code array."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size and int(codes.max()) >= ALPHABET_SIZE:
-        raise AlphabetError("cannot complement codes outside 0..3")
-    return _COMPLEMENT_CODES[codes]
-
-
-def reverse_complement_codes(codes: np.ndarray) -> np.ndarray:
-    """Return the reverse complement of a code array."""
-    return complement_codes(codes)[::-1]
 
 
 def random_codes(length: int, rng: np.random.Generator,

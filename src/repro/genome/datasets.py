@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import DatasetError
 from repro.genome.edits import ErrorModel
 from repro.genome.generator import ReferenceGenerator, RepeatProfile
-from repro.genome.reads import ReadRecord, ReadSampler
+from repro.genome.reads import MIN_SLACK, ReadRecord, ReadSampler
 from repro.genome.sequence import DnaSequence
 
 def resolve_condition(condition: "str | ErrorModel",
@@ -81,10 +81,6 @@ class Dataset:
         """The *index*-th stored segment as a sequence object."""
         return DnaSequence(self.segments[index])
 
-    def origin_segment_index(self, record: ReadRecord) -> int:
-        """Row index of the segment the read was extracted from."""
-        return record.origin // self.read_length
-
 
 def build_dataset(condition: "str | ErrorModel" = "A",
                   n_reads: int = 128,
@@ -114,16 +110,24 @@ def build_dataset(condition: "str | ErrorModel" = "A",
         :class:`~repro.genome.edits.ErrorModel`).
     with_repeats:
         Disable to get a pure i.i.d. reference (unit tests).
+
+    The three sizes must be positive integers and *seed* an integer
+    (:class:`~repro.errors.DatasetError`): ``True`` is not one read and
+    ``2.7`` is not seed 2.
     """
-    if n_reads <= 0:
-        raise DatasetError(f"n_reads must be positive, got {n_reads}")
-    if n_segments <= 0:
-        raise DatasetError(f"n_segments must be positive, got {n_segments}")
+    # Function-level: repro.knobs sits above this layer (CL501).
+    from repro.knobs import check_count, check_integer
+
+    for name, value in (("n_reads", n_reads), ("read_length", read_length),
+                        ("n_segments", n_segments)):
+        check_count(name, value, DatasetError)
+    seed = check_integer("seed", seed, DatasetError)
     model = resolve_condition(condition, burst_prob=burst_prob)
     label = condition if isinstance(condition, str) else "custom"
 
-    # Reference long enough for all segments plus sampler slack.
-    slack_margin = 4 * read_length
+    # Reference long enough for all segments plus sampler slack (the
+    # floor only matters below 4-base reads, which it makes buildable).
+    slack_margin = max(4 * read_length, MIN_SLACK)
     ref_length = n_segments * read_length + slack_margin
     repeats = RepeatProfile() if with_repeats else None
     reference = ReferenceGenerator(repeats=repeats, seed=seed).generate(ref_length)

@@ -66,22 +66,6 @@ class EditPlan:
 
     edits: list[Edit] = field(default_factory=list)
 
-    @property
-    def n_substitutions(self) -> int:
-        return sum(1 for e in self.edits if e.kind is EditKind.SUBSTITUTION)
-
-    @property
-    def n_insertions(self) -> int:
-        return sum(1 for e in self.edits if e.kind is EditKind.INSERTION)
-
-    @property
-    def n_deletions(self) -> int:
-        return sum(1 for e in self.edits if e.kind is EditKind.DELETION)
-
-    @property
-    def n_indels(self) -> int:
-        return self.n_insertions + self.n_deletions
-
     def __len__(self) -> int:
         return len(self.edits)
 
@@ -125,13 +109,6 @@ class ErrorModel:
     @property
     def total_rate(self) -> float:
         return self.substitution + self.insertion + self.deletion
-
-    @property
-    def substitution_fraction(self) -> float:
-        """``es / (es + eid)``; 0 when the model injects no errors."""
-        if self.total_rate == 0.0:
-            return 0.0
-        return self.substitution / self.total_rate
 
     @classmethod
     def condition_a(cls, burst_prob: float = 0.3) -> "ErrorModel":

@@ -157,7 +157,16 @@ class ReferenceGenerator:
 def generate_reference(length: int, seed: int = 0,
                        gc_content: float = DEFAULT_GC_CONTENT,
                        with_repeats: bool = True) -> DnaSequence:
-    """Convenience wrapper: one call, one synthetic reference."""
+    """Convenience wrapper: one call, one synthetic reference.
+
+    *length* must be a positive integer and *seed* an integer
+    (:class:`~repro.errors.DatasetError`), never truncated.
+    """
+    # Function-level: repro.knobs sits above this layer (CL501).
+    from repro.knobs import check_count, check_integer
+
+    check_count("length", length, DatasetError)
+    seed = check_integer("seed", seed, DatasetError)
     repeats = RepeatProfile() if with_repeats else None
     return ReferenceGenerator(gc_content=gc_content, repeats=repeats,
                               seed=seed).generate(length)

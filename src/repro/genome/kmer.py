@@ -31,15 +31,6 @@ def pack_kmer(codes: np.ndarray) -> int:
     return value
 
 
-def unpack_kmer(value: int, k: int) -> np.ndarray:
-    """Inverse of :func:`pack_kmer`."""
-    codes = np.empty(k, dtype=np.uint8)
-    for i in range(k - 1, -1, -1):
-        codes[i] = value & 0b11
-        value >>= 2
-    return codes
-
-
 def reverse_complement_kmer(value: int, k: int) -> int:
     """Reverse complement directly in packed space."""
     rc = 0
@@ -105,14 +96,6 @@ class KmerIndex:
         """Positions of *kmer* in the reference (empty when absent)."""
         return self.positions.get(kmer, [])
 
-    def contains(self, kmer: int) -> bool:
-        return kmer in self.positions
-
     def __len__(self) -> int:
         """Number of distinct k-mers indexed."""
         return len(self.positions)
-
-    def distinct_fraction(self) -> float:
-        """Distinct k-mers / total k-mer slots — a repetitiveness gauge."""
-        total = max(1, self.reference_length - self.k + 1)
-        return len(self.positions) / total

@@ -57,6 +57,10 @@ class ReadRecord:
         return len(self.read)
 
 
+#: Fewest extra reference bases a sampler takes beyond ``read_length``.
+MIN_SLACK = 16
+
+
 class ReadSampler:
     """Samples fixed-length, edit-injected reads from a reference.
 
@@ -73,7 +77,7 @@ class ReadSampler:
     slack:
         Extra reference bases taken beyond ``read_length`` before edit
         injection.  Defaults to enough to absorb a >=6-sigma deletion
-        excursion, with a floor of 16.
+        excursion, with a floor of :data:`MIN_SLACK`.
     """
 
     def __init__(self, reference: DnaSequence, read_length: int,
@@ -89,7 +93,8 @@ class ReadSampler:
         if slack is None:
             expected_deletions = read_length * model.deletion
             burst_factor = 1.0 / max(1e-9, 1.0 - model.burst_prob)
-            slack = max(16, int(6 * (expected_deletions * burst_factor + 2)))
+            slack = max(MIN_SLACK,
+                        int(6 * (expected_deletions * burst_factor + 2)))
         if len(reference) < read_length + slack:
             slack = len(reference) - read_length
         self._reference = reference

@@ -33,8 +33,8 @@ class DnaSequence:
     >>> s = DnaSequence("GATTACA")
     >>> len(s), str(s[1:4])
     (7, 'ATT')
-    >>> s.reverse_complement()
-    DnaSequence('TGTAATC')
+    >>> round(s.gc_content(), 3)
+    0.286
     """
 
     __slots__ = ("_codes",)
@@ -103,14 +103,6 @@ class DnaSequence:
 
     # -- biology helpers ------------------------------------------------
 
-    def complement(self) -> "DnaSequence":
-        """Watson-Crick complement (A<->T, C<->G)."""
-        return DnaSequence(alphabet.complement_codes(self._codes))
-
-    def reverse_complement(self) -> "DnaSequence":
-        """Reverse complement, the opposite strand read 5'->3'."""
-        return DnaSequence(alphabet.reverse_complement_codes(self._codes))
-
     def gc_content(self) -> float:
         """Fraction of bases that are C or G (0.0 for empty sequences)."""
         if not len(self):
@@ -118,28 +110,7 @@ class DnaSequence:
         is_gc = (self._codes == 1) | (self._codes == 2)
         return float(is_gc.mean())
 
-    def base_counts(self) -> dict[str, int]:
-        """Counts of each base, keyed ``A``/``C``/``G``/``T``."""
-        counts = np.bincount(self._codes, minlength=alphabet.ALPHABET_SIZE)
-        return {base: int(counts[code])
-                for code, base in enumerate(alphabet.BASES)}
-
     # -- structural helpers ---------------------------------------------
-
-    def rotate(self, offset: int) -> "DnaSequence":
-        """Circularly rotate the sequence.
-
-        Positive *offset* rotates **left** (bases move toward index 0,
-        the front bases wrap to the back); negative rotates right.  This
-        mirrors the shift-register rotation the TASR strategy performs in
-        hardware (Section IV-B).
-        """
-        if not len(self):
-            return self
-        offset %= len(self)
-        if offset == 0:
-            return self
-        return DnaSequence(np.roll(self._codes, -offset))
 
     def window(self, start: int, length: int) -> "DnaSequence":
         """Extract a window, raising if it falls outside the sequence."""

@@ -206,12 +206,6 @@ class ReferenceCatalog:
         with self._lock:
             return tuple(self._entries)
 
-    def resident_names(self) -> "tuple[str, ...]":
-        """Names currently mapped into memory."""
-        with self._lock:
-            return tuple(name for name, entry in self._entries.items()
-                         if entry.mapped is not None)
-
     def __contains__(self, name: object) -> bool:
         with self._lock:
             return name in self._entries

@@ -11,7 +11,9 @@ from repro.baselines.edam import (
     edam_issue_period_ns,
     edam_search_energy_per_array,
 )
+from repro.arch.timing import TimingModel
 from repro.cam.array import CamArray
+from repro.cost.views import search_stats
 from repro.errors import CamConfigError
 from repro.genome.datasets import build_dataset
 
@@ -48,12 +50,19 @@ class TestMatcher:
         assert outcome.n_searches == 1
 
     def test_latency_includes_precharge(self, dataset):
-        matcher = EdamMatcher(rows=16, cols=128, noisy=False)
-        matcher.store(dataset.segments)
-        outcome = matcher.match(dataset.reads[0].read.codes, 4)
-        assert outcome.latency_ns == pytest.approx(
-            constants.EDAM_SEARCH_TIME_NS + constants.EDAM_PRECHARGE_TIME_NS
-        )
+        """The Table I cycle already holds the pre-charge phase, so a
+        match costs its passes' ledger latency: 2.4 ns per pass, five
+        passes with SR at NR = 2."""
+        assert sum(TimingModel("current").search_phases_ns().values()) == \
+            pytest.approx(constants.EDAM_SEARCH_TIME_NS)
+        for sr, expected_ns in ((False, 2.4), (True, 12.0)):
+            matcher = EdamMatcher(rows=16, cols=128, noisy=False,
+                                  enable_sr=sr, sr_nr=2, sr_direction="both")
+            matcher.store(dataset.segments)
+            outcome = matcher.match(dataset.reads[0].read.codes, 4)
+            ledger = search_stats(matcher.array.ledger)
+            assert outcome.latency_ns == ledger.total_latency_ns
+            assert outcome.latency_ns == pytest.approx(expected_ns)
 
     def test_sr_issues_rotated_searches(self, dataset):
         matcher = EdamMatcher(rows=16, cols=128, noisy=False,

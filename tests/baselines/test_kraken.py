@@ -35,7 +35,7 @@ class TestClassification:
         classifier = KrakenLikeClassifier(dataset.segments, k=31)
         fractions = []
         for record in dataset.reads:
-            origin = dataset.origin_segment_index(record)
+            origin = record.origin // dataset.read_length
             outcome = classifier.classify(record.read)
             fractions.append(outcome.hit_fractions[origin])
         # Condition A injects ~1.3 edits per 128-base read on average:

@@ -1,16 +1,24 @@
-"""Tests for the single-cell comparison logic."""
+"""Tests for the single-cell comparison logic.
+
+The per-cell truth table is the oracle in ``tests/oracles.py``; these
+tests pin it to Fig. 4(c), and ``tests/distance/test_ed_star.py``
+checks the vectorised kernel against it.
+"""
 
 from __future__ import annotations
 
 import pytest
+from oracles import NO_NEIGHBOR, cell_output, cell_planes
 
-from repro.cam.cell import NO_NEIGHBOR, AsmCapCell, MatchMode, PartialMatch
+from repro.cam.cell import AsmCapCell, MatchMode
+from repro.cam.matchline import ChargeDomainMatchline
 from repro.errors import CamConfigError
+from repro.genome.alphabet import CODE_TO_BASE
 
 
 class TestConstruction:
     def test_stored_base(self):
-        assert AsmCapCell(2).stored_base == "G"
+        assert CODE_TO_BASE[AsmCapCell(2).stored_code] == "G"
 
     def test_invalid_code(self):
         with pytest.raises(CamConfigError):
@@ -19,51 +27,42 @@ class TestConstruction:
 
 class TestCompare:
     def test_co_located_match(self):
-        cell = AsmCapCell(1)  # stores C
-        result = cell.compare(0, 1, 3)
-        assert result == PartialMatch(o_l=False, o_c=True, o_r=False)
+        # Stores C (1).
+        assert cell_planes(1, 0, 1, 3) == (False, True, False)
 
     def test_left_match(self):
-        cell = AsmCapCell(1)
-        assert cell.compare(1, 0, 3).o_l
+        assert cell_planes(1, 1, 0, 3)[0]
 
     def test_right_match(self):
-        cell = AsmCapCell(1)
-        assert cell.compare(0, 3, 1).o_r
+        assert cell_planes(1, 0, 3, 1)[2]
 
     def test_no_neighbor_never_matches(self):
-        cell = AsmCapCell(0)
-        result = cell.compare(NO_NEIGHBOR, 1, NO_NEIGHBOR)
-        assert not (result.o_l or result.o_c or result.o_r)
+        assert not any(cell_planes(0, NO_NEIGHBOR, 1, NO_NEIGHBOR))
 
 
 class TestModeMux:
     def test_ed_star_mode_ors_planes(self):
-        cell = AsmCapCell(2)
         # Only the left neighbour matches: ED* counts it as matched.
-        assert cell.output(2, 0, 1, MatchMode.ED_STAR) == 0
+        assert cell_output(2, 2, 0, 1, MatchMode.ED_STAR) == 0
         # Hamming mode ignores neighbours: mismatched.
-        assert cell.output(2, 0, 1, MatchMode.HAMMING) == 1
+        assert cell_output(2, 2, 0, 1, MatchMode.HAMMING) == 1
 
     def test_all_mismatch(self):
-        cell = AsmCapCell(3)
-        assert cell.output(0, 1, 2, MatchMode.ED_STAR) == 1
-        assert cell.output(0, 1, 2, MatchMode.HAMMING) == 1
-
-    def test_select_signal_values(self):
-        assert MatchMode.ED_STAR.select_signal == 1
-        assert MatchMode.HAMMING.select_signal == 0
+        assert cell_output(3, 0, 1, 2, MatchMode.ED_STAR) == 1
+        assert cell_output(3, 0, 1, 2, MatchMode.HAMMING) == 1
 
 
 class TestCapacitorDrive:
+    """A one-cell matchline reads the voltage its cell drives."""
+
     def test_mismatch_drives_vdd(self):
-        cell = AsmCapCell(3)
-        volts = cell.capacitor_bottom_voltage(0, 1, 2, MatchMode.ED_STAR, 1.2)
+        output = cell_output(3, 0, 1, 2, MatchMode.ED_STAR)
+        volts = ChargeDomainMatchline(vdd=1.2).ideal_voltage(output, 1)
         assert volts == 1.2
 
     def test_match_drives_gnd(self):
-        cell = AsmCapCell(1)
-        volts = cell.capacitor_bottom_voltage(0, 1, 2, MatchMode.ED_STAR, 1.2)
+        output = cell_output(1, 0, 1, 2, MatchMode.ED_STAR)
+        volts = ChargeDomainMatchline(vdd=1.2).ideal_voltage(output, 1)
         assert volts == 0.0
 
 

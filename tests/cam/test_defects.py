@@ -64,7 +64,7 @@ class TestDefectiveArray:
                             stuck_mismatch=np.zeros(16, bool))
         defects.stuck_mismatch[3] = True
         wrapped = DefectiveArray(clean_array, defects)
-        stored = clean_array.stored_segments()[3]
+        stored = clean_array.stored.segments[3]
         result = wrapped.search_batch(stored[None, :], threshold=0)
         assert not result.matches[0, 3]  # exact match suppressed by defect
 

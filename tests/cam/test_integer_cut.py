@@ -37,6 +37,7 @@ from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.cost import views
 from repro.errors import CamConfigError
 from repro.genome.datasets import build_dataset
+from oracles import search_passes
 
 N_CELLS = (1, 2, 31, 64, 256)
 
@@ -237,7 +238,7 @@ class TestStackedFlow:
         monkeypatch.undo()
         assert len(calls) == 1 and len(calls[0]) == n_passes
 
-        events = stacked.array.ledger.search_passes()
+        events = search_passes(stacked.array.ledger)
         assert len(events) == n_passes
         for event in events:
             seeded = event.__dict__["_energy_per_query"]
@@ -251,7 +252,7 @@ class TestStackedFlow:
         assert np.array_equal(got.latency_ns, want.latency_ns)
         assert np.array_equal(got.n_searches, want.n_searches)
         for ours, theirs in zip(events,
-                                reference.array.ledger.search_passes(),
+                                search_passes(reference.array.ledger),
                                 strict=True):
             assert type(ours) is type(theirs)
             assert getattr(ours, "rotation", 0) \
@@ -275,4 +276,4 @@ class TestStackedFlow:
             with pytest.raises(CamConfigError, match="per rotation"):
                 array.search_batch(reads, 8, mode, noise_keys=noise_keys,
                                    rotation=(0, 1))
-        assert not array.ledger.search_passes()
+        assert not search_passes(array.ledger)

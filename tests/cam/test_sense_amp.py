@@ -12,24 +12,24 @@ from repro.errors import ThresholdError
 class TestReferenceVoltage:
     def test_midpoint_rule(self):
         sa = SenseAmplifier(vdd=1.2, rising=True)
-        assert sa.reference_voltage(4, 256) == pytest.approx(4.5 / 256 * 1.2)
+        assert sa.reference_voltages(4, 256) == pytest.approx(4.5 / 256 * 1.2)
 
     def test_strict_paper_rule(self):
         sa = SenseAmplifier(vdd=1.2, rising=True, strict_paper_rule=True)
-        assert sa.reference_voltage(4, 256) == pytest.approx(4 / 256 * 1.2)
+        assert sa.reference_voltages(4, 256) == pytest.approx(4 / 256 * 1.2)
 
     def test_falling_polarity(self):
         sa = SenseAmplifier(vdd=1.2, rising=False)
-        assert sa.reference_voltage(4, 256) == pytest.approx(
+        assert sa.reference_voltages(4, 256) == pytest.approx(
             (1 - 4.5 / 256) * 1.2
         )
 
     def test_threshold_out_of_range(self):
         sa = SenseAmplifier()
         with pytest.raises(ThresholdError):
-            sa.reference_voltage(-1, 256)
+            sa.reference_voltages(-1, 256)
         with pytest.raises(ThresholdError):
-            sa.reference_voltage(257, 256)
+            sa.reference_voltages(257, 256)
 
 
 class TestDecide:

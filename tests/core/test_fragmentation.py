@@ -34,7 +34,7 @@ class TestLayout:
         assert matcher.read_length == 128
 
     def test_fragment_rows_layout(self, matcher, long_segments):
-        stored = matcher._array.stored_segments()
+        stored = matcher._array.stored.segments
         # Fragment-major: rows 0..7 hold fragment 0, rows 8..15 fragment 1.
         assert np.array_equal(stored[3], long_segments[3][:64])
         assert np.array_equal(stored[8 + 3], long_segments[3][64:])

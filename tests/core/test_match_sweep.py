@@ -21,7 +21,7 @@ from repro.cam.sense_amp import SenseAmplifier
 from repro.core.hdac import hdac_correct_batch
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.errors import CamConfigError, ThresholdError
-from repro.eval.confusion import f1_from_decisions
+from repro.eval.confusion import confusion_from_decisions
 from repro.eval.ground_truth import label_dataset
 from repro.genome.datasets import build_dataset
 
@@ -133,8 +133,8 @@ class TestMatchSweepBitIdentity:
                 scalar.match(reads[q], threshold, query_key=q).decisions
                 for q in range(reads.shape[0])
             ])
-            sweep_f1 = f1_from_decisions(sweep.decisions[t_index], labels)
-            scalar_f1 = f1_from_decisions(scalar_decisions, labels)
+            sweep_f1 = confusion_from_decisions(sweep.decisions[t_index], labels).f1
+            scalar_f1 = confusion_from_decisions(scalar_decisions, labels).f1
             assert sweep_f1 == scalar_f1  # bit-identical, not approx
             assert np.array_equal(sweep.decisions[t_index],
                                   scalar_decisions)

@@ -35,6 +35,7 @@ from repro.core.matcher import (
 from repro.core.tasr import rotation_offsets
 from repro.errors import ThresholdError
 from repro.genome.datasets import build_dataset
+from oracles import search_passes
 
 N_READS, READ_LENGTH, N_SEGMENTS = 24, 256, 32
 KEYS = np.arange(100, 100 + N_READS, dtype=np.int64)
@@ -158,7 +159,7 @@ class TestAsmCapFlow:
         assert outcome.tasr_mask.any() and not outcome.tasr_mask.all()
         # One base pass plus 2 * NR rotations; HDAC is inert in B.
         nr = fused.config.tasr_nr
-        assert len(fused.array.ledger.search_passes()) == 1 + 2 * nr
+        assert len(search_passes(fused.array.ledger)) == 1 + 2 * nr
 
     def test_batch_threshold_vector_names_match_sweep(self):
         """Per-read thresholds straddling ``Tl`` are a sweep's job: the
@@ -168,12 +169,12 @@ class TestAsmCapFlow:
         with pytest.raises(ThresholdError, match="match_sweep"):
             matcher.match_batch(_reads(dataset), _straddling(2, 16),
                                 query_keys=KEYS)
-        assert not matcher.array.ledger.search_passes()
+        assert not search_passes(matcher.array.ledger)
 
     def test_batch_below_tl_issues_no_rotation(self):
         fused, outcome = _assert_flow_equal(_dataset("B"), 4, sweep=False)
         assert outcome.tasr_lower_bound > 4 and not outcome.tasr_mask.any()
-        assert len(fused.array.ledger.search_passes()) == 1
+        assert len(search_passes(fused.array.ledger)) == 1
 
     def test_batch_every_read_above_tl(self):
         fused, outcome = _assert_flow_equal(_dataset("B"), 8, sweep=False)
@@ -235,7 +236,7 @@ class TestEdamSequenceRotation:
         results = self._reference(reference, reads, thresholds, sweep=True)
         assert np.array_equal(
             decisions, np.logical_or.reduce([r.matches for r in results]))
-        assert len(fused.array.ledger.search_passes()) == 1 + 2 * 2
+        assert len(search_passes(fused.array.ledger)) == 1 + 2 * 2
         assert _events_equal(fused.array.ledger.events,
                              reference.array.ledger.events)
 

@@ -31,7 +31,7 @@ class TestMapping:
         assert report.mapped_fraction >= 0.8
         hits = 0
         for record, mapping in zip(dataset.reads, report.mappings, strict=True):
-            if dataset.origin_segment_index(record) in mapping.matched_rows:
+            if record.origin // dataset.read_length in mapping.matched_rows:
                 hits += 1
         assert hits >= 13
 

@@ -12,7 +12,6 @@ from repro.cost.events import (
     EdStarPass,
     HdacPass,
     ReferenceLoad,
-    SearchPassEvent,
     TasrRotationPass,
 )
 from repro.cost.ledger import CostLedger
@@ -22,6 +21,7 @@ from repro.cost.views import (
     search_stats,
 )
 from repro.errors import CamConfigError
+from oracles import search_passes
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ def small_array(rng):
 
 class TestEventEmission:
     def test_store_emits_reference_load(self, small_array):
-        loads = small_array.ledger.of_type(ReferenceLoad)
+        loads = [e for e in small_array.ledger.events if isinstance(e, ReferenceLoad)]
         assert len(loads) == 1
         assert loads[0].n_segments == 8
         assert loads[0].n_cells == 16
@@ -42,13 +42,13 @@ class TestEventEmission:
     def test_restore_records_rows_written_by_that_call(self, small_array,
                                                        rng):
         small_array.store(rng.integers(0, 4, (2, 16)).astype(np.uint8))
-        loads = small_array.ledger.of_type(ReferenceLoad)
+        loads = [e for e in small_array.ledger.events if isinstance(e, ReferenceLoad)]
         assert [load.n_segments for load in loads] == [8, 2]
 
     def test_scalar_search_emits_ed_star_pass(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
         small_array.search_batch(read[None, :], 4)
-        passes = small_array.ledger.search_passes()
+        passes = search_passes(small_array.ledger)
         assert len(passes) == 1
         event = passes[0]
         assert isinstance(event, EdStarPass)
@@ -61,14 +61,14 @@ class TestEventEmission:
     def test_hamming_search_emits_hdac_pass(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
         small_array.search_batch(read[None, :], 4, MatchMode.HAMMING)
-        event = small_array.ledger.search_passes()[0]
+        event = search_passes(small_array.ledger)[0]
         assert isinstance(event, HdacPass)
         assert event.mode == "hamming"
 
     def test_rotated_search_emits_rotation_pass(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
         small_array.search_batch(np.roll(read, -2)[None, :], 4, rotation=2)
-        event = small_array.ledger.search_passes()[0]
+        event = search_passes(small_array.ledger)[0]
         assert isinstance(event, TasrRotationPass)
         assert event.rotation == 2
         assert event.shift_cycles == 2
@@ -76,14 +76,14 @@ class TestEventEmission:
     def test_batch_rotation_pass_scales_shift_cycles(self, small_array, rng):
         queries = rng.integers(0, 4, (5, 16)).astype(np.uint8)
         small_array.search_batch(queries, 4, rotation=-3)
-        event = small_array.ledger.search_passes()[0]
+        event = search_passes(small_array.ledger)[0]
         assert isinstance(event, TasrRotationPass)
         assert event.shift_cycles == 3 * 5
 
     def test_sweep_pass_records_sweep_vector(self, small_array, rng):
         queries = rng.integers(0, 4, (3, 16)).astype(np.uint8)
         small_array.search_sweep(queries, np.array([1, 4, 9]))
-        event = small_array.ledger.search_passes()[0]
+        event = search_passes(small_array.ledger)[0]
         assert event.n_queries == 3
         assert event.thresholds.tolist() == [1, 4, 9]
 
@@ -93,14 +93,14 @@ class TestEventEmission:
         queries = rng.integers(0, 4, (5, 16)).astype(np.uint8)
         small_array.search_batch(queries, 6, mode=(MatchMode.ED_STAR,) * 2,
                                  noise_keys=[None, None], rotation=(0, 1))
-        for event in small_array.ledger.search_passes():
+        for event in search_passes(small_array.ledger):
             assert event.n_queries == 5
             assert event.thresholds.tolist() == [6]
 
     def test_event_energy_view_matches_result(self, small_array, rng):
         queries = rng.integers(0, 4, (4, 16)).astype(np.uint8)
         result = small_array.search_batch(queries, 4)
-        event = small_array.ledger.search_passes()[-1]
+        event = search_passes(small_array.ledger)[-1]
         assert np.array_equal(search_pass_energy_per_query(event),
                               result.energy_per_query_joules)
         assert event.energy_joules == result.energy_joules
@@ -119,10 +119,9 @@ class TestLedger:
     def test_of_type_and_search_passes(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
         small_array.search_batch(read[None, :], 4)
-        assert len(small_array.ledger.of_type(ReferenceLoad)) == 1
-        assert len(small_array.ledger.search_passes()) == 1
-        assert all(isinstance(e, SearchPassEvent)
-                   for e in small_array.ledger.search_passes())
+        events = small_array.ledger.events
+        assert [type(event) for event in events] == [ReferenceLoad, EdStarPass]
+        assert search_passes(small_array.ledger) == events[1:]
 
     def test_clear(self, small_array, rng):
         read = rng.integers(0, 4, 16).astype(np.uint8)
@@ -152,7 +151,7 @@ class TestStatsView:
         assert stats.n_searches == 6
         assert stats.n_rotation_cycles == 0 + 1 + 2
         total = 0.0
-        for event in small_array.ledger.search_passes():
+        for event in search_passes(small_array.ledger):
             total += event.energy_joules
         assert stats.total_energy_joules == total
 
@@ -163,7 +162,7 @@ class TestStatsView:
         stats = search_stats(small_array.ledger)
         assert stats.n_searches == 12
         expected = sum(e.energy_joules
-                       for e in small_array.ledger.search_passes())
+                       for e in search_passes(small_array.ledger))
         assert stats.total_energy_joules == pytest.approx(expected)
 
 
@@ -174,7 +173,7 @@ class TestComponentView:
                                                       rng):
         queries = rng.integers(0, 4, (5, 16)).astype(np.uint8)
         result = small_array.search_batch(queries, 3)
-        parts = component_energies(small_array.ledger.search_passes()[-1])
+        parts = component_energies(search_passes(small_array.ledger)[-1])
         assert parts["cells"] + parts["sense_amps"] == pytest.approx(
             result.energy_joules, rel=1e-12)
         # The shift registers hold the read every cycle, pass or not.
@@ -187,4 +186,4 @@ class TestComponentView:
         array.store(rng.integers(0, 4, (8, 16)).astype(np.uint8))
         array.search_batch(rng.integers(0, 4, (2, 16)).astype(np.uint8), 3)
         with pytest.raises(CamConfigError, match="charge-domain"):
-            component_energies(array.ledger.search_passes()[-1])
+            component_energies(search_passes(array.ledger)[-1])

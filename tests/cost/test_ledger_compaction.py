@@ -32,6 +32,7 @@ from repro.cost.events import (
 from repro.cost.ledger import CostLedger
 from repro.cost.views import search_stats
 from repro.errors import LedgerCompactionError
+from oracles import search_passes
 
 
 def _twin_arrays(rng, domain="charge", rows=12, cols=24, seed=5,
@@ -187,9 +188,9 @@ class TestSweepCompaction:
         ledger = self._sweep_ledger(small_dataset_a, compaction=1)
         plain = self._sweep_ledger(small_dataset_a, compaction=None)
         assert ledger.n_folded > 0
-        assert len(ledger.search_passes()) <= 1
+        assert len(search_passes(ledger)) <= 1
         # The base ED* pass serves the whole sweep vector.
-        assert plain.search_passes()[0].thresholds.tolist() == list(
+        assert search_passes(plain)[0].thresholds.tolist() == list(
             range(1, 9))
         _assert_views_identical(plain, ledger)
 
@@ -198,7 +199,7 @@ class TestSweepCompaction:
         plain = self._sweep_ledger(small_dataset_a, compaction=None)
         folded = ledger.compact()
         assert folded == len(plain)
-        assert not ledger.search_passes()
+        assert not search_passes(ledger)
         _assert_views_identical(plain, ledger)
 
 

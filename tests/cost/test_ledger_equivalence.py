@@ -22,6 +22,7 @@ from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.core.pipeline import ReadMappingPipeline
 from repro.cost.events import EdStarPass, SearchPassEvent, TasrRotationPass
 from repro.cost.ledger import CostLedger
+from oracles import search_passes
 
 
 def _dataset_reads(dataset):
@@ -88,7 +89,7 @@ class TestArrayPathIdentity:
         queries = rng.integers(0, 4, (5, 20)).astype(np.uint8)
         array.search_batch(queries, 4, mode)
         array.search_batch(queries[:1], 4, mode)
-        for event in array.ledger.search_passes():
+        for event in search_passes(array.ledger):
             assert np.array_equal(event.energy_per_query_joules,
                                   _seed_pass_energy(event))
 
@@ -104,7 +105,7 @@ def _make_matcher(dataset, seed=0, config=None):
 def _scalar_groups(ledger: CostLedger):
     """Split a scalar run's ledger into one event group per match()."""
     groups: list[list[SearchPassEvent]] = []
-    for event in ledger.search_passes():
+    for event in search_passes(ledger):
         if isinstance(event, EdStarPass) and not isinstance(
                 event, TasrRotationPass):
             groups.append([event])
@@ -154,7 +155,7 @@ class TestMatcherPathReconstruction:
         energy = np.zeros(n)
         latency = np.zeros(n)
         searches = np.zeros(n, dtype=int)
-        for event in matcher.array.ledger.search_passes():
+        for event in search_passes(matcher.array.ledger):
             positions = event.query_keys[:, 0]
             energy[positions] += event.energy_per_query_joules
             latency[positions] += event.search_time_ns
@@ -176,7 +177,7 @@ class TestMatcherPathReconstruction:
         energy = np.zeros((n_thresholds, n_queries))
         latency = np.zeros((n_thresholds, n_queries))
         searches = np.zeros((n_thresholds, n_queries), dtype=int)
-        for event in matcher.array.ledger.search_passes():
+        for event in search_passes(matcher.array.ledger):
             covered = np.isin(thresholds, event.thresholds)
             energy[covered] += event.energy_per_query_joules
             latency[covered] += event.search_time_ns
@@ -203,7 +204,7 @@ class TestMatcherPathReconstruction:
         # Per-query totals from the array's ledger, in pass order.
         energy = np.zeros(n)
         latency = np.zeros(n)
-        for event in pipeline.ledger.search_passes():
+        for event in search_passes(pipeline.ledger):
             positions = event.query_keys[:, 0]
             energy[positions] += event.energy_per_query_joules
             latency[positions] += event.search_time_ns

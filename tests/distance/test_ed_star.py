@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cam.cell import NO_NEIGHBOR, AsmCapCell, MatchMode
+from oracles import row_mismatch_count
+
+from repro.cam.cell import MatchMode
 from repro.distance.ed_star import (
     ed_star,
     ed_star_batch,
     ed_star_counts_batch,
     match_planes,
-    match_planes_batch,
     mismatch_counts_all_reads,
 )
 from repro.distance.hamming import hamming_distance
@@ -113,25 +114,24 @@ class TestBatch:
                          np.zeros(3, dtype=np.uint8))
 
     def test_planes_batch_rows_match_scalar_planes(self, rng):
-        """match_planes_batch row q == match_planes of read q."""
+        """ed_star_counts_batch row q == ed_star_batch of read q."""
         segments = rng.integers(0, 4, (5, 17)).astype(np.uint8)
         reads = rng.integers(0, 4, (4, 17)).astype(np.uint8)
-        o_l, o_c, o_r = match_planes_batch(segments, reads)
-        assert o_c.shape == (4, 5, 17)
+        counts = ed_star_counts_batch(segments, reads)
+        assert counts.shape == (4, 5)
         for q in range(4):
-            s_l, s_c, s_r = match_planes(segments, reads[q])
-            assert np.array_equal(o_l[q], s_l)
-            assert np.array_equal(o_c[q], s_c)
-            assert np.array_equal(o_r[q], s_r)
+            assert np.array_equal(counts[q], ed_star_batch(segments, reads[q]))
 
     def test_counts_batch_reduces_planes_batch(self, rng):
-        """ed_star_counts_batch == OR-and-count of match_planes_batch."""
+        """ed_star_counts_batch row q == OR-and-count of match_planes
+        of read q."""
         segments = rng.integers(0, 4, (5, 17)).astype(np.uint8)
         reads = rng.integers(0, 4, (4, 17)).astype(np.uint8)
-        o_l, o_c, o_r = match_planes_batch(segments, reads)
-        expected = np.count_nonzero(~(o_l | o_c | o_r), axis=2)
-        assert np.array_equal(ed_star_counts_batch(segments, reads),
-                              expected)
+        counts = ed_star_counts_batch(segments, reads)
+        for q in range(4):
+            o_l, o_c, o_r = match_planes(segments, reads[q])
+            expected = np.count_nonzero(~(o_l | o_c | o_r), axis=1)
+            assert np.array_equal(counts[q], expected)
 
     def test_all_reads_matrix_chunks_consistently(self, rng):
         """Chunked evaluation equals one-shot for workload-sized input."""
@@ -144,8 +144,8 @@ class TestBatch:
 
     def test_batch_shape_validation(self):
         with pytest.raises(SequenceError):
-            match_planes_batch(np.zeros((2, 4), dtype=np.uint8),
-                               np.zeros((2, 3), dtype=np.uint8))
+            ed_star_counts_batch(np.zeros((2, 4), dtype=np.uint8),
+                                 np.zeros((2, 3), dtype=np.uint8))
         with pytest.raises(SequenceError):
             ed_star_counts_batch(np.zeros((2, 4), dtype=np.uint8),
                                  np.zeros(4, dtype=np.uint8))
@@ -155,27 +155,14 @@ class TestAgainstCellModel:
     """The vectorised kernel must be bit-exact with the circuit logic."""
 
     def test_bit_exact_with_cells(self, rng):
-        length = 30
-        segment = rng.integers(0, 4, length).astype(np.uint8)
-        read = rng.integers(0, 4, length).astype(np.uint8)
-        cells = [AsmCapCell(int(code)) for code in segment]
-        count = 0
-        for i, cell in enumerate(cells):
-            left = int(read[i - 1]) if i > 0 else NO_NEIGHBOR
-            right = int(read[i + 1]) if i < length - 1 else NO_NEIGHBOR
-            count += cell.output(left, int(read[i]), right,
-                                 MatchMode.ED_STAR)
+        segment = rng.integers(0, 4, 30).astype(np.uint8)
+        read = rng.integers(0, 4, 30).astype(np.uint8)
+        count = row_mismatch_count(segment, read, MatchMode.ED_STAR)
         assert count == ed_star(DnaSequence(segment), DnaSequence(read))
 
     def test_hamming_mode_bit_exact_with_cells(self, rng):
-        length = 30
-        segment = rng.integers(0, 4, length).astype(np.uint8)
-        read = rng.integers(0, 4, length).astype(np.uint8)
-        cells = [AsmCapCell(int(code)) for code in segment]
-        count = sum(
-            cell.output(NO_NEIGHBOR, int(read[i]), NO_NEIGHBOR,
-                        MatchMode.HAMMING)
-            for i, cell in enumerate(cells)
-        )
+        segment = rng.integers(0, 4, 30).astype(np.uint8)
+        read = rng.integers(0, 4, 30).astype(np.uint8)
+        count = row_mismatch_count(segment, read, MatchMode.HAMMING)
         assert count == hamming_distance(DnaSequence(segment),
                                          DnaSequence(read))

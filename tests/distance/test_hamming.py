@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.distance.hamming import (
-    hamming_distance,
-    hamming_distance_batch,
-)
+from repro.distance.hamming import hamming_distance
 from repro.errors import SequenceError
 from repro.genome.sequence import DnaSequence
+from repro.kernels import counts_batch, encode_reference
 
 
 class TestScalar:
@@ -45,17 +43,11 @@ class TestScalar:
 
 class TestBatch:
     def test_agrees_with_scalar(self, rng):
+        """The count kernel's HD mode == the scalar distance per row."""
         segments = rng.integers(0, 4, (8, 20)).astype(np.uint8)
         read = rng.integers(0, 4, 20).astype(np.uint8)
-        batch = hamming_distance_batch(segments, read)
+        batch = counts_batch(encode_reference(segments), read[None, :],
+                             ed_star=False)[0]
         for i, row in enumerate(segments):
             assert batch[i] == hamming_distance(DnaSequence(row),
                                                 DnaSequence(read))
-
-    def test_shape_validation(self):
-        with pytest.raises(SequenceError):
-            hamming_distance_batch(np.zeros((2, 4), dtype=np.uint8),
-                                   np.zeros(5, dtype=np.uint8))
-        with pytest.raises(SequenceError):
-            hamming_distance_batch(np.zeros(4, dtype=np.uint8),
-                                   np.zeros(4, dtype=np.uint8))

@@ -15,16 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance.edit_distance import (
+    _qgram_bound_from_l1,
     banded_edit_distance_batch,
     composition_lower_bound,
     edit_distance,
-    qgram_lower_bound,
     qgram_profiles,
 )
 from repro.errors import SequenceError
 from repro.eval.ground_truth import label_dataset
 from repro.genome.datasets import build_dataset
 from repro.genome.sequence import DnaSequence
+
+def qgram_lower_bound(segments: np.ndarray, reads: np.ndarray,
+                      q: int = 3) -> np.ndarray:
+    """The labeller's q-gram bound over the full ``(R, M)`` pair grid."""
+    l1 = np.abs(qgram_profiles(reads, q)[:, None, :].astype(np.int64)
+                - qgram_profiles(segments, q)[None, :, :]).sum(axis=2)
+    return _qgram_bound_from_l1(l1, q)
+
 
 equal_length_pair = st.integers(3, 40).flatmap(
     lambda n: st.tuples(

@@ -12,7 +12,6 @@ from repro.eval.confusion import (
     ConfusionMatrix,
     confusion_from_decisions,
     confusion_series,
-    f1_from_decisions,
 )
 
 bool_arrays = st.integers(1, 100).flatmap(
@@ -62,7 +61,6 @@ class TestMetrics:
         assert matrix.sensitivity == 1.0
         assert matrix.precision == 1.0
         assert matrix.f1 == 1.0
-        assert matrix.accuracy == 1.0
 
     def test_paper_equations(self):
         matrix = ConfusionMatrix(tp=8, fp=2, fn=4, tn=6)
@@ -82,7 +80,7 @@ class TestMetrics:
     @given(bool_arrays)
     def test_f1_bounded(self, arrays):
         predicted, actual = arrays
-        f1 = f1_from_decisions(np.array(predicted), np.array(actual))
+        f1 = confusion_from_decisions(np.array(predicted), np.array(actual)).f1
         assert 0.0 <= f1 <= 1.0
 
     @given(bool_arrays)
@@ -95,12 +93,6 @@ class TestMetrics:
             low = min(matrix.sensitivity, matrix.precision)
             high = max(matrix.sensitivity, matrix.precision)
             assert low - 1e-12 <= matrix.f1 <= high + 1e-12
-
-    def test_as_dict_round_trip(self):
-        matrix = ConfusionMatrix(tp=3, fp=1, fn=2, tn=4)
-        summary = matrix.as_dict()
-        assert summary["tp"] == 3
-        assert summary["f1"] == pytest.approx(matrix.f1)
 
 
 class TestConfusionSeries:

@@ -1,16 +1,31 @@
-"""Tests for the EDAM+SR system factory (the TASR motivation)."""
+"""EDAM with unconditional Sequence Rotation against TASR (Section IV-B).
+
+EDAM+SR is the variant TASR improves on: its rotations always fire,
+trading FN correction for FP risk at small thresholds.  No figure runs
+it, so its system factory lives here.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines.edam import EdamMatcher
+from repro.cam.array import CamArray
 from repro.eval.experiment import (
     AccuracyExperiment,
+    _EdamSystem,
     asmcap_full_system,
-    edam_sr_system,
     edam_system,
 )
 from repro.genome.datasets import build_dataset
+
+
+def edam_sr_system(dataset, seed):
+    array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
+                     domain="current", noisy=True, seed=seed)
+    matcher = EdamMatcher(array=array, enable_sr=True)
+    matcher.store(dataset.segments)
+    return _EdamSystem(matcher)
 
 
 @pytest.fixture(scope="module")

@@ -48,8 +48,8 @@ class TestEvaluation:
 
     def test_f1_series_values_bounded(self, experiment):
         result = experiment.evaluate("plain", asmcap_plain_system)
-        for value in result.f1_series().values():
-            assert 0.0 <= value <= 1.0
+        for threshold in result.per_threshold:
+            assert 0.0 <= result.f1(threshold) <= 1.0
 
     def test_plain_system_beats_kraken(self, experiment):
         """ASM must outscore exact matching on erroneous reads."""
@@ -85,7 +85,7 @@ class TestFallbackPath:
         empty = dataclasses.replace(dataset, reads=[])
         experiment = AccuracyExperiment(empty, [2, 4], seed=0)
         result = experiment.evaluate("x", asmcap_full_system)
-        assert result.f1_series() == {2: 0.0, 4: 0.0}
+        assert [result.f1(t) for t in (2, 4)] == [0.0, 0.0]
         assert all(m.total == 0 for m in result.per_threshold.values())
 
     def test_bad_sweep_shape_rejected(self, dataset):
@@ -144,4 +144,4 @@ class TestDeterminism:
         b = AccuracyExperiment(dataset, [2, 4], seed=5).evaluate(
             "x", asmcap_full_system
         )
-        assert a.f1_series() == b.f1_series()
+        assert a.per_threshold == b.per_threshold

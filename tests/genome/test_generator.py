@@ -67,9 +67,8 @@ class TestRepeatStructure:
         """Repeat planting must make the reference more repetitive."""
         plain = generate_reference(50_000, seed=5, with_repeats=False)
         repeated = generate_reference(50_000, seed=5, with_repeats=True)
-        plain_frac = KmerIndex.build(plain, 12).distinct_fraction()
-        rep_frac = KmerIndex.build(repeated, 12).distinct_fraction()
-        assert rep_frac < plain_frac
+        # Equal lengths, so distinct 12-mer counts compare as fractions.
+        assert len(KmerIndex.build(repeated, 12)) < len(KmerIndex.build(plain, 12))
 
     def test_interspersed_copies_exist(self):
         """Some 20-mers must occur many times (the repeat element)."""

@@ -1,4 +1,9 @@
-"""Tests for DnaSequence: immutability, slicing, rotation, biology."""
+"""Tests for DnaSequence: immutability, slicing, rotation, biology.
+
+A read's rotation (TASR's shift-register rotation, Section IV-B) is
+applied by the count kernel's ``rotations=``; ``TestRotation`` pins its
+direction on sequences.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.distance.edit_distance import composition_profiles
 from repro.errors import SequenceError
+from repro.genome.alphabet import encode
+from repro.genome.kmer import pack_kmer, reverse_complement_kmer
 from repro.genome.sequence import DnaSequence
+from repro.kernels import counts_batch, encode_reference
 
 dna_text = st.text(alphabet="ACGT", max_size=100)
 
@@ -81,11 +90,9 @@ class TestProtocol:
 
 
 class TestBiology:
-    def test_complement(self):
-        assert str(DnaSequence("ACGT").complement()) == "TGCA"
-
     def test_reverse_complement(self):
-        assert str(DnaSequence("AACG").reverse_complement()) == "CGTT"
+        packed = pack_kmer(DnaSequence("AACG").codes)
+        assert reverse_complement_kmer(packed, 4) == pack_kmer(encode("CGTT"))
 
     def test_gc_content(self):
         assert DnaSequence("GGCC").gc_content() == 1.0
@@ -93,39 +100,45 @@ class TestBiology:
         assert DnaSequence("").gc_content() == 0.0
 
     def test_base_counts(self):
-        counts = DnaSequence("AACGG").base_counts()
-        assert counts == {"A": 2, "C": 1, "G": 2, "T": 0}
+        """The labeller's composition profile counts A, C, G, T."""
+        counts = composition_profiles(DnaSequence("AACGG").codes[None, :], 4)
+        assert counts.tolist() == [[2, 1, 2, 0]]
 
     @given(dna_text)
     def test_gc_matches_counts(self, text):
         seq = DnaSequence(text)
-        counts = seq.base_counts()
-        expected = ((counts["G"] + counts["C"]) / len(text)) if text else 0.0
+        _, c, g, _ = composition_profiles(seq.codes[None, :], 4)[0]
+        expected = ((g + c) / len(text)) if text else 0.0
         assert seq.gc_content() == pytest.approx(expected)
+
+
+def _rotated_distance(read: str, stored: str, offset: int) -> int:
+    """Hamming count of *read*, rotated by *offset*, against *stored*."""
+    encoded = encode_reference(DnaSequence(stored).codes[None, :])
+    counts = counts_batch(encoded, DnaSequence(read).codes[None, :],
+                          ed_star=False, rotations=(offset,))
+    return int(counts[0, 0, 0])
 
 
 class TestRotation:
     def test_rotate_left(self):
-        assert str(DnaSequence("ACGT").rotate(1)) == "CGTA"
+        assert _rotated_distance("ACGT", "CGTA", 1) == 0
 
     def test_rotate_right(self):
-        assert str(DnaSequence("ACGT").rotate(-1)) == "TACG"
+        assert _rotated_distance("ACGT", "TACG", -1) == 0
 
     def test_rotate_zero_returns_same(self):
-        seq = DnaSequence("ACGT")
-        assert seq.rotate(0) == seq
+        assert _rotated_distance("ACGT", "ACGT", 0) == 0
 
     def test_rotate_full_cycle(self):
-        seq = DnaSequence("ACGT")
-        assert seq.rotate(4) == seq
-
-    def test_rotate_empty(self):
-        assert len(DnaSequence("").rotate(3)) == 0
+        assert _rotated_distance("ACGT", "ACGT", 4) == 0
 
     @given(dna_text.filter(bool), st.integers(-300, 300))
     def test_rotation_is_invertible(self, text, offset):
-        seq = DnaSequence(text)
-        assert seq.rotate(offset).rotate(-offset) == seq
+        """Rotating by ``offset`` and back by ``-offset`` is the identity."""
+        rotated = str(DnaSequence(np.roll(DnaSequence(text).codes, -offset)))
+        assert _rotated_distance(text, rotated, offset) == 0
+        assert _rotated_distance(rotated, text, -offset) == 0
 
 
 class TestWindow:

@@ -1,0 +1,72 @@
+"""Brute-force references the live code is tested against.
+
+Each one is the plain, unvectorised statement of something the library
+computes faster; none is on a library path, so they live here and not
+under ``src/``.  ``search_passes`` is the one plain test helper: a
+ledger filter several suites share.  Import them as ``from oracles
+import ...`` (pytest puts ``tests/`` on ``sys.path`` through its root
+``conftest.py``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.cam.cell import MatchMode
+from repro.cost.events import SearchPassEvent
+from repro.genome.sequence import DnaSequence
+
+#: Searchline value for a missing neighbour at a row edge; no stored
+#: code equals it, so the comparison never matches.
+NO_NEIGHBOR = -1
+
+
+def cell_planes(stored: int, left: int, co_located: int,
+                right: int) -> "tuple[bool, bool, bool]":
+    """The three comparator outputs ``(O_L, O_C, O_R)`` of one ASMCap
+    cell storing *stored* (Fig. 4(c))."""
+    return left == stored, co_located == stored, right == stored
+
+
+def cell_output(stored: int, left: int, co_located: int, right: int,
+                mode: MatchMode) -> int:
+    """Cell output ``O`` after the mode MUX: 1 = mismatched cell.
+
+    ED* mode (``S = 1``) matches when any comparator matches; HD mode
+    (``S = 0``) looks at the co-located base only.
+    """
+    o_l, o_c, o_r = cell_planes(stored, left, co_located, right)
+    matched = (o_l or o_c or o_r) if mode is MatchMode.ED_STAR else o_c
+    return 0 if matched else 1
+
+
+def row_mismatch_count(segment: np.ndarray, read: np.ndarray,
+                       mode: MatchMode) -> int:
+    """A row's mismatch count, one cell at a time."""
+    length = len(segment)
+    total = 0
+    for i, stored in enumerate(segment):
+        left = int(read[i - 1]) if i > 0 else NO_NEIGHBOR
+        right = int(read[i + 1]) if i < length - 1 else NO_NEIGHBOR
+        total += cell_output(int(stored), left, int(read[i]), right, mode)
+    return total
+
+
+def edit_distance_matrix(a: DnaSequence, b: DnaSequence) -> np.ndarray:
+    """The full ``(len(a)+1, len(b)+1)`` Levenshtein table ``M[i, j]``,
+    filled cell by cell."""
+    x, y = a.codes, b.codes
+    table = np.zeros((len(x) + 1, len(y) + 1), dtype=np.int32)
+    table[:, 0] = np.arange(len(x) + 1)
+    table[0, :] = np.arange(len(y) + 1)
+    for i in range(1, len(x) + 1):
+        for j in range(1, len(y) + 1):
+            table[i, j] = min(table[i - 1, j - 1] + (x[i - 1] != y[j - 1]),
+                              table[i - 1, j] + 1, table[i, j - 1] + 1)
+    return table
+
+
+def search_passes(ledger) -> "tuple[SearchPassEvent, ...]":
+    """A ledger's live (unfolded) search-pass events, oldest first."""
+    return tuple(event for event in ledger.events
+                 if isinstance(event, SearchPassEvent))

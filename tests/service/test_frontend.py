@@ -241,7 +241,7 @@ class TestSharedEncoding:
             assert frontend.encode_count() == 1
             # The reference load lives in the frontend ledger, once —
             # never in the per-session ledgers.
-            assert len(frontend.ledger.of_type(ReferenceLoad)) == 1
+            assert len([e for e in frontend.ledger.events if isinstance(e, ReferenceLoad)]) == 1
             for session in sessions:
                 assert _reference_loads(session.pipeline.ledger) == 0
 
@@ -260,7 +260,7 @@ class TestSharedEncoding:
 
 def _reference_loads(ledger) -> int:
     """ReferenceLoad events in a ledger, folded checkpoint included."""
-    n = len(ledger.of_type(ReferenceLoad))
+    n = len([e for e in ledger.events if isinstance(e, ReferenceLoad)])
     if ledger.checkpoint is not None:
         n += ledger.checkpoint.event_counts.get("ReferenceLoad", 0)
     return n

@@ -28,6 +28,7 @@ from repro.service import (
     StreamingMappingService,
     stream_mapped,
 )
+from oracles import search_passes
 
 THRESHOLD = 3
 
@@ -404,7 +405,7 @@ class TestRetainedCountBytes:
             service.submit_many(reads[begin:begin + 256])
         service.close()
         blocks = [event.mismatch_counts
-                  for event in service.pipeline.ledger.search_passes()]
+                  for event in search_passes(service.pipeline.ledger)]
         assert blocks
         assert {block.dtype for block in blocks} == {np.dtype(np.uint16)}
         roots = {id(_root(block)): _root(block) for block in blocks}

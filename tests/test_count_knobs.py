@@ -6,8 +6,10 @@ Each boundary now rejects a ``bool``, ``float`` or ``str`` with its own
 error type (:class:`~repro.errors.CamConfigError` at the shared knob
 gate and at a stored reference's row capacity, :class:`~repro.errors.LedgerCompactionError` at the ledger,
 :class:`~repro.errors.RefStoreError` at the catalog's byte budget,
-:class:`~repro.errors.ExperimentError` at the sweep's run count) and
-accepts numpy integers.
+:class:`~repro.errors.ExperimentError` at the sweep's run count,
+:class:`~repro.errors.DatasetError` at the dataset and reference
+builders, whose ``seed`` is held to the same integer rule) and accepts
+numpy integers.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ from repro.cam.array import CamArray, StoredReference
 from repro.cost.ledger import CostLedger
 from repro.errors import (
     CamConfigError,
+    DatasetError,
     ExperimentError,
     LedgerCompactionError,
     RefStoreError,
 )
 from repro.eval.experiment import asmcap_plain_system
 from repro.eval.sweeps import run_sweep
+from repro.genome.datasets import build_dataset
+from repro.genome.generator import generate_reference
 from repro.refstore import ReferenceCatalog
 from repro.service import MappingFrontend, StreamingMappingService
 
@@ -37,6 +42,12 @@ def _service(dataset, value):
 def _session(dataset, value):
     with MappingFrontend(dataset.segments, dataset.model) as frontend:
         frontend.session(3, micro_batch=value).close()
+
+
+def _dataset(knob):
+    sizes = {"n_reads": 2, "read_length": 32, "n_segments": 4}
+    return lambda ds, v: build_dataset(
+        "A", with_repeats=False, **{**sizes, knob: v})
 
 
 #: boundary -> (build it with the knob set to a value, its error type)
@@ -60,6 +71,14 @@ BOUNDARIES = {
     "encode-rows": (
         lambda ds, v: StoredReference.encode(ds.segments[:2], rows=v),
         CamConfigError),
+    "dataset-n_reads": (_dataset("n_reads"), DatasetError),
+    "dataset-read_length": (_dataset("read_length"), DatasetError),
+    "dataset-n_segments": (_dataset("n_segments"), DatasetError),
+    "dataset-seed": (_dataset("seed"), DatasetError),
+    "reference-length": (
+        lambda ds, v: generate_reference(v, with_repeats=False), DatasetError),
+    "reference-seed": (
+        lambda ds, v: generate_reference(64, seed=v), DatasetError),
 }
 
 

@@ -152,8 +152,8 @@ class TestExperimentReproducibility:
     def test_full_experiment_deterministic(self, dataset):
         first = AccuracyExperiment(dataset, [2, 4], seed=9).evaluate(
             "x", asmcap_plain_system
-        ).f1_series()
+        ).per_threshold
         second = AccuracyExperiment(dataset, [2, 4], seed=9).evaluate(
             "x", asmcap_plain_system
-        ).f1_series()
+        ).per_threshold
         assert first == second

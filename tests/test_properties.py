@@ -171,6 +171,6 @@ class TestStorageRoundTrip:
         segments = rng.integers(0, 4, (rows, cols)).astype(np.uint8)
         array = CamArray(rows=rows, cols=cols, noisy=False)
         array.store(segments)
-        assert np.array_equal(array.stored_segments(), segments)
+        assert np.array_equal(array.stored.segments, segments)
         # Every stored row matches itself exactly at T = 0.
         assert array.search_batch(segments, 0).matches.diagonal().all()
