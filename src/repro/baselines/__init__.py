@@ -8,7 +8,6 @@ and energy at the modelled technology's operating points).
 from repro.baselines.cm_cpu import CmCpuBaseline, CmCpuOutcome
 from repro.baselines.edam import (
     EdamMatcher,
-    EdamOutcome,
     edam_issue_period_ns,
     edam_search_energy_per_array,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "CmCpuBaseline",
     "CmCpuOutcome",
     "EdamMatcher",
-    "EdamOutcome",
     "KrakenLikeClassifier",
     "KrakenOutcome",
     "ResmaBaseline",

@@ -18,37 +18,34 @@ The functional matcher is a plain ED* decision over a current-domain
 original *Sequence Rotation* (SR) of the EDAM paper can be enabled: it
 rotates unconditionally (no ``Tl`` guard), which is exactly what TASR
 improves on; the ablation benches use it.
+
+SR is therefore TASR with ``Tl = 0``, and the matcher has no flow of
+its own: it runs ASMCap's :func:`~repro.core.matcher.keyed_flow` with
+HDAC off, its SR offsets and that bound (``N + 1``, the policy's
+"never", with SR off).  The base and rotated passes share one encode,
+a batch issues them as one pass block, and
+:meth:`EdamMatcher.match` returns the same
+:class:`~repro.core.matcher.MatchOutcome` as ASMCap's matcher.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro import constants
-from repro.cam.array import CamArray, as_read_codes
-from repro.cam.cell import MatchMode
+from repro.cam.array import CamArray
 from repro.core.matcher import (
-    PASS_ED_STAR,
-    PASS_ROTATION,
-    pass_keys,
-    query_key_vector,
+    MatchOutcome,
+    MatchSweepOutcome,
+    keyed_flow,
+    match_read,
     read_block,
 )
 from repro.core.tasr import DIRECTIONS, rotation_offsets
 from repro.errors import CamConfigError
-
-
-@dataclass(frozen=True)
-class EdamOutcome:
-    """Decisions and costs for one EDAM read match."""
-
-    decisions: np.ndarray
-    n_searches: int
-    energy_joules: float
-    latency_ns: float
+from repro.knobs import check_thresholds
 
 
 class EdamMatcher:
@@ -81,11 +78,12 @@ class EdamMatcher:
             )
         if sr_direction not in DIRECTIONS:
             raise CamConfigError(f"invalid sr_direction {sr_direction!r}")
-        rotations = rotation_offsets(sr_nr, sr_direction)
         self._array = array
         self._enable_sr = enable_sr
-        #: The base pass, then SR's rotations when enabled.
-        self._offsets = (0,) + rotations if enable_sr else (0,)
+        self._offsets = rotation_offsets(sr_nr, sr_direction)
+        #: SR is TASR without the guard (``Tl = 0``); without SR the
+        #: bound is the policy's "never" value, ``N + 1``.
+        self._lower_bound = 0 if enable_sr else array.cols + 1
 
     @property
     def array(self) -> CamArray:
@@ -98,53 +96,19 @@ class EdamMatcher:
     def store(self, segments: np.ndarray) -> None:
         self._array.store(segments)
 
-    def _passes(self, reads: np.ndarray, thresholds,
-                query_keys: "Sequence[int] | None", sweep: bool) -> list:
-        """The base ED* pass, then one rotated pass per SR offset.
-
-        EDAM's SR fires unconditionally, so every pass covers the whole
-        ``(B, N)`` block at every threshold: a batch (``sweep=False``,
-        one integer threshold) or a sweep (``(T,)`` vector).
-        The base and every rotated pass's counts come from one encode
-        of the block (``mismatch_counts_batch(..., rotations=)``).
-        """
-        search = self._array.search_sweep if sweep else \
-            self._array.search_batch
-        keys = query_key_vector(query_keys, reads.shape[0])
-        counts = self._array.mismatch_counts_batch(reads, MatchMode.ED_STAR,
-                                                   rotations=self._offsets)
-        return [search(reads, thresholds, MatchMode.ED_STAR,
-                       noise_keys=pass_keys(keys, PASS_ROTATION + offset
-                                            if offset else PASS_ED_STAR),
-                       precomputed_counts=pass_counts, rotation=offset)
-                for offset, pass_counts in zip(self._offsets, counts,
-                                               strict=True)]
-
     def match(self, read: np.ndarray, threshold: int,
-              query_key: "int | None" = None) -> EdamOutcome:
+              query_key: "int | None" = None) -> MatchOutcome:
         """Match one read at threshold ``T`` (plain ED*, optional SR).
 
-        The one-row slice of the keyed block: keyed by ``query_key``
-        (default 0, the read's index in a one-read block), so the
-        decisions equal row ``q`` of any :meth:`match_sweep` call that
-        keys that read ``query_key``.
+        The one-row slice of the keyed flow
+        (:func:`~repro.core.matcher.match_read`): the decisions equal
+        row ``q`` of any :meth:`match_sweep` call that keys that read
+        ``query_key``.  Pre-charge energy and latency are both inside
+        the array's current-domain pass (:mod:`repro.cost.views`; the
+        Table I cycle of :mod:`repro.arch.timing`), so the outcome's
+        costs are the passes' own.
         """
-        read = as_read_codes(read)
-        results = self._passes(read[None, :], threshold,
-                               None if query_key is None else [query_key],
-                               sweep=False)
-        # Pre-charge energy and latency are both inside the array's
-        # current-domain pass (repro.cost.views; the Table I cycle of
-        # repro.arch.timing), so the outcome is the passes' own cost.
-        energy = latency = 0.0
-        for result in results:
-            energy += float(result.energy_per_query_joules[0])
-            latency += result.latency_ns
-        return EdamOutcome(
-            decisions=np.logical_or.reduce([r.matches[0] for r in results]),
-            n_searches=len(results), energy_joules=energy,
-            latency_ns=latency,
-        )
+        return match_read(self._flow, read, threshold, query_key)
 
     def match_sweep(self, reads: np.ndarray,
                     thresholds: "Sequence[int] | np.ndarray",
@@ -158,9 +122,19 @@ class EdamMatcher:
         comparisons.  Slice ``t``, row ``q`` is bit-identical to
         ``match(reads[q], thresholds[t], query_key=keys[q])``.
         """
-        results = self._passes(read_block(reads, "match_sweep"),
-                               thresholds, query_keys, sweep=True)
-        return np.logical_or.reduce([r.matches for r in results])
+        return self._flow(read_block(reads, "match_sweep"),
+                          check_thresholds(thresholds), query_keys,
+                          sweep=True).decisions
+
+    def _flow(self, reads: np.ndarray, thresholds: np.ndarray,
+              query_keys: "Sequence[int] | None",
+              sweep: bool) -> MatchSweepOutcome:
+        """:func:`~repro.core.matcher.keyed_flow` without HDAC, SR's
+        offsets at every threshold ``>= Tl``."""
+        return keyed_flow(self._array, reads, thresholds, query_keys,
+                          sweep=sweep, offsets=self._offsets,
+                          tasr_mask=thresholds >= self._lower_bound,
+                          lower_bound=self._lower_bound)
 
 
 def edam_search_energy_per_array(mismatch_fraction: float =

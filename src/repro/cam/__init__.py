@@ -17,7 +17,7 @@ from repro.cam.array import (
     SweepSearchResult,
 )
 from repro.cam.cell import AsmCapCell, MatchMode
-from repro.cam.defects import DefectiveArray, DefectMap
+from repro.cam.defects import DefectMap
 from repro.cam.energy import (
     search_energy_eq1,
     search_energy_per_row,
@@ -34,7 +34,6 @@ __all__ = [
     "ChargeDomainMatchline",
     "ChargeDomainVariation",
     "DefectMap",
-    "DefectiveArray",
     "CurrentDomainMatchline",
     "CurrentDomainVariation",
     "MatchMode",

@@ -12,19 +12,17 @@ search array, as post-processing on a
 * **dead sense amplifiers** — the row's comparator output is frozen at
   its last value; modelled as stuck-mismatch (conservative).
 
-:class:`DefectiveArray` wraps an array and applies row defects to every
-search result, so experiments can sweep defect density and measure the
-F1 cliff.
+:meth:`DefectMap.apply` overlays row defects on a search's decisions
+(``defects.apply(array.search_batch(...).matches)``), so experiments
+can sweep defect density and measure the F1 cliff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cam.array import BatchSearchResult, CamArray
-from repro.cam.cell import MatchMode
 from repro.errors import CamConfigError
 
 
@@ -66,50 +64,3 @@ class DefectMap:
         out[..., self.stuck_match] = True
         out[..., self.stuck_mismatch] = False
         return out
-
-
-class DefectiveArray:
-    """A CamArray wrapper that overlays row defects on every search."""
-
-    def __init__(self, array: CamArray, defects: DefectMap):
-        if defects.stuck_match.shape != (array.rows,):
-            raise CamConfigError(
-                f"defect map covers {defects.stuck_match.shape[0]} rows, "
-                f"array has {array.rows}"
-            )
-        self._array = array
-        self._defects = defects
-
-    @property
-    def array(self) -> CamArray:
-        return self._array
-
-    @property
-    def defects(self) -> DefectMap:
-        return self._defects
-
-    @property
-    def rows(self) -> int:
-        return self._array.rows
-
-    @property
-    def cols(self) -> int:
-        return self._array.cols
-
-    def store(self, segments: np.ndarray) -> None:
-        self._array.store(segments)
-
-    def search_batch(self, queries: np.ndarray,
-                     threshold: "int | np.ndarray",
-                     mode: MatchMode = MatchMode.ED_STAR
-                     ) -> BatchSearchResult:
-        """Search a ``(B, N)`` block (keyed by query index), with
-        defective rows overriding their decisions."""
-        result = self._array.search_batch(queries, threshold, mode)
-        # Decisions only cover written rows.
-        n = result.matches.shape[-1]
-        defects = DefectMap(
-            stuck_match=self._defects.stuck_match[:n],
-            stuck_mismatch=self._defects.stuck_mismatch[:n],
-        )
-        return replace(result, matches=defects.apply(result.matches))

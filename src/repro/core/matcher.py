@@ -14,6 +14,17 @@ the array; the matcher only sequences searches and combines their
 decisions, mirroring the controller's role in Fig. 4(a).  All energy
 and latency of the extra searches is accounted in the outcome.
 
+**One decision flow.**  :func:`keyed_flow` is the only code that
+sequences passes.  It takes the array, the reads, the thresholds, the
+keys, the rotation offsets with their per-threshold eligibility
+(``T >= Tl``) and HDAC's per-threshold ``p`` (or no HDAC), and returns
+a :class:`MatchSweepOutcome`.  :class:`AsmCapMatcher` calls it with its
+off-line policy; the EDAM baseline
+(:class:`~repro.baselines.edam.EdamMatcher`) calls it without HDAC,
+its Sequence Rotation being TASR with ``Tl = 0`` (and ``N + 1``, the
+policy's "never", with SR off).  :func:`match_read` builds either
+matcher's one-read :class:`MatchOutcome`.
+
 **One flow over a threshold vector.**  The flow runs once over a
 ``(B, N)`` block of reads and a ``(T,)`` threshold vector, as the sense
 amplifiers compare every matchline against one ``V_ref`` per search:
@@ -38,7 +49,7 @@ keyed reads makes bit-identical decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,8 +65,8 @@ from repro.genome.edits import ErrorModel
 from repro.knobs import check_integer, check_threshold, check_thresholds
 
 #: Pass tags separating the keyed noise streams of one query's searches
-#: (shared with the EDAM baseline; streams never mix across arrays
-#: because the array seed is folded in first).
+#: (EDAM's passes run through the same flow; streams never mix across
+#: arrays because the array seed is folded in first).
 PASS_ED_STAR = 0
 PASS_HAMMING = 1
 #: Rotated passes use ``PASS_ROTATION + offset`` (offset may be
@@ -96,6 +107,10 @@ class MatcherConfig:
 @dataclass(frozen=True)
 class MatchOutcome:
     """Decisions and cost accounting for matching one read.
+
+    The one-read outcome of both :class:`AsmCapMatcher` and the EDAM
+    baseline (whose ``hdac_probability`` is always 0 and whose
+    ``tasr_lower_bound`` is SR's bound: 0, or ``N + 1`` without SR).
 
     Attributes
     ----------
@@ -274,20 +289,141 @@ def read_block(reads: np.ndarray, caller: str) -> np.ndarray:
     return reads
 
 
-@dataclass(frozen=True)
-class _FlowResult:
-    """The flow's outputs: ``(T, B)`` (threshold, read) cells for the
-    decisions and costs, ``(T,)`` per threshold for ``probabilities``
-    and the masks."""
+def keyed_flow(array: CamArray, reads: np.ndarray, thresholds: np.ndarray,
+               query_keys: "Sequence[int] | None", *, sweep: bool,
+               offsets: "tuple[int, ...]", tasr_mask: np.ndarray,
+               lower_bound: int, hdac_p: "np.ndarray | None" = None,
+               hdac_cut: float = 0.0, hdac_prefix: int = 0
+               ) -> MatchSweepOutcome:
+    """ED* -> HDAC -> TASR over a ``(T,)`` threshold vector.
 
-    decisions: np.ndarray
-    n_searches: np.ndarray
-    energy: np.ndarray
-    latency: np.ndarray
-    probabilities: np.ndarray
-    hdac_mask: np.ndarray
-    tasr_mask: np.ndarray
-    lower_bound: int
+    The one code that sequences a matcher's passes.  ``offsets`` are
+    the rotation offsets, run at the thresholds ``tasr_mask`` selects
+    (``T >= Tl``; ``lower_bound`` is that ``Tl``, reported as is);
+    ``hdac_p`` is HDAC's per-threshold ``p`` (``None``: no HDAC), whose
+    HD pass runs where ``p >= hdac_cut``, its draws keyed under
+    ``hdac_prefix``.  Eligibility is a function of the threshold alone,
+    so every pass covers every read and selects only thresholds.  A
+    batch (``sweep=False``, ``T = 1``) issues its passes as one pass
+    block (:meth:`~repro.cam.array.CamArray.search_batch`: one decide,
+    one energy gather, one ledger event per pass); a sweep issues one
+    :meth:`~repro.cam.array.CamArray.search_sweep` per pass over the
+    thresholds it selects.  Decisions and costs fold into exactly the
+    ``(threshold, read)`` cells a pass ran for.
+    """
+    n_queries = reads.shape[0]
+    keys = query_key_vector(query_keys, n_queries)
+    grid = (thresholds.shape[0], n_queries)
+    n_searches = np.zeros(grid, dtype=int)
+    energy = np.zeros(grid)
+    latency = np.zeros(grid)
+
+    p = np.zeros(thresholds.shape)
+    hdac_mask = np.zeros(thresholds.shape, dtype=bool)
+    if hdac_p is not None:
+        p, hdac_mask = hdac_p, hdac_p >= hdac_cut
+    offsets = offsets if tasr_mask.any() else ()
+
+    # The reads are encoded as few times as possible: one rotations
+    # call yields the base ED* pass and every TASR pass, one dual
+    # call the ED*/HD pair.
+    ed_counts = hd_counts = block_counts = None
+    rotated = ()
+    if offsets:
+        block_counts = array.mismatch_counts_batch(
+            reads, MatchMode.ED_STAR, rotations=(0,) + offsets)
+        ed_counts, *rotated = block_counts
+    if n_queries and hdac_mask.any():
+        if ed_counts is None:
+            ed_counts, hd_counts = array.mismatch_counts_batch_dual(reads)
+        else:
+            hd_counts = array.mismatch_counts_batch(reads, MatchMode.HAMMING)
+
+    # ED* -> HDAC -> TASR, each pass as (thresholds it runs at, mode,
+    # tag, counts, rotation).
+    passes = [(np.ones(thresholds.shape, dtype=bool), MatchMode.ED_STAR,
+               PASS_ED_STAR, ed_counts, 0)]
+    if hd_counts is not None:
+        passes.append((hdac_mask, MatchMode.HAMMING, PASS_HAMMING,
+                       hd_counts, 0))
+    passes.extend((tasr_mask, MatchMode.ED_STAR, PASS_ROTATION + offset,
+                   counts, offset)
+                  for offset, counts in zip(offsets, rotated, strict=True))
+
+    def sweep_pass(at, mode, tag, counts, rotation):
+        result = array.search_sweep(
+            reads, thresholds[at], mode, noise_keys=pass_keys(keys, tag),
+            precomputed_counts=counts, rotation=rotation)
+        return result.matches, result.energy_per_query_joules
+
+    if sweep:
+        # Per-pass results are produced lazily, so each stays
+        # referenced until the next pass has run: freeing a pass's
+        # blocks before the next allocates its own lets the C
+        # allocator trim the heap and fault it back in.
+        results = (sweep_pass(*pass_) for pass_ in passes)
+    else:
+        modes, tags, counts, rotations = zip(*(
+            pass_[1:] for pass_ in passes), strict=True)
+        search = array.search_batch(
+            reads, thresholds[0], modes,
+            noise_keys=[pass_keys(keys, tag) for tag in tags],
+            precomputed_counts=(block_counts if hd_counts is None
+                                else counts),
+            rotation=rotations)
+        results = zip(search.matches[:, None],
+                      search.energy_per_query_joules, strict=True)
+
+    # Costs are charged and decisions combined in pass order, so every
+    # float accumulation runs as in a pass-by-pass flow.
+    decisions = None
+    for (at, mode, *_), (matches, pass_energy) \
+            in zip(passes, results, strict=True):
+        n_searches[at] += 1
+        energy[at] += pass_energy
+        latency[at] += array.search_time_ns
+        if decisions is None:
+            decisions = matches.copy()
+        elif mode is MatchMode.HAMMING:
+            # --- HDAC (Algorithm 1), at the thresholds worth the cycle
+            decisions[at] = hdac_correct_batch(
+                decisions[at], matches, p[at][:, None],
+                fold_key_block(hdac_prefix, keys),
+            )
+        else:
+            # --- TASR (Algorithm 2), at the thresholds above Tl
+            decisions[at] |= matches
+
+    return MatchSweepOutcome(
+        decisions=decisions, thresholds=thresholds, n_searches=n_searches,
+        energy_joules=energy, latency_ns=latency,
+        hdac_probabilities=np.where(hdac_mask, p, 0.0),
+        tasr_lower_bound=lower_bound, hdac_mask=hdac_mask,
+        tasr_mask=tasr_mask,
+    )
+
+
+def match_read(flow: "Callable[..., MatchSweepOutcome]", read: np.ndarray,
+               threshold: int, query_key: "int | None") -> MatchOutcome:
+    """One read at one threshold: the one-row, one-threshold slice of a
+    matcher's *flow* (``flow(reads, thresholds, query_keys, sweep=)``).
+
+    Keyed by ``query_key`` (default 0, the read's index in a one-read
+    block), so the outcome equals row ``q`` of any block that keys that
+    read ``query_key``.
+    """
+    reads = read_block(as_read_codes(read)[None, :], "match")
+    threshold = check_threshold(threshold, "match_sweep")
+    outcome = flow(reads, np.array([threshold]),
+                   None if query_key is None else [query_key], sweep=False)
+    return MatchOutcome(
+        decisions=outcome.decisions[0, 0], threshold=threshold,
+        n_searches=int(outcome.n_searches[0, 0]),
+        energy_joules=float(outcome.energy_joules[0, 0]),
+        latency_ns=float(outcome.latency_ns[0, 0]),
+        hdac_probability=float(outcome.hdac_probabilities[0]),
+        tasr_lower_bound=outcome.tasr_lower_bound,
+    )
 
 
 class AsmCapMatcher:
@@ -376,25 +512,11 @@ class AsmCapMatcher:
               query_key: "int | None" = None) -> MatchOutcome:
         """Match one read against all stored rows at threshold ``T``.
 
-        The one-row slice of :meth:`match_batch`: keyed by
-        ``query_key`` (default 0, the read's index in a one-read
-        block), so the outcome equals row ``q`` of any
-        :meth:`match_batch` call that keys that read ``query_key``.
+        The one-row slice of the flow (:func:`match_read`): the outcome
+        equals row ``q`` of any :meth:`match_batch` call that keys that
+        read ``query_key``.
         """
-        read = as_read_codes(read)
-        batch = self.match_batch(
-            read[None, :], threshold,
-            query_keys=None if query_key is None else [query_key],
-        )
-        return MatchOutcome(
-            decisions=batch.decisions[0],
-            threshold=int(batch.thresholds[0]),
-            n_searches=int(batch.n_searches[0]),
-            energy_joules=float(batch.energy_joules[0]),
-            latency_ns=float(batch.latency_ns[0]),
-            hdac_probability=float(batch.hdac_probabilities[0]),
-            tasr_lower_bound=batch.tasr_lower_bound,
-        )
+        return match_read(self._flow, read, threshold, query_key)
 
     def match_batch(self, reads: np.ndarray, threshold: int,
                     query_keys: "Sequence[int] | None" = None
@@ -429,10 +551,12 @@ class AsmCapMatcher:
         return MatchBatchOutcome(
             decisions=flow.decisions[0],
             thresholds=np.full(n_queries, threshold),
-            n_searches=flow.n_searches[0], energy_joules=flow.energy[0],
-            latency_ns=flow.latency[0],
-            hdac_probabilities=np.full(n_queries, flow.probabilities[0]),
-            tasr_lower_bound=flow.lower_bound,
+            n_searches=flow.n_searches[0],
+            energy_joules=flow.energy_joules[0],
+            latency_ns=flow.latency_ns[0],
+            hdac_probabilities=np.full(n_queries,
+                                       flow.hdac_probabilities[0]),
+            tasr_lower_bound=flow.tasr_lower_bound,
             hdac_mask=np.full(n_queries, flow.hdac_mask[0]),
             tasr_mask=np.full(n_queries, flow.tasr_mask[0]),
         )
@@ -462,131 +586,28 @@ class AsmCapMatcher:
         query_keys)``.  ``thresholds`` is a non-empty 1-D integer
         vector; ``query_keys`` defaults to ``0..B-1``.
         """
-        reads = read_block(reads, "match_sweep")
-        thresholds = check_thresholds(thresholds)
-        flow = self._flow(reads, thresholds, query_keys, sweep=True)
-        return MatchSweepOutcome(
-            decisions=flow.decisions, thresholds=thresholds,
-            n_searches=flow.n_searches, energy_joules=flow.energy,
-            latency_ns=flow.latency,
-            hdac_probabilities=flow.probabilities,
-            tasr_lower_bound=flow.lower_bound,
-            hdac_mask=flow.hdac_mask, tasr_mask=flow.tasr_mask,
-        )
+        return self._flow(read_block(reads, "match_sweep"),
+                          check_thresholds(thresholds), query_keys,
+                          sweep=True)
 
     def _flow(self, reads: np.ndarray, thresholds: np.ndarray,
               query_keys: "Sequence[int] | None",
-              sweep: bool) -> _FlowResult:
-        """ED* -> HDAC -> TASR over a ``(T,)`` threshold vector.
-
-        HDAC and TASR eligibility are functions of the threshold alone
-        (``p`` and ``Tl`` are off-line), so every pass covers every read
-        and selects only thresholds: the HD pass those whose ``p``
-        clears the disable cut, the rotated passes those at or above
-        ``Tl``.  A batch (``T = 1``) issues its passes as one pass block
-        (:meth:`~repro.cam.array.CamArray.search_batch`: one decide,
-        one energy gather, one ledger event per pass); a sweep issues
-        one :meth:`~repro.cam.array.CamArray.search_sweep` per pass over
-        the thresholds it selects.  Decisions and costs fold into
-        exactly the ``(threshold, read)`` cells a pass ran for.
-        """
-        array, config = self._array, self._config
-        n_queries = reads.shape[0]
-        keys = query_key_vector(query_keys, n_queries)
-        grid = (thresholds.shape[0], n_queries)
-        n_searches = np.zeros(grid, dtype=int)
-        energy = np.zeros(grid)
-        latency = np.zeros(grid)
-
-        p = np.zeros(thresholds.shape)
-        hdac_mask = np.zeros(thresholds.shape, dtype=bool)
+              sweep: bool) -> MatchSweepOutcome:
+        """:func:`keyed_flow` with this matcher's off-line policy: HDAC's
+        ``p`` per threshold, TASR's offsets above ``Tl``."""
+        config = self._config
+        p = None
         if config.enable_hdac:
             p = np.array([self.hdac_probability(t)
                           for t in thresholds.tolist()])
-            hdac_mask = p >= config.hdac_disable_threshold
         lower_bound = self.tasr_lower_bound()
         tasr_mask = np.zeros(thresholds.shape, dtype=bool)
-        if config.enable_tasr and n_queries:
+        if config.enable_tasr and reads.shape[0]:
             tasr_mask = thresholds >= lower_bound
-        offsets = self._offsets if tasr_mask.any() else ()
-
-        # The reads are encoded as few times as possible: one rotations
-        # call yields the base ED* pass and every TASR pass, one dual
-        # call the ED*/HD pair.
-        ed_counts = hd_counts = block_counts = None
-        rotated = ()
-        if offsets:
-            block_counts = array.mismatch_counts_batch(
-                reads, MatchMode.ED_STAR, rotations=(0,) + offsets)
-            ed_counts, *rotated = block_counts
-        if n_queries and hdac_mask.any():
-            if ed_counts is None:
-                ed_counts, hd_counts = array.mismatch_counts_batch_dual(reads)
-            else:
-                hd_counts = array.mismatch_counts_batch(reads,
-                                                        MatchMode.HAMMING)
-
-        # ED* -> HDAC -> TASR, each pass as (thresholds it runs at,
-        # mode, tag, counts, rotation).
-        passes = [(np.ones(thresholds.shape, dtype=bool), MatchMode.ED_STAR,
-                   PASS_ED_STAR, ed_counts, 0)]
-        if hd_counts is not None:
-            passes.append((hdac_mask, MatchMode.HAMMING, PASS_HAMMING,
-                           hd_counts, 0))
-        passes.extend((tasr_mask, MatchMode.ED_STAR,
-                       PASS_ROTATION + offset, counts, offset)
-                      for offset, counts in zip(offsets, rotated,
-                                                  strict=True))
-
-        def sweep_pass(at, mode, tag, counts, rotation):
-            result = array.search_sweep(
-                reads, thresholds[at], mode,
-                noise_keys=pass_keys(keys, tag),
-                precomputed_counts=counts, rotation=rotation)
-            return result.matches, result.energy_per_query_joules
-
-        if sweep:
-            # Per-pass results are produced lazily, so each stays
-            # referenced until the next pass has run: freeing a pass's
-            # blocks before the next allocates its own lets the C
-            # allocator trim the heap and fault it back in.
-            results = (sweep_pass(*pass_) for pass_ in passes)
-        else:
-            modes, tags, counts, rotations = zip(*(
-                pass_[1:] for pass_ in passes), strict=True)
-            search = array.search_batch(
-                reads, thresholds[0], modes,
-                noise_keys=[pass_keys(keys, tag) for tag in tags],
-                precomputed_counts=(block_counts if hd_counts is None
-                                    else counts),
-                rotation=rotations)
-            results = zip(search.matches[:, None],
-                          search.energy_per_query_joules, strict=True)
-
-        # Costs are charged and decisions combined in pass order, so
-        # every float accumulation runs as in a pass-by-pass flow.
-        decisions = None
-        for (at, mode, *_), (matches, pass_energy) \
-                in zip(passes, results, strict=True):
-            n_searches[at] += 1
-            energy[at] += pass_energy
-            latency[at] += array.search_time_ns
-            if decisions is None:
-                decisions = matches.copy()
-            elif mode is MatchMode.HAMMING:
-                # --- HDAC (Algorithm 1), at the thresholds worth the cycle
-                decisions[at] = hdac_correct_batch(
-                    decisions[at], matches, p[at][:, None],
-                    fold_key_block(self._hdac_prefix, keys),
-                )
-            else:
-                # --- TASR (Algorithm 2), at the thresholds above Tl
-                decisions[at] |= matches
-
-        return _FlowResult(
-            decisions=decisions, n_searches=n_searches, energy=energy,
-            latency=latency,
-            probabilities=np.where(hdac_mask, p, 0.0),
-            hdac_mask=hdac_mask, tasr_mask=tasr_mask,
-            lower_bound=lower_bound,
+        return keyed_flow(
+            self._array, reads, thresholds, query_keys, sweep=sweep,
+            offsets=self._offsets, tasr_mask=tasr_mask,
+            lower_bound=lower_bound, hdac_p=p,
+            hdac_cut=config.hdac_disable_threshold,
+            hdac_prefix=self._hdac_prefix,
         )

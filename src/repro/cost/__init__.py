@@ -42,7 +42,6 @@ from repro.cost.views import (
     SearchStats,
     component_energies,
     search_pass_energy_per_query,
-    search_pass_latency_ns,
     search_stats,
     typical_search_event,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "TasrRotationPass",
     "component_energies",
     "search_pass_energy_per_query",
-    "search_pass_latency_ns",
     "search_stats",
     "typical_search_event",
 ]

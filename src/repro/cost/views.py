@@ -10,8 +10,10 @@ push them through the physical models:
   the current domain;
 * peripheral energy — the sense-amp per-row constant and the
   shift-register per-search constant of :mod:`repro.constants`;
-* latency — one search cycle per query at the event's recorded cycle
-  time (the :mod:`repro.arch.timing` constants), with shift-register
+* latency — the event's own
+  :attr:`~repro.cost.events.SearchPassEvent.latency_ns`: one search
+  cycle per query at its recorded cycle time (the
+  :mod:`repro.arch.timing` constants), with shift-register
   cycles tracked separately (the system model charges them where they
   serialise).
 
@@ -73,11 +75,6 @@ def search_pass_energy_per_query(event: SearchPassEvent) -> np.ndarray:
         cells = precharge + discharge
     peripherals = constants.SA_ENERGY_PER_ROW_J * n_rows
     return np.asarray(cells + peripherals, dtype=float)
-
-
-def search_pass_latency_ns(event: SearchPassEvent) -> float:
-    """Array-occupancy time of one pass: one cycle per query."""
-    return event.search_time_ns * event.n_queries
 
 
 def component_energies(event: SearchPassEvent) -> dict[str, float]:
@@ -190,7 +187,7 @@ def search_stats(events: Iterable[LedgerEvent]) -> SearchStats:
         if isinstance(event, TasrRotationPass):
             stats.n_rotation_cycles += event.shift_cycles
         stats.total_energy_joules += event.energy_joules
-        stats.total_latency_ns += search_pass_latency_ns(event)
+        stats.total_latency_ns += event.latency_ns
     return stats
 
 

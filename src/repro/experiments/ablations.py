@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cam.array import CamArray
-from repro.cam.defects import DefectiveArray, DefectMap
+from repro.cam.defects import DefectMap
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.eval.confusion import confusion_series
 from repro.eval.ground_truth import GroundTruth, label_dataset
@@ -89,8 +89,8 @@ def defect_ablation(n_segments: int = 64, seed: int = 0) -> str:
         array.store(segments)
         defects = DefectMap.sample(n_segments, 0.0, rate,
                                    np.random.default_rng(seed + 1))
-        wrapped = DefectiveArray(array, defects)
-        hits = int(wrapped.search_batch(segments, 0).matches.diagonal().sum())
+        matches = defects.apply(array.search_batch(segments, 0).matches)
+        hits = int(matches.diagonal().sum())
         rows.append((f"{rate * 100:.0f} %", defects.n_defective,
                      hits / n_segments * 100))
     return format_table(

@@ -120,7 +120,8 @@ def build_dataset(condition: "str | ErrorModel" = "A",
 
     for name, value in (("n_reads", n_reads), ("read_length", read_length),
                         ("n_segments", n_segments)):
-        check_count(name, value, DatasetError)
+        check_count(name, check_integer(name, value, DatasetError),
+                    DatasetError)
     seed = check_integer("seed", seed, DatasetError)
     model = resolve_condition(condition, burst_prob=burst_prob)
     label = condition if isinstance(condition, str) else "custom"

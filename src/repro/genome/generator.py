@@ -165,7 +165,8 @@ def generate_reference(length: int, seed: int = 0,
     # Function-level: repro.knobs sits above this layer (CL501).
     from repro.knobs import check_count, check_integer
 
-    check_count("length", length, DatasetError)
+    check_count("length", check_integer("length", length, DatasetError),
+                DatasetError)
     seed = check_integer("seed", seed, DatasetError)
     repeats = RepeatProfile() if with_repeats else None
     return ReferenceGenerator(gc_content=gc_content, repeats=repeats,

@@ -52,6 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.constants import CHUNK_ELEMS
+from repro.errors import CamConfigError
 from repro.genome import alphabet
 from repro.kernels.base import EncodedReference, _fallback_counts
 
@@ -184,8 +185,15 @@ def _count(encoded: EncodedReference, queries: np.ndarray,
 
     Stored codes are alphabet-checked at write time; only a query block
     carrying a code outside ACGT (which the one-hot masks cannot
-    represent) takes :func:`~repro.kernels.base._fallback_counts`.
+    represent) takes :func:`~repro.kernels.base._fallback_counts`.  A
+    block whose width is not the reference's raises
+    :class:`~repro.errors.CamConfigError` before either runs.
     """
+    if queries.ndim != 2 or queries.shape[1] != encoded.n_cells:
+        raise CamConfigError(
+            f"query block of shape {queries.shape} does not fit a "
+            f"reference of {encoded.n_cells} columns"
+        )
     if queries.shape[0] and int(queries.max()) < alphabet.ALPHABET_SIZE:
         _passes(encoded, queries, passes, outs)
         return

@@ -1,4 +1,7 @@
-"""Tests for array defect injection and graceful degradation."""
+"""Tests for array defect injection and graceful degradation.
+
+Defects overlay a search's decisions through :meth:`DefectMap.apply`.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cam.array import CamArray
-from repro.cam.defects import DefectiveArray, DefectMap
+from repro.cam.defects import DefectMap
 from repro.errors import CamConfigError
 
 
@@ -48,42 +51,40 @@ class TestDefectMap:
         with pytest.raises(CamConfigError):
             DefectMap.sample(10, 1.5, 0.0, rng)
 
-
-class TestDefectiveArray:
     def test_stuck_match_row_always_matches(self, clean_array, rng):
         defects = DefectMap(stuck_match=np.zeros(16, bool),
                             stuck_mismatch=np.zeros(16, bool))
         defects.stuck_match[7] = True
-        wrapped = DefectiveArray(clean_array, defects)
         read = rng.integers(0, 4, 32).astype(np.uint8)
-        result = wrapped.search_batch(read[None, :], threshold=0)
-        assert result.matches[0, 7]
+        matches = defects.apply(
+            clean_array.search_batch(read[None, :], threshold=0).matches)
+        assert matches[0, 7]
 
     def test_stuck_mismatch_row_never_matches(self, clean_array):
         defects = DefectMap(stuck_match=np.zeros(16, bool),
                             stuck_mismatch=np.zeros(16, bool))
         defects.stuck_mismatch[3] = True
-        wrapped = DefectiveArray(clean_array, defects)
         stored = clean_array.stored.segments[3]
-        result = wrapped.search_batch(stored[None, :], threshold=0)
-        assert not result.matches[0, 3]  # exact match suppressed by defect
+        matches = defects.apply(
+            clean_array.search_batch(stored[None, :], threshold=0).matches)
+        assert not matches[0, 3]  # exact match suppressed by defect
 
     def test_healthy_rows_unaffected(self, clean_array, rng):
         defects = DefectMap(stuck_match=np.zeros(16, bool),
                             stuck_mismatch=np.zeros(16, bool))
         defects.stuck_match[0] = True
-        wrapped = DefectiveArray(clean_array, defects)
         read = rng.integers(0, 4, 32).astype(np.uint8)
         clean = clean_array.search_batch(read[None, :], 4).matches
-        patched = wrapped.search_batch(read[None, :], 4).matches
+        patched = defects.apply(clean)
         assert np.array_equal(clean[:, 1:], patched[:, 1:])
         assert patched[0, 0]
 
-    def test_shape_mismatch_rejected(self, clean_array):
+    def test_search_wider_than_map_rejected(self, clean_array, rng):
         defects = DefectMap(stuck_match=np.zeros(8, bool),
                             stuck_mismatch=np.zeros(8, bool))
+        read = rng.integers(0, 4, 32).astype(np.uint8)
         with pytest.raises(CamConfigError):
-            DefectiveArray(clean_array, defects)
+            defects.apply(clean_array.search_batch(read[None, :], 4).matches)
 
     def test_accuracy_degrades_smoothly(self, rng):
         """More defects -> monotonically worse mapping, never a crash."""
@@ -94,10 +95,12 @@ class TestDefectiveArray:
             array.store(segments)
             defects = DefectMap.sample(32, 0.0, rate,
                                        np.random.default_rng(5))
-            wrapped = DefectiveArray(array, defects)
             # Read r searched as row r of one block: its self-match.
-            hits = wrapped.search_batch(segments, 0).matches.diagonal()
+            hits = defects.apply(
+                array.search_batch(segments, 0).matches).diagonal()
             recovered.append(int(hits.sum()))
         assert recovered[0] == 32
         assert recovered[0] >= recovered[1] >= recovered[2]
         assert recovered[2] < 32
+
+

@@ -9,6 +9,7 @@ digests of those outputs on each path the library exposes:
   in condition B above ``Tl``);
 * ``AsmCapMatcher.match_sweep`` over each condition's Fig. 7 sweep;
 * ``EdamMatcher.match_sweep`` with and without Sequence Rotation;
+* per-read ``EdamMatcher.match`` with and without Sequence Rotation;
 * Fig. 8's ``strategy_profile``, which the engine's ledger obeys
   (``tests/cost/test_profile.py``).
 
@@ -136,6 +137,31 @@ def test_edam_match_sweep_digest(enable_sr):
     assert _digest(decisions, sorted(ledger.pass_counts().items()),
                    *_stats_parts(search_stats(ledger))) \
         == EDAM_SWEEP[enable_sr]
+
+
+EDAM_MATCH = {False: "149c73bc9753c503", True: "88fb4c465eb8b399"}
+
+
+@pytest.mark.parametrize("enable_sr", sorted(EDAM_MATCH))
+def test_edam_match_digest(enable_sr):
+    """Per-read scalar matches at thresholds either side of the reads'
+    edit counts, each read keyed by its own query key."""
+    dataset = _dataset("B")
+    matcher = EdamMatcher(rows=N_SEGMENTS, cols=READ_LENGTH,
+                          enable_sr=enable_sr, seed=9)
+    matcher.store(dataset.segments)
+    parts = []
+    for threshold in (2, 6, 12):
+        for key, read in enumerate(_reads(dataset)[:8], start=200):
+            outcome = matcher.match(read, threshold, query_key=key)
+            parts.append((outcome.decisions, outcome.n_searches,
+                          float(outcome.energy_joules),
+                          float(outcome.latency_ns)))
+    ledger = matcher.array.ledger
+    assert _digest(*[part for row in parts for part in row],
+                   sorted(ledger.pass_counts().items()),
+                   *_stats_parts(search_stats(ledger))) \
+        == EDAM_MATCH[enable_sr]
 
 
 def test_strategy_profile_digest():

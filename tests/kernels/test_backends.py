@@ -72,6 +72,25 @@ class TestEncodedReferenceErrors:
             encoded_reference_from_arrays(arrays)
 
 
+    @pytest.mark.parametrize("non_acgt", [False, True],
+                             ids=["gemm", "fallback"])
+    @pytest.mark.parametrize("entry", ["counts_batch", "counts_batch_dual"])
+    def test_query_width_mismatch_raises_typed_error(self, entry, non_acgt):
+        """A query block narrower than the reference is refused before
+        either the GEMM or the boolean fallback runs."""
+        encoded = encode_reference(np.zeros((2, 20), dtype=np.uint8))
+        queries = np.zeros((1, 16), dtype=np.uint8)
+        if non_acgt:
+            queries[0, 0] = 4
+        count = {"counts_batch": lambda: counts_batch(encoded, queries,
+                                                      ed_star=False),
+                 "counts_batch_dual": lambda: counts_batch_dual(encoded,
+                                                                queries)}
+        with pytest.raises(CamConfigError,
+                           match=r"\(1, 16\) does not fit .* 20 columns"):
+            count[entry]()
+
+
 class TestResolutionOrder:
     """What is left of backend resolution: a stale knob fails loudly."""
 

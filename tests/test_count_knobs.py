@@ -92,6 +92,16 @@ def test_non_integer_count_raises_the_boundary_error(small_dataset_a,
         build(small_dataset_a, value)
 
 
+@pytest.mark.parametrize("boundary", ["dataset-n_reads", "dataset-read_length",
+                                      "dataset-n_segments",
+                                      "reference-length"])
+def test_required_count_refuses_none(small_dataset_a, boundary):
+    """The builders' sizes have no autotune: ``None`` is not a count."""
+    build, error = BOUNDARIES[boundary]
+    with pytest.raises(error, match="must be an integer"):
+        build(small_dataset_a, None)
+
+
 @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
 def test_numpy_integer_count_is_accepted(small_dataset_a, boundary):
     build, _ = BOUNDARIES[boundary]
