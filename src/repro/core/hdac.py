@@ -37,14 +37,25 @@ def _keyed_selection(ed: np.ndarray, hd: np.ndarray,
     ``ed``/``hd`` are ``(..., M)`` decision blocks, ``p`` and
     ``states`` broadcast against the leading axes.  The ``i``-th
     disagreeing row of a query consumes counter ``i`` of that query's
-    stream, whatever else rides in the block.
+    stream, whatever else rides in the block.  Only disagreeing rows
+    draw: a row that agrees is never selected, whatever its draw.
     """
-    disagree = ed != hd
-    # Ordinal of each disagreeing row within its query (garbage at
-    # agreeing rows, masked out below; the uint64 wrap at -1 is fine).
-    ordinal = np.cumsum(disagree, axis=-1, dtype=np.uint64) - np.uint64(1)
-    draws = uniforms(states, ordinal)
-    return disagree & (draws < p)
+    # Broadcast first, so a mis-shaped p or states raises even when
+    # no row disagrees.
+    shape = np.broadcast_shapes(ed.shape, p.shape, states.shape)
+    disagree = np.broadcast_to(ed != hd, shape)
+    selected = np.zeros(shape, dtype=bool)
+    flat = np.flatnonzero(disagree)
+    if flat.size == 0:
+        return selected
+    # Disagreements come in row-major order, so a cell's ordinal is
+    # its position minus that of its query's first disagreement.
+    query = flat // shape[-1]
+    ordinal = np.arange(flat.size) - np.searchsorted(query, query)
+    cells = np.unravel_index(flat, shape)
+    draws = uniforms(np.broadcast_to(states, shape)[cells], ordinal)
+    selected[cells] = draws < np.broadcast_to(p, shape)[cells]
+    return selected
 
 
 def hdac_correct_batch(ed_star_decisions: np.ndarray,

@@ -322,7 +322,9 @@ def keyed_flow(array: CamArray, reads: np.ndarray, thresholds: np.ndarray,
     hdac_mask = np.zeros(thresholds.shape, dtype=bool)
     if hdac_p is not None:
         p, hdac_mask = hdac_p, hdac_p >= hdac_cut
-    offsets = offsets if tasr_mask.any() else ()
+    # An empty block runs only its base pass: there is nothing for a
+    # rotation or an HD pass to search.
+    offsets = offsets if n_queries and tasr_mask.any() else ()
 
     # The reads are encoded as few times as possible: one rotations
     # call yields the base ED* pass and every TASR pass, one dual

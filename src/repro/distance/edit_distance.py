@@ -19,12 +19,19 @@ The batch kernel reports distances **capped at** ``band + 1``: a result
 of ``band + 1`` means "greater than ``band``", which is all the
 experiments need because they never sweep thresholds beyond the band.
 
-Before the DP runs, two exact lower-bound prefilters prove most pairs
-"greater than band" outright: the 1-gram base-composition bound
-(:func:`composition_lower_bound`) over the full pair grid, then
-Ukkonen's q-gram bound (``ceil(L1 / 2q)`` over :func:`qgram_profiles`,
-``q = 3``) pairwise over its survivors.  Both are true lower bounds, so the prefiltered
-labelling stays exact — property-tested against the unfiltered DP.
+Before the DP runs, exact lower-bound prefilters prove most pairs
+"greater than band" outright.  For ACGT rows, Ukkonen's q-gram bound
+(``ceil(L1 / 2q)`` over :func:`qgram_profiles`, ``q = 5``) runs in two
+stages: a weaker product form over the whole pair grid, one matmul of
+the profiles (:func:`_qgram_product_bound`), then the exact pairwise
+L1 over the grid's survivors.  Rows the profiles cannot index (codes
+>= 4, or rows shorter than ``q``) take the 1-gram base-composition
+bound (:func:`composition_lower_bound`) over the grid instead.  Every
+stage is a true lower bound, so the prefiltered labelling stays exact
+— property-tested against the unfiltered DP.  At Fig.-7 scales
+(256 segments x 256 bases, 96 reads, band 18) the grid stage keeps
+199-329 of the 24,576 pairs and the pairwise stage 96-103, against
+94-96 true pairs (conditions A and B, seeds 0-8).
 
 The DP itself exits early.  Every ``_COMPACT_EVERY`` rows it drops the
 pairs whose band row minimum is above the band, and compacts its
@@ -34,9 +41,8 @@ decrease along an alignment path, and every in-band path from
 minimum is a lower bound on the final banded value — a pair whose row
 minimum exceeds the band ends above it and keeps the ``band + 1`` cap
 its result cell was filled with.  Live pairs run the same integer
-arithmetic as before compaction.  At Fig.-7 scales about 96 of some
-530 prefilter survivors — roughly each read's own segment — are still
-live after the first 48 rows.
+arithmetic as before compaction.  At Fig.-7 scales the prefilters
+leave it 0-7 pairs per dataset beyond the true ones to drop.
 """
 
 from __future__ import annotations
@@ -53,10 +59,11 @@ _INF = np.int32(1 << 20)
 #: never exceed length + band + 1 << 16384, so the headroom is safe).
 _INF16 = np.int16(1 << 14)
 
-#: q-gram length for the Ukkonen lower-bound prefilter.  q = 3 keeps
-#: the profile table tiny (64 bins) while separating unrelated DNA
-#: pairs far better than the 1-gram composition bound.
-_QGRAM_Q = 3
+#: q-gram length of the Ukkonen lower-bound prefilters.  The 1024-bin
+#: q = 5 profiles of two unrelated 256-base rows have a dot product of
+#: about 252**2 / 1024 = 62, far below the 252 - 5 * band it must reach
+#: for the grid's product bound to keep the pair at band 18.
+_QGRAM_Q = 5
 
 #: Rows between early-exit checks of the batched banded DP: every this
 #: many rows, pairs whose band row minimum already exceeds the band are
@@ -94,9 +101,9 @@ def composition_lower_bound(segments: np.ndarray,
     another up; an insertion or deletion moves one count), so
     ``ED(a, b) >= ceil(L1(comp(a), comp(b)) / 2)`` for every pair.
     The bound costs two :func:`composition_profiles` passes and one
-    ``(R, M, n_codes)`` broadcast — nothing next to the banded DP —
-    and at Fig.-7 scales it proves >40-80 % of pairs "greater than
-    band" before the DP runs.
+    ``(R, M, n_codes)`` broadcast.  It is the labeller's prefilter for
+    blocks the q-gram stages cannot index (codes >= 4, or rows shorter
+    than q).
     """
     segments = np.asarray(segments, dtype=np.uint8)
     reads = np.asarray(reads, dtype=np.uint8)
@@ -144,6 +151,27 @@ def _qgram_bound_from_l1(l1: np.ndarray, q: int) -> np.ndarray:
     With ``q = 1`` this is :func:`composition_lower_bound`.
     """
     return ((l1 + 2 * q - 1) // (2 * q)).astype(np.int32)
+
+
+def _qgram_product_bound(read_prof: np.ndarray, seg_prof: np.ndarray,
+                         q: int) -> np.ndarray:
+    """``(R, M)`` q-gram lower bound over the whole pair grid, one matmul.
+
+    The profiles' L1 distance is ``sum(a) + sum(b) - 2 * sum_g min(a_g,
+    b_g)``, and ``min(a_g, b_g) <= a_g * b_g`` for non-negative
+    integers, so ``sum(a) + sum(b) - 2 * a . b`` never exceeds it and
+    :func:`_qgram_bound_from_l1` of it is a (weaker) Ukkonen bound.  The
+    dot products are sums of non-negative integers no larger than
+    ``sum(a) * sum(b) = (L - q + 1)**2``, so a float64 matmul computes
+    them exactly while that is below ``2**53`` (rows of up to some 94
+    million bases).
+    """
+    read_sums = read_prof.sum(axis=1, dtype=np.int64)
+    seg_sums = seg_prof.sum(axis=1, dtype=np.int64)
+    dot = read_prof.astype(np.float64) @ seg_prof.astype(np.float64).T
+    l1_floor = (read_sums[:, None] + seg_sums[None, :]
+                - 2 * dot.astype(np.int64))
+    return _qgram_bound_from_l1(l1_floor, q)
 
 
 def edit_distance(a: DnaSequence, b: DnaSequence) -> int:
@@ -227,17 +255,14 @@ def banded_edit_distance_batch(segments: np.ndarray, reads: np.ndarray,
     if length == 0:
         return np.zeros((n_reads, n_segments), dtype=np.int32)
 
-    # Prefilters: a pair whose cheap lower bound already exceeds the
-    # band is "greater than band" by definition — emit the cap without
-    # running its DP.  The 1-gram composition bound runs over the full
-    # (R, M) grid; the stronger q-gram (Ukkonen) bound then runs
-    # pairwise over its survivors only.  At Fig.-7 scales the two
-    # together remove most of the pair-major table.
+    # Prefilters: a pair whose lower bound already exceeds the band is
+    # "greater than band" by definition, so it keeps the cap without
+    # running its DP.  ACGT rows take the q-gram stages: the product
+    # bound over the whole (R, M) grid (one matmul), then the exact
+    # pairwise Ukkonen bound over its survivors.  Rows the q-gram
+    # profiles cannot index (codes >= 4, or shorter than q) take the
+    # composition bound's grid pass instead.
     result = np.full((n_reads, n_segments), cap, dtype=np.int32)
-    bound = composition_lower_bound(segments, reads)
-    read_idx, seg_idx = np.nonzero(bound <= k)
-    if read_idx.size == 0:
-        return result
     if (length >= _QGRAM_Q
             and int(max(segments.max(initial=0),
                         reads.max(initial=0))) < 4):
@@ -247,6 +272,8 @@ def banded_edit_distance_batch(segments: np.ndarray, reads: np.ndarray,
         prof_dtype = np.int16 if length < 1 << 15 else np.int32
         seg_prof = qgram_profiles(segments).astype(prof_dtype)
         read_prof = qgram_profiles(reads).astype(prof_dtype)
+        read_idx, seg_idx = np.nonzero(
+            _qgram_product_bound(read_prof, seg_prof, _QGRAM_Q) <= k)
         diff = read_prof[read_idx]
         np.subtract(diff, seg_prof[seg_idx], out=diff)
         np.abs(diff, out=diff)
@@ -254,8 +281,11 @@ def banded_edit_distance_batch(segments: np.ndarray, reads: np.ndarray,
         survivors = _qgram_bound_from_l1(l1, _QGRAM_Q) <= k
         read_idx = read_idx[survivors]
         seg_idx = seg_idx[survivors]
-        if read_idx.size == 0:
-            return result
+    else:
+        read_idx, seg_idx = np.nonzero(
+            composition_lower_bound(segments, reads) <= k)
+    if read_idx.size == 0:
+        return result
 
     # Band-major layout over the surviving pairs only, one column per
     # pair: row i's read bases are one contiguous vector, and the

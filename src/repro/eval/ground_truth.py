@@ -3,12 +3,14 @@
 The ASM goal (Section II-B) defines truth: a (read, segment) pair is a
 true match at threshold ``T`` iff ``ED(segment, read) <= T``.  The
 labeller computes the full ``(n_reads, n_segments)`` distance matrix
-once with the batched banded DP — behind the exact base-composition
-and q-gram (Ukkonen) lower-bound prefilters of
+once with the batched banded DP — behind the exact q-gram (Ukkonen)
+and base-composition lower-bound prefilters of
 :mod:`repro.distance.edit_distance`, which prove most pairs "greater
 than band" without running their DP — capped just above the largest
 threshold any experiment will ask about, and answers every subsequent
-threshold query with a comparison.
+threshold query with a comparison.  The thresholds and the margin are
+integers (:class:`~repro.errors.ExperimentError` otherwise): ``True``
+is not threshold 1.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from repro.distance.edit_distance import banded_edit_distance_batch
 from repro.errors import ExperimentError
 from repro.genome.datasets import Dataset
+from repro.knobs import check_integer
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,7 @@ class GroundTruth:
 
     def labels(self, threshold: int) -> np.ndarray:
         """Boolean truth matrix at *threshold*."""
+        threshold = check_integer("threshold", threshold, ExperimentError)
         if not 0 <= threshold <= self.band:
             raise ExperimentError(
                 f"threshold {threshold} outside labelled band 0..{self.band}"
@@ -69,9 +73,13 @@ def label_dataset(dataset: Dataset, max_threshold: int,
         Extra band beyond ``max_threshold`` (keeps the cap comfortably
         above every queried threshold).
     """
-    if max_threshold < 0:
+    max_threshold = check_integer("max_threshold", max_threshold,
+                                  ExperimentError)
+    margin = check_integer("margin", margin, ExperimentError)
+    if max_threshold < 0 or margin < 0:
         raise ExperimentError(
-            f"max_threshold must be non-negative, got {max_threshold}"
+            f"max_threshold and margin must be non-negative, got "
+            f"{max_threshold} and {margin}"
         )
     band = max_threshold + margin
     if not dataset.reads:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_keyed_selection
 
 from repro.cam.keyed_noise import fold_key
-from repro.core.hdac import hdac_correct_batch
+from repro.core.hdac import _keyed_selection, hdac_correct_batch
 from repro.errors import ThresholdError
 
 #: One folded keyed-stream state (a query's HDAC stream).
@@ -86,3 +89,49 @@ class TestValidation:
         hdac_correct_batch(ed, hd, 1.0, STATE)
         assert np.array_equal(ed, ed_copy)
         assert np.array_equal(hd, hd_copy)
+
+
+@st.composite
+def _decision_blocks(draw):
+    """``(T, B, M)`` ED*/HD blocks with per-threshold ``p`` and
+    per-query states, as a sweep hands them to the selection."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(0, 5),
+                           st.integers(0, 12)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rate = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    ed = rng.random(shape) < 0.5
+    hd = ed ^ (rng.random(shape) < rate)
+    p = rng.random((shape[0], 1, 1))
+    states = rng.integers(0, 2**63, (shape[1], 1), dtype=np.uint64)
+    return ed, hd, p, states
+
+
+class TestSparseDraws:
+    """Draws at the disagreeing cells only equal the dense form, which
+    draws for every cell and masks."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_decision_blocks())
+    def test_equals_dense_selection(self, block):
+        ed, hd, p, states = block
+        assert np.array_equal(_keyed_selection(ed, hd, p, states),
+                              dense_keyed_selection(ed, hd, p, states))
+
+    def test_broadcasts_like_dense(self):
+        """A scalar state and p over a 1-D block, and a p with an
+        extra leading axis, give the dense form's shape."""
+        ed = np.array([True, False, True, False, True])
+        hd = ~ed
+        for p, states in ((np.full(1, 0.5), np.full(1, STATE)),
+                          (np.full((2, 1), 0.5), np.full(1, STATE))):
+            want = dense_keyed_selection(ed, hd, p, states)
+            got = _keyed_selection(ed, hd, p, states)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_mis_broadcast_raises_without_disagreement(self):
+        block = np.zeros((2, 3, 4), dtype=bool)
+        with pytest.raises(ValueError):
+            _keyed_selection(block, block, np.zeros((3, 1, 1)),
+                             np.zeros((3, 1), dtype=np.uint64))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.errors import CamConfigError, ThresholdError
@@ -67,6 +68,25 @@ class TestSearchScheduling:
         n_rotations = passes(matcher)["TasrRotationPass"]
         assert n_rotations == 2 * matcher.config.tasr_nr
         assert outcome.n_searches == 1 + n_rotations
+
+    def test_empty_block_runs_only_the_base_pass(self, dataset_b):
+        """A zero-read sweep above every Tl records its base ED* pass
+        alone, for ASMCap and for EDAM with SR: no empty rotation or
+        HD passes."""
+        empty = np.zeros((0, dataset_b.read_length), dtype=np.uint8)
+        asmcap = make_matcher(dataset_b)
+        edam_array = CamArray(rows=dataset_b.n_segments,
+                              cols=dataset_b.read_length, domain="current",
+                              noisy=False)
+        edam_array.store(dataset_b.segments)
+        edam = EdamMatcher(edam_array, enable_sr=True)
+        thresholds = [2, asmcap.tasr_lower_bound() + 2]
+        assert asmcap.match_sweep(empty, thresholds).decisions.shape \
+            == (2, 0, dataset_b.n_segments)
+        assert edam.match_sweep(empty, thresholds).shape \
+            == (2, 0, dataset_b.n_segments)
+        for matcher in (asmcap, edam):
+            assert passes(matcher) == {"EdStarPass": 1}
 
     def test_plain_config_single_search(self, dataset_a):
         matcher = make_matcher(dataset_a, MatcherConfig.plain())

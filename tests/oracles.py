@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cam.cell import MatchMode
+from repro.cam.keyed_noise import uniforms
 from repro.cost.events import SearchPassEvent
 from repro.genome.sequence import DnaSequence
 
@@ -64,6 +65,18 @@ def edit_distance_matrix(a: DnaSequence, b: DnaSequence) -> np.ndarray:
             table[i, j] = min(table[i - 1, j - 1] + (x[i - 1] != y[j - 1]),
                               table[i - 1, j] + 1, table[i, j - 1] + 1)
     return table
+
+
+def dense_keyed_selection(ed: np.ndarray, hd: np.ndarray, p: np.ndarray,
+                          states: np.ndarray) -> np.ndarray:
+    """HDAC's keyed selection with one draw per (query, row) cell.
+
+    The ``i``-th disagreeing row of a query takes counter ``i`` of its
+    stream; agreeing rows draw too and are masked out.
+    """
+    disagree = ed != hd
+    ordinal = np.cumsum(disagree, axis=-1, dtype=np.uint64) - np.uint64(1)
+    return disagree & (uniforms(states, ordinal) < p)
 
 
 def search_passes(ledger) -> "tuple[SearchPassEvent, ...]":

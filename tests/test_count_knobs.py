@@ -6,7 +6,8 @@ Each boundary now rejects a ``bool``, ``float`` or ``str`` with its own
 error type (:class:`~repro.errors.CamConfigError` at the shared knob
 gate and at a stored reference's row capacity, :class:`~repro.errors.LedgerCompactionError` at the ledger,
 :class:`~repro.errors.RefStoreError` at the catalog's byte budget,
-:class:`~repro.errors.ExperimentError` at the sweep's run count,
+:class:`~repro.errors.ExperimentError` at the sweep's run count and
+the ground-truth labeller's thresholds and margin,
 :class:`~repro.errors.DatasetError` at the dataset and reference
 builders, whose ``seed`` is held to the same integer rule) and accepts
 numpy integers.
@@ -27,6 +28,7 @@ from repro.errors import (
     RefStoreError,
 )
 from repro.eval.experiment import asmcap_plain_system
+from repro.eval.ground_truth import label_dataset
 from repro.eval.sweeps import run_sweep
 from repro.genome.datasets import build_dataset
 from repro.genome.generator import generate_reference
@@ -79,6 +81,12 @@ BOUNDARIES = {
         lambda ds, v: generate_reference(v, with_repeats=False), DatasetError),
     "reference-seed": (
         lambda ds, v: generate_reference(64, seed=v), DatasetError),
+    "truth-max_threshold": (
+        lambda ds, v: label_dataset(ds, v), ExperimentError),
+    "truth-margin": (
+        lambda ds, v: label_dataset(ds, 2, margin=v), ExperimentError),
+    "truth-labels": (
+        lambda ds, v: label_dataset(ds, 4).labels(v), ExperimentError),
 }
 
 
@@ -124,3 +132,6 @@ def test_accepted_counts_keep_their_value(small_dataset_a):
     assert sweep.systems["plain"].f1_runs.shape == (3, 1)
     array = CamArray(rows=4, cols=8, ledger_compaction=np.int16(2))
     assert array.ledger.compaction == 2
+    truth = label_dataset(small_dataset_a, np.int64(4), margin=np.int8(1))
+    assert truth.band == 5
+    assert type(truth.band) is int
