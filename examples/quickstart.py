@@ -80,9 +80,9 @@ def main() -> None:
 
     # [readme:service]
     # Streaming service: reads arrive incrementally, are coalesced
-    # into autotuned micro-batches, and the cost ledger always
-    # compacts, so memory stays bounded — while the final report is
-    # bit-identical to the one-shot batched run above, for any
+    # into autotuned micro-batches, and the cost ledger folds each
+    # pass into running sums, so memory stays flat — while the final
+    # report is bit-identical to the one-shot batched run above, for any
     # micro-batch boundaries.
     from repro.service import StreamingMappingService
 
@@ -94,7 +94,7 @@ def main() -> None:
     assert streamed.total_energy_joules == report.total_energy_joules
     print(f"service: {stats.reads_dispatched} reads in "
           f"{stats.batches_dispatched} micro-batches, "
-          f"{stats.compactions} ledger compactions, "
+          f"{stats.n_searches} searches, "
           f"pass counts {stats.pass_counts}")
     # [/readme:service]
 

@@ -13,12 +13,11 @@ memories.  This library re-implements the full system in Python:
 * :mod:`repro.core` — the paper's contribution: the matching flow with
   the HDAC and TASR misjudgment-correction strategies;
 * :mod:`repro.cost` — unified cost accounting: typed hardware events
-  collected in a ledger, with energy/latency/power as derived views
-  and measured strategy profiles for Fig. 8;
+  folded by a ledger, with energy/latency/power as derived views;
 * :mod:`repro.arch` — timing/power models and autotuning;
 * :mod:`repro.service` — the long-running streaming entry point:
-  incremental read feed, autotuned micro-batches, ledgers that always
-  compact (bounded memory);
+  incremental read feed, autotuned micro-batches, flat memory (each
+  ledger is a running fold);
 * :mod:`repro.baselines` — EDAM, CM-CPU, ReSMA, SaVI, Kraken-like;
 * :mod:`repro.eval` — F1 evaluation machinery;
 * :mod:`repro.experiments` — drivers regenerating every paper artifact.
@@ -44,7 +43,6 @@ from repro.errors import (
     DatasetError,
     EditModelError,
     ExperimentError,
-    LedgerCompactionError,
     ReproError,
     SequenceError,
     ServiceError,
@@ -60,7 +58,6 @@ __all__ = [
     "DatasetError",
     "EditModelError",
     "ExperimentError",
-    "LedgerCompactionError",
     "ReproError",
     "SequenceError",
     "ServiceError",

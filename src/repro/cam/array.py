@@ -69,6 +69,8 @@ noise-band pruning") carries the full argument.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Sequence
@@ -108,7 +110,6 @@ from repro.knobs import (
     check_integer,
     check_threshold,
     check_thresholds,
-    validate_service_knobs,
 )
 
 _DOMAINS = ("charge", "current")
@@ -287,6 +288,12 @@ class SweepSearchResult:
         return int(self.mismatch_counts.shape[0])
 
 
+def _is_finite_real(value) -> bool:
+    """A finite real number (a ``bool`` or ``str`` is not one)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _reshaped(voltages: "Callable[[], np.ndarray]",
               shape: "tuple[int, ...]") -> np.ndarray:
     """A pass block's dense voltages with their leading pass axis."""
@@ -450,7 +457,8 @@ class CamArray:
         ``"charge"`` (ASMCap) or ``"current"`` (EDAM).
     sigma_rel:
         Relative device variation; defaults to the paper's value for
-        the chosen domain (1.4 % capacitor / 2.5 % current).
+        the chosen domain (1.4 % capacitor / 2.5 % current).  A given
+        value must be finite and non-negative.
     noisy:
         Master switch for variation noise (False = ideal array).
     seed:
@@ -458,12 +466,8 @@ class CamArray:
     strict_paper_vref:
         Use the literal ``V_ref = T/N*VDD`` rule (see
         :mod:`repro.cam.sense_amp`).
-    ledger_compaction:
-        ``None`` (default) keeps the append-only ledger every one-shot
-        experiment expects; an integer bound opts the array's ledger
-        into bounded-memory compaction (see
-        :class:`repro.cost.ledger.CostLedger`) — what a long-running
-        streaming service passes.
+    vdd:
+        Supply voltage; finite and positive.
     stored:
         A :class:`StoredReference` to borrow instead of storing a
         private one.  The array's geometry comes from the reference
@@ -482,13 +486,21 @@ class CamArray:
                  seed: int = 0,
                  strict_paper_vref: bool = False,
                  vdd: float = constants.VDD_VOLTS,
-                 ledger_compaction: "int | None" = None,
                  stored: "StoredReference | None" = None):
         if domain not in _DOMAINS:
             raise CamConfigError(
                 f"domain must be one of {_DOMAINS}, got {domain!r}"
             )
-        validate_service_knobs(compaction=ledger_compaction)
+        if not _is_finite_real(vdd) or vdd <= 0:
+            raise CamConfigError(
+                f"vdd must be a finite positive voltage, got {vdd!r}"
+            )
+        if sigma_rel is not None and (not _is_finite_real(sigma_rel)
+                                      or sigma_rel < 0):
+            raise CamConfigError(
+                f"sigma_rel must be finite and non-negative, got "
+                f"{sigma_rel!r}"
+            )
         # The cached kernel plan; it goes with ROADMAP item 1's
         # perfbench PR, whose setups time it as ``arch.autotune``.
         from repro.arch.autotune import plan_backend
@@ -524,8 +536,9 @@ class CamArray:
                 vdd=vdd, rising=False, strict_paper_rule=strict_paper_vref
             )
             self._search_time_ns = constants.EDAM_SEARCH_TIME_NS
-        #: The array's cost ledger: one typed event per physical pass.
-        self.ledger = CostLedger(compaction=ledger_compaction)
+        #: The array's cost ledger: one typed event folded per physical
+        #: pass.
+        self.ledger = CostLedger()
         self._levels: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" \
             = None
 
@@ -576,7 +589,7 @@ class CamArray:
 
     @property
     def stats(self) -> SearchStats:
-        """Cumulative counters, derived on demand from the ledger.
+        """Cumulative counters, read from the ledger's running fold.
 
         A sweep pass counts its ``B`` physical searches (not
         ``T * B``): the analog levels are computed once per query and

@@ -464,9 +464,7 @@ class AsmCapMatcher:
                     *,
                     domain: str = "charge",
                     noisy: bool = True,
-                    seed: int = 0,
-                    ledger_compaction: "int | None" = None
-                    ) -> "AsmCapMatcher":
+                    seed: int = 0) -> "AsmCapMatcher":
         """A matcher whose array *borrows* a shared stored reference.
 
         The session-construction seam of the multi-session front end
@@ -481,7 +479,6 @@ class AsmCapMatcher:
         standalone service exactly.
         """
         array = CamArray(domain=domain, noisy=noisy, seed=seed,
-                         ledger_compaction=ledger_compaction,
                          stored=stored)
         return cls(array, error_model, config, seed=seed)
 

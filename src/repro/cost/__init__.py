@@ -7,13 +7,11 @@ searches) reports its hardware cost through **one** subsystem:
   did (:class:`EdStarPass`, :class:`HdacPass`,
   :class:`TasrRotationPass`, :class:`ReferenceLoad`), carrying pass
   counts and the per-row mismatch populations each pass observed;
-* :mod:`repro.cost.ledger` — :class:`CostLedger`, the event collector
-  owned by every :class:`~repro.cam.array.CamArray` (and, at system
-  level, by the frontend).  Append-only by
-  default; a compacting ledger (the services') folds its events into
-  one :class:`CompactionCheckpoint` that keeps only the
-  ``search_stats`` sums and per-class event counts, so those two views
-  stay exact;
+* :mod:`repro.cost.ledger` — :class:`CostLedger`, owned by every
+  :class:`~repro.cam.array.CamArray` (and, at system level, by the
+  frontend): a running fold that adds each event to the
+  :class:`SearchStats` sums and per-class event counts as it is
+  recorded and keeps no event, so memory is flat over any stream;
 * :mod:`repro.cost.views` — energy / latency / throughput / power
   *derived* from the events through the physical models
   (:mod:`repro.cam.energy`, :mod:`repro.arch.timing`,
@@ -29,7 +27,6 @@ they all read from the same model.
 """
 
 from repro.cost.events import (
-    CompactionCheckpoint,
     EdStarPass,
     HdacPass,
     LedgerEvent,
@@ -47,7 +44,6 @@ from repro.cost.views import (
 )
 
 __all__ = [
-    "CompactionCheckpoint",
     "CostLedger",
     "EdStarPass",
     "HdacPass",

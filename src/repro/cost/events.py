@@ -19,12 +19,7 @@ Event taxonomy
   unconditional SR), carrying the rotation offset so the shift-register
   cycle count is derivable;
 * :class:`ReferenceLoad` — reference segments written into an array
-  (or encoded once for a frontend's shared reference);
-* :class:`CompactionCheckpoint` — the bounded-memory summary a
-  compacting ledger folds its events into: the exact
-  :func:`~repro.cost.views.search_stats` resume values and a count of
-  folded events per class (see
-  :meth:`repro.cost.ledger.CostLedger.compact`).
+  (or encoded once for a frontend's shared reference).
 
 A *pass* event covers a whole query block: ``mismatch_counts`` is the
 ``(B, M)`` matrix of digital mismatch populations (query, stored row),
@@ -178,34 +173,3 @@ class ReferenceLoad(LedgerEvent):
     @property
     def n_bases(self) -> int:
         return self.n_segments * self.n_cells
-
-
-@dataclass(frozen=True, eq=False)
-class CompactionCheckpoint(LedgerEvent):
-    """The folded prefix of a compacting ledger.
-
-    A compacting :class:`~repro.cost.ledger.CostLedger` replaces its
-    live events with one checkpoint holding only what the ledger's
-    readers still need:
-
-    * the **exact resume values** of
-      :func:`~repro.cost.views.search_stats` (``n_searches`` /
-      ``n_rotation_cycles`` / ``total_energy_joules`` /
-      ``total_latency_ns``), accumulated **in event order** at fold
-      time, so a view resuming from the checkpoint performs the same
-      float additions the uncompacted event sequence would;
-    * ``event_counts``: folded events per class name (every class,
-      e.g. ``"EdStarPass"`` or ``"ReferenceLoad"``), which keeps
-      :meth:`~repro.cost.ledger.CostLedger.pass_counts` exact.
-
-    A checkpoint is only legal as the *first* event of a ledger — the
-    resume values are prefixes of the accumulation, nothing else (see
-    DESIGN.md, "Cost-ledger contract: compaction").
-    """
-
-    n_folded: int
-    n_searches: int
-    n_rotation_cycles: int
-    total_energy_joules: float
-    total_latency_ns: float
-    event_counts: "dict[str, int]"

@@ -17,33 +17,26 @@ push them through the physical models:
   cycles tracked separately (the system model charges them where they
   serialise).
 
-:class:`~repro.cam.array.CamArray` derives its per-search energies and
-its cumulative :class:`SearchStats` from here, which is what makes the
-scalar, batched and sweep paths bit-identical by construction — they
-all read the same view over the same events.
+:class:`~repro.cam.array.CamArray` derives its per-search energies
+from here, and its ledger folds the same views into the cumulative
+:class:`SearchStats` at record time, which is what makes the scalar,
+batched and sweep paths bit-identical by construction — they all read
+the same view over the same events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import constants
-from repro.cost.events import (
-    CompactionCheckpoint,
-    EdStarPass,
-    LedgerEvent,
-    SearchPassEvent,
-    TasrRotationPass,
-)
-from repro.cost.ledger import CostLedger
-from repro.errors import (
-    CamConfigError,
-    ExperimentError,
-    LedgerCompactionError,
-)
+from repro.cost.events import EdStarPass, SearchPassEvent
+from repro.errors import CamConfigError, ExperimentError
+
+if TYPE_CHECKING:
+    from repro.cost.ledger import CostLedger
 
 # repro.cam.energy is imported lazily inside the view functions: the
 # cam package's array module imports this module at load time, so a
@@ -129,24 +122,13 @@ def typical_search_event(rows: int = constants.ARRAY_ROWS,
     )
 
 
-def _reject_midstream_checkpoint(position: int) -> None:
-    """A checkpoint is a fold of the accumulation *prefix*; meeting
-    one anywhere else means the event order the views define no
-    longer exists."""
-    if position != 0:
-        raise LedgerCompactionError(
-            f"compaction checkpoint at event position {position}; a "
-            "checkpoint is only legal as a ledger's first event"
-        )
-
-
 @dataclass
 class SearchStats:
     """Cumulative per-array counters (a view over the ledger).
 
-    Field-compatible with the pre-ledger incremental accumulator, so
-    benchmark bookkeeping and tests read the same shape; the values now
-    come from one pass over the recorded events.
+    A sweep pass counts its ``B`` physical searches (each query's
+    analog levels are computed once and reused for every threshold),
+    not ``T * B``.
     """
 
     n_searches: int = 0
@@ -155,51 +137,13 @@ class SearchStats:
     total_latency_ns: float = 0.0
 
 
-def search_stats(events: Iterable[LedgerEvent]) -> SearchStats:
-    """Fold a ledger's search passes into cumulative counters.
+def search_stats(ledger: "CostLedger") -> SearchStats:
+    """A copy of the cumulative counters *ledger* has folded so far.
 
-    Accumulation runs in event order, one pass at a time — exactly the
-    order the pre-ledger per-search accumulation used — so the totals
-    are bit-identical to the incremental bookkeeping they replaced.
-    A sweep pass counts its ``B`` physical searches (each query's
-    analog levels are computed once and reused for every threshold),
-    not ``T * B``.
-
-    A leading :class:`~repro.cost.events.CompactionCheckpoint` restores
-    the exact partial accumulation over the folded prefix (the
-    checkpoint stored the same per-event float additions, in the same
-    order, at fold time), so compacted and uncompacted ledgers read
-    bit-identical counters.  A checkpoint anywhere else raises
-    :class:`~repro.errors.LedgerCompactionError`.
+    :meth:`~repro.cost.ledger.CostLedger.record` adds each search pass
+    to them in record order — queries, rotation shift cycles, derived
+    energy and latency — exactly the additions a loop over the whole
+    recorded event sequence performs, so the totals are bit-identical
+    to that loop's.
     """
-    stats = SearchStats()
-    for position, event in enumerate(events):
-        if isinstance(event, CompactionCheckpoint):
-            _reject_midstream_checkpoint(position)
-            stats.n_searches += event.n_searches
-            stats.n_rotation_cycles += event.n_rotation_cycles
-            stats.total_energy_joules += event.total_energy_joules
-            stats.total_latency_ns += event.total_latency_ns
-            continue
-        if not isinstance(event, SearchPassEvent):
-            continue
-        stats.n_searches += event.n_queries
-        if isinstance(event, TasrRotationPass):
-            stats.n_rotation_cycles += event.shift_cycles
-        stats.total_energy_joules += event.energy_joules
-        stats.total_latency_ns += event.latency_ns
-    return stats
-
-
-def fold_ledger_observability(
-        ledger: CostLedger,
-        ) -> "tuple[dict[str, int], int, int, int, int]":
-    """The bounded-memory evidence of one ledger.
-
-    Returns ``(pass_counts, events_live, events_folded,
-    population_elements, compactions)`` — the ledger-derived fields of
-    :class:`repro.service.stream.ServiceStats`, defined once for the
-    single-client service and the frontend's sessions alike.
-    """
-    return (ledger.pass_counts(), len(ledger), ledger.n_folded,
-            ledger.live_population_elements(), ledger.n_compactions)
+    return replace(ledger._stats)

@@ -48,18 +48,6 @@ class ExperimentError(ReproError):
     """An experiment driver was invoked with inconsistent parameters."""
 
 
-class LedgerCompactionError(ReproError):
-    """A cost-ledger compaction rule was violated.
-
-    Raised when a view or a compaction meets a :class:`~repro.cost.
-    events.CompactionCheckpoint` anywhere but at the head of the event
-    sequence — that would silently change the float accumulation
-    order the views guarantee (see DESIGN.md, "Cost-ledger
-    contract") — when a strategy profile is asked of a ledger holding
-    one, and for an invalid compaction bound.
-    """
-
-
 class ServiceError(ReproError):
     """A streaming mapping service was used outside its lifecycle."""
 

@@ -6,8 +6,7 @@ vacuous):
 
 * **surfaced** — the run raised one of the fault's documented typed
   errors (:class:`~repro.errors.ServiceError` /
-  :class:`~repro.errors.CamConfigError` /
-  :class:`~repro.errors.LedgerCompactionError`, per
+  :class:`~repro.errors.CamConfigError`, per
   :data:`~repro.faults.plan.FAULT_SPECS`);
 * **tolerated** — the run completed with results bit-identical
   (``==``) to the fault-free baseline;

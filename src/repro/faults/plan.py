@@ -28,12 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.errors import (
-    CamConfigError,
-    LedgerCompactionError,
-    RefStoreError,
-    ServiceError,
-)
+from repro.errors import CamConfigError, RefStoreError, ServiceError
 
 __all__ = [
     "FAULT_SPECS",
@@ -70,9 +65,7 @@ class FaultSpec:
 
 
 #: kind -> contract.  The checker's trichotomy is judged against the
-#: ``expected`` sets; :class:`~repro.errors.LedgerCompactionError` is
-#: reachable only through merge-rule violations, which no current kind
-#: induces, but it stays in the documented surface set of the checker.
+#: ``expected`` sets.
 FAULT_SPECS: "dict[str, FaultSpec]" = {
     "store_truncate": FaultSpec(
         points=("refstore.save",),
@@ -103,7 +96,7 @@ FAULT_SPECS: "dict[str, FaultSpec]" = {
 
 #: Documented error surface of the whole fault model (DESIGN.md "Fault
 #: model"): every surfaced chaos error must be one of these.
-DOCUMENTED_ERRORS = (ServiceError, CamConfigError, LedgerCompactionError)
+DOCUMENTED_ERRORS = (ServiceError, CamConfigError)
 
 
 @dataclass(frozen=True)

@@ -203,8 +203,8 @@ class ChaosScenario:
 _SERVICE_KINDS = ("poisoned_read", "slow_batch")
 _STORE_KINDS = _SERVICE_KINDS + ("store_truncate", "store_crc_flip")
 
-#: The chaos matrix: one scenario per route.  Every route's service
-#: compacts its ledger, and no scenario result reads a ledger value.
+#: The chaos matrix: one scenario per route.  No scenario result reads
+#: a ledger value.
 SCENARIOS: "tuple[ChaosScenario, ...]" = (
     ChaosScenario(
         name="stream-batched-gemm", route="stream",

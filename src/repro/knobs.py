@@ -1,10 +1,9 @@
 """One shared validation gate for the cross-layer constructor knobs.
 
-``micro_batch=`` and ``compaction=`` appear at three constructor
-boundaries (:class:`repro.cam.CamArray`,
-:class:`repro.service.StreamingMappingService` and
-:class:`repro.service.MappingFrontend`).  They are validated *here*,
-once, so a falsy or invalid value raises the same
+``micro_batch=`` appears at two constructor boundaries
+(:class:`repro.service.StreamingMappingService` and
+:meth:`repro.service.MappingFrontend.session`).  It is validated
+*here*, once, so a falsy or invalid value raises the same
 :class:`~repro.errors.CamConfigError` with the same message at every
 boundary — ``micro_batch=0`` is a configuration mistake, not a request
 for autotuning (that is ``None``), and it should fail loudly instead
@@ -98,8 +97,7 @@ def check_thresholds(values) -> np.ndarray:
     return vector.astype(np.int64)
 
 
-def validate_service_knobs(micro_batch: "int | None" = None,
-                           compaction: "int | None" = None) -> None:
+def validate_service_knobs(micro_batch: "int | None" = None) -> None:
     """Reject falsy/invalid cross-layer knobs at a constructor boundary.
 
     Every knob treats ``None`` as "autotune/disable"; explicit values
@@ -107,7 +105,6 @@ def validate_service_knobs(micro_batch: "int | None" = None,
     :class:`~repro.errors.CamConfigError`.
     """
     check_count("micro_batch", micro_batch)
-    check_count("compaction", compaction)
 
 
 def validate_reference_source(segments, *,

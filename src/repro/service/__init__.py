@@ -8,10 +8,9 @@ the thread that feeds it:
 * :class:`MappingSession` (:mod:`repro.service.session`) — the one
   session core: it coalesces reads into autotuned micro-batches, keys
   them by stream offset, runs the batched engine and folds the
-  aggregate report.  Its cost ledger always compacts at
-  :data:`DEFAULT_SERVICE_COMPACTION` live events
-  (:class:`repro.cost.ledger.CostLedger`), so memory stays flat and no
-  service takes a compaction knob;
+  aggregate report.  Its cost ledger
+  (:class:`repro.cost.ledger.CostLedger`) is a running fold that keeps
+  no event, so memory stays flat;
 * :class:`StreamingMappingService` — one standalone session over its
   own reference, whose micro-batches run on the caller's thread before
   ``submit`` returns;
@@ -22,7 +21,7 @@ the thread that feeds it:
   with the same seed and reads, by construction;
 * :class:`ServiceStats` — the observability snapshot (throughput,
   reads in flight, per-strategy pass counts, energy/latency from the
-  compacted ledger views);
+  ledger's running sums);
 * :func:`stream_mapped` — a pull-style generator over a service.
 
 A failed engine call is sticky on its session: later calls raise
@@ -35,11 +34,7 @@ session-isolation contract.
 """
 
 from repro.service.frontend import MappingFrontend
-from repro.service.session import (
-    DEFAULT_SERVICE_COMPACTION,
-    MappingSession,
-    ServiceStats,
-)
+from repro.service.session import MappingSession, ServiceStats
 from repro.service.stream import (
     StreamingMappingService,
     stream_mapped,
@@ -47,7 +42,6 @@ from repro.service.stream import (
 )
 
 __all__ = [
-    "DEFAULT_SERVICE_COMPACTION",
     "MappingFrontend",
     "MappingSession",
     "ServiceStats",

@@ -15,7 +15,7 @@ arrays — serves an entire read workload.  The standalone
 * **many sessions** — :meth:`MappingFrontend.session` opens an
   independent :class:`~repro.service.session.MappingSession`: its own
   seed (keyed noise prefix, HDAC stream), threshold, micro-batch size,
-  compacting cost ledgers and aggregate report, all borrowing the
+  cost ledger and aggregate report, all borrowing the
   shared reference;
 * **no threads of its own** — each session runs its micro-batches on
   the thread that feeds it, exactly as the standalone service does.
@@ -177,8 +177,9 @@ class MappingFrontend:
     @property
     def ledger(self) -> CostLedger:
         """Frontend-level traffic ledger (the
-        :class:`~repro.cost.events.ReferenceLoad` events live here —
-        recorded once per reference, not per session)."""
+        :class:`~repro.cost.events.ReferenceLoad` events fold here —
+        once per reference, not per session; its ``event_counts()``
+        counts them)."""
         return self._ledger
 
     @property
@@ -258,8 +259,9 @@ class MappingFrontend:
 
         Parameters mirror :class:`~repro.service.stream.
         StreamingMappingService`: per-session ``seed`` (determinism
-        key base), ``threshold`` (non-negative, checked here:
-        :class:`~repro.errors.ThresholdError`), ``micro_batch``
+        key base), ``threshold`` (``0..N``, the reference width,
+        checked here: :class:`~repro.errors.ThresholdError`),
+        ``micro_batch``
         (``None`` autotunes — same plan as the standalone service) and
         ``retain_mappings``.  The expensive
         reference state is *not* rebuilt: only per-session

@@ -55,29 +55,17 @@ from repro.cam.array import (
 )
 from repro.core.matcher import AsmCapMatcher
 from repro.core.pipeline import MappingReport, ReadMapping, ReadMappingPipeline
-from repro.cost.views import (
-    SearchStats,
-    fold_ledger_observability,
-    search_stats,
-)
+from repro.cost.views import SearchStats, search_stats
 from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.faults.hooks import fire as _fire_fault
 from repro.genome.reads import ReadRecord
 from repro.knobs import check_integer
 
 __all__ = [
-    "DEFAULT_SERVICE_COMPACTION",
     "MappingSession",
     "ServiceStats",
     "build_pipeline",
 ]
-
-#: The live-event bound of every service ledger (services always
-#: compact): deep enough that a whole micro-batch's passes (2 + 2*NR
-#: events) stay inspectable between folds, shallow enough that memory
-#: is flat.
-DEFAULT_SERVICE_COMPACTION = 64
-
 
 @dataclass(frozen=True)
 class ServiceStats:
@@ -94,25 +82,16 @@ class ServiceStats:
     batches_dispatched / micro_batch:
         Micro-batches completed so far and the configured batch size.
     n_searches:
-        Physical search passes issued (from the ledger views, folded
-        events included).
+        Physical search passes issued (from the ledger's running sums).
     pass_counts:
         Per-strategy pass counts by event class
-        (``EdStarPass`` / ``HdacPass`` / ``TasrRotationPass``),
-        folded passes included.
+        (``EdStarPass`` / ``HdacPass`` / ``TasrRotationPass``).
     total_energy_joules / total_latency_ns:
-        Modelled hardware cost, read from the compacted ledger's
-        ``search_stats`` view — bit-identical to an uncompacted run's.
+        Modelled hardware cost, read from the ledger's
+        ``search_stats`` view.
     wall_seconds / reads_per_second:
         Simulator wall-clock since the first submission and the
         dispatch throughput over it.
-    ledger_events_live / ledger_events_folded /
-    ledger_population_elements:
-        Bounded-memory evidence of the session's compacting ledger:
-        live events, events folded into its checkpoint, and retained
-        mismatch-population elements (the dominant ledger payload).
-    compactions:
-        How many times the ledger has folded.
     """
 
     reads_submitted: int
@@ -127,10 +106,6 @@ class ServiceStats:
     total_latency_ns: float
     wall_seconds: float
     reads_per_second: float
-    ledger_events_live: int
-    ledger_events_folded: int
-    ledger_population_elements: int
-    compactions: int
 
 
 def build_pipeline(reference, error_model, config, *, seed: int,
@@ -141,18 +116,16 @@ def build_pipeline(reference, error_model, config, *, seed: int,
     :class:`~repro.cam.array.StoredReference` the engine borrows with
     zero encode passes, or a segment matrix, encoded here into the
     engine's own array (``CamArray.store``).  The array and the matcher
-    share ``seed``, and the array's ledger compacts at
-    :data:`DEFAULT_SERVICE_COMPACTION`.
+    share ``seed``.
     """
     if isinstance(reference, StoredReference):
         return ReadMappingPipeline(AsmCapMatcher.over_stored(
             reference, error_model, config, domain=domain, noisy=noisy,
-            seed=seed, ledger_compaction=DEFAULT_SERVICE_COMPACTION,
+            seed=seed,
         ))
     reference = as_segments_matrix(reference)
     array = CamArray(rows=reference.shape[0], cols=reference.shape[1],
-                     domain=domain, noisy=noisy, seed=seed,
-                     ledger_compaction=DEFAULT_SERVICE_COMPACTION)
+                     domain=domain, noisy=noisy, seed=seed)
     array.store(reference)
     return ReadMappingPipeline(
         AsmCapMatcher(array, error_model, config, seed=seed)
@@ -177,11 +150,12 @@ class MappingSession:
                  micro_batch: "int | None", retain_mappings: bool, *,
                  index: int = 0, label: str = "the streaming service"):
         threshold = check_integer("threshold", threshold, ThresholdError)
-        if threshold < 0:
-            raise ThresholdError(
-                f"threshold must be non-negative, got {threshold}"
-            )
         stored = pipeline.matcher.array.stored
+        if not 0 <= threshold <= stored.cols:
+            raise ThresholdError(
+                f"threshold must be in 0..{stored.cols} (the reference "
+                f"width), got {threshold}"
+            )
         if micro_batch is None:
             micro_batch = plan_microbatch(stored.n_segments, stored.cols)
         self._label = label
@@ -439,8 +413,8 @@ class MappingSession:
     # -- observability ------------------------------------------------------
 
     def merged_stats(self) -> SearchStats:
-        """Whole-session search counters (exact under compaction),
-        from the engine's own fold."""
+        """Whole-session search counters, from the engine's own
+        ledger fold."""
         with self._dispatch_mutex:
             return search_stats(self._pipeline.ledger)
 
@@ -451,8 +425,7 @@ class MappingSession:
         # the session lock (freezes the counters) — as dispatches do.
         with self._dispatch_mutex:
             stats = search_stats(self._pipeline.ledger)
-            (pass_counts, events_live, events_folded, population,
-             compactions) = fold_ledger_observability(self._pipeline.ledger)
+            pass_counts = self._pipeline.ledger.pass_counts()
             with self._lock:
                 wall = (0.0 if self._started_at is None
                         else time.perf_counter() - self._started_at)
@@ -470,10 +443,6 @@ class MappingSession:
                     wall_seconds=wall,
                     reads_per_second=(self._n_dispatched / wall
                                       if wall > 0.0 else 0.0),
-                    ledger_events_live=events_live,
-                    ledger_events_folded=events_folded,
-                    ledger_population_elements=population,
-                    compactions=compactions,
                 )
 
     # -- internals ----------------------------------------------------------

@@ -15,11 +15,10 @@ reference, run on the caller's own thread.
   returns, through
   :meth:`~repro.core.pipeline.ReadMappingPipeline.run_batched` with its
   global read offset as the determinism key base;
-* **bounded memory** — the array's cost ledger always compacts
-  (:class:`repro.cost.ledger.CostLedger`, bound
-  :data:`DEFAULT_SERVICE_COMPACTION`): its events fold into one exact
-  checkpoint, so the retained event count plateaus instead of growing
-  linearly with the stream;
+* **flat memory** — the array's cost ledger
+  (:class:`repro.cost.ledger.CostLedger`) folds each pass into its
+  running sums as it is recorded and keeps no event, so the ledger
+  does not grow with the stream;
 * **observe** — :meth:`~repro.service.session.MappingSession.stats`
   snapshots a :class:`~repro.service.session.ServiceStats`;
 * **drain / close** — ``flush`` runs a partial micro-batch, ``drain``
@@ -39,7 +38,7 @@ with the same seed — per-read decisions, per-read costs and the
 aggregate report — for *any* micro-batch boundaries.
 ``tests/service/test_service.py`` asserts this over randomized
 boundaries, and at soak scale (100k reads, slow lane) while checking
-that the compacted ledger stays flat.
+that no recorded pass outlives its micro-batch.
 """
 
 from __future__ import annotations
@@ -55,15 +54,9 @@ from repro.core.pipeline import MappingReport, ReadMapping
 from repro.genome.edits import ErrorModel
 from repro.genome.reads import ReadRecord
 from repro.knobs import validate_reference_source, validate_service_knobs
-from repro.service.session import (
-    DEFAULT_SERVICE_COMPACTION,
-    MappingSession,
-    ServiceStats,
-    build_pipeline,
-)
+from repro.service.session import MappingSession, ServiceStats, build_pipeline
 
 __all__ = [
-    "DEFAULT_SERVICE_COMPACTION",
     "ServiceStats",
     "StreamingMappingService",
     "stream_mapped",
@@ -93,9 +86,10 @@ class StreamingMappingService(MappingSession):
     error_model:
         Workload error rates driving the HDAC/TASR policies.
     threshold:
-        The matching threshold ``T`` applied to every read; a negative
-        one raises :class:`~repro.errors.ThresholdError` here, before
-        any read is accepted.
+        The matching threshold ``T`` applied to every read; one outside
+        ``0..N`` (the reference width) raises
+        :class:`~repro.errors.ThresholdError` here, before any read is
+        accepted.
     config:
         Strategy configuration (default: the paper's full setting).
     micro_batch:

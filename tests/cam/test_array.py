@@ -14,7 +14,7 @@ from repro.distance.ed_star import ed_star_batch
 from repro.errors import CamConfigError, ThresholdError
 from repro.kernels import EncodedReference, encode_reference
 from repro.kernels.base import _fallback_counts
-from oracles import search_passes
+from oracles import record_events
 
 
 def search_one(array, read, threshold, mode=MatchMode.ED_STAR, **kwargs):
@@ -50,8 +50,21 @@ def current_array(stored_segments):
 
 class TestConfiguration:
     def test_invalid_domain(self):
-        with pytest.raises(CamConfigError):
-            CamArray(domain="optical")
+        """An unknown domain, and analog knobs no array has: a
+        non-positive or non-finite supply matches every row, a NaN
+        variation fails deep in the current domain, and a negative
+        one would be taken as its magnitude."""
+        for knobs in ({"domain": "optical"}, {"vdd": 0.0},
+                      {"vdd": -1.2}, {"vdd": float("inf")},
+                      {"vdd": float("nan")}, {"vdd": "1.2"},
+                      {"sigma_rel": float("nan")},
+                      {"sigma_rel": float("inf")},
+                      {"sigma_rel": -0.014},
+                      {"domain": "current", "sigma_rel": float("nan")}):
+            with pytest.raises(CamConfigError):
+                CamArray(rows=8, cols=32, **knobs)
+        assert CamArray(rows=8, cols=32, sigma_rel=0.0).variation \
+            .sigma_rel == 0.0
 
     def test_search_times_match_table1(self):
         assert CamArray(rows=4, cols=4, domain="charge").search_time_ns == 0.9
@@ -226,7 +239,7 @@ class TestBatchSearch:
                            np.array([4])):
             with pytest.raises(ThresholdError, match="search_sweep"):
                 charge_array.search_batch(reads, thresholds)
-        assert not search_passes(charge_array.ledger)
+        assert not charge_array.ledger.pass_counts()
         sweep = charge_array.search_sweep(reads, np.array([0, 4, 16, 32]))
         for t, threshold in enumerate((0, 4, 16, 32)):
             assert np.array_equal(
@@ -405,8 +418,8 @@ class TestStoredReference:
         b = CamArray(domain="charge", noisy=True, seed=2, stored=ref)
         read = rng.integers(0, 4, (1, 32)).astype(np.uint8)
         ra = a.search_batch(read, 4, noise_keys=[(0, 0)])
-        assert len(a.ledger) == 1
-        assert len(b.ledger) == 0  # ledgers are per-array, not shared
+        assert a.ledger.pass_counts() == {"EdStarPass": 1}
+        assert not b.ledger.pass_counts()  # ledgers are per-array
         rb = b.search_batch(read, 4, noise_keys=[(0, 0)])
         # Different seeds -> different keyed noise over the same counts.
         assert np.array_equal(ra.mismatch_counts, rb.mismatch_counts)
@@ -427,6 +440,7 @@ class TestStoreSequence:
     def test_latest_store_is_what_is_searched(self, seed, sizes):
         rng = np.random.default_rng(seed)
         array = CamArray(rows=self.ROWS, cols=self.COLS, noisy=False)
+        recorded = record_events(array.ledger)
         queries = rng.integers(0, 4, (3, self.COLS)).astype(np.uint8)
         for n_rows in sizes:
             segments = rng.integers(0, 4, (n_rows, self.COLS)).astype(
@@ -440,7 +454,7 @@ class TestStoreSequence:
                     array.mismatch_counts_batch(queries, mode), expected)
             assert array.search_batch(queries, 2).matches.shape == (
                 3, n_rows)
-            loads = [e for e in array.ledger.events if isinstance(e, ReferenceLoad)]
+            loads = [e for e in recorded if isinstance(e, ReferenceLoad)]
             assert loads[-1].n_segments == n_rows
         assert len(loads) == len(sizes)
 
@@ -450,6 +464,6 @@ class TestStoreSequence:
             array.store(rng.integers(0, 4, (self.ROWS + 1, self.COLS)))
         with pytest.raises(CamConfigError, match="does not fit"):
             array.store(rng.integers(0, 4, (2, self.COLS + 1)))
-        assert array.stored is None and len(array.ledger) == 0
+        assert array.stored is None and not array.ledger.event_counts()
         with pytest.raises(CamConfigError, match="empty array"):
             array.search_batch(np.zeros((1, self.COLS), dtype=np.uint8), 2)

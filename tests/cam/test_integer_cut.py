@@ -37,7 +37,7 @@ from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.cost import views
 from repro.errors import CamConfigError
 from repro.genome.datasets import build_dataset
-from oracles import search_passes
+from oracles import record_events, search_passes
 
 N_CELLS = (1, 2, 31, 64, 256)
 
@@ -226,6 +226,7 @@ class TestStackedFlow:
         reads = np.stack([r.read.codes for r in dataset.reads])
         keys = np.arange(50, 70)
         stacked = _matcher(dataset, config)
+        recorded = record_events(stacked.array.ledger)
         calls = []
         search_batch = CamArray.search_batch
 
@@ -238,7 +239,7 @@ class TestStackedFlow:
         monkeypatch.undo()
         assert len(calls) == 1 and len(calls[0]) == n_passes
 
-        events = search_passes(stacked.array.ledger)
+        events = search_passes(recorded)
         assert len(events) == n_passes
         for event in events:
             seeded = event.__dict__["_energy_per_query"]
@@ -246,13 +247,14 @@ class TestStackedFlow:
                 seeded, views.search_pass_energy_per_query(event))
 
         reference = _matcher(dataset, config, _PassByPassArray)
+        reference_events = record_events(reference.array.ledger)
         want = reference.match_batch(reads, threshold, query_keys=keys)
         assert np.array_equal(got.decisions, want.decisions)
         assert np.array_equal(got.energy_joules, want.energy_joules)
         assert np.array_equal(got.latency_ns, want.latency_ns)
         assert np.array_equal(got.n_searches, want.n_searches)
         for ours, theirs in zip(events,
-                                search_passes(reference.array.ledger),
+                                search_passes(reference_events),
                                 strict=True):
             assert type(ours) is type(theirs)
             assert getattr(ours, "rotation", 0) \
@@ -276,4 +278,4 @@ class TestStackedFlow:
             with pytest.raises(CamConfigError, match="per rotation"):
                 array.search_batch(reads, 8, mode, noise_keys=noise_keys,
                                    rotation=(0, 1))
-        assert not search_passes(array.ledger)
+        assert not array.ledger.pass_counts()

@@ -25,6 +25,7 @@ from repro.cam.cell import MatchMode
 from repro.cam.variation import CurrentDomainVariation
 from repro.core.matcher import AsmCapMatcher
 from repro.genome.datasets import build_dataset
+from oracles import events_equal, record_events
 
 N_CELLS = (32, 64, 128, 256, 512)
 
@@ -36,21 +37,6 @@ class _DenseArray(CamArray):
         return self.sense_amp.decide_sweep(
             self._keyed_voltages(counts, noise_keys), thresholds[:, None],
             self.cols)
-
-
-def _events_equal(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if type(x) is not type(y):
-            return False
-        for f in dataclasses.fields(x):
-            u, v = getattr(x, f.name), getattr(y, f.name)
-            same = (np.array_equal(u, v) if isinstance(u, np.ndarray)
-                    else u == v)
-            if not same:
-                return False
-    return True
 
 
 @st.composite
@@ -119,6 +105,7 @@ def _search(array, sweep, queries, thresholds, counts):
 def test_pruned_pass_equals_dense_pass(case):
     n_cells, config, variation, sweep, thresholds, counts = case
     pruned, dense = _arrays(n_cells, config, variation, counts.shape[1])
+    recorded = [record_events(array.ledger) for array in (pruned, dense)]
     queries = np.zeros((counts.shape[0], n_cells), dtype=np.uint8)
     got = _search(pruned, sweep, queries, thresholds, counts)
     want = _search(dense, sweep, queries, thresholds, counts)
@@ -127,7 +114,7 @@ def test_pruned_pass_equals_dense_pass(case):
     assert np.array_equal(got.matches, oracle if sweep else oracle[0])
     assert np.array_equal(got.matches, want.matches)
     assert np.array_equal(got.v_ml, want.v_ml)
-    assert _events_equal(pruned.ledger.events, dense.ledger.events)
+    assert events_equal(*recorded)
 
 
 @pytest.mark.parametrize("domain", ["charge", "current"])
@@ -185,9 +172,11 @@ def test_matcher_flows_match_the_unpruned_reference(condition):
     runs = []
     for cls in (CamArray, _DenseArray):
         asm_array = cls(rows=16, cols=64, seed=4)
+        asm_events = record_events(asm_array.ledger)
         asm_array.store(dataset.segments)
         asm = AsmCapMatcher(asm_array, dataset.model, seed=5)
         edam_array = cls(rows=16, cols=64, domain="current", seed=6)
+        edam_events = record_events(edam_array.ledger)
         edam = EdamMatcher(edam_array, enable_sr=True)
         edam.store(dataset.segments)
         runs.append((
@@ -195,13 +184,13 @@ def test_matcher_flows_match_the_unpruned_reference(condition):
             np.stack([asm.match_batch(reads, t).decisions
                       for t in thresholds.tolist()]),
             edam.match_sweep(reads, thresholds),
-            asm_array.ledger.events, edam_array.ledger.events,
+            asm_events, edam_events,
         ))
     (*got, got_asm, got_edam), (*want, want_asm, want_edam) = runs
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
-    assert _events_equal(got_asm, want_asm)
-    assert _events_equal(got_edam, want_edam)
+    assert events_equal(got_asm, want_asm)
+    assert events_equal(got_edam, want_edam)
 
 
 def test_replace_keeps_lazy_voltages():

@@ -11,7 +11,6 @@ from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.errors import CamConfigError, ThresholdError
 from repro.genome.datasets import build_dataset
 from repro.genome.edits import ErrorModel
-from oracles import search_passes
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +223,7 @@ class TestBatchMatching:
         thresholds = np.array([1, 30, 2, 25])
         with pytest.raises(ThresholdError, match="match_sweep"):
             matcher.match_batch(reads, thresholds)
-        assert not search_passes(matcher.array.ledger)
+        assert not matcher.array.ledger.pass_counts()
         sweep = matcher.match_sweep(reads, thresholds)
         assert sweep.hdac_mask.tolist() == [True, False, True, False]
         for t, threshold in enumerate(thresholds.tolist()):

@@ -14,8 +14,6 @@ SR.  A batch takes one threshold: a per-read vector is refused.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,7 @@ from repro.core.matcher import (
 from repro.core.tasr import rotation_offsets
 from repro.errors import ThresholdError
 from repro.genome.datasets import build_dataset
-from oracles import search_passes
+from oracles import events_equal, record_events
 
 N_READS, READ_LENGTH, N_SEGMENTS = 24, 256, 32
 KEYS = np.arange(100, 100 + N_READS, dtype=np.int64)
@@ -61,21 +59,6 @@ def _edam(dataset) -> EdamMatcher:
                           enable_sr=True, seed=9)
     matcher.store(dataset.segments)
     return matcher
-
-
-def _events_equal(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if type(x) is not type(y):
-            return False
-        for f in dataclasses.fields(x):
-            u, v = getattr(x, f.name), getattr(y, f.name)
-            same = (np.array_equal(u, v) if isinstance(u, np.ndarray)
-                    else u == v)
-            if not same:
-                return False
-    return True
 
 
 def _search(array, sweep, queries, thresholds, mode, keys, tag, rotation):
@@ -126,6 +109,8 @@ def _per_pass_flow(matcher: AsmCapMatcher, reads, thresholds, sweep):
 
 def _assert_flow_equal(dataset, thresholds, sweep, config=None):
     fused, reference = _matcher(dataset, config), _matcher(dataset, config)
+    recorded = [record_events(matcher.array.ledger)
+                for matcher in (fused, reference)]
     reads = _reads(dataset)
     if sweep:
         outcome = fused.match_sweep(reads, thresholds, query_keys=KEYS)
@@ -140,8 +125,7 @@ def _assert_flow_equal(dataset, thresholds, sweep, config=None):
     assert np.array_equal(outcome.n_searches, n_searches)
     assert np.array_equal(outcome.energy_joules, energy)
     assert np.array_equal(outcome.latency_ns, latency)
-    assert _events_equal(fused.array.ledger.events,
-                         reference.array.ledger.events)
+    assert events_equal(*recorded)
     return fused, outcome
 
 
@@ -159,7 +143,7 @@ class TestAsmCapFlow:
         assert outcome.tasr_mask.any() and not outcome.tasr_mask.all()
         # One base pass plus 2 * NR rotations; HDAC is inert in B.
         nr = fused.config.tasr_nr
-        assert len(search_passes(fused.array.ledger)) == 1 + 2 * nr
+        assert sum(fused.array.ledger.pass_counts().values()) == 1 + 2 * nr
 
     def test_batch_threshold_vector_names_match_sweep(self):
         """Per-read thresholds straddling ``Tl`` are a sweep's job: the
@@ -169,12 +153,12 @@ class TestAsmCapFlow:
         with pytest.raises(ThresholdError, match="match_sweep"):
             matcher.match_batch(_reads(dataset), _straddling(2, 16),
                                 query_keys=KEYS)
-        assert not search_passes(matcher.array.ledger)
+        assert not matcher.array.ledger.pass_counts()
 
     def test_batch_below_tl_issues_no_rotation(self):
         fused, outcome = _assert_flow_equal(_dataset("B"), 4, sweep=False)
         assert outcome.tasr_lower_bound > 4 and not outcome.tasr_mask.any()
-        assert len(search_passes(fused.array.ledger)) == 1
+        assert sum(fused.array.ledger.pass_counts().values()) == 1
 
     def test_batch_every_read_above_tl(self):
         fused, outcome = _assert_flow_equal(_dataset("B"), 8, sweep=False)
@@ -232,18 +216,21 @@ class TestEdamSequenceRotation:
         dataset = _dataset("B")
         reads, thresholds = _reads(dataset), list(range(2, 17, 2))
         fused, reference = _edam(dataset), _edam(dataset)
+        recorded = [record_events(matcher.array.ledger)
+                    for matcher in (fused, reference)]
         decisions = fused.match_sweep(reads, thresholds, query_keys=KEYS)
         results = self._reference(reference, reads, thresholds, sweep=True)
         assert np.array_equal(
             decisions, np.logical_or.reduce([r.matches for r in results]))
-        assert len(search_passes(fused.array.ledger)) == 1 + 2 * 2
-        assert _events_equal(fused.array.ledger.events,
-                             reference.array.ledger.events)
+        assert sum(fused.array.ledger.pass_counts().values()) == 1 + 2 * 2
+        assert events_equal(*recorded)
 
     def test_match_equals_per_pass(self):
         dataset = _dataset("B")
         read = _reads(dataset)[3]
         fused, reference = _edam(dataset), _edam(dataset)
+        recorded = [record_events(matcher.array.ledger)
+                    for matcher in (fused, reference)]
         outcome = fused.match(read, 8, query_key=int(KEYS[0]))
         results = self._reference(reference, read[None, :], 8, sweep=False)
         assert np.array_equal(
@@ -252,5 +239,4 @@ class TestEdamSequenceRotation:
         assert outcome.n_searches == len(results)
         assert outcome.energy_joules == sum(
             float(r.energy_per_query_joules[0]) for r in results)
-        assert _events_equal(fused.array.ledger.events,
-                             reference.array.ledger.events)
+        assert events_equal(*recorded)

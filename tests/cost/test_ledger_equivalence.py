@@ -1,7 +1,7 @@
 """Ledger-equivalence property tests.
 
 The acceptance contract of the cost-ledger refactor: energies and
-latencies **derived from the ledger events** are bit-identical to the
+latencies **derived from the recorded ledger events** are bit-identical to the
 seed's float accumulation on every execution path — scalar, batched,
 sweep and the batched read-mapping report — under a fixed seed, for both array modes and both
 error conditions.  Every comparison below is exact (``==`` /
@@ -21,8 +21,7 @@ from repro.cam.energy import search_energy_per_row
 from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.core.pipeline import ReadMappingPipeline
 from repro.cost.events import EdStarPass, SearchPassEvent, TasrRotationPass
-from repro.cost.ledger import CostLedger
-from oracles import search_passes
+from oracles import record_events, search_passes
 
 
 def _dataset_reads(dataset):
@@ -86,10 +85,11 @@ class TestArrayPathIdentity:
         array = CamArray(rows=10, cols=20, domain=domain, noisy=True,
                          seed=9)
         array.store(rng.integers(0, 4, (10, 20)).astype(np.uint8))
+        recorded = record_events(array.ledger)
         queries = rng.integers(0, 4, (5, 20)).astype(np.uint8)
         array.search_batch(queries, 4, mode)
         array.search_batch(queries[:1], 4, mode)
-        for event in search_passes(array.ledger):
+        for event in search_passes(recorded):
             assert np.array_equal(event.energy_per_query_joules,
                                   _seed_pass_energy(event))
 
@@ -102,10 +102,10 @@ def _make_matcher(dataset, seed=0, config=None):
                          seed=seed + 1)
 
 
-def _scalar_groups(ledger: CostLedger):
-    """Split a scalar run's ledger into one event group per match()."""
+def _scalar_groups(recorded):
+    """Split a scalar run's recorded events into one group per match()."""
     groups: list[list[SearchPassEvent]] = []
-    for event in search_passes(ledger):
+    for event in search_passes(recorded):
         if isinstance(event, EdStarPass) and not isinstance(
                 event, TasrRotationPass):
             groups.append([event])
@@ -127,10 +127,11 @@ class TestMatcherPathReconstruction:
                    else small_dataset_b)
         threshold = CONDITION_THRESHOLD[condition]
         matcher = _make_matcher(dataset)
+        recorded = record_events(matcher.array.ledger)
         reads = _dataset_reads(dataset)
         outcomes = [matcher.match(read, threshold, query_key=i)
                     for i, read in enumerate(reads)]
-        groups = _scalar_groups(matcher.array.ledger)
+        groups = _scalar_groups(recorded)
         assert len(groups) == len(outcomes)
         for outcome, group in zip(outcomes, groups, strict=True):
             energy = 0.0
@@ -149,13 +150,14 @@ class TestMatcherPathReconstruction:
                    else small_dataset_b)
         threshold = CONDITION_THRESHOLD[condition]
         matcher = _make_matcher(dataset)
+        recorded = record_events(matcher.array.ledger)
         reads = _dataset_reads(dataset)
         outcome = matcher.match_batch(reads, threshold)
         n = reads.shape[0]
         energy = np.zeros(n)
         latency = np.zeros(n)
         searches = np.zeros(n, dtype=int)
-        for event in search_passes(matcher.array.ledger):
+        for event in search_passes(recorded):
             positions = event.query_keys[:, 0]
             energy[positions] += event.energy_per_query_joules
             latency[positions] += event.search_time_ns
@@ -171,13 +173,14 @@ class TestMatcherPathReconstruction:
                    else small_dataset_b)
         thresholds = np.arange(1, 9)
         matcher = _make_matcher(dataset)
+        recorded = record_events(matcher.array.ledger)
         reads = _dataset_reads(dataset)
         outcome = matcher.match_sweep(reads, thresholds)
         n_thresholds, n_queries = outcome.energy_joules.shape
         energy = np.zeros((n_thresholds, n_queries))
         latency = np.zeros((n_thresholds, n_queries))
         searches = np.zeros((n_thresholds, n_queries), dtype=int)
-        for event in search_passes(matcher.array.ledger):
+        for event in search_passes(recorded):
             covered = np.isin(thresholds, event.thresholds)
             energy[covered] += event.energy_per_query_joules
             latency[covered] += event.search_time_ns
@@ -198,13 +201,14 @@ class TestMatcherPathReconstruction:
                    else small_dataset_b)
         threshold = CONDITION_THRESHOLD[condition]
         pipeline = ReadMappingPipeline(_make_matcher(dataset))
+        recorded = record_events(pipeline.ledger)
         reads = _dataset_reads(dataset)
         report = pipeline.run_batched(reads, threshold)
         n = reads.shape[0]
-        # Per-query totals from the array's ledger, in pass order.
+        # Per-query totals from the recorded passes, in pass order.
         energy = np.zeros(n)
         latency = np.zeros(n)
-        for event in search_passes(pipeline.ledger):
+        for event in search_passes(recorded):
             positions = event.query_keys[:, 0]
             energy[positions] += event.energy_per_query_joules
             latency[positions] += event.search_time_ns

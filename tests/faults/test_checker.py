@@ -102,7 +102,7 @@ class TestEndToEnd:
 
     def test_compacted_stream_poison_surfaces(self, checker,
                                               poison_plan):
-        # Every service compacts; this stream serves a stored reference.
+        # This stream serves a stored reference.
         verdict = checker.check(
             get_scenario("store-batched-gemm"),
             poison_plan)

@@ -55,7 +55,7 @@ class TestRegistry:
     def test_validate_service_knobs_backend(self):
         """The knob gate takes no kernel choice: a stale ``backend=``
         fails loudly instead of being ignored."""
-        validate_service_knobs(micro_batch=4, compaction=8)
+        validate_service_knobs(micro_batch=4)
         with pytest.raises(TypeError):
             validate_service_knobs(backend="numpy-gemm")
 

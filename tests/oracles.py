@@ -2,19 +2,26 @@
 
 Each one is the plain, unvectorised statement of something the library
 computes faster; none is on a library path, so they live here and not
-under ``src/``.  ``search_passes`` is the one plain test helper: a
-ledger filter several suites share.  Import them as ``from oracles
-import ...`` (pytest puts ``tests/`` on ``sys.path`` through its root
-``conftest.py``).
+under ``src/``.  ``fold_events`` is the ledger's running fold stated
+over a whole event list.  ``record_events`` (a spy collecting what a
+ledger records), ``watch_count_blocks`` (its weak twin),
+``search_passes`` (a filter over what was collected) and
+``events_equal`` are the plain test helpers several suites share.
+Import them as ``from oracles import ...`` (pytest puts ``tests/`` on
+``sys.path`` through its root ``conftest.py``).
 """
 
 from __future__ import annotations
+
+import dataclasses
+import weakref
 
 import numpy as np
 
 from repro.cam.cell import MatchMode
 from repro.cam.keyed_noise import uniforms
-from repro.cost.events import SearchPassEvent
+from repro.cost.events import LedgerEvent, SearchPassEvent, TasrRotationPass
+from repro.cost.views import SearchStats
 from repro.genome.sequence import DnaSequence
 
 #: Searchline value for a missing neighbour at a row edge; no stored
@@ -79,7 +86,70 @@ def dense_keyed_selection(ed: np.ndarray, hd: np.ndarray, p: np.ndarray,
     return disagree & (uniforms(states, ordinal) < p)
 
 
-def search_passes(ledger) -> "tuple[SearchPassEvent, ...]":
-    """A ledger's live (unfolded) search-pass events, oldest first."""
-    return tuple(event for event in ledger.events
+def record_events(ledger) -> "list[LedgerEvent]":
+    """A spy on one ledger: the returned list collects every event the
+    ledger records from now on, oldest first.  The ledger itself keeps
+    no event, so tests that inspect events install this first."""
+    recorded: "list[LedgerEvent]" = []
+    fold = ledger.record
+
+    def record(event: LedgerEvent) -> None:
+        recorded.append(event)
+        fold(event)
+
+    ledger.record = record
+    return recorded
+
+
+def watch_count_blocks(ledger) -> "list[weakref.ref]":
+    """A weak spy on one ledger: the returned list gains a weak
+    reference to the count block of every search pass the ledger
+    records from now on, and keeps none of them alive."""
+    watched: "list[weakref.ref]" = []
+    fold = ledger.record
+
+    def record(event: LedgerEvent) -> None:
+        if isinstance(event, SearchPassEvent):
+            watched.append(weakref.ref(event.mismatch_counts))
+        fold(event)
+
+    ledger.record = record
+    return watched
+
+
+def fold_events(events) -> SearchStats:
+    """Cumulative counters over a recorded event sequence, one event at
+    a time in order: the plain statement of the ledger's running fold."""
+    stats = SearchStats()
+    for event in events:
+        if not isinstance(event, SearchPassEvent):
+            continue
+        stats.n_searches += event.n_queries
+        if isinstance(event, TasrRotationPass):
+            stats.n_rotation_cycles += event.shift_cycles
+        stats.total_energy_joules += event.energy_joules
+        stats.total_latency_ns += event.latency_ns
+    return stats
+
+
+def events_equal(a, b) -> bool:
+    """Two recorded event sequences hold the same event types with
+    ``==`` fields, arrays compared element-wise."""
+    if len(a) != len(b):
+        return False
+    for x, y in zip(a, b):
+        if type(x) is not type(y):
+            return False
+        for f in dataclasses.fields(x):
+            u, v = getattr(x, f.name), getattr(y, f.name)
+            same = (np.array_equal(u, v) if isinstance(u, np.ndarray)
+                    else u == v)
+            if not same:
+                return False
+    return True
+
+
+def search_passes(events) -> "tuple[SearchPassEvent, ...]":
+    """The search-pass events of a recorded sequence, oldest first."""
+    return tuple(event for event in events
                  if isinstance(event, SearchPassEvent))

@@ -5,8 +5,9 @@ micro-batch boundaries, any mix of ``submit`` / ``submit_many`` /
 ``flush`` calls — is **bit-identical** to one one-shot
 ``run_batched`` execution over the same reads with the same seed:
 per-read decisions, per-read costs, and the
-aggregate report.  The service always compacts its ledger, and that
-must not perturb any of it.
+aggregate report.  The service's ledger folds every pass as it is
+recorded and keeps none: its counters equal the one-shot twin's, and
+no recorded count block outlives its micro-batch.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ from repro.core.pipeline import MappingReport, ReadMappingPipeline
 from repro.cost.views import search_stats
 from repro.errors import CamConfigError, ServiceError, ThresholdError
 from repro.genome.datasets import build_dataset
-from repro.service import (
-    DEFAULT_SERVICE_COMPACTION,
-    StreamingMappingService,
-    stream_mapped,
-)
-from oracles import search_passes
+from repro.service import StreamingMappingService, stream_mapped
+from oracles import watch_count_blocks
 
 THRESHOLD = 3
 
@@ -38,7 +35,7 @@ def _reads(dataset) -> np.ndarray:
 
 
 def _pipeline(dataset, seed=0) -> ReadMappingPipeline:
-    """The one-shot engine: the service's, with an append-only ledger."""
+    """The one-shot engine, built as the service builds its own."""
     array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
                      domain="charge", noisy=True, seed=seed)
     array.store(dataset.segments)
@@ -52,10 +49,10 @@ def _one_shot_batched(dataset, reads, seed=0,
     return _pipeline(dataset, seed).run_batched(reads, threshold)
 
 
-def _append_only_stream(dataset, reads, micro_batch, seed=0,
-                        threshold=THRESHOLD) -> ReadMappingPipeline:
-    """The service's micro-batches run one by one on an append-only
-    ledger: the uncompacted twin of a streamed session's ledger."""
+def _micro_batch_twin(dataset, reads, micro_batch, seed=0,
+                     threshold=THRESHOLD) -> ReadMappingPipeline:
+    """The service's micro-batches run one by one on a one-shot
+    pipeline: the twin of a streamed session's ledger."""
     pipeline = _pipeline(dataset, seed)
     for begin in range(0, reads.shape[0], micro_batch):
         pipeline.run_batched(reads[begin:begin + micro_batch], threshold,
@@ -129,8 +126,9 @@ class TestStreamedBitIdentity:
         _assert_reports_identical(one_by_one.close(), bulk.close())
 
     def test_compaction_does_not_perturb_results(self, small_dataset_a):
-        # One read per micro-batch, three passes over the reads: enough
-        # ledger events for the service bound to fold.
+        # One read per micro-batch, three passes over the reads: the
+        # ledger folds every pass as it is recorded, and its counters
+        # equal the one-shot twin's.
         reads = np.concatenate([_reads(small_dataset_a)] * 3)
         service = StreamingMappingService(
             small_dataset_a.segments, small_dataset_a.model,
@@ -139,10 +137,9 @@ class TestStreamedBitIdentity:
         service.submit_many(reads)
         _assert_reports_identical(service.close(),
                                   _one_shot_batched(small_dataset_a, reads))
-        plain = _append_only_stream(small_dataset_a, reads, micro_batch=1)
-        assert service.merged_stats() == search_stats(plain.ledger)
-        assert service.stats().pass_counts == plain.ledger.pass_counts()
-        assert service.stats().compactions > 0
+        twin = _micro_batch_twin(small_dataset_a, reads, micro_batch=1)
+        assert service.merged_stats() == search_stats(twin.ledger)
+        assert service.stats().pass_counts == twin.ledger.pass_counts()
 
 
 @pytest.mark.slow
@@ -152,66 +149,35 @@ class TestStreamSoak:
 
     N_READS = 100_000
     MICRO_BATCH = 512
-    SAMPLE_EVERY = 16  # micro-batches between ledger samples
 
-    def _batches(self, reads):
-        return enumerate(range(0, reads.shape[0], self.MICRO_BATCH))
-
-    def _stream(self, dataset, reads):
-        """One streamed pass: ``(service, report, live-event samples)``."""
+    def test_no_pass_outlives_its_batch_and_report_matches_one_shot(self):
+        dataset = build_dataset("B", n_reads=self.N_READS, read_length=96,
+                                n_segments=32, seed=0)
+        reads = _reads(dataset)
         service = StreamingMappingService(
             dataset.segments, dataset.model, threshold=6,
             micro_batch=self.MICRO_BATCH, seed=0,
         )
-        live = []
-        for batch, begin in self._batches(reads):
+        watched = watch_count_blocks(service.pipeline.ledger)
+        for begin in range(0, reads.shape[0], self.MICRO_BATCH):
             service.submit_many(reads[begin:begin + self.MICRO_BATCH])
-            if (batch + 1) % self.SAMPLE_EVERY == 0:
-                live.append(service.stats().ledger_events_live)
+            # Flat memory: the ledger kept none of a full batch's
+            # passes (the last, partial batch runs at close).
+            assert watched or begin + self.MICRO_BATCH > reads.shape[0]
+            assert all(block() is None for block in watched)
+            watched.clear()
         report = service.close()
-        live.append(service.stats().ledger_events_live)
-        return service, report, live
+        assert watched
+        assert all(block() is None for block in watched)
 
-    def _append_only(self, dataset, reads):
-        """The same micro-batches on an append-only ledger:
-        ``(pipeline, live-event samples)``."""
-        pipeline = _pipeline(dataset)
-        live = []
-        for batch, begin in self._batches(reads):
-            pipeline.run_batched(reads[begin:begin + self.MICRO_BATCH], 6,
-                                 first_read_index=begin)
-            if (batch + 1) % self.SAMPLE_EVERY == 0:
-                live.append(len(pipeline.ledger))
-        live.append(len(pipeline.ledger))
-        return pipeline, live
-
-    def test_compacted_ledger_plateaus_and_report_matches_one_shot(self):
-        dataset = build_dataset("B", n_reads=self.N_READS, read_length=96,
-                                n_segments=32, seed=0)
-        reads = _reads(dataset)
-        compacted, compacted_report, compacted_live = self._stream(
-            dataset, reads)
-        plain, plain_live = self._append_only(dataset, reads)
-
-        # Bounded memory: the compacted ledger never holds more than
-        # its bound plus the checkpoint and one unfolded micro-batch
-        # of passes, while the append-only ledger grows with the feed.
-        passes_per_batch = -(-plain_live[-1]
-                             // compacted.stats().batches_dispatched)
-        peak = max(compacted_live)
-        assert peak <= DEFAULT_SERVICE_COMPACTION + 1 \
-            + passes_per_batch + 1
-        assert plain_live[-1] >= 2 * peak
-        assert plain_live[-1] >= 1.5 * plain_live[len(plain_live) // 2 - 1]
-        assert compacted.stats().compactions > 0
-
-        # Determinism: the stream == the one-shot run, and the
-        # compacted views == the append-only views.
+        # Determinism: the stream == the one-shot run, and its
+        # counters == the micro-batch twin's.
         reference = _one_shot_batched(dataset, reads, threshold=6)
-        _assert_reports_identical(compacted_report, reference)
-        assert compacted.merged_stats() == search_stats(plain.ledger)
-        assert (compacted.stats().pass_counts
-                == plain.ledger.pass_counts())
+        _assert_reports_identical(report, reference)
+        twin = _micro_batch_twin(dataset, reads, self.MICRO_BATCH,
+                                 threshold=6)
+        assert service.merged_stats() == search_stats(twin.ledger)
+        assert service.stats().pass_counts == twin.ledger.pass_counts()
 
 
 class TestLifecycle:
@@ -341,7 +307,6 @@ class TestLifecycle:
 
 class TestObservability:
     def test_stats_snapshot(self, small_dataset_a):
-        # Enough one-read micro-batches for the service bound to fold.
         reads = np.concatenate([_reads(small_dataset_a)] * 3)
         service = StreamingMappingService(
             small_dataset_a.segments, small_dataset_a.model,
@@ -359,16 +324,6 @@ class TestObservability:
         assert snap.total_energy_joules > 0.0
         assert snap.wall_seconds > 0.0
         assert snap.reads_per_second > 0.0
-        assert snap.compactions > 0
-        assert snap.ledger_events_folded > 0
-
-    def test_default_compaction_is_on(self, small_dataset_a):
-        service = StreamingMappingService(
-            small_dataset_a.segments, small_dataset_a.model,
-            threshold=THRESHOLD, seed=0,
-        )
-        assert (service.pipeline.ledger.compaction
-                == DEFAULT_SERVICE_COMPACTION)
 
     def test_autotuned_micro_batch(self, small_dataset_a):
         service = StreamingMappingService(
@@ -379,37 +334,6 @@ class TestObservability:
             small_dataset_a.segments.shape[0],
             small_dataset_a.read_length,
         )
-
-
-def _root(array: np.ndarray) -> np.ndarray:
-    """The array owning ``array``'s buffer."""
-    while array.base is not None:
-        array = array.base
-    return array
-
-
-class TestRetainedCountBytes:
-    """The compacting ledger keeps its live events' count blocks, so
-    their dtype sets the serving path's steady-state memory."""
-
-    def test_map_stream_shape_keeps_narrow_blocks(self):
-        dataset = build_dataset("B", n_reads=2048, read_length=256,
-                                n_segments=256, seed=11)
-        reads = _reads(dataset)
-        service = StreamingMappingService(
-            dataset.segments, dataset.model, threshold=8,
-            micro_batch=256, retain_mappings=False, seed=0,
-        )
-        for unit in range(100):
-            begin = unit % 8 * 256
-            service.submit_many(reads[begin:begin + 256])
-        service.close()
-        blocks = [event.mismatch_counts
-                  for event in search_passes(service.pipeline.ledger)]
-        assert blocks
-        assert {block.dtype for block in blocks} == {np.dtype(np.uint16)}
-        roots = {id(_root(block)): _root(block) for block in blocks}
-        assert sum(root.nbytes for root in roots.values()) <= 10 * 2**20
 
 
 class TestStreamMapped:
@@ -521,9 +445,13 @@ class TestEngineFailure:
 class TestThresholdValidation:
     def test_negative_threshold_rejected_at_construction(
             self, small_dataset_a):
-        with pytest.raises(ThresholdError, match="non-negative"):
-            StreamingMappingService(
-                small_dataset_a.segments, small_dataset_a.model,
-                threshold=-1,
-            )
+        """A threshold outside ``0..N`` would fail only at the first
+        full micro-batch, poisoning the session; it is refused here."""
+        n = small_dataset_a.read_length
+        for threshold in (-1, n + 1):
+            with pytest.raises(ThresholdError, match=rf"0\.\.{n}"):
+                StreamingMappingService(
+                    small_dataset_a.segments, small_dataset_a.model,
+                    threshold=threshold, micro_batch=4,
+                )
 

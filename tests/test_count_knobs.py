@@ -4,7 +4,7 @@
 boundary that coerced with it ran a mistyped knob as some other value.
 Each boundary now rejects a ``bool``, ``float`` or ``str`` with its own
 error type (:class:`~repro.errors.CamConfigError` at the shared knob
-gate and at a stored reference's row capacity, :class:`~repro.errors.LedgerCompactionError` at the ledger,
+gate and at a stored reference's row capacity,
 :class:`~repro.errors.RefStoreError` at the catalog's byte budget,
 :class:`~repro.errors.ExperimentError` at the sweep's run count and
 the ground-truth labeller's thresholds and margin,
@@ -18,13 +18,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cam.array import CamArray, StoredReference
-from repro.cost.ledger import CostLedger
+from repro.cam.array import StoredReference
 from repro.errors import (
     CamConfigError,
     DatasetError,
     ExperimentError,
-    LedgerCompactionError,
     RefStoreError,
 )
 from repro.eval.experiment import asmcap_plain_system
@@ -62,11 +60,6 @@ BOUNDARIES = {
     "sweep-n_runs": (lambda ds, v: run_sweep(
         "A", {"plain": asmcap_plain_system}, [2], n_runs=v, n_reads=4,
         read_length=32, n_segments=8), ExperimentError),
-    "array-ledger_compaction": (
-        lambda ds, v: CamArray(rows=4, cols=8, ledger_compaction=v),
-        CamConfigError),
-    "ledger-compaction": (
-        lambda ds, v: CostLedger(compaction=v), LedgerCompactionError),
     "stored-rows": (
         lambda ds, v: StoredReference(ds.segments[:2], rows=v),
         CamConfigError),
@@ -130,8 +123,6 @@ def test_accepted_counts_keep_their_value(small_dataset_a):
                       n_runs=np.int64(3), n_reads=4, read_length=32,
                       n_segments=8)
     assert sweep.systems["plain"].f1_runs.shape == (3, 1)
-    array = CamArray(rows=4, cols=8, ledger_compaction=np.int16(2))
-    assert array.ledger.compaction == 2
     truth = label_dataset(small_dataset_a, np.int64(4), margin=np.int8(1))
     assert truth.band == 5
     assert type(truth.band) is int

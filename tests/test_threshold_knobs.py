@@ -29,7 +29,6 @@ from repro.errors import CamConfigError, ThresholdError
 from repro.eval.experiment import AccuracyExperiment, asmcap_plain_system
 from repro.eval.sweeps import run_sweep
 from repro.service import MappingFrontend, StreamingMappingService
-from oracles import search_passes
 
 
 def _reads(dataset, n=4):
@@ -221,7 +220,7 @@ def test_non_integer_query_keys_raise(small_dataset_a, keys):
                     reads, [2, 4], query_keys=keys)):
         with pytest.raises(CamConfigError, match="must be an integer"):
             run()
-    assert not search_passes(matcher.array.ledger)
+    assert not matcher.array.ledger.pass_counts()
 
 
 def test_numpy_integers_keep_their_value(small_dataset_a):

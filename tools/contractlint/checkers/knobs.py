@@ -1,9 +1,8 @@
 """CL3xx — knob hygiene: ``None`` means autotune, falsy means *bug*.
 
 The binding contract (``repro/knobs.py``): the cross-layer constructor
-knobs (``micro_batch``, ``compaction``) treat ``None`` as
-"autotune/disable" and validate every explicit value through
-``validate_service_knobs``.  The one bug class this permits is
+knobs (today ``micro_batch``) treat ``None`` as "autotune/disable" and
+validate every explicit value through ``validate_service_knobs``.  The one bug class this permits is
 *falsy-swallowing*: ``micro_batch or plan.micro_batch`` silently turns
 the invalid explicit value ``0`` into an autotune request instead of
 the loud ``CamConfigError`` the contract promises — the exact bug a
@@ -15,11 +14,11 @@ to the gate automatically extends the lint.
   ``<knob> if <knob> else <default>``): distinguishes ``None`` from
   falsy explicit values by accident, never on purpose.  Use
   ``x if x is not None else default``.
-* ``CL302`` — truthiness test of a knob (``if not compaction:``,
+* ``CL302`` — truthiness test of a knob (``if not micro_batch:``,
   ``while micro_batch:``): same falsy/None conflation one branch
   earlier.  Test ``is None`` / ``is not None`` explicitly.
 * ``CL303`` — a knob-named parameter with a *falsy* non-``None``
-  default (``compaction=""``, ``micro_batch=0``): indistinguishable from
+  default (``micro_batch=0``, ``micro_batch=""``): indistinguishable from
   "unset" to any downstream truthiness check, and invalid per the
   validation gate anyway.
 """
