@@ -12,7 +12,7 @@ from repro.experiments.ablations import defect_ablation
 
 def bench_defect_sweep(benchmark):
     text = benchmark.pedantic(defect_ablation,
-                              kwargs={"n_segments": 64, "seed": 1},
+                              kwargs={"seed": 1},
                               rounds=1, iterations=1)
     assert "100" in text          # zero-defect row recovers everything
     assert "Defect robustness" in text

@@ -50,13 +50,12 @@ def cell_area_um2(transistor_count: int = AsmCapCell.TRANSISTOR_COUNT) -> float:
 
 
 def array_area_mm2(rows: int = constants.ARRAY_ROWS,
-                   cols: int = constants.ARRAY_COLS,
-                   cell_um2: "float | None" = None) -> float:
+                   cols: int = constants.ARRAY_COLS) -> float:
     """Total array area in mm^2 (cells + peripherals)."""
     if rows <= 0 or cols <= 0:
         raise ArchConfigError(f"geometry must be positive, got {rows}x{cols}")
-    cell = constants.ASMCAP_CELL_AREA_UM2 if cell_um2 is None else cell_um2
-    return (rows * cols * cell + PERIPHERAL_AREA_UM2) * 1e-6
+    return (rows * cols * constants.ASMCAP_CELL_AREA_UM2
+            + PERIPHERAL_AREA_UM2) * 1e-6
 
 
 def cell_area_fraction(rows: int = constants.ARRAY_ROWS,
@@ -91,10 +90,7 @@ class PowerBreakdown:
 
 
 def component_energies_per_search(rows: int = constants.ARRAY_ROWS,
-                                  cols: int = constants.ARRAY_COLS,
-                                  mismatch_fraction: float =
-                                  constants.TYPICAL_ED_STAR_MISMATCH_FRACTION,
-                                  vdd: float = constants.VDD_VOLTS
+                                  cols: int = constants.ARRAY_COLS
                                   ) -> dict[str, float]:
     """Per-search energy of each array component at typical activity.
 
@@ -102,12 +98,7 @@ def component_energies_per_search(rows: int = constants.ARRAY_ROWS,
     (every row at the typical ED* mismatch fraction), i.e. exactly the
     accounting a measured pass of the functional engine receives.
     """
-    if not 0.0 <= mismatch_fraction <= 1.0:
-        raise ArchConfigError("mismatch_fraction must be in [0, 1]")
-    event = typical_search_event(rows=rows, cols=cols,
-                                 mismatch_fraction=mismatch_fraction,
-                                 vdd=vdd)
-    return component_energies(event)
+    return component_energies(typical_search_event(rows=rows, cols=cols))
 
 
 def steady_state_search_period_ns(rows: int = constants.ARRAY_ROWS,
@@ -119,20 +110,15 @@ def steady_state_search_period_ns(rows: int = constants.ARRAY_ROWS,
 
 
 def array_power_breakdown(rows: int = constants.ARRAY_ROWS,
-                          cols: int = constants.ARRAY_COLS,
-                          period_ns: "float | None" = None) -> PowerBreakdown:
+                          cols: int = constants.ARRAY_COLS) -> PowerBreakdown:
     """Steady-state power split of one array.
 
-    With the default (anchor-derived) period the total reproduces the
-    7.67 mW figure exactly; the *split* across components comes from
-    the component energy models.
+    At the anchor-derived period the total reproduces the 7.67 mW
+    figure exactly; the *split* across components comes from the
+    component energy models.
     """
     energies = component_energies_per_search(rows, cols)
-    if period_ns is None:
-        period_ns = steady_state_search_period_ns(rows, cols)
-    if period_ns <= 0.0:
-        raise ArchConfigError(f"period must be positive, got {period_ns}")
-    scale = 1.0 / (period_ns * 1e-9)
+    scale = 1.0 / (steady_state_search_period_ns(rows, cols) * 1e-9)
     return PowerBreakdown(
         cells_w=energies["cells"] * scale,
         shift_registers_w=energies["shift_registers"] * scale,

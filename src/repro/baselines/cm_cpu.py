@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from repro import constants
 from repro.distance.myers import myers_edit_distance
 from repro.errors import ThresholdError
@@ -37,25 +36,10 @@ class CmCpuOutcome:
 
 
 class CmCpuBaseline:
-    """Exact CM computation with an i9-class cost model.
-
-    Parameters
-    ----------
-    cell_rate:
-        DP cell updates per second.
-    power_w:
-        Package power while computing.
+    """Exact CM computation with an i9-class cost model: DP cell
+    updates at ``constants.CM_CPU_CELL_UPDATES_PER_SECOND`` drawing
+    ``constants.CM_CPU_POWER_W`` of package power.
     """
-
-    def __init__(self,
-                 cell_rate: float = constants.CM_CPU_CELL_UPDATES_PER_SECOND,
-                 power_w: float = constants.CM_CPU_POWER_W):
-        if cell_rate <= 0.0:
-            raise ThresholdError(f"cell_rate must be positive, got {cell_rate}")
-        if power_w <= 0.0:
-            raise ThresholdError(f"power_w must be positive, got {power_w}")
-        self._cell_rate = cell_rate
-        self._power_w = power_w
 
     def match(self, segment: DnaSequence, read: DnaSequence,
               threshold: int) -> CmCpuOutcome:
@@ -66,13 +50,13 @@ class CmCpuBaseline:
             )
         distance = myers_edit_distance(segment, read)
         cells = len(segment) * len(read)
-        latency_s = cells / self._cell_rate
+        latency_s = cells / constants.CM_CPU_CELL_UPDATES_PER_SECOND
         return CmCpuOutcome(
             distance=distance,
             decision=distance <= threshold,
             cell_updates=cells,
             latency_ns=latency_s * 1e9,
-            energy_joules=latency_s * self._power_w,
+            energy_joules=latency_s * constants.CM_CPU_POWER_W,
         )
 
     def read_latency_ns(self, read_length: int) -> float:
@@ -81,8 +65,10 @@ class CmCpuBaseline:
             raise ThresholdError(
                 f"read_length must be positive, got {read_length}"
             )
-        return read_length * read_length / self._cell_rate * 1e9
+        return (read_length * read_length
+                / constants.CM_CPU_CELL_UPDATES_PER_SECOND * 1e9)
 
     def read_energy_joules(self, read_length: int) -> float:
         """Modelled per-read energy."""
-        return self.read_latency_ns(read_length) * 1e-9 * self._power_w
+        return (self.read_latency_ns(read_length) * 1e-9
+                * constants.CM_CPU_POWER_W)

@@ -13,17 +13,17 @@ reproduced by this model (Sections II-C, III, V):
 * the sampled decision needs a sample-and-hold, stretching the search
   cycle to 2.4 ns vs ASMCap's 0.9 ns (Table I).
 
-The functional matcher is a plain ED* decision over a current-domain
-:class:`~repro.cam.array.CamArray` — no HDAC, no TASR.  Optionally the
-original *Sequence Rotation* (SR) of the EDAM paper can be enabled: it
-rotates unconditionally (no ``Tl`` guard), which is exactly what TASR
-improves on; the ablation benches use it.
+The functional matcher is the plain ED* decision the paper evaluates
+(Fig. 7) over a noisy current-domain
+:class:`~repro.cam.array.CamArray` — no HDAC, no rotation.  EDAM's
+original *Sequence Rotation* (SR) rotates unconditionally, which is
+exactly what TASR improves on; the TASR ablation's ``gamma = 0``
+variant runs it on ASMCap (every ``T >= 1``, as ``Tl`` is clamped to
+at least 1).
 
-SR is therefore TASR with ``Tl = 0``, and the matcher has no flow of
-its own: it runs ASMCap's :func:`~repro.core.matcher.keyed_flow` with
-HDAC off, its SR offsets and that bound (``N + 1``, the policy's
-"never", with SR off).  The base and rotated passes share one encode,
-a batch issues them as one pass block, and
+The matcher has no flow of its own: it runs ASMCap's
+:func:`~repro.core.matcher.keyed_flow` with HDAC off, no rotation
+offsets and the policy's "never" bound ``N + 1``, and
 :meth:`EdamMatcher.match` returns the same
 :class:`~repro.core.matcher.MatchOutcome` as ASMCap's matcher.
 """
@@ -43,7 +43,6 @@ from repro.core.matcher import (
     match_read,
     read_block,
 )
-from repro.core.tasr import DIRECTIONS, rotation_offsets
 from repro.errors import CamConfigError
 from repro.knobs import check_thresholds
 
@@ -54,51 +53,36 @@ class EdamMatcher:
     Parameters
     ----------
     array:
-        A ``domain="current"`` CAM array (constructed here if omitted).
-    enable_sr:
-        Enable EDAM's unconditional Sequence Rotation with ``nr``
-        rotations per direction.
+        A ``domain="current"`` CAM array (a noisy one is constructed
+        here if omitted).
     """
 
     def __init__(self, array: "CamArray | None" = None,
                  rows: int = constants.ARRAY_ROWS,
                  cols: int = constants.ARRAY_COLS,
-                 enable_sr: bool = False,
-                 sr_nr: int = constants.TASR_NR,
-                 sr_direction: str = "both",
-                 noisy: bool = True,
                  seed: int = 0):
         if array is None:
             array = CamArray(rows=rows, cols=cols, domain="current",
-                             noisy=noisy, seed=seed)
+                             seed=seed)
         if array.domain != "current":
             raise CamConfigError(
                 "EDAM requires a current-domain array, got "
                 f"{array.domain!r}"
             )
-        if sr_direction not in DIRECTIONS:
-            raise CamConfigError(f"invalid sr_direction {sr_direction!r}")
         self._array = array
-        self._enable_sr = enable_sr
-        self._offsets = rotation_offsets(sr_nr, sr_direction)
-        #: SR is TASR without the guard (``Tl = 0``); without SR the
-        #: bound is the policy's "never" value, ``N + 1``.
-        self._lower_bound = 0 if enable_sr else array.cols + 1
+        #: The policy's "never" rotation bound: EDAM does not rotate.
+        self._lower_bound = array.cols + 1
 
     @property
     def array(self) -> CamArray:
         return self._array
-
-    @property
-    def enable_sr(self) -> bool:
-        return self._enable_sr
 
     def store(self, segments: np.ndarray) -> None:
         self._array.store(segments)
 
     def match(self, read: np.ndarray, threshold: int,
               query_key: "int | None" = None) -> MatchOutcome:
-        """Match one read at threshold ``T`` (plain ED*, optional SR).
+        """Match one read at threshold ``T`` (plain ED*).
 
         The one-row slice of the keyed flow
         (:func:`~repro.core.matcher.match_read`): the decisions equal
@@ -116,9 +100,8 @@ class EdamMatcher:
         """Decisions for a ``(B, N)`` block over a whole threshold sweep.
 
         EDAM has no threshold-dependent escalation, so its sweep is the
-        pure form of the trick: one ED* count + keyed-noise pass (plus
-        one rotated pass per SR offset when SR is enabled) and the
-        whole threshold vector applied as sense-amp reference
+        pure form of the trick: one ED* count + keyed-noise pass and
+        the whole threshold vector applied as sense-amp reference
         comparisons.  Slice ``t``, row ``q`` is bit-identical to
         ``match(reads[q], thresholds[t], query_key=keys[q])``.
         """
@@ -129,24 +112,20 @@ class EdamMatcher:
     def _flow(self, reads: np.ndarray, thresholds: np.ndarray,
               query_keys: "Sequence[int] | None",
               sweep: bool) -> MatchSweepOutcome:
-        """:func:`~repro.core.matcher.keyed_flow` without HDAC, SR's
-        offsets at every threshold ``>= Tl``."""
+        """:func:`~repro.core.matcher.keyed_flow` without HDAC or
+        rotation."""
         return keyed_flow(self._array, reads, thresholds, query_keys,
-                          sweep=sweep, offsets=self._offsets,
+                          sweep=sweep, offsets=(),
                           tasr_mask=thresholds >= self._lower_bound,
                           lower_bound=self._lower_bound)
 
 
-def edam_search_energy_per_array(mismatch_fraction: float =
-                                 constants.TYPICAL_ED_STAR_MISMATCH_FRACTION,
-                                 rows: int = constants.ARRAY_ROWS,
+def edam_search_energy_per_array(rows: int = constants.ARRAY_ROWS,
                                  cols: int = constants.ARRAY_COLS) -> float:
     """Closed-form EDAM per-search array energy at typical activity."""
-    if not 0.0 <= mismatch_fraction <= 1.0:
-        raise CamConfigError("mismatch_fraction must be in [0, 1]")
     precharge = constants.EDAM_ML_PRECHARGE_CAP_F * constants.VDD_VOLTS**2 * rows
     discharge = (constants.EDAM_DISCHARGE_ENERGY_PER_MISMATCH_J
-                 * mismatch_fraction * cols * rows)
+                 * constants.TYPICAL_ED_STAR_MISMATCH_FRACTION * cols * rows)
     sense = constants.SA_ENERGY_PER_ROW_J * rows
     return precharge + discharge + sense
 

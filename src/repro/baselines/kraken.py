@@ -44,11 +44,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DatasetError, ThresholdError
+from repro.errors import DatasetError
 from repro.genome.sequence import DnaSequence
+from repro.knobs import check_count, check_integer
 
 #: Kraken2's default k-mer length.
 DEFAULT_K = 35
+
+#: Minimum fraction of the read's k-mers that must occur in a segment
+#: for a match call (Kraken2's confidence threshold).  0.9 makes the
+#: classifier behave like Kraken2 on a single-reference database: one
+#: interior edit already destroys ~k of the read's k-mers (fraction
+#: drops to ~0.84 for k = 35 on 256-base reads), so only near-exact
+#: reads classify — which is what makes exact matching score so poorly
+#: on erroneous reads.
+CONFIDENCE = 0.9
 
 
 @dataclass(frozen=True)
@@ -143,28 +153,19 @@ class KrakenLikeClassifier:
     segments:
         ``(M, L)`` uint8 matrix of stored reference segments.
     k:
-        k-mer length (Kraken2 default 35).
-    confidence:
-        Minimum fraction of the read's k-mers that must occur in a
-        segment for a match call (Kraken2's confidence threshold).  The
-        default 0.9 makes the classifier behave like Kraken2 on a
-        single-reference database: one interior edit already destroys
-        ~k of the read's k-mers (fraction drops to ~0.84 for k = 35 on
-        256-base reads), so only near-exact reads classify — which is
-        what makes exact matching score so poorly on erroneous reads.
+        k-mer length (Kraken2 default 35); a positive integer, a float,
+        bool or string raises :class:`~repro.errors.DatasetError`.
+
+    A read matches a segment when at least :data:`CONFIDENCE` of its
+    k-mers occur in it.
     """
 
-    def __init__(self, segments: np.ndarray, k: int = DEFAULT_K,
-                 confidence: float = 0.9):
+    def __init__(self, segments: np.ndarray, k: int = DEFAULT_K):
         segments = np.asarray(segments, dtype=np.uint8)
         if segments.ndim != 2:
             raise DatasetError("segments must be a 2-D matrix")
-        if not 0.0 < confidence <= 1.0:
-            raise ThresholdError(
-                f"confidence must be in (0, 1], got {confidence}"
-            )
-        if k < 1:
-            raise DatasetError(f"k must be positive, got {k}")
+        k = check_integer("k", k, DatasetError)
+        check_count("k", k, DatasetError)
         if k > segments.shape[1]:
             raise DatasetError(
                 f"k = {k} exceeds segment length {segments.shape[1]}"
@@ -176,7 +177,6 @@ class KrakenLikeClassifier:
                 "k-mer index packs the DNA codes 0-3 only"
             )
         self._k = k
-        self._confidence = confidence
         self._n_segments = int(segments.shape[0])
         # Bases per packed level: the leading word, then later chunks.
         first = min(k, _WORD_BASES)
@@ -284,7 +284,7 @@ class KrakenLikeClassifier:
         fractions = hits / n_kmers
         return KrakenBatchOutcome(
             hit_fractions=fractions,
-            decisions=fractions >= self._confidence,
+            decisions=fractions >= CONFIDENCE,
             n_kmers=n_kmers,
         )
 

@@ -42,30 +42,12 @@ class ResmaOutcome:
 class ResmaBaseline:
     """Anti-diagonal CM on RRAM crossbars, with CAM pre-filtering.
 
-    Parameters
-    ----------
-    wavefront_ns:
-        Crossbar cycle per anti-diagonal wavefront.
-    cell_update_energy_j:
-        Energy per DP cell update (RRAM write-verify dominated).
+    Costs come from ``constants``: ``RESMA_FILTER_NS`` /
+    ``RESMA_FILTER_ENERGY_J`` for the CAM filter, one
+    ``RESMA_WAVEFRONT_NS`` crossbar cycle per anti-diagonal wavefront
+    and ``RESMA_CELL_UPDATE_ENERGY_J`` per DP cell update (RRAM
+    write-verify dominated).
     """
-
-    def __init__(self,
-                 wavefront_ns: float = constants.RESMA_WAVEFRONT_NS,
-                 cell_update_energy_j: float =
-                 constants.RESMA_CELL_UPDATE_ENERGY_J,
-                 filter_ns: float = constants.RESMA_FILTER_NS,
-                 filter_energy_j: float = constants.RESMA_FILTER_ENERGY_J):
-        if wavefront_ns <= 0.0:
-            raise ThresholdError(
-                f"wavefront_ns must be positive, got {wavefront_ns}"
-            )
-        if cell_update_energy_j <= 0.0:
-            raise ThresholdError("cell_update_energy_j must be positive")
-        self._wavefront_ns = wavefront_ns
-        self._cell_energy = cell_update_energy_j
-        self._filter_ns = filter_ns
-        self._filter_energy = filter_energy_j
 
     def match(self, segment: DnaSequence, read: DnaSequence,
               threshold: int) -> ResmaOutcome:
@@ -76,10 +58,11 @@ class ResmaBaseline:
             )
         traversal = AntiDiagonalTraversal.run(segment, read)
         stats = traversal.stats
-        latency = (self._filter_ns
-                   + stats.n_wavefronts * self._wavefront_ns)
-        energy = (self._filter_energy
-                  + stats.total_cell_updates * self._cell_energy)
+        latency = (constants.RESMA_FILTER_NS
+                   + stats.n_wavefronts * constants.RESMA_WAVEFRONT_NS)
+        energy = (constants.RESMA_FILTER_ENERGY_J
+                  + stats.total_cell_updates
+                  * constants.RESMA_CELL_UPDATE_ENERGY_J)
         return ResmaOutcome(
             distance=traversal.distance,
             decision=traversal.distance <= threshold,
@@ -96,9 +79,11 @@ class ResmaBaseline:
                 f"read_length must be positive, got {read_length}"
             )
         wavefronts = 2 * read_length - 1
-        return self._filter_ns + wavefronts * self._wavefront_ns
+        return (constants.RESMA_FILTER_NS
+                + wavefronts * constants.RESMA_WAVEFRONT_NS)
 
     def read_energy_joules(self, read_length: int) -> float:
         """Modelled per-read energy."""
         updates = read_length * read_length
-        return self._filter_energy + updates * self._cell_energy
+        return (constants.RESMA_FILTER_ENERGY_J
+                + updates * constants.RESMA_CELL_UPDATE_ENERGY_J)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import constants
-from repro.errors import DatasetError, ThresholdError
+from repro.errors import DatasetError
 from repro.genome.kmer import KmerIndex, iter_kmers
 from repro.genome.sequence import DnaSequence
 
@@ -50,33 +50,18 @@ class SaviBaseline:
     reference:
         Reference sequence to index.
     k:
-        Seed length (paper-era tools use ~16).
-    stride:
-        Distance between consecutive seeds; ``k`` gives non-overlapping
-        seeds (SaVI's configuration), 1 gives every k-mer.
-    min_votes:
-        Minimum winning vote count to call the read mapped.
-    position_tolerance:
-        Votes within this many bases of each other are pooled (absorbs
-        small indel-induced shifts).
+        Seed length (paper-era tools use ~16).  Seeds do not overlap
+        (SaVI's configuration): they start every ``k`` bases.
+
+    A read maps when ``constants.SAVI_MIN_VOTES`` votes agree on an
+    origin, votes within ``constants.SAVI_POSITION_TOLERANCE`` bases
+    pooled.
     """
 
     def __init__(self, reference: DnaSequence,
-                 k: int = constants.SAVI_KMER_LENGTH,
-                 stride: "int | None" = None,
-                 min_votes: int = 2,
-                 position_tolerance: int = 3):
-        if min_votes < 1:
-            raise ThresholdError(f"min_votes must be >= 1, got {min_votes}")
-        if position_tolerance < 0:
-            raise ThresholdError("position_tolerance must be non-negative")
-        self._k = k
-        self._stride = k if stride is None else stride
-        if self._stride < 1:
-            raise ThresholdError(f"stride must be >= 1, got {self._stride}")
-        self._min_votes = min_votes
-        self._tolerance = position_tolerance
+                 k: int = constants.SAVI_KMER_LENGTH):
         self._index = KmerIndex.build(reference, k)
+        self._k = self._index.k
 
     @property
     def index(self) -> KmerIndex:
@@ -95,7 +80,7 @@ class SaviBaseline:
         votes: Counter[int] = Counter()
         n_kmers = 0
         for offset, kmer in iter_kmers(read, self._k):
-            if offset % self._stride != 0:
+            if offset % self._k != 0:
                 continue
             n_kmers += 1
             for position in self._index.lookup(kmer):
@@ -114,14 +99,14 @@ class SaviBaseline:
             return None, 0
         pooled: Counter[int] = Counter()
         for origin, count in votes.items():
-            bucket = origin // max(1, self._tolerance + 1)
+            bucket = origin // (constants.SAVI_POSITION_TOLERANCE + 1)
             pooled[bucket] += count
         bucket, count = pooled.most_common(1)[0]
-        if count < self._min_votes:
+        if count < constants.SAVI_MIN_VOTES:
             return None, count
         # Representative origin: the highest-voted raw origin in the bucket.
         in_bucket = {o: c for o, c in votes.items()
-                     if o // max(1, self._tolerance + 1) == bucket}
+                     if o // (constants.SAVI_POSITION_TOLERANCE + 1) == bucket}
         origin = max(in_bucket, key=in_bucket.get)
         return origin, count
 
@@ -138,20 +123,21 @@ class SaviBaseline:
             return decisions
         segment = outcome.origin // segment_length
         offset_in_segment = outcome.origin % segment_length
-        near_start = (offset_in_segment <= self._tolerance
-                      or segment_length - offset_in_segment <= self._tolerance)
+        tolerance = constants.SAVI_POSITION_TOLERANCE
+        near_start = (offset_in_segment <= tolerance
+                      or segment_length - offset_in_segment <= tolerance)
         if 0 <= segment < n_segments and near_start:
             decisions[segment] = True
         return decisions
 
     def read_latency_ns(self, read_length: int) -> float:
         """Modelled per-read latency."""
-        n_kmers = max(1, (read_length - self._k) // self._stride + 1)
+        n_kmers = max(1, (read_length - self._k) // self._k + 1)
         return (n_kmers * constants.SAVI_TCAM_SEARCH_NS
                 + constants.SAVI_VOTE_NS)
 
     def read_energy_joules(self, read_length: int) -> float:
         """Modelled per-read energy."""
-        n_kmers = max(1, (read_length - self._k) // self._stride + 1)
+        n_kmers = max(1, (read_length - self._k) // self._k + 1)
         return (n_kmers * constants.SAVI_TCAM_SEARCH_ENERGY_J
                 + constants.SAVI_VOTE_ENERGY_J)

@@ -337,21 +337,10 @@ class StoredReference:
         self._n_encodes = 1
 
     @classmethod
-    def encode(cls, segments: np.ndarray,
-               rows: "int | None" = None) -> "StoredReference":
-        """Validate *segments* and encode them once.
-
-        Parameters
-        ----------
-        segments:
-            ``(n_rows, N)`` matrix of 2-bit reference codes.
-        rows:
-            Row capacity (default: exactly ``n_rows``) — a larger
-            capacity models a partially-filled bank.  A positive
-            integer: a float, bool or string raises
-            :class:`~repro.errors.CamConfigError`.
-        """
-        return cls(segments, rows)
+    def encode(cls, segments: np.ndarray) -> "StoredReference":
+        """Validate an ``(n_rows, N)`` matrix of 2-bit reference codes
+        and encode it once, at a row capacity of exactly ``n_rows``."""
+        return cls(segments)
 
     @classmethod
     def adopt_encoded(cls, encoded: EncodedReference) -> "StoredReference":
@@ -466,8 +455,6 @@ class CamArray:
     strict_paper_vref:
         Use the literal ``V_ref = T/N*VDD`` rule (see
         :mod:`repro.cam.sense_amp`).
-    vdd:
-        Supply voltage; finite and positive.
     stored:
         A :class:`StoredReference` to borrow instead of storing a
         private one.  The array's geometry comes from the reference
@@ -485,15 +472,10 @@ class CamArray:
                  noisy: bool = True,
                  seed: int = 0,
                  strict_paper_vref: bool = False,
-                 vdd: float = constants.VDD_VOLTS,
                  stored: "StoredReference | None" = None):
         if domain not in _DOMAINS:
             raise CamConfigError(
                 f"domain must be one of {_DOMAINS}, got {domain!r}"
-            )
-        if not _is_finite_real(vdd) or vdd <= 0:
-            raise CamConfigError(
-                f"vdd must be a finite positive voltage, got {vdd!r}"
             )
         if sigma_rel is not None and (not _is_finite_real(sigma_rel)
                                       or sigma_rel < 0):
@@ -517,7 +499,7 @@ class CamArray:
         self._noisy = noisy
         self._seed = check_integer("seed", seed) & 0xFFFFFFFFFFFFFFFF
         self._noise_prefix = fold_key((self._seed, _NOISE_STREAM_TAG))
-        self._vdd = vdd
+        self._vdd = vdd = constants.VDD_VOLTS
         if domain == "charge":
             sigma = (constants.ASMCAP_CAPACITOR_SIGMA
                      if sigma_rel is None else sigma_rel)

@@ -60,7 +60,6 @@ def search_energy_eq1(n_mismatch: "int | np.ndarray", n_rows: int,
 
 
 def search_energy_per_row(n_mismatch: np.ndarray, n_cells: int,
-                          mu_c: float = constants.MIM_CAPACITOR_FARADS,
                           vdd: float = constants.VDD_VOLTS) -> np.ndarray:
     """Per-row charge-domain search energy, joules.
 
@@ -68,7 +67,8 @@ def search_energy_per_row(n_mismatch: np.ndarray, n_cells: int,
     gives the whole-array search energy.
     """
     counts = _check(n_mismatch, n_cells)
-    return counts * (n_cells - counts) / n_cells * mu_c * vdd**2
+    return (counts * (n_cells - counts) / n_cells
+            * constants.MIM_CAPACITOR_FARADS * vdd**2)
 
 
 @lru_cache(maxsize=32)

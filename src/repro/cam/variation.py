@@ -29,8 +29,7 @@ module is the heart of the accuracy comparison:
   ``count_dependent=True`` switches to the optimistic i.i.d.-current
   scaling ``sqrt(n_mis) * sigma_I * VDD / N`` (whose worst case at
   ``n_mis = N`` reproduces the same 44-state bound) for the
-  noise-model ablation bench; an optional timing-jitter term can be
-  added to either form.
+  noise-model ablation bench.
 
 **Distinguishable states.** Adjacent V_ML levels are ``VDD / N`` apart.
 Under the paper's 3-sigma rule each level must clear the decision
@@ -86,10 +85,9 @@ class ChargeDomainVariation:
         """sigma at the worst-case mismatch count (n_mis = N/2)."""
         return float(self.sigma_rel * self.vdd / (2.0 * math.sqrt(n_cells)))
 
-    def distinguishable_states(self,
-                               separation: float = constants.SIGMA_SEPARATION
-                               ) -> int:
-        """Largest N with adjacent levels >= 2*separation*sigma apart.
+    def distinguishable_states(self) -> int:
+        """Largest N with adjacent levels >= 2*separation*sigma apart
+        (``constants.SIGMA_SEPARATION``, the paper's 3-sigma rule).
 
         Level spacing is VDD/N and worst-case sigma is
         sigma_rel*VDD/(2 sqrt(N)); solving
@@ -98,7 +96,8 @@ class ChargeDomainVariation:
         """
         if self.sigma_rel == 0.0:
             raise CamConfigError("zero variation supports unbounded states")
-        return int(math.floor((1.0 / (separation * self.sigma_rel)) ** 2))
+        return int(math.floor(
+            (1.0 / (constants.SIGMA_SEPARATION * self.sigma_rel)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -109,22 +108,18 @@ class CurrentDomainVariation:
     ----------
     sigma_rel:
         Relative per-cell current variation sigma_I/mu_I.
-    timing_jitter_rel:
-        Relative sampling-time jitter; it multiplies the whole droop
-        (``n_mis/N * VDD``), modelling the "time error" of Fig. 3(a).
     """
 
     sigma_rel: float = constants.EDAM_CURRENT_SIGMA
-    timing_jitter_rel: float = 0.0
     vdd: float = constants.VDD_VOLTS
     count_dependent: bool = False
-    separation: float = constants.SIGMA_SEPARATION
 
     def sensing_noise_floor(self) -> float:
         """The full-scale sensing sigma implied by the states limit.
 
         A chain distinguishing S levels under the ``separation``-sigma
-        rule has adjacent levels ``2 * separation * sigma`` apart, so
+        rule (``constants.SIGMA_SEPARATION``) has adjacent levels
+        ``2 * separation * sigma`` apart, so
         ``sigma = VDD / (2 * separation * S)``.  Zero variation, or
         variation so small that S overflows a float, is a zero floor
         (S -> infinity); variation too large to resolve even one state
@@ -133,15 +128,15 @@ class CurrentDomainVariation:
         if self.sigma_rel == 0.0:
             return 0.0
         try:
-            states = self.distinguishable_states(self.separation)
+            states = self.distinguishable_states()
         except OverflowError:
             return 0.0
         if states == 0:
             raise CamConfigError(
                 f"sigma_rel={self.sigma_rel} resolves no state at "
-                f"{self.separation}-sigma separation"
+                f"{constants.SIGMA_SEPARATION}-sigma separation"
             )
-        return self.vdd / (2.0 * self.separation * states)
+        return self.vdd / (2.0 * constants.SIGMA_SEPARATION * states)
 
     def sigma_vml(self, n_mismatch: "int | np.ndarray", n_cells: int) -> np.ndarray:
         """Standard deviation of the sampled V_ML droop.
@@ -152,33 +147,24 @@ class CurrentDomainVariation:
         """
         n_mis = _validate(n_mismatch, n_cells)
         if self.count_dependent:
-            current_term = (np.sqrt(n_mis.astype(float))
-                            * self.sigma_rel * self.vdd / n_cells)
-        else:
-            current_term = np.full(np.shape(n_mis),
-                                   self.sensing_noise_floor())
-        timing_term = (n_mis.astype(float) / n_cells
-                       * self.timing_jitter_rel * self.vdd)
-        return np.sqrt(current_term**2 + timing_term**2)
+            return (np.sqrt(n_mis.astype(float))
+                    * self.sigma_rel * self.vdd / n_cells)
+        return np.full(np.shape(n_mis), self.sensing_noise_floor())
 
     def worst_case_sigma(self, n_cells: int) -> float:
         """Largest per-row sigma this model produces."""
         if self.count_dependent:
-            current = self.sigma_rel * self.vdd / math.sqrt(n_cells)
-        else:
-            current = self.sensing_noise_floor()
-        timing = self.timing_jitter_rel * self.vdd
-        return float(math.hypot(current, timing))
+            return float(self.sigma_rel * self.vdd / math.sqrt(n_cells))
+        return float(self.sensing_noise_floor())
 
-    def distinguishable_states(self,
-                               separation: float = constants.SIGMA_SEPARATION
-                               ) -> int:
-        """Largest N with adjacent levels >= 2*separation*sigma apart.
+    def distinguishable_states(self) -> int:
+        """Largest N with adjacent levels >= 2*separation*sigma apart
+        (``constants.SIGMA_SEPARATION``, the paper's 3-sigma rule).
 
-        With sigma_max = sigma_rel*VDD/sqrt(N) (jitter excluded, as the
-        paper's estimate is) the bound is
+        With sigma_max = sigma_rel*VDD/sqrt(N) the bound is
         ``N <= (1 / (2 * separation * sigma_rel))^2``.
         """
         if self.sigma_rel == 0.0:
             raise CamConfigError("zero variation supports unbounded states")
-        return int(math.floor((1.0 / (2.0 * separation * self.sigma_rel)) ** 2))
+        return int(math.floor(
+            (1.0 / (2.0 * constants.SIGMA_SEPARATION * self.sigma_rel)) ** 2))

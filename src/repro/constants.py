@@ -213,6 +213,12 @@ SAVI_VOTE_NS = 10.0
 SAVI_VOTE_ENERGY_J = 20e-9
 """SaVI voting energy per read."""
 
+SAVI_MIN_VOTES = 2
+"""Minimum winning vote count for SaVI to call a read mapped."""
+
+SAVI_POSITION_TOLERANCE = 3
+"""Bases within which SaVI pools votes (absorbs small indel shifts)."""
+
 SAVI_ACCURACY = 0.938
 """Average seed-and-vote accuracy the paper quotes for SaVI [11]."""
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cam.array import CamArray, as_read_codes, as_segments_matrix
-from repro.cam.cell import MatchMode
 from repro.errors import CamConfigError, ThresholdError
 from repro.knobs import check_integer
 
@@ -137,9 +136,8 @@ class FragmentedMatcher:
             )
         return math.ceil(threshold / self._n_fragments)
 
-    def match(self, read: np.ndarray, threshold: int,
-              mode: MatchMode = MatchMode.ED_STAR) -> FragmentOutcome:
-        """Match one long read at read-level threshold ``T``."""
+    def match(self, read: np.ndarray, threshold: int) -> FragmentOutcome:
+        """ED*-match one long read at read-level threshold ``T``."""
         read = as_read_codes(read)
         if read.shape != (self.read_length,):
             raise CamConfigError(
@@ -152,8 +150,7 @@ class FragmentedMatcher:
         # (keyed by its index), and only its own column block of rows
         # holds the matching fragment of each segment.
         result = self._array.search_batch(
-            read.reshape(n_fragments, width), fragment_threshold, mode,
-        )
+            read.reshape(n_fragments, width), fragment_threshold)
         matches = np.stack([
             result.matches[f, f * n_segments:(f + 1) * n_segments]
             for f in range(n_fragments)

@@ -20,10 +20,10 @@ keys, the rotation offsets with their per-threshold eligibility
 (``T >= Tl``) and HDAC's per-threshold ``p`` (or no HDAC), and returns
 a :class:`MatchSweepOutcome`.  :class:`AsmCapMatcher` calls it with its
 off-line policy; the EDAM baseline
-(:class:`~repro.baselines.edam.EdamMatcher`) calls it without HDAC,
-its Sequence Rotation being TASR with ``Tl = 0`` (and ``N + 1``, the
-policy's "never", with SR off).  :func:`match_read` builds either
-matcher's one-read :class:`MatchOutcome`.
+(:class:`~repro.baselines.edam.EdamMatcher`) calls it without HDAC
+and without rotation offsets, at ``N + 1``, the policy's "never"
+bound.  :func:`match_read` builds either matcher's one-read
+:class:`MatchOutcome`.
 
 **One flow over a threshold vector.**  The flow runs once over a
 ``(B, N)`` block of reads and a ``(T,)`` threshold vector, as the sense
@@ -48,6 +48,8 @@ keyed reads makes bit-identical decisions.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -93,7 +95,6 @@ class MatcherConfig:
     enable_tasr: bool = True
     hdac_alpha: float = constants.HDAC_ALPHA
     hdac_beta: float = constants.HDAC_BETA
-    hdac_disable_threshold: float = constants.HDAC_DISABLE_THRESHOLD
     tasr_nr: int = constants.TASR_NR
     tasr_gamma: float = constants.TASR_GAMMA
     tasr_direction: str = "both"
@@ -110,7 +111,7 @@ class MatchOutcome:
 
     The one-read outcome of both :class:`AsmCapMatcher` and the EDAM
     baseline (whose ``hdac_probability`` is always 0 and whose
-    ``tasr_lower_bound`` is SR's bound: 0, or ``N + 1`` without SR).
+    ``tasr_lower_bound`` is ``N + 1``: it never rotates).
 
     Attributes
     ----------
@@ -293,17 +294,17 @@ def keyed_flow(array: CamArray, reads: np.ndarray, thresholds: np.ndarray,
                query_keys: "Sequence[int] | None", *, sweep: bool,
                offsets: "tuple[int, ...]", tasr_mask: np.ndarray,
                lower_bound: int, hdac_p: "np.ndarray | None" = None,
-               hdac_cut: float = 0.0, hdac_prefix: int = 0
-               ) -> MatchSweepOutcome:
+               hdac_prefix: int = 0) -> MatchSweepOutcome:
     """ED* -> HDAC -> TASR over a ``(T,)`` threshold vector.
 
     The one code that sequences a matcher's passes.  ``offsets`` are
     the rotation offsets, run at the thresholds ``tasr_mask`` selects
     (``T >= Tl``; ``lower_bound`` is that ``Tl``, reported as is);
     ``hdac_p`` is HDAC's per-threshold ``p`` (``None``: no HDAC), whose
-    HD pass runs where ``p >= hdac_cut``, its draws keyed under
-    ``hdac_prefix``.  Eligibility is a function of the threshold alone,
-    so every pass covers every read and selects only thresholds.  A
+    HD pass runs where :func:`~repro.core.policy.hdac_enabled`, its
+    draws keyed under ``hdac_prefix``.  Eligibility is a function of
+    the threshold alone, so every pass covers every read and selects
+    only thresholds.  A
     batch (``sweep=False``, ``T = 1``) issues its passes as one pass
     block (:meth:`~repro.cam.array.CamArray.search_batch`: one decide,
     one energy gather, one ledger event per pass); a sweep issues one
@@ -321,7 +322,7 @@ def keyed_flow(array: CamArray, reads: np.ndarray, thresholds: np.ndarray,
     p = np.zeros(thresholds.shape)
     hdac_mask = np.zeros(thresholds.shape, dtype=bool)
     if hdac_p is not None:
-        p, hdac_mask = hdac_p, hdac_p >= hdac_cut
+        p, hdac_mask = hdac_p, policy.hdac_enabled(hdac_p)
     # An empty block runs only its base pass: there is nothing for a
     # rotation or an HD pass to search.
     offsets = offsets if n_queries and tasr_mask.any() else ()
@@ -455,6 +456,13 @@ class AsmCapMatcher:
             raise CamConfigError(
                 f"invalid tasr_direction {self._config.tasr_direction!r}"
             )
+        for name in ("hdac_alpha", "hdac_beta", "tasr_gamma"):
+            value = getattr(self._config, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise CamConfigError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         self._offsets = rotation_offsets(self._config.tasr_nr,
                                          self._config.tasr_direction)
 
@@ -607,6 +615,5 @@ class AsmCapMatcher:
             self._array, reads, thresholds, query_keys, sweep=sweep,
             offsets=self._offsets, tasr_mask=tasr_mask,
             lower_bound=lower_bound, hdac_p=p,
-            hdac_cut=config.hdac_disable_threshold,
             hdac_prefix=self._hdac_prefix,
         )

@@ -64,15 +64,15 @@ def hdac_probability_for_model(model: ErrorModel, threshold: int,
                             threshold, alpha=alpha, beta=beta)
 
 
-def hdac_enabled(p: float,
-                 disable_threshold: float = constants.HDAC_DISABLE_THRESHOLD
-                 ) -> bool:
-    """Whether the HDAC extra search cycle is worth issuing.
+def hdac_enabled(p: float) -> bool:
+    """Whether the HDAC extra search cycle is worth issuing (elementwise
+    for a numpy array of ``p``).
 
-    The paper disables HDAC when ``p`` falls below ~1 % to save the
-    extra Hamming search cycle (Section IV-A overhead analysis).
+    The paper disables HDAC when ``p`` falls below
+    ``constants.HDAC_DISABLE_THRESHOLD`` (~1 %) to save the extra
+    Hamming search cycle (Section IV-A overhead analysis).
     """
-    return p >= disable_threshold
+    return p >= constants.HDAC_DISABLE_THRESHOLD
 
 
 def tasr_lower_bound(indel_rate: float, read_length: int,

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro import constants
 from repro.cost.events import EdStarPass, SearchPassEvent
-from repro.errors import CamConfigError, ExperimentError
+from repro.errors import CamConfigError
 
 if TYPE_CHECKING:
     from repro.cost.ledger import CostLedger
@@ -96,10 +96,7 @@ def component_energies(event: SearchPassEvent) -> dict[str, float]:
 
 
 def typical_search_event(rows: int = constants.ARRAY_ROWS,
-                         cols: int = constants.ARRAY_COLS,
-                         mismatch_fraction: float =
-                         constants.TYPICAL_ED_STAR_MISMATCH_FRACTION,
-                         vdd: float = constants.VDD_VOLTS) -> EdStarPass:
+                         cols: int = constants.ARRAY_COLS) -> EdStarPass:
     """A synthetic ED* pass at typical genome activity.
 
     Every row mismatches at the typical ED* fraction — the
@@ -109,13 +106,11 @@ def typical_search_event(rows: int = constants.ARRAY_ROWS,
     breakdown experiments and the measured ledgers share one
     accounting model.
     """
-    if not 0.0 <= mismatch_fraction <= 1.0:
-        raise ExperimentError(
-            f"mismatch_fraction must be in [0, 1], got {mismatch_fraction}"
-        )
-    counts = np.full((1, rows), mismatch_fraction * cols)
+    counts = np.full((1, rows),
+                     constants.TYPICAL_ED_STAR_MISMATCH_FRACTION * cols)
     return EdStarPass(
-        domain="charge", mode="ed_star", n_cells=cols, vdd=vdd,
+        domain="charge", mode="ed_star", n_cells=cols,
+        vdd=constants.VDD_VOLTS,
         search_time_ns=constants.ASMCAP_SEARCH_TIME_NS,
         mismatch_counts=counts,
         thresholds=np.zeros(1, dtype=int),

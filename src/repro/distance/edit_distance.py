@@ -115,13 +115,15 @@ def composition_lower_bound(segments: np.ndarray,
     return (l1 + 1) // 2
 
 
-def qgram_profiles(rows: np.ndarray, q: int = _QGRAM_Q) -> np.ndarray:
-    """``(R, 4**q)`` q-gram occurrence profiles of DNA code rows.
+def qgram_profiles(rows: np.ndarray) -> np.ndarray:
+    """``(R, 4**q)`` q-gram occurrence profiles of DNA code rows, at
+    ``q = _QGRAM_Q``.
 
     Rows must hold codes below 4 (the DNA alphabet) and be at least
     ``q`` long; callers gate on both (see
     :func:`banded_edit_distance_batch`).
     """
+    q = _QGRAM_Q
     rows = np.asarray(rows, dtype=np.int64)
     n_rows, length = rows.shape
     n_grams = alphabet_size = 4

@@ -46,7 +46,7 @@ from repro.errors import ExperimentError
 from repro.eval.confusion import ConfusionMatrix, confusion_series
 from repro.eval.ground_truth import GroundTruth, label_dataset
 from repro.genome.datasets import Dataset
-from repro.knobs import check_thresholds
+from repro.knobs import check_integer, check_thresholds
 
 
 class MatchSystem(Protocol):
@@ -142,12 +142,11 @@ def edam_system(dataset: Dataset, seed: int) -> MatchSystem:
     return _EdamSystem(matcher)
 
 
-def kraken_system(dataset: Dataset, seed: int,
-                  k: int = 35, confidence: float = 0.9) -> MatchSystem:
-    """Exact k-mer classifier (deterministic; seed unused)."""
-    classifier = KrakenLikeClassifier(dataset.segments, k=k,
-                                      confidence=confidence)
-    return _KrakenSystem(classifier, dataset.read_length)
+def kraken_system(dataset: Dataset, seed: int) -> MatchSystem:
+    """Exact k-mer classifier at Kraken2's defaults (deterministic;
+    seed unused)."""
+    return _KrakenSystem(KrakenLikeClassifier(dataset.segments),
+                         dataset.read_length)
 
 
 @dataclass
@@ -173,21 +172,25 @@ class AccuracyExperiment:
     dataset:
         The evaluation dataset.
     thresholds:
-        Threshold sweep (Condition A: 1..8, Condition B: 2..16).
+        Threshold sweep (Condition A: 1..8, Condition B: 2..16): a
+        1-D integer vector (:class:`~repro.errors.ThresholdError`
+        otherwise; an empty one is an
+        :class:`~repro.errors.ExperimentError`).
     seed:
-        Base seed handed to system factories.
+        Base seed handed to system factories; an integer
+        (:class:`~repro.errors.ExperimentError` otherwise).
     """
 
     def __init__(self, dataset: Dataset, thresholds: "list[int]",
                  seed: int = 0):
-        if not len(thresholds):
+        if np.ndim(thresholds) == 1 and not len(thresholds):
             raise ExperimentError("thresholds must be non-empty")
         vector = check_thresholds(thresholds)
         if (vector < 0).any():
             raise ExperimentError("thresholds must be non-negative")
         self._dataset = dataset
         self._thresholds = sorted(set(vector.tolist()))
-        self._seed = seed
+        self._seed = check_integer("seed", seed, ExperimentError)
         self._truth: GroundTruth = label_dataset(dataset,
                                                  max(self._thresholds))
 
@@ -216,7 +219,11 @@ class AccuracyExperiment:
         vector in one batched pass (see the module docstring); the
         confusion matrices then accumulate in four vectorised
         reductions (:func:`repro.eval.confusion.confusion_series`).
+        *seed_offset* is an integer
+        (:class:`~repro.errors.ExperimentError` otherwise).
         """
+        seed_offset = check_integer("seed_offset", seed_offset,
+                                    ExperimentError)
         system = factory(self._dataset, self._seed + seed_offset)
         thresholds = np.asarray(self._thresholds, dtype=int)
         if not self._dataset.reads:

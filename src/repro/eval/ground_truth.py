@@ -24,6 +24,10 @@ from repro.errors import ExperimentError
 from repro.genome.datasets import Dataset
 from repro.knobs import check_integer
 
+#: Extra DP band beyond the largest queried threshold, keeping the
+#: distance cap comfortably above every threshold.
+BAND_MARGIN = 2
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -59,8 +63,7 @@ class GroundTruth:
         return int(self.distances.shape[1])
 
 
-def label_dataset(dataset: Dataset, max_threshold: int,
-                  margin: int = 2) -> GroundTruth:
+def label_dataset(dataset: Dataset, max_threshold: int) -> GroundTruth:
     """Compute ground truth for every (read, segment) pair of a dataset.
 
     Parameters
@@ -68,20 +71,16 @@ def label_dataset(dataset: Dataset, max_threshold: int,
     dataset:
         The evaluation dataset.
     max_threshold:
-        Largest threshold any experiment will query.
-    margin:
-        Extra band beyond ``max_threshold`` (keeps the cap comfortably
-        above every queried threshold).
+        Largest threshold any experiment will query; the DP band is
+        ``max_threshold + BAND_MARGIN``.
     """
     max_threshold = check_integer("max_threshold", max_threshold,
                                   ExperimentError)
-    margin = check_integer("margin", margin, ExperimentError)
-    if max_threshold < 0 or margin < 0:
+    if max_threshold < 0:
         raise ExperimentError(
-            f"max_threshold and margin must be non-negative, got "
-            f"{max_threshold} and {margin}"
+            f"max_threshold must be non-negative, got {max_threshold}"
         )
-    band = max_threshold + margin
+    band = max_threshold + BAND_MARGIN
     if not dataset.reads:
         # A zero-read dataset labels to an empty truth matrix (valid
         # degenerate input for a streaming caller).

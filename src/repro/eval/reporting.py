@@ -16,15 +16,15 @@ from repro.errors import ExperimentError
 
 def format_table(headers: Sequence[str],
                  rows: Iterable[Sequence[object]],
-                 title: "str | None" = None,
-                 float_format: str = "{:.4g}") -> str:
-    """Render an aligned ASCII table."""
+                 title: "str | None" = None) -> str:
+    """Render an aligned ASCII table, floats to four significant
+    digits."""
     rendered_rows: list[list[str]] = []
     for row in rows:
         rendered: list[str] = []
         for value in row:
             if isinstance(value, float):
-                rendered.append(float_format.format(value))
+                rendered.append(f"{value:.4g}")
             else:
                 rendered.append(str(value))
         rendered_rows.append(rendered)

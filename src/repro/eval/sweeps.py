@@ -88,8 +88,7 @@ def run_sweep(condition: str,
               n_reads: int = 96,
               read_length: int = 256,
               n_segments: int = 128,
-              seed: int = 0,
-              burst_prob: float = 0.3) -> SweepResult:
+              seed: int = 0) -> SweepResult:
     """Repeat an accuracy experiment across seeds and aggregate.
 
     Each run draws a fresh dataset (new reference, reads, edits) and
@@ -117,8 +116,7 @@ def run_sweep(condition: str,
         dataset = build_dataset(condition, n_reads=n_reads,
                                 read_length=read_length,
                                 n_segments=n_segments,
-                                seed=seed + run * 104729,
-                                burst_prob=burst_prob)
+                                seed=seed + run * 104729)
         experiment = AccuracyExperiment(dataset, result.thresholds,
                                         seed=seed + run * 7)
         for name, outcome in experiment.evaluate_all(systems).items():

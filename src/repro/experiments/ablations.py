@@ -4,7 +4,10 @@ Three ablations DESIGN.md calls out, runnable via
 ``python -m repro.experiments ablations``:
 
 * ``hdac`` — F1 over an (alpha, beta) grid around the paper's (200, 0.5);
-* ``tasr`` — F1 per TASR variant (NR, direction, gamma = 0 == plain SR);
+* ``tasr`` — F1 per TASR variant (NR, direction, gamma = 0).  Every
+  gamma = 0 read rotates at ``Tl = 1`` (the policy clamps ``Tl`` to at
+  least 1), so that variant is EDAM's unconditional Sequence Rotation
+  at every ``T >= 1`` of the sweep;
 * ``defects`` — mapping recovery vs stuck-row density (robustness).
 """
 
@@ -35,12 +38,16 @@ def _mean_f1(dataset: Dataset, truth: GroundTruth, config: MatcherConfig,
     ]))
 
 
-def hdac_ablation(n_reads: int = 48, n_segments: int = 64,
-                  seed: int = 0) -> str:
+#: Reads and stored segments of each ablation's dataset.
+N_READS = 48
+N_SEGMENTS = 64
+
+
+def hdac_ablation(seed: int = 0) -> str:
     """Sweep HDAC's (alpha, beta) on Condition A, small thresholds."""
     thresholds = (1, 2, 3)
-    dataset = build_dataset("A", n_reads=n_reads, read_length=256,
-                            n_segments=n_segments, seed=seed)
+    dataset = build_dataset("A", n_reads=N_READS, read_length=256,
+                            n_segments=N_SEGMENTS, seed=seed)
     truth = label_dataset(dataset, max(thresholds))
     rows = []
     for alpha in (50.0, 200.0, 800.0):
@@ -56,12 +63,11 @@ def hdac_ablation(n_reads: int = 48, n_segments: int = 64,
                         title="HDAC ablation (Condition A)")
 
 
-def tasr_ablation(n_reads: int = 48, n_segments: int = 64,
-                  seed: int = 0) -> str:
+def tasr_ablation(seed: int = 0) -> str:
     """Compare TASR variants on Condition B."""
     thresholds = (2, 4, 6, 8, 10, 12, 14, 16)
-    dataset = build_dataset("B", n_reads=n_reads, read_length=256,
-                            n_segments=n_segments, seed=seed)
+    dataset = build_dataset("B", n_reads=N_READS, read_length=256,
+                            n_segments=N_SEGMENTS, seed=seed)
     truth = label_dataset(dataset, max(thresholds))
     variants = {
         "no TASR": MatcherConfig(enable_hdac=False, enable_tasr=False),
@@ -79,33 +85,27 @@ def tasr_ablation(n_reads: int = 48, n_segments: int = 64,
                         title="TASR ablation (Condition B)")
 
 
-def defect_ablation(n_segments: int = 64, seed: int = 0) -> str:
+def defect_ablation(seed: int = 0) -> str:
     """Mapping recovery vs stuck-mismatch row density."""
     rng = np.random.default_rng(seed)
-    segments = rng.integers(0, 4, (n_segments, 256)).astype(np.uint8)
+    segments = rng.integers(0, 4, (N_SEGMENTS, 256)).astype(np.uint8)
     rows = []
     for rate in (0.0, 0.02, 0.05, 0.1, 0.2):
-        array = CamArray(rows=n_segments, cols=256, noisy=False)
+        array = CamArray(rows=N_SEGMENTS, cols=256, noisy=False)
         array.store(segments)
-        defects = DefectMap.sample(n_segments, 0.0, rate,
+        defects = DefectMap.sample(N_SEGMENTS, 0.0, rate,
                                    np.random.default_rng(seed + 1))
         matches = defects.apply(array.search_batch(segments, 0).matches)
         hits = int(matches.diagonal().sum())
         rows.append((f"{rate * 100:.0f} %", defects.n_defective,
-                     hits / n_segments * 100))
+                     hits / N_SEGMENTS * 100))
     return format_table(
         ["stuck-row rate", "defective rows", "self-recovery %"], rows,
         title="Defect robustness (exact self-match per row)",
     )
 
 
-def main(which: str = "all", seed: int = 0) -> str:
-    """Run the requested ablation(s)."""
-    parts = []
-    if which in ("hdac", "all"):
-        parts.append(hdac_ablation(seed=seed))
-    if which in ("tasr", "all"):
-        parts.append(tasr_ablation(seed=seed))
-    if which in ("defects", "all"):
-        parts.append(defect_ablation(seed=seed))
-    return "\n".join(parts)
+def main(seed: int = 0) -> str:
+    """Run the three ablations."""
+    return "\n".join((hdac_ablation(seed=seed), tasr_ablation(seed=seed),
+                      defect_ablation(seed=seed)))

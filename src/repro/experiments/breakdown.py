@@ -65,9 +65,9 @@ class BreakdownResult:
                                title="Section V-B: power breakdown"))
 
 
-def compute_breakdown(rows: int = constants.ARRAY_ROWS,
-                      cols: int = constants.ARRAY_COLS) -> BreakdownResult:
-    """Regenerate the Section V-B breakdown."""
+def compute_breakdown() -> BreakdownResult:
+    """Regenerate the Section V-B breakdown (256 x 256)."""
+    rows, cols = constants.ARRAY_ROWS, constants.ARRAY_COLS
     return BreakdownResult(
         area_mm2=array_area_mm2(rows, cols),
         cell_area_fraction=cell_area_fraction(rows, cols),

@@ -96,9 +96,8 @@ def thresholds_for(condition: str) -> list[int]:
 
 
 def run_fig7(condition: str = "A", n_runs: int = 3, n_reads: int = 96,
-             n_segments: int = 128, read_length: int = 256,
-             seed: int = 0) -> Fig7Result:
-    """Regenerate one condition of Fig. 7.
+             n_segments: int = 128, seed: int = 0) -> Fig7Result:
+    """Regenerate one condition of Fig. 7 (256-base reads).
 
     Every curve comes from the batched sweep engine (one search pass
     per read per curve, not per threshold), with the Monte-Carlo runs
@@ -112,8 +111,7 @@ def run_fig7(condition: str = "A", n_runs: int = 3, n_reads: int = 96,
         SYSTEM_KRAKEN: kraken_system,
     }
     sweep = run_sweep(condition, systems, thresholds, n_runs=n_runs,
-                      n_reads=n_reads, n_segments=n_segments,
-                      read_length=read_length, seed=seed)
+                      n_reads=n_reads, n_segments=n_segments, seed=seed)
     kraken_f1 = sweep.systems[SYSTEM_KRAKEN].mean_f1()
     return Fig7Result(condition=condition.strip().upper(), sweep=sweep,
                       kraken_f1=kraken_f1)

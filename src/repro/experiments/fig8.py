@@ -93,13 +93,13 @@ class StrategyProfile:
     per_threshold_rotation_cycles: tuple[float, ...] = ()
 
     @classmethod
-    def plain(cls, condition: str = "plain") -> "StrategyProfile":
+    def plain(cls) -> "StrategyProfile":
         """The strategy-free baseline: one ED* search, no rotations.
 
         What :func:`asmcap_read_cost` assumes when no profile is
         passed — a plain single-search read.
         """
-        return cls(condition=condition, searches_per_read=1.0,
+        return cls(condition="plain", searches_per_read=1.0,
                    rotation_cycles_per_read=0.0)
 
     @staticmethod
@@ -197,19 +197,19 @@ class Fig8Result:
         return "\n".join(parts)
 
 
-def strategy_profile(condition: str,
-                     tasr_direction: str = "both") -> StrategyProfile:
+def strategy_profile(condition: str) -> StrategyProfile:
     """One condition's strategy statistics, from the off-line policies.
 
     For each threshold ``T`` of the condition's Fig. 7 sweep a read
     costs the base ED* search, HDAC's extra search when
     ``p(T) >= 1 %``, and one rotated search per TASR offset (plus
-    ``|offset|`` shift cycles each) when ``T >= Tl``.  The profile
+    ``|offset|`` shift cycles each) when ``T >= Tl``, rotating both
+    ways as the evaluated matcher does.  The profile
     averages those counts over the sweep.
     """
     thresholds = tuple(thresholds_for(condition))
     model = resolve_condition(condition)
-    offsets = rotation_offsets(constants.TASR_NR, tasr_direction)
+    offsets = rotation_offsets(constants.TASR_NR, "both")
     lower_bound = policy.tasr_lower_bound(model.indel_rate,
                                           constants.READ_LENGTH)
     searches = []
@@ -235,9 +235,8 @@ def strategy_profile(condition: str,
     )
 
 
-def asmcap_read_cost(profile: "StrategyProfile | None" = None,
-                     *,
-                     n_arrays: int = constants.ARRAY_COUNT) -> SystemCost:
+def asmcap_read_cost(profile: "StrategyProfile | None" = None
+                     ) -> SystemCost:
     """ASMCap per-read cost with the pipelined extra-search model.
 
     Pass a :class:`StrategyProfile`; ``None`` means the strategy-free
@@ -259,22 +258,21 @@ def asmcap_read_cost(profile: "StrategyProfile | None" = None,
     latency = (period + (searches_per_read - 1.0) * search_cycle
                + rotation_cycles_per_read * SHIFT_CYCLE_NS)
     per_array = sum(component_energies_per_search().values())
-    energy = per_array * n_arrays * searches_per_read
+    energy = per_array * constants.ARRAY_COUNT * searches_per_read
     name = "ASMCap w/ H&T" if searches_per_read > 1.0 else "ASMCap w/o H&T"
     return SystemCost(name=name, latency_ns=latency, energy_joules=energy)
 
 
-def edam_read_cost(n_arrays: int = constants.ARRAY_COUNT) -> SystemCost:
+def edam_read_cost() -> SystemCost:
     """EDAM per-read cost (one search per read, its own issue period)."""
     return SystemCost(
         name="EDAM",
         latency_ns=edam_issue_period_ns(),
-        energy_joules=edam_search_energy_per_array() * n_arrays,
+        energy_joules=edam_search_energy_per_array() * constants.ARRAY_COUNT,
     )
 
 
-def compute_fig8(read_length: int = constants.READ_LENGTH,
-                 tasr_direction: str = "both") -> Fig8Result:
+def compute_fig8() -> Fig8Result:
     """Regenerate the Fig. 8 comparison.
 
     The ASMCap-with-strategies cost charges the average of the two
@@ -284,7 +282,7 @@ def compute_fig8(read_length: int = constants.READ_LENGTH,
     resma = ResmaBaseline()
     savi = SaviBaseline(generate_reference(4096, seed=0))
 
-    profiles = {label: strategy_profile(label, tasr_direction)
+    profiles = {label: strategy_profile(label)
                 for label in ("A", "B")}
     combined = StrategyProfile.average(profiles.values())
 
@@ -292,6 +290,7 @@ def compute_fig8(read_length: int = constants.READ_LENGTH,
     # baseline profile.
     plain = asmcap_read_cost(StrategyProfile.plain())
     full = asmcap_read_cost(combined)
+    read_length = constants.READ_LENGTH
     costs = {
         "CM-CPU": SystemCost("CM-CPU", cm.read_latency_ns(read_length),
                              cm.read_energy_joules(read_length)),

@@ -57,8 +57,10 @@ class StatesResult:
         )
 
 
-def compute_states(read_length: int = constants.READ_LENGTH) -> StatesResult:
-    """Regenerate the states analysis from the variation models."""
+def compute_states() -> StatesResult:
+    """Regenerate the states analysis from the variation models, at
+    the paper's read length."""
+    read_length = constants.READ_LENGTH
     charge = ChargeDomainVariation()
     current = CurrentDomainVariation()
     return StatesResult(

@@ -100,9 +100,9 @@ class Table1Result:
         )
 
 
-def compute_table1(rows: int = constants.ARRAY_ROWS,
-                   cols: int = constants.ARRAY_COLS) -> Table1Result:
-    """Regenerate every Table I quantity from the models."""
+def compute_table1() -> Table1Result:
+    """Regenerate every Table I quantity from the models (256 x 256)."""
+    rows, cols = constants.ARRAY_ROWS, constants.ARRAY_COLS
     cells = rows * cols
 
     asmcap_area = cell_area_um2(AsmCapCell.TRANSISTOR_COUNT)

@@ -164,21 +164,19 @@ class FaultPlan:
             )
 
     @classmethod
-    def of(cls, *faults: Fault, seed: int = 0) -> "FaultPlan":
-        """A hand-built plan (tests and targeted repros)."""
-        return cls(seed=seed, faults=tuple(faults))
+    def of(cls, *faults: Fault) -> "FaultPlan":
+        """A hand-built plan (tests and targeted repros), seed 0."""
+        return cls(seed=0, faults=tuple(faults))
 
     @classmethod
     def generate(cls, seed: int,
                  kinds: "tuple[str, ...] | None" = None,
-                 n_faults: int = 1,
                  max_hits: int = 4,
                  points: "tuple[str, ...] | None" = None) -> "FaultPlan":
         """Derive a schedule from *seed* — same seed, same schedule.
 
-        Picks *n_faults* faults from *kinds* (default: every kind),
-        each attached to one of its allowed points at a hit index in
-        ``[0, max_hits)``.
+        Picks one fault from *kinds* (default: every kind), attached to
+        one of its allowed points at a hit index in ``[0, max_hits)``.
 
         *points*, when given, restricts attachment to hook points the
         caller's workload actually reaches (a chaos scenario's
@@ -200,34 +198,22 @@ class FaultPlan:
                         f"unknown hook point {point!r}; known: "
                         f"{HOOK_POINTS}"
                     )
-        if n_faults < 1:
-            raise CamConfigError(
-                f"n_faults must be positive, got {n_faults}"
-            )
         if max_hits < 1:
             raise CamConfigError(
                 f"max_hits must be positive, got {max_hits}"
             )
         rng = random.Random(seed)
-        faults: "list[Fault]" = []
-        taken: "set[tuple[str, int]]" = set()
-        attempts = 0
-        while len(faults) < n_faults and attempts < 64 * n_faults:
-            attempts += 1
+        for _ in range(64):
             kind = rng.choice(kinds)
             spec = FAULT_SPECS[kind]
             allowed = (spec.points if points is None else
                        tuple(p for p in spec.points if p in points))
-            if not allowed:
-                continue
-            point = rng.choice(allowed)
-            hit = rng.randrange(max_hits)
-            if (point, hit) in taken:
-                continue
-            taken.add((point, hit))
-            faults.append(Fault(kind=kind, point=point, hit=hit,
-                                arg=rng.randrange(1 << 16)))
-        return cls(seed=seed, faults=tuple(faults))
+            if allowed:
+                fault = Fault(kind=kind, point=rng.choice(allowed),
+                              hit=rng.randrange(max_hits),
+                              arg=rng.randrange(1 << 16))
+                return cls(seed=seed, faults=(fault,))
+        return cls(seed=seed)
 
     def describe(self) -> "dict[str, object]":
         """JSON-ready record of the whole schedule."""

@@ -24,6 +24,7 @@ import contextlib
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -91,7 +92,8 @@ class ChaosScenario:
     route: str                       # "stream" | "store" | "catalog"
     #                                # | "frontend"
     fault_kinds: "tuple[str, ...]"
-    max_hits: int = N_DISPATCHES
+    #: Every route's workload dispatches this many micro-batches.
+    max_hits: ClassVar[int] = N_DISPATCHES
 
     @property
     def reachable_points(self) -> "tuple[str, ...]":

@@ -17,10 +17,9 @@ from repro.genome.datasets import Dataset, build_dataset, resolve_condition
 from repro.genome.edits import Edit, EditKind, EditPlan, ErrorModel, inject_edits
 from repro.genome.generator import (
     ReferenceGenerator,
-    RepeatProfile,
     generate_reference,
 )
-from repro.genome.kmer import KmerIndex, canonical_kmer, iter_kmers
+from repro.genome.kmer import KmerIndex, iter_kmers
 from repro.genome.reads import ReadRecord, ReadSampler
 from repro.genome.sequence import DnaSequence
 
@@ -36,9 +35,7 @@ __all__ = [
     "ReadRecord",
     "ReadSampler",
     "ReferenceGenerator",
-    "RepeatProfile",
     "build_dataset",
-    "canonical_kmer",
     "decode",
     "encode",
     "generate_reference",

@@ -25,20 +25,19 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.genome.edits import ErrorModel
-from repro.genome.generator import ReferenceGenerator, RepeatProfile
+from repro.genome.generator import ReferenceGenerator
 from repro.genome.reads import MIN_SLACK, ReadRecord, ReadSampler
 from repro.genome.sequence import DnaSequence
 
-def resolve_condition(condition: "str | ErrorModel",
-                      burst_prob: float = 0.3) -> ErrorModel:
+def resolve_condition(condition: "str | ErrorModel") -> ErrorModel:
     """Turn ``"A"``/``"B"`` (or an explicit model) into an ErrorModel."""
     if isinstance(condition, ErrorModel):
         return condition
     label = str(condition).strip().upper()
     if label == "A":
-        return ErrorModel.condition_a(burst_prob=burst_prob)
+        return ErrorModel.condition_a()
     if label == "B":
-        return ErrorModel.condition_b(burst_prob=burst_prob)
+        return ErrorModel.condition_b()
     raise DatasetError(
         f"unknown condition {condition!r}; expected 'A', 'B' or an ErrorModel"
     )
@@ -87,7 +86,6 @@ def build_dataset(condition: "str | ErrorModel" = "A",
                   read_length: int = 256,
                   n_segments: int = 256,
                   seed: int = 0,
-                  burst_prob: float = 0.3,
                   with_repeats: bool = True) -> Dataset:
     """Build a metagenomic evaluation dataset.
 
@@ -95,7 +93,9 @@ def build_dataset(condition: "str | ErrorModel" = "A",
     ----------
     condition:
         ``"A"`` (substitution dominant), ``"B"`` (indel dominant) or an
-        explicit :class:`~repro.genome.edits.ErrorModel`.
+        explicit :class:`~repro.genome.edits.ErrorModel` (the
+        conditions' indel bursts extend with probability
+        ``CONDITION_BURST_PROB``).
     n_reads:
         Number of reads to sample.
     read_length:
@@ -105,9 +105,6 @@ def build_dataset(condition: "str | ErrorModel" = "A",
     seed:
         Master seed; reference generation and read sampling derive
         independent streams from it.
-    burst_prob:
-        Indel burst extension probability (see
-        :class:`~repro.genome.edits.ErrorModel`).
     with_repeats:
         Disable to get a pure i.i.d. reference (unit tests).
 
@@ -123,15 +120,15 @@ def build_dataset(condition: "str | ErrorModel" = "A",
         check_count(name, check_integer(name, value, DatasetError),
                     DatasetError)
     seed = check_integer("seed", seed, DatasetError)
-    model = resolve_condition(condition, burst_prob=burst_prob)
+    model = resolve_condition(condition)
     label = condition if isinstance(condition, str) else "custom"
 
     # Reference long enough for all segments plus sampler slack (the
     # floor only matters below 4-base reads, which it makes buildable).
     slack_margin = max(4 * read_length, MIN_SLACK)
     ref_length = n_segments * read_length + slack_margin
-    repeats = RepeatProfile() if with_repeats else None
-    reference = ReferenceGenerator(repeats=repeats, seed=seed).generate(ref_length)
+    reference = ReferenceGenerator(repeats=with_repeats,
+                                   seed=seed).generate(ref_length)
 
     segments = np.stack([
         reference.codes[i * read_length : (i + 1) * read_length]

@@ -38,6 +38,10 @@ from repro.genome import alphabet
 from repro.genome.sequence import DnaSequence
 
 
+#: Indel burst extension probability of the paper's two conditions.
+CONDITION_BURST_PROB = 0.3
+
+
 class EditKind(enum.Enum):
     """The three edit types of Fig. 1(a)."""
 
@@ -111,16 +115,16 @@ class ErrorModel:
         return self.substitution + self.insertion + self.deletion
 
     @classmethod
-    def condition_a(cls, burst_prob: float = 0.3) -> "ErrorModel":
+    def condition_a(cls) -> "ErrorModel":
         """Paper Condition A: es = 1 %, ei = ed = 0.05 %."""
         return cls(substitution=0.01, insertion=0.0005, deletion=0.0005,
-                   burst_prob=burst_prob)
+                   burst_prob=CONDITION_BURST_PROB)
 
     @classmethod
-    def condition_b(cls, burst_prob: float = 0.3) -> "ErrorModel":
+    def condition_b(cls) -> "ErrorModel":
         """Paper Condition B: es = 0.1 %, ei = ed = 0.5 %."""
         return cls(substitution=0.001, insertion=0.005, deletion=0.005,
-                   burst_prob=burst_prob)
+                   burst_prob=CONDITION_BURST_PROB)
 
 
 def inject_edits(sequence: DnaSequence, model: ErrorModel,

@@ -21,7 +21,7 @@ exactly that.  Real FASTA references can be substituted at any time via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,49 +29,19 @@ from repro.errors import DatasetError
 from repro.genome import alphabet
 from repro.genome.sequence import DnaSequence
 
-#: Default GC fraction of the synthetic reference (human genome average).
-DEFAULT_GC_CONTENT = 0.41
+#: GC fraction of the synthetic background (human genome average).
+GC_CONTENT = 0.41
 
-
-@dataclass(frozen=True)
-class RepeatProfile:
-    """Parameters controlling synthetic repeat structure.
-
-    Attributes
-    ----------
-    tandem_fraction:
-        Fraction of the genome covered by tandem repeats.
-    tandem_motif_lengths:
-        Inclusive range of tandem motif lengths (e.g. 2..6 bp).
-    interspersed_fraction:
-        Fraction covered by interspersed (Alu-like) repeats.
-    interspersed_length:
-        Length of the interspersed repeat element.
-    interspersed_divergence:
-        Per-base substitution probability applied to each inserted copy,
-        modelling the sequence divergence of old repeat copies.
-    """
-
-    tandem_fraction: float = 0.03
-    tandem_motif_lengths: tuple[int, int] = (2, 6)
-    interspersed_fraction: float = 0.10
-    interspersed_length: int = 300
-    interspersed_divergence: float = 0.05
-
-    def validate(self) -> None:
-        if not 0.0 <= self.tandem_fraction <= 1.0:
-            raise DatasetError("tandem_fraction must be in [0, 1]")
-        if not 0.0 <= self.interspersed_fraction <= 1.0:
-            raise DatasetError("interspersed_fraction must be in [0, 1]")
-        if self.tandem_fraction + self.interspersed_fraction > 0.9:
-            raise DatasetError("repeat fractions leave too little unique sequence")
-        low, high = self.tandem_motif_lengths
-        if not 1 <= low <= high:
-            raise DatasetError("tandem_motif_lengths must satisfy 1 <= low <= high")
-        if self.interspersed_length < 1:
-            raise DatasetError("interspersed_length must be positive")
-        if not 0.0 <= self.interspersed_divergence < 1.0:
-            raise DatasetError("interspersed_divergence must be in [0, 1)")
+#: The repeat structure: the genome fraction covered by tandem repeats
+#: and their inclusive motif-length range (bp) ...
+TANDEM_FRACTION = 0.03
+TANDEM_MOTIF_LENGTHS = (2, 6)
+#: ... and the fraction covered by copies of one interspersed
+#: (Alu-like) element of this length, each copy diverged by this
+#: per-base substitution probability (old repeat copies).
+INTERSPERSED_FRACTION = 0.10
+INTERSPERSED_LENGTH = 300
+INTERSPERSED_DIVERGENCE = 0.05
 
 
 @dataclass
@@ -80,22 +50,17 @@ class ReferenceGenerator:
 
     Parameters
     ----------
-    gc_content:
-        Target GC fraction of the random background.
     repeats:
-        Repeat structure profile; ``None`` disables repeats entirely
-        (pure i.i.d. background, useful in unit tests).
+        Plant the tandem and interspersed repeats; ``False`` gives a
+        pure i.i.d. background (useful in unit tests).
     seed:
         Seed for the internal :class:`numpy.random.Generator`.
     """
 
-    gc_content: float = DEFAULT_GC_CONTENT
-    repeats: RepeatProfile | None = field(default_factory=RepeatProfile)
+    repeats: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.repeats is not None:
-            self.repeats.validate()
         self._rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------
@@ -103,20 +68,19 @@ class ReferenceGenerator:
         """Generate a reference of exactly *length* bases."""
         if length <= 0:
             raise DatasetError(f"reference length must be positive, got {length}")
-        codes = alphabet.random_codes(length, self._rng, self.gc_content)
-        if self.repeats is not None:
-            codes = self._plant_tandem_repeats(codes, self.repeats)
-            codes = self._plant_interspersed_repeats(codes, self.repeats)
+        codes = alphabet.random_codes(length, self._rng, GC_CONTENT)
+        if self.repeats:
+            codes = self._plant_tandem_repeats(codes)
+            codes = self._plant_interspersed_repeats(codes)
         return DnaSequence(codes)
 
     # ------------------------------------------------------------------
-    def _plant_tandem_repeats(self, codes: np.ndarray,
-                              profile: RepeatProfile) -> np.ndarray:
+    def _plant_tandem_repeats(self, codes: np.ndarray) -> np.ndarray:
         """Overwrite random stretches with tandem-repeated short motifs."""
-        target = int(len(codes) * profile.tandem_fraction)
+        target = int(len(codes) * TANDEM_FRACTION)
         covered = 0
         codes = codes.copy()
-        low, high = profile.tandem_motif_lengths
+        low, high = TANDEM_MOTIF_LENGTHS
         while covered < target:
             motif_len = int(self._rng.integers(low, high + 1))
             copies = int(self._rng.integers(5, 40))
@@ -124,27 +88,26 @@ class ReferenceGenerator:
             if run > len(codes):
                 break
             start = int(self._rng.integers(0, len(codes) - run + 1))
-            motif = alphabet.random_codes(motif_len, self._rng, self.gc_content)
+            motif = alphabet.random_codes(motif_len, self._rng, GC_CONTENT)
             codes[start : start + run] = np.tile(motif, copies)
             covered += run
         return codes
 
-    def _plant_interspersed_repeats(self, codes: np.ndarray,
-                                    profile: RepeatProfile) -> np.ndarray:
+    def _plant_interspersed_repeats(self, codes: np.ndarray) -> np.ndarray:
         """Copy a single long element to many loci with small divergence."""
-        element_len = min(profile.interspersed_length, len(codes))
+        element_len = min(INTERSPERSED_LENGTH, len(codes))
         if element_len == 0:
             return codes
-        target = int(len(codes) * profile.interspersed_fraction)
+        target = int(len(codes) * INTERSPERSED_FRACTION)
         n_copies = max(0, target // element_len)
         if n_copies == 0:
             return codes
         codes = codes.copy()
-        element = alphabet.random_codes(element_len, self._rng, self.gc_content)
+        element = alphabet.random_codes(element_len, self._rng, GC_CONTENT)
         for _ in range(n_copies):
             start = int(self._rng.integers(0, len(codes) - element_len + 1))
             copy = element.copy()
-            diverge = self._rng.random(element_len) < profile.interspersed_divergence
+            diverge = self._rng.random(element_len) < INTERSPERSED_DIVERGENCE
             if diverge.any():
                 shift = self._rng.integers(
                     1, alphabet.ALPHABET_SIZE, size=int(diverge.sum())
@@ -155,7 +118,6 @@ class ReferenceGenerator:
 
 
 def generate_reference(length: int, seed: int = 0,
-                       gc_content: float = DEFAULT_GC_CONTENT,
                        with_repeats: bool = True) -> DnaSequence:
     """Convenience wrapper: one call, one synthetic reference.
 
@@ -168,6 +130,5 @@ def generate_reference(length: int, seed: int = 0,
     check_count("length", check_integer("length", length, DatasetError),
                 DatasetError)
     seed = check_integer("seed", seed, DatasetError)
-    repeats = RepeatProfile() if with_repeats else None
-    return ReferenceGenerator(gc_content=gc_content, repeats=repeats,
+    return ReferenceGenerator(repeats=with_repeats,
                               seed=seed).generate(length)

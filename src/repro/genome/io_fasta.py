@@ -86,6 +86,13 @@ def _clean(raw: str, ambiguous: str, rng: np.random.Generator) -> str:
     return "".join(out)
 
 
+def _policy_rng(seed: int) -> np.random.Generator:
+    # Function-level: repro.knobs sits above this layer (CL501).
+    from repro.knobs import check_integer
+
+    return np.random.default_rng(check_integer("seed", seed, DatasetError))
+
+
 def _open(source: Union[str, Path, TextIO]) -> TextIO:
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="ascii")
@@ -94,8 +101,12 @@ def _open(source: Union[str, Path, TextIO]) -> TextIO:
 
 def parse_fasta(source: Union[str, Path, TextIO], ambiguous: str = "error",
                 seed: int = 0) -> list[FastaRecord]:
-    """Parse all records of a FASTA file or file-like object."""
-    rng = np.random.default_rng(seed)
+    """Parse all records of a FASTA file or file-like object.
+
+    *seed* keys the ``"random"`` ambiguity policy; an integer
+    (:class:`~repro.errors.DatasetError` otherwise, never truncated).
+    """
+    rng = _policy_rng(seed)
     handle = _open(source)
     close = isinstance(source, (str, Path))
     records: list[FastaRecord] = []
@@ -151,8 +162,9 @@ def write_fasta(records: Iterable[FastaRecord],
 
 def parse_fastq(source: Union[str, Path, TextIO], ambiguous: str = "error",
                 seed: int = 0) -> list[FastqRecord]:
-    """Parse all records of a FASTQ file or file-like object."""
-    rng = np.random.default_rng(seed)
+    """Parse all records of a FASTQ file or file-like object (*seed*
+    as for :func:`parse_fasta`)."""
+    rng = _policy_rng(seed)
     handle = _open(source)
     close = isinstance(source, (str, Path))
     records: list[FastqRecord] = []

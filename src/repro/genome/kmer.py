@@ -1,4 +1,4 @@
-"""k-mer machinery: iteration, canonical form, and an exact-match index.
+"""k-mer machinery: iteration and an exact-match index.
 
 The seeding-strategy baselines (SaVI's seed-and-vote, the Kraken2-like
 classifier) and several examples need exact k-mer matching against a
@@ -18,8 +18,7 @@ from repro.errors import DatasetError
 from repro.genome.sequence import DnaSequence
 
 #: Maximum k supported by the 2-bit integer packing (Python ints are
-#: unbounded, but 64 keeps reverse-complement math simple and is far
-#: beyond genomics practice).
+#: unbounded, but 64 is far beyond genomics practice).
 MAX_K = 64
 
 
@@ -31,26 +30,7 @@ def pack_kmer(codes: np.ndarray) -> int:
     return value
 
 
-def reverse_complement_kmer(value: int, k: int) -> int:
-    """Reverse complement directly in packed space."""
-    rc = 0
-    for _ in range(k):
-        rc = (rc << 2) | (3 - (value & 0b11))
-        value >>= 2
-    return rc
-
-
-def canonical_kmer(value: int, k: int) -> int:
-    """The smaller of a packed k-mer and its reverse complement.
-
-    Canonicalisation makes indices strand-symmetric, as genomics tools
-    (including Kraken2) do.
-    """
-    return min(value, reverse_complement_kmer(value, k))
-
-
-def iter_kmers(sequence: DnaSequence, k: int,
-               canonical: bool = False) -> Iterator[tuple[int, int]]:
+def iter_kmers(sequence: DnaSequence, k: int) -> Iterator[tuple[int, int]]:
     """Yield ``(position, packed_kmer)`` for every k-mer of *sequence*."""
     if not 1 <= k <= MAX_K:
         raise DatasetError(f"k must be in 1..{MAX_K}, got {k}")
@@ -60,11 +40,11 @@ def iter_kmers(sequence: DnaSequence, k: int,
         return
     mask = (1 << (2 * k)) - 1
     value = pack_kmer(codes[:k])
-    yield 0, canonical_kmer(value, k) if canonical else value
+    yield 0, value
     for i in range(k, n):
         value = ((value << 2) | int(codes[i])) & mask
         position = i - k + 1
-        yield position, canonical_kmer(value, k) if canonical else value
+        yield position, value
 
 
 @dataclass
@@ -80,17 +60,24 @@ class KmerIndex:
     k: int
     positions: dict[int, list[int]]
     reference_length: int
-    canonical: bool = False
 
     @classmethod
-    def build(cls, reference: DnaSequence, k: int,
-              canonical: bool = False) -> "KmerIndex":
-        """Index every k-mer of *reference*."""
+    def build(cls, reference: DnaSequence, k: int) -> "KmerIndex":
+        """Index every k-mer of *reference*.
+
+        ``k`` is a positive integer: a float, bool or string raises
+        :class:`~repro.errors.DatasetError`, never truncated.
+        """
+        # Function-level: repro.knobs sits above this layer (CL501).
+        from repro.knobs import check_count, check_integer
+
+        k = check_integer("k", k, DatasetError)
+        check_count("k", k, DatasetError)
         table: dict[int, list[int]] = defaultdict(list)
-        for position, kmer in iter_kmers(reference, k, canonical=canonical):
+        for position, kmer in iter_kmers(reference, k):
             table[kmer].append(position)
         return cls(k=k, positions=dict(table),
-                   reference_length=len(reference), canonical=canonical)
+                   reference_length=len(reference))
 
     def lookup(self, kmer: int) -> list[int]:
         """Positions of *kmer* in the reference (empty when absent)."""

@@ -74,15 +74,14 @@ class ReadSampler:
         Error model for edit injection.
     seed:
         Seed for the internal random generator.
-    slack:
-        Extra reference bases taken beyond ``read_length`` before edit
-        injection.  Defaults to enough to absorb a >=6-sigma deletion
-        excursion, with a floor of :data:`MIN_SLACK`.
+
+    The window taken beyond ``read_length`` before edit injection (the
+    slack) absorbs a >=6-sigma deletion excursion, with a floor of
+    :data:`MIN_SLACK`.
     """
 
     def __init__(self, reference: DnaSequence, read_length: int,
-                 model: ErrorModel, seed: int = 0,
-                 slack: int | None = None):
+                 model: ErrorModel, seed: int = 0):
         if read_length <= 0:
             raise DatasetError(f"read_length must be positive, got {read_length}")
         if len(reference) < read_length:
@@ -90,11 +89,9 @@ class ReadSampler:
                 f"reference ({len(reference)} bases) shorter than "
                 f"read_length ({read_length})"
             )
-        if slack is None:
-            expected_deletions = read_length * model.deletion
-            burst_factor = 1.0 / max(1e-9, 1.0 - model.burst_prob)
-            slack = max(MIN_SLACK,
-                        int(6 * (expected_deletions * burst_factor + 2)))
+        expected_deletions = read_length * model.deletion
+        burst_factor = 1.0 / max(1e-9, 1.0 - model.burst_prob)
+        slack = max(MIN_SLACK, int(6 * (expected_deletions * burst_factor + 2)))
         if len(reference) < read_length + slack:
             slack = len(reference) - read_length
         self._reference = reference
@@ -129,7 +126,7 @@ class ReadSampler:
         edited, plan = inject_edits(window, self._model, self._rng)
         if len(edited) < self._read_length:
             raise DatasetError(
-                "edited window shorter than read length; increase slack "
+                "edited window shorter than read length "
                 f"(got {len(edited)}, need {self._read_length})"
             )
         read = edited[: self._read_length]

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cam.array import StoredReference, as_segments_matrix
-from repro.core.matcher import MatcherConfig
 from repro.cost.events import ReferenceLoad
 from repro.cost.ledger import CostLedger
 from repro.errors import CamConfigError, ServiceError
@@ -84,12 +83,9 @@ class MappingFrontend:
         stored reference it maps against.
     error_model:
         Workload error rates driving the HDAC/TASR policies (shared:
-        the policies are a property of the stored workload).
-    config:
-        Default strategy configuration for sessions (each session may
-        override).
-    domain / noisy:
-        Array configuration shared by every session's arrays.
+        the policies are a property of the stored workload).  Every
+        session runs the paper matcher (both strategies on) over a
+        noisy charge-domain array.
     catalog:
         A :class:`~repro.refstore.ReferenceCatalog` to serve stored
         references from.  Sessions then pass ``reference=<name>`` to
@@ -102,9 +98,6 @@ class MappingFrontend:
     def __init__(self,
                  segments: "np.ndarray | StoredReference | None",
                  error_model: ErrorModel,
-                 config: "MatcherConfig | None" = None,
-                 domain: str = "charge",
-                 noisy: bool = True,
                  catalog: "object | None" = None):
         if catalog is not None and segments is not None:
             raise CamConfigError(
@@ -119,9 +112,6 @@ class MappingFrontend:
         if catalog is None:
             validate_reference_source(segments)
         self._model = error_model
-        self._config = config
-        self._domain = domain
-        self._noisy = bool(noisy)
         self._catalog = catalog
         #: Frontend-level traffic ledger; holds the single
         #: ReferenceLoad per resolved reference (the encode-once
@@ -252,7 +242,6 @@ class MappingFrontend:
                 seed: int = 0,
                 micro_batch: "int | None" = None,
                 retain_mappings: bool = True,
-                config: "MatcherConfig | None" = None,
                 reference: "str | None" = None) -> MappingSession:
         """Open an independent mapping session over the shared
         reference.
@@ -287,10 +276,8 @@ class MappingFrontend:
             )
         else:
             state = self._reference_state(reference)
-        pipeline = build_pipeline(
-            state.reference, self._model, config or self._config,
-            seed=seed, domain=self._domain, noisy=self._noisy,
-        )
+        pipeline = build_pipeline(state.reference, self._model, None,
+                                  seed=seed, domain="charge", noisy=True)
         with self._lock:
             if not self._running:
                 raise ServiceError("the mapping frontend has been closed")

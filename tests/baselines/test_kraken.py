@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.kraken import KrakenLikeClassifier
-from repro.errors import DatasetError, ThresholdError
+from repro.baselines.kraken import CONFIDENCE, KrakenLikeClassifier
+from repro.errors import DatasetError
 from repro.genome.datasets import build_dataset
 from repro.genome.sequence import DnaSequence
 
@@ -68,23 +68,17 @@ class TestClassification:
                 np.zeros((2, 16), dtype=np.uint8))
 
     def test_confidence_threshold_applied(self, dataset):
-        strict = KrakenLikeClassifier(dataset.segments, k=31,
-                                      confidence=0.99)
-        lenient = KrakenLikeClassifier(dataset.segments, k=31,
-                                       confidence=0.01)
-        record = dataset.reads[0]
-        assert (lenient.classify(record.read).decisions.sum()
-                >= strict.classify(record.read).decisions.sum())
+        classifier = KrakenLikeClassifier(dataset.segments, k=31)
+        for record in dataset.reads:
+            outcome = classifier.classify(record.read)
+            assert np.array_equal(outcome.decisions,
+                                  outcome.hit_fractions >= CONFIDENCE)
 
 
 class TestValidation:
     def test_k_longer_than_segment(self, dataset):
         with pytest.raises(DatasetError):
             KrakenLikeClassifier(dataset.segments, k=500)
-
-    def test_bad_confidence(self, dataset):
-        with pytest.raises(ThresholdError):
-            KrakenLikeClassifier(dataset.segments, confidence=0.0)
 
     def test_read_shorter_than_k(self, dataset):
         classifier = KrakenLikeClassifier(dataset.segments, k=31)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.kraken import KrakenLikeClassifier
+from repro.baselines.kraken import CONFIDENCE, KrakenLikeClassifier
 from repro.errors import DatasetError
 
 K_VALUES = (1, 31, 32, 33, 35, 48)
@@ -64,12 +64,12 @@ def _block(rng: np.random.Generator, n_segments: int, length: int,
 
 
 def _check(segments: np.ndarray, reads: np.ndarray, k: int) -> None:
-    classifier = KrakenLikeClassifier(segments, k=k, confidence=0.5)
+    classifier = KrakenLikeClassifier(segments, k=k)
     got = classifier.classify_batch(reads)
     want = oracle_fractions(segments, reads, k)
     assert got.hit_fractions.shape == want.shape
     assert np.array_equal(got.hit_fractions, want)
-    assert np.array_equal(got.decisions, want >= 0.5)
+    assert np.array_equal(got.decisions, want >= CONFIDENCE)
     assert got.n_kmers == reads.shape[1] - k + 1
 
 

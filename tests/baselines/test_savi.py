@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.savi import SaviBaseline
-from repro.errors import DatasetError, ThresholdError
+from repro.errors import DatasetError
 from repro.genome.edits import ErrorModel
 from repro.genome.generator import generate_reference
 from repro.genome.reads import ReadSampler
@@ -97,7 +97,5 @@ class TestCostModel:
         assert savi.read_energy_joules(256) > 0
 
     def test_invalid_parameters(self, reference):
-        with pytest.raises(ThresholdError):
-            SaviBaseline(reference, min_votes=0)
-        with pytest.raises(ThresholdError):
-            SaviBaseline(reference, stride=0)
+        with pytest.raises(DatasetError, match="k must be positive"):
+            SaviBaseline(reference, k=0)

@@ -23,7 +23,7 @@ from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
 from repro.cam.cell import MatchMode
 from repro.cam.variation import CurrentDomainVariation
-from repro.core.matcher import AsmCapMatcher
+from repro.core.matcher import PASS_ROTATION, AsmCapMatcher, pass_keys
 from repro.genome.datasets import build_dataset
 from oracles import events_equal, record_events
 
@@ -60,10 +60,7 @@ def pass_cases(draw):
     }
     variation = None
     if config["domain"] == "current" and draw(st.booleans()):
-        variation = {
-            "count_dependent": draw(st.booleans()),
-            "timing_jitter_rel": draw(st.floats(0.0, 0.05)),
-        }
+        variation = {"count_dependent": draw(st.booleans())}
     n_queries = draw(st.integers(0, 6))
     n_rows = draw(st.integers(1, 12))
     sweep = draw(st.booleans())
@@ -162,12 +159,18 @@ def test_paper_geometry_draws_no_noise_up_to_t16(monkeypatch):
         array.sense_amp.decide_sweep(result.v_ml, [[32]], 256)[0])
 
 
+#: The base pass and the NR = 2 rotations of both directions.
+ROTATIONS = (0, -2, -1, 1, 2)
+
+
 @pytest.mark.parametrize("condition", ["A", "B"])
 def test_matcher_flows_match_the_unpruned_reference(condition):
-    """Full ED*/HDAC/TASR and EDAM sweeps: decisions and ledgers."""
+    """Full ED*/HDAC/TASR and EDAM sweeps, and current-domain rotated
+    pass blocks (EDAM's Sequence Rotation): decisions and ledgers."""
     dataset = build_dataset(condition, n_reads=24, read_length=64,
                             n_segments=16, seed=3)
     reads = np.stack([record.read.codes for record in dataset.reads])
+    keys = np.arange(reads.shape[0])
     thresholds = np.arange(0, 17, 2)
     runs = []
     for cls in (CamArray, _DenseArray):
@@ -177,13 +180,21 @@ def test_matcher_flows_match_the_unpruned_reference(condition):
         asm = AsmCapMatcher(asm_array, dataset.model, seed=5)
         edam_array = cls(rows=16, cols=64, domain="current", seed=6)
         edam_events = record_events(edam_array.ledger)
-        edam = EdamMatcher(edam_array, enable_sr=True)
+        edam = EdamMatcher(edam_array)
         edam.store(dataset.segments)
+        rotated = edam_array.mismatch_counts_batch(
+            reads, MatchMode.ED_STAR, rotations=ROTATIONS)
         runs.append((
             asm.match_sweep(reads, thresholds).decisions,
             np.stack([asm.match_batch(reads, t).decisions
                       for t in thresholds.tolist()]),
             edam.match_sweep(reads, thresholds),
+            np.stack([edam_array.search_batch(
+                reads, t, [MatchMode.ED_STAR] * len(ROTATIONS),
+                noise_keys=[pass_keys(keys, PASS_ROTATION + r)
+                            for r in ROTATIONS],
+                precomputed_counts=rotated, rotation=ROTATIONS).matches
+                for t in thresholds.tolist()]),
             asm_events, edam_events,
         ))
     (*got, got_asm, got_edam), (*want, want_asm, want_edam) = runs

@@ -74,8 +74,7 @@ class TestNarrowCounts:
         if np.iinfo(dtype).max >= 256:
             wide = np.append(wide, [256, 300, 512])
         for model in (ChargeDomainVariation(),
-                      CurrentDomainVariation(count_dependent=True,
-                                             timing_jitter_rel=0.01)):
+                      CurrentDomainVariation(count_dependent=True)):
             expected = model.sigma_vml(wide, 512)
             got = model.sigma_vml(wide.astype(dtype), 512)
             assert got.dtype == expected.dtype
@@ -140,12 +139,6 @@ class TestCurrentDomain:
         sigma_wc_45 = model.worst_case_sigma(45)
         assert model.vdd / 45 < 2 * constants.SIGMA_SEPARATION * sigma_wc_45
 
-    def test_timing_jitter_adds(self):
-        quiet = CurrentDomainVariation()
-        jittery = CurrentDomainVariation(timing_jitter_rel=0.05)
-        assert float(jittery.sigma_vml(128, 256)) > \
-            float(quiet.sigma_vml(128, 256))
-
     def test_asmcap_noise_is_much_lower_at_threshold(self):
         """The core reliability claim: near small thresholds the charge
         domain's sigma sits far below the current domain's floor."""
@@ -164,11 +157,6 @@ class TestCurrentDomain:
         assert model.worst_case_sigma(32) == 0.0
         with pytest.raises(CamConfigError):
             model.distinguishable_states()
-
-    def test_zero_variation_keeps_timing_jitter(self):
-        model = CurrentDomainVariation(sigma_rel=0.0, timing_jitter_rel=0.01)
-        assert float(model.sigma_vml(16, 32)) == pytest.approx(0.5 * 0.01
-                                                               * model.vdd)
 
     def test_vanishing_variation_is_a_zero_floor(self):
         model = CurrentDomainVariation(sigma_rel=1e-200)

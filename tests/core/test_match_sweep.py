@@ -215,9 +215,7 @@ class TestMatchSweepBitIdentity:
 
 
 class TestEdamSweep:
-    @pytest.mark.parametrize("enable_sr", [False, True])
-    def test_bit_identical_to_keyed_scalar(self, small_dataset_b,
-                                           enable_sr):
+    def test_bit_identical_to_keyed_scalar(self, small_dataset_b):
         dataset = small_dataset_b
         reads = _reads_matrix(dataset)
         thresholds = np.array([2, 6, 12])
@@ -226,7 +224,7 @@ class TestEdamSweep:
             array = CamArray(rows=dataset.n_segments,
                              cols=dataset.read_length,
                              domain="current", noisy=True, seed=9)
-            matcher = EdamMatcher(array=array, enable_sr=enable_sr)
+            matcher = EdamMatcher(array=array)
             matcher.store(dataset.segments)
             return matcher
 

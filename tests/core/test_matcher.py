@@ -70,15 +70,15 @@ class TestSearchScheduling:
 
     def test_empty_block_runs_only_the_base_pass(self, dataset_b):
         """A zero-read sweep above every Tl records its base ED* pass
-        alone, for ASMCap and for EDAM with SR: no empty rotation or
-        HD passes."""
+        alone, for ASMCap and for EDAM: no empty rotation or HD
+        passes."""
         empty = np.zeros((0, dataset_b.read_length), dtype=np.uint8)
         asmcap = make_matcher(dataset_b)
         edam_array = CamArray(rows=dataset_b.n_segments,
                               cols=dataset_b.read_length, domain="current",
                               noisy=False)
         edam_array.store(dataset_b.segments)
-        edam = EdamMatcher(edam_array, enable_sr=True)
+        edam = EdamMatcher(edam_array)
         thresholds = [2, asmcap.tasr_lower_bound() + 2]
         assert asmcap.match_sweep(empty, thresholds).decisions.shape \
             == (2, 0, dataset_b.n_segments)
@@ -264,3 +264,25 @@ class TestBatchMatching:
             matcher.match_batch(reads[0], 4)  # 1-D block
         with pytest.raises(CamConfigError):
             matcher.match_batch(reads, 4, query_keys=[1])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, "1"],
+                         ids=["nan", "inf", "negative", "str"])
+@pytest.mark.parametrize("name", ["hdac_alpha", "hdac_beta", "tasr_gamma"])
+def test_policy_constants_rejected_at_construction(name, value):
+    """A NaN or negative policy constant is refused where a bad
+    ``tasr_direction`` is, before any search: not a raw ``ValueError``
+    from ``math.ceil``, a silent ``Tl = 1``, a ``p`` above 1, or HDAC
+    silently off."""
+    array = CamArray(rows=8, cols=32)
+    with pytest.raises(CamConfigError, match=name):
+        AsmCapMatcher(array, ErrorModel.condition_a(),
+                      MatcherConfig(**{name: value}))
+
+
+def test_zero_policy_constants_are_accepted():
+    """``gamma = 0`` is the TASR ablation's unconditional rotation."""
+    array = CamArray(rows=8, cols=32)
+    matcher = AsmCapMatcher(array, ErrorModel.condition_b(), MatcherConfig(
+        hdac_alpha=0.0, hdac_beta=0.0, tasr_gamma=0.0))
+    assert matcher.tasr_lower_bound() == 1

@@ -1,15 +1,16 @@
 """The fused flow equals the per-pass flow, pass for pass.
 
-``AsmCapMatcher._flow`` and ``EdamMatcher`` take the base ED* counts
-and every TASR/SR rotation's counts from one encode of the block
-(``mismatch_counts_batch(..., rotations=)``) and hand them to each
+``AsmCapMatcher._flow`` takes the base ED* counts and every TASR
+rotation's counts from one encode of the block
+(``mismatch_counts_batch(..., rotations=)``) and hands them to each
 pass through ``precomputed_counts``.  The reference here is the route
 that encode replaced: every pass searches its own ``np.roll`` copy of
 the reads and counts it inside the search.  Decisions, per-cell
 search counts, energies, latencies and every ledger event must be
 ``==`` — on sweeps whose thresholds straddle ``Tl``, on batches either
-side of it, with HDAC sharing the block, and on EDAM's unconditional
-SR.  A batch takes one threshold: a per-read vector is refused.
+side of it, with HDAC sharing the block, and on unconditional rotated
+passes over a current-domain array (EDAM's Sequence Rotation).  A
+batch takes one threshold: a per-read vector is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.edam import EdamMatcher
+from repro import constants
 from repro.cam.array import CamArray, StoredReference
 from repro.cam.cell import MatchMode
 from repro.cam.keyed_noise import fold_key_block
@@ -54,11 +55,11 @@ def _matcher(dataset, config: "MatcherConfig | None" = None):
     return AsmCapMatcher(array, dataset.model, config, seed=5)
 
 
-def _edam(dataset) -> EdamMatcher:
-    matcher = EdamMatcher(rows=N_SEGMENTS, cols=READ_LENGTH,
-                          enable_sr=True, seed=9)
-    matcher.store(dataset.segments)
-    return matcher
+def _current_array(dataset) -> CamArray:
+    array = CamArray(rows=N_SEGMENTS, cols=READ_LENGTH, domain="current",
+                     seed=9)
+    array.store(dataset.segments)
+    return array
 
 
 def _search(array, sweep, queries, thresholds, mode, keys, tag, rotation):
@@ -91,7 +92,7 @@ def _per_pass_flow(matcher: AsmCapMatcher, reads, thresholds, sweep):
     decisions = decisions.copy()
     if config.enable_hdac:
         p = np.array([matcher.hdac_probability(int(t)) for t in thresholds])
-        hd_mask = p >= config.hdac_disable_threshold
+        hd_mask = p >= constants.HDAC_DISABLE_THRESHOLD
         if hd_mask.any():
             rows, hd = run(hd_mask, MatchMode.HAMMING, PASS_HAMMING)
             decisions[rows] = hdac_correct_batch(
@@ -205,38 +206,60 @@ class TestAsmCapFlow:
 
 
 class TestEdamSequenceRotation:
-    def _reference(self, matcher, reads, thresholds, sweep):
-        return [_search(matcher.array, sweep, reads, thresholds,
+    """The base pass and NR = 2 rotations of both directions over a
+    current-domain array, from one rotations encode."""
+
+    OFFSETS = (0,) + rotation_offsets(2, "both")
+
+    @staticmethod
+    def _tag(offset: int) -> int:
+        return PASS_ROTATION + offset if offset else PASS_ED_STAR
+
+    def _reference(self, array, reads, thresholds, sweep):
+        return [_search(array, sweep, reads, thresholds,
                         MatchMode.ED_STAR, KEYS[:reads.shape[0]],
-                        PASS_ROTATION + offset if offset else PASS_ED_STAR,
-                        offset)
-                for offset in (0,) + rotation_offsets(2, "both")]
+                        self._tag(offset), offset)
+                for offset in self.OFFSETS]
+
+    def _counts(self, array, reads):
+        return array.mismatch_counts_batch(reads, MatchMode.ED_STAR,
+                                           rotations=self.OFFSETS)
 
     def test_sweep_equals_per_pass(self):
         dataset = _dataset("B")
         reads, thresholds = _reads(dataset), list(range(2, 17, 2))
-        fused, reference = _edam(dataset), _edam(dataset)
-        recorded = [record_events(matcher.array.ledger)
-                    for matcher in (fused, reference)]
-        decisions = fused.match_sweep(reads, thresholds, query_keys=KEYS)
-        results = self._reference(reference, reads, thresholds, sweep=True)
-        assert np.array_equal(
-            decisions, np.logical_or.reduce([r.matches for r in results]))
-        assert sum(fused.array.ledger.pass_counts().values()) == 1 + 2 * 2
+        fused, reference = _current_array(dataset), _current_array(dataset)
+        recorded = [record_events(array.ledger)
+                    for array in (fused, reference)]
+        counts = self._counts(fused, reads)
+        got = [fused.search_sweep(reads, thresholds, MatchMode.ED_STAR,
+                                  noise_keys=pass_keys(KEYS, self._tag(o)),
+                                  precomputed_counts=block, rotation=o)
+               for o, block in zip(self.OFFSETS, counts, strict=True)]
+        want = self._reference(reference, reads, thresholds, sweep=True)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g.matches, w.matches)
+            assert np.array_equal(g.energy_per_query_joules,
+                                  w.energy_per_query_joules)
+        assert sum(fused.ledger.pass_counts().values()) == 1 + 2 * 2
         assert events_equal(*recorded)
 
     def test_match_equals_per_pass(self):
         dataset = _dataset("B")
-        read = _reads(dataset)[3]
-        fused, reference = _edam(dataset), _edam(dataset)
-        recorded = [record_events(matcher.array.ledger)
-                    for matcher in (fused, reference)]
-        outcome = fused.match(read, 8, query_key=int(KEYS[0]))
-        results = self._reference(reference, read[None, :], 8, sweep=False)
+        read = _reads(dataset)[3:4]
+        fused, reference = _current_array(dataset), _current_array(dataset)
+        recorded = [record_events(array.ledger)
+                    for array in (fused, reference)]
+        block = fused.search_batch(
+            read, 8, [MatchMode.ED_STAR] * len(self.OFFSETS),
+            noise_keys=[pass_keys(KEYS[:1], self._tag(o))
+                        for o in self.OFFSETS],
+            precomputed_counts=self._counts(fused, read),
+            rotation=self.OFFSETS)
+        results = self._reference(reference, read, 8, sweep=False)
+        assert np.array_equal(block.matches,
+                              np.stack([r.matches for r in results]))
         assert np.array_equal(
-            outcome.decisions,
-            np.logical_or.reduce([r.matches[0] for r in results]))
-        assert outcome.n_searches == len(results)
-        assert outcome.energy_joules == sum(
-            float(r.energy_per_query_joules[0]) for r in results)
+            block.energy_per_query_joules,
+            np.stack([r.energy_per_query_joules for r in results]))
         assert events_equal(*recorded)

@@ -34,8 +34,7 @@ from repro.genome.datasets import build_dataset
 N_READS = 4
 
 
-def _engine_profile(condition: str, direction: str = "both"
-                    ) -> StrategyProfile:
+def _engine_profile(condition: str) -> StrategyProfile:
     """The profile the functional engine's ledger records.
 
     Per threshold of the condition's sweep, one ``match_batch`` of a
@@ -47,14 +46,13 @@ def _engine_profile(condition: str, direction: str = "both"
                             read_length=constants.READ_LENGTH,
                             n_segments=8, seed=3)
     reads = np.stack([record.read.codes for record in dataset.reads])
-    thresholds = strategy_profile(condition, direction).thresholds
+    thresholds = strategy_profile(condition).thresholds
     searches, cycles = [], []
     for threshold in thresholds:
         array = CamArray(rows=8, cols=constants.READ_LENGTH,
                          domain="charge", noisy=True, seed=4)
         array.store(dataset.segments)
-        matcher = AsmCapMatcher(array, dataset.model,
-                                MatcherConfig(tasr_direction=direction),
+        matcher = AsmCapMatcher(array, dataset.model, MatcherConfig(),
                                 seed=5)
         matcher.match_batch(reads, threshold)
         stats = search_stats(array.ledger)
@@ -76,11 +74,8 @@ class TestMeasuredProfile:
     @pytest.mark.parametrize("condition", ["A", "B"])
     def test_measured_matches_analytic(self, condition):
         """The engine issues exactly the searches and shift cycles the
-        policies charge, at every swept threshold, in every TASR
-        direction."""
-        for direction in ("both", "left", "right"):
-            assert (_engine_profile(condition, direction)
-                    == strategy_profile(condition, direction)), direction
+        policies charge, at every swept threshold."""
+        assert _engine_profile(condition) == strategy_profile(condition)
 
     def test_per_threshold_detail(self):
         profile = strategy_profile("b")
@@ -94,11 +89,6 @@ class TestMeasuredProfile:
         # for condition B) + 0 rotations; above Tl it adds 2*NR passes.
         assert min(profile.per_threshold_searches) == 1.0
         assert max(profile.per_threshold_searches) == 1.0 + 2 * constants.TASR_NR
-
-    def test_left_only_cheaper(self):
-        both = strategy_profile("B", tasr_direction="both")
-        left = strategy_profile("B", tasr_direction="left")
-        assert left.searches_per_read < both.searches_per_read
 
     def test_unknown_condition(self):
         with pytest.raises(ExperimentError):
@@ -179,6 +169,3 @@ class TestTypicalEvent:
         with pytest.raises(CamConfigError):
             component_energies(event)
 
-    def test_invalid_fraction(self):
-        with pytest.raises(ExperimentError):
-            typical_search_event(mismatch_fraction=1.5)

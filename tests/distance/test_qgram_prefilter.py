@@ -36,20 +36,19 @@ from repro.genome.sequence import DnaSequence
 
 _module = importlib.import_module("repro.distance.edit_distance")
 
-def qgram_lower_bound(segments: np.ndarray, reads: np.ndarray,
-                      q: int = _QGRAM_Q) -> np.ndarray:
+def qgram_lower_bound(segments: np.ndarray, reads: np.ndarray
+                      ) -> np.ndarray:
     """The labeller's pairwise q-gram bound over the full ``(R, M)``
     pair grid."""
-    l1 = np.abs(qgram_profiles(reads, q)[:, None, :].astype(np.int64)
-                - qgram_profiles(segments, q)[None, :, :]).sum(axis=2)
-    return _qgram_bound_from_l1(l1, q)
+    l1 = np.abs(qgram_profiles(reads)[:, None, :].astype(np.int64)
+                - qgram_profiles(segments)[None, :, :]).sum(axis=2)
+    return _qgram_bound_from_l1(l1, _QGRAM_Q)
 
 
-def product_bound(segments: np.ndarray, reads: np.ndarray,
-                  q: int = _QGRAM_Q) -> np.ndarray:
+def product_bound(segments: np.ndarray, reads: np.ndarray) -> np.ndarray:
     """The labeller's grid stage: the product bound of the profiles."""
-    return _qgram_product_bound(qgram_profiles(reads, q),
-                                qgram_profiles(segments, q), q)
+    return _qgram_product_bound(qgram_profiles(reads),
+                                qgram_profiles(segments), _QGRAM_Q)
 
 
 def low_complexity_rows(rng: np.random.Generator, n_rows: int,
@@ -136,23 +135,13 @@ class TestQgramBound:
 
     def test_profiles_count_every_window(self, rng):
         rows = rng.integers(0, 4, (3, 20)).astype(np.uint8)
-        profiles = qgram_profiles(rows, q=3)
-        assert profiles.shape == (3, 64)
-        assert (profiles.sum(axis=1) == 20 - 3 + 1).all()
+        profiles = qgram_profiles(rows)
+        assert profiles.shape == (3, 4 ** _QGRAM_Q)
+        assert (profiles.sum(axis=1) == 20 - _QGRAM_Q + 1).all()
 
     def test_profiles_reject_short_rows(self, rng):
         with pytest.raises(SequenceError):
             qgram_profiles(rng.integers(0, 4, (2, 2)).astype(np.uint8))
-
-    def test_q1_equals_composition_bound(self, rng):
-        """With q = 1 Ukkonen degenerates to the composition bound."""
-        segments = rng.integers(0, 4, (6, 25)).astype(np.uint8)
-        reads = rng.integers(0, 4, (4, 25)).astype(np.uint8)
-        assert np.array_equal(
-            qgram_lower_bound(segments, reads, q=1),
-            composition_lower_bound(segments, reads),
-        )
-
 
 class TestGridBound:
     """The product bound over the pair grid (the labeller's first

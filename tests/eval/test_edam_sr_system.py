@@ -1,31 +1,46 @@
-"""EDAM with unconditional Sequence Rotation against TASR (Section IV-B).
+"""Unconditional Sequence Rotation against TASR (Section IV-B).
 
-EDAM+SR is the variant TASR improves on: its rotations always fire,
-trading FN correction for FP risk at small thresholds.  No figure runs
-it, so its system factory lives here.
+EDAM's Sequence Rotation (SR) is the variant TASR improves on: its
+rotations always fire, trading FN correction for FP risk at small
+thresholds.  The TASR ablation runs it as TASR at ``gamma = 0``, whose
+``Tl`` clamps to 1, so the rotations fire at every threshold these
+tests sweep.  No figure runs it, so its system lives here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
-from repro.baselines.edam import EdamMatcher
 from repro.cam.array import CamArray
+from repro.core.matcher import AsmCapMatcher, MatcherConfig
 from repro.eval.experiment import (
     AccuracyExperiment,
-    _EdamSystem,
     asmcap_full_system,
-    edam_system,
+    asmcap_plain_system,
 )
 from repro.genome.datasets import build_dataset
 
 
-def edam_sr_system(dataset, seed):
+@dataclass
+class SrSystem:
+    matcher: AsmCapMatcher
+
+    def decide_sweep(self, reads: np.ndarray,
+                     thresholds: np.ndarray) -> np.ndarray:
+        return self.matcher.match_sweep(reads, thresholds).decisions
+
+
+def sr_system(dataset, seed):
     array = CamArray(rows=dataset.n_segments, cols=dataset.read_length,
-                     domain="current", noisy=True, seed=seed)
-    matcher = EdamMatcher(array=array, enable_sr=True)
-    matcher.store(dataset.segments)
-    return _EdamSystem(matcher)
+                     seed=seed)
+    array.store(dataset.segments)
+    config = MatcherConfig(enable_hdac=False, tasr_gamma=0.0)
+    matcher = AsmCapMatcher(array, dataset.model, config, seed=seed + 1)
+    assert matcher.tasr_lower_bound() == 1
+    return SrSystem(matcher)
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +53,14 @@ class TestEdamSr:
     def test_sr_helps_edam_at_large_thresholds(self, dataset_b):
         """Unconditional rotation fixes consecutive-indel FNs."""
         experiment = AccuracyExperiment(dataset_b, [10, 14], seed=0)
-        plain = experiment.evaluate("EDAM", edam_system)
-        with_sr = experiment.evaluate("EDAM+SR", edam_sr_system, 1)
+        plain = experiment.evaluate("plain", asmcap_plain_system)
+        with_sr = experiment.evaluate("SR", sr_system, 1)
         assert with_sr.mean_f1() >= plain.mean_f1() - 0.02
 
     def test_tasr_never_loses_to_sr_at_small_thresholds(self, dataset_b):
         """The threshold guard is the whole point: below Tl, TASR
         avoids SR's false-positive risk."""
         experiment = AccuracyExperiment(dataset_b, [2, 4], seed=0)
-        sr = experiment.evaluate("EDAM+SR", edam_sr_system)
+        sr = experiment.evaluate("SR", sr_system)
         tasr = experiment.evaluate("ASMCap", asmcap_full_system, 1)
         assert tasr.mean_f1() >= sr.mean_f1() - 0.03

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ThresholdError
 from repro.eval.experiment import (
     AccuracyExperiment,
     asmcap_full_system,
@@ -35,6 +35,12 @@ class TestConstruction:
     def test_empty_thresholds_rejected(self, dataset):
         with pytest.raises(ExperimentError):
             AccuracyExperiment(dataset, [], seed=0)
+
+    def test_scalar_thresholds_rejected(self, dataset):
+        """A scalar is not a sweep vector: the threshold gate's error,
+        not a raw ``TypeError`` from ``len()``."""
+        with pytest.raises(ThresholdError, match="1-D sweep vector"):
+            AccuracyExperiment(dataset, 5, seed=0)
 
     def test_negative_threshold_rejected(self, dataset):
         with pytest.raises(ExperimentError):

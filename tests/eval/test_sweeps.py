@@ -94,8 +94,7 @@ class TestSerialRuns:
                            seed=seed, **shape)
         expected = {name: [] for name in systems}
         for run in range(n_runs):
-            dataset = build_dataset("A", seed=seed + run * 104729,
-                                    burst_prob=0.3, **shape)
+            dataset = build_dataset("A", seed=seed + run * 104729, **shape)
             outcomes = AccuracyExperiment(
                 dataset, thresholds, seed=seed + run * 7).evaluate_all(systems)
             for name, outcome in outcomes.items():

@@ -105,12 +105,6 @@ class TestStrategyProfile:
         assert profile.searches_per_read == pytest.approx(1 + 6 / 8 * 4)
         assert profile.rotation_cycles_per_read > 0
 
-    def test_left_only_cheaper(self):
-        both = strategy_profile("B", "both")
-        left = strategy_profile("B", "left")
-        assert left.searches_per_read < both.searches_per_read
-
-
 class TestCostHelpers:
     def test_edam_period_exceeds_asmcap(self):
         from repro.arch.power import steady_state_search_period_ns
@@ -149,15 +143,6 @@ class TestAnalyticReadCost:
         per_array = sum(component_energies_per_search().values())
         assert asmcap_read_cost().energy_joules == pytest.approx(
             per_array * constants.ARRAY_COUNT, rel=1e-12)
-
-    @pytest.mark.parametrize("n_arrays", [1, 64, 512])
-    def test_energy_linear_in_arrays_latency_independent(self, n_arrays):
-        one = asmcap_read_cost(n_arrays=1)
-        many = asmcap_read_cost(n_arrays=n_arrays)
-        assert many.energy_joules == pytest.approx(
-            n_arrays * one.energy_joules, rel=1e-12)
-        # Arrays search in parallel behind the H-tree.
-        assert many.latency_ns == one.latency_ns
 
     @pytest.mark.parametrize("searches", [1.5, 2.0, 3.0, 5.0])
     def test_more_searches_cost_more(self, searches):

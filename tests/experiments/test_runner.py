@@ -45,16 +45,16 @@ class TestCli:
 
 class TestAblationDrivers:
     def test_defect_ablation_output(self):
-        text = ablations.defect_ablation(n_segments=16, seed=1)
+        text = ablations.defect_ablation(seed=1)
         assert "Defect robustness" in text
         assert "100" in text  # 0 % defects -> 100 % self-recovery
 
     def test_hdac_ablation_small(self):
-        text = ablations.hdac_ablation(n_reads=8, n_segments=12, seed=2)
+        text = ablations.hdac_ablation(seed=2)
         assert "HDAC ablation" in text
         assert "(no HDAC)" in text
 
     def test_tasr_ablation_small(self):
-        text = ablations.tasr_ablation(n_reads=8, n_segments=12, seed=3)
+        text = ablations.tasr_ablation(seed=3)
         assert "TASR ablation" in text
         assert "SR (gamma=0)" in text

@@ -22,16 +22,10 @@ def checker() -> InvariantChecker:
 @pytest.fixture
 def poison_plan() -> FaultPlan:
     """One poisoned read on the stream dispatch path (must surface)."""
-    return FaultPlan.of(
-        Fault("poisoned_read", "service.stream.dispatch", 1),
-        seed=101,
-    )
+    return FaultPlan(101, (Fault("poisoned_read", "service.stream.dispatch", 1),))
 
 
 @pytest.fixture
 def stall_plan() -> FaultPlan:
     """One brief dispatch stall (latency only; must be tolerated)."""
-    return FaultPlan.of(
-        Fault("slow_batch", "service.stream.dispatch", 2, arg=3),
-        seed=102,
-    )
+    return FaultPlan(102, (Fault("slow_batch", "service.stream.dispatch", 2, arg=3),))

@@ -111,8 +111,7 @@ class TestEndToEnd:
         assert verdict.hygiene == ()
 
     def test_store_truncate_surfaces_as_refstore_error(self, checker):
-        plan = FaultPlan.of(
-            Fault("store_truncate", "refstore.save", 0), seed=103)
+        plan = FaultPlan(103, (Fault("store_truncate", "refstore.save", 0),))
         verdict = checker.check(
             get_scenario("store-batched-gemm"), plan)
         assert verdict.ok
@@ -120,9 +119,7 @@ class TestEndToEnd:
         assert verdict.error_type == "RefStoreError"
 
     def test_catalog_poisoned_open_surfaces_and_counts(self, checker):
-        plan = FaultPlan.of(
-            Fault("poisoned_open", "refstore.catalog.open", 0),
-            seed=104)
+        plan = FaultPlan(104, (Fault("poisoned_open", "refstore.catalog.open", 0),))
         verdict = checker.check(
             get_scenario("catalog-batched-gemm"), plan)
         assert verdict.ok
@@ -142,8 +139,7 @@ class TestEndToEnd:
 
     def test_vacuous_plan_is_tolerated(self, checker):
         # The stream route saves no store file: the fault never fires.
-        plan = FaultPlan.of(
-            Fault("store_truncate", "refstore.save", 0), seed=106)
+        plan = FaultPlan(106, (Fault("store_truncate", "refstore.save", 0),))
         verdict = checker.check(get_scenario("stream-batched-gemm"),
                                 plan)
         assert verdict.ok

@@ -9,7 +9,7 @@ from repro.faults import Fault, FaultPlan, arm, fire
 
 
 def _plan(*faults, seed=0):
-    return FaultPlan.of(*faults, seed=seed)
+    return FaultPlan(seed, tuple(faults))
 
 
 def armed() -> bool:

@@ -52,34 +52,31 @@ class TestPlanValidation:
             FaultPlan.of(fault, other)
 
     def test_distinct_slots_accepted(self):
-        plan = FaultPlan.of(
-            Fault("slow_batch", "service.stream.dispatch", 0),
-            Fault("poisoned_read", "service.stream.dispatch", 1),
-            seed=9,
-        )
+        plan = FaultPlan(9, (Fault("slow_batch", "service.stream.dispatch", 0),
+            Fault("poisoned_read", "service.stream.dispatch", 1),))
         assert plan.seed == 9
         assert len(plan.faults) == 2
 
 
 class TestGenerate:
     def test_same_seed_same_schedule(self):
-        a = FaultPlan.generate(1234, n_faults=3)
-        b = FaultPlan.generate(1234, n_faults=3)
+        a = FaultPlan.generate(1234)
+        b = FaultPlan.generate(1234)
         assert a == b
 
     def test_different_seeds_differ(self):
-        schedules = {FaultPlan.generate(seed, n_faults=2).faults
+        schedules = {FaultPlan.generate(seed).faults
                      for seed in range(16)}
         assert len(schedules) > 1
 
     def test_kinds_restriction_respected(self):
-        plan = FaultPlan.generate(7, kinds=("slow_batch",), n_faults=2)
+        plan = FaultPlan.generate(7, kinds=("slow_batch",))
         assert plan.faults
         assert all(f.kind == "slow_batch" for f in plan.faults)
 
     def test_points_restriction_respected(self):
         plan = FaultPlan.generate(
-            11, kinds=("poisoned_read", "slow_batch"), n_faults=2,
+            11, kinds=("poisoned_read", "slow_batch"),
             points=("service.stream.dispatch",),
         )
         assert plan.faults
@@ -102,13 +99,11 @@ class TestGenerate:
 
     def test_hits_bounded(self):
         for seed in range(32):
-            plan = FaultPlan.generate(seed, n_faults=2, max_hits=3)
+            plan = FaultPlan.generate(seed, max_hits=3)
             assert all(0 <= f.hit < 3 for f in plan.faults)
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(CamConfigError, match="unknown fault kind"):
             FaultPlan.generate(0, kinds=("bogus",))
-        with pytest.raises(CamConfigError, match="n_faults"):
-            FaultPlan.generate(0, n_faults=0)
         with pytest.raises(CamConfigError, match="max_hits"):
             FaultPlan.generate(0, max_hits=0)

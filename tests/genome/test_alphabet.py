@@ -1,9 +1,4 @@
-"""Tests for repro.genome.alphabet: encoding, complements, validation.
-
-The Watson-Crick complement lives in packed k-mer space
-(:func:`repro.genome.kmer.reverse_complement_kmer`); a 1-mer's reverse
-complement is its base's complement.
-"""
+"""Tests for repro.genome.alphabet: encoding and validation."""
 
 from __future__ import annotations
 
@@ -14,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import AlphabetError
 from repro.genome import alphabet
-from repro.genome.kmer import pack_kmer, reverse_complement_kmer
 
 dna_text = st.text(alphabet="ACGT", max_size=200)
 
@@ -45,25 +39,6 @@ class TestEncodeDecode:
 
     def test_encode_returns_uint8(self):
         assert alphabet.encode("GATTACA").dtype == np.uint8
-
-
-class TestComplement:
-    def test_complement_pairs(self):
-        complements = [reverse_complement_kmer(int(code), 1)
-                       for code in alphabet.encode("ACGT")]
-        assert alphabet.decode(np.array(complements)) == "TGCA"
-
-    @given(dna_text)
-    def test_complement_is_involution(self, text):
-        for code in alphabet.encode(text):
-            once = reverse_complement_kmer(int(code), 1)
-            assert reverse_complement_kmer(once, 1) == code
-
-    @given(dna_text)
-    def test_reverse_complement_is_involution(self, text):
-        packed = pack_kmer(alphabet.encode(text))
-        once = reverse_complement_kmer(packed, len(text))
-        assert reverse_complement_kmer(once, len(text)) == packed
 
 
 class TestRandomCodes:

@@ -5,34 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DatasetError
-from repro.genome.generator import (
-    ReferenceGenerator,
-    RepeatProfile,
-    generate_reference,
-)
+from repro.genome.generator import ReferenceGenerator, generate_reference
 from repro.genome.kmer import KmerIndex
-
-
-class TestRepeatProfile:
-    def test_defaults_validate(self):
-        RepeatProfile().validate()
-
-    def test_bad_tandem_fraction(self):
-        with pytest.raises(DatasetError):
-            RepeatProfile(tandem_fraction=1.5).validate()
-
-    def test_fractions_must_leave_unique_sequence(self):
-        with pytest.raises(DatasetError):
-            RepeatProfile(tandem_fraction=0.5,
-                          interspersed_fraction=0.5).validate()
-
-    def test_bad_motif_lengths(self):
-        with pytest.raises(DatasetError):
-            RepeatProfile(tandem_motif_lengths=(3, 2)).validate()
-
-    def test_bad_divergence(self):
-        with pytest.raises(DatasetError):
-            RepeatProfile(interspersed_divergence=1.0).validate()
 
 
 class TestGeneration:
@@ -58,7 +32,7 @@ class TestGeneration:
         assert abs(ref.gc_content() - 0.41) < 0.01
 
     def test_no_repeats_mode(self):
-        ref = ReferenceGenerator(repeats=None, seed=0).generate(1000)
+        ref = ReferenceGenerator(repeats=False, seed=0).generate(1000)
         assert len(ref) == 1000
 
 
@@ -72,12 +46,7 @@ class TestRepeatStructure:
 
     def test_interspersed_copies_exist(self):
         """Some 20-mers must occur many times (the repeat element)."""
-        ref = ReferenceGenerator(
-            repeats=RepeatProfile(tandem_fraction=0.0,
-                                  interspersed_fraction=0.2,
-                                  interspersed_divergence=0.0),
-            seed=9,
-        ).generate(30_000)
+        ref = ReferenceGenerator(seed=9).generate(30_000)
         index = KmerIndex.build(ref, 20)
         max_occurrences = max(len(v) for v in index.positions.values())
         assert max_occurrences >= 5

@@ -1,4 +1,4 @@
-"""Tests for k-mer packing, canonicalisation and indexing."""
+"""Tests for k-mer packing and indexing."""
 
 from __future__ import annotations
 
@@ -11,10 +11,8 @@ from repro.errors import DatasetError
 from repro.genome import alphabet
 from repro.genome.kmer import (
     KmerIndex,
-    canonical_kmer,
     iter_kmers,
     pack_kmer,
-    reverse_complement_kmer,
 )
 from repro.genome.sequence import DnaSequence
 
@@ -30,12 +28,6 @@ def unpack_kmer(value: int, k: int) -> np.ndarray:
     return codes
 
 
-def reverse_complement_codes(codes: np.ndarray) -> np.ndarray:
-    """Watson-Crick reverse complement in code space: A<->T, C<->G is
-    ``3 - code``."""
-    return (3 - np.asarray(codes, dtype=np.uint8))[::-1]
-
-
 class TestPacking:
     def test_pack_known(self):
         # ACGT = 00 01 10 11 = 0b00011011 = 27
@@ -45,23 +37,6 @@ class TestPacking:
     def test_pack_unpack_round_trip(self, text):
         codes = alphabet.encode(text)
         assert np.array_equal(unpack_kmer(pack_kmer(codes), len(text)), codes)
-
-    @given(dna_text)
-    def test_reverse_complement_packed_matches_sequence(self, text):
-        seq = DnaSequence(text)
-        packed = pack_kmer(seq.codes)
-        rc_packed = reverse_complement_kmer(packed, len(text))
-        assert np.array_equal(unpack_kmer(rc_packed, len(text)),
-                              reverse_complement_codes(seq.codes))
-
-    @given(dna_text)
-    def test_canonical_is_idempotent_under_rc(self, text):
-        packed = pack_kmer(alphabet.encode(text))
-        rc = reverse_complement_kmer(packed, len(text))
-        assert canonical_kmer(packed, len(text)) == canonical_kmer(
-            rc, len(text)
-        )
-
 
 class TestIteration:
     def test_positions_and_count(self):
@@ -105,8 +80,3 @@ class TestIndex:
         index = KmerIndex.build(DnaSequence("A" * 100), 4)
         assert len(index) == 1  # 97 slots, one k-mer
 
-    def test_canonical_index_merges_strands(self):
-        # AC and GT are reverse complements: canonical index merges them.
-        plain = KmerIndex.build(DnaSequence("ACGT"), 2, canonical=False)
-        canonical = KmerIndex.build(DnaSequence("ACGT"), 2, canonical=True)
-        assert len(canonical) < len(plain)

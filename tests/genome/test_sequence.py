@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from repro.distance.edit_distance import composition_profiles
 from repro.errors import SequenceError
-from repro.genome.alphabet import encode
-from repro.genome.kmer import pack_kmer, reverse_complement_kmer
 from repro.genome.sequence import DnaSequence
 from repro.kernels import counts_batch, encode_reference
 
@@ -90,10 +88,6 @@ class TestProtocol:
 
 
 class TestBiology:
-    def test_reverse_complement(self):
-        packed = pack_kmer(DnaSequence("AACG").codes)
-        assert reverse_complement_kmer(packed, 4) == pack_kmer(encode("CGTT"))
-
     def test_gc_content(self):
         assert DnaSequence("GGCC").gc_content() == 1.0
         assert DnaSequence("AATT").gc_content() == 0.0

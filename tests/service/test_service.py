@@ -433,7 +433,7 @@ class TestEngineFailure:
             threshold=THRESHOLD, micro_batch=4, seed=0,
         )
         plan = FaultPlan.of(
-            Fault("poisoned_read", "service.stream.dispatch", 1), seed=0)
+            Fault("poisoned_read", "service.stream.dispatch", 1))
         with arm(plan):
             with pytest.raises(CamConfigError, match="injected"):
                 service.submit_many(reads)

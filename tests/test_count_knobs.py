@@ -7,17 +7,22 @@ error type (:class:`~repro.errors.CamConfigError` at the shared knob
 gate and at a stored reference's row capacity,
 :class:`~repro.errors.RefStoreError` at the catalog's byte budget,
 :class:`~repro.errors.ExperimentError` at the sweep's run count and
-the ground-truth labeller's thresholds and margin,
-:class:`~repro.errors.DatasetError` at the dataset and reference
-builders, whose ``seed`` is held to the same integer rule) and accepts
+the ground-truth labeller's thresholds and the accuracy experiment's
+seeds, :class:`~repro.errors.DatasetError` at the dataset and reference
+builders, whose ``seed`` is held to the same integer rule, at the k-mer
+indexes' ``k`` and at the FASTA/FASTQ parsers' ``seed``) and accepts
 numpy integers.
 """
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
+from repro.baselines.kraken import KrakenLikeClassifier
+from repro.baselines.savi import SaviBaseline
 from repro.cam.array import StoredReference
 from repro.errors import (
     CamConfigError,
@@ -25,11 +30,13 @@ from repro.errors import (
     ExperimentError,
     RefStoreError,
 )
-from repro.eval.experiment import asmcap_plain_system
+from repro.eval.experiment import AccuracyExperiment, asmcap_plain_system
 from repro.eval.ground_truth import label_dataset
 from repro.eval.sweeps import run_sweep
 from repro.genome.datasets import build_dataset
 from repro.genome.generator import generate_reference
+from repro.genome.io_fasta import parse_fasta, parse_fastq
+from repro.genome.kmer import KmerIndex
 from repro.refstore import ReferenceCatalog
 from repro.service import MappingFrontend, StreamingMappingService
 
@@ -63,9 +70,6 @@ BOUNDARIES = {
     "stored-rows": (
         lambda ds, v: StoredReference(ds.segments[:2], rows=v),
         CamConfigError),
-    "encode-rows": (
-        lambda ds, v: StoredReference.encode(ds.segments[:2], rows=v),
-        CamConfigError),
     "dataset-n_reads": (_dataset("n_reads"), DatasetError),
     "dataset-read_length": (_dataset("read_length"), DatasetError),
     "dataset-n_segments": (_dataset("n_segments"), DatasetError),
@@ -76,10 +80,25 @@ BOUNDARIES = {
         lambda ds, v: generate_reference(64, seed=v), DatasetError),
     "truth-max_threshold": (
         lambda ds, v: label_dataset(ds, v), ExperimentError),
-    "truth-margin": (
-        lambda ds, v: label_dataset(ds, 2, margin=v), ExperimentError),
     "truth-labels": (
         lambda ds, v: label_dataset(ds, 4).labels(v), ExperimentError),
+    "kmer-k": (lambda ds, v: KmerIndex.build(ds.reference, v), DatasetError),
+    "savi-k": (lambda ds, v: SaviBaseline(ds.reference, k=v), DatasetError),
+    "kraken-k": (
+        lambda ds, v: KrakenLikeClassifier(ds.segments, k=v), DatasetError),
+    "experiment-seed": (
+        lambda ds, v: AccuracyExperiment(ds, [2], seed=v), ExperimentError),
+    "experiment-seed_offset": (
+        lambda ds, v: AccuracyExperiment(ds, [2]).evaluate(
+            "plain", asmcap_plain_system, seed_offset=v), ExperimentError),
+    "fasta-seed": (
+        lambda ds, v: parse_fasta(io.StringIO(">r\nACGN\n"),
+                                  ambiguous="random", seed=v),
+        DatasetError),
+    "fastq-seed": (
+        lambda ds, v: parse_fastq(io.StringIO("@r\nACGN\n+\nIIII\n"),
+                                  ambiguous="random", seed=v),
+        DatasetError),
 }
 
 
@@ -123,6 +142,7 @@ def test_accepted_counts_keep_their_value(small_dataset_a):
                       n_runs=np.int64(3), n_reads=4, read_length=32,
                       n_segments=8)
     assert sweep.systems["plain"].f1_runs.shape == (3, 1)
-    truth = label_dataset(small_dataset_a, np.int64(4), margin=np.int8(1))
-    assert truth.band == 5
+    truth = label_dataset(small_dataset_a, np.int64(4))
+    assert truth.band == 6
     assert type(truth.band) is int
+    assert KmerIndex.build(small_dataset_a.reference, np.int8(3)).k == 3

@@ -63,7 +63,8 @@ class TestDigitalConsistency:
         """Same digital matching rule, different analog domain."""
         charge = CamArray(rows=32, cols=128, domain="charge", noisy=False)
         charge.store(dataset.segments)
-        edam = EdamMatcher(rows=32, cols=128, noisy=False)
+        edam = EdamMatcher(CamArray(rows=32, cols=128, domain="current",
+                                    noisy=False))
         edam.store(dataset.segments)
         for record in dataset.reads:
             for threshold in (1, 4, 8):

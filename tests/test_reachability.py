@@ -30,8 +30,19 @@ brute-force oracle the live code is compared against; or it gets an
 ``ALLOWED`` entry naming the paper equation or documented API it
 implements.
 
-There is one test id per module and per symbol, so a failure names
-what is unreached.  Each package's ``__all__`` must also name only what
+**Parameters.**  Every defaulted parameter of a reached public
+function, method or constructor (a public dataclass's defaulted fields,
+unless ``src`` assigns them after construction) is a knob, and a knob
+must be set by a non-test file under the roots: by keyword or
+position in a call of its callable's name, in ``dataclasses.replace``,
+or by a ``*``/``**`` call, which counts as passing everything.  An
+unpassed knob is pinned to the value its callers run, or gets an
+``ALLOWED_PARAMETERS`` entry: a deployment setting, how outside input
+is parsed or written, a CLI's ``argv``, or a seam a named test uses to
+run a smaller or simpler input.
+
+There is one test id per module, symbol and parameter, so a failure
+names what is unreached.  Each package's ``__all__`` must also name only what
 the package binds, so a deletion cannot leave a dangling re-export.
 """
 
@@ -220,6 +231,242 @@ def unreached_symbols(root: Path = ROOT) -> frozenset[str]:
 SYMBOLS = sorted(q for q, _, public, _ in _definitions(SRC) if public)
 
 
+# -- the parameter walk ------------------------------------------------------
+
+#: Parameters no root passes, each with one of four reasons to stay.
+#: The tag is the reason's class; a ``test-seam`` reason names the test
+#: (``tests/<file>::<test>``) that runs the smaller or simpler input, and
+#: never covers a different algorithm or model.  An entry must name a
+#: parameter that is still unreached, so a stale exemption fails.
+ALLOWED_PARAMETERS: "dict[str, tuple[str, str]]" = {
+    "repro.refstore.catalog.ReferenceCatalog.byte_budget": (
+        "deployment", "the host's memory budget for resident references; "
+        "the nightly catalog churn soak (tests/refstore, --run-slow) "
+        "runs it"),
+    "repro.genome.io_fasta.parse_fasta.ambiguous": (
+        "external-input", "the policy for IUPAC codes in a FASTA file"),
+    "repro.genome.io_fasta.parse_fasta.seed": (
+        "external-input", "the seed of the 'random' ambiguity policy"),
+    "repro.genome.io_fasta.parse_fastq.ambiguous": (
+        "external-input", "the policy for IUPAC codes in a FASTQ file"),
+    "repro.genome.io_fasta.parse_fastq.seed": (
+        "external-input", "the seed of the 'random' ambiguity policy"),
+    "repro.genome.io_fasta.write_fasta.width": (
+        "external-input", "the line width of a written FASTA file"),
+    "repro.experiments.runner.main.argv": (
+        "argv", "the command line of python -m repro.experiments"),
+    "repro.genome.datasets.build_dataset.with_repeats": (
+        "test-seam", "a repeat-free few-base dataset for "
+        "tests/test_count_knobs.py::"
+        "test_non_integer_count_raises_the_boundary_error"),
+    "repro.baselines.kraken.KrakenLikeClassifier.k": (
+        "test-seam", "k-mers of 1 to 64 bases over short rows, against "
+        "the set oracle of "
+        "tests/baselines/test_kraken_oracle.py::test_matches_set_oracle"),
+}
+PARAMETER_CLASSES = ("deployment", "external-input", "argv", "test-seam")
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_MUTATORS = frozenset({"append", "extend", "update", "add", "insert",
+                       "setdefault"})
+_CONSTRUCTION = ("__init__", "__post_init__")
+
+
+def _decorated(node, name: str) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == name:
+            return True
+    return False
+
+
+def _defaulted(node, skip: int) -> "list[tuple[str, int | None]]":
+    """``(name, positional index)`` of each defaulted parameter, the
+    index counted after the first *skip* parameters (``None`` for
+    keyword-only ones)."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args][skip:]
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    found += [(a.arg, None) for a, default
+              in zip(args.kwonlyargs, args.kw_defaults, strict=True)
+              if default is not None]
+    return found
+
+
+def _fields(node: ast.ClassDef) -> "list[tuple[str, int]]":
+    """``(name, positional index)`` of each defaulted dataclass field."""
+    fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+              and isinstance(s.target, ast.Name)
+              and "ClassVar" not in ast.unparse(s.annotation)]
+    return [(s.target.id, i) for i, s in enumerate(fields) if s.value is not None]
+
+
+def _assigned_after_construction(src: Path) -> set[str]:
+    """Attribute names ``src/repro`` stores into, or mutates in place,
+    outside ``__init__`` / ``__post_init__``."""
+    names = set()
+
+    def visit(node, constructing: bool):
+        if isinstance(node, _FUNCTIONS):
+            constructing = node.name in _CONSTRUCTION
+        elif not constructing:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Attribute)):
+                names.add(node.value.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS
+                  and isinstance(node.func.value, ast.Attribute)):
+                names.add(node.func.value.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, constructing)
+
+    for path in sorted((src / "repro").rglob("*.py")):
+        visit(_parse(path), False)
+    return names
+
+
+def _knobs(root: Path) -> "list[tuple[str, frozenset[str], str, int | None]]":
+    """``(id, callee names, parameter, positional index)`` for every
+    defaulted parameter of a reached public function, method or
+    constructor under ``root/src/repro``; a public dataclass's
+    defaulted fields are its constructor's parameters unless ``src``
+    assigns them after construction."""
+    src = root / "src"
+    unreached = unreached_symbols(root)
+    data = _assigned_after_construction(src)
+    defs = [(_dotted(path, src).removesuffix(".__init__"), node)
+            for path in sorted((src / "repro").rglob("*.py"))
+            for node in _parse(path).body if isinstance(node, _DEFS)]
+    subclasses: "dict[str, set[str]]" = {}
+    for _, node in defs:
+        for base in getattr(node, "bases", ()):
+            if isinstance(base, ast.Name):
+                subclasses.setdefault(base.id, set()).add(node.name)
+
+    def family(name: str) -> frozenset[str]:
+        found, todo = set(), [name]
+        while todo:
+            current = todo.pop()
+            if current not in found:
+                found.add(current)
+                todo.extend(subclasses.get(current, ()))
+        return frozenset(found)
+
+    knobs = []
+    for module, node in defs:
+        qualified = f"{module}.{node.name}"
+        if node.name.startswith("_") or qualified in unreached or qualified in ALLOWED:
+            continue
+        if not isinstance(node, ast.ClassDef):
+            knobs += [(f"{qualified}.{p}", frozenset({node.name}), p, i)
+                      for p, i in _defaulted(node, 0)]
+            continue
+        if _decorated(node, "dataclass"):
+            knobs += [(f"{qualified}.{p}", family(node.name), p, i)
+                      for p, i in _fields(node) if p not in data]
+        for method in node.body:
+            if not isinstance(method, _FUNCTIONS):
+                continue
+            skip = 0 if _decorated(method, "staticmethod") else 1
+            if method.name == "__init__":
+                knobs += [(f"{qualified}.{p}", family(node.name), p, i)
+                          for p, i in _defaulted(method, skip)]
+            elif (not method.name.startswith("_")
+                  and f"{qualified}.{method.name}" not in unreached):
+                knobs += [(f"{qualified}.{method.name}.{p}",
+                           frozenset({method.name}), p, i)
+                          for p, i in _defaulted(method, skip)]
+    return knobs
+
+
+def _local_aliases(function, owner: "ast.ClassDef | None") -> "dict[str, set[str]]":
+    """Names a function calls through: ``cls`` in a classmethod, and
+    locals bound to a plain name (``cls, extra = HdacPass, {}``)."""
+    aliases: "dict[str, set[str]]" = {}
+    first = [*function.args.posonlyargs, *function.args.args][:1]
+    if owner is not None and first and first[0].arg == "cls":
+        aliases["cls"] = {owner.name}
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if (isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                    and len(target.elts) == len(node.value.elts)):
+                pairs = list(zip(target.elts, node.value.elts, strict=True))
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and isinstance(value, ast.Name):
+                    aliases.setdefault(name.id, set()).add(value.id)
+    return aliases
+
+
+def _callees(call: ast.Call, aliases, owner) -> set[str]:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return aliases.get(func.id, {func.id})
+    if not isinstance(func, ast.Attribute):
+        return set()
+    if (func.attr == "__init__" and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super" and owner is not None):
+        return {base.id for base in owner.bases if isinstance(base, ast.Name)}
+    return {func.attr}
+
+
+@lru_cache(maxsize=None)
+def _passed(root: Path):
+    """What the non-test files under the roots pass: ``(callee, keyword)``
+    pairs, the most positional arguments per callee, the callees called
+    with ``*``/``**`` unpacking, and the names given to
+    ``dataclasses.replace``."""
+    keywords, positional, everything, replaced = set(), {}, set(), set()
+
+    def visit(node, aliases, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node
+        elif isinstance(node, _FUNCTIONS):
+            aliases = {**aliases, **_local_aliases(node, owner)}
+        elif isinstance(node, ast.Call):
+            unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+            for callee in _callees(node, aliases, owner):
+                if unpacked:
+                    everything.add(callee)
+                if callee == "replace":
+                    replaced.update(k.arg for k in node.keywords if k.arg)
+                keywords.update((callee, k.arg) for k in node.keywords if k.arg)
+                positional[callee] = max(positional.get(callee, 0), len(node.args))
+        for child in ast.iter_child_nodes(node):
+            visit(child, aliases, owner)
+
+    for top in ROOTS:
+        for path in sorted((root / top).rglob("*.py")):
+            if not _is_test(path, root):
+                visit(_parse(path), {}, None)
+    return keywords, positional, everything, replaced
+
+
+@lru_cache(maxsize=None)
+def unreached_parameters(root: Path = ROOT) -> frozenset[str]:
+    """The defaulted parameters of reached public callables under
+    ``root/src/repro`` that no non-test file passes."""
+    keywords, positional, everything, replaced = _passed(root)
+
+    def reached(callees, name, index) -> bool:
+        return name in replaced or any(
+            callee in everything or (callee, name) in keywords
+            or (index is not None and positional.get(callee, 0) > index)
+            for callee in callees)
+
+    return frozenset(knob for knob, callees, name, index in _knobs(root)
+                     if not reached(callees, name, index))
+
+
+PARAMETERS = sorted(knob for knob, *_ in _knobs(ROOT))
+
+
 # -- the tests ---------------------------------------------------------------
 
 @pytest.mark.parametrize("module", MODULES)
@@ -317,6 +564,100 @@ def test_walk_flags_exactly_the_test_only_symbols(tmp_path):
         "repro.widgets.orphan",
         "repro.widgets.Widget.outer",
         "repro.widgets.Widget.inner",
+    }
+
+
+@pytest.mark.parametrize("parameter", PARAMETERS)
+def test_parameter_is_reached(parameter):
+    if parameter in ALLOWED_PARAMETERS:
+        return
+    assert parameter not in unreached_parameters(), \
+        f"{parameter} is set only by tests, or by nothing: pin it to the " \
+        f"value its callers run, or give it an ALLOWED_PARAMETERS entry"
+
+
+def test_allowed_parameters_are_live():
+    """Every exemption names an unreached parameter and one of the four
+    reasons; a test seam names a test that exists."""
+    unreached = unreached_parameters()
+    for name, (kind, reason) in ALLOWED_PARAMETERS.items():
+        assert kind in PARAMETER_CLASSES and reason.strip(), name
+        assert name in PARAMETERS, f"ALLOWED_PARAMETERS names no parameter: {name}"
+        assert name in unreached, f"stale ALLOWED_PARAMETERS entry {name}"
+        if kind == "test-seam":
+            path, test = re.search(r"(tests/\S+\.py)::(\w+)", reason).groups()
+            assert f"def {test}(" in (ROOT / path).read_text(), reason
+
+
+def test_parameter_walk_flags_exactly_the_unpassed_knobs(tmp_path):
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/widgets.py": """
+            from dataclasses import dataclass
+
+            def build(size, colour="red", *, shape="square", depth=1):
+                return size, colour, shape, depth
+
+            def stack(size, height=1):
+                return size * height
+
+            def forward(*args, **kwargs):
+                return stack(*args, **kwargs)
+
+            class Widget:
+                def __init__(self, size, weight=1.0, tag=None):
+                    self.size = size
+
+                def paint(self, colour="blue", gloss=False):
+                    return colour, gloss
+
+                @classmethod
+                def small(cls):
+                    return cls(1, tag="small")
+
+            @dataclass
+            class Record:
+                name: str
+                count: int = 0
+                notes: str = ""
+                total: float = 0.0
+
+                def add(self, value):
+                    self.total += value
+
+            def make_record():
+                kind = Record
+                return kind("r", notes="n")
+
+            def orphan(flag=True):
+                return flag
+            """,
+        "examples/demo.py": """
+            import dataclasses
+            from repro.widgets import Widget, build, forward, make_record
+            build(1, "green")
+            build(2, depth=3)
+            forward(2, height=3)
+            Widget(2).paint(gloss=True)
+            Widget.small()
+            dataclasses.replace(make_record(), count=2)
+            """,
+        "tests/test_widgets.py": """
+            from repro.widgets import Widget, build, orphan
+            def test_all():
+                build(1, shape="round")
+                Widget(1, 2.0).paint("red")
+                orphan(False)
+            """,
+    }
+    for relative, text in files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    assert unreached_parameters(tmp_path) == {
+        "repro.widgets.build.shape",
+        "repro.widgets.Widget.weight",
+        "repro.widgets.Widget.paint.colour",
     }
 
 

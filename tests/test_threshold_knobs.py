@@ -120,9 +120,9 @@ KEY_BOUNDARIES = {
 }
 
 
-def _edam(dataset, **knobs):
+def _edam(dataset):
     matcher = EdamMatcher(rows=dataset.n_segments, cols=dataset.read_length,
-                          enable_sr=True, seed=3, **knobs)
+                          seed=3)
     matcher.store(dataset.segments)
     return matcher
 
@@ -131,7 +131,6 @@ def _edam(dataset, **knobs):
 NR_BOUNDARIES = {
     "matcher-tasr_nr": lambda ds, v: AsmCapMatcher(
         CamArray(rows=4, cols=8), ds.model, MatcherConfig(tasr_nr=v)),
-    "edam-sr_nr": lambda ds, v: _edam(ds, sr_nr=v),
 }
 
 
@@ -202,9 +201,6 @@ def test_numpy_integer_nr_runs_its_rotations(small_dataset_a):
         AsmCapMatcher(array, dataset.model,
                       MatcherConfig(tasr_nr=nr)).match_batch(reads, threshold)
         assert array.ledger.pass_counts()["TasrRotationPass"] == 2 * nr
-        edam = _edam(dataset, sr_nr=nr)
-        edam.match_sweep(reads, [threshold])
-        assert edam.array.ledger.pass_counts()["TasrRotationPass"] == 2 * nr
 
 
 @pytest.mark.parametrize("keys", [

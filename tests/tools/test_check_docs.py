@@ -117,7 +117,7 @@ def test_api_doc_module_map_resolves():
 def _signature_blocks(service: str) -> str:
     return "\n".join([
         "# API", "", "```", service,
-        "MappingFrontend(segments, model, noisy=True,",
+        "MappingFrontend(segments, model,",
         "                catalog=None)   # note: x=1 is a comment",
         "  .session(threshold, seed=0, reference=None)",
         "```",
@@ -130,8 +130,7 @@ def test_signature_keywords_skip_comments_and_positionals():
         "                        micro_batch=None)  # autotuned")
     assert signature_keywords(text, "StreamingMappingService(") == [
         ["micro_batch"]]
-    assert signature_keywords(text, "MappingFrontend(") == [
-        ["noisy", "catalog"]]
+    assert signature_keywords(text, "MappingFrontend(") == [["catalog"]]
     assert signature_keywords(text, ".session(") == [["seed", "reference"]]
 
 
